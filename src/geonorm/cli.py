@@ -6,14 +6,14 @@ Subcommands:
 * ``suite``            - run a named verification suite
 * ``toric energy``     - convergence table for the energy of a metric pair
 * ``segments maximal`` - evaluate the quantized maximal segment at one t
-* ``segments verify``  - run verification checks and write a report
+* ``segments verify``  - run a config's verify tasks and write a report
 
 Outputs are deterministic: rationals render as "num/den" strings, decimal
 columns appear only in convergence tables, files are written atomically,
 and re-running a command reproduces its artifacts byte for byte.  The
 exit status is 0 on success, 1 when a verification check fails (the
 counterexample is serialized in the report and echoed to stderr), and 2
-on usage or config errors.
+on usage or config errors and on input the library rejects.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from .field import INF, format_fraction, parse_fraction
 from .graded import asymptotic_stats, check_submultiplicative, serialize_counterexample
 from .norms import distance, join, spectrum, volume
 from .geodesics import geodesic
-from .segments import diagnostics, legendre_segment, maximal_segment
-from .suites import SUITE_NAMES, detect_non_psh, run_suite
+from .segments import detect_non_psh, diagnostics, legendre_segment, maximal_segment
+from .suites import SUITE_NAMES, run_suite
 from .toric import d1_metric, energy
 
 
@@ -141,7 +141,7 @@ def _run_verify(task, cfg, args):
                 "counterexample": ce}, ok, ce
     if target == "segment_psh":
         path = cfg.paths[task["path"]]
-        witness = detect_non_psh(path.ring, path.samples)
+        witness = detect_non_psh(path.ring, path.k, path.samples)
         ok = witness is None
         return {"target": target, "status": "pass" if ok else "fail",
                 "counterexample": witness}, ok, witness
@@ -265,19 +265,14 @@ def cmd_run(args):
 # suite / toric / segments
 
 
-def _print_suite(rows):
+def cmd_suite(args):
+    rows = run_suite(args.name, seed=args.seed)
     width = max(len(r["check"]) for r in rows)
     for r in rows:
         tag = "exact " if r["exact"] else "approx"
         print(f"[{r['status'].upper():4s}] {tag} {r['check']:{width}s}  {r['detail']}")
     n_fail = sum(1 for r in rows if r["status"] != "pass")
     print(f"{len(rows) - n_fail}/{len(rows)} checks passed")
-    return n_fail
-
-
-def cmd_suite(args):
-    rows = run_suite(args.name, seed=args.seed)
-    n_fail = _print_suite(rows)
     if args.out is not None:
         path = _emit(rows, args.format or "json", args.out, f"suite_{args.name}")
         print(f"wrote {path}")
@@ -311,16 +306,6 @@ def cmd_segments_maximal(args):
 
 
 def cmd_segments_verify(args):
-    if args.suite is None and args.config is None:
-        raise ConfigError("segments verify needs --suite or --config")
-    if args.suite is not None:
-        rows = run_suite(args.suite, seed=args.seed)
-        n_fail = _print_suite(rows)
-        report = {"suite": args.suite, "seed": args.seed, "checks": rows}
-        if args.out is not None:
-            path = _emit(report, "json", args.out, f"report_{args.suite}")
-            print(f"wrote {path}")
-        return 1 if n_fail else 0
     cfg = load_config(args.config)
     verify_tasks = [t for t in cfg.tasks if t.get("op") == "verify"]
     if not verify_tasks:
@@ -394,9 +379,9 @@ def build_parser():
     p_max.add_argument("--pair", default=None,
                        help="comma-separated metric names")
     p_max.set_defaults(fn=cmd_segments_maximal)
-    p_verify = seg_sub.add_parser("verify", help="run checks, write a report")
-    _add_common(p_verify)
-    p_verify.add_argument("--suite", choices=("all",) + SUITE_NAMES, default=None)
+    p_verify = seg_sub.add_parser("verify",
+                                  help="run a config's verify tasks, write a report")
+    _add_common(p_verify, config_required=True)
     p_verify.set_defaults(fn=cmd_segments_verify)
 
     return parser
@@ -408,6 +393,11 @@ def main(argv=None):
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        # library errors (ToricError, PLError, ...) derive from ValueError:
+        # bad input, not a failed check
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

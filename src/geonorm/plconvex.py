@@ -8,10 +8,10 @@ constrained convex envelopes, marginal minimization over a leading variable
 by Fourier-Motzkin elimination of the epigraph, and exact integration of
 piecewise-linear data over rational polytopes.
 
-Cell machinery (hull facets, polygon clipping, integration) is implemented
-for n <= 2; every computation in the package's verification suites lives on
-the projective line or plane.  Evaluation, comparison and elimination are
-dimension-generic.
+Cell machinery (hull facets, polygon clipping, integration), and with it
+pruning and marginal minima, is implemented for n <= 2; every computation
+in the package's verification suites lives on the projective line or
+plane.  Evaluation and comparison are dimension-generic.
 """
 
 from __future__ import annotations
@@ -135,19 +135,13 @@ class MaxAffine:
 
 
 def prune(f: MaxAffine) -> MaxAffine:
-    """Drop pieces that never strictly achieve the maximum."""
-    pieces = list(f.pieces)
-    i = 0
-    while i < len(pieces) and len(pieces) > 1:
-        g, c = pieces[i]
-        others = pieces[:i] + pieces[i + 1:]
-        diff = [(tuple(a - b for a, b in zip(go, g)), co - c) for go, co in others]
-        res = minimize_max_affine(f.n, diff)
-        if res.status == "optimal" and res.value >= 0:
-            pieces.pop(i)
-        else:
-            i += 1
-    return MaxAffine(f.n, pieces)
+    """Drop pieces that never strictly achieve the maximum (n <= 2).
+
+    A piece is non-redundant exactly when its lifted point ``(g, c)`` is a
+    vertex of the upper hull, and those vertices are what ``conjugate``
+    keeps, so conjugating back prunes.
+    """
+    return conjugate(f).to_max_affine()
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +385,8 @@ def conjugate(f: MaxAffine) -> ConcaveProfile:
     ``(g_i, c_i)``; its domain is the convex hull of the gradients.
     Redundant pieces land strictly below the envelope and disappear.
     """
+    if f.n > 2:
+        raise PLError("concave profiles implemented for n <= 2")
     pts = list(f.pieces)  # already deduped by gradient with max offset
     if len(pts) == 1:
         g, c = pts[0]
@@ -409,9 +405,7 @@ def conjugate(f: MaxAffine) -> ConcaveProfile:
         if not planes:  # single hull point (all gradients equal; unreachable)
             planes = [((Fraction(0),), chain[0][1])]
         return ConcaveProfile(1, vertices, tuple(cells), tuple(planes))
-    if f.n == 2:
-        return _conjugate_2d(pts)
-    raise NotImplementedError("concave profiles implemented for n <= 2")
+    return _conjugate_2d(pts)
 
 
 def _affine_rank_2d(gradients):
@@ -641,7 +635,7 @@ def min_profile(planes, domain_vertices, extra_hrep, n) -> ConcaveProfile:
             raise EnvelopeError("empty domain")
         return ConcaveProfile(2, tuple(sorted(vertices.items())),
                               tuple(cells), tuple(active))
-    raise NotImplementedError("min profiles implemented for n <= 2")
+    raise PLError("min profiles implemented for n <= 2")
 
 
 def envelope_constrained(funcs, P: Polytope) -> MaxAffine:
@@ -677,7 +671,8 @@ def marginal_min(F: MaxAffine, tau=0) -> MaxAffine:
 
     The epigraph of the objective is projected by eliminating t exactly;
     rows with positive and negative t-coefficients pair up, the rest pass
-    through.  Redundant pieces are pruned by LP afterwards.
+    through.  Redundant pieces are pruned afterwards by ``prune``, so v
+    has at most two coordinates.
     """
     tau = Fraction(tau)
     n = F.n - 1

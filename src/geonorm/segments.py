@@ -6,18 +6,20 @@ The quantized segment at level k pushes the norm geodesic of the two
 degree-k sup-norms back through FS_k; the maximal segment is the pointwise
 max over a divisibility chain of levels; the Legendre segment realizes the
 same object through rooftop envelopes P(phi0, phi1 - tau), with the sup
-over tau reduced to an exact finite critical set.
+over tau reduced to an exact finite critical set.  Sampled metric paths
+are checked for convexity in t, the psh condition, by ``detect_non_psh``.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .geodesics import geodesic
 from .graded import SectionRing
 from .norms import distance
-from .plconvex import MaxAffine, marginal_min, overlay_vertices, prune
+from .plconvex import MaxAffine, compare, marginal_min, overlay_vertices, prune
 from .toric import (
     ToricError,
     ToricMetric,
@@ -201,6 +203,48 @@ def segment_from_dual(seg: FSSegment, t) -> ToricMetric:
     ]
     pot = prune(pots[0].max_with(*pots[1:]))
     return ToricMetric(seg.ring.n, seg.ring.m, pot, "limit")
+
+
+def planted_non_psh_path():
+    """Sampled level-1 metric path that bulges above the chord at t = 1/2.
+
+    Returns ``(ring, k, samples)``, the input of ``detect_non_psh``.  The
+    endpoint potentials are max(0, v) and max(0, v - 2); the midpoint
+    weight at the constant monomial is pushed up by 1/2, breaking convexity
+    of t -> phi_t at the sampled triple (0, 1/2, 1).
+    """
+    ring = section_ring(1, 1)
+    samples = (
+        (Fraction(0), {(0,): Fraction(0), (1,): Fraction(0)}),
+        (Fraction(1, 2), {(0,): Fraction(1, 2), (1,): Fraction(-1)}),
+        (Fraction(1), {(0,): Fraction(0), (1,): Fraction(-2)}),
+    )
+    return ring, 1, samples
+
+
+def detect_non_psh(ring: SectionRing, k: int, samples):
+    """First sampled triple violating convexity in t, or None.
+
+    ``samples`` are ``(t, weights)`` pairs of level-k FS metrics, weights
+    keyed by the degree-k lattice points.  Returns ``{"t0", "t1", "t2",
+    "point", "lhs", "rhs"}`` where lhs is the middle potential at the
+    witness point and rhs the chord value.
+    """
+    metrics = [(t, fs_from_norm(ring, k, w)) for t, w in samples]
+    metrics.sort(key=lambda tv: tv[0])
+    for (t0, p0), (t1, p1), (t2, p2) in itertools.combinations(metrics, 3):
+        lam = (t2 - t1) / (t2 - t0)
+        chord = p0.potential.scaled(lam).plus(p2.potential.scaled(1 - lam))
+        cmp = compare(p1.potential, chord)
+        if cmp.relation in ("ge", "incomparable") and cmp.witness_first_gt:
+            point = cmp.witness_first_gt
+            return {
+                "t0": str(t0), "t1": str(t1), "t2": str(t2),
+                "point": [str(c) for c in point],
+                "lhs": str(p1.potential(point)),
+                "rhs": str(chord(point)),
+            }
+    return None
 
 
 def diagnostics(phi0: ToricMetric, phi1: ToricMetric, kmax: int = 8,

@@ -50,7 +50,7 @@ from .graded import (
     lattice_points,
     serialize_counterexample,
 )
-from .plconvex import MaxAffine, compare
+from .plconvex import MaxAffine
 from .toric import (
     ToricMetric,
     compare_metrics,
@@ -63,12 +63,14 @@ from .toric import (
     supnorm,
 )
 from .segments import (
+    detect_non_psh,
     diagnostics,
     duality_tau_set,
     fs_segment,
     kiselman_dual,
     legendre_segment,
     maximal_segment,
+    planted_non_psh_path,
     quantized_segment,
     segment_from_dual,
 )
@@ -859,45 +861,6 @@ def planted_submultiplicativity_violation():
     return GradedNorm(ring, weights)
 
 
-def planted_non_psh_path():
-    """Sampled metric path that bulges above the chord at t = 1/2.
-
-    The endpoint potentials are max(0, v) and max(0, v - 2); the midpoint
-    weight at the constant monomial is pushed up by 1/2, breaking convexity
-    of t -> phi_t at the sampled triple (0, 1/2, 1).
-    """
-    ring = section_ring(1, 1)
-    samples = (
-        (Fraction(0), {(0,): Fraction(0), (1,): Fraction(0)}),
-        (Fraction(1, 2), {(0,): Fraction(1, 2), (1,): Fraction(-1)}),
-        (Fraction(1), {(0,): Fraction(0), (1,): Fraction(-2)}),
-    )
-    return ring, samples
-
-
-def detect_non_psh(ring, samples):
-    """First sampled triple violating convexity in t, or None.
-
-    Returns ``{"t0", "t1", "t2", "point", "lhs", "rhs"}`` where lhs is the
-    middle potential at the witness point and rhs the chord value.
-    """
-    metrics = [(t, fs_from_norm(ring, 1, w)) for t, w in samples]
-    metrics.sort(key=lambda tv: tv[0])
-    for (t0, p0), (t1, p1), (t2, p2) in itertools.combinations(metrics, 3):
-        lam = (t2 - t1) / (t2 - t0)
-        chord = p0.potential.scaled(lam).plus(p2.potential.scaled(1 - lam))
-        cmp = compare(p1.potential, chord)
-        if cmp.relation in ("ge", "incomparable") and cmp.witness_first_gt:
-            point = cmp.witness_first_gt
-            return {
-                "t0": str(t0), "t1": str(t1), "t2": str(t2),
-                "point": [str(c) for c in point],
-                "lhs": str(p1.potential(point)),
-                "rhs": str(chord(point)),
-            }
-    return None
-
-
 def _check_planted_submultiplicative(seed):
     violation = check_submultiplicative(planted_submultiplicativity_violation())
     expected = {"k": 1, "l": 1, "a": [0], "b": [0]}
@@ -908,15 +871,15 @@ def _check_planted_submultiplicative(seed):
 
 
 def _check_planted_non_psh(seed):
-    ring, samples = planted_non_psh_path()
-    witness = detect_non_psh(ring, samples)
+    ring, k, samples = planted_non_psh_path()
+    witness = detect_non_psh(ring, k, samples)
     # the genuine segment through the same endpoints must NOT be flagged
     honest = (
         (Fraction(0), samples[0][1]),
         (Fraction(1, 2), {(0,): Fraction(0), (1,): Fraction(-1)}),
         (Fraction(1), samples[2][1]),
     )
-    clean = detect_non_psh(ring, honest)
+    clean = detect_non_psh(ring, k, honest)
     ok = witness is not None and clean is None
     detail = "planted bulge detected with witness " + json.dumps(witness or {})
     return _row("theoremB", "planted-non-psh-segment", ok, True, detail,

@@ -222,6 +222,21 @@ def _require_pair(phi0, phi1):
                 "simplex")
 
 
+def _per_degree(phi0, phi1, kmax, term):
+    """((k, (k h0(k))^-1 sum_a term(beta0_a - beta1_a)), ...) for k <= kmax.
+
+    The beta are the degree-k sup-norm weights of the two metrics.
+    """
+    ring = section_ring(phi0.n, phi0.m)
+    per_k = []
+    for k in range(1, kmax + 1):
+        b0 = supnorm(k, phi0).weights
+        b1 = supnorm(k, phi1).weights
+        total = sum(term(x - y) for x, y in zip(b0, b1))
+        per_k.append((k, Fraction(total, k * ring.h0(k))))
+    return tuple(per_k)
+
+
 def energy(phi0: ToricMetric, phi1: ToricMetric, kmax: int = 8) -> ConvergenceResult:
     """Monge-Ampere energy: per-k relative volumes and the integral limit.
 
@@ -230,16 +245,8 @@ def energy(phi0: ToricMetric, phi1: ToricMetric, kmax: int = 8) -> ConvergenceRe
     in the first argument; antisymmetric; <= 0 when phi0 <= phi1.
     """
     _require_pair(phi0, phi1)
-    ring = section_ring(phi0.n, phi0.m)
-    per_k = []
-    for k in range(1, kmax + 1):
-        b0 = supnorm(k, phi0).weights
-        b1 = supnorm(k, phi1).weights
-        total = sum(x - y for x, y in zip(b0, b1))
-        per_k.append((k, Fraction(total, k * ring.h0(k))))
-    lim = integrate_difference(phi0.profile(), phi1.profile()) \
-        / moment_volume(phi0.n, phi0.m)
-    return ConvergenceResult(tuple(per_k), lim)
+    per_k = _per_degree(phi0, phi1, kmax, lambda d: d)
+    return ConvergenceResult(per_k, energy_limit(phi0, phi1))
 
 
 def energy_limit(phi0: ToricMetric, phi1: ToricMetric) -> Fraction:
@@ -256,13 +263,7 @@ def d1_metric(phi0: ToricMetric, phi1: ToricMetric, kmax: int = 8) -> Convergenc
     rooftop envelope P = P(phi0, phi1).
     """
     _require_pair(phi0, phi1)
-    ring = section_ring(phi0.n, phi0.m)
-    per_k = []
-    for k in range(1, kmax + 1):
-        b0 = supnorm(k, phi0).weights
-        b1 = supnorm(k, phi1).weights
-        total = sum(abs(x - y) for x, y in zip(b0, b1))
-        per_k.append((k, Fraction(total, k * ring.h0(k))))
+    per_k = _per_degree(phi0, phi1, kmax, abs)
     direct = integrate_abs_difference(phi0.profile(), phi1.profile()) \
         / moment_volume(phi0.n, phi0.m)
     roof = envelope_P(phi0, phi1)
@@ -271,7 +272,7 @@ def d1_metric(phi0: ToricMetric, phi1: ToricMetric, kmax: int = 8) -> Convergenc
         raise ToricError(
             f"d1 routes disagree: integral {direct} vs envelope "
             f"{via_envelope}")
-    return ConvergenceResult(tuple(per_k), direct)
+    return ConvergenceResult(per_k, direct)
 
 
 def d_infinity_limit(phi0: ToricMetric, phi1: ToricMetric) -> Fraction:

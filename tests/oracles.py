@@ -2,10 +2,11 @@
 
 Everything in this file is written against plain ``Fraction`` arithmetic and
 shares no code with the library under test: rank counting has its own
-elimination loop, concave envelopes go through explicit convex combinations,
-marginal minimization enumerates crossing parameters, and integrals use
-closed-form antiderivatives.  When a test compares a library value against an
-oracle value, the only shared dependency is the stdlib.
+elimination loop, concave envelopes (and with them redundant max-affine
+pieces) go through explicit convex combinations, marginal minimization
+enumerates crossing parameters, and integrals use closed-form
+antiderivatives.  When a test compares a library value against an oracle
+value, the only shared dependency is the stdlib.
 """
 
 from __future__ import annotations
@@ -156,6 +157,22 @@ def concave_value(points, y):
                for x, v in points]
         return concave_value_1d(pts, coord)
     return concave_value_2d(points, y)
+
+
+def nonredundant_pieces(pieces):
+    """Pieces (g, c) of a max-affine function that alone attain its max somewhere.
+
+    ``pieces`` have distinct gradients.  By Farkas, a piece is redundant
+    exactly when some convex combination of the other pieces has gradient g
+    and offset at least c, that is when the concave closure of the other
+    lifted points reaches c at g.
+    """
+    out = []
+    for i, (g, c) in enumerate(pieces):
+        best = concave_value(pieces[:i] + pieces[i + 1:], g)
+        if best is None or best < c:
+            out.append((g, c))
+    return out
 
 
 # ---------------------------------------------------------------------------

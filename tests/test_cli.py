@@ -250,17 +250,6 @@ def test_segments_maximal_t_validation(tmp_path, capsys) -> None:
     assert "config error:" in capsys.readouterr().err
 
 
-def test_segments_verify_suite(tmp_path, capsys) -> None:
-    out = tmp_path / "reports"
-    assert main(["segments", "verify", "--suite", "kiselman",
-                 "--out", str(out)]) == 0
-    capsys.readouterr()
-    report = json.loads((out / "report_kiselman.json").read_text())
-    assert report["suite"] == "kiselman"
-    assert report["seed"] == 0
-    assert all(r["status"] == "pass" for r in report["checks"])
-
-
 def test_segments_verify_config(tmp_path, capsys) -> None:
     cfg = _pair_config(tmp_path, [
         {"op": "verify", "target": "theoremB", "metrics": ["phi0", "phi1"],
@@ -277,5 +266,86 @@ def test_segments_verify_config(tmp_path, capsys) -> None:
 
 
 def test_segments_verify_needs_input(capsys) -> None:
-    assert main(["segments", "verify"]) == 2
-    assert "config error:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["segments", "verify"])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
+
+
+def _level2_path(mid_weights):
+    return {
+        "ring": {"n": 1, "m": 1},
+        "k": 2,
+        "samples": [
+            {"t": "0", "weights": ["0", "0", "0"]},
+            {"t": "1/2", "weights": mid_weights},
+            {"t": "1", "weights": ["0", "-2", "-4"]},
+        ],
+    }
+
+
+def test_segments_verify_level2_path(tmp_path, capsys) -> None:
+    cfg = _pair_config(tmp_path, [
+        {"op": "verify", "target": "segment_psh", "path": "p"},
+    ], extra_objects={"paths": {"p": _level2_path(["0", "-1", "-2"])}})
+    assert main(["segments", "verify", "--config", cfg]) == 0
+    captured = capsys.readouterr()
+    assert "verify segment_psh: pass" in captured.out
+    assert captured.err == ""
+
+
+def test_run_flags_planted_level2_bulge(tmp_path, capsys) -> None:
+    # the constant monomial pushed up by 1 lifts the level-2 potential
+    # by 1/2 at v = 0, above the chord value 0
+    cfg = _pair_config(tmp_path, [
+        {"op": "verify", "target": "segment_psh", "path": "p"},
+    ], extra_objects={"paths": {"p": _level2_path(["1", "-1", "-2"])}})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert _stderr_counterexample(capsys.readouterr().err) == {
+        "t0": "0", "t1": "1/2", "t2": "1",
+        "point": ["0"], "lhs": "1/2", "rhs": "0"}
+
+
+# -- errors -----------------------------------------------------------------------
+
+
+def _assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_non_integer_arena_exits_2(tmp_path, capsys) -> None:
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"arena": {"n": "x", "m": 1}, "tasks": []}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    _assert_one_line_error(capsys)
+
+
+def test_library_error_exits_2(tmp_path, capsys) -> None:
+    # energy needs the full moment simplex among the gradients: ToricError
+    partial = {"n": 1, "m": 1,
+               "potential": {"n": 1, "pieces": [{"g": ["0"], "c": "0"}]}}
+    cfg = _pair_config(tmp_path, [
+        {"op": "energy", "metrics": ["phi0", "partial"]},
+    ], extra_objects={"metrics": {"phi0": _metric_json((0, 0)),
+                                  "partial": partial}})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    _assert_one_line_error(capsys)
+
+
+def test_energy_on_p3_exits_2(tmp_path, capsys) -> None:
+    def metric(c):
+        pieces = [{"g": g, "c": c} for g in (["0", "0", "0"], ["1", "0", "0"],
+                                             ["0", "1", "0"], ["0", "0", "1"])]
+        return {"n": 3, "m": 1, "potential": {"n": 3, "pieces": pieces}}
+
+    cfg = tmp_path / "p3.json"
+    cfg.write_text(json.dumps({
+        "arena": {"n": 3, "m": 1},
+        "objects": {"metrics": {"phi0": metric("0"), "phi1": metric("-1")}},
+        "tasks": [{"op": "energy", "metrics": ["phi0", "phi1"], "kmax": 1}],
+    }))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    _assert_one_line_error(capsys)

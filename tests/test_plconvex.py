@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from geonorm.linprog import minimize_max_affine
@@ -74,6 +75,52 @@ def test_prune_drops_redundant_piece() -> None:
     g = prune(f)
     assert len(g.pieces) == 2
     assert g == f
+
+
+_COORD = st.integers(-3, 3).map(F) | st.fractions(-3, 3, max_denominator=2)
+
+
+@st.composite
+def _max_affine_cases(draw):
+    """Random n = 1, 2 pieces with frequent repeats, collinear and tied points."""
+    n = draw(st.sampled_from((1, 2)))
+    count = draw(st.integers(1, 7))
+    if n == 2 and draw(st.booleans()):
+        # gradients on one line: a rank-1 hull in the plane
+        g0, d = (draw(st.tuples(_COORD, _COORD)) for _ in range(2))
+        steps = draw(st.lists(st.integers(-2, 2), min_size=count,
+                              max_size=count))
+        grads = [(g0[0] + s * d[0], g0[1] + s * d[1]) for s in steps]
+    else:
+        grads = draw(st.lists(st.tuples(*[_COORD] * n), min_size=count,
+                              max_size=count))
+    # offsets on or just below one affine function tie many lifted points
+    w = draw(st.tuples(*[_COORD] * n))
+    b = draw(_COORD)
+    pieces = []
+    for g in grads:
+        if draw(st.booleans()):
+            c = sum(x * y for x, y in zip(w, g)) + b - draw(st.integers(0, 1))
+        else:
+            c = draw(_COORD)
+        pieces.append((g, c))
+    return n, pieces
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_max_affine_cases())
+def test_prune_matches_nonredundant_oracle(case) -> None:
+    f = MaxAffine(*case)
+    assert prune(f).pieces == tuple(oracles.nonredundant_pieces(list(f.pieces)))
+
+
+def test_prune_and_marginal_min_reject_n3() -> None:
+    f = _ma(((0, 0, 0), 0), ((1, 0, 0), 0), ((0, 1, 1), -1))
+    with pytest.raises(PLError, match="n <= 2"):
+        prune(f)
+    joint = _ma(((1, 0, 0, 0), 0), ((0, 1, 0, 0), 0), ((0, 0, 1, 1), 0))
+    with pytest.raises(PLError, match="n <= 2"):
+        marginal_min(joint)
 
 
 # -- comparison ------------------------------------------------------------------

@@ -8,11 +8,10 @@ suites plus the runner contract.
 import pytest
 
 from geonorm.graded import GradedNorm
+from geonorm.segments import detect_non_psh, planted_non_psh_path
 from geonorm.suites import (
     SUITE_NAMES,
     check_submultiplicative,
-    detect_non_psh,
-    planted_non_psh_path,
     planted_submultiplicativity_violation,
     run_suite,
     serialize_counterexample,
@@ -68,8 +67,8 @@ def test_planted_submultiplicativity_violation_is_caught() -> None:
 
 
 def test_planted_non_psh_path_is_caught() -> None:
-    ring, samples = planted_non_psh_path()
-    witness = detect_non_psh(ring, samples)
+    ring, k, samples = planted_non_psh_path()
+    witness = detect_non_psh(ring, k, samples)
     assert witness == {
         "t0": "0",
         "t1": "1/2",
@@ -83,10 +82,10 @@ def test_planted_non_psh_path_is_caught() -> None:
 def test_healthy_path_has_no_witness() -> None:
     from fractions import Fraction as F
 
-    ring, _ = planted_non_psh_path()
+    ring, k, _ = planted_non_psh_path()
     samples = (
         (F(0), {(0,): F(0), (1,): F(0)}),
         (F(1, 2), {(0,): F(0), (1,): F(-1)}),
         (F(1), {(0,): F(0), (1,): F(-2)}),
     )
-    assert detect_non_psh(ring, samples) is None
+    assert detect_non_psh(ring, k, samples) is None
