@@ -115,10 +115,14 @@ def _parse_objects(objects):
         "segments": FSSegment.from_json,
         "paths": MetricPath.from_json,
     }
+    if not isinstance(objects, dict):
+        raise ConfigError("objects must be a JSON object")
     for kind, table in objects.items():
         if kind not in loaders:
             raise ConfigError(
                 f"unknown object kind {kind!r}; expected one of {sorted(loaders)}")
+        if not isinstance(table, dict):
+            raise ConfigError(f"objects.{kind} must be a JSON object")
         for name, obj in table.items():
             try:
                 parsed[kind][name] = loaders[kind](obj)
@@ -129,37 +133,68 @@ def _parse_objects(objects):
     return parsed
 
 
-def _validate_task(idx, task, parsed):
-    op = task.get("op")
-    refs = []
-    for kind in ("norms", "graded", "metrics", "segments"):
-        names = task.get(kind)
-        if names is None:
-            continue
-        if isinstance(names, str):
-            names = [names]
-        for name in names:
-            refs.append((kind, name))
-    if "path" in task:
-        refs.append(("paths", task["path"]))
-    for kind, name in refs:
-        if name not in parsed[kind]:
-            raise ConfigError(
-                f"task {idx} ({op}) references undefined {kind} object {name!r}")
+# The object reference each verify target reads: (task key, object kind,
+# whether it is a pair).  Every other op with object kinds in KNOWN_OPS
+# reads a pair of objects under the key of that kind.
+_VERIFY_REFS = {
+    "submultiplicative": ("graded", "graded", False),
+    "segment_psh": ("path", "paths", False),
+    "theoremB": ("metrics", "metrics", True),
+}
+
+
+def _is_positive_int(value) -> bool:
+    return type(value) is int and value >= 1
+
+
+def _task_refs(idx, task):
+    """The (kind, name) references a task reads, checked for shape."""
+    op = task["op"]
     if op == "verify":
         target = task.get("target")
         if target not in VERIFY_TARGETS:
             raise ConfigError(
                 f"task {idx}: verify target must be one of {VERIFY_TARGETS}, "
                 f"got {target!r}")
+        key, kind, pair = _VERIFY_REFS[target]
+    elif KNOWN_OPS[op]:
+        key = kind = KNOWN_OPS[op][0]
+        pair = True
+    else:
+        return []
+    names = task.get(key)
+    if pair:
+        if not (isinstance(names, list) and len(names) == 2
+                and all(isinstance(n, str) for n in names)):
+            raise ConfigError(
+                f"task {idx} ({op}): {key!r} must be a list of two "
+                f"{kind} names, got {names!r}")
+        return [(kind, name) for name in names]
+    if not isinstance(names, str):
+        raise ConfigError(
+            f"task {idx} ({op}): {key!r} must name one {kind} object, "
+            f"got {names!r}")
+    return [(kind, names)]
+
+
+def _validate_task(idx, task, parsed):
+    op = task["op"]
+    for kind, name in _task_refs(idx, task):
+        if name not in parsed[kind]:
+            raise ConfigError(
+                f"task {idx} ({op}) references undefined {kind} object {name!r}")
     if "t" in task:
         t = parse_fraction(str(task["t"]))
         if not 0 <= t <= 1:
             raise ConfigError(f"task {idx}: t must lie in [0, 1], got {t}")
-    if "kmax" in task and int(task["kmax"]) < 1:
+    if "kmax" in task and not _is_positive_int(task["kmax"]):
         raise ConfigError(f"task {idx}: kmax must be a positive integer")
-    if "p" in task and task["p"] != "inf" and int(task["p"]) < 1:
+    if "p" in task and task["p"] != "inf" and not _is_positive_int(task["p"]):
         raise ConfigError(f"task {idx}: p must be a positive integer or 'inf'")
+    if "seed" in task and type(task["seed"]) is not int:
+        raise ConfigError(f"task {idx}: seed must be an integer")
+    if "name" in task and not isinstance(task["name"], str):
+        raise ConfigError(f"task {idx}: name must be a string")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -178,9 +213,13 @@ def load_config(path) -> ExperimentConfig:
 
     arena = doc.get("arena")
     if arena is not None:
+        if not isinstance(arena, dict):
+            raise ConfigError("arena must be a JSON object")
         for key in ("n", "m"):
-            if key not in arena or int(arena[key]) < 1:
-                raise ConfigError(f"arena.{key} must be a positive integer")
+            value = arena.get(key)
+            if not _is_positive_int(value):
+                raise ConfigError(
+                    f"arena.{key} must be a positive integer, got {value!r}")
         backend = arena.get("backend", "trivial")
         if backend not in ("trivial", "tadic"):
             raise ConfigError(
@@ -189,7 +228,7 @@ def load_config(path) -> ExperimentConfig:
     parsed = _parse_objects(doc.get("objects", {}))
 
     if arena is not None:
-        n, m = int(arena["n"]), int(arena["m"])
+        n, m = arena["n"], arena["m"]
         for name, metric in parsed["metrics"].items():
             if (metric.n, metric.m) != (n, m):
                 raise ConfigError(
@@ -202,9 +241,10 @@ def load_config(path) -> ExperimentConfig:
                         f"{kind[:-1]} {name!r} does not match the declared arena")
 
     tasks = doc.get("tasks", [])
-    if not isinstance(tasks, list):
-        raise ConfigError("tasks must be a list")
-    unknown = sorted({t.get("op") for t in tasks} - set(KNOWN_OPS) - {None})
+    if not (isinstance(tasks, list) and all(isinstance(t, dict) for t in tasks)):
+        raise ConfigError("tasks must be a list of JSON objects")
+    unknown = sorted({str(t["op"]) for t in tasks if t.get("op") is not None
+                      and not (isinstance(t["op"], str) and t["op"] in KNOWN_OPS)})
     missing = [i for i, t in enumerate(tasks) if t.get("op") is None]
     if missing:
         raise ConfigError(f"tasks {missing} have no 'op' field")

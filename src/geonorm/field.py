@@ -82,7 +82,7 @@ def format_fraction(q: Fraction) -> str:
 # ---------------------------------------------------------------------------
 # Integer-coefficient polynomials in one variable t, constant term first.
 # Only what the rational-function field needs: ring ops, order at t = 0,
-# gcd (primitive part, computed by the Euclidean algorithm over Q).
+# and a primitive gcd over Z, computed with integers only.
 # ---------------------------------------------------------------------------
 
 
@@ -137,52 +137,83 @@ def _poly_ord(a) -> int:
     raise FieldError("order of the zero polynomial")
 
 
+def _poly_prem(a, b):
+    """A nonzero integer multiple of the remainder of a by b over Q.
+
+    Each step scales the running remainder by ``lc(b) / g`` and subtracts
+    ``lc(r) / g`` times the shifted b, with ``g = gcd(lc(r), lc(b))``: a
+    pseudo-remainder that scales by less than the classical
+    ``lc(b)^(deg a - deg b + 1)``.  b is trimmed and nonzero; returns a
+    trimmed list.
+    """
+    r = list(a)
+    nb = len(b)
+    lb = b[-1]
+    while len(r) >= nb:
+        lr = r[-1]
+        g = gcd(lr, lb)
+        sr, sb = lb // g, lr // g
+        shift = len(r) - nb
+        if sr != 1:
+            r = [x * sr for x in r]
+        for i, c in enumerate(b):
+            r[shift + i] -= sb * c
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
 def _poly_gcd(a, b):
-    """Primitive gcd over Z, via the Euclidean algorithm with Fractions."""
-    fa = [Fraction(x) for x in a]
-    fb = [Fraction(x) for x in b]
-    while fb and any(fb):
-        # remainder of fa by fb
-        fb_trim = list(fb)
-        while fb_trim and fb_trim[-1] == 0:
-            fb_trim.pop()
-        r = list(fa)
-        while len(r) >= len(fb_trim) and any(r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) < len(fb_trim):
-                break
-            q = r[-1] / fb_trim[-1]
-            shift = len(r) - len(fb_trim)
-            for i, c in enumerate(fb_trim):
-                r[shift + i] -= q * c
-        fa, fb = fb_trim, r
-    # fa is the gcd over Q; clear denominators and take the primitive part
-    while fa and fa[-1] == 0:
-        fa.pop()
-    if not fa:
-        return ()
-    den_lcm = 1
-    for c in fa:
-        den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-    ints = [int(c * den_lcm) for c in fa]
-    return _poly_primitive(ints)
+    """Primitive gcd over Z, positive leading coefficient.
+
+    The common power of t, ``t^min(ord a, ord b)``, is split off first.  The
+    rest is the gcd of the t-free primitive parts, taken by a primitive
+    polynomial remainder sequence: pseudo-remainders with the content
+    divided out at each step (Collins 1967, Brown-Traub 1971).  No step runs
+    when either t-free part is a constant.
+    """
+    a, b = _trim(a), _trim(b)
+    if not a or not b:
+        g = _poly_primitive(a or b)
+        return _poly_neg(g) if g and g[-1] < 0 else g
+    i, j = _poly_ord(a), _poly_ord(b)
+    a, b = a[i:], b[j:]
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) > 1:
+        a, b = _poly_primitive(a), _poly_primitive(b)
+    while len(b) > 1:
+        r = _poly_prem(a, b)
+        if not r:
+            break
+        a, b = b, _poly_primitive(r)
+    if len(b) == 1:
+        b = (1,)
+    elif b[-1] < 0:
+        b = _poly_neg(b)
+    return (0,) * min(i, j) + b
 
 
 def _poly_exact_div(a, b):
-    """Exact division of integer polynomials (a divisible by b)."""
-    fa = [Fraction(x) for x in a]
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
+    """a / b for trimmed integer polynomials; FieldError unless b divides a
+    over Z."""
+    nb = len(b)
+    lb = b[-1]
+    r = list(a)
+    out = [0] * max(len(a) - nb + 1, 0)
     for k in range(len(out) - 1, -1, -1):
-        q = fa[k + len(b) - 1] / Fraction(b[-1])
+        q, rem = divmod(r[k + nb - 1], lb)
+        if rem:
+            if _poly_prem(a, b):
+                raise FieldError("inexact polynomial division")
+            raise FieldError("non-integer quotient in exact division")
         out[k] = q
-        for i, c in enumerate(b):
-            fa[k + i] -= q * c
-    if any(fa):
+        if q:
+            for i, c in enumerate(b):
+                r[k + i] -= q * c
+    if any(r):
         raise FieldError("inexact polynomial division")
-    if any(c.denominator != 1 for c in out):
-        raise FieldError("non-integer quotient in exact division")
-    return _trim(int(c) for c in out)
+    return _trim(out)
 
 
 class RatFunc:
@@ -204,8 +235,11 @@ class RatFunc:
             self.num, self.den = (), (1,)
             return
         if not _reduced:
+            k = min(_poly_ord(num), _poly_ord(den))
+            if k:
+                num, den = num[k:], den[k:]
             g = _poly_gcd(num, den)
-            if len(g) > 1 or (g and g[0] != 1):
+            if len(g) > 1:
                 num = _poly_exact_div(num, g)
                 den = _poly_exact_div(den, g)
             cn, cd = _poly_content(num), _poly_content(den)
@@ -372,7 +406,11 @@ class TAdicRationalFunctions:
         body = obj["t"]
         if not (isinstance(body, dict) and set(body) == {"num", "den"}):
             raise FieldError(f"malformed t-adic scalar body: {obj!r}")
-        return RatFunc(tuple(body["num"]), tuple(body["den"]))
+        num, den = body["num"], body["den"]
+        if not (isinstance(num, list) and isinstance(den, list)
+                and all(type(c) is int for c in num + den)):
+            raise FieldError(f"t-adic coefficients must be integers: {obj!r}")
+        return RatFunc(tuple(num), tuple(den))
 
     def __repr__(self):
         return "TAdicQ(t)"

@@ -1,17 +1,19 @@
 """Independent reference computations for the test suite.
 
 Everything in this file is written against plain ``Fraction`` arithmetic and
-shares no code with the library under test: rank counting has its own
-elimination loop, concave envelopes (and with them redundant max-affine
-pieces) go through explicit convex combinations, marginal minimization
-enumerates crossing parameters, and integrals use closed-form
-antiderivatives.  When a test compares a library value against an oracle
-value, the only shared dependency is the stdlib.
+shares no code with the library under test: rational functions in t reduce
+by Euclid over Q, rank counting has its own elimination loop, concave
+envelopes (and with them redundant max-affine pieces) go through explicit
+convex combinations, marginal minimization enumerates crossing parameters,
+and integrals use closed-form antiderivatives.  When a test compares a
+library value against an oracle value, the only shared dependency is the
+stdlib.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -79,6 +81,82 @@ def trivial_spectrum(basis0, weights0, basis1, weights1):
                      - meet(i, j - 1) + meet(i - 1, j - 1))
             out.extend([a - b] * count)
     return tuple(sorted(out))
+
+
+# ---------------------------------------------------------------------------
+# Rational functions in t: reduction by Euclid over Fraction, the slow path
+# that geonorm.field's integer remainder sequence replaced.  Polynomials are
+# coefficient tuples, constant term first.
+# ---------------------------------------------------------------------------
+
+
+def _strip(c):
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _content(ints) -> int:
+    g = 0
+    for x in ints:
+        g = math.gcd(g, x)
+    return g
+
+
+def poly_gcd_euclid(a, b):
+    """Primitive gcd over Z (sign unnormalized), by Euclid over Q."""
+    fa = _strip(Fraction(x) for x in a)
+    fb = _strip(Fraction(x) for x in b)
+    while fb:
+        r = list(fa)
+        while len(r) >= len(fb):
+            q = r[-1] / fb[-1]
+            shift = len(r) - len(fb)
+            for i, c in enumerate(fb):
+                r[shift + i] -= q * c
+            r = _strip(r)
+        fa, fb = fb, r
+    if not fa:
+        return ()
+    lcm = 1
+    for c in fa:
+        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
+    ints = [int(c * lcm) for c in fa]
+    g = _content(ints)
+    return tuple(x // g for x in ints)
+
+
+def poly_exact_div_fraction(a, b):
+    """a / b over Q; ValueError unless the quotient is an integer polynomial."""
+    fa = [Fraction(x) for x in a]
+    out = [Fraction(0)] * (len(a) - len(b) + 1)
+    for k in range(len(out) - 1, -1, -1):
+        q = fa[k + len(b) - 1] / b[-1]
+        out[k] = q
+        for i, c in enumerate(b):
+            fa[k + i] -= q * c
+    if any(fa):
+        raise ValueError("inexact polynomial division")
+    if any(c.denominator != 1 for c in out):
+        raise ValueError("non-integer quotient in exact division")
+    return tuple(_strip(int(c) for c in out))
+
+
+def reduced_ratfunc(num, den):
+    """Canonical (num, den) of num/den: coprime, content-free, and the
+    lowest-order nonzero coefficient of den positive; the zero function is
+    ((), (1,))."""
+    num, den = tuple(_strip(num)), tuple(_strip(den))
+    if not num:
+        return (), (1,)
+    g = poly_gcd_euclid(num, den)
+    num = poly_exact_div_fraction(num, g)
+    den = poly_exact_div_fraction(den, g)
+    c = math.gcd(_content(num), _content(den))
+    sign = -1 if next(x for x in den if x) < 0 else 1
+    return (tuple(sign * x // c for x in num),
+            tuple(sign * x // c for x in den))
 
 
 # ---------------------------------------------------------------------------

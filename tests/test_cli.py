@@ -309,9 +309,9 @@ def test_run_flags_planted_level2_bulge(tmp_path, capsys) -> None:
 # -- errors -----------------------------------------------------------------------
 
 
-def _assert_one_line_error(capsys):
+def _assert_one_line_error(capsys, prefix="error: "):
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
+    assert err.startswith(prefix)
     assert err.count("\n") == 1
     assert "Traceback" not in err
 
@@ -320,7 +320,27 @@ def test_non_integer_arena_exits_2(tmp_path, capsys) -> None:
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"arena": {"n": "x", "m": 1}, "tasks": []}))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-    _assert_one_line_error(capsys)
+    _assert_one_line_error(capsys, "config error: arena.n must be a positive")
+
+
+def test_null_arena_value_exits_2(tmp_path, capsys) -> None:
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"arena": {"n": None, "m": 1}, "tasks": []}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    _assert_one_line_error(capsys, "config error: arena.n must be a positive")
+
+
+def test_task_without_reference_list_exits_2(tmp_path, capsys) -> None:
+    cfg = _pair_config(tmp_path, [{"op": "energy"}])
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    _assert_one_line_error(capsys, "config error: task 0 (energy): 'metrics'")
+    assert not (tmp_path / "out").exists()
+
+
+def test_reference_string_instead_of_pair_exits_2(tmp_path, capsys) -> None:
+    cfg = _pair_config(tmp_path, [{"op": "energy", "metrics": "phi0"}])
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    _assert_one_line_error(capsys, "config error: task 0 (energy): 'metrics'")
 
 
 def test_library_error_exits_2(tmp_path, capsys) -> None:

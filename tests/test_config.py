@@ -178,3 +178,43 @@ def test_metric_pair_explicit_and_implicit(tmp_path) -> None:
     cfg3 = load_config(_write(tmp_path, doc, "three.json"))
     with pytest.raises(ConfigError, match="exactly two"):
         metric_pair(cfg3)
+
+
+
+def _add_task(task):
+    return lambda doc: doc["tasks"].append(task)
+
+
+def _set_arena(arena):
+    return lambda doc: doc.update(arena=arena)
+
+
+@pytest.mark.parametrize("edit, match", [
+    (_add_task({"op": "energy", "metrics": ["phi0"]}),
+     "list of two metrics names"),
+    (_add_task({"op": "d1", "metrics": ["phi0", "phi1", "phi0"]}),
+     "list of two"),
+    (_add_task({"op": "energy", "metrics": ["phi0", 1]}), "list of two"),
+    (_add_task({"op": "verify", "target": "segment_psh", "path": ["p"]}),
+     "'path' must name one paths object"),
+    (_add_task({"op": "verify", "target": "theoremB"}),
+     "'metrics' must be a list"),
+    (_add_task({"op": "suite", "seed": "1"}), "seed must be an integer"),
+    (_add_task({"op": "suite", "name": ["norms"]}), "name must be a string"),
+    (_add_task({"op": ["energy"]}), "unknown task ops"),
+    (_add_task(["energy"]), "list of JSON objects"),
+    (lambda d: d["tasks"][0].update(kmax=None), "kmax must be a positive"),
+    (lambda d: d["tasks"][0].update(kmax="4"), "kmax must be a positive"),
+    (lambda d: d["tasks"][0].update(p=None), "p must be a positive"),
+    (lambda d: d.update(objects=[]), "objects must be a JSON object"),
+    (lambda d: d["objects"].update(metrics=[1]), "objects.metrics must be"),
+    (_set_arena({"n": True, "m": 1}), "arena.n must be a positive"),
+    (_set_arena({"n": 1, "m": 1.0}), "arena.m must be a positive"),
+    (_set_arena({"n": 0, "m": 1}), "arena.n must be a positive"),
+    (_set_arena([1, 1]), "arena must be a JSON object"),
+])
+def test_malformed_values_are_config_errors(tmp_path, edit, match) -> None:
+    doc = _demo_doc()
+    edit(doc)
+    with pytest.raises(ConfigError, match=match):
+        load_config(_write(tmp_path, doc))

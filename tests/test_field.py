@@ -4,13 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from geonorm.field import (
     INF,
     RatFunc,
     TADIC,
     TRIVIAL,
     FieldError,
+    _poly_exact_div,
+    _poly_gcd,
     field_by_name,
     format_fraction,
     parse_fraction,
@@ -56,6 +60,66 @@ def test_ratfunc_reduction_is_canonical() -> None:
     r = RatFunc((1,), (-1,))
     assert r == RatFunc((-1,))
     assert RatFunc((2, 2), (2,)) == RatFunc((1, 1))
+    # t^2 (2t - 4) / (-6 t^3 (t - 2)) = -1/(3t)
+    assert RatFunc((0, 0, -4, 2), (0, 0, 0, 12, -6)) == RatFunc((-1,), (0, 3))
+    assert RatFunc((0, 0), (0, -5)) == TADIC.zero
+    assert RatFunc((3, 6), (-9,)) == RatFunc((-1, -2), (3,))
+
+
+def _mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+_POLY = st.lists(st.integers(-6, 6), min_size=1, max_size=4).map(tuple)
+_NONZERO_POLY = _POLY.filter(any)
+_NONZERO_INT = st.integers(-6, 6).filter(bool)
+
+
+@st.composite
+def _planted_quotients(draw):
+    """num/den with a planted common factor and t-powers on both sides; the
+    denominator is a general polynomial, a constant or a monomial, and the
+    numerator may be zero."""
+    common = draw(_NONZERO_POLY)
+    num = _mul(draw(_POLY), common)
+    kind = draw(st.sampled_from(("poly", "constant", "monomial")))
+    if kind == "poly":
+        den = _mul(draw(_NONZERO_POLY), common)
+    elif kind == "constant":
+        den = (draw(_NONZERO_INT),)
+    else:
+        den = (0,) * draw(st.integers(1, 3)) + (draw(_NONZERO_INT),)
+    num = (0,) * draw(st.integers(0, 3)) + num
+    den = (0,) * draw(st.integers(0, 3)) + den
+    return num, den
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(_planted_quotients())
+def test_ratfunc_reduction_matches_euclid_oracle(case) -> None:
+    num, den = case
+    r = RatFunc(num, den)
+    assert (r.num, r.den) == oracles.reduced_ratfunc(num, den)
+    g = _poly_gcd(num, den)
+    expected = oracles.poly_gcd_euclid(num, den)
+    assert g in (expected, tuple(-x for x in expected))
+    assert g[-1] > 0
+
+
+def test_exact_div_rejects_inexact_and_non_integer_quotients() -> None:
+    assert _poly_exact_div((-1, 0, 1), (-1, 1)) == (1, 1)
+    with pytest.raises(FieldError, match="inexact"):
+        _poly_exact_div((1, 0, 1), (1, 1))
+    with pytest.raises(FieldError, match="inexact"):
+        _poly_exact_div((1, 1), (1, 0, 1))
+    with pytest.raises(FieldError, match="non-integer quotient"):
+        _poly_exact_div((1, 1), (2, 2))
+    with pytest.raises(FieldError, match="non-integer quotient"):
+        _poly_exact_div((2, 3, 1), (2, 2))
 
 
 def test_ratfunc_field_axioms_random() -> None:
@@ -103,3 +167,11 @@ def test_scalar_json_round_trip() -> None:
     assert scalar_from_json(TADIC.to_json(r)) == r
     with pytest.raises(FieldError):
         scalar_from_json({"bogus": 1})
+
+
+@pytest.mark.parametrize("coeff", [True, 1.5, "1"])
+def test_tadic_from_json_requires_int_coefficients(coeff) -> None:
+    with pytest.raises(FieldError, match="integer"):
+        TADIC.from_json({"t": {"num": [coeff], "den": [1]}})
+    with pytest.raises(FieldError, match="integer"):
+        TADIC.from_json({"t": {"num": [1], "den": [0, coeff]}})

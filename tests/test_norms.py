@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from geonorm.field import INF, TADIC, TRIVIAL, RatFunc
@@ -205,6 +206,65 @@ def test_d1_join_identity_random() -> None:
         n1 = _std(tuple(rng.randint(-4, 4) for _ in range(d)))
         j = join(n0, n1)
         assert d * distance(n0, n1, 1) == volume(n0, j) + volume(n1, j)
+
+
+# -- properties over Q(t) -----------------------------------------------------
+
+
+@st.composite
+def _tadic_norms(draw, count):
+    """``count`` norms over Q(t) of one dimension, 2 or 3: basis entries in
+    [-3, 3], of which a sixth (rounded) carry t or t^2 at random places,
+    and integer weights in [-6, 6]."""
+    dim = draw(st.sampled_from((2, 3)))
+    size = dim * dim
+    norms = []
+    for _ in range(count):
+        entries = draw(st.lists(st.integers(-3, 3), min_size=size,
+                                max_size=size))
+        places = draw(st.permutations(range(size)))[:round(size / 6)]
+        powers = dict.fromkeys(range(size), 0)
+        for k in places:
+            powers[k] = draw(st.integers(1, 2))
+        basis = tuple(
+            tuple(TADIC.of(entries[i * dim + j])
+                  * RatFunc.t_power(powers[i * dim + j]) for j in range(dim))
+            for i in range(dim))
+        weights = tuple(F(w) for w in draw(st.lists(
+            st.integers(-6, 6), min_size=dim, max_size=dim)))
+        try:
+            norms.append(DiagNorm(TADIC, basis, weights))
+        except NormError:
+            assume(False)
+    return norms
+
+
+_TADIC_SETTINGS = settings(max_examples=60, deadline=None, database=None,
+                           derandomize=True)
+
+
+@_TADIC_SETTINGS
+@given(_tadic_norms(3))
+def test_volume_cocycle_tadic(norms) -> None:
+    a, b, c = norms
+    assert volume(a, b) + volume(b, c) == volume(a, c)
+
+
+@_TADIC_SETTINGS
+@given(_tadic_norms(3))
+def test_d1_triangle_tadic(norms) -> None:
+    a, b, c = norms
+    assert distance(a, c, 1) <= distance(a, b, 1) + distance(b, c, 1)
+
+
+@_TADIC_SETTINGS
+@given(_tadic_norms(2))
+def test_join_dominates_both_inputs_tadic(norms) -> None:
+    # max of norms = min on the -log scale, on each input's basis vectors
+    a, b = norms
+    j = join(a, b)
+    for v in a.basis + b.basis + j.basis:
+        assert j.evaluate(v) == min(a.evaluate(v), b.evaluate(v))
 
 
 # -- functorial constructions --------------------------------------------------
