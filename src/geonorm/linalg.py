@@ -1,11 +1,24 @@
 """Exact dense linear algebra over either scalar backend.
 
 Vectors are tuples of field elements, matrices are tuples of row tuples.
-Everything works through the arithmetic operators of the elements, so the
-same code runs over plain Fractions and over t-adic rational functions.
+
+Over Q (every entry a ``Fraction``) the work runs on integers: each row is
+scaled to coprime integers, elimination replaces a row by an integer
+combination with its content divided out, and Fractions are built once,
+for the result.  The determinant is Bareiss's fraction-free elimination on
+the integer-scaled rows.  Over Q(t) (``RatFunc`` entries) everything works
+through the arithmetic operators of the elements, as a field loop.  The
+choice follows the entry type; both paths return the same values, since
+the reduced row echelon form (RREF) is unique.
 """
 
 from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 class SingularMatrixError(ValueError):
@@ -44,11 +57,83 @@ def _dot(u, v):
     return acc
 
 
+# ---------------------------------------------------------------------------
+# Integer rows: the Q path.
+# ---------------------------------------------------------------------------
+
+
+def _is_rational(rows):
+    return all(isinstance(x, Fraction) for row in rows for x in row)
+
+
+def _primitive(ints):
+    g = math.gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
+def _cleared(row):
+    """``(den, ints)`` with ``ints == den * row``; den is the lcm of denominators."""
+    den = math.lcm(*(x.denominator for x in row))
+    return den, [x.numerator * (den // x.denominator) for x in row]
+
+
+def _integer_row(row):
+    """Coprime integers proportional (by a positive factor) to a Q row."""
+    return _primitive(_cleared(row)[1])
+
+
+def _clear_int(row, prow, c):
+    """``row`` with column ``c`` cleared by ``prow``, as primitive integers."""
+    a, p = row[c], prow[c]
+    g = math.gcd(a, p)
+    a, p = a // g, p // g
+    return _primitive([p * x - a * y for x, y in zip(row, prow)])
+
+
+def _clear_field(row, prow, c):
+    f = row[c] / prow[c]
+    return [x - f * y for x, y in zip(row, prow)]
+
+
+def _rref_rational(rows):
+    R = [r for r in map(_integer_row, rows) if any(r)]
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == len(R):
+            break
+        pr = next((i for i in range(r, len(R)) if R[i][c]), None)
+        if pr is None:
+            continue
+        R[r], R[pr] = R[pr], R[r]
+        prow = R[r]
+        for i, row in enumerate(R):
+            if i != r and row[c]:
+                R[i] = _clear_int(row, prow, c)
+        pivots.append(c)
+        r += 1
+    out = []
+    for row, c in zip(R, pivots):
+        p = row[c]
+        out.append(tuple(
+            _ZERO if not x else _ONE if x == p else Fraction(x, p) for x in row
+        ))
+    return out, pivots
+
+
+# ---------------------------------------------------------------------------
+# Elimination.
+# ---------------------------------------------------------------------------
+
+
 def rref(rows):
     """Reduced row echelon form.  Returns (rows, pivot column indices)."""
-    R = [list(r) for r in rows]
-    if not R:
+    if not rows:
         return [], []
+    if _is_rational(rows):
+        return _rref_rational(rows)
+    R = [list(r) for r in rows]
     ncols = len(R[0])
     pivots = []
     r = 0
@@ -70,14 +155,11 @@ def rref(rows):
     return [tuple(row) for row in R[:r]], pivots
 
 
-def rank(rows):
-    return len(rref(rows)[0])
-
-
 def invert(field, A):
     """Inverse of a square matrix; raises SingularMatrixError if singular."""
     d = len(A)
-    aug = [list(A[i]) + list(identity(field, d)[i]) for i in range(d)]
+    eye = identity(field, d)
+    aug = [tuple(A[i]) + eye[i] for i in range(d)]
     reduced, pivots = rref(aug)
     if pivots[:d] != list(range(d)) or len(reduced) < d:
         raise SingularMatrixError("matrix is singular")
@@ -85,7 +167,9 @@ def invert(field, A):
 
 
 def determinant(A):
-    """Determinant by Gaussian elimination with exact field arithmetic."""
+    """Determinant: Bareiss over Z on Q input, field elimination otherwise."""
+    if A and _is_rational(A):
+        return _determinant_rational(A)
     d = len(A)
     rows = [list(r) for r in A]
     det = None
@@ -108,33 +192,38 @@ def determinant(A):
     return det if sign == 1 else -det
 
 
+def _determinant_rational(A):
+    # det(A) = det(M) / prod(scale) for the integer rows M = scale * A
+    M, scale = [], 1
+    for row in A:
+        den, ints = _cleared(row)
+        M.append(ints)
+        scale *= den
+    d = len(M)
+    sign, prev = 1, 1
+    for k in range(d - 1):
+        if not M[k][k]:
+            swap = next((i for i in range(k + 1, d) if M[i][k]), None)
+            if swap is None:
+                return _ZERO
+            M[k], M[swap] = M[swap], M[k]
+            sign = -sign
+        pk, rowk = M[k][k], M[k]
+        for i in range(k + 1, d):
+            row, a = M[i], M[i][k]
+            for j in range(k + 1, d):
+                row[j] = (row[j] * pk - a * rowk[j]) // prev
+        prev = pk
+    return Fraction(sign * M[d - 1][d - 1], scale)
+
+
 def solve_from_inverse(Ainv, b):
     return tuple(_dot(row, b) for row in Ainv)
 
 
-def kernel(rows):
-    """Basis of the right null space of the matrix given by ``rows``."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    R, pivots = rref(rows)
-    zero = _zero_like(rows[0][0])
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [zero] * ncols
-        vec[free] = _one_like(rows[0][0])
-        for r, pc in enumerate(pivots):
-            vec[pc] = -R[r][free]
-        basis.append(tuple(vec))
-    return basis
-
-
-def _one_like(x):
-    z = _zero_like(x)
-    return z + 1
+# ---------------------------------------------------------------------------
+# Subspaces.
+# ---------------------------------------------------------------------------
 
 
 def span_basis(vectors):
@@ -143,45 +232,46 @@ def span_basis(vectors):
     return [row for row in R if any(row)]
 
 
-def in_span(vectors, v):
-    if not vectors:
-        return not any(v)
-    return rank(list(vectors) + [v]) == rank(list(vectors))
-
-
 def intersect_spans(U, V):
-    """Basis of span(U) n span(V); U, V are lists of vectors."""
+    """Basis of span(U) n span(V) in RREF; U, V are lists of vectors.
+
+    Zassenhaus: in the RREF of the block ``[U | U ; V | 0]`` the rows whose
+    pivot lies in the right half have zero left halves, and their right
+    halves are the RREF of the intersection.
+    """
     if not U or not V:
         return []
-    # x in both spans: x = sum a_i U_i = sum b_j V_j; solve for (a, b)
-    rows = []
-    ncoef = len(U) + len(V)
-    dim = len(U[0])
-    for coord in range(dim):
-        row = [u[coord] for u in U] + [-v[coord] for v in V]
-        rows.append(tuple(row))
-    basis = []
-    for k in kernel(rows):
-        a = k[: len(U)]
-        vec = tuple(
-            _dot(a, tuple(u[coord] for u in U)) for coord in range(dim)
-        )
-        if any(vec):
-            basis.append(vec)
-    return span_basis(basis)
-
-
-def sum_spans(U, V):
-    return span_basis(list(U) + list(V))
+    n = len(U[0])
+    pad = (_zero_like(V[0][0]),) * n
+    block = [tuple(u) + tuple(u) for u in U] + [tuple(v) + pad for v in V]
+    R, pivots = rref(block)
+    return [row[n:] for row, c in zip(R, pivots) if c >= n]
 
 
 def extend_independent(current, candidates):
-    """Vectors from ``candidates`` independent of ``current`` and each other."""
-    picked = []
-    base = list(current)
-    r = rank(base) if base else 0
-    for v in candidates:
-        trial = base + picked + [v]
-        if rank(trial) > r + len(picked):
-            picked.append(v)
-    return picked
+    """Vectors from ``candidates`` independent of ``current`` and each other.
+
+    Every vector is reduced against the rows kept so far, each with its own
+    pivot column; a candidate is picked when a nonzero remainder is left,
+    and the remainder joins the kept rows.
+    """
+    if _is_rational(current) and _is_rational(candidates):
+        scale, clear = _integer_row, _clear_int
+    else:
+        scale, clear = list, _clear_field
+    echelon = []  # (pivot column, row); each row is zero at earlier pivots
+
+    def independent(v):
+        v = scale(v)
+        for c, row in echelon:
+            if v[c]:
+                v = clear(v, row, c)
+        pivot = next((c for c, x in enumerate(v) if x), None)
+        if pivot is None:
+            return False
+        echelon.append((pivot, v))
+        return True
+
+    for v in current:
+        independent(v)
+    return [v for v in candidates if independent(v)]

@@ -45,7 +45,8 @@ class DiagNorm:
     Args:
         field: scalar backend (``TRIVIAL`` or ``TADIC``).
         basis: tuple of basis vectors, each a tuple of field elements in
-            ambient coordinates.  Must be linearly independent and square.
+            ambient coordinates.  Must be linearly independent, square
+            and non-empty (dimension >= 1).
         weights: one rational per basis vector; ``norm(s_i) = e^{-w_i}``.
     """
 
@@ -56,6 +57,8 @@ class DiagNorm:
         weights = tuple(Fraction(w) for w in weights)
         if len(basis) != len(weights):
             raise NormError("basis and weights must have equal length")
+        if not basis:
+            raise NormError("a norm needs dimension >= 1")
         if any(len(vec) != len(basis) for vec in basis):
             raise NormError("basis must be square (ambient dim = count)")
         self.field = field
@@ -224,13 +227,13 @@ def _codiagonalize_filtrations(n0: DiagNorm, n1: DiagNorm):
     d = n0.dim
     jumps0 = sorted(set(n0.weights), reverse=True)
     jumps1 = sorted(set(n1.weights), reverse=True)
-    steps0 = {s: linalg.span_basis(_filtration_step(n0, s)) for s in jumps0}
-    steps1 = {t: linalg.span_basis(_filtration_step(n1, t)) for t in jumps1}
+    steps0 = {s: _filtration_step(n0, s) for s in jumps0}
+    steps1 = {t: _filtration_step(n1, t) for t in jumps1}
 
     inter: dict[tuple[int, int], list] = {}
 
     def intersection(i: int, j: int):
-        # F0^{jumps0[i]} n F1^{jumps1[j]}; out-of-range index means {0}
+        # F0^{jumps0[i]} n F1^{jumps1[j]} in RREF; out-of-range index means {0}
         if i < 0 or j < 0:
             return []
         if (i, j) not in inter:
@@ -243,8 +246,8 @@ def _codiagonalize_filtrations(n0: DiagNorm, n1: DiagNorm):
             W = intersection(i, j)
             if not W:
                 continue
-            U = linalg.sum_spans(intersection(i - 1, j), intersection(i, j - 1))
-            picked = linalg.extend_independent(U + basis, W)
+            below = intersection(i - 1, j) + intersection(i, j - 1) + basis
+            picked = linalg.extend_independent(below, W)
             for vec in picked:
                 basis.append(vec)
                 w0.append(s)

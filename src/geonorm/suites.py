@@ -456,8 +456,12 @@ def _lattice_concavity_oracle(n, m, k, weights):
     """Brute-force test that lattice weights equal their concave closure.
 
     Checks every rational convex combination of pairs (and triples when
-    n = 2) of lattice points landing on a lattice point.
+    n = 2) of lattice points landing on a lattice point.  The search grid of
+    ``_combination_hits`` is exhaustive only up to lattice width 4.
     """
+    if k * m > 4:
+        raise ValueError(
+            f"lattice concavity oracle needs lattice width k*m <= 4, got {k * m}")
     pts = lattice_points(n, k * m)
     pts_set = set(pts)
     vals = dict(zip(pts, weights))

@@ -2,7 +2,8 @@
 
 Everything in this file is written against plain ``Fraction`` arithmetic and
 shares no code with the library under test: rational functions in t reduce
-by Euclid over Q, rank counting has its own elimination loop, concave
+by Euclid over Q, rank counting, RREF, inverses, determinants and span
+intersections run their own elimination loops over Fraction, concave
 envelopes (and with them redundant max-affine pieces) go through explicit
 convex combinations, marginal minimization enumerates crossing parameters,
 and integrals use closed-form antiderivatives.  When a test compares a
@@ -49,6 +50,110 @@ def intersection_dim(U, V) -> int:
     if not U or not V:
         return 0
     return rank(U) + rank(V) - rank(list(U) + list(V))
+
+
+# ---------------------------------------------------------------------------
+# Field-arithmetic elimination: the slow paths that geonorm.linalg's integer
+# Q path replaced.  Every pivot step divides a row of Fractions by its pivot.
+# ---------------------------------------------------------------------------
+
+
+def rref_field(rows):
+    """Reduced row echelon form by Gauss-Jordan over Fraction."""
+    R = [list(r) for r in rows]
+    if not R:
+        return [], []
+    pivots = []
+    r = 0
+    for c in range(len(R[0])):
+        pr = next((i for i in range(r, len(R)) if R[i][c]), None)
+        if pr is None:
+            continue
+        R[r], R[pr] = R[pr], R[r]
+        inv = R[r][c]
+        R[r] = [x / inv for x in R[r]]
+        for i in range(len(R)):
+            if i != r and R[i][c]:
+                f = R[i][c]
+                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(R):
+            break
+    return [tuple(row) for row in R[:r]], pivots
+
+
+def invert_field(A):
+    """Inverse from the RREF of [A | I]; None when A is singular."""
+    d = len(A)
+    aug = [list(A[i]) + [Fraction(int(i == j)) for j in range(d)]
+           for i in range(d)]
+    reduced, pivots = rref_field(aug)
+    if pivots[:d] != list(range(d)) or len(reduced) < d:
+        return None
+    return tuple(tuple(row[d:]) for row in reduced)
+
+
+def determinant_field(A):
+    """Determinant by Gaussian elimination over Fraction."""
+    d = len(A)
+    rows = [list(r) for r in A]
+    det = Fraction(1)
+    for col in range(d):
+        pr = next((r for r in range(col, d) if rows[r][col] != 0), None)
+        if pr is None:
+            return Fraction(0)
+        if pr != col:
+            rows[col], rows[pr] = rows[pr], rows[col]
+            det = -det
+        pivot = rows[col][col]
+        det *= pivot
+        for r in range(col + 1, d):
+            factor = rows[r][col] / pivot
+            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return det
+
+
+def kernel_field(rows):
+    """Basis of the right null space, read off the RREF's free columns."""
+    ncols = len(rows[0])
+    R, pivots = rref_field(rows)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -R[r][free]
+        basis.append(tuple(vec))
+    return basis
+
+
+def intersect_spans_kernel(U, V):
+    """RREF basis of span U r span V: solve sum a_i U_i = sum b_j V_j."""
+    if not U or not V:
+        return []
+    dim = len(U[0])
+    rows = [[u[c] for u in U] + [-v[c] for v in V] for c in range(dim)]
+    meet = []
+    for k in kernel_field(rows):
+        vec = tuple(sum((a * u[c] for a, u in zip(k, U)), Fraction(0))
+                    for c in range(dim))
+        if any(vec):
+            meet.append(vec)
+    return rref_field(meet)[0]
+
+
+def extend_independent_rank(current, candidates):
+    """Candidates that raise the rank of current + picked, one rref each."""
+    picked = []
+    base = list(current)
+    r = len(rref_field(base)[0])
+    for v in candidates:
+        if len(rref_field(base + picked + [v])[0]) > r + len(picked):
+            picked.append(v)
+    return picked
 
 
 def trivial_spectrum(basis0, weights0, basis1, weights1):

@@ -4,10 +4,15 @@ Every test calls ``main(argv)`` in process; exit codes come back as return
 values, output is captured with capsys.
 """
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from geonorm.cli import main
 from geonorm.suites import planted_submultiplicativity_violation
@@ -369,3 +374,140 @@ def test_energy_on_p3_exits_2(tmp_path, capsys) -> None:
     }))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     _assert_one_line_error(capsys)
+
+
+def test_zero_dimensional_norm_exits_2(tmp_path, capsys) -> None:
+    empty = {"field": "trivial", "dim": 0, "basis": [], "weights": []}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "objects": {"norms": {"a": empty, "b": empty}},
+        "tasks": [{"op": "distance", "norms": ["a", "b"], "p": 1}],
+    }))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    _assert_one_line_error(
+        capsys, "config error: bad norms object 'a': a norm needs dimension")
+
+
+# -- fuzzing: a valid config and argv, mutated ------------------------------------
+
+
+def _fuzz_base_config():
+    def q_t(*num):
+        return {"t": {"num": list(num), "den": [1]}}
+
+    norm = {"field": "trivial", "dim": 2,
+            "basis": [[{"q": "1"}, {"q": "0"}], [{"q": "1"}, {"q": "1"}]],
+            "weights": ["0", "1/2"]}
+    tnorm = {"field": "tadic", "dim": 2,
+             "basis": [[q_t(0, 1), q_t(1)], [q_t(0), q_t(1)]],
+             "weights": ["0", "1"]}
+    return {
+        "arena": {"n": 1, "m": 1, "backend": "trivial"},
+        "objects": {
+            "norms": {"a": norm, "b": dict(norm, weights=["1", "-2"]),
+                      "ta": tnorm, "tb": dict(tnorm, weights=["2", "-1"])},
+            "metrics": {"phi0": _metric_json((0, 0)),
+                        "phi1": _metric_json((0, -2))},
+            "graded": {"g": planted_submultiplicativity_violation().to_json()},
+            "paths": {"p": _healthy_path()},
+        },
+        "tasks": [
+            {"op": "spectrum", "norms": ["a", "b"]},
+            {"op": "distance", "norms": ["a", "b"], "p": 1},
+            {"op": "distance", "norms": ["ta", "tb"], "p": "inf"},
+            {"op": "volume", "norms": ["ta", "tb"]},
+            {"op": "join", "norms": ["a", "b"]},
+            {"op": "geodesic", "norms": ["a", "b"], "t": "1/2"},
+            {"op": "asymptotic", "graded": ["g", "g"], "p": 1},
+            {"op": "energy", "metrics": ["phi0", "phi1"], "kmax": 2},
+            {"op": "d1", "metrics": ["phi0", "phi1"], "kmax": 2},
+            {"op": "maximal", "metrics": ["phi0", "phi1"], "t": "1/2", "kmax": 2},
+            {"op": "legendre", "metrics": ["phi0", "phi1"], "t": "1/3"},
+            {"op": "verify", "target": "segment_psh", "path": "p"},
+            {"op": "verify", "target": "submultiplicative", "graded": "g"},
+        ],
+        "output": {"format": "json"},
+    }
+
+
+def _json_slots(node, out=None):
+    """Every (container, key) slot in a JSON tree, in document order."""
+    out = [] if out is None else out
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        out.append((node, key))
+        if isinstance(value, (dict, list)):
+            _json_slots(value, out)
+    return out
+
+
+_SWAPS = (None, True, 0, -1, 1.5, "x", "", "1/0", [], {}, ["a"],
+          ["a", "b", "c"], {"q": "1"})
+
+
+@st.composite
+def _mutated_runs(draw):
+    doc = _fuzz_base_config()
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(("drop", "swap", "shorten", "lengthen", "dim")))
+        if kind == "dim":
+            # resize a norm pair consistently: dim, basis and weights
+            pair = draw(st.sampled_from((("a", "b"), ("ta", "tb"))))
+            k = draw(st.integers(-1, 1))
+            size = max(k, 0)
+            objects = doc.get("objects")
+            norms = objects.get("norms") if isinstance(objects, dict) else None
+            for name in pair:
+                norm = norms.get(name) if isinstance(norms, dict) else None
+                if not isinstance(norm, dict):
+                    continue
+                if isinstance(norm.get("weights"), list):
+                    norm["weights"] = norm["weights"][:size]
+                if isinstance(norm.get("basis"), list):
+                    norm["basis"] = [row[:size] if isinstance(row, list) else row
+                                     for row in norm["basis"][:size]]
+                norm["dim"] = k
+            continue
+        slots = _json_slots(doc)
+        if not slots:
+            break
+        parent, key = draw(st.sampled_from(slots))
+        value = parent[key]
+        if kind == "drop":
+            del parent[key]
+        elif kind == "swap":
+            parent[key] = draw(st.sampled_from(_SWAPS))
+        elif isinstance(value, list):
+            parent[key] = value[:1] if kind == "shorten" else value + value[-1:]
+    command, extra = draw(st.sampled_from((
+        (["run"], []), (["run"], ["--format", "csv"]), (["run"], ["--kmax", "0"]),
+        (["segments", "verify"], []),
+        (["segments", "maximal"], ["--t", "1/2"]),
+        (["segments", "maximal"], ["--t", "x", "--pair", "phi0"]),
+        (["toric", "energy"], ["--pair", "phi1,phi0"]),
+        (["toric", "energy"], ["--kmax", "-1"]),
+    )))
+    return doc, command, extra
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_mutated_runs())
+def test_mutated_configs_never_crash(run) -> None:
+    # exit 0, 1 (a check failed) or 2 (bad input), never an uncaught error;
+    # later options override the defaults (kmax 2 keeps every run cheap)
+    doc, command, extra = run
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "config.json")
+        with open(cfg, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        argv = command + ["--config", cfg, "--kmax", "2",
+                          "--out", os.path.join(tmp, "out")] + extra
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+    assert code in (0, 1, 2), (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

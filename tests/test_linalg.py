@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from geonorm import linalg
@@ -38,7 +39,7 @@ def test_rank_against_oracle_random() -> None:
         d = rng.randint(1, 4)
         rows = [[Fraction(rng.randint(-2, 2)) for _ in range(d)]
                 for _ in range(rng.randint(1, 5))]
-        assert linalg.rank(rows) == oracles.rank(rows)
+        assert len(linalg.rref(rows)[0]) == oracles.rank(rows)
 
 
 def test_determinant_against_leibniz_random() -> None:
@@ -75,16 +76,6 @@ def test_invert_singular_raises() -> None:
                                 [Fraction(2), Fraction(4)]])
 
 
-def test_kernel_is_annihilated() -> None:
-    rows = [[Fraction(1), Fraction(2), Fraction(3)],
-            [Fraction(2), Fraction(4), Fraction(6)],
-            [Fraction(0), Fraction(1), Fraction(1)]]
-    ker = linalg.kernel(rows)
-    assert len(ker) == 1
-    for v in ker:
-        assert all(x == 0 for x in linalg.mat_vec(rows, v))
-
-
 def test_intersect_spans_dimension_random() -> None:
     rng = random.Random(13)
     for _ in range(60):
@@ -100,7 +91,8 @@ def test_intersect_spans_dimension_random() -> None:
         got = linalg.intersect_spans(U, V)
         assert len(got) == oracles.intersection_dim(U, V)
         for w in got:
-            assert linalg.in_span(U, w) and linalg.in_span(V, w)
+            assert oracles.rank(U + [w]) == oracles.rank(U)
+            assert oracles.rank(V + [w]) == oracles.rank(V)
 
 
 def test_solve_from_inverse() -> None:
@@ -109,3 +101,98 @@ def test_solve_from_inverse() -> None:
     b = (Fraction(3), Fraction(2))
     x = linalg.solve_from_inverse(inv, b)
     assert tuple(linalg.mat_vec(A, x)) == b
+
+
+def test_subspaces_over_qt() -> None:
+    t = RatFunc.t_power
+    one, zero = TADIC.one, TADIC.zero
+    U = [(one, t(1)), (zero, one)]
+    V = [(t(1), t(2))]
+    assert linalg.intersect_spans(U, V) == [(one, t(1))]
+    assert linalg.intersect_spans(V, V) == [(one, t(1))]
+    assert linalg.extend_independent(V, [(one, t(1)), (zero, t(-1))]) == [
+        (zero, t(-1))]
+
+
+# -- the integer Q path against the field-arithmetic slow paths ----------------
+
+_ENTRY = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**4)),
+)
+
+
+@st.composite
+def _matrices(draw, nrows=None, ncols=None):
+    """Fraction matrices up to 6 x 6, with planted zero, duplicate and
+    dependent rows: tall, wide, square and singular shapes."""
+    nrows = nrows or draw(st.integers(1, 6))
+    ncols = ncols or draw(st.integers(1, 6))
+    rows = [tuple(draw(_ENTRY) for _ in range(ncols)) for _ in range(nrows)]
+    plants = st.sampled_from(("zero", "duplicate", "multiple", "sum"))
+    for plant in draw(st.lists(plants, max_size=3)):
+        i = draw(st.integers(0, nrows - 1))
+        a, b = rows[draw(st.integers(0, nrows - 1))], rows[i - 1]
+        c = draw(st.builds(Fraction, st.integers(-5, 5), st.integers(1, 6)))
+        rows[i] = {
+            "zero": (Fraction(0),) * ncols,
+            "duplicate": a,
+            "multiple": tuple(c * x for x in a),
+            "sum": tuple(x + c * y for x, y in zip(a, b)),
+        }[plant]
+    return rows
+
+
+_LINALG = settings(max_examples=200, deadline=None, database=None,
+                   derandomize=True)
+
+
+@_LINALG
+@given(_matrices())
+def test_rref_matches_field_oracle(rows) -> None:
+    got = linalg.rref(rows)
+    assert got == oracles.rref_field(rows)
+    assert all(type(x) is Fraction for row in got[0] for x in row)
+
+
+@st.composite
+def _square(draw):
+    d = draw(st.integers(1, 6))
+    return draw(_matrices(nrows=d, ncols=d))
+
+
+@_LINALG
+@given(_square())
+def test_invert_and_determinant_match_field_oracle(A) -> None:
+    det = linalg.determinant(A)
+    assert det == oracles.determinant_field(A)
+    assert type(det) is Fraction
+    inv = oracles.invert_field(A)
+    if inv is None:
+        assert det == 0
+        with pytest.raises(linalg.SingularMatrixError):
+            linalg.invert(TRIVIAL, A)
+    else:
+        assert linalg.invert(TRIVIAL, A) == inv
+
+
+@st.composite
+def _span_pairs(draw):
+    ncols = draw(st.integers(1, 6))
+    return draw(_matrices(ncols=ncols)), draw(_matrices(ncols=ncols))
+
+
+@_LINALG
+@given(_span_pairs())
+def test_intersect_spans_matches_kernel_oracle(pair) -> None:
+    U, V = pair
+    assert linalg.intersect_spans(U, V) == oracles.intersect_spans_kernel(U, V)
+
+
+@_LINALG
+@given(_span_pairs(), st.integers(0, 6))
+def test_extend_independent_matches_rank_oracle(pair, keep) -> None:
+    current, candidates = pair[0][:keep], pair[1]
+    assert linalg.extend_independent(current, candidates) == \
+        oracles.extend_independent_rank(current, candidates)

@@ -61,6 +61,15 @@ def test_evaluate_dimension_mismatch() -> None:
         _std((0, 1)).evaluate((F(1),))
 
 
+@pytest.mark.parametrize("field", [TRIVIAL, TADIC])
+def test_zero_dimensional_norm_rejected(field) -> None:
+    with pytest.raises(NormError, match="dimension >= 1"):
+        DiagNorm(field, (), ())
+    with pytest.raises(NormError, match="dimension >= 1"):
+        DiagNorm.from_json({"field": field.name, "dim": 0, "basis": [],
+                            "weights": []})
+
+
 # -- codiagonalization -------------------------------------------------------
 
 

@@ -11,6 +11,7 @@ from geonorm.graded import GradedNorm
 from geonorm.segments import detect_non_psh, planted_non_psh_path
 from geonorm.suites import (
     SUITE_NAMES,
+    _lattice_concavity_oracle,
     check_submultiplicative,
     planted_submultiplicativity_violation,
     run_suite,
@@ -89,3 +90,14 @@ def test_healthy_path_has_no_witness() -> None:
         (F(1), {(0,): F(0), (1,): F(-2)}),
     )
     assert detect_non_psh(ring, k, samples) is None
+
+
+def test_lattice_concavity_oracle_rejects_width_above_4() -> None:
+    from fractions import Fraction as F
+
+    # width 4 (k = 2, m = 2 on P^1): five lattice points, a concave row
+    assert _lattice_concavity_oracle(1, 2, 2, tuple(map(F, (0, 1, 1, 1, 0))))
+    assert not _lattice_concavity_oracle(1, 2, 2, tuple(map(F, (0, 1, 0, 1, 0))))
+    # width 5: the denominator-12 grid would miss fifths, so it must refuse
+    with pytest.raises(ValueError, match="k\\*m <= 4"):
+        _lattice_concavity_oracle(1, 5, 1, tuple(F(0) for _ in range(6)))
