@@ -156,7 +156,7 @@ class Comparison:
     witness_second_gt: tuple | None
 
 
-def _le_witness(f: MaxAffine, g: MaxAffine):
+def le_witness(f: MaxAffine, g: MaxAffine):
     """None if f <= g everywhere, else a point where f > g."""
     for gf, cf in f.pieces:
         diff = [(tuple(a - b for a, b in zip(gg, gf)), cg - cf)
@@ -183,8 +183,8 @@ def compare(f: MaxAffine, g: MaxAffine) -> Comparison:
     """Exact pointwise comparison of two max-affine functions."""
     if f.n != g.n:
         raise PLError("cannot compare functions of different dimensions")
-    w_fg = _le_witness(f, g)   # point where f > g, if any
-    w_gf = _le_witness(g, f)   # point where g > f, if any
+    w_fg = le_witness(f, g)   # point where f > g, if any
+    w_gf = le_witness(g, f)   # point where g > f, if any
     if w_fg is None and w_gf is None:
         return Comparison("eq", None, None)
     if w_fg is None:
@@ -204,11 +204,6 @@ class Polytope:
     n: int
     hrep: tuple        # ((a, b), ...) meaning <a, y> <= b
     vertices: tuple    # tuple of points
-
-    def contains(self, y) -> bool:
-        y = _frac_point(y)
-        return all(sum(a[i] * y[i] for i in range(self.n)) <= b
-                   for a, b in self.hrep)
 
 
 def moment_simplex(n: int, m) -> Polytope:

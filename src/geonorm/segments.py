@@ -6,7 +6,8 @@ The quantized segment at level k pushes the norm geodesic of the two
 degree-k sup-norms back through FS_k; the maximal segment is the pointwise
 max over a divisibility chain of levels; the Legendre segment realizes the
 same object through rooftop envelopes P(phi0, phi1 - tau), with the sup
-over tau reduced to an exact finite critical set.  Sampled metric paths
+over tau reduced to an exact finite critical set; that family of rooftops
+does not depend on t, so it is built once per pair.  Sampled metric paths
 are checked for convexity in t, the psh condition, by ``detect_non_psh``.
 """
 
@@ -19,7 +20,7 @@ from fractions import Fraction
 from .geodesics import geodesic
 from .graded import SectionRing
 from .norms import distance
-from .plconvex import MaxAffine, compare, marginal_min, overlay_vertices, prune
+from .plconvex import MaxAffine, le_witness, marginal_min, overlay_vertices, prune
 from .toric import (
     ToricError,
     ToricMetric,
@@ -31,6 +32,11 @@ from .toric import (
     section_ring,
     supnorm,
 )
+
+
+def _pointwise_max(n: int, m: int, pots) -> ToricMetric:
+    """The pruned pointwise max of potentials, as a limit metric."""
+    return ToricMetric(n, m, prune(pots[0].max_with(*pots[1:])), "limit")
 
 
 @dataclass(frozen=True)
@@ -140,8 +146,7 @@ def maximal_segment(phi0: ToricMetric, phi1: ToricMetric, t, kmax: int = 8) -> T
         quantized_segment(phi0, phi1, k, t).potential
         for k in quantization_levels(kmax)
     ]
-    pot = prune(pots[0].max_with(*pots[1:]))
-    return ToricMetric(phi0.n, phi0.m, pot, "limit")
+    return _pointwise_max(phi0.n, phi0.m, pots)
 
 
 def tau_critical_set(phi0: ToricMetric, phi1: ToricMetric):
@@ -157,22 +162,31 @@ def tau_critical_set(phi0: ToricMetric, phi1: ToricMetric):
     return tuple(sorted(taus))
 
 
+def _rooftop_family(phi0: ToricMetric, phi1: ToricMetric):
+    """(tau, P(phi0, phi1 - tau).potential) per critical tau; free of t."""
+    if (phi0.n, phi0.m) != (phi1.n, phi1.m):
+        raise ToricError("metrics live on different line bundles")
+    return tuple(
+        (tau, envelope_P(phi0, phi1.shifted(-tau)).potential)
+        for tau in tau_critical_set(phi0, phi1)
+    )
+
+
+def _legendre_recover(n: int, m: int, family, t) -> ToricMetric:
+    """sup over tau of (u_tau + t*tau) for a family ((tau, u_tau), ...)."""
+    t = Fraction(t)
+    if not 0 <= t <= 1:
+        raise ToricError(f"segment time {t} outside [0, 1]")
+    return _pointwise_max(n, m, [u.shifted(t * tau) for tau, u in family])
+
+
 def legendre_segment(phi0: ToricMetric, phi1: ToricMetric, t) -> ToricMetric:
     """sup over tau of (P(phi0, phi1 - tau) + t*tau), exactly.
 
     The resulting conjugate profile is (1-t) q0 + t q1, so the segment is
     d1-geodesic and has affine energy by construction.
     """
-    t = Fraction(t)
-    if not 0 <= t <= 1:
-        raise ToricError(f"segment time {t} outside [0, 1]")
-    _ = compare_metrics(phi0, phi1)  # dimension/bundle guard
-    pots = []
-    for tau in tau_critical_set(phi0, phi1):
-        roof = envelope_P(phi0, phi1.shifted(-tau))
-        pots.append(roof.potential.shifted(t * tau))
-    pot = prune(pots[0].max_with(*pots[1:]))
-    return ToricMetric(phi0.n, phi0.m, pot, "limit")
+    return _legendre_recover(phi0.n, phi0.m, _rooftop_family(phi0, phi1), t)
 
 
 def kiselman_dual(seg: FSSegment, tau) -> ToricMetric:
@@ -196,13 +210,9 @@ def duality_tau_set(seg: FSSegment):
 
 def segment_from_dual(seg: FSSegment, t) -> ToricMetric:
     """Legendre recovery: sup over tau of (kiselman_dual + t*tau)."""
-    t = Fraction(t)
-    pots = [
-        kiselman_dual(seg, tau).potential.shifted(t * tau)
-        for tau in duality_tau_set(seg)
-    ]
-    pot = prune(pots[0].max_with(*pots[1:]))
-    return ToricMetric(seg.ring.n, seg.ring.m, pot, "limit")
+    family = tuple((tau, kiselman_dual(seg, tau).potential)
+                   for tau in duality_tau_set(seg))
+    return _legendre_recover(seg.ring.n, seg.ring.m, family, t)
 
 
 def planted_non_psh_path():
@@ -235,9 +245,8 @@ def detect_non_psh(ring: SectionRing, k: int, samples):
     for (t0, p0), (t1, p1), (t2, p2) in itertools.combinations(metrics, 3):
         lam = (t2 - t1) / (t2 - t0)
         chord = p0.potential.scaled(lam).plus(p2.potential.scaled(1 - lam))
-        cmp = compare(p1.potential, chord)
-        if cmp.relation in ("ge", "incomparable") and cmp.witness_first_gt:
-            point = cmp.witness_first_gt
+        point = le_witness(p1.potential, chord)
+        if point is not None:
             return {
                 "t0": str(t0), "t1": str(t1), "t2": str(t2),
                 "point": [str(c) for c in point],
@@ -257,6 +266,7 @@ def diagnostics(phi0: ToricMetric, phi1: ToricMetric, kmax: int = 8,
     quantized maximal segment.
     """
     ts = tuple(Fraction(t) for t in ts)
+    family = _rooftop_family(phi0, phi1)
     ref = reference(phi0.n, phi0.m)
     levels = quantization_levels(kmax)
     report = {"levels": list(levels), "ts": [str(t) for t in ts]}
@@ -265,34 +275,25 @@ def diagnostics(phi0: ToricMetric, phi1: ToricMetric, kmax: int = 8,
     for k in levels:
         seg = quantized_level(phi0, phi1, k)
         d_ends = distance(supnorm(k, phi0), supnorm(k, phi1), 1)
-        ok = True
-        for i, s in enumerate(ts):
-            for tprime in ts[i + 1:]:
-                ws = [(1 - s) * a + s * b
-                      for a, b in zip(seg.weights0, seg.weights1)]
-                wt = [(1 - tprime) * a + tprime * b
-                      for a, b in zip(seg.weights0, seg.weights1)]
-                d_st = Fraction(sum(abs(x - y) for x, y in zip(ws, wt)),
-                                len(ws))
-                if d_st != (tprime - s) * d_ends:
-                    ok = False
+        ws = {s: [(1 - s) * a + s * b
+                  for a, b in zip(seg.weights0, seg.weights1)] for s in ts}
+        ok = all(
+            Fraction(sum(abs(x - y) for x, y in zip(ws[s], ws[tprime])),
+                     len(ws[s])) == (tprime - s) * d_ends
+            for s, tprime in itertools.combinations(ts, 2))
         per_level.append({"k": k, "d1_endpoints": str(d_ends),
                           "geodesic_exact": ok})
     report["d1_geodesic_per_level"] = per_level
 
-    e0 = energy_limit(legendre_segment(phi0, phi1, 0), ref)
-    e1 = energy_limit(legendre_segment(phi0, phi1, 1), ref)
-    energies = []
-    affine_ok = True
-    for t in ts:
-        et = energy_limit(legendre_segment(phi0, phi1, t), ref)
-        resid = et - ((1 - t) * e0 + t * e1)
-        if resid != 0:
-            affine_ok = False
-        energies.append({"t": str(t), "energy": str(et),
-                         "residual": str(resid)})
-    report["energy_along_segment"] = energies
-    report["energy_affine_exact"] = affine_ok
+    energy_at = {
+        t: energy_limit(_legendre_recover(phi0.n, phi0.m, family, t), ref)
+        for t in dict.fromkeys((Fraction(0), Fraction(1)) + ts)}
+    e0, e1 = energy_at[0], energy_at[1]
+    resid = {t: energy_at[t] - ((1 - t) * e0 + t * e1) for t in ts}
+    report["energy_along_segment"] = [
+        {"t": str(t), "energy": str(energy_at[t]), "residual": str(resid[t])}
+        for t in ts]
+    report["energy_affine_exact"] = not any(resid.values())
 
     gaps = {}
     for label, t, phi in (("start", 0, phi0), ("end", 1, phi1)):

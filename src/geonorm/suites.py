@@ -156,13 +156,14 @@ def _filtration_spectrum_oracle(n0, n1):
     lev1 = sorted(set(n1.weights), reverse=True)
 
     def dim_meet(i, j):
-        # dim(F0_{lev0[i]} cap F1_{lev1[j]}); out-of-range index means the
-        # cut is above every weight, so the flag piece is zero
+        # dim(F0_{lev0[i]} cap F1_{lev1[j]}) = |s0| + |s1| - rank(s0 + s1),
+        # since each cut is a subset of a basis; out-of-range index means
+        # the cut is above every weight, so the flag piece is zero
         if i < 0 or j < 0:
             return 0
         s0 = tuple(v for v, w in zip(n0.basis, n0.weights) if w >= lev0[i])
         s1 = tuple(v for v, w in zip(n1.basis, n1.weights) if w >= lev1[j])
-        return len(linalg.intersect_spans(s0, s1))
+        return len(s0) + len(s1) - len(linalg.rref(s0 + s1)[0])
 
     diffs = []
     for i, a in enumerate(lev0):

@@ -8,7 +8,9 @@ envelopes (and with them redundant max-affine pieces) go through explicit
 convex combinations, marginal minimization enumerates crossing parameters,
 and integrals use closed-form antiderivatives.  When a test compares a
 library value against an oracle value, the only shared dependency is the
-stdlib.
+stdlib.  The one exception is ``legendre_segment_per_t``: it is the per-t
+Legendre construction that geonorm.segments replaced, kept as a
+differential reference and composed from the library's own primitives.
 """
 
 from __future__ import annotations
@@ -16,6 +18,10 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+
+from geonorm.plconvex import prune
+from geonorm.segments import tau_critical_set
+from geonorm.toric import ToricError, ToricMetric, envelope_P
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +192,26 @@ def trivial_spectrum(basis0, weights0, basis1, weights1):
                      - meet(i, j - 1) + meet(i - 1, j - 1))
             out.extend([a - b] * count)
     return tuple(sorted(out))
+
+
+# ---------------------------------------------------------------------------
+# Legendre segment rebuilt at every t: one rooftop envelope per critical
+# shift and per time, the path that geonorm.segments replaced with one
+# rooftop family per pair.
+# ---------------------------------------------------------------------------
+
+
+def legendre_segment_per_t(phi0, phi1, t):
+    """sup over tau of (P(phi0, phi1 - tau) + t*tau), envelopes built at t."""
+    t = Fraction(t)
+    if not 0 <= t <= 1:
+        raise ToricError(f"segment time {t} outside [0, 1]")
+    pots = []
+    for tau in tau_critical_set(phi0, phi1):
+        roof = envelope_P(phi0, phi1.shifted(-tau))
+        pots.append(roof.potential.shifted(t * tau))
+    pot = prune(pots[0].max_with(*pots[1:]))
+    return ToricMetric(phi0.n, phi0.m, pot, "limit")
 
 
 # ---------------------------------------------------------------------------

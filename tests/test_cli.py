@@ -490,7 +490,7 @@ def _mutated_runs(draw):
     return doc, command, extra
 
 
-@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@settings(max_examples=300)
 @given(_mutated_runs())
 def test_mutated_configs_never_crash(run) -> None:
     # exit 0, 1 (a check failed) or 2 (bad input), never an uncaught error;

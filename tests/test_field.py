@@ -98,7 +98,7 @@ def _planted_quotients(draw):
     return num, den
 
 
-@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@settings(max_examples=400)
 @given(_planted_quotients())
 def test_ratfunc_reduction_matches_euclid_oracle(case) -> None:
     num, den = case

@@ -144,8 +144,7 @@ def _matrices(draw, nrows=None, ncols=None):
     return rows
 
 
-_LINALG = settings(max_examples=200, deadline=None, database=None,
-                   derandomize=True)
+_LINALG = settings(max_examples=200)
 
 
 @_LINALG

@@ -248,8 +248,7 @@ def _tadic_norms(draw, count):
     return norms
 
 
-_TADIC_SETTINGS = settings(max_examples=60, deadline=None, database=None,
-                           derandomize=True)
+_TADIC_SETTINGS = settings(max_examples=60)
 
 
 @_TADIC_SETTINGS

@@ -107,7 +107,7 @@ def _max_affine_cases(draw):
     return n, pieces
 
 
-@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@settings(max_examples=300)
 @given(_max_affine_cases())
 def test_prune_matches_nonredundant_oracle(case) -> None:
     f = MaxAffine(*case)

@@ -1,12 +1,17 @@
 """FS segments, quantized maximal segments, Kiselman duality, diagnostics."""
 
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
+from geonorm import plconvex
 from geonorm.plconvex import MaxAffine, compare
 from geonorm.segments import (
     FSSegment,
+    detect_non_psh,
     diagnostics,
     duality_tau_set,
     fs_segment,
@@ -21,6 +26,7 @@ from geonorm.segments import (
 from geonorm.toric import (
     ToricError,
     compare_metrics,
+    energy_limit,
     envelope_P,
     fs_from_norm,
     reference,
@@ -73,11 +79,18 @@ def test_segment_convex_in_t() -> None:
 
 
 def test_segment_time_validation() -> None:
+    # every entry point that takes a segment time rejects t outside [0, 1]
+    # with the same error, segment_from_dual included
     seg = _comparable_seg()
-    with pytest.raises(ToricError):
-        seg.eval(F(-1, 2))
-    with pytest.raises(ToricError):
-        seg.eval(F(3, 2))
+    phi0, phi1 = seg.start, seg.end
+    for t in (F(-1, 2), F(3, 2)):
+        for run in (lambda: seg.eval(t),
+                    lambda: segment_from_dual(seg, t),
+                    lambda: legendre_segment(phi0, phi1, t),
+                    lambda: diagnostics(phi0, phi1, kmax=1, ts=(0, t))):
+            with pytest.raises(ToricError, match=re.escape(
+                    f"segment time {t} outside [0, 1]")):
+                run()
 
 
 def test_segment_weight_validation() -> None:
@@ -184,6 +197,71 @@ def test_maximal_dominates_endpoint_dominated_competitor() -> None:
         assert rel in ("le", "eq")
 
 
+def test_mismatched_bundles_rejected() -> None:
+    # pairs differing in n, only in m, and in n with equal h0 = 3
+    on_p1 = _fs(RING1, 1, (0, 0))
+    on_p1_m2 = _fs(RING2, 1, (0, 1, 0))
+    on_p2 = _fs(section_ring(2, 1), 1, (0, 1, 0))
+    for phi0, phi1 in ((on_p1, on_p2), (on_p1, on_p1_m2), (on_p1_m2, on_p2)):
+        for run in (lambda: legendre_segment(phi0, phi1, F(1, 2)),
+                    lambda: diagnostics(phi0, phi1, kmax=2)):
+            with pytest.raises(ToricError,
+                               match="metrics live on different line bundles"):
+                run()
+
+
+def test_legendre_segment_runs_no_lp(monkeypatch) -> None:
+    # rooftops and the sup over tau need hulls only, never a comparison LP
+    phi0 = _fs(RING2, 2, (0, 0, 3, 0, 0))
+    phi1 = _fs(RING2, 2, (0, -1, 0, 2, 0))
+    want = [oracles.legendre_segment_per_t(phi0, phi1, t)
+            for t in (F(0), F(1, 3), F(1))]
+
+    def refuse(*args):
+        raise AssertionError("legendre_segment solved an LP")
+
+    monkeypatch.setattr(plconvex, "minimize_max_affine", refuse)
+    got = [legendre_segment(phi0, phi1, t) for t in (F(0), F(1, 3), F(1))]
+    assert [g.potential.pieces for g in got] == [
+        w.potential.pieces for w in want]
+
+
+_ARENAS = ((1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2), (2, 1, 1), (2, 1, 2))
+
+
+@st.composite
+def _metric_pairs(draw):
+    """Two level-k FS metrics on one (P^n, O(m)), weights in (1/2)Z."""
+    n, m, level = draw(st.sampled_from(_ARENAS))
+    ring = section_ring(n, m)
+    size = len(ring.basis(level))
+    weights = st.lists(st.integers(-6, 6).map(lambda x: F(x, 2)),
+                       min_size=size, max_size=size)
+    return _fs(ring, level, draw(weights)), _fs(ring, level, draw(weights))
+
+
+@settings(max_examples=40)
+@given(_metric_pairs(), st.sampled_from((F(0), F(1, 3), F(1, 2), F(1))))
+def test_legendre_segment_matches_per_t_oracle(pair, t) -> None:
+    phi0, phi1 = pair
+    got = legendre_segment(phi0, phi1, t)
+    want = oracles.legendre_segment_per_t(phi0, phi1, t)
+    assert got.potential.pieces == want.potential.pieces
+
+
+@settings(max_examples=20)
+@given(_metric_pairs())
+def test_diagnostics_energies_match_per_t_oracle(pair) -> None:
+    # repeated and unsorted times: each distinct t is recovered once
+    phi0, phi1 = pair
+    ts = (F(1, 2), F(0), F(1, 3), F(1, 2), F(1))
+    report = diagnostics(phi0, phi1, kmax=1, ts=ts)
+    ref = reference(phi0.n, phi0.m)
+    want = [str(energy_limit(oracles.legendre_segment_per_t(phi0, phi1, t),
+                             ref)) for t in ts]
+    assert [row["energy"] for row in report["energy_along_segment"]] == want
+
+
 def test_legendre_equals_maximal_on_level_two_instance() -> None:
     phi0 = _fs(RING2, 2, (0, 0, 3, 0, 0))
     phi1 = _fs(RING2, 2, (0, -1, 0, 2, 0))
@@ -255,6 +333,25 @@ def test_segment_from_dual_round_trip() -> None:
                 fs_segment(RING2, 2, (0, 0, 3, 0, 0), (0, -1, 0, 2, 0))):
         for t in (F(0), F(1, 3), F(1, 2), F(1)):
             assert segment_from_dual(seg, t) == seg.eval(t)
+
+
+def test_detect_non_psh_sweeps_only_the_middle_pieces(monkeypatch) -> None:
+    # on a psh path the check "middle <= chord" costs one LP per piece of
+    # the middle potential; the reverse direction is never asked
+    calls = []
+    solve = plconvex.minimize_max_affine
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(plconvex, "minimize_max_affine", counted)
+    samples = tuple(
+        (t, dict(zip(RING2.basis(1), (F(0), 3 - 4 * t, 2 * t))))
+        for t in (F(0), F(1, 2), F(1)))
+    assert detect_non_psh(RING2, 1, samples) is None
+    middle = fs_from_norm(RING2, 1, samples[1][1])
+    assert len(calls) == len(middle.potential.pieces) == 3
 
 
 # -- diagnostics ------------------------------------------------------------------------

@@ -5,12 +5,20 @@ minute; the acceptance tests run it once.  Here we cover the three fast
 suites plus the runner contract.
 """
 
+import random
+from fractions import Fraction
+
 import pytest
 
+import oracles
+from geonorm import linalg
+from geonorm.field import TRIVIAL
 from geonorm.graded import GradedNorm
+from geonorm.norms import DiagNorm
 from geonorm.segments import detect_non_psh, planted_non_psh_path
 from geonorm.suites import (
     SUITE_NAMES,
+    _filtration_spectrum_oracle,
     _lattice_concavity_oracle,
     check_submultiplicative,
     planted_submultiplicativity_violation,
@@ -101,3 +109,39 @@ def test_lattice_concavity_oracle_rejects_width_above_4() -> None:
     # width 5: the denominator-12 grid would miss fifths, so it must refuse
     with pytest.raises(ValueError, match="k\\*m <= 4"):
         _lattice_concavity_oracle(1, 5, 1, tuple(F(0) for _ in range(6)))
+
+
+def _random_trivial_pairs(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        d = rng.randint(1, 4)
+        bases = []
+        while len(bases) < 2:
+            A = [[Fraction(rng.randint(-2, 2)) for _ in range(d)]
+                 for _ in range(d)]
+            if oracles.rank(A) == d:
+                bases.append(tuple(tuple(r) for r in A))
+        # few distinct weights, so the flags have repeated levels
+        w0 = tuple(Fraction(rng.randint(-2, 2)) for _ in range(d))
+        w1 = tuple(Fraction(rng.randint(-2, 2)) for _ in range(d))
+        yield bases[0], w0, bases[1], w1
+
+
+def test_filtration_spectrum_oracle_matches_trivial_spectrum() -> None:
+    for b0, w0, b1, w1 in _random_trivial_pairs(29, 60):
+        got = _filtration_spectrum_oracle(DiagNorm(TRIVIAL, b0, w0),
+                                          DiagNorm(TRIVIAL, b1, w1))
+        assert got == oracles.trivial_spectrum(b0, w0, b1, w1)
+
+
+def test_filtration_spectrum_oracle_avoids_intersect_spans(monkeypatch) -> None:
+    # codiagonalize relies on intersect_spans, so the suite's independent
+    # side must not: a fault there could otherwise pass both sides
+    def refuse(*args):
+        raise AssertionError("the oracle called intersect_spans")
+
+    monkeypatch.setattr(linalg, "intersect_spans", refuse)
+    for b0, w0, b1, w1 in _random_trivial_pairs(31, 10):
+        got = _filtration_spectrum_oracle(DiagNorm(TRIVIAL, b0, w0),
+                                          DiagNorm(TRIVIAL, b1, w1))
+        assert got == oracles.trivial_spectrum(b0, w0, b1, w1)

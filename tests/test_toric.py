@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from geonorm.plconvex import MaxAffine
@@ -156,6 +157,49 @@ def test_supnorm_idempotent() -> None:
             n1 = supnorm(k, phi)
             n2 = supnorm(k, fs_from_norm(ring, k, n1))
             assert n1 == n2
+
+
+_ARENAS = ((1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2), (2, 1, 1))
+
+
+@st.composite
+def _fs_pairs(draw):
+    """(ring, phi0, phi1): level-k FS metrics on one (P^n, O(m)).
+
+    phi1 has independent weights, or phi0's weights lowered entry by
+    entry, which keeps the metric whenever only weights under the concave
+    hull drop, so equal pairs with different weights come up too.
+    """
+    n, m, level = draw(st.sampled_from(_ARENAS))
+    ring = section_ring(n, m)
+    basis = ring.basis(level)
+    weights = st.lists(st.integers(-6, 6).map(lambda x: F(x, 2)),
+                       min_size=len(basis), max_size=len(basis))
+    w0 = draw(weights)
+    if draw(st.booleans()):
+        w1 = [w - draw(st.integers(0, 3)) for w in w0]
+    else:
+        w1 = draw(weights)
+    return (ring, fs_from_norm(ring, level, dict(zip(basis, w0))),
+            fs_from_norm(ring, level, dict(zip(basis, w1))))
+
+
+@settings(max_examples=60)
+@given(_fs_pairs())
+def test_supnorm_fs_supnorm_is_supnorm(case) -> None:
+    ring, phi, _ = case
+    for k in (1, 2, 4):
+        top = supnorm(k, phi)
+        assert supnorm(k, fs_from_norm(ring, k, top)) == top
+
+
+@settings(max_examples=60)
+@given(_fs_pairs())
+def test_d1_limit_vanishes_exactly_on_equal_metrics(case) -> None:
+    _, phi0, phi1 = case
+    res = d1_metric(phi0, phi1, kmax=2)   # raises if its two routes disagree
+    assert res.limit >= 0
+    assert (res.limit == 0) == (compare_metrics(phi0, phi1).relation == "eq")
 
 
 def test_sup_graded_is_submultiplicative() -> None:
