@@ -1,14 +1,12 @@
-"""Exact rational linear programming, just enough for piecewise-linear work.
+"""Exact rational linear programming: the reference oracle for comparison.
 
-A single primitive is exposed: minimize the pointwise maximum of finitely
-many affine functions over all of R^n.  This is the LP
-
-    min u  subject to  u >= <g_i, v> + c_i,
-
-solved by a two-phase tableau simplex with Bland's rule over Fractions.
-The minimum is either attained (status "optimal", with a witness point) or
-the maximum is unbounded below along a ray (status "unbounded", with a ray
-along which every affine piece eventually decreases).
+One primitive, the infimum over v in R^n of max_i (<g_i, v> + c_i), as the
+LP ``min u subject to u >= <g_i, v> + c_i``, solved by a two-phase tableau
+simplex with Bland's rule over Fractions.  The minimum is either attained
+(status "optimal", with a witness point) or the maximum is unbounded below
+along a ray on which every affine piece eventually decreases ("unbounded").
+No library module calls it (``plconvex`` compares on the conjugate side);
+tests use it as an oracle, and the benchmark harness imports and traces it.
 """
 
 from __future__ import annotations

@@ -1,17 +1,17 @@
 """Exact piecewise-linear convex analysis in ambient dimension one and two.
 
 Convex functions are max-affine: ``f(v) = max_i (<g_i, v> + c_i)`` with
-rational data.  The module provides exact comparison (with witness points),
-Legendre conjugation (the concave profile ``q = -f*`` on the convex hull of
-the gradients, as the upper concave envelope of the points ``(g_i, c_i)``),
+rational data.  The module provides Legendre conjugation (the concave
+profile ``q = -f*`` on the convex hull of the gradients, as the upper
+concave envelope of the points ``(g_i, c_i)``), exact comparison with
+witness points, run on the conjugate side with no linear program,
 constrained convex envelopes, marginal minimization over a leading variable
 by Fourier-Motzkin elimination of the epigraph, and exact integration of
 piecewise-linear data over rational polytopes.
 
-Cell machinery (hull facets, polygon clipping, integration), and with it
-pruning and marginal minima, is implemented for n <= 2; every computation
-in the package's verification suites lives on the projective line or
-plane.  Evaluation and comparison are dimension-generic.
+The hull machinery, and with it pruning, comparison and marginal minima,
+is implemented for n <= 2, where every computation of the package's
+verification suites lives (the projective line or plane).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from itertools import combinations, combinations_with_replacement
 from math import comb
 
 from .field import format_fraction, parse_fraction
-from .linprog import minimize_max_affine
 
 
 class PLError(ValueError):
@@ -156,42 +155,43 @@ class Comparison:
     witness_second_gt: tuple | None
 
 
+def _dot(x, y):
+    return sum(a * b for a, b in zip(x, y))
+
+
 def le_witness(f: MaxAffine, g: MaxAffine):
-    """None if f <= g everywhere, else a point where f > g."""
-    for gf, cf in f.pieces:
-        diff = [(tuple(a - b for a, b in zip(gg, gf)), cg - cf)
-                for gg, cg in g.pieces]
-        res = minimize_max_affine(f.n, diff)
-        if res.status == "optimal":
-            if res.value < 0:
-                return res.point
-            continue
-        # unbounded below: march along the ray past the exact threshold
-        p0, ray = res.point, res.ray
-        T = Fraction(1)
-        for dg, dc in diff:
-            a = sum(x * y for x, y in zip(dg, p0)) + dc
-            b = sum(x * y for x, y in zip(dg, ray))
-            # b < 0 along a descent ray; need a + b T < 0
-            if a >= 0:
-                T = max(T, a / (-b) + 1)
-        return tuple(x + T * r for x, r in zip(p0, ray))
+    """None if f <= g everywhere, else a point where f > g (n <= 2).
+
+    A piece <a, v> + c lies below g iff c <= q(a) for q = conjugate(g),
+    taken as -inf off its domain (Rockafellar, Convex Analysis, section 12).
+    """
+    q = conjugate(g)
+    hrep = domain_hrep(q)
+    for a, c in f.pieces:
+        out = next(((nu, b) for nu, b in hrep if _dot(nu, a) > b), None)
+        if out is not None:
+            # <g_j, s nu> <= s b for every piece of g: f outgrows g along nu
+            nu, b = out
+            top = max(cg for _, cg in g.pieces)
+            s = max(Fraction(1), (top - c) / (_dot(nu, a) - b) + 1)
+            return tuple(s * x for x in nu)
+        qa = q.value(a)
+        if c > qa:
+            # g(-w) = beta for a plane (w, beta) of q active at a
+            w = next(w for w, beta in q.planes if _dot(w, a) + beta == qa)
+            return tuple(-x for x in w)
     return None
 
 
 def compare(f: MaxAffine, g: MaxAffine) -> Comparison:
-    """Exact pointwise comparison of two max-affine functions."""
+    """Exact pointwise comparison of two max-affine functions (n <= 2)."""
     if f.n != g.n:
         raise PLError("cannot compare functions of different dimensions")
     w_fg = le_witness(f, g)   # point where f > g, if any
     w_gf = le_witness(g, f)   # point where g > f, if any
-    if w_fg is None and w_gf is None:
-        return Comparison("eq", None, None)
-    if w_fg is None:
-        return Comparison("le", None, w_gf)
-    if w_gf is None:
-        return Comparison("ge", w_fg, None)
-    return Comparison("incomparable", w_fg, w_gf)
+    relation = {(True, True): "eq", (True, False): "le", (False, True): "ge",
+                (False, False): "incomparable"}[w_fg is None, w_gf is None]
+    return Comparison(relation, w_fg, w_gf)
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +397,6 @@ def conjugate(f: MaxAffine) -> ConcaveProfile:
             off = z0 - slope * x0
             cells.append(Cell(((x0,), (x1,)), (slope,), off))
             planes.append(((slope,), off))
-        if not planes:  # single hull point (all gradients equal; unreachable)
-            planes = [((Fraction(0),), chain[0][1])]
         return ConcaveProfile(1, vertices, tuple(cells), tuple(planes))
     return _conjugate_2d(pts)
 
@@ -481,8 +479,6 @@ def _conjugate_2d_on_line(pts, direction):
                      for i in range(2))
         off = beta - sigma * g0[k] / direction[k]
         planes.append((grad, off))
-    if not planes:
-        planes = [((Fraction(0), Fraction(0)), chain[0][1])]
     return ConcaveProfile(2, vertices, (), tuple(planes))
 
 

@@ -138,15 +138,17 @@ def quantization_levels(kmax: int):
     return tuple(levels)
 
 
+def _max_over_levels(n: int, m: int, segs, t) -> ToricMetric:
+    """Pointwise max at time t of the level segments of a chain."""
+    if not segs:
+        raise ToricError("kmax must be at least 1")
+    return _pointwise_max(n, m, [seg.eval(t).potential for seg in segs])
+
+
 def maximal_segment(phi0: ToricMetric, phi1: ToricMetric, t, kmax: int = 8) -> ToricMetric:
     """Pointwise max of quantized segments along the level chain."""
-    if kmax < 1:
-        raise ToricError("kmax must be at least 1")
-    pots = [
-        quantized_segment(phi0, phi1, k, t).potential
-        for k in quantization_levels(kmax)
-    ]
-    return _pointwise_max(phi0.n, phi0.m, pots)
+    segs = [quantized_level(phi0, phi1, k) for k in quantization_levels(kmax)]
+    return _max_over_levels(phi0.n, phi0.m, segs, t)
 
 
 def tau_critical_set(phi0: ToricMetric, phi1: ToricMetric):
@@ -271,12 +273,15 @@ def diagnostics(phi0: ToricMetric, phi1: ToricMetric, kmax: int = 8,
     levels = quantization_levels(kmax)
     report = {"levels": list(levels), "ts": [str(t) for t in ts]}
 
-    per_level = []
+    ring = section_ring(phi0.n, phi0.m)
+    segs, per_level = [], []
     for k in levels:
-        seg = quantized_level(phi0, phi1, k)
-        d_ends = distance(supnorm(k, phi0), supnorm(k, phi1), 1)
+        ends = supnorm(k, phi0), supnorm(k, phi1)
+        geo = geodesic(*ends)
+        segs.append(FSSegment(ring, k, geo.weights0, geo.weights1))
+        d_ends = distance(*ends, 1)
         ws = {s: [(1 - s) * a + s * b
-                  for a, b in zip(seg.weights0, seg.weights1)] for s in ts}
+                  for a, b in zip(geo.weights0, geo.weights1)] for s in ts}
         ok = all(
             Fraction(sum(abs(x - y) for x, y in zip(ws[s], ws[tprime])),
                      len(ws[s])) == (tprime - s) * d_ends
@@ -297,7 +302,7 @@ def diagnostics(phi0: ToricMetric, phi1: ToricMetric, kmax: int = 8,
 
     gaps = {}
     for label, t, phi in (("start", 0, phi0), ("end", 1, phi1)):
-        got = maximal_segment(phi0, phi1, t, kmax)
+        got = _max_over_levels(phi0.n, phi0.m, segs, t)
         rel = compare_metrics(got, phi).relation
         gaps[label] = {"recovered": rel == "eq", "relation": rel}
     report["endpoint_recovery"] = gaps

@@ -90,9 +90,8 @@ class ToricMetric:
     def __eq__(self, other):
         if not isinstance(other, ToricMetric):
             return NotImplemented
-        if (self.n, self.m) != (other.n, other.m):
-            return False
-        return compare(self.potential, other.potential).relation == "eq"
+        return ((self.n, self.m) == (other.n, other.m)
+                and self.potential == other.potential)
 
     __hash__ = None
 

@@ -8,9 +8,12 @@ envelopes (and with them redundant max-affine pieces) go through explicit
 convex combinations, marginal minimization enumerates crossing parameters,
 and integrals use closed-form antiderivatives.  When a test compares a
 library value against an oracle value, the only shared dependency is the
-stdlib.  The one exception is ``legendre_segment_per_t``: it is the per-t
-Legendre construction that geonorm.segments replaced, kept as a
+stdlib.  There are two exceptions.  ``legendre_segment_per_t`` is the
+per-t Legendre construction that geonorm.segments replaced, kept as a
 differential reference and composed from the library's own primitives.
+``lp_le_witness`` is the comparison that geonorm.plconvex replaced: one
+exact simplex (``geonorm.linprog``, which no library module calls) per
+piece, where the library tests each piece against the conjugate.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import itertools
 import math
 from fractions import Fraction
 
+from geonorm.linprog import minimize_max_affine
 from geonorm.plconvex import prune
 from geonorm.segments import tau_critical_set
 from geonorm.toric import ToricError, ToricMetric, envelope_P
@@ -212,6 +216,36 @@ def legendre_segment_per_t(phi0, phi1, t):
         pots.append(roof.potential.shifted(t * tau))
     pot = prune(pots[0].max_with(*pots[1:]))
     return ToricMetric(phi0.n, phi0.m, pot, "limit")
+
+
+# ---------------------------------------------------------------------------
+# Comparison by linear programming: minimize g - (piece of f) over R^n for
+# each piece, the path that geonorm.plconvex replaced with a test of each
+# piece against the conjugate profile of g.
+# ---------------------------------------------------------------------------
+
+
+def lp_le_witness(f, g):
+    """None if f <= g everywhere, else a point where f > g (any n)."""
+    for gf, cf in f.pieces:
+        diff = [(tuple(a - b for a, b in zip(gg, gf)), cg - cf)
+                for gg, cg in g.pieces]
+        res = minimize_max_affine(f.n, diff)
+        if res.status == "optimal":
+            if res.value < 0:
+                return res.point
+            continue
+        # unbounded below: march along the ray past the exact threshold
+        p0, ray = res.point, res.ray
+        T = Fraction(1)
+        for dg, dc in diff:
+            a = sum(x * y for x, y in zip(dg, p0)) + dc
+            b = sum(x * y for x, y in zip(dg, ray))
+            # b < 0 along a descent ray; need a + b T < 0
+            if a >= 0:
+                T = max(T, a / (-b) + 1)
+        return tuple(x + T * r for x, r in zip(p0, ray))
+    return None
 
 
 # ---------------------------------------------------------------------------

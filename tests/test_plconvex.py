@@ -1,10 +1,14 @@
 """Piecewise-linear convex calculus: conjugates, envelopes, marginals, integrals."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from geonorm.linprog import minimize_max_affine
@@ -17,6 +21,7 @@ from geonorm.plconvex import (
     integrate_abs_difference,
     integrate_difference,
     integrate_profile,
+    le_witness,
     marginal_min,
     max_abs_difference,
     moment_simplex,
@@ -81,9 +86,10 @@ _COORD = st.integers(-3, 3).map(F) | st.fractions(-3, 3, max_denominator=2)
 
 
 @st.composite
-def _max_affine_cases(draw):
+def _max_affine_cases(draw, n=None):
     """Random n = 1, 2 pieces with frequent repeats, collinear and tied points."""
-    n = draw(st.sampled_from((1, 2)))
+    if n is None:
+        n = draw(st.sampled_from((1, 2)))
     count = draw(st.integers(1, 7))
     if n == 2 and draw(st.booleans()):
         # gradients on one line: a rank-1 hull in the plane
@@ -153,6 +159,64 @@ def test_compare_unbounded_direction() -> None:
     c = compare(f, REF)
     assert c.relation == "ge"
     assert f(c.witness_first_gt) > REF(c.witness_first_gt)
+
+
+@st.composite
+def _comparison_pairs(draw):
+    """(f, g) on one n <= 2, drawn apart or as f plus redundant pieces."""
+    n, pieces = draw(_max_affine_cases())
+    f = MaxAffine(n, pieces)
+    if draw(st.booleans()):
+        return f, MaxAffine(n, draw(_max_affine_cases(n))[1])
+    # lowered convex combinations of f's pieces lie below f, so g equals f
+    extra = []
+    for _ in range(draw(st.integers(1, 3))):
+        (a0, c0), (a1, c1) = (draw(st.sampled_from(f.pieces)) for _ in "01")
+        lam = draw(st.sampled_from((F(1, 2), F(1, 3))))
+        extra.append((tuple(lam * x + (1 - lam) * y for x, y in zip(a0, a1)),
+                      lam * c0 + (1 - lam) * c1 - draw(st.integers(0, 1))))
+    return f, MaxAffine(n, list(f.pieces) + extra)
+
+
+@settings(max_examples=300)
+@given(_comparison_pairs())
+# single pieces; collinear gradients; a gradient off hull(grad g) (the
+# march branch); equal functions, one with a redundant piece
+@example((_ma(((1,), 0)), _ma(((0,), 0), ((2,), -1))))
+@example((_ma(((0, 0), 0), ((1, 1), 0)), _ma(((0, 0), 0), ((2, 2), -3))))
+@example((_ma(((0, 0), 0), ((1, 0), 0), ((0, 1), 0)),
+          _ma(((0, 0), 0), ((1, 0), 0))))
+@example((_ma(((0, 0), 0), ((1, 0), 0), ((0, 1), 0)),
+          _ma(((0, 0), 0), ((1, 0), 0), ((0, 1), 0), ((F(1, 3), F(1, 3)), -1))))
+def test_le_witness_matches_lp_oracle(pair) -> None:
+    f, g = pair
+    fg, gf = oracles.lp_le_witness(f, g), oracles.lp_le_witness(g, f)
+    for a, b, want in ((f, g, fg), (g, f, gf)):
+        got = le_witness(a, b)
+        assert (got is None) == (want is None)
+        assert got is None or a(got) > b(got)
+    relation = {(True, True): "eq", (True, False): "le", (False, True): "ge",
+                (False, False): "incomparable"}[fg is None, gf is None]
+    assert compare(f, g).relation == relation
+
+
+def test_library_never_imports_the_lp() -> None:
+    # comparison runs on the conjugate side; geonorm.linprog is test-only
+    code = "\n".join((
+        "import sys",
+        "import geonorm, geonorm.cli, geonorm.segments, geonorm.suites",
+        "from geonorm.plconvex import MaxAffine, compare",
+        "from geonorm.segments import detect_non_psh, planted_non_psh_path",
+        "f = MaxAffine(1, [((0,), 0), ((1,), 0)])",
+        "assert compare(f, f.shifted(-1)).relation == 'ge'",
+        "assert detect_non_psh(*planted_non_psh_path()) is not None",
+        "assert 'geonorm.linprog' not in sys.modules, 'linprog imported'",
+    ))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 # -- conjugation -------------------------------------------------------------------

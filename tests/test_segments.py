@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from geonorm import plconvex
+from geonorm import linprog, plconvex, segments
 from geonorm.plconvex import MaxAffine, compare
 from geonorm.segments import (
     FSSegment,
@@ -18,6 +18,7 @@ from geonorm.segments import (
     kiselman_dual,
     legendre_segment,
     maximal_segment,
+    planted_non_psh_path,
     quantization_levels,
     quantized_segment,
     segment_from_dual,
@@ -210,17 +211,22 @@ def test_mismatched_bundles_rejected() -> None:
                 run()
 
 
+def _refuse_lp(monkeypatch, message) -> None:
+    """Make the simplex raise, also where a module binds it by name."""
+    def refuse(*args):
+        raise AssertionError(message)
+
+    monkeypatch.setattr(linprog, "minimize_max_affine", refuse)
+    monkeypatch.setattr(plconvex, "minimize_max_affine", refuse, raising=False)
+
+
 def test_legendre_segment_runs_no_lp(monkeypatch) -> None:
     # rooftops and the sup over tau need hulls only, never a comparison LP
     phi0 = _fs(RING2, 2, (0, 0, 3, 0, 0))
     phi1 = _fs(RING2, 2, (0, -1, 0, 2, 0))
     want = [oracles.legendre_segment_per_t(phi0, phi1, t)
             for t in (F(0), F(1, 3), F(1))]
-
-    def refuse(*args):
-        raise AssertionError("legendre_segment solved an LP")
-
-    monkeypatch.setattr(plconvex, "minimize_max_affine", refuse)
+    _refuse_lp(monkeypatch, "legendre_segment solved an LP")
     got = [legendre_segment(phi0, phi1, t) for t in (F(0), F(1, 3), F(1))]
     assert [g.potential.pieces for g in got] == [
         w.potential.pieces for w in want]
@@ -335,26 +341,59 @@ def test_segment_from_dual_round_trip() -> None:
             assert segment_from_dual(seg, t) == seg.eval(t)
 
 
-def test_detect_non_psh_sweeps_only_the_middle_pieces(monkeypatch) -> None:
-    # on a psh path the check "middle <= chord" costs one LP per piece of
-    # the middle potential; the reverse direction is never asked
-    calls = []
-    solve = plconvex.minimize_max_affine
-
-    def counted(*args):
-        calls.append(args)
-        return solve(*args)
-
-    monkeypatch.setattr(plconvex, "minimize_max_affine", counted)
+def test_compare_and_detect_non_psh_run_no_lp(monkeypatch) -> None:
+    # every comparison is a test against a conjugate profile
+    _refuse_lp(monkeypatch, "a comparison solved an LP")
+    cases = (  # (f, f with a redundant piece, g <= f, h incomparable to f)
+        (_ma(((0,), 0), ((1,), 0)), ((F(1, 2),), -1),
+         _ma(((0,), 0), ((1,), -2)), _ma(((F(1, 2),), F(1, 2)))),
+        (_ma(((0, 0), 0), ((1, 0), 0), ((0, 1), 0)), ((F(1, 3), F(1, 3)), -1),
+         _ma(((0, 0), 0), ((1, 0), 0)), _ma(((F(1, 2), F(1, 2)), 1))),
+        (_ma(((0, 0), 0), ((1, 1), 0)), ((F(1, 2), F(1, 2)), -1),
+         _ma(((0, 0), 0), ((1, 1), -1)), _ma(((F(1, 2), F(1, 2)), F(1, 4)))),
+    )
+    for f, redundant, lower, other in cases:
+        same = f.max_with(MaxAffine(f.n, [redundant]))
+        assert len(same.pieces) > len(f.pieces)
+        assert compare(f, same).relation == "eq"
+        assert compare(lower, f).relation == "le"
+        got = compare(f, lower)
+        assert got.relation == "ge"
+        assert f(got.witness_first_gt) > lower(got.witness_first_gt)
+        got = compare(f, other)
+        assert got.relation == "incomparable"
+        assert f(got.witness_first_gt) > other(got.witness_first_gt)
+        assert f(got.witness_second_gt) < other(got.witness_second_gt)
+    witness = detect_non_psh(*planted_non_psh_path())
+    assert witness["point"] == ["0"]
     samples = tuple(
         (t, dict(zip(RING2.basis(1), (F(0), 3 - 4 * t, 2 * t))))
         for t in (F(0), F(1, 2), F(1)))
     assert detect_non_psh(RING2, 1, samples) is None
-    middle = fs_from_norm(RING2, 1, samples[1][1])
-    assert len(calls) == len(middle.potential.pieces) == 3
 
 
 # -- diagnostics ------------------------------------------------------------------------
+
+
+def test_diagnostics_builds_each_level_once(monkeypatch) -> None:
+    # two sup-norms per level serve the geodesic, d1 and endpoint recovery
+    calls = []
+    real = segments.supnorm
+
+    def counted(k, phi):
+        calls.append(k)
+        return real(k, phi)
+
+    phi0 = _fs(RING2, 2, (0, 0, 3, 0, 0))
+    phi1 = _fs(RING2, 2, (0, -1, 0, 2, 0))
+    want = {label: compare_metrics(maximal_segment(phi0, phi1, t, 2),
+                                   phi).relation
+            for label, t, phi in (("start", 0, phi0), ("end", 1, phi1))}
+    monkeypatch.setattr(segments, "supnorm", counted)
+    report = diagnostics(phi0, phi1, kmax=2)
+    assert sorted(calls) == [1, 1, 2, 2]
+    assert {label: row["relation"] for label, row
+            in report["endpoint_recovery"].items()} == want
 
 
 def test_diagnostics_comparable_pair() -> None:
