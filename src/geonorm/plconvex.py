@@ -4,7 +4,8 @@ Convex functions are max-affine: ``f(v) = max_i (<g_i, v> + c_i)`` with
 rational data.  The module provides Legendre conjugation (the concave
 profile ``q = -f*`` on the convex hull of the gradients, as the upper
 concave envelope of the points ``(g_i, c_i)``), exact comparison with
-witness points, run on the conjugate side with no linear program,
+witness points, run on the conjugate side with no linear program (also
+against a convex combination of two functions, without forming it),
 constrained convex envelopes, marginal minimization over a leading variable
 by Fourier-Motzkin elimination of the epigraph, and exact integration of
 piecewise-linear data over rational polytopes.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from math import comb
 
 from .field import format_fraction, parse_fraction
@@ -159,28 +160,82 @@ def _dot(x, y):
     return sum(a * b for a, b in zip(x, y))
 
 
-def le_witness(f: MaxAffine, g: MaxAffine):
-    """None if f <= g everywhere, else a point where f > g (n <= 2).
+def _walk(f: MaxAffine, g, planes, hrep):
+    """First point where f > g, or None, given the profile q of g.
 
-    A piece <a, v> + c lies below g iff c <= q(a) for q = conjugate(g),
-    taken as -inf off its domain (Rockafellar, Convex Analysis, section 12).
+    q is the min of ``planes`` on the polytope ``hrep``; ``g`` is only
+    evaluated.  A piece <a, v> + c lies below g iff c <= q(a), with q taken
+    as -inf off its domain (Rockafellar, Convex Analysis, section 12).
     """
-    q = conjugate(g)
-    hrep = domain_hrep(q)
     for a, c in f.pieces:
         out = next(((nu, b) for nu, b in hrep if _dot(nu, a) > b), None)
         if out is not None:
-            # <g_j, s nu> <= s b for every piece of g: f outgrows g along nu
+            # <grad, s nu> <= s b on g's domain: f outgrows g along nu
             nu, b = out
-            top = max(cg for _, cg in g.pieces)
+            top = g(tuple(Fraction(0) for _ in a))
             s = max(Fraction(1), (top - c) / (_dot(nu, a) - b) + 1)
             return tuple(s * x for x in nu)
-        qa = q.value(a)
+        qa = min(_dot(w, a) + beta for w, beta in planes)
         if c > qa:
             # g(-w) = beta for a plane (w, beta) of q active at a
-            w = next(w for w, beta in q.planes if _dot(w, a) + beta == qa)
+            w = next(w for w, beta in planes if _dot(w, a) + beta == qa)
             return tuple(-x for x in w)
     return None
+
+
+def le_witness(f: MaxAffine, g: MaxAffine):
+    """None if f <= g everywhere, else a point where f > g (n <= 2)."""
+    q = conjugate(g)
+    return _walk(f, g, q.planes, domain_hrep(q))
+
+
+def mix_witness(f: MaxAffine, g0: MaxAffine, g1: MaxAffine, lam):
+    """``le_witness(f, h)`` for h = lam*g0 + (1-lam)*g1, 0 <= lam <= 1.
+
+    h has up to m0*m1 pieces and its profile is never built.  The
+    hypograph of q_h is lam*hyp(q0) + (1-lam)*hyp(q1), and each facet of a
+    Minkowski sum has the slope of a facet of a summand or is spanned by
+    an edge of each.  Every slope w gives a plane <w, y> + h(-w) >= q_h
+    that touches it (Fenchel-Young), so q_h is the min of those planes on
+    the sum of the two domains.
+    """
+    lam = Fraction(lam)
+    q0, q1 = conjugate(g0), conjugate(g1)
+    slopes = [w for w, _ in q0.planes + q1.planes]
+    if f.n == 2:
+        for d0, d1 in product(_edge_directions(q0), _edge_directions(q1)):
+            uz = d0[0] * d1[1] - d0[1] * d1[0]
+            if uz:
+                slopes.append(((d0[1] * d1[2] - d0[2] * d1[1]) / -uz,
+                               (d0[2] * d1[0] - d0[0] * d1[2]) / -uz))
+
+    def h(v):
+        return lam * g0(v) + (1 - lam) * g1(v)
+
+    planes = [(w, h(tuple(-x for x in w))) for w in dict.fromkeys(slopes)]
+    pts = {tuple(lam * x + (1 - lam) * y for x, y in zip(p, r))
+           for p in q0.domain_points() for r in q1.domain_points()}
+    return _walk(f, h, planes, _hull_hrep(f.n, sorted(pts)))
+
+
+def _edge_directions(q: ConcaveProfile):
+    """Edge directions (dy, dz) of the hypograph of q (n = 2).
+
+    Each is scaled to a leading 1, so parallel edges appear once.
+    """
+    if q.cells:
+        dirs = [(b[0] - a[0], b[1] - a[1], cell.affine(b) - cell.affine(a))
+                for cell in q.cells
+                for a, b in zip(cell.vertices, cell.vertices[1:]
+                                + cell.vertices[:1])]
+    else:
+        dirs = [(b[0] - a[0], b[1] - a[1], zb - za)
+                for (a, za), (b, zb) in zip(q.vertices, q.vertices[1:])]
+    out = set()
+    for d in dirs:
+        lead = next(x for x in d if x)
+        out.add(tuple(x / lead for x in d))
+    return sorted(out)
 
 
 def compare(f: MaxAffine, g: MaxAffine) -> Comparison:
@@ -189,9 +244,13 @@ def compare(f: MaxAffine, g: MaxAffine) -> Comparison:
         raise PLError("cannot compare functions of different dimensions")
     w_fg = le_witness(f, g)   # point where f > g, if any
     w_gf = le_witness(g, f)   # point where g > f, if any
-    relation = {(True, True): "eq", (True, False): "le", (False, True): "ge",
-                (False, False): "incomparable"}[w_fg is None, w_gf is None]
-    return Comparison(relation, w_fg, w_gf)
+    if w_fg is None and w_gf is None:
+        return Comparison("eq", None, None)
+    if w_fg is None:
+        return Comparison("le", None, w_gf)
+    if w_gf is None:
+        return Comparison("ge", w_fg, None)
+    return Comparison("incomparable", w_fg, w_gf)
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +548,12 @@ def _conjugate_2d_on_line(pts, direction):
 
 def domain_hrep(profile: ConcaveProfile):
     """Halfplane description of a profile domain (hull of its points)."""
-    pts = profile.domain_points()
-    if profile.n == 1:
+    return _hull_hrep(profile.n, profile.domain_points())
+
+
+def _hull_hrep(n: int, pts):
+    """Halfplane description of the convex hull of points (n <= 2)."""
+    if n == 1:
         xs = [p[0] for p in pts]
         return [((Fraction(-1),), -min(xs)), ((Fraction(1),), max(xs))]
     hull = hull2d(pts)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .geodesics import geodesic
 from .graded import SectionRing
 from .norms import distance
-from .plconvex import MaxAffine, le_witness, marginal_min, overlay_vertices, prune
+from .plconvex import MaxAffine, marginal_min, mix_witness, overlay_vertices, prune
 from .toric import (
     ToricError,
     ToricMetric,
@@ -120,7 +120,12 @@ def fs_segment(ring: SectionRing, k: int, w0, w1) -> FSSegment:
 def quantized_level(phi0: ToricMetric, phi1: ToricMetric, k: int) -> FSSegment:
     """The level-k FS segment induced by the sup-norm geodesic."""
     ring = section_ring(phi0.n, phi0.m)
-    geo = geodesic(supnorm(k, phi0), supnorm(k, phi1))
+    return _level_segment(ring, k, supnorm(k, phi0), supnorm(k, phi1))
+
+
+def _level_segment(ring: SectionRing, k: int, n0, n1) -> FSSegment:
+    """The level-k FS segment of the geodesic between sup-norms n0, n1."""
+    geo = geodesic(n0, n1)
     return FSSegment(ring, k, geo.weights0, geo.weights1)
 
 
@@ -246,14 +251,14 @@ def detect_non_psh(ring: SectionRing, k: int, samples):
     metrics.sort(key=lambda tv: tv[0])
     for (t0, p0), (t1, p1), (t2, p2) in itertools.combinations(metrics, 3):
         lam = (t2 - t1) / (t2 - t0)
-        chord = p0.potential.scaled(lam).plus(p2.potential.scaled(1 - lam))
-        point = le_witness(p1.potential, chord)
+        point = mix_witness(p1.potential, p0.potential, p2.potential, lam)
         if point is not None:
+            rhs = lam * p0.potential(point) + (1 - lam) * p2.potential(point)
             return {
                 "t0": str(t0), "t1": str(t1), "t2": str(t2),
                 "point": [str(c) for c in point],
                 "lhs": str(p1.potential(point)),
-                "rhs": str(chord(point)),
+                "rhs": str(rhs),
             }
     return None
 
@@ -277,11 +282,11 @@ def diagnostics(phi0: ToricMetric, phi1: ToricMetric, kmax: int = 8,
     segs, per_level = [], []
     for k in levels:
         ends = supnorm(k, phi0), supnorm(k, phi1)
-        geo = geodesic(*ends)
-        segs.append(FSSegment(ring, k, geo.weights0, geo.weights1))
+        seg = _level_segment(ring, k, *ends)
+        segs.append(seg)
         d_ends = distance(*ends, 1)
         ws = {s: [(1 - s) * a + s * b
-                  for a, b in zip(geo.weights0, geo.weights1)] for s in ts}
+                  for a, b in zip(seg.weights0, seg.weights1)] for s in ts}
         ok = all(
             Fraction(sum(abs(x - y) for x, y in zip(ws[s], ws[tprime])),
                      len(ws[s])) == (tprime - s) * d_ends

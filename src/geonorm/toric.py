@@ -90,8 +90,9 @@ class ToricMetric:
     def __eq__(self, other):
         if not isinstance(other, ToricMetric):
             return NotImplemented
-        return ((self.n, self.m) == (other.n, other.m)
-                and self.potential == other.potential)
+        if (self.n, self.m) != (other.n, other.m):
+            return False
+        return compare(self.potential, other.potential).relation == "eq"
 
     __hash__ = None
 

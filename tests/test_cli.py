@@ -376,6 +376,22 @@ def test_energy_on_p3_exits_2(tmp_path, capsys) -> None:
     _assert_one_line_error(capsys)
 
 
+def test_segment_psh_on_p3_exits_2(tmp_path, capsys) -> None:
+    # comparison runs on the conjugate side, which is built for n <= 2
+    samples = [{"t": t, "weights": [w, "0", "0", "0"]}
+               for t, w in (("0", "0"), ("1/2", "1"), ("1", "0"))]
+    cfg = tmp_path / "p3.json"
+    cfg.write_text(json.dumps({
+        "arena": {"n": 3, "m": 1},
+        "objects": {"paths": {"p": {"ring": {"n": 3, "m": 1}, "k": 1,
+                                    "samples": samples}}},
+        "tasks": [{"op": "verify", "target": "segment_psh", "path": "p"}],
+    }))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    _assert_one_line_error(capsys,
+                           "error: concave profiles implemented for n <= 2")
+
+
 def test_zero_dimensional_norm_exits_2(tmp_path, capsys) -> None:
     empty = {"field": "trivial", "dim": 0, "basis": [], "weights": []}
     cfg = tmp_path / "config.json"

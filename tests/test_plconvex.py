@@ -24,6 +24,7 @@ from geonorm.plconvex import (
     le_witness,
     marginal_min,
     max_abs_difference,
+    mix_witness,
     moment_simplex,
     prune,
 )
@@ -127,6 +128,12 @@ def test_prune_and_marginal_min_reject_n3() -> None:
     joint = _ma(((1, 0, 0, 0), 0), ((0, 1, 0, 0), 0), ((0, 0, 1, 1), 0))
     with pytest.raises(PLError, match="n <= 2"):
         marginal_min(joint)
+    # comparison runs on the conjugate side, so it is n <= 2 as well
+    g = f.shifted(-1)
+    for run in (lambda: compare(f, g), lambda: le_witness(f, g),
+                lambda: mix_witness(f, f, g, F(1, 2)), lambda: f == g):
+        with pytest.raises(PLError, match="n <= 2"):
+            run()
 
 
 # -- comparison ------------------------------------------------------------------
@@ -198,6 +205,48 @@ def test_le_witness_matches_lp_oracle(pair) -> None:
     relation = {(True, True): "eq", (True, False): "le", (False, True): "ge",
                 (False, False): "incomparable"}[fg is None, gf is None]
     assert compare(f, g).relation == relation
+
+
+@st.composite
+def _mix_cases(draw):
+    """(f, g0, g1, lam): g0, g1 apart; f apart or built from pieces of the
+    mix h = lam*g0 + (1-lam)*g1, lowered or raised by a little."""
+    n, p0 = draw(_max_affine_cases())
+    g0, g1 = MaxAffine(n, p0), MaxAffine(n, draw(_max_affine_cases(n))[1])
+    lam = draw(st.sampled_from((F(0), F(1, 3), F(1, 2), F(3, 4), F(1))))
+    if draw(st.booleans()):
+        return MaxAffine(n, draw(_max_affine_cases(n))[1]), g0, g1, lam
+    mix = [(tuple(lam * x + (1 - lam) * y for x, y in zip(a0, a1)),
+            lam * c0 + (1 - lam) * c1)
+           for (a0, c0), (a1, c1) in zip(draw(st.permutations(g0.pieces)),
+                                         draw(st.permutations(g1.pieces)))]
+    pieces = []
+    for _ in range(draw(st.integers(1, 4))):
+        (a0, c0), (a1, c1) = (draw(st.sampled_from(mix)) for _ in "01")
+        mu = draw(st.sampled_from((F(0), F(1, 2), F(1, 3))))
+        bump = draw(st.sampled_from((F(0), F(0), F(-1, 12), F(1, 12))))
+        pieces.append((tuple(mu * x + (1 - mu) * y for x, y in zip(a0, a1)),
+                       mu * c0 + (1 - mu) * c1 + bump))
+    return MaxAffine(n, pieces), g0, g1, lam
+
+
+@settings(max_examples=300)
+@given(_mix_cases())
+# two non-parallel rank-1 summands: every facet of the mix is edge + edge
+@example((_ma(((F(1, 2), F(1, 2)), F(1, 2))),
+          _ma(((0, 0), 0), ((1, 0), 0)), _ma(((0, 0), 0), ((0, 1), 0)),
+          F(1, 2)))
+# ... on a tilted facet z = y1 - y2, just above it at (1/4, 1/4)
+@example((_ma(((F(1, 4), F(1, 4)), F(1, 12))),
+          _ma(((0, 0), 0), ((1, 0), 1)), _ma(((0, 0), 0), ((0, 1), -1)),
+          F(1, 2)))
+def test_mix_witness_matches_lp_oracle(case) -> None:
+    f, g0, g1, lam = case
+    h = g0.scaled(lam).plus(g1.scaled(1 - lam)) if 0 < lam < 1 else (
+        g0 if lam == 1 else g1)
+    got = mix_witness(f, g0, g1, lam)
+    assert (got is None) == (oracles.lp_le_witness(f, h) is None)
+    assert got is None or f(got) > h(got)
 
 
 def test_library_never_imports_the_lp() -> None:

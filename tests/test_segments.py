@@ -372,6 +372,27 @@ def test_compare_and_detect_non_psh_run_no_lp(monkeypatch) -> None:
     assert detect_non_psh(RING2, 1, samples) is None
 
 
+def test_detect_non_psh_on_p2_at_uneven_times() -> None:
+    # at t1 = 1/3 the chord's gradients (a + 2b)/6 are mostly distinct
+    ring = section_ring(2, 1)
+    basis = ring.basis(2)
+    w0 = dict(zip(basis, map(F, (0, 3, -1, 2, 0, -2))))
+    w1 = dict(zip(basis, map(F, (1, -2, 0, 0, 3, -1))))
+    samples = [(t, {a: (1 - t) * w0[a] + t * w1[a] for a in basis})
+               for t in (F(0), F(1, 5), F(1, 3), F(3, 4), F(1))]
+    assert detect_non_psh(ring, 2, samples) is None
+    t, w = samples[2]
+    samples[2] = (t, {**w, basis[0]: w[basis[0]] + F(1, 2)})
+    got = detect_non_psh(ring, 2, samples)
+    assert F(got["lhs"]) > F(got["rhs"])
+    phi = {t: fs_from_norm(ring, 2, w).potential for t, w in samples}
+    t0, t1, t2 = (F(got[key]) for key in ("t0", "t1", "t2"))
+    lam = (t2 - t1) / (t2 - t0)
+    point = tuple(F(x) for x in got["point"])
+    assert phi[t1](point) == F(got["lhs"])
+    assert lam * phi[t0](point) + (1 - lam) * phi[t2](point) == F(got["rhs"])
+
+
 # -- diagnostics ------------------------------------------------------------------------
 
 
