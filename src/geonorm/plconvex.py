@@ -12,7 +12,12 @@ piecewise-linear data over rational polytopes.
 
 The hull machinery, and with it pruning, comparison and marginal minima,
 is implemented for n <= 2, where every computation of the package's
-verification suites lives (the projective line or plane).
+verification suites lives (the projective line or plane).  In the plane
+the upper hull of the lifted points is gift-wrapped across edges on
+integers (one common denominator for the gradients, one for the offsets),
+so a profile of m points with F facets costs O(m F) sign tests.  Functions
+that need a profile the caller already holds have private variants that
+take it (``_le_witness``, ``_compare``, ``_mix_witness``, ``_envelope``).
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-from math import comb
+from math import comb, lcm
 
 from .field import format_fraction, parse_fraction
 
@@ -69,7 +74,9 @@ class MaxAffine:
     def __eq__(self, other):
         if not isinstance(other, MaxAffine):
             return NotImplemented
-        return compare(self, other).relation == "eq"
+        _require_same_n(self, other)
+        return (le_witness(self, other) is None
+                and le_witness(other, self) is None)
 
     __hash__ = None
 
@@ -104,13 +111,6 @@ class MaxAffine:
                 raise PLError("dimension mismatch in max")
             pieces.extend(o.pieces)
         return MaxAffine(self.n, pieces)
-
-    def fix_first(self, t) -> "MaxAffine":
-        """Restrict a function of (t, v) to a fixed t."""
-        t = Fraction(t)
-        return MaxAffine(self.n - 1, [
-            (g[1:], c + g[0] * t) for g, c in self.pieces
-        ])
 
     def gradients(self):
         return tuple(g for g, _ in self.pieces)
@@ -185,7 +185,11 @@ def _walk(f: MaxAffine, g, planes, hrep):
 
 def le_witness(f: MaxAffine, g: MaxAffine):
     """None if f <= g everywhere, else a point where f > g (n <= 2)."""
-    q = conjugate(g)
+    return _le_witness(f, g, conjugate(g))
+
+
+def _le_witness(f: MaxAffine, g: MaxAffine, q: ConcaveProfile):
+    """``le_witness(f, g)`` given q = conjugate(g)."""
     return _walk(f, g, q.planes, domain_hrep(q))
 
 
@@ -199,8 +203,12 @@ def mix_witness(f: MaxAffine, g0: MaxAffine, g1: MaxAffine, lam):
     that touches it (Fenchel-Young), so q_h is the min of those planes on
     the sum of the two domains.
     """
+    return _mix_witness(f, g0, g1, lam, conjugate(g0), conjugate(g1))
+
+
+def _mix_witness(f, g0, g1, lam, q0: ConcaveProfile, q1: ConcaveProfile):
+    """``mix_witness(f, g0, g1, lam)`` given q0, q1 = conjugate(g0, g1)."""
     lam = Fraction(lam)
-    q0, q1 = conjugate(g0), conjugate(g1)
     slopes = [w for w, _ in q0.planes + q1.planes]
     if f.n == 2:
         for d0, d1 in product(_edge_directions(q0), _edge_directions(q1)):
@@ -238,12 +246,21 @@ def _edge_directions(q: ConcaveProfile):
     return sorted(out)
 
 
-def compare(f: MaxAffine, g: MaxAffine) -> Comparison:
-    """Exact pointwise comparison of two max-affine functions (n <= 2)."""
+def _require_same_n(f: MaxAffine, g: MaxAffine):
     if f.n != g.n:
         raise PLError("cannot compare functions of different dimensions")
-    w_fg = le_witness(f, g)   # point where f > g, if any
-    w_gf = le_witness(g, f)   # point where g > f, if any
+
+
+def compare(f: MaxAffine, g: MaxAffine) -> Comparison:
+    """Exact pointwise comparison of two max-affine functions (n <= 2)."""
+    _require_same_n(f, g)
+    return _compare(f, g, conjugate(f), conjugate(g))
+
+
+def _compare(f, g, qf: ConcaveProfile, qg: ConcaveProfile) -> Comparison:
+    """``compare(f, g)`` given qf, qg = conjugate(f), conjugate(g)."""
+    w_fg = _le_witness(f, g, qg)   # point where f > g, if any
+    w_gf = _le_witness(g, f, qf)   # point where g > f, if any
     if w_fg is None and w_gf is None:
         return Comparison("eq", None, None)
     if w_fg is None:
@@ -415,6 +432,15 @@ class ConcaveProfile:
         """Conjugate back: sup over the domain of <y, v> + q(y)."""
         return MaxAffine(self.n, [(p, val) for p, val in self.vertices])
 
+    def shifted(self, c) -> "ConcaveProfile":
+        """The profile of f + c, for q the profile of f: q + c."""
+        c = Fraction(c)
+        return ConcaveProfile(
+            self.n, tuple((p, val + c) for p, val in self.vertices),
+            tuple(Cell(cell.vertices, cell.grad, cell.offset + c)
+                  for cell in self.cells),
+            tuple((g, off + c) for g, off in self.planes))
+
 
 def _upper_hull_1d(points):
     """Upper concave chain of (y, value) pairs, y strictly increasing."""
@@ -474,44 +500,96 @@ def _affine_rank_2d(gradients):
 
 
 def _conjugate_2d(pts):
+    """Upper hull of the lifted points, one cell per facet.
+
+    Facets come in the order of the lexicographically smallest index
+    triple of non-collinear points on them, so ``planes`` (whose first
+    active entry is the witness ``le_witness`` returns) does not depend on
+    how the hull is searched.
+    """
     gradients = [g for g, _ in pts]
     rank, direction = _affine_rank_2d(gradients)
     if rank == 1:
         return _conjugate_2d_on_line(pts, direction)
-    # full rank: upper facets of the lifted hull via exact triple planes
-    planes = {}
-    m = len(pts)
-    for i, j, k in combinations(range(m), 3):
-        (g1, c1), (g2, c2), (g3, c3) = pts[i], pts[j], pts[k]
-        det = (g2[0] - g1[0]) * (g3[1] - g1[1]) - (g2[1] - g1[1]) * (g3[0] - g1[0])
-        if det == 0:
+    # scale once: gradients by one common denominator, offsets by another;
+    # both are positive, so every orientation sign survives
+    dg = lcm(*(x.denominator for g in gradients for x in g))
+    dc = lcm(*(c.denominator for _, c in pts))
+    lifted = [(g[0].numerator * (dg // g[0].denominator),
+               g[1].numerator * (dg // g[1].denominator),
+               c.numerator * (dc // c.denominator)) for g, c in pts]
+    cells, planes, vertices = [], [], []
+    for _, poly, (nx, ny, nz), d in sorted(_upper_facets(lifted)):
+        # n . (dg*g, dc*c) = d on the facet's plane
+        w = (Fraction(-nx * dg, nz * dc), Fraction(-ny * dg, nz * dc))
+        beta = Fraction(d, nz * dc)
+        cells.append(Cell(tuple(gradients[i] for i in poly), w, beta))
+        planes.append((w, beta))
+        vertices.extend(poly)
+    verts = tuple(pts[i] for i in sorted(set(vertices)))
+    return ConcaveProfile(2, verts, tuple(cells), tuple(planes))
+
+
+def _upper_facets(lifted):
+    """Facets of the upper hull of integer points (x, y, z), gift-wrapped.
+
+    The (x, y) are distinct, sorted and span the plane.  Each facet is
+    ``(key, poly, normal, d)``: the points on it are those with
+    ``normal . p == d`` (normal[2] > 0), ``poly`` indexes its vertices
+    counterclockwise, and ``key`` is the lexicographically smallest index
+    triple of points on it whose (x, y) are not collinear.  The wrap
+    starts at the first edge of the lifted boundary chain from point 0
+    and crosses each edge once: O(m) sign tests per edge.
+    """
+    xy = [(x, y) for x, y, _ in lifted]
+    index = {p: i for i, p in enumerate(xy)}
+    # point 0 is the lexicographically smallest, so a hull vertex; its
+    # lifted boundary chain runs along the first hull edge, first towards
+    # the point of largest lifted slope from point 0 (any of them on a tie:
+    # they span one line, the axis the wrap turns about)
+    x0, y0, z0 = lifted[0]
+    hx, hy = hull2d(xy)[1]
+    ex, ey = hx - x0, hy - y0
+    first, best_s, best_dz = None, 1, 0
+    for i, (x, y, z) in enumerate(lifted):
+        if i and ex * (y - y0) == ey * (x - x0):
+            s = ex * (x - x0) + ey * (y - y0)
+            if first is None or (z - z0) * best_s > best_dz * s:
+                first, best_s, best_dz = i, s, z - z0
+    facets = []
+    done = set()              # directed edges with a found facet on the left
+    todo = [(0, first)]
+    while todo:
+        a, b = todo.pop()
+        if (a, b) in done:
             continue
-        # solve <w, g> + beta = c on the triple
-        w1 = ((c2 - c1) * (g3[1] - g1[1]) - (c3 - c1) * (g2[1] - g1[1])) / det
-        w2 = ((c3 - c1) * (g2[0] - g1[0]) - (c2 - c1) * (g3[0] - g1[0])) / det
-        beta = c1 - w1 * g1[0] - w2 * g1[1]
-        key = (w1, w2, beta)
-        if key in planes:
-            continue
-        if all(w1 * g[0] + w2 * g[1] + beta >= c for g, c in pts):
-            planes[key] = True
-    cells = []
-    vertices = {}
-    plane_list = []
-    for (w1, w2, beta) in planes:
-        on_pts = [g for g, c in pts if w1 * g[0] + w2 * g[1] + beta == c]
-        poly = hull2d(on_pts)
-        if len(poly) < 3:
-            continue  # supporting line/edge, not a facet
-        cell = Cell(poly, (w1, w2), beta)
-        cells.append(cell)
-        plane_list.append(((w1, w2), beta))
-        for p in poly:
-            vertices[p] = w1 * p[0] + w2 * p[1] + beta
-    if not cells:
-        raise PLError("internal error: no upper facet found for a rank-2 hull")
-    verts = tuple(sorted(vertices.items()))
-    return ConcaveProfile(2, verts, tuple(cells), tuple(plane_list))
+        ax, ay, az = lifted[a]
+        ux, uy, uz = lifted[b][0] - ax, lifted[b][1] - ay, lifted[b][2] - az
+        # rotate a plane about the lifted edge until every point on the
+        # left of a -> b lies on or below it
+        normal = None
+        for x, y, z in lifted:
+            vx, vy, vz = x - ax, y - ay, z - az
+            if ux * vy - uy * vx > 0 and (
+                    normal is None
+                    or normal[0] * vx + normal[1] * vy + normal[2] * vz > 0):
+                normal = (uy * vz - uz * vy, uz * vx - ux * vz,
+                          ux * vy - uy * vx)
+        if normal is None:
+            continue          # a boundary edge of the domain
+        nx, ny, nz = normal
+        d = nx * ax + ny * ay + nz * az
+        on = [i for i, (x, y, z) in enumerate(lifted)
+              if nx * x + ny * y + nz * z == d]
+        poly = [index[p] for p in hull2d([xy[i] for i in on])]
+        (px, py), (qx, qy) = xy[on[0]], xy[on[1]]
+        third = next(i for i in on[2:] if (qx - px) * (xy[i][1] - py)
+                     != (qy - py) * (xy[i][0] - px))
+        facets.append(((on[0], on[1], third), poly, normal, d))
+        for e in zip(poly, poly[1:] + poly[:1]):
+            done.add(e)
+            todo.append(e[::-1])
+    return facets
 
 
 def _conjugate_2d_on_line(pts, direction):
@@ -706,13 +784,17 @@ def envelope_constrained(funcs, P: Polytope) -> MaxAffine:
     n = funcs[0].n
     if any(f.n != n for f in funcs):
         raise PLError("dimension mismatch in envelope")
-    profiles = [conjugate(f) for f in funcs]
+    return _envelope([conjugate(f) for f in funcs], P)
+
+
+def _envelope(profiles, P: Polytope) -> MaxAffine:
+    """``envelope_constrained`` of the functions with these profiles."""
     planes = [pl for pr in profiles for pl in pr.planes]
     hreps = list(P.hrep)
     for pr in profiles:
         hreps.extend(domain_hrep(pr))
-    prof = min_profile(planes, P.vertices, hreps, n)
-    return prof.to_max_affine()
+    return min_profile(planes, P.vertices, hreps,
+                       profiles[0].n).to_max_affine()
 
 
 # ---------------------------------------------------------------------------

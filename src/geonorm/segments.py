@@ -9,10 +9,15 @@ same object through rooftop envelopes P(phi0, phi1 - tau), with the sup
 over tau reduced to an exact finite critical set; that family of rooftops
 does not depend on t, so it is built once per pair.  Sampled metric paths
 are checked for convexity in t, the psh condition, by ``detect_non_psh``.
+
+Every public function conjugates each input metric once: the sup-norms of
+all levels, the rooftops for every shift tau (the profile of phi1 - tau is
+q1 - tau) and the endpoint comparisons read the same two profiles.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,13 +25,22 @@ from fractions import Fraction
 from .geodesics import geodesic
 from .graded import SectionRing
 from .norms import distance
-from .plconvex import MaxAffine, marginal_min, mix_witness, overlay_vertices, prune
+from .plconvex import (
+    MaxAffine,
+    _compare,
+    _mix_witness,
+    marginal_min,
+    overlay_vertices,
+    prune,
+)
 from .toric import (
     ToricError,
     ToricMetric,
-    compare_metrics,
-    energy_limit,
-    envelope_P,
+    _energy_limit,
+    _full_profile,
+    _require_same_bundle,
+    _rooftop,
+    _supnorm,
     fs_from_norm,
     reference,
     section_ring,
@@ -143,16 +157,26 @@ def quantization_levels(kmax: int):
     return tuple(levels)
 
 
+def _chain(kmax: int):
+    """``quantization_levels(kmax)``, which must not be empty."""
+    levels = quantization_levels(kmax)
+    if not levels:
+        raise ToricError("kmax must be at least 1")
+    return levels
+
+
 def _max_over_levels(n: int, m: int, segs, t) -> ToricMetric:
     """Pointwise max at time t of the level segments of a chain."""
-    if not segs:
-        raise ToricError("kmax must be at least 1")
     return _pointwise_max(n, m, [seg.eval(t).potential for seg in segs])
 
 
 def maximal_segment(phi0: ToricMetric, phi1: ToricMetric, t, kmax: int = 8) -> ToricMetric:
     """Pointwise max of quantized segments along the level chain."""
-    segs = [quantized_level(phi0, phi1, k) for k in quantization_levels(kmax)]
+    levels = _chain(kmax)
+    q0, q1 = _full_profile(phi0), _full_profile(phi1)
+    ring = section_ring(phi0.n, phi0.m)
+    segs = [_level_segment(ring, k, _supnorm(k, phi0, q0),
+                           _supnorm(k, phi1, q1)) for k in levels]
     return _max_over_levels(phi0.n, phi0.m, segs, t)
 
 
@@ -163,19 +187,23 @@ def tau_critical_set(phi0: ToricMetric, phi1: ToricMetric):
     attained at tau = q1(y) - q0(y); over the whole simplex the relevant
     values are those at the vertices of the profile overlay.
     """
-    q0 = phi0.profile()
-    q1 = phi1.profile()
+    return _critical_taus(phi0.profile(), phi1.profile())
+
+
+def _critical_taus(q0, q1):
+    """``tau_critical_set`` of the metrics with profiles q0, q1."""
     taus = {q1.value(y) - q0.value(y) for y in overlay_vertices(q0, q1)}
     return tuple(sorted(taus))
 
 
-def _rooftop_family(phi0: ToricMetric, phi1: ToricMetric):
-    """(tau, P(phi0, phi1 - tau).potential) per critical tau; free of t."""
-    if (phi0.n, phi0.m) != (phi1.n, phi1.m):
-        raise ToricError("metrics live on different line bundles")
+def _rooftop_family(n: int, m: int, q0, q1):
+    """(tau, P(phi0, phi1 - tau).potential) per critical tau; free of t.
+
+    q0, q1 are the profiles of phi0, phi1; that of phi1 - tau is q1 - tau.
+    """
     return tuple(
-        (tau, envelope_P(phi0, phi1.shifted(-tau)).potential)
-        for tau in tau_critical_set(phi0, phi1)
+        (tau, _rooftop(n, m, q0, q1.shifted(-tau)).potential)
+        for tau in _critical_taus(q0, q1)
     )
 
 
@@ -193,7 +221,9 @@ def legendre_segment(phi0: ToricMetric, phi1: ToricMetric, t) -> ToricMetric:
     The resulting conjugate profile is (1-t) q0 + t q1, so the segment is
     d1-geodesic and has affine energy by construction.
     """
-    return _legendre_recover(phi0.n, phi0.m, _rooftop_family(phi0, phi1), t)
+    _require_same_bundle(phi0, phi1)
+    family = _rooftop_family(phi0.n, phi0.m, phi0.profile(), phi1.profile())
+    return _legendre_recover(phi0.n, phi0.m, family, t)
 
 
 def kiselman_dual(seg: FSSegment, tau) -> ToricMetric:
@@ -249,9 +279,13 @@ def detect_non_psh(ring: SectionRing, k: int, samples):
     """
     metrics = [(t, fs_from_norm(ring, k, w)) for t, w in samples]
     metrics.sort(key=lambda tv: tv[0])
-    for (t0, p0), (t1, p1), (t2, p2) in itertools.combinations(metrics, 3):
+    # each chord end is conjugated once, when a triple first needs it
+    profile = functools.cache(lambda i: metrics[i][1].profile())
+    for i0, i1, i2 in itertools.combinations(range(len(metrics)), 3):
+        (t0, p0), (t1, p1), (t2, p2) = metrics[i0], metrics[i1], metrics[i2]
         lam = (t2 - t1) / (t2 - t0)
-        point = mix_witness(p1.potential, p0.potential, p2.potential, lam)
+        point = _mix_witness(p1.potential, p0.potential, p2.potential, lam,
+                             profile(i0), profile(i2))
         if point is not None:
             rhs = lam * p0.potential(point) + (1 - lam) * p2.potential(point)
             return {
@@ -273,15 +307,18 @@ def diagnostics(phi0: ToricMetric, phi1: ToricMetric, kmax: int = 8,
     quantized maximal segment.
     """
     ts = tuple(Fraction(t) for t in ts)
-    family = _rooftop_family(phi0, phi1)
+    levels = _chain(kmax)
+    _require_same_bundle(phi0, phi1)
+    q0, q1 = _full_profile(phi0), _full_profile(phi1)
+    family = _rooftop_family(phi0.n, phi0.m, q0, q1)
     ref = reference(phi0.n, phi0.m)
-    levels = quantization_levels(kmax)
+    q_ref = ref.profile()
     report = {"levels": list(levels), "ts": [str(t) for t in ts]}
 
     ring = section_ring(phi0.n, phi0.m)
     segs, per_level = [], []
     for k in levels:
-        ends = supnorm(k, phi0), supnorm(k, phi1)
+        ends = _supnorm(k, phi0, q0), _supnorm(k, phi1, q1)
         seg = _level_segment(ring, k, *ends)
         segs.append(seg)
         d_ends = distance(*ends, 1)
@@ -295,9 +332,10 @@ def diagnostics(phi0: ToricMetric, phi1: ToricMetric, kmax: int = 8,
                           "geodesic_exact": ok})
     report["d1_geodesic_per_level"] = per_level
 
-    energy_at = {
-        t: energy_limit(_legendre_recover(phi0.n, phi0.m, family, t), ref)
-        for t in dict.fromkeys((Fraction(0), Fraction(1)) + ts)}
+    energy_at = {}
+    for t in dict.fromkeys((Fraction(0), Fraction(1)) + ts):
+        got = _legendre_recover(phi0.n, phi0.m, family, t)
+        energy_at[t] = _energy_limit(got, ref, got.profile(), q_ref)
     e0, e1 = energy_at[0], energy_at[1]
     resid = {t: energy_at[t] - ((1 - t) * e0 + t * e1) for t in ts}
     report["energy_along_segment"] = [
@@ -306,9 +344,9 @@ def diagnostics(phi0: ToricMetric, phi1: ToricMetric, kmax: int = 8,
     report["energy_affine_exact"] = not any(resid.values())
 
     gaps = {}
-    for label, t, phi in (("start", 0, phi0), ("end", 1, phi1)):
+    for label, t, phi, q in (("start", 0, phi0, q0), ("end", 1, phi1, q1)):
         got = _max_over_levels(phi0.n, phi0.m, segs, t)
-        rel = compare_metrics(got, phi).relation
+        rel = _compare(got.potential, phi.potential, got.profile(), q).relation
         gaps[label] = {"recovered": rel == "eq", "relation": rel}
     report["endpoint_recovery"] = gaps
     return report

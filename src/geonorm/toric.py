@@ -7,6 +7,11 @@ sup-norm of a metric reads the concave conjugate profile q = -u* at the
 lattice points: beta_a = k*q(a/k).  Monge-Ampere energy and the d1 distance
 are computed both per degree (exact norm sums) and in the limit (exact
 integrals of conjugate profiles over m*Delta).
+
+A metric's profile is computed on demand and never stored on the metric.
+Each public function conjugates each input metric once and hands the
+profile to the private helpers that need it (``_supnorm`` for every degree,
+``_rooftop`` for envelopes, ``_energy_limit`` for integrals).
 """
 
 from __future__ import annotations
@@ -22,9 +27,9 @@ from .plconvex import (
     Comparison,
     ConcaveProfile,
     MaxAffine,
+    _envelope,
     compare,
     conjugate,
-    envelope_constrained,
     integrate_abs_difference,
     integrate_difference,
     max_abs_difference,
@@ -80,7 +85,7 @@ class ToricMetric:
         return True
 
     def profile(self) -> ConcaveProfile:
-        """Concave conjugate q = -u* on the gradient hull."""
+        """Concave conjugate q = -u* on the gradient hull, computed anew."""
         return conjugate(self.potential)
 
     def shifted(self, c) -> "ToricMetric":
@@ -92,7 +97,7 @@ class ToricMetric:
             return NotImplemented
         if (self.n, self.m) != (other.n, other.m):
             return False
-        return compare(self.potential, other.potential).relation == "eq"
+        return self.potential == other.potential
 
     __hash__ = None
 
@@ -107,9 +112,13 @@ class ToricMetric:
                    obj.get("provenance", "fs(1)"))
 
 
-def compare_metrics(phi0: ToricMetric, phi1: ToricMetric) -> Comparison:
+def _require_same_bundle(phi0: ToricMetric, phi1: ToricMetric):
     if (phi0.n, phi0.m) != (phi1.n, phi1.m):
         raise ToricError("metrics live on different line bundles")
+
+
+def compare_metrics(phi0: ToricMetric, phi1: ToricMetric) -> Comparison:
+    _require_same_bundle(phi0, phi1)
     return compare(phi0.potential, phi1.potential)
 
 
@@ -148,12 +157,21 @@ def supnorm(k: int, phi: ToricMetric) -> DiagNorm:
     The conjugate scales as (k u)*(a) = k u*(a/k), so one profile of the
     defining potential serves every degree.
     """
+    return _supnorm(k, phi, _full_profile(phi))
+
+
+def _full_profile(phi: ToricMetric) -> ConcaveProfile:
+    """phi.profile(), for a metric that must carry the full moment simplex."""
     if not phi.has_full_support():
         raise ToricError(
             "metric potential must carry the full moment simplex "
             "(every vertex of m*Delta among its gradients)")
+    return phi.profile()
+
+
+def _supnorm(k: int, phi: ToricMetric, q: ConcaveProfile) -> DiagNorm:
+    """``supnorm(k, phi)`` read off q = ``_full_profile(phi)``."""
     ring = section_ring(phi.n, phi.m)
-    q = phi.profile()
     weights = tuple(
         k * q.value(tuple(Fraction(x, k) for x in a))
         for a in ring.basis(k)
@@ -164,22 +182,23 @@ def supnorm(k: int, phi: ToricMetric) -> DiagNorm:
 def sup_graded(phi: ToricMetric, kmax: int) -> GradedNorm:
     """The graded norm k -> supnorm(k, phi), degrees 1..kmax."""
     ring = section_ring(phi.n, phi.m)
-    tables = []
-    for k in range(1, kmax + 1):
-        norm = supnorm(k, phi)
-        tables.append(dict(zip(ring.basis(k), norm.weights)))
-    return GradedNorm(ring, tables)
+    # kmax < 1 is GradedNorm's error, raised before any support check
+    q = _full_profile(phi) if kmax >= 1 else None
+    return GradedNorm(ring, [
+        dict(zip(ring.basis(k), _supnorm(k, phi, q).weights))
+        for k in range(1, kmax + 1)])
 
 
 def envelope_P(phi0: ToricMetric, phi1: ToricMetric) -> ToricMetric:
     """Rooftop envelope: the largest psh metric below both inputs."""
-    if (phi0.n, phi0.m) != (phi1.n, phi1.m):
-        raise ToricError("metrics live on different line bundles")
-    pot = envelope_constrained(
-        [phi0.potential, phi1.potential],
-        moment_simplex(phi0.n, phi0.m),
-    )
-    return ToricMetric(phi0.n, phi0.m, prune(pot), "envelope")
+    _require_same_bundle(phi0, phi1)
+    return _rooftop(phi0.n, phi0.m, phi0.profile(), phi1.profile())
+
+
+def _rooftop(n: int, m: int, q0, q1) -> ToricMetric:
+    """``envelope_P`` of two metrics on O(m) over P^n with profiles q0, q1."""
+    pot = _envelope([q0, q1], moment_simplex(n, m))
+    return ToricMetric(n, m, prune(pot), "envelope")
 
 
 def moment_volume(n: int, m: int) -> Fraction:
@@ -213,8 +232,7 @@ class ConvergenceResult:
 
 
 def _require_pair(phi0, phi1):
-    if (phi0.n, phi0.m) != (phi1.n, phi1.m):
-        raise ToricError("metrics live on different line bundles")
+    _require_same_bundle(phi0, phi1)
     for phi in (phi0, phi1):
         if not phi.has_full_support():
             raise ToricError(
@@ -222,16 +240,17 @@ def _require_pair(phi0, phi1):
                 "simplex")
 
 
-def _per_degree(phi0, phi1, kmax, term):
+def _per_degree(phi0, phi1, q0, q1, kmax, term):
     """((k, (k h0(k))^-1 sum_a term(beta0_a - beta1_a)), ...) for k <= kmax.
 
-    The beta are the degree-k sup-norm weights of the two metrics.
+    The beta are the degree-k sup-norm weights of the two metrics, read
+    off their profiles q0, q1.
     """
     ring = section_ring(phi0.n, phi0.m)
     per_k = []
     for k in range(1, kmax + 1):
-        b0 = supnorm(k, phi0).weights
-        b1 = supnorm(k, phi1).weights
+        b0 = _supnorm(k, phi0, q0).weights
+        b1 = _supnorm(k, phi1, q1).weights
         total = sum(term(x - y) for x, y in zip(b0, b1))
         per_k.append((k, Fraction(total, k * ring.h0(k))))
     return tuple(per_k)
@@ -245,14 +264,20 @@ def energy(phi0: ToricMetric, phi1: ToricMetric, kmax: int = 8) -> ConvergenceRe
     in the first argument; antisymmetric; <= 0 when phi0 <= phi1.
     """
     _require_pair(phi0, phi1)
-    per_k = _per_degree(phi0, phi1, kmax, lambda d: d)
-    return ConvergenceResult(per_k, energy_limit(phi0, phi1))
+    q0, q1 = phi0.profile(), phi1.profile()
+    per_k = _per_degree(phi0, phi1, q0, q1, kmax, lambda d: d)
+    return ConvergenceResult(per_k, _energy_limit(phi0, phi1, q0, q1))
 
 
 def energy_limit(phi0: ToricMetric, phi1: ToricMetric) -> Fraction:
+    _require_pair(phi0, phi1)  # before the profiles, which need n <= 2
+    return _energy_limit(phi0, phi1, phi0.profile(), phi1.profile())
+
+
+def _energy_limit(phi0, phi1, q0, q1) -> Fraction:
+    """``energy_limit(phi0, phi1)`` given the profiles q0, q1 of the pair."""
     _require_pair(phi0, phi1)
-    return integrate_difference(phi0.profile(), phi1.profile()) \
-        / moment_volume(phi0.n, phi0.m)
+    return integrate_difference(q0, q1) / moment_volume(phi0.n, phi0.m)
 
 
 def d1_metric(phi0: ToricMetric, phi1: ToricMetric, kmax: int = 8) -> ConvergenceResult:
@@ -263,11 +288,13 @@ def d1_metric(phi0: ToricMetric, phi1: ToricMetric, kmax: int = 8) -> Convergenc
     rooftop envelope P = P(phi0, phi1).
     """
     _require_pair(phi0, phi1)
-    per_k = _per_degree(phi0, phi1, kmax, abs)
-    direct = integrate_abs_difference(phi0.profile(), phi1.profile()) \
-        / moment_volume(phi0.n, phi0.m)
-    roof = envelope_P(phi0, phi1)
-    via_envelope = energy_limit(phi0, roof) + energy_limit(phi1, roof)
+    q0, q1 = phi0.profile(), phi1.profile()
+    per_k = _per_degree(phi0, phi1, q0, q1, kmax, abs)
+    direct = integrate_abs_difference(q0, q1) / moment_volume(phi0.n, phi0.m)
+    roof = _rooftop(phi0.n, phi0.m, q0, q1)
+    q_roof = roof.profile()
+    via_envelope = (_energy_limit(phi0, roof, q0, q_roof)
+                    + _energy_limit(phi1, roof, q1, q_roof))
     if direct != via_envelope:
         raise ToricError(
             f"d1 routes disagree: integral {direct} vs envelope "

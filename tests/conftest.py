@@ -1,6 +1,7 @@
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import settings
 
 # make the sibling oracle module importable from every test file
@@ -11,3 +12,25 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 settings.register_profile("geonorm", deadline=None, database=None,
                           derandomize=True)
 settings.load_profile("geonorm")
+
+
+@pytest.fixture
+def conjugated(monkeypatch):
+    """Every function passed to ``plconvex.conjugate`` during the test.
+
+    The counting wrapper replaces the name in each geonorm module that
+    bound it, so calls from toric and segments are seen as well.
+    """
+    from geonorm import plconvex
+
+    seen = []
+    real = plconvex.conjugate
+
+    def counted(f):
+        seen.append(f)
+        return real(f)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("geonorm.") and getattr(mod, "conjugate", None) is real:
+            monkeypatch.setattr(mod, "conjugate", counted)
+    return seen

@@ -5,12 +5,14 @@ shares no code with the library under test: rational functions in t reduce
 by Euclid over Q, rank counting, RREF, inverses, determinants and span
 intersections run their own elimination loops over Fraction, concave
 envelopes (and with them redundant max-affine pieces) go through explicit
-convex combinations, marginal minimization enumerates crossing parameters,
-and integrals use closed-form antiderivatives.  When a test compares a
-library value against an oracle value, the only shared dependency is the
-stdlib.  There are two exceptions.  ``legendre_segment_per_t`` is the
-per-t Legendre construction that geonorm.segments replaced, kept as a
-differential reference and composed from the library's own primitives.
+convex combinations, the 2-D conjugate enumerates every triple of lifted
+points (the path that the library's gift-wrapped hull replaced), marginal
+minimization enumerates crossing parameters, and integrals use closed-form
+antiderivatives.  When a test compares a library value against an oracle
+value, the only shared dependency is the stdlib.  There are two
+exceptions.  ``legendre_segment_per_t`` is the per-t Legendre construction
+that geonorm.segments replaced, kept as a differential reference and
+composed from the library's own primitives.
 ``lp_le_witness`` is the comparison that geonorm.plconvex replaced: one
 exact simplex (``geonorm.linprog``, which no library module calls) per
 piece, where the library tests each piece against the conjugate.
@@ -400,6 +402,65 @@ def concave_value(points, y):
                for x, v in points]
         return concave_value_1d(pts, coord)
     return concave_value_2d(points, y)
+
+
+def _hull_ccw(points):
+    """Convex hull vertices, counterclockwise from the smallest point,
+    collinear points dropped (Andrew's monotone chain)."""
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return tuple(pts)
+
+    def turns_left(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0]) > 0
+
+    chains = []
+    for seq in (pts, pts[::-1]):
+        chain = []
+        for p in seq:
+            while len(chain) >= 2 and not turns_left(chain[-2], chain[-1], p):
+                chain.pop()
+            chain.append(p)
+        chains.append(chain[:-1])
+    return tuple(chains[0] + chains[1])
+
+
+def conjugate_2d_triples(pieces):
+    """Upper concave envelope of lifted points (g, c), g in the plane.
+
+    The enumeration that geonorm.plconvex's gift-wrapped hull replaced:
+    every triple of pieces with affinely independent gradients spans a
+    plane, which is an upper facet when no lifted point lies above it.
+    ``pieces`` are (g, c) with distinct gradients, in the order the
+    library sorts them.  Returns ``(vertices, cells, planes)`` in the
+    library's layout: ``((g, q(g)), ...)`` sorted, ``((polygon, w, beta),
+    ...)`` and ``((w, beta), ...)``, facets in the order their first triple
+    comes up; None when no three gradients are affinely independent.
+    """
+    found = {}
+    for (g1, c1), (g2, c2), (g3, c3) in itertools.combinations(pieces, 3):
+        det = ((g2[0] - g1[0]) * (g3[1] - g1[1])
+               - (g2[1] - g1[1]) * (g3[0] - g1[0]))
+        if det == 0:
+            continue
+        # solve <w, g> + beta = c on the triple
+        w1 = ((c2 - c1) * (g3[1] - g1[1]) - (c3 - c1) * (g2[1] - g1[1])) / det
+        w2 = ((c3 - c1) * (g2[0] - g1[0]) - (c2 - c1) * (g3[0] - g1[0])) / det
+        beta = c1 - w1 * g1[0] - w2 * g1[1]
+        if (w1, w2, beta) not in found and all(
+                w1 * g[0] + w2 * g[1] + beta >= c for g, c in pieces):
+            found[(w1, w2, beta)] = True
+    if not found:
+        return None
+    vertices, cells, planes = {}, [], []
+    for w1, w2, beta in found:
+        poly = _hull_ccw([g for g, c in pieces
+                          if w1 * g[0] + w2 * g[1] + beta == c])
+        cells.append((poly, (w1, w2), beta))
+        planes.append(((w1, w2), beta))
+        for p in poly:
+            vertices[p] = w1 * p[0] + w2 * p[1] + beta
+    return tuple(sorted(vertices.items())), tuple(cells), tuple(planes)
 
 
 def nonredundant_pieces(pieces):

@@ -37,6 +37,11 @@ def _ma(*pieces):
     return MaxAffine(n, [(tuple(F(x) for x in g), F(c)) for g, c in pieces])
 
 
+def fix_first(f, t):
+    """Restrict a function of (t, v) to a fixed t."""
+    return MaxAffine(f.n - 1, [(g[1:], c + g[0] * t) for g, c in f.pieces])
+
+
 REF = _ma(((0,), 0), ((1,), 0))                       # max(0, v)
 PEAKED = _ma(((0,), 0), ((1,), 5), ((2,), 0))         # max(0, v+5, 2v)
 SUNK = _ma(((0,), 0), ((1,), -5), ((2,), 0))          # max(0, v-5, 2v)
@@ -71,7 +76,7 @@ def test_algebra() -> None:
 
 def test_fix_first() -> None:
     joint = _ma(((1, 0), 0), ((0, 1), 0))   # max(t, v)
-    at_half = joint.fix_first(F(1, 2))
+    at_half = fix_first(joint, F(1, 2))
     assert at_half((F(0),)) == F(1, 2)
     assert at_half((F(2),)) == 2
 
@@ -330,6 +335,97 @@ def test_conjugate_equals_concave_closure_random_2d() -> None:
             assert prof.value(y) == oracles.concave_value_2d(pts, y)
 
 
+def _lattice(level):
+    """Gradients of a level-``level`` P^2 metric on O(1): Delta's a/level."""
+    return [(F(i, level), F(j, level))
+            for i in range(level + 1) for j in range(level + 1 - i)]
+
+
+@st.composite
+def _p2_pieces(draw):
+    """Lifted points over P^2 lattice gradients at levels 1-6 (m <= 28):
+    all of them, a random subset, or one lattice line plus one point off
+    it; offsets random or on one plane, so that many points are coplanar."""
+    grads = _lattice(draw(st.integers(1, 6)))
+    shape = draw(st.sampled_from(("all", "subset", "line")))
+    if shape == "subset":
+        grads = draw(st.lists(st.sampled_from(grads), min_size=3,
+                              max_size=len(grads), unique=True))
+    elif shape == "line":
+        a, b = draw(st.lists(st.sampled_from(grads), min_size=2, max_size=2,
+                             unique=True))
+        on = [g for g in grads if (b[0] - a[0]) * (g[1] - a[1])
+              == (b[1] - a[1]) * (g[0] - a[0])]
+        off = [g for g in grads if g not in on]
+        grads = on + draw(st.lists(st.sampled_from(off), min_size=0,
+                                   max_size=1)) if off else on
+    w = draw(st.tuples(_COORD, _COORD))
+    b = draw(_COORD)
+    pieces = []
+    for g in grads:
+        if draw(st.booleans()):
+            c = w[0] * g[0] + w[1] * g[1] + b - draw(st.sampled_from((0, 0, 1)))
+        else:
+            c = draw(_COORD)
+        pieces.append((g, c))
+    return pieces
+
+
+def _assert_conjugate_matches_triples(f) -> None:
+    prof = conjugate(f)
+    want = oracles.conjugate_2d_triples(list(f.pieces))
+    if want is None:
+        # gradients on one line: the one-dimensional chain, no cells
+        assert prof.cells == ()
+        return
+    vertices, cells, planes = want
+    assert prof.vertices == vertices
+    assert tuple((c.vertices, c.grad, c.offset) for c in prof.cells) == cells
+    assert prof.planes == planes
+
+
+@settings(max_examples=150)
+@given(_p2_pieces())
+def test_conjugate_2d_matches_triple_oracle(pieces) -> None:
+    _assert_conjugate_matches_triples(MaxAffine(2, pieces))
+
+
+@pytest.mark.parametrize("pieces, ncells", [
+    # one triangle
+    ((((0, 0), 0), ((1, 0), 1), ((0, 1), 2)), 1),
+    # a square whose two diagonals tie: one square cell
+    ((((0, 0), 0), ((1, 0), 0), ((0, 1), 0), ((1, 1), 0)), 1),
+    # the tie broken: two triangles
+    ((((0, 0), 0), ((1, 0), 0), ((0, 1), 0), ((1, 1), -1)), 2),
+    # collinear interior points on facet edges: (1, 0) on the boundary,
+    # (1, 1) on the ridge x + y = 2 shared by the two facets
+    ((((0, 0), 0), ((1, 0), 1), ((2, 0), 2), ((0, 2), 2), ((2, 2), 0),
+      ((1, 1), 2)), 2),
+    # the full level-6 lattice, every point on one plane
+    ([(g, g[0] - 2 * g[1] + 1) for g in _lattice(6)], 1),
+])
+def test_conjugate_2d_explicit_cases(pieces, ncells) -> None:
+    f = _ma(*pieces)
+    assert len(conjugate(f).cells) == ncells
+    _assert_conjugate_matches_triples(f)
+
+
+@settings(max_examples=100)
+@given(_max_affine_cases(), _COORD)
+def test_profile_of_a_shift_is_the_shifted_profile(case, c) -> None:
+    f = MaxAffine(*case)
+    assert conjugate(f.shifted(c)) == conjugate(f).shifted(c)
+
+
+def test_equality_stops_at_the_first_failing_direction(conjugated) -> None:
+    lower = REF.shifted(-1)
+    assert not REF == lower       # REF <= lower fails: lower is never tested
+    assert conjugated == [lower]
+    conjugated.clear()
+    assert REF == _ma(((1,), 0), ((0,), 0))
+    assert len(conjugated) == 2
+
+
 def test_biconjugation_random() -> None:
     rng = random.Random(79)
     for trial in range(200):
@@ -424,7 +520,7 @@ def test_marginal_below_every_slice() -> None:
         tau = F(rng.randint(-2, 2))
         marg = marginal_min(joint, tau)
         for t in (F(0), F(1, 2), F(1)):
-            slice_t = joint.fix_first(t).shifted(-tau * t)
+            slice_t = fix_first(joint, t).shifted(-tau * t)
             assert compare(marg, slice_t).relation in ("le", "eq")
 
 

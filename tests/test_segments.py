@@ -399,18 +399,18 @@ def test_detect_non_psh_on_p2_at_uneven_times() -> None:
 def test_diagnostics_builds_each_level_once(monkeypatch) -> None:
     # two sup-norms per level serve the geodesic, d1 and endpoint recovery
     calls = []
-    real = segments.supnorm
+    real = segments._supnorm
 
-    def counted(k, phi):
+    def counted(k, phi, q):
         calls.append(k)
-        return real(k, phi)
+        return real(k, phi, q)
 
     phi0 = _fs(RING2, 2, (0, 0, 3, 0, 0))
     phi1 = _fs(RING2, 2, (0, -1, 0, 2, 0))
     want = {label: compare_metrics(maximal_segment(phi0, phi1, t, 2),
                                    phi).relation
             for label, t, phi in (("start", 0, phi0), ("end", 1, phi1))}
-    monkeypatch.setattr(segments, "supnorm", counted)
+    monkeypatch.setattr(segments, "_supnorm", counted)
     report = diagnostics(phi0, phi1, kmax=2)
     assert sorted(calls) == [1, 1, 2, 2]
     assert {label: row["relation"] for label, row
@@ -442,3 +442,49 @@ def test_diagnostics_level_two_instance() -> None:
                for row in report["d1_geodesic_per_level"])
     assert report["endpoint_recovery"]["start"]["recovered"] is True
     assert report["endpoint_recovery"]["end"]["recovered"] is True
+
+
+# -- one profile per endpoint and call ----------------------------------------------
+
+
+def _pairs():
+    ring = section_ring(2, 1)
+    return [
+        (_fs(RING2, 2, (0, 0, 3, 0, 0)), _fs(RING2, 2, (0, -1, 0, 2, 0))),
+        (_fs(ring, 2, (0, 1, -1, 2, 0, 0)), _fs(ring, 2, (1, -2, 0, 0, 3, -1))),
+    ]
+
+
+def _once_each(conjugated, call, phi0, phi1):
+    """Run call() and check it conjugated each endpoint potential once and
+    stored nothing on either metric."""
+    before = vars(phi0).copy(), vars(phi1).copy()
+    conjugated.clear()
+    call()
+    assert sum(f is phi0.potential for f in conjugated) == 1
+    assert sum(f is phi1.potential for f in conjugated) == 1
+    assert (vars(phi0), vars(phi1)) == before
+
+
+@pytest.mark.parametrize("pair", _pairs())
+def test_maximal_segment_conjugates_each_endpoint_once(pair, conjugated) -> None:
+    phi0, phi1 = pair
+    _once_each(conjugated, lambda: maximal_segment(phi0, phi1, F(1, 3), kmax=8),
+               phi0, phi1)
+
+
+@pytest.mark.parametrize("pair", _pairs())
+def test_diagnostics_conjugates_each_endpoint_once(pair, conjugated) -> None:
+    phi0, phi1 = pair
+    _once_each(conjugated, lambda: diagnostics(phi0, phi1, kmax=4), phi0, phi1)
+
+
+@pytest.mark.parametrize("pair", _pairs())
+def test_legendre_segment_shifts_profiles_per_tau(pair, conjugated) -> None:
+    # the profile of phi1 - tau is q1 - tau: per critical tau only the
+    # rooftop is pruned, plus one prune for the recovery at t
+    phi0, phi1 = pair
+    taus = tau_critical_set(phi0, phi1)
+    _once_each(conjugated, lambda: legendre_segment(phi0, phi1, F(1, 2)),
+               phi0, phi1)
+    assert len(conjugated) == 2 + len(taus) + 1

@@ -377,3 +377,17 @@ def test_mismatched_bundles_rejected() -> None:
         energy(reference(1, 1), reference(1, 2))
     with pytest.raises(ToricError):
         compare_metrics(reference(1, 1), reference(2, 1))
+
+
+# -- one profile per endpoint and call ----------------------------------------------
+
+
+@pytest.mark.parametrize("fn", [energy, d1_metric])
+@pytest.mark.parametrize("pair", [convergence_pair_p1(), convergence_pair_p2()])
+def test_tables_conjugate_each_endpoint_once(fn, pair, conjugated) -> None:
+    phi0, phi1 = pair
+    before = vars(phi0).copy(), vars(phi1).copy()
+    fn(phi0, phi1, kmax=4)
+    assert sum(f is phi0.potential for f in conjugated) == 1
+    assert sum(f is phi1.potential for f in conjugated) == 1
+    assert (vars(phi0), vars(phi1)) == before
