@@ -427,12 +427,3 @@ def field_by_name(name: str):
         return _FIELDS[name]
     except KeyError:
         raise FieldError(f"unknown field backend {name!r}") from None
-
-
-def scalar_from_json(obj):
-    """Decode a scalar, inferring the backend from the JSON shape."""
-    if isinstance(obj, dict) and "q" in obj:
-        return TRIVIAL.from_json(obj)
-    if isinstance(obj, dict) and "t" in obj:
-        return TADIC.from_json(obj)
-    raise FieldError(f"unrecognized scalar encoding: {obj!r}")

@@ -14,14 +14,24 @@ with integer weights it is the elementary divisor theorem for lattices,
 computed by Smith normal form over the valuation ring.  The relative
 spectrum, the d_p distances, the relative volume and the join (max) all
 read off the common basis.
+
+Norms diagonal in the standard basis share one identity basis per field
+and dimension, which is also their inverse, so ``DiagNorm.standard`` costs
+O(d).  Every ``codiagonalize`` result is verified, and ``==`` is decided,
+by evaluating norms on batches of vectors.  Over Q the valuation is 0 off
+zero, so only the zero pattern of a vector's coordinates matters; it is
+read from one product of integer-scaled rows of the cached inverse with
+integer-scaled vectors (positive scalings keep the pattern), and for a
+standard basis the coordinates are the vector itself.  Over Q(t) each
+vector goes through ``evaluate``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import mul
 
 from . import linalg
 from .field import (
@@ -53,8 +63,9 @@ class DiagNorm:
     __slots__ = ("field", "basis", "weights", "_inv")
 
     def __init__(self, field, basis, weights):
-        basis = tuple(tuple(field.of(x) for x in vec) for vec in basis)
         weights = tuple(Fraction(w) for w in weights)
+        if basis is not _identities.get((field.name, len(weights))):
+            basis = tuple(tuple(field.of(x) for x in vec) for vec in basis)
         if len(basis) != len(weights):
             raise NormError("basis and weights must have equal length")
         if not basis:
@@ -72,10 +83,9 @@ class DiagNorm:
 
     @classmethod
     def standard(cls, field, weights) -> "DiagNorm":
-        """Norm diagonal in the standard basis with the given weights."""
-        d = len(weights)
-        basis = linalg.identity(field, d)
-        return cls(field, basis, weights)
+        """Norm diagonal in the standard basis with the given weights, in O(d)."""
+        weights = tuple(weights)
+        return cls(field, _identity(field, len(weights)), weights)
 
     @classmethod
     def trivial(cls, field, dim) -> "DiagNorm":
@@ -86,22 +96,19 @@ class DiagNorm:
         return len(self.weights)
 
     def is_standard_basis(self) -> bool:
-        f = self.field
-        return all(
-            vec[j] == (f.one if i == j else f.zero)
-            for i, vec in enumerate(self.basis)
-            for j in range(len(vec))
-        )
+        """O(1) for a norm built by ``standard``; a full check otherwise."""
+        eye = _identity(self.field, self.dim)
+        return self.basis is eye or self.basis == eye
 
     def _inverse(self):
         if self._inv is None:
-            matrix = tuple(
-                tuple(self.basis[c][r] for c in range(self.dim))
-                for r in range(self.dim)
-            )
             if self.is_standard_basis():
-                self._inv = matrix
+                self._inv = self.basis  # the identity is its own inverse
             else:
+                matrix = tuple(
+                    tuple(self.basis[c][r] for c in range(self.dim))
+                    for r in range(self.dim)
+                )
                 try:
                     self._inv = linalg.invert(self.field, matrix)
                 except linalg.SingularMatrixError:
@@ -115,7 +122,8 @@ class DiagNorm:
         v = tuple(self.field.of(x) for x in v)
         if len(v) != self.dim:
             raise NormError(f"vector has length {len(v)}, expected {self.dim}")
-        return linalg.solve_from_inverse(self._inverse(), v)
+        inv = self._inverse()
+        return v if inv is self.basis else linalg.solve_from_inverse(inv, v)
 
     def evaluate(self, v):
         """-log of the norm of ``v``: an exact rational, or INF iff v = 0.
@@ -145,10 +153,8 @@ class DiagNorm:
             return NotImplemented
         if self.field is not other.field or self.dim != other.dim:
             return False
-        for vec in self.basis + other.basis:
-            if self.evaluate(vec) != other.evaluate(vec):
-                return False
-        return True
+        vecs = self.basis + other.basis
+        return _values(self, vecs) == _values(other, vecs)
 
     __hash__ = None
 
@@ -181,6 +187,42 @@ class DiagNorm:
         return cls(field, basis, weights)
 
 
+_identities: dict = {}
+
+
+def _identity(field, d):
+    """The identity basis of ``field`` in dimension d, one shared tuple."""
+    key = (field.name, d)
+    if key not in _identities:
+        _identities[key] = linalg.identity(field, d)
+    return _identities[key]
+
+
+def _values(norm: DiagNorm, vectors):
+    """``tuple(norm.evaluate(v) for v in vectors)``, batched over Q.
+
+    Over Q, n(v) is the least weight w_j whose coordinate (inv v)_j is
+    nonzero, or INF.  That zero pattern is read from integer dot products
+    of the integer-scaled rows of inv with the integer-scaled v, trying the
+    weights in increasing order; for a standard basis the coordinates are v.
+    """
+    if norm.field is not TRIVIAL:
+        return tuple(norm.evaluate(v) for v in vectors)
+    w = norm.weights
+    order = sorted(range(norm.dim), key=w.__getitem__)
+    inv = norm._inverse()
+    if inv is norm.basis:
+        return tuple(next((w[j] for j in order if v[j]), INF) for v in vectors)
+    # not cached on the norm: callers keep many norms alive, each for one use
+    rows = [linalg._cleared(row)[1] for row in inv]
+    out = []
+    for v in vectors:
+        ints = linalg._cleared(v)[1]
+        out.append(next((w[j] for j in order if sum(map(mul, rows[j], ints))),
+                        INF))
+    return tuple(out)
+
+
 # ---------------------------------------------------------------------------
 # Codiagonalization.
 # ---------------------------------------------------------------------------
@@ -190,8 +232,9 @@ def codiagonalize(n0: DiagNorm, n1: DiagNorm):
     """Common diagonalizing basis for two norms.
 
     Returns ``(basis, weights0, weights1)`` such that both input norms are
-    diagonal in ``basis`` with the respective weights.  The result is
-    verified vector by vector before returning.
+    diagonal in ``basis`` with the respective weights.  Every result is
+    verified before returning: n0(s_i) = weights0[i] and n1(s_i) =
+    weights1[i] for each common basis vector s_i (see ``_values``).
 
     Over the trivially valued field the algorithm splits the pair of
     associated filtrations, taking jump values in decreasing order and
@@ -205,18 +248,21 @@ def codiagonalize(n0: DiagNorm, n1: DiagNorm):
     if n0.dim != n1.dim:
         raise NormError("cannot codiagonalize norms of different dimensions")
     if n0.basis == n1.basis:
-        result = (n0.basis, n0.weights, n1.weights)
+        split = _codiagonalize_same_basis
     elif n0.field is TRIVIAL:
-        result = _codiagonalize_filtrations(n0, n1)
+        split = _codiagonalize_filtrations
     elif n0.field is TADIC:
-        result = _codiagonalize_lattices(n0, n1)
+        split = _codiagonalize_lattices
     else:  # pragma: no cover - only two backends exist
         raise NormError(f"unsupported field {n0.field!r}")
-    basis, w0, w1 = result
-    for vec, a, b in zip(basis, w0, w1):
-        if n0.evaluate(vec) != a or n1.evaluate(vec) != b:
-            raise NormError("internal error: common basis failed verification")
+    basis, w0, w1 = result = split(n0, n1)
+    if _values(n0, basis) != tuple(w0) or _values(n1, basis) != tuple(w1):
+        raise NormError("internal error: common basis failed verification")
     return result
+
+
+def _codiagonalize_same_basis(n0: DiagNorm, n1: DiagNorm):
+    return n0.basis, n0.weights, n1.weights
 
 
 def _filtration_step(norm: DiagNorm, s: Fraction):
@@ -327,12 +373,6 @@ def _codiagonalize_lattices(n0: DiagNorm, n1: DiagNorm):
     w0 = tuple(Fraction(0) for _ in range(d))
     w1 = tuple(Fraction(-e) for e in exponents)
     return basis, w0, w1
-
-
-def smith_exponents(n0: DiagNorm, n1: DiagNorm):
-    """Invariant-factor exponents of the two unit lattices (t-adic only)."""
-    _, w0, w1 = codiagonalize(n0, n1)
-    return tuple(sorted(int(a - b) for a, b in zip(w0, w1)))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,9 @@ integers (one common denominator for the gradients, one for the offsets),
 so a profile of m points with F facets costs O(m F) sign tests.  Functions
 that need a profile the caller already holds have private variants that
 take it (``_le_witness``, ``_compare``, ``_mix_witness``, ``_envelope``).
+A profile is read at the lattice points of a dilation k (the sup-norm
+weights k q(a/k) of a toric metric) on integers, by
+``ConcaveProfile.lattice_values``.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import comb, lcm
+from operator import mul
 
 from .field import format_fraction, parse_fraction
 
@@ -424,6 +428,21 @@ class ConcaveProfile:
         y = _frac_point(y)
         return min(sum(g[i] * y[i] for i in range(self.n)) + c
                    for g, c in self.planes)
+
+    def lattice_values(self, k: int, points):
+        """``k * value(a / k)`` for each integer point a, on integers.
+
+        k q(a/k) is the min over the planes (w, c) of <w, a> + k c.  All
+        gradients and offsets are scaled by one common denominator D, so
+        each value is one ``Fraction(min of integer sums, D)``.
+        """
+        den = lcm(*(x.denominator for g, c in self.planes for x in g + (c,)))
+        planes = [(tuple(x.numerator * (den // x.denominator) for x in g),
+                   k * c.numerator * (den // c.denominator))
+                  for g, c in self.planes]
+        return tuple(
+            Fraction(min(sum(map(mul, g, a)) + c for g, c in planes), den)
+            for a in points)
 
     def domain_points(self):
         return tuple(p for p, _ in self.vertices)

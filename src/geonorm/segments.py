@@ -200,11 +200,16 @@ def _rooftop_family(n: int, m: int, q0, q1):
     """(tau, P(phi0, phi1 - tau).potential) per critical tau; free of t.
 
     q0, q1 are the profiles of phi0, phi1; that of phi1 - tau is q1 - tau.
+    The family is empty, and the sup over it undefined, when the two
+    profiles share no full-dimensional cell: then no tau is critical.
     """
-    return tuple(
-        (tau, _rooftop(n, m, q0, q1.shifted(-tau)).potential)
-        for tau in _critical_taus(q0, q1)
-    )
+    taus = _critical_taus(q0, q1)
+    if not taus:
+        raise ToricError(
+            "no critical shift tau: the gradient hulls of the two metrics "
+            "do not overlap in a full-dimensional region")
+    return tuple((tau, _rooftop(n, m, q0, q1.shifted(-tau)).potential)
+                 for tau in taus)
 
 
 def _legendre_recover(n: int, m: int, family, t) -> ToricMetric:

@@ -12,6 +12,13 @@ A metric's profile is computed on demand and never stored on the metric.
 Each public function conjugates each input metric once and hands the
 profile to the private helpers that need it (``_supnorm`` for every degree,
 ``_rooftop`` for envelopes, ``_energy_limit`` for integrals).
+
+Sup-norm weights are read on integers: k q(a/k) is the min over the planes
+(w, c) of q of <w, a> + k c, and with every plane scaled by one common
+denominator D each weight is one ``Fraction(integer min, D)``
+(``ConcaveProfile.lattice_values``).  Per-degree energies and graded norms
+read the weights alone (``_supweights``); ``_supnorm`` wraps them in a
+standard-basis norm, which costs O(d).
 """
 
 from __future__ import annotations
@@ -171,12 +178,12 @@ def _full_profile(phi: ToricMetric) -> ConcaveProfile:
 
 def _supnorm(k: int, phi: ToricMetric, q: ConcaveProfile) -> DiagNorm:
     """``supnorm(k, phi)`` read off q = ``_full_profile(phi)``."""
-    ring = section_ring(phi.n, phi.m)
-    weights = tuple(
-        k * q.value(tuple(Fraction(x, k) for x in a))
-        for a in ring.basis(k)
-    )
-    return DiagNorm.standard(TRIVIAL, weights)
+    return DiagNorm.standard(TRIVIAL, _supweights(k, phi, q))
+
+
+def _supweights(k: int, phi: ToricMetric, q: ConcaveProfile) -> tuple:
+    """The weights of ``_supnorm(k, phi, q)``, in ``ring.basis(k)`` order."""
+    return q.lattice_values(k, section_ring(phi.n, phi.m).basis(k))
 
 
 def sup_graded(phi: ToricMetric, kmax: int) -> GradedNorm:
@@ -185,7 +192,7 @@ def sup_graded(phi: ToricMetric, kmax: int) -> GradedNorm:
     # kmax < 1 is GradedNorm's error, raised before any support check
     q = _full_profile(phi) if kmax >= 1 else None
     return GradedNorm(ring, [
-        dict(zip(ring.basis(k), _supnorm(k, phi, q).weights))
+        dict(zip(ring.basis(k), _supweights(k, phi, q)))
         for k in range(1, kmax + 1)])
 
 
@@ -249,8 +256,8 @@ def _per_degree(phi0, phi1, q0, q1, kmax, term):
     ring = section_ring(phi0.n, phi0.m)
     per_k = []
     for k in range(1, kmax + 1):
-        b0 = _supnorm(k, phi0, q0).weights
-        b1 = _supnorm(k, phi1, q1).weights
+        b0 = _supweights(k, phi0, q0)
+        b1 = _supweights(k, phi1, q1)
         total = sum(term(x - y) for x, y in zip(b0, b1))
         per_k.append((k, Fraction(total, k * ring.h0(k))))
     return tuple(per_k)

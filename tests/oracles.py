@@ -9,13 +9,19 @@ convex combinations, the 2-D conjugate enumerates every triple of lifted
 points (the path that the library's gift-wrapped hull replaced), marginal
 minimization enumerates crossing parameters, and integrals use closed-form
 antiderivatives.  When a test compares a library value against an oracle
-value, the only shared dependency is the stdlib.  There are two
-exceptions.  ``legendre_segment_per_t`` is the per-t Legendre construction
-that geonorm.segments replaced, kept as a differential reference and
-composed from the library's own primitives.
-``lp_le_witness`` is the comparison that geonorm.plconvex replaced: one
-exact simplex (``geonorm.linprog``, which no library module calls) per
-piece, where the library tests each piece against the conjugate.
+value, the only shared dependency is the stdlib.  Norm values over Q
+come from coordinates under a Fraction inverse (``norm_values``).  There
+are four exceptions, each a path the library replaced, kept as a
+differential reference and composed from the library's own primitives.
+``legendre_segment_per_t`` is the per-t Legendre construction that
+geonorm.segments replaced.  ``lp_le_witness`` is the comparison that
+geonorm.plconvex replaced: one exact simplex (``geonorm.linprog``, which
+no library module calls) per piece, where the library tests each piece
+against the conjugate.  ``supnorm_weights_fraction`` reads sup-norm
+weights as ``k * q.value(a / k)`` in Fractions, where geonorm.toric reads
+them on one common denominator.  ``evaluate_verifies`` checks a
+codiagonalization with one ``DiagNorm.evaluate`` per vector and norm,
+where geonorm.norms reads zero patterns from one integer product.
 """
 
 from __future__ import annotations
@@ -218,6 +224,42 @@ def legendre_segment_per_t(phi0, phi1, t):
         pots.append(roof.potential.shifted(t * tau))
     pot = prune(pots[0].max_with(*pots[1:]))
     return ToricMetric(phi0.n, phi0.m, pot, "limit")
+
+
+# ---------------------------------------------------------------------------
+# Sup-norm weights and norm values: the Fraction paths that geonorm.toric
+# and geonorm.norms replaced with integer ones.
+# ---------------------------------------------------------------------------
+
+
+def supnorm_weights_fraction(q, k, points):
+    """k * q(a/k) for each lattice point a, one Fraction plane min each."""
+    return tuple(k * q.value(tuple(Fraction(x, k) for x in a))
+                 for a in points)
+
+
+def norm_values(basis, weights, vectors):
+    """-log norms over trivially valued Q, None for the zero vector.
+
+    The coordinates of v are inv(B) v for the matrix B with the basis as
+    columns; the value is the least weight over the nonzero coordinates.
+    """
+    d = len(basis)
+    inv = invert_field([[Fraction(basis[c][r]) for c in range(d)]
+                        for r in range(d)])
+    out = []
+    for v in vectors:
+        coords = [sum(a * Fraction(b) for a, b in zip(row, v)) for row in inv]
+        nonzero = [w for x, w in zip(coords, weights) if x != 0]
+        out.append(min(nonzero) if nonzero else None)
+    return tuple(out)
+
+
+def evaluate_verifies(n0, n1, result):
+    """Whether n0, n1 take the claimed weights on the claimed common basis."""
+    basis, w0, w1 = result
+    return all(n0.evaluate(vec) == a and n1.evaluate(vec) == b
+               for vec, a, b in zip(basis, w0, w1))
 
 
 # ---------------------------------------------------------------------------

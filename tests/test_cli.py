@@ -360,6 +360,19 @@ def test_library_error_exits_2(tmp_path, capsys) -> None:
     _assert_one_line_error(capsys)
 
 
+def test_legendre_without_critical_tau_exits_2(tmp_path, capsys) -> None:
+    # single pieces of gradient 0 and 1: the gradient hulls share no interval
+    def single(g):
+        return {"n": 1, "m": 1,
+                "potential": {"n": 1, "pieces": [{"g": [g], "c": "0"}]}}
+
+    cfg = _pair_config(tmp_path, [
+        {"op": "legendre", "metrics": ["phi0", "phi1"], "t": "1/2"},
+    ], extra_objects={"metrics": {"phi0": single("0"), "phi1": single("1")}})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    _assert_one_line_error(capsys, "error: no critical shift tau")
+
+
 def test_energy_on_p3_exits_2(tmp_path, capsys) -> None:
     def metric(c):
         pieces = [{"g": g, "c": c} for g in (["0", "0", "0"], ["1", "0", "0"],

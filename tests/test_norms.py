@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
+from geonorm import norms
 from geonorm.field import INF, TADIC, TRIVIAL, RatFunc
 from geonorm.norms import (
     DiagNorm,
@@ -17,7 +18,6 @@ from geonorm.norms import (
     distance,
     join,
     quotient_norm,
-    smith_exponents,
     spectrum,
     sym_monomials,
     sym_power_norm,
@@ -30,6 +30,12 @@ F = Fraction
 
 def _std(weights, field=TRIVIAL):
     return DiagNorm.standard(field, tuple(F(w) for w in weights))
+
+
+def smith_exponents(n0, n1):
+    """Invariant-factor exponents of the two unit lattices (t-adic only)."""
+    _, w0, w1 = codiagonalize(n0, n1)
+    return tuple(sorted(int(a - b) for a, b in zip(w0, w1)))
 
 
 def _cross_pair():
@@ -115,6 +121,137 @@ def test_codiagonalize_tadic_rejects_fractional_weights() -> None:
     n1 = DiagNorm(TADIC, ((one, one), (one, zero)), (F(1, 2), F(0)))
     with pytest.raises(NormError):
         codiagonalize(n0, n1)
+
+
+# -- verification of codiagonalize -------------------------------------------
+
+
+def _tadic_lattice_pair():
+    t = RatFunc.t_power(1)
+    one, zero = TADIC.one, TADIC.zero
+    return (DiagNorm.trivial(TADIC, 2),
+            DiagNorm(TADIC, ((t, zero), (zero, one)), (F(0), F(0))))
+
+
+def _corrupt_weight(result):
+    basis, w0, w1 = result
+    return basis, (w0[0] + 1,) + tuple(w0[1:]), w1
+
+
+def _corrupt_vector(result):
+    # s_0 -> s_0 + s_1: a weight of s_1 is smaller in one of the two norms
+    basis, w0, w1 = result
+    s0 = tuple(a + b for a, b in zip(basis[0], basis[1]))
+    return (s0,) + tuple(basis[1:]), w0, w1
+
+
+_PATHS = {
+    "same_basis": ("_codiagonalize_same_basis",
+                   lambda: (_std((0, 1)), _std((1, 0)))),
+    "filtrations": ("_codiagonalize_filtrations", _cross_pair),
+    "lattices": ("_codiagonalize_lattices", _tadic_lattice_pair),
+}
+
+
+@pytest.mark.parametrize("path", sorted(_PATHS))
+@pytest.mark.parametrize("corrupt", [_corrupt_weight, _corrupt_vector])
+def test_verification_rejects_corrupted_result(path, corrupt,
+                                               monkeypatch) -> None:
+    name, pair = _PATHS[path]
+    n0, n1 = pair()
+    split = getattr(norms, name)
+    good = split(n0, n1)
+    assert oracles.evaluate_verifies(n0, n1, good)
+    bad = corrupt(good)
+    assert not oracles.evaluate_verifies(n0, n1, bad)
+    monkeypatch.setattr(norms, name, lambda a, b: bad)
+    with pytest.raises(NormError, match="failed verification"):
+        codiagonalize(n0, n1)
+
+
+def test_geodesic_of_sup_norms_calls_no_evaluate(monkeypatch) -> None:
+    from geonorm.geodesics import geodesic
+    from geonorm.suites import convergence_pair_p1, convergence_pair_p2
+    from geonorm.toric import supnorm
+
+    calls = []
+    real = DiagNorm.evaluate
+    monkeypatch.setattr(DiagNorm, "evaluate",
+                        lambda self, v: calls.append(v) or real(self, v))
+    for phi0, phi1 in (convergence_pair_p1(), convergence_pair_p2()):
+        for k in (1, 2, 4, 8):
+            n0, n1 = supnorm(k, phi0), supnorm(k, phi1)
+            assert n0.is_standard_basis()
+            geo = geodesic(n0, n1)
+            assert (geo.weights0, geo.weights1) == (n0.weights, n1.weights)
+            assert distance(n0, n1, 1) >= 0
+    assert calls == []
+
+
+def test_standard_norms_share_one_identity_basis() -> None:
+    a, b = _std((0, 1, 2)), _std((5, 4, 3))
+    assert a.basis is b.basis
+    assert a.is_standard_basis()
+    # an equal basis built elsewhere still passes the full check
+    c = DiagNorm(TRIVIAL, tuple(tuple(F(int(i == j)) for j in range(3))
+                                for i in range(3)), (F(0), F(1), F(2)))
+    assert c.basis is not a.basis and c.is_standard_basis()
+    assert c == a and a != b
+    assert not _cross_pair()[1].is_standard_basis()
+
+
+@st.composite
+def _rational_norm_pairs(draw):
+    """Two norms over Q of one dimension in 1..5, and vectors to evaluate.
+
+    Bases are standard or random with small fractional entries; the second
+    norm shares the first one's basis object, an equal copy of it, or has
+    its own.  The vectors are both bases, random vectors and zero.
+    """
+    d = draw(st.integers(1, 5))
+    entry = st.builds(F, st.integers(-3, 3), st.sampled_from((1, 1, 2, 3)))
+    vector = st.lists(entry, min_size=d, max_size=d).map(tuple)
+    weight = st.builds(F, st.integers(-4, 4), st.sampled_from((1, 2)))
+    weights = st.lists(weight, min_size=d, max_size=d).map(tuple)
+
+    def basis():
+        if draw(st.booleans()):
+            return None
+        rows = tuple(draw(vector) for _ in range(d))
+        assume(oracles.invert_field(rows) is not None)
+        return rows
+
+    def norm(b, w):
+        return DiagNorm.standard(TRIVIAL, w) if b is None else \
+            DiagNorm(TRIVIAL, b, w)
+
+    b0 = basis()
+    n0 = norm(b0, draw(weights))
+    share = draw(st.sampled_from(("same", "copy", "own")))
+    if share == "own":
+        n1 = norm(basis(), draw(weights))
+    else:
+        b1 = n0.basis if share == "same" else tuple(map(tuple, n0.basis))
+        n1 = DiagNorm(TRIVIAL, b1, draw(weights))
+    vecs = (n0.basis + n1.basis + tuple(draw(st.lists(vector, max_size=3)))
+            + ((F(0),) * d,))
+    return n0, n1, vecs
+
+
+@settings(max_examples=150)
+@given(_rational_norm_pairs())
+def test_batched_values_match_fraction_oracle(case) -> None:
+    n0, n1, vecs = case
+    for n in (n0, n1):
+        got = norms._values(n, vecs)
+        assert tuple(None if x is INF else x for x in got) == \
+            oracles.norm_values(n.basis, n.weights, vecs)
+        assert got == tuple(n.evaluate(v) for v in vecs)
+    both = n0.basis + n1.basis
+    assert (n0 == n1) == (oracles.norm_values(n0.basis, n0.weights, both)
+                          == oracles.norm_values(n1.basis, n1.weights, both))
+    result = codiagonalize(n0, n1)
+    assert oracles.evaluate_verifies(n0, n1, result)
 
 
 # -- spectrum, distance, volume ----------------------------------------------

@@ -26,6 +26,7 @@ from geonorm.segments import (
 )
 from geonorm.toric import (
     ToricError,
+    ToricMetric,
     compare_metrics,
     energy_limit,
     envelope_P,
@@ -230,6 +231,28 @@ def test_legendre_segment_runs_no_lp(monkeypatch) -> None:
     got = [legendre_segment(phi0, phi1, t) for t in (F(0), F(1, 3), F(1))]
     assert [g.potential.pieces for g in got] == [
         w.potential.pieces for w in want]
+
+
+@pytest.mark.parametrize("pieces0, pieces1", [
+    # P^1: single pieces of gradient 0 and 1
+    ([((0,), 0)], [((1,), 0)]),
+    # P^1: gradient hulls [0, 1/2] and [1/2, 1] meet in one point
+    ([((0,), 0), ((F(1, 2),), 0)], [((F(1, 2),), 0), ((1,), 0)]),
+    # P^2: a gradient segment against the full triangle
+    ([((0, 0), 0), ((1, 0), 0)], [((0, 0), 0), ((1, 0), 0), ((0, 1), 0)]),
+])
+def test_legendre_segment_without_critical_tau(pieces0, pieces1,
+                                               monkeypatch) -> None:
+    phi0 = ToricMetric(len(pieces0[0][0]), 1, _ma(*pieces0))
+    phi1 = ToricMetric(len(pieces1[0][0]), 1, _ma(*pieces1))
+    assert tau_critical_set(phi0, phi1) == ()
+
+    def refuse(*args):
+        raise AssertionError("a rooftop was built")
+
+    monkeypatch.setattr(segments, "_rooftop", refuse)
+    with pytest.raises(ToricError, match="no critical shift tau"):
+        legendre_segment(phi0, phi1, F(1, 2))
 
 
 _ARENAS = ((1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2), (2, 1, 1), (2, 1, 2))

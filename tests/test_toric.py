@@ -202,6 +202,34 @@ def test_d1_limit_vanishes_exactly_on_equal_metrics(case) -> None:
     assert (res.limit == 0) == (compare_metrics(phi0, phi1).relation == "eq")
 
 
+@st.composite
+def _fs_metrics(draw):
+    """(ring, phi): an FS metric on P^1 (m <= 2, level <= 3) or P^2 (m = 1,
+    level <= 2), weights with denominators 1, 2, 3 and 6."""
+    n, m, level = draw(st.sampled_from(
+        [(1, m, lv) for m in (1, 2) for lv in (1, 2, 3)]
+        + [(2, 1, 1), (2, 1, 2)]))
+    ring = section_ring(n, m)
+    basis = ring.basis(level)
+    weight = st.builds(F, st.integers(-12, 12), st.sampled_from((1, 2, 3, 6)))
+    w = draw(st.lists(weight, min_size=len(basis), max_size=len(basis)))
+    return ring, fs_from_norm(ring, level, dict(zip(basis, w)))
+
+
+@settings(max_examples=80)
+@given(_fs_metrics())
+def test_supnorm_weights_match_fraction_oracle(case) -> None:
+    ring, phi = case
+    q = phi.profile()
+    graded = sup_graded(phi, 8)
+    for k in range(1, 9):
+        want = oracles.supnorm_weights_fraction(q, k, ring.basis(k))
+        got = supnorm(k, phi).weights
+        assert got == want
+        assert list(map(str, got)) == list(map(str, want))
+        assert graded.norm_at(k).weights == want
+
+
 def test_sup_graded_is_submultiplicative() -> None:
     phi = _fs_p1((0, 5, 0), m=2)
     gn = sup_graded(phi, 6)
