@@ -271,6 +271,20 @@ class RatFunc:
             return RatFunc((0,) * k + (1,))
         return RatFunc((1,), (0,) * (-k) + (1,))
 
+    def shifted(self, k: int) -> "RatFunc":
+        """``self * t^k``, kept canonical without a gcd: only powers of t
+        can cancel."""
+        if not k or not self.num:
+            return self
+        num, den = self.num, self.den
+        if k > 0:
+            j = min(k, _poly_ord(den))
+            num, den = (0,) * (k - j) + num, den[j:]
+        else:
+            j = min(-k, _poly_ord(num))
+            num, den = num[j:], (0,) * (-k - j) + den
+        return RatFunc(num, den, _reduced=True)
+
     # -- ring/field operations ---------------------------------------------
 
     def __add__(self, other):

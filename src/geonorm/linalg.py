@@ -2,23 +2,38 @@
 
 Vectors are tuples of field elements, matrices are tuples of row tuples.
 
-Over Q (every entry a ``Fraction``) the work runs on integers: each row is
-scaled to coprime integers, elimination replaces a row by an integer
-combination with its content divided out, and Fractions are built once,
-for the result.  The determinant is Bareiss's fraction-free elimination on
-the integer-scaled rows.  Over Q(t) (``RatFunc`` entries) everything works
-through the arithmetic operators of the elements, as a field loop.  The
-choice follows the entry type; both paths return the same values, since
-the reduced row echelon form (RREF) is unique.
+No elimination runs in the field.  Over Q (every entry a ``Fraction``)
+each row is scaled to coprime integers, and elimination replaces a row by
+an integer combination with the pivot row and divides its content out.
+Over Q(t) (``RatFunc`` entries) the matrix is scaled to integer
+polynomials in t (Z[t]), by rows or by columns, and eliminated
+fraction-free: each step divides exactly by the previous pivot (Bareiss
+1968).  The field elements of the result are built once, at the end: one
+``Fraction`` or one reduced ``RatFunc`` per entry.  Determinants are
+Bareiss elimination on the row-scaled matrix.  Every result is the field
+value, since the reduced row echelon form (RREF) and the inverse are
+unique.
 """
-
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
+
+from .field import (
+    TADIC,
+    RatFunc,
+    _poly_content,
+    _poly_exact_div,
+    _poly_gcd,
+    _poly_mul,
+    _poly_neg,
+    _poly_ord,
+)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_P1 = (1,)  # the constant polynomial 1
 
 
 class SingularMatrixError(ValueError):
@@ -42,11 +57,6 @@ def _zero_like(x):
 
 def mat_vec(A, v):
     return tuple(_dot(row, v) for row in A)
-
-
-def mat_mul(A, B):
-    Bt = transpose(B)
-    return tuple(tuple(_dot(row, col) for col in Bt) for row in A)
 
 
 def _dot(u, v):
@@ -90,11 +100,6 @@ def _clear_int(row, prow, c):
     return _primitive([p * x - a * y for x, y in zip(row, prow)])
 
 
-def _clear_field(row, prow, c):
-    f = row[c] / prow[c]
-    return [x - f * y for x, y in zip(row, prow)]
-
-
 def _rref_rational(rows):
     R = [r for r in map(_integer_row, rows) if any(r)]
     ncols = len(rows[0])
@@ -123,6 +128,188 @@ def _rref_rational(rows):
 
 
 # ---------------------------------------------------------------------------
+# Integer-polynomial rows: the Q(t) path.  A polynomial is a trimmed tuple
+# of integer coefficients, constant term first, as in ``geonorm.field``.
+# ---------------------------------------------------------------------------
+
+
+def _poly_lcm(a, b):
+    """A common multiple of two nonzero polynomials: a * (b / gcd(a, b))."""
+    if a == b or b == _P1:
+        return a
+    if a == _P1:
+        return b
+    return _poly_mul(a, _poly_exact_div(b, _poly_gcd(a, b)))
+
+
+def _poly_cleared(row):
+    """``(den, polys)`` with ``polys == den * row`` in Z[t].
+
+    den is a common multiple of the entries' denominators; entries that
+    are not ``RatFunc`` are coerced first.
+    """
+    row = [x if type(x) is RatFunc else RatFunc.of(x) for x in row]
+    den = _den_lcm(row)
+    return den, [_times(x, den) for x in row]
+
+
+def _den_lcm(entries):
+    """A common multiple of the denominators of nonzero ``RatFunc``s."""
+    den = _P1
+    for x in entries:
+        if x.num:
+            den = _poly_lcm(den, x.den)
+    return den
+
+
+def _times(x, den):
+    """x * den as a polynomial, for a multiple den of x's denominator."""
+    if x.den == den or not x.num:
+        return x.num
+    return _poly_mul(x.num, _poly_exact_div(den, x.den))
+
+
+def _poly_primitive_row(row):
+    """The row divided by the common power of t and the integer content."""
+    k = min((_poly_ord(x) for x in row if x), default=0)
+    if k:
+        row = [x[k:] for x in row]
+    g = math.gcd(*(c for x in row for c in x))
+    if g > 1:
+        row = [tuple(c // g for c in x) for x in row]
+    return row
+
+
+def _poly_row(row):
+    """Z[t] row proportional to a Q(t) row, without common t-power or content."""
+    return _poly_primitive_row(_poly_cleared(row)[1])
+
+
+def _poly_sub_mul(p, x, a, y):
+    """p*x - a*y for polynomials."""
+    n = max(len(p) + len(x), len(a) + len(y)) - 1
+    if n <= 0:
+        return ()
+    if len(p) == len(a) == 1:  # constant multipliers
+        p, a = p[0], a[0]
+        out = [p * u - a * v for u, v in zip_longest(x, y, fillvalue=0)]
+        while out and not out[-1]:
+            out.pop()
+        return tuple(out)
+    out = [0] * n
+    if x:
+        for i, u in enumerate(p):
+            if u:
+                for j, v in enumerate(x, i):
+                    out[j] += u * v
+    if y:
+        for i, u in enumerate(a):
+            if u:
+                for j, v in enumerate(y, i):
+                    out[j] -= u * v
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _poly_dot(u, v):
+    """sum u_i * v_i for two rows of polynomials."""
+    out = []
+    for a, b in zip(u, v):
+        if a and b:
+            n = len(a) + len(b) - 1
+            if len(out) < n:
+                out.extend([0] * (n - len(out)))
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b, i):
+                        out[j] += x * y
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _clear_poly(row, prow, c):
+    """``row`` with column ``c`` cleared by ``prow``, as a primitive Z[t] row.
+
+    The two multipliers lose their common power of t and integer content
+    first: their whole gcd when either one is a monomial.
+    """
+    a, p = row[c], prow[c]
+    k = min(_poly_ord(a), _poly_ord(p))
+    if k:
+        a, p = a[k:], p[k:]
+    g = math.gcd(_poly_content(a), _poly_content(p))
+    if g > 1:
+        a = tuple(x // g for x in a)
+        p = tuple(x // g for x in p)
+    return _poly_primitive_row(
+        [_poly_sub_mul(p, x, a, y) for x, y in zip(row, prow)])
+
+
+def _rref_poly(rows):
+    """RREF over Q(t) by fraction-free Gauss-Jordan over Z[t].
+
+    The matrix is cleared to Z[t] by scaling its rows, or its columns when
+    that costs polynomials of smaller total degree: the columns of a
+    matrix of basis vectors each share one denominator.  Each pivot step
+    replaces every other row by (pivot * row - entry * pivot row) divided
+    by the previous pivot, an exact division (Bareiss 1968; sympy's
+    ``ddm_irref_den``): the entries stay minors of the cleared matrix.
+    With columns scaled by c, RREF(A)[i][j] = RREF(A C)[i][j] c_p / c_j for
+    the pivot column p of row i.
+    """
+    rows = [[x if type(x) is RatFunc else RatFunc.of(x) for x in row]
+            for row in rows]
+    ncols = len(rows[0])
+    row_dens = [_den_lcm(row) for row in rows]
+    col_dens = [_den_lcm(col) for col in zip(*rows)]
+    if ncols * sum(map(len, row_dens)) <= len(rows) * sum(map(len, col_dens)):
+        R = [[_times(x, den) for x in row] for row, den in zip(rows, row_dens)]
+        col_dens = None
+    else:
+        R = [[_times(x, den) for x, den in zip(row, col_dens)]
+             for row in rows]
+    R = [_poly_primitive_row(r) for r in R if any(r)]
+    pivots = []
+    r, prev = 0, _P1
+    for c in range(ncols):
+        if r == len(R):
+            break
+        pr = next((i for i in range(r, len(R)) if R[i][c]), None)
+        if pr is None:
+            continue
+        R[r], R[pr] = R[pr], R[r]
+        prow = R[r]
+        p = prow[c]
+        for i, row in enumerate(R):
+            if i != r:
+                a = row[c]
+                new = [_poly_sub_mul(p, x, a, y) for x, y in zip(row, prow)]
+                if prev != _P1:
+                    new = [_poly_exact_div(x, prev) for x in new]
+                R[i] = new
+        prev = p
+        pivots.append(c)
+        r += 1
+    zero, one = TADIC.zero, TADIC.one
+    out = []
+    for row, c in zip(R, pivots):
+        p = row[c]
+        if col_dens is None:
+            out.append(tuple(
+                zero if not x else one if x == p else RatFunc(x, p)
+                for x in row))
+        else:
+            cp = col_dens[c]
+            out.append(tuple(
+                zero if not x else one if j == c
+                else RatFunc(_poly_mul(x, cp), _poly_mul(p, col_dens[j]))
+                for j, x in enumerate(row)))
+    return out, pivots
+
+
+# ---------------------------------------------------------------------------
 # Elimination.
 # ---------------------------------------------------------------------------
 
@@ -133,26 +320,7 @@ def rref(rows):
         return [], []
     if _is_rational(rows):
         return _rref_rational(rows)
-    R = [list(r) for r in rows]
-    ncols = len(R[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(R)) if R[i][c]), None)
-        if pr is None:
-            continue
-        R[r], R[pr] = R[pr], R[r]
-        inv = R[r][c]
-        R[r] = [x / inv for x in R[r]]
-        for i in range(len(R)):
-            if i != r and R[i][c]:
-                f = R[i][c]
-                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(R):
-            break
-    return [tuple(row) for row in R[:r]], pivots
+    return _rref_poly(rows)
 
 
 def invert(field, A):
@@ -167,29 +335,10 @@ def invert(field, A):
 
 
 def determinant(A):
-    """Determinant: Bareiss over Z on Q input, field elimination otherwise."""
-    if A and _is_rational(A):
+    """Determinant by Bareiss elimination over Z (Q input) or Z[t] (Q(t))."""
+    if _is_rational(A):
         return _determinant_rational(A)
-    d = len(A)
-    rows = [list(r) for r in A]
-    det = None
-    sign = 1
-    for col in range(d):
-        pivot_row = next(
-            (r for r in range(col, d) if rows[r][col] != _zero_like(rows[r][col])),
-            None,
-        )
-        if pivot_row is None:
-            return _zero_like(rows[0][0])
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            sign = -sign
-        pivot = rows[col][col]
-        det = pivot if det is None else det * pivot
-        for r in range(col + 1, d):
-            factor = rows[r][col] / pivot
-            rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return det if sign == 1 else -det
+    return _determinant_poly(A)
 
 
 def _determinant_rational(A):
@@ -215,6 +364,33 @@ def _determinant_rational(A):
                 row[j] = (row[j] * pk - a * rowk[j]) // prev
         prev = pk
     return Fraction(sign * M[d - 1][d - 1], scale)
+
+
+def _determinant_poly(A):
+    # det(A) = det(M) / prod(scale) for the Z[t] rows M = scale * A
+    M, scale = [], _P1
+    for row in A:
+        den, polys = _poly_cleared(row)
+        M.append(polys)
+        scale = _poly_mul(scale, den)
+    d = len(M)
+    sign, prev = 1, _P1
+    for k in range(d - 1):
+        if not M[k][k]:
+            swap = next((i for i in range(k + 1, d) if M[i][k]), None)
+            if swap is None:
+                return TADIC.zero
+            M[k], M[swap] = M[swap], M[k]
+            sign = -sign
+        pk, rowk = M[k][k], M[k]
+        for i in range(k + 1, d):
+            row, a = M[i], M[i][k]
+            for j in range(k + 1, d):
+                x = _poly_sub_mul(pk, row[j], a, rowk[j])
+                row[j] = x if prev == _P1 else _poly_exact_div(x, prev)
+        prev = pk
+    det = M[d - 1][d - 1]
+    return RatFunc(det if sign == 1 else _poly_neg(det), scale)
 
 
 def solve_from_inverse(Ainv, b):
@@ -258,7 +434,7 @@ def extend_independent(current, candidates):
     if _is_rational(current) and _is_rational(candidates):
         scale, clear = _integer_row, _clear_int
     else:
-        scale, clear = list, _clear_field
+        scale, clear = _poly_row, _clear_poly
     echelon = []  # (pivot column, row); each row is zero at earlier pivots
 
     def independent(v):

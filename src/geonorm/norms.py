@@ -15,15 +15,21 @@ computed by Smith normal form over the valuation ring.  The relative
 spectrum, the d_p distances, the relative volume and the join (max) all
 read off the common basis.
 
+Over Q(t) the lattice branch solves instead of inverting: the change of
+basis M0^{-1} M1 and the common basis each come from one RREF of a block
+matrix, which ``linalg`` eliminates on Z[t] rows.
+
 Norms diagonal in the standard basis share one identity basis per field
 and dimension, which is also their inverse, so ``DiagNorm.standard`` costs
 O(d).  Every ``codiagonalize`` result is verified, and ``==`` is decided,
-by evaluating norms on batches of vectors.  Over Q the valuation is 0 off
-zero, so only the zero pattern of a vector's coordinates matters; it is
-read from one product of integer-scaled rows of the cached inverse with
-integer-scaled vectors (positive scalings keep the pattern), and for a
-standard basis the coordinates are the vector itself.  Over Q(t) each
-vector goes through ``evaluate``.
+by evaluating norms on batches of vectors without ``evaluate``: the
+coordinates of a vector are dot products of the rows of the cached inverse
+with it (for a standard basis, the vector itself).  Over Q the valuation is
+0 off zero, so only the zero pattern of the coordinates matters; it is read
+from integer dot products of integer-scaled rows and vectors (positive
+scalings keep the pattern).  Over Q(t) rows and vectors are scaled to
+Z[t], and each valuation is the order at t = 0 of a polynomial dot product
+minus the orders of the two scalings.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from .field import (
     FieldError,
     TADIC,
     TRIVIAL,
+    _poly_ord,
     field_by_name,
     format_fraction,
     parse_fraction,
@@ -199,21 +206,42 @@ def _identity(field, d):
 
 
 def _values(norm: DiagNorm, vectors):
-    """``tuple(norm.evaluate(v) for v in vectors)``, batched over Q.
+    """``tuple(norm.evaluate(v) for v in vectors)``, batched.
 
-    Over Q, n(v) is the least weight w_j whose coordinate (inv v)_j is
-    nonzero, or INF.  That zero pattern is read from integer dot products
-    of the integer-scaled rows of inv with the integer-scaled v, trying the
-    weights in increasing order; for a standard basis the coordinates are v.
+    n(v) is the least w_j + v(c_j) over the nonzero coordinates c_j of v,
+    or INF; the coordinates are the dot products of the rows of the cached
+    inverse with v, and for a standard basis v itself.  Over Q the
+    valuation is 0 off zero, so only the zero pattern of the coordinates
+    matters: it is read from integer dot products of the integer-scaled
+    rows of the inverse with the integer-scaled v, trying the weights in
+    increasing order.  Over Q(t) row j is scaled to Z[t] by D_j and v by e,
+    and v(c_j) = ord(row_j . v) - ord(D_j) - ord(e), with ord the order of
+    a polynomial at t = 0.
     """
-    if norm.field is not TRIVIAL:
-        return tuple(norm.evaluate(v) for v in vectors)
     w = norm.weights
-    order = sorted(range(norm.dim), key=w.__getitem__)
     inv = norm._inverse()
+    # not cached on the norm: callers keep many norms alive, each for one use
+    if norm.field is not TRIVIAL:
+        if inv is norm.basis:
+            rows, shifts = None, w
+        else:
+            rows, shifts = [], []
+            for row, wj in zip(inv, w):
+                den, polys = linalg._poly_cleared(row)
+                rows.append(polys)
+                shifts.append(wj - _poly_ord(den))
+        out = []
+        for v in vectors:
+            e, u = linalg._poly_cleared(v)
+            coords = u if rows is None else [linalg._poly_dot(r, u)
+                                             for r in rows]
+            best = min((_poly_ord(c) + s for c, s in zip(coords, shifts) if c),
+                       default=INF)
+            out.append(best if best is INF else best - _poly_ord(e))
+        return tuple(out)
+    order = sorted(range(norm.dim), key=w.__getitem__)
     if inv is norm.basis:
         return tuple(next((w[j] for j in order if v[j]), INF) for v in vectors)
-    # not cached on the norm: callers keep many norms alive, each for one use
     rows = [linalg._cleared(row)[1] for row in inv]
     out = []
     for v in vectors:
@@ -309,28 +337,25 @@ def _codiagonalize_lattices(n0: DiagNorm, n1: DiagNorm):
             "t-adic codiagonalization requires integer weights "
             "(the value group is Z)"
         )
-    from .field import RatFunc
-
     field = TADIC
     d = n0.dim
 
     def lattice_columns(n: DiagNorm):
         # unit ball = R-span of t^{-w_i} s_i
         return [
-            tuple(field.of(x) * RatFunc.t_power(-int(w)) for x in vec)
+            tuple(field.of(x).shifted(-int(w)) for x in vec)
             for vec, w in zip(n.basis, n.weights)
         ]
 
     L0 = lattice_columns(n0)  # list of column vectors
     L1 = lattice_columns(n1)
-    # matrix with columns L0 (ambient rows)
-    M0 = tuple(tuple(L0[c][r] for c in range(d)) for r in range(d))
-    M0inv = linalg.invert(field, M0)
-    # change of basis: columns of M express L1 in terms of L0
-    cols = [linalg.mat_vec(M0inv, L1[c]) for c in range(d)]
-    M = tuple(tuple(cols[c][r] for c in range(d)) for r in range(d))
-
-    A = [list(row) for row in M]
+    # change of basis M = M0^{-1} M1, whose columns express L1 in terms of
+    # L0 (the columns of M0): the right half of the RREF of [M0 | M1]
+    reduced, _ = linalg.rref([
+        tuple(L0[c][r] for c in range(d)) + tuple(L1[c][r] for c in range(d))
+        for r in range(d)
+    ])
+    A = [list(row[d:]) for row in reduced]
     P = [list(row) for row in linalg.identity(field, d)]  # accumulates row ops
 
     def row_op(dst, src, factor):
@@ -366,10 +391,12 @@ def _codiagonalize_lattices(n0: DiagNorm, n1: DiagNorm):
                     row[j] = row[j] - factor * row[k]
         exponents.append(int(field.valuation(pivot)))
 
-    # common basis: columns of M0 * P^{-1}
-    Pinv = linalg.invert(field, tuple(tuple(row) for row in P))
-    C = linalg.mat_mul(M0, Pinv)
-    basis = tuple(tuple(C[r][c] for r in range(d)) for c in range(d))
+    # common basis: the columns of C = M0 P^{-1}, i.e. the rows of C^T,
+    # which solves P^T C^T = M0^T: the right half of the RREF of [P^T | M0^T]
+    reduced, _ = linalg.rref([
+        tuple(P[r][c] for r in range(d)) + L0[c] for c in range(d)
+    ])
+    basis = tuple(row[d:] for row in reduced)
     w0 = tuple(Fraction(0) for _ in range(d))
     w1 = tuple(Fraction(-e) for e in exponents)
     return basis, w0, w1
@@ -399,13 +426,18 @@ def distance(n0: DiagNorm, n1: DiagNorm, p=1):
     returns ``max |lambda_i|``.  Non-integer finite p would force irrational
     values and is rejected.
     """
+    if p != math.inf:
+        try:
+            p = Fraction(p)
+        except (ArithmeticError, ValueError, TypeError):
+            p = None  # -inf, nan and non-numbers
+        if p is None or p.denominator != 1 or p < 1:
+            raise NormError(
+                "finite p must be an integer >= 1 for exact arithmetic")
+        p = int(p)
     lam = spectrum(n0, n1)
     if p == math.inf:
         return max((abs(x) for x in lam), default=Fraction(0))
-    p = Fraction(p)
-    if p.denominator != 1 or p < 1:
-        raise NormError("finite p must be an integer >= 1 for exact arithmetic")
-    p = int(p)
     return Fraction(sum(abs(x) ** p for x in lam), len(lam))
 
 

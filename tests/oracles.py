@@ -10,7 +10,11 @@ points (the path that the library's gift-wrapped hull replaced), marginal
 minimization enumerates crossing parameters, and integrals use closed-form
 antiderivatives.  When a test compares a library value against an oracle
 value, the only shared dependency is the stdlib.  Norm values over Q
-come from coordinates under a Fraction inverse (``norm_values``).  There
+come from coordinates under a Fraction inverse (``norm_values``).  The
+elimination loops are written once for any field: given ``RatFunc``
+entries they run on the library's rational-function operators, the field
+loop that geonorm.linalg's integer-polynomial path replaced, and those
+operators are themselves checked against Euclid reduction over Q.  There
 are four exceptions, each a path the library replaced, kept as a
 differential reference and composed from the library's own primitives.
 ``legendre_segment_per_t`` is the per-t Legendre construction that
@@ -21,7 +25,8 @@ against the conjugate.  ``supnorm_weights_fraction`` reads sup-norm
 weights as ``k * q.value(a / k)`` in Fractions, where geonorm.toric reads
 them on one common denominator.  ``evaluate_verifies`` checks a
 codiagonalization with one ``DiagNorm.evaluate`` per vector and norm,
-where geonorm.norms reads zero patterns from one integer product.
+where geonorm.norms reads zero patterns (over Q) and orders at t = 0
+(over Q(t)) from integer and integer-polynomial dot products.
 """
 
 from __future__ import annotations
@@ -72,12 +77,14 @@ def intersection_dim(U, V) -> int:
 
 # ---------------------------------------------------------------------------
 # Field-arithmetic elimination: the slow paths that geonorm.linalg's integer
-# Q path replaced.  Every pivot step divides a row of Fractions by its pivot.
+# and integer-polynomial paths replaced.  Every pivot step divides a row by
+# its pivot through the entries' own operators: Fraction over Q, RatFunc
+# over Q(t).
 # ---------------------------------------------------------------------------
 
 
 def rref_field(rows):
-    """Reduced row echelon form by Gauss-Jordan over Fraction."""
+    """Reduced row echelon form by Gauss-Jordan in the field."""
     R = [list(r) for r in rows]
     if not R:
         return [], []
@@ -102,9 +109,15 @@ def rref_field(rows):
 
 
 def invert_field(A):
-    """Inverse from the RREF of [A | I]; None when A is singular."""
+    """Inverse from the RREF of [A | I]; None when A is singular.
+
+    I is built from the entries' own zero and one, so the same loop inverts
+    matrices of ``Fraction`` and of ``RatFunc``.
+    """
     d = len(A)
-    aug = [list(A[i]) + [Fraction(int(i == j)) for j in range(d)]
+    zero = A[0][0] - A[0][0]
+    one = zero + 1
+    aug = [list(A[i]) + [one if i == j else zero for j in range(d)]
            for i in range(d)]
     reduced, pivots = rref_field(aug)
     if pivots[:d] != list(range(d)) or len(reduced) < d:
@@ -113,7 +126,7 @@ def invert_field(A):
 
 
 def determinant_field(A):
-    """Determinant by Gaussian elimination over Fraction."""
+    """Determinant by Gaussian elimination in the field."""
     d = len(A)
     rows = [list(r) for r in A]
     det = Fraction(1)

@@ -109,6 +109,16 @@ def test_ratfunc_reduction_matches_euclid_oracle(case) -> None:
     assert g[-1] > 0
 
 
+@settings(max_examples=200)
+@given(_planted_quotients(), st.integers(-4, 4))
+def test_shifted_is_canonical_product_with_t_power(case, k) -> None:
+    num, den = case
+    r = RatFunc(num, den).shifted(k)
+    assert r == RatFunc(num, den) * RatFunc.t_power(k)
+    assert (r.num, r.den) == oracles.reduced_ratfunc(
+        (0,) * max(k, 0) + num, (0,) * max(-k, 0) + den)
+
+
 def test_exact_div_rejects_inexact_and_non_integer_quotients() -> None:
     assert _poly_exact_div((-1, 0, 1), (-1, 1)) == (1, 1)
     with pytest.raises(FieldError, match="inexact"):

@@ -12,6 +12,11 @@ from geonorm import linalg
 from geonorm.field import TADIC, TRIVIAL, RatFunc
 
 
+def mat_mul(A, B):
+    """Matrix product through the field operations of the entries."""
+    return tuple(tuple(linalg._dot(row, col) for col in zip(*B)) for row in A)
+
+
 def _rand_matrix(rng, d):
     return [[Fraction(rng.randint(-4, 4)) for _ in range(d)] for _ in range(d)]
 
@@ -67,7 +72,7 @@ def test_invert_round_trip_random() -> None:
             continue
         seen += 1
         d = len(A)
-        assert linalg.mat_mul(A, inv) == linalg.identity(TRIVIAL, d)
+        assert mat_mul(A, inv) == linalg.identity(TRIVIAL, d)
 
 
 def test_invert_singular_raises() -> None:
@@ -193,5 +198,92 @@ def test_intersect_spans_matches_kernel_oracle(pair) -> None:
 @given(_span_pairs(), st.integers(0, 6))
 def test_extend_independent_matches_rank_oracle(pair, keep) -> None:
     current, candidates = pair[0][:keep], pair[1]
+    assert linalg.extend_independent(current, candidates) == \
+        oracles.extend_independent_rank(current, candidates)
+
+
+# -- the integer-polynomial Q(t) path against the field loop --------------------
+
+_T = RatFunc.t_power
+_COEFF = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+# non-monomial denominators: 1 + t, 1 + t^2, 2 - t
+_NON_MONOMIAL = st.builds(
+    RatFunc,
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    st.sampled_from(((1, 1), (1, 0, 1), (2, -1))),
+)
+_QT_ENTRY = st.one_of(
+    st.just(TADIC.zero),
+    st.builds(lambda c, k: RatFunc.of(c) * _T(k), _COEFF, st.integers(-2, 2)),
+    st.builds(lambda f, k: f * _T(k), _NON_MONOMIAL, st.integers(-2, 2)),
+)
+
+
+@st.composite
+def _qt_matrices(draw, nrows=None, ncols=None):
+    """Q(t) matrices up to 4 x 4: entries c t^k with k in [-2, 2] and
+    entries over 1 + t, 1 + t^2 or 2 - t, with planted zero, duplicate,
+    multiple and sum rows: tall, wide, square and singular shapes."""
+    nrows = nrows or draw(st.integers(1, 4))
+    ncols = ncols or draw(st.integers(1, 4))
+    rows = [tuple(draw(_QT_ENTRY) for _ in range(ncols)) for _ in range(nrows)]
+    plants = st.sampled_from(("zero", "duplicate", "multiple", "sum"))
+    for plant in draw(st.lists(plants, max_size=3)):
+        i = draw(st.integers(0, nrows - 1))
+        a, b = rows[draw(st.integers(0, nrows - 1))], rows[i - 1]
+        c = draw(_QT_ENTRY.filter(bool))
+        rows[i] = {
+            "zero": (TADIC.zero,) * ncols,
+            "duplicate": a,
+            "multiple": tuple(c * x for x in a),
+            "sum": tuple(x + c * y for x, y in zip(a, b)),
+        }[plant]
+    return rows
+
+
+def _canonical(x):
+    return type(x) is RatFunc and \
+        (x.num, x.den) == oracles.reduced_ratfunc(x.num, x.den)
+
+
+@_LINALG
+@given(_qt_matrices())
+def test_rref_over_qt_matches_field_oracle(rows) -> None:
+    got = linalg.rref(rows)
+    assert got == oracles.rref_field(rows)
+    assert all(_canonical(x) for row in got[0] for x in row)
+
+
+@st.composite
+def _qt_square(draw):
+    d = draw(st.integers(1, 4))
+    return draw(_qt_matrices(nrows=d, ncols=d))
+
+
+@_LINALG
+@given(_qt_square())
+def test_invert_and_determinant_over_qt_match_field_oracle(A) -> None:
+    det = linalg.determinant(A)
+    assert det == oracles.determinant_field(A)
+    assert _canonical(det)
+    inv = oracles.invert_field(A)
+    if inv is None:
+        assert not det
+        with pytest.raises(linalg.SingularMatrixError):
+            linalg.invert(TADIC, A)
+    else:
+        got = linalg.invert(TADIC, A)
+        assert got == inv
+        assert all(_canonical(x) for row in got for x in row)
+        assert mat_mul(A, got) == linalg.identity(TADIC, len(A))
+
+
+@_LINALG
+@given(_qt_matrices(), _qt_matrices())
+def test_extend_independent_over_qt_matches_rank_oracle(current, candidates
+                                                        ) -> None:
+    n = min(len(current[0]), len(candidates[0]))
+    current = [row[:n] for row in current]
+    candidates = [row[:n] for row in candidates]
     assert linalg.extend_independent(current, candidates) == \
         oracles.extend_independent_rank(current, candidates)

@@ -303,6 +303,13 @@ def test_distance_rejects_fractional_p() -> None:
         distance(_std((0, 0)), _std((1, 2)), F(3, 2))
 
 
+@pytest.mark.parametrize("p", [-math.inf, float("nan"), 0, -2, F(3, 2),
+                               "two"])
+def test_distance_rejects_bad_p(p) -> None:
+    with pytest.raises(NormError, match="finite p must be an integer >= 1"):
+        distance(_std((0, 0)), _std((1, 2)), p)
+
+
 def test_volume_examples_and_cocycle() -> None:
     assert volume(_std((0, 0)), _std((1, 2))) == -3
     rng = random.Random(23)
@@ -410,6 +417,84 @@ def test_join_dominates_both_inputs_tadic(norms) -> None:
     j = join(a, b)
     for v in a.basis + b.basis + j.basis:
         assert j.evaluate(v) == min(a.evaluate(v), b.evaluate(v))
+
+
+_QT_VECTOR_ENTRY = st.one_of(
+    st.just(TADIC.zero),
+    st.builds(lambda c, k: TADIC.of(c) * RatFunc.t_power(k),
+              st.builds(F, st.integers(-3, 3), st.sampled_from((1, 2))),
+              st.integers(-2, 2)),
+    st.builds(lambda a, k: RatFunc((a, 1), (1, 1)) * RatFunc.t_power(k),
+              st.integers(-2, 2), st.integers(-2, 2)),
+)
+
+
+@st.composite
+def _tadic_values_case(draw):
+    """A Q(t) norm, standard or not, and vectors: both bases, vectors with
+    t-power and 1 + t denominators, and zero."""
+    n, other = draw(_tadic_norms(2))
+    if draw(st.booleans()):
+        n = DiagNorm.standard(TADIC, n.weights)
+    d = n.dim
+    vector = st.lists(_QT_VECTOR_ENTRY, min_size=d, max_size=d).map(tuple)
+    vecs = (n.basis + other.basis + tuple(draw(st.lists(vector, max_size=4)))
+            + ((TADIC.zero,) * d,))
+    return n, other, vecs
+
+
+@_TADIC_SETTINGS
+@given(_tadic_values_case())
+def test_batched_values_match_evaluate_tadic(case) -> None:
+    n, other, vecs = case
+    assert norms._values(n, vecs) == tuple(n.evaluate(v) for v in vecs)
+    assert norms._values(n, vecs)[-1] is INF
+    both = n.basis + other.basis
+    assert (n == other) == all(n.evaluate(v) == other.evaluate(v)
+                               for v in both)
+    assert oracles.evaluate_verifies(n, other, codiagonalize(n, other))
+
+
+def _fixed_tadic_pairs():
+    t, one, zero = RatFunc.t_power(1), TADIC.one, TADIC.zero
+    two, three = TADIC.of(2), TADIC.of(3)
+    a = DiagNorm(TADIC, ((one, t, zero), (zero, one, two), (t * t, zero, one)),
+                 (F(0), F(1), F(-2)))
+    b = DiagNorm(TADIC, ((one, one, zero), (zero, t, one), (three, zero, t)),
+                 (F(2), F(0), F(1)))
+    c = DiagNorm.standard(TADIC, (F(-1), F(3), F(0)))
+    return ((a, b), (b, c), (c, a))
+
+
+def test_tadic_spectrum_and_join_call_no_evaluate(monkeypatch) -> None:
+    pairs = _fixed_tadic_pairs()
+    calls = []
+    real = DiagNorm.evaluate
+    monkeypatch.setattr(DiagNorm, "evaluate",
+                        lambda self, v: calls.append(v) or real(self, v))
+    for n0, n1 in pairs:
+        assert volume(n0, n1) == sum(spectrum(n0, n1))
+        j = join(n0, n1)
+        assert j.dim == 3 and j == join(n1, n0)
+    assert calls == []
+
+
+def test_lattice_branch_solves_without_inverting(monkeypatch) -> None:
+    from geonorm import linalg
+
+    pairs = _fixed_tadic_pairs()
+    calls = []
+
+    def counted(name, real):
+        return lambda *args: calls.append(name) or real(*args)
+
+    for name in ("invert", "mat_vec", "mat_mul"):
+        real = getattr(linalg, name, None)
+        monkeypatch.setattr(linalg, name, counted(name, real), raising=False)
+    for n0, n1 in pairs:
+        result = norms._codiagonalize_lattices(n0, n1)
+        assert oracles.evaluate_verifies(n0, n1, result)
+    assert calls == []
 
 
 # -- functorial constructions --------------------------------------------------
