@@ -81,8 +81,9 @@ def format_fraction(q: Fraction) -> str:
 
 # ---------------------------------------------------------------------------
 # Integer-coefficient polynomials in one variable t, constant term first.
-# Only what the rational-function field needs: ring ops, order at t = 0,
-# and a primitive gcd over Z, computed with integers only.
+# What the rational-function field and the Z[t] elimination in
+# ``geonorm.linalg`` need: ring ops, order at t = 0, exact division, and a
+# primitive gcd over Z, computed with integers only.
 # ---------------------------------------------------------------------------
 
 
@@ -112,6 +113,37 @@ def _poly_mul(a, b):
         if x:
             for j, y in enumerate(b):
                 out[i + j] += x * y
+    return _trim(out)
+
+
+def _poly_sub_mul(p, x, a, y):
+    """p*x - a*y."""
+    out = [0] * (max(len(p) + len(x), len(a) + len(y)) - 1)
+    if x:
+        for i, u in enumerate(p):
+            if u:
+                for j, v in enumerate(x, i):
+                    out[j] += u * v
+    if y:
+        for i, u in enumerate(a):
+            if u:
+                for j, v in enumerate(y, i):
+                    out[j] -= u * v
+    return _trim(out)
+
+
+def _poly_dot(u, v):
+    """sum u_i * v_i for two rows of polynomials."""
+    out = []
+    for a, b in zip(u, v):
+        if a and b:
+            n = len(a) + len(b) - 1
+            if len(out) < n:
+                out.extend([0] * (n - len(out)))
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b, i):
+                        out[j] += x * y
     return _trim(out)
 
 
@@ -192,6 +224,15 @@ def _poly_gcd(a, b):
     elif b[-1] < 0:
         b = _poly_neg(b)
     return (0,) * min(i, j) + b
+
+
+def _poly_lcm(a, b):
+    """A common multiple of two nonzero polynomials: a * (b / gcd(a, b))."""
+    if a == b or b == (1,):
+        return a
+    if a == (1,):
+        return b
+    return _poly_mul(a, _poly_exact_div(b, _poly_gcd(a, b)))
 
 
 def _poly_exact_div(a, b):

@@ -5,30 +5,34 @@ Vectors are tuples of field elements, matrices are tuples of row tuples.
 No elimination runs in the field.  Over Q (every entry a ``Fraction``)
 each row is scaled to coprime integers, and elimination replaces a row by
 an integer combination with the pivot row and divides its content out.
-Over Q(t) (``RatFunc`` entries) the matrix is scaled to integer
-polynomials in t (Z[t]), by rows or by columns, and eliminated
-fraction-free: each step divides exactly by the previous pivot (Bareiss
-1968).  The field elements of the result are built once, at the end: one
-``Fraction`` or one reduced ``RatFunc`` per entry.  Determinants are
-Bareiss elimination on the row-scaled matrix.  Every result is the field
-value, since the reduced row echelon form (RREF) and the inverse are
-unique.
+Over Q(t) (``RatFunc`` entries) each column is scaled to integer
+polynomials in t (Z[t]) and the matrix is eliminated fraction-free: each
+step divides exactly by the previous pivot (Bareiss 1968).  The field
+elements of the result are built once, at the end: one ``Fraction`` or
+one reduced ``RatFunc`` per entry.  Determinants run one Bareiss loop,
+over Z or Z[t], on the row-scaled matrix.  Every result is the field value, since
+the reduced row echelon form (RREF) and the inverse are unique.
+``coordinate_orders`` reads t-adic valuations of the coordinates of
+vectors from Z[t] dot products, without forming a ``RatFunc``.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import zip_longest
+from operator import floordiv, neg
 
 from .field import (
+    INF,
     TADIC,
     RatFunc,
     _poly_content,
+    _poly_dot,
     _poly_exact_div,
-    _poly_gcd,
+    _poly_lcm,
     _poly_mul,
     _poly_neg,
     _poly_ord,
+    _poly_sub_mul,
 )
 
 _ZERO = Fraction(0)
@@ -133,15 +137,6 @@ def _rref_rational(rows):
 # ---------------------------------------------------------------------------
 
 
-def _poly_lcm(a, b):
-    """A common multiple of two nonzero polynomials: a * (b / gcd(a, b))."""
-    if a == b or b == _P1:
-        return a
-    if a == _P1:
-        return b
-    return _poly_mul(a, _poly_exact_div(b, _poly_gcd(a, b)))
-
-
 def _poly_cleared(row):
     """``(den, polys)`` with ``polys == den * row`` in Z[t].
 
@@ -174,7 +169,7 @@ def _poly_primitive_row(row):
     k = min((_poly_ord(x) for x in row if x), default=0)
     if k:
         row = [x[k:] for x in row]
-    g = math.gcd(*(c for x in row for c in x))
+    g = math.gcd(*map(_poly_content, row))
     if g > 1:
         row = [tuple(c // g for c in x) for x in row]
     return row
@@ -183,50 +178,6 @@ def _poly_primitive_row(row):
 def _poly_row(row):
     """Z[t] row proportional to a Q(t) row, without common t-power or content."""
     return _poly_primitive_row(_poly_cleared(row)[1])
-
-
-def _poly_sub_mul(p, x, a, y):
-    """p*x - a*y for polynomials."""
-    n = max(len(p) + len(x), len(a) + len(y)) - 1
-    if n <= 0:
-        return ()
-    if len(p) == len(a) == 1:  # constant multipliers
-        p, a = p[0], a[0]
-        out = [p * u - a * v for u, v in zip_longest(x, y, fillvalue=0)]
-        while out and not out[-1]:
-            out.pop()
-        return tuple(out)
-    out = [0] * n
-    if x:
-        for i, u in enumerate(p):
-            if u:
-                for j, v in enumerate(x, i):
-                    out[j] += u * v
-    if y:
-        for i, u in enumerate(a):
-            if u:
-                for j, v in enumerate(y, i):
-                    out[j] -= u * v
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
-
-
-def _poly_dot(u, v):
-    """sum u_i * v_i for two rows of polynomials."""
-    out = []
-    for a, b in zip(u, v):
-        if a and b:
-            n = len(a) + len(b) - 1
-            if len(out) < n:
-                out.extend([0] * (n - len(out)))
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b, i):
-                        out[j] += x * y
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
 
 
 def _clear_poly(row, prow, c):
@@ -250,26 +201,21 @@ def _clear_poly(row, prow, c):
 def _rref_poly(rows):
     """RREF over Q(t) by fraction-free Gauss-Jordan over Z[t].
 
-    The matrix is cleared to Z[t] by scaling its rows, or its columns when
-    that costs polynomials of smaller total degree: the columns of a
-    matrix of basis vectors each share one denominator.  Each pivot step
-    replaces every other row by (pivot * row - entry * pivot row) divided
-    by the previous pivot, an exact division (Bareiss 1968; sympy's
-    ``ddm_irref_den``): the entries stay minors of the cleared matrix.
-    With columns scaled by c, RREF(A)[i][j] = RREF(A C)[i][j] c_p / c_j for
-    the pivot column p of row i.
+    Each column is cleared to Z[t] over a common multiple c_j of its
+    denominators: the Q(t) matrices eliminated here mostly hold basis
+    vectors as columns (``[A | I]`` in ``invert``, ``[M0 | M1]`` in the
+    lattice branch of ``codiagonalize``), and a basis vector shares one
+    denominator.  Each pivot step replaces every other row by (pivot * row
+    - entry * pivot row) divided by the previous pivot, an exact division
+    (Bareiss 1968; sympy's ``ddm_irref_den``): the entries stay minors of
+    the cleared matrix.  The result is RREF(A)[i][j] = RREF(A C)[i][j]
+    c_p / c_j for the pivot column p of row i.
     """
     rows = [[x if type(x) is RatFunc else RatFunc.of(x) for x in row]
             for row in rows]
     ncols = len(rows[0])
-    row_dens = [_den_lcm(row) for row in rows]
     col_dens = [_den_lcm(col) for col in zip(*rows)]
-    if ncols * sum(map(len, row_dens)) <= len(rows) * sum(map(len, col_dens)):
-        R = [[_times(x, den) for x in row] for row, den in zip(rows, row_dens)]
-        col_dens = None
-    else:
-        R = [[_times(x, den) for x, den in zip(row, col_dens)]
-             for row in rows]
+    R = [[_times(x, den) for x, den in zip(row, col_dens)] for row in rows]
     R = [_poly_primitive_row(r) for r in R if any(r)]
     pivots = []
     r, prev = 0, _P1
@@ -295,17 +241,11 @@ def _rref_poly(rows):
     zero, one = TADIC.zero, TADIC.one
     out = []
     for row, c in zip(R, pivots):
-        p = row[c]
-        if col_dens is None:
-            out.append(tuple(
-                zero if not x else one if x == p else RatFunc(x, p)
-                for x in row))
-        else:
-            cp = col_dens[c]
-            out.append(tuple(
-                zero if not x else one if j == c
-                else RatFunc(_poly_mul(x, cp), _poly_mul(p, col_dens[j]))
-                for j, x in enumerate(row)))
+        p, cp = row[c], col_dens[c]
+        out.append(tuple(
+            zero if not x else one if j == c
+            else RatFunc(_poly_mul(x, cp), _poly_mul(p, col_dens[j]))
+            for j, x in enumerate(row)))
     return out, pivots
 
 
@@ -335,66 +275,87 @@ def invert(field, A):
 
 
 def determinant(A):
-    """Determinant by Bareiss elimination over Z (Q input) or Z[t] (Q(t))."""
+    """Determinant by Bareiss elimination over Z (Q input) or Z[t] (Q(t)).
+
+    det(A) = det(M) / prod(scale) for the cleared rows M = scale * A.
+    """
     if _is_rational(A):
-        return _determinant_rational(A)
-    return _determinant_poly(A)
-
-
-def _determinant_rational(A):
-    # det(A) = det(M) / prod(scale) for the integer rows M = scale * A
-    M, scale = [], 1
-    for row in A:
-        den, ints = _cleared(row)
-        M.append(ints)
-        scale *= den
-    d = len(M)
-    sign, prev = 1, 1
-    for k in range(d - 1):
-        if not M[k][k]:
-            swap = next((i for i in range(k + 1, d) if M[i][k]), None)
-            if swap is None:
-                return _ZERO
-            M[k], M[swap] = M[swap], M[k]
-            sign = -sign
-        pk, rowk = M[k][k], M[k]
-        for i in range(k + 1, d):
-            row, a = M[i], M[i][k]
-            for j in range(k + 1, d):
-                row[j] = (row[j] * pk - a * rowk[j]) // prev
-        prev = pk
-    return Fraction(sign * M[d - 1][d - 1], scale)
-
-
-def _determinant_poly(A):
-    # det(A) = det(M) / prod(scale) for the Z[t] rows M = scale * A
+        M, scale = [], 1
+        for row in A:
+            den, ints = _cleared(row)
+            M.append(ints)
+            scale *= den
+        return Fraction(_bareiss(M, _int_sub_mul, floordiv, neg), scale)
     M, scale = [], _P1
     for row in A:
         den, polys = _poly_cleared(row)
         M.append(polys)
         scale = _poly_mul(scale, den)
+    return RatFunc(_bareiss(M, _poly_sub_mul, _poly_exact_div, _poly_neg),
+                   scale)
+
+
+def _int_sub_mul(p, x, a, y):
+    return p * x - a * y
+
+
+def _bareiss(M, sub_mul, exact_div, negate):
+    """Determinant of a square matrix over Z or Z[t]; M is overwritten.
+
+    The ring is given by sub_mul(p, x, a, y) = p*x - a*y, exact division
+    and negation.  Each step divides by the previous pivot exactly
+    (Bareiss 1968), so the last pivot is the determinant up to the sign of
+    the row swaps.
+    """
     d = len(M)
-    sign, prev = 1, _P1
+    odd = False
     for k in range(d - 1):
         if not M[k][k]:
             swap = next((i for i in range(k + 1, d) if M[i][k]), None)
             if swap is None:
-                return TADIC.zero
+                return M[k][k]  # the ring's zero
             M[k], M[swap] = M[swap], M[k]
-            sign = -sign
+            odd = not odd
         pk, rowk = M[k][k], M[k]
         for i in range(k + 1, d):
             row, a = M[i], M[i][k]
             for j in range(k + 1, d):
-                x = _poly_sub_mul(pk, row[j], a, rowk[j])
-                row[j] = x if prev == _P1 else _poly_exact_div(x, prev)
+                x = sub_mul(pk, row[j], a, rowk[j])
+                row[j] = exact_div(x, prev) if k else x
         prev = pk
     det = M[d - 1][d - 1]
-    return RatFunc(det if sign == 1 else _poly_neg(det), scale)
+    return negate(det) if odd else det
 
 
 def solve_from_inverse(Ainv, b):
     return tuple(_dot(row, b) for row in Ainv)
+
+
+def coordinate_orders(Ainv, vectors):
+    """The t-adic valuations of ``solve_from_inverse(Ainv, v)`` for each v.
+
+    Over Q(t); one tuple per vector, ``INF`` for a zero coordinate, and
+    Ainv None stands for the identity.  Row j of Ainv is scaled to Z[t] by
+    D_j and v by e, so each valuation is ord(row_j . v) - ord(D_j) - ord(e),
+    with ord the order of a polynomial at t = 0.
+    """
+    if Ainv is not None:
+        rows, shifts = [], []
+        for row in Ainv:
+            den, polys = _poly_cleared(row)
+            rows.append(polys)
+            shifts.append(_poly_ord(den))
+    out = []
+    for v in vectors:
+        e, u = _poly_cleared(v)
+        k = _poly_ord(e)
+        if Ainv is None:
+            orders = (_poly_ord(c) - k if c else INF for c in u)
+        else:
+            orders = (_poly_ord(c) - s - k if c else INF
+                      for c, s in zip([_poly_dot(r, u) for r in rows], shifts))
+        out.append(tuple(orders))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -27,9 +27,9 @@ coordinates of a vector are dot products of the rows of the cached inverse
 with it (for a standard basis, the vector itself).  Over Q the valuation is
 0 off zero, so only the zero pattern of the coordinates matters; it is read
 from integer dot products of integer-scaled rows and vectors (positive
-scalings keep the pattern).  Over Q(t) rows and vectors are scaled to
-Z[t], and each valuation is the order at t = 0 of a polynomial dot product
-minus the orders of the two scalings.
+scalings keep the pattern).  Over Q(t) ``linalg.coordinate_orders`` scales
+rows and vectors to Z[t] and reads each valuation as the order at t = 0 of
+a polynomial dot product minus the orders of the two scalings.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .field import (
     FieldError,
     TADIC,
     TRIVIAL,
-    _poly_ord,
     field_by_name,
     format_fraction,
     parse_fraction,
@@ -214,31 +213,17 @@ def _values(norm: DiagNorm, vectors):
     valuation is 0 off zero, so only the zero pattern of the coordinates
     matters: it is read from integer dot products of the integer-scaled
     rows of the inverse with the integer-scaled v, trying the weights in
-    increasing order.  Over Q(t) row j is scaled to Z[t] by D_j and v by e,
-    and v(c_j) = ord(row_j . v) - ord(D_j) - ord(e), with ord the order of
-    a polynomial at t = 0.
+    increasing order.  Over Q(t) the valuations v(c_j) come from
+    ``linalg.coordinate_orders``, which reads them from Z[t] dot products.
     """
     w = norm.weights
     inv = norm._inverse()
     # not cached on the norm: callers keep many norms alive, each for one use
     if norm.field is not TRIVIAL:
-        if inv is norm.basis:
-            rows, shifts = None, w
-        else:
-            rows, shifts = [], []
-            for row, wj in zip(inv, w):
-                den, polys = linalg._poly_cleared(row)
-                rows.append(polys)
-                shifts.append(wj - _poly_ord(den))
-        out = []
-        for v in vectors:
-            e, u = linalg._poly_cleared(v)
-            coords = u if rows is None else [linalg._poly_dot(r, u)
-                                             for r in rows]
-            best = min((_poly_ord(c) + s for c, s in zip(coords, shifts) if c),
-                       default=INF)
-            out.append(best if best is INF else best - _poly_ord(e))
-        return tuple(out)
+        orders = linalg.coordinate_orders(
+            None if inv is norm.basis else inv, vectors)
+        return tuple(min((o + wj for o, wj in zip(ords, w) if o is not INF),
+                         default=INF) for ords in orders)
     order = sorted(range(norm.dim), key=w.__getitem__)
     if inv is norm.basis:
         return tuple(next((w[j] for j in order if v[j]), INF) for v in vectors)

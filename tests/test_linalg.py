@@ -287,3 +287,17 @@ def test_extend_independent_over_qt_matches_rank_oracle(current, candidates
     candidates = [row[:n] for row in candidates]
     assert linalg.extend_independent(current, candidates) == \
         oracles.extend_independent_rank(current, candidates)
+
+
+@_LINALG
+@given(_qt_square(), st.data())
+def test_coordinate_orders_match_valuations(A, data) -> None:
+    d = len(A)
+    vectors = data.draw(_qt_matrices(nrows=3, ncols=d))
+    for inv in (A, None):
+        want = [
+            tuple(map(TADIC.valuation,
+                      v if inv is None else linalg.solve_from_inverse(inv, v)))
+            for v in vectors
+        ]
+        assert linalg.coordinate_orders(inv, vectors) == want
