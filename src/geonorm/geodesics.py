@@ -4,10 +4,16 @@ Two norms admit a common orthogonal basis; along the segment the weights
 interpolate linearly while the basis stays fixed.  The resulting path is
 the metric geodesic for every d_p, and evaluation at rational times stays
 exact.
+
+A geodesic builds the norm of its basis once, on first use (inverting the
+basis), or takes an input norm when the common basis is that norm's own.
+``at``, ``start`` and ``end`` re-weight it, so every norm on the segment
+shares one basis tuple and one cached inverse.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,6 +26,14 @@ class NormGeodesic:
     basis: tuple
     weights0: tuple
     weights1: tuple
+    _norm: DiagNorm | None = dataclasses.field(
+        default=None, init=False, repr=False, compare=False)
+
+    def _base(self) -> DiagNorm:
+        if self._norm is None:
+            object.__setattr__(self, "_norm", DiagNorm(
+                self.field, self.basis, self.weights0))
+        return self._norm
 
     def at(self, t) -> DiagNorm:
         t = Fraction(t)
@@ -27,17 +41,20 @@ class NormGeodesic:
             raise NormError(f"geodesic time {t} outside [0, 1]")
         w = tuple((1 - t) * a + t * b
                   for a, b in zip(self.weights0, self.weights1))
-        return DiagNorm(self.field, self.basis, w)
+        return self._base()._reweighted(w)
 
     @property
     def start(self) -> DiagNorm:
-        return DiagNorm(self.field, self.basis, self.weights0)
+        return self._base()._reweighted(self.weights0)
 
     @property
     def end(self) -> DiagNorm:
-        return DiagNorm(self.field, self.basis, self.weights1)
+        return self._base()._reweighted(self.weights1)
 
 
 def geodesic(n0: DiagNorm, n1: DiagNorm) -> NormGeodesic:
     basis, w0, w1 = codiagonalize(n0, n1)
-    return NormGeodesic(n0.field, tuple(basis), tuple(w0), tuple(w1))
+    geo = NormGeodesic(n0.field, tuple(basis), tuple(w0), tuple(w1))
+    if geo.basis is n0.basis:
+        object.__setattr__(geo, "_norm", n0)  # same-basis path: no inverse
+    return geo

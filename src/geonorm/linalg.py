@@ -13,7 +13,10 @@ one reduced ``RatFunc`` per entry.  Determinants run one Bareiss loop,
 over Z or Z[t], on the row-scaled matrix.  Every result is the field value, since
 the reduced row echelon form (RREF) and the inverse are unique.
 ``coordinate_orders`` reads t-adic valuations of the coordinates of
-vectors from Z[t] dot products, without forming a ``RatFunc``.
+vectors from Z[t] dot products, without forming a ``RatFunc``.  ``smith``
+runs the Smith normal form of M0^{-1} M1 over the t-adic valuation ring
+on Z[t] rows with one denominator each, and builds field elements only
+for its transformation matrix.
 """
 from __future__ import annotations
 
@@ -49,10 +52,6 @@ def identity(field, d):
     return tuple(
         tuple(one if i == j else zero for j in range(d)) for i in range(d)
     )
-
-
-def transpose(A):
-    return tuple(zip(*A)) if A else ()
 
 
 def _zero_like(x):
@@ -186,7 +185,13 @@ def _clear_poly(row, prow, c):
     The two multipliers lose their common power of t and integer content
     first: their whole gcd when either one is a monomial.
     """
-    a, p = row[c], prow[c]
+    a, p = _multipliers(row[c], prow[c])
+    return _poly_primitive_row(
+        [_poly_sub_mul(p, x, a, y) for x, y in zip(row, prow)])
+
+
+def _multipliers(a, p):
+    """a and p without their common power of t and integer content."""
     k = min(_poly_ord(a), _poly_ord(p))
     if k:
         a, p = a[k:], p[k:]
@@ -194,8 +199,7 @@ def _clear_poly(row, prow, c):
     if g > 1:
         a = tuple(x // g for x in a)
         p = tuple(x // g for x in p)
-    return _poly_primitive_row(
-        [_poly_sub_mul(p, x, a, y) for x, y in zip(row, prow)])
+    return a, p
 
 
 def _rref_poly(rows):
@@ -211,6 +215,21 @@ def _rref_poly(rows):
     the cleared matrix.  The result is RREF(A)[i][j] = RREF(A C)[i][j]
     c_p / c_j for the pivot column p of row i.
     """
+    R, pivots, col_dens = _eliminate_poly(rows)
+    zero, one = TADIC.zero, TADIC.one
+    out = []
+    for row, c in zip(R, pivots):
+        p, cp = row[c], col_dens[c]
+        out.append(tuple(
+            zero if not x else one if j == c
+            else RatFunc(_poly_mul(x, cp), _poly_mul(p, col_dens[j]))
+            for j, x in enumerate(row)))
+    return out, pivots
+
+
+def _eliminate_poly(rows):
+    """``(R, pivots, c)`` for ``_rref_poly``: RREF(A C) is row i of R over
+    its pivot, for the column scalings C = diag(c)."""
     rows = [[x if type(x) is RatFunc else RatFunc.of(x) for x in row]
             for row in rows]
     ncols = len(rows[0])
@@ -238,15 +257,7 @@ def _rref_poly(rows):
         prev = p
         pivots.append(c)
         r += 1
-    zero, one = TADIC.zero, TADIC.one
-    out = []
-    for row, c in zip(R, pivots):
-        p, cp = row[c], col_dens[c]
-        out.append(tuple(
-            zero if not x else one if j == c
-            else RatFunc(_poly_mul(x, cp), _poly_mul(p, col_dens[j]))
-            for j, x in enumerate(row)))
-    return out, pivots
+    return R, pivots, col_dens
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +336,97 @@ def _bareiss(M, sub_mul, exact_div, negate):
         prev = pk
     det = M[d - 1][d - 1]
     return negate(det) if odd else det
+
+
+def smith(M0, M1):
+    """Smith normal form of M0^{-1} M1 over the t-adic valuation ring.
+
+    M0 and M1 are invertible Q(t) matrices, as rows.  Returns
+    ``(P, exponents)``: P is a matrix of ``RatFunc``s, invertible over the
+    ring, and P M0^{-1} M1 Q is diagonal, with the t-adic valuations
+    ``exponents``, for a Q invertible over the ring.  Step k takes the
+    entry of least valuation in the trailing submatrix, the first in
+    row-major order on ties, swaps it to (k, k) and clears column k below
+    it by row operations, which P records.  Column k is then zero off the
+    pivot, so the column operations (Q) only zero row k right of it.
+
+    M0^{-1} M1 is read from the Z[t] rows of one fraction-free elimination
+    of [M0 | M1] (see ``_rref_poly``), and the rows of [M0^{-1} M1 | I]
+    run as Z[t] numerators over one denominator per row: valuations are
+    orders at t = 0.  Subtracting a/p times the pivot row, for numerators
+    a and p, gives (p * row - a * pivot row) over (p * den), with the
+    common power of t and integer content of a and p divided out first,
+    and then those of the new row and its denominator.
+    """
+    d = len(M0)
+    E, pivots, c = _eliminate_poly(
+        [tuple(a) + tuple(b) for a, b in zip(M0, M1)])
+    if pivots != list(range(d)):
+        raise SingularMatrixError("matrix is singular")
+    # row i of M0^{-1} M1 is E[i][d + j] c_i / (E[i][i] c_{d+j}); over the
+    # common multiple L of the c_{d+j} its denominator is E[i][i] L
+    L = _P1
+    for x in c[d:]:
+        L = _poly_lcm(L, x)
+    shifts = [_poly_exact_div(L, x) for x in c[d:]]
+    dens, R = [], []
+    for i, row in enumerate(E):
+        den = _poly_mul(row[i], L)
+        polys = [_poly_mul(_poly_mul(x, c[i]), s)
+                 for x, s in zip(row[d:], shifts)]
+        den, polys = _primitive_over(den, polys)
+        dens.append(den)
+        R.append(polys + [den if j == i else () for j in range(d)])
+    exponents = []
+    for k in range(d):
+        best = None
+        for i in range(k, d):
+            s, row = _poly_ord(dens[i]), R[i]
+            for j in range(k, d):
+                if row[j]:
+                    val = _poly_ord(row[j]) - s
+                    if best is None or val < best[0]:
+                        best = (val, i, j)
+        if best is None:
+            raise SingularMatrixError("matrix is singular")
+        val, pi, pj = best
+        R[k], R[pi] = R[pi], R[k]
+        dens[k], dens[pi] = dens[pi], dens[k]
+        if pj != k:
+            for row in R:
+                row[k], row[pj] = row[pj], row[k]
+        prow = R[k]
+        for i in range(k + 1, d):
+            if R[i][k]:
+                dens[i], R[i] = _smith_row_op(dens[i], R[i], prow, k)
+        prow[k + 1:d] = [()] * (d - k - 1)
+        exponents.append(val)
+    P = tuple(tuple(RatFunc(x, den) for x in row[d:])
+              for den, row in zip(dens, R))
+    return P, exponents
+
+
+def _smith_row_op(den, row, prow, k):
+    """``(den, row)`` minus (row[k] / prow[k]) times the pivot row, whose
+    own denominator cancels: zero in columns up to k."""
+    a, p = _multipliers(row[k], prow[k])
+    new = [()] * (k + 1) + [_poly_sub_mul(p, x, a, y)
+                            for x, y in zip(row[k + 1:], prow[k + 1:])]
+    return _primitive_over(_poly_mul(den, p), new)
+
+
+def _primitive_over(den, row):
+    """``(den, row)`` without the common power of t and integer content."""
+    m = min(_poly_ord(den), min((_poly_ord(x) for x in row if x),
+                                 default=len(den)))
+    if m:
+        den = den[m:]
+        row = [x[m:] for x in row]
+    g = math.gcd(_poly_content(den), *map(_poly_content, row))
+    if g > 1:
+        den = tuple(x // g for x in den)
+        row = [tuple(c // g for c in x) for x in row]
+    return den, row
 
 
 def solve_from_inverse(Ainv, b):

@@ -15,9 +15,11 @@ computed by Smith normal form over the valuation ring.  The relative
 spectrum, the d_p distances, the relative volume and the join (max) all
 read off the common basis.
 
-Over Q(t) the lattice branch solves instead of inverting: the change of
-basis M0^{-1} M1 and the common basis each come from one RREF of a block
-matrix, which ``linalg`` eliminates on Z[t] rows.
+Over Q(t) the lattice branch hands the two lattice bases to
+``linalg.smith``, which reads the change of basis M0^{-1} M1 off one
+elimination of [M0 | M1] and runs the Smith pivot loop on Z[t] rows; the
+common basis then comes from one RREF of [P^T | M0^T].  This module only
+handles field elements.
 
 Norms diagonal in the standard basis share one identity basis per field
 and dimension, which is also their inverse, so ``DiagNorm.standard`` costs
@@ -120,6 +122,17 @@ class DiagNorm:
                 except linalg.SingularMatrixError:
                     raise NormError("basis vectors are linearly dependent") from None
         return self._inv
+
+    def _reweighted(self, weights) -> "DiagNorm":
+        """A norm sharing this basis tuple and its cached inverse, with the
+        given weights, coerced and checked as in ``__init__``."""
+        weights = tuple(Fraction(w) for w in weights)
+        if len(weights) != self.dim:
+            raise NormError("basis and weights must have equal length")
+        out = object.__new__(DiagNorm)
+        out.field, out.basis, out.weights = self.field, self.basis, weights
+        out._inv = self._inv
+        return out
 
     # -- evaluation -----------------------------------------------------------
 
@@ -334,47 +347,9 @@ def _codiagonalize_lattices(n0: DiagNorm, n1: DiagNorm):
 
     L0 = lattice_columns(n0)  # list of column vectors
     L1 = lattice_columns(n1)
-    # change of basis M = M0^{-1} M1, whose columns express L1 in terms of
-    # L0 (the columns of M0): the right half of the RREF of [M0 | M1]
-    reduced, _ = linalg.rref([
-        tuple(L0[c][r] for c in range(d)) + tuple(L1[c][r] for c in range(d))
-        for r in range(d)
-    ])
-    A = [list(row[d:]) for row in reduced]
-    P = [list(row) for row in linalg.identity(field, d)]  # accumulates row ops
-
-    def row_op(dst, src, factor):
-        A[dst] = [a - factor * b for a, b in zip(A[dst], A[src])]
-        P[dst] = [a - factor * b for a, b in zip(P[dst], P[src])]
-
-    exponents = []
-    for k in range(d):
-        # min-valuation pivot in the trailing submatrix, smallest (i, j) tie
-        best = None
-        for i in range(k, d):
-            for j in range(k, d):
-                val = field.valuation(A[i][j])
-                if val is INF:
-                    continue
-                if best is None or val < best[0]:
-                    best = (val, i, j)
-        if best is None:
-            raise NormError("internal error: singular change-of-basis matrix")
-        _, pi, pj = best
-        A[k], A[pi] = A[pi], A[k]
-        P[k], P[pi] = P[pi], P[k]
-        for row in A:
-            row[k], row[pj] = row[pj], row[k]
-        pivot = A[k][k]
-        for i in range(k + 1, d):
-            if A[i][k]:
-                row_op(i, k, A[i][k] / pivot)
-        for j in range(k + 1, d):
-            if A[k][j]:
-                factor = A[k][j] / pivot
-                for row in A:
-                    row[j] = row[j] - factor * row[k]
-        exponents.append(int(field.valuation(pivot)))
+    # Smith form of the change of basis M = M0^{-1} M1, whose columns
+    # express L1 in terms of L0 (the columns of M0)
+    P, exponents = linalg.smith(list(zip(*L0)), list(zip(*L1)))
 
     # common basis: the columns of C = M0 P^{-1}, i.e. the rows of C^T,
     # which solves P^T C^T = M0^T: the right half of the RREF of [P^T | M0^T]

@@ -15,7 +15,7 @@ elimination loops are written once for any field: given ``RatFunc``
 entries they run on the library's rational-function operators, the field
 loop that geonorm.linalg's integer-polynomial path replaced, and those
 operators are themselves checked against Euclid reduction over Q.  There
-are four exceptions, each a path the library replaced, kept as a
+are five exceptions, each a path the library replaced, kept as a
 differential reference and composed from the library's own primitives.
 ``legendre_segment_per_t`` is the per-t Legendre construction that
 geonorm.segments replaced.  ``lp_le_witness`` is the comparison that
@@ -27,6 +27,9 @@ them on one common denominator.  ``evaluate_verifies`` checks a
 codiagonalization with one ``DiagNorm.evaluate`` per vector and norm,
 where geonorm.norms reads zero patterns (over Q) and orders at t = 0
 (over Q(t)) from integer and integer-polynomial dot products.
+``codiagonalize_lattices_field`` is the t-adic lattice branch with its
+Smith loop in ``RatFunc`` arithmetic, where geonorm.linalg.smith runs it
+on Z[t] rows with one denominator per row.
 """
 
 from __future__ import annotations
@@ -35,7 +38,10 @@ import itertools
 import math
 from fractions import Fraction
 
+from geonorm import linalg
+from geonorm.field import INF, TADIC
 from geonorm.linprog import minimize_max_affine
+from geonorm.norms import DiagNorm, NormError
 from geonorm.plconvex import prune
 from geonorm.segments import tau_critical_set
 from geonorm.toric import ToricError, ToricMetric, envelope_P
@@ -273,6 +279,84 @@ def evaluate_verifies(n0, n1, result):
     basis, w0, w1 = result
     return all(n0.evaluate(vec) == a and n1.evaluate(vec) == b
                for vec, a, b in zip(basis, w0, w1))
+
+
+# ---------------------------------------------------------------------------
+# Smith normal form in the field: the lattice branch of codiagonalize as it
+# ran before geonorm.linalg.smith moved its row operations to Z[t] rows.
+# ---------------------------------------------------------------------------
+
+
+def codiagonalize_lattices_field(n0: DiagNorm, n1: DiagNorm):
+    """The Smith loop in RatFunc arithmetic, as geonorm.norms ran it."""
+    if any(w.denominator != 1 for w in n0.weights + n1.weights):
+        raise NormError(
+            "t-adic codiagonalization requires integer weights "
+            "(the value group is Z)"
+        )
+    field = TADIC
+    d = n0.dim
+
+    def lattice_columns(n: DiagNorm):
+        # unit ball = R-span of t^{-w_i} s_i
+        return [
+            tuple(field.of(x).shifted(-int(w)) for x in vec)
+            for vec, w in zip(n.basis, n.weights)
+        ]
+
+    L0 = lattice_columns(n0)  # list of column vectors
+    L1 = lattice_columns(n1)
+    # change of basis M = M0^{-1} M1, whose columns express L1 in terms of
+    # L0 (the columns of M0): the right half of the RREF of [M0 | M1]
+    reduced, _ = linalg.rref([
+        tuple(L0[c][r] for c in range(d)) + tuple(L1[c][r] for c in range(d))
+        for r in range(d)
+    ])
+    A = [list(row[d:]) for row in reduced]
+    P = [list(row) for row in linalg.identity(field, d)]  # accumulates row ops
+
+    def row_op(dst, src, factor):
+        A[dst] = [a - factor * b for a, b in zip(A[dst], A[src])]
+        P[dst] = [a - factor * b for a, b in zip(P[dst], P[src])]
+
+    exponents = []
+    for k in range(d):
+        # min-valuation pivot in the trailing submatrix, smallest (i, j) tie
+        best = None
+        for i in range(k, d):
+            for j in range(k, d):
+                val = field.valuation(A[i][j])
+                if val is INF:
+                    continue
+                if best is None or val < best[0]:
+                    best = (val, i, j)
+        if best is None:
+            raise NormError("internal error: singular change-of-basis matrix")
+        _, pi, pj = best
+        A[k], A[pi] = A[pi], A[k]
+        P[k], P[pi] = P[pi], P[k]
+        for row in A:
+            row[k], row[pj] = row[pj], row[k]
+        pivot = A[k][k]
+        for i in range(k + 1, d):
+            if A[i][k]:
+                row_op(i, k, A[i][k] / pivot)
+        for j in range(k + 1, d):
+            if A[k][j]:
+                factor = A[k][j] / pivot
+                for row in A:
+                    row[j] = row[j] - factor * row[k]
+        exponents.append(int(field.valuation(pivot)))
+
+    # common basis: the columns of C = M0 P^{-1}, i.e. the rows of C^T,
+    # which solves P^T C^T = M0^T: the right half of the RREF of [P^T | M0^T]
+    reduced, _ = linalg.rref([
+        tuple(P[r][c] for r in range(d)) + L0[c] for c in range(d)
+    ])
+    basis = tuple(row[d:] for row in reduced)
+    w0 = tuple(Fraction(0) for _ in range(d))
+    w1 = tuple(Fraction(-e) for e in exponents)
+    return basis, w0, w1
 
 
 # ---------------------------------------------------------------------------

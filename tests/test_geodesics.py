@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from geonorm.field import TRIVIAL
-from geonorm.geodesics import geodesic
+from geonorm import linalg
+from geonorm.field import TADIC, TRIVIAL, RatFunc
+from geonorm.geodesics import NormGeodesic, geodesic
 from geonorm.norms import (
     DiagNorm,
     NormError,
@@ -67,6 +68,66 @@ def test_t_out_of_range() -> None:
         g.at(F(3, 2))
     with pytest.raises(NormError):
         g.at(F(-1, 4))
+
+
+def _geodesic_cases():
+    """name -> (n0, n1, whether the common basis is n0's own basis)."""
+    b0 = ((F(1), F(1)), (F(1), F(2)))
+    b1 = ((F(2), F(-1)), (F(0), F(1)))
+    t = RatFunc.t_power(1)
+    q0 = ((TADIC.one, t), (TADIC.zero, TADIC.of(2)))
+    q1 = ((TADIC.of(3), TADIC.one), (t * t, TADIC.one))
+    return {
+        "Q cross": (DiagNorm(TRIVIAL, b0, (F(0), F(1))),
+                    DiagNorm(TRIVIAL, b1, (F(2), F(-1))), False),
+        "Q shared": (DiagNorm(TRIVIAL, b0, (F(0), F(1))),
+                     DiagNorm(TRIVIAL, b0, (F(3), F(-2))), True),
+        "Q(t) cross": (DiagNorm(TADIC, q0, (F(0), F(1))),
+                       DiagNorm(TADIC, q1, (F(-2), F(1))), False),
+        "Q(t) shared": (DiagNorm(TADIC, q0, (F(0), F(1))),
+                        DiagNorm(TADIC, q0, (F(1), F(-3))), True),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_geodesic_cases()))
+def test_geodesic_slices_share_one_inverse(case, monkeypatch) -> None:
+    n0, n1, shared = _geodesic_cases()[case]
+    g = geodesic(n0, n1)
+    calls = []
+    real = linalg.invert
+    monkeypatch.setattr(linalg, "invert",
+                        lambda *args: calls.append(args) or real(*args))
+    ts = (F(1, 4), F(1, 2), F(2, 3))
+    slices = [g.start, g.end] + [g.at(t) for t in ts]
+    assert len(calls) == (0 if shared else 1)
+    monkeypatch.undo()
+    weights = [g.weights0, g.weights1] + [
+        tuple((1 - t) * a + t * b for a, b in zip(g.weights0, g.weights1))
+        for t in ts]
+    for norm, w in zip(slices, weights):
+        assert norm.basis is slices[0].basis
+        expected = DiagNorm(g.field, g.basis, w)
+        assert norm == expected
+        assert norm.to_json() == expected.to_json()
+    for t in (F(-1, 4), F(5, 4)):
+        with pytest.raises(NormError):
+            g.at(t)
+
+
+def test_geodesic_value_semantics_ignore_the_cached_norm() -> None:
+    n0, n1, _ = _geodesic_cases()["Q cross"]
+    g = geodesic(n0, n1)
+    h = NormGeodesic(g.field, g.basis, g.weights0, g.weights1)
+    g.at(F(1, 2))  # builds g's norm, not h's
+    assert g == h and hash(g) == hash(h)
+    assert repr(g) == repr(h) == (
+        f"NormGeodesic(field={g.field!r}, basis={g.basis!r}, "
+        f"weights0={g.weights0!r}, weights1={g.weights1!r})")
+    assert h.at(F(1, 2)) == g.at(F(1, 2))
+    # a slice checks its weights against the basis like DiagNorm does
+    bad = NormGeodesic(TRIVIAL, g.basis, g.weights0, (F(1),))
+    with pytest.raises(NormError):
+        bad.end
 
 
 def test_distance_linear_in_t() -> None:

@@ -497,6 +497,111 @@ def test_lattice_branch_solves_without_inverting(monkeypatch) -> None:
     assert calls == []
 
 
+# -- the Smith loop on Z[t] rows ------------------------------------------------
+
+
+def _raw_entry(kind, c, k):
+    """(num, den) integer coefficient tuples, constant term first:
+    0, c t^k, or (c + t) t^k / (1 + t)."""
+    if kind == 0 or not c:
+        return (), (1,)
+    num = (c,) if kind == 1 else (c, 1)
+    den = (1,) if kind == 1 else (1, 1)
+    if k >= 0:
+        return (0,) * k + num, den
+    return num, (0,) * -k + den
+
+
+@st.composite
+def _raw_lattice_pairs(draw):
+    """Bases of two Q(t) norms as raw (num, den) entries, with integer
+    weights in [-4, 4].
+
+    Dimension 1 to 4.  Entries are 0, c t^k or (c + t) t^k / (1 + t) for
+    |k| <= 2; a flat basis (constants only) makes every valuation of the
+    change of basis tie, so the pivot order rests on the (i, j) tie-break.
+    """
+    d = draw(st.integers(1, 4))
+    out = []
+    for _ in range(2):
+        flat = draw(st.booleans())
+        kinds = st.just(1) if flat else st.sampled_from((0, 1, 1, 1, 2))
+        powers = st.just(0) if flat else st.integers(-2, 2)
+        entry = st.tuples(kinds, st.integers(-3, 3), powers)
+        basis = tuple(tuple(_raw_entry(*draw(entry)) for _ in range(d))
+                      for _ in range(d))
+        weights = tuple(draw(st.lists(st.integers(-4, 4), min_size=d,
+                                      max_size=d)))
+        out.append((basis, weights))
+    return out
+
+
+def _lattice_norms(raw):
+    norms = []
+    for basis, weights in raw:
+        try:
+            norms.append(DiagNorm(
+                TADIC, tuple(tuple(RatFunc(n, e) for n, e in vec)
+                             for vec in basis), tuple(map(F, weights))))
+        except NormError:
+            assume(False)
+    return norms
+
+
+@settings(max_examples=200)
+@given(_raw_lattice_pairs())
+def test_smith_matches_field_oracle(raw) -> None:
+    # basis, weights and so every printed basis entry for entry: the same
+    # pivots, row operations and P as the RatFunc loop
+    n0, n1 = _lattice_norms(raw)
+    assert norms._codiagonalize_lattices(n0, n1) == \
+        oracles.codiagonalize_lattices_field(n0, n1)
+
+
+def test_smith_breaks_valuation_ties_by_first_index() -> None:
+    # every entry of M0^{-1} M1 has valuation 0: the pivots are taken in
+    # row-major order, as the field loop takes them
+    n0 = DiagNorm(TADIC, ((F(1), F(2)), (F(3), F(1))), (F(0), F(0)))
+    n1 = DiagNorm(TADIC, ((F(2), F(1)), (F(1), F(1))), (F(0), F(0)))
+    got = norms._codiagonalize_lattices(n0, n1)
+    assert got == oracles.codiagonalize_lattices_field(n0, n1)
+    assert spectrum(n0, n1) == (F(0), F(0))
+
+
+def _ord_t(poly, t):
+    coeffs = poly.as_poly(t).all_coeffs()[::-1]
+    return next(i for i, c in enumerate(coeffs) if c)
+
+
+@settings(max_examples=40)
+@given(_raw_lattice_pairs())
+def test_smith_exponents_match_sympy_invariant_factors(raw) -> None:
+    # Smith form over Q[t] (sympy, tests only), localized at t: the
+    # invariant factors f_i of D M for M = M0^{-1} M1 and a polynomial D
+    # clearing M have t-adic orders ord(f_i) = e_i + ord(D)
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    n0, n1 = _lattice_norms(raw)
+    t = sympy.Symbol("t")
+
+    def lattice(basis, weights):
+        # columns t^{-w_i} s_i
+        d = len(basis)
+        return sympy.Matrix(d, d, lambda r, c: sympy.Poly(
+            basis[c][r][0][::-1] or [0], t).as_expr()
+            / sympy.Poly(basis[c][r][1][::-1], t).as_expr()
+            * t ** -weights[c])
+
+    (b0, w0), (b1, w1) = raw
+    M = (lattice(b0, w0).inv() * lattice(b1, w1)).applyfunc(sympy.cancel)
+    D = sympy.lcm([sympy.fraction(x)[1] for x in M])
+    factors = invariant_factors((M * D).applyfunc(sympy.cancel),
+                                domain=sympy.QQ[t])
+    expected = sorted(_ord_t(f, t) - _ord_t(D, t) for f in factors)
+    assert spectrum(n0, n1) == tuple(F(e) for e in expected)
+
+
 # -- functorial constructions --------------------------------------------------
 
 
