@@ -283,7 +283,7 @@ def cmd_toric_energy(args):
     cfg = load_config(args.config)
     names = args.pair.split(",") if args.pair else None
     phi0, phi1 = metric_pair(cfg, names)
-    res = energy(phi0, phi1, kmax=args.kmax or 8)
+    res = energy(phi0, phi1, kmax=_task_kmax({}, args))
     path = _emit(res.rows(), args.format or cfg.output_format, args.out, "energy")
     print(f"energy limit = {format_fraction(res.limit)}"
           + (f" -> {path}" if path else ""))
@@ -297,7 +297,7 @@ def cmd_segments_maximal(args):
     t = parse_fraction(args.t)
     if not 0 <= t <= 1:
         raise ConfigError(f"--t must lie in [0, 1], got {args.t}")
-    metric = maximal_segment(phi0, phi1, t, kmax=args.kmax or 8)
+    metric = maximal_segment(phi0, phi1, t, kmax=_task_kmax({}, args))
     path = _emit(metric.to_json(), "json", args.out, f"maximal_t_{t.numerator}_{t.denominator}")
     pieces = len(metric.potential.pieces)
     print(f"maximal segment at t = {args.t}: potential with {pieces} pieces"
@@ -390,6 +390,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        if args.kmax is not None and args.kmax < 1:
+            raise ConfigError(f"--kmax must be a positive integer, got {args.kmax}")
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

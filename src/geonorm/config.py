@@ -143,6 +143,10 @@ _VERIFY_REFS = {
 }
 
 
+# ops evaluated at one segment time t
+_NEEDS_T = ("geodesic", "maximal", "legendre")
+
+
 def _is_positive_int(value) -> bool:
     return type(value) is int and value >= 1
 
@@ -183,6 +187,8 @@ def _validate_task(idx, task, parsed):
         if name not in parsed[kind]:
             raise ConfigError(
                 f"task {idx} ({op}) references undefined {kind} object {name!r}")
+    if op in _NEEDS_T and "t" not in task:
+        raise ConfigError(f"task {idx} ({op}): needs a 't' in [0, 1]")
     if "t" in task:
         t = parse_fraction(str(task["t"]))
         if not 0 <= t <= 1:

@@ -2,16 +2,16 @@
 
 Vectors are tuples of field elements, matrices are tuples of row tuples.
 
-No elimination runs in the field.  Over Q (every entry a ``Fraction``)
-each row is scaled to coprime integers, and elimination replaces a row by
-an integer combination with the pivot row and divides its content out.
-Over Q(t) (``RatFunc`` entries) each column is scaled to integer
-polynomials in t (Z[t]) and the matrix is eliminated fraction-free: each
-step divides exactly by the previous pivot (Bareiss 1968).  The field
-elements of the result are built once, at the end: one ``Fraction`` or
-one reduced ``RatFunc`` per entry.  Determinants run one Bareiss loop,
-over Z or Z[t], on the row-scaled matrix.  Every result is the field value, since
-the reduced row echelon form (RREF) and the inverse are unique.
+No elimination runs in the field.  Each column of the matrix is scaled to
+integers over the lcm of its denominators (Q, ``Fraction`` entries) or to
+integer polynomials in t over a common multiple of its denominators (Q(t),
+``RatFunc`` entries, Z[t]), and ``rref``, ``invert`` and the front
+elimination of ``smith`` run one fraction-free Gauss-Jordan loop,
+``_gauss_jordan``, over Z or Z[t].  The field elements of the result are
+built once, at the end: one ``Fraction`` or one reduced ``RatFunc`` per
+entry.  Determinants run one triangular Bareiss loop, over Z or Z[t], on
+the row-scaled matrix.  Every result is the field value, since the reduced
+row echelon form (RREF) and the inverse are unique.
 ``coordinate_orders`` reads t-adic valuations of the coordinates of
 vectors from Z[t] dot products, without forming a ``RatFunc``.  ``smith``
 runs the Smith normal form of M0^{-1} M1 over the t-adic valuation ring
@@ -71,7 +71,9 @@ def _dot(u, v):
 
 
 # ---------------------------------------------------------------------------
-# Integer rows: the Q path.
+# Fraction-free elimination.  Over Q the matrix is cleared to Z by columns;
+# over Q(t) to Z[t], where a polynomial is a trimmed tuple of integer
+# coefficients, constant term first, as in ``geonorm.field``.
 # ---------------------------------------------------------------------------
 
 
@@ -88,52 +90,6 @@ def _cleared(row):
     """``(den, ints)`` with ``ints == den * row``; den is the lcm of denominators."""
     den = math.lcm(*(x.denominator for x in row))
     return den, [x.numerator * (den // x.denominator) for x in row]
-
-
-def _integer_row(row):
-    """Coprime integers proportional (by a positive factor) to a Q row."""
-    return _primitive(_cleared(row)[1])
-
-
-def _clear_int(row, prow, c):
-    """``row`` with column ``c`` cleared by ``prow``, as primitive integers."""
-    a, p = row[c], prow[c]
-    g = math.gcd(a, p)
-    a, p = a // g, p // g
-    return _primitive([p * x - a * y for x, y in zip(row, prow)])
-
-
-def _rref_rational(rows):
-    R = [r for r in map(_integer_row, rows) if any(r)]
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == len(R):
-            break
-        pr = next((i for i in range(r, len(R)) if R[i][c]), None)
-        if pr is None:
-            continue
-        R[r], R[pr] = R[pr], R[r]
-        prow = R[r]
-        for i, row in enumerate(R):
-            if i != r and row[c]:
-                R[i] = _clear_int(row, prow, c)
-        pivots.append(c)
-        r += 1
-    out = []
-    for row, c in zip(R, pivots):
-        p = row[c]
-        out.append(tuple(
-            _ZERO if not x else _ONE if x == p else Fraction(x, p) for x in row
-        ))
-    return out, pivots
-
-
-# ---------------------------------------------------------------------------
-# Integer-polynomial rows: the Q(t) path.  A polynomial is a trimmed tuple
-# of integer coefficients, constant term first, as in ``geonorm.field``.
-# ---------------------------------------------------------------------------
 
 
 def _poly_cleared(row):
@@ -174,71 +130,24 @@ def _poly_primitive_row(row):
     return row
 
 
-def _poly_row(row):
-    """Z[t] row proportional to a Q(t) row, without common t-power or content."""
-    return _poly_primitive_row(_poly_cleared(row)[1])
+def _int_sub_mul(p, x, a, y):
+    return p * x - a * y
 
 
-def _clear_poly(row, prow, c):
-    """``row`` with column ``c`` cleared by ``prow``, as a primitive Z[t] row.
+def _gauss_jordan(R, sub_mul, exact_div, one):
+    """Fraction-free Gauss-Jordan elimination of R in place; returns the
+    pivot columns.
 
-    The two multipliers lose their common power of t and integer content
-    first: their whole gcd when either one is a monomial.
+    The ring (Z or Z[t]) is given by sub_mul(p, x, a, y) = p*x - a*y,
+    exact division and its one.  Each pivot step replaces every other row
+    by (pivot * row - entry * pivot row) divided by the previous pivot, an
+    exact division (Bareiss 1968; sympy's ``ddm_irref_den``): the entries
+    stay minors of the input.  Row i of the RREF is then row i of R over
+    its pivot, for i below the number of pivots.
     """
-    a, p = _multipliers(row[c], prow[c])
-    return _poly_primitive_row(
-        [_poly_sub_mul(p, x, a, y) for x, y in zip(row, prow)])
-
-
-def _multipliers(a, p):
-    """a and p without their common power of t and integer content."""
-    k = min(_poly_ord(a), _poly_ord(p))
-    if k:
-        a, p = a[k:], p[k:]
-    g = math.gcd(_poly_content(a), _poly_content(p))
-    if g > 1:
-        a = tuple(x // g for x in a)
-        p = tuple(x // g for x in p)
-    return a, p
-
-
-def _rref_poly(rows):
-    """RREF over Q(t) by fraction-free Gauss-Jordan over Z[t].
-
-    Each column is cleared to Z[t] over a common multiple c_j of its
-    denominators: the Q(t) matrices eliminated here mostly hold basis
-    vectors as columns (``[A | I]`` in ``invert``, ``[M0 | M1]`` in the
-    lattice branch of ``codiagonalize``), and a basis vector shares one
-    denominator.  Each pivot step replaces every other row by (pivot * row
-    - entry * pivot row) divided by the previous pivot, an exact division
-    (Bareiss 1968; sympy's ``ddm_irref_den``): the entries stay minors of
-    the cleared matrix.  The result is RREF(A)[i][j] = RREF(A C)[i][j]
-    c_p / c_j for the pivot column p of row i.
-    """
-    R, pivots, col_dens = _eliminate_poly(rows)
-    zero, one = TADIC.zero, TADIC.one
-    out = []
-    for row, c in zip(R, pivots):
-        p, cp = row[c], col_dens[c]
-        out.append(tuple(
-            zero if not x else one if j == c
-            else RatFunc(_poly_mul(x, cp), _poly_mul(p, col_dens[j]))
-            for j, x in enumerate(row)))
-    return out, pivots
-
-
-def _eliminate_poly(rows):
-    """``(R, pivots, c)`` for ``_rref_poly``: RREF(A C) is row i of R over
-    its pivot, for the column scalings C = diag(c)."""
-    rows = [[x if type(x) is RatFunc else RatFunc.of(x) for x in row]
-            for row in rows]
-    ncols = len(rows[0])
-    col_dens = [_den_lcm(col) for col in zip(*rows)]
-    R = [[_times(x, den) for x, den in zip(row, col_dens)] for row in rows]
-    R = [_poly_primitive_row(r) for r in R if any(r)]
     pivots = []
-    r, prev = 0, _P1
-    for c in range(ncols):
+    r, prev = 0, one
+    for c in range(len(R[0]) if R else 0):
         if r == len(R):
             break
         pr = next((i for i in range(r, len(R)) if R[i][c]), None)
@@ -250,14 +159,40 @@ def _eliminate_poly(rows):
         for i, row in enumerate(R):
             if i != r:
                 a = row[c]
-                new = [_poly_sub_mul(p, x, a, y) for x, y in zip(row, prow)]
-                if prev != _P1:
-                    new = [_poly_exact_div(x, prev) for x in new]
+                new = [sub_mul(p, x, a, y) for x, y in zip(row, prow)]
+                if prev != one:
+                    new = [exact_div(x, prev) for x in new]
                 R[i] = new
         prev = p
         pivots.append(c)
         r += 1
-    return R, pivots, col_dens
+    return pivots
+
+
+def _eliminate_int(rows):
+    """``(R, pivots, c)`` for a Q matrix A: RREF(A C) is row i of R over its
+    pivot, for the column scalings C = diag(c) that clear A to Z."""
+    col_dens = [math.lcm(*(x.denominator for x in col)) for col in zip(*rows)]
+    R = [[x.numerator * (den // x.denominator) for x, den in zip(row, col_dens)]
+         for row in rows]
+    R = [_primitive(r) for r in R if any(r)]
+    return R, _gauss_jordan(R, _int_sub_mul, floordiv, 1), col_dens
+
+
+def _eliminate_poly(rows):
+    """``(R, pivots, c)`` for a Q(t) matrix A: RREF(A C) is row i of R over
+    its pivot, for the column scalings C = diag(c) that clear A to Z[t].
+
+    The Q(t) matrices eliminated here mostly hold basis vectors as columns
+    (``[A | I]`` in ``invert``, ``[M0 | M1]`` in ``smith``), and a basis
+    vector shares one denominator.
+    """
+    rows = [[x if type(x) is RatFunc else RatFunc.of(x) for x in row]
+            for row in rows]
+    col_dens = [_den_lcm(col) for col in zip(*rows)]
+    R = [[_times(x, den) for x, den in zip(row, col_dens)] for row in rows]
+    R = [_poly_primitive_row(r) for r in R if any(r)]
+    return R, _gauss_jordan(R, _poly_sub_mul, _poly_exact_div, _P1), col_dens
 
 
 # ---------------------------------------------------------------------------
@@ -266,12 +201,27 @@ def _eliminate_poly(rows):
 
 
 def rref(rows):
-    """Reduced row echelon form.  Returns (rows, pivot column indices)."""
+    """Reduced row echelon form.  Returns (rows, pivot column indices).
+
+    The matrix A is cleared by columns, A C with C = diag(c), and
+    eliminated by ``_gauss_jordan``: RREF(A)[i][j] = R[i][j] c_p / (R[i][p]
+    c_j) for the pivot column p of row i, one ``Fraction`` or one reduced
+    ``RatFunc`` per entry.
+    """
     if not rows:
         return [], []
     if _is_rational(rows):
-        return _rref_rational(rows)
-    return _rref_poly(rows)
+        R, pivots, dens = _eliminate_int(rows)
+        return [tuple(
+            _ZERO if not x else _ONE if j == c
+            else Fraction(x * dens[c], row[c] * dens[j])
+            for j, x in enumerate(row)) for row, c in zip(R, pivots)], pivots
+    R, pivots, dens = _eliminate_poly(rows)
+    zero, one = TADIC.zero, TADIC.one
+    return [tuple(
+        zero if not x else one if j == c
+        else RatFunc(_poly_mul(x, dens[c]), _poly_mul(row[c], dens[j]))
+        for j, x in enumerate(row)) for row, c in zip(R, pivots)], pivots
 
 
 def invert(field, A):
@@ -304,10 +254,6 @@ def determinant(A):
         scale = _poly_mul(scale, den)
     return RatFunc(_bareiss(M, _poly_sub_mul, _poly_exact_div, _poly_neg),
                    scale)
-
-
-def _int_sub_mul(p, x, a, y):
-    return p * x - a * y
 
 
 def _bareiss(M, sub_mul, exact_div, negate):
@@ -351,7 +297,7 @@ def smith(M0, M1):
     pivot, so the column operations (Q) only zero row k right of it.
 
     M0^{-1} M1 is read from the Z[t] rows of one fraction-free elimination
-    of [M0 | M1] (see ``_rref_poly``), and the rows of [M0^{-1} M1 | I]
+    of [M0 | M1] (see ``_eliminate_poly``), and the rows of [M0^{-1} M1 | I]
     run as Z[t] numerators over one denominator per row: valuations are
     orders at t = 0.  Subtracting a/p times the pivot row, for numerators
     a and p, gives (p * row - a * pivot row) over (p * den), with the
@@ -413,6 +359,18 @@ def _smith_row_op(den, row, prow, k):
     new = [()] * (k + 1) + [_poly_sub_mul(p, x, a, y)
                             for x, y in zip(row[k + 1:], prow[k + 1:])]
     return _primitive_over(_poly_mul(den, p), new)
+
+
+def _multipliers(a, p):
+    """a and p without their common power of t and integer content."""
+    k = min(_poly_ord(a), _poly_ord(p))
+    if k:
+        a, p = a[k:], p[k:]
+    g = math.gcd(_poly_content(a), _poly_content(p))
+    if g > 1:
+        a = tuple(x // g for x in a)
+        p = tuple(x // g for x in p)
+    return a, p
 
 
 def _primitive_over(den, row):
@@ -485,32 +443,3 @@ def intersect_spans(U, V):
     block = [tuple(u) + tuple(u) for u in U] + [tuple(v) + pad for v in V]
     R, pivots = rref(block)
     return [row[n:] for row, c in zip(R, pivots) if c >= n]
-
-
-def extend_independent(current, candidates):
-    """Vectors from ``candidates`` independent of ``current`` and each other.
-
-    Every vector is reduced against the rows kept so far, each with its own
-    pivot column; a candidate is picked when a nonzero remainder is left,
-    and the remainder joins the kept rows.
-    """
-    if _is_rational(current) and _is_rational(candidates):
-        scale, clear = _integer_row, _clear_int
-    else:
-        scale, clear = _poly_row, _clear_poly
-    echelon = []  # (pivot column, row); each row is zero at earlier pivots
-
-    def independent(v):
-        v = scale(v)
-        for c, row in echelon:
-            if v[c]:
-                v = clear(v, row, c)
-        pivot = next((c for c, x in enumerate(v) if x), None)
-        if pivot is None:
-            return False
-        echelon.append((pivot, v))
-        return True
-
-    for v in current:
-        independent(v)
-    return [v for v in candidates if independent(v)]

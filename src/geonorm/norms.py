@@ -15,6 +15,12 @@ computed by Smith normal form over the valuation ring.  The relative
 spectrum, the d_p distances, the relative volume and the join (max) all
 read off the common basis.
 
+Over Q the split is one pivot-column elimination: the RREF rows of every
+intersection F0^s n F1^t, for the jumps s and t in decreasing (s, t)
+order, are the columns of one matrix, and the common basis is the rows at
+the pivot columns of its ``linalg.rref``, each independent of the rows
+before it.
+
 Over Q(t) the lattice branch hands the two lattice bases to
 ``linalg.smith``, which reads the change of basis M0^{-1} M1 off one
 elimination of [M0 | M1] and runs the Smith pivot loop on Z[t] rows; the
@@ -263,11 +269,14 @@ def codiagonalize(n0: DiagNorm, n1: DiagNorm):
     weights1[i] for each common basis vector s_i (see ``_values``).
 
     Over the trivially valued field the algorithm splits the pair of
-    associated filtrations, taking jump values in decreasing order and
-    picking complements inside the intersections.  Over the t-adic field
-    the weights must be integers; the two unit balls are then lattices
-    over the valuation ring and Smith normal form of the change-of-basis
-    matrix produces the common basis.
+    associated filtrations: it stacks the RREF rows of the intersections
+    F0^s n F1^t in decreasing (s, t) order and keeps each row independent
+    of the rows before it, read from the pivot columns of one RREF.  This
+    picks complements inside the intersections, since the earlier
+    intersections lie in the span of the rows already kept.  Over the
+    t-adic field the weights must be integers; the two unit balls are then
+    lattices over the valuation ring and Smith normal form of the
+    change-of-basis matrix produces the common basis.
     """
     if n0.field is not n1.field:
         raise NormError("cannot codiagonalize norms over different fields")
@@ -291,42 +300,23 @@ def _codiagonalize_same_basis(n0: DiagNorm, n1: DiagNorm):
     return n0.basis, n0.weights, n1.weights
 
 
-def _filtration_step(norm: DiagNorm, s: Fraction):
-    return [vec for vec, w in zip(norm.basis, norm.weights) if w >= s]
-
-
 def _codiagonalize_filtrations(n0: DiagNorm, n1: DiagNorm):
-    d = n0.dim
-    jumps0 = sorted(set(n0.weights), reverse=True)
-    jumps1 = sorted(set(n1.weights), reverse=True)
-    steps0 = {s: _filtration_step(n0, s) for s in jumps0}
-    steps1 = {t: _filtration_step(n1, t) for t in jumps1}
-
-    inter: dict[tuple[int, int], list] = {}
-
-    def intersection(i: int, j: int):
-        # F0^{jumps0[i]} n F1^{jumps1[j]} in RREF; out-of-range index means {0}
-        if i < 0 or j < 0:
-            return []
-        if (i, j) not in inter:
-            inter[(i, j)] = linalg.intersect_spans(steps0[jumps0[i]], steps1[jumps1[j]])
-        return inter[(i, j)]
-
-    basis, w0, w1 = [], [], []
-    for i, s in enumerate(jumps0):
-        for j, t in enumerate(jumps1):
-            W = intersection(i, j)
-            if not W:
-                continue
-            below = intersection(i - 1, j) + intersection(i, j - 1) + basis
-            picked = linalg.extend_independent(below, W)
-            for vec in picked:
-                basis.append(vec)
-                w0.append(s)
-                w1.append(t)
-    if len(basis) != d:
+    # (row, s, t) for the RREF rows of every F0^s n F1^t, in decreasing
+    # (s, t) order; a row is kept when it is independent of the rows before
+    # it: the pivot columns of the matrix with the rows as columns
+    steps1 = [(t, [vec for vec, w in zip(n1.basis, n1.weights) if w >= t])
+              for t in sorted(set(n1.weights), reverse=True)]
+    stacked = []
+    for s in sorted(set(n0.weights), reverse=True):
+        step0 = [vec for vec, w in zip(n0.basis, n0.weights) if w >= s]
+        for t, step1 in steps1:
+            stacked += [(vec, s, t)
+                        for vec in linalg.intersect_spans(step0, step1)]
+    _, pivots = linalg.rref(list(zip(*(row for row, _, _ in stacked))))
+    if len(pivots) != n0.dim:
         raise NormError("internal error: filtration splitting lost dimensions")
-    return tuple(basis), tuple(w0), tuple(w1)
+    basis, w0, w1 = zip(*(stacked[k] for k in pivots))
+    return basis, w0, w1
 
 
 def _codiagonalize_lattices(n0: DiagNorm, n1: DiagNorm):

@@ -14,8 +14,11 @@ come from coordinates under a Fraction inverse (``norm_values``).  The
 elimination loops are written once for any field: given ``RatFunc``
 entries they run on the library's rational-function operators, the field
 loop that geonorm.linalg's integer-polynomial path replaced, and those
-operators are themselves checked against Euclid reduction over Q.  There
-are five exceptions, each a path the library replaced, kept as a
+operators are themselves checked against Euclid reduction over Q.
+``codiagonalize_filtrations`` is the filtration split that geonorm.norms
+replaced with one pivot-column elimination; it picks complements
+intersection by intersection with this file's own span intersections and
+rank tests.  There are five exceptions, each a path the library replaced, kept as a
 differential reference and composed from the library's own primitives.
 ``legendre_segment_per_t`` is the per-t Legendre construction that
 geonorm.segments replaced.  ``lp_le_witness`` is the comparison that
@@ -191,6 +194,45 @@ def extend_independent_rank(current, candidates):
         if len(rref_field(base + picked + [v])[0]) > r + len(picked):
             picked.append(v)
     return picked
+
+
+def codiagonalize_filtrations(n0: DiagNorm, n1: DiagNorm):
+    """The filtration split of two norms over Q, as geonorm.norms ran it.
+
+    For the jumps s of n0 and t of n1 in decreasing (s, t) order, the
+    vectors of F0^s r F1^t that are independent of the adjacent
+    intersections F0^{s'} r F1^t and F0^s r F1^{t'} (s' and t' the next
+    larger jumps) and of the basis picked so far join the basis, with
+    weights (s, t).  geonorm.norms keeps the pivot columns of one RREF of
+    all the intersections' rows instead.
+    """
+    d = n0.dim
+    jumps0 = sorted(set(n0.weights), reverse=True)
+    jumps1 = sorted(set(n1.weights), reverse=True)
+
+    def step(norm, s):
+        return [vec for vec, w in zip(norm.basis, norm.weights) if w >= s]
+
+    def intersection(i, j):
+        # out-of-range index means {0}
+        if i < 0 or j < 0:
+            return []
+        return intersect_spans_kernel(step(n0, jumps0[i]), step(n1, jumps1[j]))
+
+    basis, w0, w1 = [], [], []
+    for i, s in enumerate(jumps0):
+        for j, t in enumerate(jumps1):
+            W = intersection(i, j)
+            if not W:
+                continue
+            below = intersection(i - 1, j) + intersection(i, j - 1) + basis
+            for vec in extend_independent_rank(below, W):
+                basis.append(vec)
+                w0.append(s)
+                w1.append(t)
+    if len(basis) != d:
+        raise NormError("internal error: filtration splitting lost dimensions")
+    return tuple(basis), tuple(w0), tuple(w1)
 
 
 def trivial_spectrum(basis0, weights0, basis1, weights1):

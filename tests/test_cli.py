@@ -417,6 +417,37 @@ def test_zero_dimensional_norm_exits_2(tmp_path, capsys) -> None:
         capsys, "config error: bad norms object 'a': a norm needs dimension")
 
 
+def test_task_without_t_exits_2(tmp_path, capsys) -> None:
+    cfg = _pair_config(tmp_path, [{"op": "maximal", "metrics": ["phi0", "phi1"]}])
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    _assert_one_line_error(capsys,
+                           "config error: task 0 (maximal): needs a 't'")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["toric", "energy", "--kmax", "0"],
+    ["toric", "energy", "--kmax", "-1"],
+    ["segments", "maximal", "--t", "1/2", "--kmax", "0"],
+    ["segments", "verify", "--kmax", "0"],
+    ["run", "--kmax", "0"],
+    ["run", "--kmax", "-2"],
+    ["suite", "norms", "--kmax", "0"],
+])
+def test_kmax_below_1_exits_2(tmp_path, capsys, argv) -> None:
+    cfg = _pair_config(tmp_path, [
+        {"op": "energy", "metrics": ["phi0", "phi1"]},
+        {"op": "verify", "target": "theoremB", "metrics": ["phi0", "phi1"]},
+    ])
+    out = tmp_path / "out"
+    if argv[0] != "suite":
+        argv = argv + ["--config", cfg]
+    assert main(argv + ["--out", str(out)]) == 2
+    _assert_one_line_error(capsys,
+                           "config error: --kmax must be a positive integer")
+    assert not out.exists()
+
+
 # -- fuzzing: a valid config and argv, mutated ------------------------------------
 
 

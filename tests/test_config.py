@@ -145,6 +145,23 @@ def test_task_t_range(tmp_path) -> None:
         load_config(_write(tmp_path, doc))
 
 
+@pytest.mark.parametrize("task", [
+    {"op": "geodesic", "norms": ["a", "a"]},
+    {"op": "maximal", "metrics": ["phi0", "phi1"]},
+    {"op": "legendre", "metrics": ["phi0", "phi1"]},
+])
+def test_task_needs_t(tmp_path, task) -> None:
+    doc = _demo_doc()
+    doc["objects"]["norms"] = {
+        "a": {"field": "trivial", "basis": [[{"q": "1"}]], "weights": ["0"]}}
+    doc["tasks"].append(task)
+    with pytest.raises(ConfigError,
+                       match=rf"^task 2 \({task['op']}\): needs a 't'"):
+        load_config(_write(tmp_path, doc))
+    task["t"] = "1/2"
+    load_config(_write(tmp_path, doc))
+
+
 def test_unknown_object_kind(tmp_path) -> None:
     doc = _demo_doc()
     doc["objects"]["bundles"] = {}

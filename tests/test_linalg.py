@@ -115,8 +115,6 @@ def test_subspaces_over_qt() -> None:
     V = [(t(1), t(2))]
     assert linalg.intersect_spans(U, V) == [(one, t(1))]
     assert linalg.intersect_spans(V, V) == [(one, t(1))]
-    assert linalg.extend_independent(V, [(one, t(1)), (zero, t(-1))]) == [
-        (zero, t(-1))]
 
 
 # -- the integer Q path against the field-arithmetic slow paths ----------------
@@ -192,14 +190,6 @@ def _span_pairs(draw):
 def test_intersect_spans_matches_kernel_oracle(pair) -> None:
     U, V = pair
     assert linalg.intersect_spans(U, V) == oracles.intersect_spans_kernel(U, V)
-
-
-@_LINALG
-@given(_span_pairs(), st.integers(0, 6))
-def test_extend_independent_matches_rank_oracle(pair, keep) -> None:
-    current, candidates = pair[0][:keep], pair[1]
-    assert linalg.extend_independent(current, candidates) == \
-        oracles.extend_independent_rank(current, candidates)
 
 
 # -- the integer-polynomial Q(t) path against the field loop --------------------
@@ -279,17 +269,6 @@ def test_invert_and_determinant_over_qt_match_field_oracle(A) -> None:
 
 
 @_LINALG
-@given(_qt_matrices(), _qt_matrices())
-def test_extend_independent_over_qt_matches_rank_oracle(current, candidates
-                                                        ) -> None:
-    n = min(len(current[0]), len(candidates[0]))
-    current = [row[:n] for row in current]
-    candidates = [row[:n] for row in candidates]
-    assert linalg.extend_independent(current, candidates) == \
-        oracles.extend_independent_rank(current, candidates)
-
-
-@_LINALG
 @given(_qt_square(), st.data())
 def test_coordinate_orders_match_valuations(A, data) -> None:
     d = len(A)
@@ -301,3 +280,52 @@ def test_coordinate_orders_match_valuations(A, data) -> None:
             for v in vectors
         ]
         assert linalg.coordinate_orders(inv, vectors) == want
+
+
+# -- no elimination runs in the field ------------------------------------------
+
+_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__",
+               "__mul__", "__rmul__", "__truediv__", "__rtruediv__")
+
+
+def _random_qt(rng, nrows, ncols):
+    t = RatFunc.t_power
+    entries = (TADIC.zero, t(-1), t(2), RatFunc((1, 1), (2, -1)),
+               RatFunc((3,), (1, 0, 1)), RatFunc.of(Fraction(-2, 3)) * t(1))
+    return [tuple(rng.choice(entries) for _ in range(ncols))
+            for _ in range(nrows)]
+
+
+def test_elimination_runs_no_field_arithmetic(monkeypatch) -> None:
+    rng = random.Random(23)
+    rational = [[[Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                  for _ in range(ncols)] for _ in range(nrows)]
+                for nrows, ncols in ((1, 1), (3, 5), (5, 3), (4, 4), (6, 6))]
+    rational.append([[Fraction(0)] * 3] * 2)
+    poly = [_random_qt(rng, nrows, ncols)
+            for nrows, ncols in ((1, 1), (2, 4), (4, 2), (3, 3), (4, 4))]
+    pairs = [(_random_qt(rng, d, d), _random_qt(rng, d, d))
+             for d in (1, 2, 3, 3, 4)]
+    calls = []
+    for cls in (Fraction, RatFunc):
+        for name in _ARITHMETIC:
+            def counted(*args, _real=getattr(cls, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(cls, name, counted)
+
+    for field, matrices in ((TRIVIAL, rational), (TADIC, poly)):
+        for A in matrices:
+            linalg.rref(A)
+            if len(A) == len(A[0]):
+                try:
+                    linalg.invert(field, A)
+                except linalg.SingularMatrixError:
+                    pass
+    for M0, M1 in pairs:
+        try:
+            linalg.smith(M0, M1)
+        except linalg.SingularMatrixError:
+            pass
+    monkeypatch.undo()
+    assert calls == []

@@ -254,6 +254,35 @@ def test_batched_values_match_fraction_oracle(case) -> None:
     assert oracles.evaluate_verifies(n0, n1, result)
 
 
+@st.composite
+def _filtration_pairs(draw):
+    """Two norms over Q of one dimension in 1..5 with random, different
+    bases, whose weights take at most three values each, so that the
+    filtrations repeat levels."""
+    d = draw(st.integers(1, 5))
+    entry = st.builds(F, st.integers(-3, 3), st.sampled_from((1, 1, 2, 3)))
+
+    def norm():
+        basis = tuple(tuple(draw(entry) for _ in range(d)) for _ in range(d))
+        assume(oracles.invert_field(basis) is not None)
+        levels = draw(st.lists(st.builds(F, st.integers(-3, 3),
+                                         st.sampled_from((1, 2))),
+                               min_size=1, max_size=3))
+        weights = tuple(draw(st.sampled_from(levels)) for _ in range(d))
+        return DiagNorm(TRIVIAL, basis, weights)
+
+    n0, n1 = norm(), norm()
+    assume(n0.basis != n1.basis)
+    return n0, n1
+
+
+@settings(max_examples=150)
+@given(_filtration_pairs())
+def test_filtration_split_matches_extend_independent_oracle(pair) -> None:
+    n0, n1 = pair
+    assert codiagonalize(n0, n1) == oracles.codiagonalize_filtrations(n0, n1)
+
+
 # -- spectrum, distance, volume ----------------------------------------------
 
 
