@@ -14,15 +14,19 @@ the row-scaled matrix.  Every result is the field value, since the reduced
 row echelon form (RREF) and the inverse are unique.
 ``coordinate_orders`` reads t-adic valuations of the coordinates of
 vectors from Z[t] dot products, without forming a ``RatFunc``.  ``smith``
-runs the Smith normal form of M0^{-1} M1 over the t-adic valuation ring
-on Z[t] rows with one denominator each, and builds field elements only
+is the one codiagonalization kernel: a Smith loop on X = M0^{-1} M1 whose
+pivot minimizes ord(X_ij) + a_i - b_j for row offsets a and column offsets
+b, run over Z for Q (ord is a zero test) and over Z[t] for Q(t) (ord is
+ord_t), on rows with one denominator each; it builds field elements only
 for its transformation matrix.
 """
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
-from operator import floordiv, neg
+from functools import reduce
+from operator import floordiv, mul, neg
 
 from .field import (
     INF,
@@ -284,107 +288,108 @@ def _bareiss(M, sub_mul, exact_div, negate):
     return negate(det) if odd else det
 
 
-def smith(M0, M1):
-    """Smith normal form of M0^{-1} M1 over the t-adic valuation ring.
+def smith(M0, M1, a=None, b=None):
+    """Weighted-pivot Smith form of X = M0^{-1} M1: the codiagonalization
+    kernel, over Q or Q(t).
 
-    M0 and M1 are invertible Q(t) matrices, as rows.  Returns
-    ``(P, exponents)``: P is a matrix of ``RatFunc``s, invertible over the
-    ring, and P M0^{-1} M1 Q is diagonal, with the t-adic valuations
-    ``exponents``, for a Q invertible over the ring.  Step k takes the
-    entry of least valuation in the trailing submatrix, the first in
-    row-major order on ties, swaps it to (k, k) and clears column k below
-    it by row operations, which P records.  Column k is then zero off the
-    pivot, so the column operations (Q) only zero row k right of it.
+    The columns of the invertible matrices M0 and M1 (given as rows) are
+    orthogonal bases of two norms, on the -log scale: column i of M0 has
+    value a[i] in the first, column j of M1 value b[j] in the second
+    (rationals, zero when omitted).  ord is ord_t on Q(t) and 0 off zero on
+    the trivially valued Q.  Step k takes the entry X_ij of the trailing
+    submatrix that minimizes ord(X_ij) + a_i - b_j, the first in row-major
+    order on ties, swaps it to (k, k) and clears column k below it by row
+    operations, which P records: valid changes of the first basis, as the
+    pivot is least in its column.  Least in its row, it also makes the
+    column operations that would clear row k valid changes of the second
+    basis, so row k is just zeroed right of the pivot.
 
-    M0^{-1} M1 is read from the Z[t] rows of one fraction-free elimination
-    of [M0 | M1] (see ``_eliminate_poly``), and the rows of [M0^{-1} M1 | I]
-    run as Z[t] numerators over one denominator per row: valuations are
-    orders at t = 0.  Subtracting a/p times the pivot row, for numerators
-    a and p, gives (p * row - a * pivot row) over (p * den), with the
-    common power of t and integer content of a and p divided out first,
-    and then those of the new row and its denominator.
+    Returns ``(P, w0, w1)``: column k of M0 P^{-1} is orthogonal for both
+    norms, of value w0[k] (its row's offset) in the first and w1[k] (its
+    column's offset minus the pivot's ord) in the second.  Without offsets
+    this is the Smith form over the valuation ring, and -w1 lists the ords
+    of the invariant factors.
+
+    The loop runs on the ring ``_Z`` (Q) or ``_ZT`` (Q(t)), the offsets on
+    integers over their common denominator.  X is read from the rows of one
+    fraction-free elimination of [M0 | M1] (``_eliminate_int`` or
+    ``_eliminate_poly``), and the rows of [X | I] run as numerators over one
+    denominator each.  Subtracting c/p times the pivot row, for numerators
+    c and p, gives (p * row - c * pivot row) over (p * den), with the common
+    factors of c and p divided out first, and then those of the new row and
+    its denominator.
     """
     d = len(M0)
-    E, pivots, c = _eliminate_poly(
-        [tuple(a) + tuple(b) for a, b in zip(M0, M1)])
+    ring = _Z if _is_rational(M0) and _is_rational(M1) else _ZT
+    order, zero = ring.order, ring.zero
+    E, pivots, c = ring.eliminate([tuple(x) + tuple(y) for x, y in zip(M0, M1)])
     if pivots != list(range(d)):
         raise SingularMatrixError("matrix is singular")
-    # row i of M0^{-1} M1 is E[i][d + j] c_i / (E[i][i] c_{d+j}); over the
-    # common multiple L of the c_{d+j} its denominator is E[i][i] L
-    L = _P1
-    for x in c[d:]:
-        L = _poly_lcm(L, x)
-    shifts = [_poly_exact_div(L, x) for x in c[d:]]
+    # row i of X is E[i][d + j] c_i / (E[i][i] c_{d+j}); over the common
+    # multiple L of the c_{d+j} its denominator is E[i][i] L
+    L = reduce(ring.lcm, c[d:])
+    shifts = [ring.exact_div(L, x) for x in c[d:]]
     dens, R = [], []
     for i, row in enumerate(E):
-        den = _poly_mul(row[i], L)
-        polys = [_poly_mul(_poly_mul(x, c[i]), s)
-                 for x, s in zip(row[d:], shifts)]
-        den, polys = _primitive_over(den, polys)
+        den, *polys = ring.primitive(
+            [ring.mul(row[i], L)]
+            + [ring.mul(ring.mul(x, c[i]), s) for x, s in zip(row[d:], shifts)])
         dens.append(den)
-        R.append(polys + [den if j == i else () for j in range(d)])
-    exponents = []
+        R.append(polys + [den if j == i else zero for j in range(d)])
+    a, b = a or (0,) * d, b or (0,) * d
+    D = math.lcm(*(x.denominator for x in a), *(x.denominator for x in b))
+    A = [x.numerator * (D // x.denominator) for x in a]
+    B = [x.numerator * (D // x.denominator) for x in b]
+    w0, w1 = [], []
     for k in range(d):
         best = None
         for i in range(k, d):
-            s, row = _poly_ord(dens[i]), R[i]
+            s, row = order(dens[i]) * D - A[i], R[i]
             for j in range(k, d):
                 if row[j]:
-                    val = _poly_ord(row[j]) - s
-                    if best is None or val < best[0]:
-                        best = (val, i, j)
+                    key = order(row[j]) * D - s - B[j]
+                    if best is None or key < best[0]:
+                        best = (key, i, j)
         if best is None:
             raise SingularMatrixError("matrix is singular")
-        val, pi, pj = best
+        key, pi, pj = best
         R[k], R[pi] = R[pi], R[k]
         dens[k], dens[pi] = dens[pi], dens[k]
+        A[k], A[pi] = A[pi], A[k]
         if pj != k:
+            B[k], B[pj] = B[pj], B[k]
             for row in R:
                 row[k], row[pj] = row[pj], row[k]
         prow = R[k]
         for i in range(k + 1, d):
             if R[i][k]:
-                dens[i], R[i] = _smith_row_op(dens[i], R[i], prow, k)
-        prow[k + 1:d] = [()] * (d - k - 1)
-        exponents.append(val)
-    P = tuple(tuple(RatFunc(x, den) for x in row[d:])
+                dens[i], R[i] = _smith_row_op(ring, dens[i], R[i], prow, k)
+        prow[k + 1:d] = [zero] * (d - k - 1)
+        w0.append(Fraction(A[k], D))
+        w1.append(Fraction(A[k] - key, D))
+    P = tuple(tuple(ring.element(x, den) for x in row[d:])
               for den, row in zip(dens, R))
-    return P, exponents
+    return P, tuple(w0), tuple(w1)
 
 
-def _smith_row_op(den, row, prow, k):
+def _smith_row_op(ring, den, row, prow, k):
     """``(den, row)`` minus (row[k] / prow[k]) times the pivot row, whose
     own denominator cancels: zero in columns up to k."""
-    a, p = _multipliers(row[k], prow[k])
-    new = [()] * (k + 1) + [_poly_sub_mul(p, x, a, y)
-                            for x, y in zip(row[k + 1:], prow[k + 1:])]
-    return _primitive_over(_poly_mul(den, p), new)
+    p, a = ring.primitive([prow[k], row[k]])
+    den, *new = ring.primitive(
+        [ring.mul(den, p)] + [ring.zero] * (k + 1)
+        + [ring.sub_mul(p, x, a, y) for x, y in zip(row[k + 1:], prow[k + 1:])])
+    return den, new
 
 
-def _multipliers(a, p):
-    """a and p without their common power of t and integer content."""
-    k = min(_poly_ord(a), _poly_ord(p))
-    if k:
-        a, p = a[k:], p[k:]
-    g = math.gcd(_poly_content(a), _poly_content(p))
-    if g > 1:
-        a = tuple(x // g for x in a)
-        p = tuple(x // g for x in p)
-    return a, p
-
-
-def _primitive_over(den, row):
-    """``(den, row)`` without the common power of t and integer content."""
-    m = min(_poly_ord(den), min((_poly_ord(x) for x in row if x),
-                                 default=len(den)))
-    if m:
-        den = den[m:]
-        row = [x[m:] for x in row]
-    g = math.gcd(_poly_content(den), *map(_poly_content, row))
-    if g > 1:
-        den = tuple(x // g for x in den)
-        row = [tuple(c // g for c in x) for x in row]
-    return den, row
+# The ring operations of the loop in ``smith``: Z for Q, where ord is 0 off
+# zero, and Z[t] for Q(t).
+_Ring = namedtuple("_Ring", "eliminate lcm mul exact_div order sub_mul "
+                            "primitive element zero")
+_Z = _Ring(_eliminate_int, math.lcm, mul, floordiv, lambda x: 0,
+           _int_sub_mul, _primitive, Fraction, 0)
+_ZT = _Ring(_eliminate_poly, _poly_lcm, _poly_mul, _poly_exact_div, _poly_ord,
+            _poly_sub_mul, _poly_primitive_row, RatFunc, ())
 
 
 def solve_from_inverse(Ainv, b):
@@ -427,19 +432,3 @@ def span_basis(vectors):
     """Independent subset spanning the same space, as echelonized rows."""
     R, _ = rref(vectors)
     return [row for row in R if any(row)]
-
-
-def intersect_spans(U, V):
-    """Basis of span(U) n span(V) in RREF; U, V are lists of vectors.
-
-    Zassenhaus: in the RREF of the block ``[U | U ; V | 0]`` the rows whose
-    pivot lies in the right half have zero left halves, and their right
-    halves are the RREF of the intersection.
-    """
-    if not U or not V:
-        return []
-    n = len(U[0])
-    pad = (_zero_like(V[0][0]),) * n
-    block = [tuple(u) + tuple(u) for u in U] + [tuple(v) + pad for v in V]
-    R, pivots = rref(block)
-    return [row[n:] for row, c in zip(R, pivots) if c >= n]

@@ -7,25 +7,15 @@ Everything is done on the -log scale, so ``evaluate`` returns
 ``min_i (valuation(a_i) + weights[i])``, an exact rational (``INF`` for 0).
 
 The central construction is ``codiagonalize``: any two diagonalizable
-norms over the same field admit a common diagonalizing basis.  Over the
-trivially valued field this is a statement about pairs of vector-space
-filtrations and is proved by a splitting argument; over the t-adic field
-with integer weights it is the elementary divisor theorem for lattices,
-computed by Smith normal form over the valuation ring.  The relative
-spectrum, the d_p distances, the relative volume and the join (max) all
-read off the common basis.
-
-Over Q the split is one pivot-column elimination: the RREF rows of every
-intersection F0^s n F1^t, for the jumps s and t in decreasing (s, t)
-order, are the columns of one matrix, and the common basis is the rows at
-the pivot columns of its ``linalg.rref``, each independent of the rows
-before it.
-
-Over Q(t) the lattice branch hands the two lattice bases to
-``linalg.smith``, which reads the change of basis M0^{-1} M1 off one
-elimination of [M0 | M1] and runs the Smith pivot loop on Z[t] rows; the
-common basis then comes from one RREF of [P^T | M0^T].  This module only
-handles field elements.
+norms over the same field admit a common diagonalizing basis
+(Goldman-Iwahori).  One algorithm finds it over both fields: the
+weighted-pivot kernel ``linalg.smith`` on the change of basis between the
+two norms' bases, with the weights as pivot offsets (over Q(t) their
+fractional parts, after shifting each basis vector by t^(-floor(w)), so
+any rational weights work).  Over Q the result is put in the canonical
+form of the filtration split.  The relative spectrum, the d_p distances,
+the relative volume and the join (max) all read off the common basis.
+This module only handles field elements.
 
 Norms diagonal in the standard basis share one identity basis per field
 and dimension, which is also their inverse, so ``DiagNorm.standard`` costs
@@ -268,28 +258,25 @@ def codiagonalize(n0: DiagNorm, n1: DiagNorm):
     verified before returning: n0(s_i) = weights0[i] and n1(s_i) =
     weights1[i] for each common basis vector s_i (see ``_values``).
 
-    Over the trivially valued field the algorithm splits the pair of
-    associated filtrations: it stacks the RREF rows of the intersections
-    F0^s n F1^t in decreasing (s, t) order and keeps each row independent
-    of the rows before it, read from the pivot columns of one RREF.  This
-    picks complements inside the intersections, since the earlier
-    intersections lie in the span of the rows already kept.  Over the
-    t-adic field the weights must be integers; the two unit balls are then
-    lattices over the valuation ring and Smith normal form of the
-    change-of-basis matrix produces the common basis.
+    Norms that share their basis are returned as they are.  Otherwise the
+    weighted-pivot kernel ``linalg.smith`` runs on the two bases as
+    columns, with the weights as offsets.  Over Q(t) each column s_i is
+    shifted to t^(-floor(w_i)) s_i, a basis of the unit ball, and its
+    offset is the fractional part of w_i, so any rational weights work; the
+    kernel's basis is the result.  Over Q the kernel's basis c_i, with
+    weights (a_i, b_i), is put in the form the filtration split gave it:
+    for each pair (s, t) that occurs, in decreasing order, the RREF rows of
+    F0^s n F1^t = span{c_i : a_i >= s, b_i >= t} are stacked, and each row
+    independent of the rows before it is kept, read from the pivot columns
+    of one RREF.  An RREF is unique, so the result does not depend on the
+    kernel's choices.
     """
     if n0.field is not n1.field:
         raise NormError("cannot codiagonalize norms over different fields")
     if n0.dim != n1.dim:
         raise NormError("cannot codiagonalize norms of different dimensions")
-    if n0.basis == n1.basis:
-        split = _codiagonalize_same_basis
-    elif n0.field is TRIVIAL:
-        split = _codiagonalize_filtrations
-    elif n0.field is TADIC:
-        split = _codiagonalize_lattices
-    else:  # pragma: no cover - only two backends exist
-        raise NormError(f"unsupported field {n0.field!r}")
+    split = (_codiagonalize_same_basis if n0.basis == n1.basis
+             else _codiagonalize_pivots)
     basis, w0, w1 = result = split(n0, n1)
     if _values(n0, basis) != tuple(w0) or _values(n1, basis) != tuple(w1):
         raise NormError("internal error: common basis failed verification")
@@ -300,56 +287,37 @@ def _codiagonalize_same_basis(n0: DiagNorm, n1: DiagNorm):
     return n0.basis, n0.weights, n1.weights
 
 
-def _codiagonalize_filtrations(n0: DiagNorm, n1: DiagNorm):
-    # (row, s, t) for the RREF rows of every F0^s n F1^t, in decreasing
-    # (s, t) order; a row is kept when it is independent of the rows before
-    # it: the pivot columns of the matrix with the rows as columns
-    steps1 = [(t, [vec for vec, w in zip(n1.basis, n1.weights) if w >= t])
-              for t in sorted(set(n1.weights), reverse=True)]
+def _codiagonalize_pivots(n0: DiagNorm, n1: DiagNorm):
+    d = n0.dim
+    (cols0, a), (cols1, b) = _kernel_columns(n0), _kernel_columns(n1)
+    P, w0, w1 = linalg.smith(list(zip(*cols0)), list(zip(*cols1)), a, b)
+    # common basis: the columns of C = M0 P^{-1}, i.e. the rows of C^T,
+    # which solves P^T C^T = M0^T: the right half of the RREF of [P^T | M0^T]
+    reduced, _ = linalg.rref([
+        tuple(P[r][c] for r in range(d)) + tuple(cols0[c]) for c in range(d)
+    ])
+    basis = tuple(row[d:] for row in reduced)
+    if n0.field is TADIC:
+        return basis, w0, w1
     stacked = []
-    for s in sorted(set(n0.weights), reverse=True):
-        step0 = [vec for vec, w in zip(n0.basis, n0.weights) if w >= s]
-        for t, step1 in steps1:
-            stacked += [(vec, s, t)
-                        for vec in linalg.intersect_spans(step0, step1)]
+    for s, t in sorted(set(zip(w0, w1)), reverse=True):
+        meet = [vec for vec, x, y in zip(basis, w0, w1) if x >= s and y >= t]
+        stacked += [(row, s, t) for row in linalg.rref(meet)[0]]
     _, pivots = linalg.rref(list(zip(*(row for row, _, _ in stacked))))
-    if len(pivots) != n0.dim:
-        raise NormError("internal error: filtration splitting lost dimensions")
     basis, w0, w1 = zip(*(stacked[k] for k in pivots))
     return basis, w0, w1
 
 
-def _codiagonalize_lattices(n0: DiagNorm, n1: DiagNorm):
-    if any(w.denominator != 1 for w in n0.weights + n1.weights):
-        raise NormError(
-            "t-adic codiagonalization requires integer weights "
-            "(the value group is Z)"
-        )
-    field = TADIC
-    d = n0.dim
-
-    def lattice_columns(n: DiagNorm):
-        # unit ball = R-span of t^{-w_i} s_i
-        return [
-            tuple(field.of(x).shifted(-int(w)) for x in vec)
-            for vec, w in zip(n.basis, n.weights)
-        ]
-
-    L0 = lattice_columns(n0)  # list of column vectors
-    L1 = lattice_columns(n1)
-    # Smith form of the change of basis M = M0^{-1} M1, whose columns
-    # express L1 in terms of L0 (the columns of M0)
-    P, exponents = linalg.smith(list(zip(*L0)), list(zip(*L1)))
-
-    # common basis: the columns of C = M0 P^{-1}, i.e. the rows of C^T,
-    # which solves P^T C^T = M0^T: the right half of the RREF of [P^T | M0^T]
-    reduced, _ = linalg.rref([
-        tuple(P[r][c] for r in range(d)) + L0[c] for c in range(d)
-    ])
-    basis = tuple(row[d:] for row in reduced)
-    w0 = tuple(Fraction(0) for _ in range(d))
-    w1 = tuple(Fraction(-e) for e in exponents)
-    return basis, w0, w1
+def _kernel_columns(n: DiagNorm):
+    """The columns and offsets ``linalg.smith`` starts from: over Q the
+    basis and weights, over Q(t) the columns t^(-floor(w_i)) s_i and the
+    fractional parts of the w_i."""
+    if n.field is not TADIC:
+        return n.basis, n.weights
+    floors = [math.floor(w) for w in n.weights]
+    return ([tuple(x.shifted(-f) for x in vec) if f else vec
+             for vec, f in zip(n.basis, floors)],
+            [w - f for w, f in zip(n.weights, floors)])
 
 
 # ---------------------------------------------------------------------------

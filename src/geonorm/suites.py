@@ -334,8 +334,7 @@ def _check_geodesic_affine_volume(seed):
     for trial in range(100):
         geo, n0, n1 = _geodesic_pair(rng)
         # geo.start is n0 rewritten in the common basis, so the distance
-        # computations below stay on the shared-basis fast path even when
-        # the interpolated weights leave the integer value group
+        # computations below stay on the shared-basis fast path
         total = volume(geo.start, geo.end)
         vols = {}
         trivial = n0.field is TRIVIAL

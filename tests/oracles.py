@@ -16,10 +16,12 @@ entries they run on the library's rational-function operators, the field
 loop that geonorm.linalg's integer-polynomial path replaced, and those
 operators are themselves checked against Euclid reduction over Q.
 ``codiagonalize_filtrations`` is the filtration split that geonorm.norms
-replaced with one pivot-column elimination; it picks complements
-intersection by intersection with this file's own span intersections and
-rank tests.  There are five exceptions, each a path the library replaced, kept as a
-differential reference and composed from the library's own primitives.
+replaced with its weighted-pivot kernel (``geonorm.linalg.smith``); it
+picks complements intersection by intersection with this file's own span
+intersections and rank tests, and the kernel's basis, put in filtration
+form, must equal its result tuple for tuple.  There are five exceptions,
+each a path the library replaced, kept as a differential reference and
+composed from the library's own primitives.
 ``legendre_segment_per_t`` is the per-t Legendre construction that
 geonorm.segments replaced.  ``lp_le_witness`` is the comparison that
 geonorm.plconvex replaced: one exact simplex (``geonorm.linprog``, which
@@ -31,8 +33,9 @@ codiagonalization with one ``DiagNorm.evaluate`` per vector and norm,
 where geonorm.norms reads zero patterns (over Q) and orders at t = 0
 (over Q(t)) from integer and integer-polynomial dot products.
 ``codiagonalize_lattices_field`` is the t-adic lattice branch with its
-Smith loop in ``RatFunc`` arithmetic, where geonorm.linalg.smith runs it
-on Z[t] rows with one denominator per row.
+Smith loop in ``RatFunc`` arithmetic, for integer weights only, where
+geonorm.linalg.smith runs it on Z[t] rows with one denominator per row and
+takes the fractional parts of rational weights as pivot offsets.
 """
 
 from __future__ import annotations
@@ -203,8 +206,8 @@ def codiagonalize_filtrations(n0: DiagNorm, n1: DiagNorm):
     vectors of F0^s r F1^t that are independent of the adjacent
     intersections F0^{s'} r F1^t and F0^s r F1^{t'} (s' and t' the next
     larger jumps) and of the basis picked so far join the basis, with
-    weights (s, t).  geonorm.norms keeps the pivot columns of one RREF of
-    all the intersections' rows instead.
+    weights (s, t).  geonorm.norms intersects nothing: it reads each
+    F0^s r F1^t off the common basis of its weighted-pivot kernel.
     """
     d = n0.dim
     jumps0 = sorted(set(n0.weights), reverse=True)

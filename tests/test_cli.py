@@ -277,6 +277,16 @@ def test_segments_verify_needs_input(capsys) -> None:
     assert "--config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [["--config", "/nonexistent.json"],
+                                  ["--kmax", "3"]])
+def test_suite_refuses_config_and_kmax(capsys, flag) -> None:
+    # suite reads neither a config nor a quantization depth
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", "kiselman"] + flag)
+    assert exc.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+
+
 def _level2_path(mid_weights):
     return {
         "ring": {"n": 1, "m": 1},
@@ -432,7 +442,6 @@ def test_task_without_t_exits_2(tmp_path, capsys) -> None:
     ["segments", "verify", "--kmax", "0"],
     ["run", "--kmax", "0"],
     ["run", "--kmax", "-2"],
-    ["suite", "norms", "--kmax", "0"],
 ])
 def test_kmax_below_1_exits_2(tmp_path, capsys, argv) -> None:
     cfg = _pair_config(tmp_path, [
@@ -440,9 +449,7 @@ def test_kmax_below_1_exits_2(tmp_path, capsys, argv) -> None:
         {"op": "verify", "target": "theoremB", "metrics": ["phi0", "phi1"]},
     ])
     out = tmp_path / "out"
-    if argv[0] != "suite":
-        argv = argv + ["--config", cfg]
-    assert main(argv + ["--out", str(out)]) == 2
+    assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
     _assert_one_line_error(capsys,
                            "config error: --kmax must be a positive integer")
     assert not out.exists()

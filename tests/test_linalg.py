@@ -81,40 +81,12 @@ def test_invert_singular_raises() -> None:
                                 [Fraction(2), Fraction(4)]])
 
 
-def test_intersect_spans_dimension_random() -> None:
-    rng = random.Random(13)
-    for _ in range(60):
-        d = rng.randint(2, 4)
-        U = [[Fraction(rng.randint(-2, 2)) for _ in range(d)]
-             for _ in range(rng.randint(1, d))]
-        V = [[Fraction(rng.randint(-2, 2)) for _ in range(d)]
-             for _ in range(rng.randint(1, d))]
-        U = [u for u in U if any(u)]
-        V = [v for v in V if any(v)]
-        if not U or not V:
-            continue
-        got = linalg.intersect_spans(U, V)
-        assert len(got) == oracles.intersection_dim(U, V)
-        for w in got:
-            assert oracles.rank(U + [w]) == oracles.rank(U)
-            assert oracles.rank(V + [w]) == oracles.rank(V)
-
-
 def test_solve_from_inverse() -> None:
     A = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
     inv = linalg.invert(TRIVIAL, A)
     b = (Fraction(3), Fraction(2))
     x = linalg.solve_from_inverse(inv, b)
     assert tuple(linalg.mat_vec(A, x)) == b
-
-
-def test_subspaces_over_qt() -> None:
-    t = RatFunc.t_power
-    one, zero = TADIC.one, TADIC.zero
-    U = [(one, t(1)), (zero, one)]
-    V = [(t(1), t(2))]
-    assert linalg.intersect_spans(U, V) == [(one, t(1))]
-    assert linalg.intersect_spans(V, V) == [(one, t(1))]
 
 
 # -- the integer Q path against the field-arithmetic slow paths ----------------
@@ -177,19 +149,6 @@ def test_invert_and_determinant_match_field_oracle(A) -> None:
             linalg.invert(TRIVIAL, A)
     else:
         assert linalg.invert(TRIVIAL, A) == inv
-
-
-@st.composite
-def _span_pairs(draw):
-    ncols = draw(st.integers(1, 6))
-    return draw(_matrices(ncols=ncols)), draw(_matrices(ncols=ncols))
-
-
-@_LINALG
-@given(_span_pairs())
-def test_intersect_spans_matches_kernel_oracle(pair) -> None:
-    U, V = pair
-    assert linalg.intersect_spans(U, V) == oracles.intersect_spans_kernel(U, V)
 
 
 # -- the integer-polynomial Q(t) path against the field loop --------------------

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 import oracles
 from geonorm import norms
 from geonorm.field import INF, TADIC, TRIVIAL, RatFunc
+from geonorm.geodesics import geodesic
 from geonorm.norms import (
     DiagNorm,
     NormError,
@@ -113,16 +114,6 @@ def test_codiagonalize_tadic_lattice_pair() -> None:
     assert spectrum(n0, n1) == (F(0), F(1))
 
 
-def test_codiagonalize_tadic_rejects_fractional_weights() -> None:
-    # shared-basis pairs interpolate fine at any weights; the lattice walk
-    # behind genuinely different bases needs integer weights
-    one, zero = TADIC.one, TADIC.zero
-    n0 = DiagNorm.trivial(TADIC, 2)
-    n1 = DiagNorm(TADIC, ((one, one), (one, zero)), (F(1, 2), F(0)))
-    with pytest.raises(NormError):
-        codiagonalize(n0, n1)
-
-
 # -- verification of codiagonalize -------------------------------------------
 
 
@@ -148,8 +139,8 @@ def _corrupt_vector(result):
 _PATHS = {
     "same_basis": ("_codiagonalize_same_basis",
                    lambda: (_std((0, 1)), _std((1, 0)))),
-    "filtrations": ("_codiagonalize_filtrations", _cross_pair),
-    "lattices": ("_codiagonalize_lattices", _tadic_lattice_pair),
+    "filtrations": ("_codiagonalize_pivots", _cross_pair),
+    "lattices": ("_codiagonalize_pivots", _tadic_lattice_pair),
 }
 
 
@@ -255,11 +246,11 @@ def test_batched_values_match_fraction_oracle(case) -> None:
 
 
 @st.composite
-def _filtration_pairs(draw):
-    """Two norms over Q of one dimension in 1..5 with random, different
-    bases, whose weights take at most three values each, so that the
-    filtrations repeat levels."""
-    d = draw(st.integers(1, 5))
+def _filtration_pairs(draw, dims=(1, 5)):
+    """Two norms over Q of one dimension in ``dims`` (1..5 by default) with
+    random, different bases, whose weights take at most three values each,
+    so that the filtrations repeat levels."""
+    d = draw(st.integers(*dims))
     entry = st.builds(F, st.integers(-3, 3), st.sampled_from((1, 1, 2, 3)))
 
     def norm():
@@ -281,6 +272,17 @@ def _filtration_pairs(draw):
 def test_filtration_split_matches_extend_independent_oracle(pair) -> None:
     n0, n1 = pair
     assert codiagonalize(n0, n1) == oracles.codiagonalize_filtrations(n0, n1)
+
+
+@settings(max_examples=100)
+@given(_filtration_pairs(dims=(2, 6)))
+def test_weighted_pivots_keep_the_filtration_split_over_q(pair) -> None:
+    # the kernel's common basis, put in the filtration form, is the basis
+    # the filtration split picked, tuple for tuple
+    n0, n1 = pair
+    got = norms._codiagonalize_pivots(n0, n1)
+    assert got == oracles.codiagonalize_filtrations(n0, n1)
+    assert codiagonalize(n0, n1) == got
 
 
 # -- spectrum, distance, volume ----------------------------------------------
@@ -521,8 +523,9 @@ def test_lattice_branch_solves_without_inverting(monkeypatch) -> None:
         real = getattr(linalg, name, None)
         monkeypatch.setattr(linalg, name, counted(name, real), raising=False)
     for n0, n1 in pairs:
-        result = norms._codiagonalize_lattices(n0, n1)
+        result = norms._codiagonalize_pivots(n0, n1)
         assert oracles.evaluate_verifies(n0, n1, result)
+        assert codiagonalize(n0, n1) == result
     assert calls == []
 
 
@@ -583,8 +586,10 @@ def test_smith_matches_field_oracle(raw) -> None:
     # basis, weights and so every printed basis entry for entry: the same
     # pivots, row operations and P as the RatFunc loop
     n0, n1 = _lattice_norms(raw)
-    assert norms._codiagonalize_lattices(n0, n1) == \
-        oracles.codiagonalize_lattices_field(n0, n1)
+    got = norms._codiagonalize_pivots(n0, n1)
+    assert got == oracles.codiagonalize_lattices_field(n0, n1)
+    if n0.basis != n1.basis:
+        assert codiagonalize(n0, n1) == got
 
 
 def test_smith_breaks_valuation_ties_by_first_index() -> None:
@@ -592,9 +597,59 @@ def test_smith_breaks_valuation_ties_by_first_index() -> None:
     # row-major order, as the field loop takes them
     n0 = DiagNorm(TADIC, ((F(1), F(2)), (F(3), F(1))), (F(0), F(0)))
     n1 = DiagNorm(TADIC, ((F(2), F(1)), (F(1), F(1))), (F(0), F(0)))
-    got = norms._codiagonalize_lattices(n0, n1)
+    got = norms._codiagonalize_pivots(n0, n1)
     assert got == oracles.codiagonalize_lattices_field(n0, n1)
+    assert codiagonalize(n0, n1) == got
     assert spectrum(n0, n1) == (F(0), F(0))
+
+
+def _substitute_t_power(raw, q):
+    """The raw pairs with t replaced by t^q in every coefficient tuple."""
+    def sub(poly):
+        out = [0] * (q * (len(poly) - 1) + 1) if poly else []
+        for k, c in enumerate(poly):
+            out[q * k] = c
+        return tuple(out)
+
+    return [(tuple(tuple((sub(n), sub(e)) for n, e in vec) for vec in basis),
+             weights) for basis, weights in raw]
+
+
+@settings(max_examples=60)
+@given(_raw_lattice_pairs(), st.sampled_from((2, 3)))
+def test_rational_weights_by_ramified_base_change(raw, q) -> None:
+    # u = t^(1/q) generates a totally ramified extension Q(u) of Q(t), with
+    # the orthogonal basis 1, u, ..., u^(q-1); orthogonal bases over Q(t)
+    # stay orthogonal over Q(u), where ord_u = q ord_t.  So the weights W/q
+    # over Q(t) have 1/q times the spectrum of the weights W over
+    # Q(u) = Q(t), with t -> t^q in every entry (u -> t)
+    n0, n1 = _lattice_norms([(basis, [F(w, q) for w in weights])
+                             for basis, weights in raw])
+    assert oracles.evaluate_verifies(n0, n1, codiagonalize(n0, n1))
+    m0, m1 = _lattice_norms(_substitute_t_power(raw, q))
+    _, v0, v1 = oracles.codiagonalize_lattices_field(m0, m1)
+    assert spectrum(n0, n1) == tuple(sorted(F(a - b, q)
+                                            for a, b in zip(v0, v1)))
+
+
+_QUARTERS = tuple(F(k, 4) for k in range(5))
+
+
+@settings(max_examples=40)
+@given(_raw_lattice_pairs())
+def test_tadic_geodesic_is_a_metric_geodesic(raw) -> None:
+    # the slices share the common basis; n0 and n1 keep their own, so the
+    # distances from them to an interior slice codiagonalize rational
+    # weights over Q(t)
+    n0, n1 = _lattice_norms(raw)
+    geo = geodesic(n0, n1)
+    points = ([(s, geo.at(s)) for s in _QUARTERS]
+              + [(F(0), n0), (F(1), n1)])
+    for p in (1, math.inf):
+        total = distance(n0, n1, p)
+        for s, a in points:
+            for u, b in points:
+                assert distance(a, b, p) == abs(u - s) * total
 
 
 def _ord_t(poly, t):

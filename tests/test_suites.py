@@ -135,12 +135,13 @@ def test_filtration_spectrum_oracle_matches_trivial_spectrum() -> None:
 
 
 def test_filtration_spectrum_oracle_avoids_intersect_spans(monkeypatch) -> None:
-    # codiagonalize relies on intersect_spans, so the suite's independent
-    # side must not: a fault there could otherwise pass both sides
+    # codiagonalize relies on the weighted-pivot kernel linalg.smith, so the
+    # suite's independent side must not: a fault there could otherwise pass
+    # both sides
     def refuse(*args):
-        raise AssertionError("the oracle called intersect_spans")
+        raise AssertionError("the oracle called linalg.smith")
 
-    monkeypatch.setattr(linalg, "intersect_spans", refuse)
+    monkeypatch.setattr(linalg, "smith", refuse)
     for b0, w0, b1, w1 in _random_trivial_pairs(31, 10):
         got = _filtration_spectrum_oracle(DiagNorm(TRIVIAL, b0, w0),
                                           DiagNorm(TRIVIAL, b1, w1))
