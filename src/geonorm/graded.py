@@ -6,15 +6,33 @@ exponents.  Over a trivially valued field every norm considered here is
 diagonal in the monomial basis, so a graded norm is a weight per lattice
 point per degree, submultiplicativity is superadditivity of weights, and
 degree-one generation is a tropical (max-plus) convolution power.
+
+Representation.  A ``GradedNorm`` stores one positive common denominator D
+and, per degree k, one tuple of integer numerators in ``ring.basis(k)``
+order: the weight of the i-th point is numerators[k-1][i] / D.  The pair is
+reduced by gcd(D, *numerators), so it is canonical and equality compares
+integers.  The ``{point: Fraction}`` weights of a degree are built once, on
+first use, and ``degree_weights(k)`` returns a copy of them.
+
+Keys.  The graded functions address a lattice point a of degree k <= K by
+the mixed-radix integer sum_i a_i * R^(n-1-i) with radix R = K*m + 1.  Every
+coordinate of a point of degree <= K is at most K*m < R, so adding two
+points never carries, and key(a + b) = key(a) + key(b): the product of two
+monomials is found by adding two integers.
+
+First violation.  ``check_submultiplicative`` compares numerators over the
+one denominator D, which orders the weights exactly as the fractions do,
+and walks k, l, a, b in the same order as the fraction loop it replaced:
+k and l increasing, a and b in basis order.  The first violation it returns
+is therefore unchanged, and so are the counterexamples derived from it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from math import comb, inf
+from math import comb, gcd, inf, lcm
 
-from .field import TRIVIAL, format_fraction, parse_fraction
+from .field import TRIVIAL
 from .norms import DiagNorm, NormError
 
 
@@ -69,42 +87,84 @@ class SectionRing:
     __hash__ = None
 
 
+def _keys(ring: SectionRing, k: int, radix: int) -> list:
+    """Mixed-radix keys of ``ring.basis(k)``, in basis order."""
+    out = []
+    for a in ring.basis(k):
+        key = 0
+        for c in a:
+            key = key * radix + c
+        out.append(key)
+    return out
+
+
 class GradedNorm:
     """Monomial-diagonal norms in every degree 1..kmax."""
 
-    __slots__ = ("ring", "kmax", "_weights")
+    __slots__ = ("ring", "kmax", "_den", "_nums", "_tables")
 
     def __init__(self, ring: SectionRing, weights_by_degree):
-        weights = []
+        rows = []
         for k, table in enumerate(weights_by_degree, start=1):
             basis = ring.basis(k)
             if set(table) != set(basis):
                 raise GradedError(
                     f"degree {k} weights must cover exactly the "
                     f"{ring.h0(k)} monomials of km*Delta")
-            weights.append({a: Fraction(table[a]) for a in basis})
-        if not weights:
+            rows.append([Fraction(table[a]) for a in basis])
+        if not rows:
             raise GradedError("a graded norm needs at least degree one")
+        # reduced fractions over the lcm of their denominators: gcd 1 already
+        den = lcm(*(w.denominator for row in rows for w in row))
+        self._set(ring, den, tuple(
+            tuple(w.numerator * (den // w.denominator) for w in row)
+            for row in rows))
+
+    @classmethod
+    def _from_numerators(cls, ring: SectionRing, den: int, nums) -> "GradedNorm":
+        """The norm with weight nums[k-1][i] / den at ``ring.basis(k)[i]``."""
+        g = gcd(den, *(x for row in nums for x in row))
+        if g > 1:
+            den //= g
+            nums = tuple(tuple(x // g for x in row) for row in nums)
+        out = cls.__new__(cls)
+        out._set(ring, den, nums)
+        return out
+
+    def _set(self, ring, den, nums):
         self.ring = ring
-        self.kmax = len(weights)
-        self._weights = tuple(weights)
+        self.kmax = len(nums)
+        self._den = den
+        self._nums = nums
+        self._tables = [None] * len(nums)
+
+    def _table(self, k: int) -> dict:
+        """The cached ``{point: Fraction}`` weights of degree k."""
+        if not 1 <= k <= self.kmax:
+            raise GradedError(f"degree {k} outside 1..{self.kmax}")
+        table = self._tables[k - 1]
+        if table is None:
+            den = self._den
+            table = self._tables[k - 1] = {
+                a: Fraction(x, den)
+                for a, x in zip(self.ring.basis(k), self._nums[k - 1])}
+        return table
 
     def weight(self, k: int, a) -> Fraction:
-        return self._weights[k - 1][tuple(a)]
+        return self._table(k)[tuple(a)]
 
     def degree_weights(self, k: int) -> dict:
-        return self._weights[k - 1]
+        # a copy: changing it must not leave the cache and the numerators apart
+        return dict(self._table(k))
 
     def norm_at(self, k: int) -> DiagNorm:
-        table = self._weights[k - 1]
-        return DiagNorm.standard(
-            TRIVIAL, tuple(table[a] for a in self.ring.basis(k)))
+        return DiagNorm.standard(TRIVIAL, tuple(self._table(k).values()))
 
     def __eq__(self, other):
         if not isinstance(other, GradedNorm):
             return NotImplemented
-        return (self.ring == other.ring and self.kmax == other.kmax
-                and self._weights == other._weights)
+        return (self.ring == other.ring and self._den == other._den
+                and self._nums == other._nums)
 
     __hash__ = None
 
@@ -123,11 +183,36 @@ class GradedNorm:
 
     @classmethod
     def from_json(cls, obj) -> "GradedNorm":
-        ring = SectionRing(obj["ring"]["n"], obj["ring"]["m"])
-        degrees = obj["degrees"]
+        if not isinstance(obj, dict):
+            raise GradedError(
+                f"a graded norm must be a JSON object, got {type(obj).__name__}")
+        for key in ("ring", "degrees"):
+            if key not in obj:
+                raise GradedError(f"missing key {key!r}")
+        spec, degrees = obj["ring"], obj["degrees"]
+        if not isinstance(spec, dict):
+            raise GradedError(
+                f"'ring' must be a JSON object, got {type(spec).__name__}")
+        for key in ("n", "m"):
+            if type(spec.get(key)) is not int or spec[key] < 1:
+                raise GradedError(
+                    f"ring.{key} must be a positive integer, got {spec.get(key)!r}")
+        ring = SectionRing(spec["n"], spec["m"])
+        if not isinstance(degrees, dict):
+            raise GradedError(
+                "'degrees' must be a JSON object keyed \"1\", \"2\", ..., "
+                f"got {type(degrees).__name__}")
+        for k in range(1, len(degrees) + 1):
+            if str(k) not in degrees:
+                raise GradedError(
+                    f"'degrees' has no degree {k}: keys must run \"1\", \"2\", "
+                    "... without gaps")
         tables = []
         for k in range(1, len(degrees) + 1):
-            norm = DiagNorm.from_json(degrees[str(k)])
+            try:
+                norm = DiagNorm.from_json(degrees[str(k)])
+            except NormError as exc:
+                raise GradedError(f"degree {k}: {exc}") from exc
             basis = ring.basis(k)
             if norm.dim != len(basis) or not norm.is_standard_basis():
                 raise GradedError(
@@ -155,58 +240,73 @@ def generate_degree_one(ring: SectionRing, degree_one, kmax: int) -> GradedNorm:
     Degree-k weight at a is the max of sum(beta_{a_i}) over decompositions
     a = a_1 + ... + a_k with each a_i in the degree-one basis: the quotient
     norm through Sym^k H^0 -> H^0(k), computed as a max-plus convolution
-    power.  Superadditive, hence submultiplicative, by construction.
+    power.  Superadditive, hence submultiplicative, by construction.  The
+    convolution runs on integer numerators over the lcm of the degree-one
+    denominators, keyed as in the module docstring.
     """
     if kmax < 1:
         raise GradedError("kmax must be at least 1")
     w1 = _degree_one_table(ring, degree_one)
-    tables = [w1]
-    b1 = ring.basis(1)
+    den = lcm(*(w.denominator for w in w1.values()))
+    radix = kmax * ring.m + 1
+    one = [(key, w1[a].numerator * (den // w1[a].denominator))
+           for key, a in zip(_keys(ring, 1, radix), ring.basis(1))]
+    rows = [tuple(x for _, x in one)]
+    prev = dict(one)
     for k in range(2, kmax + 1):
-        prev = tables[-1]
         table = {}
-        for b, wb in prev.items():
-            for a in b1:
-                c = tuple(x + y for x, y in zip(a, b))
-                w = wb + w1[a]
-                if c not in table or w > table[c]:
+        for kb, wb in prev.items():
+            for ka, wa in one:
+                c = ka + kb
+                w = wa + wb
+                old = table.get(c)
+                if old is None or w > old:
                     table[c] = w
-        tables.append(table)
-    return GradedNorm(ring, tables)
+        rows.append(tuple(table[key] for key in _keys(ring, k, radix)))
+        prev = table
+    return GradedNorm._from_numerators(ring, den, tuple(rows))
 
 
 def check_submultiplicative(gn: GradedNorm, kmax: int | None = None):
     """None if superadditive up to kmax, else the first violation (k,l,a,b)."""
     K = gn.kmax if kmax is None else min(kmax, gn.kmax)
     ring = gn.ring
+    radix = K * ring.m + 1
+    keyed = [None] + [
+        list(zip(_keys(ring, k, radix), gn._nums[k - 1], ring.basis(k)))
+        for k in range(1, K + 1)]
+    lookup = [None] + [{key: w for key, w, _ in row} for row in keyed[1:]]
     for k in range(1, K):
-        wk = gn.degree_weights(k)
         for l in range(1, K - k + 1):
-            wl = gn.degree_weights(l)
-            wkl = gn.degree_weights(k + l)
-            for a in ring.basis(k):
-                wa = wk[a]
-                for b in ring.basis(l):
-                    c = tuple(x + y for x, y in zip(a, b))
-                    if wkl[c] < wa + wl[b]:
+            wkl = lookup[k + l]
+            rows_l = keyed[l]
+            for ka, wa, a in keyed[k]:
+                for kb, wb, b in rows_l:
+                    if wkl[ka + kb] < wa + wb:
                         return (k, l, a, b)
     return None
 
 
 def graded_geodesic(gn0: GradedNorm, gn1: GradedNorm, t) -> GradedNorm:
-    """Degreewise weight interpolation (1-t)*w0 + t*w1."""
+    """Degreewise weight interpolation (1-t)*w0 + t*w1.
+
+    At t = p/q the weight (1-t)*x/D0 + t*y/D1 is the integer
+    (q-p)*(L/D0)*x + p*(L/D1)*y over L*q, with L = lcm(D0, D1).
+    """
     if gn0.ring != gn1.ring:
         raise GradedError("graded norms live on different rings")
     t = Fraction(t)
     if not 0 <= t <= 1:
         raise NormError(f"geodesic time {t} outside [0, 1]")
-    K = min(gn0.kmax, gn1.kmax)
-    tables = []
-    for k in range(1, K + 1):
-        w0 = gn0.degree_weights(k)
-        w1 = gn1.degree_weights(k)
-        tables.append({a: (1 - t) * w0[a] + t * w1[a] for a in w0})
-    return GradedNorm(gn0.ring, tables)
+    p, q = t.numerator, t.denominator
+    L = lcm(gn0._den, gn1._den)
+    s0 = (q - p) * (L // gn0._den)
+    s1 = p * (L // gn1._den)
+    # zip stops at the lower kmax of the two
+    nums = tuple(
+        tuple(s0 * x + s1 * y for x, y in zip(r0, r1))
+        for r0, r1 in zip(gn0._nums, gn1._nums))
+    return GradedNorm._from_numerators(gn0.ring, L * q, nums)
 
 
 def asymptotic_stats(gn0: GradedNorm, gn1: GradedNorm, p, kmax: int | None = None,
@@ -219,23 +319,26 @@ def asymptotic_stats(gn0: GradedNorm, gn1: GradedNorm, p, kmax: int | None = Non
     For p = 1 this equals (k*h0(k))^-1 * sum |lambda|.  The sequence
     converges to the conjugate-profile integral when both inputs come from
     metrics; callers may pass that oracle value through for reporting.
+    With L = lcm(D0, D1), lambda is an integer over L, and each degree makes
+    one Fraction: max|lambda|/(kL), or sum|lambda|^p / ((kL)^p * h0(k)).
     """
     if gn0.ring != gn1.ring:
         raise GradedError("graded norms live on different rings")
     K = min(gn0.kmax, gn1.kmax)
     if kmax is not None:
         K = min(K, kmax)
+    L = lcm(gn0._den, gn1._den)
+    s0, s1 = L // gn0._den, L // gn1._den
     values = []
     for k in range(1, K + 1):
-        w0 = gn0.degree_weights(k)
-        w1 = gn1.degree_weights(k)
-        lam = [w0[a] - w1[a] for a in gn0.ring.basis(k)]
+        lam = [abs(s0 * x - s1 * y)
+               for x, y in zip(gn0._nums[k - 1], gn1._nums[k - 1])]
         if p == inf:
-            val = max(abs(x) for x in lam) / k
+            val = Fraction(max(lam), k * L)
         else:
             if not isinstance(p, int) or p < 1:
                 raise GradedError("p must be an integer >= 1 or inf")
-            val = Fraction(sum(abs(x / k) ** p for x in lam), len(lam))
+            val = Fraction(sum(x ** p for x in lam), (k * L) ** p * len(lam))
         values.append((k, val))
     return values, oracle_limit
 

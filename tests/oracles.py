@@ -19,7 +19,7 @@ operators are themselves checked against Euclid reduction over Q.
 replaced with its weighted-pivot kernel (``geonorm.linalg.smith``); it
 picks complements intersection by intersection with this file's own span
 intersections and rank tests, and the kernel's basis, put in filtration
-form, must equal its result tuple for tuple.  There are five exceptions,
+form, must equal its result tuple for tuple.  There are six exceptions,
 each a path the library replaced, kept as a differential reference and
 composed from the library's own primitives.
 ``legendre_segment_per_t`` is the per-t Legendre construction that
@@ -36,6 +36,11 @@ where geonorm.norms reads zero patterns (over Q) and orders at t = 0
 Smith loop in ``RatFunc`` arithmetic, for integer weights only, where
 geonorm.linalg.smith runs it on Z[t] rows with one denominator per row and
 takes the fractional parts of rational weights as pivot offsets.
+``generate_degree_one``, ``check_submultiplicative``, ``graded_geodesic``
+and ``asymptotic_stats`` are the ``Fraction`` loops that geonorm.graded
+replaced with integer numerators over one common denominator; they read
+weights through ``degree_weights``, build norms with the public
+``GradedNorm`` constructor, and share only the degree-one input check.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ from fractions import Fraction
 
 from geonorm import linalg
 from geonorm.field import INF, TADIC
+from geonorm.graded import GradedError, GradedNorm, _degree_one_table
 from geonorm.linprog import minimize_max_affine
 from geonorm.norms import DiagNorm, NormError
 from geonorm.plconvex import prune
@@ -828,3 +834,84 @@ def coset_sup(norm_eval, v, subspace, coeff_range=3):
         if best is None or val > best:
             best = val
     return best
+
+
+# ---------------------------------------------------------------------------
+# Graded norms in Fraction arithmetic: the loops geonorm.graded replaced.
+# ---------------------------------------------------------------------------
+
+
+def generate_degree_one(ring, degree_one, kmax):
+    """Max-plus convolution powers of the degree-one weights, in Fractions."""
+    if kmax < 1:
+        raise GradedError("kmax must be at least 1")
+    w1 = _degree_one_table(ring, degree_one)
+    tables = [w1]
+    b1 = ring.basis(1)
+    for k in range(2, kmax + 1):
+        prev = tables[-1]
+        table = {}
+        for b, wb in prev.items():
+            for a in b1:
+                c = tuple(x + y for x, y in zip(a, b))
+                w = wb + w1[a]
+                if c not in table or w > table[c]:
+                    table[c] = w
+        tables.append(table)
+    return GradedNorm(ring, tables)
+
+
+def check_submultiplicative(gn, kmax=None):
+    """None if superadditive up to kmax, else the first violation (k,l,a,b)."""
+    K = gn.kmax if kmax is None else min(kmax, gn.kmax)
+    ring = gn.ring
+    for k in range(1, K):
+        wk = gn.degree_weights(k)
+        for l in range(1, K - k + 1):
+            wl = gn.degree_weights(l)
+            wkl = gn.degree_weights(k + l)
+            for a in ring.basis(k):
+                wa = wk[a]
+                for b in ring.basis(l):
+                    c = tuple(x + y for x, y in zip(a, b))
+                    if wkl[c] < wa + wl[b]:
+                        return (k, l, a, b)
+    return None
+
+
+def graded_geodesic(gn0, gn1, t):
+    """Degreewise weight interpolation (1-t)*w0 + t*w1, in Fractions."""
+    if gn0.ring != gn1.ring:
+        raise GradedError("graded norms live on different rings")
+    t = Fraction(t)
+    if not 0 <= t <= 1:
+        raise NormError(f"geodesic time {t} outside [0, 1]")
+    K = min(gn0.kmax, gn1.kmax)
+    tables = []
+    for k in range(1, K + 1):
+        w0 = gn0.degree_weights(k)
+        w1 = gn1.degree_weights(k)
+        tables.append({a: (1 - t) * w0[a] + t * w1[a] for a in w0})
+    return GradedNorm(gn0.ring, tables)
+
+
+def asymptotic_stats(gn0, gn1, p, kmax=None, oracle_limit=None):
+    """Per-degree p-th moments of the rescaled spectrum, in Fractions."""
+    if gn0.ring != gn1.ring:
+        raise GradedError("graded norms live on different rings")
+    K = min(gn0.kmax, gn1.kmax)
+    if kmax is not None:
+        K = min(K, kmax)
+    values = []
+    for k in range(1, K + 1):
+        w0 = gn0.degree_weights(k)
+        w1 = gn1.degree_weights(k)
+        lam = [w0[a] - w1[a] for a in gn0.ring.basis(k)]
+        if p == math.inf:
+            val = max(abs(x) for x in lam) / k
+        else:
+            if not isinstance(p, int) or p < 1:
+                raise GradedError("p must be an integer >= 1 or inf")
+            val = Fraction(sum(abs(x / k) ** p for x in lam), len(lam))
+        values.append((k, val))
+    return values, oracle_limit

@@ -435,6 +435,32 @@ def test_task_without_t_exits_2(tmp_path, capsys) -> None:
     assert not (tmp_path / "out").exists()
 
 
+def _graded_with(**changes):
+    obj = planted_submultiplicativity_violation().to_json()
+    obj.update(changes)
+    return {k: v for k, v in obj.items() if v is not None}
+
+
+@pytest.mark.parametrize("obj, message", [
+    (_graded_with(degrees={"1": {}, "3": {}}),
+     "'degrees' has no degree 2: keys must run \"1\", \"2\", ... without gaps"),
+    (_graded_with(ring=None), "missing key 'ring'"),
+    (_graded_with(degrees=[]),
+     "'degrees' must be a JSON object keyed \"1\", \"2\", ..., got list"),
+    (_graded_with(ring={"n": "1", "m": 1}),
+     "ring.n must be a positive integer, got '1'"),
+    (_graded_with(ring={"n": 1}), "ring.m must be a positive integer, got None"),
+    (_graded_with(degrees={"1": {"weights": ["0", "0"]}}),
+     "degree 1: malformed norm JSON: 'basis'"),
+])
+def test_bad_graded_object_names_what_is_wrong(tmp_path, capsys, obj,
+                                               message) -> None:
+    cfg = _pair_config(tmp_path, [], extra_objects={"graded": {"g": obj}})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: bad graded object 'g': {message}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["toric", "energy", "--kmax", "0"],
     ["toric", "energy", "--kmax", "-1"],

@@ -1,12 +1,19 @@
 """Section rings of (P^n, O(m)), graded norms, submultiplicativity, statistics."""
 
+import contextlib
+import io
+import json
 import random
+import sys
 from fractions import Fraction
 from math import comb, inf
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
+from geonorm import graded
+from geonorm.cli import main
 from geonorm.field import TRIVIAL
 from geonorm.graded import (
     GradedError,
@@ -20,8 +27,16 @@ from geonorm.graded import (
     serialize_counterexample,
 )
 from geonorm.norms import DiagNorm
+from geonorm.suites import planted_submultiplicativity_violation, run_suite
 
 F = Fraction
+
+
+def _mixed_pair():
+    ring = SectionRing(1, 2)
+    gn0 = generate_degree_one(ring, {(0,): F(1, 6), (1,): F(1, 2), (2,): F(-2, 3)}, 4)
+    gn1 = generate_degree_one(ring, {(0,): F(1, 5), (1,): F(-3, 7), (2,): F(2, 35)}, 4)
+    return ring, gn0, gn1
 
 
 def test_lattice_points_counts() -> None:
@@ -107,6 +122,11 @@ def test_graded_geodesic_endpoints_and_midpoint() -> None:
     assert gn1.degree_weights(3) == {(j,): F(2 * j) for j in range(4)}
     mid = graded_geodesic(gn0, gn1, F(1, 2))
     assert mid.degree_weights(3) == {(j,): F(j) for j in range(4)}
+    # denominators 6 and 35: the endpoints come back in canonical form
+    _, gn0, gn1 = _mixed_pair()
+    assert graded_geodesic(gn0, gn1, 0) == gn0
+    assert graded_geodesic(gn0, gn1, 1) == gn1
+    assert graded_geodesic(gn0, gn1, F(1, 3)) != gn0
 
 
 def test_graded_geodesic_preserves_submultiplicativity() -> None:
@@ -174,6 +194,9 @@ def test_graded_json_round_trip() -> None:
     gn = generate_degree_one(ring, {(0,): F(0), (1,): F(5, 2), (2,): F(-1)}, 3)
     again = GradedNorm.from_json(gn.to_json())
     assert again == gn
+    _, gn0, gn1 = _mixed_pair()
+    for gn in (gn0, gn1, graded_geodesic(gn0, gn1, F(3, 4))):
+        assert GradedNorm.from_json(gn.to_json()) == gn
 
 
 def test_weight_cover_errors() -> None:
@@ -182,3 +205,225 @@ def test_weight_cover_errors() -> None:
         generate_degree_one(ring, {(0,): F(0), (1,): F(1)}, 3)
     with pytest.raises(GradedError):
         generate_degree_one(ring, {a: F(0) for a in ring.basis(1)}, 0)
+
+# -- the integer path against the Fraction loops it replaced --------------------
+
+
+_RINGS = ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2))
+# mixed denominators: 6 and 35 share no factor, 2 * 3 * 5 * 7 reaches 210
+_WEIGHTS = st.builds(F, st.integers(-12, 12), st.sampled_from((1, 2, 3, 5, 6, 7, 35)))
+
+
+@st.composite
+def _graded_cases(draw):
+    """A ring, two degree-one tables and two kmax values, up to 5 on P^1, 3 on P^2."""
+    n, m = draw(st.sampled_from(_RINGS))
+    ring = SectionRing(n, m)
+    kmax = st.integers(1, 5 if n == 1 else 3)
+    tables = [{a: draw(_WEIGHTS) for a in ring.basis(1)} for _ in range(2)]
+    return ring, tables, (draw(kmax), draw(kmax))
+
+
+@st.composite
+def _bent_norms(draw):
+    """A graded norm that may fail superadditivity somewhere.
+
+    Either a generated norm with violations planted at random (k, l, a, b),
+    where the weight at a + b drops below w_k(a) + w_l(b), or random weights
+    in every degree.
+    """
+    ring, tables, (K, _) = draw(_graded_cases())
+    K = max(K, 2)
+    if draw(st.booleans()):
+        return GradedNorm(ring, [{a: draw(_WEIGHTS) for a in ring.basis(k)}
+                                 for k in range(1, K + 1)])
+    gn = generate_degree_one(ring, tables[0], K)
+    weights = [dict(gn.degree_weights(k)) for k in range(1, K + 1)]
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(1, K - 1))
+        l = draw(st.integers(1, K - k))
+        a = draw(st.sampled_from(ring.basis(k)))
+        b = draw(st.sampled_from(ring.basis(l)))
+        c = tuple(x + y for x, y in zip(a, b))
+        drop = draw(st.builds(F, st.integers(1, 5), st.sampled_from((1, 2, 7))))
+        weights[k + l - 1][c] = weights[k - 1][a] + weights[l - 1][b] - drop
+    return GradedNorm(ring, weights)
+
+
+def _assert_same_norm(got, want) -> None:
+    assert got == want
+    for k in range(1, want.kmax + 1):
+        assert list(got.degree_weights(k).items()) == \
+            list(want.degree_weights(k).items())
+
+
+@settings(max_examples=120)
+@given(_graded_cases())
+def test_generate_degree_one_matches_fraction_oracle(case) -> None:
+    ring, tables, kmaxes = case
+    for table, K in zip(tables, kmaxes):
+        _assert_same_norm(generate_degree_one(ring, table, K),
+                          oracles.generate_degree_one(ring, table, K))
+
+
+@settings(max_examples=150)
+@given(_bent_norms(), st.integers(0, 6))
+def test_check_submultiplicative_matches_fraction_oracle(gn, kmax) -> None:
+    for K in (None, kmax):
+        assert check_submultiplicative(gn, K) == \
+            oracles.check_submultiplicative(gn, K)
+
+
+@settings(max_examples=120)
+@given(_graded_cases(), st.integers(0, 8), st.integers(1, 8))
+def test_graded_geodesic_matches_fraction_oracle(case, p, q) -> None:
+    ring, tables, (K0, K1) = case
+    gn0 = generate_degree_one(ring, tables[0], K0)
+    gn1 = generate_degree_one(ring, tables[1], K1)
+    t = F(min(p, q), q)
+    got = graded_geodesic(gn0, gn1, t)
+    _assert_same_norm(got, oracles.graded_geodesic(gn0, gn1, t))
+    assert check_submultiplicative(got) is None
+
+
+@settings(max_examples=120)
+@given(_graded_cases(), st.sampled_from((1, 2, 3, inf)), st.integers(0, 6))
+def test_asymptotic_stats_matches_fraction_oracle(case, p, kmax) -> None:
+    ring, tables, (K0, K1) = case
+    gn0 = generate_degree_one(ring, tables[0], K0)
+    gn1 = generate_degree_one(ring, tables[1], K1)
+    for K in (None, kmax):
+        assert asymptotic_stats(gn0, gn1, p, K, F(1, 3)) == \
+            oracles.asymptotic_stats(gn0, gn1, p, K, F(1, 3))
+
+
+_FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__",
+                        "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+                        "__lt__", "__gt__")
+
+
+def test_graded_loops_run_no_fraction_arithmetic(monkeypatch) -> None:
+    ring = SectionRing(2, 2)
+    table0 = {a: F(i - 3, 6) for i, a in enumerate(ring.basis(1))}
+    table1 = {a: F(2 - i, 35) for i, a in enumerate(ring.basis(1))}
+    gn0 = oracles.generate_degree_one(ring, table0, 4)
+    gn1 = oracles.generate_degree_one(ring, table1, 3)
+    bent = [dict(gn0.degree_weights(k)) for k in (1, 2, 3, 4)]
+    bent[3][(2, 6)] -= F(1, 7)
+    bent = GradedNorm(ring, bent)
+    calls = []
+    for name in _FRACTION_ARITHMETIC:
+        def counted(*args, _real=getattr(Fraction, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(Fraction, name, counted)
+
+    generate_degree_one(ring, table0, 4)
+    violation = check_submultiplicative(bent)
+    passes = [check_submultiplicative(gn0), check_submultiplicative(gn1, 2)]
+    mid = graded_geodesic(gn0, gn1, F(2, 3))
+    asymptotic_stats(gn0, gn1, 2)
+    asymptotic_stats(gn0, gn1, inf)
+    monkeypatch.undo()
+    assert calls == []
+    assert violation is not None and passes == [None, None]
+    assert mid == oracles.graded_geodesic(gn0, gn1, F(2, 3))
+
+
+# -- canonical form -------------------------------------------------------------
+
+
+def test_unreduced_tables_give_the_same_norm() -> None:
+    ring = SectionRing(1, 1)
+    reduced = GradedNorm(ring, [{(0,): F(1, 6), (1,): F(1, 2)},
+                                {(0,): F(1, 3), (1,): 1, (2,): F(-2, 3)}])
+    as_strings = GradedNorm(ring, [{(0,): "2/12", (1,): "3/6"},
+                                   {(0,): "4/12", (1,): "6/6", (2,): "-8/12"}])
+    over_60 = GradedNorm._from_numerators(ring, 60, ((10, 30), (20, 60, -40)))
+    assert as_strings == reduced
+    assert over_60 == reduced
+    assert (over_60._den, over_60._nums) == (6, ((1, 3), (2, 6, -4)))
+    zero = GradedNorm._from_numerators(ring, 12, ((0, 0), (0, 0, 0)))
+    assert zero._den == 1
+    assert zero == GradedNorm(ring, [{(0,): 0, (1,): 0},
+                                     {(0,): 0, (1,): 0, (2,): 0}])
+
+
+def test_degrees_outside_the_norm_are_refused() -> None:
+    ring = SectionRing(1, 1)
+    gn = generate_degree_one(ring, {(0,): F(0), (1,): F(1)}, 3)
+    for k in (0, -1, 4):
+        with pytest.raises(GradedError):
+            gn.degree_weights(k)
+        with pytest.raises(GradedError):
+            gn.weight(k, (0,))
+    assert gn.degree_weights(3) == {(j,): F(j) for j in range(4)}
+
+
+def test_degree_weights_are_reduced_fractions_in_basis_order() -> None:
+    ring, gn0, gn1 = _mixed_pair()
+    table = {(0,): F(1, 6), (1,): F(1, 2), (2,): F(-2, 3)}
+    assert list(gn0.degree_weights(1).items()) == list(table.items())
+    old = oracles.graded_geodesic(gn0, gn1, F(2, 5))
+    mid = graded_geodesic(gn0, gn1, F(2, 5))
+    for k in range(1, 5):
+        got = mid.degree_weights(k)
+        assert list(got) == list(ring.basis(k))
+        assert all(type(w) is Fraction for w in got.values())
+        assert got == old.degree_weights(k)
+        got[ring.basis(k)[0]] += 1
+        assert mid.degree_weights(k) == old.degree_weights(k)
+        assert mid.weight(k, list(ring.basis(k)[-1])) == got[ring.basis(k)[-1]]
+
+
+# -- end to end: the suite rows and CLI artifacts of the Fraction loops -----------
+
+
+_GRADED_FUNCTIONS = ("generate_degree_one", "check_submultiplicative",
+                     "graded_geodesic", "asymptotic_stats")
+
+
+def _graded_config(path) -> None:
+    ring, gn0, gn1 = _mixed_pair()
+    bent = [dict(gn0.degree_weights(k)) for k in range(1, 5)]
+    bent[3][(5,)] -= F(1, 35)
+    tasks = [{"op": "asymptotic", "graded": ["g0", "g1"], "p": p}
+             for p in (1, 2, 3, "inf")]
+    tasks.append({"op": "asymptotic", "graded": ["g1", "bent"], "p": 2,
+                  "oracle_limit": "1/3"})
+    tasks += [{"op": "verify", "target": "submultiplicative", "graded": name}
+              for name in ("g0", "g1", "bent", "planted")]
+    path.write_text(json.dumps({
+        "objects": {"graded": {
+            "g0": gn0.to_json(), "g1": gn1.to_json(),
+            "bent": GradedNorm(ring, bent).to_json(),
+            "planted": planted_submultiplicativity_violation().to_json()}},
+        "tasks": tasks,
+        "output": {"format": "json"},
+    }))
+
+
+def _artifacts(tmp_path, name) -> tuple:
+    cfg = tmp_path / f"{name}.json"
+    _graded_config(cfg)
+    out = tmp_path / name
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["run", "--config", str(cfg), "--out", str(out)])
+    return code, err.getvalue(), {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_suite_rows_and_cli_artifacts_match_fraction_oracles(monkeypatch,
+                                                             tmp_path) -> None:
+    rows = run_suite("graded", seed=0)
+    artifacts = _artifacts(tmp_path, "library")
+    for name in _GRADED_FUNCTIONS:
+        real = getattr(graded, name)
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("geonorm") and getattr(mod, name, None) is real:
+                monkeypatch.setattr(mod, name, getattr(oracles, name))
+    assert run_suite("graded", seed=0) == rows
+    assert _artifacts(tmp_path, "oracle") == artifacts
+    code, err, files = artifacts
+    assert code == 1 and err.count("counterexample") == 2
+    assert len(files) > 9
