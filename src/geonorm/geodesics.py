@@ -5,10 +5,13 @@ interpolate linearly while the basis stays fixed.  The resulting path is
 the metric geodesic for every d_p, and evaluation at rational times stays
 exact.
 
-A geodesic builds the norm of its basis once, on first use (inverting the
-basis), or takes an input norm when the common basis is that norm's own.
-``at``, ``start`` and ``end`` re-weight it, so every norm on the segment
-shares one basis tuple and one cached inverse.
+``geodesic`` hands its base norm the inverse of the common basis that
+``codiagonalize`` derives: n0's own when the two norms share their basis,
+and over Q(t) the product of the kernel's row operations with n0's cached
+inverse.  Only over Q with different bases (and for a ``NormGeodesic``
+built directly) is the basis inverted, once, on first use.  ``at``,
+``start`` and ``end`` re-weight the base norm, so every norm on the
+segment shares one basis tuple and one cached inverse.
 """
 
 from __future__ import annotations
@@ -53,8 +56,9 @@ class NormGeodesic:
 
 
 def geodesic(n0: DiagNorm, n1: DiagNorm) -> NormGeodesic:
-    basis, w0, w1 = codiagonalize(n0, n1)
+    basis, w0, w1, inv = codiagonalize(n0, n1, inverse=True)
     geo = NormGeodesic(n0.field, tuple(basis), tuple(w0), tuple(w1))
-    if geo.basis is n0.basis:
-        object.__setattr__(geo, "_norm", n0)  # same-basis path: no inverse
+    if inv is not None:
+        object.__setattr__(geo, "_norm", DiagNorm._from_inverse(
+            geo.field, geo.basis, geo.weights0, inv))
     return geo

@@ -5,20 +5,29 @@ Vectors are tuples of field elements, matrices are tuples of row tuples.
 No elimination runs in the field.  Each column of the matrix is scaled to
 integers over the lcm of its denominators (Q, ``Fraction`` entries) or to
 integer polynomials in t over a common multiple of its denominators (Q(t),
-``RatFunc`` entries, Z[t]), and ``rref``, ``invert`` and the front
+``RatFunc`` entries, Z[t]), and ``rref``, ``inverse_rows`` and the front
 elimination of ``smith`` run one fraction-free Gauss-Jordan loop,
-``_gauss_jordan``, over Z or Z[t].  The field elements of the result are
-built once, at the end: one ``Fraction`` or one reduced ``RatFunc`` per
-entry.  Determinants run one triangular Bareiss loop, over Z or Z[t], on
-the row-scaled matrix.  Every result is the field value, since the reduced
-row echelon form (RREF) and the inverse are unique.
-``coordinate_orders`` reads t-adic valuations of the coordinates of
-vectors from Z[t] dot products, without forming a ``RatFunc``.  ``smith``
-is the one codiagonalization kernel: a Smith loop on X = M0^{-1} M1 whose
-pivot minimizes ord(X_ij) + a_i - b_j for row offsets a and column offsets
-b, run over Z for Q (ord is a zero test) and over Z[t] for Q(t) (ord is
-ord_t), on rows with one denominator each; it builds field elements only
-for its transformation matrix.
+``_gauss_jordan``, over Z or Z[t].  Determinants run one triangular
+Bareiss loop, over Z or Z[t], on the row-scaled matrix.  ``rref`` builds
+its field elements once, at the end: one ``Fraction`` or one reduced
+``RatFunc`` per entry.
+
+An inverse is kept in row form: one ``(den, numerators)`` pair per row,
+over Z for Q and over Z[t] for Q(t), read straight off the elimination by
+``inverse_rows``; ``invert`` returns its field values (``row_values``).
+Inverses in row form compose without field elements: ``mul_rows``,
+``kron_rows`` and ``shift_rows`` (times powers of t).  ``solve_rows``
+builds the coordinates of a vector as field elements, and
+``coordinate_orders`` reads their t-adic valuations from Z[t] dot products
+without forming a ``RatFunc``.
+
+``smith`` is the one codiagonalization kernel: a Smith loop on
+X = M0^{-1} M1 whose pivot minimizes ord(X_ij) + a_i - b_j for row offsets
+a and column offsets b, run over Z for Q (ord is a zero test) and over
+Z[t] for Q(t) (ord is ord_t), on rows with one denominator each.  It
+returns the common basis C = M0 P^{-1}, built by applying the inverse of
+each row operation to the columns of M0, and its transformation P in row
+form, so that C^{-1} = P M0^{-1} is a ring product.
 """
 from __future__ import annotations
 
@@ -26,12 +35,13 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
-from operator import floordiv, mul, neg
+from operator import add, floordiv, mul, neg
 
 from .field import (
     INF,
     TADIC,
     RatFunc,
+    _poly_add,
     _poly_content,
     _poly_dot,
     _poly_exact_div,
@@ -228,15 +238,40 @@ def rref(rows):
         for j, x in enumerate(row)) for row, c in zip(R, pivots)], pivots
 
 
+def inverse_rows(field, A):
+    """The inverse of a square matrix, one ``(den, numerators)`` row each.
+
+    Over Q the row is integers, over Q(t) polynomials in Z[t].  A is
+    cleared by columns, A C with C = diag(c), and [A C | I] is eliminated
+    by ``_gauss_jordan``.  The identity columns clear with scale 1, so row
+    i of A^{-1} is R[i][d:] c_i / R[i][i], and no field element is built.
+    Raises SingularMatrixError if A is singular.
+    """
+    d, r = len(A), ring(field)
+    eye = identity(field, d)
+    R, pivots, c = r.eliminate([tuple(A[i]) + eye[i] for i in range(d)])
+    if pivots[:d] != list(range(d)):
+        raise SingularMatrixError("matrix is singular")
+    return tuple((row[i], tuple(r.mul(x, c[i]) for x in row[d:]))
+                 for i, row in enumerate(R))
+
+
 def invert(field, A):
     """Inverse of a square matrix; raises SingularMatrixError if singular."""
-    d = len(A)
-    eye = identity(field, d)
-    aug = [tuple(A[i]) + eye[i] for i in range(d)]
-    reduced, pivots = rref(aug)
-    if pivots[:d] != list(range(d)) or len(reduced) < d:
-        raise SingularMatrixError("matrix is singular")
-    return tuple(tuple(row[d:]) for row in reduced)
+    return row_values(field, inverse_rows(field, A))
+
+
+def row_values(field, rows):
+    """The field entries of a matrix given as ``(den, numerators)`` rows."""
+    element = ring(field).element
+    return tuple(tuple(element(x, den) for x in nums) for den, nums in rows)
+
+
+def identity_rows(field, d):
+    """The identity matrix as ``(den, numerators)`` rows."""
+    r = ring(field)
+    return tuple((r.one, tuple(r.one if i == j else r.zero for j in range(d)))
+                 for i in range(d))
 
 
 def determinant(A):
@@ -304,24 +339,30 @@ def smith(M0, M1, a=None, b=None):
     column operations that would clear row k valid changes of the second
     basis, so row k is just zeroed right of the pivot.
 
-    Returns ``(P, w0, w1)``: column k of M0 P^{-1} is orthogonal for both
-    norms, of value w0[k] (its row's offset) in the first and w1[k] (its
-    column's offset minus the pivot's ord) in the second.  Without offsets
-    this is the Smith form over the valuation ring, and -w1 lists the ords
-    of the invariant factors.
+    Returns ``(C, P, w0, w1)``.  C lists the columns of M0 P^{-1}, each
+    orthogonal for both norms, of value w0[k] (its row's offset) in the
+    first and w1[k] (its column's offset minus the pivot's ord) in the
+    second.  P is given as ``(den, numerators)`` rows over Z or Z[t], as
+    ``inverse_rows`` gives an inverse, so C^{-1} = P M0^{-1} is a ring
+    product.  Without offsets this is the Smith form over the valuation
+    ring, and -w1 lists the ords of the invariant factors.
 
     The loop runs on the ring ``_Z`` (Q) or ``_ZT`` (Q(t)), the offsets on
     integers over their common denominator.  X is read from the rows of one
     fraction-free elimination of [M0 | M1] (``_eliminate_int`` or
     ``_eliminate_poly``), and the rows of [X | I] run as numerators over one
-    denominator each.  Subtracting c/p times the pivot row, for numerators
-    c and p, gives (p * row - c * pivot row) over (p * den), with the common
-    factors of c and p divided out first, and then those of the new row and
-    its denominator.
+    denominator each.  Subtracting mu = (c / p)(pden / den) times the pivot
+    row, for the numerators c and p in the pivot column and the two rows'
+    denominators den and pden, gives (p * row - c * pivot row) over
+    (p * den), with the common factors of c and p divided out first, and
+    then those of the new row and its denominator.  C starts as the columns of M0, cleared
+    over one denominator each, and takes the inverse of each row operation
+    on P: a row swap swaps two columns, and row_i -= mu row_k adds mu
+    times column i to column k.
     """
     d = len(M0)
     ring = _Z if _is_rational(M0) and _is_rational(M1) else _ZT
-    order, zero = ring.order, ring.zero
+    order, zero, mul = ring.order, ring.zero, ring.mul
     E, pivots, c = ring.eliminate([tuple(x) + tuple(y) for x, y in zip(M0, M1)])
     if pivots != list(range(d)):
         raise SingularMatrixError("matrix is singular")
@@ -332,10 +373,13 @@ def smith(M0, M1, a=None, b=None):
     dens, R = [], []
     for i, row in enumerate(E):
         den, *polys = ring.primitive(
-            [ring.mul(row[i], L)]
-            + [ring.mul(ring.mul(x, c[i]), s) for x, s in zip(row[d:], shifts)])
+            [mul(row[i], L)]
+            + [mul(mul(x, c[i]), s) for x, s in zip(row[d:], shifts)])
         dens.append(den)
         R.append(polys + [den if j == i else zero for j in range(d)])
+    cdens = list(c[:d])
+    cols = [[ring.times(x, den) for x in col]
+            for col, den in zip(zip(*M0), cdens)]
     a, b = a or (0,) * d, b or (0,) * d
     D = math.lcm(*(x.denominator for x in a), *(x.denominator for x in b))
     A = [x.numerator * (D // x.denominator) for x in a]
@@ -353,74 +397,152 @@ def smith(M0, M1, a=None, b=None):
         if best is None:
             raise SingularMatrixError("matrix is singular")
         key, pi, pj = best
-        R[k], R[pi] = R[pi], R[k]
-        dens[k], dens[pi] = dens[pi], dens[k]
-        A[k], A[pi] = A[pi], A[k]
+        for seq in (R, dens, A, cols, cdens):
+            seq[k], seq[pi] = seq[pi], seq[k]
         if pj != k:
             B[k], B[pj] = B[pj], B[k]
             for row in R:
                 row[k], row[pj] = row[pj], row[k]
-        prow = R[k]
+        prow, pden, ck, cden = R[k], dens[k], cols[k], cdens[k]
         for i in range(k + 1, d):
             if R[i][k]:
-                dens[i], R[i] = _smith_row_op(ring, dens[i], R[i], prow, k)
+                p, q = ring.primitive([prow[k], R[i][k]])
+                # column k += mu column i, mu = q pden / (p dens[i])
+                f, g = mul(mul(p, dens[i]), cdens[i]), mul(mul(q, pden), cden)
+                cden, *ck = ring.primitive(
+                    [mul(cden, f)]
+                    + [ring.add(mul(x, f), mul(g, y))
+                       for x, y in zip(ck, cols[i])])
+                dens[i], R[i] = _smith_row_op(ring, dens[i], R[i], prow, k, p, q)
+        cols[k], cdens[k] = ck, cden
         prow[k + 1:d] = [zero] * (d - k - 1)
         w0.append(Fraction(A[k], D))
         w1.append(Fraction(A[k] - key, D))
-    P = tuple(tuple(ring.element(x, den) for x in row[d:])
-              for den, row in zip(dens, R))
-    return P, tuple(w0), tuple(w1)
+    C = tuple(tuple(ring.element(x, den) for x in col)
+              for col, den in zip(cols, cdens))
+    P = tuple((den, tuple(row[d:])) for den, row in zip(dens, R))
+    return C, P, tuple(w0), tuple(w1)
 
 
-def _smith_row_op(ring, den, row, prow, k):
-    """``(den, row)`` minus (row[k] / prow[k]) times the pivot row, whose
-    own denominator cancels: zero in columns up to k."""
-    p, a = ring.primitive([prow[k], row[k]])
+def _smith_row_op(ring, den, row, prow, k, p, a):
+    """``(den, row)`` minus a/p times the numerators of the pivot row, for
+    a/p = row[k]/prow[k] with common factors divided out (the pivot row's
+    own denominator cancels): zero in columns up to k."""
     den, *new = ring.primitive(
         [ring.mul(den, p)] + [ring.zero] * (k + 1)
         + [ring.sub_mul(p, x, a, y) for x, y in zip(row[k + 1:], prow[k + 1:])])
     return den, new
 
 
-# The ring operations of the loop in ``smith``: Z for Q, where ord is 0 off
-# zero, and Z[t] for Q(t).
-_Ring = namedtuple("_Ring", "eliminate lcm mul exact_div order sub_mul "
-                            "primitive element zero")
-_Z = _Ring(_eliminate_int, math.lcm, mul, floordiv, lambda x: 0,
-           _int_sub_mul, _primitive, Fraction, 0)
-_ZT = _Ring(_eliminate_poly, _poly_lcm, _poly_mul, _poly_exact_div, _poly_ord,
-            _poly_sub_mul, _poly_primitive_row, RatFunc, ())
+# The ring operations of ``smith`` and of matrices kept as ``(den,
+# numerators)`` rows: Z for Q, where ord is 0 off zero, and Z[t] for Q(t).
+# ``times(x, den)`` is den * x for a multiple den of x's denominator,
+# ``clear(v)`` a vector as ``(den, numerators)``, and ``element(x, den)``
+# the field element x / den.
+_Ring = namedtuple("_Ring", "eliminate lcm mul add dot exact_div order sub_mul "
+                            "primitive times clear element one zero")
+_Z = _Ring(_eliminate_int, math.lcm, mul, add,
+           lambda u, v: sum(map(mul, u, v)), floordiv, lambda x: 0,
+           _int_sub_mul, _primitive,
+           lambda x, den: x.numerator * (den // x.denominator), _cleared,
+           lambda x, den: Fraction(x, den) if x else _ZERO, 1, 0)
+_ZT = _Ring(_eliminate_poly, _poly_lcm, _poly_mul, _poly_add, _poly_dot,
+            _poly_exact_div, _poly_ord, _poly_sub_mul, _poly_primitive_row,
+            lambda x, den: _times(x if type(x) is RatFunc else RatFunc.of(x),
+                                  den),
+            _poly_cleared,
+            lambda x, den: RatFunc(x, den) if x else TADIC.zero, _P1, ())
+
+
+def ring(field):
+    """The ring of numerators of a field's matrices: Z for Q, Z[t] for Q(t)."""
+    return _ZT if field is TADIC else _Z
+
+
+# ---------------------------------------------------------------------------
+# Matrices as ``(den, numerators)`` rows over Z or Z[t]: inverses read off
+# the elimination and composed without building field elements.
+# ---------------------------------------------------------------------------
 
 
 def solve_from_inverse(Ainv, b):
     return tuple(_dot(row, b) for row in Ainv)
 
 
-def coordinate_orders(Ainv, vectors):
-    """The t-adic valuations of ``solve_from_inverse(Ainv, v)`` for each v.
+def solve_rows(field, rows, v):
+    """``solve_from_inverse`` for an inverse given as ``(den, numerators)``
+    rows: one field element per coordinate, nums . u / (den e) for the
+    cleared vector u = e v."""
+    r = ring(field)
+    e, u = r.clear(v)
+    return tuple(r.element(r.dot(nums, u), r.mul(den, e)) for den, nums in rows)
 
-    Over Q(t); one tuple per vector, ``INF`` for a zero coordinate, and
-    Ainv None stands for the identity.  Row j of Ainv is scaled to Z[t] by
-    D_j and v by e, so each valuation is ord(row_j . v) - ord(D_j) - ord(e),
-    with ord the order of a polynomial at t = 0.
+
+def coordinate_orders(rows, vectors):
+    """The t-adic valuations of the coordinates of each vector, over Q(t).
+
+    The coordinates are ``solve_rows`` of the inverse ``rows``, given as
+    ``(den, numerators)`` rows over Z[t]; rows None stands for the
+    identity.  One tuple per vector, ``INF`` for a zero coordinate.  v is
+    scaled to Z[t] by e, so each valuation is ord(nums_j . v) - ord(den_j)
+    - ord(e), with ord the order of a polynomial at t = 0.
     """
-    if Ainv is not None:
-        rows, shifts = [], []
-        for row in Ainv:
-            den, polys = _poly_cleared(row)
-            rows.append(polys)
-            shifts.append(_poly_ord(den))
+    if rows is not None:
+        shifts = [_poly_ord(den) for den, _ in rows]
     out = []
     for v in vectors:
         e, u = _poly_cleared(v)
         k = _poly_ord(e)
-        if Ainv is None:
+        if rows is None:
             orders = (_poly_ord(c) - k if c else INF for c in u)
         else:
             orders = (_poly_ord(c) - s - k if c else INF
-                      for c, s in zip([_poly_dot(r, u) for r in rows], shifts))
+                      for c, s in zip([_poly_dot(nums, u) for _, nums in rows],
+                                      shifts))
         out.append(tuple(orders))
     return out
+
+
+def mul_rows(field, A, B):
+    """The product AB of two matrices given as ``(den, numerators)`` rows.
+
+    Over the common multiple E of B's denominators, row i of AB is
+    A_i . (E / e_j) B_j over den_i E, with common factors divided out.
+    """
+    r = ring(field)
+    E = reduce(r.lcm, (den for den, _ in B))
+    cols = list(zip(*(
+        nums if den == E else tuple(r.mul(x, r.exact_div(E, den)) for x in nums)
+        for den, nums in B)))
+    out = []
+    for den, nums in A:
+        den, *row = r.primitive([r.mul(den, E)] + [r.dot(nums, col) for col in cols])
+        out.append((den, tuple(row)))
+    return tuple(out)
+
+
+def shift_rows(rows, powers):
+    """Row j of a Q(t) matrix of ``(den, numerators)`` rows times
+    t^powers[j]: the numerators move up by powers[j] - m for the least
+    power m, and the denominators by -m when m < 0, so equal denominators
+    stay equal."""
+    m = min(min(powers), 0)
+    out = []
+    for (den, nums), k in zip(rows, powers):
+        if m:
+            den = (0,) * -m + den
+        if k - m:
+            nums = tuple((0,) * (k - m) + x if x else x for x in nums)
+        out.append((den, nums))
+    return tuple(out)
+
+
+def kron_rows(field, A, B):
+    """The Kronecker product of two matrices of ``(den, numerators)`` rows:
+    row (i, j) is den_i den_j over the products a_ir b_js, r outer."""
+    mul_ = ring(field).mul
+    return tuple((mul_(e, f), tuple(mul_(x, y) for x in a for y in b))
+                 for e, a in A for f, b in B)
 
 
 # ---------------------------------------------------------------------------

@@ -15,27 +15,38 @@ fractional parts, after shifting each basis vector by t^(-floor(w)), so
 any rational weights work).  Over Q the result is put in the canonical
 form of the filtration split.  The relative spectrum, the d_p distances,
 the relative volume and the join (max) all read off the common basis.
-This module only handles field elements.
 
+A norm caches the inverse of its basis matrix in the row form of
+``linalg.inverse_rows``: one ``(den, numerators)`` pair per row, over Z for
+Q and over Z[t] for Q(t).  Constructed norms get it without an
+elimination, from data their inputs hold: ``join`` and the geodesic slices
+over Q(t) from the kernel's row operations and n0's inverse, ``join`` on a
+shared basis from n0, ``sym_power_norm`` as Sym^m of the input's inverse
+and ``tensor_norm`` as the Kronecker product of the two.  Only a basis the
+user gives, and over Q the filtration-split common basis, is inverted.
 Norms diagonal in the standard basis share one identity basis per field
-and dimension, which is also their inverse, so ``DiagNorm.standard`` costs
-O(d).  Every ``codiagonalize`` result is verified, and ``==`` is decided,
-by evaluating norms on batches of vectors without ``evaluate``: the
+and dimension and one identity inverse, so ``DiagNorm.standard`` costs
+O(d).
+
+Every ``codiagonalize`` result is verified, and ``==`` is decided, by
+evaluating norms on batches of vectors without ``evaluate``: the
 coordinates of a vector are dot products of the rows of the cached inverse
 with it (for a standard basis, the vector itself).  Over Q the valuation is
 0 off zero, so only the zero pattern of the coordinates matters; it is read
-from integer dot products of integer-scaled rows and vectors (positive
-scalings keep the pattern).  Over Q(t) ``linalg.coordinate_orders`` scales
-rows and vectors to Z[t] and reads each valuation as the order at t = 0 of
-a polynomial dot product minus the orders of the two scalings.
+from integer dot products of the integer numerator rows with the
+integer-scaled vectors (scalings keep the pattern).  Over Q(t)
+``linalg.coordinate_orders`` scales the vectors to Z[t] and reads each
+valuation as the order at t = 0 of a polynomial dot product minus the
+orders of the two denominators.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations_with_replacement
-from operator import mul
+from operator import add, mul
 
 from . import linalg
 from .field import (
@@ -105,19 +116,33 @@ class DiagNorm:
         return self.basis is eye or self.basis == eye
 
     def _inverse(self):
+        """The inverse of the basis matrix (the basis vectors as columns), as
+        ``linalg.inverse_rows`` gives it, cached; a standard basis has the
+        shared identity rows."""
         if self._inv is None:
             if self.is_standard_basis():
-                self._inv = self.basis  # the identity is its own inverse
+                self._inv = _identity_rows(self.field, self.dim)
             else:
                 matrix = tuple(
                     tuple(self.basis[c][r] for c in range(self.dim))
                     for r in range(self.dim)
                 )
                 try:
-                    self._inv = linalg.invert(self.field, matrix)
+                    self._inv = linalg.inverse_rows(self.field, matrix)
                 except linalg.SingularMatrixError:
                     raise NormError("basis vectors are linearly dependent") from None
         return self._inv
+
+    def _has_identity_inverse(self) -> bool:
+        return self._inverse() is _identity_rows(self.field, self.dim)
+
+    @classmethod
+    def _from_inverse(cls, field, basis, weights, inv) -> "DiagNorm":
+        """A norm on a basis of field elements whose inverse rows ``inv`` the
+        caller derived; nothing is coerced, checked or inverted."""
+        out = object.__new__(cls)
+        out.field, out.basis, out.weights, out._inv = field, basis, weights, inv
+        return out
 
     def _reweighted(self, weights) -> "DiagNorm":
         """A norm sharing this basis tuple and its cached inverse, with the
@@ -125,10 +150,8 @@ class DiagNorm:
         weights = tuple(Fraction(w) for w in weights)
         if len(weights) != self.dim:
             raise NormError("basis and weights must have equal length")
-        out = object.__new__(DiagNorm)
-        out.field, out.basis, out.weights = self.field, self.basis, weights
-        out._inv = self._inv
-        return out
+        return DiagNorm._from_inverse(self.field, self.basis, weights,
+                                      self._inv)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -137,8 +160,9 @@ class DiagNorm:
         v = tuple(self.field.of(x) for x in v)
         if len(v) != self.dim:
             raise NormError(f"vector has length {len(v)}, expected {self.dim}")
-        inv = self._inverse()
-        return v if inv is self.basis else linalg.solve_from_inverse(inv, v)
+        if self._has_identity_inverse():
+            return v
+        return linalg.solve_rows(self.field, self._inverse(), v)
 
     def evaluate(self, v):
         """-log of the norm of ``v``: an exact rational, or INF iff v = 0.
@@ -203,6 +227,7 @@ class DiagNorm:
 
 
 _identities: dict = {}
+_inverse_identities: dict = {}
 
 
 def _identity(field, d):
@@ -213,30 +238,38 @@ def _identity(field, d):
     return _identities[key]
 
 
+def _identity_rows(field, d):
+    """The identity as ``(den, numerators)`` rows, one shared tuple: the
+    inverse of every standard basis of ``field`` in dimension d."""
+    key = (field.name, d)
+    if key not in _inverse_identities:
+        _inverse_identities[key] = linalg.identity_rows(field, d)
+    return _inverse_identities[key]
+
+
 def _values(norm: DiagNorm, vectors):
     """``tuple(norm.evaluate(v) for v in vectors)``, batched.
 
     n(v) is the least w_j + v(c_j) over the nonzero coordinates c_j of v,
-    or INF; the coordinates are the dot products of the rows of the cached
-    inverse with v, and for a standard basis v itself.  Over Q the
-    valuation is 0 off zero, so only the zero pattern of the coordinates
-    matters: it is read from integer dot products of the integer-scaled
-    rows of the inverse with the integer-scaled v, trying the weights in
-    increasing order.  Over Q(t) the valuations v(c_j) come from
+    or INF; coordinate j is the dot product of row j of the cached inverse
+    with v, a numerator row over one denominator, and for a standard basis
+    v itself.  Over Q the valuation is 0 off zero, so only the zero pattern
+    of the coordinates matters: it is read from integer dot products of
+    the integer rows of the inverse with the integer-scaled v, trying the
+    weights in increasing order.  Over Q(t) the valuations v(c_j) come from
     ``linalg.coordinate_orders``, which reads them from Z[t] dot products.
     """
     w = norm.weights
-    inv = norm._inverse()
-    # not cached on the norm: callers keep many norms alive, each for one use
+    standard = norm._has_identity_inverse()
     if norm.field is not TRIVIAL:
         orders = linalg.coordinate_orders(
-            None if inv is norm.basis else inv, vectors)
+            None if standard else norm._inverse(), vectors)
         return tuple(min((o + wj for o, wj in zip(ords, w) if o is not INF),
                          default=INF) for ords in orders)
     order = sorted(range(norm.dim), key=w.__getitem__)
-    if inv is norm.basis:
+    if standard:
         return tuple(next((w[j] for j in order if v[j]), INF) for v in vectors)
-    rows = [linalg._cleared(row)[1] for row in inv]
+    rows = [nums for _, nums in norm._inverse()]
     out = []
     for v in vectors:
         ints = linalg._cleared(v)[1]
@@ -250,20 +283,25 @@ def _values(norm: DiagNorm, vectors):
 # ---------------------------------------------------------------------------
 
 
-def codiagonalize(n0: DiagNorm, n1: DiagNorm):
+def codiagonalize(n0: DiagNorm, n1: DiagNorm, *, inverse=False):
     """Common diagonalizing basis for two norms.
 
     Returns ``(basis, weights0, weights1)`` such that both input norms are
     diagonal in ``basis`` with the respective weights.  Every result is
     verified before returning: n0(s_i) = weights0[i] and n1(s_i) =
-    weights1[i] for each common basis vector s_i (see ``_values``).
+    weights1[i] for each common basis vector s_i (see ``_values``).  With
+    ``inverse=True`` a fourth entry holds the inverse of the basis matrix
+    as ``linalg.inverse_rows`` gives it, derived without an elimination,
+    or None over Q when the bases differ.
 
-    Norms that share their basis are returned as they are.  Otherwise the
-    weighted-pivot kernel ``linalg.smith`` runs on the two bases as
-    columns, with the weights as offsets.  Over Q(t) each column s_i is
-    shifted to t^(-floor(w_i)) s_i, a basis of the unit ball, and its
-    offset is the fractional part of w_i, so any rational weights work; the
-    kernel's basis is the result.  Over Q the kernel's basis c_i, with
+    Norms that share their basis are returned as they are, with n0's
+    inverse.  Otherwise the weighted-pivot kernel ``linalg.smith`` runs on
+    the two bases as columns, with the weights as offsets.  Over Q(t) each
+    column s_i is shifted to t^(-floor(w_i)) s_i, a basis of the unit ball,
+    and its offset is the fractional part of w_i, so any rational weights
+    work; the kernel's basis C = M0 P^{-1} is the result, and its inverse
+    is the Z[t] product P diag(t^floor(w_i)) B0^{-1} of the kernel's P and
+    n0's cached inverse.  Over Q the kernel's basis c_i, with
     weights (a_i, b_i), is put in the form the filtration split gave it:
     for each pair (s, t) that occurs, in decreasing order, the RREF rows of
     F0^s n F1^t = span{c_i : a_i >= s, b_i >= t} are stacked, and each row
@@ -277,35 +315,35 @@ def codiagonalize(n0: DiagNorm, n1: DiagNorm):
         raise NormError("cannot codiagonalize norms of different dimensions")
     split = (_codiagonalize_same_basis if n0.basis == n1.basis
              else _codiagonalize_pivots)
-    basis, w0, w1 = result = split(n0, n1)
+    result = split(n0, n1, inverse)
+    basis, w0, w1, _ = result
     if _values(n0, basis) != tuple(w0) or _values(n1, basis) != tuple(w1):
         raise NormError("internal error: common basis failed verification")
-    return result
+    return result if inverse else result[:3]
 
 
-def _codiagonalize_same_basis(n0: DiagNorm, n1: DiagNorm):
-    return n0.basis, n0.weights, n1.weights
+def _codiagonalize_same_basis(n0: DiagNorm, n1: DiagNorm, inverse=False):
+    return n0.basis, n0.weights, n1.weights, n0._inverse()
 
 
-def _codiagonalize_pivots(n0: DiagNorm, n1: DiagNorm):
-    d = n0.dim
+def _codiagonalize_pivots(n0: DiagNorm, n1: DiagNorm, inverse=False):
+    """``(basis, w0, w1, inv)``; inv is None over Q or unless asked for."""
     (cols0, a), (cols1, b) = _kernel_columns(n0), _kernel_columns(n1)
-    P, w0, w1 = linalg.smith(list(zip(*cols0)), list(zip(*cols1)), a, b)
-    # common basis: the columns of C = M0 P^{-1}, i.e. the rows of C^T,
-    # which solves P^T C^T = M0^T: the right half of the RREF of [P^T | M0^T]
-    reduced, _ = linalg.rref([
-        tuple(P[r][c] for r in range(d)) + tuple(cols0[c]) for c in range(d)
-    ])
-    basis = tuple(row[d:] for row in reduced)
+    basis, P, w0, w1 = linalg.smith(list(zip(*cols0)), list(zip(*cols1)), a, b)
     if n0.field is TADIC:
-        return basis, w0, w1
+        if not inverse:
+            return basis, w0, w1, None
+        # C^{-1} = P M0^{-1}, and M0 = B0 diag(t^(-floor(w)))
+        floors = [math.floor(w) for w in n0.weights]
+        M0_inv = linalg.shift_rows(n0._inverse(), floors)
+        return basis, w0, w1, linalg.mul_rows(TADIC, P, M0_inv)
     stacked = []
     for s, t in sorted(set(zip(w0, w1)), reverse=True):
         meet = [vec for vec, x, y in zip(basis, w0, w1) if x >= s and y >= t]
         stacked += [(row, s, t) for row in linalg.rref(meet)[0]]
     _, pivots = linalg.rref(list(zip(*(row for row, _, _ in stacked))))
     basis, w0, w1 = zip(*(stacked[k] for k in pivots))
-    return basis, w0, w1
+    return basis, w0, w1, None
 
 
 def _kernel_columns(n: DiagNorm):
@@ -365,9 +403,16 @@ def volume(n0: DiagNorm, n1: DiagNorm) -> Fraction:
 
 
 def join(n0: DiagNorm, n1: DiagNorm) -> DiagNorm:
-    """Pointwise maximum of the two norms (minimum of the weights)."""
-    basis, w0, w1 = codiagonalize(n0, n1)
-    return DiagNorm(n0.field, basis, tuple(min(a, b) for a, b in zip(w0, w1)))
+    """Pointwise maximum of the two norms (minimum of the weights).
+
+    The result takes the inverse ``codiagonalize`` derives for the common
+    basis; only over Q with different bases is the basis inverted.
+    """
+    basis, w0, w1, inv = codiagonalize(n0, n1, inverse=True)
+    weights = tuple(min(a, b) for a, b in zip(w0, w1))
+    if inv is None:
+        return DiagNorm(n0.field, basis, weights)
+    return DiagNorm._from_inverse(n0.field, basis, weights, inv)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +430,7 @@ def det_norm(n: DiagNorm) -> DiagNorm:
     """
     total = sum(n.weights, Fraction(0))
     total -= n.field.valuation(linalg.determinant(n.basis))
-    return DiagNorm(n.field, ((n.field.one,),), (total,))
+    return DiagNorm.standard(n.field, (total,))
 
 
 def sym_monomials(dim: int, m: int):
@@ -399,6 +444,37 @@ def sym_monomials(dim: int, m: int):
     return sorted(out)
 
 
+def _form_products(forms, combos, index, one, zero, mul, add):
+    """Coefficients of products of linear forms over the degree-m monomials.
+
+    Form i is sum_r forms[i][r] x_r; for each combination (a multiset of
+    form indices) the product of its forms, as a list over the monomial
+    exponents in ``index``.  Field or ring arithmetic comes from one, zero,
+    mul and add.
+    """
+    d = len(forms[0])
+    out = []
+    for combo in combos:
+        poly = {(0,) * d: one}
+        # multiply the linear forms of the chosen vectors
+        for i in combo:
+            nxt = {}
+            for expo, coeff in poly.items():
+                for r, c in enumerate(forms[i]):
+                    if not c:
+                        continue
+                    e2 = list(expo)
+                    e2[r] += 1
+                    e2 = tuple(e2)
+                    nxt[e2] = add(nxt.get(e2, zero), mul(coeff, c))
+            poly = nxt
+        col = [zero] * len(index)
+        for expo, coeff in poly.items():
+            col[index[expo]] = coeff
+        out.append(col)
+    return out
+
+
 def sym_power_norm(n: DiagNorm, m: int) -> DiagNorm:
     """m-th symmetric power: products of basis vectors, summed weights.
 
@@ -406,49 +482,51 @@ def sym_power_norm(n: DiagNorm, m: int) -> DiagNorm:
     coordinates; the basis vector for a multiset I is the polynomial
     product of the corresponding linear forms, and its weight is the sum
     of the factors' weights.
+
+    The basis is not inverted.  In monomial bases Sym^m is a functor, so
+    the inverse is Sym^m of the inverse B^{-1} = diag(1/e) N that ``n``
+    caches: row alpha of Sym^m(N), over prod_i e_i^alpha_i, with the rows
+    taken in the order of the basis (combinations, not sorted monomials).
     """
-    if m < 1:
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise NormError("symmetric power needs m >= 1")
     field = n.field
     d = n.dim
-    monos = sym_monomials(d, m)
-    index = {e: i for i, e in enumerate(monos)}
-    basis = []
-    weights = []
-    for combo in combinations_with_replacement(range(d), m):
-        poly = {(0,) * d: field.one}
-        # multiply the linear forms of the chosen basis vectors
-        for i in combo:
-            nxt = {}
-            for expo, coeff in poly.items():
-                for r, c in enumerate(n.basis[i]):
-                    if not c:
-                        continue
-                    e2 = list(expo)
-                    e2[r] += 1
-                    e2 = tuple(e2)
-                    nxt[e2] = nxt.get(e2, field.zero) + coeff * c
-            poly = nxt
-        col = [field.zero] * len(monos)
-        for expo, coeff in poly.items():
-            col[index[expo]] = coeff
-        basis.append(tuple(col))
-        weights.append(sum((n.weights[i] for i in combo), Fraction(0)))
-    return DiagNorm(field, tuple(basis), tuple(weights))
+    index = {e: i for i, e in enumerate(sym_monomials(d, m))}
+    combos = list(combinations_with_replacement(range(d), m))
+    basis = _form_products(n.basis, combos, index, field.one, field.zero,
+                           mul, add)
+    weights = tuple(sum((n.weights[i] for i in combo), Fraction(0))
+                    for combo in combos)
+    ring = linalg.ring(field)
+    inv = n._inverse()
+    products = _form_products(list(zip(*(nums for _, nums in inv))), combos,
+                              index, ring.one, ring.zero, ring.mul, ring.add)
+    at = [index[tuple(map(combo.count, range(d)))] for combo in combos]
+    by_monomial = [None] * len(combos)
+    for col, alpha in zip(products, at):
+        by_monomial[alpha] = col
+    rows = tuple(
+        (reduce(ring.mul, (inv[i][0] for i in combo)),
+         tuple(col[alpha] for col in by_monomial))
+        for combo, alpha in zip(combos, at))
+    return DiagNorm._from_inverse(field, tuple(map(tuple, basis)), weights,
+                                  rows)
 
 
 def tensor_norm(n0: DiagNorm, n1: DiagNorm) -> DiagNorm:
-    """Tensor product norm: product basis, summed weights."""
+    """Tensor product norm: product basis, summed weights.
+
+    The inverse of the product basis is the Kronecker product of the two
+    cached inverses, so nothing is inverted.
+    """
     if n0.field is not n1.field:
         raise NormError("tensor factors must share the field")
-    field = n0.field
-    basis = []
-    weights = []
-    for vec0, w0 in zip(n0.basis, n0.weights):
-        for vec1, w1 in zip(n1.basis, n1.weights):
-            basis.append(tuple(a * b for a in vec0 for b in vec1))
-            weights.append(w0 + w1)
-    return DiagNorm(field, tuple(basis), tuple(weights))
+    basis = tuple(tuple(a * b for a in vec0 for b in vec1)
+                  for vec0 in n0.basis for vec1 in n1.basis)
+    weights = tuple(w0 + w1 for w0 in n0.weights for w1 in n1.weights)
+    inv = linalg.kron_rows(n0.field, n0._inverse(), n1._inverse())
+    return DiagNorm._from_inverse(n0.field, basis, weights, inv)
 
 
 def quotient_norm(n: DiagNorm, spanning):

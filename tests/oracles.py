@@ -19,7 +19,7 @@ operators are themselves checked against Euclid reduction over Q.
 replaced with its weighted-pivot kernel (``geonorm.linalg.smith``); it
 picks complements intersection by intersection with this file's own span
 intersections and rank tests, and the kernel's basis, put in filtration
-form, must equal its result tuple for tuple.  There are six exceptions,
+form, must equal its result tuple for tuple.  There are seven exceptions,
 each a path the library replaced, kept as a differential reference and
 composed from the library's own primitives.
 ``legendre_segment_per_t`` is the per-t Legendre construction that
@@ -36,6 +36,14 @@ where geonorm.norms reads zero patterns (over Q) and orders at t = 0
 Smith loop in ``RatFunc`` arithmetic, for integer weights only, where
 geonorm.linalg.smith runs it on Z[t] rows with one denominator per row and
 takes the fractional parts of rational weights as pivot offsets.
+``join_inverting``, ``geodesic_base_inverting``,
+``sym_power_norm_inverting`` and ``tensor_norm_inverting`` build their
+norms with the public ``DiagNorm`` constructor, which inverts the basis,
+where geonorm.norms hands each result an inverse derived from the kernel's
+row operations, a cached inverse or functoriality; and
+``kernel_basis_closing_rref`` reads the kernel's common basis M0 P^{-1}
+from this file's RREF of [P^T | M0^T], where geonorm.linalg.smith applies
+the inverse of each row operation to the columns of M0.
 ``generate_degree_one``, ``check_submultiplicative``, ``graded_geodesic``
 and ``asymptotic_stats`` are the ``Fraction`` loops that geonorm.graded
 replaced with integer numerators over one common denominator; they read
@@ -53,7 +61,7 @@ from geonorm import linalg
 from geonorm.field import INF, TADIC
 from geonorm.graded import GradedError, GradedNorm, _degree_one_table
 from geonorm.linprog import minimize_max_affine
-from geonorm.norms import DiagNorm, NormError
+from geonorm.norms import DiagNorm, NormError, codiagonalize, sym_monomials
 from geonorm.plconvex import prune
 from geonorm.segments import tau_critical_set
 from geonorm.toric import ToricError, ToricMetric, envelope_P
@@ -408,6 +416,74 @@ def codiagonalize_lattices_field(n0: DiagNorm, n1: DiagNorm):
     w0 = tuple(Fraction(0) for _ in range(d))
     w1 = tuple(Fraction(-e) for e in exponents)
     return basis, w0, w1
+
+
+# ---------------------------------------------------------------------------
+# Norms that invert their bases: the paths that geonorm.norms and
+# geonorm.geodesics replaced with inverses derived from data they hold (the
+# kernel's row operations, cached inverses, functoriality).
+# ---------------------------------------------------------------------------
+
+
+def kernel_basis_closing_rref(M0, P):
+    """The columns of M0 P^{-1} for a matrix M0 (as rows) and field rows P,
+    as geonorm.norms read them before linalg.smith returned them: the rows
+    of C^T solve P^T C^T = M0^T, the right half of the RREF of
+    [P^T | M0^T]."""
+    d = len(M0)
+    reduced, _ = rref_field([
+        tuple(P[r][c] for r in range(d)) + tuple(M0[r][c] for r in range(d))
+        for c in range(d)
+    ])
+    return tuple(tuple(row[d:]) for row in reduced)
+
+
+def join_inverting(n0: DiagNorm, n1: DiagNorm) -> DiagNorm:
+    """The join built on the common basis by ``DiagNorm``, which inverts it."""
+    basis, w0, w1 = codiagonalize(n0, n1)
+    return DiagNorm(n0.field, basis, tuple(min(a, b) for a, b in zip(w0, w1)))
+
+
+def geodesic_base_inverting(n0: DiagNorm, n1: DiagNorm) -> DiagNorm:
+    """The norm of a geodesic's common basis at t = 0, built by inverting."""
+    basis, w0, _ = codiagonalize(n0, n1)
+    return DiagNorm(n0.field, basis, w0)
+
+
+def sym_power_norm_inverting(n: DiagNorm, m: int) -> DiagNorm:
+    """Sym^m with the basis built in dicts of field elements and inverted."""
+    field = n.field
+    d = n.dim
+    index = {e: i for i, e in enumerate(sym_monomials(d, m))}
+    basis = []
+    weights = []
+    for combo in itertools.combinations_with_replacement(range(d), m):
+        poly = {(0,) * d: field.one}
+        for i in combo:
+            nxt = {}
+            for expo, coeff in poly.items():
+                for r, c in enumerate(n.basis[i]):
+                    if not c:
+                        continue
+                    e2 = list(expo)
+                    e2[r] += 1
+                    e2 = tuple(e2)
+                    nxt[e2] = nxt.get(e2, field.zero) + coeff * c
+            poly = nxt
+        col = [field.zero] * len(index)
+        for expo, coeff in poly.items():
+            col[index[expo]] = coeff
+        basis.append(tuple(col))
+        weights.append(sum((n.weights[i] for i in combo), Fraction(0)))
+    return DiagNorm(field, tuple(basis), tuple(weights))
+
+
+def tensor_norm_inverting(n0: DiagNorm, n1: DiagNorm) -> DiagNorm:
+    """The tensor product norm on the product basis, built by inverting."""
+    basis = [tuple(a * b for a in vec0 for b in vec1)
+             for vec0 in n0.basis for vec1 in n1.basis]
+    weights = [w0 + w1 for w0 in n0.weights for w1 in n1.weights]
+    return DiagNorm(n0.field, tuple(basis), tuple(weights))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,201 @@
+"""Inverses handed to constructed norms, against the inverting oracles.
+
+``join``, the geodesic slices, ``sym_power_norm`` and ``tensor_norm`` give
+their results an inverse derived from data the inputs hold; each must
+equal ``linalg.invert`` of the result's basis entry for entry, and each
+result must equal, basis, weights and JSON, the norm the inverting path
+builds.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+import oracles
+from geonorm import linalg, norms
+from geonorm.field import TADIC, TRIVIAL, RatFunc
+from geonorm.geodesics import geodesic
+from geonorm.norms import DiagNorm, NormError, join, sym_power_norm, tensor_norm
+
+F = Fraction
+_T = RatFunc.t_power
+
+_Q_ENTRY = st.builds(F, st.integers(-3, 3), st.sampled_from((1, 1, 2, 3)))
+# c t^k for k in [-1, 2], and (c + t) / (1 + t)
+_QT_ENTRY = st.one_of(
+    st.builds(lambda c, k: RatFunc.of(c) * _T(k), st.integers(-3, 3),
+              st.integers(-1, 2)),
+    st.builds(lambda c: RatFunc((c, 1), (1, 1)), st.integers(-2, 2)),
+)
+# c or c t: the entries of the 4-dimensional Q(t) norms whose Sym^3 (a
+# 20 x 20 basis) the oracle inverts, which takes up to 20 s with the
+# entries above
+_QT_LIGHT = st.builds(lambda c, k: RatFunc.of(c) * _T(k), st.integers(-3, 3),
+                      st.integers(0, 1))
+# rational weights over both fields
+_WEIGHT = st.builds(F, st.integers(-6, 6), st.sampled_from((1, 1, 2, 3)))
+
+
+@st.composite
+def _norms(draw, field, d, basis=None, entry=None):
+    """A norm of dimension d over ``field``: one in five on the standard
+    basis, the rest on a random invertible basis (or the given one)."""
+    weights = tuple(draw(_WEIGHT) for _ in range(d))
+    if basis is None:
+        if draw(st.integers(0, 4)) == 0:
+            return DiagNorm.standard(field, weights)
+        if entry is None:
+            entry = _Q_ENTRY if field is TRIVIAL else _QT_ENTRY
+        basis = tuple(tuple(draw(entry) for _ in range(d)) for _ in range(d))
+    try:
+        return DiagNorm(field, basis, weights)
+    except NormError:
+        assume(False)
+
+
+@st.composite
+def _pairs(draw, field, dims=(2, 4)):
+    """Two norms of one dimension in ``dims``; one pair in five shares its
+    basis (the path that hands back n0's own inverse)."""
+    d = draw(st.integers(*dims))
+    n0 = draw(_norms(field, d))
+    shared = draw(st.integers(0, 4)) == 0
+    return n0, draw(_norms(field, d, n0.basis if shared else None))
+
+
+def _assert_hands_its_inverse(n: DiagNorm, inverted=None) -> None:
+    """n's inverse equals ``linalg.invert`` of its basis.  ``inverted`` is
+    a norm that ``DiagNorm`` built on the same basis: its cached inverse
+    rows are the ones ``linalg.invert`` reads its entries from, so the
+    elimination runs once."""
+    if inverted is None:
+        want = linalg.invert(n.field, tuple(zip(*n.basis)))
+    else:
+        assert inverted.basis == n.basis
+        want = linalg.row_values(n.field, inverted._inverse())
+    assert linalg.row_values(n.field, n._inverse()) == want
+
+
+def _assert_same_norm(got: DiagNorm, want: DiagNorm) -> None:
+    assert got.basis == want.basis
+    assert got.weights == want.weights
+    assert got.to_json() == want.to_json()
+
+
+_FIELDS = pytest.mark.parametrize("field", [TRIVIAL, TADIC], ids=["Q", "Q(t)"])
+
+
+@_FIELDS
+@settings(max_examples=40)
+@given(data=st.data())
+def test_join_matches_inverting_oracle(field, data) -> None:
+    n0, n1 = data.draw(_pairs(field))
+    got = join(n0, n1)
+    _assert_same_norm(got, oracles.join_inverting(n0, n1))
+    _assert_hands_its_inverse(got)
+
+
+@_FIELDS
+@settings(max_examples=40)
+@given(data=st.data())
+def test_geodesic_slices_match_inverting_oracle(field, data) -> None:
+    n0, n1 = data.draw(_pairs(field))
+    geo = geodesic(n0, n1)
+    base = oracles.geodesic_base_inverting(n0, n1)
+    for t in (F(0), F(1, 3), F(1)):
+        w = tuple((1 - t) * a + t * b
+                  for a, b in zip(geo.weights0, geo.weights1))
+        got = geo.at(t)
+        _assert_same_norm(got, DiagNorm(field, base.basis, w))
+        _assert_hands_its_inverse(got)
+
+
+def _check_sym_power(n, m):
+    got = sym_power_norm(n, m)
+    want = oracles.sym_power_norm_inverting(n, m)
+    _assert_same_norm(got, want)
+    _assert_hands_its_inverse(got, want)
+
+
+@_FIELDS
+@pytest.mark.parametrize("m", [2, 3])
+@settings(max_examples=25)
+@given(data=st.data())
+def test_sym_power_matches_inverting_oracle(field, m, data) -> None:
+    _check_sym_power(data.draw(_norms(field, data.draw(st.integers(2, 3)))), m)
+
+
+@_FIELDS
+@pytest.mark.parametrize("m", [2, 3])
+@settings(max_examples=5)
+@given(data=st.data())
+def test_sym_power_of_dimension_4_matches_inverting_oracle(field, m,
+                                                          data) -> None:
+    entry = _QT_LIGHT if field is TADIC else None
+    _check_sym_power(data.draw(_norms(field, 4, entry=entry)), m)
+
+
+@_FIELDS
+@settings(max_examples=25)
+@given(data=st.data())
+def test_sym_power_of_a_slice_matches_inverting_oracle(field, data) -> None:
+    # the slice's inverse comes from the kernel (Q(t)) or an elimination
+    # (Q), not straight from an elimination of the input basis
+    n0, n1 = data.draw(_pairs(field, dims=(2, 3)))
+    _check_sym_power(geodesic(n0, n1).at(F(1, 2)), 2)
+
+
+@_FIELDS
+@settings(max_examples=40)
+@given(data=st.data())
+def test_tensor_norm_inverse_is_the_kronecker_product(field, data) -> None:
+    n0 = data.draw(_norms(field, data.draw(st.integers(1, 3))))
+    n1 = data.draw(_norms(field, data.draw(st.integers(1, 3))))
+    got = tensor_norm(n0, n1)
+    _assert_same_norm(got, oracles.tensor_norm_inverting(n0, n1))
+    _assert_hands_its_inverse(got)
+
+
+@_FIELDS
+@settings(max_examples=60)
+@given(data=st.data())
+def test_kernel_basis_matches_closing_rref(field, data) -> None:
+    # linalg.smith builds C = M0 P^{-1} from the inverse row operations;
+    # the closing RREF of [P^T | M0^T] solves for it
+    n0, n1 = data.draw(_pairs(field))
+    (cols0, a), (cols1, b) = (norms._kernel_columns(n0),
+                              norms._kernel_columns(n1))
+    M0, M1 = list(zip(*cols0)), list(zip(*cols1))
+    C, P, _, _ = linalg.smith(M0, M1, a, b)
+    assert C == oracles.kernel_basis_closing_rref(
+        M0, linalg.row_values(field, P))
+
+
+# -- the paths that derive an inverse run no elimination -----------------------
+
+
+def _qt_pair():
+    t = _T(1)
+    q0 = ((TADIC.one, t), (TADIC.zero, TADIC.of(2)))
+    q1 = ((TADIC.of(3), TADIC.one), (t * t, RatFunc((1, 1), (1, 1, 1))))
+    return (DiagNorm(TADIC, q0, (F(0), F(1, 2))),
+            DiagNorm(TADIC, q1, (F(-2), F(1))))
+
+
+def test_qt_join_slices_and_sym_power_invert_nothing(monkeypatch) -> None:
+    n0, n1 = _qt_pair()
+    std = DiagNorm.standard(TADIC, (F(1), F(-1, 3)))
+    calls = []
+    for name in ("invert", "inverse_rows", "rref"):
+        real = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *args, _name=name, _real=real:
+                            calls.append(_name) or _real(*args))
+    j = join(n0, n1)
+    geo = geodesic(n0, std)
+    slices = [geo.start, geo.end, geo.at(F(1, 3))]
+    powers = [sym_power_norm(n, m) for n in (n0, j, slices[2]) for m in (2, 3)]
+    assert calls == []
+    monkeypatch.undo()
+    for n in [j] + slices + powers:
+        _assert_hands_its_inverse(n)

@@ -230,15 +230,29 @@ def test_invert_and_determinant_over_qt_match_field_oracle(A) -> None:
 @_LINALG
 @given(_qt_square(), st.data())
 def test_coordinate_orders_match_valuations(A, data) -> None:
+    # any matrix, its rows cleared to (den, numerators) over Z[t], stands
+    # for an inverse; so do the identity (None) and, when A is invertible,
+    # the rows inverse_rows reads off the elimination, whose coordinates
+    # solve_rows builds as field elements
     d = len(A)
     vectors = data.draw(_qt_matrices(nrows=3, ncols=d))
-    for inv in (A, None):
+    cases = [([linalg._poly_cleared(row) for row in A], A), (None, None)]
+    inv = oracles.invert_field(A)
+    if inv is not None:
+        cases.append((linalg.inverse_rows(TADIC, A), inv))
+    for rows, field_rows in cases:
         want = [
             tuple(map(TADIC.valuation,
-                      v if inv is None else linalg.solve_from_inverse(inv, v)))
+                      v if field_rows is None
+                      else linalg.solve_from_inverse(field_rows, v)))
             for v in vectors
         ]
-        assert linalg.coordinate_orders(inv, vectors) == want
+        assert linalg.coordinate_orders(rows, vectors) == want
+    if inv is not None:
+        rows = cases[-1][0]
+        for v in vectors:
+            assert (linalg.solve_rows(TADIC, rows, v)
+                    == linalg.solve_from_inverse(inv, v))
 
 
 # -- no elimination runs in the field ------------------------------------------
@@ -288,3 +302,41 @@ def test_elimination_runs_no_field_arithmetic(monkeypatch) -> None:
             pass
     monkeypatch.undo()
     assert calls == []
+
+
+def test_inverse_rows_build_no_field_elements(monkeypatch) -> None:
+    # an inverse in row form is read off the elimination, composed by
+    # mul_rows, kron_rows and shift_rows and read by coordinate_orders on
+    # integers and Z[t] polynomials only
+    rng = random.Random(29)
+    rational = [[[Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                  for _ in range(d)] for _ in range(d)] for d in (1, 2, 3, 4)]
+    poly = [_random_qt(rng, d, d) for d in (1, 2, 3, 3, 4)]
+    built = []
+    real_new, real_init = Fraction.__new__, RatFunc.__init__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kw:
+                        built.append(cls) or real_new(cls, *args, **kw))
+    monkeypatch.setattr(RatFunc, "__init__", lambda self, *args, **kw:
+                        built.append(RatFunc) or real_init(self, *args, **kw))
+
+    inverses = []
+    for field, matrices in ((TRIVIAL, rational), (TADIC, poly)):
+        for A in matrices:
+            try:
+                rows = linalg.inverse_rows(field, A)
+            except linalg.SingularMatrixError:
+                continue
+            inverses.append((field, A, rows))
+            linalg.mul_rows(field, rows, rows)
+            linalg.kron_rows(field, rows, rows)
+            if field is TADIC:
+                linalg.shift_rows(rows, range(-1, len(rows) - 1))
+                linalg.coordinate_orders(rows, A)
+    monkeypatch.undo()
+    assert built == []
+    assert len(inverses) > 4
+    for field, A, rows in inverses:
+        inv = linalg.invert(field, A)
+        assert linalg.row_values(field, rows) == inv
+        assert (linalg.row_values(field, linalg.mul_rows(field, rows, rows))
+                == mat_mul(inv, inv))

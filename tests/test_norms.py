@@ -125,15 +125,15 @@ def _tadic_lattice_pair():
 
 
 def _corrupt_weight(result):
-    basis, w0, w1 = result
-    return basis, (w0[0] + 1,) + tuple(w0[1:]), w1
+    basis, w0, w1, *inverse = result
+    return (basis, (w0[0] + 1,) + tuple(w0[1:]), w1, *inverse)
 
 
 def _corrupt_vector(result):
     # s_0 -> s_0 + s_1: a weight of s_1 is smaller in one of the two norms
-    basis, w0, w1 = result
+    basis, w0, w1, *inverse = result
     s0 = tuple(a + b for a, b in zip(basis[0], basis[1]))
-    return (s0,) + tuple(basis[1:]), w0, w1
+    return ((s0,) + tuple(basis[1:]), w0, w1, *inverse)
 
 
 _PATHS = {
@@ -152,10 +152,10 @@ def test_verification_rejects_corrupted_result(path, corrupt,
     n0, n1 = pair()
     split = getattr(norms, name)
     good = split(n0, n1)
-    assert oracles.evaluate_verifies(n0, n1, good)
+    assert oracles.evaluate_verifies(n0, n1, good[:3])
     bad = corrupt(good)
-    assert not oracles.evaluate_verifies(n0, n1, bad)
-    monkeypatch.setattr(norms, name, lambda a, b: bad)
+    assert not oracles.evaluate_verifies(n0, n1, bad[:3])
+    monkeypatch.setattr(norms, name, lambda a, b, inverse=False: bad)
     with pytest.raises(NormError, match="failed verification"):
         codiagonalize(n0, n1)
 
@@ -280,9 +280,9 @@ def test_weighted_pivots_keep_the_filtration_split_over_q(pair) -> None:
     # the kernel's common basis, put in the filtration form, is the basis
     # the filtration split picked, tuple for tuple
     n0, n1 = pair
-    got = norms._codiagonalize_pivots(n0, n1)
-    assert got == oracles.codiagonalize_filtrations(n0, n1)
-    assert codiagonalize(n0, n1) == got
+    got = norms._codiagonalize_pivots(n0, n1, True)
+    assert got == oracles.codiagonalize_filtrations(n0, n1) + (None,)
+    assert codiagonalize(n0, n1) == got[:3]
 
 
 # -- spectrum, distance, volume ----------------------------------------------
@@ -519,13 +519,13 @@ def test_lattice_branch_solves_without_inverting(monkeypatch) -> None:
     def counted(name, real):
         return lambda *args: calls.append(name) or real(*args)
 
-    for name in ("invert", "mat_vec", "mat_mul"):
+    for name in ("invert", "inverse_rows", "rref", "mat_vec", "mat_mul"):
         real = getattr(linalg, name, None)
         monkeypatch.setattr(linalg, name, counted(name, real), raising=False)
     for n0, n1 in pairs:
-        result = norms._codiagonalize_pivots(n0, n1)
-        assert oracles.evaluate_verifies(n0, n1, result)
-        assert codiagonalize(n0, n1) == result
+        result = norms._codiagonalize_pivots(n0, n1, True)
+        assert oracles.evaluate_verifies(n0, n1, result[:3])
+        assert codiagonalize(n0, n1, inverse=True) == result
     assert calls == []
 
 
@@ -587,9 +587,9 @@ def test_smith_matches_field_oracle(raw) -> None:
     # pivots, row operations and P as the RatFunc loop
     n0, n1 = _lattice_norms(raw)
     got = norms._codiagonalize_pivots(n0, n1)
-    assert got == oracles.codiagonalize_lattices_field(n0, n1)
+    assert got == oracles.codiagonalize_lattices_field(n0, n1) + (None,)
     if n0.basis != n1.basis:
-        assert codiagonalize(n0, n1) == got
+        assert codiagonalize(n0, n1) == got[:3]
 
 
 def test_smith_breaks_valuation_ties_by_first_index() -> None:
@@ -598,8 +598,8 @@ def test_smith_breaks_valuation_ties_by_first_index() -> None:
     n0 = DiagNorm(TADIC, ((F(1), F(2)), (F(3), F(1))), (F(0), F(0)))
     n1 = DiagNorm(TADIC, ((F(2), F(1)), (F(1), F(1))), (F(0), F(0)))
     got = norms._codiagonalize_pivots(n0, n1)
-    assert got == oracles.codiagonalize_lattices_field(n0, n1)
-    assert codiagonalize(n0, n1) == got
+    assert got == oracles.codiagonalize_lattices_field(n0, n1) + (None,)
+    assert codiagonalize(n0, n1) == got[:3]
     assert spectrum(n0, n1) == (F(0), F(0))
 
 
@@ -709,6 +709,13 @@ def test_sym_power_weights() -> None:
     s = sym_power_norm(n, 2)
     assert sym_monomials(2, 2) == [(0, 2), (1, 1), (2, 0)]
     assert tuple(sorted(s.weights)) == (F(0), F(1), F(2))
+
+
+@pytest.mark.parametrize("m", [0, -1, 1.5, 2.0, F(2), True, "2", None])
+def test_sym_power_rejects_bad_m(m) -> None:
+    # a non-int or boolean m gets the one-line error that m < 1 gets
+    with pytest.raises(NormError, match=r"^symmetric power needs m >= 1$"):
+        sym_power_norm(_std((0, 1)), m)
 
 
 def test_sym_power_cross_basis_agrees_with_evaluation() -> None:
