@@ -11,7 +11,7 @@ and over Q(t) the product of the kernel's row operations with n0's cached
 inverse.  Only over Q with different bases (and for a ``NormGeodesic``
 built directly) is the basis inverted, once, on first use.  ``at``,
 ``start`` and ``end`` re-weight the base norm, so every norm on the
-segment shares one basis tuple and one cached inverse.
+segment shares one basis tuple and one inverse.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ class NormGeodesic:
 def geodesic(n0: DiagNorm, n1: DiagNorm) -> NormGeodesic:
     basis, w0, w1, inv = codiagonalize(n0, n1, inverse=True)
     geo = NormGeodesic(n0.field, tuple(basis), tuple(w0), tuple(w1))
-    if inv is not None:
-        object.__setattr__(geo, "_norm", DiagNorm._from_inverse(
-            geo.field, geo.basis, geo.weights0, inv))
+    object.__setattr__(geo, "_norm", DiagNorm._from_inverse(
+        geo.field, geo.basis, geo.weights0, inv))
     return geo

@@ -16,8 +16,9 @@ An inverse is kept in row form: one ``(den, numerators)`` pair per row,
 over Z for Q and over Z[t] for Q(t), read straight off the elimination by
 ``inverse_rows``; ``invert`` returns its field values (``row_values``).
 Inverses in row form compose without field elements: ``mul_rows``,
-``kron_rows`` and ``shift_rows`` (times powers of t).  ``solve_rows``
-builds the coordinates of a vector as field elements, and
+``kron_rows`` and ``shift_rows`` (times powers of t).  The norms read
+coordinates only through row form: ``solve_rows`` builds the coordinates
+of a vector as field elements, and
 ``coordinate_orders`` reads their t-adic valuations from Z[t] dot products
 without forming a ``RatFunc``.
 
@@ -465,14 +466,10 @@ def ring(field):
 # ---------------------------------------------------------------------------
 
 
-def solve_from_inverse(Ainv, b):
-    return tuple(_dot(row, b) for row in Ainv)
-
-
 def solve_rows(field, rows, v):
-    """``solve_from_inverse`` for an inverse given as ``(den, numerators)``
-    rows: one field element per coordinate, nums . u / (den e) for the
-    cleared vector u = e v."""
+    """The coordinates A^{-1} v for an inverse given as ``(den,
+    numerators)`` rows: one field element per coordinate, nums . u /
+    (den e) for the cleared vector u = e v."""
     r = ring(field)
     e, u = r.clear(v)
     return tuple(r.element(r.dot(nums, u), r.mul(den, e)) for den, nums in rows)
@@ -544,13 +541,3 @@ def kron_rows(field, A, B):
     return tuple((mul_(e, f), tuple(mul_(x, y) for x in a for y in b))
                  for e, a in A for f, b in B)
 
-
-# ---------------------------------------------------------------------------
-# Subspaces.
-# ---------------------------------------------------------------------------
-
-
-def span_basis(vectors):
-    """Independent subset spanning the same space, as echelonized rows."""
-    R, _ = rref(vectors)
-    return [row for row in R if any(row)]

@@ -23,13 +23,16 @@ elimination, from data their inputs hold: ``join`` and the geodesic slices
 over Q(t) from the kernel's row operations and n0's inverse, ``join`` on a
 shared basis from n0, ``sym_power_norm`` as Sym^m of the input's inverse
 and ``tensor_norm`` as the Kronecker product of the two.  Only a basis the
-user gives, and over Q the filtration-split common basis, is inverted.
+user gives is inverted, and over Q the filtration-split common basis, on
+first use.  ``quotient_norm`` inverts nothing: its exchange argument is a
+forward elimination on coordinates read through the cached inverse.
 Norms diagonal in the standard basis share one identity basis per field
 and dimension and one identity inverse, so ``DiagNorm.standard`` costs
 O(d).
 
-Every ``codiagonalize`` result is verified, and ``==`` is decided, by
-evaluating norms on batches of vectors without ``evaluate``: the
+Every norm value is read by one batched path, ``_values``: ``evaluate``
+runs it on one vector, and it verifies every ``codiagonalize`` result and
+decides ``==`` on batches of basis vectors.  The
 coordinates of a vector are dot products of the rows of the cached inverse
 with it (for a standard basis, the vector itself).  Over Q the valuation is
 0 off zero, so only the zero pattern of the coordinates matters; it is read
@@ -139,27 +142,34 @@ class DiagNorm:
     @classmethod
     def _from_inverse(cls, field, basis, weights, inv) -> "DiagNorm":
         """A norm on a basis of field elements whose inverse rows ``inv`` the
-        caller derived; nothing is coerced, checked or inverted."""
+        caller derived, or None to invert the basis on first use; nothing
+        is coerced or checked."""
         out = object.__new__(cls)
         out.field, out.basis, out.weights, out._inv = field, basis, weights, inv
         return out
 
     def _reweighted(self, weights) -> "DiagNorm":
-        """A norm sharing this basis tuple and its cached inverse, with the
-        given weights, coerced and checked as in ``__init__``."""
+        """A norm sharing this basis tuple and its inverse, computed here if
+        not cached yet, with the given weights, coerced and checked as in
+        ``__init__``."""
         weights = tuple(Fraction(w) for w in weights)
         if len(weights) != self.dim:
             raise NormError("basis and weights must have equal length")
         return DiagNorm._from_inverse(self.field, self.basis, weights,
-                                      self._inv)
+                                      self._inverse())
 
     # -- evaluation -----------------------------------------------------------
 
-    def coordinates(self, v):
-        """Coordinates of an ambient vector in the diagonalizing basis."""
+    def _vector(self, v):
+        """An ambient vector as a tuple of field elements, of length dim."""
         v = tuple(self.field.of(x) for x in v)
         if len(v) != self.dim:
             raise NormError(f"vector has length {len(v)}, expected {self.dim}")
+        return v
+
+    def coordinates(self, v):
+        """Coordinates of an ambient vector in the diagonalizing basis."""
+        v = self._vector(v)
         if self._has_identity_inverse():
             return v
         return linalg.solve_rows(self.field, self._inverse(), v)
@@ -174,16 +184,7 @@ class DiagNorm:
             >>> n.evaluate((Fraction(0), Fraction(0)))
             INF
         """
-        coords = self.coordinates(v)
-        best = INF
-        for a, w in zip(coords, self.weights):
-            val = self.field.valuation(a)
-            if val is INF:
-                continue
-            cand = val + w
-            if cand < best:
-                best = cand
-        return best
+        return _values(self, (self._vector(v),))[0]
 
     # -- equality: two diagonal norms agree iff they agree on both bases ------
 
@@ -248,7 +249,8 @@ def _identity_rows(field, d):
 
 
 def _values(norm: DiagNorm, vectors):
-    """``tuple(norm.evaluate(v) for v in vectors)``, batched.
+    """The -log norms of a batch of vectors of field elements, each an
+    exact rational or INF: every norm value goes through here.
 
     n(v) is the least w_j + v(c_j) over the nonzero coordinates c_j of v,
     or INF; coordinate j is the dot product of row j of the cached inverse
@@ -406,12 +408,11 @@ def join(n0: DiagNorm, n1: DiagNorm) -> DiagNorm:
     """Pointwise maximum of the two norms (minimum of the weights).
 
     The result takes the inverse ``codiagonalize`` derives for the common
-    basis; only over Q with different bases is the basis inverted.
+    basis; over Q with different bases there is none, and the basis is
+    inverted on first use.
     """
     basis, w0, w1, inv = codiagonalize(n0, n1, inverse=True)
     weights = tuple(min(a, b) for a, b in zip(w0, w1))
-    if inv is None:
-        return DiagNorm(n0.field, basis, weights)
     return DiagNorm._from_inverse(n0.field, basis, weights, inv)
 
 
@@ -534,62 +535,40 @@ def quotient_norm(n: DiagNorm, spanning):
 
     Returns ``(qnorm, project)``: the quotient norm is diagonal in the
     images of an adapted basis, and ``project`` maps an ambient vector to
-    its quotient coordinates.  Uses the ultrametric exchange argument to
-    build a diagonalizing basis of the original norm whose first vectors
-    span W; the quotient then simply drops those coordinates.
+    its quotient coordinates.  The ultrametric exchange argument is a
+    forward elimination on coordinates in n's basis, read through its
+    cached inverse: the coordinate row of each RREF row of W is reduced by
+    the earlier pivot rows, and its pivot is the first column p least in
+    v(x_p) + w_p, the column whose basis vector that W vector replaces.
+    The quotient keeps the weights of the other columns, and ``project``
+    reduces the coordinates of v by the same rows and keeps those columns.
     """
-    field = n.field
-    spanning = [tuple(field.of(x) for x in vec) for vec in spanning]
-    W = linalg.span_basis([v for v in spanning if any(v)])
-    k = len(W)
-    if k == 0:
+    W = linalg.rref([n._vector(v) for v in spanning])[0]
+    if not W:
         raise NormError("quotient by the zero subspace is the norm itself")
-    if k >= n.dim:
+    if len(W) >= n.dim:
         raise NormError("quotient by the full space is zero-dimensional")
+    valuation, weights = n.field.valuation, n.weights
+    rows = []
 
-    vecs = list(n.basis)
-    weights = list(n.weights)
-    swapped = []
+    def reduced(v):
+        x = n.coordinates(v)
+        for p, row in rows:
+            if x[p]:
+                c = x[p] / row[p]
+                x = tuple(a - c * b if b else a for a, b in zip(x, row))
+        return x
+
     for w in W:
-        matrix_inv = linalg.invert(
-            field,
-            tuple(tuple(vecs[c][r] for c in range(n.dim)) for r in range(n.dim)),
-        )
-        coords = list(linalg.solve_from_inverse(matrix_inv, w))
-        # remove components along already swapped-in W vectors (stay in W)
-        for p in swapped:
-            coords[p] = field.zero
-        best = None
-        for p, a in enumerate(coords):
-            if p in swapped:
-                continue
-            val = field.valuation(a)
-            if val is INF:
-                continue
-            cand = val + weights[p]
-            if best is None or cand < best[0]:
-                best = (cand, p)
-        if best is None:
-            raise NormError("spanning vectors are linearly dependent")
-        value, p_star = best
-        w_reduced = tuple(
-            sum((coords[c] * vecs[c][r] for c in range(n.dim) if coords[c]),
-                field.zero)
-            for r in range(n.dim)
-        )
-        vecs[p_star] = w_reduced
-        weights[p_star] = value
-        swapped.append(p_star)
-
-    remaining = [p for p in range(n.dim) if p not in swapped]
-    qnorm = DiagNorm.standard(field, tuple(weights[p] for p in remaining))
-    final_inv = linalg.invert(
-        field,
-        tuple(tuple(vecs[c][r] for c in range(n.dim)) for r in range(n.dim)),
-    )
+        x = reduced(w)
+        rows.append((min((p for p, a in enumerate(x) if a),
+                         key=lambda p: valuation(x[p]) + weights[p]), x))
+    pivots = {p for p, _ in rows}
+    remaining = [p for p in range(n.dim) if p not in pivots]
+    qnorm = DiagNorm.standard(n.field, tuple(weights[p] for p in remaining))
 
     def project(v):
-        coords = linalg.solve_from_inverse(final_inv, tuple(field.of(x) for x in v))
-        return tuple(coords[p] for p in remaining)
+        x = reduced(v)
+        return tuple(x[p] for p in remaining)
 
     return qnorm, project

@@ -28,10 +28,11 @@ geonorm.plconvex replaced: one exact simplex (``geonorm.linprog``, which
 no library module calls) per piece, where the library tests each piece
 against the conjugate.  ``supnorm_weights_fraction`` reads sup-norm
 weights as ``k * q.value(a / k)`` in Fractions, where geonorm.toric reads
-them on one common denominator.  ``evaluate_verifies`` checks a
-codiagonalization with one ``DiagNorm.evaluate`` per vector and norm,
-where geonorm.norms reads zero patterns (over Q) and orders at t = 0
-(over Q(t)) from integer and integer-polynomial dot products.
+them on one common denominator.  ``coordinate_values`` and
+``verifies_in_field`` read norm values from coordinates under a field
+inverse over Q and Q(t), where geonorm.norms (``evaluate``, ``==`` and the
+check of every codiagonalization) reads zero patterns (over Q) and orders
+at t = 0 (over Q(t)) from integer and integer-polynomial dot products.
 ``codiagonalize_lattices_field`` is the t-adic lattice branch with its
 Smith loop in ``RatFunc`` arithmetic, for integer weights only, where
 geonorm.linalg.smith runs it on Z[t] rows with one denominator per row and
@@ -44,6 +45,10 @@ row operations, a cached inverse or functoriality; and
 ``kernel_basis_closing_rref`` reads the kernel's common basis M0 P^{-1}
 from this file's RREF of [P^T | M0^T], where geonorm.linalg.smith applies
 the inverse of each row operation to the columns of M0.
+``quotient_norm_exchange`` is the exchange loop of the quotient norm,
+which solves in each intermediate basis by this file's field inverse,
+where geonorm.norms eliminates on coordinates read through the norm's
+cached inverse.
 ``generate_degree_one``, ``check_submultiplicative``, ``graded_geodesic``
 and ``asymptotic_stats`` are the ``Fraction`` loops that geonorm.graded
 replaced with integer numerators over one common denominator; they read
@@ -333,11 +338,27 @@ def norm_values(basis, weights, vectors):
     return tuple(out)
 
 
-def evaluate_verifies(n0, n1, result):
-    """Whether n0, n1 take the claimed weights on the claimed common basis."""
+def coordinate_values(n: DiagNorm, vectors):
+    """-log norms over either field, INF for the zero vector: the least
+    valuation plus weight over the nonzero coordinates, with coordinates
+    taken under this file's field inverse of n's basis."""
+    d, field = n.dim, n.field
+    inv = invert_field([[n.basis[c][r] for c in range(d)] for r in range(d)])
+    out = []
+    for v in vectors:
+        coords = [sum((a * b for a, b in zip(row, v)), field.zero)
+                  for row in inv]
+        out.append(min((field.valuation(x) + w
+                        for x, w in zip(coords, n.weights) if x), default=INF))
+    return tuple(out)
+
+
+def verifies_in_field(n0, n1, result):
+    """Whether n0, n1 take the claimed weights on the claimed common basis,
+    by ``coordinate_values``."""
     basis, w0, w1 = result
-    return all(n0.evaluate(vec) == a and n1.evaluate(vec) == b
-               for vec, a, b in zip(basis, w0, w1))
+    return (coordinate_values(n0, basis) == tuple(w0)
+            and coordinate_values(n1, basis) == tuple(w1))
 
 
 # ---------------------------------------------------------------------------
@@ -911,6 +932,57 @@ def coset_sup(norm_eval, v, subspace, coeff_range=3):
             best = val
     return best
 
+
+
+def quotient_norm_exchange(n: DiagNorm, spanning):
+    """``(qnorm, project)`` by the exchange loop that geonorm.norms replaced
+    with a forward elimination on coordinates read through n's cached
+    inverse.  Each RREF row of W is solved in the current basis by a field
+    inverse of that basis; its components along the W vectors already
+    swapped in are dropped, and the rest replaces the basis vector at the
+    first column least in v(coordinate) + weight.  ``project`` solves in the
+    final basis and keeps the columns not swapped out."""
+    field, d = n.field, n.dim
+    spanning = [tuple(field.of(x) for x in vec) for vec in spanning]
+    W, _ = rref_field([v for v in spanning if any(v)])
+    if not W:
+        raise NormError("quotient by the zero subspace is the norm itself")
+    if len(W) >= d:
+        raise NormError("quotient by the full space is zero-dimensional")
+
+    def solve(vecs, v):
+        inv = invert_field([[vecs[c][r] for c in range(d)] for r in range(d)])
+        return [sum((a * b for a, b in zip(row, v)), field.zero)
+                for row in inv]
+
+    vecs, weights, swapped = list(n.basis), list(n.weights), []
+    for w in W:
+        coords = solve(vecs, w)
+        for p in swapped:
+            coords[p] = field.zero
+        best = None
+        for p, a in enumerate(coords):
+            if p in swapped or not a:
+                continue
+            cand = field.valuation(a) + weights[p]
+            if best is None or cand < best[0]:
+                best = (cand, p)
+        value, p_star = best
+        vecs[p_star] = tuple(
+            sum((coords[c] * vecs[c][r] for c in range(d) if coords[c]),
+                field.zero)
+            for r in range(d))
+        weights[p_star] = value
+        swapped.append(p_star)
+    remaining = [p for p in range(d) if p not in swapped]
+    qnorm = DiagNorm.standard(field, tuple(weights[p] for p in remaining))
+    final = list(vecs)
+
+    def project(v):
+        coords = solve(final, tuple(field.of(x) for x in v))
+        return tuple(coords[p] for p in remaining)
+
+    return qnorm, project
 
 # ---------------------------------------------------------------------------
 # Graded norms in Fraction arithmetic: the loops geonorm.graded replaced.

@@ -119,6 +119,23 @@ def test_geodesic_slices_share_one_inverse(case, monkeypatch) -> None:
             g.at(t)
 
 
+@pytest.mark.parametrize("count", [1, 2, 9])
+def test_q_geodesic_inverts_once_for_any_number_of_slices(count,
+                                                          monkeypatch) -> None:
+    n0, n1, _ = _geodesic_cases()["Q cross"]
+    calls = []
+    real = linalg.inverse_rows
+    monkeypatch.setattr(linalg, "inverse_rows",
+                        lambda *args: calls.append(args) or real(*args))
+    g = geodesic(n0, n1)
+    assert calls == []
+    slices = [g.at(F(i, count)) for i in range(count + 1)]
+    assert len(calls) == 1
+    for s in slices:
+        assert s.basis is g.basis and s._inverse() is slices[0]._inverse()
+        s.evaluate(n0.basis[0])
+    assert len(calls) == 1
+
 def test_geodesic_value_semantics_ignore_the_cached_norm() -> None:
     n0, n1, _ = _geodesic_cases()["Q cross"]
     g = geodesic(n0, n1)

@@ -199,3 +199,22 @@ def test_qt_join_slices_and_sym_power_invert_nothing(monkeypatch) -> None:
     monkeypatch.undo()
     for n in [j] + slices + powers:
         _assert_hands_its_inverse(n)
+
+
+def test_q_join_inverts_its_basis_on_first_use(monkeypatch) -> None:
+    # over Q with different bases the kernel derives no inverse: a join
+    # that is only serialized inverts nothing, and evaluating it inverts
+    # its basis once
+    n0 = DiagNorm(TRIVIAL, ((F(1), F(1)), (F(1), F(2))), (F(0), F(1)))
+    n1 = DiagNorm(TRIVIAL, ((F(2), F(-1)), (F(0), F(1))), (F(2), F(-1)))
+    want = oracles.join_inverting(n0, n1).to_json()
+    calls = []
+    real = linalg.inverse_rows
+    monkeypatch.setattr(linalg, "inverse_rows",
+                        lambda *args: calls.append(args) or real(*args))
+    j = join(n0, n1)
+    assert j.to_json() == want
+    assert calls == []
+    for v in n0.basis + n1.basis:
+        assert j.evaluate(v) == min(n0.evaluate(v), n1.evaluate(v))
+    assert len(calls) == 1

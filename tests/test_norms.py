@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from geonorm import norms
+from geonorm import linalg, norms
 from geonorm.field import INF, TADIC, TRIVIAL, RatFunc
 from geonorm.geodesics import geodesic
 from geonorm.norms import (
@@ -64,8 +64,11 @@ def test_evaluate_reads_weights() -> None:
 
 
 def test_evaluate_dimension_mismatch() -> None:
-    with pytest.raises(NormError):
-        _std((0, 1)).evaluate((F(1),))
+    for field in (TRIVIAL, TADIC):
+        n = DiagNorm(field, ((1, 1), (0, 1)), (F(0), F(1)))
+        for v in ((1,), (1, 0, 0)):
+            with pytest.raises(NormError, match=r"length \d, expected 2"):
+                n.evaluate(v)
 
 
 @pytest.mark.parametrize("field", [TRIVIAL, TADIC])
@@ -152,9 +155,9 @@ def test_verification_rejects_corrupted_result(path, corrupt,
     n0, n1 = pair()
     split = getattr(norms, name)
     good = split(n0, n1)
-    assert oracles.evaluate_verifies(n0, n1, good[:3])
+    assert oracles.verifies_in_field(n0, n1, good[:3])
     bad = corrupt(good)
-    assert not oracles.evaluate_verifies(n0, n1, bad[:3])
+    assert not oracles.verifies_in_field(n0, n1, bad[:3])
     monkeypatch.setattr(norms, name, lambda a, b, inverse=False: bad)
     with pytest.raises(NormError, match="failed verification"):
         codiagonalize(n0, n1)
@@ -234,15 +237,14 @@ def _rational_norm_pairs(draw):
 def test_batched_values_match_fraction_oracle(case) -> None:
     n0, n1, vecs = case
     for n in (n0, n1):
-        got = norms._values(n, vecs)
-        assert tuple(None if x is INF else x for x in got) == \
-            oracles.norm_values(n.basis, n.weights, vecs)
-        assert got == tuple(n.evaluate(v) for v in vecs)
+        want = oracles.norm_values(n.basis, n.weights, vecs)
+        for got in (norms._values(n, vecs), tuple(map(n.evaluate, vecs))):
+            assert tuple(None if x is INF else x for x in got) == want
     both = n0.basis + n1.basis
     assert (n0 == n1) == (oracles.norm_values(n0.basis, n0.weights, both)
                           == oracles.norm_values(n1.basis, n1.weights, both))
     result = codiagonalize(n0, n1)
-    assert oracles.evaluate_verifies(n0, n1, result)
+    assert oracles.verifies_in_field(n0, n1, result)
 
 
 @st.composite
@@ -478,12 +480,14 @@ def _tadic_values_case(draw):
 @given(_tadic_values_case())
 def test_batched_values_match_evaluate_tadic(case) -> None:
     n, other, vecs = case
-    assert norms._values(n, vecs) == tuple(n.evaluate(v) for v in vecs)
-    assert norms._values(n, vecs)[-1] is INF
+    want = oracles.coordinate_values(n, vecs)
+    got = norms._values(n, vecs)
+    assert got == want and got[-1] is INF
+    assert tuple(map(n.evaluate, vecs)) == want
     both = n.basis + other.basis
-    assert (n == other) == all(n.evaluate(v) == other.evaluate(v)
-                               for v in both)
-    assert oracles.evaluate_verifies(n, other, codiagonalize(n, other))
+    assert (n == other) == (oracles.coordinate_values(n, both)
+                            == oracles.coordinate_values(other, both))
+    assert oracles.verifies_in_field(n, other, codiagonalize(n, other))
 
 
 def _fixed_tadic_pairs():
@@ -511,8 +515,6 @@ def test_tadic_spectrum_and_join_call_no_evaluate(monkeypatch) -> None:
 
 
 def test_lattice_branch_solves_without_inverting(monkeypatch) -> None:
-    from geonorm import linalg
-
     pairs = _fixed_tadic_pairs()
     calls = []
 
@@ -524,7 +526,7 @@ def test_lattice_branch_solves_without_inverting(monkeypatch) -> None:
         monkeypatch.setattr(linalg, name, counted(name, real), raising=False)
     for n0, n1 in pairs:
         result = norms._codiagonalize_pivots(n0, n1, True)
-        assert oracles.evaluate_verifies(n0, n1, result[:3])
+        assert oracles.verifies_in_field(n0, n1, result[:3])
         assert codiagonalize(n0, n1, inverse=True) == result
     assert calls == []
 
@@ -625,7 +627,7 @@ def test_rational_weights_by_ramified_base_change(raw, q) -> None:
     # Q(u) = Q(t), with t -> t^q in every entry (u -> t)
     n0, n1 = _lattice_norms([(basis, [F(w, q) for w in weights])
                              for basis, weights in raw])
-    assert oracles.evaluate_verifies(n0, n1, codiagonalize(n0, n1))
+    assert oracles.verifies_in_field(n0, n1, codiagonalize(n0, n1))
     m0, m1 = _lattice_norms(_substitute_t_power(raw, q))
     _, v0, v1 = oracles.codiagonalize_lattices_field(m0, m1)
     assert spectrum(n0, n1) == tuple(sorted(F(a - b, q)
@@ -750,6 +752,109 @@ def test_quotient_matches_coset_oracle() -> None:
         expected = oracles.coset_sup(n.evaluate, list(v), sub)
         assert q.evaluate(project(v)) == expected
 
+
+
+@pytest.mark.parametrize("bad", [(F(1), F(1)), (F(1), F(1), F(0), F(5))])
+def test_quotient_rejects_spanning_vectors_of_wrong_length(bad) -> None:
+    n = _std((0, 1, 2))
+    with pytest.raises(NormError, match=rf"length {len(bad)}, expected 3"):
+        quotient_norm(n, [(F(1), F(0), F(0)), bad])
+
+
+_QUOTIENT_ENTRY = {
+    TRIVIAL: st.builds(F, st.integers(-3, 3), st.sampled_from((1, 1, 2))),
+    # c t^k for k in [-1, 2], and (c + t) / (1 + t)
+    TADIC: st.one_of(
+        st.builds(lambda c, k: TADIC.of(c) * RatFunc.t_power(k),
+                  st.integers(-3, 3), st.integers(-1, 2)),
+        st.builds(lambda c: RatFunc((c, 1), (1, 1)), st.integers(-2, 2))),
+}
+
+
+@st.composite
+def _quotient_cases(draw, field):
+    """A norm of dimension 2..5 over ``field`` (standard basis or random),
+    with rational weights; 1 to d - 1 random spanning vectors with a zero
+    vector and combinations of them mixed in; and vectors to project,
+    the spanning vectors among them."""
+    d = draw(st.integers(2, 5))
+    entry = _QUOTIENT_ENTRY[field]
+    vector = st.lists(entry, min_size=d, max_size=d).map(tuple)
+    weights = tuple(draw(st.lists(st.builds(F, st.integers(-4, 4),
+                                            st.sampled_from((1, 2, 3))),
+                                  min_size=d, max_size=d)))
+    if draw(st.booleans()):
+        n = DiagNorm.standard(field, weights)
+    else:
+        try:
+            n = DiagNorm(field, tuple(draw(vector) for _ in range(d)), weights)
+        except NormError:
+            assume(False)
+    spanning = [draw(vector) for _ in range(draw(st.integers(1, d - 1)))]
+    assume(any(any(v) for v in spanning))
+    extra = [(field.zero,) * d]
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.sampled_from(spanning)), draw(st.sampled_from(spanning))
+        c = draw(entry)
+        extra.append(tuple(c * x + y for x, y in zip(a, b)))
+    spanning = draw(st.permutations(spanning + extra))
+    vecs = spanning + [draw(vector) for _ in range(3)]
+    return n, spanning, vecs
+
+
+@pytest.mark.parametrize("field", [TRIVIAL, TADIC], ids=["Q", "Q(t)"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_quotient_matches_exchange_oracle(field, data) -> None:
+    n, spanning, vecs = data.draw(_quotient_cases(field))
+    q, project = quotient_norm(n, spanning)
+    want, want_project = oracles.quotient_norm_exchange(n, spanning)
+    assert q.is_standard_basis() and q.weights == want.weights
+    for v in vecs:
+        image = project(v)
+        assert image == want_project(v)
+        # v is one representative of its coset
+        assert q.evaluate(image) >= n.evaluate(v)
+    for w in spanning:
+        assert not any(project(w))
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_quotient_by_a_line_matches_coset_sup(data) -> None:
+    # a line spanned by a vector of entries 0 and +-1 in the standard
+    # basis: the best representative of v adds -v_p / u_p u, an integer
+    # multiple in [-3, 3] of u, which the oracle's search covers
+    d = data.draw(st.integers(2, 4))
+    n = _std(data.draw(st.lists(st.builds(F, st.integers(-3, 3),
+                                          st.sampled_from((1, 2))),
+                                min_size=d, max_size=d)))
+    u = tuple(map(F, data.draw(st.lists(st.integers(-1, 1), min_size=d,
+                                        max_size=d))))
+    assume(any(u))
+    v = tuple(map(F, data.draw(st.lists(st.integers(-3, 3), min_size=d,
+                                        max_size=d))))
+    q, project = quotient_norm(n, [u])
+    assert q.evaluate(project(v)) == oracles.coset_sup(n.evaluate, list(v), [u])
+
+
+def test_quotient_inverts_nothing(monkeypatch) -> None:
+    t = RatFunc.t_power(1)
+    for field, entry in ((TRIVIAL, F(1, 2)), (TADIC, t)):
+        one, zero = field.one, field.zero
+        n = DiagNorm(field, ((one, entry, zero), (zero, one, entry),
+                             (entry, zero, one)), (F(0), F(1, 2), F(-1)))
+        calls = []
+        for name in ("invert", "inverse_rows"):
+            real = getattr(linalg, name)
+            monkeypatch.setattr(linalg, name,
+                                lambda *args, _name=name, _real=real:
+                                calls.append(_name) or _real(*args))
+        q, project = quotient_norm(n, [(one, zero, one), (zero, entry, one)])
+        project((one, one, zero))
+        monkeypatch.undo()
+        assert calls == []
+        assert q.dim == 1
 
 # -- serialization --------------------------------------------------------------
 
