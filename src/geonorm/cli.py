@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -129,7 +130,22 @@ def _parse_p(raw):
     return int(raw)
 
 
-def _run_verify(task, cfg, args):
+def _diagnostics(task, cfg, args, reports):
+    """``segments.diagnostics`` of a task's metric pair, once per (pair, kmax).
+
+    ``reports`` maps (pair names, kmax) to the report; it lives for one
+    command, so the ``diagnostics`` task and ``verify theoremB`` on the same
+    pair read one report.
+    """
+    kmax = _task_kmax(task, args, 4)
+    key = (tuple(task["metrics"]), kmax)
+    if key not in reports:
+        phi0, phi1 = (cfg.metrics[name] for name in task["metrics"])
+        reports[key] = diagnostics(phi0, phi1, kmax=kmax)
+    return reports[key]
+
+
+def _run_verify(task, cfg, args, reports):
     """Returns (report dict, ok, counterexample or None)."""
     target = task["target"]
     if target == "submultiplicative":
@@ -146,8 +162,7 @@ def _run_verify(task, cfg, args):
         return {"target": target, "status": "pass" if ok else "fail",
                 "counterexample": witness}, ok, witness
     # theoremB: exactness flags of the maximal-segment diagnostics
-    phi0, phi1 = (cfg.metrics[name] for name in task["metrics"])
-    report = diagnostics(phi0, phi1, kmax=_task_kmax(task, args, 4))
+    report = _diagnostics(task, cfg, args, reports)
     problems = []
     if not report["energy_affine_exact"]:
         problems.append({"check": "energy-affine",
@@ -165,7 +180,7 @@ def _run_verify(task, cfg, args):
             "counterexample": ce, "diagnostics": report}, ok, ce
 
 
-def _run_task(idx, task, cfg, args):
+def _run_task(idx, task, cfg, args, reports):
     """Returns (artifact data, ok flag, counterexample)."""
     op = task["op"]
     if op == "spectrum":
@@ -218,8 +233,7 @@ def _run_task(idx, task, cfg, args):
         t = parse_fraction(str(task["t"]))
         return legendre_segment(phi0, phi1, t).to_json(), True, None
     if op == "diagnostics":
-        phi0, phi1 = (cfg.metrics[x] for x in task["metrics"])
-        return diagnostics(phi0, phi1, kmax=_task_kmax(task, args, 4)), True, None
+        return _diagnostics(task, cfg, args, reports), True, None
     if op == "suite":
         rows = run_suite(task.get("name", "all"),
                          seed=int(task.get("seed", args.seed)))
@@ -227,7 +241,7 @@ def _run_task(idx, task, cfg, args):
         failing = [r for r in rows if r["status"] != "pass"]
         return rows, ok, failing or None
     if op == "verify":
-        return _run_verify(task, cfg, args)
+        return _run_verify(task, cfg, args, reports)
     raise ConfigError(f"task {idx}: unhandled op {op!r}")  # pragma: no cover
 
 
@@ -238,8 +252,9 @@ def cmd_run(args):
     os.makedirs(out_dir, exist_ok=True)
     summary = []
     failed = False
+    reports = {}
     for idx, task in enumerate(cfg.tasks):
-        data, ok, counterexample = _run_task(idx, task, cfg, args)
+        data, ok, counterexample = _run_task(idx, task, cfg, args, reports)
         name = f"{idx:03d}_{task['op']}"
         text, ext = _render(data, fmt)
         path = os.path.join(out_dir, f"{name}.{ext}")
@@ -312,8 +327,9 @@ def cmd_segments_verify(args):
         raise ConfigError(f"{args.config} defines no verify tasks")
     failed = False
     checks = []
+    reports = {}
     for idx, task in enumerate(verify_tasks):
-        report, ok, counterexample = _run_verify(task, cfg, args)
+        report, ok, counterexample = _run_verify(task, cfg, args, reports)
         checks.append(report)
         status = "pass" if ok else "FAIL"
         print(f"verify {task['target']}: {status}")
@@ -345,6 +361,7 @@ def _add_common(parser, config=True):
                         help="table format (default from config, else json)")
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="geonorm",

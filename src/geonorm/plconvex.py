@@ -43,7 +43,7 @@ class EnvelopeError(PLError):
 
 
 def _frac_point(p):
-    return tuple(Fraction(x) for x in p)
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in p)
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +62,8 @@ class MaxAffine:
             g = _frac_point(g)
             if len(g) != n:
                 raise PLError(f"piece gradient has length {len(g)}, expected {n}")
-            c = Fraction(c)
+            if type(c) is not Fraction:
+                c = Fraction(c)
             if g not in best or c > best[g]:
                 best[g] = c
         if not best:

@@ -36,8 +36,9 @@ from .plconvex import (
 from .toric import (
     ToricError,
     ToricMetric,
-    _energy_limit,
+    _energy,
     _full_profile,
+    _require_pair,
     _require_same_bundle,
     _rooftop,
     _supnorm,
@@ -308,8 +309,8 @@ def diagnostics(phi0: ToricMetric, phi1: ToricMetric, kmax: int = 8,
 
     Covers per-level d1 geodesicity of the sup-norm geodesics, affineness
     of the energy along the Legendre segment (against the reference
-    metric, via the integral oracle), and endpoint recovery gaps of the
-    quantized maximal segment.
+    metric, E(phi_t) - E(ref) with the reference integrated once), and
+    endpoint recovery gaps of the quantized maximal segment.
     """
     ts = tuple(Fraction(t) for t in ts)
     levels = _chain(kmax)
@@ -317,7 +318,7 @@ def diagnostics(phi0: ToricMetric, phi1: ToricMetric, kmax: int = 8,
     q0, q1 = _full_profile(phi0), _full_profile(phi1)
     family = _rooftop_family(phi0.n, phi0.m, q0, q1)
     ref = reference(phi0.n, phi0.m)
-    q_ref = ref.profile()
+    e_ref = _energy(ref, ref.profile())
     report = {"levels": list(levels), "ts": [str(t) for t in ts]}
 
     ring = section_ring(phi0.n, phi0.m)
@@ -340,7 +341,8 @@ def diagnostics(phi0: ToricMetric, phi1: ToricMetric, kmax: int = 8,
     energy_at = {}
     for t in dict.fromkeys((Fraction(0), Fraction(1)) + ts):
         got = _legendre_recover(phi0.n, phi0.m, family, t)
-        energy_at[t] = _energy_limit(got, ref, got.profile(), q_ref)
+        _require_pair(got, ref)
+        energy_at[t] = _energy(got, got.profile()) - e_ref
     e0, e1 = energy_at[0], energy_at[1]
     resid = {t: energy_at[t] - ((1 - t) * e0 + t * e1) for t in ts}
     report["energy_along_segment"] = [

@@ -8,10 +8,17 @@ lattice points: beta_a = k*q(a/k).  Monge-Ampere energy and the d1 distance
 are computed both per degree (exact norm sums) and in the limit (exact
 integrals of conjugate profiles over m*Delta).
 
+In the limit the energy is a functional of one metric: a metric with full
+support has its profile defined on all of m*Delta, so
+E(phi0, phi1) = E(phi0) - E(phi1) with E(phi) = vol^-1 * integral of q_phi
+(``_energy``), one integral per profile and no overlay of two cell
+subdivisions.  The overlay is kept for |q0 - q1| and its sup, so the two
+routes of ``d1_metric`` share no integration code.
+
 A metric's profile is computed on demand and never stored on the metric.
 Each public function conjugates each input metric once and hands the
 profile to the private helpers that need it (``_supnorm`` for every degree,
-``_rooftop`` for envelopes, ``_energy_limit`` for integrals).
+``_rooftop`` for envelopes, ``_energy`` for integrals).
 
 Sup-norm weights are read on integers: k q(a/k) is the min over the planes
 (w, c) of q of <w, a> + k c, and with every plane scaled by one common
@@ -38,7 +45,7 @@ from .plconvex import (
     compare,
     conjugate,
     integrate_abs_difference,
-    integrate_difference,
+    integrate_profile,
     max_abs_difference,
     moment_simplex,
     prune,
@@ -267,41 +274,47 @@ def energy(phi0: ToricMetric, phi1: ToricMetric, kmax: int = 8) -> ConvergenceRe
     """Monge-Ampere energy: per-k relative volumes and the integral limit.
 
     Per degree: (k h0(k))^-1 sum_a (beta0_a - beta1_a) over sup-norm
-    weights.  Limit: vol(m Delta)^-1 * integral of (q0 - q1).  Increasing
-    in the first argument; antisymmetric; <= 0 when phi0 <= phi1.
+    weights.  Limit: E(phi0) - E(phi1), where E(phi) = vol(m Delta)^-1 *
+    integral of q over m Delta.  Increasing in the first argument;
+    antisymmetric; <= 0 when phi0 <= phi1.
     """
     _require_pair(phi0, phi1)
     q0, q1 = phi0.profile(), phi1.profile()
     per_k = _per_degree(phi0, phi1, q0, q1, kmax, lambda d: d)
-    return ConvergenceResult(per_k, _energy_limit(phi0, phi1, q0, q1))
+    return ConvergenceResult(per_k, _energy(phi0, q0) - _energy(phi1, q1))
 
 
 def energy_limit(phi0: ToricMetric, phi1: ToricMetric) -> Fraction:
+    """E(phi0) - E(phi1), the limit of ``energy(phi0, phi1)``."""
     _require_pair(phi0, phi1)  # before the profiles, which need n <= 2
-    return _energy_limit(phi0, phi1, phi0.profile(), phi1.profile())
+    return _energy(phi0, phi0.profile()) - _energy(phi1, phi1.profile())
 
 
-def _energy_limit(phi0, phi1, q0, q1) -> Fraction:
-    """``energy_limit(phi0, phi1)`` given the profiles q0, q1 of the pair."""
-    _require_pair(phi0, phi1)
-    return integrate_difference(q0, q1) / moment_volume(phi0.n, phi0.m)
+def _energy(phi: ToricMetric, q: ConcaveProfile) -> Fraction:
+    """E(phi) = vol(m Delta)^-1 * integral of q over its domain.
+
+    The domain is m Delta when phi has full support, which the callers
+    check (``_require_pair``); then E(phi0, phi1) = E(phi0) - E(phi1).
+    """
+    return integrate_profile(q) / moment_volume(phi.n, phi.m)
 
 
 def d1_metric(phi0: ToricMetric, phi1: ToricMetric, kmax: int = 8) -> ConvergenceResult:
     """d1 distance: per-k normalized norm distances and the integral limit.
 
     The limit is computed two ways and asserted equal: directly as
-    vol^-1 * integral |q0 - q1|, and as E(phi0, P) + E(phi1, P) through the
-    rooftop envelope P = P(phi0, phi1).
+    vol^-1 * integral |q0 - q1| over the overlay of the two cell
+    subdivisions, and through the rooftop envelope P = P(phi0, phi1) as
+    E(phi0, P) + E(phi1, P) = E(phi0) + E(phi1) - 2 E(P).
     """
     _require_pair(phi0, phi1)
     q0, q1 = phi0.profile(), phi1.profile()
     per_k = _per_degree(phi0, phi1, q0, q1, kmax, abs)
     direct = integrate_abs_difference(q0, q1) / moment_volume(phi0.n, phi0.m)
     roof = _rooftop(phi0.n, phi0.m, q0, q1)
-    q_roof = roof.profile()
-    via_envelope = (_energy_limit(phi0, roof, q0, q_roof)
-                    + _energy_limit(phi1, roof, q1, q_roof))
+    _require_pair(phi0, roof)  # E(P) integrates over P's own domain
+    via_envelope = (_energy(phi0, q0) + _energy(phi1, q1)
+                    - 2 * _energy(roof, roof.profile()))
     if direct != via_envelope:
         raise ToricError(
             f"d1 routes disagree: integral {direct} vs envelope "

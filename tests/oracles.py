@@ -19,11 +19,14 @@ operators are themselves checked against Euclid reduction over Q.
 replaced with its weighted-pivot kernel (``geonorm.linalg.smith``); it
 picks complements intersection by intersection with this file's own span
 intersections and rank tests, and the kernel's basis, put in filtration
-form, must equal its result tuple for tuple.  There are seven exceptions,
+form, must equal its result tuple for tuple.  The exceptions below are
 each a path the library replaced, kept as a differential reference and
 composed from the library's own primitives.
 ``legendre_segment_per_t`` is the per-t Legendre construction that
-geonorm.segments replaced.  ``lp_le_witness`` is the comparison that
+geonorm.segments replaced.  ``integrate_difference`` and
+``energy_limit_overlay`` integrate q0 - q1 over the overlay of two cell
+subdivisions, where geonorm.toric integrates each profile on its own and
+subtracts.  ``lp_le_witness`` is the comparison that
 geonorm.plconvex replaced: one exact simplex (``geonorm.linprog``, which
 no library module calls) per piece, where the library tests each piece
 against the conjugate.  ``supnorm_weights_fraction`` reads sup-norm
@@ -67,9 +70,9 @@ from geonorm.field import INF, TADIC
 from geonorm.graded import GradedError, GradedNorm, _degree_one_table
 from geonorm.linprog import minimize_max_affine
 from geonorm.norms import DiagNorm, NormError, codiagonalize, sym_monomials
-from geonorm.plconvex import prune
+from geonorm.plconvex import _overlay, integrate_cell_affine, prune
 from geonorm.segments import tau_critical_set
-from geonorm.toric import ToricError, ToricMetric, envelope_P
+from geonorm.toric import ToricError, ToricMetric, envelope_P, moment_volume
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +310,27 @@ def legendre_segment_per_t(phi0, phi1, t):
         pots.append(roof.potential.shifted(t * tau))
     pot = prune(pots[0].max_with(*pots[1:]))
     return ToricMetric(phi0.n, phi0.m, pot, "limit")
+
+
+# ---------------------------------------------------------------------------
+# Energy over the overlay of two profiles' cells: the path that
+# geonorm.toric replaced with one integral per profile.
+# ---------------------------------------------------------------------------
+
+
+def integrate_difference(p0, p1) -> Fraction:
+    """Exact integral of (q0 - q1) over the common domain."""
+    total = Fraction(0)
+    for region, c0, c1 in _overlay(p0, p1):
+        diff = lambda y, a=c0, b=c1: a.affine(y) - b.affine(y)
+        total += integrate_cell_affine(region, diff, p0.n)
+    return total
+
+
+def energy_limit_overlay(phi0, phi1) -> Fraction:
+    """vol(m Delta)^-1 * integral of (q0 - q1), one overlay per pair."""
+    return (integrate_difference(phi0.profile(), phi1.profile())
+            / moment_volume(phi0.n, phi0.m))
 
 
 # ---------------------------------------------------------------------------

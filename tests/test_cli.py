@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from geonorm import cli
 from geonorm.cli import main
 from geonorm.suites import planted_submultiplicativity_violation
 from geonorm.toric import fs_from_norm, section_ring
@@ -268,6 +269,78 @@ def test_segments_verify_config(tmp_path, capsys) -> None:
     report = json.loads(out.read_text())
     assert report["checks"][0]["status"] == "pass"
     assert report["checks"][0]["diagnostics"]["energy_affine_exact"] is True
+
+
+def _count_diagnostics(monkeypatch):
+    """(metric pair JSON, kmax) of every ``segments.diagnostics`` call."""
+    calls = []
+    real = cli.diagnostics
+
+    def counted(phi0, phi1, kmax):
+        calls.append((json.dumps([phi0.to_json(), phi1.to_json()]), kmax))
+        return real(phi0, phi1, kmax=kmax)
+
+    monkeypatch.setattr(cli, "diagnostics", counted)
+    return calls
+
+
+def test_run_computes_diagnostics_once_per_pair_and_kmax(tmp_path, monkeypatch,
+                                                         capsys) -> None:
+    pair = ["phi0", "phi1"]
+    tasks = [
+        {"op": "diagnostics", "metrics": pair, "kmax": 2},
+        {"op": "verify", "target": "theoremB", "metrics": pair, "kmax": 2},
+        {"op": "verify", "target": "theoremB", "metrics": pair, "kmax": 1},
+        {"op": "diagnostics", "metrics": pair, "kmax": 1},
+        {"op": "diagnostics", "metrics": pair[::-1], "kmax": 2},
+        {"op": "diagnostics", "metrics": pair, "kmax": 2},
+    ]
+    calls = _count_diagnostics(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["run", "--config", _pair_config(tmp_path, tasks),
+                 "--out", str(out)]) == 0
+    assert len(calls) == 3 and len(set(calls)) == 3
+    assert sorted(kmax for _, kmax in calls) == [1, 2, 2]
+    # every artifact equals the one a config holding only its task writes
+    for idx, task in enumerate(tasks):
+        alone = tmp_path / f"alone{idx}"
+        cfg = _pair_config(tmp_path, [task], name=f"alone{idx}.json")
+        assert main(["run", "--config", cfg, "--out", str(alone)]) == 0
+        name = f"{task['op']}.json"
+        assert ((out / f"{idx:03d}_{name}").read_bytes()
+                == (alone / f"000_{name}").read_bytes())
+    assert len(calls) == 3 + len(tasks)
+    capsys.readouterr()
+
+
+def test_segments_verify_computes_diagnostics_once_per_pair_and_kmax(
+        tmp_path, monkeypatch, capsys) -> None:
+    task = {"op": "verify", "target": "theoremB",
+            "metrics": ["phi0", "phi1"], "kmax": 2}
+    cfg = _pair_config(tmp_path, [task, task])
+    calls = _count_diagnostics(monkeypatch)
+    out = tmp_path / "verify.json"
+    assert main(["segments", "verify", "--config", cfg,
+                 "--out", str(out)]) == 0
+    assert len(calls) == 1
+    first, second = json.loads(out.read_text())["checks"]
+    assert first == second
+    capsys.readouterr()
+
+
+def test_parser_is_built_once_and_help_is_unchanged(capsys) -> None:
+    assert cli.build_parser() is cli.build_parser()
+    outputs = []
+    for _ in range(2):
+        for argv in (["--help"], ["toric", "energy", "--help"],
+                     ["segments", "frobnicate"]):
+            with pytest.raises(SystemExit):
+                main(argv)
+            captured = capsys.readouterr()
+            outputs.append((captured.out, captured.err))
+    assert outputs[:3] == outputs[3:]
+    assert outputs[0][0].startswith("usage: geonorm ")
+    assert "invalid choice: 'frobnicate'" in outputs[2][1]
 
 
 def test_segments_verify_needs_input(capsys) -> None:

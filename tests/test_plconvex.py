@@ -62,6 +62,18 @@ def test_piece_dedup_keeps_best_offset() -> None:
     assert f((F(0),)) == 3
 
 
+def test_pieces_are_fractions_whatever_the_input() -> None:
+    mixed = MaxAffine(2, [((1, F(1, 2)), 3), (("1/3", 0), F(-1)),
+                          ((F(1), F(1, 2)), "7/2")])
+    assert mixed.pieces == (((F(1, 3), F(0)), F(-1)),
+                            ((F(1), F(1, 2)), F(7, 2)))
+    assert all(type(x) is F for g, c in mixed.pieces for x in g + (c,))
+    with pytest.raises(PLError, match="length 1, expected 2"):
+        MaxAffine(2, [((1,), 0)])
+    with pytest.raises(PLError, match="at least one piece"):
+        MaxAffine(2, [])
+
+
 def test_algebra() -> None:
     f = REF.scaled(F(3))
     assert f((F(2),)) == 6

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from geonorm import toric
 from geonorm.plconvex import MaxAffine
 from geonorm.suites import convergence_pair_p1, convergence_pair_p2
 from geonorm.toric import (
@@ -300,10 +301,46 @@ def test_energy_cocycle_at_limit() -> None:
     ring = section_ring(1, 2)
     metrics = []
     for _ in range(3):
-        table = {a: F(rng.randint(-3, 3)) for a in ring.basis(1)}
-        metrics.append(fs_from_norm(ring, 1, table))
+        # level 2, so that two of the profiles have three cells each
+        table = {a: F(rng.randint(-3, 3)) for a in ring.basis(2)}
+        metrics.append(fs_from_norm(ring, 2, table))
     a, b, c = metrics
-    assert energy_limit(a, b) + energy_limit(b, c) == energy_limit(a, c)
+    # the overlay integrals of three different pairs satisfy the cocycle
+    # identity, and the per-metric energies agree with each of them
+    overlay = oracles.energy_limit_overlay
+    assert overlay(a, b) + overlay(b, c) == overlay(a, c)
+    for x, y in ((a, b), (b, c), (a, c)):
+        assert energy_limit(x, y) == overlay(x, y)
+
+
+@st.composite
+def _energy_pairs(draw):
+    """(phi0, phi1): level 1-3 FS metrics on P^1 or P^2 with m in {1, 2}."""
+    n = draw(st.sampled_from((1, 2)))
+    m = draw(st.sampled_from((1, 2)))
+    level = draw(st.integers(1, 3))
+    ring = section_ring(n, m)
+    basis = ring.basis(level)
+    weight = st.builds(F, st.integers(-6, 6), st.sampled_from((1, 2, 3)))
+    weights = st.lists(weight, min_size=len(basis), max_size=len(basis))
+    return tuple(fs_from_norm(ring, level, dict(zip(basis, draw(weights))))
+                 for _ in range(2))
+
+
+@settings(max_examples=60)
+@given(_energy_pairs())
+def test_energy_limits_match_overlay_oracle(pair) -> None:
+    phi0, phi1 = pair
+    want = oracles.energy_limit_overlay(phi0, phi1)
+    assert energy(phi0, phi1, kmax=1).limit == want
+    assert energy_limit(phi0, phi1) == want
+    # d1 returns its overlay route and raises unless the envelope route,
+    # E(phi0) + E(phi1) - 2 E(P), equals it; here both meet the oracle's
+    # envelope route, E(phi0, P) + E(phi1, P) over two overlays
+    roof = envelope_P(phi0, phi1)
+    via_envelope = (oracles.energy_limit_overlay(phi0, roof)
+                    + oracles.energy_limit_overlay(phi1, roof))
+    assert d1_metric(phi0, phi1, kmax=1).limit == via_envelope
 
 
 # -- d1 ---------------------------------------------------------------------------------
@@ -330,6 +367,16 @@ def test_d1_rooftop_pair() -> None:
     assert energy_limit(phi0, env) == F(1, 4)
     assert energy_limit(phi1, env) == F(1, 4)
     assert d1_metric(phi0, phi1, kmax=4).limit == F(1, 2)
+
+
+@pytest.mark.parametrize("route", ["integrate_abs_difference", "_energy"])
+def test_d1_raises_when_its_routes_disagree(monkeypatch, route) -> None:
+    real = getattr(toric, route)
+    # a constant offset would cancel in E(phi0) + E(phi1) - 2 E(P)
+    monkeypatch.setattr(toric, route, lambda *a: 2 * real(*a))
+    phi0, phi1 = _fs_p1((0, -2)).shifted(1), reference(1, 1)
+    with pytest.raises(ToricError, match="d1 routes disagree"):
+        d1_metric(phi0, phi1, kmax=1)
 
 
 def test_d1_triangle_inequality_at_limit() -> None:
