@@ -14,6 +14,14 @@ settings.register_profile("geonorm", deadline=None, database=None,
 settings.load_profile("geonorm")
 
 
+@pytest.fixture(scope="session")
+def suite_rows():
+    """Every suite's rows at seed 0 in suite order, run once per session."""
+    from geonorm.suites import SUITE_NAMES, run_suite
+
+    return [row for name in SUITE_NAMES for row in run_suite(name, seed=0)]
+
+
 @pytest.fixture
 def conjugated(monkeypatch):
     """Every function passed to ``plconvex.conjugate`` during the test.

@@ -5,13 +5,16 @@ minute; the acceptance tests run it once.  Here we cover the three fast
 suites plus the runner contract.
 """
 
+import hashlib
+import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 import oracles
-from geonorm import linalg
+from geonorm import linalg, suites
 from geonorm.field import TRIVIAL
 from geonorm.graded import GradedNorm
 from geonorm.norms import DiagNorm
@@ -27,6 +30,84 @@ from geonorm.suites import (
 )
 
 FAST = ("graded", "kiselman", "theoremB")
+
+# sha256 of json.dumps(rows, sort_keys=True), recorded from the hand-written
+# trial loops: every row, random stream and detail string stays byte for byte
+SEED0_ALL_DIGEST = (
+    "477f240e92d4253113f48677bcb84a8b961ae5c96b322b6d8802c290f04486e7")
+SEED1_FAST_DIGEST = (
+    "1a5408d4d75252c52ad59e741b006261f47f79b87f949f3ab48f2fab3907524c")
+PLANTED_ALL_DIGEST = (
+    "a67a037f44928e7df00b97143e9be332189fa1c0cf7d0fd24a90b56e569f4714")
+
+# the rows that fail at seed 0 when every volume is 1 and every metric
+# comparison says "ge": they pin the "first failures" formatting, which no
+# passing row shows
+PLANTED_FAILING = [
+    {"suite": "norms", "check": "d1-join-identity", "status": "fail",
+     "exact": True,
+     "detail": "d * d1(n0,n1) = vol(n0,join) + vol(n1,join), 100 pairs; "
+               "first failures: [0, 1, 2]"},
+    {"suite": "norms", "check": "volume-cocycle", "status": "fail",
+     "exact": True,
+     "detail": "antisymmetry + cocycle, 100 triples; first failures: "
+               "[('antisym', 0), ('cocycle', 0), ('antisym', 1)]"},
+    {"suite": "norms", "check": "geodesic-affine-volume", "status": "fail",
+     "exact": True,
+     "detail": "vol(n0, n_t) = t vol(n0, n1) and vol(m, n_t) affine, "
+               "100 instances; first failures: [(0, 'endpoint', '0'), "
+               "(1, 'endpoint', '0'), (2, 'endpoint', '0')]"},
+    {"suite": "graded", "check": "fs-supnorm-roundtrip", "status": "fail",
+     "exact": True,
+     "detail": "fs(sup(phi)) <= phi with weight equality iff concave-closed; "
+               "100 instances (0 closed, 0 not); first failures: "
+               "[(0, 'order', 'ge'), (1, 'order', 'ge'), (2, 'order', 'ge')]"},
+    {"suite": "kiselman", "check": "legendre-duality-roundtrip",
+     "status": "fail", "exact": True,
+     "detail": "sup_tau (dual_tau + t tau) recovers the segment at all 7 t, "
+               "20 segments; first failures: [(0, '0'), (1, '0'), (2, '0')]"},
+    {"suite": "kiselman", "check": "kiselman-worked-case", "status": "fail",
+     "exact": True,
+     "detail": "inf_t max(t, v) - t at tau = 1 equals max(0, v - 1)"},
+    {"suite": "theoremB", "check": "maximum-principle", "status": "fail",
+     "exact": True,
+     "detail": "30 dominated competitor segments stay below the maximal "
+               "segment; first failures: [(0, '1/4', 'ge'), "
+               "(1, '1/4', 'ge'), (2, '1/4', 'ge')]"},
+    {"suite": "theoremB", "check": "legendre-equals-quantized",
+     "status": "fail", "exact": True,
+     "detail": "Legendre construction matches the stabilized quantized "
+               "segment, 20 level-2 pairs; first failures: [(0, '1/4'), "
+               "(1, '1/4'), (2, '1/4')]"},
+    {"suite": "theoremB", "check": "degree-one-stabilization",
+     "status": "fail", "exact": True,
+     "detail": "degree-1 endpoints: level-k quantized segment equals level 1 "
+               "for k <= 4, on P^1 (m <= 2) and P^2; first failures: "
+               "[(0, 2, '1/4', 'ge'), (0, 3, '1/4', 'ge'), "
+               "(0, 4, '1/4', 'ge')]"},
+]
+
+
+def _digest(rows):
+    return hashlib.sha256(json.dumps(rows, sort_keys=True).encode()).hexdigest()
+
+
+def test_seed0_rows_pinned(suite_rows) -> None:
+    assert _digest(suite_rows) == SEED0_ALL_DIGEST
+
+
+def test_seed1_fast_rows_pinned() -> None:
+    rows = [row for name in FAST for row in run_suite(name, seed=1)]
+    assert _digest(rows) == SEED1_FAST_DIGEST
+
+
+def test_planted_failing_rows_pinned(monkeypatch) -> None:
+    monkeypatch.setattr(suites, "volume", lambda n0, n1: Fraction(1))
+    monkeypatch.setattr(suites, "compare_metrics",
+                        lambda phi0, phi1: SimpleNamespace(relation="ge"))
+    rows = run_suite("all", seed=0)
+    assert [row for row in rows if row["status"] == "fail"] == PLANTED_FAILING
+    assert _digest(rows) == PLANTED_ALL_DIGEST
 
 
 def test_suite_names() -> None:
