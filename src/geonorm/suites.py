@@ -1,9 +1,19 @@
 """Seeded verification suites behind the ``suite`` command.
 
-Each suite is a list of named checks over randomly generated instances.
-Checks are deterministic for a fixed seed: every check derives its own
-``random.Random`` stream from (seed, check name), so reordering or
-skipping checks never shifts another check's instances.
+Each suite is a tuple of named checks over randomly generated instances,
+and each check yields one row.  Checks are deterministic for a fixed
+seed: every check derives its own ``random.Random`` stream from (seed,
+check name), so reordering or skipping checks never shifts another
+check's instances, and no two checks of all the suites share a name.
+
+Most checks are ``Check`` records: a trial count, a draw of one trial's
+inputs from the stream, and a verification that yields that trial's
+failure entries.  One runner turns a record into its row.  The checks
+whose row is not "pass iff no trial failed" stay plain ``seed -> row``
+functions: ``fs-supnorm-roundtrip`` (it also needs closed and unclosed
+instances, and counts them in its detail), ``kiselman-worked-case`` and
+the two planted controls (one fixed instance each, and a failing row
+lists no trial).
 
 Suite names group the checks by subject:
 
@@ -27,7 +37,9 @@ import itertools
 import json
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .field import INF, TADIC, TRIVIAL, RatFunc
 from . import linalg
@@ -89,45 +101,104 @@ T_SET = (
 
 
 # ---------------------------------------------------------------------------
-# random instance generators
+# check records and their rows
 
 
 def _rng_for(seed, check):
     return random.Random(f"{seed}:{check}")
 
 
+def _row(suite, check, ok, exact, detail, failures):
+    if failures:
+        detail = f"{detail}; first failures: {failures[:3]!r}"
+    return {
+        "suite": suite,
+        "check": check,
+        "status": "pass" if ok else "fail",
+        "exact": exact,
+        "detail": detail,
+    }
+
+
+@dataclass(frozen=True)
+class Check:
+    """A randomized check: ``trials`` trials on one stream, one row.
+
+    ``instance(rng, trial)`` draws one trial's inputs as a tuple, and
+    ``verify(trial, *inputs)`` yields that trial's failure entries.  No
+    draw depends on an earlier trial's outcome, so trial ``i`` sees the
+    same inputs whatever the verifications before it found.  The row
+    passes when no trial yields an entry, and a failing row's detail
+    ends with the reprs of the first three entries.
+    """
+
+    suite: str
+    name: str
+    trials: int
+    instance: Callable
+    verify: Callable
+    detail: str
+    exact: bool = True
+
+    def __call__(self, seed):
+        """The row of this check at ``seed``."""
+        rng = _rng_for(seed, self.name)
+        failures = []
+        for trial in range(self.trials):
+            failures.extend(self.verify(trial, *self.instance(rng, trial)))
+        return _row(self.suite, self.name, not failures, self.exact,
+                    self.detail, failures)
+
+
+# ---------------------------------------------------------------------------
+# random instance generators
+
+
 def _random_fraction(rng, span=6):
     return Fraction(rng.randint(-span, span), rng.choice((1, 2, 3, 4)))
 
 
-def _random_invertible(rng, field, dim, tadic_powers=False):
-    """Random invertible matrix with small entries, as a tuple of rows."""
+def _random_weights(rng, n, d):
+    """Random weights in [-4, 4] on the lattice points of d*Delta in R^n."""
+    return {a: _random_fraction(rng, span=4) for a in lattice_points(n, d)}
+
+
+def _field(trial):
+    """Every fifth trial of a norms check runs over Q(t), the others over Q."""
+    return TADIC if trial % 5 == 4 else TRIVIAL
+
+
+def _random_invertible(rng, field, dim):
+    """Random invertible matrix with small entries, as a tuple of rows.
+
+    Over Q(t) about a quarter of the entries are multiplied by t or t^2.
+    """
     while True:
         rows = []
         for _ in range(dim):
             row = []
             for _ in range(dim):
                 c = field.of(Fraction(rng.randint(-3, 3)))
-                if tadic_powers and rng.random() < 0.25:
+                if field is TADIC and rng.random() < 0.25:
                     c = c * RatFunc.t_power(rng.randint(0, 2))
                 row.append(c)
             rows.append(tuple(row))
-        try:
-            linalg.invert(field, tuple(rows))
-        except linalg.SingularMatrixError:
-            continue
-        return tuple(rows)
+        if not field.is_zero(linalg.determinant(rows)):
+            return tuple(rows)
 
 
-def _random_norm(rng, field, dim, standard=False, integer_weights=False):
-    if integer_weights:
+def _random_norm(rng, field, dim):
+    if field is TADIC:
         weights = tuple(Fraction(rng.randint(-6, 6)) for _ in range(dim))
     else:
         weights = tuple(_random_fraction(rng) for _ in range(dim))
-    if standard:
-        return DiagNorm.standard(field, weights)
-    basis = _random_invertible(rng, field, dim, tadic_powers=field is TADIC)
-    return DiagNorm(field, basis, weights)
+    return DiagNorm(field, _random_invertible(rng, field, dim), weights)
+
+
+def _random_norms(rng, field, count, max_dim=4):
+    """``count`` random norms over ``field`` on one space of dim 2..max_dim."""
+    dim = rng.randint(2, max_dim)
+    return tuple(_random_norm(rng, field, dim) for _ in range(count))
 
 
 def _random_vector(rng, field, dim):
@@ -180,75 +251,36 @@ def _transport(norm, matrix):
     return DiagNorm(norm.field, new_basis, norm.weights)
 
 
-def _check_spectrum_basis_independence(seed):
-    rng = _rng_for(seed, "spectrum-basis-independence")
-    failures = []
-    for trial in range(200):
-        tadic = trial % 5 == 4
-        field = TADIC if tadic else TRIVIAL
-        dim = rng.randint(2, 4)
-        n0 = _random_norm(rng, field, dim, integer_weights=tadic)
-        n1 = _random_norm(rng, field, dim, integer_weights=tadic)
-        spec = spectrum(n0, n1)
-        t = _random_invertible(rng, field, dim, tadic_powers=tadic)
-        if spectrum(_transport(n0, t), _transport(n1, t)) != spec:
-            failures.append(("transport", trial))
-            continue
-        if not tadic and _filtration_spectrum_oracle(n0, n1) != spec:
-            failures.append(("oracle", trial))
-    detail = "200 pairs, dim <= 4, transport invariance + filtration-count oracle"
-    return _row("norms", "spectrum-basis-independence", not failures, True, detail, failures)
+def _spectrum_instance(rng, trial):
+    field = _field(trial)
+    n0, n1 = _random_norms(rng, field, 2)
+    return n0, n1, _random_invertible(rng, field, n0.dim)
 
 
-def _check_d1_triangle(seed):
-    rng = _rng_for(seed, "d1-triangle")
-    failures = []
-    for trial in range(200):
-        tadic = trial % 5 == 4
-        field = TADIC if tadic else TRIVIAL
-        dim = rng.randint(2, 4)
-        norms = [_random_norm(rng, field, dim, integer_weights=tadic) for _ in range(3)]
-        d01 = distance(norms[0], norms[1], 1)
-        d12 = distance(norms[1], norms[2], 1)
-        d02 = distance(norms[0], norms[2], 1)
-        if d02 > d01 + d12:
-            failures.append(trial)
-    return _row("norms", "d1-triangle", not failures, True, "200 triples", failures)
+def _spectrum_basis_independence(trial, n0, n1, t):
+    spec = spectrum(n0, n1)
+    if spectrum(_transport(n0, t), _transport(n1, t)) != spec:
+        yield ("transport", trial)
+    elif n0.field is TRIVIAL and _filtration_spectrum_oracle(n0, n1) != spec:
+        yield ("oracle", trial)
 
 
-def _check_d1_join(seed):
-    rng = _rng_for(seed, "d1-join-identity")
-    failures = []
-    for trial in range(100):
-        field = TRIVIAL
-        dim = rng.randint(2, 4)
-        n0 = _random_norm(rng, field, dim)
-        n1 = _random_norm(rng, field, dim)
-        j = join(n0, n1)
-        lhs = dim * distance(n0, n1, 1)
-        rhs = volume(n0, j) + volume(n1, j)
-        if lhs != rhs:
-            failures.append(trial)
-    return _row("norms", "d1-join-identity", not failures, True,
-                "d * d1(n0,n1) = vol(n0,join) + vol(n1,join), 100 pairs", failures)
+def _d1_triangle(trial, n0, n1, n2):
+    if distance(n0, n2, 1) > distance(n0, n1, 1) + distance(n1, n2, 1):
+        yield trial
 
 
-def _check_volume_cocycle(seed):
-    rng = _rng_for(seed, "volume-cocycle")
-    failures = []
-    for trial in range(100):
-        tadic = trial % 5 == 4
-        field = TADIC if tadic else TRIVIAL
-        dim = rng.randint(2, 4)
-        n0, n1, n2 = (
-            _random_norm(rng, field, dim, integer_weights=tadic) for _ in range(3)
-        )
-        if volume(n0, n1) + volume(n1, n0) != 0:
-            failures.append(("antisym", trial))
-        if volume(n0, n1) + volume(n1, n2) + volume(n2, n0) != 0:
-            failures.append(("cocycle", trial))
-    return _row("norms", "volume-cocycle", not failures, True,
-                "antisymmetry + cocycle, 100 triples", failures)
+def _d1_join_identity(trial, n0, n1):
+    j = join(n0, n1)
+    if n0.dim * distance(n0, n1, 1) != volume(n0, j) + volume(n1, j):
+        yield trial
+
+
+def _volume_cocycle(trial, n0, n1, n2):
+    if volume(n0, n1) + volume(n1, n0) != 0:
+        yield ("antisym", trial)
+    if volume(n0, n1) + volume(n1, n2) + volume(n2, n0) != 0:
+        yield ("cocycle", trial)
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +288,9 @@ def _check_volume_cocycle(seed):
 
 
 def _geodesic_pair(rng, allow_tadic=True):
+    # the Q(t) draw comes from the stream only when Q(t) is allowed
     tadic = allow_tadic and rng.random() < 0.2
-    field = TADIC if tadic else TRIVIAL
-    dim = rng.randint(2, 4)
-    n0 = _random_norm(rng, field, dim, integer_weights=tadic)
-    n1 = _random_norm(rng, field, dim, integer_weights=tadic)
+    n0, n1 = _random_norms(rng, TADIC if tadic else TRIVIAL, 2)
     return geodesic(n0, n1), n0, n1
 
 
@@ -275,181 +305,144 @@ def _is_concave_on_triples(values_by_t):
     return True
 
 
-def _check_geodesic_log_convexity(seed):
-    rng = _rng_for(seed, "geodesic-log-convexity")
-    failures = []
-    for trial in range(100):
-        geo, n0, n1 = _geodesic_pair(rng)
-        vec = _random_vector(rng, n0.field, n0.dim)
-        vals = {t: geo.at(t).evaluate(vec) for t in T_SET}
-        if any(v is INF for v in vals.values()):
-            continue
-        # -log of the norm is concave in t, i.e. the norm is log-convex
-        if not _is_concave_on_triples(vals):
-            failures.append(trial)
-    return _row("norms", "geodesic-log-convexity", not failures, True,
-                "100 instances, all t-triples from the 7-point grid", failures)
+def _log_convexity_instance(rng, trial):
+    geo, n0, _ = _geodesic_pair(rng)
+    return geo, _random_vector(rng, n0.field, n0.dim)
 
 
-def _check_geodesic_endpoint_monotonicity(seed):
-    rng = _rng_for(seed, "geodesic-endpoint-monotonicity")
-    failures = []
-    for trial in range(100):
-        tadic = trial % 5 == 4
-        field = TADIC if tadic else TRIVIAL
-        dim = rng.randint(2, 4)
-        n0 = _random_norm(rng, field, dim, integer_weights=tadic)
-        bump = tuple(Fraction(rng.randint(0, 4)) for _ in range(dim))
-        n1 = DiagNorm(field, n0.basis, tuple(w + b for w, b in zip(n0.weights, bump)))
-        geo = geodesic(n0, n1)
-        ts = sorted(T_SET)
-        for ta, tb in zip(ts, ts[1:]):
-            wa = geo.at(ta).weights
-            wb = geo.at(tb).weights
-            if not all(x <= y for x, y in zip(wa, wb)):
-                failures.append(trial)
-                break
-    return _row("norms", "geodesic-endpoint-monotonicity", not failures, True,
-                "comparable endpoints stay ordered along t, 100 instances", failures)
+def _geodesic_log_convexity(trial, geo, vec):
+    vals = {t: geo.at(t).evaluate(vec) for t in T_SET}
+    # -log of the norm is concave in t, i.e. the norm is log-convex
+    if not any(v is INF for v in vals.values()) and not _is_concave_on_triples(vals):
+        yield trial
 
 
-def _check_geodesic_determinant(seed):
-    rng = _rng_for(seed, "geodesic-determinant")
-    failures = []
-    for trial in range(100):
-        geo, n0, n1 = _geodesic_pair(rng)
-        det_geo = geodesic(det_norm(n0), det_norm(n1))
-        for t in (Fraction(1, 4), Fraction(1, 2), Fraction(2, 3)):
-            if det_norm(geo.at(t)) != det_geo.at(t):
-                failures.append((trial, str(t)))
-                break
-    return _row("norms", "geodesic-determinant", not failures, True,
-                "det of the geodesic equals the geodesic of the dets, 100 instances",
-                failures)
+def _monotonicity_instance(rng, trial):
+    (n0,) = _random_norms(rng, _field(trial), 1)
+    bump = tuple(Fraction(rng.randint(0, 4)) for _ in range(n0.dim))
+    weights = tuple(w + b for w, b in zip(n0.weights, bump))
+    return n0, DiagNorm(n0.field, n0.basis, weights)
 
 
-def _check_geodesic_affine_volume(seed):
-    rng = _rng_for(seed, "geodesic-affine-volume")
-    failures = []
-    for trial in range(100):
-        geo, n0, n1 = _geodesic_pair(rng)
-        # geo.start is n0 rewritten in the common basis, so the distance
-        # computations below stay on the shared-basis fast path
-        total = volume(geo.start, geo.end)
-        vols = {}
-        trivial = n0.field is TRIVIAL
-        third = _random_norm(rng, n0.field, n0.dim) if trivial else None
-        for t in T_SET:
-            nt = geo.at(t)
-            if volume(geo.start, nt) != t * total:
-                failures.append((trial, "endpoint", str(t)))
-                break
-            if trivial:
-                vols[t] = volume(third, nt)
-        else:
-            if trivial:
-                base = vols[Fraction(0)]
-                slope = vols[Fraction(1)] - base
-                if any(vols[t] != base + t * slope for t in T_SET):
-                    failures.append((trial, "third-norm"))
-    return _row("norms", "geodesic-affine-volume", not failures, True,
-                "vol(n0, n_t) = t vol(n0, n1) and vol(m, n_t) affine, 100 instances",
-                failures)
+def _geodesic_endpoint_monotonicity(trial, n0, n1):
+    geo = geodesic(n0, n1)
+    for ta, tb in zip(T_SET, T_SET[1:]):
+        if not all(x <= y for x, y in zip(geo.at(ta).weights, geo.at(tb).weights)):
+            yield trial
+            return
 
 
-def _check_geodesic_distance_convexity(seed, p, name):
-    rng = _rng_for(seed, name)
-    failures = []
-    for trial in range(100):
-        geo, n0, n1 = _geodesic_pair(rng, allow_tadic=False)
-        third = _random_norm(rng, n0.field, n0.dim)
-        vals = {}
-        for t in T_SET:
-            d = distance(third, geo.at(t), p)
-            if p not in (1, math.inf):
-                d = Fraction(d)
-            vals[t] = d
+def _geodesic_determinant(trial, geo, n0, n1):
+    det_geo = geodesic(det_norm(n0), det_norm(n1))
+    for t in (Fraction(1, 4), Fraction(1, 2), Fraction(2, 3)):
+        if det_norm(geo.at(t)) != det_geo.at(t):
+            yield (trial, str(t))
+            return
+
+
+def _affine_volume_instance(rng, trial):
+    geo, n0, _ = _geodesic_pair(rng)
+    # over Q a third norm m, for the affineness of vol(m, n_t)
+    third = _random_norm(rng, n0.field, n0.dim) if n0.field is TRIVIAL else None
+    return geo, third
+
+
+def _geodesic_affine_volume(trial, geo, third):
+    # geo.start is n0 rewritten in the common basis, so the distance
+    # computations below stay on the shared-basis fast path
+    total = volume(geo.start, geo.end)
+    vols = {}
+    for t in T_SET:
+        nt = geo.at(t)
+        if volume(geo.start, nt) != t * total:
+            yield (trial, "endpoint", str(t))
+            return
+        if third is not None:
+            vols[t] = volume(third, nt)
+    if third is not None:
+        base = vols[Fraction(0)]
+        slope = vols[Fraction(1)] - base
+        if any(vols[t] != base + t * slope for t in T_SET):
+            yield (trial, "third-norm")
+
+
+def _distance_convexity(name, p):
+    """t -> d_p(m, n_t) is convex along Q geodesics, for p in {1, inf}."""
+
+    def instance(rng, trial):
+        geo, n0, _ = _geodesic_pair(rng, allow_tadic=False)
+        return geo, _random_norm(rng, n0.field, n0.dim)
+
+    def verify(trial, geo, third):
         # convexity = concavity of the negative
-        if not _is_concave_on_triples({t: -v for t, v in vals.items()}):
-            failures.append(trial)
+        if not _is_concave_on_triples(
+                {t: -distance(third, geo.at(t), p) for t in T_SET}):
+            yield trial
+
     label = "d_inf" if p == math.inf else f"d_{p}"
-    return _row("norms", name, not failures, True,
-                f"t -> {label}(m, n_t) convex on all t-triples, 100 instances",
-                failures)
+    return Check("norms", name, 100, instance, verify,
+                 f"t -> {label}(m, n_t) convex on all t-triples, 100 instances")
 
 
-def _check_geodesic_sym_power(seed):
-    rng = _rng_for(seed, "geodesic-sym-power")
-    failures = []
-    for trial in range(100):
-        tadic = trial % 5 == 4
-        field = TADIC if tadic else TRIVIAL
-        dim = rng.randint(2, 3)
-        n0 = _random_norm(rng, field, dim, integer_weights=tadic)
-        n1 = _random_norm(rng, field, dim, integer_weights=tadic)
-        geo = geodesic(n0, n1)
-        sym_geo = geodesic(sym_power_norm(geo.start, 2), sym_power_norm(geo.end, 2))
-        for t in (Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)):
-            if sym_power_norm(geo.at(t), 2) != sym_geo.at(t):
-                failures.append((trial, str(t)))
-                break
-    return _row("norms", "geodesic-sym-power", not failures, True,
-                "Sym^2 of the geodesic equals the geodesic of the Sym^2, 100 instances",
-                failures)
+def _geodesic_sym_power(trial, n0, n1):
+    geo = geodesic(n0, n1)
+    sym_geo = geodesic(sym_power_norm(geo.start, 2), sym_power_norm(geo.end, 2))
+    for t in (Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)):
+        if sym_power_norm(geo.at(t), 2) != sym_geo.at(t):
+            yield (trial, str(t))
+            return
 
 
 # ---------------------------------------------------------------------------
 # graded suite
 
 
-def _random_degree_one_graded(rng, n, m, kmax):
+def _random_degree_one_pair(rng, n, m, kmax):
+    """Two graded norms generated from random degree-one weights."""
     ring = SectionRing(n, m)
-    table = {
-        a: _random_fraction(rng, span=4) for a in lattice_points(n, m)
-    }
-    return generate_degree_one(ring, table, kmax)
+    return tuple(generate_degree_one(ring, _random_weights(rng, n, m), kmax)
+                 for _ in range(2))
 
 
-def _check_graded_geodesic_submult(seed, n, m_list, kmax, pairs, check):
-    rng = _rng_for(seed, check)
-    failures = []
-    for trial in range(pairs):
-        m = m_list[trial % len(m_list)]
-        gn0 = _random_degree_one_graded(rng, n, m, kmax)
-        gn1 = _random_degree_one_graded(rng, n, m, kmax)
-        for t in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
-            violation = check_submultiplicative(graded_geodesic(gn0, gn1, t))
-            if violation is not None:
-                failures.append((trial, str(t), serialize_counterexample(violation)))
-                break
+def _graded_submultiplicativity(name, n, m_list, kmax, pairs):
+    """Graded geodesics between degree-one-generated norms on P^n."""
+
+    def instance(rng, trial):
+        return _random_degree_one_pair(rng, n, m_list[trial % len(m_list)], kmax)
+
     detail = f"P^{n}, m in {m_list}, K = {kmax}, {pairs} pairs, t in {{1/4, 1/2, 3/4}}"
-    return _row("graded", check, not failures, True, detail, failures)
+    return Check("graded", name, pairs, instance,
+                 _graded_geodesic_submultiplicative, detail)
 
 
-def _check_graded_dp_linearity(seed):
-    rng = _rng_for(seed, "graded-dp-linearity")
-    failures = []
-    for trial in range(10):
-        n, m, kmax = ((1, 2, 6) if trial % 2 == 0 else (2, 1, 4))
-        gn0 = _random_degree_one_graded(rng, n, m, kmax)
-        gn1 = _random_degree_one_graded(rng, n, m, kmax)
-        for t in (Fraction(1, 4), Fraction(1, 2), Fraction(2, 3)):
-            gt = graded_geodesic(gn0, gn1, t)
-            for k in range(1, kmax + 1):
-                a = gn0.norm_at(k)
-                b = gn1.norm_at(k)
-                c = gt.norm_at(k)
-                for p in (1, 2, math.inf):
-                    full = distance(a, b, p)
-                    left = distance(a, c, p)
-                    right = distance(c, b, p)
-                    scale_l = t if p == math.inf else t**p
-                    scale_r = (1 - t) if p == math.inf else (1 - t) ** p
-                    if left != scale_l * full or right != scale_r * full:
-                        failures.append((trial, k, str(t), str(p)))
-    return _row("graded", "graded-dp-linearity", not failures, True,
-                "per-degree d_p along the geodesic scales exactly like |t - s|^p",
-                failures)
+def _graded_geodesic_submultiplicative(trial, gn0, gn1):
+    for t in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
+        violation = check_submultiplicative(graded_geodesic(gn0, gn1, t))
+        if violation is not None:
+            yield (trial, str(t), serialize_counterexample(violation))
+            return
+
+
+def _dp_linearity_instance(rng, trial):
+    n, m, kmax = (1, 2, 6) if trial % 2 == 0 else (2, 1, 4)
+    return _random_degree_one_pair(rng, n, m, kmax)
+
+
+def _graded_dp_linearity(trial, gn0, gn1):
+    for t in (Fraction(1, 4), Fraction(1, 2), Fraction(2, 3)):
+        gt = graded_geodesic(gn0, gn1, t)
+        for k in range(1, gn0.kmax + 1):
+            a = gn0.norm_at(k)
+            b = gn1.norm_at(k)
+            c = gt.norm_at(k)
+            for p in (1, 2, math.inf):
+                full = distance(a, b, p)
+                left = distance(a, c, p)
+                right = distance(c, b, p)
+                scale_l = t if p == math.inf else t**p
+                scale_r = (1 - t) if p == math.inf else (1 - t) ** p
+                if left != scale_l * full or right != scale_r * full:
+                    yield (trial, k, str(t), str(p))
 
 
 def _lattice_concavity_oracle(n, m, k, weights):
@@ -515,8 +508,7 @@ def _random_fs_instance(rng, arena=None):
         arena = rng.choice(((1, 1), (1, 2), (2, 1)))
     n, m = arena
     k = rng.choice((1, 2)) if n == 1 else 1
-    pts = lattice_points(n, k * m)
-    weights = {a: _random_fraction(rng, span=4) for a in pts}
+    weights = _random_weights(rng, n, k * m)
     ring = section_ring(n, m)
     return ring, k, weights, fs_from_norm(ring, k, weights)
 
@@ -551,17 +543,10 @@ def _check_fs_supnorm_roundtrip(seed):
     return _row("graded", "fs-supnorm-roundtrip", ok, True, detail, failures)
 
 
-def _check_supnorm_idempotence(seed):
-    rng = _rng_for(seed, "supnorm-idempotence")
-    failures = []
-    for trial in range(100):
-        ring, k, _, phi = _random_fs_instance(rng)
-        once = supnorm(k, phi)
-        twice = supnorm(k, fs_from_norm(ring, k, once))
-        if once != twice:
-            failures.append(trial)
-    return _row("graded", "supnorm-idempotence", not failures, True,
-                "supnorm . fs . supnorm = supnorm, 100 instances", failures)
+def _supnorm_idempotence(trial, ring, k, weights, phi):
+    once = supnorm(k, phi)
+    if once != supnorm(k, fs_from_norm(ring, k, once)):
+        yield trial
 
 
 # frozen convergence instances: boundary-defect-free pairs, so the per-k
@@ -618,111 +603,90 @@ def convergence_pair_p2():
     return _conv_metric_p2(_CONV_P2_Q0), _conv_metric_p2(_CONV_P2_Q1)
 
 
-def _check_convergence(seed, arena):
-    if arena == 1:
-        phi0, phi1 = convergence_pair_p1()
-        kmax, frozen = 40, _CONV_P1
-        gap_key, k_late = "gap40", 40
-        check = "energy-d1-convergence-P1"
-    else:
-        phi0, phi1 = convergence_pair_p2()
-        kmax, frozen = 12, _CONV_P2
-        gap_key, k_late = "gap12", 12
-        check = "energy-d1-convergence-P2"
-    failures = []
-    e = energy(phi0, phi1, kmax=kmax)
-    d = d1_metric(phi0, phi1, kmax=kmax)
-    for label, res in (("E", e), ("d1", d)):
-        if res.limit != frozen["limit"]:
-            failures.append((label, "limit", str(res.limit)))
-        g_early, g_late = res.gap(2), res.gap(k_late)
-        if g_early != frozen["gap2"] or g_late != frozen[gap_key]:
-            failures.append((label, "frozen-gaps", str(g_early), str(g_late)))
-        if not (g_early > 0 and g_late * 20 <= g_early):
-            failures.append((label, "rate", str(g_late / g_early)))
-    if arena == 1 and e.gap(40) * 10 > e.gap(4):
-        failures.append(("E", "k40-vs-k4"))
-    ratio = (frozen[gap_key] / frozen["gap2"]) * 100
+def _convergence(name, pair, k_late, frozen):
+    """Energy and d1 of a frozen pair: limits, gaps and the decay rate.
+
+    One trial on the frozen pair; the rate compares exact rationals with
+    a percentage threshold, so the row is not exact.
+    """
+    gap_late = frozen[f"gap{k_late}"]
+
+    def verify(trial, phi0, phi1):
+        e = energy(phi0, phi1, kmax=k_late)
+        d = d1_metric(phi0, phi1, kmax=k_late)
+        for label, res in (("E", e), ("d1", d)):
+            if res.limit != frozen["limit"]:
+                yield (label, "limit", str(res.limit))
+            g_early, g_late = res.gap(2), res.gap(k_late)
+            if g_early != frozen["gap2"] or g_late != gap_late:
+                yield (label, "frozen-gaps", str(g_early), str(g_late))
+            if not (g_early > 0 and g_late * 20 <= g_early):
+                yield (label, "rate", str(g_late / g_early))
+        # on P^1 the energy gap also drops tenfold from k = 4 to k = 40
+        if k_late == 40 and e.gap(40) * 10 > e.gap(4):
+            yield ("E", "k40-vs-k4")
+
+    ratio = (gap_late / frozen["gap2"]) * 100
     detail = (
         f"gap at k = {k_late} is {float(ratio):.2f}% of the k = 2 gap "
         f"(threshold 5%), limits and gaps pinned exactly"
     )
-    return _row("graded", check, not failures, False, detail, failures)
+    return Check("graded", name, 1, lambda rng, trial: pair(), verify, detail,
+                 exact=False)
 
 
-def _check_d1_two_routes(seed):
-    rng = _rng_for(seed, "d1-two-routes")
-    failures = []
-    for trial in range(50):
-        arena = (2, 1) if trial % 5 == 4 else (1, rng.choice((1, 2)))
-        ring, k, _, phi0 = _random_fs_instance(rng, arena)
-        _, _, _, phi1 = _random_fs_instance(rng, arena)
-        try:
-            res = d1_metric(phi0, phi1, kmax=2)
-        except Exception as exc:  # noqa: BLE001 - report, never crash the suite
-            failures.append((trial, repr(exc)))
-            continue
-        if res.limit < 0:
-            failures.append((trial, "negative"))
-        equal = compare_metrics(phi0, phi1).relation == "eq"
-        if (res.limit == 0) != equal:
-            failures.append((trial, "separation"))
-    return _row("graded", "d1-two-routes", not failures, True,
-                "supnorm route and envelope route agree; d1 separates points; 50 pairs",
-                failures)
+def _two_routes_instance(rng, trial):
+    arena = (2, 1) if trial % 5 == 4 else (1, rng.choice((1, 2)))
+    return _random_fs_instance(rng, arena)[3], _random_fs_instance(rng, arena)[3]
+
+
+def _d1_two_routes(trial, phi0, phi1):
+    try:
+        res = d1_metric(phi0, phi1, kmax=2)
+    except Exception as exc:  # noqa: BLE001 - report, never crash the suite
+        yield (trial, repr(exc))
+        return
+    if res.limit < 0:
+        yield (trial, "negative")
+    equal = compare_metrics(phi0, phi1).relation == "eq"
+    if (res.limit == 0) != equal:
+        yield (trial, "separation")
 
 
 # ---------------------------------------------------------------------------
 # kiselman suite
 
 
-def _random_segment(rng, arena=None):
-    if arena is None:
-        arena = rng.choice(((1, 1), (1, 2), (2, 1)))
-    n, m = arena
+def _random_segment(rng, trial):
+    n, m = rng.choice(((1, 1), (1, 2), (2, 1)))
     ring = section_ring(n, m)
     k = rng.choice((1, 2)) if n == 1 else 1
-    pts = lattice_points(n, k * m)
-    w0 = {a: _random_fraction(rng, span=4) for a in pts}
-    w1 = {a: _random_fraction(rng, span=4) for a in pts}
-    return fs_segment(ring, k, w0, w1)
+    w0 = _random_weights(rng, n, k * m)
+    w1 = _random_weights(rng, n, k * m)
+    return (fs_segment(ring, k, w0, w1),)
 
 
-def _check_marginal_gradient_constraint(seed):
-    rng = _rng_for(seed, "marginal-gradient-constraint")
-    failures = []
-    for trial in range(50):
-        seg = _random_segment(rng)
-        taus = duality_tau_set(seg)
-        extra = (min(taus) - 1, max(taus) + 1) if taus else (Fraction(0),)
-        m = seg.ring.m
-        for tau in tuple(taus) + tuple(extra):
-            try:
-                dual = kiselman_dual(seg, tau)
-            except Exception as exc:  # noqa: BLE001 - constraint failure shows here
-                failures.append((trial, str(tau), repr(exc)))
-                continue
-            for g in dual.potential.gradients():
-                if any(c < 0 for c in g) or sum(g) > m:
-                    failures.append((trial, str(tau), "gradient", [str(c) for c in g]))
-    return _row("kiselman", "marginal-gradient-constraint", not failures, True,
-                "inf_t (phi_t - t tau) keeps gradients in m*Delta, 50 segments",
-                failures)
+def _marginal_gradient_constraint(trial, seg):
+    taus = duality_tau_set(seg)
+    extra = (min(taus) - 1, max(taus) + 1) if taus else (Fraction(0),)
+    m = seg.ring.m
+    for tau in tuple(taus) + tuple(extra):
+        try:
+            dual = kiselman_dual(seg, tau)
+        except Exception as exc:  # noqa: BLE001 - constraint failure shows here
+            yield (trial, str(tau), repr(exc))
+            continue
+        for g in dual.potential.gradients():
+            if any(c < 0 for c in g) or sum(g) > m:
+                yield (trial, str(tau), "gradient", [str(c) for c in g])
 
 
-def _check_duality_roundtrip(seed):
-    rng = _rng_for(seed, "legendre-duality-roundtrip")
-    failures = []
-    for trial in range(20):
-        seg = _random_segment(rng)
-        for t in T_SET:
-            recovered = segment_from_dual(seg, t)
-            if compare_metrics(recovered, seg.eval(t)).relation != "eq":
-                failures.append((trial, str(t)))
-                break
-    return _row("kiselman", "legendre-duality-roundtrip", not failures, True,
-                "sup_tau (dual_tau + t tau) recovers the segment at all 7 t, 20 segments",
-                failures)
+def _legendre_duality_roundtrip(trial, seg):
+    for t in T_SET:
+        recovered = segment_from_dual(seg, t)
+        if compare_metrics(recovered, seg.eval(t)).relation != "eq":
+            yield (trial, str(t))
+            return
 
 
 def _check_kiselman_worked_case(seed):
@@ -741,118 +705,84 @@ def _check_kiselman_worked_case(seed):
 # theorem B suite
 
 
-def _random_metric_pair_p1(rng, level=2, m=1):
-    ring = section_ring(1, m)
-    pts = lattice_points(1, level * m)
-    w0 = {a: _random_fraction(rng, span=4) for a in pts}
-    w1 = {a: _random_fraction(rng, span=4) for a in pts}
-    return fs_from_norm(ring, level, w0), fs_from_norm(ring, level, w1)
+def _random_fs_pair(rng, n, m, k):
+    """Two level-k Fubini-Study metrics of random weights on P^n for O(m)."""
+    ring = section_ring(n, m)
+    return tuple(fs_from_norm(ring, k, _random_weights(rng, n, k * m))
+                 for _ in range(2))
 
 
-def _check_maximum_principle(seed):
-    rng = _rng_for(seed, "maximum-principle")
-    failures = []
-    for trial in range(30):
-        m = rng.choice((1, 2))
-        phi0, phi1 = _random_metric_pair_p1(rng, level=2, m=m)
-        k = rng.choice((1, 2, 4))
-        ring = section_ring(1, m)
-        pts = lattice_points(1, k * m)
-        top0 = supnorm(k, phi0)
-        top1 = supnorm(k, phi1)
-        # competitor endpoints dominated by the endpoints of the segment
-        drop = lambda: Fraction(rng.randint(0, 3))  # noqa: E731
-        w0 = {a: top0.weights[i] - drop() for i, a in enumerate(pts)}
-        w1 = {a: top1.weights[i] - drop() for i, a in enumerate(pts)}
-        competitor = fs_segment(ring, k, w0, w1)
-        for t in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
-            rel = compare_metrics(
-                competitor.eval(t), maximal_segment(phi0, phi1, t, kmax=4)
-            ).relation
-            if rel not in ("le", "eq"):
-                failures.append((trial, str(t), rel))
-                break
-    return _row("theoremB", "maximum-principle", not failures, True,
-                "30 dominated competitor segments stay below the maximal segment",
-                failures)
+def _random_metric_pair_p1(rng, trial):
+    """Two level-2 metrics on P^1 for O(m), with m drawn from {1, 2}."""
+    return _random_fs_pair(rng, 1, rng.choice((1, 2)), 2)
 
 
-def _check_legendre_equals_quantized(seed):
-    rng = _rng_for(seed, "legendre-equals-quantized")
-    failures = []
-    for trial in range(20):
-        m = rng.choice((1, 2))
-        phi0, phi1 = _random_metric_pair_p1(rng, level=2, m=m)
-        for t in (Fraction(1, 4), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4)):
-            lhs = legendre_segment(phi0, phi1, t)
-            rhs = maximal_segment(phi0, phi1, t, kmax=8)
-            if compare_metrics(lhs, rhs).relation != "eq":
-                failures.append((trial, str(t)))
-                break
-    return _row("theoremB", "legendre-equals-quantized", not failures, True,
-                "Legendre construction matches the stabilized quantized segment, "
-                "20 level-2 pairs", failures)
+def _maximum_principle_instance(rng, trial):
+    phi0, phi1 = _random_metric_pair_p1(rng, trial)
+    m = phi0.m
+    k = rng.choice((1, 2, 4))
+    pts = lattice_points(1, k * m)
+    top0 = supnorm(k, phi0)
+    top1 = supnorm(k, phi1)
+    # competitor endpoints dominated by the endpoints of the segment
+    w0 = {a: w - Fraction(rng.randint(0, 3)) for a, w in zip(pts, top0.weights)}
+    w1 = {a: w - Fraction(rng.randint(0, 3)) for a, w in zip(pts, top1.weights)}
+    return phi0, phi1, fs_segment(section_ring(1, m), k, w0, w1)
 
 
-def _check_energy_affine(seed):
-    rng = _rng_for(seed, "energy-affine")
-    failures = []
+def _maximum_principle(trial, phi0, phi1, competitor):
+    for t in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
+        rel = compare_metrics(
+            competitor.eval(t), maximal_segment(phi0, phi1, t, kmax=4)
+        ).relation
+        if rel not in ("le", "eq"):
+            yield (trial, str(t), rel)
+            return
+
+
+def _legendre_equals_quantized(trial, phi0, phi1):
+    for t in (Fraction(1, 4), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4)):
+        lhs = legendre_segment(phi0, phi1, t)
+        rhs = maximal_segment(phi0, phi1, t, kmax=8)
+        if compare_metrics(lhs, rhs).relation != "eq":
+            yield (trial, str(t))
+            return
+
+
+def _energy_affine(trial, phi0, phi1):
     sample = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
-    for trial in range(5):
-        m = rng.choice((1, 2))
-        phi0, phi1 = _random_metric_pair_p1(rng, level=2, m=m)
-        ref = reference(1, m)
-        vals = {
-            t: energy_limit(maximal_segment(phi0, phi1, t, kmax=4), ref)
-            for t in sample
-        }
-        base = vals[Fraction(0)]
-        slope = vals[Fraction(1)] - base
-        if any(vals[t] != base + t * slope for t in sample):
-            failures.append((trial, {str(t): str(v) for t, v in vals.items()}))
-    return _row("theoremB", "energy-affine", not failures, True,
-                "E(maximal(t), ref) exactly collinear at 5 sample points, 5 pairs",
-                failures)
+    ref = reference(1, phi0.m)
+    vals = {
+        t: energy_limit(maximal_segment(phi0, phi1, t, kmax=4), ref)
+        for t in sample
+    }
+    base = vals[Fraction(0)]
+    slope = vals[Fraction(1)] - base
+    if any(vals[t] != base + t * slope for t in sample):
+        yield (trial, {str(t): str(v) for t, v in vals.items()})
 
 
-def _check_d1_geodesicity(seed):
-    rng = _rng_for(seed, "d1-geodesicity-per-level")
-    failures = []
-    for trial in range(5):
-        m = rng.choice((1, 2))
-        phi0, phi1 = _random_metric_pair_p1(rng, level=2, m=m)
-        report = diagnostics(phi0, phi1, kmax=4)
-        for level in report["d1_geodesic_per_level"]:
-            if not level["geodesic_exact"]:
-                failures.append((trial, level["k"]))
-        if not report["energy_affine_exact"]:
-            failures.append((trial, "energy"))
-    return _row("theoremB", "d1-geodesicity-per-level", not failures, True,
-                "d1(eval(s), eval(t)) = |t - s| d1(endpoints) at every level, 5 pairs",
-                failures)
+def _d1_geodesicity_per_level(trial, phi0, phi1):
+    report = diagnostics(phi0, phi1, kmax=4)
+    for level in report["d1_geodesic_per_level"]:
+        if not level["geodesic_exact"]:
+            yield (trial, level["k"])
+    if not report["energy_affine_exact"]:
+        yield (trial, "energy")
 
 
-def _check_degree_one_stabilization(seed):
-    rng = _rng_for(seed, "degree-one-stabilization")
-    failures = []
-    arenas = ((1, 1), (1, 2), (2, 1))
-    for trial in range(9):
-        n, m = arenas[trial % 3]
-        ring = section_ring(n, m)
-        pts = lattice_points(n, m)
-        w0 = {a: _random_fraction(rng, span=4) for a in pts}
-        w1 = {a: _random_fraction(rng, span=4) for a in pts}
-        phi0 = fs_from_norm(ring, 1, w0)
-        phi1 = fs_from_norm(ring, 1, w1)
-        for t in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
-            base = quantized_segment(phi0, phi1, 1, t)
-            for k in (2, 3, 4):
-                rel = compare_metrics(quantized_segment(phi0, phi1, k, t), base).relation
-                if rel != "eq":
-                    failures.append((trial, k, str(t), rel))
-    return _row("theoremB", "degree-one-stabilization", not failures, True,
-                "degree-1 endpoints: level-k quantized segment equals level 1 "
-                "for k <= 4, on P^1 (m <= 2) and P^2", failures)
+def _degree_one_instance(rng, trial):
+    n, m = ((1, 1), (1, 2), (2, 1))[trial % 3]
+    return _random_fs_pair(rng, n, m, 1)
+
+
+def _degree_one_stabilization(trial, phi0, phi1):
+    for t in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
+        base = quantized_segment(phi0, phi1, 1, t)
+        for k in (2, 3, 4):
+            rel = compare_metrics(quantized_segment(phi0, phi1, k, t), base).relation
+            if rel != "eq":
+                yield (trial, k, str(t), rel)
 
 
 def planted_submultiplicativity_violation():
@@ -891,73 +821,89 @@ def _check_planted_non_psh(seed):
 
 
 # ---------------------------------------------------------------------------
-# suite assembly
+# suite assembly: each entry is a Check or a plain seed -> row function
 
-
-def _row(suite, check, ok, exact, detail, failures):
-    if failures:
-        detail = f"{detail}; first failures: {failures[:3]!r}"
-    return {
-        "suite": suite,
-        "check": check,
-        "status": "pass" if ok else "fail",
-        "exact": exact,
-        "detail": detail,
-    }
-
-
-_NORM_CHECKS = (
-    _check_spectrum_basis_independence,
-    _check_d1_triangle,
-    _check_d1_join,
-    _check_volume_cocycle,
-    _check_geodesic_log_convexity,
-    _check_geodesic_endpoint_monotonicity,
-    _check_geodesic_determinant,
-    _check_geodesic_affine_volume,
-    lambda seed: _check_geodesic_distance_convexity(seed, 1, "geodesic-d1-convexity"),
-    lambda seed: _check_geodesic_distance_convexity(
-        seed, math.inf, "geodesic-dinf-convexity"
-    ),
-    _check_geodesic_sym_power,
-)
-
-_GRADED_CHECKS = (
-    lambda seed: _check_graded_geodesic_submult(
-        seed, 1, (1, 2), 10, 20, "graded-geodesic-submultiplicative-P1"
-    ),
-    lambda seed: _check_graded_geodesic_submult(
-        seed, 2, (1,), 6, 10, "graded-geodesic-submultiplicative-P2"
-    ),
-    _check_graded_dp_linearity,
-    _check_fs_supnorm_roundtrip,
-    _check_supnorm_idempotence,
-    lambda seed: _check_convergence(seed, 1),
-    lambda seed: _check_convergence(seed, 2),
-    _check_d1_two_routes,
-)
-
-_KISELMAN_CHECKS = (
-    _check_marginal_gradient_constraint,
-    _check_duality_roundtrip,
-    _check_kiselman_worked_case,
-)
-
-_THEOREMB_CHECKS = (
-    _check_maximum_principle,
-    _check_legendre_equals_quantized,
-    _check_energy_affine,
-    _check_d1_geodesicity,
-    _check_degree_one_stabilization,
-    _check_planted_submultiplicative,
-    _check_planted_non_psh,
-)
 
 _SUITES = {
-    "norms": _NORM_CHECKS,
-    "graded": _GRADED_CHECKS,
-    "kiselman": _KISELMAN_CHECKS,
-    "theoremB": _THEOREMB_CHECKS,
+    "norms": (
+        Check("norms", "spectrum-basis-independence", 200, _spectrum_instance,
+              _spectrum_basis_independence,
+              "200 pairs, dim <= 4, transport invariance + filtration-count oracle"),
+        Check("norms", "d1-triangle", 200,
+              lambda rng, trial: _random_norms(rng, _field(trial), 3),
+              _d1_triangle, "200 triples"),
+        Check("norms", "d1-join-identity", 100,
+              lambda rng, trial: _random_norms(rng, TRIVIAL, 2),
+              _d1_join_identity,
+              "d * d1(n0,n1) = vol(n0,join) + vol(n1,join), 100 pairs"),
+        Check("norms", "volume-cocycle", 100,
+              lambda rng, trial: _random_norms(rng, _field(trial), 3),
+              _volume_cocycle, "antisymmetry + cocycle, 100 triples"),
+        Check("norms", "geodesic-log-convexity", 100, _log_convexity_instance,
+              _geodesic_log_convexity,
+              "100 instances, all t-triples from the 7-point grid"),
+        Check("norms", "geodesic-endpoint-monotonicity", 100,
+              _monotonicity_instance, _geodesic_endpoint_monotonicity,
+              "comparable endpoints stay ordered along t, 100 instances"),
+        Check("norms", "geodesic-determinant", 100,
+              lambda rng, trial: _geodesic_pair(rng), _geodesic_determinant,
+              "det of the geodesic equals the geodesic of the dets, 100 instances"),
+        Check("norms", "geodesic-affine-volume", 100, _affine_volume_instance,
+              _geodesic_affine_volume,
+              "vol(n0, n_t) = t vol(n0, n1) and vol(m, n_t) affine, 100 instances"),
+        _distance_convexity("geodesic-d1-convexity", 1),
+        _distance_convexity("geodesic-dinf-convexity", math.inf),
+        Check("norms", "geodesic-sym-power", 100,
+              lambda rng, trial: _random_norms(rng, _field(trial), 2, max_dim=3),
+              _geodesic_sym_power,
+              "Sym^2 of the geodesic equals the geodesic of the Sym^2, 100 instances"),
+    ),
+    "graded": (
+        _graded_submultiplicativity("graded-geodesic-submultiplicative-P1",
+                                    1, (1, 2), 10, 20),
+        _graded_submultiplicativity("graded-geodesic-submultiplicative-P2",
+                                    2, (1,), 6, 10),
+        Check("graded", "graded-dp-linearity", 10, _dp_linearity_instance,
+              _graded_dp_linearity,
+              "per-degree d_p along the geodesic scales exactly like |t - s|^p"),
+        _check_fs_supnorm_roundtrip,
+        Check("graded", "supnorm-idempotence", 100,
+              lambda rng, trial: _random_fs_instance(rng), _supnorm_idempotence,
+              "supnorm . fs . supnorm = supnorm, 100 instances"),
+        _convergence("energy-d1-convergence-P1", convergence_pair_p1, 40, _CONV_P1),
+        _convergence("energy-d1-convergence-P2", convergence_pair_p2, 12, _CONV_P2),
+        Check("graded", "d1-two-routes", 50, _two_routes_instance, _d1_two_routes,
+              "supnorm route and envelope route agree; d1 separates points; 50 pairs"),
+    ),
+    "kiselman": (
+        Check("kiselman", "marginal-gradient-constraint", 50, _random_segment,
+              _marginal_gradient_constraint,
+              "inf_t (phi_t - t tau) keeps gradients in m*Delta, 50 segments"),
+        Check("kiselman", "legendre-duality-roundtrip", 20, _random_segment,
+              _legendre_duality_roundtrip,
+              "sup_tau (dual_tau + t tau) recovers the segment at all 7 t, 20 segments"),
+        _check_kiselman_worked_case,
+    ),
+    "theoremB": (
+        Check("theoremB", "maximum-principle", 30, _maximum_principle_instance,
+              _maximum_principle,
+              "30 dominated competitor segments stay below the maximal segment"),
+        Check("theoremB", "legendre-equals-quantized", 20, _random_metric_pair_p1,
+              _legendre_equals_quantized,
+              "Legendre construction matches the stabilized quantized segment, "
+              "20 level-2 pairs"),
+        Check("theoremB", "energy-affine", 5, _random_metric_pair_p1, _energy_affine,
+              "E(maximal(t), ref) exactly collinear at 5 sample points, 5 pairs"),
+        Check("theoremB", "d1-geodesicity-per-level", 5, _random_metric_pair_p1,
+              _d1_geodesicity_per_level,
+              "d1(eval(s), eval(t)) = |t - s| d1(endpoints) at every level, 5 pairs"),
+        Check("theoremB", "degree-one-stabilization", 9, _degree_one_instance,
+              _degree_one_stabilization,
+              "degree-1 endpoints: level-k quantized segment equals level 1 "
+              "for k <= 4, on P^1 (m <= 2) and P^2"),
+        _check_planted_submultiplicative,
+        _check_planted_non_psh,
+    ),
 }
 
 

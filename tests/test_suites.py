@@ -1,8 +1,10 @@
-"""Verification suite runner and planted-failure controls.
+"""Verification suite runner, planted-failure controls and row pins.
 
-The norms suite repeats the randomized spectral checks and takes over a
-minute; the acceptance tests run it once.  Here we cover the three fast
-suites plus the runner contract.
+The norms suite takes most of the 6 to 7 s that all four suites take at
+seed 0; the session fixture ``suite_rows`` runs them once for the
+acceptance tests and the seed-0 pin.  Here we cover the three fast
+suites, the runner contract, and the digests that pin every row and
+every random stream byte for byte.
 """
 
 import hashlib
@@ -31,14 +33,17 @@ from geonorm.suites import (
 
 FAST = ("graded", "kiselman", "theoremB")
 
-# sha256 of json.dumps(rows, sort_keys=True), recorded from the hand-written
-# trial loops: every row, random stream and detail string stays byte for byte
+# sha256 of json.dumps(..., sort_keys=True) of the rows, or of the draws,
+# recorded from the hand-written trial loops that the check records
+# replaced: every row, random stream and detail string stays byte for byte
 SEED0_ALL_DIGEST = (
     "477f240e92d4253113f48677bcb84a8b961ae5c96b322b6d8802c290f04486e7")
 SEED1_FAST_DIGEST = (
     "1a5408d4d75252c52ad59e741b006261f47f79b87f949f3ab48f2fab3907524c")
 PLANTED_ALL_DIGEST = (
     "a67a037f44928e7df00b97143e9be332189fa1c0cf7d0fd24a90b56e569f4714")
+SEED0_STREAMS_DIGEST = (
+    "2aabb1fcae29af3ea388a478f98347855cd43a9d030d3c93fde63c1dd235ab05")
 
 # the rows that fail at seed 0 when every volume is 1 and every metric
 # comparison says "ge": they pin the "first failures" formatting, which no
@@ -101,13 +106,52 @@ def test_seed1_fast_rows_pinned() -> None:
     assert _digest(rows) == SEED1_FAST_DIGEST
 
 
-def test_planted_failing_rows_pinned(monkeypatch) -> None:
-    monkeypatch.setattr(suites, "volume", lambda n0, n1: Fraction(1))
-    monkeypatch.setattr(suites, "compare_metrics",
-                        lambda phi0, phi1: SimpleNamespace(relation="ge"))
-    rows = run_suite("all", seed=0)
+@pytest.fixture(scope="module")
+def planted_run():
+    """Rows of ``all`` at seed 0 under planted faults, and every draw made.
+
+    The draws are keyed by the string that seeds each check's stream.  No
+    draw depends on a check's outcome, so they are the seed-0 streams.
+    """
+    draws = {}
+
+    class Recording(random.Random):
+        def __init__(self, seed):
+            self.draws = draws.setdefault(seed, [])
+            super().__init__(seed)
+
+        def random(self):
+            x = super().random()
+            self.draws.append(x)
+            return x
+
+        def getrandbits(self, k):
+            x = super().getrandbits(k)
+            self.draws.append(x)
+            return x
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(suites, "random", SimpleNamespace(Random=Recording))
+        mp.setattr(suites, "volume", lambda n0, n1: Fraction(1))
+        mp.setattr(suites, "compare_metrics",
+                   lambda phi0, phi1: SimpleNamespace(relation="ge"))
+        rows = run_suite("all", seed=0)
+    return rows, draws
+
+
+def test_planted_failing_rows_pinned(planted_run) -> None:
+    rows, _ = planted_run
     assert [row for row in rows if row["status"] == "fail"] == PLANTED_FAILING
     assert _digest(rows) == PLANTED_ALL_DIGEST
+
+
+def test_seed0_streams_pinned(planted_run) -> None:
+    # passing rows have fixed details, so the row digests miss a change
+    # in what a check draws; this pins every draw of every stream (a check
+    # that draws nothing may or may not open one)
+    _, draws = planted_run
+    assert _digest({key: seq for key, seq in draws.items() if seq}) == (
+        SEED0_STREAMS_DIGEST)
 
 
 def test_suite_names() -> None:
@@ -137,7 +181,8 @@ def test_suites_deterministic() -> None:
 
 
 def test_all_includes_every_suite() -> None:
-    # membership only; running "all" would repeat the slow norms suite
+    # membership only; ``planted_run`` above is the one run of "all", since
+    # another would repeat the norms suite (about 5 s)
     assert "all" not in SUITE_NAMES
     with pytest.raises(ValueError):
         run_suite("ALL")
@@ -215,7 +260,7 @@ def test_filtration_spectrum_oracle_matches_trivial_spectrum() -> None:
         assert got == oracles.trivial_spectrum(b0, w0, b1, w1)
 
 
-def test_filtration_spectrum_oracle_avoids_intersect_spans(monkeypatch) -> None:
+def test_filtration_spectrum_oracle_avoids_smith(monkeypatch) -> None:
     # codiagonalize relies on the weighted-pivot kernel linalg.smith, so the
     # suite's independent side must not: a fault there could otherwise pass
     # both sides
