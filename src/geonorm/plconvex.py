@@ -13,14 +13,24 @@ piecewise-linear data over rational polytopes.
 The hull machinery, and with it pruning, comparison and marginal minima,
 is implemented for n <= 2, where every computation of the package's
 verification suites lives (the projective line or plane).  In the plane
-the upper hull of the lifted points is gift-wrapped across edges on
-integers (one common denominator for the gradients, one for the offsets),
-so a profile of m points with F facets costs O(m F) sign tests.  Functions
+the upper hull of the lifted points is gift-wrapped across edges, so a
+profile of m points with F facets costs O(m F) sign tests.  Functions
 that need a profile the caller already holds have private variants that
 take it (``_le_witness``, ``_compare``, ``_mix_witness``, ``_envelope``).
-A profile is read at the lattice points of a dilation k (the sup-norm
-weights k q(a/k) of a toric metric) on integers, by
-``ConcaveProfile.lattice_values``.
+
+The kernels run on integers.  A ``MaxAffine`` is one positive denominator
+D and integer rows ``(G_1, ..., G_n, C)``, the piece (G/D, C/D), with D
+the least common denominator of the pieces (so D and the rows have gcd 1)
+and the rows deduplicated and sorted on their integer gradients.  A
+``ConcaveProfile`` keeps one such denominator for all of its hypograph
+vertices, cell polygons and planes.  Hulls, conjugates, comparisons and
+Fourier-Motzkin elimination read those rows directly; polygons are
+clipped on homogeneous integer points ``(X, Y, W)``, W > 0 and gcd 1,
+standing for (X/W, Y/W).  The public ``pieces``, ``planes``, ``vertices``
+and ``cells`` are ``Fraction`` views built each time they are read, never
+stored.  A profile is read at the lattice points of a dilation k (the
+sup-norm weights k q(a/k) of a toric metric) straight from its integer
+planes, by ``ConcaveProfile.lattice_values``.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-from math import comb, lcm
+from math import comb, gcd, lcm
 from operator import mul
 
 from .field import format_fraction, parse_fraction
@@ -42,8 +52,31 @@ class EnvelopeError(PLError):
     """No finite convex minorant with the requested slope constraint."""
 
 
-def _frac_point(p):
-    return tuple(x if type(x) is Fraction else Fraction(x) for x in p)
+def _rational(x):
+    """x as an int or a Fraction, both of which carry numerator/denominator."""
+    return x if type(x) is int or type(x) is Fraction else Fraction(x)
+
+
+def _point(y, n: int):
+    """A point of R^n with rational coordinates; PLError on a wrong length."""
+    y = tuple(_rational(x) for x in y)
+    if len(y) != n:
+        raise PLError(f"point has length {len(y)}, expected {n}")
+    return y
+
+
+def _int_rows(rows):
+    """(D, integer rows) of rational rows over their least common
+    denominator."""
+    den = lcm(*(x.denominator for r in rows for x in r))
+    return den, [tuple(x.numerator * (den // x.denominator) for x in r)
+                 for r in rows]
+
+
+def _over(den: int, rows):
+    """Fraction view of integer rows over den: ((head...), last) per row."""
+    return tuple((tuple(Fraction(x, den) for x in r[:-1]),
+                  Fraction(r[-1], den)) for r in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -52,29 +85,56 @@ def _frac_point(p):
 
 
 class MaxAffine:
-    """max of affine pieces; pieces with equal gradient keep the best offset."""
+    """max of affine pieces; pieces with equal gradient keep the best offset.
 
-    __slots__ = ("n", "pieces")
+    Stored as ``_den`` and integer ``_rows`` (see the module docstring);
+    ``pieces`` is the ``Fraction`` view, in gradient order.
+    """
+
+    __slots__ = ("n", "_den", "_rows")
 
     def __init__(self, n: int, pieces):
-        best: dict[tuple, Fraction] = {}
+        rows = []
         for g, c in pieces:
-            g = _frac_point(g)
+            g = tuple(_rational(x) for x in g)
             if len(g) != n:
                 raise PLError(f"piece gradient has length {len(g)}, expected {n}")
-            if type(c) is not Fraction:
-                c = Fraction(c)
-            if g not in best or c > best[g]:
-                best[g] = c
-        if not best:
+            rows.append(g + (_rational(c),))
+        if not rows:
             raise PLError("a max-affine function needs at least one piece")
-        self.n = n
-        self.pieces = tuple(sorted(best.items()))
+        self._set(n, *_int_rows(rows))
+
+    @classmethod
+    def _from_ints(cls, n: int, den: int, rows) -> "MaxAffine":
+        """The function with integer rows (G_1, ..., G_n, C) over den > 0.
+
+        Rows may repeat gradients and come in any order.
+        """
+        self = object.__new__(cls)
+        self._set(n, den, rows)
+        return self
+
+    def _set(self, n, den, rows):
+        # sorted rows end each run of equal gradients with the best offset
+        rows = sorted(rows)
+        kept = [r for r, nxt in zip(rows, rows[1:]) if r[:-1] != nxt[:-1]]
+        kept.append(rows[-1])
+        g = gcd(den, *(x for r in kept for x in r))
+        if g > 1:
+            den //= g
+            kept = [tuple(x // g for x in r) for r in kept]
+        self.n, self._den, self._rows = n, den, tuple(kept)
+
+    @property
+    def pieces(self):
+        return _over(self._den, self._rows)
 
     def __call__(self, v):
-        v = _frac_point(v)
-        return max(sum(g[i] * v[i] for i in range(self.n)) + c
-                   for g, c in self.pieces)
+        v = _point(v, self.n)
+        dv = lcm(*(x.denominator for x in v))
+        V = [x.numerator * (dv // x.denominator) for x in v]
+        return Fraction(max(sum(map(mul, r, V)) + r[-1] * dv
+                            for r in self._rows), self._den * dv)
 
     def __eq__(self, other):
         if not isinstance(other, MaxAffine):
@@ -86,36 +146,46 @@ class MaxAffine:
     __hash__ = None
 
     def __repr__(self):
-        return f"MaxAffine(n={self.n}, {len(self.pieces)} pieces)"
+        return f"MaxAffine(n={self.n}, {len(self._rows)} pieces)"
 
     def scaled(self, k) -> "MaxAffine":
         """(k * f) for k > 0: pieces scale as (k g, k c)."""
         k = Fraction(k)
         if k <= 0:
             raise PLError("scaling factor must be positive")
-        return MaxAffine(self.n, [(tuple(k * x for x in g), k * c)
-                                  for g, c in self.pieces])
+        return MaxAffine._from_ints(
+            self.n, self._den * k.denominator,
+            [tuple(x * k.numerator for x in r) for r in self._rows])
 
     def shifted(self, c) -> "MaxAffine":
-        c = Fraction(c)
-        return MaxAffine(self.n, [(g, off + c) for g, off in self.pieces])
+        c = _rational(c)
+        den = lcm(self._den, c.denominator)
+        s, off = den // self._den, c.numerator * (den // c.denominator)
+        return MaxAffine._from_ints(
+            self.n, den,
+            [tuple(x * s for x in r[:-1]) + (r[-1] * s + off,)
+             for r in self._rows])
 
     def plus(self, other: "MaxAffine") -> "MaxAffine":
         """Pointwise sum (pairwise piece sums)."""
         if self.n != other.n:
             raise PLError("dimension mismatch in sum")
-        return MaxAffine(self.n, [
-            (tuple(a + b for a, b in zip(g0, g1)), c0 + c1)
-            for g0, c0 in self.pieces for g1, c1 in other.pieces
+        den = lcm(self._den, other._den)
+        s0, s1 = den // self._den, den // other._den
+        return MaxAffine._from_ints(self.n, den, [
+            tuple(a * s0 + b * s1 for a, b in zip(r0, r1))
+            for r0 in self._rows for r1 in other._rows
         ])
 
     def max_with(self, *others) -> "MaxAffine":
-        pieces = list(self.pieces)
         for o in others:
             if o.n != self.n:
                 raise PLError("dimension mismatch in max")
-            pieces.extend(o.pieces)
-        return MaxAffine(self.n, pieces)
+        funcs = (self,) + others
+        den = lcm(*(f._den for f in funcs))
+        return MaxAffine._from_ints(self.n, den, [
+            tuple(x * (den // f._den) for x in r)
+            for f in funcs for r in f._rows])
 
     def gradients(self):
         return tuple(g for g, _ in self.pieces)
@@ -165,26 +235,37 @@ def _dot(x, y):
     return sum(a * b for a, b in zip(x, y))
 
 
-def _walk(f: MaxAffine, g, planes, hrep):
+def _walk(f: MaxAffine, g, pden, planes, hden, hrep):
     """First point where f > g, or None, given the profile q of g.
 
-    q is the min of ``planes`` on the polytope ``hrep``; ``g`` is only
-    evaluated.  A piece <a, v> + c lies below g iff c <= q(a), with q taken
-    as -inf off its domain (Rockafellar, Convex Analysis, section 12).
+    q is the min of the integer ``planes`` (rows (W, B) over ``pden``) on
+    the polytope ``hrep`` (``_hull_hrep`` rows of points over ``hden``);
+    ``g`` is only evaluated.  A piece <a, v> + c lies below g iff
+    c <= q(a), with q taken as -inf off its domain (Rockafellar, Convex
+    Analysis, section 12).
     """
-    for a, c in f.pieces:
-        out = next(((nu, b) for nu, b in hrep if _dot(nu, a) > b), None)
+    fden = f._den
+    for r in f._rows:
+        A, C = r[:-1], r[-1]
+        # <N / hden^e, A / fden> > R / hden^(e+1), times hden^(e+1) fden
+        out = next((h for h in hrep
+                    if sum(map(mul, h[0], A)) * hden > h[1] * fden), None)
         if out is not None:
             # <grad, s nu> <= s b on g's domain: f outgrows g along nu
-            nu, b = out
-            top = g(tuple(Fraction(0) for _ in a))
+            N, R, e = out
+            nu = tuple(Fraction(x, hden ** e) for x in N)
+            b = Fraction(R, hden ** (e + 1))
+            a, c = (tuple(Fraction(x, fden) for x in A), Fraction(C, fden))
+            top = g(tuple(Fraction(0) for _ in A))
             s = max(Fraction(1), (top - c) / (_dot(nu, a) - b) + 1)
             return tuple(s * x for x in nu)
-        qa = min(_dot(w, a) + beta for w, beta in planes)
-        if c > qa:
+        # q(a) = min over planes of (<W, A> + B fden) / (pden fden)
+        vals = [sum(map(mul, p, A)) + p[-1] * fden for p in planes]
+        qa = min(vals)
+        if C * pden > qa:
             # g(-w) = beta for a plane (w, beta) of q active at a
-            w = next(w for w, beta in planes if _dot(w, a) + beta == qa)
-            return tuple(-x for x in w)
+            w = planes[vals.index(qa)]
+            return tuple(Fraction(-x, pden) for x in w[:-1])
     return None
 
 
@@ -195,7 +276,7 @@ def le_witness(f: MaxAffine, g: MaxAffine):
 
 def _le_witness(f: MaxAffine, g: MaxAffine, q: ConcaveProfile):
     """``le_witness(f, g)`` given q = conjugate(g)."""
-    return _walk(f, g, q.planes, domain_hrep(q))
+    return _walk(f, g, q._den, q._planes, q._den, _domain_hrep(q))
 
 
 def mix_witness(f: MaxAffine, g0: MaxAffine, g1: MaxAffine, lam):
@@ -225,10 +306,12 @@ def _mix_witness(f, g0, g1, lam, q0: ConcaveProfile, q1: ConcaveProfile):
     def h(v):
         return lam * g0(v) + (1 - lam) * g1(v)
 
-    planes = [(w, h(tuple(-x for x in w))) for w in dict.fromkeys(slopes)]
-    pts = {tuple(lam * x + (1 - lam) * y for x, y in zip(p, r))
-           for p in q0.domain_points() for r in q1.domain_points()}
-    return _walk(f, h, planes, _hull_hrep(f.n, sorted(pts)))
+    pden, planes = _int_rows([w + (h(tuple(-x for x in w)),)
+                              for w in dict.fromkeys(slopes)])
+    hden, pts = _int_rows({
+        tuple(lam * x + (1 - lam) * y for x, y in zip(p, r))
+        for p in q0.domain_points() for r in q1.domain_points()})
+    return _walk(f, h, pden, planes, hden, _hull_hrep(f.n, pts))
 
 
 def _edge_directions(q: ConcaveProfile):
@@ -236,14 +319,16 @@ def _edge_directions(q: ConcaveProfile):
 
     Each is scaled to a leading 1, so parallel edges appear once.
     """
-    if q.cells:
+    cells = q.cells
+    if cells:
         dirs = [(b[0] - a[0], b[1] - a[1], cell.affine(b) - cell.affine(a))
-                for cell in q.cells
+                for cell in cells
                 for a, b in zip(cell.vertices, cell.vertices[1:]
                                 + cell.vertices[:1])]
     else:
+        vertices = q.vertices
         dirs = [(b[0] - a[0], b[1] - a[1], zb - za)
-                for (a, za), (b, zb) in zip(q.vertices, q.vertices[1:])]
+                for (a, za), (b, zb) in zip(vertices, vertices[1:])]
     out = set()
     for d in dirs:
         lead = next(x for x in d if x)
@@ -299,9 +384,39 @@ def moment_simplex(n: int, m) -> Polytope:
     return Polytope(n, tuple(hrep), tuple(vertices))
 
 
-def _shoelace2(poly) -> Fraction:
-    """Twice the signed area."""
-    s = Fraction(0)
+def _canon(p):
+    """A homogeneous integer point (X.., W) with W > 0 and gcd 1."""
+    if p[-1] < 0:
+        p = tuple(-x for x in p)
+    g = gcd(*p)
+    return p if g == 1 else tuple(x // g for x in p)
+
+
+def _hom_point(p):
+    """The homogeneous integer point of a rational point."""
+    w, xs = _int_rows([tuple(_rational(x) for x in p)])
+    return xs[0] + (w,)
+
+
+def _hom_halfplane(a, b):
+    """<a, y> <= b with rational a, b as the integer row (a_1.., b)."""
+    return _int_rows([tuple(_rational(x) for x in a) + (_rational(b),)])[1][0]
+
+
+def _common(points):
+    """(L, integer points over L) of homogeneous points, L the lcm of the W."""
+    den = lcm(*(p[-1] for p in points))
+    return den, [tuple(x * (den // p[-1]) for x in p[:-1]) for p in points]
+
+
+def _fraction_points(points):
+    """The Fraction points of homogeneous integer points."""
+    return tuple(tuple(Fraction(x, p[-1]) for x in p[:-1]) for p in points)
+
+
+def _shoelace2(poly):
+    """Twice the signed area of a polygon of points with exact coordinates."""
+    s = 0
     for i in range(len(poly)):
         x0, y0 = poly[i]
         x1, y1 = poly[(i + 1) % len(poly)]
@@ -310,24 +425,33 @@ def _shoelace2(poly) -> Fraction:
 
 
 def _orient_ccw(poly):
-    return tuple(reversed(poly)) if _shoelace2(poly) < 0 else tuple(poly)
+    """A polygon of homogeneous points, counterclockwise."""
+    if _shoelace2(_common(poly)[1]) < 0:
+        return tuple(reversed(poly))
+    return tuple(poly)
 
 
 def clip_polygon(poly, a, b):
-    """Intersect a convex polygon with the halfplane <a, y> <= b."""
+    """Intersect a convex polygon with the halfplane <a, y> <= b.
+
+    ``poly`` holds homogeneous integer points (X, Y, W); a and b are
+    integers.  The sign of <a, (X, Y)> - b W is that of <a, y> - b.
+    """
     if not poly:
         return ()
+    a0, a1 = a
+    f = [a0 * x + a1 * y - b * w for x, y, w in poly]
     out = []
     k = len(poly)
     for i in range(k):
-        p, q = poly[i], poly[(i + 1) % k]
-        fp = a[0] * p[0] + a[1] * p[1] - b
-        fq = a[0] * q[0] + a[1] * q[1] - b
+        j = (i + 1) % k
+        fp, fq = f[i], f[j]
         if fp <= 0:
-            out.append(p)
+            out.append(poly[i])
         if (fp < 0 < fq) or (fq < 0 < fp):
-            s = fp / (fp - fq)
-            out.append((p[0] + s * (q[0] - p[0]), p[1] + s * (q[1] - p[1])))
+            # (fp q - fq p) / (fp - fq), homogeneously
+            out.append(_canon(tuple(fp * u - fq * v
+                                    for u, v in zip(poly[j], poly[i]))))
     # dedupe consecutive duplicates
     dedup = []
     for pt in out:
@@ -373,22 +497,28 @@ def polygon_hrep(poly):
 
 
 def _clip_region(poly, halfplanes):
-    for a, b in halfplanes:
-        poly = clip_polygon(poly, a, b)
-        if len(poly) < 3 or _shoelace2(poly) == 0:
+    """Clip homogeneous points by integer rows (a_1, a_2, b): <a, y> <= b."""
+    for a0, a1, b in halfplanes:
+        poly = clip_polygon(poly, (a0, a1), b)
+        if len(poly) < 3 or _shoelace2(_common(poly)[1]) == 0:
             return ()
     return _orient_ccw(poly)
 
 
 def _clip_interval(lo, hi, a, b):
-    """Intersect [lo, hi] with a*y <= b (scalars); None if empty."""
-    if a > 0:
-        hi = min(hi, b / a)
-    elif a < 0:
-        lo = max(lo, b / a)
+    """Intersect [lo, hi] with a*y <= b; None if empty.
+
+    lo, hi are homogeneous (X, W) and a, b integers.
+    """
+    if a:
+        y = _canon((b, a))
+        if a > 0 and y[0] * hi[1] < hi[0] * y[1]:
+            hi = y
+        elif a < 0 and y[0] * lo[1] > lo[0] * y[1]:
+            lo = y
     elif b < 0:
         return None
-    if lo > hi:
+    if lo[0] * hi[1] > hi[0] * lo[1]:
         return None
     return lo, hi
 
@@ -410,7 +540,6 @@ class Cell:
         return sum(g * x for g, x in zip(self.grad, y)) + self.offset
 
 
-@dataclass(frozen=True)
 class ConcaveProfile:
     """A concave PL function on a polytope domain.
 
@@ -418,57 +547,115 @@ class ConcaveProfile:
     are the full-dimensional linearity regions (empty when the domain is
     lower-dimensional, e.g. for conjugates of functions whose gradients are
     collinear).  ``vertices`` are the hypograph vertices with their values.
+
+    Stored over one denominator ``_den``: ``_verts`` rows (Y.., Z) of the
+    hypograph vertices, ``_planes`` rows (W.., B) and ``_cells`` polygons
+    of integer points, cell i lying on plane i.  ``vertices``, ``cells``
+    and ``planes`` are ``Fraction`` views, rebuilt on every read.
     """
 
-    n: int
-    vertices: tuple           # ((point, value), ...)
-    cells: tuple
-    planes: tuple             # ((grad, offset), ...), q = min over them
+    __slots__ = ("n", "_den", "_verts", "_cells", "_planes")
+
+    def __init__(self, n: int, den: int, verts, cells, planes):
+        g = gcd(den, *(x for r in verts for x in r),
+                *(x for r in planes for x in r),
+                *(x for poly in cells for p in poly for x in p))
+        if g > 1:
+            den //= g
+            verts = [tuple(x // g for x in r) for r in verts]
+            planes = [tuple(x // g for x in r) for r in planes]
+            cells = [tuple(tuple(x // g for x in p) for p in poly)
+                     for poly in cells]
+        self.n, self._den = n, den
+        self._verts, self._cells = tuple(verts), tuple(cells)
+        self._planes = tuple(planes)
+
+    def _key(self):
+        return (self.n, self._den, self._verts, self._cells, self._planes)
+
+    def __eq__(self, other):
+        if not isinstance(other, ConcaveProfile):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"ConcaveProfile(n={self.n}, {len(self._verts)} vertices, "
+                f"{len(self._cells)} cells, {len(self._planes)} planes)")
+
+    @property
+    def vertices(self):
+        """((point, value), ...), the hypograph vertices."""
+        return _over(self._den, self._verts)
+
+    @property
+    def planes(self):
+        """((grad, offset), ...), q = min over them."""
+        return _over(self._den, self._planes)
+
+    @property
+    def cells(self):
+        den = self._den
+        return tuple(
+            Cell(tuple(tuple(Fraction(x, den) for x in p) for p in poly), w, b)
+            for poly, (w, b) in zip(self._cells, self.planes))
 
     def value(self, y):
-        y = _frac_point(y)
-        return min(sum(g[i] * y[i] for i in range(self.n)) + c
-                   for g, c in self.planes)
+        y = _point(y, self.n)
+        dy = lcm(*(x.denominator for x in y))
+        Y = [x.numerator * (dy // x.denominator) for x in y]
+        return Fraction(min(sum(map(mul, r, Y)) + r[-1] * dy
+                            for r in self._planes), self._den * dy)
 
     def lattice_values(self, k: int, points):
         """``k * value(a / k)`` for each integer point a, on integers.
 
-        k q(a/k) is the min over the planes (w, c) of <w, a> + k c.  All
-        gradients and offsets are scaled by one common denominator D, so
-        each value is one ``Fraction(min of integer sums, D)``.
+        k q(a/k) is the min over the planes (W, B) / D of (<W, a> + k B) / D.
         """
-        den = lcm(*(x.denominator for g, c in self.planes for x in g + (c,)))
-        planes = [(tuple(x.numerator * (den // x.denominator) for x in g),
-                   k * c.numerator * (den // c.denominator))
-                  for g, c in self.planes]
-        return tuple(
-            Fraction(min(sum(map(mul, g, a)) + c for g, c in planes), den)
-            for a in points)
+        den = self._den
+        return tuple(Fraction(v, den)
+                     for v in self._lattice_numerators(k, points))
+
+    def _lattice_numerators(self, k: int, points):
+        """``D * lattice_values(k, points)``, D = ``_den``, as integers."""
+        planes = self._planes
+        return [min(sum(map(mul, r, a)) + k * r[-1] for r in planes)
+                for a in points]
 
     def domain_points(self):
-        return tuple(p for p, _ in self.vertices)
+        den = self._den
+        return tuple(tuple(Fraction(x, den) for x in r[:-1])
+                     for r in self._verts)
 
     def to_max_affine(self) -> MaxAffine:
         """Conjugate back: sup over the domain of <y, v> + q(y)."""
-        return MaxAffine(self.n, [(p, val) for p, val in self.vertices])
+        return MaxAffine._from_ints(self.n, self._den, self._verts)
 
     def shifted(self, c) -> "ConcaveProfile":
         """The profile of f + c, for q the profile of f: q + c."""
-        c = Fraction(c)
+        c = _rational(c)
+        den = lcm(self._den, c.denominator)
+        s, off = den // self._den, c.numerator * (den // c.denominator)
+
+        def lift(r):
+            return tuple(x * s for x in r[:-1]) + (r[-1] * s + off,)
+
         return ConcaveProfile(
-            self.n, tuple((p, val + c) for p, val in self.vertices),
-            tuple(Cell(cell.vertices, cell.grad, cell.offset + c)
-                  for cell in self.cells),
-            tuple((g, off + c) for g, off in self.planes))
+            self.n, den, [lift(r) for r in self._verts],
+            [tuple(tuple(x * s for x in p) for p in poly)
+             for poly in self._cells],
+            [lift(r) for r in self._planes])
 
 
 def _upper_hull_1d(points):
-    """Upper concave chain of (y, value) pairs, y strictly increasing."""
+    """Upper concave chain of (y, value, ...) rows, y strictly increasing."""
     pts = sorted(points)
     chain = []
     for p in pts:
         while len(chain) >= 2:
-            (x0, z0), (x1, z1) = chain[-2], chain[-1]
+            (x0, z0), (x1, z1) = chain[-2][:2], chain[-1][:2]
             # keep only strictly decreasing slopes
             if (z1 - z0) * (p[0] - x1) <= (p[1] - z1) * (x1 - x0):
                 chain.pop()
@@ -487,29 +674,48 @@ def conjugate(f: MaxAffine) -> ConcaveProfile:
     """
     if f.n > 2:
         raise PLError("concave profiles implemented for n <= 2")
-    pts = list(f.pieces)  # already deduped by gradient with max offset
-    if len(pts) == 1:
-        g, c = pts[0]
-        zero = tuple(Fraction(0) for _ in range(f.n))
-        return ConcaveProfile(f.n, ((g, c),), (), ((zero, c),))
+    rows = f._rows  # deduped by gradient with max offset, over f._den
+    if len(rows) == 1:
+        return ConcaveProfile(f.n, f._den, rows, (),
+                              ((0,) * f.n + (rows[0][-1],),))
     if f.n == 1:
-        chain = _upper_hull_1d([(g[0], c) for g, c in pts])
-        vertices = tuple(((x,), z) for x, z in chain)
-        cells = []
-        planes = []
-        for (x0, z0), (x1, z1) in zip(chain, chain[1:]):
-            slope = (z1 - z0) / (x1 - x0)
-            off = z0 - slope * x0
-            cells.append(Cell(((x0,), (x1,)), (slope,), off))
-            planes.append(((slope,), off))
-        return ConcaveProfile(1, vertices, tuple(cells), tuple(planes))
-    return _conjugate_2d(pts)
+        chain = _upper_hull_1d(rows)
+        return _chain_profile(f._den, chain, chain, 0, 1, 0)
+    return _conjugate_2d(f._den, rows)
+
+
+def _chain_profile(den, verts, chain, k, sgn, base):
+    """Profile of a concave chain of (S, C, ...) rows along a line.
+
+    ``verts`` are the rows (G.., C), over den, of the chain's points, and
+    S = sgn (G_k - base) is their coordinate k from ``base``, increasing
+    along the chain.  Each chain edge gives a plane of slope sgn dC / dS
+    along coordinate k and 0 along any other; when n = 1 (k = 0, sgn = 1,
+    base = 0) each edge also bounds a cell.
+    """
+    n = len(verts[0]) - 1
+    edges = list(zip(chain, chain[1:]))
+    scale = lcm(*(p1[0] - p0[0] for p0, p1 in edges))
+    planes = []
+    for (s0, z0), (s1, z1) in ((p0[:2], p1[:2]) for p0, p1 in edges):
+        ds, dz = s1 - s0, z1 - z0
+        q = scale // ds
+        grad = [0] * n
+        grad[k] = sgn * dz * den * q
+        # z0 less the slope times the coordinate base + sgn s0, over den ds
+        off = (z0 * ds - dz * s0 - sgn * dz * base) * q
+        planes.append(tuple(grad) + (off,))
+    verts = [tuple(x * scale for x in r) for r in verts]
+    cells = []
+    if n == 1:
+        cells = [((v0[0],), (v1[0],)) for v0, v1 in zip(verts, verts[1:])]
+    return ConcaveProfile(n, den * scale, verts, cells, planes)
 
 
 def _affine_rank_2d(gradients):
     g0 = gradients[0]
     dirs = [(g[0] - g0[0], g[1] - g0[1]) for g in gradients[1:]]
-    nonzero = [d for d in dirs if d != (Fraction(0), Fraction(0))]
+    nonzero = [d for d in dirs if d != (0, 0)]
     if not nonzero:
         return 0, None
     d0 = nonzero[0]
@@ -519,35 +725,29 @@ def _affine_rank_2d(gradients):
     return 1, d0
 
 
-def _conjugate_2d(pts):
-    """Upper hull of the lifted points, one cell per facet.
+def _conjugate_2d(den, rows):
+    """Upper hull of the lifted integer rows over den, one cell per facet.
 
     Facets come in the order of the lexicographically smallest index
     triple of non-collinear points on them, so ``planes`` (whose first
     active entry is the witness ``le_witness`` returns) does not depend on
     how the hull is searched.
     """
-    gradients = [g for g, _ in pts]
-    rank, direction = _affine_rank_2d(gradients)
+    rank, direction = _affine_rank_2d(rows)
     if rank == 1:
-        return _conjugate_2d_on_line(pts, direction)
-    # scale once: gradients by one common denominator, offsets by another;
-    # both are positive, so every orientation sign survives
-    dg = lcm(*(x.denominator for g in gradients for x in g))
-    dc = lcm(*(c.denominator for _, c in pts))
-    lifted = [(g[0].numerator * (dg // g[0].denominator),
-               g[1].numerator * (dg // g[1].denominator),
-               c.numerator * (dc // c.denominator)) for g, c in pts]
-    cells, planes, vertices = [], [], []
-    for _, poly, (nx, ny, nz), d in sorted(_upper_facets(lifted)):
-        # n . (dg*g, dc*c) = d on the facet's plane
-        w = (Fraction(-nx * dg, nz * dc), Fraction(-ny * dg, nz * dc))
-        beta = Fraction(d, nz * dc)
-        cells.append(Cell(tuple(gradients[i] for i in poly), w, beta))
-        planes.append((w, beta))
-        vertices.extend(poly)
-    verts = tuple(pts[i] for i in sorted(set(vertices)))
-    return ConcaveProfile(2, verts, tuple(cells), tuple(planes))
+        return _conjugate_2d_on_line(den, rows, direction)
+    facets = sorted(_upper_facets(rows))
+    # n . (G, C) = d on a facet: q = <-(nx, ny) / nz, y> + d / (nz den)
+    scale = lcm(*(normal[2] for _, _, normal, _ in facets))
+    cells, planes, on = [], [], set()
+    for _, poly, (nx, ny, nz), d in facets:
+        q = scale // nz
+        planes.append((-nx * den * q, -ny * den * q, d * q))
+        cells.append(tuple((rows[i][0] * scale, rows[i][1] * scale)
+                           for i in poly))
+        on.update(poly)
+    verts = [tuple(x * scale for x in rows[i]) for i in sorted(on)]
+    return ConcaveProfile(2, den * scale, verts, cells, planes)
 
 
 def _upper_facets(lifted):
@@ -612,31 +812,26 @@ def _upper_facets(lifted):
     return facets
 
 
-def _conjugate_2d_on_line(pts, direction):
-    """Gradients lie on a line g0 + s * direction: reduce to dimension one."""
-    g0 = pts[0][0]
+def _conjugate_2d_on_line(den, rows, direction):
+    """Gradients lie on a line g0 + s * direction: reduce to dimension one.
+
+    With k a coordinate where the integer direction d is nonzero, a point
+    has s = S / |d_k| for S = sgn(d_k) (G_k - G0_k), an integer.
+    """
+    g0 = rows[0]
     k = 0 if direction[0] != 0 else 1
+    sgn = 1 if direction[k] > 0 else -1
+    a = abs(direction[k])
     params = []
-    for g, c in pts:
-        s = (g[k] - g0[k]) / direction[k]
-        if (g0[0] + s * direction[0], g0[1] + s * direction[1]) != g:
+    for i, r in enumerate(rows):
+        s = sgn * (r[k] - g0[k])
+        if any(a * x + s * d != a * y
+               for x, d, y in zip(g0[:2], direction, r[:2])):
             raise PLError("internal error: gradient off the detected line")
-        params.append((s, c))
+        params.append((s, r[2], i))
     chain = _upper_hull_1d(params)
-    vertices = tuple(
-        ((g0[0] + s * direction[0], g0[1] + s * direction[1]), z)
-        for s, z in chain
-    )
-    planes = []
-    for (s0, z0), (s1, z1) in zip(chain, chain[1:]):
-        sigma = (z1 - z0) / (s1 - s0)
-        beta = z0 - sigma * s0
-        # affine extension constant across the line: s(y) = (y_k - g0_k)/d_k
-        grad = tuple(sigma / direction[k] if i == k else Fraction(0)
-                     for i in range(2))
-        off = beta - sigma * g0[k] / direction[k]
-        planes.append((grad, off))
-    return ConcaveProfile(2, vertices, (), tuple(planes))
+    return _chain_profile(den, [rows[i] for _, _, i in chain], chain, k, sgn,
+                          g0[k])
 
 
 # ---------------------------------------------------------------------------
@@ -646,14 +841,27 @@ def _conjugate_2d_on_line(pts, direction):
 
 def domain_hrep(profile: ConcaveProfile):
     """Halfplane description of a profile domain (hull of its points)."""
-    return _hull_hrep(profile.n, profile.domain_points())
+    den = profile._den
+    return [(tuple(Fraction(x, den ** e) for x in normal),
+             Fraction(rhs, den ** (e + 1)))
+            for normal, rhs, e in _domain_hrep(profile)]
+
+
+def _domain_hrep(profile: ConcaveProfile):
+    """``_hull_hrep`` of a profile's domain points, integers over its den."""
+    return _hull_hrep(profile.n, [r[:-1] for r in profile._verts])
 
 
 def _hull_hrep(n: int, pts):
-    """Halfplane description of the convex hull of points (n <= 2)."""
+    """Halfplane description of the convex hull of integer points (n <= 2).
+
+    The points are Y = D y for a positive D.  Each row (N, R, e) stands
+    for <N, Y> <= R, that is for the rational halfplane <nu, y> <= b with
+    nu = N / D^e and b = R / D^(e + 1).
+    """
     if n == 1:
         xs = [p[0] for p in pts]
-        return [((Fraction(-1),), -min(xs)), ((Fraction(1),), max(xs))]
+        return [((-1,), -min(xs), 0), ((1,), max(xs), 0)]
     hull = hull2d(pts)
     if len(hull) < 3:
         # segment or point: describe by equality as two opposite halfplanes
@@ -663,51 +871,76 @@ def _hull_hrep(n: int, pts):
             d = (q[0] - p[0], q[1] - p[1])
             normal = (d[1], -d[0])
             rhs = normal[0] * p[0] + normal[1] * p[1]
-            out.append((normal, rhs))
-            out.append(((-normal[0], -normal[1]), -rhs))
+            out.append((normal, rhs, 1))
+            out.append(((-normal[0], -normal[1]), -rhs, 1))
             # clamp along the segment
-            out.append(((-d[0], -d[1]), -(d[0] * p[0] + d[1] * p[1])))
-            out.append(((d[0], d[1]), d[0] * q[0] + d[1] * q[1]))
+            out.append(((-d[0], -d[1]), -(d[0] * p[0] + d[1] * p[1]), 1))
+            out.append(((d[0], d[1]), d[0] * q[0] + d[1] * q[1], 1))
         else:
             p = hull[0]
-            for a in ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))):
+            for a in ((1, 0), (0, 1)):
                 rhs = a[0] * p[0] + a[1] * p[1]
-                out.append((a, rhs))
-                out.append(((-a[0], -a[1]), -rhs))
+                out.append((a, rhs, 0))
+                out.append(((-a[0], -a[1]), -rhs, 0))
         return out
-    return polygon_hrep(hull)
+    return [(normal, rhs, 1) for normal, rhs in polygon_hrep(hull)]
 
 
-def _degenerate_profile_2d(pts, planes) -> ConcaveProfile:
+def _profile_on_points(n, den, verts, cells, planes):
+    """A profile from homogeneous vertices, over one common denominator.
+
+    ``verts`` are (point (X.., W), V) with value V / (den W), ``cells``
+    polygons of such points and ``planes`` integer rows over den; the
+    vertices come out sorted by point.
+    """
+    scale = lcm(*(p[-1] for p, _ in verts))
+
+    def lift(p):
+        s = den * (scale // p[-1])
+        return tuple(x * s for x in p[:-1])
+
+    return ConcaveProfile(
+        n, den * scale,
+        sorted(lift(p) + (v * (scale // p[-1]),) for p, v in verts),
+        [tuple(lift(p) for p in poly) for poly in cells],
+        [tuple(x * scale for x in r) for r in planes])
+
+
+def _min_at(planes, p):
+    """den W q(p) at a homogeneous point p (X.., W), q the min of the
+    planes, integer rows over den."""
+    return min(sum(map(mul, r, p)) for r in planes)
+
+
+def _degenerate_profile_2d(den, pts, planes) -> ConcaveProfile:
     """Min-of-planes profile on a segment or point domain: no cells.
 
-    ``pts`` are distinct collinear points, lexicographically sorted, so the
-    first and last are the segment endpoints.  Hypograph vertices sit at the
-    endpoints and at plane crossings; that is all ``to_max_affine`` needs.
+    ``pts`` are distinct collinear integer points, sorted, so the first
+    and last are the segment endpoints; they and the ``planes`` rows are
+    over den.  Hypograph vertices sit at the endpoints and at plane
+    crossings; that is all ``to_max_affine`` needs.
     """
-
-    def q(y):
-        return min(g[0] * y[0] + g[1] * y[1] + c for g, c in planes)
-
     if len(pts) == 1:
-        p = pts[0]
-        zero = (Fraction(0), Fraction(0))
-        return ConcaveProfile(2, ((p, q(p)),), (), ((zero, q(p)),))
+        p = pts[0] + (den,)
+        v = _min_at(planes, p)
+        return ConcaveProfile(2, den * den, ((p[0] * den, p[1] * den, v),),
+                              (), ((0, 0, v),))
     p, r = pts[0], pts[-1]
     d = (r[0] - p[0], r[1] - p[1])
-    lines = [(g[0] * d[0] + g[1] * d[1],
-              g[0] * p[0] + g[1] * p[1] + c) for g, c in planes]
-    svals = {Fraction(0), Fraction(1)}
+    # plane j along p + s d, times den^2: A_j s + B_j
+    lines = [(g0 * d[0] + g1 * d[1], g0 * p[0] + g1 * p[1] + c * den)
+             for g0, g1, c in planes]
+    svals = {(0, 1), (1, 1)}
     for (a0, b0), (a1, b1) in combinations(lines, 2):
         if a0 != a1:
-            s = (b1 - b0) / (a0 - a1)
-            if 0 < s < 1:
+            s = _canon((b1 - b0, a0 - a1))
+            if 0 < s[0] < s[1]:
                 svals.add(s)
-    vertices = []
-    for s in sorted(svals):
-        y = (p[0] + s * d[0], p[1] + s * d[1])
-        vertices.append((y, q(y)))
-    return ConcaveProfile(2, tuple(vertices), (), tuple(planes))
+    verts = []
+    for sn, sd in svals:
+        y = (p[0] * sd + sn * d[0], p[1] * sd + sn * d[1], den * sd)
+        verts.append((y, _min_at(planes, y)))
+    return _profile_on_points(2, den, verts, (), planes)
 
 
 def min_profile(planes, domain_vertices, extra_hrep, n) -> ConcaveProfile:
@@ -718,75 +951,80 @@ def min_profile(planes, domain_vertices, extra_hrep, n) -> ConcaveProfile:
     halfplanes cutting it down.  Returns the linearity cells of the
     pointwise minimum.
     """
-    planes = list(dict.fromkeys(
-        (tuple(Fraction(x) for x in g), Fraction(c)) for g, c in planes
-    ))
+    den, rows = _int_rows([tuple(_rational(x) for x in g) + (_rational(c),)
+                           for g, c in planes])
+    return _min_profile(n, den, rows,
+                        [_hom_point(p) for p in domain_vertices],
+                        [_hom_halfplane(a, b) for a, b in extra_hrep])
+
+
+def _min_profile(n, den, planes, domain, cuts) -> ConcaveProfile:
+    """``min_profile`` on integers.
+
+    ``planes`` are integer rows over den, ``domain`` homogeneous integer
+    points and ``cuts`` integer rows (a.., b) meaning <a, y> <= b.
+    """
+    planes = list(dict.fromkeys(planes))
     if n == 1:
-        lo = min(p[0] for p in domain_vertices)
-        hi = max(p[0] for p in domain_vertices)
-        for a, b in extra_hrep:
-            got = _clip_interval(lo, hi, a[0], b)
+        scale, xs = _common(domain)
+        lo, hi = _canon((min(xs)[0], scale)), _canon((max(xs)[0], scale))
+        for a, b in cuts:
+            got = _clip_interval(lo, hi, a, b)
             if got is None:
                 raise EnvelopeError("empty domain")
             lo, hi = got
         if lo == hi:
             # single admissible slope; the profile is one hypograph point
-            val = min(g[0] * lo + c for g, c in planes)
-            return ConcaveProfile(1, (((lo,), val),), (),
-                                  (((Fraction(0),), val),))
+            v = _min_at(planes, lo)
+            return ConcaveProfile(1, den * lo[1], ((lo[0] * den, v),), (),
+                                  ((0, v),))
         cells = []
         vertices = {}
         active = []
         for idx, (g, c) in enumerate(planes):
             clo, chi = lo, hi
-            ok = True
             for jdx, (g2, c2) in enumerate(planes):
                 if jdx == idx:
                     continue
-                got = _clip_interval(clo, chi, g[0] - g2[0], c2 - c)
+                got = _clip_interval(clo, chi, g - g2, c2 - c)
                 if got is None:
-                    ok = False
                     break
                 clo, chi = got
-            if not ok or clo == chi:
-                continue
-            cells.append(Cell(((clo,), (chi,)), g, c))
-            active.append((g, c))
-            for x in (clo, chi):
-                vertices[(x,)] = min(p[0] * x + pc for p, pc in planes)
+            else:
+                if clo != chi:
+                    cells.append((clo, chi))
+                    active.append((g, c))
+                    for x in (clo, chi):
+                        vertices[x] = _min_at(planes, x)
         if not cells:
             raise EnvelopeError("empty domain")
-        return ConcaveProfile(1, tuple(sorted(vertices.items())),
-                              tuple(cells), tuple(active))
+        return _profile_on_points(1, den, vertices.items(), cells, active)
     if n == 2:
-        base = _clip_region(tuple(domain_vertices), extra_hrep)
+        base = _clip_region(tuple(domain), cuts)
         if not base:
             raise EnvelopeError("empty domain")
-        distinct = tuple(sorted(set(base)))
+        scale, distinct = _common(set(base))
+        distinct.sort()
         if len(distinct) < 3 or _shoelace2(hull2d(distinct)) == 0:
-            return _degenerate_profile_2d(distinct, planes)
+            return _degenerate_profile_2d(
+                den * scale, [(x * den, y * den) for x, y in distinct],
+                [tuple(x * scale for x in r) for r in planes])
         cells = []
         vertices = {}
         active = []
-        for idx, (g, c) in enumerate(planes):
-            cuts = []
-            for jdx, (g2, c2) in enumerate(planes):
-                if jdx == idx:
-                    continue
-                cuts.append(((g[0] - g2[0], g[1] - g2[1]), c2 - c))
-            poly = _clip_region(base, cuts)
+        for idx, (g0, g1, c) in enumerate(planes):
+            poly = _clip_region(base, [
+                (g0 - h0, g1 - h1, c2 - c)
+                for jdx, (h0, h1, c2) in enumerate(planes) if jdx != idx])
             if not poly:
                 continue
-            cells.append(Cell(poly, g, c))
-            active.append((g, c))
+            cells.append(poly)
+            active.append((g0, g1, c))
             for p in poly:
-                vertices[p] = min(
-                    q[0] * p[0] + q[1] * p[1] + qc for q, qc in planes
-                )
+                vertices[p] = _min_at(planes, p)
         if not cells:
             raise EnvelopeError("empty domain")
-        return ConcaveProfile(2, tuple(sorted(vertices.items())),
-                              tuple(cells), tuple(active))
+        return _profile_on_points(2, den, vertices.items(), cells, active)
     raise PLError("min profiles implemented for n <= 2")
 
 
@@ -809,12 +1047,17 @@ def envelope_constrained(funcs, P: Polytope) -> MaxAffine:
 
 def _envelope(profiles, P: Polytope) -> MaxAffine:
     """``envelope_constrained`` of the functions with these profiles."""
-    planes = [pl for pr in profiles for pl in pr.planes]
-    hreps = list(P.hrep)
+    den = lcm(*(pr._den for pr in profiles))
+    planes = [tuple(x * (den // pr._den) for x in r)
+              for pr in profiles for r in pr._planes]
+    cuts = [_hom_halfplane(a, b) for a, b in P.hrep]
     for pr in profiles:
-        hreps.extend(domain_hrep(pr))
-    return min_profile(planes, P.vertices, hreps,
-                       profiles[0].n).to_max_affine()
+        # <N, D y> <= R on the domain points y of a profile over D
+        cuts.extend(tuple(x * pr._den for x in normal) + (rhs,)
+                    for normal, rhs, _ in _domain_hrep(pr))
+    return _min_profile(profiles[0].n, den, planes,
+                        [_hom_point(p) for p in P.vertices],
+                        cuts).to_max_affine()
 
 
 # ---------------------------------------------------------------------------
@@ -826,46 +1069,46 @@ def marginal_min(F: MaxAffine, tau=0) -> MaxAffine:
     """inf over t in [0, 1] of (F(t, v) - t*tau), as a function of v.
 
     The epigraph of the objective is projected by eliminating t exactly;
-    rows with positive and negative t-coefficients pair up, the rest pass
+    rows with positive and negative t-coefficients pair up, by the
+    positive integer multipliers -rn_t and rp_t, and the rest pass
     through.  Redundant pieces are pruned afterwards by ``prune``, so v
     has at most two coordinates.
     """
-    tau = Fraction(tau)
+    tau = _rational(tau)
     n = F.n - 1
     if n < 0:
         raise PLError("marginal_min needs a leading variable")
-    # rows: (a_t, a_v..., a_z, rhs) meaning a_t t + <a_v, v> + a_z z <= rhs
-    rows = []
-    for g, c in F.pieces:
-        rows.append((g[0] - tau,) + g[1:] + (Fraction(-1), -c))
-    zero_v = tuple(Fraction(0) for _ in range(n))
-    rows.append((Fraction(-1),) + zero_v + (Fraction(0), Fraction(0)))  # t >= 0
-    rows.append((Fraction(1),) + zero_v + (Fraction(0), Fraction(1)))   # t <= 1
+    # rows: (a_t, a_v..., a_z, rhs) meaning a_t t + <a_v, v> + a_z z <= rhs,
+    # each piece's row scaled by F's denominator times tau's
+    den, tn, td = F._den, tau.numerator, tau.denominator
+    rows = [(r[0] * td - tn * den,) + tuple(x * td for x in r[1:-1])
+            + (-den * td, -r[-1] * td) for r in F._rows]
+    zero_v = (0,) * n
+    rows.append((-1,) + zero_v + (0, 0))  # t >= 0
+    rows.append((1,) + zero_v + (0, 1))   # t <= 1
     pos = [r for r in rows if r[0] > 0]
     neg = [r for r in rows if r[0] < 0]
-    zer = [r for r in rows if r[0] == 0]
-    projected = list(zer)
+    projected = [r[1:] for r in rows if r[0] == 0]
     for rp in pos:
         for rn in neg:
-            scale_p = 1 / rp[0]
-            scale_n = 1 / (-rn[0])
-            combined = tuple(
-                a * scale_p + b * scale_n for a, b in zip(rp[1:], rn[1:])
-            )
-            projected.append((Fraction(0),) + combined)
+            projected.append(tuple(a * -rn[0] + b * rp[0]
+                                   for a, b in zip(rp[1:], rn[1:])))
     pieces = []
     for row in projected:
-        a_v, a_z, rhs = row[1:-2], row[-2], row[-1]
+        a_v, a_z, rhs = row[:-2], row[-2], row[-1]
         if a_z == 0:
             if any(a_v) or rhs < 0:
                 raise PLError("internal error: marginal is not finite")
             continue
-        # a_z < 0 always (pieces contribute -1 each)
-        gamma = -a_z
-        pieces.append((tuple(x / gamma for x in a_v), -rhs / gamma))
+        # a_z < 0 always (pieces contribute -den td each): the piece is
+        # (a_v / -a_z, -rhs / -a_z), here in lowest terms
+        g = gcd(a_z, rhs, *a_v)
+        pieces.append((-a_z // g, tuple(x // g for x in a_v + (-rhs,))))
     if not pieces:
         raise PLError("internal error: empty marginal")
-    return prune(MaxAffine(n, pieces))
+    scale = lcm(*(gamma for gamma, _ in pieces))
+    return prune(MaxAffine._from_ints(n, scale, [
+        tuple(x * (scale // gamma) for x in r) for gamma, r in pieces]))
 
 
 # ---------------------------------------------------------------------------
@@ -931,20 +1174,26 @@ def _overlay(p0: ConcaveProfile, p1: ConcaveProfile):
     if p0.n != p1.n:
         raise PLError("profile dimension mismatch")
     out = []
+    cells0, cells1 = p0.cells, p1.cells
     if p0.n == 1:
-        for c0 in p0.cells:
+        for c0 in cells0:
             lo0, hi0 = c0.vertices[0][0], c0.vertices[-1][0]
-            for c1 in p1.cells:
+            for c1 in cells1:
                 lo = max(lo0, c1.vertices[0][0])
                 hi = min(hi0, c1.vertices[-1][0])
                 if lo < hi:
                     out.append((((lo,), (hi,)), c0, c1))
         return out
-    for c0 in p0.cells:
-        for c1 in p1.cells:
-            region = _clip_region(c0.vertices, polygon_hrep(c1.vertices))
+    # the edges of p1's cells, as rows over its denominator
+    den0, den1 = p0._den, p1._den
+    cuts1 = [[(a0 * den1, a1 * den1, b) for (a0, a1), b in polygon_hrep(poly)]
+             for poly in p1._cells]
+    for poly, c0 in zip(p0._cells, cells0):
+        poly = tuple(_canon(p + (den0,)) for p in poly)
+        for cuts, c1 in zip(cuts1, cells1):
+            region = _clip_region(poly, cuts)
             if region:
-                out.append((region, c0, c1))
+                out.append((_fraction_points(region), c0, c1))
     return out
 
 
@@ -965,6 +1214,22 @@ def integrate_difference(p0: ConcaveProfile, p1: ConcaveProfile) -> Fraction:
     return total
 
 
+def _halfspace_part(region, a, b):
+    """The part of a rational interval or polygon where <a, y> <= b.
+
+    Returned in Fractions, or () when it is empty or lower-dimensional.
+    """
+    *a, b = _hom_halfplane(a, b)
+    if len(a) == 1:
+        got = _clip_interval(_hom_point(region[0]), _hom_point(region[-1]),
+                             a[0], b)
+        if got is None or got[0] == got[1]:
+            return ()
+        return _fraction_points(got)
+    return _fraction_points(_clip_region(
+        tuple(_hom_point(y) for y in region), [(*a, b)]))
+
+
 def integrate_abs_difference(p0, p1, p: int = 1) -> Fraction:
     """Exact integral of |q0 - q1|^p over the common domain."""
     total = Fraction(0)
@@ -974,25 +1239,12 @@ def integrate_abs_difference(p0, p1, p: int = 1) -> Fraction:
         dc = c0.offset - c1.offset
         diff = lambda y, g=dg, c=dc: sum(gi * yi for gi, yi in zip(g, y)) + c
         neg_diff = lambda y, f=diff: -f(y)
-        if n == 1:
-            lo, hi = region[0][0], region[-1][0]
-            plus = _clip_interval(lo, hi, -dg[0], dc)
-            minus = _clip_interval(lo, hi, dg[0], -dc)
-            if plus is not None and plus[0] < plus[1]:
-                total += integrate_cell_affine(
-                    ((plus[0],), (plus[1],)), diff, 1, p
-                )
-            if minus is not None and minus[0] < minus[1]:
-                total += integrate_cell_affine(
-                    ((minus[0],), (minus[1],)), neg_diff, 1, p
-                )
-        else:
-            plus = _clip_region(region, [((-dg[0], -dg[1]), dc)])
-            minus = _clip_region(region, [((dg[0], dg[1]), -dc)])
-            if plus:
-                total += integrate_cell_affine(plus, diff, 2, p)
-            if minus:
-                total += integrate_cell_affine(minus, neg_diff, 2, p)
+        plus = _halfspace_part(region, tuple(-x for x in dg), dc)
+        minus = _halfspace_part(region, dg, -dc)
+        if plus:
+            total += integrate_cell_affine(plus, diff, n, p)
+        if minus:
+            total += integrate_cell_affine(minus, neg_diff, n, p)
     return total
 
 

@@ -21,6 +21,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .geodesics import geodesic
 from .graded import SectionRing
@@ -37,6 +38,7 @@ from .toric import (
     ToricError,
     ToricMetric,
     _energy,
+    _fs_metric,
     _full_profile,
     _require_pair,
     _require_same_bundle,
@@ -47,6 +49,14 @@ from .toric import (
     section_ring,
     supnorm,
 )
+
+
+def _segment_time(t) -> Fraction:
+    """t as a Fraction; ToricError unless 0 <= t <= 1."""
+    t = Fraction(t)
+    if not 0 <= t <= 1:
+        raise ToricError(f"segment time {t} outside [0, 1]")
+    return t
 
 
 def _pointwise_max(n: int, m: int, pots) -> ToricMetric:
@@ -82,16 +92,20 @@ class FSSegment:
 
         return cls(ring, k, align(w0), align(w1))
 
+    def _numerators(self):
+        """(den, weights0 * den, weights1 * den) on the weights' lcd."""
+        ws0, ws1 = self.weights0, self.weights1
+        den = lcm(*(w.denominator for w in ws0 + ws1))
+        return (den, [w.numerator * (den // w.denominator) for w in ws0],
+                [w.numerator * (den // w.denominator) for w in ws1])
+
     def eval(self, t) -> ToricMetric:
-        t = Fraction(t)
-        if not 0 <= t <= 1:
-            raise ToricError(f"segment time {t} outside [0, 1]")
-        basis = self.ring.basis(self.k)
-        table = {
-            a: (1 - t) * w0 + t * w1
-            for a, w0, w1 in zip(basis, self.weights0, self.weights1)
-        }
-        return fs_from_norm(self.ring, self.k, table)
+        t = _segment_time(t)
+        # (1 - t) w0 + t w1 with t = tn / td, over td den
+        tn, td = t.numerator, t.denominator
+        den, b0, b1 = self._numerators()
+        return _fs_metric(self.ring, self.k, td * den,
+                          [(td - tn) * x + tn * y for x, y in zip(b0, b1)])
 
     @property
     def start(self) -> ToricMetric:
@@ -103,14 +117,11 @@ class FSSegment:
 
     def joint_potential(self) -> MaxAffine:
         """The segment as one convex PL function of (t, v)."""
-        k = self.k
-        basis = self.ring.basis(k)
-        pieces = []
-        for a, w0, w1 in zip(basis, self.weights0, self.weights1):
-            grad = (Fraction(w1 - w0, k),) + tuple(
-                Fraction(x, k) for x in a)
-            pieces.append((grad, Fraction(w0, k)))
-        return MaxAffine(1 + self.ring.n, pieces)
+        # pieces ((w1 - w0) / k, a / k; w0 / k) as integer rows over k den
+        den, b0, b1 = self._numerators()
+        rows = [(y - x,) + tuple(c * den for c in a) + (x,)
+                for a, x, y in zip(self.ring.basis(self.k), b0, b1)]
+        return MaxAffine._from_ints(1 + self.ring.n, self.k * den, rows)
 
     def to_json(self):
         return {
@@ -175,6 +186,7 @@ def maximal_segment(phi0: ToricMetric, phi1: ToricMetric, t, kmax: int = 8) -> T
     """Pointwise max of quantized segments along the level chain."""
     levels = _chain(kmax)
     q0, q1 = _full_profile(phi0), _full_profile(phi1)
+    t = _segment_time(t)  # before any level is built
     ring = section_ring(phi0.n, phi0.m)
     segs = [_level_segment(ring, k, _supnorm(k, phi0, q0),
                            _supnorm(k, phi1, q1)) for k in levels]
@@ -215,9 +227,7 @@ def _rooftop_family(n: int, m: int, q0, q1):
 
 def _legendre_recover(n: int, m: int, family, t) -> ToricMetric:
     """sup over tau of (u_tau + t*tau) for a family ((tau, u_tau), ...)."""
-    t = Fraction(t)
-    if not 0 <= t <= 1:
-        raise ToricError(f"segment time {t} outside [0, 1]")
+    t = _segment_time(t)
     return _pointwise_max(n, m, [u.shifted(t * tau) for tau, u in family])
 
 
@@ -228,7 +238,9 @@ def legendre_segment(phi0: ToricMetric, phi1: ToricMetric, t) -> ToricMetric:
     d1-geodesic and has affine energy by construction.
     """
     _require_same_bundle(phi0, phi1)
-    family = _rooftop_family(phi0.n, phi0.m, phi0.profile(), phi1.profile())
+    q0, q1 = phi0.profile(), phi1.profile()
+    _segment_time(t)  # before the rooftop family is built
+    family = _rooftop_family(phi0.n, phi0.m, q0, q1)
     return _legendre_recover(phi0.n, phi0.m, family, t)
 
 

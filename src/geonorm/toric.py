@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .field import TRIVIAL, format_fraction
 from .graded import GradedNorm, SectionRing
@@ -75,9 +75,13 @@ class ToricMetric:
     def __post_init__(self):
         if self.potential.n != self.n:
             raise ToricError("potential dimension does not match n")
+        f = self.potential
         m = Fraction(self.m)
-        for g, _ in self.potential.pieces:
-            if any(x < 0 for x in g) or sum(g) > m:
+        top = m.numerator * f._den   # sum(g) <= m, times den * m.denominator
+        for r in f._rows:
+            g = r[:-1]
+            if any(x < 0 for x in g) or sum(g) * m.denominator > top:
+                g = tuple(Fraction(x, f._den) for x in g)
                 raise ToricError(
                     f"piece gradient {g} falls outside {self.m}*Delta")
 
@@ -87,16 +91,12 @@ class ToricMetric:
         Since all gradients lie inside the simplex, a simplex vertex lies in
         their hull iff it is itself a gradient.
         """
-        grads = set(self.potential.gradients())
-        zero = tuple(Fraction(0) for _ in range(self.n))
-        if zero not in grads:
-            return False
-        m = Fraction(self.m)
-        for i in range(self.n):
-            e = tuple(m if j == i else Fraction(0) for j in range(self.n))
-            if e not in grads:
-                return False
-        return True
+        f = self.potential
+        grads = {r[:-1] for r in f._rows}
+        m = Fraction(self.m) * f._den   # m e_i, over the potential's den
+        return (0,) * self.n in grads and all(
+            tuple(m if j == i else 0 for j in range(self.n)) in grads
+            for i in range(self.n))
 
     def profile(self) -> ConcaveProfile:
         """Concave conjugate q = -u* on the gradient hull, computed anew."""
@@ -152,11 +152,22 @@ def fs_from_norm(ring: SectionRing, k: int, source) -> ToricMetric:
         table = {tuple(a): Fraction(w) for a, w in dict(source).items()}
         if set(table) != set(basis):
             raise ToricError("weights must cover the degree-k basis exactly")
-    pieces = [
-        (tuple(Fraction(x, k) for x in a), Fraction(table[a], 1) / k)
-        for a in basis
-    ]
-    return ToricMetric(ring.n, ring.m, MaxAffine(ring.n, pieces), f"fs({k})")
+    weights = [table[a] for a in basis]
+    den = lcm(*(w.denominator for w in weights))
+    return _fs_metric(ring, k, den, [w.numerator * (den // w.denominator)
+                                     for w in weights])
+
+
+def _fs_metric(ring: SectionRing, k: int, den: int, numerators) -> ToricMetric:
+    """The level-k FS metric of the weights ``numerators / den``.
+
+    The weights are aligned with ``ring.basis(k)``; the pieces (a / k,
+    w_a / k) are integer rows over k den.
+    """
+    rows = [tuple(x * den for x in a) + (w,)
+            for a, w in zip(ring.basis(k), numerators)]
+    pot = MaxAffine._from_ints(ring.n, k * den, rows)
+    return ToricMetric(ring.n, ring.m, pot, f"fs({k})")
 
 
 def reference(n: int, m: int) -> ToricMetric:
@@ -258,15 +269,20 @@ def _per_degree(phi0, phi1, q0, q1, kmax, term):
     """((k, (k h0(k))^-1 sum_a term(beta0_a - beta1_a)), ...) for k <= kmax.
 
     The beta are the degree-k sup-norm weights of the two metrics, read
-    off their profiles q0, q1.
+    off their profiles q0, q1 as integers over the profiles' denominators
+    D0, D1; each sum runs over beta0 - beta1 = (D1 B0 - D0 B1) / (D0 D1),
+    and ``term`` (the identity or ``abs``) commutes with the positive
+    factor.
     """
     ring = section_ring(phi0.n, phi0.m)
+    d0, d1 = q0._den, q1._den
     per_k = []
     for k in range(1, kmax + 1):
-        b0 = _supweights(k, phi0, q0)
-        b1 = _supweights(k, phi1, q1)
-        total = sum(term(x - y) for x, y in zip(b0, b1))
-        per_k.append((k, Fraction(total, k * ring.h0(k))))
+        basis = ring.basis(k)
+        b0 = q0._lattice_numerators(k, basis)
+        b1 = q1._lattice_numerators(k, basis)
+        total = sum(term(x * d1 - y * d0) for x, y in zip(b0, b1))
+        per_k.append((k, Fraction(total, k * ring.h0(k) * d0 * d1)))
     return tuple(per_k)
 
 

@@ -57,6 +57,13 @@ and ``asymptotic_stats`` are the ``Fraction`` loops that geonorm.graded
 replaced with integer numerators over one common denominator; they read
 weights through ``degree_weights``, build norms with the public
 ``GradedNorm`` constructor, and share only the degree-one input check.
+``upper_hull_1d_fraction`` (with the conjugates built on it,
+``conjugate_1d_chain`` and ``conjugate_on_line``), ``min_profile_fraction``
+(with ``clip_polygon_fraction``), ``marginal_min_fm`` and
+``walk_fraction`` are the ``Fraction`` kernels that geonorm.plconvex
+replaced with integer rows over one denominator and homogeneous integer
+points; they take and return plain ``Fraction`` tuples, and the walk is
+handed the public ``Fraction`` views of a library profile.
 """
 
 from __future__ import annotations
@@ -1087,3 +1094,260 @@ def asymptotic_stats(gn0, gn1, p, kmax=None, oracle_limit=None):
             val = Fraction(sum(abs(x / k) ** p for x in lam), len(lam))
         values.append((k, val))
     return values, oracle_limit
+
+
+# ---------------------------------------------------------------------------
+# The Fraction kernels of geonorm.plconvex that integer rows over one
+# denominator replaced: the 1-D upper chain (and the conjugates built on
+# it), min-profiles with Sutherland-Hodgman clipping, Fourier-Motzkin
+# marginals and the comparison walk.  Profiles come back as plain tuples
+# in the library's layout: ``vertices`` ((point, value), ...), ``cells``
+# ((polygon, grad, offset), ...) and ``planes`` ((grad, offset), ...).
+# ---------------------------------------------------------------------------
+
+
+class EmptyDomain(Exception):
+    """The Fraction min-profile found no full-dimensional cell."""
+
+
+def upper_hull_1d_fraction(points):
+    """Upper concave chain of (y, value) pairs, y strictly increasing."""
+    pts = sorted(points)
+    chain = []
+    for p in pts:
+        while len(chain) >= 2:
+            (x0, z0), (x1, z1) = chain[-2], chain[-1]
+            # keep only strictly decreasing slopes
+            if (z1 - z0) * (p[0] - x1) <= (p[1] - z1) * (x1 - x0):
+                chain.pop()
+            else:
+                break
+        chain.append(p)
+    return chain
+
+
+def conjugate_1d_chain(pieces):
+    """(vertices, cells, planes) of the profile of 1-D pieces (g, c).
+
+    ``pieces`` have distinct gradients, at least two of them.
+    """
+    chain = upper_hull_1d_fraction([(g[0], c) for g, c in pieces])
+    vertices = tuple(((x,), z) for x, z in chain)
+    cells, planes = [], []
+    for (x0, z0), (x1, z1) in zip(chain, chain[1:]):
+        slope = (z1 - z0) / (x1 - x0)
+        off = z0 - slope * x0
+        cells.append((((x0,), (x1,)), (slope,), off))
+        planes.append(((slope,), off))
+    return vertices, tuple(cells), tuple(planes)
+
+
+def conjugate_on_line(pieces):
+    """(vertices, planes) of the profile of 2-D pieces whose gradients lie
+    on one line, in the library's order (``pieces`` sorted, distinct)."""
+    g0 = pieces[0][0]
+    direction = next((g[0] - g0[0], g[1] - g0[1]) for g, _ in pieces[1:]
+                     if g != g0)
+    k = 0 if direction[0] != 0 else 1
+    params = []
+    for g, c in pieces:
+        s = (g[k] - g0[k]) / direction[k]
+        assert (g0[0] + s * direction[0], g0[1] + s * direction[1]) == g
+        params.append((s, c))
+    chain = upper_hull_1d_fraction(params)
+    vertices = tuple(
+        ((g0[0] + s * direction[0], g0[1] + s * direction[1]), z)
+        for s, z in chain)
+    planes = []
+    for (s0, z0), (s1, z1) in zip(chain, chain[1:]):
+        sigma = (z1 - z0) / (s1 - s0)
+        beta = z0 - sigma * s0
+        grad = tuple(sigma / direction[k] if i == k else Fraction(0)
+                     for i in range(2))
+        planes.append((grad, beta - sigma * g0[k] / direction[k]))
+    return vertices, tuple(planes)
+
+
+def _shoelace2_fraction(poly):
+    s = Fraction(0)
+    for i in range(len(poly)):
+        x0, y0 = poly[i]
+        x1, y1 = poly[(i + 1) % len(poly)]
+        s += x0 * y1 - x1 * y0
+    return s
+
+
+def clip_polygon_fraction(poly, a, b):
+    """Intersect a convex polygon with the halfplane <a, y> <= b."""
+    if not poly:
+        return ()
+    out = []
+    k = len(poly)
+    for i in range(k):
+        p, q = poly[i], poly[(i + 1) % k]
+        fp = a[0] * p[0] + a[1] * p[1] - b
+        fq = a[0] * q[0] + a[1] * q[1] - b
+        if fp <= 0:
+            out.append(p)
+        if (fp < 0 < fq) or (fq < 0 < fp):
+            s = fp / (fp - fq)
+            out.append((p[0] + s * (q[0] - p[0]), p[1] + s * (q[1] - p[1])))
+    dedup = []
+    for pt in out:
+        if not dedup or pt != dedup[-1]:
+            dedup.append(pt)
+    if len(dedup) > 1 and dedup[0] == dedup[-1]:
+        dedup.pop()
+    return tuple(dedup)
+
+
+def _clip_region_fraction(poly, halfplanes):
+    for a, b in halfplanes:
+        poly = clip_polygon_fraction(poly, a, b)
+        if len(poly) < 3 or _shoelace2_fraction(poly) == 0:
+            return ()
+    return tuple(reversed(poly)) if _shoelace2_fraction(poly) < 0 else tuple(poly)
+
+
+def _clip_interval_fraction(lo, hi, a, b):
+    if a > 0:
+        hi = min(hi, b / a)
+    elif a < 0:
+        lo = max(lo, b / a)
+    elif b < 0:
+        return None
+    if lo > hi:
+        return None
+    return lo, hi
+
+
+def _degenerate_profile_2d_fraction(pts, planes):
+    def q(y):
+        return min(g[0] * y[0] + g[1] * y[1] + c for g, c in planes)
+
+    if len(pts) == 1:
+        p = pts[0]
+        return ((p, q(p)),), (), (((Fraction(0), Fraction(0)), q(p)),)
+    p, r = pts[0], pts[-1]
+    d = (r[0] - p[0], r[1] - p[1])
+    lines = [(g[0] * d[0] + g[1] * d[1],
+              g[0] * p[0] + g[1] * p[1] + c) for g, c in planes]
+    svals = {Fraction(0), Fraction(1)}
+    for (a0, b0), (a1, b1) in itertools.combinations(lines, 2):
+        if a0 != a1:
+            s = (b1 - b0) / (a0 - a1)
+            if 0 < s < 1:
+                svals.add(s)
+    vertices = []
+    for s in sorted(svals):
+        y = (p[0] + s * d[0], p[1] + s * d[1])
+        vertices.append((y, q(y)))
+    return tuple(vertices), (), tuple(planes)
+
+
+def min_profile_fraction(planes, domain_vertices, extra_hrep, n):
+    """(vertices, cells, planes) of min over planes on a polytope.
+
+    Raises ``EmptyDomain`` where the library raises ``EnvelopeError``.
+    """
+    planes = list(dict.fromkeys(
+        (tuple(Fraction(x) for x in g), Fraction(c)) for g, c in planes))
+    if n == 1:
+        lo = min(Fraction(p[0]) for p in domain_vertices)
+        hi = max(Fraction(p[0]) for p in domain_vertices)
+        for a, b in extra_hrep:
+            got = _clip_interval_fraction(lo, hi, a[0], b)
+            if got is None:
+                raise EmptyDomain
+            lo, hi = got
+        if lo == hi:
+            val = min(g[0] * lo + c for g, c in planes)
+            return (((lo,), val),), (), (((Fraction(0),), val),)
+        cells, vertices = [], {}
+        for idx, (g, c) in enumerate(planes):
+            clo, chi = lo, hi
+            for jdx, (g2, c2) in enumerate(planes):
+                if jdx != idx:
+                    got = _clip_interval_fraction(clo, chi, g[0] - g2[0],
+                                                  c2 - c)
+                    if got is None:
+                        break
+                    clo, chi = got
+            else:
+                if clo != chi:
+                    cells.append((((clo,), (chi,)), g, c))
+                    for x in (clo, chi):
+                        vertices[(x,)] = min(p[0] * x + pc
+                                             for p, pc in planes)
+        if not cells:
+            raise EmptyDomain
+        return (tuple(sorted(vertices.items())), tuple(cells),
+                tuple((g, c) for _, g, c in cells))
+    domain = tuple(tuple(Fraction(x) for x in p) for p in domain_vertices)
+    base = _clip_region_fraction(domain, extra_hrep)
+    if not base:
+        raise EmptyDomain
+    distinct = tuple(sorted(set(base)))
+    if len(distinct) < 3 or _shoelace2_fraction(_hull_ccw(distinct)) == 0:
+        return _degenerate_profile_2d_fraction(distinct, planes)
+    cells, vertices = [], {}
+    for idx, (g, c) in enumerate(planes):
+        cuts = [((g[0] - g2[0], g[1] - g2[1]), c2 - c)
+                for jdx, (g2, c2) in enumerate(planes) if jdx != idx]
+        poly = _clip_region_fraction(base, cuts)
+        if poly:
+            cells.append((poly, g, c))
+            for p in poly:
+                vertices[p] = min(q[0] * p[0] + q[1] * p[1] + qc
+                                  for q, qc in planes)
+    if not cells:
+        raise EmptyDomain
+    return (tuple(sorted(vertices.items())), tuple(cells),
+            tuple((g, c) for _, g, c in cells))
+
+
+def marginal_min_fm(n, pieces, tau=0):
+    """inf over t in [0, 1] of F(t, v) - t tau, by Fourier-Motzkin on
+    Fractions: the pieces of F are (g, c) with g = (g_t, g_v...) of length
+    n + 1.  Returns the nonredundant pieces, sorted, over R^n."""
+    tau = Fraction(tau)
+    rows = [(g[0] - tau,) + tuple(g[1:]) + (Fraction(-1), -c)
+            for g, c in pieces]
+    zero_v = tuple(Fraction(0) for _ in range(n))
+    rows.append((Fraction(-1),) + zero_v + (Fraction(0), Fraction(0)))
+    rows.append((Fraction(1),) + zero_v + (Fraction(0), Fraction(1)))
+    projected = [r for r in rows if r[0] == 0]
+    for rp in (r for r in rows if r[0] > 0):
+        for rn in (r for r in rows if r[0] < 0):
+            projected.append((Fraction(0),) + tuple(
+                a / rp[0] + b / -rn[0] for a, b in zip(rp[1:], rn[1:])))
+    best = {}
+    for row in projected:
+        a_v, a_z, rhs = row[1:-2], row[-2], row[-1]
+        if a_z == 0:
+            assert not any(a_v) and rhs >= 0
+            continue
+        g, c = tuple(x / -a_z for x in a_v), rhs / a_z
+        if g not in best or c > best[g]:
+            best[g] = c
+    return tuple(nonredundant_pieces(sorted(best.items())))
+
+
+def walk_fraction(f_pieces, g, planes, hrep):
+    """First point where f > g, or None, given g's profile as Fraction
+    ``planes`` on the polytope ``hrep`` (``(normal, rhs)`` halfplanes)."""
+    def dot(x, y):
+        return sum(a * b for a, b in zip(x, y))
+
+    for a, c in f_pieces:
+        out = next(((nu, b) for nu, b in hrep if dot(nu, a) > b), None)
+        if out is not None:
+            nu, b = out
+            top = g(tuple(Fraction(0) for _ in a))
+            s = max(Fraction(1), (top - c) / (dot(nu, a) - b) + 1)
+            return tuple(s * x for x in nu)
+        qa = min(dot(w, a) + beta for w, beta in planes)
+        if c > qa:
+            w = next(w for w, beta in planes if dot(w, a) + beta == qa)
+            return tuple(-x for x in w)
+    return None

@@ -13,10 +13,12 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from geonorm.linprog import minimize_max_affine
 from geonorm.plconvex import (
+    EnvelopeError,
     MaxAffine,
     PLError,
     compare,
     conjugate,
+    domain_hrep,
     envelope_constrained,
     integrate_abs_difference,
     integrate_difference,
@@ -24,6 +26,7 @@ from geonorm.plconvex import (
     le_witness,
     marginal_min,
     max_abs_difference,
+    min_profile,
     mix_witness,
     moment_simplex,
     prune,
@@ -72,6 +75,19 @@ def test_pieces_are_fractions_whatever_the_input() -> None:
         MaxAffine(2, [((1,), 0)])
     with pytest.raises(PLError, match="at least one piece"):
         MaxAffine(2, [])
+
+
+def test_points_of_the_wrong_length_are_rejected() -> None:
+    line = _ma(((0,), 0), ((1,), 0))
+    plane = _ma(((0, 0), 0), ((1, 0), 0), ((0, 1), 0))
+    for f in (line, plane):
+        for bad in ((F(1),) * (f.n + 1), (F(1),) * (f.n - 1)):
+            msg = f"point has length {len(bad)}, expected {f.n}"
+            with pytest.raises(PLError, match=msg):
+                f(bad)
+            with pytest.raises(PLError, match=msg):
+                conjugate(f).value(bad)
+    assert line((F(2),)) == 2 and conjugate(plane).value((0, 0)) == 0
 
 
 def test_algebra() -> None:
@@ -420,6 +436,151 @@ def test_conjugate_2d_explicit_cases(pieces, ncells) -> None:
     f = _ma(*pieces)
     assert len(conjugate(f).cells) == ncells
     _assert_conjugate_matches_triples(f)
+
+
+def _views(prof):
+    """A profile's public views as plain tuples, every entry a Fraction."""
+    cells = tuple((c.vertices, c.grad, c.offset) for c in prof.cells)
+    values = [x for p, v in prof.vertices for x in p + (v,)]
+    values += [x for poly, g, c in cells for p in poly for x in p + g + (c,)]
+    values += [x for g, c in prof.planes for x in g + (c,)]
+    assert all(type(x) is F for x in values)
+    return prof.vertices, cells, prof.planes
+
+
+@settings(max_examples=300)
+@given(_max_affine_cases())
+@example((2, [((0, 0), 0), ((F(1, 2), F(1, 4)), 1), ((1, F(1, 2)), 0),
+              ((2, 1), -3)]))
+@example((2, [((1, 0), 2), ((0, 0), 0), ((2, 0), 1)]))
+@example((2, [((0, 1), 2), ((0, 0), 0), ((0, -1), 1)]))
+@example((2, [((1, -1), 2), ((0, 0), 0), ((-1, 1), 1), ((2, -2), 1)]))
+def test_conjugate_matches_fraction_chain_and_triples(case) -> None:
+    f = MaxAffine(*case)
+    pieces = list(f.pieces)
+    got = _views(conjugate(f))
+    if len(pieces) == 1:
+        zero = tuple(F(0) for _ in range(f.n))
+        assert got == (tuple(pieces), (), ((zero, pieces[0][1]),))
+    elif f.n == 1:
+        assert got == oracles.conjugate_1d_chain(pieces)
+    elif oracles.conjugate_2d_triples(pieces) is None:
+        vertices, planes = oracles.conjugate_on_line(pieces)
+        assert got == (vertices, (), planes)
+    else:
+        assert got == oracles.conjugate_2d_triples(pieces)
+
+
+_HALFPLANE = {n: st.tuples(st.tuples(*[_COORD] * n), st.integers(-1, 4).map(F)
+                           | _COORD) for n in (1, 2)}
+
+
+@st.composite
+def _min_profile_cases(draw):
+    """(planes, domain vertices, extra halfplanes, n): a simplex, a hull of
+    random points, or (n = 2, no halfplanes) a segment or a point."""
+    n = draw(st.sampled_from((1, 2)))
+    planes = draw(st.lists(st.tuples(st.tuples(*[_COORD] * n), _COORD),
+                           min_size=1, max_size=6))
+    extra = draw(st.lists(_HALFPLANE[n], max_size=3))
+    shape = draw(st.sampled_from(("simplex", "hull", "degenerate")))
+    if n == 1:
+        lo = draw(_COORD)
+        width = draw(st.sampled_from((F(0), F(1, 2), F(1), F(3))))
+        return planes, [(lo,), (lo + width,)], extra, 1
+    if shape == "simplex":
+        m = draw(st.sampled_from((F(1), F(2))))
+        return planes, moment_simplex(2, m).vertices, extra, 2
+    if shape == "hull":
+        pts = draw(st.lists(st.tuples(_COORD, _COORD), min_size=3,
+                            max_size=6))
+        return planes, oracles._hull_ccw(pts), extra, 2
+    p, d = draw(st.tuples(_COORD, _COORD)), draw(st.tuples(_COORD, _COORD))
+    steps = draw(st.lists(st.sampled_from((F(0), F(1, 2), F(1), F(2))),
+                          min_size=1, max_size=3, unique=True))
+    return planes, [(p[0] + s * d[0], p[1] + s * d[1]) for s in steps], [], 2
+
+
+@settings(max_examples=300)
+@given(_min_profile_cases())
+# a one-point interval, cut down from [0, 2]
+@example(([((1,), 0), ((-1,), 1), ((F(1, 2),), 0)], [(0,), (2,)],
+          [((1,), 1), ((-1,), -1)], 1))
+# a segment and a point in the plane, and a square cut into triangles
+@example(([((1, 0), 0), ((0, 1), 0), ((0, 0), F(1, 3))],
+          [(1, 0), (F(1, 2), F(1, 2)), (0, 1)], [], 2))
+@example(([((1, 0), 0), ((0, 1), 1)], [(1, 0)], [], 2))
+@example(([((1, 0), 0), ((0, 1), 0), ((1, 1), -1), ((0, 0), 1)],
+          [(0, 0), (2, 0), (2, 2), (0, 2)], [((1, 1), 3)], 2))
+def test_min_profile_matches_fraction_oracle(case) -> None:
+    planes, domain, extra, n = case
+    try:
+        want = oracles.min_profile_fraction(planes, domain, extra, n)
+    except oracles.EmptyDomain:
+        with pytest.raises(EnvelopeError, match="empty domain"):
+            min_profile(planes, domain, extra, n)
+        return
+    assert _views(min_profile(planes, domain, extra, n)) == want
+
+
+@st.composite
+def _envelope_cases(draw):
+    """Two functions with gradients among the level-2 points of m Delta."""
+    n = draw(st.sampled_from((1, 2)))
+    m = draw(st.sampled_from((1, 2)))
+    grads = [g for g in _lattice(2 * m) if n == 2] or [
+        (F(i, 2),) for i in range(2 * m + 1)]
+    funcs = []
+    for _ in range(2):
+        chosen = draw(st.lists(st.sampled_from(grads), min_size=n + 1,
+                               max_size=len(grads), unique=True))
+        funcs.append(MaxAffine(n, [(g, draw(_COORD)) for g in chosen]))
+    return funcs, moment_simplex(n, m)
+
+
+@settings(max_examples=200)
+@given(_envelope_cases())
+def test_envelope_matches_fraction_oracle(case) -> None:
+    funcs, P = case
+    q0, q1 = (conjugate(f) for f in funcs)
+    hrep = list(P.hrep) + domain_hrep(q0) + domain_hrep(q1)
+    try:
+        vertices, _, _ = oracles.min_profile_fraction(
+            q0.planes + q1.planes, P.vertices, hrep, P.n)
+    except oracles.EmptyDomain:
+        with pytest.raises(EnvelopeError, match="empty domain"):
+            envelope_constrained(funcs, P)
+        return
+    assert (envelope_constrained(funcs, P).pieces
+            == MaxAffine(P.n, vertices).pieces)
+
+
+@settings(max_examples=150)
+@given(st.sampled_from((1, 2)).flatmap(lambda nv: st.tuples(
+    st.just(nv), st.lists(st.tuples(st.tuples(*[_COORD] * (nv + 1)), _COORD),
+                          min_size=1, max_size=5))), _COORD)
+# v-gradients on one line: the pruned marginal has a rank-1 conjugate
+@example((2, [((1, 0, 0), 0), ((0, 1, 1), 0), ((-1, 2, 2), 1)]), F(1, 2))
+@example((1, [((1, 0), 0), ((0, 1), 0)]), F(1))
+def test_marginal_min_matches_fm_oracle(case, tau) -> None:
+    nv, pieces = case
+    joint = MaxAffine(nv + 1, pieces)
+    assert (marginal_min(joint, tau).pieces
+            == oracles.marginal_min_fm(nv, list(joint.pieces), tau))
+
+
+@settings(max_examples=300)
+@given(_comparison_pairs())
+@example((_ma(((1,), 0)), _ma(((0,), 0), ((2,), -1))))
+@example((_ma(((0, 0), 0), ((1, 1), 0)), _ma(((0, 0), 0), ((2, 2), -3))))
+@example((_ma(((0, 0), 0), ((2, 0), 0), ((0, 2), 0)),
+          _ma(((0, 0), 0), ((1, 0), 0))))
+def test_le_witness_is_the_fraction_walk(pair) -> None:
+    # the first active plane, or the first outward normal of g's domain
+    f, g = pair
+    q = conjugate(g)
+    assert le_witness(f, g) == oracles.walk_fraction(
+        f.pieces, g, q.planes, domain_hrep(q))
 
 
 @settings(max_examples=100)
