@@ -35,6 +35,7 @@ planes, by ``ConcaveProfile.lattice_values``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
@@ -71,6 +72,9 @@ def _int_rows(rows):
     den = lcm(*(x.denominator for r in rows for x in r))
     return den, [tuple(x.numerator * (den // x.denominator) for x in r)
                  for r in rows]
+
+
+_flat = itertools.chain.from_iterable
 
 
 def _over(den: int, rows):
@@ -119,7 +123,7 @@ class MaxAffine:
         rows = sorted(rows)
         kept = [r for r, nxt in zip(rows, rows[1:]) if r[:-1] != nxt[:-1]]
         kept.append(rows[-1])
-        g = gcd(den, *(x for r in kept for x in r))
+        g = gcd(den, *_flat(kept))
         if g > 1:
             den //= g
             kept = [tuple(x // g for x in r) for r in kept]
@@ -557,9 +561,11 @@ class ConcaveProfile:
     __slots__ = ("n", "_den", "_verts", "_cells", "_planes")
 
     def __init__(self, n: int, den: int, verts, cells, planes):
-        g = gcd(den, *(x for r in verts for x in r),
-                *(x for r in planes for x in r),
-                *(x for poly in cells for p in poly for x in p))
+        g = gcd(den, *_flat(verts))
+        if g > 1:
+            g = gcd(g, *_flat(planes))
+        if g > 1:
+            g = gcd(g, *_flat(_flat(cells)))
         if g > 1:
             den //= g
             verts = [tuple(x // g for x in r) for r in verts]
@@ -1161,12 +1167,28 @@ def integrate_cell_affine(cell_vertices, affine, n, p: int = 1) -> Fraction:
 
 
 def integrate_profile(prof: ConcaveProfile) -> Fraction:
-    """Integral of the profile over its own (full-dimensional) domain."""
-    if not prof.cells:
+    """Integral of the profile over its own (full-dimensional) domain.
+
+    Computed on the profile's integers: with every point and plane over
+    D, a cell's plane takes the value V / D^2 at a vertex P / D, so an
+    interval [P0, P1] contributes (P1 - P0) (V0 + V1) / (2 D^3) and a fan
+    triangle of doubled area A / D^2 contributes A (V0 + V1 + V2) / (6 D^4).
+    """
+    if not prof._cells:
         raise PLError("profile has no full-dimensional cells to integrate")
-    return sum(
-        integrate_cell_affine(c.vertices, c.affine, prof.n) for c in prof.cells
-    )
+    den = prof._den
+    total = 0
+    for poly, plane in zip(prof._cells, prof._planes):
+        v = [sum(map(mul, plane, p)) + plane[-1] * den for p in poly]
+        if prof.n == 1:
+            total += (poly[-1][0] - poly[0][0]) * (v[0] + v[-1])
+            continue
+        (x0, y0) = poly[0]
+        for i in range(1, len(poly) - 1):
+            (x1, y1), (x2, y2) = poly[i], poly[i + 1]
+            area2 = abs((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
+            total += area2 * (v[0] + v[i] + v[i + 1])
+    return Fraction(total, 2 * den ** 3 if prof.n == 1 else 6 * den ** 4)
 
 
 def _overlay(p0: ConcaveProfile, p1: ConcaveProfile):

@@ -20,10 +20,17 @@ Each public function conjugates each input metric once and hands the
 profile to the private helpers that need it (``_supnorm`` for every degree,
 ``_rooftop`` for envelopes, ``_energy`` for integrals).
 
-Sup-norm weights are read on integers: k q(a/k) is the min over the planes
-(w, c) of q of <w, a> + k c, and with every plane scaled by one common
-denominator D each weight is one ``Fraction(integer min, D)``
-(``ConcaveProfile.lattice_values``).  Per-degree energies and graded norms
+The toric side runs on integers.  A potential is a ``MaxAffine`` held as
+integer rows over one denominator, and a profile keeps one denominator D
+for all of its data (see ``geonorm.plconvex``); the ``Fraction`` pieces,
+planes and cells are views built when read.  FS metrics are built from
+integer weight numerators (``_fs_metric``), and the gradient checks of
+``ToricMetric`` read the integer rows.  Sup-norm weights are read off the
+profile's integer planes: k q(a/k) is the min over the planes (W, B) / D
+of (<W, a> + k B) / D (``ConcaveProfile.lattice_values``).  Per-degree
+energies and d1 sums add the numerators of beta0 - beta1 over the product
+of the two profiles' denominators (``_per_degree``), and E(phi) integrates
+the profile's integers (``plconvex.integrate_profile``).  Graded norms
 read the weights alone (``_supweights``); ``_supnorm`` wraps them in a
 standard-basis norm, which costs O(d).
 """

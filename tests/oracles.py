@@ -57,6 +57,9 @@ and ``asymptotic_stats`` are the ``Fraction`` loops that geonorm.graded
 replaced with integer numerators over one common denominator; they read
 weights through ``degree_weights``, build norms with the public
 ``GradedNorm`` constructor, and share only the degree-one input check.
+``integrate_cells`` integrates a profile's ``Fraction`` cell views by
+trapezoids and triangles, where geonorm.plconvex.integrate_profile sums
+on the profile's integers.
 ``upper_hull_1d_fraction`` (with the conjugates built on it,
 ``conjugate_1d_chain`` and ``conjugate_on_line``), ``min_profile_fraction``
 (with ``clip_polygon_fraction``), ``marginal_min_fm`` and
@@ -893,6 +896,23 @@ def triangles_integral(triangles, func):
     for tri in triangles:
         vals = [func(p) for p in tri]
         total += triangle_area(*tri) * sum(vals) / 3
+    return total
+
+
+def integrate_cells(cells, n):
+    """Integral over ``(polygon, grad, offset)`` cells of their affine
+    functions: trapezoids on intervals, fan triangles in the plane."""
+    total = Fraction(0)
+    for poly, grad, off in cells:
+        def f(y, grad=grad, off=off):
+            return sum(g * x for g, x in zip(grad, y)) + off
+
+        if n == 1:
+            total += trapezoid([(p[0], f(p)) for p in poly])
+        else:
+            total += triangles_integral(
+                [(poly[0], poly[i], poly[i + 1])
+                 for i in range(1, len(poly) - 1)], f)
     return total
 
 

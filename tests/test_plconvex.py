@@ -471,6 +471,19 @@ def test_conjugate_matches_fraction_chain_and_triples(case) -> None:
         assert got == oracles.conjugate_2d_triples(pieces)
 
 
+@settings(max_examples=200)
+@given(_max_affine_cases())
+def test_integrate_profile_matches_cell_oracle(case) -> None:
+    f = MaxAffine(*case)
+    prof = conjugate(f)
+    if not prof.cells:
+        with pytest.raises(PLError, match="no full-dimensional cells"):
+            integrate_profile(prof)
+        return
+    assert integrate_profile(prof) == oracles.integrate_cells(
+        _views(prof)[1], f.n)
+
+
 _HALFPLANE = {n: st.tuples(st.tuples(*[_COORD] * n), st.integers(-1, 4).map(F)
                            | _COORD) for n in (1, 2)}
 
@@ -520,7 +533,10 @@ def test_min_profile_matches_fraction_oracle(case) -> None:
         with pytest.raises(EnvelopeError, match="empty domain"):
             min_profile(planes, domain, extra, n)
         return
-    assert _views(min_profile(planes, domain, extra, n)) == want
+    got = min_profile(planes, domain, extra, n)
+    assert _views(got) == want
+    if want[1]:
+        assert integrate_profile(got) == oracles.integrate_cells(want[1], n)
 
 
 @st.composite

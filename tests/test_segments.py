@@ -95,6 +95,25 @@ def test_segment_time_validation() -> None:
                 run()
 
 
+def test_segment_time_is_checked_before_anything_is_built(monkeypatch) -> None:
+    # maximal_segment builds no level and legendre_segment no rooftop
+    # family for a t outside [0, 1]
+    seg = _comparable_seg()
+    phi0, phi1 = seg.start, seg.end
+
+    def refuse(*args):
+        raise AssertionError("built before t was checked")
+
+    monkeypatch.setattr(segments, "_level_segment", refuse)
+    monkeypatch.setattr(segments, "_rooftop_family", refuse)
+    for t in (F(-1, 2), F(3, 2)):
+        for run in (lambda: maximal_segment(phi0, phi1, t, kmax=4),
+                    lambda: legendre_segment(phi0, phi1, t)):
+            with pytest.raises(ToricError, match=re.escape(
+                    f"segment time {t} outside [0, 1]")):
+                run()
+
+
 def test_segment_weight_validation() -> None:
     with pytest.raises(ToricError):
         fs_segment(RING1, 1, (F(0),), (F(0), F(1)))
@@ -253,6 +272,10 @@ def test_legendre_segment_without_critical_tau(pieces0, pieces1,
     monkeypatch.setattr(segments, "_rooftop", refuse)
     with pytest.raises(ToricError, match="no critical shift tau"):
         legendre_segment(phi0, phi1, F(1, 2))
+    # a bad t is reported first
+    with pytest.raises(ToricError, match=re.escape(
+            "segment time 3/2 outside [0, 1]")):
+        legendre_segment(phi0, phi1, F(3, 2))
 
 
 _ARENAS = ((1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2), (2, 1, 1), (2, 1, 2))
