@@ -686,18 +686,18 @@ def conjugate(f: MaxAffine) -> ConcaveProfile:
                               ((0,) * f.n + (rows[0][-1],),))
     if f.n == 1:
         chain = _upper_hull_1d(rows)
-        return _chain_profile(f._den, chain, chain, 0, 1, 0)
+        return _chain_profile(f._den, chain, chain, 0, 0)
     return _conjugate_2d(f._den, rows)
 
 
-def _chain_profile(den, verts, chain, k, sgn, base):
+def _chain_profile(den, verts, chain, k, base):
     """Profile of a concave chain of (S, C, ...) rows along a line.
 
     ``verts`` are the rows (G.., C), over den, of the chain's points, and
-    S = sgn (G_k - base) is their coordinate k from ``base``, increasing
-    along the chain.  Each chain edge gives a plane of slope sgn dC / dS
-    along coordinate k and 0 along any other; when n = 1 (k = 0, sgn = 1,
-    base = 0) each edge also bounds a cell.
+    S = G_k - base is their coordinate k from ``base``, increasing along
+    the chain.  Each chain edge gives a plane of slope dC / dS along
+    coordinate k and 0 along any other; when n = 1 (k = 0, base = 0) each
+    edge also bounds a cell.
     """
     n = len(verts[0]) - 1
     edges = list(zip(chain, chain[1:]))
@@ -707,9 +707,9 @@ def _chain_profile(den, verts, chain, k, sgn, base):
         ds, dz = s1 - s0, z1 - z0
         q = scale // ds
         grad = [0] * n
-        grad[k] = sgn * dz * den * q
-        # z0 less the slope times the coordinate base + sgn s0, over den ds
-        off = (z0 * ds - dz * s0 - sgn * dz * base) * q
+        grad[k] = dz * den * q
+        # z0 less the slope times the coordinate base + s0, over den ds
+        off = (z0 * ds - dz * s0 - dz * base) * q
         planes.append(tuple(grad) + (off,))
     verts = [tuple(x * scale for x in r) for r in verts]
     cells = []
@@ -821,22 +821,22 @@ def _upper_facets(lifted):
 def _conjugate_2d_on_line(den, rows, direction):
     """Gradients lie on a line g0 + s * direction: reduce to dimension one.
 
-    With k a coordinate where the integer direction d is nonzero, a point
-    has s = S / |d_k| for S = sgn(d_k) (G_k - G0_k), an integer.
+    g0 is the smallest gradient, so the integer direction d is
+    lexicographically positive; with k its first nonzero coordinate,
+    d_k > 0 and a point's parameter is s = S / d_k for S = G_k - G0_k.
     """
     g0 = rows[0]
     k = 0 if direction[0] != 0 else 1
-    sgn = 1 if direction[k] > 0 else -1
-    a = abs(direction[k])
+    a = direction[k]
     params = []
     for i, r in enumerate(rows):
-        s = sgn * (r[k] - g0[k])
+        s = r[k] - g0[k]
         if any(a * x + s * d != a * y
                for x, d, y in zip(g0[:2], direction, r[:2])):
             raise PLError("internal error: gradient off the detected line")
         params.append((s, r[2], i))
     chain = _upper_hull_1d(params)
-    return _chain_profile(den, [rows[i] for _, _, i in chain], chain, k, sgn,
+    return _chain_profile(den, [rows[i] for _, _, i in chain], chain, k,
                           g0[k])
 
 
