@@ -591,6 +591,10 @@ def test_marginal_min_matches_fm_oracle(case, tau) -> None:
 @example((_ma(((0, 0), 0), ((1, 1), 0)), _ma(((0, 0), 0), ((2, 2), -3))))
 @example((_ma(((0, 0), 0), ((2, 0), 0), ((0, 2), 0)),
           _ma(((0, 0), 0), ((1, 0), 0))))
+# pieces above a point where two planes of the profile meet
+@example((_ma(((1,), 2)), _ma(((0,), 0), ((1,), 1), ((2,), 0))))
+@example((_ma(((1, 0), 1)),
+          _ma(((0, 0), 0), ((1, 0), 0), ((0, 1), 0), ((1, 1), -1))))
 def test_le_witness_is_the_fraction_walk(pair) -> None:
     # the first active plane, or the first outward normal of g's domain
     f, g = pair
