@@ -53,6 +53,9 @@ class EnvelopeError(PLError):
     """No finite convex minorant with the requested slope constraint."""
 
 
+_flat = itertools.chain.from_iterable
+
+
 def _rational(x):
     """x as an int or a Fraction, both of which carry numerator/denominator."""
     return x if type(x) is int or type(x) is Fraction else Fraction(x)
@@ -72,9 +75,6 @@ def _int_rows(rows):
     den = lcm(*(x.denominator for r in rows for x in r))
     return den, [tuple(x.numerator * (den // x.denominator) for x in r)
                  for r in rows]
-
-
-_flat = itertools.chain.from_iterable
 
 
 def _over(den: int, rows):
@@ -259,7 +259,8 @@ def _walk(f: MaxAffine, g, pden, planes, hden, hrep):
             N, R, e = out
             nu = tuple(Fraction(x, hden ** e) for x in N)
             b = Fraction(R, hden ** (e + 1))
-            a, c = (tuple(Fraction(x, fden) for x in A), Fraction(C, fden))
+            a = tuple(Fraction(x, fden) for x in A)
+            c = Fraction(C, fden)
             top = g(tuple(Fraction(0) for _ in A))
             s = max(Fraction(1), (top - c) / (_dot(nu, a) - b) + 1)
             return tuple(s * x for x in nu)

@@ -448,7 +448,7 @@ def _views(prof):
     return prof.vertices, cells, prof.planes
 
 
-@settings(max_examples=300)
+@settings(max_examples=200)
 @given(_max_affine_cases())
 @example((2, [((0, 0), 0), ((F(1, 2), F(1, 4)), 1), ((1, F(1, 2)), 0),
               ((2, 1), -3)]))
@@ -471,7 +471,7 @@ def test_conjugate_matches_fraction_chain_and_triples(case) -> None:
         assert got == oracles.conjugate_2d_triples(pieces)
 
 
-@settings(max_examples=200)
+@settings(max_examples=120)
 @given(_max_affine_cases())
 def test_integrate_profile_matches_cell_oracle(case) -> None:
     f = MaxAffine(*case)
@@ -514,7 +514,7 @@ def _min_profile_cases(draw):
     return planes, [(p[0] + s * d[0], p[1] + s * d[1]) for s in steps], [], 2
 
 
-@settings(max_examples=300)
+@settings(max_examples=200)
 @given(_min_profile_cases())
 # a one-point interval, cut down from [0, 2]
 @example(([((1,), 0), ((-1,), 1), ((F(1, 2),), 0)], [(0,), (2,)],
@@ -554,7 +554,7 @@ def _envelope_cases(draw):
     return funcs, moment_simplex(n, m)
 
 
-@settings(max_examples=200)
+@settings(max_examples=120)
 @given(_envelope_cases())
 def test_envelope_matches_fraction_oracle(case) -> None:
     funcs, P = case
@@ -571,7 +571,7 @@ def test_envelope_matches_fraction_oracle(case) -> None:
             == MaxAffine(P.n, vertices).pieces)
 
 
-@settings(max_examples=150)
+@settings(max_examples=100)
 @given(st.sampled_from((1, 2)).flatmap(lambda nv: st.tuples(
     st.just(nv), st.lists(st.tuples(st.tuples(*[_COORD] * (nv + 1)), _COORD),
                           min_size=1, max_size=5))), _COORD)
@@ -585,7 +585,7 @@ def test_marginal_min_matches_fm_oracle(case, tau) -> None:
             == oracles.marginal_min_fm(nv, list(joint.pieces), tau))
 
 
-@settings(max_examples=300)
+@settings(max_examples=150)
 @given(_comparison_pairs())
 @example((_ma(((1,), 0)), _ma(((0,), 0), ((2,), -1))))
 @example((_ma(((0, 0), 0), ((1, 1), 0)), _ma(((0, 0), 0), ((2, 2), -3))))
