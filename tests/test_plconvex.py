@@ -450,6 +450,7 @@ def _views(prof):
 
 @settings(max_examples=200)
 @given(_max_affine_cases())
+# gradients on a slanted line, along each axis, and on a line of slope -1
 @example((2, [((0, 0), 0), ((F(1, 2), F(1, 4)), 1), ((1, F(1, 2)), 0),
               ((2, 1), -3)]))
 @example((2, [((1, 0), 2), ((0, 0), 0), ((2, 0), 1)]))
