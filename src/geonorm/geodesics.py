@@ -9,7 +9,10 @@ exact.
 ``codiagonalize`` derives: n0's own when the two norms share their basis,
 and over Q(t) the product of the kernel's row operations with n0's cached
 inverse.  Only over Q with different bases (and for a ``NormGeodesic``
-built directly) is the basis inverted, once, on first use.  ``at``,
+built directly) is the basis inverted, once, on first use: there it is the
+filtration-split form of the kernel's basis C, and its inverse T^{-1}
+C^{-1} would cost the product C^{-1} = P B0^{-1}, the coordinates T of
+the split basis and their inverse, more than the one elimination.  ``at``,
 ``start`` and ``end`` re-weight the base norm, so every norm on the
 segment shares one basis tuple and one inverse.
 """

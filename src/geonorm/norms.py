@@ -12,9 +12,13 @@ norms over the same field admit a common diagonalizing basis
 weighted-pivot kernel ``linalg.smith`` on the change of basis between the
 two norms' bases, with the weights as pivot offsets (over Q(t) their
 fractional parts, after shifting each basis vector by t^(-floor(w)), so
-any rational weights work).  Over Q the result is put in the canonical
-form of the filtration split.  The relative spectrum, the d_p distances,
-the relative volume and the join (max) all read off the common basis.
+any rational weights work).  The relative spectrum, the d_p distances and
+the relative volume read only the multiset of weight pairs, which is the
+same for every common basis, so they take the kernel's basis and weights
+as they are, verified.  A basis that leaves the library (``codiagonalize``,
+``join``, the geodesics) is, over Q, put in the canonical form of the
+filtration split first, on integer rows (``_filtration_form``); over Q(t)
+it is the kernel's basis.
 
 A norm caches the inverse of its basis matrix in the row form of
 ``linalg.inverse_rows``: one ``(den, numerators)`` pair per row, over Z for
@@ -31,8 +35,9 @@ and dimension and one identity inverse, so ``DiagNorm.standard`` costs
 O(d).
 
 Every norm value is read by one batched path, ``_values``: ``evaluate``
-runs it on one vector, and it verifies every ``codiagonalize`` result and
-decides ``==`` on batches of basis vectors.  The
+runs it on one vector, it verifies every common basis (of
+``codiagonalize`` and of ``spectrum``), and it decides ``==`` on batches of
+basis vectors.  The
 coordinates of a vector are dot products of the rows of the cached inverse
 with it (for a standard basis, the vector itself).  Over Q the valuation is
 0 off zero, so only the zero pattern of the coordinates matters; it is read
@@ -49,9 +54,10 @@ import math
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations_with_replacement
-from operator import add, mul
+from operator import floordiv, mul
 
 from . import linalg
+from .linalg import _ONE, _ZERO
 from .field import (
     INF,
     FieldError,
@@ -303,49 +309,124 @@ def codiagonalize(n0: DiagNorm, n1: DiagNorm, *, inverse=False):
     and its offset is the fractional part of w_i, so any rational weights
     work; the kernel's basis C = M0 P^{-1} is the result, and its inverse
     is the Z[t] product P diag(t^floor(w_i)) B0^{-1} of the kernel's P and
-    n0's cached inverse.  Over Q the kernel's basis c_i, with
-    weights (a_i, b_i), is put in the form the filtration split gave it:
-    for each pair (s, t) that occurs, in decreasing order, the RREF rows of
-    F0^s n F1^t = span{c_i : a_i >= s, b_i >= t} are stacked, and each row
-    independent of the rows before it is kept, read from the pivot columns
-    of one RREF.  An RREF is unique, so the result does not depend on the
-    kernel's choices.
+    n0's cached inverse.  Over Q the kernel's basis c_i, with weights
+    (a_i, b_i), is put in the canonical form of the filtration split
+    (``_filtration_form``), and that form is the basis returned and
+    verified: for each pair (s, t) that occurs, in decreasing order, the
+    RREF rows of F0^s n F1^t = span{c_i : a_i >= s, b_i >= t} that are
+    independent of the rows kept before them.  An RREF is unique, so the
+    result does not depend on the kernel's choices.
     """
+    result = _verified(n0, n1, _codiagonalize_pivots, inverse)
+    return result if inverse else result[:3]
+
+
+def _verified(n0: DiagNorm, n1: DiagNorm, split, inverse=False):
+    """``split(n0, n1, inverse)``, or the shared basis when the norms have
+    one, after checking the inputs and verifying the returned basis
+    against both norms."""
     if n0.field is not n1.field:
         raise NormError("cannot codiagonalize norms over different fields")
     if n0.dim != n1.dim:
         raise NormError("cannot codiagonalize norms of different dimensions")
-    split = (_codiagonalize_same_basis if n0.basis == n1.basis
-             else _codiagonalize_pivots)
+    if n0.basis == n1.basis:
+        split = _codiagonalize_same_basis
     result = split(n0, n1, inverse)
     basis, w0, w1, _ = result
     if _values(n0, basis) != tuple(w0) or _values(n1, basis) != tuple(w1):
         raise NormError("internal error: common basis failed verification")
-    return result if inverse else result[:3]
+    return result
 
 
 def _codiagonalize_same_basis(n0: DiagNorm, n1: DiagNorm, inverse=False):
     return n0.basis, n0.weights, n1.weights, n0._inverse()
 
 
-def _codiagonalize_pivots(n0: DiagNorm, n1: DiagNorm, inverse=False):
-    """``(basis, w0, w1, inv)``; inv is None over Q or unless asked for."""
+def _kernel_basis(n0: DiagNorm, n1: DiagNorm, inverse=False):
+    """``(C, w0, w1, inv)``: the kernel's common basis and its weights;
+    inv is None over Q or unless asked for."""
     (cols0, a), (cols1, b) = _kernel_columns(n0), _kernel_columns(n1)
     basis, P, w0, w1 = linalg.smith(list(zip(*cols0)), list(zip(*cols1)), a, b)
+    if n0.field is not TADIC or not inverse:
+        return basis, w0, w1, None
+    # C^{-1} = P M0^{-1}, and M0 = B0 diag(t^(-floor(w)))
+    floors = [math.floor(w) for w in n0.weights]
+    M0_inv = linalg.shift_rows(n0._inverse(), floors)
+    return basis, w0, w1, linalg.mul_rows(TADIC, P, M0_inv)
+
+
+def _codiagonalize_pivots(n0: DiagNorm, n1: DiagNorm, inverse=False):
+    """``(basis, w0, w1, inv)``: the kernel's basis, over Q in filtration
+    form; inv is None over Q or unless asked for."""
+    result = _kernel_basis(n0, n1, inverse)
     if n0.field is TADIC:
-        if not inverse:
-            return basis, w0, w1, None
-        # C^{-1} = P M0^{-1}, and M0 = B0 diag(t^(-floor(w)))
-        floors = [math.floor(w) for w in n0.weights]
-        M0_inv = linalg.shift_rows(n0._inverse(), floors)
-        return basis, w0, w1, linalg.mul_rows(TADIC, P, M0_inv)
-    stacked = []
+        return result
+    return _filtration_form(*result[:3]) + (None,)
+
+
+def _filtration_form(basis, w0, w1):
+    """``(basis, w0, w1)``: a common basis over Q in the form the
+    filtration split gives it, from the kernel's basis c_i with weights
+    (a_i, b_i).
+
+    For each pair (s, t) that occurs, in decreasing order, the meet F0^s n
+    F1^t is spanned by the integer numerators of the c_i with a_i >= s and
+    b_i >= t, and one fraction-free ``linalg._gauss_jordan`` over Z gives
+    its RREF: row i of the elimination over its pivot.  A meet of one
+    vector needs no elimination, nor does the whole space (the identity).
+    A row is kept, with weights (s, t), iff it does not reduce to zero by
+    an integer echelon of the rows kept so far, the choice the pivot
+    columns of one RREF of all the meets' rows, stacked, would make.  One
+    ``Fraction`` is built per entry of the kept rows.
+    """
+    d = len(basis)
+    cols = [linalg._cleared(vec)[1] for vec in basis]
+    kept, echelon = [], []
     for s, t in sorted(set(zip(w0, w1)), reverse=True):
-        meet = [vec for vec, x, y in zip(basis, w0, w1) if x >= s and y >= t]
-        stacked += [(row, s, t) for row in linalg.rref(meet)[0]]
-    _, pivots = linalg.rref(list(zip(*(row for row, _, _ in stacked))))
-    basis, w0, w1 = zip(*(stacked[k] for k in pivots))
-    return basis, w0, w1, None
+        meet = [col for col, x, y in zip(cols, w0, w1) if x >= s and y >= t]
+        if len(meet) == d:
+            meet, pivots = _identity_ints(d), range(d)
+        elif len(meet) == 1:
+            pivots = [next(j for j, x in enumerate(meet[0]) if x)]
+        else:
+            meet = [list(col) for col in meet]
+            pivots = linalg._gauss_jordan(meet, linalg._int_sub_mul,
+                                          floordiv, 1)
+        for row, c in zip(meet, pivots):
+            if _extends_echelon(echelon, row):
+                kept.append((row, c, s, t))
+        if len(kept) == d:
+            break
+    return (tuple(tuple(_ZERO if not x else _ONE if j == c
+                        else Fraction(x, row[c]) for j, x in enumerate(row))
+                  for row, c, _, _ in kept),
+            tuple(s for _, _, s, _ in kept), tuple(t for _, _, _, t in kept))
+
+
+def _extends_echelon(echelon, row):
+    """Whether an integer row is independent of the rows of ``echelon``, a
+    list of ``(pivot, row)`` with each row zero at the pivots before it;
+    if so its reduced form joins the echelon."""
+    for p, e in echelon:
+        a = row[p]
+        if a:
+            row = linalg._primitive([e[p] * x - a * y for x, y in zip(row, e)])
+    p = next((j for j, x in enumerate(row) if x), None)
+    if p is None:
+        return False
+    echelon.append((p, row))
+    return True
+
+
+_identity_int_rows: dict = {}
+
+
+def _identity_ints(d):
+    """The d x d identity as integer rows, one shared list."""
+    if d not in _identity_int_rows:
+        _identity_int_rows[d] = [[int(i == j) for j in range(d)]
+                                 for i in range(d)]
+    return _identity_int_rows[d]
 
 
 def _kernel_columns(n: DiagNorm):
@@ -370,9 +451,11 @@ def spectrum(n0: DiagNorm, n1: DiagNorm):
 
     Entry ``lambda_i = w0_i - w1_i = log(n1(s_i) / n0(s_i))`` for a common
     diagonalizing basis, sorted increasingly.  Independent of the choice of
-    common basis.
+    common basis, so no canonical form is built: the basis is the shared
+    one, or the kernel's (``linalg.smith``), and it is verified against
+    both norms as ``codiagonalize`` verifies its result.
     """
-    _, w0, w1 = codiagonalize(n0, n1)
+    _, w0, w1, _ = _verified(n0, n1, _kernel_basis)
     return tuple(sorted(a - b for a, b in zip(w0, w1)))
 
 
@@ -445,15 +528,16 @@ def sym_monomials(dim: int, m: int):
     return sorted(out)
 
 
-def _form_products(forms, combos, index, one, zero, mul, add):
+def _form_products(forms, combos, index, ring):
     """Coefficients of products of linear forms over the degree-m monomials.
 
-    Form i is sum_r forms[i][r] x_r; for each combination (a multiset of
-    form indices) the product of its forms, as a list over the monomial
-    exponents in ``index``.  Field or ring arithmetic comes from one, zero,
-    mul and add.
+    Form i is sum_r forms[i][r] x_r, with coefficients in ``ring`` (Z or
+    Z[t], see ``linalg.ring``); for each combination (a multiset of form
+    indices) the product of its forms, as a list over the monomial
+    exponents in ``index``.
     """
     d = len(forms[0])
+    one, zero, mul, add = ring.one, ring.zero, ring.mul, ring.add
     out = []
     for combo in combos:
         poly = {(0,) * d: one}
@@ -482,7 +566,10 @@ def sym_power_norm(n: DiagNorm, m: int) -> DiagNorm:
     The symmetric power is modelled as degree-m polynomials in the ambient
     coordinates; the basis vector for a multiset I is the polynomial
     product of the corresponding linear forms, and its weight is the sum
-    of the factors' weights.
+    of the factors' weights.  The products run on numerators: each basis
+    vector s_i is cleared to ``(e_i, numerators)`` over Z or Z[t], the
+    forms are multiplied in that ring, and one field element is built per
+    entry, over the product of the factors' e_i.
 
     The basis is not inverted.  In monomial bases Sym^m is a functor, so
     the inverse is Sym^m of the inverse B^{-1} = diag(1/e) N that ``n``
@@ -495,14 +582,20 @@ def sym_power_norm(n: DiagNorm, m: int) -> DiagNorm:
     d = n.dim
     index = {e: i for i, e in enumerate(sym_monomials(d, m))}
     combos = list(combinations_with_replacement(range(d), m))
-    basis = _form_products(n.basis, combos, index, field.one, field.zero,
-                           mul, add)
+    ring = linalg.ring(field)
+    cleared = [ring.clear(vec) for vec in n.basis]
+    products = _form_products([nums for _, nums in cleared], combos, index,
+                              ring)
+    basis = tuple(
+        tuple(ring.element(x, den) for x in col)
+        for col, den in zip(products, (
+            reduce(ring.mul, (cleared[i][0] for i in combo))
+            for combo in combos)))
     weights = tuple(sum((n.weights[i] for i in combo), Fraction(0))
                     for combo in combos)
-    ring = linalg.ring(field)
     inv = n._inverse()
     products = _form_products(list(zip(*(nums for _, nums in inv))), combos,
-                              index, ring.one, ring.zero, ring.mul, ring.add)
+                              index, ring)
     at = [index[tuple(map(combo.count, range(d)))] for combo in combos]
     by_monomial = [None] * len(combos)
     for col, alpha in zip(products, at):
@@ -511,8 +604,7 @@ def sym_power_norm(n: DiagNorm, m: int) -> DiagNorm:
         (reduce(ring.mul, (inv[i][0] for i in combo)),
          tuple(col[alpha] for col in by_monomial))
         for combo, alpha in zip(combos, at))
-    return DiagNorm._from_inverse(field, tuple(map(tuple, basis)), weights,
-                                  rows)
+    return DiagNorm._from_inverse(field, basis, weights, rows)
 
 
 def tensor_norm(n0: DiagNorm, n1: DiagNorm) -> DiagNorm:

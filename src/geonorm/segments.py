@@ -265,6 +265,7 @@ def duality_tau_set(seg: FSSegment):
 
 def segment_from_dual(seg: FSSegment, t) -> ToricMetric:
     """Legendre recovery: sup over tau of (kiselman_dual + t*tau)."""
+    _segment_time(t)  # before the duals are built
     family = tuple((tau, kiselman_dual(seg, tau).potential)
                    for tau in duality_tau_set(seg))
     return _legendre_recover(seg.ring.n, seg.ring.m, family, t)

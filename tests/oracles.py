@@ -19,7 +19,10 @@ operators are themselves checked against Euclid reduction over Q.
 replaced with its weighted-pivot kernel (``geonorm.linalg.smith``); it
 picks complements intersection by intersection with this file's own span
 intersections and rank tests, and the kernel's basis, put in filtration
-form, must equal its result tuple for tuple.  The exceptions below are
+form, must equal its result tuple for tuple.  ``filtration_form_rref``
+puts a common basis in that form by this file's Fraction RREFs, one per
+meet and one over the stacked rows, where geonorm.norms eliminates each
+meet over Z and keeps rows by an incremental integer echelon.  The exceptions below are
 each a path the library replaced, kept as a differential reference and
 composed from the library's own primitives.
 ``legendre_segment_per_t`` is the per-t Legendre construction that
@@ -268,6 +271,26 @@ def codiagonalize_filtrations(n0: DiagNorm, n1: DiagNorm):
     if len(basis) != d:
         raise NormError("internal error: filtration splitting lost dimensions")
     return tuple(basis), tuple(w0), tuple(w1)
+
+
+def filtration_form_rref(basis, w0, w1):
+    """A common basis over Q with weights (a_i, b_i) in the canonical form
+    of the filtration split, by stacked RREFs, as geonorm.norms built it.
+
+    For each pair (s, t) that occurs, in decreasing order, the RREF rows of
+    F0^s r F1^t = span{c_i : a_i >= s, b_i >= t} are stacked, with weights
+    (s, t); the rows at the pivot columns of one RREF of the stack (the
+    stacked rows as columns) are the basis.  geonorm.norms eliminates each
+    meet once over Z and keeps a row iff it extends an integer echelon of
+    the rows kept before it.
+    """
+    stacked = []
+    for s, t in sorted(set(zip(w0, w1)), reverse=True):
+        meet = [vec for vec, x, y in zip(basis, w0, w1) if x >= s and y >= t]
+        stacked += [(row, s, t) for row in rref_field(meet)[0]]
+    _, pivots = rref_field(list(zip(*(row for row, _, _ in stacked))))
+    basis, w0, w1 = zip(*(stacked[k] for k in pivots))
+    return basis, w0, w1
 
 
 def trivial_spectrum(basis0, weights0, basis1, weights1):

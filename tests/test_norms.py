@@ -287,6 +287,103 @@ def test_weighted_pivots_keep_the_filtration_split_over_q(pair) -> None:
     assert codiagonalize(n0, n1) == got[:3]
 
 
+@st.composite
+def _tied_bases(draw):
+    """A basis over Q of dimension 1..6 with weight pairs that tie: each
+    norm's weights take at most three values."""
+    d = draw(st.integers(1, 6))
+    entry = st.builds(F, st.integers(-3, 3), st.sampled_from((1, 2, 3)))
+    basis = tuple(tuple(draw(entry) for _ in range(d)) for _ in range(d))
+    assume(oracles.invert_field(basis) is not None)
+
+    def weights():
+        levels = draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3))
+        return tuple(F(draw(st.sampled_from(levels))) for _ in range(d))
+
+    return basis, weights(), weights()
+
+
+@settings(max_examples=200)
+@given(_tied_bases())
+def test_integer_split_matches_stacked_rref_oracle(case) -> None:
+    # the integer echelon keeps the rows the pivot columns of the stacked
+    # RREF keep, entry for entry, for any basis
+    got = norms._filtration_form(*case)
+    assert got == oracles.filtration_form_rref(*case)
+    assert all(type(x) is F for vec in got[0] for x in vec)
+
+
+@settings(max_examples=100)
+@given(_filtration_pairs(dims=(1, 6)))
+def test_split_of_the_kernel_basis_matches_stacked_rref_oracle(pair) -> None:
+    n0, n1 = pair
+    kernel = norms._kernel_basis(n0, n1)
+    assert oracles.verifies_in_field(n0, n1, kernel[:3])
+    assert (norms._codiagonalize_pivots(n0, n1)
+            == oracles.filtration_form_rref(*kernel[:3]) + (None,))
+
+
+@settings(max_examples=100)
+@given(st.one_of(_rational_norm_pairs().map(lambda case: case[:2]),
+                 _filtration_pairs()))
+def test_spectrum_is_sorted_codiagonalize_differences(pair) -> None:
+    # spectrum reads the kernel's weights, codiagonalize the split's
+    n0, n1 = pair
+    _, w0, w1 = codiagonalize(n0, n1)
+    assert spectrum(n0, n1) == tuple(sorted(a - b for a, b in zip(w0, w1)))
+
+
+@pytest.mark.parametrize("pair", [_cross_pair, _tadic_lattice_pair])
+@pytest.mark.parametrize("side", [2, 3])
+def test_wrong_kernel_weight_fails_spectrum_verification(pair, side,
+                                                         monkeypatch) -> None:
+    # a kernel that reports one wrong weight is caught by the check of its
+    # basis, on the path that skips the filtration form
+    real = linalg.smith
+
+    def planted(*args):
+        out = list(real(*args))
+        out[side] = (out[side][0] + 1,) + tuple(out[side][1:])
+        return tuple(out)
+
+    n0, n1 = pair()
+    monkeypatch.setattr(linalg, "smith", planted)
+    for run in (spectrum, distance, volume):
+        with pytest.raises(NormError, match="failed verification"):
+            run(n0, n1)
+
+
+def test_q_ops_run_no_rref_and_one_elimination_per_pair(monkeypatch) -> None:
+    # spectrum, distance, volume, join and geodesics over Q make no rref
+    # call; a join eliminates [M0 | M1] once in the kernel and then at most
+    # once per distinct weight pair
+    rng = random.Random(19)
+    pairs = []
+    while len(pairs) < 40:
+        d = rng.randint(2, 5)
+        rows = [tuple(tuple(F(rng.randint(-3, 3), rng.choice((1, 2)))
+                            for _ in range(d)) for _ in range(d))
+                for _ in range(2)]
+        if all(oracles.invert_field(b) is not None for b in rows):
+            levels = [F(rng.randint(-4, 4), 2) for _ in range(3)]
+            pairs.append([DiagNorm(TRIVIAL, b, [rng.choice(levels)
+                                                 for _ in range(d)])
+                          for b in rows])
+    rrefs, eliminations = [], []
+    real_gj = linalg._gauss_jordan
+    monkeypatch.setattr(linalg, "rref", lambda *a: rrefs.append(a))
+    monkeypatch.setattr(linalg, "_gauss_jordan",
+                        lambda *a: eliminations.append(a) or real_gj(*a))
+    for n0, n1 in pairs:
+        spectrum(n0, n1), distance(n0, n1, 1), volume(n0, n1)
+        geodesic(n0, n1).at(F(1, 2)).evaluate(n0.basis[0])
+        _, w0, w1 = codiagonalize(n0, n1)
+        eliminations.clear()
+        join(n0, n1)
+        assert len(eliminations) <= 1 + len(set(zip(w0, w1)))
+    assert rrefs == []
+
+
 # -- spectrum, distance, volume ----------------------------------------------
 
 

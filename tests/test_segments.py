@@ -114,6 +114,25 @@ def test_segment_time_is_checked_before_anything_is_built(monkeypatch) -> None:
                 run()
 
 
+def test_segment_from_dual_checks_t_before_any_dual(monkeypatch) -> None:
+    # a level-2 segment on P^1 has four duality slopes, and a bad t builds
+    # none of their duals; on P^3, whose duals are refused, the bad t is
+    # the error reported
+    calls = []
+    real = segments.kiselman_dual
+    monkeypatch.setattr(segments, "kiselman_dual",
+                        lambda *args: calls.append(args) or real(*args))
+    seg = fs_segment(RING2, 2, (0, 0, 3, 0, 0), (0, -1, 0, 2, 0))
+    assert len(duality_tau_set(seg)) == 4
+    ring3 = section_ring(3, 1)
+    seg3 = fs_segment(ring3, 1, (0, 1, 2, 3), (0, -1, -2, -3))
+    for bad in (seg, seg3):
+        with pytest.raises(ToricError, match=re.escape(
+                "segment time 3/2 outside [0, 1]")):
+            segment_from_dual(bad, F(3, 2))
+    assert calls == []
+
+
 def test_segment_weight_validation() -> None:
     with pytest.raises(ToricError):
         fs_segment(RING1, 1, (F(0),), (F(0), F(1)))
