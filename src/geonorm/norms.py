@@ -372,31 +372,21 @@ def _filtration_form(basis, w0, w1):
     For each pair (s, t) that occurs, in decreasing order, the meet F0^s n
     F1^t is spanned by the integer numerators of the c_i with a_i >= s and
     b_i >= t, and one fraction-free ``linalg._gauss_jordan`` over Z gives
-    its RREF: row i of the elimination over its pivot.  A meet of one
-    vector needs no elimination, nor does the whole space (the identity).
-    A row is kept, with weights (s, t), iff it does not reduce to zero by
-    an integer echelon of the rows kept so far, the choice the pivot
-    columns of one RREF of all the meets' rows, stacked, would make.  One
-    ``Fraction`` is built per entry of the kept rows.
+    its RREF: row i of the elimination over its pivot.  A row is kept,
+    with weights (s, t), iff it does not reduce to zero by an integer
+    echelon of the rows kept so far, the choice the pivot columns of one
+    RREF of all the meets' rows, stacked, would make.  One ``Fraction`` is
+    built per entry of the kept rows.
     """
-    d = len(basis)
     cols = [linalg._cleared(vec)[1] for vec in basis]
     kept, echelon = [], []
     for s, t in sorted(set(zip(w0, w1)), reverse=True):
-        meet = [col for col, x, y in zip(cols, w0, w1) if x >= s and y >= t]
-        if len(meet) == d:
-            meet, pivots = _identity_ints(d), range(d)
-        elif len(meet) == 1:
-            pivots = [next(j for j, x in enumerate(meet[0]) if x)]
-        else:
-            meet = [list(col) for col in meet]
-            pivots = linalg._gauss_jordan(meet, linalg._int_sub_mul,
-                                          floordiv, 1)
+        meet = [list(col) for col, x, y in zip(cols, w0, w1)
+                if x >= s and y >= t]
+        pivots = linalg._gauss_jordan(meet, linalg._int_sub_mul, floordiv, 1)
         for row, c in zip(meet, pivots):
             if _extends_echelon(echelon, row):
                 kept.append((row, c, s, t))
-        if len(kept) == d:
-            break
     return (tuple(tuple(_ZERO if not x else _ONE if j == c
                         else Fraction(x, row[c]) for j, x in enumerate(row))
                   for row, c, _, _ in kept),
@@ -416,17 +406,6 @@ def _extends_echelon(echelon, row):
         return False
     echelon.append((p, row))
     return True
-
-
-_identity_int_rows: dict = {}
-
-
-def _identity_ints(d):
-    """The d x d identity as integer rows, one shared list."""
-    if d not in _identity_int_rows:
-        _identity_int_rows[d] = [[int(i == j) for j in range(d)]
-                                 for i in range(d)]
-    return _identity_int_rows[d]
 
 
 def _kernel_columns(n: DiagNorm):
