@@ -375,7 +375,8 @@ def test_q_ops_run_no_rref_and_one_elimination_per_pair(monkeypatch) -> None:
     monkeypatch.setattr(linalg, "_gauss_jordan",
                         lambda *a: eliminations.append(a) or real_gj(*a))
     for n0, n1 in pairs:
-        spectrum(n0, n1), distance(n0, n1, 1), volume(n0, n1)
+        for op in (spectrum, distance, volume):
+            op(n0, n1)
         geodesic(n0, n1).at(F(1, 2)).evaluate(n0.basis[0])
         _, w0, w1 = codiagonalize(n0, n1)
         eliminations.clear()
