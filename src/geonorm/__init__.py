@@ -44,7 +44,6 @@ from .plconvex import (
     conjugate,
     envelope_constrained,
     integrate_abs_difference,
-    integrate_difference,
     integrate_profile,
     marginal_min,
     max_abs_difference,
@@ -96,7 +95,7 @@ __all__ = [
     "lattice_points", "serialize_counterexample",
     "ConcaveProfile", "EnvelopeError", "MaxAffine", "PLError", "compare",
     "conjugate", "envelope_constrained", "integrate_abs_difference",
-    "integrate_difference", "integrate_profile", "marginal_min",
+    "integrate_profile", "marginal_min",
     "max_abs_difference", "moment_simplex", "prune",
     "ConvergenceResult", "ToricError", "ToricMetric", "compare_metrics",
     "d1_metric", "d_infinity_limit", "energy", "energy_limit", "envelope_P",

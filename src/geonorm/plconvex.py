@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import comb, gcd, lcm
-from operator import mul
+from operator import mul, neg, sub
 
 from .field import format_fraction, parse_fraction
 
@@ -243,7 +243,7 @@ def _walk(f: MaxAffine, g, pden, planes, hden, hrep):
     """First point where f > g, or None, given the profile q of g.
 
     q is the min of the integer ``planes`` (rows (W, B) over ``pden``) on
-    the polytope ``hrep`` (``_hull_hrep`` rows of points over ``hden``);
+    the polytope ``hrep`` (``_hull_rows`` of points over ``hden``);
     ``g`` is only evaluated.  A piece <a, v> + c lies below g iff
     c <= q(a), with q taken as -inf off its domain (Rockafellar, Convex
     Analysis, section 12).
@@ -299,6 +299,7 @@ def mix_witness(f: MaxAffine, g0: MaxAffine, g1: MaxAffine, lam):
 
 def _mix_witness(f, g0, g1, lam, q0: ConcaveProfile, q1: ConcaveProfile):
     """``mix_witness(f, g0, g1, lam)`` given q0, q1 = conjugate(g0, g1)."""
+    _require_plane(f.n, "mix_witness")
     lam = Fraction(lam)
     slopes = [w for w, _ in q0.planes + q1.planes]
     if f.n == 2:
@@ -316,7 +317,7 @@ def _mix_witness(f, g0, g1, lam, q0: ConcaveProfile, q1: ConcaveProfile):
     hden, pts = _int_rows({
         tuple(lam * x + (1 - lam) * y for x, y in zip(p, r))
         for p in q0.domain_points() for r in q1.domain_points()})
-    return _walk(f, h, pden, planes, hden, _hull_hrep(f.n, pts))
+    return _walk(f, h, pden, planes, hden, _hull_rows(sorted(pts)))
 
 
 def _edge_directions(q: ConcaveProfile):
@@ -339,6 +340,12 @@ def _edge_directions(q: ConcaveProfile):
         lead = next(x for x in d if x)
         out.add(tuple(x / lead for x in d))
     return sorted(out)
+
+
+def _require_plane(n: int, what: str):
+    """Refuse n > 2 in code that reads cells as intervals or polygons."""
+    if n > 2:
+        raise PLError(f"{what} implemented for n <= 2")
 
 
 def _require_same_n(f: MaxAffine, g: MaxAffine):
@@ -467,28 +474,6 @@ def clip_polygon(poly, a, b):
     return tuple(dedup)
 
 
-def hull2d(points):
-    """Convex hull, counterclockwise, collinear points dropped."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return tuple(pts)
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return tuple(lower[:-1] + upper[:-1])
-
-
 def polygon_hrep(poly):
     """Outward halfplane description of a CCW convex polygon."""
     out = []
@@ -526,6 +511,318 @@ def _clip_interval(lo, hi, a, b):
     if lo[0] * hi[1] > hi[0] * lo[1]:
         return None
     return lo, hi
+
+
+# ---------------------------------------------------------------------------
+# Convex hulls of integer points: one gift-wrap in every dimension.
+# ---------------------------------------------------------------------------
+
+
+def _independent(pts, idxs, rank):
+    """The first ``rank + 1`` of ``idxs``, in order, whose points are
+    affinely independent (fewer if they span less), and the pivot
+    coordinates of the span of the points taken.
+
+    A fraction-free echelon of the differences from the first point, its
+    rows kept sorted by pivot.  The pivots are the leading columns of the
+    span's reduced echelon form, so they do not depend on the order.
+    """
+    idxs = iter(idxs)
+    first = next(idxs)
+    p0, kept, rows = pts[first], [first], []
+    for i in idxs:
+        if len(rows) == rank:
+            break
+        v = [a - b for a, b in zip(pts[i], p0)]
+        for k, r in rows:
+            if v[k]:
+                a, b = r[k], v[k]
+                v = [x * a - y * b for x, y in zip(v, r)]
+        k = next((j for j, x in enumerate(v) if x), None)
+        if k is not None:
+            g = gcd(*v)
+            rows.append((k, [x // g for x in v]))
+            rows.sort()
+            kept.append(i)
+    return kept, [k for k, _ in rows]
+
+
+def _det(m):
+    """Determinant of a square integer matrix, by Laplace expansion."""
+    if len(m) < 3:
+        return (m[0][0] * m[1][1] - m[0][1] * m[1][0] if len(m) == 2
+                else m[0][0] if m else 1)
+    return sum((-1) ** j * x * _det([r[:j] + r[j + 1:] for r in m[1:]])
+               for j, x in enumerate(m[0]) if x)
+
+
+def _form(rows):
+    """N with <N, x> = det(rows..., x), for d - 1 integer rows of length d."""
+    if not rows:
+        return (1,)
+    sign, out = (-1) ** len(rows), []
+    for i in range(len(rows) + 1):
+        out.append(sign * _det([r[:i] + r[i + 1:] for r in rows]))
+        sign = -sign
+    return tuple(out)
+
+
+def _neg(v):
+    return tuple(map(neg, v))
+
+
+def _frame(pts, idxs, rank):
+    """The first point of ``idxs`` and the differences to it from the next
+    ``rank`` points that are affinely independent of the earlier ones."""
+    kept, _ = _independent(pts, idxs, rank)
+    p0 = pts[kept[0]]
+    return p0, [tuple(a - b for a, b in zip(pts[i], p0)) for i in kept[1:]]
+
+
+def _facets(pts, sign=0):
+    """Facets of the convex hull of distinct integer points of Z^d.
+
+    Gift-wrapping (Chand and Kapur, 1970): from a first facet, cross each
+    ridge into the facet beyond it, the ridges of a facet being the facets
+    of its own points one dimension down; at d = 1 they are the min and
+    the max.  With ``sign`` 0 every facet comes.  With ``sign`` +1 (-1)
+    the heads of the points (all coordinates but the last) must span
+    R^(d-1), and only the upper (lower) facets come, those whose normal
+    has a positive (negative) last coordinate; the wrap crosses only into
+    them.
+
+    Yields ``(N, c, e, on, verts)``: <N, p> <= c for every point, with
+    equality exactly at the indices ``on`` (increasing), and ``verts``
+    indexes the facet's vertices, in the order its ridges list them (a
+    2-D polygon counterclockwise from its smallest vertex).  N is the
+    cofactor x -> det(v_1, ..., v_(d-1), x) of a frame of vectors, each
+    a difference of two points (degree 1 in the coordinates) or a normal
+    of degree r; e is the degree of N.  For points spanning all of R^d
+    the frame is the facet's first affinely independent vertices, and the
+    facets come in the order the wrap finds them: the first contains the
+    smallest point and runs along the lower hull from it, and each facet
+    crosses its ridges in turn, so a 2-D hull comes counterclockwise.
+    Points spanning an affine subspace of rank r < d get ``_flat_facets``.
+    """
+    if len(pts[0]) == 1:
+        xs = [x for x, in pts]
+        if sign <= 0:
+            i = xs.index(min(xs))
+            yield (-1,), -xs[i], 0, (i,), (i,)
+        if sign >= 0:
+            i = xs.index(max(xs))
+            yield (1,), xs[i], 0, (i,), (i,)
+        return
+    if len(pts[0]) == 2:
+        yield from _chain(pts, sign)
+        return
+    normal, c, on, entry = _first(pts, sign)
+    if not sign and len(on) == len(pts):
+        yield from _flat_facets(pts)
+        return
+    done, seen, todo = {entry}, {on}, [(normal, c, on)]
+    while todo:
+        normal, c, on = todo.pop()
+        verts, ridges = _facet(pts, normal, on, done)
+        yield normal, c, 0, on, verts
+        for rho, cr, ridge in ridges:
+            if ridge in done:
+                continue
+            done.add(ridge)
+            got = _cross(pts, normal, c, rho, cr, sign)
+            if got is not None and got[2] not in seen:
+                seen.add(got[2])
+                todo.append(got)
+
+
+def _ring(pts):
+    """Indices of the hull vertices of distinct points of the plane,
+    counterclockwise from the smallest, collinear points dropped (Andrew's
+    monotone chain: the lower chain from the smallest point to the
+    largest, then the upper chain back)."""
+    order = sorted(range(len(pts)), key=pts.__getitem__)
+    ring = []
+    for seq in (order, order[::-1]):
+        chain = []
+        for i in seq:
+            x, y = pts[i]
+            while len(chain) > 1:
+                (ox, oy), (ax, ay) = pts[chain[-2]], pts[chain[-1]]
+                if (ax - ox) * (y - oy) > (ay - oy) * (x - ox):
+                    break
+                chain.pop()
+            chain.append(i)
+        ring += chain[:-1]
+    return ring
+
+
+def _chain(pts, sign):
+    """``_facets`` at d = 2: the edges of ``_ring``, counterclockwise.
+
+    Each edge lists its two vertices in increasing index order, the order
+    its ridges come one dimension down.  N is the edge b - a turned
+    clockwise, outward for a counterclockwise edge from a to b.
+    """
+    ring = _ring(pts)
+    if not sign and len(ring) < 3:
+        yield from _flat_facets(pts)
+        return
+    for a, b in zip(ring, ring[1:] + ring[:1]):
+        (ax, ay), (bx, by) = pts[a], pts[b]
+        nx, ny = by - ay, ax - bx
+        if sign and sign * ny <= 0:
+            continue
+        c = nx * ax + ny * ay
+        yield ((nx, ny), c, 1,
+               tuple(i for i, (x, y) in enumerate(pts) if nx * x + ny * y == c),
+               (a, b) if a < b else (b, a))
+
+
+def _first(pts, sign):
+    """(normal, c, on, ridge) of the first facet ``_facets`` yields.
+
+    At d = 1 the min (the max for sign +1).  Above, the points on a
+    vertical supporting hyperplane V over the first facet of the heads
+    have a lower (upper for sign +1) facet R: a ridge of the hull, across
+    which V turns into the first facet, and ``ridge`` indexes R.  When V
+    holds every point it is returned with ``ridge`` None: the points are
+    flat.
+    """
+    if len(pts[0]) < 3:
+        normal, c, _, on, _ = next(_facets(pts, sign))
+        return normal, c, on, None
+    rho, c, _, _ = _first(list(dict.fromkeys(p[:-1] for p in pts)), 0)
+    normal = rho + (0,)
+    on = tuple(i for i, p in enumerate(pts) if sum(map(mul, normal, p)) == c)
+    if len(on) == len(pts):
+        return normal, c, on, None
+    j = _last(normal)
+    mu, cr, ridge, _ = _first([_drop(pts[i], j) for i in on], sign or -1)
+    return _cross(pts, normal, c, _lift(mu, j), cr) + (
+        tuple(on[i] for i in ridge),)
+
+
+def _facet(pts, normal, on, done):
+    """(verts, ridges) of the facet of the points ``on`` (indices) with
+    outward normal ``normal``.
+
+    Each ridge not in ``done`` is (rho, c_R, indices) with <rho, p> <= c_R
+    on the facet, equality on the ridge.  The facet's points are projected
+    by dropping the last coordinate where its normal is nonzero, which is
+    one to one on the facet.  A simplex (d points in Z^d) has the ridges
+    that drop one vertex each, and lists its vertices from the smallest
+    index, in increasing order except the last two when that order is
+    negatively oriented (a triangle counterclockwise); any other facet has
+    the ridges and the vertex order of ``_facets`` one dimension down.
+    """
+    d = len(normal)
+    j = d - 1 if normal[-1] else _last(normal)
+    proj = [p[:j] + p[j + 1:] for p in map(pts.__getitem__, on)]
+    if len(on) > d:
+        inner = list(_facets(proj, 0))
+        return (tuple(dict.fromkeys(on[i] for *_, vs in inner for i in vs)),
+                [(mu[:j] + (0,) + mu[j:], cr, tuple(on[i] for i in ridge))
+                 for mu, cr, _, ridge, _ in inner])
+    q0 = proj[0]
+    verts = on
+    if _det([tuple(map(sub, q, q0)) for q in proj[1:]]) < 0:
+        verts = on[:-2] + (on[-1], on[-2])
+    ridges = []
+    for k, qk in enumerate(proj):
+        ridge = on[:k] + on[k + 1:]
+        if ridge in done:
+            continue
+        rest = proj[:k] + proj[k + 1:]
+        r0 = rest[0]
+        rho = _form([tuple(map(sub, q, r0)) for q in rest[1:]])
+        cr = sum(map(mul, rho, r0))
+        if sum(map(mul, rho, qk)) > cr:
+            rho, cr = _neg(rho), -cr
+        ridges.append((rho[:j] + (0,) + rho[j:], cr, ridge))
+    return verts, ridges
+
+
+def _last(v):
+    """The last coordinate where v is nonzero."""
+    return max(i for i, x in enumerate(v) if x)
+
+
+def _drop(p, j):
+    return p[:j] + p[j + 1:]
+
+
+def _lift(v, j):
+    return v[:j] + (0,) + v[j:]
+
+
+def _cross(pts, normal, c, rho, cr, beyond=False):
+    """The facet beyond a ridge: (N, c', on) with <N, p> <= c' on every
+    point, equality exactly at the indices ``on``, N primitive.
+
+    The facet is <normal, p> <= c and the ridge its part where
+    <rho, p> = cr, with <rho, p> <= cr on the facet.  Every hyperplane
+    through the ridge is B (<normal, p> - c) - A (<rho, p> - cr) = 0 for
+    some (A, B); the one through a point p off the facet has
+    A = <normal, p> - c < 0 and B = <rho, p> - cr, and the next facet
+    goes through the point with the largest B / -A.  None when every
+    point lies on the facet, or, with ``beyond``, when no point has B > 0
+    (for a vertical rho, a ridge on the boundary of an upper or lower
+    hull, whose next facet is neither).
+    """
+    B = [sum(map(mul, rho, p)) - cr for p in pts]
+    if beyond and max(B) <= 0:
+        return None
+    A = [c - sum(map(mul, normal, p)) for p in pts]
+    a_best = b_best = None
+    for a, b in zip(A, B):
+        if a and (a_best is None or b * a_best > b_best * a):
+            a_best, b_best = a, b
+    if a_best is None:
+        return None
+    N = [b_best * x + a_best * y for x, y in zip(normal, rho)]
+    g = gcd(*N)
+    return (tuple(x // g for x in N), (b_best * c + a_best * cr) // g,
+            tuple(i for i, a, b in zip(range(len(A)), A, B)
+                  if a * b_best == b * a_best))
+
+
+def _flat_facets(pts):
+    """Rows of points whose affine span S has rank r < d.
+
+    First, for each coordinate k off the pivots of S, the equality pair
+    +-C_k with <C_k, x> = det(M) for M the unit vectors of those
+    coordinates followed by a frame of S, x standing in for the unit
+    vector of k (so a point gets the unit vectors themselves and a
+    segment from p to q in the plane the rotation (q - p)_2, -(q - p)_1).
+    Then the facets of the points inside S, from their projection onto the
+    pivots: each normal is the cofactor of the C_k and the facet's frame,
+    so it lies in S.
+    """
+    d = len(pts[0])
+    _, piv = _independent(pts, range(len(pts)), d)
+    r = len(piv)
+    inner = list(_facets([tuple(p[k] for k in piv) for p in pts], 0)
+                 if r else ())
+    verts = tuple(dict.fromkeys(i for *_, vs in inner for i in vs)) or (0,)
+    p0, frame = _frame(pts, verts, r)
+    units = [tuple(int(i == k) for i in range(d)) for k in range(d)
+             if k not in piv]
+    normals = [tuple((-1) ** (d - 1 - pos) * x
+                     for x in _form(units[:pos] + units[pos + 1:] + frame))
+               for pos in range(len(units))]
+    everything = tuple(range(len(pts)))
+    for C in normals:
+        c = sum(map(mul, C, p0))
+        yield C, c, r, everything, verts
+        yield _neg(C), -c, r, everything, verts
+    for *_, on, fverts in inner:
+        q0, fframe = _frame(pts, fverts, r - 1)
+        N = _form(normals + fframe)
+        off = next(p for i, p in enumerate(pts) if i not in on)
+        c = sum(map(mul, N, q0))
+        if sum(map(mul, N, off)) > c:
+            N, c = _neg(N), -c
+        yield N, c, (d - r) * r + r - 1, on, fverts
 
 
 # ---------------------------------------------------------------------------
@@ -680,7 +977,7 @@ def conjugate(f: MaxAffine) -> ConcaveProfile:
     Redundant pieces land strictly below the envelope and disappear.
     """
     if f.n > 2:
-        raise PLError("concave profiles implemented for n <= 2")
+        return _conjugate_facets(f)
     rows = f._rows  # deduped by gradient with max offset, over f._den
     if len(rows) == 1:
         return ConcaveProfile(f.n, f._den, rows, (),
@@ -769,13 +1066,12 @@ def _upper_facets(lifted):
     and crosses each edge once: O(m) sign tests per edge.
     """
     xy = [(x, y) for x, y, _ in lifted]
-    index = {p: i for i, p in enumerate(xy)}
     # point 0 is the lexicographically smallest, so a hull vertex; its
     # lifted boundary chain runs along the first hull edge, first towards
     # the point of largest lifted slope from point 0 (any of them on a tie:
     # they span one line, the axis the wrap turns about)
     x0, y0, z0 = lifted[0]
-    hx, hy = hull2d(xy)[1]
+    hx, hy = xy[_ring(xy)[1]]
     ex, ey = hx - x0, hy - y0
     first, best_s, best_dz = None, 1, 0
     for i, (x, y, z) in enumerate(lifted):
@@ -808,7 +1104,7 @@ def _upper_facets(lifted):
         d = nx * ax + ny * ay + nz * az
         on = [i for i, (x, y, z) in enumerate(lifted)
               if nx * x + ny * y + nz * z == d]
-        poly = [index[p] for p in hull2d([xy[i] for i in on])]
+        poly = [on[i] for i in _ring([xy[i] for i in on])]
         (px, py), (qx, qy) = xy[on[0]], xy[on[1]]
         third = next(i for i in on[2:] if (qx - px) * (xy[i][1] - py)
                      != (qy - py) * (xy[i][0] - px))
@@ -841,6 +1137,49 @@ def _conjugate_2d_on_line(den, rows, direction):
                           g0[k])
 
 
+def _conjugate_facets(f: MaxAffine) -> ConcaveProfile:
+    """Concave profile of a convex max-affine function (any n).
+
+    The profile is the upper concave envelope of the lifted points
+    ``(g_i, c_i)``; its domain is the convex hull of the gradients.
+    Redundant pieces land strictly below the envelope and disappear.  The
+    lifted rows are wrapped by ``_facets`` (upper facets only), after
+    gradients spanning an affine subspace of rank r < n are projected
+    onto its r pivot coordinates, where each plane then has its slopes;
+    such a profile has no cells.  Cells and planes come in the order of
+    the lexicographically smallest affinely independent (r + 1)-tuple of
+    indices of the pieces on each facet, so ``planes`` (whose first active
+    entry is the witness ``le_witness`` returns) does not depend on how
+    the hull is searched.
+    """
+    n, den, rows = f.n, f._den, f._rows
+    _, piv = _independent([g[:-1] for g in rows], range(len(rows)), n)
+    r = len(piv)
+    pts = rows if r == n else [tuple(g[k] for k in piv) + (g[-1],)
+                               for g in rows]
+
+    def key(facet):
+        on = facet[3]
+        return on if len(on) == r + 1 else tuple(_independent(pts, on, r)[0])
+
+    facets = sorted(_facets(pts, 1), key=key)
+    # N . (G, C) = c on a facet: q = <-N_G / N_C, y> + c / (N_C den)
+    scale = lcm(*(N[-1] for N, *_ in facets))
+    cells, planes, on = [], [], set()
+    for N, c, _, _, verts in facets:
+        s = scale // N[-1]
+        grad = [0] * n
+        for k, x in zip(piv, N):
+            grad[k] = -x * den * s
+        planes.append(tuple(grad) + (c * s,))
+        cells.append(tuple(tuple(x * scale for x in rows[i][:-1])
+                           for i in verts))
+        on.update(verts)
+    return ConcaveProfile(n, den * scale,
+                          [tuple(x * scale for x in rows[i]) for i in sorted(on)],
+                          cells if r == n else (), planes)
+
+
 # ---------------------------------------------------------------------------
 # min-profiles and constrained envelopes.
 # ---------------------------------------------------------------------------
@@ -855,42 +1194,19 @@ def domain_hrep(profile: ConcaveProfile):
 
 
 def _domain_hrep(profile: ConcaveProfile):
-    """``_hull_hrep`` of a profile's domain points, integers over its den."""
-    return _hull_hrep(profile.n, [r[:-1] for r in profile._verts])
+    """``_hull_rows`` of a profile's domain points, integers over its den."""
+    return _hull_rows([r[:-1] for r in profile._verts])
 
 
-def _hull_hrep(n: int, pts):
-    """Halfplane description of the convex hull of integer points (n <= 2).
+def _hull_rows(pts):
+    """Halfspace description of the convex hull of distinct integer points.
 
     The points are Y = D y for a positive D.  Each row (N, R, e) stands
-    for <N, Y> <= R, that is for the rational halfplane <nu, y> <= b with
-    nu = N / D^e and b = R / D^(e + 1).
+    for <N, Y> <= R, that is for the rational halfspace <nu, y> <= b with
+    nu = N / D^e and b = R / D^(e + 1): the facets of ``_facets``, a
+    lower-dimensional hull led by its equality pairs.
     """
-    if n == 1:
-        xs = [p[0] for p in pts]
-        return [((-1,), -min(xs), 0), ((1,), max(xs), 0)]
-    hull = hull2d(pts)
-    if len(hull) < 3:
-        # segment or point: describe by equality as two opposite halfplanes
-        out = []
-        if len(hull) == 2:
-            p, q = hull
-            d = (q[0] - p[0], q[1] - p[1])
-            normal = (d[1], -d[0])
-            rhs = normal[0] * p[0] + normal[1] * p[1]
-            out.append((normal, rhs, 1))
-            out.append(((-normal[0], -normal[1]), -rhs, 1))
-            # clamp along the segment
-            out.append(((-d[0], -d[1]), -(d[0] * p[0] + d[1] * p[1]), 1))
-            out.append(((d[0], d[1]), d[0] * q[0] + d[1] * q[1], 1))
-        else:
-            p = hull[0]
-            for a in ((1, 0), (0, 1)):
-                rhs = a[0] * p[0] + a[1] * p[1]
-                out.append((a, rhs, 0))
-                out.append(((-a[0], -a[1]), -rhs, 0))
-        return out
-    return [(normal, rhs, 1) for normal, rhs in polygon_hrep(hull)]
+    return [facet[:3] for facet in _facets(pts, 0)]
 
 
 def _profile_on_points(n, den, verts, cells, planes):
@@ -1012,7 +1328,7 @@ def _min_profile(n, den, planes, domain, cuts) -> ConcaveProfile:
             raise EnvelopeError("empty domain")
         scale, distinct = _common(set(base))
         distinct.sort()
-        if len(distinct) < 3 or _shoelace2(hull2d(distinct)) == 0:
+        if len(_independent(distinct, range(len(distinct)), 2)[1]) < 2:
             return _degenerate_profile_2d(
                 den * scale, [(x * den, y * den) for x, y in distinct],
                 [tuple(x * scale for x in r) for r in planes])
@@ -1154,6 +1470,7 @@ def _integrate_affine_power_interval(a, b, va, vb, p: int) -> Fraction:
 
 def integrate_cell_affine(cell_vertices, affine, n, p: int = 1) -> Fraction:
     """Integral of affine(y)^p over an interval (n=1) or polygon (n=2)."""
+    _require_plane(n, "integrate_cell_affine")
     if n == 1:
         a, b = cell_vertices[0][0], cell_vertices[-1][0]
         return _integrate_affine_power_interval(a, b, affine((a,)), affine((b,)), p)
@@ -1175,6 +1492,7 @@ def integrate_profile(prof: ConcaveProfile) -> Fraction:
     interval [P0, P1] contributes (P1 - P0) (V0 + V1) / (2 D^3) and a fan
     triangle of doubled area A / D^2 contributes A (V0 + V1 + V2) / (6 D^4).
     """
+    _require_plane(prof.n, "integrate_profile")
     if not prof._cells:
         raise PLError("profile has no full-dimensional cells to integrate")
     den = prof._den
@@ -1196,6 +1514,7 @@ def _overlay(p0: ConcaveProfile, p1: ConcaveProfile):
     """Common refinement of two cell subdivisions of the same domain."""
     if p0.n != p1.n:
         raise PLError("profile dimension mismatch")
+    _require_plane(p0.n, "overlays")
     out = []
     cells0, cells1 = p0.cells, p1.cells
     if p0.n == 1:
@@ -1228,21 +1547,13 @@ def overlay_vertices(p0: ConcaveProfile, p1: ConcaveProfile):
     return tuple(sorted(pts))
 
 
-def integrate_difference(p0: ConcaveProfile, p1: ConcaveProfile) -> Fraction:
-    """Exact integral of (q0 - q1) over the common domain."""
-    total = Fraction(0)
-    for region, c0, c1 in _overlay(p0, p1):
-        diff = lambda y, a=c0, b=c1: a.affine(y) - b.affine(y)
-        total += integrate_cell_affine(region, diff, p0.n)
-    return total
-
-
 def _halfspace_part(region, a, b):
     """The part of a rational interval or polygon where <a, y> <= b.
 
     Returned in Fractions, or () when it is empty or lower-dimensional.
     """
     *a, b = _hom_halfplane(a, b)
+    _require_plane(len(a), "_halfspace_part")
     if len(a) == 1:
         got = _clip_interval(_hom_point(region[0]), _hom_point(region[-1]),
                              a[0], b)

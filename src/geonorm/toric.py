@@ -309,7 +309,7 @@ def energy(phi0: ToricMetric, phi1: ToricMetric, kmax: int = 8) -> ConvergenceRe
 
 def energy_limit(phi0: ToricMetric, phi1: ToricMetric) -> Fraction:
     """E(phi0) - E(phi1), the limit of ``energy(phi0, phi1)``."""
-    _require_pair(phi0, phi1)  # before the profiles, which need n <= 2
+    _require_pair(phi0, phi1)  # before the profiles, whose integrals need n <= 2
     return _energy(phi0, phi0.profile()) - _energy(phi1, phi1.profile())
 
 

@@ -807,6 +807,70 @@ def conjugate_2d_triples(pieces):
     return tuple(sorted(vertices.items())), tuple(cells), tuple(planes)
 
 
+def _solve_fraction(rows):
+    """The solution of a square Fraction system [A | b], or None if A is
+    singular (Gauss-Jordan with row swaps)."""
+    rows = [list(r) for r in rows]
+    n = len(rows)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if rows[i][k]), None)
+        if piv is None:
+            return None
+        rows[k], rows[piv] = rows[piv], rows[k]
+        for i in range(n):
+            if i != k and rows[i][k]:
+                f = rows[i][k] / rows[k][k]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[k])]
+    return [rows[i][n] / rows[i][i] for i in range(n)]
+
+
+def upper_planes(pieces):
+    """Planes (w, beta) of the upper concave envelope of lifted points
+    (g, c), g in R^n, by brute force over (n + 1)-tuples.
+
+    Every (n + 1)-tuple of pieces with affinely independent gradients
+    spans a plane <w, g> + beta = c, which is an upper facet when no
+    lifted point lies above it.  ``pieces`` are (g, c) with distinct
+    gradients in the library's order; planes come in the order their
+    first tuple comes up, each with the indices of the pieces on it.
+    None when no n + 1 gradients are affinely independent.
+    """
+    n = len(pieces[0][0])
+    found = {}
+    for tup in itertools.combinations(pieces, n + 1):
+        sol = _solve_fraction([list(g) + [Fraction(1), c] for g, c in tup])
+        if sol is None:
+            continue
+        w, beta = tuple(sol[:n]), sol[n]
+        if w + (beta,) not in found and all(
+                sum(x * y for x, y in zip(w, g)) + beta >= c
+                for g, c in pieces):
+            found[w + (beta,)] = tuple(
+                i for i, (g, c) in enumerate(pieces)
+                if sum(x * y for x, y in zip(w, g)) + beta == c)
+    if not found:
+        return None
+    return tuple(((k[:n], k[n]), on) for k, on in found.items())
+
+
+def nonredundant_lp(pieces):
+    """The pieces (g, c) that alone attain the max somewhere, by one exact
+    LP each: piece i is kept iff min over v of max_{j != i} of
+    (piece_j - piece_i)(v) is below 0 (or unbounded below)."""
+    n = len(pieces[0][0])
+    out = []
+    for i, (g, c) in enumerate(pieces):
+        rest = [(tuple(a - b for a, b in zip(h, g)), d - c)
+                for j, (h, d) in enumerate(pieces) if j != i]
+        if not rest:
+            out.append((g, c))
+            continue
+        res = minimize_max_affine(n, rest)
+        if res.status != "optimal" or res.value < 0:
+            out.append((g, c))
+    return out
+
+
 def nonredundant_pieces(pieces):
     """Pieces (g, c) of a max-affine function that alone attain its max somewhere.
 
@@ -1349,10 +1413,11 @@ def min_profile_fraction(planes, domain_vertices, extra_hrep, n):
             tuple((g, c) for _, g, c in cells))
 
 
-def marginal_min_fm(n, pieces, tau=0):
+def marginal_min_fm(n, pieces, tau=0, keep=None):
     """inf over t in [0, 1] of F(t, v) - t tau, by Fourier-Motzkin on
     Fractions: the pieces of F are (g, c) with g = (g_t, g_v...) of length
-    n + 1.  Returns the nonredundant pieces, sorted, over R^n."""
+    n + 1.  Returns the nonredundant pieces, sorted, over R^n, as ``keep``
+    finds them (by default ``nonredundant_pieces``, for n <= 2)."""
     tau = Fraction(tau)
     rows = [(g[0] - tau,) + tuple(g[1:]) + (Fraction(-1), -c)
             for g, c in pieces]
@@ -1373,7 +1438,7 @@ def marginal_min_fm(n, pieces, tau=0):
         g, c = tuple(x / -a_z for x in a_v), rhs / a_z
         if g not in best or c > best[g]:
             best[g] = c
-    return tuple(nonredundant_pieces(sorted(best.items())))
+    return tuple((keep or nonredundant_pieces)(sorted(best.items())))
 
 
 def walk_fraction(f_pieces, g, planes, hrep):

@@ -473,7 +473,8 @@ def test_energy_on_p3_exits_2(tmp_path, capsys) -> None:
 
 
 def test_segment_psh_on_p3_exits_2(tmp_path, capsys) -> None:
-    # comparison runs on the conjugate side, which is built for n <= 2
+    # comparison runs on P^3, but the slopes of a Minkowski sum of two
+    # hypographs are read from polygon edges, which exist for n <= 2
     samples = [{"t": t, "weights": [w, "0", "0", "0"]}
                for t, w in (("0", "0"), ("1/2", "1"), ("1", "0"))]
     cfg = tmp_path / "p3.json"
@@ -484,8 +485,7 @@ def test_segment_psh_on_p3_exits_2(tmp_path, capsys) -> None:
         "tasks": [{"op": "verify", "target": "segment_psh", "path": "p"}],
     }))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-    _assert_one_line_error(capsys,
-                           "error: concave profiles implemented for n <= 2")
+    _assert_one_line_error(capsys, "error: mix_witness implemented for n <= 2")
 
 
 def test_zero_dimensional_norm_exits_2(tmp_path, capsys) -> None:

@@ -1,5 +1,6 @@
 """Piecewise-linear convex calculus: conjugates, envelopes, marginals, integrals."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from geonorm import plconvex
 from geonorm.linprog import minimize_max_affine
 from geonorm.plconvex import (
     EnvelopeError,
@@ -21,7 +23,7 @@ from geonorm.plconvex import (
     domain_hrep,
     envelope_constrained,
     integrate_abs_difference,
-    integrate_difference,
+    integrate_cell_affine,
     integrate_profile,
     le_witness,
     marginal_min,
@@ -154,17 +156,120 @@ def test_prune_matches_nonredundant_oracle(case) -> None:
     assert prune(f).pieces == tuple(oracles.nonredundant_pieces(list(f.pieces)))
 
 
-def test_prune_and_marginal_min_reject_n3() -> None:
-    f = _ma(((0, 0, 0), 0), ((1, 0, 0), 0), ((0, 1, 1), -1))
-    with pytest.raises(PLError, match="n <= 2"):
-        prune(f)
-    joint = _ma(((1, 0, 0, 0), 0), ((0, 1, 0, 0), 0), ((0, 0, 1, 1), 0))
-    with pytest.raises(PLError, match="n <= 2"):
-        marginal_min(joint)
-    # comparison runs on the conjugate side, so it is n <= 2 as well
-    g = f.shifted(-1)
-    for run in (lambda: compare(f, g), lambda: le_witness(f, g),
-                lambda: mix_witness(f, f, g, F(1, 2)), lambda: f == g):
+_P3_COORD = st.integers(-1, 2).map(F) | st.sampled_from((F(1, 2), F(-1, 2)))
+
+
+@st.composite
+def _p3_cases(draw, count=(1, 8)):
+    """Pieces on R^3: up to 8 gradients on a small grid, often on a plane
+    or a line, offsets random or tied to one affine function."""
+    shape = draw(st.sampled_from(("any", "any", "plane", "line")))
+    base = draw(st.tuples(*[_P3_COORD] * 3))
+    dirs = [draw(st.tuples(*[st.integers(-1, 1).map(F)] * 3)) for _ in "ab"]
+    grads = []
+    for _ in range(draw(st.integers(*count))):
+        if shape == "any":
+            grads.append(draw(st.tuples(*[_P3_COORD] * 3)))
+        else:
+            s, t = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            t = t if shape == "plane" else 0
+            grads.append(tuple(b + s * x + t * y
+                               for b, x, y in zip(base, *dirs)))
+    w, b = draw(st.tuples(*[_P3_COORD] * 3)), draw(_P3_COORD)
+    pieces = []
+    for g in grads:
+        if draw(st.booleans()):
+            c = sum(x * y for x, y in zip(w, g)) + b - draw(st.integers(0, 1))
+        else:
+            c = draw(_P3_COORD)
+        pieces.append((g, c))
+    return pieces
+
+
+@settings(max_examples=60)
+@given(_p3_cases())
+# the unit simplex, a cube with its top face flat, and a plane of gradients
+@example([((0, 0, 0), 0), ((1, 0, 0), 1), ((0, 1, 0), -1), ((0, 0, 1), 2)])
+@example([(g, g[0] + g[1] - g[2] if g[2] else 0)
+          for g in itertools.product((0, 1), repeat=3)])
+@example([((0, 0, 0), 0), ((1, 0, 0), 1), ((0, 1, 0), 0), ((1, 1, 0), 0),
+          ((F(1, 2), F(1, 2), 0), 1)])
+def test_conjugate_p3_matches_tuple_oracle(pieces) -> None:
+    f = MaxAffine(3, pieces)
+    prof = conjugate(f)
+    pieces = list(f.pieces)
+    kept = oracles.nonredundant_lp(pieces)
+    assert prof.to_max_affine().pieces == tuple(kept)
+    assert prune(f).pieces == tuple(kept)
+    want = oracles.upper_planes(pieces)
+    if want is None:
+        # gradients on a plane, a line or a point: no cells
+        assert prof.cells == ()
+        assert all(prof.value(g) >= c for g, c in pieces)
+        return
+    assert prof.planes == tuple(plane for plane, _ in want)
+    for cell, (_, on) in zip(prof.cells, want):
+        assert len(cell.vertices) >= 4
+        assert set(cell.vertices) <= {pieces[i][0] for i in on}
+    assert {p for p, _ in prof.vertices} == {g for g, _ in kept}
+
+
+@settings(max_examples=40)
+@given(_p3_cases(), _p3_cases())
+@example([((0, 0, 0), 0), ((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0)],
+         [((0, 0, 0), 0), ((1, 1, 1), -1)])
+def test_compare_p3_matches_lp_oracle(p, q) -> None:
+    f, g = MaxAffine(3, p), MaxAffine(3, q)
+    fg, gf = oracles.lp_le_witness(f, g), oracles.lp_le_witness(g, f)
+    for a, b, want in ((f, g, fg), (g, f, gf)):
+        got = le_witness(a, b)
+        assert (got is None) == (want is None)
+        assert got is None or a(got) > b(got)
+    relation = {(True, True): "eq", (True, False): "le", (False, True): "ge",
+                (False, False): "incomparable"}[fg is None, gf is None]
+    assert compare(f, g).relation == relation
+    assert (f == g) == (relation == "eq")
+    # pieces below the midpoints of f's lifted points change nothing
+    assert f == MaxAffine(3, p + [(tuple((x + y) / 2 for x, y in zip(a0, a1)),
+                                   F(c0 + c1, 2) - 1)
+                                  for (a0, c0), (a1, c1) in zip(p, p[1:])])
+
+
+@settings(max_examples=30)
+@given(_p3_cases(count=(1, 5)), _P3_COORD)
+@example([((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 1),
+          ((-1, 1, 1), 0)], F(1, 2))
+def test_marginal_min_p3_matches_fm_oracle(pieces, tau) -> None:
+    # four variables (t, v1, v2, v3): the pruned marginal lives on R^3
+    joint = MaxAffine(4, [(g + (g[0] - g[1],), c) for g, c in pieces])
+    assert (marginal_min(joint, tau).pieces
+            == oracles.marginal_min_fm(3, list(joint.pieces), tau,
+                                       keep=oracles.nonredundant_lp))
+
+
+@settings(max_examples=100)
+@given(_max_affine_cases())
+def test_generic_hull_matches_the_planar_conjugates(case) -> None:
+    # the wrap behind P^3 gives the P^1 and P^2 profiles byte for byte
+    f = MaxAffine(*case)
+    assert plconvex._conjugate_facets(f) == conjugate(f)
+
+
+def test_cell_readers_refuse_n3() -> None:
+    f = _ma(((0, 0, 0), 0), ((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 1))
+    q = conjugate(f)
+    assert len(q.cells) == 1
+    third = (F(1, 3),) * 3
+    for run in (lambda: integrate_profile(q),
+                lambda: integrate_cell_affine(q.cells[0].vertices,
+                                              q.cells[0].affine, 3),
+                lambda: integrate_abs_difference(q, q),
+                lambda: max_abs_difference(q, q),
+                lambda: plconvex.overlay_vertices(q, q),
+                lambda: plconvex._halfspace_part(q.cells[0].vertices,
+                                                 (1, 0, 0), 0),
+                lambda: mix_witness(f, f, f.shifted(-1), F(1, 2)),
+                lambda: min_profile(q.planes, [third], [], 3)):
         with pytest.raises(PLError, match="n <= 2"):
             run()
 
@@ -749,8 +854,8 @@ def test_integrate_profile_examples() -> None:
 def test_integrate_difference_1d() -> None:
     zero = conjugate(REF)
     ramp = conjugate(_ma(((0,), 0), ((1,), 2)))
-    assert integrate_difference(zero, ramp) == -1
-    assert integrate_difference(ramp, zero) == 1
+    assert oracles.integrate_difference(zero, ramp) == -1
+    assert oracles.integrate_difference(ramp, zero) == 1
     assert integrate_abs_difference(zero, ramp) == 1
     assert integrate_abs_difference(zero, ramp, 2) == F(4, 3)
     assert max_abs_difference(zero, ramp) == 2
@@ -759,7 +864,7 @@ def test_integrate_difference_1d() -> None:
 def test_integrate_abs_difference_sign_split() -> None:
     up = conjugate(_ma(((0,), 0), ((1,), 1)))        # q = y on [0,1]
     down = conjugate(_ma(((0,), 1), ((1,), 0)))      # q = 1-y on [0,1]
-    assert integrate_difference(up, down) == 0
+    assert oracles.integrate_difference(up, down) == 0
     assert integrate_abs_difference(up, down) == F(1, 2)
     assert integrate_abs_difference(up, down, 2) == F(1, 3)
     assert oracles.abs_power_integral_1d(-1, 2, 0, 1, 1) == F(1, 2)
@@ -770,7 +875,7 @@ def test_integrate_difference_2d() -> None:
     flat = conjugate(_ma(((0, 0), 0), ((1, 0), 0), ((0, 1), 0)))
     tilted = conjugate(_ma(((0, 0), 0), ((1, 0), 1), ((0, 1), 1)))
     assert integrate_profile(flat) == 0
-    assert integrate_difference(tilted, flat) == F(1, 3)
+    assert oracles.integrate_difference(tilted, flat) == F(1, 3)
     tris = [((F(0), F(0)), (F(1), F(0)), (F(0), F(1)))]
     assert oracles.triangles_integral(tris, lambda p: p[0] + p[1]) == F(1, 3)
     assert max_abs_difference(tilted, flat) == 1

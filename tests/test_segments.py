@@ -116,8 +116,7 @@ def test_segment_time_is_checked_before_anything_is_built(monkeypatch) -> None:
 
 def test_segment_from_dual_checks_t_before_any_dual(monkeypatch) -> None:
     # a level-2 segment on P^1 has four duality slopes, and a bad t builds
-    # none of their duals; on P^3, whose duals are refused, the bad t is
-    # the error reported
+    # none of their duals, on P^1 as on P^3
     calls = []
     real = segments.kiselman_dual
     monkeypatch.setattr(segments, "kiselman_dual",
