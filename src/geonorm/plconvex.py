@@ -533,17 +533,18 @@ def _independent(pts, idxs, rank):
     for i in idxs:
         if len(rows) == rank:
             break
-        v = [a - b for a, b in zip(pts[i], p0)]
+        v = list(map(sub, pts[i], p0))
         for k, r in rows:
             if v[k]:
                 a, b = r[k], v[k]
                 v = [x * a - y * b for x, y in zip(v, r)]
-        k = next((j for j, x in enumerate(v) if x), None)
-        if k is not None:
-            g = gcd(*v)
-            rows.append((k, [x // g for x in v]))
-            rows.sort()
-            kept.append(i)
+        for k, x in enumerate(v):
+            if x:
+                g = gcd(*v)
+                rows.append((k, [x // g for x in v]))
+                rows.sort()
+                kept.append(i)
+                break
     return kept, [k for k, _ in rows]
 
 
@@ -635,39 +636,50 @@ def _facets(pts, sign=0):
                 todo.append(got)
 
 
-def _ring(pts):
-    """Indices of the hull vertices of distinct points of the plane,
-    counterclockwise from the smallest, collinear points dropped (Andrew's
-    monotone chain: the lower chain from the smallest point to the
-    largest, then the upper chain back)."""
+def _half(pts, seq):
+    """Andrew's monotone chain through points of the plane taken in the
+    order ``seq`` of indices: the lower chain for increasing points, the
+    upper one for decreasing, collinear points dropped."""
+    chain = []
+    for i in seq:
+        x, y = pts[i]
+        while len(chain) > 1:
+            (ox, oy), (ax, ay) = pts[chain[-2]], pts[chain[-1]]
+            if (ax - ox) * (y - oy) > (ay - oy) * (x - ox):
+                break
+            chain.pop()
+        chain.append(i)
+    return chain
+
+
+def _ccw(pts):
+    """Indices of the vertices of a polygon's points, counterclockwise from
+    the smallest."""
     order = sorted(range(len(pts)), key=pts.__getitem__)
-    ring = []
-    for seq in (order, order[::-1]):
-        chain = []
-        for i in seq:
-            x, y = pts[i]
-            while len(chain) > 1:
-                (ox, oy), (ax, ay) = pts[chain[-2]], pts[chain[-1]]
-                if (ax - ox) * (y - oy) > (ay - oy) * (x - ox):
-                    break
-                chain.pop()
-            chain.append(i)
-        ring += chain[:-1]
-    return ring
+    return _half(pts, order)[:-1] + _half(pts, order[::-1])[:-1]
 
 
 def _chain(pts, sign):
-    """``_facets`` at d = 2: the edges of ``_ring``, counterclockwise.
+    """``_facets`` at d = 2: the edges of Andrew's monotone chain.
 
-    Each edge lists its two vertices in increasing index order, the order
-    its ridges come one dimension down.  N is the edge b - a turned
-    clockwise, outward for a counterclockwise edge from a to b.
+    The lower chain runs from the smallest point to the largest and the
+    upper chain back, so all edges come counterclockwise from the
+    smallest point; sign -1 (+1) takes the lower (upper) chain alone, less
+    its vertical edges.  Each edge lists its two vertices in increasing
+    index order, the order its ridges come one dimension down.  N is the
+    edge from a to b turned clockwise, outward for a counterclockwise
+    edge.
     """
-    ring = _ring(pts)
-    if not sign and len(ring) < 3:
+    order = sorted(range(len(pts)), key=pts.__getitem__)
+    edges = []
+    for seq in ((order, order[::-1]) if not sign
+                else (order[::-1],) if sign > 0 else (order,)):
+        chain = _half(pts, seq)
+        edges += zip(chain, chain[1:])
+    if not sign and len(edges) < 3:
         yield from _flat_facets(pts)
         return
-    for a, b in zip(ring, ring[1:] + ring[:1]):
+    for a, b in edges:
         (ax, ay), (bx, by) = pts[a], pts[b]
         nx, ny = by - ay, ax - bx
         if sign and sign * ny <= 0:
@@ -953,93 +965,19 @@ class ConcaveProfile:
             [lift(r) for r in self._planes])
 
 
-def _upper_hull_1d(points):
-    """Upper concave chain of (y, value, ...) rows, y strictly increasing."""
-    pts = sorted(points)
-    chain = []
-    for p in pts:
-        while len(chain) >= 2:
-            (x0, z0), (x1, z1) = chain[-2][:2], chain[-1][:2]
-            # keep only strictly decreasing slopes
-            if (z1 - z0) * (p[0] - x1) <= (p[1] - z1) * (x1 - x0):
-                chain.pop()
-            else:
-                break
-        chain.append(p)
-    return chain
-
-
-def conjugate(f: MaxAffine) -> ConcaveProfile:
-    """Concave profile of a convex max-affine function.
-
-    The profile is the upper concave envelope of the lifted points
-    ``(g_i, c_i)``; its domain is the convex hull of the gradients.
-    Redundant pieces land strictly below the envelope and disappear.
-    """
-    if f.n > 2:
-        return _conjugate_facets(f)
-    rows = f._rows  # deduped by gradient with max offset, over f._den
-    if len(rows) == 1:
-        return ConcaveProfile(f.n, f._den, rows, (),
-                              ((0,) * f.n + (rows[0][-1],),))
-    if f.n == 1:
-        chain = _upper_hull_1d(rows)
-        return _chain_profile(f._den, chain, chain, 0, 0)
-    return _conjugate_2d(f._den, rows)
-
-
-def _chain_profile(den, verts, chain, k, base):
-    """Profile of a concave chain of (S, C, ...) rows along a line.
-
-    ``verts`` are the rows (G.., C), over den, of the chain's points, and
-    S = G_k - base is their coordinate k from ``base``, increasing along
-    the chain.  Each chain edge gives a plane of slope dC / dS along
-    coordinate k and 0 along any other; when n = 1 (k = 0, base = 0) each
-    edge also bounds a cell.
-    """
-    n = len(verts[0]) - 1
-    edges = list(zip(chain, chain[1:]))
-    scale = lcm(*(p1[0] - p0[0] for p0, p1 in edges))
-    planes = []
-    for (s0, z0), (s1, z1) in ((p0[:2], p1[:2]) for p0, p1 in edges):
-        ds, dz = s1 - s0, z1 - z0
-        q = scale // ds
-        grad = [0] * n
-        grad[k] = dz * den * q
-        # z0 less the slope times the coordinate base + s0, over den ds
-        off = (z0 * ds - dz * s0 - dz * base) * q
-        planes.append(tuple(grad) + (off,))
-    verts = [tuple(x * scale for x in r) for r in verts]
-    cells = []
-    if n == 1:
-        cells = [((v0[0],), (v1[0],)) for v0, v1 in zip(verts, verts[1:])]
-    return ConcaveProfile(n, den * scale, verts, cells, planes)
-
-
-def _affine_rank_2d(gradients):
-    g0 = gradients[0]
-    dirs = [(g[0] - g0[0], g[1] - g0[1]) for g in gradients[1:]]
-    nonzero = [d for d in dirs if d != (0, 0)]
-    if not nonzero:
-        return 0, None
-    d0 = nonzero[0]
-    for d in nonzero[1:]:
-        if d0[0] * d[1] - d0[1] * d[0] != 0:
-            return 2, None
-    return 1, d0
-
-
 def _conjugate_2d(den, rows):
-    """Upper hull of the lifted integer rows over den, one cell per facet.
+    """``conjugate`` for gradients spanning the plane: the same profile.
+
+    The upper hull of the lifted integer rows over den, one cell per
+    facet, wrapped with its plane algebra inline.  Kept beside the
+    general wrap because it costs a third of it on the small hulls of the
+    toric metrics on P^2.
 
     Facets come in the order of the lexicographically smallest index
     triple of non-collinear points on them, so ``planes`` (whose first
     active entry is the witness ``le_witness`` returns) does not depend on
     how the hull is searched.
     """
-    rank, direction = _affine_rank_2d(rows)
-    if rank == 1:
-        return _conjugate_2d_on_line(den, rows, direction)
     facets = sorted(_upper_facets(rows))
     # n . (G, C) = d on a facet: q = <-(nx, ny) / nz, y> + d / (nz den)
     scale = lcm(*(normal[2] for _, _, normal, _ in facets))
@@ -1071,7 +1009,7 @@ def _upper_facets(lifted):
     # the point of largest lifted slope from point 0 (any of them on a tie:
     # they span one line, the axis the wrap turns about)
     x0, y0, z0 = lifted[0]
-    hx, hy = xy[_ring(xy)[1]]
+    hx, hy = xy[_ccw(xy)[1]]
     ex, ey = hx - x0, hy - y0
     first, best_s, best_dz = None, 1, 0
     for i, (x, y, z) in enumerate(lifted):
@@ -1104,7 +1042,7 @@ def _upper_facets(lifted):
         d = nx * ax + ny * ay + nz * az
         on = [i for i, (x, y, z) in enumerate(lifted)
               if nx * x + ny * y + nz * z == d]
-        poly = [on[i] for i in _ring([xy[i] for i in on])]
+        poly = [on[i] for i in _ccw([xy[i] for i in on])]
         (px, py), (qx, qy) = xy[on[0]], xy[on[1]]
         third = next(i for i in on[2:] if (qx - px) * (xy[i][1] - py)
                      != (qy - py) * (xy[i][0] - px))
@@ -1115,29 +1053,7 @@ def _upper_facets(lifted):
     return facets
 
 
-def _conjugate_2d_on_line(den, rows, direction):
-    """Gradients lie on a line g0 + s * direction: reduce to dimension one.
-
-    g0 is the smallest gradient, so the integer direction d is
-    lexicographically positive; with k its first nonzero coordinate,
-    d_k > 0 and a point's parameter is s = S / d_k for S = G_k - G0_k.
-    """
-    g0 = rows[0]
-    k = 0 if direction[0] != 0 else 1
-    a = direction[k]
-    params = []
-    for i, r in enumerate(rows):
-        s = r[k] - g0[k]
-        if any(a * x + s * d != a * y
-               for x, d, y in zip(g0[:2], direction, r[:2])):
-            raise PLError("internal error: gradient off the detected line")
-        params.append((s, r[2], i))
-    chain = _upper_hull_1d(params)
-    return _chain_profile(den, [rows[i] for _, _, i in chain], chain, k,
-                          g0[k])
-
-
-def _conjugate_facets(f: MaxAffine) -> ConcaveProfile:
+def conjugate(f: MaxAffine) -> ConcaveProfile:
     """Concave profile of a convex max-affine function (any n).
 
     The profile is the upper concave envelope of the lifted points
@@ -1154,30 +1070,38 @@ def _conjugate_facets(f: MaxAffine) -> ConcaveProfile:
     """
     n, den, rows = f.n, f._den, f._rows
     _, piv = _independent([g[:-1] for g in rows], range(len(rows)), n)
+    if len(piv) == n == 2:
+        return _conjugate_2d(den, rows)
+    return _conjugate_wrap(n, den, rows, piv)
+
+
+def _conjugate_wrap(n, den, rows, piv):
+    """``conjugate`` of the integer rows over den from ``_facets``, the
+    gradients projected onto their pivot coordinates ``piv``."""
     r = len(piv)
     pts = rows if r == n else [tuple(g[k] for k in piv) + (g[-1],)
                                for g in rows]
-
-    def key(facet):
-        on = facet[3]
-        return on if len(on) == r + 1 else tuple(_independent(pts, on, r)[0])
-
-    facets = sorted(_facets(pts, 1), key=key)
+    facets = list(_facets(pts, 1))
+    if len(facets) > 1:
+        facets.sort(key=lambda facet: facet[3] if len(facet[3]) == r + 1
+                    else tuple(_independent(pts, facet[3], r)[0]))
     # N . (G, C) = c on a facet: q = <-N_G / N_C, y> + c / (N_C den)
-    scale = lcm(*(N[-1] for N, *_ in facets))
-    cells, planes, on = [], [], set()
+    scale = lcm(*[N[-1] for N, *_ in facets])
+    planes, on = [], set()
     for N, c, _, _, verts in facets:
         s = scale // N[-1]
         grad = [0] * n
         for k, x in zip(piv, N):
             grad[k] = -x * den * s
-        planes.append(tuple(grad) + (c * s,))
-        cells.append(tuple(tuple(x * scale for x in rows[i][:-1])
-                           for i in verts))
+        grad.append(c * s)
+        planes.append(tuple(grad))
         on.update(verts)
+    cells = () if r < n else [
+        tuple([tuple([x * scale for x in rows[i][:-1]]) for i in verts])
+        for *_, verts in facets]
     return ConcaveProfile(n, den * scale,
-                          [tuple(x * scale for x in rows[i]) for i in sorted(on)],
-                          cells if r == n else (), planes)
+                          [tuple([x * scale for x in rows[i]])
+                           for i in sorted(on)], cells, planes)
 
 
 # ---------------------------------------------------------------------------

@@ -247,14 +247,6 @@ def test_marginal_min_p3_matches_fm_oracle(pieces, tau) -> None:
                                        keep=oracles.nonredundant_lp))
 
 
-@settings(max_examples=100)
-@given(_max_affine_cases())
-def test_generic_hull_matches_the_planar_conjugates(case) -> None:
-    # the wrap behind P^3 gives the P^1 and P^2 profiles byte for byte
-    f = MaxAffine(*case)
-    assert plconvex._conjugate_facets(f) == conjugate(f)
-
-
 def test_cell_readers_refuse_n3() -> None:
     f = _ma(((0, 0, 0), 0), ((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 1))
     q = conjugate(f)
@@ -541,6 +533,19 @@ def test_conjugate_2d_explicit_cases(pieces, ncells) -> None:
     f = _ma(*pieces)
     assert len(conjugate(f).cells) == ncells
     _assert_conjugate_matches_triples(f)
+
+
+@settings(max_examples=100)
+@given(_p2_pieces())
+def test_general_wrap_matches_the_planar_wrap(pieces) -> None:
+    # on gradients spanning the plane, the wrap of every other n gives the
+    # profile of the inline planar wrap byte for byte
+    f = MaxAffine(2, pieces)
+    if len({g for g, _ in f.pieces}) < 3 or oracles.conjugate_2d_triples(
+            list(f.pieces)) is None:
+        return
+    assert (plconvex._conjugate_wrap(2, f._den, f._rows, [0, 1])
+            == plconvex._conjugate_2d(f._den, f._rows) == conjugate(f))
 
 
 def _views(prof):
