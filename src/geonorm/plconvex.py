@@ -1,4 +1,4 @@
-"""Exact piecewise-linear convex analysis in ambient dimension one and two.
+"""Exact piecewise-linear convex analysis on R^n.
 
 Convex functions are max-affine: ``f(v) = max_i (<g_i, v> + c_i)`` with
 rational data.  The module provides Legendre conjugation (the concave
@@ -10,11 +10,18 @@ constrained convex envelopes, marginal minimization over a leading variable
 by Fourier-Motzkin elimination of the epigraph, and exact integration of
 piecewise-linear data over rational polytopes.
 
-The hull machinery, and with it pruning, comparison and marginal minima,
-is implemented for n <= 2, where every computation of the package's
-verification suites lives (the projective line or plane).  In the plane
-the upper hull of the lifted points is gift-wrapped across edges, so a
-profile of m points with F facets costs O(m F) sign tests.  Functions
+One hull routine, ``_facets``, serves every n: it gift-wraps the facets
+of integer points across ridges, each facet's ridges coming from its own
+points one dimension down, down to Andrew's monotone chain in the plane
+and the min and the max on the line.  Conjugation takes the upper facets
+of the lifted points (gradients spanning the plane keep an inline copy of
+that wrap, ``_conjugate_2d``, for speed), domain rows take every facet of
+the domain points, and min profiles take their affine rank from it.  So
+conjugation, pruning, comparison, ``==`` and marginal minima run for every
+n.  Code that reads cells as intervals or polygons (integrals, overlays,
+min profiles and the Minkowski slopes of ``mix_witness``) is implemented
+for n <= 2, where every computation of the package's verification suites
+lives (the projective line or plane), and refuses larger n.  Functions
 that need a profile the caller already holds have private variants that
 take it (``_le_witness``, ``_compare``, ``_mix_witness``, ``_envelope``).
 
@@ -214,7 +221,7 @@ class MaxAffine:
 
 
 def prune(f: MaxAffine) -> MaxAffine:
-    """Drop pieces that never strictly achieve the maximum (n <= 2).
+    """Drop pieces that never strictly achieve the maximum (any n).
 
     A piece is non-redundant exactly when its lifted point ``(g, c)`` is a
     vertex of the upper hull, and those vertices are what ``conjugate``
@@ -275,7 +282,7 @@ def _walk(f: MaxAffine, g, pden, planes, hden, hrep):
 
 
 def le_witness(f: MaxAffine, g: MaxAffine):
-    """None if f <= g everywhere, else a point where f > g (n <= 2)."""
+    """None if f <= g everywhere, else a point where f > g (any n)."""
     return _le_witness(f, g, conjugate(g))
 
 
@@ -354,7 +361,7 @@ def _require_same_n(f: MaxAffine, g: MaxAffine):
 
 
 def compare(f: MaxAffine, g: MaxAffine) -> Comparison:
-    """Exact pointwise comparison of two max-affine functions (n <= 2)."""
+    """Exact pointwise comparison of two max-affine functions (any n)."""
     _require_same_n(f, g)
     return _compare(f, g, conjugate(f), conjugate(g))
 
@@ -514,7 +521,7 @@ def _clip_interval(lo, hi, a, b):
 
 
 # ---------------------------------------------------------------------------
-# Convex hulls of integer points: one gift-wrap in every dimension.
+# Convex hulls of integer points, gift-wrapped in every dimension.
 # ---------------------------------------------------------------------------
 
 
@@ -583,27 +590,26 @@ def _frame(pts, idxs, rank):
 def _facets(pts, sign=0):
     """Facets of the convex hull of distinct integer points of Z^d.
 
-    Gift-wrapping (Chand and Kapur, 1970): from a first facet, cross each
-    ridge into the facet beyond it, the ridges of a facet being the facets
-    of its own points one dimension down; at d = 1 they are the min and
-    the max.  With ``sign`` 0 every facet comes.  With ``sign`` +1 (-1)
-    the heads of the points (all coordinates but the last) must span
-    R^(d-1), and only the upper (lower) facets come, those whose normal
-    has a positive (negative) last coordinate; the wrap crosses only into
-    them.
+    Gift-wrapping (Chand and Kapur, 1970): from a first facet (``_first``)
+    cross each ridge into the facet beyond it (``_cross``), the ridges of
+    a facet being the facets of its own points one dimension down
+    (``_facet``).  The recursion ends at d = 2 in Andrew's monotone chain
+    (``_chain``), which lists a polygon's edges counterclockwise from its
+    smallest point, and at d = 1 in the min and the max.  With ``sign`` 0
+    every facet comes, and points spanning an affine subspace of rank
+    r < d get ``_flat_facets``.  With ``sign`` +1 (-1) the heads of the
+    points (all coordinates but the last) must span R^(d-1), and only the
+    upper (lower) facets come, those whose normal has a positive
+    (negative) last coordinate; the wrap crosses only into them.
 
     Yields ``(N, c, e, on, verts)``: <N, p> <= c for every point, with
     equality exactly at the indices ``on`` (increasing), and ``verts``
-    indexes the facet's vertices, in the order its ridges list them (a
-    2-D polygon counterclockwise from its smallest vertex).  N is the
-    cofactor x -> det(v_1, ..., v_(d-1), x) of a frame of vectors, each
-    a difference of two points (degree 1 in the coordinates) or a normal
-    of degree r; e is the degree of N.  For points spanning all of R^d
-    the frame is the facet's first affinely independent vertices, and the
-    facets come in the order the wrap finds them: the first contains the
-    smallest point and runs along the lower hull from it, and each facet
-    crosses its ridges in turn, so a 2-D hull comes counterclockwise.
-    Points spanning an affine subspace of rank r < d get ``_flat_facets``.
+    indexes the facet's vertices in the order its ridges list them (a
+    polygon counterclockwise from its smallest vertex).  For points
+    Y = D y the row stands for <N / D^e, y> <= c / D^(e + 1): above
+    d = 2, N is primitive and e = 0; at d = 2, N is the edge turned
+    clockwise and e = 1; at d = 1, N = +-1 and e = 0; ``_flat_facets``
+    gives its cofactors with their degrees.
     """
     if len(pts[0]) == 1:
         xs = [x for x, in pts]
@@ -844,9 +850,16 @@ def _flat_facets(pts):
 
 @dataclass(frozen=True)
 class Cell:
-    """Full-dimensional linearity cell: polygon/interval plus affine data."""
+    """Full-dimensional linearity cell: its vertices plus affine data.
 
-    vertices: tuple            # points (length-n tuples); CCW when n = 2
+    An interval lists its ends in increasing order and a polygon runs
+    counterclockwise from its smallest vertex; above, a simplex lists its
+    vertices in increasing order (the last two swapped if that order is
+    negatively oriented) and any other cell in the order its facets list
+    them.
+    """
+
+    vertices: tuple            # points (length-n tuples)
     grad: tuple
     offset: Fraction
 
@@ -855,12 +868,14 @@ class Cell:
 
 
 class ConcaveProfile:
-    """A concave PL function on a polytope domain.
+    """A concave PL function on a polytope domain, in any dimension n.
 
     ``value(y) = min over planes`` is valid on the domain only.  ``cells``
     are the full-dimensional linearity regions (empty when the domain is
-    lower-dimensional, e.g. for conjugates of functions whose gradients are
-    collinear).  ``vertices`` are the hypograph vertices with their values.
+    lower-dimensional, e.g. for conjugates of functions whose gradients lie
+    on a line or a plane of R^n).  ``vertices`` are the hypograph vertices
+    with their values.  Integrals and overlays read cells as intervals or
+    polygons and need n <= 2.
 
     Stored over one denominator ``_den``: ``_verts`` rows (Y.., Z) of the
     hypograph vertices, ``_planes`` rows (W.., B) and ``_cells`` polygons
@@ -1066,7 +1081,8 @@ def conjugate(f: MaxAffine) -> ConcaveProfile:
     the lexicographically smallest affinely independent (r + 1)-tuple of
     indices of the pieces on each facet, so ``planes`` (whose first active
     entry is the witness ``le_witness`` returns) does not depend on how
-    the hull is searched.
+    the hull is searched.  Gradients spanning the plane take
+    ``_conjugate_2d``, the same wrap inline.
     """
     n, den, rows = f.n, f._den, f._rows
     _, piv = _independent([g[:-1] for g in rows], range(len(rows)), n)
@@ -1318,8 +1334,8 @@ def marginal_min(F: MaxAffine, tau=0) -> MaxAffine:
     The epigraph of the objective is projected by eliminating t exactly;
     rows with positive and negative t-coefficients pair up, by the
     positive integer multipliers -rn_t and rp_t, and the rest pass
-    through.  Redundant pieces are pruned afterwards by ``prune``, so v
-    has at most two coordinates.
+    through.  Redundant pieces are pruned afterwards by ``prune``; v has
+    any number of coordinates.
     """
     tau = _rational(tau)
     n = F.n - 1

@@ -6,7 +6,8 @@ by Euclid over Q, rank counting, RREF, inverses, determinants and span
 intersections run their own elimination loops over Fraction, concave
 envelopes (and with them redundant max-affine pieces) go through explicit
 convex combinations, the 2-D conjugate enumerates every triple of lifted
-points (the path that the library's gift-wrapped hull replaced), marginal
+points and ``upper_planes`` every (n + 1)-tuple (the paths that the
+library's gift-wrapped hull replaced), marginal
 minimization enumerates crossing parameters, and integrals use closed-form
 antiderivatives.  When a test compares a library value against an oracle
 value, the only shared dependency is the stdlib.  Norm values over Q
@@ -32,7 +33,9 @@ subdivisions, where geonorm.toric integrates each profile on its own and
 subtracts.  ``lp_le_witness`` is the comparison that
 geonorm.plconvex replaced: one exact simplex (``geonorm.linprog``, which
 no library module calls) per piece, where the library tests each piece
-against the conjugate.  ``supnorm_weights_fraction`` reads sup-norm
+against the conjugate; ``nonredundant_lp`` keeps a piece when one such
+simplex finds a point where it alone is the max, where the library keeps
+the vertices of the upper hull.  ``supnorm_weights_fraction`` reads sup-norm
 weights as ``k * q.value(a / k)`` in Fractions, where geonorm.toric reads
 them on one common denominator.  ``coordinate_values`` and
 ``verifies_in_field`` read norm values from coordinates under a field
