@@ -692,19 +692,21 @@ def _chain(pts, sign):
             continue
         c = nx * ax + ny * ay
         yield ((nx, ny), c, 1,
-               tuple(i for i, (x, y) in enumerate(pts) if nx * x + ny * y == c),
+               tuple([i for i, (x, y) in enumerate(pts)
+                      if nx * x + ny * y == c]),
                (a, b) if a < b else (b, a))
 
 
 def _first(pts, sign):
     """(normal, c, on, ridge) of the first facet ``_facets`` yields.
 
-    At d = 1 the min (the max for sign +1).  Above, the points on a
-    vertical supporting hyperplane V over the first facet of the heads
-    have a lower (upper for sign +1) facet R: a ridge of the hull, across
-    which V turns into the first facet, and ``ridge`` indexes R.  When V
-    holds every point it is returned with ``ridge`` None: the points are
-    flat.
+    At d <= 2 the first that the min and max or the chain give.  Above,
+    the points on a vertical supporting hyperplane V over the first facet
+    of the heads have a lower (upper for sign +1) facet R, found one
+    dimension down after dropping the last coordinate where V's normal is
+    nonzero: a ridge of the hull, across which V turns into the first
+    facet, and ``ridge`` indexes R.  When V holds every point it is
+    returned with ``ridge`` None: the points are flat.
     """
     if len(pts[0]) < 3:
         normal, c, _, on, _ = next(_facets(pts, sign))
@@ -715,8 +717,9 @@ def _first(pts, sign):
     if len(on) == len(pts):
         return normal, c, on, None
     j = _last(normal)
-    mu, cr, ridge, _ = _first([_drop(pts[i], j) for i in on], sign or -1)
-    return _cross(pts, normal, c, _lift(mu, j), cr) + (
+    mu, cr, ridge, _ = _first([pts[i][:j] + pts[i][j + 1:] for i in on],
+                              sign or -1)
+    return _cross(pts, normal, c, mu[:j] + (0,) + mu[j:], cr) + (
         tuple(on[i] for i in ridge),)
 
 
@@ -763,14 +766,6 @@ def _facet(pts, normal, on, done):
 def _last(v):
     """The last coordinate where v is nonzero."""
     return max(i for i, x in enumerate(v) if x)
-
-
-def _drop(p, j):
-    return p[:j] + p[j + 1:]
-
-
-def _lift(v, j):
-    return v[:j] + (0,) + v[j:]
 
 
 def _cross(pts, normal, c, rho, cr, beyond=False):

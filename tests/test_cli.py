@@ -472,6 +472,29 @@ def test_energy_on_p3_exits_2(tmp_path, capsys) -> None:
     _assert_one_line_error(capsys)
 
 
+@pytest.mark.parametrize("task, message", [
+    ({"op": "d1", "metrics": ["phi0", "phi1"], "kmax": 1},
+     "error: overlays implemented for n <= 2"),
+    ({"op": "legendre", "metrics": ["phi0", "phi1"], "t": "1/2"},
+     "error: overlays implemented for n <= 2"),
+], ids=["d1", "legendre"])
+def test_overlays_on_p3_exit_2(tmp_path, capsys, task, message) -> None:
+    # P^3 profiles exist, but the overlay of two of them reads polygons
+    def metric(c):
+        pieces = [{"g": g, "c": c} for g in (["0", "0", "0"], ["1", "0", "0"],
+                                             ["0", "1", "0"], ["0", "0", "1"])]
+        return {"n": 3, "m": 1, "potential": {"n": 3, "pieces": pieces}}
+
+    cfg = tmp_path / "p3.json"
+    cfg.write_text(json.dumps({
+        "arena": {"n": 3, "m": 1},
+        "objects": {"metrics": {"phi0": metric("0"), "phi1": metric("-1")}},
+        "tasks": [task],
+    }))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    _assert_one_line_error(capsys, message)
+
+
 def test_segment_psh_on_p3_exits_2(tmp_path, capsys) -> None:
     # comparison runs on P^3, but the slopes of a Minkowski sum of two
     # hypographs are read from polygon edges, which exist for n <= 2

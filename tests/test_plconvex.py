@@ -247,23 +247,28 @@ def test_marginal_min_p3_matches_fm_oracle(pieces, tau) -> None:
                                        keep=oracles.nonredundant_lp))
 
 
-def test_cell_readers_refuse_n3() -> None:
-    f = _ma(((0, 0, 0), 0), ((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 1))
-    q = conjugate(f)
-    assert len(q.cells) == 1
-    third = (F(1, 3),) * 3
-    for run in (lambda: integrate_profile(q),
-                lambda: integrate_cell_affine(q.cells[0].vertices,
-                                              q.cells[0].affine, 3),
-                lambda: integrate_abs_difference(q, q),
-                lambda: max_abs_difference(q, q),
-                lambda: plconvex.overlay_vertices(q, q),
-                lambda: plconvex._halfspace_part(q.cells[0].vertices,
-                                                 (1, 0, 0), 0),
-                lambda: mix_witness(f, f, f.shifted(-1), F(1, 2)),
-                lambda: min_profile(q.planes, [third], [], 3)):
-        with pytest.raises(PLError, match="n <= 2"):
-            run()
+_P3_F = _ma(((0, 0, 0), 0), ((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 1))
+_P3_Q = conjugate(_P3_F)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: integrate_profile(_P3_Q),
+    lambda: integrate_cell_affine(_P3_Q.cells[0].vertices,
+                                  _P3_Q.cells[0].affine, 3),
+    lambda: integrate_abs_difference(_P3_Q, _P3_Q),
+    lambda: max_abs_difference(_P3_Q, _P3_Q),
+    lambda: plconvex.overlay_vertices(_P3_Q, _P3_Q),
+    lambda: plconvex._halfspace_part(_P3_Q.cells[0].vertices, (1, 0, 0), 0),
+    lambda: mix_witness(_P3_F, _P3_F, _P3_F.shifted(-1), F(1, 2)),
+    lambda: min_profile(_P3_Q.planes, [(F(1, 3),) * 3], [], 3),
+], ids=["integrate_profile", "integrate_cell_affine",
+        "integrate_abs_difference", "max_abs_difference", "overlay",
+        "halfspace_part", "mix_witness", "min_profile"])
+def test_cell_readers_refuse_n3(run) -> None:
+    # the P^3 conjugate has one cell, which these read as a polygon
+    assert len(_P3_Q.cells) == 1
+    with pytest.raises(PLError, match="n <= 2"):
+        run()
 
 
 # -- comparison ------------------------------------------------------------------
