@@ -701,17 +701,19 @@ def _first(pts, sign):
     """(normal, c, on, ridge) of the first facet ``_facets`` yields.
 
     At d <= 2 the first that the min and max or the chain give.  Above,
-    the points on a vertical supporting hyperplane V over the first facet
-    of the heads have a lower (upper for sign +1) facet R, found one
-    dimension down after dropping the last coordinate where V's normal is
-    nonzero: a ridge of the hull, across which V turns into the first
-    facet, and ``ridge`` indexes R.  When V holds every point it is
-    returned with ``ridge`` None: the points are flat.
+    V is the vertical supporting hyperplane over the first facet of the
+    heads (a lower one in the upper and lower modes, where the heads span
+    R^(d-1)), and the points on V have a lower (upper for sign +1) facet
+    R, found one dimension down after dropping the last coordinate where
+    V's normal is nonzero: a ridge of the hull, across which V turns into
+    the first facet, and ``ridge`` indexes R.  When V holds every point it
+    is returned with ``ridge`` None: the points are flat.
     """
     if len(pts[0]) < 3:
         normal, c, _, on, _ = next(_facets(pts, sign))
         return normal, c, on, None
-    rho, c, _, _ = _first(list(dict.fromkeys(p[:-1] for p in pts)), 0)
+    rho, c, _, _ = _first(list(dict.fromkeys(p[:-1] for p in pts)),
+                          sign and -1)
     normal = rho + (0,)
     on = tuple(i for i, p in enumerate(pts) if sum(map(mul, normal, p)) == c)
     if len(on) == len(pts):
@@ -785,9 +787,11 @@ def _cross(pts, normal, c, rho, cr, beyond=False):
     B = [sum(map(mul, rho, p)) - cr for p in pts]
     if beyond and max(B) <= 0:
         return None
-    A = [c - sum(map(mul, normal, p)) for p in pts]
+    # a point behind the ridge (B < 0) is on no facet through it beyond
+    ab = [(i, c - sum(map(mul, normal, pts[i])), b)
+          for i, b in enumerate(B) if b >= 0 or not beyond]
     a_best = b_best = None
-    for a, b in zip(A, B):
+    for _, a, b in ab:
         if a and (a_best is None or b * a_best > b_best * a):
             a_best, b_best = a, b
     if a_best is None:
@@ -795,8 +799,7 @@ def _cross(pts, normal, c, rho, cr, beyond=False):
     N = [b_best * x + a_best * y for x, y in zip(normal, rho)]
     g = gcd(*N)
     return (tuple(x // g for x in N), (b_best * c + a_best * cr) // g,
-            tuple(i for i, a, b in zip(range(len(A)), A, B)
-                  if a * b_best == b * a_best))
+            tuple([i for i, a, b in ab if a * b_best == b * a_best]))
 
 
 def _flat_facets(pts):
