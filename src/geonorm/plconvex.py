@@ -611,18 +611,26 @@ def _facets(pts, sign=0):
     clockwise and e = 1; at d = 1, N = +-1 and e = 0; ``_flat_facets``
     gives its cofactors with their degrees.
     """
-    if len(pts[0]) == 1:
-        xs = [x for x, in pts]
-        if sign <= 0:
-            i = xs.index(min(xs))
-            yield (-1,), -xs[i], 0, (i,), (i,)
-        if sign >= 0:
-            i = xs.index(max(xs))
-            yield (1,), xs[i], 0, (i,), (i,)
-        return
-    if len(pts[0]) == 2:
-        yield from _chain(pts, sign)
-        return
+    d = len(pts[0])
+    return _ends(pts, sign) if d == 1 else (
+        _chain(pts, sign) if d == 2 else _wrap(pts, sign))
+
+
+def _ends(pts, sign):
+    """``_facets`` at d = 1: the min and the max."""
+    xs = [x for x, in pts]
+    out = []
+    if sign <= 0:
+        i = xs.index(min(xs))
+        out.append(((-1,), -xs[i], 0, (i,), (i,)))
+    if sign >= 0:
+        i = xs.index(max(xs))
+        out.append(((1,), xs[i], 0, (i,), (i,)))
+    return out
+
+
+def _wrap(pts, sign):
+    """``_facets`` above d = 2: the gift-wrap itself."""
     normal, c, on, entry = _first(pts, sign)
     if not sign and len(on) == len(pts):
         yield from _flat_facets(pts)
@@ -710,7 +718,7 @@ def _first(pts, sign):
     is returned with ``ridge`` None: the points are flat.
     """
     if len(pts[0]) < 3:
-        normal, c, _, on, _ = next(_facets(pts, sign))
+        normal, c, _, on, _ = next(iter(_facets(pts, sign)))
         return normal, c, on, None
     rho, c, _, _ = _first(list(dict.fromkeys(p[:-1] for p in pts)),
                           sign and -1)
@@ -1100,22 +1108,24 @@ def _conjugate_wrap(n, den, rows, piv):
         facets.sort(key=lambda facet: facet[3] if len(facet[3]) == r + 1
                     else tuple(_independent(pts, facet[3], r)[0]))
     # N . (G, C) = c on a facet: q = <-N_G / N_C, y> + c / (N_C den)
-    scale = lcm(*[N[-1] for N, *_ in facets])
-    planes, on = [], set()
-    for N, c, _, _, verts in facets:
+    scale = lcm(*[facet[0][-1] for facet in facets])
+    planes = []
+    for N, c, _, _, _ in facets:
         s = scale // N[-1]
-        grad = [0] * n
-        for k, x in zip(piv, N):
-            grad[k] = -x * den * s
-        grad.append(c * s)
+        ds = -den * s
+        if r == n:
+            grad = [x * ds for x in N]
+        else:
+            grad = [0] * (n + 1)
+            for k, x in zip(piv, N):
+                grad[k] = x * ds
+        grad[-1] = c * s
         planes.append(tuple(grad))
-        on.update(verts)
-    cells = () if r < n else [
-        tuple([tuple([x * scale for x in rows[i][:-1]]) for i in verts])
-        for *_, verts in facets]
-    return ConcaveProfile(n, den * scale,
-                          [tuple([x * scale for x in rows[i]])
-                           for i in sorted(on)], cells, planes)
+    verts = {i: tuple([x * scale for x in rows[i]])
+             for i in sorted({i for facet in facets for i in facet[4]})}
+    cells = () if r < n else [tuple([verts[i][:-1] for i in facet[4]])
+                              for facet in facets]
+    return ConcaveProfile(n, den * scale, list(verts.values()), cells, planes)
 
 
 # ---------------------------------------------------------------------------
