@@ -230,9 +230,9 @@ def test_compare_p3_matches_lp_oracle(p, q) -> None:
     assert compare(f, g).relation == relation
     assert (f == g) == (relation == "eq")
     # pieces below the midpoints of f's lifted points change nothing
-    assert f == MaxAffine(3, p + [(tuple((x + y) / 2 for x, y in zip(a0, a1)),
-                                   F(c0 + c1, 2) - 1)
-                                  for (a0, c0), (a1, c1) in zip(p, p[1:])])
+    below = [(tuple(F(x + y) / 2 for x, y in zip(a0, a1)), F(c0 + c1, 2) - 1)
+             for (a0, c0), (a1, c1) in zip(p, p[1:])]
+    assert f == MaxAffine(3, p + below)
 
 
 @settings(max_examples=30)
