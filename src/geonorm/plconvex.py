@@ -602,10 +602,10 @@ def _facets(pts, sign=0):
     upper (lower) facets come, those whose normal has a positive
     (negative) last coordinate; the wrap crosses only into them.
 
-    Yields ``(N, c, e, on, verts)``: <N, p> <= c for every point, with
-    equality exactly at the indices ``on`` (increasing), and ``verts``
-    indexes the facet's vertices in the order its ridges list them (a
-    polygon counterclockwise from its smallest vertex).  For points
+    Gives an iterable of ``(N, c, e, on, verts)``: <N, p> <= c for every
+    point, with equality exactly at the indices ``on`` (increasing), and
+    ``verts`` indexes the facet's vertices in the order its ridges list
+    them (a polygon counterclockwise from its smallest vertex).  For points
     Y = D y the row stands for <N / D^e, y> <= c / D^(e + 1): above
     d = 2, N is primitive and e = 0; at d = 2, N is the edge turned
     clockwise and e = 1; at d = 1, N = +-1 and e = 0; ``_flat_facets``
