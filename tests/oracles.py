@@ -77,12 +77,13 @@ handed the public ``Fraction`` views of a library profile.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 
 from geonorm import linalg
-from geonorm.field import INF, TADIC
+from geonorm.field import INF, TADIC, RatFunc
 from geonorm.graded import GradedError, GradedNorm, _degree_one_table
 from geonorm.linprog import minimize_max_affine
 from geonorm.norms import DiagNorm, NormError, codiagonalize, sym_monomials
@@ -497,6 +498,87 @@ def codiagonalize_lattices_field(n0: DiagNorm, n1: DiagNorm):
     w0 = tuple(Fraction(0) for _ in range(d))
     w1 = tuple(Fraction(-e) for e in exponents)
     return basis, w0, w1
+
+
+def smith_eliminating(M0, M1, a, b):
+    """``(C, P, w0, w1)`` of the weighted-pivot Smith loop on X = M0^{-1} M1
+    for matrices M0, M1 of field elements (as rows) and rational offsets,
+    with X read from one fraction-free elimination of [M0 | M1] and C
+    returned as field vectors, as geonorm.linalg.smith ran it on the
+    library's ring records."""
+    d = len(M0)
+    ring = linalg._Z if linalg._is_rational(list(M0) + list(M1)) else linalg._ZT
+    if ring is linalg._Z:
+        def times(x, den):
+            return x.numerator * (den // x.denominator)
+    else:
+        def times(x, den):
+            return linalg._times(RatFunc.of(x), den)
+    order, zero, mul = ring.order, ring.zero, ring.mul
+    E, pivots, c = ring.eliminate([tuple(x) + tuple(y) for x, y in zip(M0, M1)])
+    if pivots != list(range(d)):
+        raise linalg.SingularMatrixError("matrix is singular")
+    # row i of X is E[i][d + j] c_i / (E[i][i] c_{d+j}); over the common
+    # multiple L of the c_{d+j} its denominator is E[i][i] L
+    L = functools.reduce(ring.lcm, c[d:])
+    shifts = [ring.exact_div(L, x) for x in c[d:]]
+    dens, R = [], []
+    for i, row in enumerate(E):
+        den, *polys = ring.primitive(
+            [mul(row[i], L)]
+            + [mul(mul(x, c[i]), s) for x, s in zip(row[d:], shifts)])
+        dens.append(den)
+        R.append(polys + [den if j == i else zero for j in range(d)])
+    cdens = list(c[:d])
+    cols = [[times(x, den) for x in col] for col, den in zip(zip(*M0), cdens)]
+    D = math.lcm(*(x.denominator for x in a), *(x.denominator for x in b))
+    A = [x.numerator * (D // x.denominator) for x in a]
+    B = [x.numerator * (D // x.denominator) for x in b]
+    w0, w1 = [], []
+    for k in range(d):
+        best = None
+        for i in range(k, d):
+            s, row = order(dens[i]) * D - A[i], R[i]
+            for j in range(k, d):
+                if row[j]:
+                    key = order(row[j]) * D - s - B[j]
+                    if best is None or key < best[0]:
+                        best = (key, i, j)
+        if best is None:
+            raise linalg.SingularMatrixError("matrix is singular")
+        key, pi, pj = best
+        for seq in (R, dens, A, cols, cdens):
+            seq[k], seq[pi] = seq[pi], seq[k]
+        if pj != k:
+            B[k], B[pj] = B[pj], B[k]
+            for row in R:
+                row[k], row[pj] = row[pj], row[k]
+        prow, pden, ck, cden = R[k], dens[k], cols[k], cdens[k]
+        for i in range(k + 1, d):
+            if R[i][k]:
+                p, q = ring.primitive([prow[k], R[i][k]])
+                # column k += mu column i, mu = q pden / (p dens[i])
+                f, g = mul(mul(p, dens[i]), cdens[i]), mul(mul(q, pden), cden)
+                cden, *ck = ring.primitive(
+                    [mul(cden, f)]
+                    + [ring.add(mul(x, f), mul(g, y))
+                       for x, y in zip(ck, cols[i])])
+                dens[i], R[i] = linalg._smith_row_op(ring, dens[i], R[i],
+                                                     prow, k, p, q)
+        cols[k], cdens[k] = ck, cden
+        prow[k + 1:d] = [zero] * (d - k - 1)
+        w0.append(Fraction(A[k], D))
+        w1.append(Fraction(A[k] - key, D))
+    C = tuple(tuple(ring.element(x, den) for x in col)
+              for col, den in zip(cols, cdens))
+    P = tuple((den, tuple(row[d:])) for den, row in zip(dens, R))
+    return C, P, tuple(w0), tuple(w1)
+
+
+def row_values(field, rows):
+    """The field entries of a matrix of ``(den, numerators)`` rows."""
+    make = RatFunc if field is TADIC else Fraction
+    return tuple(tuple(make(x, den) for x in nums) for den, nums in rows)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Exact linear algebra over the scalar backends."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from geonorm import linalg
@@ -253,6 +254,63 @@ def test_coordinate_orders_match_valuations(A, data) -> None:
         for v in vectors:
             assert (linalg.solve_rows(TADIC, rows, v)
                     == linalg.mat_vec(inv, v))
+
+
+# -- the Smith kernel against the loop that eliminated [M0 | M1] ---------------
+
+_SMITH_ENTRY = {
+    TRIVIAL: st.one_of(st.just(Fraction(0)), st.builds(
+        Fraction, st.integers(-9, 9), st.integers(1, 12))),
+    TADIC: _QT_ENTRY,
+}
+# rational offsets over both fields: over Q(t) the loop reads their
+# fractional parts, the values of columns shifted to the unit ball
+_OFFSET = st.builds(Fraction, st.integers(-7, 7), st.sampled_from((1, 2, 3, 4)))
+
+
+@st.composite
+def _smith_inputs(draw, field):
+    """Square M0 (invertible) and M1 (perhaps singular) over ``field``, of
+    dimension 1 to 4, and one rational offset per column of each."""
+    d = draw(st.integers(1, 4))
+    entry = _SMITH_ENTRY[field]
+    M0, M1 = ([tuple(draw(entry) for _ in range(d)) for _ in range(d)]
+              for _ in range(2))
+    assume(oracles.invert_field(M0) is not None)
+    a, b = (tuple(draw(_OFFSET) for _ in range(d)) for _ in range(2))
+    return M0, M1, a, b
+
+
+def _unit_offsets(field, offsets):
+    return tuple(x - math.floor(x) for x in offsets) if field is TADIC \
+        else offsets
+
+
+def _smith_values(field, M0, M1, a, b):
+    """``linalg.smith`` on the matrices and offsets: C as field vectors, P
+    as field rows, w0 and w1."""
+    C, P, w0, w1 = linalg.smith(M0, M1, _unit_offsets(field, a),
+                                _unit_offsets(field, b))
+    return C, oracles.row_values(field, P), w0, w1
+
+
+@pytest.mark.parametrize("field", [TRIVIAL, TADIC], ids=["Q", "Q(t)"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_smith_matches_eliminating_oracle(field, data) -> None:
+    # the common basis, P, and both weight lists, entry for entry; a
+    # singular M1 fails on both sides
+    M0, M1, a, b = data.draw(_smith_inputs(field))
+    try:
+        C, P, w0, w1 = oracles.smith_eliminating(
+            M0, M1, _unit_offsets(field, a), _unit_offsets(field, b))
+    except linalg.SingularMatrixError:
+        assert oracles.invert_field(M1) is None
+        with pytest.raises(linalg.SingularMatrixError):
+            _smith_values(field, M0, M1, a, b)
+        return
+    assert _smith_values(field, M0, M1, a, b) == (
+        C, oracles.row_values(field, P), w0, w1)
 
 
 # -- no elimination runs in the field ------------------------------------------
