@@ -5,30 +5,31 @@ Vectors are tuples of field elements, matrices are tuples of row tuples.
 No elimination runs in the field.  Each column of the matrix is scaled to
 integers over the lcm of its denominators (Q, ``Fraction`` entries) or to
 integer polynomials in t over a common multiple of its denominators (Q(t),
-``RatFunc`` entries, Z[t]), and ``rref``, ``inverse_rows`` and the front
-elimination of ``smith`` run one fraction-free Gauss-Jordan loop,
-``_gauss_jordan``, over Z or Z[t].  Determinants run one triangular
-Bareiss loop, over Z or Z[t], on the row-scaled matrix.  ``rref`` builds
-its field elements once, at the end: one ``Fraction`` or one reduced
-``RatFunc`` per entry.
+``RatFunc`` entries, Z[t]), and ``rref`` and ``inverse_rows`` run one
+fraction-free Gauss-Jordan loop, ``_gauss_jordan``, over Z or Z[t].
+Determinants run one triangular Bareiss loop, over Z or Z[t], on the
+row-scaled matrix.  ``rref`` builds its field elements once, at the end:
+one ``Fraction`` or one reduced ``RatFunc`` per entry.
 
 An inverse is kept in row form: one ``(den, numerators)`` pair per row,
 over Z for Q and over Z[t] for Q(t), read straight off the elimination by
-``inverse_rows``; ``invert`` returns its field values (``row_values``).
-Inverses in row form compose without field elements: ``mul_rows``,
-``kron_rows`` and ``shift_rows`` (times powers of t).  The norms read
-coordinates only through row form: ``solve_rows`` builds the coordinates
-of a vector as field elements, and
-``coordinate_orders`` reads their t-adic valuations from Z[t] dot products
-without forming a ``RatFunc``.
+``inverse_rows``, and ``row_values`` gives its field entries.  Inverses in
+row form compose without field elements: ``mul_rows``, ``kron_rows`` and
+``shift_rows`` (times powers of t).  The norms read coordinates only
+through row form: ``solve_rows`` builds the coordinates of a vector as
+field elements, and ``coordinate_orders`` reads their t-adic valuations
+from Z[t] dot products with cleared vectors, without forming a
+``RatFunc``.
 
 ``smith`` is the one codiagonalization kernel: a Smith loop on
 X = M0^{-1} M1 whose pivot minimizes ord(X_ij) + a_i - b_j for row offsets
 a and column offsets b, run over Z for Q (ord is a zero test) and over
-Z[t] for Q(t) (ord is ord_t), on rows with one denominator each.  It
-returns the common basis C = M0 P^{-1}, built by applying the inverse of
-each row operation to the columns of M0, and its transformation P in row
-form, so that C^{-1} = P M0^{-1} is a ring product.
+Z[t] for Q(t) (ord is ord_t), on rows with one denominator each.  X is the
+ring product of the cached inverse rows of M0 with the columns of M1, and
+nothing is eliminated.  It returns the common basis C = M0 P^{-1} in row
+form, built by applying the inverse of each row operation to the columns
+of M0, and its transformation P, so that C^{-1} = P M0^{-1} is a ring
+product.
 """
 from __future__ import annotations
 
@@ -199,8 +200,8 @@ def _eliminate_poly(rows):
     its pivot, for the column scalings C = diag(c) that clear A to Z[t].
 
     The Q(t) matrices eliminated here mostly hold basis vectors as columns
-    (``[A | I]`` in ``invert``, ``[M0 | M1]`` in ``smith``), and a basis
-    vector shares one denominator.
+    (``[A | I]`` in ``inverse_rows``), and a basis vector shares one
+    denominator.
     """
     rows = [[x if type(x) is RatFunc else RatFunc.of(x) for x in row]
             for row in rows]
@@ -255,11 +256,6 @@ def inverse_rows(field, A):
         raise SingularMatrixError("matrix is singular")
     return tuple((row[i], tuple(r.mul(x, c[i]) for x in row[d:]))
                  for i, row in enumerate(R))
-
-
-def invert(field, A):
-    """Inverse of a square matrix; raises SingularMatrixError if singular."""
-    return row_values(field, inverse_rows(field, A))
 
 
 def row_values(field, rows):
@@ -324,67 +320,56 @@ def _bareiss(M, sub_mul, exact_div, negate):
     return negate(det) if odd else det
 
 
-def smith(M0, M1, a=None, b=None):
+def smith(field, inv0, cols0, cols1, a, b):
     """Weighted-pivot Smith form of X = M0^{-1} M1: the codiagonalization
     kernel, over Q or Q(t).
 
-    The columns of the invertible matrices M0 and M1 (given as rows) are
-    orthogonal bases of two norms, on the -log scale: column i of M0 has
-    value a[i] in the first, column j of M1 value b[j] in the second
-    (rationals, zero when omitted).  ord is ord_t on Q(t) and 0 off zero on
-    the trivially valued Q.  Step k takes the entry X_ij of the trailing
-    submatrix that minimizes ord(X_ij) + a_i - b_j, the first in row-major
-    order on ties, swaps it to (k, k) and clears column k below it by row
-    operations, which P records: valid changes of the first basis, as the
-    pivot is least in its column.  Least in its row, it also makes the
-    column operations that would clear row k valid changes of the second
-    basis, so row k is just zeroed right of the pivot.
+    The columns of the invertible matrices M0 and M1 are orthogonal bases
+    of two norms, on the -log scale: column i of M0 has value a[i] in the
+    first, column j of M1 value b[j] in the second (rationals; Q(t) has
+    value group Z, its columns come shifted into the unit balls, as
+    t^(-floor(w)) s for a vector s of weight w, and a, b are read mod 1).
+    ord is ord_t on Q(t) and 0 off zero on the trivially valued Q.  Step k
+    takes the entry X_ij of the trailing submatrix that minimizes ord(X_ij)
+    + a_i - b_j, the first in row-major order on ties, swaps it to (k, k)
+    and clears column k below it by row operations, which P records: valid
+    changes of the first basis, as the pivot is least in its column.
+    Least in its row, it also makes the column operations that would clear
+    row k valid changes of the second basis, so row k is just zeroed right
+    of the pivot.
 
-    Returns ``(C, P, w0, w1)``.  C lists the columns of M0 P^{-1}, each
-    orthogonal for both norms, of value w0[k] (its row's offset) in the
-    first and w1[k] (its column's offset minus the pivot's ord) in the
-    second.  P is given as ``(den, numerators)`` rows over Z or Z[t], as
-    ``inverse_rows`` gives an inverse, so C^{-1} = P M0^{-1} is a ring
-    product.  Without offsets this is the Smith form over the valuation
-    ring, and -w1 lists the ords of the invariant factors.
+    M0^{-1} comes as ``(den, numerators)`` rows over Z or Z[t], as
+    ``inverse_rows`` gives it, and the columns of M0 and M1 as ``(den,
+    numerators)`` pairs, so X is a ring product and nothing is eliminated.
+    Returns ``(C, P, w0, w1)``.  C lists the columns of M0 P^{-1} in the
+    same form, each orthogonal for both norms, of value w0[k] (its row's
+    offset) in the first and w1[k] (its column's offset minus the pivot's
+    ord) in the second; P is given as rows, so C^{-1} = P M0^{-1} is a
+    ring product.  With zero offsets this is the Smith form over the
+    valuation ring, and -w1 lists the ords of the invariant factors.
 
     The loop runs on the ring ``_Z`` (Q) or ``_ZT`` (Q(t)), the offsets on
-    integers over their common denominator.  X is read from the rows of one
-    fraction-free elimination of [M0 | M1] (``_eliminate_int`` or
-    ``_eliminate_poly``), and the rows of [X | I] run as numerators over one
-    denominator each.  Subtracting mu = (c / p)(pden / den) times the pivot
-    row, for the numerators c and p in the pivot column and the two rows'
-    denominators den and pden, gives (p * row - c * pivot row) over
-    (p * den), with the common factors of c and p divided out first, and
-    then those of the new row and its denominator.  C starts as the columns of M0, cleared
-    over one denominator each, and takes the inverse of each row operation
-    on P: a row swap swaps two columns, and row_i -= mu row_k adds mu
-    times column i to column k.
+    integers over their common denominator, and the rows of [X | I] as
+    numerators over one denominator each.  Subtracting mu = (c / p)(pden /
+    den) times the pivot row, for the numerators c and p in the pivot
+    column and the rows' denominators den and pden, gives (p * row - c *
+    pivot row) over (p * den), common factors divided out.  C starts as the
+    columns of M0 and takes the inverse of each row operation on P: a row
+    swap swaps two columns, and row_i -= mu row_k adds mu times column i to
+    column k.
     """
-    d = len(M0)
-    ring = _Z if _is_rational(M0) and _is_rational(M1) else _ZT
-    order, zero, mul = ring.order, ring.zero, ring.mul
-    E, pivots, c = ring.eliminate([tuple(x) + tuple(y) for x, y in zip(M0, M1)])
-    if pivots != list(range(d)):
-        raise SingularMatrixError("matrix is singular")
-    # row i of X is E[i][d + j] c_i / (E[i][i] c_{d+j}); over the common
-    # multiple L of the c_{d+j} its denominator is E[i][i] L
-    L = reduce(ring.lcm, c[d:])
-    shifts = [ring.exact_div(L, x) for x in c[d:]]
+    d, r = len(inv0), ring(field)
+    order, zero, mul = r.order, r.zero, r.mul
     dens, R = [], []
-    for i, row in enumerate(E):
-        den, *polys = ring.primitive(
-            [mul(row[i], L)]
-            + [mul(mul(x, c[i]), s) for x, s in zip(row[d:], shifts)])
+    for i, (den, row) in enumerate(_products(r, inv0, *_common_den(r, cols1))):
         dens.append(den)
-        R.append(polys + [den if j == i else zero for j in range(d)])
-    cdens = list(c[:d])
-    cols = [[ring.times(x, den) for x in col]
-            for col, den in zip(zip(*M0), cdens)]
-    a, b = a or (0,) * d, b or (0,) * d
+        R.append(list(row) + [den if j == i else zero for j in range(d)])
+    cdens, cols = map(list, zip(*cols0))
     D = math.lcm(*(x.denominator for x in a), *(x.denominator for x in b))
     A = [x.numerator * (D // x.denominator) for x in a]
     B = [x.numerator * (D // x.denominator) for x in b]
+    if r is _ZT:
+        A, B = [x % D for x in A], [x % D for x in B]
     w0, w1 = [], []
     for k in range(d):
         best = None
@@ -407,20 +392,19 @@ def smith(M0, M1, a=None, b=None):
         prow, pden, ck, cden = R[k], dens[k], cols[k], cdens[k]
         for i in range(k + 1, d):
             if R[i][k]:
-                p, q = ring.primitive([prow[k], R[i][k]])
+                p, q = r.primitive([prow[k], R[i][k]])
                 # column k += mu column i, mu = q pden / (p dens[i])
                 f, g = mul(mul(p, dens[i]), cdens[i]), mul(mul(q, pden), cden)
-                cden, *ck = ring.primitive(
+                cden, *ck = r.primitive(
                     [mul(cden, f)]
-                    + [ring.add(mul(x, f), mul(g, y))
+                    + [r.add(mul(x, f), mul(g, y))
                        for x, y in zip(ck, cols[i])])
-                dens[i], R[i] = _smith_row_op(ring, dens[i], R[i], prow, k, p, q)
+                dens[i], R[i] = _smith_row_op(r, dens[i], R[i], prow, k, p, q)
         cols[k], cdens[k] = ck, cden
         prow[k + 1:d] = [zero] * (d - k - 1)
         w0.append(Fraction(A[k], D))
         w1.append(Fraction(A[k] - key, D))
-    C = tuple(tuple(ring.element(x, den) for x in col)
-              for col, den in zip(cols, cdens))
+    C = tuple((den, tuple(col)) for col, den in zip(cols, cdens))
     P = tuple((den, tuple(row[d:])) for den, row in zip(dens, R))
     return C, P, tuple(w0), tuple(w1)
 
@@ -437,20 +421,16 @@ def _smith_row_op(ring, den, row, prow, k, p, a):
 
 # The ring operations of ``smith`` and of matrices kept as ``(den,
 # numerators)`` rows: Z for Q, where ord is 0 off zero, and Z[t] for Q(t).
-# ``times(x, den)`` is den * x for a multiple den of x's denominator,
-# ``clear(v)`` a vector as ``(den, numerators)``, and ``element(x, den)``
+# ``clear(v)`` is a vector as ``(den, numerators)``, and ``element(x, den)``
 # the field element x / den.
 _Ring = namedtuple("_Ring", "eliminate lcm mul add dot exact_div order sub_mul "
-                            "primitive times clear element one zero")
+                            "primitive clear element one zero")
 _Z = _Ring(_eliminate_int, math.lcm, mul, add,
            lambda u, v: sum(map(mul, u, v)), floordiv, lambda x: 0,
-           _int_sub_mul, _primitive,
-           lambda x, den: x.numerator * (den // x.denominator), _cleared,
+           _int_sub_mul, _primitive, _cleared,
            lambda x, den: Fraction(x, den) if x else _ZERO, 1, 0)
 _ZT = _Ring(_eliminate_poly, _poly_lcm, _poly_mul, _poly_add, _poly_dot,
             _poly_exact_div, _poly_ord, _poly_sub_mul, _poly_primitive_row,
-            lambda x, den: _times(x if type(x) is RatFunc else RatFunc.of(x),
-                                  den),
             _poly_cleared,
             lambda x, den: RatFunc(x, den) if x else TADIC.zero, _P1, ())
 
@@ -480,15 +460,14 @@ def coordinate_orders(rows, vectors):
 
     The coordinates are ``solve_rows`` of the inverse ``rows``, given as
     ``(den, numerators)`` rows over Z[t]; rows None stands for the
-    identity.  One tuple per vector, ``INF`` for a zero coordinate.  v is
-    scaled to Z[t] by e, so each valuation is ord(nums_j . v) - ord(den_j)
-    - ord(e), with ord the order of a polynomial at t = 0.
+    identity.  A vector comes as ``(e, u)``, as ``ring(TADIC).clear`` gives
+    it.  One tuple per vector, ``INF`` for a zero coordinate: each valuation
+    is ord(nums_j . u) - ord(den_j) - ord(e), ord the order at t = 0.
     """
     if rows is not None:
         shifts = [_poly_ord(den) for den, _ in rows]
     out = []
-    for v in vectors:
-        e, u = _poly_cleared(v)
+    for e, u in vectors:
         k = _poly_ord(e)
         if rows is None:
             orders = (_poly_ord(c) - k if c else INF for c in u)
@@ -507,10 +486,22 @@ def mul_rows(field, A, B):
     A_i . (E / e_j) B_j over den_i E, with common factors divided out.
     """
     r = ring(field)
-    E = reduce(r.lcm, (den for den, _ in B))
-    cols = list(zip(*(
-        nums if den == E else tuple(r.mul(x, r.exact_div(E, den)) for x in nums)
-        for den, nums in B)))
+    E, B = _common_den(r, B)
+    return _products(r, A, E, list(zip(*B)))
+
+
+def _common_den(r, rows):
+    """A common multiple E of the denominators of ``(den, numerators)``
+    rows over the ring r, and each row's numerators over E."""
+    E = reduce(r.lcm, (den for den, _ in rows))
+    return E, [nums if den == E else tuple(r.mul(x, r.exact_div(E, den))
+                                           for x in nums)
+               for den, nums in rows]
+
+
+def _products(r, A, E, cols):
+    """The ``(den, numerators)`` rows of A times columns of numerators over
+    E: row i is A_i . cols over den_i E, common factors divided out."""
     out = []
     for den, nums in A:
         den, *row = r.primitive([r.mul(den, E)] + [r.dot(nums, col) for col in cols])

@@ -12,13 +12,16 @@ norms over the same field admit a common diagonalizing basis
 weighted-pivot kernel ``linalg.smith`` on the change of basis between the
 two norms' bases, with the weights as pivot offsets (over Q(t) their
 fractional parts, after shifting each basis vector by t^(-floor(w)), so
-any rational weights work).  The relative spectrum, the d_p distances and
-the relative volume read only the multiset of weight pairs, which is the
-same for every common basis, so they take the kernel's basis and weights
-as they are, verified.  A basis that leaves the library (``codiagonalize``,
-``join``, the geodesics) is, over Q, put in the canonical form of the
-filtration split first, on integer rows (``_filtration_form``); over Q(t)
-it is the kernel's basis.
+any rational weights work).  The kernel multiplies n0's cached inverse
+with n1's basis instead of eliminating, and its basis stays integer (Q)
+or Z[t] (Q(t)) columns over one denominator each.  The relative spectrum,
+the d_p distances and the relative volume read only the multiset of
+weight pairs, which is the same for every common basis, so they take the
+kernel's basis and weights as they are, verified.  A basis that leaves the
+library (``codiagonalize``, ``join``, the geodesics), and only such a
+basis, becomes field vectors: over Q in the canonical form of the
+filtration split, found on integer rows (``_filtration_form``), over Q(t)
+as the kernel's basis.
 
 A norm caches the inverse of its basis matrix in the row form of
 ``linalg.inverse_rows``: one ``(den, numerators)`` pair per row, over Z for
@@ -28,24 +31,23 @@ over Q(t) from the kernel's row operations and n0's inverse, ``join`` on a
 shared basis from n0, ``sym_power_norm`` as Sym^m of the input's inverse
 and ``tensor_norm`` as the Kronecker product of the two.  Only a basis the
 user gives is inverted, and over Q the filtration-split common basis, on
-first use.  ``quotient_norm`` inverts nothing: its exchange argument is a
-forward elimination on coordinates read through the cached inverse.
-Norms diagonal in the standard basis share one identity basis per field
-and dimension and one identity inverse, so ``DiagNorm.standard`` costs
-O(d).
+first use (the one elimination of a spectrum against such a norm).
+``quotient_norm`` inverts nothing: its exchange argument is a forward
+elimination on coordinates read through the cached inverse.  Norms
+diagonal in the standard basis share one identity basis per field and
+dimension and one identity inverse, so ``DiagNorm.standard`` costs O(d).
 
-Every norm value is read by one batched path, ``_values``: ``evaluate``
-runs it on one vector, it verifies every common basis (of
-``codiagonalize`` and of ``spectrum``), and it decides ``==`` on batches of
-basis vectors.  The
-coordinates of a vector are dot products of the rows of the cached inverse
-with it (for a standard basis, the vector itself).  Over Q the valuation is
-0 off zero, so only the zero pattern of the coordinates matters; it is read
-from integer dot products of the integer numerator rows with the
-integer-scaled vectors (scalings keep the pattern).  Over Q(t)
-``linalg.coordinate_orders`` scales the vectors to Z[t] and reads each
-valuation as the order at t = 0 of a polynomial dot product minus the
-orders of the two denominators.
+Every norm value is read by one batched path, ``_values``, on vectors in
+the same row form: ``evaluate`` runs it on one vector, it verifies every
+common basis (of ``codiagonalize`` and of ``spectrum``) on its columns,
+and it decides ``==`` on batches of basis vectors.  The coordinates of a
+vector are dot products of the rows of the cached inverse with it (for a
+standard basis, the vector itself).  Over Q the valuation is 0 off zero,
+so only the zero pattern of the coordinates matters; it is read from
+integer dot products of the integer rows with the vectors' numerators.
+Over Q(t) ``linalg.coordinate_orders`` reads each valuation as the order
+at t = 0 of a polynomial dot product minus the orders of the two
+denominators.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ from itertools import combinations_with_replacement
 from operator import floordiv, mul
 
 from . import linalg
-from .linalg import _ONE, _ZERO
 from .field import (
     INF,
     FieldError,
@@ -190,7 +191,8 @@ class DiagNorm:
             >>> n.evaluate((Fraction(0), Fraction(0)))
             INF
         """
-        return _values(self, (self._vector(v),))[0]
+        clear = linalg.ring(self.field).clear
+        return _values(self, (clear(self._vector(v)),))[0]
 
     # -- equality: two diagonal norms agree iff they agree on both bases ------
 
@@ -199,7 +201,7 @@ class DiagNorm:
             return NotImplemented
         if self.field is not other.field or self.dim != other.dim:
             return False
-        vecs = self.basis + other.basis
+        vecs = _basis_rows(self) + _basis_rows(other)
         return _values(self, vecs) == _values(other, vecs)
 
     __hash__ = None
@@ -254,16 +256,25 @@ def _identity_rows(field, d):
     return _inverse_identities[key]
 
 
+def _basis_rows(n: DiagNorm):
+    """The basis vectors as ``(den, numerators)`` pairs over Z or Z[t]; for
+    a standard basis the shared identity rows."""
+    if n._has_identity_inverse():
+        return n._inverse()
+    return tuple(map(linalg.ring(n.field).clear, n.basis))
+
+
 def _values(norm: DiagNorm, vectors):
-    """The -log norms of a batch of vectors of field elements, each an
-    exact rational or INF: every norm value goes through here.
+    """The -log norms of a batch of ``(den, numerators)`` vectors (see
+    ``linalg.ring``), each an exact rational or INF: every norm value goes
+    through here.
 
     n(v) is the least w_j + v(c_j) over the nonzero coordinates c_j of v,
     or INF; coordinate j is the dot product of row j of the cached inverse
     with v, a numerator row over one denominator, and for a standard basis
     v itself.  Over Q the valuation is 0 off zero, so only the zero pattern
     of the coordinates matters: it is read from integer dot products of
-    the integer rows of the inverse with the integer-scaled v, trying the
+    the integer rows of the inverse with the numerators of v, trying the
     weights in increasing order.  Over Q(t) the valuations v(c_j) come from
     ``linalg.coordinate_orders``, which reads them from Z[t] dot products.
     """
@@ -276,14 +287,11 @@ def _values(norm: DiagNorm, vectors):
                          default=INF) for ords in orders)
     order = sorted(range(norm.dim), key=w.__getitem__)
     if standard:
-        return tuple(next((w[j] for j in order if v[j]), INF) for v in vectors)
+        return tuple(next((w[j] for j in order if u[j]), INF)
+                     for _, u in vectors)
     rows = [nums for _, nums in norm._inverse()]
-    out = []
-    for v in vectors:
-        ints = linalg._cleared(v)[1]
-        out.append(next((w[j] for j in order if sum(map(mul, rows[j], ints))),
-                        INF))
-    return tuple(out)
+    return tuple(next((w[j] for j in order if sum(map(mul, rows[j], u))), INF)
+                 for _, u in vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -304,27 +312,30 @@ def codiagonalize(n0: DiagNorm, n1: DiagNorm, *, inverse=False):
 
     Norms that share their basis are returned as they are, with n0's
     inverse.  Otherwise the weighted-pivot kernel ``linalg.smith`` runs on
-    the two bases as columns, with the weights as offsets.  Over Q(t) each
-    column s_i is shifted to t^(-floor(w_i)) s_i, a basis of the unit ball,
-    and its offset is the fractional part of w_i, so any rational weights
-    work; the kernel's basis C = M0 P^{-1} is the result, and its inverse
-    is the Z[t] product P diag(t^floor(w_i)) B0^{-1} of the kernel's P and
-    n0's cached inverse.  Over Q the kernel's basis c_i, with weights
-    (a_i, b_i), is put in the canonical form of the filtration split
-    (``_filtration_form``), and that form is the basis returned and
-    verified: for each pair (s, t) that occurs, in decreasing order, the
-    RREF rows of F0^s n F1^t = span{c_i : a_i >= s, b_i >= t} that are
-    independent of the rows kept before them.  An RREF is unique, so the
-    result does not depend on the kernel's choices.
+    the two bases as columns, with the weights as offsets, through n0's
+    cached inverse.  Over Q(t) each column s_i is
+    shifted to t^(-floor(w_i)) s_i, a basis of the unit ball, of value the
+    fractional part of w_i, so any rational weights work; the kernel's
+    basis C = M0 P^{-1} is the result, and its inverse is the Z[t] product
+    P diag(t^floor(w_i)) B0^{-1} of the kernel's P and n0's cached inverse.
+    Over Q the kernel's basis c_i, with weights (a_i, b_i), is put in the
+    canonical form of the filtration split (``_filtration_form``), and that
+    form is the basis returned and verified: for each pair (s, t) that
+    occurs, in decreasing order, the RREF rows of F0^s n F1^t = span{c_i :
+    a_i >= s, b_i >= t} that are independent of the rows kept before them.
+    An RREF is unique, so the result does not depend on the kernel's
+    choices.
     """
-    result = _verified(n0, n1, _codiagonalize_pivots, inverse)
-    return result if inverse else result[:3]
+    rows, w0, w1, inv = _verified(n0, n1, _codiagonalize_pivots, inverse)
+    basis = (n0.basis if n0.basis == n1.basis
+             else linalg.row_values(n0.field, rows))
+    return (basis, w0, w1, inv) if inverse else (basis, w0, w1)
 
 
 def _verified(n0: DiagNorm, n1: DiagNorm, split, inverse=False):
     """``split(n0, n1, inverse)``, or the shared basis when the norms have
-    one, after checking the inputs and verifying the returned basis
-    against both norms."""
+    one, after checking the inputs and verifying the returned ``(den,
+    numerators)`` columns against both norms."""
     if n0.field is not n1.field:
         raise NormError("cannot codiagonalize norms over different fields")
     if n0.dim != n1.dim:
@@ -332,27 +343,30 @@ def _verified(n0: DiagNorm, n1: DiagNorm, split, inverse=False):
     if n0.basis == n1.basis:
         split = _codiagonalize_same_basis
     result = split(n0, n1, inverse)
-    basis, w0, w1, _ = result
-    if _values(n0, basis) != tuple(w0) or _values(n1, basis) != tuple(w1):
+    rows, w0, w1, _ = result
+    if _values(n0, rows) != tuple(w0) or _values(n1, rows) != tuple(w1):
         raise NormError("internal error: common basis failed verification")
     return result
 
 
 def _codiagonalize_same_basis(n0: DiagNorm, n1: DiagNorm, inverse=False):
-    return n0.basis, n0.weights, n1.weights, n0._inverse()
+    return _basis_rows(n0), n0.weights, n1.weights, n0._inverse()
 
 
 def _kernel_basis(n0: DiagNorm, n1: DiagNorm, inverse=False):
-    """``(C, w0, w1, inv)``: the kernel's common basis and its weights;
-    inv is None over Q or unless asked for."""
-    (cols0, a), (cols1, b) = _kernel_columns(n0), _kernel_columns(n1)
-    basis, P, w0, w1 = linalg.smith(list(zip(*cols0)), list(zip(*cols1)), a, b)
+    """``(C, w0, w1, inv)``: the kernel's common basis as ``(den,
+    numerators)`` columns, its weights, and C^{-1} = P M0^{-1} over Q(t) if
+    asked for, else None.  M0^{-1} is n0's cached inverse, over Q(t) times
+    diag(t^floor(w)), since M0 = B0 diag(t^(-floor(w)))."""
+    inv0 = n0._inverse()
+    if n0.field is TADIC:
+        inv0 = linalg.shift_rows(inv0, [math.floor(w) for w in n0.weights])
+    basis, P, w0, w1 = linalg.smith(n0.field, inv0, _kernel_columns(n0),
+                                    _kernel_columns(n1), n0.weights,
+                                    n1.weights)
     if n0.field is not TADIC or not inverse:
         return basis, w0, w1, None
-    # C^{-1} = P M0^{-1}, and M0 = B0 diag(t^(-floor(w)))
-    floors = [math.floor(w) for w in n0.weights]
-    M0_inv = linalg.shift_rows(n0._inverse(), floors)
-    return basis, w0, w1, linalg.mul_rows(TADIC, P, M0_inv)
+    return basis, w0, w1, linalg.mul_rows(TADIC, P, inv0)
 
 
 def _codiagonalize_pivots(n0: DiagNorm, n1: DiagNorm, inverse=False):
@@ -366,8 +380,8 @@ def _codiagonalize_pivots(n0: DiagNorm, n1: DiagNorm, inverse=False):
 
 def _filtration_form(basis, w0, w1):
     """``(basis, w0, w1)``: a common basis over Q in the form the
-    filtration split gives it, from the kernel's basis c_i with weights
-    (a_i, b_i).
+    filtration split gives it, from the kernel's basis c_i, ``(den,
+    numerators)`` columns over Z, with weights (a_i, b_i).
 
     For each pair (s, t) that occurs, in decreasing order, the meet F0^s n
     F1^t is spanned by the integer numerators of the c_i with a_i >= s and
@@ -375,21 +389,18 @@ def _filtration_form(basis, w0, w1):
     its RREF: row i of the elimination over its pivot.  A row is kept,
     with weights (s, t), iff it does not reduce to zero by an integer
     echelon of the rows kept so far, the choice the pivot columns of one
-    RREF of all the meets' rows, stacked, would make.  One ``Fraction`` is
-    built per entry of the kept rows.
+    RREF of all the meets' rows, stacked, would make.  The kept rows are
+    returned as ``(pivot, row)`` pairs, the RREF rows in row form.
     """
-    cols = [linalg._cleared(vec)[1] for vec in basis]
     kept, echelon = [], []
     for s, t in sorted(set(zip(w0, w1)), reverse=True):
-        meet = [list(col) for col, x, y in zip(cols, w0, w1)
+        meet = [list(nums) for (_, nums), x, y in zip(basis, w0, w1)
                 if x >= s and y >= t]
         pivots = linalg._gauss_jordan(meet, linalg._int_sub_mul, floordiv, 1)
         for row, c in zip(meet, pivots):
             if _extends_echelon(echelon, row):
                 kept.append((row, c, s, t))
-    return (tuple(tuple(_ZERO if not x else _ONE if j == c
-                        else Fraction(x, row[c]) for j, x in enumerate(row))
-                  for row, c, _, _ in kept),
+    return (tuple((row[c], tuple(row)) for row, c, _, _ in kept),
             tuple(s for _, _, s, _ in kept), tuple(t for _, _, _, t in kept))
 
 
@@ -409,15 +420,13 @@ def _extends_echelon(echelon, row):
 
 
 def _kernel_columns(n: DiagNorm):
-    """The columns and offsets ``linalg.smith`` starts from: over Q the
-    basis and weights, over Q(t) the columns t^(-floor(w_i)) s_i and the
-    fractional parts of the w_i."""
+    """The columns ``linalg.smith`` starts from, as ``(den, numerators)``
+    pairs: the basis, over Q(t) shifted to t^(-floor(w_i)) s_i (a basis of
+    the unit ball) on the numerators."""
+    cols = _basis_rows(n)
     if n.field is not TADIC:
-        return n.basis, n.weights
-    floors = [math.floor(w) for w in n.weights]
-    return ([tuple(x.shifted(-f) for x in vec) if f else vec
-             for vec, f in zip(n.basis, floors)],
-            [w - f for w, f in zip(n.weights, floors)])
+        return cols
+    return linalg.shift_rows(cols, [-math.floor(w) for w in n.weights])
 
 
 # ---------------------------------------------------------------------------
@@ -565,11 +574,9 @@ def sym_power_norm(n: DiagNorm, m: int) -> DiagNorm:
     cleared = [ring.clear(vec) for vec in n.basis]
     products = _form_products([nums for _, nums in cleared], combos, index,
                               ring)
-    basis = tuple(
-        tuple(ring.element(x, den) for x in col)
-        for col, den in zip(products, (
-            reduce(ring.mul, (cleared[i][0] for i in combo))
-            for combo in combos)))
+    basis = linalg.row_values(field, [
+        (reduce(ring.mul, (cleared[i][0] for i in combo)), col)
+        for combo, col in zip(combos, products)])
     weights = tuple(sum((n.weights[i] for i in combo), Fraction(0))
                     for combo in combos)
     inv = n._inverse()

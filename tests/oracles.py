@@ -46,6 +46,13 @@ at t = 0 (over Q(t)) from integer and integer-polynomial dot products.
 Smith loop in ``RatFunc`` arithmetic, for integer weights only, where
 geonorm.linalg.smith runs it on Z[t] rows with one denominator per row and
 takes the fractional parts of rational weights as pivot offsets.
+``smith_eliminating`` is that kernel as it read X = M0^{-1} M1 from one
+fraction-free elimination of [M0 | M1] and returned its common basis as
+field vectors, run on the library's ring records, where
+geonorm.linalg.smith multiplies the inverse rows of M0 that a norm caches
+with the columns of M1 and keeps the basis as ``(den, numerators)``
+columns; ``row_values`` reads such rows or columns as ``Fraction``s or
+``RatFunc``s.
 ``join_inverting``, ``geodesic_base_inverting``,
 ``sym_power_norm_inverting`` and ``tensor_norm_inverting`` build their
 norms with the public ``DiagNorm`` constructor, which inverts the basis,
@@ -424,7 +431,8 @@ def verifies_in_field(n0, n1, result):
 
 # ---------------------------------------------------------------------------
 # Smith normal form in the field: the lattice branch of codiagonalize as it
-# ran before geonorm.linalg.smith moved its row operations to Z[t] rows.
+# ran before geonorm.linalg.smith moved its row operations to Z[t] rows; and
+# that kernel as it ran before it read X through a cached inverse.
 # ---------------------------------------------------------------------------
 
 

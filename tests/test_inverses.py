@@ -2,7 +2,8 @@
 
 ``join``, the geodesic slices, ``sym_power_norm`` and ``tensor_norm`` give
 their results an inverse derived from data the inputs hold; each must
-equal ``linalg.invert`` of the result's basis entry for entry, and each
+equal the oracle's field inverse of the result's basis entry for entry
+(``oracles.invert_field``), and each
 result must equal, basis, weights and JSON, the norm the inverting path
 builds.
 """
@@ -65,16 +66,16 @@ def _pairs(draw, field, dims=(2, 4)):
 
 
 def _assert_hands_its_inverse(n: DiagNorm, inverted=None) -> None:
-    """n's inverse equals ``linalg.invert`` of its basis.  ``inverted`` is
-    a norm that ``DiagNorm`` built on the same basis: its cached inverse
-    rows are the ones ``linalg.invert`` reads its entries from, so the
-    elimination runs once."""
+    """n's inverse equals the field inverse of its basis.  ``inverted`` is
+    a norm that ``DiagNorm`` built on the same basis, which stands in for
+    that inverse: its cached inverse rows come from an elimination of the
+    basis."""
     if inverted is None:
-        want = linalg.invert(n.field, tuple(zip(*n.basis)))
+        want = oracles.invert_field(tuple(zip(*n.basis)))
     else:
         assert inverted.basis == n.basis
-        want = linalg.row_values(n.field, inverted._inverse())
-    assert linalg.row_values(n.field, n._inverse()) == want
+        want = oracles.row_values(n.field, inverted._inverse())
+    assert oracles.row_values(n.field, n._inverse()) == want
 
 
 def _assert_same_norm(got: DiagNorm, want: DiagNorm) -> None:
@@ -164,12 +165,12 @@ def test_kernel_basis_matches_closing_rref(field, data) -> None:
     # linalg.smith builds C = M0 P^{-1} from the inverse row operations;
     # the closing RREF of [P^T | M0^T] solves for it
     n0, n1 = data.draw(_pairs(field))
-    (cols0, a), (cols1, b) = (norms._kernel_columns(n0),
-                              norms._kernel_columns(n1))
-    M0, M1 = list(zip(*cols0)), list(zip(*cols1))
-    C, P, _, _ = linalg.smith(M0, M1, a, b)
-    assert C == oracles.kernel_basis_closing_rref(
-        M0, linalg.row_values(field, P))
+    cols0, cols1 = norms._kernel_columns(n0), norms._kernel_columns(n1)
+    M0 = list(zip(*oracles.row_values(field, cols0)))
+    C, P, _, _ = linalg.smith(field, linalg.inverse_rows(field, M0), cols0,
+                              cols1, n0.weights, n1.weights)
+    assert oracles.row_values(field, C) == oracles.kernel_basis_closing_rref(
+        M0, oracles.row_values(field, P))
 
 
 # -- the paths that derive an inverse run no elimination -----------------------
@@ -187,7 +188,7 @@ def test_qt_join_slices_and_sym_power_invert_nothing(monkeypatch) -> None:
     n0, n1 = _qt_pair()
     std = DiagNorm.standard(TADIC, (F(1), F(-1, 3)))
     calls = []
-    for name in ("invert", "inverse_rows", "rref"):
+    for name in ("inverse_rows", "rref"):
         real = getattr(linalg, name)
         monkeypatch.setattr(linalg, name, lambda *args, _name=name, _real=real:
                             calls.append(_name) or _real(*args))

@@ -33,6 +33,20 @@ def _std(weights, field=TRIVIAL):
     return DiagNorm.standard(field, tuple(F(w) for w in weights))
 
 
+_BOTH_FIELDS = pytest.mark.parametrize("field", [TRIVIAL, TADIC],
+                                      ids=["Q", "Q(t)"])
+
+
+def _in_field(field, result):
+    """A result of the norms' internal paths, whose basis is ``(den,
+    numerators)`` columns, with the basis as field vectors."""
+    return (oracles.row_values(field, result[0]),) + tuple(result[1:])
+
+
+def _cleared(field, vecs):
+    return [linalg.ring(field).clear(v) for v in vecs]
+
+
 def smith_exponents(n0, n1):
     """Invariant-factor exponents of the two unit lattices (t-adic only)."""
     _, w0, w1 = codiagonalize(n0, n1)
@@ -154,10 +168,11 @@ def test_verification_rejects_corrupted_result(path, corrupt,
     name, pair = _PATHS[path]
     n0, n1 = pair()
     split = getattr(norms, name)
-    good = split(n0, n1)
+    good = _in_field(n0.field, split(n0, n1))
     assert oracles.verifies_in_field(n0, n1, good[:3])
     bad = corrupt(good)
     assert not oracles.verifies_in_field(n0, n1, bad[:3])
+    bad = (tuple(_cleared(n0.field, bad[0])),) + bad[1:]
     monkeypatch.setattr(norms, name, lambda a, b, inverse=False: bad)
     with pytest.raises(NormError, match="failed verification"):
         codiagonalize(n0, n1)
@@ -238,7 +253,8 @@ def test_batched_values_match_fraction_oracle(case) -> None:
     n0, n1, vecs = case
     for n in (n0, n1):
         want = oracles.norm_values(n.basis, n.weights, vecs)
-        for got in (norms._values(n, vecs), tuple(map(n.evaluate, vecs))):
+        for got in (norms._values(n, _cleared(TRIVIAL, vecs)),
+                    tuple(map(n.evaluate, vecs))):
             assert tuple(None if x is INF else x for x in got) == want
     both = n0.basis + n1.basis
     assert (n0 == n1) == (oracles.norm_values(n0.basis, n0.weights, both)
@@ -282,7 +298,7 @@ def test_weighted_pivots_keep_the_filtration_split_over_q(pair) -> None:
     # the kernel's common basis, put in the filtration form, is the basis
     # the filtration split picked, tuple for tuple
     n0, n1 = pair
-    got = norms._codiagonalize_pivots(n0, n1, True)
+    got = _in_field(TRIVIAL, norms._codiagonalize_pivots(n0, n1, True))
     assert got == oracles.codiagonalize_filtrations(n0, n1) + (None,)
     assert codiagonalize(n0, n1) == got[:3]
 
@@ -308,7 +324,9 @@ def _tied_bases(draw):
 def test_integer_split_matches_stacked_rref_oracle(case) -> None:
     # the integer echelon keeps the rows the pivot columns of the stacked
     # RREF keep, entry for entry, for any basis
-    got = norms._filtration_form(*case)
+    basis, w0, w1 = case
+    got = _in_field(TRIVIAL, norms._filtration_form(_cleared(TRIVIAL, basis),
+                                                    w0, w1))
     assert got == oracles.filtration_form_rref(*case)
     assert all(type(x) is F for vec in got[0] for x in vec)
 
@@ -317,9 +335,9 @@ def test_integer_split_matches_stacked_rref_oracle(case) -> None:
 @given(_filtration_pairs(dims=(1, 6)))
 def test_split_of_the_kernel_basis_matches_stacked_rref_oracle(pair) -> None:
     n0, n1 = pair
-    kernel = norms._kernel_basis(n0, n1)
+    kernel = _in_field(TRIVIAL, norms._kernel_basis(n0, n1))
     assert oracles.verifies_in_field(n0, n1, kernel[:3])
-    assert (norms._codiagonalize_pivots(n0, n1)
+    assert (_in_field(TRIVIAL, norms._codiagonalize_pivots(n0, n1))
             == oracles.filtration_form_rref(*kernel[:3]) + (None,))
 
 
@@ -353,10 +371,109 @@ def test_wrong_kernel_weight_fails_spectrum_verification(pair, side,
             run(n0, n1)
 
 
+def _random_norm(rng, field, d):
+    """A norm on a random basis with rational weights: entries c / q over
+    Q, c t^k over Q(t)."""
+    while True:
+        if field is TRIVIAL:
+            basis = [[F(rng.randint(-3, 3), rng.choice((1, 2)))
+                      for _ in range(d)] for _ in range(d)]
+        else:
+            basis = [[TADIC.of(rng.randint(-3, 3))
+                      * RatFunc.t_power(rng.randint(-1, 2))
+                      for _ in range(d)] for _ in range(d)]
+        weights = [F(rng.randint(-4, 4), rng.choice((1, 2))) for _ in range(d)]
+        try:
+            return DiagNorm(field, basis, weights)
+        except NormError:
+            pass
+
+
+def _random_pairs(rng, field, count):
+    pairs = []
+    while len(pairs) < count:
+        d = rng.randint(2, 4)
+        n0, n1 = _random_norm(rng, field, d), _random_norm(rng, field, d)
+        if n0.basis != n1.basis:
+            pairs.append((n0, n1))
+    return pairs
+
+
+def _with_faulty_inverse(n, rng):
+    """n with one numerator of its cached inverse rows off by one."""
+    ring = linalg.ring(n.field)
+    rows = list(n._inverse())
+    i, j = rng.randrange(n.dim), rng.randrange(n.dim)
+    den, nums = rows[i]
+    rows[i] = (den, nums[:j] + (ring.add(nums[j], ring.one),) + nums[j + 1:])
+    return DiagNorm._from_inverse(n.field, n.basis, n.weights, tuple(rows))
+
+
+@_BOTH_FIELDS
+def test_fault_in_the_cached_inverse_gives_no_wrong_answer(field) -> None:
+    # the kernel reads X = M0^{-1} M1 through n0's cached inverse; with a
+    # fault there every op raises or returns the true value, because the
+    # basis is checked against n1 through n1's own cache, which the fault
+    # leaves intact
+    rng = random.Random(f"cache-fault:{field.name}")
+    raised = right = 0
+    for n0, n1 in _random_pairs(rng, field, 200):
+        faulty = _with_faulty_inverse(n0, rng)
+        for op in (spectrum, distance, volume, codiagonalize):
+            try:
+                got = op(faulty, n1)
+            except (NormError, linalg.SingularMatrixError):
+                raised += 1
+                continue
+            right += 1
+            if op is not codiagonalize or field is TRIVIAL:
+                assert got == op(n0, n1)
+            else:
+                # one of many common bases over Q(t), all with the weights
+                # of the kernel's
+                assert oracles.verifies_in_field(n0, n1, got)
+    assert raised and right
+
+
+@_BOTH_FIELDS
+def test_spectra_between_cached_inverses_eliminate_nothing(field,
+                                                          monkeypatch) -> None:
+    # the kernel multiplies n0's cached inverse rows instead of eliminating
+    pairs = _random_pairs(random.Random(f"no-elimination:{field.name}"), field,
+                          20)
+    calls = []
+    real = linalg._gauss_jordan
+    monkeypatch.setattr(linalg, "_gauss_jordan",
+                        lambda *args: calls.append(args) or real(*args))
+    for n0, n1 in pairs:
+        for op in (spectrum, volume, lambda a, b: distance(a, b, math.inf)):
+            op(n0, n1)
+    assert calls == []
+
+
+@_BOTH_FIELDS
+def test_kernel_builds_no_field_elements_but_its_weights(field,
+                                                       monkeypatch) -> None:
+    # smith and its columns run on integer and Z[t] rows: the Fractions of
+    # the two weight lists are all the kernel builds, with or without the
+    # inverse of its basis
+    pairs = _random_pairs(random.Random(f"no-elements:{field.name}"), field, 20)
+    built = []
+    real_new, real_init = F.__new__, RatFunc.__init__
+    monkeypatch.setattr(F, "__new__", lambda cls, *args, **kw:
+                        built.append(cls) or real_new(cls, *args, **kw))
+    monkeypatch.setattr(RatFunc, "__init__", lambda self, *args, **kw:
+                        built.append(RatFunc) or real_init(self, *args, **kw))
+    for n0, n1 in pairs:
+        norms._kernel_basis(n0, n1, True)
+    monkeypatch.undo()
+    assert built == [F] * sum(2 * n0.dim for n0, _ in pairs)
+
+
 def test_q_ops_run_no_rref_and_one_elimination_per_pair(monkeypatch) -> None:
     # spectrum, distance, volume, join and geodesics over Q make no rref
-    # call; a join eliminates [M0 | M1] once in the kernel and then at most
-    # once per distinct weight pair
+    # call; the kernel eliminates nothing, and a join then eliminates at
+    # most once per distinct weight pair
     rng = random.Random(19)
     pairs = []
     while len(pairs) < 40:
@@ -381,7 +498,7 @@ def test_q_ops_run_no_rref_and_one_elimination_per_pair(monkeypatch) -> None:
         _, w0, w1 = codiagonalize(n0, n1)
         eliminations.clear()
         join(n0, n1)
-        assert len(eliminations) <= 1 + len(set(zip(w0, w1)))
+        assert len(eliminations) <= len(set(zip(w0, w1)))
     assert rrefs == []
 
 
@@ -579,7 +696,7 @@ def _tadic_values_case(draw):
 def test_batched_values_match_evaluate_tadic(case) -> None:
     n, other, vecs = case
     want = oracles.coordinate_values(n, vecs)
-    got = norms._values(n, vecs)
+    got = norms._values(n, _cleared(TADIC, vecs))
     assert got == want and got[-1] is INF
     assert tuple(map(n.evaluate, vecs)) == want
     both = n.basis + other.basis
@@ -623,7 +740,7 @@ def test_lattice_branch_solves_without_inverting(monkeypatch) -> None:
         real = getattr(linalg, name, None)
         monkeypatch.setattr(linalg, name, counted(name, real), raising=False)
     for n0, n1 in pairs:
-        result = norms._codiagonalize_pivots(n0, n1, True)
+        result = _in_field(TADIC, norms._codiagonalize_pivots(n0, n1, True))
         assert oracles.verifies_in_field(n0, n1, result[:3])
         assert codiagonalize(n0, n1, inverse=True) == result
     assert calls == []
@@ -686,7 +803,7 @@ def test_smith_matches_field_oracle(raw) -> None:
     # basis, weights and so every printed basis entry for entry: the same
     # pivots, row operations and P as the RatFunc loop
     n0, n1 = _lattice_norms(raw)
-    got = norms._codiagonalize_pivots(n0, n1)
+    got = _in_field(TADIC, norms._codiagonalize_pivots(n0, n1))
     assert got == oracles.codiagonalize_lattices_field(n0, n1) + (None,)
     if n0.basis != n1.basis:
         assert codiagonalize(n0, n1) == got[:3]
@@ -697,7 +814,7 @@ def test_smith_breaks_valuation_ties_by_first_index() -> None:
     # row-major order, as the field loop takes them
     n0 = DiagNorm(TADIC, ((F(1), F(2)), (F(3), F(1))), (F(0), F(0)))
     n1 = DiagNorm(TADIC, ((F(2), F(1)), (F(1), F(1))), (F(0), F(0)))
-    got = norms._codiagonalize_pivots(n0, n1)
+    got = _in_field(TADIC, norms._codiagonalize_pivots(n0, n1))
     assert got == oracles.codiagonalize_lattices_field(n0, n1) + (None,)
     assert codiagonalize(n0, n1) == got[:3]
     assert spectrum(n0, n1) == (F(0), F(0))
@@ -943,11 +1060,9 @@ def test_quotient_inverts_nothing(monkeypatch) -> None:
         n = DiagNorm(field, ((one, entry, zero), (zero, one, entry),
                              (entry, zero, one)), (F(0), F(1, 2), F(-1)))
         calls = []
-        for name in ("invert", "inverse_rows"):
-            real = getattr(linalg, name)
-            monkeypatch.setattr(linalg, name,
-                                lambda *args, _name=name, _real=real:
-                                calls.append(_name) or _real(*args))
+        real = linalg.inverse_rows
+        monkeypatch.setattr(linalg, "inverse_rows",
+                            lambda *args: calls.append(args) or real(*args))
         q, project = quotient_norm(n, [(one, zero, one), (zero, entry, one)])
         project((one, one, zero))
         monkeypatch.undo()
