@@ -326,9 +326,9 @@ def smith(field, inv0, cols0, cols1, a, b):
 
     The columns of the invertible matrices M0 and M1 are orthogonal bases
     of two norms, on the -log scale: column i of M0 has value a[i] in the
-    first, column j of M1 value b[j] in the second (rationals; Q(t) has
-    value group Z, its columns come shifted into the unit balls, as
-    t^(-floor(w)) s for a vector s of weight w, and a, b are read mod 1).
+    first, column j of M1 value b[j] in the second.  Over Q(t) the columns
+    must lie in the unit balls, as t^(-floor(w)) s for a basis vector s of
+    weight w; a and b hold the weights w, and the values w mod 1 are used.
     ord is ord_t on Q(t) and 0 off zero on the trivially valued Q.  Step k
     takes the entry X_ij of the trailing submatrix that minimizes ord(X_ij)
     + a_i - b_j, the first in row-major order on ties, swaps it to (k, k)

@@ -326,27 +326,26 @@ def codiagonalize(n0: DiagNorm, n1: DiagNorm, *, inverse=False):
     An RREF is unique, so the result does not depend on the kernel's
     choices.
     """
-    rows, w0, w1, inv = _verified(n0, n1, _codiagonalize_pivots, inverse)
-    basis = (n0.basis if n0.basis == n1.basis
-             else linalg.row_values(n0.field, rows))
+    (rows, w0, w1, inv), shared = _verified(n0, n1, _codiagonalize_pivots,
+                                            inverse)
+    basis = n0.basis if shared else linalg.row_values(n0.field, rows)
     return (basis, w0, w1, inv) if inverse else (basis, w0, w1)
 
 
 def _verified(n0: DiagNorm, n1: DiagNorm, split, inverse=False):
-    """``split(n0, n1, inverse)``, or the shared basis when the norms have
-    one, after checking the inputs and verifying the returned ``(den,
-    numerators)`` columns against both norms."""
+    """``(split(n0, n1, inverse), False)``, or the shared basis's result and
+    True when the norms share one, once the inputs are checked and the
+    ``(den, numerators)`` columns verified against both norms."""
     if n0.field is not n1.field:
         raise NormError("cannot codiagonalize norms over different fields")
     if n0.dim != n1.dim:
         raise NormError("cannot codiagonalize norms of different dimensions")
-    if n0.basis == n1.basis:
-        split = _codiagonalize_same_basis
-    result = split(n0, n1, inverse)
+    shared = n0.basis == n1.basis
+    result = (_codiagonalize_same_basis if shared else split)(n0, n1, inverse)
     rows, w0, w1, _ = result
     if _values(n0, rows) != tuple(w0) or _values(n1, rows) != tuple(w1):
         raise NormError("internal error: common basis failed verification")
-    return result
+    return result, shared
 
 
 def _codiagonalize_same_basis(n0: DiagNorm, n1: DiagNorm, inverse=False):
@@ -358,11 +357,11 @@ def _kernel_basis(n0: DiagNorm, n1: DiagNorm, inverse=False):
     numerators)`` columns, its weights, and C^{-1} = P M0^{-1} over Q(t) if
     asked for, else None.  M0^{-1} is n0's cached inverse, over Q(t) times
     diag(t^floor(w)), since M0 = B0 diag(t^(-floor(w)))."""
+    (cols0, floors), (cols1, _) = _kernel_columns(n0), _kernel_columns(n1)
     inv0 = n0._inverse()
-    if n0.field is TADIC:
-        inv0 = linalg.shift_rows(inv0, [math.floor(w) for w in n0.weights])
-    basis, P, w0, w1 = linalg.smith(n0.field, inv0, _kernel_columns(n0),
-                                    _kernel_columns(n1), n0.weights,
+    if floors is not None:
+        inv0 = linalg.shift_rows(inv0, floors)
+    basis, P, w0, w1 = linalg.smith(n0.field, inv0, cols0, cols1, n0.weights,
                                     n1.weights)
     if n0.field is not TADIC or not inverse:
         return basis, w0, w1, None
@@ -389,8 +388,8 @@ def _filtration_form(basis, w0, w1):
     its RREF: row i of the elimination over its pivot.  A row is kept,
     with weights (s, t), iff it does not reduce to zero by an integer
     echelon of the rows kept so far, the choice the pivot columns of one
-    RREF of all the meets' rows, stacked, would make.  The kept rows are
-    returned as ``(pivot, row)`` pairs, the RREF rows in row form.
+    RREF of all the meets' rows, stacked, would make.  Each kept row comes
+    back as the column ``(row[c], row)``, the RREF row row / row[c].
     """
     kept, echelon = [], []
     for s, t in sorted(set(zip(w0, w1)), reverse=True):
@@ -420,13 +419,14 @@ def _extends_echelon(echelon, row):
 
 
 def _kernel_columns(n: DiagNorm):
-    """The columns ``linalg.smith`` starts from, as ``(den, numerators)``
-    pairs: the basis, over Q(t) shifted to t^(-floor(w_i)) s_i (a basis of
-    the unit ball) on the numerators."""
+    """``(cols, floors)``: over Q the basis as the ``(den, numerators)``
+    columns ``linalg.smith`` starts from and None; over Q(t) the columns
+    t^(-f_i) s_i, a basis of the unit ball, and the floors f_i of w_i."""
     cols = _basis_rows(n)
     if n.field is not TADIC:
-        return cols
-    return linalg.shift_rows(cols, [-math.floor(w) for w in n.weights])
+        return cols, None
+    floors = [math.floor(w) for w in n.weights]
+    return linalg.shift_rows(cols, [-f for f in floors]), floors
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +443,7 @@ def spectrum(n0: DiagNorm, n1: DiagNorm):
     one, or the kernel's (``linalg.smith``), and it is verified against
     both norms as ``codiagonalize`` verifies its result.
     """
-    _, w0, w1, _ = _verified(n0, n1, _kernel_basis)
+    (_, w0, w1, _), _ = _verified(n0, n1, _kernel_basis)
     return tuple(sorted(a - b for a, b in zip(w0, w1)))
 
 

@@ -39,8 +39,9 @@ _BOTH_FIELDS = pytest.mark.parametrize("field", [TRIVIAL, TADIC],
 
 def _in_field(field, result):
     """A result of the norms' internal paths, whose basis is ``(den,
-    numerators)`` columns, with the basis as field vectors."""
-    return (oracles.row_values(field, result[0]),) + tuple(result[1:])
+    numerators)`` columns, with the basis as the field vectors
+    ``codiagonalize`` builds from it (``linalg.row_values``)."""
+    return (linalg.row_values(field, result[0]),) + tuple(result[1:])
 
 
 def _cleared(field, vecs):
@@ -300,7 +301,9 @@ def test_weighted_pivots_keep_the_filtration_split_over_q(pair) -> None:
     n0, n1 = pair
     got = _in_field(TRIVIAL, norms._codiagonalize_pivots(n0, n1, True))
     assert got == oracles.codiagonalize_filtrations(n0, n1) + (None,)
-    assert codiagonalize(n0, n1) == got[:3]
+    result = codiagonalize(n0, n1)
+    assert result == got[:3]
+    assert all(type(x) is F for vec in result[0] for x in vec)
 
 
 @st.composite
@@ -806,7 +809,9 @@ def test_smith_matches_field_oracle(raw) -> None:
     got = _in_field(TADIC, norms._codiagonalize_pivots(n0, n1))
     assert got == oracles.codiagonalize_lattices_field(n0, n1) + (None,)
     if n0.basis != n1.basis:
-        assert codiagonalize(n0, n1) == got[:3]
+        result = codiagonalize(n0, n1)
+        assert result == got[:3]
+        assert all(type(x) is RatFunc for vec in result[0] for x in vec)
 
 
 def test_smith_breaks_valuation_ties_by_first_index() -> None:
