@@ -5,16 +5,19 @@ interpolate linearly while the basis stays fixed.  The resulting path is
 the metric geodesic for every d_p, and evaluation at rational times stays
 exact.
 
-``geodesic`` hands its base norm the inverse of the common basis that
-``codiagonalize`` derives: n0's own when the two norms share their basis,
-and over Q(t) the product of the kernel's row operations with n0's cached
-inverse.  Only over Q with different bases (and for a ``NormGeodesic``
-built directly) is the basis inverted, once, on first use: there it is the
-filtration-split form of the kernel's basis C, and its inverse T^{-1}
-C^{-1} would cost the product C^{-1} = P B0^{-1}, the coordinates T of
-the split basis and their inverse, more than the one elimination.  ``at``,
-``start`` and ``end`` re-weight the base norm, so every norm on the
-segment shares one basis tuple and one inverse.
+``geodesic`` hands its base norm the record of the common basis (see
+``geonorm.norms``): n0's own when the two norms share their basis, else a
+new one with the inverse ``codiagonalize`` derives, over Q(t) the product
+of the kernel's row operations with n0's cached inverse.  Only over Q with
+different bases (and for a ``NormGeodesic`` built directly) is the basis
+inverted, once, on first use: there it is the filtration-split form of
+the kernel's basis C, and its inverse T^{-1} C^{-1} would cost the
+product C^{-1} = P B0^{-1}, the coordinates T of the split basis and
+their inverse, more than the one elimination.  ``at``, ``start`` and
+``end`` re-weight the base norm, so every norm on the segment shares one
+record: one basis tuple and one inverse, one ord_t det for ``det_norm``
+(none at all over Q), one Sym^m basis per m for ``sym_power_norm``, and
+``==`` between two of them reads the basis once.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .norms import DiagNorm, NormError, codiagonalize
+from .norms import DiagNorm, NormError, _common_basis
 
 
 @dataclass(frozen=True)
@@ -59,8 +62,7 @@ class NormGeodesic:
 
 
 def geodesic(n0: DiagNorm, n1: DiagNorm) -> NormGeodesic:
-    basis, w0, w1, inv = codiagonalize(n0, n1, inverse=True)
-    geo = NormGeodesic(n0.field, tuple(basis), tuple(w0), tuple(w1))
-    object.__setattr__(geo, "_norm", DiagNorm._from_inverse(
-        geo.field, geo.basis, geo.weights0, inv))
+    rec, w0, w1 = _common_basis(n0, n1)
+    geo = NormGeodesic(n0.field, rec.basis, tuple(w0), tuple(w1))
+    object.__setattr__(geo, "_norm", DiagNorm._on(rec, geo.weights0))
     return geo

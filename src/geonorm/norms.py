@@ -23,19 +23,36 @@ basis, becomes field vectors: over Q in the canonical form of the
 filtration split, found on integer rows (``_filtration_form``), over Q(t)
 as the kernel's basis.
 
-A norm caches the inverse of its basis matrix in the row form of
+A norm holds its weights and a record of its basis (``_Basis``), which
+the norms the library derives on one basis share: the slices of a
+geodesic, a join on a shared basis, and the Sym^m norms of any of them.
+The record is filled on first use, and only the weights are computed per
+norm.  It holds the inverse of the basis matrix in the row form of
 ``linalg.inverse_rows``: one ``(den, numerators)`` pair per row, over Z for
-Q and over Z[t] for Q(t).  Constructed norms get it without an
-elimination, from data their inputs hold: ``join`` and the geodesic slices
-over Q(t) from the kernel's row operations and n0's inverse, ``join`` on a
-shared basis from n0, ``sym_power_norm`` as Sym^m of the input's inverse
-and ``tensor_norm`` as the Kronecker product of the two.  Only a basis the
-user gives is inverted, and over Q the filtration-split common basis, on
-first use (the one elimination of a spectrum against such a norm).
-``quotient_norm`` inverts nothing: its exchange argument is a forward
-elimination on coordinates read through the cached inverse.  Norms
-diagonal in the standard basis share one identity basis per field and
-dimension and one identity inverse, so ``DiagNorm.standard`` costs O(d).
+Q and over Z[t] for Q(t).  It holds ord_t det of the basis, which
+``det_norm`` reads: over Q it is 0, read with no determinant, since every
+basis a norm holds is invertible; over Q(t) one determinant per basis.  It
+holds one Sym^m record per m, so the Sym^m norms of all the slices of a
+geodesic share one Sym^m basis, built once; a Sym^m record also holds its
+basis as the ``(den, numerators)`` columns ``sym_power_norm`` multiplied
+out.  Any other basis is cleared on each read: the norms a caller keeps
+carry no second copy of their bases, and the kernel's Z[t] columns carry
+common factors of numerators and denominator that every product formed
+from them would carry on.  ``==`` between two norms on one basis tuple
+evaluates that basis once.
+
+Constructed norms get their inverse without an elimination, from data
+their inputs hold: ``join`` and the geodesic slices over Q(t) from the
+kernel's row operations and n0's inverse, ``join`` and the geodesics on a
+shared basis from n0's record, ``sym_power_norm`` as Sym^m of the input's
+inverse and ``tensor_norm`` as the Kronecker product of the two.  Only a
+basis the user gives is inverted, and over Q the filtration-split common
+basis, on first use (the one elimination of a spectrum against such a
+norm).  ``quotient_norm`` inverts nothing: its exchange argument is a
+forward elimination on coordinates read through the cached inverse.
+Norms diagonal in the standard basis share one identity basis per field
+and dimension and one identity inverse, so ``DiagNorm.standard`` costs
+O(d).
 
 Every norm value is read by one batched path, ``_values``, on vectors in
 the same row form: ``evaluate`` runs it on one vector, it verifies every
@@ -83,9 +100,14 @@ class DiagNorm:
             ambient coordinates.  Must be linearly independent, square
             and non-empty (dimension >= 1).
         weights: one rational per basis vector; ``norm(s_i) = e^{-w_i}``.
+
+    The basis and everything derived from it alone live in a ``_Basis``
+    record, which every norm on that basis that the library derives
+    shares (the slices of a geodesic, a join on a shared basis, their
+    Sym^m norms); a norm adds only its weights.
     """
 
-    __slots__ = ("field", "basis", "weights", "_inv")
+    __slots__ = ("field", "weights", "_rec")
 
     def __init__(self, field, basis, weights):
         weights = tuple(Fraction(w) for w in weights)
@@ -98,9 +120,8 @@ class DiagNorm:
         if any(len(vec) != len(basis) for vec in basis):
             raise NormError("basis must be square (ambient dim = count)")
         self.field = field
-        self.basis = basis
         self.weights = weights
-        self._inv = None
+        self._rec = _Basis(field, basis)
         # fail fast on dependent bases; identity is recognized cheaply
         self._inverse()
 
@@ -117,6 +138,10 @@ class DiagNorm:
         return cls.standard(field, (Fraction(0),) * dim)
 
     @property
+    def basis(self):
+        return self._rec.basis
+
+    @property
     def dim(self) -> int:
         return len(self.weights)
 
@@ -127,43 +152,49 @@ class DiagNorm:
 
     def _inverse(self):
         """The inverse of the basis matrix (the basis vectors as columns), as
-        ``linalg.inverse_rows`` gives it, cached; a standard basis has the
-        shared identity rows."""
-        if self._inv is None:
+        ``linalg.inverse_rows`` gives it, cached in the record; a standard
+        basis has the shared identity rows."""
+        rec = self._rec
+        if rec.inv is None:
             if self.is_standard_basis():
-                self._inv = _identity_rows(self.field, self.dim)
+                rec.inv = _identity_rows(self.field, self.dim)
             else:
                 matrix = tuple(
                     tuple(self.basis[c][r] for c in range(self.dim))
                     for r in range(self.dim)
                 )
                 try:
-                    self._inv = linalg.inverse_rows(self.field, matrix)
+                    rec.inv = linalg.inverse_rows(self.field, matrix)
                 except linalg.SingularMatrixError:
                     raise NormError("basis vectors are linearly dependent") from None
-        return self._inv
+        return rec.inv
 
     def _has_identity_inverse(self) -> bool:
         return self._inverse() is _identity_rows(self.field, self.dim)
 
     @classmethod
     def _from_inverse(cls, field, basis, weights, inv) -> "DiagNorm":
-        """A norm on a basis of field elements whose inverse rows ``inv`` the
-        caller derived, or None to invert the basis on first use; nothing
-        is coerced or checked."""
+        """A norm on a new record of a basis of field elements whose inverse
+        rows ``inv`` the caller derived, or None to invert the basis on
+        first use; nothing is coerced or checked."""
+        return cls._on(_Basis(field, basis, inv), weights)
+
+    @classmethod
+    def _on(cls, rec, weights) -> "DiagNorm":
+        """A norm with the given weights on the basis of the record ``rec``,
+        which it shares; nothing is coerced or checked."""
         out = object.__new__(cls)
-        out.field, out.basis, out.weights, out._inv = field, basis, weights, inv
+        out.field, out.weights, out._rec = rec.field, weights, rec
         return out
 
     def _reweighted(self, weights) -> "DiagNorm":
-        """A norm sharing this basis tuple and its inverse, computed here if
-        not cached yet, with the given weights, coerced and checked as in
-        ``__init__``."""
+        """A norm sharing this record, with the given weights, coerced and
+        checked as in ``__init__``; an inverse not cached yet is computed
+        on first use, once for every norm on the record."""
         weights = tuple(Fraction(w) for w in weights)
         if len(weights) != self.dim:
             raise NormError("basis and weights must have equal length")
-        return DiagNorm._from_inverse(self.field, self.basis, weights,
-                                      self._inverse())
+        return DiagNorm._on(self._rec, weights)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -195,13 +226,16 @@ class DiagNorm:
         return _values(self, (clear(self._vector(v)),))[0]
 
     # -- equality: two diagonal norms agree iff they agree on both bases ------
+    # (on one basis tuple, once)
 
     def __eq__(self, other):
         if not isinstance(other, DiagNorm):
             return NotImplemented
         if self.field is not other.field or self.dim != other.dim:
             return False
-        vecs = _basis_rows(self) + _basis_rows(other)
+        vecs = _basis_rows(self)
+        if other.basis is not self.basis:
+            vecs += _basis_rows(other)
         return _values(self, vecs) == _values(other, vecs)
 
     __hash__ = None
@@ -256,9 +290,33 @@ def _identity_rows(field, d):
     return _inverse_identities[key]
 
 
+class _Basis:
+    """What the norms on one basis share, filled on first use.
+
+    ``basis`` is the tuple of basis vectors and ``inv`` its inverse rows
+    (see ``DiagNorm._inverse``).  ``rows`` is the basis as ``(den,
+    numerators)`` columns for a Sym^m basis, the products
+    ``sym_power_norm`` forms; any other basis, a basis the user gives
+    among them, keeps None there and is cleared on each read, so that the
+    record of an input norm holds no second copy of its basis.
+    ``ord_det`` is ord_t det of the basis over Q(t) (see ``_ord_det``), and
+    ``sym`` maps m to the record of the Sym^m basis (see
+    ``sym_power_norm``).
+    """
+
+    __slots__ = ("field", "basis", "inv", "rows", "ord_det", "sym")
+
+    def __init__(self, field, basis, inv=None, rows=None):
+        self.field, self.basis, self.inv, self.rows = field, basis, inv, rows
+        self.ord_det = self.sym = None
+
+
 def _basis_rows(n: DiagNorm):
-    """The basis vectors as ``(den, numerators)`` pairs over Z or Z[t]; for
-    a standard basis the shared identity rows."""
+    """The basis vectors as ``(den, numerators)`` pairs over Z or Z[t]: the
+    record's, for a standard basis the shared identity rows, else the
+    basis cleared."""
+    if n._rec.rows is not None:
+        return n._rec.rows
     if n._has_identity_inverse():
         return n._inverse()
     return tuple(map(linalg.ring(n.field).clear, n.basis))
@@ -330,6 +388,15 @@ def codiagonalize(n0: DiagNorm, n1: DiagNorm, *, inverse=False):
                                             inverse)
     basis = n0.basis if shared else linalg.row_values(n0.field, rows)
     return (basis, w0, w1, inv) if inverse else (basis, w0, w1)
+
+
+def _common_basis(n0: DiagNorm, n1: DiagNorm):
+    """``(rec, w0, w1)``: the record of ``codiagonalize``'s basis and its
+    weights; n0's own record when the norms share their basis, else a new
+    one with the inverse ``codiagonalize`` derives."""
+    basis, w0, w1, inv = codiagonalize(n0, n1, inverse=True)
+    rec = n0._rec if basis is n0.basis else _Basis(n0.field, basis, inv)
+    return rec, w0, w1
 
 
 def _verified(n0: DiagNorm, n1: DiagNorm, split, inverse=False):
@@ -478,13 +545,13 @@ def volume(n0: DiagNorm, n1: DiagNorm) -> Fraction:
 def join(n0: DiagNorm, n1: DiagNorm) -> DiagNorm:
     """Pointwise maximum of the two norms (minimum of the weights).
 
-    The result takes the inverse ``codiagonalize`` derives for the common
-    basis; over Q with different bases there is none, and the basis is
+    On a shared basis the result shares n0's record.  Otherwise it takes
+    a new record of the common basis with the inverse ``codiagonalize``
+    derives; over Q with different bases there is none, and the basis is
     inverted on first use.
     """
-    basis, w0, w1, inv = codiagonalize(n0, n1, inverse=True)
-    weights = tuple(min(a, b) for a, b in zip(w0, w1))
-    return DiagNorm._from_inverse(n0.field, basis, weights, inv)
+    rec, w0, w1 = _common_basis(n0, n1)
+    return DiagNorm._on(rec, tuple(min(a, b) for a, b in zip(w0, w1)))
 
 
 # ---------------------------------------------------------------------------
@@ -498,11 +565,23 @@ def det_norm(n: DiagNorm) -> DiagNorm:
     Normalized on the standard generator e_1 ^ ... ^ e_d.  The wedge of
     the presenting basis differs from it by det(basis), whose valuation
     shifts the weight; this makes the result independent of which
-    diagonalizing basis presents the norm.
+    diagonalizing basis presents the norm.  The valuation is read from the
+    basis record (``_ord_det``): over Q it is 0 with no determinant, and
+    over Q(t) it is computed once per basis.
     """
-    total = sum(n.weights, Fraction(0))
-    total -= n.field.valuation(linalg.determinant(n.basis))
+    total = sum(n.weights, Fraction(-_ord_det(n._rec)))
     return DiagNorm.standard(n.field, (total,))
+
+
+def _ord_det(rec: _Basis):
+    """The valuation of the determinant of an invertible basis: 0 over the
+    trivially valued Q, and over Q(t) ord_t of ``linalg.determinant``,
+    cached in the record."""
+    if rec.field is not TADIC:
+        return 0
+    if rec.ord_det is None:
+        rec.ord_det = TADIC.valuation(linalg.determinant(rec.basis))
+    return rec.ord_det
 
 
 def sym_monomials(dim: int, m: int):
@@ -554,31 +633,47 @@ def sym_power_norm(n: DiagNorm, m: int) -> DiagNorm:
     The symmetric power is modelled as degree-m polynomials in the ambient
     coordinates; the basis vector for a multiset I is the polynomial
     product of the corresponding linear forms, and its weight is the sum
-    of the factors' weights.  The products run on numerators: each basis
-    vector s_i is cleared to ``(e_i, numerators)`` over Z or Z[t], the
-    forms are multiplied in that ring, and one field element is built per
-    entry, over the product of the factors' e_i.
+    of the factors' weights.  The basis depends on n's basis alone, so it
+    is built once per basis record and m (``_sym_power_basis``) and shared
+    by the Sym^m norms of every norm on that record; only the weights are
+    summed per call.
+    """
+    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
+        raise NormError("symmetric power needs m >= 1")
+    combos = list(combinations_with_replacement(range(n.dim), m))
+    weights = tuple(sum((n.weights[i] for i in combo), Fraction(0))
+                    for combo in combos)
+    rec = n._rec
+    if rec.sym is None:
+        rec.sym = {}
+    if m not in rec.sym:
+        rec.sym[m] = _sym_power_basis(n, m, combos)
+    return DiagNorm._on(rec.sym[m], weights)
+
+
+def _sym_power_basis(n: DiagNorm, m: int, combos) -> _Basis:
+    """The record of Sym^m of n's basis, its basis vectors in the order of
+    ``combos``, with its row form and inverse.
+
+    The products run on numerators: each basis vector s_i is cleared to
+    ``(e_i, numerators)`` over Z or Z[t] (the record's row form if it
+    holds one), the forms are multiplied in that ring, and one field
+    element is built per entry, over the product of the factors' e_i; the
+    products over that denominator are the row form of the result.
 
     The basis is not inverted.  In monomial bases Sym^m is a functor, so
     the inverse is Sym^m of the inverse B^{-1} = diag(1/e) N that ``n``
     caches: row alpha of Sym^m(N), over prod_i e_i^alpha_i, with the rows
     taken in the order of the basis (combinations, not sorted monomials).
     """
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise NormError("symmetric power needs m >= 1")
-    field = n.field
-    d = n.dim
+    field, d = n.field, n.dim
     index = {e: i for i, e in enumerate(sym_monomials(d, m))}
-    combos = list(combinations_with_replacement(range(d), m))
     ring = linalg.ring(field)
-    cleared = [ring.clear(vec) for vec in n.basis]
+    cleared = _basis_rows(n)
     products = _form_products([nums for _, nums in cleared], combos, index,
                               ring)
-    basis = linalg.row_values(field, [
-        (reduce(ring.mul, (cleared[i][0] for i in combo)), col)
-        for combo, col in zip(combos, products)])
-    weights = tuple(sum((n.weights[i] for i in combo), Fraction(0))
-                    for combo in combos)
+    cols = tuple((reduce(ring.mul, (cleared[i][0] for i in combo)), tuple(col))
+                 for combo, col in zip(combos, products))
     inv = n._inverse()
     products = _form_products(list(zip(*(nums for _, nums in inv))), combos,
                               index, ring)
@@ -590,7 +685,7 @@ def sym_power_norm(n: DiagNorm, m: int) -> DiagNorm:
         (reduce(ring.mul, (inv[i][0] for i in combo)),
          tuple(col[alpha] for col in by_monomial))
         for combo, alpha in zip(combos, at))
-    return DiagNorm._from_inverse(field, basis, weights, rows)
+    return _Basis(field, linalg.row_values(field, cols), rows, cols)
 
 
 def tensor_norm(n0: DiagNorm, n1: DiagNorm) -> DiagNorm:

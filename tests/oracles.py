@@ -61,6 +61,10 @@ row operations, a cached inverse or functoriality; and
 ``kernel_basis_closing_rref`` reads the kernel's common basis M0 P^{-1}
 from this file's RREF of [P^T | M0^T], where geonorm.linalg.smith applies
 the inverse of each row operation to the columns of M0.
+``det_norm_determinant`` takes the norm on the top exterior power from
+this file's determinant of the basis, where geonorm.norms reads ord_t det
+from the basis record: 0 over Q with no determinant, and over Q(t) one
+determinant per basis, shared by the norms on it.
 ``quotient_norm_exchange`` is the exchange loop of the quotient norm,
 which solves in each intermediate basis by this file's field inverse,
 where geonorm.norms eliminates on coordinates read through the norm's
@@ -201,6 +205,15 @@ def determinant_field(A):
             factor = rows[r][col] / pivot
             rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
     return det
+
+
+def det_norm_determinant(n: DiagNorm) -> DiagNorm:
+    """The norm on the top exterior power as geonorm.norms read it before
+    its basis records: the sum of the weights minus the valuation of this
+    file's determinant of the basis."""
+    total = sum(n.weights, Fraction(0))
+    total -= n.field.valuation(determinant_field(n.basis))
+    return DiagNorm.standard(n.field, (total,))
 
 
 def kernel_field(rows):

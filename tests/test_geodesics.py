@@ -31,6 +31,30 @@ def _rand_std(rng, d):
     return _std(tuple(rng.randint(-4, 4) for _ in range(d)))
 
 
+def _rand_norm(rng, field, d):
+    """A norm on a random invertible basis other than the standard one,
+    with rational weights."""
+    while True:
+        if field is TRIVIAL:
+            basis = [[F(rng.randint(-3, 3), rng.choice((1, 2)))
+                      for _ in range(d)] for _ in range(d)]
+        else:
+            basis = [[TADIC.of(rng.randint(-3, 3))
+                      * RatFunc.t_power(rng.randint(-1, 2))
+                      for _ in range(d)] for _ in range(d)]
+        weights = [F(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+                   for _ in range(d)]
+        try:
+            n = DiagNorm(field, basis, weights)
+        except NormError:
+            continue
+        if not n.is_standard_basis():
+            return n
+
+
+_FIELDS = pytest.mark.parametrize("field", [TRIVIAL, TADIC], ids=["Q", "Q(t)"])
+
+
 def test_constant_geodesic() -> None:
     n = _std((0, 2))
     g = geodesic(n, n)
@@ -100,9 +124,12 @@ def test_geodesic_slices_share_one_inverse(case, monkeypatch) -> None:
                         lambda *args: calls.append(args) or real(*args))
     ts = (F(1, 4), F(1, 2), F(2, 3))
     slices = [g.start, g.end] + [g.at(t) for t in ts]
+    inverses = [s._inverse() for s in slices]
     # over Q(t) the kernel hands the slices the inverse of the common
-    # basis; over Q a common basis of its own is inverted once
+    # basis; over Q a common basis of its own is inverted once, on first
+    # use
     assert len(calls) == (0 if shared or g.field is TADIC else 1)
+    assert all(inv is inverses[0] for inv in inverses)
     monkeypatch.undo()
     matrix = tuple(zip(*g.basis))
     assert (oracles.row_values(g.field, slices[0]._inverse())
@@ -131,7 +158,7 @@ def test_q_geodesic_inverts_once_for_any_number_of_slices(count,
     g = geodesic(n0, n1)
     assert calls == []
     slices = [g.at(F(i, count)) for i in range(count + 1)]
-    assert len(calls) == 1
+    assert calls == []  # the inverse is taken on first use
     for s in slices:
         assert s.basis is g.basis and s._inverse() is slices[0]._inverse()
         s.evaluate(n0.basis[0])
@@ -214,6 +241,20 @@ def test_determinant_commutes() -> None:
             assert det_norm(g.at(t)) == gd.at(t)
 
 
+@_FIELDS
+def test_determinant_commutes_on_random_bases(field) -> None:
+    # the companion of test_determinant_commutes on bases that make the
+    # geodesic run the codiagonalization kernel
+    rng = random.Random(f"det-commutes:{field.name}")
+    for _ in range(15):
+        d = rng.randint(1, 4)
+        n0, n1 = _rand_norm(rng, field, d), _rand_norm(rng, field, d)
+        g = geodesic(n0, n1)
+        gd = geodesic(det_norm(n0), det_norm(n1))
+        for t in TS:
+            assert det_norm(g.at(t)) == gd.at(t)
+
+
 def test_relative_volume_affine() -> None:
     rng = random.Random(59)
     for _ in range(20):
@@ -248,3 +289,20 @@ def test_sym_power_commutes() -> None:
             gs = geodesic(sym_power_norm(n0, m), sym_power_norm(n1, m))
             for t in (F(0), F(1, 2), F(2, 3), F(1)):
                 assert sym_power_norm(g.at(t), m) == gs.at(t)
+
+
+@_FIELDS
+@pytest.mark.parametrize("m", [2, 3])
+def test_sym_power_commutes_on_random_bases(field, m) -> None:
+    # the companion of test_sym_power_commutes on bases that make both
+    # geodesics run the codiagonalization kernel; over Q(t) Sym^3 runs in
+    # dimension 2 only, since a 10-dimensional Q(t) geodesic takes seconds
+    rng = random.Random(f"sym-commutes:{field.name}:{m}")
+    top = 2 if field is TADIC and m == 3 else 3
+    for _ in range(5):
+        d = rng.randint(2, top)
+        n0, n1 = _rand_norm(rng, field, d), _rand_norm(rng, field, d)
+        g = geodesic(n0, n1)
+        gs = geodesic(sym_power_norm(n0, m), sym_power_norm(n1, m))
+        for t in (F(0), F(1, 2), F(2, 3), F(1)):
+            assert sym_power_norm(g.at(t), m) == gs.at(t)

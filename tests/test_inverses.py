@@ -1,11 +1,16 @@
-"""Inverses handed to constructed norms, against the inverting oracles.
+"""Inverses and basis records handed to constructed norms, against the
+inverting oracles.
 
 ``join``, the geodesic slices, ``sym_power_norm`` and ``tensor_norm`` give
 their results an inverse derived from data the inputs hold; each must
 equal the oracle's field inverse of the result's basis entry for entry
 (``oracles.invert_field``), and each
 result must equal, basis, weights and JSON, the norm the inverting path
-builds.
+builds.  The norms on one basis share one record: ``det_norm`` must equal
+the determinant oracle (``oracles.det_norm_determinant``) with no
+determinant over Q and one per basis over Q(t), the Sym^m norms of a
+geodesic's slices one Sym^m basis, and ``==`` on one basis tuple reads
+that basis once.
 """
 
 from fractions import Fraction
@@ -17,7 +22,14 @@ import oracles
 from geonorm import linalg, norms
 from geonorm.field import TADIC, TRIVIAL, RatFunc
 from geonorm.geodesics import geodesic
-from geonorm.norms import DiagNorm, NormError, join, sym_power_norm, tensor_norm
+from geonorm.norms import (
+    DiagNorm,
+    NormError,
+    det_norm,
+    join,
+    sym_power_norm,
+    tensor_norm,
+)
 
 F = Fraction
 _T = RatFunc.t_power
@@ -219,3 +231,181 @@ def test_q_join_inverts_its_basis_on_first_use(monkeypatch) -> None:
     for v in n0.basis + n1.basis:
         assert j.evaluate(v) == min(n0.evaluate(v), n1.evaluate(v))
     assert len(calls) == 1
+
+
+# -- the basis record: what the norms on one basis share -----------------------
+
+
+def _q_pair():
+    return (DiagNorm(TRIVIAL, ((F(1), F(1)), (F(1), F(2))), (F(0), F(1, 2))),
+            DiagNorm(TRIVIAL, ((F(2), F(-1)), (F(0), F(1))), (F(2), F(-1))))
+
+
+def _pair(field):
+    return _qt_pair() if field is TADIC else _q_pair()
+
+
+def _derived(n0, n1):
+    """The norms the library derives from a pair: the join, three geodesic
+    slices, and the Sym^2 norms of n0 and of a slice."""
+    geo = geodesic(n0, n1)
+    mid = geo.at(F(1, 3))
+    return [join(n0, n1), geo.start, mid, geo.end, sym_power_norm(n0, 2),
+            sym_power_norm(mid, 2)]
+
+
+def _counting(monkeypatch, module, name):
+    """The arguments of every call of ``module.name`` from now on."""
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+@_FIELDS
+@settings(max_examples=50)
+@given(data=st.data())
+def test_det_norm_matches_determinant_oracle(field, data) -> None:
+    n0, n1 = data.draw(_pairs(field, dims=(1, 3)))
+    for n in [n0, n1] + _derived(n0, n1):
+        got, want = det_norm(n), oracles.det_norm_determinant(n)
+        assert got.weights == want.weights
+        assert got.to_json() == want.to_json()
+
+
+def _no_determinant(*args):
+    raise AssertionError("a determinant was taken")
+
+
+def test_q_det_norm_takes_no_determinant(monkeypatch) -> None:
+    n0, n1 = _q_pair()
+    dims3 = (DiagNorm(TRIVIAL, ((F(1), F(2), F(0)), (F(0), F(1, 2), F(1)),
+                                (F(3), F(0), F(1))), (F(1), F(-1, 3), F(2))),
+             DiagNorm.standard(TRIVIAL, (F(0), F(5, 2), F(-1))))
+    cases = [n0, n1, *dims3] + _derived(n0, n1) + _derived(*dims3)
+    want = [oracles.det_norm_determinant(n).weights for n in cases]
+    monkeypatch.setattr(linalg, "determinant", _no_determinant)
+    monkeypatch.setattr(linalg, "_bareiss", _no_determinant)
+    assert [det_norm(n).weights for n in cases] == want
+
+
+def test_qt_geodesic_slices_take_one_determinant(monkeypatch) -> None:
+    geo = geodesic(*_qt_pair())
+    slices = [geo.start, geo.end] + [geo.at(t)
+                                     for t in (F(1, 4), F(1, 2), F(2, 3))]
+    calls = _counting(monkeypatch, linalg, "determinant")
+    got = [det_norm(n).weights for n in slices]
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert got == [oracles.det_norm_determinant(n).weights for n in slices]
+
+
+@_FIELDS
+def test_sym_power_of_slices_builds_one_basis(field, monkeypatch) -> None:
+    geo = geodesic(*_pair(field))
+    slices = [geo.start, geo.end, geo.at(F(1, 3))]
+    built = []
+    for m in (2, 3, 2):
+        calls = _counting(monkeypatch, norms, "_form_products")
+        powers = [sym_power_norm(n, m) for n in slices]
+        # one product of the basis vectors and one of the inverse rows, for
+        # the first Sym^m of the segment only
+        assert len(calls) == (0 if m in built else 2)
+        built.append(m)
+        monkeypatch.undo()
+        assert all(p.basis is powers[0].basis for p in powers)
+        for n, got in zip(slices, powers):
+            want = oracles.sym_power_norm_inverting(n, m)
+            _assert_same_norm(got, want)
+            _assert_hands_its_inverse(got, want)
+
+
+@_FIELDS
+def test_eq_on_one_basis_tuple_reads_it_once(field, monkeypatch) -> None:
+    geo = geodesic(*_pair(field))
+    sym = geodesic(sym_power_norm(geo.start, 2), sym_power_norm(geo.end, 2))
+    t = F(1, 3)
+    for a, b in ((geo.at(t), geo.at(t)),
+                 (sym_power_norm(geo.at(t), 2), sym.at(t)),
+                 (DiagNorm.standard(field, (F(1), F(2))),
+                  DiagNorm.standard(field, (F(1), F(2))))):
+        assert a.basis is b.basis
+        seen = []
+        real = norms._values
+        monkeypatch.setattr(norms, "_values", lambda n, vecs:
+                            seen.append(len(vecs)) or real(n, vecs))
+        assert a == b
+        for i in range(a.dim):
+            w = list(b.weights)
+            w[i] += F(1, 2)
+            assert a != b._reweighted(w)
+        monkeypatch.undo()
+        assert seen == [a.dim, a.dim] * (1 + a.dim)
+
+
+def _equal_oracle(a, b):
+    """Whether two norms agree on both bases, by this file's field inverse."""
+    vecs = a.basis + b.basis
+    return (oracles.coordinate_values(a, vecs)
+            == oracles.coordinate_values(b, vecs))
+
+
+def _eq_cases():
+    """name -> (a, b, a == b): the equality cases of the norms tests, on
+    different basis tuples."""
+    t, one, zero = _T(1), TADIC.one, TADIC.zero
+    eye = tuple(tuple(F(int(i == j)) for j in range(3)) for i in range(3))
+    std = DiagNorm.standard(TRIVIAL, (F(0), F(1), F(2)))
+    scaled = DiagNorm(TADIC, ((t, zero), (zero, one)), (F(0), F(0)))
+    q0 = DiagNorm.standard(TRIVIAL, (F(0), F(1)))
+    q1 = DiagNorm(TRIVIAL, ((F(1), F(1)), (F(1), F(0))), (F(0), F(1)))
+    n0, n1 = _qt_pair()
+    return {
+        "Q identity built elsewhere": (DiagNorm(TRIVIAL, eye, std.weights),
+                                       std, True),
+        "Q identity built elsewhere, other weights": (
+            DiagNorm(TRIVIAL, eye, (F(5), F(4), F(3))), std, False),
+        "Q join of a cross pair": (join(q0, q1),
+                                   DiagNorm.trivial(TRIVIAL, 2), True),
+        # equal on the first basis only: e1 + e2 tells them apart
+        "Q equal on one basis": (DiagNorm.trivial(TRIVIAL, 2), DiagNorm(
+            TRIVIAL, ((F(1), F(0)), (F(1), F(1))), (F(0), F(1))), False),
+        "Q(t) equal on one basis": (DiagNorm.trivial(TADIC, 2), DiagNorm(
+            TADIC, ((one, zero), (one, one)), (F(0), F(1))), False),
+        "Q(t) scaled presentation": (
+            scaled, DiagNorm.standard(TADIC, (F(-1), F(0))), True),
+        "Q(t) scaled, other weight": (
+            scaled, DiagNorm.standard(TADIC, (F(0), F(0))), False),
+        "Q(t) geodesic ends": (geodesic(n0, n1).start, n0, True),
+        "Q(t) cross pair": (n0, n1, False),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_eq_cases()))
+def test_eq_across_bases_keeps_its_verdicts(case) -> None:
+    a, b, equal = _eq_cases()[case]
+    assert a.basis is not b.basis
+    assert (a == b) is (b == a) is equal is _equal_oracle(a, b)
+
+
+@_FIELDS
+@settings(max_examples=30)
+@given(data=st.data())
+def test_eq_on_rescaled_bases_matches_oracle(field, data) -> None:
+    # scaling s_i by c t^k (c a nonzero rational) and adding k to w_i
+    # presents the same norm; a changed weight gives another one
+    n = data.draw(_norms(field, data.draw(st.integers(1, 3))))
+    ks = [data.draw(st.integers(-1, 1)) if field is TADIC else 0
+          for _ in range(n.dim)]
+    cs = [data.draw(st.sampled_from((F(1), F(-2), F(3, 2))))
+          for _ in range(n.dim)]
+    scales = [field.of(c) * _T(k) if field is TADIC else c
+              for c, k in zip(cs, ks)]
+    basis = tuple(tuple(c * x for x in vec) for vec, c in zip(n.basis, scales))
+    same = DiagNorm(field, basis, [w + k for w, k in zip(n.weights, ks)])
+    assert n == same and same == n and _equal_oracle(n, same)
+    i = data.draw(st.integers(0, n.dim - 1))
+    other = same._reweighted([w + (j == i)
+                              for j, w in enumerate(same.weights)])
+    assert n != other and not _equal_oracle(n, other)
