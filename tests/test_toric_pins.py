@@ -25,11 +25,14 @@ from geonorm.plconvex import (
     envelope_constrained,
 )
 from geonorm.segments import (
+    diagnostics,
     duality_tau_set,
     fs_segment,
     kiselman_dual,
     legendre_segment,
     maximal_segment,
+    quantization_levels,
+    quantized_level,
     segment_from_dual,
 )
 from geonorm.toric import (
@@ -153,6 +156,10 @@ PINNED = {
         "fbe13862171f56f37b3350887f14393ee733df3f84d57edebfdaaa7719c55722"),
     "maximal_segment": (
         "1d7a2de32ed3d5c5c3f68d84c87d11d9a1f23b1c839c5c9a5dff0dd404397400"),
+    "quantized_level": (
+        "d57cfa67e621e2f64f33fe4be762084a7ceec777db5dafb03bca24985e5428fd"),
+    "diagnostics": (
+        "8a6191fd317b82bd35c1d0a0f2b0b9ae3529bfbb69ae38baff7e2c7dd90445f1"),
     "legendre_segment": (
         "34a841c853f03969e92acf3df63c762193079ff015959d8d691940f9f976ac1d"),
     "segment_from_dual": (
@@ -187,6 +194,11 @@ def _outputs(kind):
                 out.append(kiselman_dual(seg, tau).to_json())
         elif kind == "maximal_segment":
             out.append(maximal_segment(phi0, phi1, t, kmax).to_json())
+        elif kind == "quantized_level":
+            for k in quantization_levels(kmax):
+                out.append(quantized_level(phi0, phi1, k).to_json())
+        elif kind == "diagnostics":
+            out.append(diagnostics(phi0, phi1, kmax))
         elif kind == "legendre_segment":
             out.append(legendre_segment(phi0, phi1, t).to_json())
         elif kind == "segment_from_dual":
