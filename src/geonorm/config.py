@@ -30,7 +30,7 @@ import json
 from dataclasses import dataclass, field
 
 from .field import parse_fraction
-from .graded import GradedNorm, SectionRing
+from .graded import GradedNorm, SectionRing, _is_positive_int, _ring_dims
 from .norms import DiagNorm
 from .segments import FSSegment
 from .toric import ToricMetric
@@ -69,7 +69,7 @@ class MetricPath:
 
     @classmethod
     def from_json(cls, obj):
-        ring = SectionRing(obj["ring"]["n"], obj["ring"]["m"])
+        ring = SectionRing(*_ring_dims(obj["ring"], "ring"))
         k = int(obj["k"])
         basis = ring.basis(k)
         samples = []
@@ -145,10 +145,6 @@ _VERIFY_REFS = {
 
 # ops evaluated at one segment time t
 _NEEDS_T = ("geodesic", "maximal", "legendre")
-
-
-def _is_positive_int(value) -> bool:
-    return type(value) is int and value >= 1
 
 
 def _task_refs(idx, task):

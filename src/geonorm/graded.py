@@ -87,6 +87,27 @@ class SectionRing:
     __hash__ = None
 
 
+def _is_positive_int(value) -> bool:
+    return type(value) is int and value >= 1
+
+
+def _ring_dims(spec, where: str) -> tuple:
+    """``(n, m)`` of the JSON object ``spec`` that holds a ring's n and m.
+
+    Every ring read from JSON passes here: GradedError unless both are
+    ints >= 1, since a float, a bool or a string would pass the
+    ``SectionRing`` constructor and fail deep inside a computation.
+    """
+    if not isinstance(spec, dict):
+        raise GradedError(
+            f"{where!r} must be a JSON object, got {type(spec).__name__}")
+    for key in ("n", "m"):
+        if not _is_positive_int(spec.get(key)):
+            raise GradedError(f"{where}.{key} must be a positive integer, "
+                              f"got {spec.get(key)!r}")
+    return spec["n"], spec["m"]
+
+
 def _keys(ring: SectionRing, k: int, radix: int) -> list:
     """Mixed-radix keys of ``ring.basis(k)``, in basis order."""
     out = []
@@ -190,14 +211,7 @@ class GradedNorm:
             if key not in obj:
                 raise GradedError(f"missing key {key!r}")
         spec, degrees = obj["ring"], obj["degrees"]
-        if not isinstance(spec, dict):
-            raise GradedError(
-                f"'ring' must be a JSON object, got {type(spec).__name__}")
-        for key in ("n", "m"):
-            if type(spec.get(key)) is not int or spec[key] < 1:
-                raise GradedError(
-                    f"ring.{key} must be a positive integer, got {spec.get(key)!r}")
-        ring = SectionRing(spec["n"], spec["m"])
+        ring = SectionRing(*_ring_dims(spec, "ring"))
         if not isinstance(degrees, dict):
             raise GradedError(
                 "'degrees' must be a JSON object keyed \"1\", \"2\", ..., "

@@ -2,17 +2,24 @@
 
 A level-k FS segment interpolates monomial weights linearly in t; its joint
 potential is convex in (t, v), which is the psh condition in this arena.
-The quantized segment at level k pushes the norm geodesic of the two
-degree-k sup-norms back through FS_k; the maximal segment is the pointwise
-max over a divisibility chain of levels; the Legendre segment realizes the
-same object through rooftop envelopes P(phi0, phi1 - tau), with the sup
-over tau reduced to an exact finite critical set; that family of rooftops
-does not depend on t, so it is built once per pair.  Sampled metric paths
+The quantized segment at level k is the FS_k image of the norm geodesic of
+the two degree-k sup-norms.  Toric sup-norms are diagonal in the one
+monomial basis, so that geodesic keeps the basis and interpolates the
+weights: a level segment is the weight interpolation of the two sup-norms,
+read as integer lattice values off the two profiles (``_level``), and no
+norm is built.  The route through ``DiagNorm`` and ``geodesic`` is kept as
+the test oracle.  The maximal segment is the pointwise max over a
+divisibility chain of levels; the Legendre segment realizes the same
+object through rooftop envelopes P(phi0, phi1 - tau), with the sup over
+tau reduced to an exact finite critical set; that family of rooftops does
+not depend on t, so it is built once per pair.  Sampled metric paths
 are checked for convexity in t, the psh condition, by ``detect_non_psh``.
 
-Every public function conjugates each input metric once: the sup-norms of
-all levels, the rooftops for every shift tau (the profile of phi1 - tau is
-q1 - tau) and the endpoint comparisons read the same two profiles.
+Every public function conjugates each input metric once: the sup-norm
+weights of all levels, the rooftops for every shift tau (the profile of
+phi1 - tau is q1 - tau) and the endpoint comparisons read the same two
+profiles.  An ``FSSegment`` holds its weights as integer numerators over
+one denominator and evaluates on them; its ``Fraction`` weights are views.
 """
 
 from __future__ import annotations
@@ -21,11 +28,9 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
-from .geodesics import geodesic
-from .graded import SectionRing
-from .norms import distance
+from .graded import SectionRing, _ring_dims
 from .plconvex import (
     MaxAffine,
     _compare,
@@ -43,11 +48,9 @@ from .toric import (
     _require_pair,
     _require_same_bundle,
     _rooftop,
-    _supnorm,
     fs_from_norm,
     reference,
     section_ring,
-    supnorm,
 )
 
 
@@ -66,12 +69,18 @@ def _pointwise_max(n: int, m: int, pots) -> ToricMetric:
 
 @dataclass(frozen=True)
 class FSSegment:
-    """Level-k segment with linearly interpolating monomial weights."""
+    """Level-k segment with linearly interpolating monomial weights.
+
+    The weights are held as integer numerators over one denominator, in
+    lowest terms and aligned with ``ring.basis(k)``; ``weights0`` and
+    ``weights1`` are their ``Fraction`` views.
+    """
 
     ring: SectionRing
     k: int
-    weights0: tuple   # aligned with ring.basis(k)
-    weights1: tuple
+    _den: int
+    _b0: tuple
+    _b1: tuple
 
     @classmethod
     def build(cls, ring: SectionRing, k: int, w0, w1) -> "FSSegment":
@@ -90,22 +99,36 @@ class FSSegment:
                     f"expected {len(basis)} weights, got {len(w)}")
             return w
 
-        return cls(ring, k, align(w0), align(w1))
+        w0, w1 = align(w0), align(w1)
+        # on the weights' lcd the numerators are in lowest terms
+        den = lcm(*(w.denominator for w in w0 + w1))
+        return cls(ring, k, den,
+                   tuple(w.numerator * (den // w.denominator) for w in w0),
+                   tuple(w.numerator * (den // w.denominator) for w in w1))
 
-    def _numerators(self):
-        """(den, weights0 * den, weights1 * den) on the weights' lcd."""
-        ws0, ws1 = self.weights0, self.weights1
-        den = lcm(*(w.denominator for w in ws0 + ws1))
-        return (den, [w.numerator * (den // w.denominator) for w in ws0],
-                [w.numerator * (den // w.denominator) for w in ws1])
+    @classmethod
+    def _from_ints(cls, ring: SectionRing, k: int, den: int, b0,
+                   b1) -> "FSSegment":
+        """The segment with weights b0 / den and b1 / den, den > 0."""
+        g = gcd(den, *b0, *b1)
+        return cls(ring, k, den // g, tuple(x // g for x in b0),
+                   tuple(x // g for x in b1))
+
+    @property
+    def weights0(self) -> tuple:
+        return tuple(Fraction(x, self._den) for x in self._b0)
+
+    @property
+    def weights1(self) -> tuple:
+        return tuple(Fraction(x, self._den) for x in self._b1)
 
     def eval(self, t) -> ToricMetric:
         t = _segment_time(t)
         # (1 - t) w0 + t w1 with t = tn / td, over td den
         tn, td = t.numerator, t.denominator
-        den, b0, b1 = self._numerators()
-        return _fs_metric(self.ring, self.k, td * den,
-                          [(td - tn) * x + tn * y for x, y in zip(b0, b1)])
+        return _fs_metric(self.ring, self.k, td * self._den,
+                          [(td - tn) * x + tn * y
+                           for x, y in zip(self._b0, self._b1)])
 
     @property
     def start(self) -> ToricMetric:
@@ -118,9 +141,10 @@ class FSSegment:
     def joint_potential(self) -> MaxAffine:
         """The segment as one convex PL function of (t, v)."""
         # pieces ((w1 - w0) / k, a / k; w0 / k) as integer rows over k den
-        den, b0, b1 = self._numerators()
+        den = self._den
         rows = [(y - x,) + tuple(c * den for c in a) + (x,)
-                for a, x, y in zip(self.ring.basis(self.k), b0, b1)]
+                for a, x, y in zip(self.ring.basis(self.k), self._b0,
+                                   self._b1)]
         return MaxAffine._from_ints(1 + self.ring.n, self.k * den, rows)
 
     def to_json(self):
@@ -133,7 +157,7 @@ class FSSegment:
 
     @classmethod
     def from_json(cls, obj) -> "FSSegment":
-        ring = section_ring(obj["ring"]["n"], obj["ring"]["m"])
+        ring = section_ring(*_ring_dims(obj["ring"], "ring"))
         w0 = [Fraction(x) for x in obj["weights0"]]
         w1 = [Fraction(x) for x in obj["weights1"]]
         return cls.build(ring, obj["k"], w0, w1)
@@ -145,14 +169,28 @@ def fs_segment(ring: SectionRing, k: int, w0, w1) -> FSSegment:
 
 def quantized_level(phi0: ToricMetric, phi1: ToricMetric, k: int) -> FSSegment:
     """The level-k FS segment induced by the sup-norm geodesic."""
-    ring = section_ring(phi0.n, phi0.m)
-    return _level_segment(ring, k, supnorm(k, phi0), supnorm(k, phi1))
+    if k < 1:
+        raise ToricError(f"level k must be at least 1, got {k}")
+    _require_same_bundle(phi0, phi1)
+    return _level(section_ring(phi0.n, phi0.m), k, _full_profile(phi0),
+                  _full_profile(phi1))
 
 
-def _level_segment(ring: SectionRing, k: int, n0, n1) -> FSSegment:
-    """The level-k FS segment of the geodesic between sup-norms n0, n1."""
-    geo = geodesic(n0, n1)
-    return FSSegment(ring, k, geo.weights0, geo.weights1)
+def _level(ring: SectionRing, k: int, q0, q1) -> FSSegment:
+    """``quantized_level`` of the metrics with profiles q0, q1.
+
+    Both degree-k sup-norms are diagonal in the monomial basis, so their
+    norm geodesic keeps that basis and interpolates the weights: the
+    segment joins the integer lattice values of the two profiles, put over
+    the lcm of their denominators.
+    """
+    basis = ring.basis(k)
+    d0, d1 = q0._den, q1._den
+    den = lcm(d0, d1)
+    s0, s1 = den // d0, den // d1
+    return FSSegment._from_ints(
+        ring, k, den, [x * s0 for x in q0._lattice_numerators(k, basis)],
+        [y * s1 for y in q1._lattice_numerators(k, basis)])
 
 
 def quantized_segment(phi0: ToricMetric, phi1: ToricMetric, k: int, t) -> ToricMetric:
@@ -185,11 +223,11 @@ def _max_over_levels(n: int, m: int, segs, t) -> ToricMetric:
 def maximal_segment(phi0: ToricMetric, phi1: ToricMetric, t, kmax: int = 8) -> ToricMetric:
     """Pointwise max of quantized segments along the level chain."""
     levels = _chain(kmax)
+    _require_same_bundle(phi0, phi1)
     q0, q1 = _full_profile(phi0), _full_profile(phi1)
     t = _segment_time(t)  # before any level is built
     ring = section_ring(phi0.n, phi0.m)
-    segs = [_level_segment(ring, k, _supnorm(k, phi0, q0),
-                           _supnorm(k, phi1, q1)) for k in levels]
+    segs = [_level(ring, k, q0, q1) for k in levels]
     return _max_over_levels(phi0.n, phi0.m, segs, t)
 
 
@@ -257,9 +295,8 @@ def kiselman_dual(seg: FSSegment, tau) -> ToricMetric:
 
 def duality_tau_set(seg: FSSegment):
     """t-slopes of the joint potential: where the Legendre sup is attained."""
-    k = seg.k
-    taus = {Fraction(w1 - w0, k)
-            for w0, w1 in zip(seg.weights0, seg.weights1)}
+    kden = seg.k * seg._den
+    taus = {Fraction(y - x, kden) for x, y in zip(seg._b0, seg._b1)}
     return tuple(sorted(taus))
 
 
@@ -334,19 +371,24 @@ def diagnostics(phi0: ToricMetric, phi1: ToricMetric, kmax: int = 8,
     e_ref = _energy(ref, ref.profile())
     report = {"levels": list(levels), "ts": [str(t) for t in ts]}
 
+    # the times as S / T, so that the weights at s are integers over T den
+    T = lcm(*(s.denominator for s in ts))
+    S = [s.numerator * (T // s.denominator) for s in ts]
     ring = section_ring(phi0.n, phi0.m)
     segs, per_level = [], []
     for k in levels:
-        ends = _supnorm(k, phi0, q0), _supnorm(k, phi1, q1)
-        seg = _level_segment(ring, k, *ends)
+        seg = _level(ring, k, q0, q1)
         segs.append(seg)
-        d_ends = distance(*ends, 1)
-        ws = {s: [(1 - s) * a + s * b
-                  for a, b in zip(seg.weights0, seg.weights1)] for s in ts}
+        # d1 of the two sup-norms: the mean |w0 - w1|, here over den
+        d_sum = sum(abs(x - y) for x, y in zip(seg._b0, seg._b1))
+        d_ends = Fraction(d_sum, len(seg._b0) * seg._den)
+        ws = [[T * x + s * (y - x) for x, y in zip(seg._b0, seg._b1)]
+              for s in S]
+        # d1(w_s, w_s') == (s' - s) d1(w0, w1), both sides times T den h0(k)
         ok = all(
-            Fraction(sum(abs(x - y) for x, y in zip(ws[s], ws[tprime])),
-                     len(ws[s])) == (tprime - s) * d_ends
-            for s, tprime in itertools.combinations(ts, 2))
+            sum(abs(x - y) for x, y in zip(ws[i], ws[j]))
+            == (S[j] - S[i]) * d_sum
+            for i, j in itertools.combinations(range(len(S)), 2))
         per_level.append({"k": k, "d1_endpoints": str(d_ends),
                           "geodesic_exact": ok})
     report["d1_geodesic_per_level"] = per_level

@@ -17,8 +17,8 @@ routes of ``d1_metric`` share no integration code.
 
 A metric's profile is computed on demand and never stored on the metric.
 Each public function conjugates each input metric once and hands the
-profile to the private helpers that need it (``_supnorm`` for every degree,
-``_rooftop`` for envelopes, ``_energy`` for integrals).
+profile to the private helpers that need it (``_supweights`` for every
+degree, ``_rooftop`` for envelopes, ``_energy`` for integrals).
 
 The toric side runs on integers.  A potential is a ``MaxAffine`` held as
 integer rows over one denominator, and a profile keeps one denominator D
@@ -30,9 +30,10 @@ profile's integer planes: k q(a/k) is the min over the planes (W, B) / D
 of (<W, a> + k B) / D (``ConcaveProfile.lattice_values``).  Per-degree
 energies and d1 sums add the numerators of beta0 - beta1 over the product
 of the two profiles' denominators (``_per_degree``), and E(phi) integrates
-the profile's integers (``plconvex.integrate_profile``).  Graded norms
-read the weights alone (``_supweights``); ``_supnorm`` wraps them in a
-standard-basis norm, which costs O(d).
+the profile's integers (``plconvex.integrate_profile``), and so do the
+level segments of ``geonorm.segments``.  Graded norms read the weights
+alone (``_supweights``); only ``supnorm`` wraps them in a standard-basis
+norm, which costs O(d).
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from .field import TRIVIAL, format_fraction
-from .graded import GradedNorm, SectionRing
+from .graded import GradedNorm, SectionRing, _ring_dims
 from .norms import DiagNorm
 from .plconvex import (
     Comparison,
@@ -83,11 +84,10 @@ class ToricMetric:
         if self.potential.n != self.n:
             raise ToricError("potential dimension does not match n")
         f = self.potential
-        m = Fraction(self.m)
-        top = m.numerator * f._den   # sum(g) <= m, times den * m.denominator
+        top = self.m * f._den   # sum(g) <= m, times den
         for r in f._rows:
             g = r[:-1]
-            if any(x < 0 for x in g) or sum(g) * m.denominator > top:
+            if any(x < 0 for x in g) or sum(g) > top:
                 g = tuple(Fraction(x, f._den) for x in g)
                 raise ToricError(
                     f"piece gradient {g} falls outside {self.m}*Delta")
@@ -100,7 +100,7 @@ class ToricMetric:
         """
         f = self.potential
         grads = {r[:-1] for r in f._rows}
-        m = Fraction(self.m) * f._den   # m e_i, over the potential's den
+        m = self.m * f._den   # m e_i, over the potential's den
         return (0,) * self.n in grads and all(
             tuple(m if j == i else 0 for j in range(self.n)) in grads
             for i in range(self.n))
@@ -129,7 +129,8 @@ class ToricMetric:
 
     @classmethod
     def from_json(cls, obj) -> "ToricMetric":
-        return cls(obj["n"], obj["m"], MaxAffine.from_json(obj["potential"]),
+        n, m = _ring_dims(obj, "metric")
+        return cls(n, m, MaxAffine.from_json(obj["potential"]),
                    obj.get("provenance", "fs(1)"))
 
 
@@ -189,7 +190,7 @@ def supnorm(k: int, phi: ToricMetric) -> DiagNorm:
     The conjugate scales as (k u)*(a) = k u*(a/k), so one profile of the
     defining potential serves every degree.
     """
-    return _supnorm(k, phi, _full_profile(phi))
+    return DiagNorm.standard(TRIVIAL, _supweights(k, phi, _full_profile(phi)))
 
 
 def _full_profile(phi: ToricMetric) -> ConcaveProfile:
@@ -201,13 +202,9 @@ def _full_profile(phi: ToricMetric) -> ConcaveProfile:
     return phi.profile()
 
 
-def _supnorm(k: int, phi: ToricMetric, q: ConcaveProfile) -> DiagNorm:
-    """``supnorm(k, phi)`` read off q = ``_full_profile(phi)``."""
-    return DiagNorm.standard(TRIVIAL, _supweights(k, phi, q))
-
-
 def _supweights(k: int, phi: ToricMetric, q: ConcaveProfile) -> tuple:
-    """The weights of ``_supnorm(k, phi, q)``, in ``ring.basis(k)`` order."""
+    """The weights of ``supnorm(k, phi)``, in ``ring.basis(k)`` order, read
+    off q = ``_full_profile(phi)``."""
     return q.lattice_values(k, section_ring(phi.n, phi.m).basis(k))
 
 

@@ -27,7 +27,12 @@ meet over Z and keeps rows by an incremental integer echelon.  The exceptions be
 each a path the library replaced, kept as a differential reference and
 composed from the library's own primitives.
 ``legendre_segment_per_t`` is the per-t Legendre construction that
-geonorm.segments replaced.  ``integrate_difference`` and
+geonorm.segments replaced.  ``level_segment_via_geodesic`` is the
+quantized level segment as the FS image of the norm geodesic between two
+sup-norm ``DiagNorm``s, and ``maximal_segment_via_geodesic`` and
+``level_chain_via_geodesic`` build the maximal segment and the per-level
+rows of ``diagnostics`` on it, where geonorm.segments interpolates the
+integer lattice values of the two profiles.  ``integrate_difference`` and
 ``energy_limit_overlay`` integrate q0 - q1 over the overlay of two cell
 subdivisions, where geonorm.toric integrates each profile on its own and
 subtracts.  ``lp_le_witness`` is the comparison that
@@ -97,10 +102,24 @@ from geonorm import linalg
 from geonorm.field import INF, TADIC, RatFunc
 from geonorm.graded import GradedError, GradedNorm, _degree_one_table
 from geonorm.linprog import minimize_max_affine
-from geonorm.norms import DiagNorm, NormError, codiagonalize, sym_monomials
-from geonorm.plconvex import _overlay, integrate_cell_affine, prune
-from geonorm.segments import tau_critical_set
-from geonorm.toric import ToricError, ToricMetric, envelope_P, moment_volume
+from geonorm.norms import (
+    DiagNorm,
+    NormError,
+    codiagonalize,
+    distance,
+    sym_monomials,
+)
+from geonorm.plconvex import _overlay, compare, integrate_cell_affine, prune
+from geonorm.geodesics import geodesic
+from geonorm.segments import fs_segment, quantization_levels, tau_critical_set
+from geonorm.toric import (
+    ToricError,
+    ToricMetric,
+    envelope_P,
+    moment_volume,
+    section_ring,
+    supnorm,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -367,6 +386,66 @@ def legendre_segment_per_t(phi0, phi1, t):
         pots.append(roof.potential.shifted(t * tau))
     pot = prune(pots[0].max_with(*pots[1:]))
     return ToricMetric(phi0.n, phi0.m, pot, "limit")
+
+
+# ---------------------------------------------------------------------------
+# Quantized level segments through the norm geodesic of two sup-norms: the
+# path that geonorm.segments replaced with the weight interpolation of the
+# two profiles' integer lattice values.
+# ---------------------------------------------------------------------------
+
+
+def level_segment_via_geodesic(ring, k, n0, n1):
+    """The level-k FS segment of the geodesic between sup-norms n0, n1."""
+    geo = geodesic(n0, n1)
+    return fs_segment(ring, k, geo.weights0, geo.weights1)
+
+
+def _geodesic_levels(phi0, phi1, kmax):
+    """(k, n0, n1, segment) per level of the chain, n0, n1 the sup-norms."""
+    ring = section_ring(phi0.n, phi0.m)
+    out = []
+    for k in quantization_levels(kmax):
+        n0, n1 = supnorm(k, phi0), supnorm(k, phi1)
+        out.append((k, n0, n1, level_segment_via_geodesic(ring, k, n0, n1)))
+    return out
+
+
+def _max_at(phi0, segs, t):
+    pots = [seg.eval(t).potential for seg in segs]
+    return ToricMetric(phi0.n, phi0.m, prune(pots[0].max_with(*pots[1:])),
+                       "limit")
+
+
+def maximal_segment_via_geodesic(phi0, phi1, t, kmax):
+    """Pointwise max at t of the geodesic level segments of the chain."""
+    segs = [seg for _, _, _, seg in _geodesic_levels(phi0, phi1, kmax)]
+    return _max_at(phi0, segs, t)
+
+
+def level_chain_via_geodesic(phi0, phi1, kmax, ts):
+    """``(d1_geodesic_per_level, endpoint_recovery)`` of ``diagnostics``:
+    d1 of the two sup-norms by ``norms.distance``, d1 along the segment on
+    ``Fraction`` weights, recovery by the public ``compare``."""
+    ts = [Fraction(t) for t in ts]
+    levels = _geodesic_levels(phi0, phi1, kmax)
+    per_level = []
+    for k, n0, n1, seg in levels:
+        d_ends = distance(n0, n1, 1)
+        ws = {s: [(1 - s) * a + s * b
+                  for a, b in zip(seg.weights0, seg.weights1)] for s in ts}
+        ok = all(
+            Fraction(sum(abs(x - y) for x, y in zip(ws[s], ws[u])),
+                     len(ws[s])) == (u - s) * d_ends
+            for s, u in itertools.combinations(ts, 2))
+        per_level.append({"k": k, "d1_endpoints": str(d_ends),
+                          "geodesic_exact": ok})
+    segs = [seg for _, _, _, seg in levels]
+    recovery = {}
+    for label, t, phi in (("start", 0, phi0), ("end", 1, phi1)):
+        rel = compare(_max_at(phi0, segs, t).potential, phi.potential).relation
+        recovery[label] = {"recovered": rel == "eq", "relation": rel}
+    return per_level, recovery
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ def _metric_json(weights):
 
 
 def _pair_config(tmp_path, tasks, fmt="csv", extra_objects=None,
-                 name="config.json"):
+                 name="config.json", arena=True):
     doc = {
         "arena": {"n": 1, "m": 1, "backend": "trivial"},
         "objects": {
@@ -43,6 +43,8 @@ def _pair_config(tmp_path, tasks, fmt="csv", extra_objects=None,
     }
     if extra_objects:
         doc["objects"].update(extra_objects)
+    if not arena:
+        del doc["arena"]
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
@@ -531,22 +533,22 @@ def test_task_without_t_exits_2(tmp_path, capsys) -> None:
     assert not (tmp_path / "out").exists()
 
 
-def _graded_with(**changes):
+def _gradeddict(**changes):
     obj = planted_submultiplicativity_violation().to_json()
     obj.update(changes)
     return {k: v for k, v in obj.items() if v is not None}
 
 
 @pytest.mark.parametrize("obj, message", [
-    (_graded_with(degrees={"1": {}, "3": {}}),
+    (_gradeddict(degrees={"1": {}, "3": {}}),
      "'degrees' has no degree 2: keys must run \"1\", \"2\", ... without gaps"),
-    (_graded_with(ring=None), "missing key 'ring'"),
-    (_graded_with(degrees=[]),
+    (_gradeddict(ring=None), "missing key 'ring'"),
+    (_gradeddict(degrees=[]),
      "'degrees' must be a JSON object keyed \"1\", \"2\", ..., got list"),
-    (_graded_with(ring={"n": "1", "m": 1}),
+    (_gradeddict(ring={"n": "1", "m": 1}),
      "ring.n must be a positive integer, got '1'"),
-    (_graded_with(ring={"n": 1}), "ring.m must be a positive integer, got None"),
-    (_graded_with(degrees={"1": {"weights": ["0", "0"]}}),
+    (_gradeddict(ring={"n": 1}), "ring.m must be a positive integer, got None"),
+    (_gradeddict(degrees={"1": {"weights": ["0", "0"]}}),
      "degree 1: malformed norm JSON: 'basis'"),
 ])
 def test_bad_graded_object_names_what_is_wrong(tmp_path, capsys, obj,
@@ -555,6 +557,45 @@ def test_bad_graded_object_names_what_is_wrong(tmp_path, capsys, obj,
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err == f"config error: bad graded object 'g': {message}\n"
+
+
+_SEGMENT = {"ring": {"n": 1, "m": 1}, "k": 1,
+            "weights0": ["0", "0"], "weights1": ["0", "-2"]}
+
+
+@pytest.mark.parametrize("kind, obj, key, got", [
+    ("metrics", dict(_metric_json((0, 0)), m=2.0), "metric.m", "2.0"),
+    ("metrics", dict(_metric_json((0, 0)), m="1/2"), "metric.m", "'1/2'"),
+    ("metrics", dict(_metric_json((0, 0)), n=1.0), "metric.n", "1.0"),
+    ("metrics", dict(_metric_json((0, 0)), m=True), "metric.m", "True"),
+    ("paths", dict(_healthy_path(), ring={"n": 1.0, "m": 1}), "ring.n",
+     "1.0"),
+    ("paths", dict(_healthy_path(), ring={"n": 1, "m": True}), "ring.m",
+     "True"),
+    ("segments", dict(_SEGMENT, ring={"n": 1, "m": 2.0}), "ring.m", "2.0"),
+    ("segments", dict(_SEGMENT, ring={"n": "1", "m": 1}), "ring.n", "'1'"),
+])
+@pytest.mark.parametrize("arena", [True, False])
+def test_non_integer_ring_exits_2(tmp_path, capsys, kind, obj, key, got,
+                                  arena) -> None:
+    # a float, bool or string n or m is refused when the object is read,
+    # with the object named, before any task runs on it
+    name = {"metrics": "phi0", "paths": "p", "segments": "s"}[kind]
+    extra = {"paths": {"p": _healthy_path()}}
+    extra[kind] = dict(extra.get(kind, {}), **{name: obj})
+    if kind == "metrics":
+        extra[kind]["phi1"] = _metric_json((0, -2))
+    cfg = _pair_config(tmp_path, [
+        {"op": "energy", "metrics": ["phi0", "phi1"], "kmax": 2},
+        {"op": "maximal", "metrics": ["phi0", "phi1"], "t": "1/2", "kmax": 2},
+        {"op": "verify", "target": "segment_psh", "path": "p"},
+    ], extra_objects=extra, arena=arena)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: bad {kind} object {name!r}: {key} must be a "
+        f"positive integer, got {got}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

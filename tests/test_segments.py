@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from geonorm import linprog, plconvex, segments
+from geonorm import linprog, norms, plconvex, segments
 from geonorm.plconvex import MaxAffine, compare
 from geonorm.segments import (
     FSSegment,
@@ -20,6 +20,7 @@ from geonorm.segments import (
     maximal_segment,
     planted_non_psh_path,
     quantization_levels,
+    quantized_level,
     quantized_segment,
     segment_from_dual,
     tau_critical_set,
@@ -33,6 +34,7 @@ from geonorm.toric import (
     fs_from_norm,
     reference,
     section_ring,
+    supnorm,
 )
 
 F = Fraction
@@ -104,7 +106,7 @@ def test_segment_time_is_checked_before_anything_is_built(monkeypatch) -> None:
     def refuse(*args):
         raise AssertionError("built before t was checked")
 
-    monkeypatch.setattr(segments, "_level_segment", refuse)
+    monkeypatch.setattr(segments, "_level", refuse)
     monkeypatch.setattr(segments, "_rooftop_family", refuse)
     for t in (F(-1, 2), F(3, 2)):
         for run in (lambda: maximal_segment(phi0, phi1, t, kmax=4),
@@ -112,6 +114,14 @@ def test_segment_time_is_checked_before_anything_is_built(monkeypatch) -> None:
             with pytest.raises(ToricError, match=re.escape(
                     f"segment time {t} outside [0, 1]")):
                 run()
+
+
+def test_quantized_level_needs_a_positive_level() -> None:
+    seg = _comparable_seg()
+    for k in (0, -1):
+        with pytest.raises(ToricError, match=f"level k must be at least 1, "
+                                             f"got {k}"):
+            quantized_level(seg.start, seg.end, k)
 
 
 def test_segment_from_dual_checks_t_before_any_dual(monkeypatch) -> None:
@@ -237,13 +247,16 @@ def test_maximal_dominates_endpoint_dominated_competitor() -> None:
 
 
 def test_mismatched_bundles_rejected() -> None:
-    # pairs differing in n, only in m, and in n with equal h0 = 3
+    # pairs differing in n, only in m, and in n with equal h0 = 3, where
+    # the two sup-norms of a level have one dimension
     on_p1 = _fs(RING1, 1, (0, 0))
     on_p1_m2 = _fs(RING2, 1, (0, 1, 0))
     on_p2 = _fs(section_ring(2, 1), 1, (0, 1, 0))
     for phi0, phi1 in ((on_p1, on_p2), (on_p1, on_p1_m2), (on_p1_m2, on_p2)):
         for run in (lambda: legendre_segment(phi0, phi1, F(1, 2)),
-                    lambda: diagnostics(phi0, phi1, kmax=2)):
+                    lambda: diagnostics(phi0, phi1, kmax=2),
+                    lambda: maximal_segment(phi0, phi1, F(1, 2), kmax=2),
+                    lambda: quantized_level(phi0, phi1, 1)):
             with pytest.raises(ToricError,
                                match="metrics live on different line bundles"):
                 run()
@@ -330,6 +343,67 @@ def test_diagnostics_energies_match_per_t_oracle(pair) -> None:
     want = [str(energy_limit(oracles.legendre_segment_per_t(phi0, phi1, t),
                              ref)) for t in ts]
     assert [row["energy"] for row in report["energy_along_segment"]] == want
+
+
+@settings(max_examples=40)
+@given(_metric_pairs(), st.integers(1, 3),
+       st.fractions(0, 1, max_denominator=6))
+def test_level_segments_match_geodesic_oracle(pair, kmax, t) -> None:
+    # weights, maximal potentials and the level chain of diagnostics, with
+    # t repeated among the report's times
+    phi0, phi1 = pair
+    ring = section_ring(phi0.n, phi0.m)
+    for k in range(1, kmax + 1):
+        got = quantized_level(phi0, phi1, k)
+        want = oracles.level_segment_via_geodesic(
+            ring, k, supnorm(k, phi0), supnorm(k, phi1))
+        assert (got.weights0, got.weights1) == (want.weights0, want.weights1)
+        assert got == want
+    got = maximal_segment(phi0, phi1, t, kmax)
+    want = oracles.maximal_segment_via_geodesic(phi0, phi1, t, kmax)
+    assert got.potential.to_json() == want.potential.to_json()
+    ts = (F(0), t, F(1, 2), t, F(1))
+    report = diagnostics(phi0, phi1, kmax, ts)
+    per_level, recovery = oracles.level_chain_via_geodesic(phi0, phi1, kmax,
+                                                           ts)
+    assert report["d1_geodesic_per_level"] == per_level
+    assert report["endpoint_recovery"] == recovery
+
+
+def test_level_segments_build_no_norm(monkeypatch) -> None:
+    # the levels read the two profiles: no DiagNorm, no codiagonalization
+    # and no norm distance, while supnorm still builds its DiagNorm
+    built = []
+    real_init, real_on = norms.DiagNorm.__init__, norms.DiagNorm._on
+
+    def init(self, *args):
+        built.append("__init__")
+        real_init(self, *args)
+
+    def on(cls, *args):
+        built.append("_on")
+        return real_on(*args)
+
+    def spy(name):
+        real = getattr(norms, name)
+        return lambda *args, **kw: built.append(name) or real(*args, **kw)
+
+    monkeypatch.setattr(norms.DiagNorm, "__init__", init)
+    monkeypatch.setattr(norms.DiagNorm, "_on", classmethod(on))
+    for name in ("codiagonalize", "_verified"):
+        monkeypatch.setattr(norms, name, spy(name))
+    ring = section_ring(2, 1)
+    for phi0, phi1 in (
+            (_fs(RING2, 2, (0, 0, 3, 0, 0)), _fs(RING2, 2, (0, -1, 0, 2, 0))),
+            (_fs(ring, 2, (0, 1, -1, 2, 0, 0)),
+             _fs(ring, 2, (1, -2, 0, 0, 3, -1)))):
+        maximal_segment(phi0, phi1, F(1, 3), kmax=4)
+        quantized_level(phi0, phi1, 3).eval(F(1, 2))
+        quantized_segment(phi0, phi1, 2, F(2, 3))
+        diagnostics(phi0, phi1, kmax=4)
+        assert built == []
+    supnorm(2, phi0)
+    assert built == ["__init__"]
 
 
 def test_legendre_equals_maximal_on_level_two_instance() -> None:
@@ -461,22 +535,22 @@ def test_detect_non_psh_on_p2_at_uneven_times() -> None:
 
 
 def test_diagnostics_builds_each_level_once(monkeypatch) -> None:
-    # two sup-norms per level serve the geodesic, d1 and endpoint recovery
+    # one level segment per level serves d1 and endpoint recovery
     calls = []
-    real = segments._supnorm
+    real = segments._level
 
-    def counted(k, phi, q):
+    def counted(ring, k, q0, q1):
         calls.append(k)
-        return real(k, phi, q)
+        return real(ring, k, q0, q1)
 
     phi0 = _fs(RING2, 2, (0, 0, 3, 0, 0))
     phi1 = _fs(RING2, 2, (0, -1, 0, 2, 0))
     want = {label: compare_metrics(maximal_segment(phi0, phi1, t, 2),
                                    phi).relation
             for label, t, phi in (("start", 0, phi0), ("end", 1, phi1))}
-    monkeypatch.setattr(segments, "_supnorm", counted)
+    monkeypatch.setattr(segments, "_level", counted)
     report = diagnostics(phi0, phi1, kmax=2)
-    assert sorted(calls) == [1, 1, 2, 2]
+    assert sorted(calls) == [1, 2]
     assert {label: row["relation"] for label, row
             in report["endpoint_recovery"].items()} == want
 
