@@ -247,8 +247,8 @@ def test_maximal_dominates_endpoint_dominated_competitor() -> None:
 
 
 def test_mismatched_bundles_rejected() -> None:
-    # pairs differing in n, only in m, and in n with equal h0 = 3, where
-    # the two sup-norms of a level have one dimension
+    # pairs differing in n, only in m, and in n with equal h0 = 3 (where
+    # the two sup-norms of a level have the same dimension)
     on_p1 = _fs(RING1, 1, (0, 0))
     on_p1_m2 = _fs(RING2, 1, (0, 1, 0))
     on_p2 = _fs(section_ring(2, 1), 1, (0, 1, 0))
