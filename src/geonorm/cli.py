@@ -8,6 +8,14 @@ Subcommands:
 * ``segments maximal`` - evaluate the quantized maximal segment at one t
 * ``segments verify``  - run a config's verify tasks and write a report
 
+``run`` and ``segments verify`` keep one record per ordered pair of norm or
+metric names for the whole command (``norms.NormPair``,
+``segments.SegmentPair``), so the tasks on one pair share its work: one
+kernel run per pair of norms, one conjugation of each metric, one rooftop
+family, one Legendre slice per t, one level segment per k and one
+diagnostics report per chain of levels.  Each artifact is the one a
+config holding only its task writes.
+
 Outputs are deterministic: rationals render as "num/den" strings, decimal
 columns appear only in convergence tables, files are written atomically,
 and re-running a command reproduces its artifacts byte for byte.  The
@@ -31,14 +39,20 @@ from fractions import Fraction
 from .config import ConfigError, load_config, metric_pair
 from .field import INF, format_fraction, parse_fraction
 from .graded import asymptotic_stats, check_submultiplicative, serialize_counterexample
-from .norms import distance, join, spectrum, volume
-from .geodesics import geodesic
-from .segments import detect_non_psh, diagnostics, legendre_segment, maximal_segment
+from .norms import NormPair
+from .geodesics import pair_geodesic
+from .segments import SegmentPair, detect_non_psh, maximal_segment
 from .suites import SUITE_NAMES, run_suite
-from .toric import d1_metric, energy
+from .toric import energy
+
+
+# the leaves JSON writes as they are, recognized before the other checks
+_JSON_LEAVES = frozenset((str, int, bool, type(None)))
 
 
 def _jsonable(obj):
+    if type(obj) in _JSON_LEAVES:
+        return obj
     if isinstance(obj, Fraction):
         return format_fraction(obj)
     if obj is INF:
@@ -54,8 +68,8 @@ def _jsonable(obj):
 
 def _write_text(path, text):
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    with open(tmp, "wb") as fh:
+        fh.write(text.encode("utf-8"))
     os.replace(tmp, path)
 
 
@@ -130,22 +144,32 @@ def _parse_p(raw):
     return int(raw)
 
 
-def _diagnostics(task, cfg, args, reports):
-    """``segments.diagnostics`` of a task's metric pair, once per (pair, kmax).
+def _pair(task, cfg, pairs, kind):
+    """The record of a task's ordered pair of norms or metrics.
 
-    ``reports`` maps (pair names, kmax) to the report; it lives for one
-    command, so the ``diagnostics`` task and ``verify theoremB`` on the same
-    pair read one report.
+    ``pairs`` maps (kind, name0, name1) to a ``norms.NormPair`` or a
+    ``segments.SegmentPair``; it lives for one command, so every task on a
+    pair reads one record: one kernel run per pair of norms, and per pair of
+    metrics one conjugation of each metric, one rooftop family and one
+    diagnostics report per chain of levels, which the ``diagnostics`` task
+    and ``verify theoremB`` share.
     """
-    kmax = _task_kmax(task, args, 4)
-    key = (tuple(task["metrics"]), kmax)
-    if key not in reports:
-        phi0, phi1 = (cfg.metrics[name] for name in task["metrics"])
-        reports[key] = diagnostics(phi0, phi1, kmax=kmax)
-    return reports[key]
+    names = tuple(task[kind])
+    key = (kind,) + names
+    if key not in pairs:
+        table, record = ((cfg.norms, NormPair) if kind == "norms"
+                         else (cfg.metrics, SegmentPair))
+        pairs[key] = record(*(table[name] for name in names))
+    return pairs[key]
 
 
-def _run_verify(task, cfg, args, reports):
+def _diagnostics(task, cfg, args, pairs):
+    """``segments.diagnostics`` of a task's metric pair, from its record."""
+    return _pair(task, cfg, pairs, "metrics").diagnostics(
+        _task_kmax(task, args, 4))
+
+
+def _run_verify(task, cfg, args, pairs):
     """Returns (report dict, ok, counterexample or None)."""
     target = task["target"]
     if target == "submultiplicative":
@@ -162,7 +186,7 @@ def _run_verify(task, cfg, args, reports):
         return {"target": target, "status": "pass" if ok else "fail",
                 "counterexample": witness}, ok, witness
     # theoremB: exactness flags of the maximal-segment diagnostics
-    report = _diagnostics(task, cfg, args, reports)
+    report = _diagnostics(task, cfg, args, pairs)
     problems = []
     if not report["energy_affine_exact"]:
         problems.append({"check": "energy-affine",
@@ -180,30 +204,27 @@ def _run_verify(task, cfg, args, reports):
             "counterexample": ce, "diagnostics": report}, ok, ce
 
 
-def _run_task(idx, task, cfg, args, reports):
+def _run_task(idx, task, cfg, args, pairs):
     """Returns (artifact data, ok flag, counterexample)."""
     op = task["op"]
     if op == "spectrum":
-        n0, n1 = (cfg.norms[x] for x in task["norms"])
-        rows = [{"i": i, "lambda": format_fraction(v)}
-                for i, v in enumerate(spectrum(n0, n1))]
+        rows = [{"i": i, "lambda": format_fraction(v)} for i, v
+                in enumerate(_pair(task, cfg, pairs, "norms").spectrum())]
         return rows, True, None
     if op == "distance":
-        n0, n1 = (cfg.norms[x] for x in task["norms"])
         p = _parse_p(task.get("p", 1))
-        value = distance(n0, n1, p)
+        value = _pair(task, cfg, pairs, "norms").distance(p)
         return [{"p": "inf" if p == math.inf else str(p),
                  "value": format_fraction(Fraction(value))}], True, None
     if op == "volume":
-        n0, n1 = (cfg.norms[x] for x in task["norms"])
-        return [{"value": format_fraction(volume(n0, n1))}], True, None
+        value = _pair(task, cfg, pairs, "norms").volume()
+        return [{"value": format_fraction(value)}], True, None
     if op == "join":
-        n0, n1 = (cfg.norms[x] for x in task["norms"])
-        return join(n0, n1).to_json(), True, None
+        return _pair(task, cfg, pairs, "norms").join().to_json(), True, None
     if op == "geodesic":
-        n0, n1 = (cfg.norms[x] for x in task["norms"])
         t = parse_fraction(str(task["t"]))
-        return geodesic(n0, n1).at(t).to_json(), True, None
+        geo = pair_geodesic(_pair(task, cfg, pairs, "norms"))
+        return geo.at(t).to_json(), True, None
     if op == "asymptotic":
         g0, g1 = (cfg.graded[x] for x in task["graded"])
         p = _parse_p(task.get("p", 1))
@@ -220,20 +241,19 @@ def _run_task(idx, task, cfg, args, reports):
             })
         return rows, True, None
     if op in ("energy", "d1"):
-        phi0, phi1 = (cfg.metrics[x] for x in task["metrics"])
-        fn = energy if op == "energy" else d1_metric
-        res = fn(phi0, phi1, kmax=_task_kmax(task, args))
-        return res.rows(), True, None
+        pair = _pair(task, cfg, pairs, "metrics")
+        fn = pair.energy if op == "energy" else pair.d1
+        return fn(_task_kmax(task, args)).rows(), True, None
     if op == "maximal":
-        phi0, phi1 = (cfg.metrics[x] for x in task["metrics"])
         t = parse_fraction(str(task["t"]))
-        return maximal_segment(phi0, phi1, t, kmax=_task_kmax(task, args)).to_json(), True, None
+        metric = _pair(task, cfg, pairs, "metrics").maximal(
+            t, _task_kmax(task, args))
+        return metric.to_json(), True, None
     if op == "legendre":
-        phi0, phi1 = (cfg.metrics[x] for x in task["metrics"])
         t = parse_fraction(str(task["t"]))
-        return legendre_segment(phi0, phi1, t).to_json(), True, None
+        return _pair(task, cfg, pairs, "metrics").legendre(t).to_json(), True, None
     if op == "diagnostics":
-        return _diagnostics(task, cfg, args, reports), True, None
+        return _diagnostics(task, cfg, args, pairs), True, None
     if op == "suite":
         rows = run_suite(task.get("name", "all"),
                          seed=int(task.get("seed", args.seed)))
@@ -241,7 +261,7 @@ def _run_task(idx, task, cfg, args, reports):
         failing = [r for r in rows if r["status"] != "pass"]
         return rows, ok, failing or None
     if op == "verify":
-        return _run_verify(task, cfg, args, reports)
+        return _run_verify(task, cfg, args, pairs)
     raise ConfigError(f"task {idx}: unhandled op {op!r}")  # pragma: no cover
 
 
@@ -252,9 +272,9 @@ def cmd_run(args):
     os.makedirs(out_dir, exist_ok=True)
     summary = []
     failed = False
-    reports = {}
+    pairs = {}
     for idx, task in enumerate(cfg.tasks):
-        data, ok, counterexample = _run_task(idx, task, cfg, args, reports)
+        data, ok, counterexample = _run_task(idx, task, cfg, args, pairs)
         name = f"{idx:03d}_{task['op']}"
         text, ext = _render(data, fmt)
         path = os.path.join(out_dir, f"{name}.{ext}")
@@ -327,9 +347,9 @@ def cmd_segments_verify(args):
         raise ConfigError(f"{args.config} defines no verify tasks")
     failed = False
     checks = []
-    reports = {}
+    pairs = {}
     for idx, task in enumerate(verify_tasks):
-        report, ok, counterexample = _run_verify(task, cfg, args, reports)
+        report, ok, counterexample = _run_verify(task, cfg, args, pairs)
         checks.append(report)
         status = "pass" if ok else "FAIL"
         print(f"verify {task['target']}: {status}")

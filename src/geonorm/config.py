@@ -30,7 +30,8 @@ import json
 from dataclasses import dataclass, field
 
 from .field import parse_fraction
-from .graded import GradedNorm, SectionRing, _is_positive_int, _ring_dims
+from .graded import (GradedNorm, SectionRing, _is_positive_int, _level_k,
+                     _ring_dims)
 from .norms import DiagNorm
 from .segments import FSSegment
 from .toric import ToricMetric
@@ -70,7 +71,7 @@ class MetricPath:
     @classmethod
     def from_json(cls, obj):
         ring = SectionRing(*_ring_dims(obj["ring"], "ring"))
-        k = int(obj["k"])
+        k = _level_k(obj)
         basis = ring.basis(k)
         samples = []
         for sample in obj["samples"]:

@@ -73,7 +73,8 @@ def parse_fraction(text: str) -> Fraction:
 
 def format_fraction(q: Fraction) -> str:
     """Serialize a rational as ``"num/den"`` (``"num"`` when integral)."""
-    q = Fraction(q)
+    if type(q) is not Fraction:
+        q = Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

@@ -18,6 +18,12 @@ their inverse, more than the one elimination.  ``at``, ``start`` and
 record: one basis tuple and one inverse, one ord_t det for ``det_norm``
 (none at all over Q), one Sym^m basis per m for ``sym_power_norm``, and
 ``==`` between two of them reads the basis once.
+
+``geodesic`` reads the ``NormPair`` record of its two norms
+(``pair_geodesic`` takes one the caller keeps): the common basis, its
+verification and its record are the pair's, shared with ``join`` and the
+spectrum of the pair, so a caller that keeps the record runs the kernel
+once for all of them.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .norms import DiagNorm, NormError, _common_basis
+from .norms import DiagNorm, NormError, NormPair
 
 
 @dataclass(frozen=True)
@@ -62,7 +68,14 @@ class NormGeodesic:
 
 
 def geodesic(n0: DiagNorm, n1: DiagNorm) -> NormGeodesic:
-    rec, w0, w1 = _common_basis(n0, n1)
-    geo = NormGeodesic(n0.field, rec.basis, tuple(w0), tuple(w1))
+    return pair_geodesic(NormPair(n0, n1))
+
+
+def pair_geodesic(pair: NormPair) -> NormGeodesic:
+    """``geodesic(pair.n0, pair.n1)``, on the common basis record the
+    ``NormPair`` holds, which a ``join`` of the pair shares."""
+    _, w0, w1 = pair._common()
+    rec = pair._basis_record()
+    geo = NormGeodesic(pair.n0.field, rec.basis, tuple(w0), tuple(w1))
     object.__setattr__(geo, "_norm", DiagNorm._on(rec, geo.weights0))
     return geo

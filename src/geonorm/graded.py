@@ -12,7 +12,9 @@ and, per degree k, one tuple of integer numerators in ``ring.basis(k)``
 order: the weight of the i-th point is numerators[k-1][i] / D.  The pair is
 reduced by gcd(D, *numerators), so it is canonical and equality compares
 integers.  The ``{point: Fraction}`` weights of a degree are built once, on
-first use, and ``degree_weights(k)`` returns a copy of them.
+first use, and ``degree_weights(k)`` returns a copy of them.  ``from_json``
+reads each degree's weights straight into these rows: a degree written
+with the identity basis builds no ``DiagNorm`` (see ``_degree_weights``).
 
 Keys.  The graded functions address a lattice point a of degree k <= K by
 the mixed-radix integer sum_i a_i * R^(n-1-i) with radix R = K*m + 1.  Every
@@ -33,7 +35,7 @@ from fractions import Fraction
 from math import comb, gcd, inf, lcm
 
 from .field import TRIVIAL
-from .norms import DiagNorm, NormError
+from .norms import DiagNorm, NormError, _identity, _json_parts
 
 
 class GradedError(ValueError):
@@ -106,6 +108,16 @@ def _ring_dims(spec, where: str) -> tuple:
             raise GradedError(f"{where}.{key} must be a positive integer, "
                               f"got {spec.get(key)!r}")
     return spec["n"], spec["m"]
+
+
+def _level_k(spec) -> int:
+    """The level ``k`` of the JSON object ``spec`` (a segment or a sampled
+    path): GradedError unless it is an int >= 1, since ``int()`` would
+    truncate 1.5 to level 1."""
+    k = spec["k"]
+    if not _is_positive_int(k):
+        raise GradedError(f"k must be a positive integer, got {k!r}")
+    return k
 
 
 def _keys(ring: SectionRing, k: int, radix: int) -> list:
@@ -221,19 +233,39 @@ class GradedNorm:
                 raise GradedError(
                     f"'degrees' has no degree {k}: keys must run \"1\", \"2\", "
                     "... without gaps")
-        tables = []
+        rows = []
         for k in range(1, len(degrees) + 1):
             try:
-                norm = DiagNorm.from_json(degrees[str(k)])
+                rows.append(_degree_weights(ring.h0(k), degrees[str(k)]))
             except NormError as exc:
                 raise GradedError(f"degree {k}: {exc}") from exc
-            basis = ring.basis(k)
-            if norm.dim != len(basis) or not norm.is_standard_basis():
+            if rows[-1] is None:
                 raise GradedError(
                     f"degree {k} norm must be monomial-diagonal of "
-                    f"dimension {len(basis)}")
-            tables.append(dict(zip(basis, norm.weights)))
-        return cls(ring, tables)
+                    f"dimension {ring.h0(k)}")
+        # reduced fractions over the lcm of their denominators: gcd 1 already
+        den = lcm(*(w.denominator for row in rows for w in row))
+        return cls._from_numerators(ring, den, tuple(
+            tuple(w.numerator * (den // w.denominator) for w in row)
+            for row in rows))
+
+
+def _degree_weights(h0: int, obj):
+    """The weights of a degree's norm JSON, if it is monomial-diagonal of
+    dimension h0, else None; NormError as ``DiagNorm.from_json`` raises it.
+
+    A basis written as the identity (see ``norms._json_parts``) with h0
+    weights is read with no norm built.  Any other is built as a norm, which
+    raises what the norm raises for it, and is then asked whether it is
+    standard.
+    """
+    field, basis, weights = _json_parts(obj)
+    if basis is _identity(field, h0) and len(weights) == h0:
+        return weights
+    norm = DiagNorm(field, basis, weights)
+    if norm.dim != h0 or not norm.is_standard_basis():
+        return None
+    return norm.weights
 
 
 def _degree_one_table(ring: SectionRing, source) -> dict:

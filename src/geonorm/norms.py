@@ -54,6 +54,14 @@ Norms diagonal in the standard basis share one identity basis per field
 and dimension and one identity inverse, so ``DiagNorm.standard`` costs
 O(d).
 
+The functions of a pair of norms (``spectrum``, ``distance``, ``volume``,
+``join``, ``codiagonalize`` and ``geodesics.geodesic``) read one record of
+the pair, ``NormPair``, filled on first use: one kernel run, the verified
+weight pairs, the verified common basis and its ``_Basis`` record.  A
+public function builds a throwaway record, so each call checks and
+verifies what it reads; a caller that keeps one (``geonorm run`` does,
+per pair of norm names) runs the kernel once for all of them.
+
 Every norm value is read by one batched path, ``_values``, on vectors in
 the same row form: ``evaluate`` runs it on one vector, it verifies every
 common basis (of ``codiagonalize`` and of ``spectrum``) on its columns,
@@ -256,17 +264,50 @@ class DiagNorm:
 
     @classmethod
     def from_json(cls, obj) -> "DiagNorm":
-        try:
-            field = field_by_name(obj.get("field", "trivial"))
+        return cls(*_json_parts(obj))
+
+
+def _json_parts(obj):
+    """``(field, basis, weights)`` of a norm's JSON, read and checked as far
+    as ``from_json`` checks before it builds the norm.
+
+    A basis over Q written as the identity, entries ``{"q": "1"}`` and
+    ``{"q": "0"}``, is not parsed: it is the shared identity tuple, which
+    the norm recognizes as standard at once.
+    """
+    try:
+        field = field_by_name(obj.get("field", "trivial"))
+        d = _written_identity(obj["basis"]) if field is TRIVIAL else None
+        if d is None:
             basis = tuple(
                 tuple(field.from_json(x) for x in vec) for vec in obj["basis"]
             )
-            weights = tuple(parse_fraction(w) for w in obj["weights"])
-        except (KeyError, TypeError, FieldError) as exc:
-            raise NormError(f"malformed norm JSON: {exc}") from exc
-        if "dim" in obj and obj["dim"] != len(weights):
-            raise NormError("declared dim does not match weights")
-        return cls(field, basis, weights)
+        else:
+            basis = _identity(field, d)
+        weights = tuple(parse_fraction(w) for w in obj["weights"])
+    except (KeyError, TypeError, FieldError) as exc:
+        raise NormError(f"malformed norm JSON: {exc}") from exc
+    if "dim" in obj and obj["dim"] != len(weights):
+        raise NormError("declared dim does not match weights")
+    return field, basis, weights
+
+
+_ZERO_JSON, _ONE_JSON = {"q": "0"}, {"q": "1"}
+
+
+def _written_identity(rows):
+    """d if ``rows`` is the d x d identity, d >= 1, written with the entries
+    ``{"q": "1"}`` and ``{"q": "0"}``; else None."""
+    if type(rows) is not list or not rows:
+        return None
+    d = len(rows)
+    for i, row in enumerate(rows):
+        if type(row) is not list or len(row) != d:
+            return None
+        for j, x in enumerate(row):
+            if x != (_ONE_JSON if i == j else _ZERO_JSON):
+                return None
+    return d
 
 
 _identities: dict = {}
@@ -384,64 +425,170 @@ def codiagonalize(n0: DiagNorm, n1: DiagNorm, *, inverse=False):
     An RREF is unique, so the result does not depend on the kernel's
     choices.
     """
-    (rows, w0, w1, inv), shared = _verified(n0, n1, _codiagonalize_pivots,
-                                            inverse)
-    basis = n0.basis if shared else linalg.row_values(n0.field, rows)
-    return (basis, w0, w1, inv) if inverse else (basis, w0, w1)
+    return NormPair(n0, n1).codiagonalize(inverse=inverse)
 
 
-def _common_basis(n0: DiagNorm, n1: DiagNorm):
-    """``(rec, w0, w1)``: the record of ``codiagonalize``'s basis and its
-    weights; n0's own record when the norms share their basis, else a new
-    one with the inverse ``codiagonalize`` derives."""
-    basis, w0, w1, inv = codiagonalize(n0, n1, inverse=True)
-    rec = n0._rec if basis is n0.basis else _Basis(n0.field, basis, inv)
-    return rec, w0, w1
+class NormPair:
+    """Two norms over one field, and what the functions of the pair share.
 
+    The record is filled on first use, and every entry is computed once:
+    the kernel run (one ``linalg.smith``), the weight pairs of a verified
+    common basis (what ``spectrum``, ``distance`` and ``volume`` read), the
+    verified common basis ``codiagonalize`` returns, its inverse, and the
+    ``_Basis`` record that ``join`` and the geodesic take.  Norms that
+    share their basis skip the kernel: that basis is the common one.  Over
+    Q(t) the kernel's basis is the common basis, verified once for both
+    uses; over Q the spectrum reads the kernel's basis, verified, and the
+    common basis is its filtration form, verified on its own.
 
-def _verified(n0: DiagNorm, n1: DiagNorm, split, inverse=False):
-    """``(split(n0, n1, inverse), False)``, or the shared basis's result and
-    True when the norms share one, once the inputs are checked and the
-    ``(den, numerators)`` columns verified against both norms."""
-    if n0.field is not n1.field:
-        raise NormError("cannot codiagonalize norms over different fields")
-    if n0.dim != n1.dim:
-        raise NormError("cannot codiagonalize norms of different dimensions")
-    shared = n0.basis == n1.basis
-    result = (_codiagonalize_same_basis if shared else split)(n0, n1, inverse)
-    rows, w0, w1, _ = result
-    if _values(n0, rows) != tuple(w0) or _values(n1, rows) != tuple(w1):
-        raise NormError("internal error: common basis failed verification")
-    return result, shared
+    The public functions of a pair build a throwaway record, so each call
+    checks and verifies what it reads; a caller that keeps one record (one
+    ``geonorm run`` keeps one per pair of norm names) gets each result
+    once.  The inputs are checked on first use, in the order the public
+    functions check them.
+    """
 
+    __slots__ = ("n0", "n1", "_shared", "_kernel", "_weights", "_basis",
+                 "_inv", "_rec")
 
-def _codiagonalize_same_basis(n0: DiagNorm, n1: DiagNorm, inverse=False):
-    return _basis_rows(n0), n0.weights, n1.weights, n0._inverse()
+    def __init__(self, n0: DiagNorm, n1: DiagNorm):
+        self.n0, self.n1 = n0, n1
+        self._shared = self._kernel = self._weights = self._basis = None
+        self._inv = self._rec = None
 
+    def _checked(self) -> bool:
+        """Whether the norms share their basis, once the inputs are
+        checked."""
+        if self._shared is None:
+            n0, n1 = self.n0, self.n1
+            if n0.field is not n1.field:
+                raise NormError("cannot codiagonalize norms over different fields")
+            if n0.dim != n1.dim:
+                raise NormError("cannot codiagonalize norms of different dimensions")
+            self._shared = n0.basis == n1.basis
+        return self._shared
 
-def _kernel_basis(n0: DiagNorm, n1: DiagNorm, inverse=False):
-    """``(C, w0, w1, inv)``: the kernel's common basis as ``(den,
-    numerators)`` columns, its weights, and C^{-1} = P M0^{-1} over Q(t) if
-    asked for, else None.  M0^{-1} is n0's cached inverse, over Q(t) times
-    diag(t^floor(w)), since M0 = B0 diag(t^(-floor(w)))."""
-    (cols0, floors), (cols1, _) = _kernel_columns(n0), _kernel_columns(n1)
-    inv0 = n0._inverse()
-    if floors is not None:
-        inv0 = linalg.shift_rows(inv0, floors)
-    basis, P, w0, w1 = linalg.smith(n0.field, inv0, cols0, cols1, n0.weights,
-                                    n1.weights)
-    if n0.field is not TADIC or not inverse:
-        return basis, w0, w1, None
-    return basis, w0, w1, linalg.mul_rows(TADIC, P, inv0)
-
-
-def _codiagonalize_pivots(n0: DiagNorm, n1: DiagNorm, inverse=False):
-    """``(basis, w0, w1, inv)``: the kernel's basis, over Q in filtration
-    form; inv is None over Q or unless asked for."""
-    result = _kernel_basis(n0, n1, inverse)
-    if n0.field is TADIC:
+    def _verified(self, result):
+        """``result``, ``(rows, w0, w1)`` with ``(den, numerators)`` rows,
+        once the rows are checked against both norms."""
+        rows, w0, w1 = result
+        if (_values(self.n0, rows) != tuple(w0)
+                or _values(self.n1, rows) != tuple(w1)):
+            raise NormError("internal error: common basis failed verification")
         return result
-    return _filtration_form(*result[:3]) + (None,)
+
+    def _smith(self):
+        """``(C, P, w0, w1, inv0)``: the kernel's run on the two bases, with
+        the inverse M0^{-1} it read: n0's cached inverse, over Q(t) times
+        diag(t^floor(w)), since M0 = B0 diag(t^(-floor(w)))."""
+        if self._kernel is None:
+            n0, n1 = self.n0, self.n1
+            (cols0, floors), (cols1, _) = _kernel_columns(n0), _kernel_columns(n1)
+            inv0 = n0._inverse()
+            if floors is not None:
+                inv0 = linalg.shift_rows(inv0, floors)
+            basis, P, w0, w1 = linalg.smith(n0.field, inv0, cols0, cols1,
+                                            n0.weights, n1.weights)
+            self._kernel = basis, P, w0, w1, inv0
+        return self._kernel
+
+    def _kernel_basis(self):
+        """``(C, w0, w1)``: the kernel's common basis as ``(den,
+        numerators)`` columns and its weights."""
+        C, _, w0, w1, _ = self._smith()
+        return C, w0, w1
+
+    def _same_basis(self):
+        """``(rows, w0, w1)`` of norms that share their basis: n0's rows."""
+        return _basis_rows(self.n0), self.n0.weights, self.n1.weights
+
+    def _split(self):
+        """``(rows, w0, w1)``: the kernel's basis, over Q in filtration
+        form."""
+        if self.n0.field is TADIC:
+            return self._kernel_basis()
+        return _filtration_form(*self._kernel_basis())
+
+    def _common(self):
+        """``(rows, w0, w1)``: the common basis ``codiagonalize`` returns,
+        verified."""
+        if self._basis is None:
+            split = self._same_basis if self._checked() else self._split
+            self._basis = self._verified(split())
+        return self._basis
+
+    def _weight_pairs(self):
+        """``(w0, w1)`` of a verified common basis: the common basis's, or
+        over Q with different bases the kernel's, which needs no canonical
+        form."""
+        if self._weights is None:
+            if self._checked() or self.n0.field is TADIC:
+                self._weights = self._common()[1:]
+            else:
+                self._weights = self._verified(self._kernel_basis())[1:]
+        return self._weights
+
+    def _inverse(self):
+        """The inverse rows of the common basis, derived without an
+        elimination: n0's on a shared basis, over Q(t) the product P
+        M0^{-1} of the kernel's row operations and the inverse it read;
+        None over Q with different bases."""
+        if self._inv is None and (self._checked() or self.n0.field is TADIC):
+            if self._shared:
+                self._inv = self.n0._inverse()
+            else:
+                _, P, _, _, inv0 = self._smith()
+                self._inv = linalg.mul_rows(TADIC, P, inv0)
+        return self._inv
+
+    def codiagonalize(self, inverse=False):
+        """``codiagonalize(n0, n1, inverse=inverse)`` of the pair."""
+        _, w0, w1 = self._common()
+        basis = self._basis_record().basis
+        return (basis, w0, w1, self._inverse()) if inverse else (basis, w0, w1)
+
+    def _basis_record(self) -> "_Basis":
+        """The record of the common basis: n0's own when the norms share
+        their basis, else a new one with the inverse ``_inverse`` derives."""
+        if self._rec is None:
+            rows, _, _ = self._common()
+            if self._shared:
+                self._rec = self.n0._rec
+            else:
+                basis = linalg.row_values(self.n0.field, rows)
+                self._rec = _Basis(self.n0.field, basis, self._inverse())
+        return self._rec
+
+    def spectrum(self):
+        """``spectrum(n0, n1)`` of the pair."""
+        w0, w1 = self._weight_pairs()
+        return tuple(sorted(a - b for a, b in zip(w0, w1)))
+
+    def distance(self, p=1):
+        """``distance(n0, n1, p)`` of the pair."""
+        if p != math.inf:
+            try:
+                p = Fraction(p)
+            except (ArithmeticError, ValueError, TypeError):
+                p = None  # -inf, nan and non-numbers
+            if p is None or p.denominator != 1 or p < 1:
+                raise NormError(
+                    "finite p must be an integer >= 1 for exact arithmetic")
+            p = int(p)
+        lam = self.spectrum()
+        if p == math.inf:
+            return max((abs(x) for x in lam), default=Fraction(0))
+        return Fraction(sum(abs(x) ** p for x in lam), len(lam))
+
+    def volume(self) -> Fraction:
+        """``volume(n0, n1)`` of the pair."""
+        return sum(self.spectrum(), Fraction(0))
+
+    def join(self) -> DiagNorm:
+        """``join(n0, n1)`` of the pair."""
+        _, w0, w1 = self._common()
+        return DiagNorm._on(self._basis_record(),
+                            tuple(min(a, b) for a, b in zip(w0, w1)))
 
 
 def _filtration_form(basis, w0, w1):
@@ -510,8 +657,7 @@ def spectrum(n0: DiagNorm, n1: DiagNorm):
     one, or the kernel's (``linalg.smith``), and it is verified against
     both norms as ``codiagonalize`` verifies its result.
     """
-    (_, w0, w1, _), _ = _verified(n0, n1, _kernel_basis)
-    return tuple(sorted(a - b for a, b in zip(w0, w1)))
+    return NormPair(n0, n1).spectrum()
 
 
 def distance(n0: DiagNorm, n1: DiagNorm, p=1):
@@ -522,24 +668,12 @@ def distance(n0: DiagNorm, n1: DiagNorm, p=1):
     returns ``max |lambda_i|``.  Non-integer finite p would force irrational
     values and is rejected.
     """
-    if p != math.inf:
-        try:
-            p = Fraction(p)
-        except (ArithmeticError, ValueError, TypeError):
-            p = None  # -inf, nan and non-numbers
-        if p is None or p.denominator != 1 or p < 1:
-            raise NormError(
-                "finite p must be an integer >= 1 for exact arithmetic")
-        p = int(p)
-    lam = spectrum(n0, n1)
-    if p == math.inf:
-        return max((abs(x) for x in lam), default=Fraction(0))
-    return Fraction(sum(abs(x) ** p for x in lam), len(lam))
+    return NormPair(n0, n1).distance(p)
 
 
 def volume(n0: DiagNorm, n1: DiagNorm) -> Fraction:
     """Raw spectrum sum.  Cocycle: vol(a,b) + vol(b,c) = vol(a,c)."""
-    return sum(spectrum(n0, n1), Fraction(0))
+    return NormPair(n0, n1).volume()
 
 
 def join(n0: DiagNorm, n1: DiagNorm) -> DiagNorm:
@@ -550,8 +684,7 @@ def join(n0: DiagNorm, n1: DiagNorm) -> DiagNorm:
     derives; over Q with different bases there is none, and the basis is
     inverted on first use.
     """
-    rec, w0, w1 = _common_basis(n0, n1)
-    return DiagNorm._on(rec, tuple(min(a, b) for a, b in zip(w0, w1)))
+    return NormPair(n0, n1).join()
 
 
 # ---------------------------------------------------------------------------

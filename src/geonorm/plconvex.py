@@ -227,7 +227,22 @@ def prune(f: MaxAffine) -> MaxAffine:
     vertex of the upper hull, and those vertices are what ``conjugate``
     keeps, so conjugating back prunes.
     """
-    return conjugate(f).to_max_affine()
+    return _pruned(f)[0]
+
+
+def _pruned(f: MaxAffine):
+    """``(prune(f), q)`` with q = ``conjugate(f)``, which is also the
+    profile of ``prune(f)``, so a caller that needs it conjugates nothing.
+
+    The pruned rows are the vertices of q, and conjugating them gives q's
+    vertices, cells and planes again.  Only the order of the cells (and of
+    their planes) may differ: it follows the indices of the pieces on each
+    facet, and a piece of f that lies on a facet of n >= 2 without being
+    one of its vertices is gone after pruning.  Integrals and the relation
+    of a comparison do not read that order.
+    """
+    q = conjugate(f)
+    return q.to_max_affine(), q
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,19 @@ tau reduced to an exact finite critical set; that family of rooftops does
 not depend on t, so it is built once per pair.  Sampled metric paths
 are checked for convexity in t, the psh condition, by ``detect_non_psh``.
 
-Every public function conjugates each input metric once: the sup-norm
-weights of all levels, the rooftops for every shift tau (the profile of
-phi1 - tau is q1 - tau) and the endpoint comparisons read the same two
-profiles.  An ``FSSegment`` holds its weights as integer numerators over
-one denominator and evaluates on them; its ``Fraction`` weights are views.
+The functions of a metric pair read one record of the pair
+(``SegmentPair``, a ``toric.MetricPair``), filled on first use, so each
+input metric is conjugated once: the sup-norm weights of all levels, the
+rooftops for every shift tau (the profile of phi1 - tau is q1 - tau) and
+the endpoint comparisons read the same two profiles.  The record also
+holds the rooftop family, the Legendre slice at each t, the level segment
+at each k and the diagnostics report at each chain of levels.  A public
+function builds a throwaway record; ``geonorm run`` keeps one per pair of
+metric names, so its tasks on one pair build each of these once.  A
+metric built by pruning (a Legendre slice, a max over levels) comes with
+the profile pruning computed, and is not conjugated again.  An
+``FSSegment`` holds its weights as integer numerators over one
+denominator and evaluates on them; its ``Fraction`` weights are views.
 """
 
 from __future__ import annotations
@@ -30,21 +38,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .graded import SectionRing, _ring_dims
+from .graded import SectionRing, _level_k, _ring_dims
 from .plconvex import (
     MaxAffine,
     _compare,
     _mix_witness,
+    _pruned,
     marginal_min,
     overlay_vertices,
-    prune,
 )
 from .toric import (
+    MetricPair,
     ToricError,
     ToricMetric,
     _energy,
     _fs_metric,
-    _full_profile,
     _require_pair,
     _require_same_bundle,
     _rooftop,
@@ -62,9 +70,11 @@ def _segment_time(t) -> Fraction:
     return t
 
 
-def _pointwise_max(n: int, m: int, pots) -> ToricMetric:
-    """The pruned pointwise max of potentials, as a limit metric."""
-    return ToricMetric(n, m, prune(pots[0].max_with(*pots[1:])), "limit")
+def _pointwise_max(n: int, m: int, pots):
+    """``(phi, q)``: the pruned pointwise max of potentials, as a limit
+    metric, and its profile, which pruning computed."""
+    pot, q = _pruned(pots[0].max_with(*pots[1:]))
+    return ToricMetric(n, m, pot, "limit"), q
 
 
 @dataclass(frozen=True)
@@ -160,7 +170,7 @@ class FSSegment:
         ring = section_ring(*_ring_dims(obj["ring"], "ring"))
         w0 = [Fraction(x) for x in obj["weights0"]]
         w1 = [Fraction(x) for x in obj["weights1"]]
-        return cls.build(ring, obj["k"], w0, w1)
+        return cls.build(ring, _level_k(obj), w0, w1)
 
 
 def fs_segment(ring: SectionRing, k: int, w0, w1) -> FSSegment:
@@ -169,11 +179,7 @@ def fs_segment(ring: SectionRing, k: int, w0, w1) -> FSSegment:
 
 def quantized_level(phi0: ToricMetric, phi1: ToricMetric, k: int) -> FSSegment:
     """The level-k FS segment induced by the sup-norm geodesic."""
-    if k < 1:
-        raise ToricError(f"level k must be at least 1, got {k}")
-    _require_same_bundle(phi0, phi1)
-    return _level(section_ring(phi0.n, phi0.m), k, _full_profile(phi0),
-                  _full_profile(phi1))
+    return SegmentPair(phi0, phi1).quantized_level(k)
 
 
 def _level(ring: SectionRing, k: int, q0, q1) -> FSSegment:
@@ -215,20 +221,15 @@ def _chain(kmax: int):
     return levels
 
 
-def _max_over_levels(n: int, m: int, segs, t) -> ToricMetric:
-    """Pointwise max at time t of the level segments of a chain."""
+def _max_over_levels(n: int, m: int, segs, t):
+    """``(phi, q)``: the pointwise max at time t of the level segments of a
+    chain, and its profile."""
     return _pointwise_max(n, m, [seg.eval(t).potential for seg in segs])
 
 
 def maximal_segment(phi0: ToricMetric, phi1: ToricMetric, t, kmax: int = 8) -> ToricMetric:
     """Pointwise max of quantized segments along the level chain."""
-    levels = _chain(kmax)
-    _require_same_bundle(phi0, phi1)
-    q0, q1 = _full_profile(phi0), _full_profile(phi1)
-    t = _segment_time(t)  # before any level is built
-    ring = section_ring(phi0.n, phi0.m)
-    segs = [_level(ring, k, q0, q1) for k in levels]
-    return _max_over_levels(phi0.n, phi0.m, segs, t)
+    return SegmentPair(phi0, phi1).maximal(t, kmax)
 
 
 def tau_critical_set(phi0: ToricMetric, phi1: ToricMetric):
@@ -259,12 +260,13 @@ def _rooftop_family(n: int, m: int, q0, q1):
         raise ToricError(
             "no critical shift tau: the gradient hulls of the two metrics "
             "do not overlap in a full-dimensional region")
-    return tuple((tau, _rooftop(n, m, q0, q1.shifted(-tau)).potential)
+    return tuple((tau, _rooftop(n, m, q0, q1.shifted(-tau))[0].potential)
                  for tau in taus)
 
 
-def _legendre_recover(n: int, m: int, family, t) -> ToricMetric:
-    """sup over tau of (u_tau + t*tau) for a family ((tau, u_tau), ...)."""
+def _legendre_recover(n: int, m: int, family, t):
+    """``(phi, q)``: sup over tau of (u_tau + t*tau) for a family ((tau,
+    u_tau), ...), and its profile."""
     t = _segment_time(t)
     return _pointwise_max(n, m, [u.shifted(t * tau) for tau, u in family])
 
@@ -275,11 +277,7 @@ def legendre_segment(phi0: ToricMetric, phi1: ToricMetric, t) -> ToricMetric:
     The resulting conjugate profile is (1-t) q0 + t q1, so the segment is
     d1-geodesic and has affine energy by construction.
     """
-    _require_same_bundle(phi0, phi1)
-    q0, q1 = phi0.profile(), phi1.profile()
-    _segment_time(t)  # before the rooftop family is built
-    family = _rooftop_family(phi0.n, phi0.m, q0, q1)
-    return _legendre_recover(phi0.n, phi0.m, family, t)
+    return SegmentPair(phi0, phi1).legendre(t)
 
 
 def kiselman_dual(seg: FSSegment, tau) -> ToricMetric:
@@ -305,7 +303,7 @@ def segment_from_dual(seg: FSSegment, t) -> ToricMetric:
     _segment_time(t)  # before the duals are built
     family = tuple((tau, kiselman_dual(seg, tau).potential)
                    for tau in duality_tau_set(seg))
-    return _legendre_recover(seg.ring.n, seg.ring.m, family, t)
+    return _legendre_recover(seg.ring.n, seg.ring.m, family, t)[0]
 
 
 def planted_non_psh_path():
@@ -353,8 +351,10 @@ def detect_non_psh(ring: SectionRing, k: int, samples):
     return None
 
 
-def diagnostics(phi0: ToricMetric, phi1: ToricMetric, kmax: int = 8,
-                ts=(0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1)):
+_TS = (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), 1)
+
+
+def diagnostics(phi0: ToricMetric, phi1: ToricMetric, kmax: int = 8, ts=_TS):
     """Exact checks behind the maximal-segment theorems, as a report dict.
 
     Covers per-level d1 geodesicity of the sup-norm geodesics, affineness
@@ -362,53 +362,137 @@ def diagnostics(phi0: ToricMetric, phi1: ToricMetric, kmax: int = 8,
     metric, E(phi_t) - E(ref) with the reference integrated once), and
     endpoint recovery gaps of the quantized maximal segment.
     """
-    ts = tuple(Fraction(t) for t in ts)
-    levels = _chain(kmax)
-    _require_same_bundle(phi0, phi1)
-    q0, q1 = _full_profile(phi0), _full_profile(phi1)
-    family = _rooftop_family(phi0.n, phi0.m, q0, q1)
-    ref = reference(phi0.n, phi0.m)
-    e_ref = _energy(ref, ref.profile())
-    report = {"levels": list(levels), "ts": [str(t) for t in ts]}
+    return SegmentPair(phi0, phi1).diagnostics(kmax, ts)
 
-    # the times as S / T, so that the weights at s are integers over T den
-    T = lcm(*(s.denominator for s in ts))
-    S = [s.numerator * (T // s.denominator) for s in ts]
-    ring = section_ring(phi0.n, phi0.m)
-    segs, per_level = [], []
-    for k in levels:
-        seg = _level(ring, k, q0, q1)
-        segs.append(seg)
-        # d1 of the two sup-norms: the mean |w0 - w1|, here over den
-        d_sum = sum(abs(x - y) for x, y in zip(seg._b0, seg._b1))
-        d_ends = Fraction(d_sum, len(seg._b0) * seg._den)
-        ws = [[T * x + s * (y - x) for x, y in zip(seg._b0, seg._b1)]
-              for s in S]
-        # d1(w_s, w_s') == (s' - s) d1(w0, w1), both sides times T den h0(k)
-        ok = all(
-            sum(abs(x - y) for x, y in zip(ws[i], ws[j]))
-            == (S[j] - S[i]) * d_sum
-            for i, j in itertools.combinations(range(len(S)), 2))
-        per_level.append({"k": k, "d1_endpoints": str(d_ends),
-                          "geodesic_exact": ok})
-    report["d1_geodesic_per_level"] = per_level
 
-    energy_at = {}
-    for t in dict.fromkeys((Fraction(0), Fraction(1)) + ts):
-        got = _legendre_recover(phi0.n, phi0.m, family, t)
-        _require_pair(got, ref)
-        energy_at[t] = _energy(got, got.profile()) - e_ref
-    e0, e1 = energy_at[0], energy_at[1]
-    resid = {t: energy_at[t] - ((1 - t) * e0 + t * e1) for t in ts}
-    report["energy_along_segment"] = [
-        {"t": str(t), "energy": str(energy_at[t]), "residual": str(resid[t])}
-        for t in ts]
-    report["energy_affine_exact"] = not any(resid.values())
+class SegmentPair(MetricPair):
+    """A ``toric.MetricPair`` with the segments between its two metrics.
 
-    gaps = {}
-    for label, t, phi, q in (("start", 0, phi0, q0), ("end", 1, phi1, q1)):
-        got = _max_over_levels(phi0.n, phi0.m, segs, t)
-        rel = _compare(got.potential, phi.potential, got.profile(), q).relation
-        gaps[label] = {"recovered": rel == "eq", "relation": rel}
-    report["endpoint_recovery"] = gaps
-    return report
+    Besides the profiles, energies and rooftop of the pair, the record
+    holds, each filled on first use: the level-k segment at each k (which
+    the maximal segments of every kmax and the diagnostics share), the
+    rooftop family P(phi0, phi1 - tau) over the critical tau, the Legendre
+    slice at each t with its profile, and the diagnostics report at each
+    chain of levels and set of times.  The public functions of this module build a
+    throwaway record; ``geonorm run`` and ``segments verify`` keep one per
+    ordered pair of metric names, so a report serves the ``diagnostics``
+    task and ``verify theoremB`` alike.  A metric built by pruning (a
+    slice, a max over levels) comes with the profile pruning computed, so
+    no derived metric is conjugated again.
+    """
+
+    __slots__ = ("_levels", "_family", "_slices", "_reports")
+
+    def __init__(self, phi0: ToricMetric, phi1: ToricMetric):
+        super().__init__(phi0, phi1)
+        self._levels, self._slices, self._reports = {}, {}, {}
+        self._family = None
+
+    def _level(self, k: int) -> FSSegment:
+        """The level-k segment, built once."""
+        if k not in self._levels:
+            ring = section_ring(self.phi0.n, self.phi0.m)
+            self._levels[k] = _level(ring, k, self.q0, self.q1)
+        return self._levels[k]
+
+    def _rooftops(self):
+        """The rooftop family, built once."""
+        if self._family is None:
+            self._family = _rooftop_family(self.phi0.n, self.phi0.m, self.q0,
+                                           self.q1)
+        return self._family
+
+    def _slice(self, t):
+        """``(phi_t, q)``: the Legendre slice at t in [0, 1], a checked
+        Fraction, and its profile, recovered once."""
+        if t not in self._slices:
+            self._slices[t] = _legendre_recover(self.phi0.n, self.phi0.m,
+                                                self._rooftops(), t)
+        return self._slices[t]
+
+    def quantized_level(self, k: int) -> FSSegment:
+        """``quantized_level(phi0, phi1, k)`` of the pair."""
+        if k < 1:
+            raise ToricError(f"level k must be at least 1, got {k}")
+        _require_same_bundle(self.phi0, self.phi1)
+        self._full_profiles()
+        return self._level(k)
+
+    def maximal(self, t, kmax: int = 8) -> ToricMetric:
+        """``maximal_segment(phi0, phi1, t, kmax)`` of the pair."""
+        levels = _chain(kmax)
+        _require_same_bundle(self.phi0, self.phi1)
+        self._full_profiles()
+        t = _segment_time(t)  # before any level is built
+        segs = [self._level(k) for k in levels]
+        return _max_over_levels(self.phi0.n, self.phi0.m, segs, t)[0]
+
+    def legendre(self, t) -> ToricMetric:
+        """``legendre_segment(phi0, phi1, t)`` of the pair."""
+        _require_same_bundle(self.phi0, self.phi1)
+        t = _segment_time(t)  # before the rooftop family is built
+        return self._slice(t)[0]
+
+    def diagnostics(self, kmax: int = 8, ts=_TS):
+        """``diagnostics(phi0, phi1, kmax, ts)`` of the pair.
+
+        The report depends on kmax only through its chain of levels, so it
+        is built once per chain and times, and the same dict is returned.
+        """
+        ts = tuple(Fraction(t) for t in ts)
+        key = (_chain(kmax), ts)
+        if key not in self._reports:
+            self._reports[key] = self._report(*key)
+        return self._reports[key]
+
+    def _report(self, levels, ts):
+        """The ``diagnostics`` report for a chain of levels and the times
+        ts."""
+        phi0, phi1 = self.phi0, self.phi1
+        _require_same_bundle(phi0, phi1)
+        q0, q1 = self._full_profiles()
+        self._rooftops()
+        ref = reference(phi0.n, phi0.m)
+        e_ref = _energy(ref, ref.profile())
+        report = {"levels": list(levels), "ts": [str(t) for t in ts]}
+
+        # the times as S / T, so that the weights at s are integers over T den
+        T = lcm(*(s.denominator for s in ts))
+        S = [s.numerator * (T // s.denominator) for s in ts]
+        segs, per_level = [], []
+        for k in levels:
+            seg = self._level(k)
+            segs.append(seg)
+            # d1 of the two sup-norms: the mean |w0 - w1|, here over den
+            d_sum = sum(abs(x - y) for x, y in zip(seg._b0, seg._b1))
+            d_ends = Fraction(d_sum, len(seg._b0) * seg._den)
+            ws = [[T * x + s * (y - x) for x, y in zip(seg._b0, seg._b1)]
+                  for s in S]
+            # d1(w_s, w_s') == (s' - s) d1(w0, w1), both sides times T den h0(k)
+            ok = all(
+                sum(abs(x - y) for x, y in zip(ws[i], ws[j]))
+                == (S[j] - S[i]) * d_sum
+                for i, j in itertools.combinations(range(len(S)), 2))
+            per_level.append({"k": k, "d1_endpoints": str(d_ends),
+                              "geodesic_exact": ok})
+        report["d1_geodesic_per_level"] = per_level
+
+        energy_at = {}
+        for t in dict.fromkeys((Fraction(0), Fraction(1)) + ts):
+            got, q = self._slice(_segment_time(t))
+            _require_pair(got, ref)
+            energy_at[t] = _energy(got, q) - e_ref
+        e0, e1 = energy_at[0], energy_at[1]
+        resid = {t: energy_at[t] - ((1 - t) * e0 + t * e1) for t in ts}
+        report["energy_along_segment"] = [
+            {"t": str(t), "energy": str(energy_at[t]), "residual": str(resid[t])}
+            for t in ts]
+        report["energy_affine_exact"] = not any(resid.values())
+
+        gaps = {}
+        for label, t, phi, q in (("start", 0, phi0, q0), ("end", 1, phi1, q1)):
+            got, qg = _max_over_levels(phi0.n, phi0.m, segs, t)
+            rel = _compare(got.potential, phi.potential, qg, q).relation
+            gaps[label] = {"recovered": rel == "eq", "relation": rel}
+        report["endpoint_recovery"] = gaps
+        return report

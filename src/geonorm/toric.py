@@ -16,9 +16,14 @@ subdivisions.  The overlay is kept for |q0 - q1| and its sup, so the two
 routes of ``d1_metric`` share no integration code.
 
 A metric's profile is computed on demand and never stored on the metric.
-Each public function conjugates each input metric once and hands the
-profile to the private helpers that need it (``_supweights`` for every
-degree, ``_rooftop`` for envelopes, ``_energy`` for integrals).
+The functions of a metric pair read one record of the pair
+(``MetricPair``), which conjugates each metric once and hands the profile
+to the helpers that need it (the sup-norm weights of every degree,
+``_rooftop`` for envelopes, ``_energy`` for integrals), and integrates
+E(phi0) and E(phi1) once.  A public function builds a throwaway record; a
+caller that keeps one (``geonorm run`` does, per pair of metric names)
+shares it among its calls.  A rooftop comes with the profile that pruning
+it computed (``plconvex._pruned``), so its energy conjugates nothing.
 
 The toric side runs on integers.  A potential is a ``MaxAffine`` held as
 integer rows over one denominator, and a profile keeps one denominator D
@@ -50,13 +55,13 @@ from .plconvex import (
     ConcaveProfile,
     MaxAffine,
     _envelope,
+    _pruned,
     compare,
     conjugate,
     integrate_abs_difference,
     integrate_profile,
     max_abs_difference,
     moment_simplex,
-    prune,
 )
 
 
@@ -68,6 +73,11 @@ _rings: dict = {}
 
 
 def section_ring(n: int, m: int) -> SectionRing:
+    """The shared section ring of O(m) over P^n; n and m must be ints, since
+    (1, 2.0) == (1, 2) would file a float ring under the int key."""
+    if type(n) is not int or type(m) is not int:
+        raise ToricError(
+            f"a section ring needs integer n and m, got n = {n!r}, m = {m!r}")
     if (n, m) not in _rings:
         _rings[(n, m)] = SectionRing(n, m)
     return _rings[(n, m)]
@@ -195,11 +205,15 @@ def supnorm(k: int, phi: ToricMetric) -> DiagNorm:
 
 def _full_profile(phi: ToricMetric) -> ConcaveProfile:
     """phi.profile(), for a metric that must carry the full moment simplex."""
+    _require_full_support(phi)
+    return phi.profile()
+
+
+def _require_full_support(phi: ToricMetric):
     if not phi.has_full_support():
         raise ToricError(
             "metric potential must carry the full moment simplex "
             "(every vertex of m*Delta among its gradients)")
-    return phi.profile()
 
 
 def _supweights(k: int, phi: ToricMetric, q: ConcaveProfile) -> tuple:
@@ -221,13 +235,14 @@ def sup_graded(phi: ToricMetric, kmax: int) -> GradedNorm:
 def envelope_P(phi0: ToricMetric, phi1: ToricMetric) -> ToricMetric:
     """Rooftop envelope: the largest psh metric below both inputs."""
     _require_same_bundle(phi0, phi1)
-    return _rooftop(phi0.n, phi0.m, phi0.profile(), phi1.profile())
+    return MetricPair(phi0, phi1)._rooftop()[0]
 
 
-def _rooftop(n: int, m: int, q0, q1) -> ToricMetric:
-    """``envelope_P`` of two metrics on O(m) over P^n with profiles q0, q1."""
-    pot = _envelope([q0, q1], moment_simplex(n, m))
-    return ToricMetric(n, m, prune(pot), "envelope")
+def _rooftop(n: int, m: int, q0, q1):
+    """``(P, q)``: P = ``envelope_P`` of two metrics on O(m) over P^n with
+    profiles q0, q1, and the profile q of P, which pruning computed."""
+    pot, q = _pruned(_envelope([q0, q1], moment_simplex(n, m)))
+    return ToricMetric(n, m, pot, "envelope"), q
 
 
 def moment_volume(n: int, m: int) -> Fraction:
@@ -269,27 +284,6 @@ def _require_pair(phi0, phi1):
                 "simplex")
 
 
-def _per_degree(phi0, phi1, q0, q1, kmax, term):
-    """((k, (k h0(k))^-1 sum_a term(beta0_a - beta1_a)), ...) for k <= kmax.
-
-    The beta are the degree-k sup-norm weights of the two metrics, read
-    off their profiles q0, q1 as integers over the profiles' denominators
-    D0, D1; each sum runs over beta0 - beta1 = (D1 B0 - D0 B1) / (D0 D1),
-    and ``term`` (the identity or ``abs``) commutes with the positive
-    factor.
-    """
-    ring = section_ring(phi0.n, phi0.m)
-    d0, d1 = q0._den, q1._den
-    per_k = []
-    for k in range(1, kmax + 1):
-        basis = ring.basis(k)
-        b0 = q0._lattice_numerators(k, basis)
-        b1 = q1._lattice_numerators(k, basis)
-        total = sum(term(x * d1 - y * d0) for x, y in zip(b0, b1))
-        per_k.append((k, Fraction(total, k * ring.h0(k) * d0 * d1)))
-    return tuple(per_k)
-
-
 def energy(phi0: ToricMetric, phi1: ToricMetric, kmax: int = 8) -> ConvergenceResult:
     """Monge-Ampere energy: per-k relative volumes and the integral limit.
 
@@ -298,16 +292,12 @@ def energy(phi0: ToricMetric, phi1: ToricMetric, kmax: int = 8) -> ConvergenceRe
     integral of q over m Delta.  Increasing in the first argument;
     antisymmetric; <= 0 when phi0 <= phi1.
     """
-    _require_pair(phi0, phi1)
-    q0, q1 = phi0.profile(), phi1.profile()
-    per_k = _per_degree(phi0, phi1, q0, q1, kmax, lambda d: d)
-    return ConvergenceResult(per_k, _energy(phi0, q0) - _energy(phi1, q1))
+    return MetricPair(phi0, phi1).energy(kmax)
 
 
 def energy_limit(phi0: ToricMetric, phi1: ToricMetric) -> Fraction:
     """E(phi0) - E(phi1), the limit of ``energy(phi0, phi1)``."""
-    _require_pair(phi0, phi1)  # before the profiles, whose integrals need n <= 2
-    return _energy(phi0, phi0.profile()) - _energy(phi1, phi1.profile())
+    return MetricPair(phi0, phi1).energy_limit()
 
 
 def _energy(phi: ToricMetric, q: ConcaveProfile) -> Fraction:
@@ -327,22 +317,120 @@ def d1_metric(phi0: ToricMetric, phi1: ToricMetric, kmax: int = 8) -> Convergenc
     subdivisions, and through the rooftop envelope P = P(phi0, phi1) as
     E(phi0, P) + E(phi1, P) = E(phi0) + E(phi1) - 2 E(P).
     """
-    _require_pair(phi0, phi1)
-    q0, q1 = phi0.profile(), phi1.profile()
-    per_k = _per_degree(phi0, phi1, q0, q1, kmax, abs)
-    direct = integrate_abs_difference(q0, q1) / moment_volume(phi0.n, phi0.m)
-    roof = _rooftop(phi0.n, phi0.m, q0, q1)
-    _require_pair(phi0, roof)  # E(P) integrates over P's own domain
-    via_envelope = (_energy(phi0, q0) + _energy(phi1, q1)
-                    - 2 * _energy(roof, roof.profile()))
-    if direct != via_envelope:
-        raise ToricError(
-            f"d1 routes disagree: integral {direct} vs envelope "
-            f"{via_envelope}")
-    return ConvergenceResult(per_k, direct)
+    return MetricPair(phi0, phi1).d1(kmax)
 
 
 def d_infinity_limit(phi0: ToricMetric, phi1: ToricMetric) -> Fraction:
     """sup |q0 - q1| over the moment simplex (the d_infinity limit)."""
-    _require_pair(phi0, phi1)
-    return max_abs_difference(phi0.profile(), phi1.profile())
+    return MetricPair(phi0, phi1).d_infinity()
+
+
+class MetricPair:
+    """Two toric metrics, and what the functions of the pair share.
+
+    The record is filled on first use, and every entry is computed once:
+    the profiles q0 and q1, the energies E(phi0) and E(phi1) and the
+    rooftop P(phi0, phi1) with its profile.  Nothing is stored on the
+    metrics.  The public functions of a pair (``energy``, ``d1_metric``,
+    ...) build a throwaway record, so each call checks its inputs and
+    conjugates each metric once; a caller that keeps one record (one
+    ``geonorm run`` keeps one per pair of metric names) conjugates each
+    metric of the pair once for all of its tasks.  ``segments.SegmentPair``
+    adds the segments between the two metrics.  The checks run in each
+    method, in the order of the public function it serves.
+    """
+
+    __slots__ = ("phi0", "phi1", "_q", "_e", "_roof")
+
+    def __init__(self, phi0: ToricMetric, phi1: ToricMetric):
+        self.phi0, self.phi1 = phi0, phi1
+        self._q, self._e = [None, None], [None, None]
+        self._roof = None
+
+    def _profile(self, i: int) -> ConcaveProfile:
+        """The profile of metric i, conjugated once."""
+        if self._q[i] is None:
+            self._q[i] = (self.phi0, self.phi1)[i].profile()
+        return self._q[i]
+
+    @property
+    def q0(self) -> ConcaveProfile:
+        return self._profile(0)
+
+    @property
+    def q1(self) -> ConcaveProfile:
+        return self._profile(1)
+
+    def _full_profiles(self):
+        """``(q0, q1)``, each read once its metric is found to carry the
+        full moment simplex, as ``_full_profile`` reads it."""
+        _require_full_support(self.phi0)
+        q0 = self.q0
+        _require_full_support(self.phi1)
+        return q0, self.q1
+
+    def _energy(self, i: int) -> Fraction:
+        """E(phi_i), integrated once."""
+        if self._e[i] is None:
+            self._e[i] = _energy((self.phi0, self.phi1)[i], self._profile(i))
+        return self._e[i]
+
+    def _rooftop(self):
+        """``(P, q)``: the rooftop P(phi0, phi1) and its profile."""
+        if self._roof is None:
+            self._roof = _rooftop(self.phi0.n, self.phi0.m, self.q0, self.q1)
+        return self._roof
+
+    def _per_degree(self, kmax, term):
+        """((k, (k h0(k))^-1 sum_a term(beta0_a - beta1_a)), ...) for k <= kmax.
+
+        The beta are the degree-k sup-norm weights of the two metrics, read
+        off their profiles q0, q1 as integers over the profiles'
+        denominators D0, D1; each sum runs over beta0 - beta1 = (D1 B0 - D0
+        B1) / (D0 D1), and ``term`` (the identity or ``abs``) commutes with
+        the positive factor.
+        """
+        ring = section_ring(self.phi0.n, self.phi0.m)
+        q0, q1 = self.q0, self.q1
+        d0, d1 = q0._den, q1._den
+        per_k = []
+        for k in range(1, kmax + 1):
+            basis = ring.basis(k)
+            b0 = q0._lattice_numerators(k, basis)
+            b1 = q1._lattice_numerators(k, basis)
+            total = sum(term(x * d1 - y * d0) for x, y in zip(b0, b1))
+            per_k.append((k, Fraction(total, k * ring.h0(k) * d0 * d1)))
+        return tuple(per_k)
+
+    def energy(self, kmax: int = 8) -> ConvergenceResult:
+        """``energy(phi0, phi1, kmax)`` of the pair."""
+        _require_pair(self.phi0, self.phi1)
+        per_k = self._per_degree(kmax, lambda d: d)
+        return ConvergenceResult(per_k, self._energy(0) - self._energy(1))
+
+    def energy_limit(self) -> Fraction:
+        """``energy_limit(phi0, phi1)`` of the pair."""
+        # checked before the profiles, whose integrals need n <= 2
+        _require_pair(self.phi0, self.phi1)
+        return self._energy(0) - self._energy(1)
+
+    def d1(self, kmax: int = 8) -> ConvergenceResult:
+        """``d1_metric(phi0, phi1, kmax)`` of the pair."""
+        phi0, phi1 = self.phi0, self.phi1
+        _require_pair(phi0, phi1)
+        per_k = self._per_degree(kmax, abs)
+        direct = (integrate_abs_difference(self.q0, self.q1)
+                  / moment_volume(phi0.n, phi0.m))
+        roof, q = self._rooftop()
+        _require_pair(phi0, roof)  # E(P) integrates over P's own domain
+        via_envelope = self._energy(0) + self._energy(1) - 2 * _energy(roof, q)
+        if direct != via_envelope:
+            raise ToricError(
+                f"d1 routes disagree: integral {direct} vs envelope "
+                f"{via_envelope}")
+        return ConvergenceResult(per_k, direct)
+
+    def d_infinity(self) -> Fraction:
+        """``d_infinity_limit(phi0, phi1)`` of the pair."""
+        _require_pair(self.phi0, self.phi1)
+        return max_abs_difference(self.q0, self.q1)

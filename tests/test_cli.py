@@ -14,8 +14,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from geonorm import cli
+from geonorm import cli, linalg, segments
 from geonorm.cli import main
+from geonorm.graded import generate_degree_one
 from geonorm.suites import planted_submultiplicativity_violation
 from geonorm.toric import fs_from_norm, section_ring
 
@@ -274,15 +275,17 @@ def test_segments_verify_config(tmp_path, capsys) -> None:
 
 
 def _count_diagnostics(monkeypatch):
-    """(metric pair JSON, kmax) of every ``segments.diagnostics`` call."""
+    """(metric pair JSON, top level of the chain) of every diagnostics
+    report built: its kmax, for kmax 1 and 2."""
     calls = []
-    real = cli.diagnostics
+    real = segments.SegmentPair._report
 
-    def counted(phi0, phi1, kmax):
-        calls.append((json.dumps([phi0.to_json(), phi1.to_json()]), kmax))
-        return real(phi0, phi1, kmax=kmax)
+    def counted(self, levels, ts):
+        calls.append((json.dumps([self.phi0.to_json(), self.phi1.to_json()]),
+                      max(levels)))
+        return real(self, levels, ts)
 
-    monkeypatch.setattr(cli, "diagnostics", counted)
+    monkeypatch.setattr(segments.SegmentPair, "_report", counted)
     return calls
 
 
@@ -327,6 +330,148 @@ def test_segments_verify_computes_diagnostics_once_per_pair_and_kmax(
     assert len(calls) == 1
     first, second = json.loads(out.read_text())["checks"]
     assert first == second
+    capsys.readouterr()
+
+
+def _q(text):
+    return {"q": text}
+
+
+def _t(*num):
+    return {"t": {"num": list(num), "den": [1]}}
+
+
+def _pairs_config(tmp_path, tasks, n=1, name="config.json"):
+    """A config of Q and Q(t) norms (two of them on one basis), a graded
+    pair, a sampled path and a metric pair on P^n (level 2 on P^1, level 1
+    on P^2), with the given tasks."""
+    ring = section_ring(n, 1)
+    level = 3 - n
+    basis = ring.basis(level)
+    w0 = (0, 1, -1, F(1, 2), 0, 2)[:len(basis)]
+    w1 = (F(1, 2), -1, 0, 1, F(-3, 2), 0)[:len(basis)]
+    metrics = {key: fs_from_norm(ring, level, dict(zip(basis, map(F, w)))).to_json()
+               for key, w in (("phi0", w0), ("phi1", w1))}
+    p1 = section_ring(1, 1)
+    graded = {key: generate_degree_one(p1, dict(zip(p1.basis(1), w)), 4).to_json()
+              for key, w in (("g0", (0, F(1, 2))), ("g1", (F(1, 3), -1)))}
+    a = {"field": "trivial", "dim": 3,
+         "basis": [[_q("1"), _q("0"), _q("0")], [_q("1"), _q("1"), _q("0")],
+                   [_q("0"), _q("1"), _q("2")]],
+         "weights": ["0", "1/2", "-1"]}
+    b = {"field": "trivial", "dim": 3,
+         "basis": [[_q("1"), _q("2"), _q("0")], [_q("0"), _q("1"), _q("0")],
+                   [_q("1"), _q("0"), _q("1")]],
+         "weights": ["1", "-1/3", "2"]}
+    c = {"field": "tadic", "dim": 2, "basis": [[_t(0, 1), _t(1)], [_t(), _t(1)]],
+         "weights": ["0", "1"]}
+    d = {"field": "tadic", "dim": 2, "basis": [[_t(1), _t(0, 1)], [_t(1), _t()]],
+         "weights": ["2", "-1"]}
+    doc = {
+        "arena": {"n": n, "m": 1, "backend": "trivial"},
+        "objects": {
+            "norms": {"a": a, "b": b, "a2": dict(a, weights=["2", "0", "1/3"]),
+                      "c": c, "d": d},
+            "graded": graded,
+            "metrics": metrics,
+            "paths": {"p": _healthy_path()} if n == 1 else {},
+        },
+        "tasks": tasks,
+        "output": {"format": "json"},
+    }
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _every_pair_task():
+    """Every op on a pair of norms or metrics, on each pair in both orders,
+    some twice with other parameters."""
+    tasks = []
+    for pair in (["a", "b"], ["b", "a"], ["a", "a2"], ["c", "d"], ["d", "c"]):
+        tasks += [
+            {"op": "spectrum", "norms": pair},
+            {"op": "distance", "norms": pair, "p": 1},
+            {"op": "distance", "norms": pair, "p": "inf"},
+            {"op": "volume", "norms": pair},
+            {"op": "join", "norms": pair},
+            {"op": "geodesic", "norms": pair, "t": "1/3"},
+            {"op": "geodesic", "norms": pair, "t": "1/2"},
+        ]
+    for pair in (["phi0", "phi1"], ["phi1", "phi0"]):
+        tasks += [
+            {"op": "energy", "metrics": pair, "kmax": 2},
+            {"op": "d1", "metrics": pair, "kmax": 2},
+            {"op": "energy", "metrics": pair, "kmax": 3},
+            {"op": "maximal", "metrics": pair, "t": "1/3", "kmax": 2},
+            {"op": "maximal", "metrics": pair, "t": "1/2", "kmax": 4},
+            {"op": "legendre", "metrics": pair, "t": "1/3"},
+            {"op": "legendre", "metrics": pair, "t": "1/2"},
+            {"op": "diagnostics", "metrics": pair, "kmax": 2},
+            {"op": "diagnostics", "metrics": pair, "kmax": 1},
+            {"op": "verify", "target": "theoremB", "metrics": pair, "kmax": 2},
+        ]
+    return tasks
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_every_pair_artifact_equals_its_single_task_run(tmp_path, capsys,
+                                                         n) -> None:
+    # the tasks of a run share one record per ordered pair of names: in any
+    # task order, each artifact equals the one a config holding only its
+    # task writes, over Q and Q(t) norms and P^1 and P^2 metrics
+    tasks = _every_pair_task()
+    alone = []
+    for idx, task in enumerate(tasks):
+        out = tmp_path / f"alone{idx}"
+        cfg = _pairs_config(tmp_path, [task], n, f"alone{idx}.json")
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        alone.append((out / f"000_{task['op']}.json").read_bytes())
+    for order in (1, -1):
+        idxs = list(range(len(tasks)))[::order]
+        cfg = _pairs_config(tmp_path, [tasks[i] for i in idxs], n,
+                            f"order{order}.json")
+        out = tmp_path / f"order{order}"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        for pos, i in enumerate(idxs):
+            name = f"{pos:03d}_{tasks[i]['op']}.json"
+            assert (out / name).read_bytes() == alone[i], (order, tasks[i])
+    capsys.readouterr()
+
+
+def test_run_counts_kernel_runs_and_conjugations(tmp_path, monkeypatch,
+                                                 conjugated, capsys) -> None:
+    # one geonorm run of the 15 tasks of a benchmark config: one kernel run
+    # per pair of norms, (a, b) over Q and (c, d) over Q(t); and 18
+    # conjugations: phi0 and phi1, three rooftops (one per critical tau) and
+    # d1's rooftop, the six Legendre slices (t in {0, 1/4, 1/3, 1/2, 3/4,
+    # 1}), the maximal segment at 1/3, the two endpoint recoveries, the
+    # reference metric of the energies, and two samples of the path
+    smith = []
+    real = linalg.smith
+    monkeypatch.setattr(linalg, "smith",
+                        lambda *args: smith.append(args) or real(*args))
+    pair = ["phi0", "phi1"]
+    cfg = _pairs_config(tmp_path, [
+        {"op": "spectrum", "norms": ["a", "b"]},
+        {"op": "distance", "norms": ["a", "b"], "p": 1},
+        {"op": "distance", "norms": ["c", "d"], "p": "inf"},
+        {"op": "volume", "norms": ["c", "d"]},
+        {"op": "join", "norms": ["a", "b"]},
+        {"op": "geodesic", "norms": ["a", "b"], "t": "1/3"},
+        {"op": "asymptotic", "graded": ["g0", "g1"], "p": 2},
+        {"op": "energy", "metrics": pair, "kmax": 3},
+        {"op": "d1", "metrics": pair, "kmax": 3},
+        {"op": "maximal", "metrics": pair, "t": "1/3", "kmax": 3},
+        {"op": "legendre", "metrics": pair, "t": "1/3"},
+        {"op": "diagnostics", "metrics": pair, "kmax": 2},
+        {"op": "verify", "target": "submultiplicative", "graded": "g0"},
+        {"op": "verify", "target": "segment_psh", "path": "p"},
+        {"op": "verify", "target": "theoremB", "metrics": pair, "kmax": 2},
+    ])
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert len(smith) == 2
+    assert len(conjugated) == 18
     capsys.readouterr()
 
 
@@ -595,6 +740,26 @@ def test_non_integer_ring_exits_2(tmp_path, capsys, kind, obj, key, got,
     assert capsys.readouterr().err == (
         f"config error: bad {kind} object {name!r}: {key} must be a "
         f"positive integer, got {got}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["segments", "paths"])
+@pytest.mark.parametrize("k", [1.0, 1.5, True, "1", 0])
+def test_non_integer_level_exits_2(tmp_path, capsys, kind, k) -> None:
+    # a segment or path level must be an int >= 1: int() would truncate 1.5
+    # to level 1 and verify another path than the one written
+    name = {"paths": "p", "segments": "s"}[kind]
+    obj = dict(_healthy_path() if kind == "paths" else _SEGMENT, k=k)
+    extra = {"paths": {"p": _healthy_path()}}
+    extra[kind] = {name: obj}
+    cfg = _pair_config(tmp_path, [
+        {"op": "verify", "target": "segment_psh", "path": "p"},
+    ], extra_objects=extra)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: bad {kind} object {name!r}: k must be a positive "
+        f"integer, got {k!r}\n")
     assert not out.exists()
 
 

@@ -199,6 +199,117 @@ def test_graded_json_round_trip() -> None:
         assert GradedNorm.from_json(gn.to_json()) == gn
 
 
+def _q(text):
+    return {"q": text}
+
+
+_EYE2 = [[_q("1"), _q("0")], [_q("0"), _q("1")]]
+
+
+def _degrees(one=None, two=None):
+    """A P^1 graded norm of degrees 1 and 2 whose degree objects default to
+    valid monomial-diagonal norms, with the given ones put in."""
+    eye3 = [[_q("1" if i == j else "0") for j in range(3)] for i in range(3)]
+    ok1 = {"field": "trivial", "dim": 2, "basis": _EYE2,
+           "weights": ["0", "1/2"]}
+    ok2 = {"field": "trivial", "dim": 3, "basis": eye3,
+           "weights": ["0", "1/2", "1"]}
+    return {"ring": {"n": 1, "m": 1},
+            "degrees": {"1": ok1 if one is None else one,
+                        "2": ok2 if two is None else two}}
+
+
+def _deg1(**changes):
+    obj = {"field": "trivial", "dim": 2, "basis": _EYE2,
+           "weights": ["0", "1/2"]}
+    obj.update(changes)
+    return {k: v for k, v in obj.items() if v is not None}
+
+
+# Each malformed degree object and the error it raises: the exception class
+# and its message, pinned on the loader that built a ``DiagNorm`` per degree.
+_GRADED_ERRORS = [
+    ([], AttributeError, "'list' object has no attribute 'get'"),
+    (_deg1(field="foo"), GradedError,
+     "degree 1: malformed norm JSON: unknown field backend 'foo'"),
+    (_deg1(field=[]), GradedError,
+     "degree 1: malformed norm JSON: unhashable type: 'list'"),
+    (_deg1(basis=None), GradedError, "degree 1: malformed norm JSON: 'basis'"),
+    (_deg1(basis=3), GradedError,
+     "degree 1: malformed norm JSON: 'int' object is not iterable"),
+    (_deg1(basis=[[_q("1"), {"q": "0", "x": 1}], [_q("0"), _q("1")]]),
+     GradedError, "degree 1: malformed norm JSON: malformed trivially valued "
+     "scalar: {'q': '0', 'x': 1}"),
+    (_deg1(basis=[[_q("1"), _q("x")], [_q("0"), _q("1")]]), ValueError,
+     "Invalid literal for Fraction: 'x'"),
+    (_deg1(basis=[[_q("1"), _q("1/0")], [_q("0"), _q("1")]]),
+     ZeroDivisionError, "Fraction(1, 0)"),
+    (_deg1(basis=["ab", "cd"]), GradedError,
+     "degree 1: malformed norm JSON: malformed trivially valued scalar: 'a'"),
+    (_deg1(weights=None), GradedError,
+     "degree 1: malformed norm JSON: 'weights'"),
+    (_deg1(weights=["0", "x"]), ValueError,
+     "Invalid literal for Fraction: 'x'"),
+    (_deg1(weights=["0", "1/0"]), ZeroDivisionError, "Fraction(1, 0)"),
+    (_deg1(weights=["0", None]), GradedError,
+     "degree 1: malformed norm JSON: argument should be a string or a "
+     "Rational instance"),
+    (_deg1(weights=7), GradedError,
+     "degree 1: malformed norm JSON: 'int' object is not iterable"),
+    (_deg1(dim=3), GradedError, "degree 1: declared dim does not match weights"),
+    (_deg1(weights=["0"], dim=None), GradedError,
+     "degree 1: basis and weights must have equal length"),
+    (_deg1(basis=[], weights=[], dim=None), GradedError,
+     "degree 1: a norm needs dimension >= 1"),
+    (_deg1(basis=[[_q("1")], [_q("0")]]), GradedError,
+     "degree 1: basis must be square (ambient dim = count)"),
+    (_deg1(basis=[[_q("1"), _q("1")], [_q("2"), _q("2")]]), GradedError,
+     "degree 1: basis vectors are linearly dependent"),
+    (_deg1(basis=[[_q("1"), _q("0")], [_q("1"), _q("1")]]), GradedError,
+     "degree 1 norm must be monomial-diagonal of dimension 2"),
+    (_deg1(basis=[[_q("1")]], weights=["0"], dim=1), GradedError,
+     "degree 1 norm must be monomial-diagonal of dimension 2"),
+    (_deg1(basis=[[_q("0"), _q("1")], [_q("1"), _q("0")]]), GradedError,
+     "degree 1 norm must be monomial-diagonal of dimension 2"),
+]
+
+
+@pytest.mark.parametrize("one, exc, message", _GRADED_ERRORS)
+def test_graded_json_errors_are_pinned(one, exc, message) -> None:
+    with pytest.raises(exc) as info:
+        GradedNorm.from_json(_degrees(one))
+    assert type(info.value) is exc and str(info.value) == message
+    # the same object as degree 2 fails there, once degree 1 has loaded
+    if exc is GradedError and "dimension 2" not in message:
+        with pytest.raises(GradedError) as info:
+            GradedNorm.from_json(_degrees(two=one))
+        assert str(info.value) == message.replace("degree 1", "degree 2")
+
+
+@pytest.mark.parametrize("one, weights", [
+    # every form ``Fraction`` reads is a weight, and the literal forms of the
+    # identity are not the only ones
+    (_deg1(weights=["0", " 1/2 "]), (F(0), F(1, 2))),
+    (_deg1(weights=["-0", "2/4"]), (F(0), F(1, 2))),
+    (_deg1(weights=["1.5", "1e1"]), (F(3, 2), F(10))),
+    (_deg1(weights=[1, 2.5]), (F(1), F(5, 2))),
+    (_deg1(weights=[True, False]), (F(1), F(0))),
+    (_deg1(weights="12"), (F(1), F(2))),
+    (_deg1(dim=None), (F(0), F(1, 2))),
+    (_deg1(field=None), (F(0), F(1, 2))),
+    (_deg1(basis=[[_q("01"), _q("0/3")], [_q("-0"), _q("2/2")]]),
+     (F(0), F(1, 2))),
+    (_deg1(field="tadic", basis=[
+        [{"t": {"num": [1], "den": [1]}}, {"t": {"num": [], "den": [1]}}],
+        [{"t": {"num": [], "den": [1]}}, {"t": {"num": [1], "den": [1]}}]]),
+     (F(0), F(1, 2))),
+])
+def test_graded_json_accepts_what_the_norm_loader_accepts(one, weights) -> None:
+    gn = GradedNorm.from_json(_degrees(one))
+    assert tuple(gn.degree_weights(1)[a] for a in gn.ring.basis(1)) == weights
+    assert gn.degree_weights(2) == {(0,): 0, (1,): F(1, 2), (2,): 1}
+
+
 def test_weight_cover_errors() -> None:
     ring = SectionRing(1, 2)
     with pytest.raises(GradedError):

@@ -14,6 +14,7 @@ from geonorm.geodesics import geodesic
 from geonorm.norms import (
     DiagNorm,
     NormError,
+    NormPair,
     codiagonalize,
     det_norm,
     distance,
@@ -155,10 +156,9 @@ def _corrupt_vector(result):
 
 
 _PATHS = {
-    "same_basis": ("_codiagonalize_same_basis",
-                   lambda: (_std((0, 1)), _std((1, 0)))),
-    "filtrations": ("_codiagonalize_pivots", _cross_pair),
-    "lattices": ("_codiagonalize_pivots", _tadic_lattice_pair),
+    "same_basis": ("_same_basis", lambda: (_std((0, 1)), _std((1, 0)))),
+    "filtrations": ("_split", _cross_pair),
+    "lattices": ("_split", _tadic_lattice_pair),
 }
 
 
@@ -168,13 +168,13 @@ def test_verification_rejects_corrupted_result(path, corrupt,
                                                monkeypatch) -> None:
     name, pair = _PATHS[path]
     n0, n1 = pair()
-    split = getattr(norms, name)
-    good = _in_field(n0.field, split(n0, n1))
+    split = getattr(NormPair(n0, n1), name)
+    good = _in_field(n0.field, split())
     assert oracles.verifies_in_field(n0, n1, good[:3])
     bad = corrupt(good)
     assert not oracles.verifies_in_field(n0, n1, bad[:3])
     bad = (tuple(_cleared(n0.field, bad[0])),) + bad[1:]
-    monkeypatch.setattr(norms, name, lambda a, b, inverse=False: bad)
+    monkeypatch.setattr(NormPair, name, lambda self: bad)
     with pytest.raises(NormError, match="failed verification"):
         codiagonalize(n0, n1)
 
@@ -299,7 +299,8 @@ def test_weighted_pivots_keep_the_filtration_split_over_q(pair) -> None:
     # the kernel's common basis, put in the filtration form, is the basis
     # the filtration split picked, tuple for tuple
     n0, n1 = pair
-    got = _in_field(TRIVIAL, norms._codiagonalize_pivots(n0, n1, True))
+    pair = NormPair(n0, n1)
+    got = _in_field(TRIVIAL, pair._split() + (pair._inverse(),))
     assert got == oracles.codiagonalize_filtrations(n0, n1) + (None,)
     result = codiagonalize(n0, n1)
     assert result == got[:3]
@@ -338,10 +339,11 @@ def test_integer_split_matches_stacked_rref_oracle(case) -> None:
 @given(_filtration_pairs(dims=(1, 6)))
 def test_split_of_the_kernel_basis_matches_stacked_rref_oracle(pair) -> None:
     n0, n1 = pair
-    kernel = _in_field(TRIVIAL, norms._kernel_basis(n0, n1))
-    assert oracles.verifies_in_field(n0, n1, kernel[:3])
-    assert (_in_field(TRIVIAL, norms._codiagonalize_pivots(n0, n1))
-            == oracles.filtration_form_rref(*kernel[:3]) + (None,))
+    pair = NormPair(n0, n1)
+    kernel = _in_field(TRIVIAL, pair._kernel_basis())
+    assert oracles.verifies_in_field(n0, n1, kernel)
+    assert (_in_field(TRIVIAL, pair._split())
+            == oracles.filtration_form_rref(*kernel))
 
 
 @settings(max_examples=100)
@@ -468,7 +470,9 @@ def test_kernel_builds_no_field_elements_but_its_weights(field,
     monkeypatch.setattr(RatFunc, "__init__", lambda self, *args, **kw:
                         built.append(RatFunc) or real_init(self, *args, **kw))
     for n0, n1 in pairs:
-        norms._kernel_basis(n0, n1, True)
+        pair = NormPair(n0, n1)
+        pair._kernel_basis()
+        pair._inverse()
     monkeypatch.undo()
     assert built == [F] * sum(2 * n0.dim for n0, _ in pairs)
 
@@ -743,7 +747,8 @@ def test_lattice_branch_solves_without_inverting(monkeypatch) -> None:
         real = getattr(linalg, name, None)
         monkeypatch.setattr(linalg, name, counted(name, real), raising=False)
     for n0, n1 in pairs:
-        result = _in_field(TADIC, norms._codiagonalize_pivots(n0, n1, True))
+        pair = NormPair(n0, n1)
+        result = _in_field(TADIC, pair._split() + (pair._inverse(),))
         assert oracles.verifies_in_field(n0, n1, result[:3])
         assert codiagonalize(n0, n1, inverse=True) == result
     assert calls == []
@@ -806,8 +811,8 @@ def test_smith_matches_field_oracle(raw) -> None:
     # basis, weights and so every printed basis entry for entry: the same
     # pivots, row operations and P as the RatFunc loop
     n0, n1 = _lattice_norms(raw)
-    got = _in_field(TADIC, norms._codiagonalize_pivots(n0, n1))
-    assert got == oracles.codiagonalize_lattices_field(n0, n1) + (None,)
+    got = _in_field(TADIC, NormPair(n0, n1)._split())
+    assert got == oracles.codiagonalize_lattices_field(n0, n1)
     if n0.basis != n1.basis:
         result = codiagonalize(n0, n1)
         assert result == got[:3]
@@ -819,8 +824,8 @@ def test_smith_breaks_valuation_ties_by_first_index() -> None:
     # row-major order, as the field loop takes them
     n0 = DiagNorm(TADIC, ((F(1), F(2)), (F(3), F(1))), (F(0), F(0)))
     n1 = DiagNorm(TADIC, ((F(2), F(1)), (F(1), F(1))), (F(0), F(0)))
-    got = _in_field(TADIC, norms._codiagonalize_pivots(n0, n1))
-    assert got == oracles.codiagonalize_lattices_field(n0, n1) + (None,)
+    got = _in_field(TADIC, NormPair(n0, n1)._split())
+    assert got == oracles.codiagonalize_lattices_field(n0, n1)
     assert codiagonalize(n0, n1) == got[:3]
     assert spectrum(n0, n1) == (F(0), F(0))
 

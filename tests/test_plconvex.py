@@ -501,6 +501,24 @@ def _p2_pieces(draw):
     return pieces
 
 
+@settings(max_examples=300)
+@given(st.one_of(_max_affine_cases(), _p2_pieces().map(lambda p: (2, p))))
+def test_pruned_profile_is_the_profile_of_the_pruned_function(case) -> None:
+    # the profile pruning computes is the profile of what it returns: the
+    # same vertices, the same cells on the same planes and the same
+    # integral; only the order of the cells may differ (a piece on a facet
+    # that is no vertex of it orders the facets and is pruned away)
+    f = MaxAffine(*case)
+    pruned, q = plconvex._pruned(f)
+    assert pruned.pieces == prune(f).pieces and q == conjugate(f)
+    again = conjugate(pruned)
+    assert (again.n, again._den, again._verts) == (q.n, q._den, q._verts)
+    assert (sorted(zip(again._cells, again._planes))
+            == sorted(zip(q._cells, q._planes)))
+    if q._cells:
+        assert integrate_profile(again) == integrate_profile(q)
+
+
 def _assert_conjugate_matches_triples(f) -> None:
     prof = conjugate(f)
     want = oracles.conjugate_2d_triples(list(f.pieces))

@@ -384,14 +384,16 @@ def test_level_segments_build_no_norm(monkeypatch) -> None:
         built.append("_on")
         return real_on(*args)
 
-    def spy(name):
-        real = getattr(norms, name)
+    def spy(owner, name):
+        real = getattr(owner, name)
         return lambda *args, **kw: built.append(name) or real(*args, **kw)
 
     monkeypatch.setattr(norms.DiagNorm, "__init__", init)
     monkeypatch.setattr(norms.DiagNorm, "_on", classmethod(on))
-    for name in ("codiagonalize", "_verified"):
-        monkeypatch.setattr(norms, name, spy(name))
+    # every codiagonalization and every verification goes through a pair
+    monkeypatch.setattr(norms, "codiagonalize", spy(norms, "codiagonalize"))
+    monkeypatch.setattr(norms.NormPair, "__init__",
+                        spy(norms.NormPair, "__init__"))
     ring = section_ring(2, 1)
     for phi0, phi1 in (
             (_fs(RING2, 2, (0, 0, 3, 0, 0)), _fs(RING2, 2, (0, -1, 0, 2, 0))),

@@ -466,3 +466,15 @@ def test_tables_conjugate_each_endpoint_once(fn, pair, conjugated) -> None:
     assert sum(f is phi0.potential for f in conjugated) == 1
     assert sum(f is phi1.potential for f in conjugated) == 1
     assert (vars(phi0), vars(phi1)) == before
+
+
+def test_section_ring_refuses_non_integer_dims(monkeypatch) -> None:
+    # (1, 2.0) == (1, 2), so a float m would file its ring under the int
+    # key and every later section_ring(1, 2) would get a float ring
+    monkeypatch.setattr(toric, "_rings", {})
+    for n, m in ((1, 2.0), (1.0, 1), (True, 1), (1, "2"), (1, F(2))):
+        with pytest.raises(ToricError, match="integer n and m"):
+            section_ring(n, m)
+    assert toric._rings == {}
+    assert section_ring(1, 2).basis(1) == ((0,), (1,), (2,))
+    assert list(toric._rings) == [(1, 2)]
