@@ -104,7 +104,9 @@ def _primitive(ints):
 
 def _cleared(row):
     """``(den, ints)`` with ``ints == den * row``; den is the lcm of denominators."""
-    den = math.lcm(*(x.denominator for x in row))
+    den = math.lcm(*[x.denominator for x in row])
+    if den == 1:
+        return den, [x.numerator for x in row]
     return den, [x.numerator * (den // x.denominator) for x in row]
 
 
@@ -243,14 +245,16 @@ def rref(rows):
 def inverse_rows(field, A):
     """The inverse of a square matrix, one ``(den, numerators)`` row each.
 
-    Over Q the row is integers, over Q(t) polynomials in Z[t].  A is
+    Over Q the entries of A are ``Fraction``s or ints and the row is
+    integers, over Q(t) polynomials in Z[t].  A is
     cleared by columns, A C with C = diag(c), and [A C | I] is eliminated
     by ``_gauss_jordan``.  The identity columns clear with scale 1, so row
     i of A^{-1} is R[i][d:] c_i / R[i][i], and no field element is built.
     Raises SingularMatrixError if A is singular.
     """
     d, r = len(A), ring(field)
-    eye = identity(field, d)
+    # over Q the identity half is ints, which clear at no cost
+    eye = identity(field, d) if r is _ZT else identity(_Z, d)
     R, pivots, c = r.eliminate([tuple(A[i]) + eye[i] for i in range(d)])
     if pivots[:d] != list(range(d)):
         raise SingularMatrixError("matrix is singular")
@@ -320,16 +324,17 @@ def _bareiss(M, sub_mul, exact_div, negate):
     return negate(det) if odd else det
 
 
-def smith(field, inv0, cols0, cols1, a, b):
+def smith(field, inv0, cols0, cols1, a, b, den):
     """Weighted-pivot Smith form of X = M0^{-1} M1: the codiagonalization
     kernel, over Q or Q(t).
 
     The columns of the invertible matrices M0 and M1 are orthogonal bases
     of two norms, on the -log scale: column i of M0 has value a[i] in the
-    first, column j of M1 value b[j] in the second.  Over Q(t) the columns
-    must lie in the unit balls, as t^(-floor(w)) s for a basis vector s of
-    weight w; a and b hold the weights w, and the values w mod 1 are used.
-    ord is ord_t on Q(t) and 0 off zero on the trivially valued Q.  Step k
+    first, column j of M1 value b[j] in the second; a and b are integer
+    numerators over one positive denominator D = ``den``.  Over Q(t) the
+    columns must lie in the unit balls, as t^(-floor(w)) s for a basis
+    vector s of weight w; a and b hold the weights w, and the values w mod
+    1 are used.  ord is ord_t on Q(t) and 0 off zero on the trivially valued Q.  Step k
     takes the entry X_ij of the trailing submatrix that minimizes ord(X_ij)
     + a_i - b_j, the first in row-major order on ties, swaps it to (k, k)
     and clears column k below it by row operations, which P records: valid
@@ -344,32 +349,31 @@ def smith(field, inv0, cols0, cols1, a, b):
     Returns ``(C, P, w0, w1)``.  C lists the columns of M0 P^{-1} in the
     same form, each orthogonal for both norms, of value w0[k] (its row's
     offset) in the first and w1[k] (its column's offset minus the pivot's
-    ord) in the second; P is given as rows, so C^{-1} = P M0^{-1} is a
-    ring product.  With zero offsets this is the Smith form over the
-    valuation ring, and -w1 lists the ords of the invariant factors.
+    ord) in the second, both integer numerators over D; P is given as
+    rows, so C^{-1} = P M0^{-1} is a ring product.  With zero offsets this
+    is the Smith form over the valuation ring, and -w1 lists the ords of
+    the invariant factors.
 
-    The loop runs on the ring ``_Z`` (Q) or ``_ZT`` (Q(t)), the offsets on
-    integers over their common denominator, and the rows of [X | I] as
-    numerators over one denominator each.  Subtracting mu = (c / p)(pden /
-    den) times the pivot row, for the numerators c and p in the pivot
-    column and the rows' denominators den and pden, gives (p * row - c *
-    pivot row) over (p * den), common factors divided out.  C starts as the
-    columns of M0 and takes the inverse of each row operation on P: a row
-    swap swaps two columns, and row_i -= mu row_k adds mu times column i to
-    column k.
+    The loop runs on the ring ``_Z`` (Q) or ``_ZT`` (Q(t)), and the rows of
+    [X | I] as numerators over one denominator each.  Subtracting mu =
+    (c / p)(pden / den) times the pivot row, for the numerators c and p in
+    the pivot column and the rows' denominators den and pden, gives (p *
+    row - c * pivot row) over (p * den), common factors divided out.  C
+    starts as the columns of M0 and takes the inverse of each row operation
+    on P: a row swap swaps two columns, and row_i -= mu row_k adds mu times
+    column i to column k.
     """
-    d, r = len(inv0), ring(field)
+    D, d, r = den, len(inv0), ring(field)
     order, zero, mul = r.order, r.zero, r.mul
     dens, R = [], []
     for i, (den, row) in enumerate(_products(r, inv0, *_common_den(r, cols1))):
         dens.append(den)
         R.append(list(row) + [den if j == i else zero for j in range(d)])
     cdens, cols = map(list, zip(*cols0))
-    D = math.lcm(*(x.denominator for x in a), *(x.denominator for x in b))
-    A = [x.numerator * (D // x.denominator) for x in a]
-    B = [x.numerator * (D // x.denominator) for x in b]
     if r is _ZT:
-        A, B = [x % D for x in A], [x % D for x in B]
+        A, B = [x % D for x in a], [x % D for x in b]
+    else:
+        A, B = list(a), list(b)
     w0, w1 = [], []
     for k in range(d):
         best = None
@@ -402,8 +406,8 @@ def smith(field, inv0, cols0, cols1, a, b):
                 dens[i], R[i] = _smith_row_op(r, dens[i], R[i], prow, k, p, q)
         cols[k], cdens[k] = ck, cden
         prow[k + 1:d] = [zero] * (d - k - 1)
-        w0.append(Fraction(A[k], D))
-        w1.append(Fraction(A[k] - key, D))
+        w0.append(A[k])
+        w1.append(A[k] - key)
     C = tuple((den, tuple(col)) for col, den in zip(cols, cdens))
     P = tuple((den, tuple(row[d:])) for den, row in zip(dens, R))
     return C, P, tuple(w0), tuple(w1)

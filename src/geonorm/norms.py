@@ -13,46 +13,59 @@ weighted-pivot kernel ``linalg.smith`` on the change of basis between the
 two norms' bases, with the weights as pivot offsets (over Q(t) their
 fractional parts, after shifting each basis vector by t^(-floor(w)), so
 any rational weights work).  The kernel multiplies n0's cached inverse
-with n1's basis instead of eliminating, and its basis stays integer (Q)
-or Z[t] (Q(t)) columns over one denominator each.  The relative spectrum,
+with n1's basis instead of eliminating; its basis stays integer (Q) or
+Z[t] (Q(t)) columns over one denominator each, and its weights integer
+numerators over the pair's common denominator.  The relative spectrum,
 the d_p distances and the relative volume read only the multiset of
 weight pairs, which is the same for every common basis, so they take the
-kernel's basis and weights as they are, verified.  A basis that leaves the
-library (``codiagonalize``, ``join``, the geodesics), and only such a
-basis, becomes field vectors: over Q in the canonical form of the
-filtration split, found on integer rows (``_filtration_form``), over Q(t)
-as the kernel's basis.
+kernel's basis and weights as they are, verified.  The common basis of
+``codiagonalize``, ``join`` and the geodesics is, over Q, the canonical
+form of the filtration split, found on integer rows
+(``_filtration_form``), and over Q(t) the kernel's basis.
 
-A norm holds its weights and a record of its basis (``_Basis``), which
-the norms the library derives on one basis share: the slices of a
-geodesic, a join on a shared basis, and the Sym^m norms of any of them.
-The record is filled on first use, and only the weights are computed per
-norm.  It holds the inverse of the basis matrix in the row form of
-``linalg.inverse_rows``: one ``(den, numerators)`` pair per row, over Z for
-Q and over Z[t] for Q(t).  It holds ord_t det of the basis, which
-``det_norm`` reads: over Q it is 0, read with no determinant, since every
-basis a norm holds is invertible; over Q(t) one determinant per basis.  It
-holds one Sym^m record per m, so the Sym^m norms of all the slices of a
-geodesic share one Sym^m basis, built once; a Sym^m record also holds its
-basis as the ``(den, numerators)`` columns ``sym_power_norm`` multiplied
-out.  Any other basis is cleared on each read: the norms a caller keeps
-carry no second copy of their bases, and the kernel's Z[t] columns carry
-common factors of numerators and denominator that every product formed
-from them would carry on.  ``==`` between two norms on one basis tuple
-evaluates that basis once.
+A norm holds its weights as integer numerators over one positive
+denominator, in lowest terms; ``weights`` is their ``Fraction`` view,
+built on first read.  Every weight the library derives is computed on
+numerators: the weight pairs of two norms over the lcm D of their
+denominators (the kernel's offsets, the join's minima, the spectrum, the
+distances and the volume), a geodesic slice at t = p/q as ((q - p) a +
+p b) over q D, and the Sym^m and det weights as sums over the norm's own
+denominator.  A ``Fraction`` is built only for a value the public API
+returns.
+
+A norm also holds a record of its basis (``_Basis``), which the norms the
+library derives on one basis share: the slices of a geodesic, a join on a
+shared basis, and the Sym^m norms of any of them.  Over Q the record
+holds the basis only as ``(den, numerators)`` columns over Z: a basis the
+user gives, cleared once at construction; the common basis of a pair, as
+the kernel or the filtration form gives it; a Sym^m basis, as
+``sym_power_norm`` multiplies it out.  ``basis`` is a ``Fraction`` view of
+those columns, built on first read and cached in the record, and no
+computation reads it.  Over Q(t) the record holds the basis as
+``RatFunc`` vectors, cleared on each read, since the kernel's Z[t]
+columns carry common factors of numerators and denominator that every
+product formed from them would carry on; a Sym^m record also keeps its
+columns.  The record holds the inverse of the basis matrix in the row
+form of ``linalg.inverse_rows``: one ``(den, numerators)`` pair per row,
+over Z for Q and over Z[t] for Q(t).  It holds ord_t det of the basis,
+which ``det_norm`` reads: over Q it is 0, read with no determinant, since
+every basis a norm holds is invertible; over Q(t) one determinant per
+basis.  It holds one Sym^m record per m, so the Sym^m norms of all the
+slices of a geodesic share one Sym^m basis, built once.  ``==`` between
+two norms on one basis evaluates that basis once.
 
 Constructed norms get their inverse without an elimination, from data
 their inputs hold: ``join`` and the geodesic slices over Q(t) from the
 kernel's row operations and n0's inverse, ``join`` and the geodesics on a
 shared basis from n0's record, ``sym_power_norm`` as Sym^m of the input's
 inverse and ``tensor_norm`` as the Kronecker product of the two.  Only a
-basis the user gives is inverted, and over Q the filtration-split common
-basis, on first use (the one elimination of a spectrum against such a
-norm).  ``quotient_norm`` inverts nothing: its exchange argument is a
-forward elimination on coordinates read through the cached inverse.
-Norms diagonal in the standard basis share one identity basis per field
-and dimension and one identity inverse, so ``DiagNorm.standard`` costs
-O(d).
+basis the user gives is inverted, over Q from its integer columns, and
+over Q the filtration-split common basis, on first use (the one
+elimination of a spectrum against such a norm).  ``quotient_norm``
+inverts nothing: its exchange argument is a forward elimination on
+coordinates read through the cached inverse.  Norms diagonal in the
+standard basis share one identity basis per field and dimension and one
+identity inverse, so ``DiagNorm.standard`` costs O(d).
 
 The functions of a pair of norms (``spectrum``, ``distance``, ``volume``,
 ``join``, ``codiagonalize`` and ``geodesics.geodesic``) read one record of
@@ -81,12 +94,11 @@ import math
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations_with_replacement
-from operator import floordiv, mul
+from operator import floordiv, mul, sub
 
 from . import linalg
 from .field import (
     INF,
-    FieldError,
     TADIC,
     TRIVIAL,
     field_by_name,
@@ -109,27 +121,35 @@ class DiagNorm:
             and non-empty (dimension >= 1).
         weights: one rational per basis vector; ``norm(s_i) = e^{-w_i}``.
 
-    The basis and everything derived from it alone live in a ``_Basis``
-    record, which every norm on that basis that the library derives
-    shares (the slices of a geodesic, a join on a shared basis, their
-    Sym^m norms); a norm adds only its weights.
+    The norm keeps its weights as the integer numerators ``_nums`` over
+    one positive denominator ``_den``, in lowest terms, and ``weights`` is
+    their ``Fraction`` view, built on first read.  The basis and
+    everything derived from it alone live in a ``_Basis`` record, which
+    every norm on that basis that the library derives shares (the slices
+    of a geodesic, a join on a shared basis, their Sym^m norms); a norm
+    adds only its weights.
     """
 
-    __slots__ = ("field", "weights", "_rec")
+    __slots__ = ("field", "_den", "_nums", "_rec", "_weights")
 
     def __init__(self, field, basis, weights):
-        weights = tuple(Fraction(w) for w in weights)
-        if basis is not _identities.get((field.name, len(weights))):
+        den, nums = _numerators(weights)
+        d = len(nums)
+        identity = basis is _identities.get((field.name, d))
+        if not identity:
             basis = tuple(tuple(field.of(x) for x in vec) for vec in basis)
-        if len(basis) != len(weights):
+        if len(basis) != d:
             raise NormError("basis and weights must have equal length")
         if not basis:
             raise NormError("a norm needs dimension >= 1")
-        if any(len(vec) != len(basis) for vec in basis):
+        if any(len(vec) != d for vec in basis):
             raise NormError("basis must be square (ambient dim = count)")
-        self.field = field
-        self.weights = weights
-        self._rec = _Basis(field, basis)
+        self.field, self._den, self._nums = field, den, nums
+        self._weights = None
+        if identity:
+            self._rec = _standard_record(field, d)
+        else:
+            self._rec = _vector_record(field, basis)
         # fail fast on dependent bases; identity is recognized cheaply
         self._inverse()
 
@@ -143,36 +163,45 @@ class DiagNorm:
 
     @classmethod
     def trivial(cls, field, dim) -> "DiagNorm":
-        return cls.standard(field, (Fraction(0),) * dim)
+        return cls.standard(field, (0,) * dim)
 
     @property
     def basis(self):
         return self._rec.basis
 
     @property
+    def weights(self):
+        """The weights as ``Fraction``s, built on first read."""
+        if self._weights is None:
+            den = self._den
+            self._weights = tuple(Fraction(x, den) for x in self._nums)
+        return self._weights
+
+    @property
     def dim(self) -> int:
-        return len(self.weights)
+        return len(self._nums)
 
     def is_standard_basis(self) -> bool:
         """O(1) for a norm built by ``standard``; a full check otherwise."""
-        eye = _identity(self.field, self.dim)
-        return self.basis is eye or self.basis == eye
+        rec = self._rec
+        if rec.field is TADIC:
+            eye = _identity(TADIC, self.dim)
+            return rec.basis is eye or rec.basis == eye
+        return _same_columns(rec.rows, _identity_rows(TRIVIAL, self.dim))
 
     def _inverse(self):
         """The inverse of the basis matrix (the basis vectors as columns), as
         ``linalg.inverse_rows`` gives it, cached in the record; a standard
-        basis has the shared identity rows."""
+        basis has the shared identity rows.  Over Q it is read from the
+        integer columns (``_column_inverse``)."""
         rec = self._rec
         if rec.inv is None:
             if self.is_standard_basis():
                 rec.inv = _identity_rows(self.field, self.dim)
             else:
-                matrix = tuple(
-                    tuple(self.basis[c][r] for c in range(self.dim))
-                    for r in range(self.dim)
-                )
                 try:
-                    rec.inv = linalg.inverse_rows(self.field, matrix)
+                    rec.inv = (linalg.inverse_rows(TADIC, tuple(zip(*rec.basis)))
+                               if rec.field is TADIC else _column_inverse(rec.rows))
                 except linalg.SingularMatrixError:
                     raise NormError("basis vectors are linearly dependent") from None
         return rec.inv
@@ -184,25 +213,30 @@ class DiagNorm:
     def _from_inverse(cls, field, basis, weights, inv) -> "DiagNorm":
         """A norm on a new record of a basis of field elements whose inverse
         rows ``inv`` the caller derived, or None to invert the basis on
-        first use; nothing is coerced or checked."""
-        return cls._on(_Basis(field, basis, inv), weights)
+        first use; nothing is checked."""
+        return cls._on(_vector_record(field, basis, inv), *_numerators(weights))
 
     @classmethod
-    def _on(cls, rec, weights) -> "DiagNorm":
-        """A norm with the given weights on the basis of the record ``rec``,
-        which it shares; nothing is coerced or checked."""
+    def _on(cls, rec, den, nums) -> "DiagNorm":
+        """A norm with the weights ``nums`` / ``den`` (den > 0, integers) on
+        the basis of the record ``rec``, which it shares; the weights are
+        put in lowest terms, and nothing else is checked."""
+        g = math.gcd(den, *nums)
+        if g > 1:
+            den, nums = den // g, tuple(x // g for x in nums)
         out = object.__new__(cls)
-        out.field, out.weights, out._rec = rec.field, weights, rec
+        out.field, out._den, out._nums, out._rec = rec.field, den, nums, rec
+        out._weights = None
         return out
 
     def _reweighted(self, weights) -> "DiagNorm":
-        """A norm sharing this record, with the given weights, coerced and
-        checked as in ``__init__``; an inverse not cached yet is computed
-        on first use, once for every norm on the record."""
-        weights = tuple(Fraction(w) for w in weights)
-        if len(weights) != self.dim:
+        """A norm sharing this record, with the given rational weights,
+        coerced and checked as in ``__init__``; an inverse not cached yet is
+        computed on first use, once for every norm on the record."""
+        den, nums = _numerators(weights)
+        if len(nums) != self.dim:
             raise NormError("basis and weights must have equal length")
-        return DiagNorm._on(self._rec, weights)
+        return DiagNorm._on(self._rec, den, nums)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -231,10 +265,11 @@ class DiagNorm:
             INF
         """
         clear = linalg.ring(self.field).clear
-        return _values(self, (clear(self._vector(v)),))[0]
+        x = _values(self, (clear(self._vector(v)),))[0]
+        return x if x is INF else Fraction(x, self._den)
 
     # -- equality: two diagonal norms agree iff they agree on both bases ------
-    # (on one basis tuple, once)
+    # (on one basis, once)
 
     def __eq__(self, other):
         if not isinstance(other, DiagNorm):
@@ -242,9 +277,10 @@ class DiagNorm:
         if self.field is not other.field or self.dim != other.dim:
             return False
         vecs = _basis_rows(self)
-        if other.basis is not self.basis:
+        if not _one_basis(self._rec, other._rec):
             vecs += _basis_rows(other)
-        return _values(self, vecs) == _values(other, vecs)
+        return (_scaled(_values(self, vecs), other._den)
+                == _scaled(_values(other, vecs), self._den))
 
     __hash__ = None
 
@@ -267,6 +303,21 @@ class DiagNorm:
         return cls(*_json_parts(obj))
 
 
+def _numerators(weights):
+    """``(den, nums)``: rational weights as integer numerators over the
+    lcm of their denominators, which puts them in lowest terms."""
+    weights = [w if type(w) is Fraction else Fraction(w) for w in weights]
+    den = math.lcm(*(w.denominator for w in weights))
+    return den, tuple(w.numerator * (den // w.denominator) for w in weights)
+
+
+def _scaled(values, k):
+    """Numerators times k, INF kept."""
+    if k == 1:
+        return values
+    return tuple(x if x is INF else x * k for x in values)
+
+
 def _json_parts(obj):
     """``(field, basis, weights)`` of a norm's JSON, read and checked as far
     as ``from_json`` checks before it builds the norm.
@@ -285,7 +336,7 @@ def _json_parts(obj):
         else:
             basis = _identity(field, d)
         weights = tuple(parse_fraction(w) for w in obj["weights"])
-    except (KeyError, TypeError, FieldError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise NormError(f"malformed norm JSON: {exc}") from exc
     if "dim" in obj and obj["dim"] != len(weights):
         raise NormError("declared dim does not match weights")
@@ -324,49 +375,114 @@ def _identity(field, d):
 
 def _identity_rows(field, d):
     """The identity as ``(den, numerators)`` rows, one shared tuple: the
-    inverse of every standard basis of ``field`` in dimension d."""
+    inverse of every standard basis of ``field`` in dimension d, and over Q
+    the columns of its record."""
     key = (field.name, d)
     if key not in _inverse_identities:
         _inverse_identities[key] = linalg.identity_rows(field, d)
     return _inverse_identities[key]
 
 
+def _standard_record(field, d):
+    """A new record of the standard basis: the shared identity tuple, and
+    the shared identity rows as its inverse and, over Q, its columns."""
+    eye = _identity_rows(field, d)
+    return _Basis(field, rows=None if field is TADIC else eye, inv=eye,
+                  basis=_identity(field, d))
+
+
 class _Basis:
     """What the norms on one basis share, filled on first use.
 
-    ``basis`` is the tuple of basis vectors and ``inv`` its inverse rows
-    (see ``DiagNorm._inverse``).  ``rows`` is the basis as ``(den,
-    numerators)`` columns for a Sym^m basis, the products
-    ``sym_power_norm`` forms; any other basis, a basis the user gives
-    among them, keeps None there and is cleared on each read, so that the
-    record of an input norm holds no second copy of its basis.
-    ``ord_det`` is ord_t det of the basis over Q(t) (see ``_ord_det``), and
-    ``sym`` maps m to the record of the Sym^m basis (see
-    ``sym_power_norm``).
+    Over Q ``rows`` is the basis as ``(den, numerators)`` columns over Z,
+    the only form the record is built from, and ``basis`` their
+    ``Fraction`` view, built on first read and cached in ``_view``.  Over
+    Q(t) ``basis`` holds the vectors of ``RatFunc``s, and ``rows`` the
+    ``(den, numerators)`` columns of a Sym^m basis, the products
+    ``sym_power_norm`` forms; any other basis keeps None there and is
+    cleared on each read.  ``inv`` is the inverse rows (see
+    ``DiagNorm._inverse``), ``ord_det`` ord_t det of the basis over Q(t)
+    (see ``_ord_det``), and ``sym`` maps m to the record of the Sym^m
+    basis (see ``sym_power_norm``).
     """
 
-    __slots__ = ("field", "basis", "inv", "rows", "ord_det", "sym")
+    __slots__ = ("field", "rows", "inv", "ord_det", "sym", "_view")
 
-    def __init__(self, field, basis, inv=None, rows=None):
-        self.field, self.basis, self.inv, self.rows = field, basis, inv, rows
+    def __init__(self, field, rows=None, inv=None, basis=None):
+        self.field, self.rows, self.inv, self._view = field, rows, inv, basis
         self.ord_det = self.sym = None
+
+    @property
+    def basis(self):
+        if self._view is None:
+            self._view = linalg.row_values(self.field, self.rows)
+        return self._view
+
+
+def _vector_record(field, basis, inv=None):
+    """A new record of a basis of field vectors: over Q its columns, each
+    vector cleared once, over Q(t) the vectors.  Cleared columns are
+    unique, so over Q an identity basis shows as the identity rows, which
+    are its inverse."""
+    if field is TADIC:
+        return _Basis(field, basis=basis, inv=inv)
+    rows = tuple((den, tuple(ints))
+                 for den, ints in map(linalg._cleared, basis))
+    eye = _identity_rows(field, len(rows))
+    if inv is None and rows == eye:
+        inv = eye
+    return _Basis(field, rows=rows, inv=inv)
+
+
+def _column_inverse(cols):
+    """The inverse rows of the matrix B whose columns are the ``(den,
+    numerators)`` columns ``cols`` over Z: B = N diag(1/den) for the
+    integer matrix N of the numerators, so B^{-1} = diag(den) N^{-1}."""
+    inv = linalg.inverse_rows(TRIVIAL, tuple(zip(*(nums for _, nums in cols))))
+    return tuple((p, nums if den == 1 else tuple(x * den for x in nums))
+                 for (p, nums), (den, _) in zip(inv, cols))
+
+
+def _same_columns(a, b):
+    """Whether two tuples of ``(den, numerators)`` columns over Z hold the
+    same vectors: u / e = v / f entry by entry, whatever the scaling."""
+    return a is b or all(x * f == y * e for (e, u), (f, v) in zip(a, b)
+                         for x, y in zip(u, v))
+
+
+def _same_basis(a: _Basis, b: _Basis) -> bool:
+    """Whether two records of one field and dimension hold equal bases:
+    over Q compared on their columns, over Q(t) on their vectors."""
+    if a is b:
+        return True
+    if a.field is TADIC:
+        return a.basis == b.basis
+    return _same_columns(a.rows, b.rows)
+
+
+def _one_basis(a: _Basis, b: _Basis) -> bool:
+    """Whether two records hold one basis: one record, or one inverse
+    object (the shared identity rows of two standard bases)."""
+    return a is b or (a.inv is not None and a.inv is b.inv)
 
 
 def _basis_rows(n: DiagNorm):
     """The basis vectors as ``(den, numerators)`` pairs over Z or Z[t]: the
-    record's, for a standard basis the shared identity rows, else the
-    basis cleared."""
-    if n._rec.rows is not None:
-        return n._rec.rows
+    record's columns, for a standard basis over Q(t) the shared identity
+    rows, else (over Q(t)) the basis cleared."""
+    rec = n._rec
+    if rec.rows is not None:
+        return rec.rows
     if n._has_identity_inverse():
         return n._inverse()
-    return tuple(map(linalg.ring(n.field).clear, n.basis))
+    return tuple(map(linalg.ring(n.field).clear, rec.basis))
 
 
 def _values(norm: DiagNorm, vectors):
     """The -log norms of a batch of ``(den, numerators)`` vectors (see
-    ``linalg.ring``), each an exact rational or INF: every norm value goes
-    through here.
+    ``linalg.ring``), each the integer numerator of an exact rational over
+    the norm's denominator ``_den``, or INF: every norm value goes through
+    here.
 
     n(v) is the least w_j + v(c_j) over the nonzero coordinates c_j of v,
     or INF; coordinate j is the dot product of row j of the cached inverse
@@ -375,15 +491,17 @@ def _values(norm: DiagNorm, vectors):
     of the coordinates matters: it is read from integer dot products of
     the integer rows of the inverse with the numerators of v, trying the
     weights in increasing order.  Over Q(t) the valuations v(c_j) come from
-    ``linalg.coordinate_orders``, which reads them from Z[t] dot products.
+    ``linalg.coordinate_orders``, which reads them from Z[t] dot products,
+    and the value's numerator is v(c_j) ``_den`` + w_j.
     """
-    w = norm.weights
+    w = norm._nums
     standard = norm._has_identity_inverse()
     if norm.field is not TRIVIAL:
+        den = norm._den
         orders = linalg.coordinate_orders(
             None if standard else norm._inverse(), vectors)
-        return tuple(min((o + wj for o, wj in zip(ords, w) if o is not INF),
-                         default=INF) for ords in orders)
+        return tuple(min((o * den + wj for o, wj in zip(ords, w)
+                          if o is not INF), default=INF) for ords in orders)
     order = sorted(range(norm.dim), key=w.__getitem__)
     if standard:
         return tuple(next((w[j] for j in order if u[j]), INF)
@@ -431,15 +549,19 @@ def codiagonalize(n0: DiagNorm, n1: DiagNorm, *, inverse=False):
 class NormPair:
     """Two norms over one field, and what the functions of the pair share.
 
-    The record is filled on first use, and every entry is computed once:
-    the kernel run (one ``linalg.smith``), the weight pairs of a verified
-    common basis (what ``spectrum``, ``distance`` and ``volume`` read), the
-    verified common basis ``codiagonalize`` returns, its inverse, and the
-    ``_Basis`` record that ``join`` and the geodesic take.  Norms that
-    share their basis skip the kernel: that basis is the common one.  Over
-    Q(t) the kernel's basis is the common basis, verified once for both
-    uses; over Q the spectrum reads the kernel's basis, verified, and the
-    common basis is its filtration form, verified on its own.
+    The pair's weights are integer numerators over one denominator, the
+    lcm ``_den`` of the two norms' denominators: ``_a`` and ``_b`` are the
+    weights of n0 and n1 over it, and every weight pair below is over it
+    too.  The record is filled on first use, and every entry is computed
+    once: the kernel run (one ``linalg.smith``), the weight pairs of a
+    verified common basis (what ``spectrum``, ``distance`` and ``volume``
+    read), the verified common basis ``codiagonalize`` returns, its
+    inverse, and the ``_Basis`` record that ``join`` and the geodesic
+    take.  Norms that share their basis skip the kernel: that basis is the
+    common one.  Over Q(t) the kernel's basis is the common basis, verified
+    once for both uses; over Q the spectrum reads the kernel's basis,
+    verified, and the common basis is its filtration form, verified on its
+    own.
 
     The public functions of a pair build a throwaway record, so each call
     checks and verifies what it reads; a caller that keeps one record (one
@@ -448,11 +570,14 @@ class NormPair:
     functions check them.
     """
 
-    __slots__ = ("n0", "n1", "_shared", "_kernel", "_weights", "_basis",
-                 "_inv", "_rec")
+    __slots__ = ("n0", "n1", "_den", "_a", "_b", "_shared", "_kernel",
+                 "_weights", "_basis", "_inv", "_rec")
 
     def __init__(self, n0: DiagNorm, n1: DiagNorm):
         self.n0, self.n1 = n0, n1
+        self._den = den = math.lcm(n0._den, n1._den)
+        self._a = _scaled(n0._nums, den // n0._den)
+        self._b = _scaled(n1._nums, den // n1._den)
         self._shared = self._kernel = self._weights = self._basis = None
         self._inv = self._rec = None
 
@@ -465,15 +590,17 @@ class NormPair:
                 raise NormError("cannot codiagonalize norms over different fields")
             if n0.dim != n1.dim:
                 raise NormError("cannot codiagonalize norms of different dimensions")
-            self._shared = n0.basis == n1.basis
+            self._shared = _same_basis(n0._rec, n1._rec)
         return self._shared
 
     def _verified(self, result):
-        """``result``, ``(rows, w0, w1)`` with ``(den, numerators)`` rows,
-        once the rows are checked against both norms."""
+        """``result``, ``(rows, w0, w1)`` with ``(den, numerators)`` rows and
+        weights over ``_den``, once the rows are checked against both
+        norms."""
         rows, w0, w1 = result
-        if (_values(self.n0, rows) != tuple(w0)
-                or _values(self.n1, rows) != tuple(w1)):
+        n0, n1, den = self.n0, self.n1, self._den
+        if (_scaled(_values(n0, rows), den // n0._den) != tuple(w0)
+                or _scaled(_values(n1, rows), den // n1._den) != tuple(w1)):
             raise NormError("internal error: common basis failed verification")
         return result
 
@@ -488,7 +615,7 @@ class NormPair:
             if floors is not None:
                 inv0 = linalg.shift_rows(inv0, floors)
             basis, P, w0, w1 = linalg.smith(n0.field, inv0, cols0, cols1,
-                                            n0.weights, n1.weights)
+                                            self._a, self._b, self._den)
             self._kernel = basis, P, w0, w1, inv0
         return self._kernel
 
@@ -500,7 +627,7 @@ class NormPair:
 
     def _same_basis(self):
         """``(rows, w0, w1)`` of norms that share their basis: n0's rows."""
-        return _basis_rows(self.n0), self.n0.weights, self.n1.weights
+        return _basis_rows(self.n0), self._a, self._b
 
     def _split(self):
         """``(rows, w0, w1)``: the kernel's basis, over Q in filtration
@@ -545,24 +672,34 @@ class NormPair:
         """``codiagonalize(n0, n1, inverse=inverse)`` of the pair."""
         _, w0, w1 = self._common()
         basis = self._basis_record().basis
+        den = self._den
+        w0, w1 = (tuple(Fraction(x, den) for x in w) for w in (w0, w1))
         return (basis, w0, w1, self._inverse()) if inverse else (basis, w0, w1)
 
     def _basis_record(self) -> "_Basis":
         """The record of the common basis: n0's own when the norms share
-        their basis, else a new one with the inverse ``_inverse`` derives."""
+        their basis, else a new one with the inverse ``_inverse`` derives;
+        over Q it holds the common basis's columns as they are."""
         if self._rec is None:
             rows, _, _ = self._common()
+            field = self.n0.field
             if self._shared:
                 self._rec = self.n0._rec
+            elif field is TADIC:
+                self._rec = _Basis(field, inv=self._inverse(),
+                                   basis=linalg.row_values(field, rows))
             else:
-                basis = linalg.row_values(self.n0.field, rows)
-                self._rec = _Basis(self.n0.field, basis, self._inverse())
+                self._rec = _Basis(field, rows=rows)
         return self._rec
+
+    def _differences(self):
+        """The weight differences a - b over ``_den``, sorted."""
+        return sorted(map(sub, *self._weight_pairs()))
 
     def spectrum(self):
         """``spectrum(n0, n1)`` of the pair."""
-        w0, w1 = self._weight_pairs()
-        return tuple(sorted(a - b for a, b in zip(w0, w1)))
+        den = self._den
+        return tuple(Fraction(x, den) for x in self._differences())
 
     def distance(self, p=1):
         """``distance(n0, n1, p)`` of the pair."""
@@ -575,26 +712,28 @@ class NormPair:
                 raise NormError(
                     "finite p must be an integer >= 1 for exact arithmetic")
             p = int(p)
-        lam = self.spectrum()
+        lam = self._differences()
         if p == math.inf:
-            return max((abs(x) for x in lam), default=Fraction(0))
-        return Fraction(sum(abs(x) ** p for x in lam), len(lam))
+            return Fraction(max(map(abs, lam)), self._den)
+        return Fraction(sum(abs(x) ** p for x in lam),
+                        self._den ** p * len(lam))
 
     def volume(self) -> Fraction:
         """``volume(n0, n1)`` of the pair."""
-        return sum(self.spectrum(), Fraction(0))
+        return Fraction(sum(map(sub, *self._weight_pairs())), self._den)
 
     def join(self) -> DiagNorm:
         """``join(n0, n1)`` of the pair."""
         _, w0, w1 = self._common()
-        return DiagNorm._on(self._basis_record(),
-                            tuple(min(a, b) for a, b in zip(w0, w1)))
+        return DiagNorm._on(self._basis_record(), self._den,
+                            tuple(map(min, w0, w1)))
 
 
 def _filtration_form(basis, w0, w1):
     """``(basis, w0, w1)``: a common basis over Q in the form the
     filtration split gives it, from the kernel's basis c_i, ``(den,
-    numerators)`` columns over Z, with weights (a_i, b_i).
+    numerators)`` columns over Z, with weights (a_i, b_i), integer
+    numerators over one denominator.
 
     For each pair (s, t) that occurs, in decreasing order, the meet F0^s n
     F1^t is spanned by the integer numerators of the c_i with a_i >= s and
@@ -639,7 +778,7 @@ def _kernel_columns(n: DiagNorm):
     cols = _basis_rows(n)
     if n.field is not TADIC:
         return cols, None
-    floors = [math.floor(w) for w in n.weights]
+    floors = [x // n._den for x in n._nums]
     return linalg.shift_rows(cols, [-f for f in floors]), floors
 
 
@@ -700,10 +839,11 @@ def det_norm(n: DiagNorm) -> DiagNorm:
     shifts the weight; this makes the result independent of which
     diagonalizing basis presents the norm.  The valuation is read from the
     basis record (``_ord_det``): over Q it is 0 with no determinant, and
-    over Q(t) it is computed once per basis.
+    over Q(t) it is computed once per basis.  The weight is summed on
+    n's numerators.
     """
-    total = sum(n.weights, Fraction(-_ord_det(n._rec)))
-    return DiagNorm.standard(n.field, (total,))
+    total = sum(n._nums) - _ord_det(n._rec) * n._den
+    return DiagNorm._on(_standard_record(n.field, 1), n._den, (total,))
 
 
 def _ord_det(rec: _Basis):
@@ -713,7 +853,7 @@ def _ord_det(rec: _Basis):
     if rec.field is not TADIC:
         return 0
     if rec.ord_det is None:
-        rec.ord_det = TADIC.valuation(linalg.determinant(rec.basis))
+        rec.ord_det = int(TADIC.valuation(linalg.determinant(rec.basis)))
     return rec.ord_det
 
 
@@ -766,33 +906,33 @@ def sym_power_norm(n: DiagNorm, m: int) -> DiagNorm:
     The symmetric power is modelled as degree-m polynomials in the ambient
     coordinates; the basis vector for a multiset I is the polynomial
     product of the corresponding linear forms, and its weight is the sum
-    of the factors' weights.  The basis depends on n's basis alone, so it
-    is built once per basis record and m (``_sym_power_basis``) and shared
-    by the Sym^m norms of every norm on that record; only the weights are
-    summed per call.
+    of the factors' weights, summed on n's numerators.  The basis depends
+    on n's basis alone, so it is built once per basis record and m
+    (``_sym_power_basis``) and shared by the Sym^m norms of every norm on
+    that record; only the weights are summed per call.
     """
     if isinstance(m, bool) or not isinstance(m, int) or m < 1:
         raise NormError("symmetric power needs m >= 1")
     combos = list(combinations_with_replacement(range(n.dim), m))
-    weights = tuple(sum((n.weights[i] for i in combo), Fraction(0))
-                    for combo in combos)
+    w = n._nums
+    nums = tuple(sum(w[i] for i in combo) for combo in combos)
     rec = n._rec
     if rec.sym is None:
         rec.sym = {}
     if m not in rec.sym:
         rec.sym[m] = _sym_power_basis(n, m, combos)
-    return DiagNorm._on(rec.sym[m], weights)
+    return DiagNorm._on(rec.sym[m], n._den, nums)
 
 
 def _sym_power_basis(n: DiagNorm, m: int, combos) -> _Basis:
     """The record of Sym^m of n's basis, its basis vectors in the order of
-    ``combos``, with its row form and inverse.
+    ``combos``, with its columns and inverse.
 
     The products run on numerators: each basis vector s_i is cleared to
-    ``(e_i, numerators)`` over Z or Z[t] (the record's row form if it
-    holds one), the forms are multiplied in that ring, and one field
-    element is built per entry, over the product of the factors' e_i; the
-    products over that denominator are the row form of the result.
+    ``(e_i, numerators)`` over Z or Z[t] (the record's columns if it
+    holds them), the forms are multiplied in that ring, and the products
+    over the product of the factors' e_i are the columns of the result;
+    over Q(t) one field element is built per entry as well.
 
     The basis is not inverted.  In monomial bases Sym^m is a functor, so
     the inverse is Sym^m of the inverse B^{-1} = diag(1/e) N that ``n``
@@ -818,7 +958,8 @@ def _sym_power_basis(n: DiagNorm, m: int, combos) -> _Basis:
         (reduce(ring.mul, (inv[i][0] for i in combo)),
          tuple(col[alpha] for col in by_monomial))
         for combo, alpha in zip(combos, at))
-    return _Basis(field, linalg.row_values(field, cols), rows, cols)
+    basis = linalg.row_values(field, cols) if field is TADIC else None
+    return _Basis(field, rows=cols, inv=rows, basis=basis)
 
 
 def tensor_norm(n0: DiagNorm, n1: DiagNorm) -> DiagNorm:
@@ -854,7 +995,7 @@ def quotient_norm(n: DiagNorm, spanning):
         raise NormError("quotient by the zero subspace is the norm itself")
     if len(W) >= n.dim:
         raise NormError("quotient by the full space is zero-dimensional")
-    valuation, weights = n.field.valuation, n.weights
+    valuation, den, nums = n.field.valuation, n._den, n._nums
     rows = []
 
     def reduced(v):
@@ -868,10 +1009,11 @@ def quotient_norm(n: DiagNorm, spanning):
     for w in W:
         x = reduced(w)
         rows.append((min((p for p, a in enumerate(x) if a),
-                         key=lambda p: valuation(x[p]) + weights[p]), x))
+                         key=lambda p: valuation(x[p]) * den + nums[p]), x))
     pivots = {p for p, _ in rows}
     remaining = [p for p in range(n.dim) if p not in pivots]
-    qnorm = DiagNorm.standard(n.field, tuple(weights[p] for p in remaining))
+    qnorm = DiagNorm._on(_standard_record(n.field, len(remaining)), den,
+                         tuple(nums[p] for p in remaining))
 
     def project(v):
         x = reduced(v)

@@ -217,6 +217,10 @@ class MaxAffine:
             ]
         except (KeyError, TypeError, IndexError) as exc:
             raise PLError(f"malformed max-affine JSON: {exc}") from exc
+        # a bool, float, list or string n would pass until a gradient's
+        # length is compared with it
+        if type(n) is not int or n < 1:
+            raise PLError(f"max-affine n must be a positive integer, got {n!r}")
         return cls(n, pieces)
 
 

@@ -165,11 +165,11 @@ def fs_from_norm(ring: SectionRing, k: int, source) -> ToricMetric:
         if source.dim != len(basis) or not source.is_standard_basis():
             raise ToricError(
                 f"norm must be monomial-diagonal of dimension {len(basis)}")
-        table = dict(zip(basis, source.weights))
-    else:
-        table = {tuple(a): Fraction(w) for a, w in dict(source).items()}
-        if set(table) != set(basis):
-            raise ToricError("weights must cover the degree-k basis exactly")
+        # the norm's integer weights, in basis order, in lowest terms
+        return _fs_metric(ring, k, source._den, source._nums)
+    table = {tuple(a): Fraction(w) for a, w in dict(source).items()}
+    if set(table) != set(basis):
+        raise ToricError("weights must cover the degree-k basis exactly")
     weights = [table[a] for a in basis]
     den = lcm(*(w.denominator for w in weights))
     return _fs_metric(ring, k, den, [w.numerator * (den // w.denominator)

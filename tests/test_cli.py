@@ -590,6 +590,21 @@ def test_library_error_exits_2(tmp_path, capsys) -> None:
     _assert_one_line_error(capsys)
 
 
+@pytest.mark.parametrize("n", [True, 1.5, ["a", "b", "c"], "1"],
+                         ids=["bool", "float", "list", "str"])
+def test_potential_n_that_is_no_positive_int_exits_2(tmp_path, capsys,
+                                                     n) -> None:
+    bad = _metric_json((0, -2))
+    bad["potential"]["n"] = n
+    cfg = _pair_config(tmp_path, [
+        {"op": "energy", "metrics": ["phi0", "bad"]},
+    ], extra_objects={"metrics": {"phi0": _metric_json((0, 0)), "bad": bad}})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    _assert_one_line_error(
+        capsys, "config error: bad metrics object 'bad': max-affine n must "
+        f"be a positive integer, got {n!r}\n")
+
+
 def test_legendre_without_critical_tau_exits_2(tmp_path, capsys) -> None:
     # single pieces of gradient 0 and 1: the gradient hulls share no interval
     def single(g):
@@ -889,14 +904,16 @@ def _mutated_runs(draw):
 @given(_mutated_runs())
 def test_mutated_configs_never_crash(run) -> None:
     # exit 0, 1 (a check failed) or 2 (bad input), never an uncaught error;
-    # later options override the defaults (kmax 2 keeps every run cheap)
+    # later options override the defaults (kmax 2 keeps every run cheap).
+    # Bad input prints exactly one line, and exit 1 comes only with a
+    # failed entry in the report of the run (or of ``segments verify``)
     doc, command, extra = run
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "config.json")
         with open(cfg, "w", encoding="utf-8") as fh:
             json.dump(doc, fh)
-        argv = command + ["--config", cfg, "--kmax", "2",
-                          "--out", os.path.join(tmp, "out")] + extra
+        out = os.path.join(tmp, "out")
+        argv = command + ["--config", cfg, "--kmax", "2", "--out", out] + extra
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(err):
@@ -904,5 +921,16 @@ def test_mutated_configs_never_crash(run) -> None:
                 code = main(argv)
             except SystemExit as exc:  # argparse usage errors
                 code = exc.code
+        entries = None
+        if code == 1:
+            name = {"run": "report.json", "segments": "verify_report.json"}
+            with open(os.path.join(out, name[command[0]]),
+                      encoding="utf-8") as fh:
+                report = json.load(fh)
+            entries = report if command == ["run"] else report["checks"]
     assert code in (0, 1, 2), (code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+    if code == 1:
+        assert any(e["status"] == "fail" for e in entries), entries

@@ -228,6 +228,8 @@ def _deg1(**changes):
 
 # Each malformed degree object and the error it raises: the exception class
 # and its message, pinned on the loader that built a ``DiagNorm`` per degree.
+# A scalar or weight that ``Fraction`` cannot read is malformed norm JSON,
+# under its degree like every other norm error.
 _GRADED_ERRORS = [
     ([], AttributeError, "'list' object has no attribute 'get'"),
     (_deg1(field="foo"), GradedError,
@@ -240,17 +242,18 @@ _GRADED_ERRORS = [
     (_deg1(basis=[[_q("1"), {"q": "0", "x": 1}], [_q("0"), _q("1")]]),
      GradedError, "degree 1: malformed norm JSON: malformed trivially valued "
      "scalar: {'q': '0', 'x': 1}"),
-    (_deg1(basis=[[_q("1"), _q("x")], [_q("0"), _q("1")]]), ValueError,
-     "Invalid literal for Fraction: 'x'"),
-    (_deg1(basis=[[_q("1"), _q("1/0")], [_q("0"), _q("1")]]),
-     ZeroDivisionError, "Fraction(1, 0)"),
+    (_deg1(basis=[[_q("1"), _q("x")], [_q("0"), _q("1")]]), GradedError,
+     "degree 1: malformed norm JSON: Invalid literal for Fraction: 'x'"),
+    (_deg1(basis=[[_q("1"), _q("1/0")], [_q("0"), _q("1")]]), GradedError,
+     "degree 1: malformed norm JSON: Fraction(1, 0)"),
     (_deg1(basis=["ab", "cd"]), GradedError,
      "degree 1: malformed norm JSON: malformed trivially valued scalar: 'a'"),
     (_deg1(weights=None), GradedError,
      "degree 1: malformed norm JSON: 'weights'"),
-    (_deg1(weights=["0", "x"]), ValueError,
-     "Invalid literal for Fraction: 'x'"),
-    (_deg1(weights=["0", "1/0"]), ZeroDivisionError, "Fraction(1, 0)"),
+    (_deg1(weights=["0", "x"]), GradedError,
+     "degree 1: malformed norm JSON: Invalid literal for Fraction: 'x'"),
+    (_deg1(weights=["0", "1/0"]), GradedError,
+     "degree 1: malformed norm JSON: Fraction(1, 0)"),
     (_deg1(weights=["0", None]), GradedError,
      "degree 1: malformed norm JSON: argument should be a string or a "
      "Rational instance"),

@@ -294,13 +294,16 @@ def _columns(field, M):
 
 
 def _smith_values(field, M0, M1, a, b):
-    """``linalg.smith`` on the matrices and offsets: C as field vectors, P
-    as field rows, w0 and w1."""
+    """``linalg.smith`` on the matrices and rational offsets, handed over
+    as integer numerators over their common denominator: C as field
+    vectors, P as field rows, w0 and w1 as rationals."""
+    den = math.lcm(*(x.denominator for x in (*a, *b)))
     C, P, w0, w1 = linalg.smith(field, linalg.inverse_rows(field, M0),
                                 _columns(field, M0), _columns(field, M1),
-                                a, b)
+                                [int(x * den) for x in a],
+                                [int(x * den) for x in b], den)
     return (oracles.row_values(field, C), oracles.row_values(field, P),
-            w0, w1)
+            *(tuple(Fraction(x, den) for x in w) for w in (w0, w1)))
 
 
 @pytest.mark.parametrize("field", [TRIVIAL, TADIC], ids=["Q", "Q(t)"])
@@ -367,7 +370,7 @@ def test_elimination_runs_no_field_arithmetic(monkeypatch) -> None:
         try:
             linalg.smith(TADIC, linalg.inverse_rows(TADIC, M0),
                          _columns(TADIC, M0), _columns(TADIC, M1),
-                         zeros, zeros)
+                         zeros, zeros, 1)
         except linalg.SingularMatrixError:
             pass
     monkeypatch.undo()

@@ -38,15 +38,29 @@ _BOTH_FIELDS = pytest.mark.parametrize("field", [TRIVIAL, TADIC],
                                       ids=["Q", "Q(t)"])
 
 
-def _in_field(field, result):
+def _in_field(field, result, den=1):
     """A result of the norms' internal paths, whose basis is ``(den,
-    numerators)`` columns, with the basis as the field vectors
-    ``codiagonalize`` builds from it (``linalg.row_values``)."""
-    return (linalg.row_values(field, result[0]),) + tuple(result[1:])
+    numerators)`` columns and whose weights are integer numerators over
+    ``den``, with the basis as the field vectors ``codiagonalize`` builds
+    from it (``linalg.row_values``) and the weights as ``Fraction``s."""
+    basis, w0, w1, *rest = result
+    return (linalg.row_values(field, basis),
+            *(tuple(F(x, den) for x in w) for w in (w0, w1)), *rest)
+
+
+def _over(den, weights):
+    """Rational weights as integer numerators over ``den``."""
+    return tuple(int(w * den) for w in weights)
 
 
 def _cleared(field, vecs):
     return [linalg.ring(field).clear(v) for v in vecs]
+
+
+def _values(n, vecs):
+    """``norms._values`` of field vectors, as rationals (INF kept)."""
+    return tuple(x if x is INF else F(x, n._den)
+                 for x in norms._values(n, _cleared(n.field, vecs)))
 
 
 def smith_exponents(n0, n1):
@@ -168,12 +182,13 @@ def test_verification_rejects_corrupted_result(path, corrupt,
                                                monkeypatch) -> None:
     name, pair = _PATHS[path]
     n0, n1 = pair()
-    split = getattr(NormPair(n0, n1), name)
-    good = _in_field(n0.field, split())
+    pair = NormPair(n0, n1)
+    good = _in_field(n0.field, getattr(pair, name)(), pair._den)
     assert oracles.verifies_in_field(n0, n1, good[:3])
     bad = corrupt(good)
     assert not oracles.verifies_in_field(n0, n1, bad[:3])
-    bad = (tuple(_cleared(n0.field, bad[0])),) + bad[1:]
+    bad = (tuple(_cleared(n0.field, bad[0])),
+           *(_over(pair._den, w) for w in bad[1:]))
     monkeypatch.setattr(NormPair, name, lambda self: bad)
     with pytest.raises(NormError, match="failed verification"):
         codiagonalize(n0, n1)
@@ -254,8 +269,7 @@ def test_batched_values_match_fraction_oracle(case) -> None:
     n0, n1, vecs = case
     for n in (n0, n1):
         want = oracles.norm_values(n.basis, n.weights, vecs)
-        for got in (norms._values(n, _cleared(TRIVIAL, vecs)),
-                    tuple(map(n.evaluate, vecs))):
+        for got in (_values(n, vecs), tuple(map(n.evaluate, vecs))):
             assert tuple(None if x is INF else x for x in got) == want
     both = n0.basis + n1.basis
     assert (n0 == n1) == (oracles.norm_values(n0.basis, n0.weights, both)
@@ -300,7 +314,7 @@ def test_weighted_pivots_keep_the_filtration_split_over_q(pair) -> None:
     # the filtration split picked, tuple for tuple
     n0, n1 = pair
     pair = NormPair(n0, n1)
-    got = _in_field(TRIVIAL, pair._split() + (pair._inverse(),))
+    got = _in_field(TRIVIAL, pair._split() + (pair._inverse(),), pair._den)
     assert got == oracles.codiagonalize_filtrations(n0, n1) + (None,)
     result = codiagonalize(n0, n1)
     assert result == got[:3]
@@ -329,8 +343,8 @@ def test_integer_split_matches_stacked_rref_oracle(case) -> None:
     # the integer echelon keeps the rows the pivot columns of the stacked
     # RREF keep, entry for entry, for any basis
     basis, w0, w1 = case
-    got = _in_field(TRIVIAL, norms._filtration_form(_cleared(TRIVIAL, basis),
-                                                    w0, w1))
+    got = _in_field(TRIVIAL, norms._filtration_form(
+        _cleared(TRIVIAL, basis), _over(1, w0), _over(1, w1)))
     assert got == oracles.filtration_form_rref(*case)
     assert all(type(x) is F for vec in got[0] for x in vec)
 
@@ -340,9 +354,9 @@ def test_integer_split_matches_stacked_rref_oracle(case) -> None:
 def test_split_of_the_kernel_basis_matches_stacked_rref_oracle(pair) -> None:
     n0, n1 = pair
     pair = NormPair(n0, n1)
-    kernel = _in_field(TRIVIAL, pair._kernel_basis())
+    kernel = _in_field(TRIVIAL, pair._kernel_basis(), pair._den)
     assert oracles.verifies_in_field(n0, n1, kernel)
-    assert (_in_field(TRIVIAL, pair._split())
+    assert (_in_field(TRIVIAL, pair._split(), pair._den)
             == oracles.filtration_form_rref(*kernel))
 
 
@@ -459,9 +473,9 @@ def test_spectra_between_cached_inverses_eliminate_nothing(field,
 @_BOTH_FIELDS
 def test_kernel_builds_no_field_elements_but_its_weights(field,
                                                        monkeypatch) -> None:
-    # smith and its columns run on integer and Z[t] rows: the Fractions of
-    # the two weight lists are all the kernel builds, with or without the
-    # inverse of its basis
+    # smith and its columns run on integer and Z[t] rows, and its weights
+    # are integer numerators over the pair's denominator: the kernel builds
+    # no field element at all, with or without the inverse of its basis
     pairs = _random_pairs(random.Random(f"no-elements:{field.name}"), field, 20)
     built = []
     real_new, real_init = F.__new__, RatFunc.__init__
@@ -474,7 +488,7 @@ def test_kernel_builds_no_field_elements_but_its_weights(field,
         pair._kernel_basis()
         pair._inverse()
     monkeypatch.undo()
-    assert built == [F] * sum(2 * n0.dim for n0, _ in pairs)
+    assert built == []
 
 
 def test_q_ops_run_no_rref_and_one_elimination_per_pair(monkeypatch) -> None:
@@ -703,7 +717,7 @@ def _tadic_values_case(draw):
 def test_batched_values_match_evaluate_tadic(case) -> None:
     n, other, vecs = case
     want = oracles.coordinate_values(n, vecs)
-    got = norms._values(n, _cleared(TADIC, vecs))
+    got = _values(n, vecs)
     assert got == want and got[-1] is INF
     assert tuple(map(n.evaluate, vecs)) == want
     both = n.basis + other.basis
@@ -748,7 +762,8 @@ def test_lattice_branch_solves_without_inverting(monkeypatch) -> None:
         monkeypatch.setattr(linalg, name, counted(name, real), raising=False)
     for n0, n1 in pairs:
         pair = NormPair(n0, n1)
-        result = _in_field(TADIC, pair._split() + (pair._inverse(),))
+        result = _in_field(TADIC, pair._split() + (pair._inverse(),),
+                           pair._den)
         assert oracles.verifies_in_field(n0, n1, result[:3])
         assert codiagonalize(n0, n1, inverse=True) == result
     assert calls == []

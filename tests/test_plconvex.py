@@ -79,6 +79,17 @@ def test_pieces_are_fractions_whatever_the_input() -> None:
         MaxAffine(2, [])
 
 
+@pytest.mark.parametrize("n", [True, False, 1.0, 2.5, 0, -1, "1", ["a"],
+                               None])
+def test_from_json_takes_only_a_positive_int_n(n) -> None:
+    obj = {"n": n, "pieces": [{"g": ["0"], "c": "0"}, {"g": ["1"], "c": "0"}]}
+    with pytest.raises(PLError) as info:
+        MaxAffine.from_json(obj)
+    assert str(info.value) == (
+        f"max-affine n must be a positive integer, got {n!r}")
+    assert MaxAffine.from_json(dict(obj, n=1)).n == 1
+
+
 def test_points_of_the_wrong_length_are_rejected() -> None:
     line = _ma(((0,), 0), ((1,), 0))
     plane = _ma(((0, 0), 0), ((1, 0), 0), ((0, 1), 0))
