@@ -37,7 +37,11 @@ standing for (X/W, Y/W).  The public ``pieces``, ``planes``, ``vertices``
 and ``cells`` are ``Fraction`` views built each time they are read, never
 stored.  A profile is read at the lattice points of a dilation k (the
 sup-norm weights k q(a/k) of a toric metric) straight from its integer
-planes, by ``ConcaveProfile.lattice_values``.
+planes, by ``ConcaveProfile.lattice_values``.  The overlay of two profiles
+(``_overlay``) keeps each common cell as homogeneous integer points with
+the two profiles' integer plane rows over one denominator; the integral
+and the sup of |q0 - q1| and the pieces of min(q0, q1 - tau) are read
+off it, and build one ``Fraction`` each.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 from operator import mul, neg, sub
 
 from .field import format_fraction, parse_fraction
@@ -445,11 +449,6 @@ def _common(points):
     """(L, integer points over L) of homogeneous points, L the lcm of the W."""
     den = lcm(*(p[-1] for p in points))
     return den, [tuple(x * (den // p[-1]) for x in p[:-1]) for p in points]
-
-
-def _fraction_points(points):
-    """The Fraction points of homogeneous integer points."""
-    return tuple(tuple(Fraction(x, p[-1]) for x in p[:-1]) for p in points)
 
 
 def _shoelace2(poly):
@@ -1406,51 +1405,6 @@ def marginal_min(F: MaxAffine, tau=0) -> MaxAffine:
 # ---------------------------------------------------------------------------
 
 
-def _h_complete(values, p: int) -> Fraction:
-    """Complete homogeneous symmetric polynomial h_p of the values."""
-    total = Fraction(0)
-    for combo in combinations_with_replacement(values, p):
-        prod = Fraction(1)
-        for x in combo:
-            prod *= x
-        total += prod
-    return total
-
-
-def _integrate_affine_power_triangle(tri, values, p: int) -> Fraction:
-    area2 = abs(
-        (tri[1][0] - tri[0][0]) * (tri[2][1] - tri[0][1])
-        - (tri[1][1] - tri[0][1]) * (tri[2][0] - tri[0][0])
-    )
-    area = Fraction(area2, 2)
-    if p == 0:
-        return area
-    return area * _h_complete(values, p) / comb(2 + p, p)
-
-
-def _integrate_affine_power_interval(a, b, va, vb, p: int) -> Fraction:
-    length = abs(b - a)
-    if p == 0:
-        return length
-    return length * _h_complete((va, vb), p) / (p + 1)
-
-
-def integrate_cell_affine(cell_vertices, affine, n, p: int = 1) -> Fraction:
-    """Integral of affine(y)^p over an interval (n=1) or polygon (n=2)."""
-    _require_plane(n, "integrate_cell_affine")
-    if n == 1:
-        a, b = cell_vertices[0][0], cell_vertices[-1][0]
-        return _integrate_affine_power_interval(a, b, affine((a,)), affine((b,)), p)
-    poly = list(cell_vertices)
-    total = Fraction(0)
-    for i in range(1, len(poly) - 1):
-        tri = (poly[0], poly[i], poly[i + 1])
-        total += _integrate_affine_power_triangle(
-            tri, tuple(affine(v) for v in tri), p
-        )
-    return total
-
-
 def integrate_profile(prof: ConcaveProfile) -> Fraction:
     """Integral of the profile over its own (full-dimensional) domain.
 
@@ -1466,93 +1420,225 @@ def integrate_profile(prof: ConcaveProfile) -> Fraction:
     total = 0
     for poly, plane in zip(prof._cells, prof._planes):
         v = [sum(map(mul, plane, p)) + plane[-1] * den for p in poly]
-        if prof.n == 1:
-            total += (poly[-1][0] - poly[0][0]) * (v[0] + v[-1])
-            continue
-        (x0, y0) = poly[0]
-        for i in range(1, len(poly) - 1):
-            (x1, y1), (x2, y2) = poly[i], poly[i + 1]
-            area2 = abs((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
-            total += area2 * (v[0] + v[i] + v[i + 1])
+        total += _fan_sum(poly, v, 1)
     return Fraction(total, 2 * den ** 3 if prof.n == 1 else 6 * den ** 4)
 
 
-def _overlay(p0: ConcaveProfile, p1: ConcaveProfile):
-    """Common refinement of two cell subdivisions of the same domain."""
-    if p0.n != p1.n:
+def _h(values, p: int) -> int:
+    """The complete homogeneous symmetric polynomial h_p of integers."""
+    if p == 1:
+        return sum(values)
+    return sum(map(prod, combinations_with_replacement(values, p)))
+
+
+def _fan_sum(pts, v, p: int) -> int:
+    """(P1 - P0) h_p(V0, V1) for an interval [P0, P1], and the sum of
+    A h_p(V0, Vi, Vi+1) over the fan triangles of a polygon from its first
+    vertex, A the doubled area: integer points with integer values v."""
+    if len(pts[0]) == 1:
+        return (pts[-1][0] - pts[0][0]) * _h(v, p)
+    total = 0
+    (x0, y0) = pts[0]
+    for i in range(1, len(pts) - 1):
+        (x1, y1), (x2, y2) = pts[i], pts[i + 1]
+        area2 = abs((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
+        total += area2 * _h((v[0], v[i], v[i + 1]), p)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# Overlays of two profiles (n <= 2), on integers.
+# ---------------------------------------------------------------------------
+
+
+class _Overlay:
+    """The common refinement of the cells of two profiles q0 and q1.
+
+    Held on integers over D, the lcm of the two profiles' denominators.
+    ``cells`` are ``(poly, r0, r1)``: ``poly`` holds homogeneous integer
+    points (an interval (lo, hi) of points (X, W) for n = 1, a
+    counterclockwise polygon of points (X, Y, W) for n = 2), and r0, r1
+    are the integer rows (W.., B) over D of the planes of q0 and q1 on it.
+    ``verts`` maps each vertex P of a cell to (V0, V1), the values
+    q_i(P) = V_i / (D W); ``edges`` lists each pair of consecutive vertices
+    of a cell once, and q0 and q1 are affine along each.  Two profiles
+    whose domains share no full-dimensional region have no common cell.
+    """
+
+    __slots__ = ("n", "den", "cells", "verts", "edges")
+
+    def __init__(self, n: int, den: int, cells):
+        verts, edges = {}, {}
+        for poly, r0, r1 in cells:
+            for P in poly:
+                if P not in verts:
+                    verts[P] = (sum(map(mul, r0, P)), sum(map(mul, r1, P)))
+            for e in (zip(poly, poly[1:] + poly[:1]) if n == 2 else (poly,)):
+                edges[e if e[0] < e[1] else e[::-1]] = None
+        self.n, self.den, self.cells = n, den, cells
+        self.verts, self.edges = verts, tuple(edges)
+
+
+def _overlay(q0: ConcaveProfile, q1: ConcaveProfile) -> _Overlay:
+    """The common refinement of two profiles' cells, for n <= 2.
+
+    Intervals meet on their integer ends over D; each polygon of q0 is
+    clipped by the edges of each polygon of q1 (``_clip_region``).
+    """
+    if q0.n != q1.n:
         raise PLError("profile dimension mismatch")
-    _require_plane(p0.n, "overlays")
-    out = []
-    cells0, cells1 = p0.cells, p1.cells
-    if p0.n == 1:
-        for c0 in cells0:
-            lo0, hi0 = c0.vertices[0][0], c0.vertices[-1][0]
-            for c1 in cells1:
-                lo = max(lo0, c1.vertices[0][0])
-                hi = min(hi0, c1.vertices[-1][0])
+    n = q0.n
+    _require_plane(n, "overlays")
+    d0, d1 = q0._den, q1._den
+    den = lcm(d0, d1)
+    s0, s1 = den // d0, den // d1
+    rows0 = [tuple(x * s0 for x in r) for r in q0._planes]
+    rows1 = [tuple(x * s1 for x in r) for r in q1._planes]
+    cells = []
+    if n == 1:
+        for poly0, r0 in zip(q0._cells, rows0):
+            for poly1, r1 in zip(q1._cells, rows1):
+                lo = max(poly0[0][0] * s0, poly1[0][0] * s1)
+                hi = min(poly0[-1][0] * s0, poly1[-1][0] * s1)
                 if lo < hi:
-                    out.append((((lo,), (hi,)), c0, c1))
-        return out
-    # the edges of p1's cells, as rows over its denominator
-    den0, den1 = p0._den, p1._den
-    cuts1 = [[(a0 * den1, a1 * den1, b) for (a0, a1), b in polygon_hrep(poly)]
-             for poly in p1._cells]
-    for poly, c0 in zip(p0._cells, cells0):
-        poly = tuple(_canon(p + (den0,)) for p in poly)
-        for cuts, c1 in zip(cuts1, cells1):
+                    cells.append(((_canon((lo, den)), _canon((hi, den))),
+                                  r0, r1))
+        return _Overlay(1, den, cells)
+    # the edges of q1's cells, as rows over its denominator
+    cuts1 = [[(a0 * d1, a1 * d1, b) for (a0, a1), b in polygon_hrep(poly)]
+             for poly in q1._cells]
+    for poly, r0 in zip(q0._cells, rows0):
+        poly = tuple(_canon(p + (d0,)) for p in poly)
+        for cuts, r1 in zip(cuts1, rows1):
             region = _clip_region(poly, cuts)
             if region:
-                out.append((_fraction_points(region), c0, c1))
-    return out
+                cells.append((region, r0, r1))
+    return _Overlay(2, den, cells)
 
 
 def overlay_vertices(p0: ConcaveProfile, p1: ConcaveProfile):
     """Vertices of the common refinement of two cell subdivisions."""
-    pts = set()
-    for region, _, _ in _overlay(p0, p1):
-        pts.update(region)
-    return tuple(sorted(pts))
-
-
-def _halfspace_part(region, a, b):
-    """The part of a rational interval or polygon where <a, y> <= b.
-
-    Returned in Fractions, or () when it is empty or lower-dimensional.
-    """
-    *a, b = _hom_halfplane(a, b)
-    _require_plane(len(a), "_halfspace_part")
-    if len(a) == 1:
-        got = _clip_interval(_hom_point(region[0]), _hom_point(region[-1]),
-                             a[0], b)
-        if got is None or got[0] == got[1]:
-            return ()
-        return _fraction_points(got)
-    return _fraction_points(_clip_region(
-        tuple(_hom_point(y) for y in region), [(*a, b)]))
+    return tuple(sorted(tuple(Fraction(x, P[-1]) for x in P[:-1])
+                        for P in _overlay(p0, p1).verts))
 
 
 def integrate_abs_difference(p0, p1, p: int = 1) -> Fraction:
-    """Exact integral of |q0 - q1|^p over the common domain."""
-    total = Fraction(0)
-    n = p0.n
-    for region, c0, c1 in _overlay(p0, p1):
-        dg = tuple(a - b for a, b in zip(c0.grad, c1.grad))
-        dc = c0.offset - c1.offset
-        diff = lambda y, g=dg, c=dc: sum(gi * yi for gi, yi in zip(g, y)) + c
-        neg_diff = lambda y, f=diff: -f(y)
-        plus = _halfspace_part(region, tuple(-x for x in dg), dc)
-        minus = _halfspace_part(region, dg, -dc)
-        if plus:
-            total += integrate_cell_affine(plus, diff, n, p)
-        if minus:
-            total += integrate_cell_affine(minus, neg_diff, n, p)
-    return total
+    """Exact integral of |q0 - q1|^p over the common domain, p an int >= 1.
+
+    Computed on the integers of the two profiles' overlay
+    (``_overlay_integral``).
+    """
+    if type(p) is not int or p < 1:
+        raise PLError(f"the power p must be an integer >= 1, got {p!r}")
+    return _overlay_integral(_overlay(p0, p1), p)
+
+
+def _overlay_integral(ov: _Overlay, p: int) -> Fraction:
+    """Integral of |q0 - q1|^p over the cells of an overlay, p >= 1.
+
+    A cell where the difference row d = r0 - r1 changes sign is split into
+    the two halves where it is >= 0 and <= 0 (``clip_polygon`` or
+    ``_clip_interval`` on d and on -d), so that |q0 - q1| is affine on each
+    piece.  The pieces are put over the lcm L of their points' W, where a
+    vertex P / L takes |q0 - q1| = V / (D L) with V = |<d, (P, L)>|.  An
+    affine function's p-th power integrates over a simplex of dimension e
+    to its volume times h_p of its vertex values over C(p + e, e), so an
+    interval [P0, P1] contributes (P1 - P0) h_p(V0, V1) / ((p + 1) L (D L)^p)
+    and a fan triangle of doubled area A / L^2 contributes
+    A h_p(V0, V1, V2) / (2 C(p + 2, 2) L^2 (D L)^p): one ``Fraction`` of
+    the integer sum.
+    """
+    n = ov.n
+    pieces = []
+    for poly, r0, r1 in ov.cells:
+        d = tuple(map(sub, r0, r1))
+        signs = [sum(map(mul, d, P)) for P in poly]
+        if not any(signs):
+            continue
+        if min(signs) < 0 < max(signs):
+            # <d, (y, 1)> >= 0 where <-d_y, y> <= d_c, and <= 0 on the rest
+            if n == 1:
+                lo, hi = poly
+                halves = (_clip_interval(lo, hi, -d[0], d[1]),
+                          _clip_interval(lo, hi, d[0], -d[1]))
+            else:
+                halves = (clip_polygon(poly, (-d[0], -d[1]), d[2]),
+                          clip_polygon(poly, (d[0], d[1]), -d[2]))
+            pieces.extend((half, d) for half in halves if half)
+        else:
+            pieces.append((poly, d))
+    if not pieces:
+        return Fraction(0)
+    L = lcm(*(P[-1] for poly, _ in pieces for P in poly))
+    total = 0
+    for poly, d in pieces:
+        pts = [tuple(x * (L // P[-1]) for x in P[:-1]) for P in poly]
+        total += _fan_sum(
+            pts, [abs(sum(map(mul, d, X)) + d[-1] * L) for X in pts], p)
+    scale = (p + 1) * L if n == 1 else 2 * comb(p + 2, 2) * L * L
+    return Fraction(total, scale * (ov.den * L) ** p)
 
 
 def max_abs_difference(p0: ConcaveProfile, p1: ConcaveProfile) -> Fraction:
     """Exact sup of |q0 - q1| over the common domain (PL, so at vertices)."""
-    best = Fraction(0)
-    for region, c0, c1 in _overlay(p0, p1):
-        for v in region:
-            best = max(best, abs(c0.affine(v) - c1.affine(v)))
-    return best
+    return _overlay_sup(_overlay(p0, p1))
+
+
+def _overlay_sup(ov: _Overlay) -> Fraction:
+    """sup |q0 - q1| over an overlay: the largest |V0 - V1| / (D W) at its
+    vertices, compared on integers."""
+    best, w = 0, 1
+    for P, (v0, v1) in ov.verts.items():
+        x = abs(v0 - v1)
+        if x * w > best * P[-1]:
+            best, w = x, P[-1]
+    return Fraction(best, ov.den * w)
+
+
+def _overlay_taus(ov: _Overlay):
+    """The distinct values of q1 - q0 at an overlay's vertices, sorted:
+    (V1 - V0) / (D W) at each vertex P."""
+    return tuple(sorted({Fraction(v1 - v0, ov.den * P[-1])
+                         for P, (v0, v1) in ov.verts.items()}))
+
+
+def _shifted_min(ov: _Overlay, tau) -> MaxAffine:
+    """The max-affine function whose profile is min(q0, q1 - tau) on the
+    overlay's domain, unpruned.
+
+    That min is concave and affine on each half of a cell where
+    q1 - tau - q0 keeps its sign, so its hypograph vertices are overlay
+    vertices or points strictly inside an edge where q1 - q0 = tau
+    (``_crossings``).  Each such point y with its value z gives the piece
+    <y, v> + z, whose max is the conjugate of the min.  For tau = S / T the
+    values at a vertex P are over D T W: q0 is A = T V0 and
+    q1 - tau - q0 is F = T (V1 - V0) - S D W.
+    """
+    S, T = tau.numerator, tau.denominator
+    dt = ov.den * T
+    vals = {P: (v0 * T, (v1 - v0) * T - S * ov.den * P[-1])
+            for P, (v0, v1) in ov.verts.items()}
+    pts = [P + (a + min(f, 0),) for P, (a, f) in vals.items()]
+    pts += _crossings(ov.edges, vals)
+    L = lcm(*(P[-2] for P in pts))
+    return MaxAffine._from_ints(ov.n, dt * L, [
+        tuple(x * (L // P[-2]) * dt for x in P[:-2]) + (P[-1] * (L // P[-2]),)
+        for P in pts])
+
+
+def _crossings(edges, vals):
+    """The points strictly inside ``edges`` where q1 - tau - q0 changes
+    sign, as rows (X.., W, A) with W > 0 and A = q0 there over D T W.
+
+    ``vals`` maps each vertex to its (A, F) of ``_shifted_min``.  Both are
+    linear in the homogeneous point along an edge, so the crossing of the
+    edge PQ is F_P Q - F_Q P, and A follows the same combination.
+    """
+    out = []
+    for P, Q in edges:
+        (ap, fp), (aq, fq) = vals[P], vals[Q]
+        if (fp < 0 < fq) or (fq < 0 < fp):
+            row = [fp * u - fq * v for u, v in zip(Q + (aq,), P + (ap,))]
+            g = gcd(*row) if row[-2] > 0 else -gcd(*row)
+            out.append(tuple(x // g for x in row))
+    return out

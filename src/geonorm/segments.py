@@ -12,20 +12,23 @@ the test oracle.  The maximal segment is the pointwise max over a
 divisibility chain of levels; the Legendre segment realizes the same
 object through rooftop envelopes P(phi0, phi1 - tau), with the sup over
 tau reduced to an exact finite critical set; that family of rooftops does
-not depend on t, so it is built once per pair.  Sampled metric paths
+not depend on t, so it is built once per pair, and read off the integer
+overlay of the two profiles with no envelope: the profile of
+P(phi0, phi1 - tau) is min(q0, q1 - tau).  Sampled metric paths
 are checked for convexity in t, the psh condition, by ``detect_non_psh``.
 
 The functions of a metric pair read one record of the pair
 (``SegmentPair``, a ``toric.MetricPair``), filled on first use, so each
 input metric is conjugated once: the sup-norm weights of all levels, the
-rooftops for every shift tau (the profile of phi1 - tau is q1 - tau) and
-the endpoint comparisons read the same two profiles.  The record also
-holds the rooftop family, the Legendre slice at each t, the level segment
-at each k and the diagnostics report at each chain of levels.  A public
-function builds a throwaway record; ``geonorm run`` keeps one per pair of
-metric names, so its tasks on one pair build each of these once.  A
-metric built by pruning (a Legendre slice, a max over levels) comes with
-the profile pruning computed, and is not conjugated again.  An
+overlay of the two profiles (whose vertices give the critical shifts and,
+with its edges, the rooftops for every shift tau) and the endpoint
+comparisons read the same two profiles.  The record also holds the
+overlay, the rooftop family, the Legendre slice at each t, the level
+segment at each k and the diagnostics report at each chain of levels.  A
+public function builds a throwaway record; ``geonorm run`` keeps one per
+pair of metric names, so its tasks on one pair build each of these once.
+A metric built by pruning (a Legendre slice, a max over levels) comes
+with the profile pruning computed, and is not conjugated again.  An
 ``FSSegment`` holds its weights as integer numerators over one
 denominator and evaluates on them; its ``Fraction`` weights are views.
 """
@@ -43,9 +46,12 @@ from .plconvex import (
     MaxAffine,
     _compare,
     _mix_witness,
+    _overlay,
+    _overlay_taus,
     _pruned,
+    _shifted_min,
     marginal_min,
-    overlay_vertices,
+    prune,
 )
 from .toric import (
     MetricPair,
@@ -55,7 +61,6 @@ from .toric import (
     _fs_metric,
     _require_pair,
     _require_same_bundle,
-    _rooftop,
     fs_from_norm,
     reference,
     section_ring,
@@ -237,31 +242,32 @@ def tau_critical_set(phi0: ToricMetric, phi1: ToricMetric):
 
     The inner sup over tau of t*tau + min(q0, q1 - tau) at a point y is
     attained at tau = q1(y) - q0(y); over the whole simplex the relevant
-    values are those at the vertices of the profile overlay.
+    values are those at the vertices of the profile overlay, read there
+    on integers.
     """
-    return _critical_taus(phi0.profile(), phi1.profile())
+    return _overlay_taus(_overlay(phi0.profile(), phi1.profile()))
 
 
-def _critical_taus(q0, q1):
-    """``tau_critical_set`` of the metrics with profiles q0, q1."""
-    taus = {q1.value(y) - q0.value(y) for y in overlay_vertices(q0, q1)}
-    return tuple(sorted(taus))
-
-
-def _rooftop_family(n: int, m: int, q0, q1):
+def _rooftop_family(ov):
     """(tau, P(phi0, phi1 - tau).potential) per critical tau; free of t.
 
-    q0, q1 are the profiles of phi0, phi1; that of phi1 - tau is q1 - tau.
-    The family is empty, and the sup over it undefined, when the two
-    profiles share no full-dimensional cell: then no tau is critical.
+    Read off the overlay ov of the profiles q0, q1 of phi0, phi1.  The
+    profile of phi1 - tau is q1 - tau, so that of the rooftop is
+    min(q0, q1 - tau) on the common domain of q0 and q1 (which the moment
+    simplex holds).  Its hypograph vertices come with their values from
+    the overlay's vertices and the points of its edges where
+    q1 - q0 = tau (``plconvex._shifted_min``), and pruning their pieces
+    gives the canonical rows that ``toric._rooftop`` builds from an
+    envelope.  The family is empty, and the sup over it undefined, when
+    the two profiles share no full-dimensional cell: then no tau is
+    critical.
     """
-    taus = _critical_taus(q0, q1)
+    taus = _overlay_taus(ov)
     if not taus:
         raise ToricError(
             "no critical shift tau: the gradient hulls of the two metrics "
             "do not overlap in a full-dimensional region")
-    return tuple((tau, _rooftop(n, m, q0, q1.shifted(-tau))[0].potential)
-                 for tau in taus)
+    return tuple((tau, prune(_shifted_min(ov, tau))) for tau in taus)
 
 
 def _legendre_recover(n: int, m: int, family, t):
@@ -368,17 +374,18 @@ def diagnostics(phi0: ToricMetric, phi1: ToricMetric, kmax: int = 8, ts=_TS):
 class SegmentPair(MetricPair):
     """A ``toric.MetricPair`` with the segments between its two metrics.
 
-    Besides the profiles, energies and rooftop of the pair, the record
-    holds, each filled on first use: the level-k segment at each k (which
-    the maximal segments of every kmax and the diagnostics share), the
-    rooftop family P(phi0, phi1 - tau) over the critical tau, the Legendre
-    slice at each t with its profile, and the diagnostics report at each
-    chain of levels and set of times.  The public functions of this module build a
-    throwaway record; ``geonorm run`` and ``segments verify`` keep one per
-    ordered pair of metric names, so a report serves the ``diagnostics``
-    task and ``verify theoremB`` alike.  A metric built by pruning (a
-    slice, a max over levels) comes with the profile pruning computed, so
-    no derived metric is conjugated again.
+    Besides the profiles, energies, overlay and rooftop of the pair, the
+    record holds, each filled on first use: the level-k segment at each k
+    (which the maximal segments of every kmax and the diagnostics share),
+    the rooftop family P(phi0, phi1 - tau) over the critical tau, read off
+    the pair's overlay (the one ``d1`` and ``d_infinity`` read), the
+    Legendre slice at each t with its profile, and the diagnostics report
+    at each chain of levels and set of times.  The public functions of
+    this module build a throwaway record; ``geonorm run`` and ``segments
+    verify`` keep one per ordered pair of metric names, so a report serves
+    the ``diagnostics`` task and ``verify theoremB`` alike.  A metric built
+    by pruning (a slice, a max over levels) comes with the profile pruning
+    computed, so no derived metric is conjugated again.
     """
 
     __slots__ = ("_levels", "_family", "_slices", "_reports")
@@ -398,8 +405,7 @@ class SegmentPair(MetricPair):
     def _rooftops(self):
         """The rooftop family, built once."""
         if self._family is None:
-            self._family = _rooftop_family(self.phi0.n, self.phi0.m, self.q0,
-                                           self.q1)
+            self._family = _rooftop_family(self._overlay())
         return self._family
 
     def _slice(self, t):

@@ -12,18 +12,23 @@ In the limit the energy is a functional of one metric: a metric with full
 support has its profile defined on all of m*Delta, so
 E(phi0, phi1) = E(phi0) - E(phi1) with E(phi) = vol^-1 * integral of q_phi
 (``_energy``), one integral per profile and no overlay of two cell
-subdivisions.  The overlay is kept for |q0 - q1| and its sup, so the two
-routes of ``d1_metric`` share no integration code.
+subdivisions.  The overlay (``plconvex._overlay``, on integers) is kept
+for |q0 - q1| and its sup, so the two routes of ``d1_metric`` share no
+integration code, and the rooftop family of ``geonorm.segments`` reads
+it too.  The rooftop P(phi0, phi1) stays on the envelope
+(``plconvex._envelope``), for ``envelope_P`` and the second route of
+``d1_metric``, which so shares nothing with the first.
 
 A metric's profile is computed on demand and never stored on the metric.
 The functions of a metric pair read one record of the pair
 (``MetricPair``), which conjugates each metric once and hands the profile
 to the helpers that need it (the sup-norm weights of every degree,
-``_rooftop`` for envelopes, ``_energy`` for integrals), and integrates
-E(phi0) and E(phi1) once.  A public function builds a throwaway record; a
-caller that keeps one (``geonorm run`` does, per pair of metric names)
-shares it among its calls.  A rooftop comes with the profile that pruning
-it computed (``plconvex._pruned``), so its energy conjugates nothing.
+``_rooftop`` for envelopes, ``_energy`` for integrals), overlays the two
+profiles once, and integrates E(phi0) and E(phi1) once.  A public
+function builds a throwaway record; a caller that keeps one (``geonorm
+run`` does, per pair of metric names) shares it among its calls.  A
+rooftop comes with the profile that pruning it computed
+(``plconvex._pruned``), so its energy conjugates nothing.
 
 The toric side runs on integers.  A potential is a ``MaxAffine`` held as
 integer rows over one denominator, and a profile keeps one denominator D
@@ -55,12 +60,13 @@ from .plconvex import (
     ConcaveProfile,
     MaxAffine,
     _envelope,
+    _overlay,
+    _overlay_integral,
+    _overlay_sup,
     _pruned,
     compare,
     conjugate,
-    integrate_abs_difference,
     integrate_profile,
-    max_abs_difference,
     moment_simplex,
 )
 
@@ -314,7 +320,9 @@ def d1_metric(phi0: ToricMetric, phi1: ToricMetric, kmax: int = 8) -> Convergenc
 
     The limit is computed two ways and asserted equal: directly as
     vol^-1 * integral |q0 - q1| over the overlay of the two cell
-    subdivisions, and through the rooftop envelope P = P(phi0, phi1) as
+    subdivisions, summed on its integers (``plconvex._overlay_integral``),
+    and through the rooftop envelope P = P(phi0, phi1), built by
+    ``plconvex._envelope``, as
     E(phi0, P) + E(phi1, P) = E(phi0) + E(phi1) - 2 E(P).
     """
     return MetricPair(phi0, phi1).d1(kmax)
@@ -329,23 +337,27 @@ class MetricPair:
     """Two toric metrics, and what the functions of the pair share.
 
     The record is filled on first use, and every entry is computed once:
-    the profiles q0 and q1, the energies E(phi0) and E(phi1) and the
-    rooftop P(phi0, phi1) with its profile.  Nothing is stored on the
-    metrics.  The public functions of a pair (``energy``, ``d1_metric``,
-    ...) build a throwaway record, so each call checks its inputs and
-    conjugates each metric once; a caller that keeps one record (one
-    ``geonorm run`` keeps one per pair of metric names) conjugates each
-    metric of the pair once for all of its tasks.  ``segments.SegmentPair``
-    adds the segments between the two metrics.  The checks run in each
-    method, in the order of the public function it serves.
+    the profiles q0 and q1, the energies E(phi0) and E(phi1), the overlay
+    of q0 and q1 (which ``d1`` integrates, ``d_infinity`` reads the sup
+    of, and ``segments.SegmentPair`` reads its critical shifts and rooftop
+    family off) and the rooftop P(phi0, phi1) with its profile, which
+    serves ``envelope_P`` and the envelope route of ``d1``.  Nothing is
+    stored on the metrics.  The public functions of a pair (``energy``,
+    ``d1_metric``, ...) build a throwaway record, so each call checks its
+    inputs and conjugates each metric once; a caller that keeps one record
+    (one ``geonorm run`` keeps one per pair of metric names) conjugates
+    each metric of the pair once for all of its tasks.
+    ``segments.SegmentPair`` adds the segments between the two metrics.
+    The checks run in each method, in the order of the public function it
+    serves.
     """
 
-    __slots__ = ("phi0", "phi1", "_q", "_e", "_roof")
+    __slots__ = ("phi0", "phi1", "_q", "_e", "_roof", "_ov")
 
     def __init__(self, phi0: ToricMetric, phi1: ToricMetric):
         self.phi0, self.phi1 = phi0, phi1
         self._q, self._e = [None, None], [None, None]
-        self._roof = None
+        self._roof = self._ov = None
 
     def _profile(self, i: int) -> ConcaveProfile:
         """The profile of metric i, conjugated once."""
@@ -374,6 +386,12 @@ class MetricPair:
         if self._e[i] is None:
             self._e[i] = _energy((self.phi0, self.phi1)[i], self._profile(i))
         return self._e[i]
+
+    def _overlay(self):
+        """The overlay of q0 and q1 (``plconvex._overlay``), built once."""
+        if self._ov is None:
+            self._ov = _overlay(self.q0, self.q1)
+        return self._ov
 
     def _rooftop(self):
         """``(P, q)``: the rooftop P(phi0, phi1) and its profile."""
@@ -419,7 +437,7 @@ class MetricPair:
         phi0, phi1 = self.phi0, self.phi1
         _require_pair(phi0, phi1)
         per_k = self._per_degree(kmax, abs)
-        direct = (integrate_abs_difference(self.q0, self.q1)
+        direct = (_overlay_integral(self._overlay(), 1)
                   / moment_volume(phi0.n, phi0.m))
         roof, q = self._rooftop()
         _require_pair(phi0, roof)  # E(P) integrates over P's own domain
@@ -433,4 +451,4 @@ class MetricPair:
     def d_infinity(self) -> Fraction:
         """``d_infinity_limit(phi0, phi1)`` of the pair."""
         _require_pair(self.phi0, self.phi1)
-        return max_abs_difference(self.q0, self.q1)
+        return _overlay_sup(self._overlay())

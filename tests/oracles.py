@@ -32,10 +32,16 @@ quantized level segment as the FS image of the norm geodesic between two
 sup-norm ``DiagNorm``s, and ``maximal_segment_via_geodesic`` and
 ``level_chain_via_geodesic`` build the maximal segment and the per-level
 rows of ``diagnostics`` on it, where geonorm.segments interpolates the
-integer lattice values of the two profiles.  ``integrate_difference`` and
-``energy_limit_overlay`` integrate q0 - q1 over the overlay of two cell
-subdivisions, where geonorm.toric integrates each profile on its own and
-subtracts.  ``lp_le_witness`` is the comparison that
+integer lattice values of the two profiles.  ``overlay`` is the common
+refinement of two profiles' cells in Fractions, from their ``Cell`` views
+clipped by this file's polygon clipping, where geonorm.plconvex keeps the
+cells as homogeneous integer points; ``integrate_abs_difference_fraction``
+(with ``integrate_cell_affine`` and ``_halfspace_part``),
+``max_abs_difference_fraction``, ``overlay_vertices_fraction`` and
+``critical_taus_fraction`` read it where the library reads that integer
+overlay, and ``integrate_difference`` and ``energy_limit_overlay``
+integrate q0 - q1 over it, where geonorm.toric integrates each profile on
+its own and subtracts.  ``lp_le_witness`` is the comparison that
 geonorm.plconvex replaced: one exact simplex (``geonorm.linprog``, which
 no library module calls) per piece, where the library tests each piece
 against the conjugate; ``nonredundant_lp`` keeps a piece when one such
@@ -109,7 +115,7 @@ from geonorm.norms import (
     distance,
     sym_monomials,
 )
-from geonorm.plconvex import _overlay, compare, integrate_cell_affine, prune
+from geonorm.plconvex import PLError, compare, prune
 from geonorm.geodesics import geodesic
 from geonorm.segments import fs_segment, quantization_levels, tau_critical_set
 from geonorm.toric import (
@@ -449,15 +455,143 @@ def level_chain_via_geodesic(phi0, phi1, kmax, ts):
 
 
 # ---------------------------------------------------------------------------
-# Energy over the overlay of two profiles' cells: the path that
-# geonorm.toric replaced with one integral per profile.
+# Overlays of two profiles' cells in Fractions: the path that
+# geonorm.plconvex replaced with integer cells over one denominator (and,
+# for energies, geonorm.toric with one integral per profile).
 # ---------------------------------------------------------------------------
+
+
+def _require_plane(n, what):
+    if n > 2:
+        raise PLError(f"{what} implemented for n <= 2")
+
+
+def _polygon_hrep_fraction(poly):
+    """Outward halfplanes ((a0, a1), b) of a convex polygon, either way
+    round."""
+    if _shoelace2_fraction(poly) < 0:
+        poly = tuple(reversed(poly))
+    out = []
+    for p, q in zip(poly, poly[1:] + poly[:1]):
+        normal = (q[1] - p[1], p[0] - q[0])
+        out.append((normal, normal[0] * p[0] + normal[1] * p[1]))
+    return out
+
+
+def overlay(p0, p1):
+    """Common refinement of two profiles' cells: ``(region, c0, c1)`` for
+    each pair of cells meeting in a full-dimensional region, the region's
+    points in Fractions and c0, c1 the profiles' ``Cell`` views."""
+    if p0.n != p1.n:
+        raise PLError("profile dimension mismatch")
+    _require_plane(p0.n, "overlays")
+    out = []
+    for c0 in p0.cells:
+        for c1 in p1.cells:
+            if p0.n == 1:
+                lo = max(c0.vertices[0][0], c1.vertices[0][0])
+                hi = min(c0.vertices[-1][0], c1.vertices[-1][0])
+                region = ((lo,), (hi,)) if lo < hi else ()
+            else:
+                region = _clip_region_fraction(
+                    c0.vertices, _polygon_hrep_fraction(c1.vertices))
+            if region:
+                out.append((region, c0, c1))
+    return out
+
+
+def overlay_vertices_fraction(p0, p1):
+    """The sorted vertices of ``overlay(p0, p1)``."""
+    return tuple(sorted({y for region, _, _ in overlay(p0, p1)
+                         for y in region}))
+
+
+def critical_taus_fraction(p0, p1):
+    """q1 - q0 at the overlay's vertices, on the cells' affine views."""
+    return tuple(sorted({c1.affine(y) - c0.affine(y)
+                         for region, c0, c1 in overlay(p0, p1)
+                         for y in region}))
+
+
+def _halfspace_part(region, a, b):
+    """The part of an interval or polygon of Fraction points where
+    <a, y> <= b, or () when it is empty or lower-dimensional."""
+    _require_plane(len(a), "_halfspace_part")
+    a, b = tuple(map(Fraction, a)), Fraction(b)
+    if len(a) == 1:
+        got = _clip_interval_fraction(region[0][0], region[-1][0], a[0], b)
+        if got is None or got[0] == got[1]:
+            return ()
+        return ((got[0],), (got[1],))
+    return _clip_region_fraction(tuple(region), [(a, b)])
+
+
+def _h_complete(values, p):
+    """Complete homogeneous symmetric polynomial h_p of the values."""
+    total = Fraction(0)
+    for combo in itertools.combinations_with_replacement(values, p):
+        total += math.prod(combo, start=Fraction(1))
+    return total
+
+
+def _integrate_affine_power_triangle(tri, values, p):
+    area2 = abs((tri[1][0] - tri[0][0]) * (tri[2][1] - tri[0][1])
+                - (tri[1][1] - tri[0][1]) * (tri[2][0] - tri[0][0]))
+    return Fraction(area2, 2) * _h_complete(values, p) / math.comb(2 + p, p)
+
+
+def _integrate_affine_power_interval(a, b, va, vb, p):
+    return abs(b - a) * _h_complete((va, vb), p) / (p + 1)
+
+
+def integrate_cell_affine(cell_vertices, affine, n, p=1):
+    """Integral of affine(y)^p over an interval (n=1) or polygon (n=2)."""
+    _require_plane(n, "integrate_cell_affine")
+    if n == 1:
+        a, b = cell_vertices[0][0], cell_vertices[-1][0]
+        return _integrate_affine_power_interval(
+            a, b, affine((a,)), affine((b,)), p)
+    poly = list(cell_vertices)
+    total = Fraction(0)
+    for i in range(1, len(poly) - 1):
+        tri = (poly[0], poly[i], poly[i + 1])
+        total += _integrate_affine_power_triangle(
+            tri, tuple(affine(v) for v in tri), p)
+    return total
+
+
+def integrate_abs_difference_fraction(p0, p1, p=1):
+    """Integral of |q0 - q1|^p: each overlay region split by the sign of
+    the difference of its two affine views."""
+    total = Fraction(0)
+    for region, c0, c1 in overlay(p0, p1):
+        dg = tuple(a - b for a, b in zip(c0.grad, c1.grad))
+        dc = c0.offset - c1.offset
+
+        def diff(y, g=dg, c=dc):
+            return sum(gi * yi for gi, yi in zip(g, y)) + c
+
+        plus = _halfspace_part(region, tuple(-x for x in dg), dc)
+        minus = _halfspace_part(region, dg, -dc)
+        if plus:
+            total += integrate_cell_affine(plus, diff, p0.n, p)
+        if minus:
+            total += integrate_cell_affine(minus, lambda y: -diff(y),
+                                           p0.n, p)
+    return total
+
+
+def max_abs_difference_fraction(p0, p1):
+    """sup |q0 - q1| over the overlay's vertices."""
+    return max((abs(c0.affine(y) - c1.affine(y))
+                for region, c0, c1 in overlay(p0, p1) for y in region),
+               default=Fraction(0))
 
 
 def integrate_difference(p0, p1) -> Fraction:
     """Exact integral of (q0 - q1) over the common domain."""
     total = Fraction(0)
-    for region, c0, c1 in _overlay(p0, p1):
+    for region, c0, c1 in overlay(p0, p1):
         diff = lambda y, a=c0, b=c1: a.affine(y) - b.affine(y)
         total += integrate_cell_affine(region, diff, p0.n)
     return total

@@ -23,7 +23,6 @@ from geonorm.plconvex import (
     domain_hrep,
     envelope_constrained,
     integrate_abs_difference,
-    integrate_cell_affine,
     integrate_profile,
     le_witness,
     marginal_min,
@@ -264,12 +263,12 @@ _P3_Q = conjugate(_P3_F)
 
 @pytest.mark.parametrize("run", [
     lambda: integrate_profile(_P3_Q),
-    lambda: integrate_cell_affine(_P3_Q.cells[0].vertices,
-                                  _P3_Q.cells[0].affine, 3),
+    lambda: oracles.integrate_cell_affine(_P3_Q.cells[0].vertices,
+                                          _P3_Q.cells[0].affine, 3),
     lambda: integrate_abs_difference(_P3_Q, _P3_Q),
     lambda: max_abs_difference(_P3_Q, _P3_Q),
     lambda: plconvex.overlay_vertices(_P3_Q, _P3_Q),
-    lambda: plconvex._halfspace_part(_P3_Q.cells[0].vertices, (1, 0, 0), 0),
+    lambda: oracles._halfspace_part(_P3_Q.cells[0].vertices, (1, 0, 0), 0),
     lambda: mix_witness(_P3_F, _P3_F, _P3_F.shifted(-1), F(1, 2)),
     lambda: min_profile(_P3_Q.planes, [(F(1, 3),) * 3], [], 3),
 ], ids=["integrate_profile", "integrate_cell_affine",

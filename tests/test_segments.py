@@ -300,7 +300,7 @@ def test_legendre_segment_without_critical_tau(pieces0, pieces1,
     def refuse(*args):
         raise AssertionError("a rooftop was built")
 
-    monkeypatch.setattr(segments, "_rooftop", refuse)
+    monkeypatch.setattr(segments, "_shifted_min", refuse)
     with pytest.raises(ToricError, match="no critical shift tau"):
         legendre_segment(phi0, phi1, F(1, 2))
     # a bad t is reported first

@@ -369,7 +369,7 @@ def test_d1_rooftop_pair() -> None:
     assert d1_metric(phi0, phi1, kmax=4).limit == F(1, 2)
 
 
-@pytest.mark.parametrize("route", ["integrate_abs_difference", "_energy"])
+@pytest.mark.parametrize("route", ["_overlay_integral", "_energy"])
 def test_d1_raises_when_its_routes_disagree(monkeypatch, route) -> None:
     real = getattr(toric, route)
     # a constant offset would cancel in E(phi0) + E(phi1) - 2 E(P)
