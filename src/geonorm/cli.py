@@ -36,7 +36,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .config import ConfigError, load_config, metric_pair
+from .config import ConfigError, load_config, metric_pair, parse_rational
 from .field import INF, format_fraction, parse_fraction
 from .graded import asymptotic_stats, check_submultiplicative, serialize_counterexample
 from .norms import NormPair
@@ -329,7 +329,7 @@ def cmd_segments_maximal(args):
     cfg = load_config(args.config)
     names = args.pair.split(",") if args.pair else None
     phi0, phi1 = metric_pair(cfg, names)
-    t = parse_fraction(args.t)
+    t = parse_rational(args.t, "--t")
     if not 0 <= t <= 1:
         raise ConfigError(f"--t must lie in [0, 1], got {args.t}")
     metric = maximal_segment(phi0, phi1, t, kmax=_task_kmax({}, args))

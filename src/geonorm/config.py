@@ -178,6 +178,15 @@ def _task_refs(idx, task):
     return [(kind, names)]
 
 
+def parse_rational(value, what):
+    """A rational given as a JSON number or a ``"num/den"`` string; a
+    ConfigError naming ``what`` if it is none."""
+    try:
+        return parse_fraction(str(value))
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"{what} must be a rational, got {value!r}") from None
+
+
 def _validate_task(idx, task, parsed):
     op = task["op"]
     for kind, name in _task_refs(idx, task):
@@ -187,9 +196,11 @@ def _validate_task(idx, task, parsed):
     if op in _NEEDS_T and "t" not in task:
         raise ConfigError(f"task {idx} ({op}): needs a 't' in [0, 1]")
     if "t" in task:
-        t = parse_fraction(str(task["t"]))
+        t = parse_rational(task["t"], f"task {idx}: t")
         if not 0 <= t <= 1:
             raise ConfigError(f"task {idx}: t must lie in [0, 1], got {t}")
+    if task.get("oracle_limit") is not None:
+        parse_rational(task["oracle_limit"], f"task {idx}: oracle_limit")
     if "kmax" in task and not _is_positive_int(task["kmax"]):
         raise ConfigError(f"task {idx}: kmax must be a positive integer")
     if "p" in task and task["p"] != "inf" and not _is_positive_int(task["p"]):
@@ -300,4 +311,5 @@ __all__ = [
     "VERIFY_TARGETS",
     "load_config",
     "metric_pair",
+    "parse_rational",
 ]

@@ -9,22 +9,24 @@ A geodesic holds its two weight vectors as integer numerators a and b
 over one positive denominator D, and the slice at t = p/q has the weights
 ((q - p) a + p b) over q D, put in lowest terms, with no ``Fraction``
 built.  ``basis``, ``weights0`` and ``weights1`` are views: a geodesic of
-two norms builds the ``Fraction`` basis and weights only when they are
-read.
+two norms builds the basis as field vectors (``Fraction``s or
+``RatFunc``s) and the ``Fraction`` weights only when they are read.
 
 ``geodesic`` hands its base norm the record of the common basis (see
 ``geonorm.norms``): n0's own when the two norms share their basis, else a
-new one with the inverse ``codiagonalize`` derives, over Q(t) the product
-of the kernel's row operations with n0's cached inverse.  Only over Q with
-different bases (and for a ``NormGeodesic`` built directly) is the basis
-inverted, once, on first use: there it is the filtration-split form of
-the kernel's basis C, and its inverse T^{-1} C^{-1} would cost the
-product C^{-1} = P B0^{-1}, the coordinates T of the split basis and
-their inverse, more than the one elimination.  ``at``, ``start`` and
-``end`` re-weight the base norm, so every norm on the segment shares one
-record: one basis and one inverse, one ord_t det for ``det_norm`` (none at
-all over Q), one Sym^m basis per m for ``sym_power_norm``, and ``==``
-between two of them reads the basis once.
+new one that holds the common basis as ``(den, numerators)`` columns over
+Z or Z[t] in lowest terms, with the inverse ``codiagonalize`` derives,
+over Q(t) the product of the kernel's row operations with n0's cached
+inverse.  Only over Q with different bases (and for a ``NormGeodesic``
+built directly) is the basis inverted, once, on first use: there it is
+the filtration-split form of the kernel's basis C, and its inverse
+T^{-1} C^{-1} would cost the product C^{-1} = P B0^{-1}, the coordinates
+T of the split basis and their inverse, more than the one elimination.
+``at``, ``start`` and ``end`` re-weight the base norm, so every norm on
+the segment shares one record: one basis and one inverse, one ord_t det
+for ``det_norm`` (read from the Z[t] columns over Q(t), none at all over
+Q), one Sym^m basis per m for ``sym_power_norm``, and ``==`` between two
+of them reads the basis once.
 
 ``geodesic`` reads the ``NormPair`` record of its two norms
 (``pair_geodesic`` takes one the caller keeps): the common basis, its

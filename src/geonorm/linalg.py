@@ -7,15 +7,21 @@ integers over the lcm of its denominators (Q, ``Fraction`` entries) or to
 integer polynomials in t over a common multiple of its denominators (Q(t),
 ``RatFunc`` entries, Z[t]), and ``rref`` and ``inverse_rows`` run one
 fraction-free Gauss-Jordan loop, ``_gauss_jordan``, over Z or Z[t].
-Determinants run one triangular Bareiss loop, over Z or Z[t], on the
-row-scaled matrix.  ``rref`` builds its field elements once, at the end:
-one ``Fraction`` or one reduced ``RatFunc`` per entry.
+Determinants run one triangular Bareiss loop, ``_bareiss``, over Z or
+Z[t], on the row-scaled matrix.  ``rref`` builds its field elements once,
+at the end: one ``Fraction`` or one reduced ``RatFunc`` per entry.
 
 An inverse is kept in row form: one ``(den, numerators)`` pair per row,
-over Z for Q and over Z[t] for Q(t), read straight off the elimination by
-``inverse_rows``, and ``row_values`` gives its field entries.  Inverses in
-row form compose without field elements: ``mul_rows``, ``kron_rows`` and
-``shift_rows`` (times powers of t).  The norms read coordinates only
+over Z for Q and over Z[t] for Q(t), read straight off the elimination,
+and ``row_values`` gives its field entries.  A basis is kept in the same
+form, one ``(den, numerators)`` pair per column: ``inverse_columns``
+inverts it from its numerators (``inverse_rows`` clears a matrix to its
+columns and inverts those), ``det_order`` reads ord_t of its determinant
+from the Bareiss loop on its Z[t] numerators, and ``lowest_columns``
+divides each column by the gcd of its entries, so the same vectors hold
+the fewest coefficients.  Inverses in row form compose without field
+elements: ``mul_rows``, ``kron_rows`` and ``shift_rows`` (times powers of
+t).  The norms read coordinates only
 through row form: ``solve_rows`` builds the coordinates of a vector as
 field elements, and ``coordinate_orders`` reads their t-adic valuations
 from Z[t] dot products with cleared vectors, without forming a
@@ -47,6 +53,7 @@ from .field import (
     _poly_content,
     _poly_dot,
     _poly_exact_div,
+    _poly_gcd,
     _poly_lcm,
     _poly_mul,
     _poly_neg,
@@ -55,7 +62,6 @@ from .field import (
 )
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 _P1 = (1,)  # the constant polynomial 1
 
 
@@ -148,6 +154,16 @@ def _poly_primitive_row(row):
     return row
 
 
+def _poly_lowest(row):
+    """The row divided by the gcd of its entries in Z[t]: the common power
+    of t and the integer content, then the primitive gcd of what is left
+    (``field._poly_gcd``)."""
+    row = _poly_primitive_row(row)
+    g = reduce(_poly_gcd, row)
+    return row if len(g) == 1 else [_poly_exact_div(x, g) if x else x
+                                    for x in row]
+
+
 def _int_sub_mul(p, x, a, y):
     return p * x - a * y
 
@@ -187,30 +203,14 @@ def _gauss_jordan(R, sub_mul, exact_div, one):
     return pivots
 
 
-def _eliminate_int(rows):
-    """``(R, pivots, c)`` for a Q matrix A: RREF(A C) is row i of R over its
-    pivot, for the column scalings C = diag(c) that clear A to Z."""
-    col_dens = [math.lcm(*(x.denominator for x in col)) for col in zip(*rows)]
-    R = [[x.numerator * (den // x.denominator) for x, den in zip(row, col_dens)]
-         for row in rows]
-    R = [_primitive(r) for r in R if any(r)]
-    return R, _gauss_jordan(R, _int_sub_mul, floordiv, 1), col_dens
-
-
-def _eliminate_poly(rows):
-    """``(R, pivots, c)`` for a Q(t) matrix A: RREF(A C) is row i of R over
-    its pivot, for the column scalings C = diag(c) that clear A to Z[t].
-
-    The Q(t) matrices eliminated here mostly hold basis vectors as columns
-    (``[A | I]`` in ``inverse_rows``), and a basis vector shares one
-    denominator.
-    """
-    rows = [[x if type(x) is RatFunc else RatFunc.of(x) for x in row]
-            for row in rows]
-    col_dens = [_den_lcm(col) for col in zip(*rows)]
-    R = [[_times(x, den) for x, den in zip(row, col_dens)] for row in rows]
-    R = [_poly_primitive_row(r) for r in R if any(r)]
-    return R, _gauss_jordan(R, _poly_sub_mul, _poly_exact_div, _P1), col_dens
+def _eliminate(r, rows):
+    """``(R, pivots, c)`` for a matrix A over Q or Q(t), with r its ring of
+    numerators: RREF(A C) is row i of R over its pivot, for the column
+    scalings C = diag(c) that clear A to Z or Z[t] (``r.clear`` of each
+    column)."""
+    c, cols = zip(*map(r.clear, zip(*rows)))
+    R = [r.primitive(list(row)) for row in zip(*cols) if any(row)]
+    return R, _gauss_jordan(R, r.sub_mul, r.exact_div, r.one), c
 
 
 # ---------------------------------------------------------------------------
@@ -228,17 +228,12 @@ def rref(rows):
     """
     if not rows:
         return [], []
-    if _is_rational(rows):
-        R, pivots, dens = _eliminate_int(rows)
-        return [tuple(
-            _ZERO if not x else _ONE if j == c
-            else Fraction(x * dens[c], row[c] * dens[j])
-            for j, x in enumerate(row)) for row, c in zip(R, pivots)], pivots
-    R, pivots, dens = _eliminate_poly(rows)
-    zero, one = TADIC.zero, TADIC.one
+    r = _Z if _is_rational(rows) else _ZT
+    R, pivots, dens = _eliminate(r, rows)
+    zero, one = r.element(r.zero, r.one), r.element(r.one, r.one)
     return [tuple(
         zero if not x else one if j == c
-        else RatFunc(_poly_mul(x, dens[c]), _poly_mul(row[c], dens[j]))
+        else r.element(r.mul(x, dens[c]), r.mul(row[c], dens[j]))
         for j, x in enumerate(row)) for row, c in zip(R, pivots)], pivots
 
 
@@ -246,20 +241,39 @@ def inverse_rows(field, A):
     """The inverse of a square matrix, one ``(den, numerators)`` row each.
 
     Over Q the entries of A are ``Fraction``s or ints and the row is
-    integers, over Q(t) polynomials in Z[t].  A is
-    cleared by columns, A C with C = diag(c), and [A C | I] is eliminated
-    by ``_gauss_jordan``.  The identity columns clear with scale 1, so row
-    i of A^{-1} is R[i][d:] c_i / R[i][i], and no field element is built.
-    Raises SingularMatrixError if A is singular.
+    integers, over Q(t) polynomials in Z[t].  A is cleared by columns, A =
+    N diag(1/c), and inverted from its columns (``inverse_columns``), so
+    no field element is built.  Raises SingularMatrixError if A is
+    singular.
     """
-    d, r = len(A), ring(field)
-    # over Q the identity half is ints, which clear at no cost
-    eye = identity(field, d) if r is _ZT else identity(_Z, d)
-    R, pivots, c = r.eliminate([tuple(A[i]) + eye[i] for i in range(d)])
-    if pivots[:d] != list(range(d)):
+    return inverse_columns(field, tuple(map(ring(field).clear, zip(*A))))
+
+
+def inverse_columns(field, cols):
+    """The inverse in row form of the matrix B whose columns are the
+    ``(den, numerators)`` columns ``cols`` over Z or Z[t].
+
+    B = N diag(1/den) for the matrix N of the numerators, so B^{-1} =
+    diag(den) N^{-1}.  [N | I] is eliminated by ``_gauss_jordan``, and row
+    i of B^{-1} is R[i][d:] den_i over R[i][i].  Raises
+    SingularMatrixError if B is singular.
+    """
+    d, r = len(cols), ring(field)
+    R = [list(row) + [r.one if j == i else r.zero for j in range(d)]
+         for i, row in enumerate(zip(*(nums for _, nums in cols)))]
+    if _gauss_jordan(R, r.sub_mul, r.exact_div, r.one)[:d] != list(range(d)):
         raise SingularMatrixError("matrix is singular")
-    return tuple((row[i], tuple(r.mul(x, c[i]) for x in row[d:]))
-                 for i, row in enumerate(R))
+    return tuple((row[i], tuple(r.mul(x, den) for x in row[d:]))
+                 for i, (row, (den, _)) in enumerate(zip(R, cols)))
+
+
+def lowest_columns(field, cols):
+    """``(den, numerators)`` columns over Z or Z[t], each divided by the
+    gcd of its denominator and numerators: the same vectors, in lowest
+    terms."""
+    lowest = ring(field).lowest
+    return tuple((den, tuple(nums))
+                 for den, *nums in (lowest([den, *nums]) for den, nums in cols))
 
 
 def row_values(field, rows):
@@ -278,22 +292,22 @@ def identity_rows(field, d):
 def determinant(A):
     """Determinant by Bareiss elimination over Z (Q input) or Z[t] (Q(t)).
 
-    det(A) = det(M) / prod(scale) for the cleared rows M = scale * A.
+    det(A) = det(M) / prod(den) for the cleared rows (den, M) of A.
     """
-    if _is_rational(A):
-        M, scale = [], 1
-        for row in A:
-            den, ints = _cleared(row)
-            M.append(ints)
-            scale *= den
-        return Fraction(_bareiss(M, _int_sub_mul, floordiv, neg), scale)
-    M, scale = [], _P1
-    for row in A:
-        den, polys = _poly_cleared(row)
-        M.append(polys)
-        scale = _poly_mul(scale, den)
-    return RatFunc(_bareiss(M, _poly_sub_mul, _poly_exact_div, _poly_neg),
-                   scale)
+    r = _Z if _is_rational(A) else _ZT
+    rows = [r.clear(row) for row in A]
+    det = _bareiss([list(nums) for _, nums in rows], r.sub_mul, r.exact_div,
+                   neg if r is _Z else _poly_neg)
+    return r.element(det, reduce(r.mul, (den for den, _ in rows)))
+
+
+def det_order(cols):
+    """ord_t det of an invertible Q(t) matrix given as ``(den,
+    numerators)`` columns (or rows) over Z[t]: ord_t of the Bareiss
+    determinant of the numerators minus the orders of the denominators."""
+    det = _bareiss([list(nums) for _, nums in cols], _poly_sub_mul,
+                   _poly_exact_div, _poly_neg)
+    return _poly_ord(det) - sum(_poly_ord(den) for den, _ in cols)
 
 
 def _bareiss(M, sub_mul, exact_div, negate):
@@ -425,17 +439,19 @@ def _smith_row_op(ring, den, row, prow, k, p, a):
 
 # The ring operations of ``smith`` and of matrices kept as ``(den,
 # numerators)`` rows: Z for Q, where ord is 0 off zero, and Z[t] for Q(t).
-# ``clear(v)`` is a vector as ``(den, numerators)``, and ``element(x, den)``
-# the field element x / den.
-_Ring = namedtuple("_Ring", "eliminate lcm mul add dot exact_div order sub_mul "
-                            "primitive clear element one zero")
-_Z = _Ring(_eliminate_int, math.lcm, mul, add,
+# ``primitive`` divides a row by a common factor cheap to find (over Z[t]
+# its integer content and power of t), ``lowest`` by the gcd of its
+# entries, ``clear(v)`` is a vector as ``(den, numerators)``, and
+# ``element(x, den)`` the field element x / den.
+_Ring = namedtuple("_Ring", "lcm mul add dot exact_div order sub_mul "
+                            "primitive lowest clear element one zero")
+_Z = _Ring(math.lcm, mul, add,
            lambda u, v: sum(map(mul, u, v)), floordiv, lambda x: 0,
-           _int_sub_mul, _primitive, _cleared,
+           _int_sub_mul, _primitive, _primitive, _cleared,
            lambda x, den: Fraction(x, den) if x else _ZERO, 1, 0)
-_ZT = _Ring(_eliminate_poly, _poly_lcm, _poly_mul, _poly_add, _poly_dot,
+_ZT = _Ring(_poly_lcm, _poly_mul, _poly_add, _poly_dot,
             _poly_exact_div, _poly_ord, _poly_sub_mul, _poly_primitive_row,
-            _poly_cleared,
+            _poly_lowest, _poly_cleared,
             lambda x, den: RatFunc(x, den) if x else TADIC.zero, _P1, ())
 
 

@@ -35,35 +35,36 @@ returns.
 
 A norm also holds a record of its basis (``_Basis``), which the norms the
 library derives on one basis share: the slices of a geodesic, a join on a
-shared basis, and the Sym^m norms of any of them.  Over Q the record
-holds the basis only as ``(den, numerators)`` columns over Z: a basis the
-user gives, cleared once at construction; the common basis of a pair, as
-the kernel or the filtration form gives it; a Sym^m basis, as
-``sym_power_norm`` multiplies it out.  ``basis`` is a ``Fraction`` view of
-those columns, built on first read and cached in the record, and no
-computation reads it.  Over Q(t) the record holds the basis as
-``RatFunc`` vectors, cleared on each read, since the kernel's Z[t]
-columns carry common factors of numerators and denominator that every
-product formed from them would carry on; a Sym^m record also keeps its
-columns.  The record holds the inverse of the basis matrix in the row
-form of ``linalg.inverse_rows``: one ``(den, numerators)`` pair per row,
-over Z for Q and over Z[t] for Q(t).  It holds ord_t det of the basis,
-which ``det_norm`` reads: over Q it is 0, read with no determinant, since
-every basis a norm holds is invertible; over Q(t) one determinant per
-basis.  It holds one Sym^m record per m, so the Sym^m norms of all the
-slices of a geodesic share one Sym^m basis, built once.  ``==`` between
-two norms on one basis evaluates that basis once.
+shared basis, and the Sym^m norms of any of them.  Over both fields the
+record holds the basis only as ``(den, numerators)`` columns, over Z for
+Q and over Z[t] for Q(t): a basis the user gives, cleared once at
+construction; the common basis of a pair, as the kernel or the
+filtration form gives it, put in lowest terms (each column divided by
+the gcd of its numerators and denominator: over Q(t) the kernel's
+columns carry common polynomial factors, which every product formed from
+them would carry on); a Sym^m basis, as ``sym_power_norm`` multiplies it
+out.  ``basis`` is the view of those columns as field vectors, built on
+first read and cached in the record, and no computation reads it; a
+reduced ``Fraction`` or ``RatFunc`` does not depend on how its column is
+scaled.  The record holds the inverse of the basis matrix in the row
+form of ``linalg.inverse_rows``: one ``(den, numerators)`` pair per row.
+It holds ord_t det of the basis, which ``det_norm`` reads: over Q it is
+0, read with no determinant, since every basis a norm holds is
+invertible; over Q(t) one Bareiss determinant of the Z[t] numerators
+per basis.  It holds one Sym^m record per m, so the Sym^m norms of all
+the slices of a geodesic share one Sym^m basis, built once.  ``==``
+between two norms on one basis evaluates that basis once.
 
 Constructed norms get their inverse without an elimination, from data
 their inputs hold: ``join`` and the geodesic slices over Q(t) from the
 kernel's row operations and n0's inverse, ``join`` and the geodesics on a
 shared basis from n0's record, ``sym_power_norm`` as Sym^m of the input's
 inverse and ``tensor_norm`` as the Kronecker product of the two.  Only a
-basis the user gives is inverted, over Q from its integer columns, and
-over Q the filtration-split common basis, on first use (the one
-elimination of a spectrum against such a norm).  ``quotient_norm``
-inverts nothing: its exchange argument is a forward elimination on
-coordinates read through the cached inverse.  Norms diagonal in the
+basis the user gives is inverted, from its columns
+(``linalg.inverse_columns``), and over Q the filtration-split common
+basis, on first use (the one elimination of a spectrum against such a
+norm).  ``quotient_norm`` inverts nothing: its exchange argument is a
+forward elimination on coordinates read through the cached inverse.  Norms diagonal in the
 standard basis share one identity basis per field and dimension and one
 identity inverse, so ``DiagNorm.standard`` costs O(d).
 
@@ -183,38 +184,25 @@ class DiagNorm:
 
     def is_standard_basis(self) -> bool:
         """O(1) for a norm built by ``standard``; a full check otherwise."""
-        rec = self._rec
-        if rec.field is TADIC:
-            eye = _identity(TADIC, self.dim)
-            return rec.basis is eye or rec.basis == eye
-        return _same_columns(rec.rows, _identity_rows(TRIVIAL, self.dim))
+        return _same_columns(self.field, self._rec.rows,
+                             _identity_rows(self.field, self.dim))
 
     def _inverse(self):
         """The inverse of the basis matrix (the basis vectors as columns), as
-        ``linalg.inverse_rows`` gives it, cached in the record; a standard
-        basis has the shared identity rows.  Over Q it is read from the
-        integer columns (``_column_inverse``)."""
+        ``linalg.inverse_rows`` gives it, cached in the record: read from
+        the record's columns (``linalg.inverse_columns``), or for a basis
+        that is the identity the shared identity rows, which its record
+        holds from the start."""
         rec = self._rec
         if rec.inv is None:
-            if self.is_standard_basis():
-                rec.inv = _identity_rows(self.field, self.dim)
-            else:
-                try:
-                    rec.inv = (linalg.inverse_rows(TADIC, tuple(zip(*rec.basis)))
-                               if rec.field is TADIC else _column_inverse(rec.rows))
-                except linalg.SingularMatrixError:
-                    raise NormError("basis vectors are linearly dependent") from None
+            try:
+                rec.inv = linalg.inverse_columns(self.field, rec.rows)
+            except linalg.SingularMatrixError:
+                raise NormError("basis vectors are linearly dependent") from None
         return rec.inv
 
     def _has_identity_inverse(self) -> bool:
         return self._inverse() is _identity_rows(self.field, self.dim)
-
-    @classmethod
-    def _from_inverse(cls, field, basis, weights, inv) -> "DiagNorm":
-        """A norm on a new record of a basis of field elements whose inverse
-        rows ``inv`` the caller derived, or None to invert the basis on
-        first use; nothing is checked."""
-        return cls._on(_vector_record(field, basis, inv), *_numerators(weights))
 
     @classmethod
     def _on(cls, rec, den, nums) -> "DiagNorm":
@@ -276,9 +264,9 @@ class DiagNorm:
             return NotImplemented
         if self.field is not other.field or self.dim != other.dim:
             return False
-        vecs = _basis_rows(self)
+        vecs = self._rec.rows
         if not _one_basis(self._rec, other._rec):
-            vecs += _basis_rows(other)
+            vecs += other._rec.rows
         return (_scaled(_values(self, vecs), other._den)
                 == _scaled(_values(other, vecs), self._den))
 
@@ -375,8 +363,8 @@ def _identity(field, d):
 
 def _identity_rows(field, d):
     """The identity as ``(den, numerators)`` rows, one shared tuple: the
-    inverse of every standard basis of ``field`` in dimension d, and over Q
-    the columns of its record."""
+    columns and the inverse of every standard basis of ``field`` in
+    dimension d."""
     key = (field.name, d)
     if key not in _inverse_identities:
         _inverse_identities[key] = linalg.identity_rows(field, d)
@@ -385,30 +373,26 @@ def _identity_rows(field, d):
 
 def _standard_record(field, d):
     """A new record of the standard basis: the shared identity tuple, and
-    the shared identity rows as its inverse and, over Q, its columns."""
+    the shared identity rows as its columns and its inverse."""
     eye = _identity_rows(field, d)
-    return _Basis(field, rows=None if field is TADIC else eye, inv=eye,
-                  basis=_identity(field, d))
+    return _Basis(field, eye, eye, _identity(field, d))
 
 
 class _Basis:
     """What the norms on one basis share, filled on first use.
 
-    Over Q ``rows`` is the basis as ``(den, numerators)`` columns over Z,
-    the only form the record is built from, and ``basis`` their
-    ``Fraction`` view, built on first read and cached in ``_view``.  Over
-    Q(t) ``basis`` holds the vectors of ``RatFunc``s, and ``rows`` the
-    ``(den, numerators)`` columns of a Sym^m basis, the products
-    ``sym_power_norm`` forms; any other basis keeps None there and is
-    cleared on each read.  ``inv`` is the inverse rows (see
-    ``DiagNorm._inverse``), ``ord_det`` ord_t det of the basis over Q(t)
-    (see ``_ord_det``), and ``sym`` maps m to the record of the Sym^m
-    basis (see ``sym_power_norm``).
+    ``rows`` is the basis as ``(den, numerators)`` columns over Z (Q) or
+    Z[t] (Q(t)), the only form the record is built from, and ``basis``
+    their view as field vectors, built on first read and cached in
+    ``_view``.  ``inv`` is the inverse rows (see ``DiagNorm._inverse``),
+    ``ord_det`` ord_t det of the basis over Q(t) (see ``_ord_det``), and
+    ``sym`` maps m to the record of the Sym^m basis (see
+    ``sym_power_norm``).
     """
 
     __slots__ = ("field", "rows", "inv", "ord_det", "sym", "_view")
 
-    def __init__(self, field, rows=None, inv=None, basis=None):
+    def __init__(self, field, rows, inv=None, basis=None):
         self.field, self.rows, self.inv, self._view = field, rows, inv, basis
         self.ord_det = self.sym = None
 
@@ -419,63 +403,29 @@ class _Basis:
         return self._view
 
 
-def _vector_record(field, basis, inv=None):
-    """A new record of a basis of field vectors: over Q its columns, each
-    vector cleared once, over Q(t) the vectors.  Cleared columns are
-    unique, so over Q an identity basis shows as the identity rows, which
-    are its inverse."""
-    if field is TADIC:
-        return _Basis(field, basis=basis, inv=inv)
-    rows = tuple((den, tuple(ints))
-                 for den, ints in map(linalg._cleared, basis))
+def _vector_record(field, basis):
+    """A new record of a basis of field vectors: its columns, each vector
+    cleared once.  A cleared unit vector is the identity row, so an
+    identity basis shows as the identity rows, which are its inverse."""
+    rows = tuple((den, tuple(nums))
+                 for den, nums in map(linalg.ring(field).clear, basis))
     eye = _identity_rows(field, len(rows))
-    if inv is None and rows == eye:
-        inv = eye
-    return _Basis(field, rows=rows, inv=inv)
+    return _Basis(field, rows, eye if rows == eye else None)
 
 
-def _column_inverse(cols):
-    """The inverse rows of the matrix B whose columns are the ``(den,
-    numerators)`` columns ``cols`` over Z: B = N diag(1/den) for the
-    integer matrix N of the numerators, so B^{-1} = diag(den) N^{-1}."""
-    inv = linalg.inverse_rows(TRIVIAL, tuple(zip(*(nums for _, nums in cols))))
-    return tuple((p, nums if den == 1 else tuple(x * den for x in nums))
-                 for (p, nums), (den, _) in zip(inv, cols))
-
-
-def _same_columns(a, b):
-    """Whether two tuples of ``(den, numerators)`` columns over Z hold the
-    same vectors: u / e = v / f entry by entry, whatever the scaling."""
-    return a is b or all(x * f == y * e for (e, u), (f, v) in zip(a, b)
-                         for x, y in zip(u, v))
-
-
-def _same_basis(a: _Basis, b: _Basis) -> bool:
-    """Whether two records of one field and dimension hold equal bases:
-    over Q compared on their columns, over Q(t) on their vectors."""
-    if a is b:
-        return True
-    if a.field is TADIC:
-        return a.basis == b.basis
-    return _same_columns(a.rows, b.rows)
+def _same_columns(field, a, b):
+    """Whether two tuples of ``(den, numerators)`` columns over the ring of
+    ``field`` hold the same vectors: u / e = v / f entry by entry, whatever
+    the scaling."""
+    mul_ = linalg.ring(field).mul
+    return a is b or all(mul_(x, f) == mul_(y, e)
+                         for (e, u), (f, v) in zip(a, b) for x, y in zip(u, v))
 
 
 def _one_basis(a: _Basis, b: _Basis) -> bool:
     """Whether two records hold one basis: one record, or one inverse
     object (the shared identity rows of two standard bases)."""
     return a is b or (a.inv is not None and a.inv is b.inv)
-
-
-def _basis_rows(n: DiagNorm):
-    """The basis vectors as ``(den, numerators)`` pairs over Z or Z[t]: the
-    record's columns, for a standard basis over Q(t) the shared identity
-    rows, else (over Q(t)) the basis cleared."""
-    rec = n._rec
-    if rec.rows is not None:
-        return rec.rows
-    if n._has_identity_inverse():
-        return n._inverse()
-    return tuple(map(linalg.ring(n.field).clear, rec.basis))
 
 
 def _values(norm: DiagNorm, vectors):
@@ -590,7 +540,8 @@ class NormPair:
                 raise NormError("cannot codiagonalize norms over different fields")
             if n0.dim != n1.dim:
                 raise NormError("cannot codiagonalize norms of different dimensions")
-            self._shared = _same_basis(n0._rec, n1._rec)
+            self._shared = _same_columns(n0.field, n0._rec.rows,
+                                         n1._rec.rows)
         return self._shared
 
     def _verified(self, result):
@@ -627,7 +578,7 @@ class NormPair:
 
     def _same_basis(self):
         """``(rows, w0, w1)`` of norms that share their basis: n0's rows."""
-        return _basis_rows(self.n0), self._a, self._b
+        return self.n0._rec.rows, self._a, self._b
 
     def _split(self):
         """``(rows, w0, w1)``: the kernel's basis, over Q in filtration
@@ -678,18 +629,15 @@ class NormPair:
 
     def _basis_record(self) -> "_Basis":
         """The record of the common basis: n0's own when the norms share
-        their basis, else a new one with the inverse ``_inverse`` derives;
-        over Q it holds the common basis's columns as they are."""
+        their basis, else a new one of the common basis's columns in lowest
+        terms, with the inverse ``_inverse`` derives."""
         if self._rec is None:
             rows, _, _ = self._common()
-            field = self.n0.field
             if self._shared:
                 self._rec = self.n0._rec
-            elif field is TADIC:
-                self._rec = _Basis(field, inv=self._inverse(),
-                                   basis=linalg.row_values(field, rows))
             else:
-                self._rec = _Basis(field, rows=rows)
+                self._rec = _Basis(self.n0.field, linalg.lowest_columns(
+                    self.n0.field, rows), self._inverse())
         return self._rec
 
     def _differences(self):
@@ -775,7 +723,7 @@ def _kernel_columns(n: DiagNorm):
     """``(cols, floors)``: over Q the basis as the ``(den, numerators)``
     columns ``linalg.smith`` starts from and None; over Q(t) the columns
     t^(-f_i) s_i, a basis of the unit ball, and the floors f_i of w_i."""
-    cols = _basis_rows(n)
+    cols = n._rec.rows
     if n.field is not TADIC:
         return cols, None
     floors = [x // n._den for x in n._nums]
@@ -848,12 +796,12 @@ def det_norm(n: DiagNorm) -> DiagNorm:
 
 def _ord_det(rec: _Basis):
     """The valuation of the determinant of an invertible basis: 0 over the
-    trivially valued Q, and over Q(t) ord_t of ``linalg.determinant``,
-    cached in the record."""
+    trivially valued Q, and over Q(t) read from the record's Z[t] columns
+    (``linalg.det_order``), cached in the record."""
     if rec.field is not TADIC:
         return 0
     if rec.ord_det is None:
-        rec.ord_det = int(TADIC.valuation(linalg.determinant(rec.basis)))
+        rec.ord_det = linalg.det_order(rec.rows)
     return rec.ord_det
 
 
@@ -928,11 +876,10 @@ def _sym_power_basis(n: DiagNorm, m: int, combos) -> _Basis:
     """The record of Sym^m of n's basis, its basis vectors in the order of
     ``combos``, with its columns and inverse.
 
-    The products run on numerators: each basis vector s_i is cleared to
-    ``(e_i, numerators)`` over Z or Z[t] (the record's columns if it
-    holds them), the forms are multiplied in that ring, and the products
-    over the product of the factors' e_i are the columns of the result;
-    over Q(t) one field element is built per entry as well.
+    The products run on numerators: each basis vector s_i is the record's
+    column ``(e_i, numerators)`` over Z or Z[t], the forms are multiplied
+    in that ring, and the products over the product of the factors' e_i
+    are the columns of the result.
 
     The basis is not inverted.  In monomial bases Sym^m is a functor, so
     the inverse is Sym^m of the inverse B^{-1} = diag(1/e) N that ``n``
@@ -942,10 +889,10 @@ def _sym_power_basis(n: DiagNorm, m: int, combos) -> _Basis:
     field, d = n.field, n.dim
     index = {e: i for i, e in enumerate(sym_monomials(d, m))}
     ring = linalg.ring(field)
-    cleared = _basis_rows(n)
-    products = _form_products([nums for _, nums in cleared], combos, index,
+    basis = n._rec.rows
+    products = _form_products([nums for _, nums in basis], combos, index,
                               ring)
-    cols = tuple((reduce(ring.mul, (cleared[i][0] for i in combo)), tuple(col))
+    cols = tuple((reduce(ring.mul, (basis[i][0] for i in combo)), tuple(col))
                  for combo, col in zip(combos, products))
     inv = n._inverse()
     products = _form_products(list(zip(*(nums for _, nums in inv))), combos,
@@ -958,23 +905,25 @@ def _sym_power_basis(n: DiagNorm, m: int, combos) -> _Basis:
         (reduce(ring.mul, (inv[i][0] for i in combo)),
          tuple(col[alpha] for col in by_monomial))
         for combo, alpha in zip(combos, at))
-    basis = linalg.row_values(field, cols) if field is TADIC else None
-    return _Basis(field, rows=cols, inv=rows, basis=basis)
+    return _Basis(field, cols, rows)
 
 
 def tensor_norm(n0: DiagNorm, n1: DiagNorm) -> DiagNorm:
     """Tensor product norm: product basis, summed weights.
 
-    The inverse of the product basis is the Kronecker product of the two
-    cached inverses, so nothing is inverted.
+    The columns of the product basis and its inverse are the Kronecker
+    products of the two records' columns and of the two cached inverses,
+    so nothing is inverted; the weights are summed over the lcm of the
+    two denominators.
     """
-    if n0.field is not n1.field:
+    field = n0.field
+    if field is not n1.field:
         raise NormError("tensor factors must share the field")
-    basis = tuple(tuple(a * b for a in vec0 for b in vec1)
-                  for vec0 in n0.basis for vec1 in n1.basis)
-    weights = tuple(w0 + w1 for w0 in n0.weights for w1 in n1.weights)
-    inv = linalg.kron_rows(n0.field, n0._inverse(), n1._inverse())
-    return DiagNorm._from_inverse(n0.field, basis, weights, inv)
+    den = math.lcm(n0._den, n1._den)
+    a, b = _scaled(n0._nums, den // n0._den), _scaled(n1._nums, den // n1._den)
+    rec = _Basis(field, linalg.kron_rows(field, n0._rec.rows, n1._rec.rows),
+                 linalg.kron_rows(field, n0._inverse(), n1._inverse()))
+    return DiagNorm._on(rec, den, tuple(x + y for x in a for y in b))
 
 
 def quotient_norm(n: DiagNorm, spanning):

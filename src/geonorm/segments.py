@@ -46,7 +46,6 @@ from .plconvex import (
     MaxAffine,
     _compare,
     _mix_witness,
-    _overlay,
     _overlay_taus,
     _pruned,
     _shifted_min,
@@ -245,7 +244,7 @@ def tau_critical_set(phi0: ToricMetric, phi1: ToricMetric):
     values are those at the vertices of the profile overlay, read there
     on integers.
     """
-    return _overlay_taus(_overlay(phi0.profile(), phi1.profile()))
+    return SegmentPair(phi0, phi1).critical_taus()
 
 
 def _rooftop_family(ov):
@@ -432,6 +431,11 @@ class SegmentPair(MetricPair):
         t = _segment_time(t)  # before any level is built
         segs = [self._level(k) for k in levels]
         return _max_over_levels(self.phi0.n, self.phi0.m, segs, t)[0]
+
+    def critical_taus(self):
+        """``tau_critical_set(phi0, phi1)`` of the pair."""
+        _require_same_bundle(self.phi0, self.phi1)
+        return _overlay_taus(self._overlay())
 
     def legendre(self, t) -> ToricMetric:
         """``legendre_segment(phi0, phi1, t)`` of the pair."""

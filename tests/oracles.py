@@ -76,6 +76,11 @@ the inverse of each row operation to the columns of M0.
 this file's determinant of the basis, where geonorm.norms reads ord_t det
 from the basis record: 0 over Q with no determinant, and over Q(t) one
 determinant per basis, shared by the norms on it.
+``VectorNorm``, with ``vector_join`` and ``vector_slice``, reads a Q(t)
+norm off its ``RatFunc`` basis vectors, cleared on each read, with ord_t
+det from ``geonorm.linalg.determinant``, where geonorm.norms keeps every
+basis as Z[t] columns, the kernel's in lowest terms, and reads ord_t det
+from a Bareiss loop on their numerators.
 ``quotient_norm_exchange`` is the exchange loop of the quotient norm,
 which solves in each intermediate basis by this file's field inverse,
 where geonorm.norms eliminates on coordinates read through the norm's
@@ -105,12 +110,13 @@ import math
 from fractions import Fraction
 
 from geonorm import linalg
-from geonorm.field import INF, TADIC, RatFunc
+from geonorm.field import INF, TADIC, RatFunc, format_fraction
 from geonorm.graded import GradedError, GradedNorm, _degree_one_table
 from geonorm.linprog import minimize_max_affine
 from geonorm.norms import (
     DiagNorm,
     NormError,
+    NormPair,
     codiagonalize,
     distance,
     sym_monomials,
@@ -749,7 +755,8 @@ def smith_eliminating(M0, M1, a, b):
         def times(x, den):
             return linalg._times(RatFunc.of(x), den)
     order, zero, mul = ring.order, ring.zero, ring.mul
-    E, pivots, c = ring.eliminate([tuple(x) + tuple(y) for x, y in zip(M0, M1)])
+    E, pivots, c = linalg._eliminate(
+        ring, [tuple(x) + tuple(y) for x, y in zip(M0, M1)])
     if pivots != list(range(d)):
         raise linalg.SingularMatrixError("matrix is singular")
     # row i of X is E[i][d + j] c_i / (E[i][i] c_{d+j}); over the common
@@ -881,6 +888,101 @@ def tensor_norm_inverting(n0: DiagNorm, n1: DiagNorm) -> DiagNorm:
              for vec0 in n0.basis for vec1 in n1.basis]
     weights = [w0 + w1 for w0 in n0.weights for w1 in n1.weights]
     return DiagNorm(n0.field, tuple(basis), tuple(weights))
+
+
+# ---------------------------------------------------------------------------
+# The Q(t) basis record as geonorm.norms held it before it kept primitive
+# Z[t] columns: the basis as RatFunc vectors, cleared on each read.
+# ---------------------------------------------------------------------------
+
+
+class VectorNorm:
+    """A Q(t) norm read the way geonorm.norms read its ``RatFunc`` vectors
+    before a basis record kept primitive Z[t] columns.
+
+    Each read clears the basis vectors again (``linalg._poly_cleared``),
+    the inverse is ``linalg.inverse_rows`` of the field entries, values
+    are orders of coordinates (``linalg.coordinate_orders``), the basis is
+    standard iff it equals the identity vectors, ord_t det is the valuation
+    of ``linalg.determinant``, and Sym^m multiplies the vectors in the
+    field.  ``vector_join`` and ``vector_slice`` take the kernel's common
+    basis as the ``RatFunc`` view of its columns as the kernel gives them,
+    before they are put in lowest terms.
+    """
+
+    def __init__(self, basis, weights):
+        self.basis = tuple(tuple(TADIC.of(x) for x in vec) for vec in basis)
+        self.weights = tuple(Fraction(w) for w in weights)
+        self._inv = linalg.inverse_rows(TADIC, tuple(zip(*self.basis)))
+
+    def values(self, vectors):
+        orders = linalg.coordinate_orders(
+            self._inv, [linalg._poly_cleared(v) for v in vectors])
+        return tuple(min((o + w for o, w in zip(ords, self.weights)
+                          if o is not INF), default=INF) for ords in orders)
+
+    def evaluate(self, v):
+        return self.values([v])[0]
+
+    def __eq__(self, other):
+        vecs = self.basis + other.basis
+        return self.values(vecs) == other.values(vecs)
+
+    def is_standard_basis(self):
+        return self.basis == linalg.identity(TADIC, len(self.basis))
+
+    def det_norm(self):
+        total = sum(self.weights, Fraction(0))
+        total -= TADIC.valuation(linalg.determinant(self.basis))
+        return VectorNorm(((TADIC.one,),), (total,))
+
+    def sym_power_norm(self, m):
+        d = len(self.basis)
+        index = {e: i for i, e in enumerate(sym_monomials(d, m))}
+        basis, weights = [], []
+        for combo in itertools.combinations_with_replacement(range(d), m):
+            poly = {(0,) * d: TADIC.one}
+            for i in combo:
+                nxt = {}
+                for expo, coeff in poly.items():
+                    for r, c in enumerate(self.basis[i]):
+                        if c:
+                            e2 = expo[:r] + (expo[r] + 1,) + expo[r + 1:]
+                            nxt[e2] = nxt.get(e2, TADIC.zero) + coeff * c
+                poly = nxt
+            col = [TADIC.zero] * len(index)
+            for expo, coeff in poly.items():
+                col[index[expo]] = coeff
+            basis.append(tuple(col))
+            weights.append(sum((self.weights[i] for i in combo), Fraction(0)))
+        return VectorNorm(basis, weights)
+
+    def to_json(self):
+        return {"field": TADIC.name, "dim": len(self.basis),
+                "basis": [[TADIC.to_json(x) for x in vec] for vec in self.basis],
+                "weights": [format_fraction(w) for w in self.weights]}
+
+
+def _kernel_vectors(n0: DiagNorm, n1: DiagNorm):
+    """The common basis of two Q(t) norms as ``RatFunc`` vectors read off
+    the columns the pair computes, and its weights as ``Fraction``s."""
+    pair = NormPair(n0, n1)
+    cols, w0, w1 = pair._common()
+    return (row_values(TADIC, cols),
+            *(tuple(Fraction(x, pair._den) for x in w) for w in (w0, w1)))
+
+
+def vector_join(n0: DiagNorm, n1: DiagNorm) -> VectorNorm:
+    """The join on the kernel's common basis, as ``RatFunc`` vectors."""
+    basis, w0, w1 = _kernel_vectors(n0, n1)
+    return VectorNorm(basis, map(min, w0, w1))
+
+
+def vector_slice(n0: DiagNorm, n1: DiagNorm, t) -> VectorNorm:
+    """The geodesic slice at t on the kernel's common basis, as ``RatFunc``
+    vectors."""
+    basis, w0, w1 = _kernel_vectors(n0, n1)
+    return VectorNorm(basis, ((1 - t) * a + t * b for a, b in zip(w0, w1)))
 
 
 # ---------------------------------------------------------------------------

@@ -693,6 +693,37 @@ def test_task_without_t_exits_2(tmp_path, capsys) -> None:
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("task, message", [
+    ({"op": "maximal", "metrics": ["phi0", "phi1"], "t": "1/0"},
+     "task 1: t must be a rational, got '1/0'"),
+    ({"op": "legendre", "metrics": ["phi0", "phi1"], "t": "x"},
+     "task 1: t must be a rational, got 'x'"),
+    ({"op": "asymptotic", "graded": ["g", "g"], "oracle_limit": "1/0"},
+     "task 1: oracle_limit must be a rational, got '1/0'"),
+    ({"op": "asymptotic", "graded": ["g", "g"], "oracle_limit": "x"},
+     "task 1: oracle_limit must be a rational, got 'x'"),
+], ids=["t 1/0", "t x", "oracle_limit 1/0", "oracle_limit x"])
+def test_task_rational_that_is_none_exits_2(tmp_path, capsys, task,
+                                            message) -> None:
+    # found when the config is loaded, before the first task writes
+    graded = {"g": planted_submultiplicativity_violation().to_json()}
+    cfg = _pair_config(
+        tmp_path, [{"op": "energy", "metrics": ["phi0", "phi1"]}, task],
+        extra_objects={"graded": graded})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    _assert_one_line_error(capsys, f"config error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("t", ["1/0", "x"])
+def test_segments_maximal_t_that_is_no_rational_exits_2(tmp_path, capsys,
+                                                        t) -> None:
+    cfg = _pair_config(tmp_path, [])
+    assert main(["segments", "maximal", "--config", cfg, "--t", t]) == 2
+    _assert_one_line_error(
+        capsys, f"config error: --t must be a rational, got {t!r}\n")
+
+
 def _gradeddict(**changes):
     obj = planted_submultiplicativity_violation().to_json()
     obj.update(changes)

@@ -114,14 +114,23 @@ def _geodesic_cases():
     }
 
 
+def _counting_inversions(monkeypatch):
+    """The arguments of every inversion from now on: of a matrix of field
+    elements (``linalg.inverse_rows``) or of a basis record's columns
+    (``linalg.inverse_columns``)."""
+    calls = []
+    for name in ("inverse_rows", "inverse_columns"):
+        real = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *args, _real=real:
+                            calls.append(args) or _real(*args))
+    return calls
+
+
 @pytest.mark.parametrize("case", sorted(_geodesic_cases()))
 def test_geodesic_slices_share_one_inverse(case, monkeypatch) -> None:
     n0, n1, shared = _geodesic_cases()[case]
     g = geodesic(n0, n1)
-    calls = []
-    real = linalg.inverse_rows
-    monkeypatch.setattr(linalg, "inverse_rows",
-                        lambda *args: calls.append(args) or real(*args))
+    calls = _counting_inversions(monkeypatch)
     ts = (F(1, 4), F(1, 2), F(2, 3))
     slices = [g.start, g.end] + [g.at(t) for t in ts]
     inverses = [s._inverse() for s in slices]
@@ -151,10 +160,7 @@ def test_geodesic_slices_share_one_inverse(case, monkeypatch) -> None:
 def test_q_geodesic_inverts_once_for_any_number_of_slices(count,
                                                           monkeypatch) -> None:
     n0, n1, _ = _geodesic_cases()["Q cross"]
-    calls = []
-    real = linalg.inverse_rows
-    monkeypatch.setattr(linalg, "inverse_rows",
-                        lambda *args: calls.append(args) or real(*args))
+    calls = _counting_inversions(monkeypatch)
     g = geodesic(n0, n1)
     assert calls == []
     slices = [g.at(F(i, count)) for i in range(count + 1)]

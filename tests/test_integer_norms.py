@@ -7,7 +7,10 @@ of ``tests/oracles.py`` give: values by a field inverse, the spectrum by
 filtration dimensions (Q) or the t-adic Smith loop in ``RatFunc``s (Q(t),
 integer weights), and the join, geodesic slices, Sym^2 and det norms by
 constructors that invert their bases.  A guard checks that the ops on two
-Q norms never read a basis as ``Fraction``s or clear it again.
+Q norms never read a basis as ``Fraction``s or clear it again.  Over Q(t)
+a basis record holds Z[t] columns, the kernel's in lowest terms: each op
+must read what the ``RatFunc`` vectors of ``oracles.VectorNorm`` give,
+and the ops build no ``RatFunc`` until a basis is read.
 """
 
 import math
@@ -176,3 +179,104 @@ def test_q_ops_never_clear_or_view_a_basis(monkeypatch) -> None:
         slices = [geo.start, geo.end, geo.at(F(1, 3)), geo.at(F(2, 5))]
         assert slices[0] == geo.at(0) and slices[1] == geo.at(1)
     assert calls == []
+
+
+# -- Q(t) basis records on primitive Z[t] columns ----------------------------------
+
+_T = RatFunc.t_power(1)
+# (1 + t)(2 - t): a unit of the valuation ring, so scaling a basis vector
+# by it, or by its inverse, presents the same norm
+_P = RatFunc((2, 1, -1))
+# a scale and its valuation
+_SCALES = ((TADIC.one, 0), (_P, 0), (1 / _P, 0), (TADIC.of(F(-3, 2)), 0),
+           (_T, 1), (1 / _T, -1), (_T / _P, 1))
+
+
+@st.composite
+def _scaled_qt_pairs(draw):
+    """Two Q(t) bases of one dimension in 1..3 with their weights, each
+    vector scaled by one of ``_SCALES``: both on the identity, the second
+    on the first basis rescaled (with each weight moved by its scale's
+    valuation, and one weight changed half of the time), or on two random
+    bases."""
+    d = draw(st.integers(1, 3))
+
+    def scaled(basis):
+        scales = [draw(st.sampled_from(_SCALES)) for _ in range(d)]
+        return (tuple(tuple(c * x for x in vec)
+                      for vec, (c, _) in zip(basis, scales)),
+                [k for _, k in scales])
+
+    def weights():
+        return [draw(_WEIGHT) for _ in range(d)]
+
+    def basis():
+        rows = tuple(tuple(draw(_QT_ENTRY) for _ in range(d)) for _ in range(d))
+        assume(oracles.invert_field(rows) is not None)
+        return rows
+
+    shape = draw(st.sampled_from(("identity", "rescaled", "own")))
+    eye = linalg.identity(TADIC, d)
+    b0, _ = scaled(eye if shape == "identity" else basis())
+    w0 = weights()
+    if shape == "rescaled":
+        b1, ks = scaled(b0)
+        w1 = [w + k for w, k in zip(w0, ks)]
+        if draw(st.booleans()):
+            w1[draw(st.integers(0, d - 1))] += F(1, 2)
+    else:
+        b1, _ = scaled(eye if shape == "identity" else basis())
+        w1 = weights()
+    return (b0, w0), (b1, w1)
+
+
+def _assert_matches_vectors(n, ref, vecs):
+    assert n.to_json() == ref.to_json()
+    assert tuple(map(n.evaluate, vecs)) == ref.values(vecs)
+    assert n.is_standard_basis() == ref.is_standard_basis()
+    assert det_norm(n).to_json() == ref.det_norm().to_json()
+    assert sym_power_norm(n, 2).to_json() == ref.sym_power_norm(2).to_json()
+
+
+@settings(max_examples=100)
+@given(_scaled_qt_pairs(), st.sampled_from((F(0), F(1, 3), F(1))))
+def test_qt_columns_match_the_vector_route(pair, t) -> None:
+    # every Q(t) record holds (den, numerators) columns over Z[t], the
+    # kernel's put in lowest terms; each op must read what the RatFunc
+    # vectors, cleared on each read, give
+    (b0, w0), (b1, w1) = pair
+    n0, n1 = DiagNorm(TADIC, b0, w0), DiagNorm(TADIC, b1, w1)
+    ref0, ref1 = oracles.VectorNorm(b0, w0), oracles.VectorNorm(b1, w1)
+    vecs = b0 + b1 + (tuple(map(sum, zip(*b0))),
+                      (_P,) + (TADIC.zero,) * (n0.dim - 1))
+    for n, ref in ((n0, ref0), (n1, ref1)):
+        _assert_matches_vectors(n, ref, vecs)
+    assert (n0 == n1) == (n1 == n0) == (ref0 == ref1)
+    _assert_matches_vectors(join(n0, n1), oracles.vector_join(n0, n1), vecs)
+    _assert_matches_vectors(geodesic(n0, n1).at(t),
+                            oracles.vector_slice(n0, n1, t), vecs)
+
+
+def test_qt_records_build_no_field_elements_until_read(monkeypatch) -> None:
+    # a Q(t) join, a geodesic slice, and the det and Sym^2 norms of a slice
+    # compute on Z[t] columns; RatFuncs are built when a basis is read
+    n0 = DiagNorm(TADIC, ((_P, _T), (TADIC.zero, 1 / _P)), (F(0), F(1, 2)))
+    n1 = DiagNorm(TADIC, ((TADIC.of(3), TADIC.one), (_T * _T, _P / (1 + _T))),
+                  (F(-2), F(1)))
+    calls = []
+    real_init = RatFunc.__init__
+    monkeypatch.setattr(RatFunc, "__init__", lambda self, *args, **kw:
+                        calls.append("RatFunc") or real_init(self, *args, **kw))
+    for name in ("determinant", "_poly_cleared"):
+        real = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *args, _name=name, _real=real:
+                            calls.append(_name) or _real(*args))
+    monkeypatch.setattr(linalg, "_ZT",
+                        linalg._ZT._replace(clear=linalg._poly_cleared))
+    j = join(n0, n1)
+    s = geodesic(n0, n1).at(F(1, 3))
+    norms = [j, s, det_norm(s), sym_power_norm(s, 2)]
+    assert calls == []
+    for n in norms:
+        n.basis
+    assert set(calls) == {"RatFunc"}

@@ -201,7 +201,7 @@ def test_qt_join_slices_and_sym_power_invert_nothing(monkeypatch) -> None:
     n0, n1 = _qt_pair()
     std = DiagNorm.standard(TADIC, (F(1), F(-1, 3)))
     calls = []
-    for name in ("inverse_rows", "rref"):
+    for name in ("inverse_rows", "inverse_columns", "rref"):
         real = getattr(linalg, name)
         monkeypatch.setattr(linalg, name, lambda *args, _name=name, _real=real:
                             calls.append(_name) or _real(*args))
@@ -215,6 +215,18 @@ def test_qt_join_slices_and_sym_power_invert_nothing(monkeypatch) -> None:
         _assert_hands_its_inverse(n)
 
 
+def _counting_inversions(monkeypatch):
+    """The arguments of every inversion from now on: of a matrix of field
+    elements (``linalg.inverse_rows``) or of a basis record's columns
+    (``linalg.inverse_columns``)."""
+    calls = []
+    for name in ("inverse_rows", "inverse_columns"):
+        real = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *args, _real=real:
+                            calls.append(args) or _real(*args))
+    return calls
+
+
 def test_q_join_inverts_its_basis_on_first_use(monkeypatch) -> None:
     # over Q with different bases the kernel derives no inverse: a join
     # that is only serialized inverts nothing, and evaluating it inverts
@@ -222,10 +234,7 @@ def test_q_join_inverts_its_basis_on_first_use(monkeypatch) -> None:
     n0 = DiagNorm(TRIVIAL, ((F(1), F(1)), (F(1), F(2))), (F(0), F(1)))
     n1 = DiagNorm(TRIVIAL, ((F(2), F(-1)), (F(0), F(1))), (F(2), F(-1)))
     want = oracles.join_inverting(n0, n1).to_json()
-    calls = []
-    real = linalg.inverse_rows
-    monkeypatch.setattr(linalg, "inverse_rows",
-                        lambda *args: calls.append(args) or real(*args))
+    calls = _counting_inversions(monkeypatch)
     j = join(n0, n1)
     assert j.to_json() == want
     assert calls == []
@@ -295,7 +304,7 @@ def test_qt_geodesic_slices_take_one_determinant(monkeypatch) -> None:
     geo = geodesic(*_qt_pair())
     slices = [geo.start, geo.end] + [geo.at(t)
                                      for t in (F(1, 4), F(1, 2), F(2, 3))]
-    calls = _counting(monkeypatch, linalg, "determinant")
+    calls = _counting(monkeypatch, linalg, "det_order")
     got = [det_norm(n).weights for n in slices]
     assert len(calls) == 1
     monkeypatch.undo()

@@ -425,7 +425,8 @@ def _with_faulty_inverse(n, rng):
     i, j = rng.randrange(n.dim), rng.randrange(n.dim)
     den, nums = rows[i]
     rows[i] = (den, nums[:j] + (ring.add(nums[j], ring.one),) + nums[j + 1:])
-    return DiagNorm._from_inverse(n.field, n.basis, n.weights, tuple(rows))
+    return DiagNorm._on(norms._Basis(n.field, n._rec.rows, tuple(rows)),
+                        n._den, n._nums)
 
 
 @_BOTH_FIELDS
@@ -757,7 +758,8 @@ def test_lattice_branch_solves_without_inverting(monkeypatch) -> None:
     def counted(name, real):
         return lambda *args: calls.append(name) or real(*args)
 
-    for name in ("invert", "inverse_rows", "rref", "mat_vec", "mat_mul"):
+    for name in ("invert", "inverse_rows", "inverse_columns", "rref",
+                 "mat_vec", "mat_mul"):
         real = getattr(linalg, name, None)
         monkeypatch.setattr(linalg, name, counted(name, real), raising=False)
     for n0, n1 in pairs:
@@ -1085,9 +1087,10 @@ def test_quotient_inverts_nothing(monkeypatch) -> None:
         n = DiagNorm(field, ((one, entry, zero), (zero, one, entry),
                              (entry, zero, one)), (F(0), F(1, 2), F(-1)))
         calls = []
-        real = linalg.inverse_rows
-        monkeypatch.setattr(linalg, "inverse_rows",
-                            lambda *args: calls.append(args) or real(*args))
+        for name in ("inverse_rows", "inverse_columns"):
+            real = getattr(linalg, name)
+            monkeypatch.setattr(linalg, name, lambda *args, _real=real:
+                                calls.append(args) or _real(*args))
         q, project = quotient_norm(n, [(one, zero, one), (zero, entry, one)])
         project((one, one, zero))
         monkeypatch.undo()

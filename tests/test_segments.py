@@ -256,7 +256,8 @@ def test_mismatched_bundles_rejected() -> None:
         for run in (lambda: legendre_segment(phi0, phi1, F(1, 2)),
                     lambda: diagnostics(phi0, phi1, kmax=2),
                     lambda: maximal_segment(phi0, phi1, F(1, 2), kmax=2),
-                    lambda: quantized_level(phi0, phi1, 1)):
+                    lambda: quantized_level(phi0, phi1, 1),
+                    lambda: tau_critical_set(phi0, phi1)):
             with pytest.raises(ToricError,
                                match="metrics live on different line bundles"):
                 run()
