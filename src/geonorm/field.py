@@ -228,12 +228,18 @@ def _poly_gcd(a, b):
 
 
 def _poly_lcm(a, b):
-    """A common multiple of two nonzero polynomials: a * (b / gcd(a, b))."""
+    """The least common multiple of two nonzero polynomials over Z, up to
+    sign: a * b over their gcd, which is the gcd c of their contents times
+    their primitive gcd g, so the lcm of the contents times the lcm of the
+    primitive parts.  b / g keeps b's content (g is primitive), which c
+    divides."""
     if a == b or b == (1,):
         return a
     if a == (1,):
         return b
-    return _poly_mul(a, _poly_exact_div(b, _poly_gcd(a, b)))
+    q = _poly_exact_div(b, _poly_gcd(a, b))
+    c = gcd(_poly_content(a), _poly_content(b))
+    return _poly_mul(a, tuple(x // c for x in q) if c > 1 else q)
 
 
 def _poly_exact_div(a, b):

@@ -20,8 +20,8 @@ columns and inverts those), ``det_order`` reads ord_t of its determinant
 from the Bareiss loop on its Z[t] numerators, and ``lowest_columns``
 divides each column by the gcd of its entries, so the same vectors hold
 the fewest coefficients.  Inverses in row form compose without field
-elements: ``mul_rows``, ``kron_rows`` and ``shift_rows`` (times powers of
-t).  The norms read coordinates only
+elements: ``mul_rows``, ``kron_rows`` and ``times_t_powers`` (each row
+times a power of t).  The norms read coordinates only
 through row form: ``solve_rows`` builds the coordinates of a vector as
 field elements, and ``coordinate_orders`` reads their t-adic valuations
 from Z[t] dot products with cleared vectors, without forming a
@@ -345,17 +345,22 @@ def smith(field, inv0, cols0, cols1, a, b, den):
     The columns of the invertible matrices M0 and M1 are orthogonal bases
     of two norms, on the -log scale: column i of M0 has value a[i] in the
     first, column j of M1 value b[j] in the second; a and b are integer
-    numerators over one positive denominator D = ``den``.  Over Q(t) the
-    columns must lie in the unit balls, as t^(-floor(w)) s for a basis
-    vector s of weight w; a and b hold the weights w, and the values w mod
-    1 are used.  ord is ord_t on Q(t) and 0 off zero on the trivially valued Q.  Step k
-    takes the entry X_ij of the trailing submatrix that minimizes ord(X_ij)
-    + a_i - b_j, the first in row-major order on ties, swaps it to (k, k)
-    and clears column k below it by row operations, which P records: valid
-    changes of the first basis, as the pivot is least in its column.
-    Least in its row, it also makes the column operations that would clear
-    row k valid changes of the second basis, so row k is just zeroed right
-    of the pivot.
+    numerators over one positive denominator D = ``den``, any rational
+    weights.  ord is ord_t on Q(t) and 0 off zero on the trivially valued
+    Q.  Step k takes the entry X_ij of the trailing submatrix that
+    minimizes ord(X_ij) + a_i - b_j, the first in row-major order on ties,
+    swaps it to (k, k) and clears column k below it by row operations,
+    which P records: valid changes of the first basis, as the pivot is
+    least in its column.  Least in its row, it also makes the column
+    operations that would clear row k valid changes of the second basis,
+    so row k is just zeroed right of the pivot.
+
+    Over Q(t), scaling column i of M0 by t^(-f_i) and column j of M1 by
+    t^(-g_j) changes ord(X_ij) by f_i - g_j, so the offsets a_i - f_i D and
+    b_j - g_j D give the same keys, pivots and row operations, and the
+    outputs change by one diagonal scaling: the run on the bases as they
+    are, scaled afterwards, is the run on the unit balls
+    (``norms.NormPair._smith``).
 
     M0^{-1} comes as ``(den, numerators)`` rows over Z or Z[t], as
     ``inverse_rows`` gives it, and the columns of M0 and M1 as ``(den,
@@ -384,10 +389,7 @@ def smith(field, inv0, cols0, cols1, a, b, den):
         dens.append(den)
         R.append(list(row) + [den if j == i else zero for j in range(d)])
     cdens, cols = map(list, zip(*cols0))
-    if r is _ZT:
-        A, B = [x % D for x in a], [x % D for x in b]
-    else:
-        A, B = list(a), list(b)
+    A, B = list(a), list(b)
     w0, w1 = [], []
     for k in range(d):
         best = None
@@ -529,18 +531,16 @@ def _products(r, A, E, cols):
     return tuple(out)
 
 
-def shift_rows(rows, powers):
+def times_t_powers(rows, powers):
     """Row j of a Q(t) matrix of ``(den, numerators)`` rows times
-    t^powers[j]: the numerators move up by powers[j] - m for the least
-    power m, and the denominators by -m when m < 0, so equal denominators
-    stay equal."""
-    m = min(min(powers), 0)
+    t^powers[j]: the numerators move up by a positive power, the
+    denominator by a negative one."""
     out = []
     for (den, nums), k in zip(rows, powers):
-        if m:
-            den = (0,) * -m + den
-        if k - m:
-            nums = tuple((0,) * (k - m) + x if x else x for x in nums)
+        if k > 0:
+            nums = tuple((0,) * k + x if x else x for x in nums)
+        elif k < 0:
+            den = (0,) * -k + den
         out.append((den, nums))
     return tuple(out)
 

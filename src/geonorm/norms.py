@@ -10,11 +10,11 @@ The central construction is ``codiagonalize``: any two diagonalizable
 norms over the same field admit a common diagonalizing basis
 (Goldman-Iwahori).  One algorithm finds it over both fields: the
 weighted-pivot kernel ``linalg.smith`` on the change of basis between the
-two norms' bases, with the weights as pivot offsets (over Q(t) their
-fractional parts, after shifting each basis vector by t^(-floor(w)), so
-any rational weights work).  The kernel multiplies n0's cached inverse
-with n1's basis instead of eliminating; its basis stays integer (Q) or
-Z[t] (Q(t)) columns over one denominator each, and its weights integer
+two norms' bases, with the weights as pivot offsets, so any rational
+weights work.  The kernel multiplies n0's cached inverse with n1's basis
+as they are, instead of eliminating; over Q(t) its outputs are moved to
+the unit balls once, by powers of t.  Its basis stays integer (Q) or Z[t]
+(Q(t)) columns over one denominator each, and its weights integer
 numerators over the pair's common denominator.  The relative spectrum,
 the d_p distances and the relative volume read only the multiset of
 weight pairs, which is the same for every common basis, so they take the
@@ -480,11 +480,11 @@ def codiagonalize(n0: DiagNorm, n1: DiagNorm, *, inverse=False):
     Norms that share their basis are returned as they are, with n0's
     inverse.  Otherwise the weighted-pivot kernel ``linalg.smith`` runs on
     the two bases as columns, with the weights as offsets, through n0's
-    cached inverse.  Over Q(t) each column s_i is
-    shifted to t^(-floor(w_i)) s_i, a basis of the unit ball, of value the
-    fractional part of w_i, so any rational weights work; the kernel's
-    basis C = M0 P^{-1} is the result, and its inverse is the Z[t] product
-    P diag(t^floor(w_i)) B0^{-1} of the kernel's P and n0's cached inverse.
+    cached inverse, so any rational weights work.  Over Q(t) the kernel's
+    basis, each vector c_k scaled to t^(-f_k) c_k for the floor f_k of its
+    weight in n0 (a basis of n0's unit ball), is the result, and its
+    inverse is the Z[t] product of the kernel's P, its rows scaled back,
+    and n0's cached inverse (``NormPair._smith``).
     Over Q the kernel's basis c_i, with weights (a_i, b_i), is put in the
     canonical form of the filtration split (``_filtration_form``), and that
     form is the basis returned and verified: for each pair (s, t) that
@@ -556,24 +556,34 @@ class NormPair:
         return result
 
     def _smith(self):
-        """``(C, P, w0, w1, inv0)``: the kernel's run on the two bases, with
-        the inverse M0^{-1} it read: n0's cached inverse, over Q(t) times
-        diag(t^floor(w)), since M0 = B0 diag(t^(-floor(w)))."""
+        """``(C, P, w0, w1)``: the kernel's run on the two records' columns
+        and n0's cached inverse, with the full weights as offsets.
+
+        Over Q(t) its outputs are then moved to the unit balls: with f_k
+        the floor of w0[k] (the weight of the pivot row's basis vector),
+        column k of C is multiplied by t^(-f_k), row k of P by t^(f_k),
+        and both weights lose f_k, so C^{-1} = P B0^{-1} for n0's basis B0
+        and every weight w0[k] lies in [0, 1).  This is the run on the
+        columns t^(-floor(w)) s of the unit balls, whose keys, pivots and
+        row operations are the same.
+        """
         if self._kernel is None:
-            n0, n1 = self.n0, self.n1
-            (cols0, floors), (cols1, _) = _kernel_columns(n0), _kernel_columns(n1)
-            inv0 = n0._inverse()
-            if floors is not None:
-                inv0 = linalg.shift_rows(inv0, floors)
-            basis, P, w0, w1 = linalg.smith(n0.field, inv0, cols0, cols1,
-                                            self._a, self._b, self._den)
-            self._kernel = basis, P, w0, w1, inv0
+            n0, n1, D = self.n0, self.n1, self._den
+            C, P, w0, w1 = linalg.smith(n0.field, n0._inverse(), n0._rec.rows,
+                                        n1._rec.rows, self._a, self._b, D)
+            if n0.field is TADIC:
+                floors = [x // D for x in w0]
+                C = linalg.times_t_powers(C, [-f for f in floors])
+                P = linalg.times_t_powers(P, floors)
+                w0, w1 = (tuple(x - f * D for x, f in zip(w, floors))
+                          for w in (w0, w1))
+            self._kernel = C, P, w0, w1
         return self._kernel
 
     def _kernel_basis(self):
         """``(C, w0, w1)``: the kernel's common basis as ``(den,
         numerators)`` columns and its weights."""
-        C, _, w0, w1, _ = self._smith()
+        C, _, w0, w1 = self._smith()
         return C, w0, w1
 
     def _same_basis(self):
@@ -609,14 +619,14 @@ class NormPair:
     def _inverse(self):
         """The inverse rows of the common basis, derived without an
         elimination: n0's on a shared basis, over Q(t) the product P
-        M0^{-1} of the kernel's row operations and the inverse it read;
+        B0^{-1} of the kernel's row operations and n0's cached inverse;
         None over Q with different bases."""
         if self._inv is None and (self._checked() or self.n0.field is TADIC):
             if self._shared:
                 self._inv = self.n0._inverse()
             else:
-                _, P, _, _, inv0 = self._smith()
-                self._inv = linalg.mul_rows(TADIC, P, inv0)
+                self._inv = linalg.mul_rows(TADIC, self._smith()[1],
+                                            self.n0._inverse())
         return self._inv
 
     def codiagonalize(self, inverse=False):
@@ -717,17 +727,6 @@ def _extends_echelon(echelon, row):
         return False
     echelon.append((p, row))
     return True
-
-
-def _kernel_columns(n: DiagNorm):
-    """``(cols, floors)``: over Q the basis as the ``(den, numerators)``
-    columns ``linalg.smith`` starts from and None; over Q(t) the columns
-    t^(-f_i) s_i, a basis of the unit ball, and the floors f_i of w_i."""
-    cols = n._rec.rows
-    if n.field is not TADIC:
-        return cols, None
-    floors = [x // n._den for x in n._nums]
-    return linalg.shift_rows(cols, [-f for f in floors]), floors
 
 
 # ---------------------------------------------------------------------------

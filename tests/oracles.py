@@ -56,14 +56,19 @@ at t = 0 (over Q(t)) from integer and integer-polynomial dot products.
 ``codiagonalize_lattices_field`` is the t-adic lattice branch with its
 Smith loop in ``RatFunc`` arithmetic, for integer weights only, where
 geonorm.linalg.smith runs it on Z[t] rows with one denominator per row and
-takes the fractional parts of rational weights as pivot offsets.
+takes rational weights as pivot offsets.
 ``smith_eliminating`` is that kernel as it read X = M0^{-1} M1 from one
 fraction-free elimination of [M0 | M1] and returned its common basis as
 field vectors, run on the library's ring records, where
 geonorm.linalg.smith multiplies the inverse rows of M0 that a norm caches
 with the columns of M1 and keeps the basis as ``(den, numerators)``
 columns; ``row_values`` reads such rows or columns as ``Fraction``s or
-``RatFunc``s.
+``RatFunc``s.  ``smith_unit_ball_columns`` is the Q(t) kernel route that
+shifted each basis vector s of weight w to t^(-floor(w)) s, a basis of
+the unit ball (``kernel_columns``, ``shift_rows``), and n0's inverse to
+match, and passed the fractional parts of the weights as offsets, where
+geonorm.norms runs the kernel on the bases as they are, with the full
+weights, and scales its outputs once.
 ``join_inverting``, ``geodesic_base_inverting``,
 ``sym_power_norm_inverting`` and ``tensor_norm_inverting`` build their
 norms with the public ``DiagNorm`` constructor, which inverts the basis,
@@ -814,6 +819,46 @@ def smith_eliminating(M0, M1, a, b):
               for col, den in zip(cols, cdens))
     P = tuple((den, tuple(row[d:])) for den, row in zip(dens, R))
     return C, P, tuple(w0), tuple(w1)
+
+
+def shift_rows(rows, powers):
+    """Row j of a Q(t) matrix of ``(den, numerators)`` rows times
+    t^powers[j]: the numerators move up by powers[j] - m for the least
+    power m, and the denominators by -m when m < 0, so equal denominators
+    stay equal."""
+    m = min(min(powers), 0)
+    out = []
+    for (den, nums), k in zip(rows, powers):
+        if m:
+            den = (0,) * -m + den
+        if k - m:
+            nums = tuple((0,) * (k - m) + x if x else x for x in nums)
+        out.append((den, nums))
+    return tuple(out)
+
+
+def kernel_columns(n: DiagNorm):
+    """``(cols, floors)`` of a Q(t) norm: the columns t^(-f_i) s_i of its
+    basis, a basis of the unit ball, and the floors f_i of its weights."""
+    floors = [x // n._den for x in n._nums]
+    return shift_rows(n._rec.rows, [-f for f in floors]), floors
+
+
+def smith_unit_ball_columns(n0: DiagNorm, n1: DiagNorm):
+    """``(C, inverse, w0, w1)`` of two Q(t) norms as geonorm.norms read
+    them before the kernel ran on the bases as they are: ``linalg.smith``
+    on the unit-ball columns (``kernel_columns``) with the fractional
+    parts of the weights as offsets, through n0's inverse times
+    diag(t^floor(w)); C and the inverse P M0^{-1} as field entries, the
+    weights as ``Fraction``s."""
+    D = math.lcm(n0._den, n1._den)
+    (cols0, floors), (cols1, _) = kernel_columns(n0), kernel_columns(n1)
+    inv0 = shift_rows(n0._inverse(), floors)
+    a, b = ([x * (D // n._den) % D for x in n._nums] for n in (n0, n1))
+    C, P, w0, w1 = linalg.smith(TADIC, inv0, cols0, cols1, a, b, D)
+    return (row_values(TADIC, C),
+            row_values(TADIC, linalg.mul_rows(TADIC, P, inv0)),
+            *(tuple(Fraction(x, D) for x in w) for w in (w0, w1)))
 
 
 def row_values(field, rows):

@@ -15,6 +15,7 @@ from geonorm.field import (
     FieldError,
     _poly_exact_div,
     _poly_gcd,
+    _poly_lcm,
     field_by_name,
     format_fraction,
     parse_fraction,
@@ -117,6 +118,42 @@ def test_shifted_is_canonical_product_with_t_power(case, k) -> None:
     assert r == RatFunc(num, den) * RatFunc.t_power(k)
     assert (r.num, r.den) == oracles.reduced_ratfunc(
         (0,) * max(k, 0) + num, (0,) * max(-k, 0) + den)
+
+
+def _trimmed(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return tuple(a)
+
+
+@st.composite
+def _lcm_operands(draw):
+    """Two nonzero trimmed polynomials with a planted common factor, integer
+    contents and powers of t."""
+    common = _trimmed(draw(_NONZERO_POLY))
+    a, b = (_mul(_trimmed(draw(_NONZERO_POLY)), common) for _ in range(2))
+    return tuple((0,) * draw(st.integers(0, 2))
+                 + tuple(draw(_NONZERO_INT) * x for x in p) for p in (a, b))
+
+
+@settings(max_examples=300)
+@given(_lcm_operands())
+def test_poly_lcm_matches_sympy_lcm(case) -> None:
+    # least in the integer content as well as in the primitive part, up to
+    # sign (sympy, tests only)
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    a, b = case
+    want = sympy.lcm(*(sympy.Poly(p[::-1], t, domain="ZZ") for p in case))
+    got = sympy.Poly(_poly_lcm(a, b)[::-1], t, domain="ZZ")
+    assert got in (want, -want)
+
+
+def test_poly_lcm_is_least_in_the_content() -> None:
+    assert _poly_lcm((2,), (4,)) == (4,)
+    assert _poly_lcm((2, 0, 2), (4, 4)) == (4, 4, 4, 4)
+    assert _poly_lcm((0, 6), (0, 0, 4)) == (0, 0, 12)
 
 
 def test_exact_div_rejects_inexact_and_non_integer_quotients() -> None:

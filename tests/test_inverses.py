@@ -177,7 +177,7 @@ def test_kernel_basis_matches_closing_rref(field, data) -> None:
     # linalg.smith builds C = M0 P^{-1} from the inverse row operations;
     # the closing RREF of [P^T | M0^T] solves for it
     n0, n1 = data.draw(_pairs(field))
-    (cols0, _), (cols1, _) = map(norms._kernel_columns, (n0, n1))
+    cols0, cols1 = n0._rec.rows, n1._rec.rows
     M0 = list(zip(*oracles.row_values(field, cols0)))
     pair = norms.NormPair(n0, n1)
     C, P, _, _ = linalg.smith(field, linalg.inverse_rows(field, M0), cols0,

@@ -229,6 +229,11 @@ def test_invert_and_determinant_over_qt_match_field_oracle(A) -> None:
         assert mat_mul(A, got) == linalg.identity(TADIC, len(A))
 
 
+def test_poly_cleared_takes_the_least_common_denominator() -> None:
+    assert linalg._poly_cleared([Fraction(1, 2), Fraction(1, 4)]) == (
+        (4,), [(2,), (1,)])
+
+
 @_LINALG
 @given(_qt_square(), st.data())
 def test_coordinate_orders_match_valuations(A, data) -> None:
@@ -265,8 +270,7 @@ _SMITH_ENTRY = {
         Fraction, st.integers(-9, 9), st.integers(1, 12))),
     TADIC: _QT_ENTRY,
 }
-# rational offsets over both fields: over Q(t) the loop reads their
-# fractional parts, the values of columns shifted to the unit ball
+# rational offsets over both fields, the full weights of the columns
 _OFFSET = st.builds(Fraction, st.integers(-7, 7), st.sampled_from((1, 2, 3, 4)))
 
 
@@ -281,11 +285,6 @@ def _smith_inputs(draw, field):
     assume(oracles.invert_field(M0) is not None)
     a, b = (tuple(draw(_OFFSET) for _ in range(d)) for _ in range(2))
     return M0, M1, a, b
-
-
-def _unit_offsets(field, offsets):
-    return tuple(x - math.floor(x) for x in offsets) if field is TADIC \
-        else offsets
 
 
 def _columns(field, M):
@@ -314,8 +313,7 @@ def test_smith_matches_eliminating_oracle(field, data) -> None:
     # singular M1 fails on both sides
     M0, M1, a, b = data.draw(_smith_inputs(field))
     try:
-        C, P, w0, w1 = oracles.smith_eliminating(
-            M0, M1, _unit_offsets(field, a), _unit_offsets(field, b))
+        C, P, w0, w1 = oracles.smith_eliminating(M0, M1, a, b)
     except linalg.SingularMatrixError:
         assert oracles.invert_field(M1) is None
         with pytest.raises(linalg.SingularMatrixError):
@@ -379,7 +377,7 @@ def test_elimination_runs_no_field_arithmetic(monkeypatch) -> None:
 
 def test_inverse_rows_build_no_field_elements(monkeypatch) -> None:
     # an inverse in row form is read off the elimination, composed by
-    # mul_rows, kron_rows and shift_rows and read by coordinate_orders on
+    # mul_rows, kron_rows and times_t_powers and read by coordinate_orders on
     # integers and Z[t] polynomials only
     rng = random.Random(29)
     rational = [[[Fraction(rng.randint(-9, 9), rng.randint(1, 6))
@@ -403,7 +401,7 @@ def test_inverse_rows_build_no_field_elements(monkeypatch) -> None:
             linalg.mul_rows(field, rows, rows)
             linalg.kron_rows(field, rows, rows)
             if field is TADIC:
-                linalg.shift_rows(rows, range(-1, len(rows) - 1))
+                linalg.times_t_powers(rows, range(-1, len(rows) - 1))
                 linalg.coordinate_orders(
                     rows, [linalg._poly_cleared(v) for v in A])
     monkeypatch.undo()

@@ -836,6 +836,43 @@ def test_smith_matches_field_oracle(raw) -> None:
         assert all(type(x) is RatFunc for vec in result[0] for x in vec)
 
 
+@settings(max_examples=120)
+@given(_raw_lattice_pairs(), st.sampled_from((1, 2, 3)),
+       st.sampled_from((1, 2, 4)))
+def test_kernel_outputs_match_the_unit_ball_route(raw, q0, q1) -> None:
+    # the kernel runs on the bases as they are, with the full weights, and
+    # its outputs are scaled into the unit balls once: C, the inverse
+    # derived from P, and both weight lists equal those of the run on the
+    # unit-ball columns t^(-floor(w)) s, as field values; the weights are
+    # rational, with negative floors
+    n0, n1 = _lattice_norms([(basis, [F(w, q) for w in weights])
+                             for (basis, weights), q in zip(raw, (q0, q1))])
+    pair = NormPair(n0, n1)
+    assume(not pair._checked())
+    C, _, w0, w1 = pair._smith()
+    got = (linalg.row_values(TADIC, C),
+           linalg.row_values(TADIC, pair._inverse()),
+           *(tuple(F(x, pair._den) for x in w) for w in (w0, w1)))
+    assert got == oracles.smith_unit_ball_columns(n0, n1)
+
+
+@_BOTH_FIELDS
+def test_kernel_reads_the_records_as_they_are(field, monkeypatch) -> None:
+    # linalg.smith gets n0's cached inverse rows and both records' columns
+    # themselves: no shifted copy of either is built
+    seen = []
+    real = linalg.smith
+    monkeypatch.setattr(linalg, "smith", lambda *args: seen.append(args)
+                        or real(*args))
+    pairs = _random_pairs(random.Random(f"records:{field.name}"), field, 12)
+    for n0, n1 in pairs:
+        NormPair(n0, n1)._kernel_basis()
+    assert len(seen) == len(pairs)
+    for (n0, n1), (_, inv0, cols0, cols1, *_) in zip(pairs, seen):
+        assert inv0 is n0._inverse()
+        assert cols0 is n0._rec.rows and cols1 is n1._rec.rows
+
+
 def test_smith_breaks_valuation_ties_by_first_index() -> None:
     # every entry of M0^{-1} M1 has valuation 0: the pivots are taken in
     # row-major order, as the field loop takes them
