@@ -1,4 +1,4 @@
-"""Pinned outputs of the convex-hull kernel on P^1 and P^2.
+"""Pinned outputs of the convex-hull kernel on P^1, P^2 and P^3.
 
 Each digest is the sha256 of ``json.dumps(..., sort_keys=True)`` of one
 kind of output over the same functions: seeded max-affine functions on
@@ -17,6 +17,11 @@ The pinned kinds are the public views of ``conjugate`` (so the order of
 each profile and of the degenerate profiles ``min_profile`` builds on a
 segment or a point, the pieces of ``prune``, and the witnesses of
 ``le_witness``, ``compare`` and ``mix_witness`` on pairs of functions.
+
+On P^3 the views of ``conjugate`` and the domain rows are pinned over
+seeded functions, FS potentials and flat gradients (on a plane, on a line
+and at one point of R^3), so that the gift-wrap above the plane, its
+upper facets in R^4 and its every-facet rows in R^3, is pinned too.
 """
 
 import hashlib
@@ -121,6 +126,41 @@ def _degenerate():
 FUNCTIONS = ([_seeded(n, i) for n in (1, 2) for i in range(12)]
              + _potentials() + _degenerate())
 
+
+def _p3():
+    """Functions on R^3: seeded ones, FS potentials of levels 1 to 3, the
+    level-2 and level-3 lattices on one plane and cut along a ridge, and
+    gradients on a plane, on a line and at one point of R^3."""
+    out = [_seeded(3, i) for i in range(12)]
+    ring = section_ring(3, 1)
+    for level in (1, 2, 3):
+        rng = random.Random(f"hull-pins:fs:3:1:{level}")
+        weights = {a: F(rng.randint(-8, 8), rng.choice((1, 2, 3)))
+                   for a in lattice_points(3, level)}
+        out.append(fs_from_norm(ring, level, weights).potential)
+    for level in (2, 3):
+        grads = [tuple(F(x, level) for x in a)
+                 for a in lattice_points(3, level)]
+        out.append(MaxAffine(3, [(g, g[0] - 2 * g[1] + g[2] + 1)
+                                 for g in grads]))
+        out.append(MaxAffine(3, [(g, min(g[0], g[1] + g[2]))
+                                 for g in grads]))
+    rng = random.Random("hull-pins:flat:3")
+    grid = [F(k, 2) for k in range(-2, 3)]
+    for _ in range(3):
+        uv = {(rng.choice(grid), rng.choice(grid)) for _ in range(7)}
+        plane = [(u, v, 2 * u - v + 1) for u, v in sorted(uv)]
+        out.append(MaxAffine(3, [(g, F(rng.randint(-6, 6), rng.choice((1, 2))))
+                                 for g in plane]))
+        out.append(MaxAffine(3, [(g, g[0] + g[2]) for g in plane]))
+    out.append(MaxAffine(3, [((s, 2 * s, -s), F(rng.randint(-6, 6), 3))
+                             for s in (F(-1), F(0), F(1, 2), F(2))]))
+    out.append(MaxAffine(3, [((1, F(1, 3), -2), 5)]))
+    return out
+
+
+FUNCTIONS_P3 = _p3()
+
 # (planes, domain) of min_profile on a segment or a point of the plane
 FLAT_DOMAINS = [
     ([((1, 0), 0), ((0, 1), 0), ((0, 0), F(1, 3))],
@@ -139,6 +179,10 @@ PINNED = {
         "0bca82223658c0012664e2e81158d680f44a586eb97290ceff4e680c40fec12b"),
     "witnesses": (
         "0273b24e1fac6e8e3d713209744d8ac18b1964287bbea751f9c08a6c403c565c"),
+    "conjugate_p3": (
+        "f0c9632745cf1b116a7a01104f7e40c3509f2c2d9767954ee4ec9b7ba386977a"),
+    "domain_rows_p3": (
+        "477ddb3dfefe8864497877f3e2d25ea500d6583026a2d112f9b3985c95418a9c"),
 }
 
 
@@ -178,6 +222,10 @@ def _outputs(kind):
                 for planes, domain in FLAT_DOMAINS]
     elif kind == "prune":
         out = [prune(f).to_json() for f in FUNCTIONS]
+    elif kind == "conjugate_p3":
+        out = [_views(conjugate(f)) for f in FUNCTIONS_P3]
+    elif kind == "domain_rows_p3":
+        out = [_rows(conjugate(f)) for f in FUNCTIONS_P3]
     elif kind == "witnesses":
         for i, (f, g) in enumerate(_pairs()):
             c = compare(f, g)
@@ -209,6 +257,23 @@ def test_pinned_cases_reach_the_degenerate_shapes() -> None:
     assert {(1, False, True, False), (2, False, True, False),
             (2, False, False, False), (2, False, False, True),
             (2, True, False, True), (1, True, False, True)} <= shapes
+
+
+def test_p3_pins_reach_every_wrap_shape() -> None:
+    # domains of every affine rank 0 to 3, with and without lifted points
+    # that lie on a facet without being its vertices
+    shapes = set()
+    for f in FUNCTIONS_P3:
+        q = conjugate(f)
+        verts = {p for p, _ in q.vertices}
+        on_facets = sum(1 for g, c in f.pieces
+                        if g not in verts and q.value(g) == c)
+        pts = [r[:-1] for r in q._verts]
+        rank = len(plconvex._independent(pts, range(len(pts)), 3)[1])
+        assert (len(q.cells) > 0) == (rank == 3)
+        shapes.add((rank, on_facets > 0))
+    assert {(3, True), (3, False), (2, True), (2, False), (1, True),
+            (1, False), (0, False)} <= shapes
 
 
 @pytest.mark.parametrize("kind", sorted(PINNED))
