@@ -51,7 +51,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from math import comb, gcd, lcm, prod
-from operator import mul, neg, sub
+from functools import reduce
+from operator import and_, mul, neg, sub
 
 from .field import format_fraction, parse_fraction
 
@@ -137,7 +138,7 @@ class MaxAffine:
         g = gcd(den, *_flat(kept))
         if g > 1:
             den //= g
-            kept = [tuple(x // g for x in r) for r in kept]
+            kept = [tuple([x // g for x in r]) for r in kept]
         self.n, self._den, self._rows = n, den, tuple(kept)
 
     @property
@@ -431,7 +432,7 @@ def _canon(p):
     if p[-1] < 0:
         p = tuple(-x for x in p)
     g = gcd(*p)
-    return p if g == 1 else tuple(x // g for x in p)
+    return p if g == 1 else tuple([x // g for x in p])
 
 
 def _hom_point(p):
@@ -448,7 +449,7 @@ def _hom_halfplane(a, b):
 def _common(points):
     """(L, integer points over L) of homogeneous points, L the lcm of the W."""
     den = lcm(*(p[-1] for p in points))
-    return den, [tuple(x * (den // p[-1]) for x in p[:-1]) for p in points]
+    return den, [tuple([x * (den // p[-1]) for x in p[:-1]]) for p in points]
 
 
 def _shoelace2(poly):
@@ -616,9 +617,10 @@ def _facets(pts, sign=0):
     smallest point, and at d = 1 in the min and the max.  With ``sign`` 0
     every facet comes, and points spanning an affine subspace of rank
     r < d get ``_flat_facets``.  With ``sign`` +1 (-1) the heads of the
-    points (all coordinates but the last) must span R^(d-1), and only the
-    upper (lower) facets come, those whose normal has a positive
-    (negative) last coordinate; the wrap crosses only into them.
+    points (all coordinates but the last) must be distinct and span
+    R^(d-1), and only the upper (lower) facets come, those whose normal
+    has a positive (negative) last coordinate; the wrap crosses only into
+    them.
 
     Gives an iterable of ``(N, c, e, on, verts)``: <N, p> <= c for every
     point, with equality exactly at the indices ``on`` (increasing), and
@@ -648,22 +650,42 @@ def _ends(pts, sign):
 
 
 def _wrap(pts, sign):
-    """``_facets`` above d = 2: the gift-wrap itself."""
-    normal, c, on, entry = _first(pts, sign)
-    if not sign and len(on) == len(pts):
-        yield from _flat_facets(pts)
-        return
+    """``_facets`` above d = 2: the gift-wrap itself.
+
+    With ``sign`` +-1 the domain, the hull of the heads, is wrapped first.
+    A ridge whose points all lie on one facet of it bounds the upper
+    (lower) hull and is not crossed, and the first facet rises from the
+    vertical hyperplane over the domain's first facet.
+    """
+    walls = None
+    if sign:
+        dom = list(_facets([p[:-1] for p in pts], 0))
+        # bit k of walls[i]: the head of point i is on the domain's facet k
+        walls = [0] * len(pts)
+        for k, facet in enumerate(dom):
+            for i in facet[3]:
+                walls[i] |= 1 << k
+        rho, c, _, on, _ = dom[0]
+        normal, c, on, entry = _rise(pts, rho + (0,), c, on, sign)
+    else:
+        normal, c, on, entry = _first(pts, sign)
+        if len(on) == len(pts):
+            yield from _flat_facets(pts)
+            return
     done, seen, todo = {entry}, {on}, [(normal, c, on)]
+
+    def crossed(ridge):
+        return ridge in done or walls and reduce(
+            and_, map(walls.__getitem__, ridge))
+
     while todo:
         normal, c, on = todo.pop()
-        verts, ridges = _facet(pts, normal, on, done)
+        verts, ridges = _facet(pts, normal, on, crossed)
         yield normal, c, 0, on, verts
         for rho, cr, ridge in ridges:
-            if ridge in done:
-                continue
             done.add(ridge)
-            got = _cross(pts, normal, c, rho, cr, sign)
-            if got is not None and got[2] not in seen:
+            got = _cross(pts, normal, c, rho, cr)
+            if got[2] not in seen:
                 seen.add(got[2])
                 todo.append(got)
 
@@ -682,13 +704,6 @@ def _half(pts, seq):
             chain.pop()
         chain.append(i)
     return chain
-
-
-def _ccw(pts):
-    """Indices of the vertices of a polygon's points, counterclockwise from
-    the smallest."""
-    order = sorted(range(len(pts)), key=pts.__getitem__)
-    return _half(pts, order)[:-1] + _half(pts, order[::-1])[:-1]
 
 
 def _chain(pts, sign):
@@ -729,11 +744,8 @@ def _first(pts, sign):
     At d <= 2 the first that the min and max or the chain give.  Above,
     V is the vertical supporting hyperplane over the first facet of the
     heads (a lower one in the upper and lower modes, where the heads span
-    R^(d-1)), and the points on V have a lower (upper for sign +1) facet
-    R, found one dimension down after dropping the last coordinate where
-    V's normal is nonzero: a ridge of the hull, across which V turns into
-    the first facet, and ``ridge`` indexes R.  When V holds every point it
-    is returned with ``ridge`` None: the points are flat.
+    R^(d-1)), turned into the first facet by ``_rise``.  When V holds
+    every point it is returned with ``ridge`` None: the points are flat.
     """
     if len(pts[0]) < 3:
         normal, c, _, on, _ = next(iter(_facets(pts, sign)))
@@ -744,6 +756,18 @@ def _first(pts, sign):
     on = tuple(i for i, p in enumerate(pts) if sum(map(mul, normal, p)) == c)
     if len(on) == len(pts):
         return normal, c, on, None
+    return _rise(pts, normal, c, on, sign)
+
+
+def _rise(pts, normal, c, on, sign):
+    """(normal, c, on, ridge) of a facet next to the vertical supporting
+    hyperplane <normal, p> <= c through the points ``on`` (not all).
+
+    The points on it have a lower (upper for sign +1) facet R, found one
+    dimension down after dropping the last coordinate where the normal is
+    nonzero: a ridge of the hull, across which the hyperplane turns into
+    the facet, and ``ridge`` indexes R.
+    """
     j = _last(normal)
     mu, cr, ridge, _ = _first([pts[i][:j] + pts[i][j + 1:] for i in on],
                               sign or -1)
@@ -751,27 +775,29 @@ def _first(pts, sign):
         tuple(on[i] for i in ridge),)
 
 
-def _facet(pts, normal, on, done):
+def _facet(pts, normal, on, crossed):
     """(verts, ridges) of the facet of the points ``on`` (indices) with
     outward normal ``normal``.
 
-    Each ridge not in ``done`` is (rho, c_R, indices) with <rho, p> <= c_R
-    on the facet, equality on the ridge.  The facet's points are projected
-    by dropping the last coordinate where its normal is nonzero, which is
-    one to one on the facet.  A simplex (d points in Z^d) has the ridges
-    that drop one vertex each, and lists its vertices from the smallest
-    index, in increasing order except the last two when that order is
-    negatively oriented (a triangle counterclockwise); any other facet has
-    the ridges and the vertex order of ``_facets`` one dimension down.
+    Each ridge for which ``crossed`` is false is (rho, c_R, indices) with
+    <rho, p> <= c_R on the facet, equality on the ridge.  The facet's
+    points are projected by dropping the last coordinate where its normal
+    is nonzero, which is one to one on the facet.  A simplex (d points in
+    Z^d) has the ridges that drop one vertex each, and lists its vertices
+    from the smallest index, in increasing order except the last two when
+    that order is negatively oriented (a triangle counterclockwise); any
+    other facet has the ridges and the vertex order of ``_facets`` one
+    dimension down.
     """
     d = len(normal)
     j = d - 1 if normal[-1] else _last(normal)
     proj = [p[:j] + p[j + 1:] for p in map(pts.__getitem__, on)]
     if len(on) > d:
         inner = list(_facets(proj, 0))
+        ridges = [(mu[:j] + (0,) + mu[j:], cr, tuple(on[i] for i in ridge))
+                  for mu, cr, _, ridge, _ in inner]
         return (tuple(dict.fromkeys(on[i] for *_, vs in inner for i in vs)),
-                [(mu[:j] + (0,) + mu[j:], cr, tuple(on[i] for i in ridge))
-                 for mu, cr, _, ridge, _ in inner])
+                [r for r in ridges if not crossed(r[2])])
     q0 = proj[0]
     verts = on
     if _det([tuple(map(sub, q, q0)) for q in proj[1:]]) < 0:
@@ -779,7 +805,7 @@ def _facet(pts, normal, on, done):
     ridges = []
     for k, qk in enumerate(proj):
         ridge = on[:k] + on[k + 1:]
-        if ridge in done:
+        if crossed(ridge):
             continue
         rest = proj[:k] + proj[k + 1:]
         r0 = rest[0]
@@ -796,36 +822,28 @@ def _last(v):
     return max(i for i, x in enumerate(v) if x)
 
 
-def _cross(pts, normal, c, rho, cr, beyond=False):
+def _cross(pts, normal, c, rho, cr):
     """The facet beyond a ridge: (N, c', on) with <N, p> <= c' on every
     point, equality exactly at the indices ``on``, N primitive.
 
-    The facet is <normal, p> <= c and the ridge its part where
-    <rho, p> = cr, with <rho, p> <= cr on the facet.  Every hyperplane
-    through the ridge is B (<normal, p> - c) - A (<rho, p> - cr) = 0 for
-    some (A, B); the one through a point p off the facet has
+    The facet is <normal, p> <= c, not holding every point, and the ridge
+    its part where <rho, p> = cr, with <rho, p> <= cr on the facet.  Every
+    hyperplane through the ridge is B (<normal, p> - c) - A (<rho, p> - cr)
+    = 0 for some (A, B); the one through a point p off the facet has
     A = <normal, p> - c < 0 and B = <rho, p> - cr, and the next facet
-    goes through the point with the largest B / -A.  None when every
-    point lies on the facet, or, with ``beyond``, when no point has B > 0
-    (for a vertical rho, a ridge on the boundary of an upper or lower
-    hull, whose next facet is neither).
+    goes through the point with the largest B / -A.
     """
-    B = [sum(map(mul, rho, p)) - cr for p in pts]
-    if beyond and max(B) <= 0:
-        return None
-    # a point behind the ridge (B < 0) is on no facet through it beyond
-    ab = [(i, c - sum(map(mul, normal, pts[i])), b)
-          for i, b in enumerate(B) if b >= 0 or not beyond]
+    ab = [(c - sum(map(mul, normal, p)), sum(map(mul, rho, p)) - cr)
+          for p in pts]
     a_best = b_best = None
-    for _, a, b in ab:
+    for a, b in ab:
         if a and (a_best is None or b * a_best > b_best * a):
             a_best, b_best = a, b
-    if a_best is None:
-        return None
     N = [b_best * x + a_best * y for x, y in zip(normal, rho)]
     g = gcd(*N)
-    return (tuple(x // g for x in N), (b_best * c + a_best * cr) // g,
-            tuple([i for i, a, b in ab if a * b_best == b * a_best]))
+    return (tuple([x // g for x in N]), (b_best * c + a_best * cr) // g,
+            tuple([i for i, (a, b) in enumerate(ab)
+                   if a * b_best == b * a_best]))
 
 
 def _flat_facets(pts):
@@ -917,10 +935,20 @@ class ConcaveProfile:
             g = gcd(g, *_flat(_flat(cells)))
         if g > 1:
             den //= g
-            verts = [tuple(x // g for x in r) for r in verts]
-            planes = [tuple(x // g for x in r) for r in planes]
-            cells = [tuple(tuple(x // g for x in p) for p in poly)
+            verts = [tuple([x // g for x in r]) for r in verts]
+            planes = [tuple([x // g for x in r]) for r in planes]
+            cells = [tuple([tuple([x // g for x in p]) for p in poly])
                      for poly in cells]
+        self._set(n, den, verts, cells, planes)
+
+    @classmethod
+    def _lowest(cls, n: int, den: int, verts, cells, planes):
+        """The profile of rows over den that share no factor with it."""
+        self = object.__new__(cls)
+        self._set(n, den, verts, cells, planes)
+        return self
+
+    def _set(self, n, den, verts, cells, planes):
         self.n, self._den = n, den
         self._verts, self._cells = tuple(verts), tuple(cells)
         self._planes = tuple(planes)
@@ -976,7 +1004,7 @@ class ConcaveProfile:
     def _lattice_numerators(self, k: int, points):
         """``D * lattice_values(k, points)``, D = ``_den``, as integers."""
         planes = self._planes
-        return [min(sum(map(mul, r, a)) + k * r[-1] for r in planes)
+        return [min([sum(map(mul, r, a)) + k * r[-1] for r in planes])
                 for a in points]
 
     def domain_points(self):
@@ -1004,94 +1032,6 @@ class ConcaveProfile:
             [lift(r) for r in self._planes])
 
 
-def _conjugate_2d(den, rows):
-    """``conjugate`` for gradients spanning the plane: the same profile.
-
-    The upper hull of the lifted integer rows over den, one cell per
-    facet, wrapped with its plane algebra inline.  Kept beside the
-    general wrap because it costs a third of it on the small hulls of the
-    toric metrics on P^2.
-
-    Facets come in the order of the lexicographically smallest index
-    triple of non-collinear points on them, so ``planes`` (whose first
-    active entry is the witness ``le_witness`` returns) does not depend on
-    how the hull is searched.
-    """
-    facets = sorted(_upper_facets(rows))
-    # n . (G, C) = d on a facet: q = <-(nx, ny) / nz, y> + d / (nz den)
-    scale = lcm(*(normal[2] for _, _, normal, _ in facets))
-    cells, planes, on = [], [], set()
-    for _, poly, (nx, ny, nz), d in facets:
-        q = scale // nz
-        planes.append((-nx * den * q, -ny * den * q, d * q))
-        cells.append(tuple((rows[i][0] * scale, rows[i][1] * scale)
-                           for i in poly))
-        on.update(poly)
-    verts = [tuple(x * scale for x in rows[i]) for i in sorted(on)]
-    return ConcaveProfile(2, den * scale, verts, cells, planes)
-
-
-def _upper_facets(lifted):
-    """Facets of the upper hull of integer points (x, y, z), gift-wrapped.
-
-    The (x, y) are distinct, sorted and span the plane.  Each facet is
-    ``(key, poly, normal, d)``: the points on it are those with
-    ``normal . p == d`` (normal[2] > 0), ``poly`` indexes its vertices
-    counterclockwise, and ``key`` is the lexicographically smallest index
-    triple of points on it whose (x, y) are not collinear.  The wrap
-    starts at the first edge of the lifted boundary chain from point 0
-    and crosses each edge once: O(m) sign tests per edge.
-    """
-    xy = [(x, y) for x, y, _ in lifted]
-    # point 0 is the lexicographically smallest, so a hull vertex; its
-    # lifted boundary chain runs along the first hull edge, first towards
-    # the point of largest lifted slope from point 0 (any of them on a tie:
-    # they span one line, the axis the wrap turns about)
-    x0, y0, z0 = lifted[0]
-    hx, hy = xy[_ccw(xy)[1]]
-    ex, ey = hx - x0, hy - y0
-    first, best_s, best_dz = None, 1, 0
-    for i, (x, y, z) in enumerate(lifted):
-        if i and ex * (y - y0) == ey * (x - x0):
-            s = ex * (x - x0) + ey * (y - y0)
-            if first is None or (z - z0) * best_s > best_dz * s:
-                first, best_s, best_dz = i, s, z - z0
-    facets = []
-    done = set()              # directed edges with a found facet on the left
-    todo = [(0, first)]
-    while todo:
-        a, b = todo.pop()
-        if (a, b) in done:
-            continue
-        ax, ay, az = lifted[a]
-        ux, uy, uz = lifted[b][0] - ax, lifted[b][1] - ay, lifted[b][2] - az
-        # rotate a plane about the lifted edge until every point on the
-        # left of a -> b lies on or below it
-        normal = None
-        for x, y, z in lifted:
-            vx, vy, vz = x - ax, y - ay, z - az
-            if ux * vy - uy * vx > 0 and (
-                    normal is None
-                    or normal[0] * vx + normal[1] * vy + normal[2] * vz > 0):
-                normal = (uy * vz - uz * vy, uz * vx - ux * vz,
-                          ux * vy - uy * vx)
-        if normal is None:
-            continue          # a boundary edge of the domain
-        nx, ny, nz = normal
-        d = nx * ax + ny * ay + nz * az
-        on = [i for i, (x, y, z) in enumerate(lifted)
-              if nx * x + ny * y + nz * z == d]
-        poly = [on[i] for i in _ccw([xy[i] for i in on])]
-        (px, py), (qx, qy) = xy[on[0]], xy[on[1]]
-        third = next(i for i in on[2:] if (qx - px) * (xy[i][1] - py)
-                     != (qy - py) * (xy[i][0] - px))
-        facets.append(((on[0], on[1], third), poly, normal, d))
-        for e in zip(poly, poly[1:] + poly[:1]):
-            done.add(e)
-            todo.append(e[::-1])
-    return facets
-
-
 def conjugate(f: MaxAffine) -> ConcaveProfile:
     """Concave profile of a convex max-affine function (any n).
 
@@ -1110,8 +1050,6 @@ def conjugate(f: MaxAffine) -> ConcaveProfile:
     """
     n, den, rows = f.n, f._den, f._rows
     _, piv = _independent([g[:-1] for g in rows], range(len(rows)), n)
-    if len(piv) == n == 2:
-        return _conjugate_2d(den, rows)
     return _conjugate_wrap(n, den, rows, piv)
 
 
@@ -1138,12 +1076,18 @@ def _conjugate_wrap(n, den, rows, piv):
             for k, x in zip(piv, N):
                 grad[k] = x * ds
         grad[-1] = c * s
-        planes.append(tuple(grad))
-    verts = {i: tuple([x * scale for x in rows[i]])
-             for i in sorted({i for facet in facets for i in facet[4]})}
+        planes.append(grad)
+    on = sorted({i for facet in facets for i in facet[4]})
+    # den * scale, the vertex rows times scale and the planes in lowest
+    # terms (the cells' points are vertices)
+    g = gcd(gcd(den, *_flat(map(rows.__getitem__, on))) * scale,
+            *_flat(planes))
+    verts = {i: tuple([x * scale // g for x in rows[i]]) for i in on}
     cells = () if r < n else [tuple([verts[i][:-1] for i in facet[4]])
                               for facet in facets]
-    return ConcaveProfile(n, den * scale, list(verts.values()), cells, planes)
+    return ConcaveProfile._lowest(
+        n, den * scale // g, list(verts.values()), cells,
+        [tuple([x // g for x in p]) for p in planes])
 
 
 # ---------------------------------------------------------------------------
@@ -1198,7 +1142,7 @@ def _profile_on_points(n, den, verts, cells, planes):
 def _min_at(planes, p):
     """den W q(p) at a homogeneous point p (X.., W), q the min of the
     planes, integer rows over den."""
-    return min(sum(map(mul, r, p)) for r in planes)
+    return min([sum(map(mul, r, p)) for r in planes])
 
 
 def _degenerate_profile_2d(den, pts, planes) -> ConcaveProfile:

@@ -126,7 +126,7 @@ from geonorm.norms import (
     distance,
     sym_monomials,
 )
-from geonorm.plconvex import PLError, compare, prune
+from geonorm.plconvex import ConcaveProfile, PLError, compare, prune
 from geonorm.geodesics import geodesic
 from geonorm.segments import fs_segment, quantization_levels, tau_critical_set
 from geonorm.toric import (
@@ -1271,6 +1271,109 @@ def conjugate_2d_triples(pieces):
         for p in poly:
             vertices[p] = w1 * p[0] + w2 * p[1] + beta
     return tuple(sorted(vertices.items())), tuple(cells), tuple(planes)
+
+
+def conjugate_2d_wrap(den, rows):
+    """``conjugate`` of integer rows (G_1, G_2, C) over den whose gradients
+    span the plane: the inline planar wrap that geonorm.plconvex replaced
+    with its gift-wrap of every dimension.
+
+    The upper hull of the lifted rows, one cell per facet, with its plane
+    algebra inline.  Facets come in the order of the lexicographically
+    smallest index triple of non-collinear points on them.
+    """
+    facets = sorted(_upper_facets_2d(rows))
+    # n . (G, C) = d on a facet: q = <-(nx, ny) / nz, y> + d / (nz den)
+    scale = math.lcm(*(normal[2] for _, _, normal, _ in facets))
+    cells, planes, on = [], [], set()
+    for _, poly, (nx, ny, nz), d in facets:
+        q = scale // nz
+        planes.append((-nx * den * q, -ny * den * q, d * q))
+        cells.append(tuple((rows[i][0] * scale, rows[i][1] * scale)
+                           for i in poly))
+        on.update(poly)
+    verts = [tuple(x * scale for x in rows[i]) for i in sorted(on)]
+    return ConcaveProfile(2, den * scale, verts, cells, planes)
+
+
+def _ccw_indices(pts):
+    """Indices of the hull vertices of distinct points of the plane,
+    counterclockwise from the smallest, collinear points dropped."""
+    order = sorted(range(len(pts)), key=pts.__getitem__)
+    out = []
+    for seq in (order, order[::-1]):
+        chain = []
+        for i in seq:
+            x, y = pts[i]
+            while len(chain) > 1:
+                (ox, oy), (ax, ay) = pts[chain[-2]], pts[chain[-1]]
+                if (ax - ox) * (y - oy) > (ay - oy) * (x - ox):
+                    break
+                chain.pop()
+            chain.append(i)
+        out += chain[:-1]
+    return out
+
+
+def _upper_facets_2d(lifted):
+    """Facets of the upper hull of integer points (x, y, z), gift-wrapped.
+
+    The (x, y) are distinct, sorted and span the plane.  Each facet is
+    ``(key, poly, normal, d)``: the points on it are those with
+    ``normal . p == d`` (normal[2] > 0), ``poly`` indexes its vertices
+    counterclockwise, and ``key`` is the lexicographically smallest index
+    triple of points on it whose (x, y) are not collinear.  The wrap
+    starts at the first edge of the lifted boundary chain from point 0
+    and crosses each edge once.
+    """
+    xy = [(x, y) for x, y, _ in lifted]
+    # point 0 is the lexicographically smallest, so a hull vertex; its
+    # lifted boundary chain runs along the first hull edge, first towards
+    # the point of largest lifted slope from point 0 (any of them on a tie:
+    # they span one line, the axis the wrap turns about)
+    x0, y0, z0 = lifted[0]
+    hx, hy = xy[_ccw_indices(xy)[1]]
+    ex, ey = hx - x0, hy - y0
+    first, best_s, best_dz = None, 1, 0
+    for i, (x, y, z) in enumerate(lifted):
+        if i and ex * (y - y0) == ey * (x - x0):
+            s = ex * (x - x0) + ey * (y - y0)
+            if first is None or (z - z0) * best_s > best_dz * s:
+                first, best_s, best_dz = i, s, z - z0
+    facets = []
+    done = set()              # directed edges with a found facet on the left
+    todo = [(0, first)]
+    while todo:
+        a, b = todo.pop()
+        if (a, b) in done:
+            continue
+        ax, ay, az = lifted[a]
+        ux, uy, uz = lifted[b][0] - ax, lifted[b][1] - ay, lifted[b][2] - az
+        # rotate a plane about the lifted edge until every point on the
+        # left of a -> b lies on or below it
+        normal = None
+        for x, y, z in lifted:
+            vx, vy, vz = x - ax, y - ay, z - az
+            if ux * vy - uy * vx > 0 and (
+                    normal is None
+                    or normal[0] * vx + normal[1] * vy + normal[2] * vz > 0):
+                normal = (uy * vz - uz * vy, uz * vx - ux * vz,
+                          ux * vy - uy * vx)
+        if normal is None:
+            continue          # a boundary edge of the domain
+        nx, ny, nz = normal
+        d = nx * ax + ny * ay + nz * az
+        on = [i for i, (x, y, z) in enumerate(lifted)
+              if nx * x + ny * y + nz * z == d]
+        poly = [on[i] for i in _ccw_indices([xy[i] for i in on])]
+        (px, py), (qx, qy) = xy[on[0]], xy[on[1]]
+        third = next(i for i in on[2:] if (qx - px) * (xy[i][1] - py)
+                     != (qy - py) * (xy[i][0] - px))
+        facets.append(((on[0], on[1], third), poly, normal, d))
+        for e in zip(poly, poly[1:] + poly[:1]):
+            done.add(e)
+            todo.append(e[::-1])
+    return facets
 
 
 def _solve_fraction(rows):

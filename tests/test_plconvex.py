@@ -571,14 +571,14 @@ def test_conjugate_2d_explicit_cases(pieces, ncells) -> None:
 @settings(max_examples=100)
 @given(_p2_pieces())
 def test_general_wrap_matches_the_planar_wrap(pieces) -> None:
-    # on gradients spanning the plane, the wrap of every other n gives the
-    # profile of the inline planar wrap byte for byte
+    # on gradients spanning the plane, the wrap of every n gives the
+    # profile of the inline planar wrap it replaced, byte for byte
     f = MaxAffine(2, pieces)
     if len({g for g, _ in f.pieces}) < 3 or oracles.conjugate_2d_triples(
             list(f.pieces)) is None:
         return
     assert (plconvex._conjugate_wrap(2, f._den, f._rows, [0, 1])
-            == plconvex._conjugate_2d(f._den, f._rows) == conjugate(f))
+            == oracles.conjugate_2d_wrap(f._den, f._rows) == conjugate(f))
 
 
 def _views(prof):
