@@ -1285,6 +1285,10 @@ def _envelope(profiles, P: Polytope) -> MaxAffine:
               for pr in profiles for r in pr._planes]
     cuts = [_hom_halfplane(a, b) for a, b in P.hrep]
     for pr in profiles:
+        # a domain holding every vertex of P contains P: its rows cut nothing
+        points = {r[:-1] for r in pr._verts}
+        if all(tuple(x * pr._den for x in v) in points for v in P.vertices):
+            continue
         # <N, D y> <= R on the domain points y of a profile over D
         cuts.extend(tuple(x * pr._den for x in normal) + (rhs,)
                     for normal, rhs, _ in _domain_hrep(pr))
