@@ -42,11 +42,15 @@ cells as homogeneous integer points; ``integrate_abs_difference_fraction``
 overlay, and ``integrate_difference`` and ``energy_limit_overlay``
 integrate q0 - q1 over it, where geonorm.toric integrates each profile on
 its own and subtracts.  ``lp_le_witness`` is the comparison that
-geonorm.plconvex replaced: one exact simplex (``geonorm.linprog``, which
+geonorm.plconvex replaced: one exact simplex (``tests/linprog.py``, which
 no library module calls) per piece, where the library tests each piece
 against the conjugate; ``nonredundant_lp`` keeps a piece when one such
 simplex finds a point where it alone is the max, where the library keeps
-the vertices of the upper hull.  ``supnorm_weights_fraction`` reads sup-norm
+the vertices of the upper hull.  ``conjugate_2d_wrap`` is the inline
+planar gift-wrap, on integer rows with its plane algebra written out, that
+geonorm.plconvex replaced with the wrap it runs in every dimension; it
+returns a library profile to compare byte for byte.
+``supnorm_weights_fraction`` reads sup-norm
 weights as ``k * q.value(a / k)`` in Fractions, where geonorm.toric reads
 them on one common denominator.  ``coordinate_values`` and
 ``verifies_in_field`` read norm values from coordinates under a field
@@ -117,7 +121,6 @@ from fractions import Fraction
 from geonorm import linalg
 from geonorm.field import INF, TADIC, RatFunc, format_fraction
 from geonorm.graded import GradedError, GradedNorm, _degree_one_table
-from geonorm.linprog import minimize_max_affine
 from geonorm.norms import (
     DiagNorm,
     NormError,
@@ -137,6 +140,8 @@ from geonorm.toric import (
     section_ring,
     supnorm,
 )
+
+from linprog import minimize_max_affine
 
 
 # ---------------------------------------------------------------------------

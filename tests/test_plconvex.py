@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from geonorm import plconvex
-from geonorm.linprog import minimize_max_affine
+from linprog import minimize_max_affine
 from geonorm.plconvex import (
     EnvelopeError,
     MaxAffine,
@@ -395,7 +395,8 @@ def test_mix_witness_matches_lp_oracle(case) -> None:
 
 
 def test_library_never_imports_the_lp() -> None:
-    # comparison runs on the conjugate side; geonorm.linprog is test-only
+    # comparison runs on the conjugate side; the LP is the test oracle
+    # tests/linprog.py, and geonorm.linprog is only a name
     code = "\n".join((
         "import sys",
         "import geonorm, geonorm.cli, geonorm.segments, geonorm.suites",

@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import linprog
 import oracles
-from geonorm import linprog, norms, plconvex, segments
+from geonorm import norms, plconvex, segments
 from geonorm.plconvex import MaxAffine, compare
 from geonorm.segments import (
     FSSegment,
