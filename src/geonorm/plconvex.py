@@ -14,9 +14,8 @@ One hull routine, ``_facets``, serves every n: it gift-wraps the facets
 of integer points across ridges, each facet's ridges coming from its own
 points one dimension down, down to Andrew's monotone chain in the plane
 and the min and the max on the line.  Conjugation takes the upper facets
-of the lifted points (gradients spanning the plane keep an inline copy of
-that wrap, ``_conjugate_2d``, for speed), domain rows take every facet of
-the domain points, and min profiles take their affine rank from it.  So
+of the lifted points, for every n, domain rows take every facet of the
+domain points, and min profiles take their affine rank from it.  So
 conjugation, pruning, comparison, ``==`` and marginal minima run for every
 n.  Code that reads cells as intervals or polygons (integrals, overlays,
 min profiles and the Minkowski slopes of ``mix_witness``) is implemented
@@ -652,11 +651,21 @@ def _ends(pts, sign):
 def _wrap(pts, sign):
     """``_facets`` above d = 2: the gift-wrap itself.
 
-    With ``sign`` +-1 the domain, the hull of the heads, is wrapped first.
-    A ridge whose points all lie on one facet of it bounds the upper
-    (lower) hull and is not crossed, and the first facet rises from the
-    vertical hyperplane over the domain's first facet.
+    With ``sign`` +-1, d points make one facet.  More points have their
+    domain, the hull of the heads, wrapped first: a ridge whose points all
+    lie on one facet of it bounds the upper (lower) hull and is not
+    crossed, and the first facet rises from the vertical hyperplane over
+    the domain's first facet.
     """
+    if sign and len(pts) == len(pts[0]):
+        # the heads of d points span R^(d-1): one facet holds them all
+        p0, on = pts[0], tuple(range(len(pts)))
+        N = _form([tuple(map(sub, p, p0)) for p in pts[1:]])
+        g = gcd(*N) if sign * N[-1] > 0 else -gcd(*N)
+        N = tuple([x // g for x in N])
+        yield N, sum(map(mul, N, p0)), 0, on, _facet(
+            pts, N, on, lambda ridge: True)[0]
+        return
     walls = None
     if sign:
         dom = list(_facets([p[:-1] for p in pts], 0))
@@ -1045,8 +1054,7 @@ def conjugate(f: MaxAffine) -> ConcaveProfile:
     the lexicographically smallest affinely independent (r + 1)-tuple of
     indices of the pieces on each facet, so ``planes`` (whose first active
     entry is the witness ``le_witness`` returns) does not depend on how
-    the hull is searched.  Gradients spanning the plane take
-    ``_conjugate_2d``, the same wrap inline.
+    the hull is searched.
     """
     n, den, rows = f.n, f._den, f._rows
     _, piv = _independent([g[:-1] for g in rows], range(len(rows)), n)
