@@ -48,9 +48,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, combinations_with_replacement, product
 from math import comb, gcd, lcm, prod
-from functools import reduce
 from operator import and_, mul, neg, sub
 
 from .field import format_fraction, parse_fraction
@@ -137,7 +137,7 @@ class MaxAffine:
         g = gcd(den, *_flat(kept))
         if g > 1:
             den //= g
-            kept = [tuple([x // g for x in r]) for r in kept]
+            kept = [tuple(x // g for x in r) for r in kept]
         self.n, self._den, self._rows = n, den, tuple(kept)
 
     @property
@@ -431,7 +431,7 @@ def _canon(p):
     if p[-1] < 0:
         p = tuple(-x for x in p)
     g = gcd(*p)
-    return p if g == 1 else tuple([x // g for x in p])
+    return p if g == 1 else tuple(x // g for x in p)
 
 
 def _hom_point(p):
@@ -448,7 +448,7 @@ def _hom_halfplane(a, b):
 def _common(points):
     """(L, integer points over L) of homogeneous points, L the lcm of the W."""
     den = lcm(*(p[-1] for p in points))
-    return den, [tuple([x * (den // p[-1]) for x in p[:-1]]) for p in points]
+    return den, [tuple(x * (den // p[-1]) for x in p[:-1]) for p in points]
 
 
 def _shoelace2(poly):
@@ -850,7 +850,7 @@ def _cross(pts, normal, c, rho, cr):
             a_best, b_best = a, b
     N = [b_best * x + a_best * y for x, y in zip(normal, rho)]
     g = gcd(*N)
-    return (tuple([x // g for x in N]), (b_best * c + a_best * cr) // g,
+    return (tuple(x // g for x in N), (b_best * c + a_best * cr) // g,
             tuple([i for i, (a, b) in enumerate(ab)
                    if a * b_best == b * a_best]))
 
@@ -944,9 +944,9 @@ class ConcaveProfile:
             g = gcd(g, *_flat(_flat(cells)))
         if g > 1:
             den //= g
-            verts = [tuple([x // g for x in r]) for r in verts]
-            planes = [tuple([x // g for x in r]) for r in planes]
-            cells = [tuple([tuple([x // g for x in p]) for p in poly])
+            verts = [tuple(x // g for x in r) for r in verts]
+            planes = [tuple(x // g for x in r) for r in planes]
+            cells = [tuple(tuple(x // g for x in p) for p in poly)
                      for poly in cells]
         self._set(n, den, verts, cells, planes)
 
@@ -1013,7 +1013,7 @@ class ConcaveProfile:
     def _lattice_numerators(self, k: int, points):
         """``D * lattice_values(k, points)``, D = ``_den``, as integers."""
         planes = self._planes
-        return [min([sum(map(mul, r, a)) + k * r[-1] for r in planes])
+        return [min(sum(map(mul, r, a)) + k * r[-1] for r in planes)
                 for a in points]
 
     def domain_points(self):
@@ -1150,7 +1150,7 @@ def _profile_on_points(n, den, verts, cells, planes):
 def _min_at(planes, p):
     """den W q(p) at a homogeneous point p (X.., W), q the min of the
     planes, integer rows over den."""
-    return min([sum(map(mul, r, p)) for r in planes])
+    return min(sum(map(mul, r, p)) for r in planes)
 
 
 def _degenerate_profile_2d(den, pts, planes) -> ConcaveProfile:
