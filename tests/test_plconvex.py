@@ -12,8 +12,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from geonorm import plconvex
 from linprog import minimize_max_affine
+from geonorm import plconvex
 from geonorm.plconvex import (
     EnvelopeError,
     MaxAffine,
