@@ -6,23 +6,27 @@ profile ``q = -f*`` on the convex hull of the gradients, as the upper
 concave envelope of the points ``(g_i, c_i)``), exact comparison with
 witness points, run on the conjugate side with no linear program (also
 against a convex combination of two functions, without forming it),
-constrained convex envelopes, marginal minimization over a leading variable
-by Fourier-Motzkin elimination of the epigraph, and exact integration of
-piecewise-linear data over rational polytopes.
+constrained convex envelopes by vertex enumeration, marginal minimization
+over a leading variable by Fourier-Motzkin elimination of the epigraph,
+and exact integration of piecewise-linear data over rational polytopes.
 
 One hull routine, ``_facets``, serves every n: it gift-wraps the facets
 of integer points across ridges, each facet's ridges coming from its own
 points one dimension down, down to Andrew's monotone chain in the plane
 and the min and the max on the line.  Conjugation takes the upper facets
-of the lifted points, for every n, domain rows take every facet of the
-domain points, and min profiles take their affine rank from it.  So
-conjugation, pruning, comparison, ``==`` and marginal minima run for every
-n.  Code that reads cells as intervals or polygons (integrals, overlays,
-min profiles and the Minkowski slopes of ``mix_witness``) is implemented
-for n <= 2, where every computation of the package's verification suites
-lives (the projective line or plane), and refuses larger n.  Functions
-that need a profile the caller already holds have private variants that
-take it (``_le_witness``, ``_compare``, ``_mix_witness``, ``_envelope``).
+of the lifted points, for every n, and domain rows take every facet of
+the domain points.  One vertex routine, ``_vertices``, serves every n
+too: the double description method on homogeneous integer rows, which
+needs no interior point, gives the vertices of the hypograph of a min of
+planes on a cut region, and so the constrained envelope.  So
+conjugation, pruning, comparison, ``==``, envelopes and marginal minima
+run for every n.  Code that reads cells as intervals or polygons
+(integrals, overlays and the Minkowski slopes of ``mix_witness``) is
+implemented for n <= 2, where every computation of the package's
+verification suites lives (the projective line or plane), and refuses
+larger n.  Functions that need a profile the caller already holds have
+private variants that take it (``_le_witness``, ``_compare``,
+``_mix_witness``, ``_envelope``).
 
 The kernels run on integers.  A ``MaxAffine`` is one positive denominator
 D and integer rows ``(G_1, ..., G_n, C)``, the piece (G/D, C/D), with D
@@ -49,7 +53,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations_with_replacement, product
 from math import comb, gcd, lcm, prod
 from operator import and_, mul, neg, sub
 
@@ -432,12 +436,6 @@ def _canon(p):
         p = tuple(-x for x in p)
     g = gcd(*p)
     return p if g == 1 else tuple(x // g for x in p)
-
-
-def _hom_point(p):
-    """The homogeneous integer point of a rational point."""
-    w, xs = _int_rows([tuple(_rational(x) for x in p)])
-    return xs[0] + (w,)
 
 
 def _hom_halfplane(a, b):
@@ -1099,7 +1097,7 @@ def _conjugate_wrap(n, den, rows, piv):
 
 
 # ---------------------------------------------------------------------------
-# min-profiles and constrained envelopes.
+# Domains, vertices of integer cones and constrained envelopes.
 # ---------------------------------------------------------------------------
 
 
@@ -1127,155 +1125,66 @@ def _hull_rows(pts):
     return [facet[:3] for facet in _facets(pts, 0)]
 
 
-def _profile_on_points(n, den, verts, cells, planes):
-    """A profile from homogeneous vertices, over one common denominator.
+def _vertices(rows):
+    """Extreme rays of the pointed cone {x : <a, x> <= 0 for each row a}
+    of integer rows of length d, as primitive integer vectors.
 
-    ``verts`` are (point (X.., W), V) with value V / (den W), ``cells``
-    polygons of such points and ``planes`` integer rows over den; the
-    vertices come out sorted by point.
+    The double description method (Motzkin, Raiffa, Thompson and Thrall,
+    1953; Fukuda and Prodon, 1996).  It starts from the simplicial cone of
+    the first d linearly independent rows, whose rays are the cofactors of
+    the other d - 1 (``_form``), and adds one row a at a time.  Rays with
+    <a, x> <= 0 stay, and each adjacent pair of a ray with <a, x> > 0 and
+    one with <a, x> < 0 gives the ray of their 2-face with <a, x> = 0.
+    Two rays are adjacent when the rows tight at both, a bitmask of row
+    indices, number at least d - 2 and are not all tight at a third ray
+    (the combinatorial test).
     """
-    scale = lcm(*(p[-1] for p, _ in verts))
-
-    def lift(p):
-        s = den * (scale // p[-1])
-        return tuple(x * s for x in p[:-1])
-
-    return ConcaveProfile(
-        n, den * scale,
-        sorted(lift(p) + (v * (scale // p[-1]),) for p, v in verts),
-        [tuple(lift(p) for p in poly) for poly in cells],
-        [tuple(x * scale for x in r) for r in planes])
-
-
-def _min_at(planes, p):
-    """den W q(p) at a homogeneous point p (X.., W), q the min of the
-    planes, integer rows over den."""
-    return min(sum(map(mul, r, p)) for r in planes)
-
-
-def _degenerate_profile_2d(den, pts, planes) -> ConcaveProfile:
-    """Min-of-planes profile on a segment or point domain: no cells.
-
-    ``pts`` are distinct collinear integer points, sorted, so the first
-    and last are the segment endpoints; they and the ``planes`` rows are
-    over den.  Hypograph vertices sit at the endpoints and at plane
-    crossings; that is all ``to_max_affine`` needs.
-    """
-    if len(pts) == 1:
-        p = pts[0] + (den,)
-        v = _min_at(planes, p)
-        return ConcaveProfile(2, den * den, ((p[0] * den, p[1] * den, v),),
-                              (), ((0, 0, v),))
-    p, r = pts[0], pts[-1]
-    d = (r[0] - p[0], r[1] - p[1])
-    # plane j along p + s d, times den^2: A_j s + B_j
-    lines = [(g0 * d[0] + g1 * d[1], g0 * p[0] + g1 * p[1] + c * den)
-             for g0, g1, c in planes]
-    svals = {(0, 1), (1, 1)}
-    for (a0, b0), (a1, b1) in combinations(lines, 2):
-        if a0 != a1:
-            s = _canon((b1 - b0, a0 - a1))
-            if 0 < s[0] < s[1]:
-                svals.add(s)
-    verts = []
-    for sn, sd in svals:
-        y = (p[0] * sd + sn * d[0], p[1] * sd + sn * d[1], den * sd)
-        verts.append((y, _min_at(planes, y)))
-    return _profile_on_points(2, den, verts, (), planes)
-
-
-def min_profile(planes, domain_vertices, extra_hrep, n) -> ConcaveProfile:
-    """Profile of min over affine planes restricted to a polytope.
-
-    ``domain_vertices`` describe the starting polytope (interval endpoints
-    for n = 1, CCW polygon for n = 2); ``extra_hrep`` are additional
-    halfplanes cutting it down.  Returns the linearity cells of the
-    pointwise minimum.
-    """
-    den, rows = _int_rows([tuple(_rational(x) for x in g) + (_rational(c),)
-                           for g, c in planes])
-    return _min_profile(n, den, rows,
-                        [_hom_point(p) for p in domain_vertices],
-                        [_hom_halfplane(a, b) for a, b in extra_hrep])
-
-
-def _min_profile(n, den, planes, domain, cuts) -> ConcaveProfile:
-    """``min_profile`` on integers.
-
-    ``planes`` are integer rows over den, ``domain`` homogeneous integer
-    points and ``cuts`` integer rows (a.., b) meaning <a, y> <= b.
-    """
-    planes = list(dict.fromkeys(planes))
-    if n == 1:
-        scale, xs = _common(domain)
-        lo, hi = _canon((min(xs)[0], scale)), _canon((max(xs)[0], scale))
-        for a, b in cuts:
-            got = _clip_interval(lo, hi, a, b)
-            if got is None:
-                raise EnvelopeError("empty domain")
-            lo, hi = got
-        if lo == hi:
-            # single admissible slope; the profile is one hypograph point
-            v = _min_at(planes, lo)
-            return ConcaveProfile(1, den * lo[1], ((lo[0] * den, v),), (),
-                                  ((0, v),))
-        cells = []
-        vertices = {}
-        active = []
-        for idx, (g, c) in enumerate(planes):
-            clo, chi = lo, hi
-            for jdx, (g2, c2) in enumerate(planes):
-                if jdx == idx:
-                    continue
-                got = _clip_interval(clo, chi, g - g2, c2 - c)
-                if got is None:
-                    break
-                clo, chi = got
-            else:
-                if clo != chi:
-                    cells.append((clo, chi))
-                    active.append((g, c))
-                    for x in (clo, chi):
-                        vertices[x] = _min_at(planes, x)
-        if not cells:
-            raise EnvelopeError("empty domain")
-        return _profile_on_points(1, den, vertices.items(), cells, active)
-    if n == 2:
-        base = _clip_region(tuple(domain), cuts)
-        if not base:
-            raise EnvelopeError("empty domain")
-        scale, distinct = _common(set(base))
-        distinct.sort()
-        if len(_independent(distinct, range(len(distinct)), 2)[1]) < 2:
-            return _degenerate_profile_2d(
-                den * scale, [(x * den, y * den) for x, y in distinct],
-                [tuple(x * scale for x in r) for r in planes])
-        cells = []
-        vertices = {}
-        active = []
-        for idx, (g0, g1, c) in enumerate(planes):
-            poly = _clip_region(base, [
-                (g0 - h0, g1 - h1, c2 - c)
-                for jdx, (h0, h1, c2) in enumerate(planes) if jdx != idx])
-            if not poly:
+    d = len(rows[0])
+    # linearly independent rows are affinely independent with the origin
+    base = [i - 1 for i in _independent([(0,) * d] + rows,
+                                        range(len(rows) + 1), d)[0][1:]]
+    start = sum(1 << i for i in base)
+    rays, masks = [], []
+    for i in base:
+        r = _form([rows[j] for j in base if j != i])
+        g = gcd(*r) if sum(map(mul, rows[i], r)) < 0 else -gcd(*r)
+        rays.append(tuple([x // g for x in r]))
+        masks.append(start ^ 1 << i)
+    for i, a in enumerate(rows):
+        bit = 1 << i
+        if start & bit:
+            continue
+        vals = [sum(map(mul, a, r)) for r in rays]
+        keep = [j for j, v in enumerate(vals) if v <= 0]
+        new_rays = [rays[j] for j in keep]
+        new_masks = [masks[j] if vals[j] else masks[j] | bit for j in keep]
+        neg = [j for j in keep if vals[j]]
+        for p, vp in enumerate(vals):
+            if vp <= 0:
                 continue
-            cells.append(poly)
-            active.append((g0, g1, c))
-            for p in poly:
-                vertices[p] = _min_at(planes, p)
-        if not cells:
-            raise EnvelopeError("empty domain")
-        return _profile_on_points(2, den, vertices.items(), cells, active)
-    raise PLError("min profiles implemented for n <= 2")
+            rp, mp = rays[p], masks[p]
+            for m in neg:
+                common = mp & masks[m]
+                if (common.bit_count() < d - 2 or len(
+                        [1 for mk in masks if common & mk == common]) > 2):
+                    continue
+                vm = vals[m]
+                r = [vp * x - vm * y for x, y in zip(rays[m], rp)]
+                g = gcd(*r)
+                new_rays.append(tuple([x // g for x in r]))
+                new_masks.append(common | bit)
+        rays, masks = new_rays, new_masks
+    return rays
 
 
 def envelope_constrained(funcs, P: Polytope) -> MaxAffine:
-    """Largest convex minorant of min(funcs) with gradients in P.
+    """Largest convex minorant of min(funcs) with gradients in P (any n).
 
     Computed on the conjugate side: the profile of the minorant is the
     pointwise min of the individual profiles restricted to P intersected
-    with the conjugate domains; conjugating back gives the envelope.
-    Raises EnvelopeError when no finite minorant exists (empty domain).
+    with the conjugate domains, and the envelope's pieces are the vertices
+    of its hypograph (``_envelope``).  Raises EnvelopeError ("empty
+    domain") when that region is empty or, for n >= 2, of lower dimension.
     """
     funcs = list(funcs)
     if not funcs:
@@ -1287,10 +1196,19 @@ def envelope_constrained(funcs, P: Polytope) -> MaxAffine:
 
 
 def _envelope(profiles, P: Polytope) -> MaxAffine:
-    """``envelope_constrained`` of the functions with these profiles."""
+    """``envelope_constrained`` of the functions with these profiles.
+
+    The envelope's pieces are the vertices (y, z) of the hypograph of the
+    min of the profiles' planes on P cut by their domains: the rays with
+    w > 0 of the cone of x = (y, z, w) under the integer rows
+    <a, y> - b w <= 0 for each cut <a, y> <= b, -w <= 0 and
+    den z - <W, y> - B w <= 0 for each plane (W, B) over den
+    (``_vertices``), each ray the piece (y / w, z / w).  An empty region
+    raises EnvelopeError, and so does one of lower dimension for n >= 2;
+    a point of the line gives one piece.
+    """
+    n = profiles[0].n
     den = lcm(*(pr._den for pr in profiles))
-    planes = [tuple(x * (den // pr._den) for x in r)
-              for pr in profiles for r in pr._planes]
     cuts = [_hom_halfplane(a, b) for a, b in P.hrep]
     for pr in profiles:
         # a domain holding every vertex of P contains P: its rows cut nothing
@@ -1300,9 +1218,21 @@ def _envelope(profiles, P: Polytope) -> MaxAffine:
         # <N, D y> <= R on the domain points y of a profile over D
         cuts.extend(tuple(x * pr._den for x in normal) + (rhs,)
                     for normal, rhs, _ in _domain_hrep(pr))
-    return _min_profile(profiles[0].n, den, planes,
-                        [_hom_point(p) for p in P.vertices],
-                        cuts).to_max_affine()
+    rows = [c[:-1] + (0, -c[-1]) for c in cuts]
+    rows.append((0,) * (n + 1) + (-1,))
+    for pr in profiles:
+        s = den // pr._den
+        rows += [tuple([-x * s for x in r[:-1]]) + (den, -r[-1] * s)
+                 for r in pr._planes]
+    rays = [r for r in _vertices(list(dict.fromkeys(rows))) if r[-1]]
+    if not rays:
+        raise EnvelopeError("empty domain")
+    w = lcm(*(r[-1] for r in rays))
+    pts = [tuple([x * (w // r[-1]) for x in r[:-1]]) for r in rays]
+    if n > 1 and len(_independent([p[:-1] for p in pts], range(len(pts)),
+                                  n)[1]) < n:
+        raise EnvelopeError("empty domain")
+    return MaxAffine._from_ints(n, w, pts)
 
 
 # ---------------------------------------------------------------------------

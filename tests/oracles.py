@@ -109,6 +109,14 @@ on the profile's integers.
 replaced with integer rows over one denominator and homogeneous integer
 points; they take and return plain ``Fraction`` tuples, and the walk is
 handed the public ``Fraction`` views of a library profile.
+``min_profile`` (with ``_min_profile``, ``_degenerate_profile_2d`` and
+their helpers) is the integer clipper of intervals and polygons, for
+n <= 2, that geonorm.plconvex replaced with vertex enumeration by double
+description; it is composed from the library's clipping primitives and
+returns a library profile.  ``hypograph_vertices`` finds the vertices of
+a min of planes on a polytope by brute force, solving every
+(n + 1)-subset of the rows by cofactors, where the library adds one row
+at a time to a cone.
 """
 
 from __future__ import annotations
@@ -117,6 +125,9 @@ import functools
 import itertools
 import math
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
+from operator import mul
 
 from geonorm import linalg
 from geonorm.field import INF, TADIC, RatFunc, format_fraction
@@ -129,7 +140,21 @@ from geonorm.norms import (
     distance,
     sym_monomials,
 )
-from geonorm.plconvex import ConcaveProfile, PLError, compare, prune
+from geonorm.plconvex import (
+    ConcaveProfile,
+    EnvelopeError,
+    PLError,
+    _canon,
+    _clip_interval,
+    _clip_region,
+    _common,
+    _hom_halfplane,
+    _independent,
+    _int_rows,
+    _rational,
+    compare,
+    prune,
+)
 from geonorm.geodesics import geodesic
 from geonorm.segments import fs_segment, quantization_levels, tau_critical_set
 from geonorm.toric import (
@@ -1985,6 +2010,200 @@ def min_profile_fraction(planes, domain_vertices, extra_hrep, n):
         raise EmptyDomain
     return (tuple(sorted(vertices.items())), tuple(cells),
             tuple((g, c) for _, g, c in cells))
+
+
+def _det_cofactor(m):
+    """Determinant of a square integer matrix by cofactor expansion along
+    its first row."""
+    if not m:
+        return 1
+    return sum((-1) ** j * x * _det_cofactor([r[:j] + r[j + 1:] for r in m[1:]])
+               for j, x in enumerate(m[0]) if x)
+
+
+def hypograph_vertices(planes, hrep):
+    """The vertices (y, z) of {z <= <w, y> + b for each plane (w, b),
+    <a, y> <= b for each halfspace (a, b)} in R^n x R, sorted, by brute
+    force: every (n + 1)-subset of the rows taken as equalities, solved
+    by cofactors (Cramer's rule) where its matrix is invertible, and the
+    solution kept when it satisfies every row."""
+    rows = [tuple(-x for x in w) + (1, b) for w, b in planes]
+    rows += [tuple(a) + (0, b) for a, b in hrep]
+    ints = []
+    for r in dict.fromkeys(tuple(map(Fraction, r)) for r in rows):
+        den = math.lcm(*(x.denominator for x in r))
+        ints.append(tuple(int(x * den) for x in r))
+    k = len(ints[0]) - 1
+    found = set()
+    for sub in itertools.combinations(ints, k):
+        A = [r[:-1] for r in sub]
+        D = _det_cofactor(A)
+        if not D:
+            continue
+        # x_i = det(A with column i replaced by b) / D; test on D x
+        X = [_det_cofactor([a[:i] + (r[-1],) + a[i + 1:]
+                            for a, r in zip(A, sub)]) for i in range(k)]
+        if D < 0:
+            D, X = -D, [-x for x in X]
+        if all(sum(a * x for a, x in zip(r, X)) <= r[-1] * D for r in ints):
+            found.add(tuple(Fraction(x, D) for x in X))
+    return sorted((x[:-1], x[-1]) for x in found)
+
+
+# ---------------------------------------------------------------------------
+# The integer min-profile clipper (n <= 2) that geonorm.plconvex replaced
+# with vertex enumeration by double description; composed from the
+# library's clipping primitives.
+# ---------------------------------------------------------------------------
+
+
+def _hom_point(p):
+    """The homogeneous integer point of a rational point."""
+    w, xs = _int_rows([tuple(_rational(x) for x in p)])
+    return xs[0] + (w,)
+
+
+
+def _profile_on_points(n, den, verts, cells, planes):
+    """A profile from homogeneous vertices, over one common denominator.
+
+    ``verts`` are (point (X.., W), V) with value V / (den W), ``cells``
+    polygons of such points and ``planes`` integer rows over den; the
+    vertices come out sorted by point.
+    """
+    scale = lcm(*(p[-1] for p, _ in verts))
+
+    def lift(p):
+        s = den * (scale // p[-1])
+        return tuple(x * s for x in p[:-1])
+
+    return ConcaveProfile(
+        n, den * scale,
+        sorted(lift(p) + (v * (scale // p[-1]),) for p, v in verts),
+        [tuple(lift(p) for p in poly) for poly in cells],
+        [tuple(x * scale for x in r) for r in planes])
+
+
+def _min_at(planes, p):
+    """den W q(p) at a homogeneous point p (X.., W), q the min of the
+    planes, integer rows over den."""
+    return min(sum(map(mul, r, p)) for r in planes)
+
+
+def _degenerate_profile_2d(den, pts, planes) -> ConcaveProfile:
+    """Min-of-planes profile on a segment or point domain: no cells.
+
+    ``pts`` are distinct collinear integer points, sorted, so the first
+    and last are the segment endpoints; they and the ``planes`` rows are
+    over den.  Hypograph vertices sit at the endpoints and at plane
+    crossings; that is all ``to_max_affine`` needs.
+    """
+    if len(pts) == 1:
+        p = pts[0] + (den,)
+        v = _min_at(planes, p)
+        return ConcaveProfile(2, den * den, ((p[0] * den, p[1] * den, v),),
+                              (), ((0, 0, v),))
+    p, r = pts[0], pts[-1]
+    d = (r[0] - p[0], r[1] - p[1])
+    # plane j along p + s d, times den^2: A_j s + B_j
+    lines = [(g0 * d[0] + g1 * d[1], g0 * p[0] + g1 * p[1] + c * den)
+             for g0, g1, c in planes]
+    svals = {(0, 1), (1, 1)}
+    for (a0, b0), (a1, b1) in combinations(lines, 2):
+        if a0 != a1:
+            s = _canon((b1 - b0, a0 - a1))
+            if 0 < s[0] < s[1]:
+                svals.add(s)
+    verts = []
+    for sn, sd in svals:
+        y = (p[0] * sd + sn * d[0], p[1] * sd + sn * d[1], den * sd)
+        verts.append((y, _min_at(planes, y)))
+    return _profile_on_points(2, den, verts, (), planes)
+
+
+def min_profile(planes, domain_vertices, extra_hrep, n) -> ConcaveProfile:
+    """Profile of min over affine planes restricted to a polytope.
+
+    ``domain_vertices`` describe the starting polytope (interval endpoints
+    for n = 1, CCW polygon for n = 2); ``extra_hrep`` are additional
+    halfplanes cutting it down.  Returns the linearity cells of the
+    pointwise minimum.
+    """
+    den, rows = _int_rows([tuple(_rational(x) for x in g) + (_rational(c),)
+                           for g, c in planes])
+    return _min_profile(n, den, rows,
+                        [_hom_point(p) for p in domain_vertices],
+                        [_hom_halfplane(a, b) for a, b in extra_hrep])
+
+
+def _min_profile(n, den, planes, domain, cuts) -> ConcaveProfile:
+    """``min_profile`` on integers.
+
+    ``planes`` are integer rows over den, ``domain`` homogeneous integer
+    points and ``cuts`` integer rows (a.., b) meaning <a, y> <= b.
+    """
+    planes = list(dict.fromkeys(planes))
+    if n == 1:
+        scale, xs = _common(domain)
+        lo, hi = _canon((min(xs)[0], scale)), _canon((max(xs)[0], scale))
+        for a, b in cuts:
+            got = _clip_interval(lo, hi, a, b)
+            if got is None:
+                raise EnvelopeError("empty domain")
+            lo, hi = got
+        if lo == hi:
+            # single admissible slope; the profile is one hypograph point
+            v = _min_at(planes, lo)
+            return ConcaveProfile(1, den * lo[1], ((lo[0] * den, v),), (),
+                                  ((0, v),))
+        cells = []
+        vertices = {}
+        active = []
+        for idx, (g, c) in enumerate(planes):
+            clo, chi = lo, hi
+            for jdx, (g2, c2) in enumerate(planes):
+                if jdx == idx:
+                    continue
+                got = _clip_interval(clo, chi, g - g2, c2 - c)
+                if got is None:
+                    break
+                clo, chi = got
+            else:
+                if clo != chi:
+                    cells.append((clo, chi))
+                    active.append((g, c))
+                    for x in (clo, chi):
+                        vertices[x] = _min_at(planes, x)
+        if not cells:
+            raise EnvelopeError("empty domain")
+        return _profile_on_points(1, den, vertices.items(), cells, active)
+    if n == 2:
+        base = _clip_region(tuple(domain), cuts)
+        if not base:
+            raise EnvelopeError("empty domain")
+        scale, distinct = _common(set(base))
+        distinct.sort()
+        if len(_independent(distinct, range(len(distinct)), 2)[1]) < 2:
+            return _degenerate_profile_2d(
+                den * scale, [(x * den, y * den) for x, y in distinct],
+                [tuple(x * scale for x in r) for r in planes])
+        cells = []
+        vertices = {}
+        active = []
+        for idx, (g0, g1, c) in enumerate(planes):
+            poly = _clip_region(base, [
+                (g0 - h0, g1 - h1, c2 - c)
+                for jdx, (h0, h1, c2) in enumerate(planes) if jdx != idx])
+            if not poly:
+                continue
+            cells.append(poly)
+            active.append((g0, g1, c))
+            for p in poly:
+                vertices[p] = _min_at(planes, p)
+        if not cells:
+            raise EnvelopeError("empty domain")
+        return _profile_on_points(2, den, vertices.items(), cells, active)
+    raise PLError("min profiles implemented for n <= 2")
 
 
 def marginal_min_fm(n, pieces, tau=0, keep=None):

@@ -14,9 +14,10 @@ degenerate inputs:
 
 The pinned kinds are the public views of ``conjugate`` (so the order of
 ``vertices``, ``cells`` and ``planes``), the domain rows (N, R, e) of
-each profile and of the degenerate profiles ``min_profile`` builds on a
-segment or a point, the pieces of ``prune``, and the witnesses of
-``le_witness``, ``compare`` and ``mix_witness`` on pairs of functions.
+each profile and of the degenerate profiles that the integer clipper
+``oracles.min_profile`` builds on a segment or a point, the pieces of
+``prune``, and the witnesses of ``le_witness``, ``compare`` and
+``mix_witness`` on pairs of functions.
 
 On P^3 the views of ``conjugate`` and the domain rows are pinned over
 seeded functions, FS potentials and flat gradients (on a plane, on a line
@@ -31,6 +32,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import min_profile
 from geonorm import plconvex
 from geonorm.graded import lattice_points
 from geonorm.plconvex import (
@@ -38,7 +40,6 @@ from geonorm.plconvex import (
     compare,
     conjugate,
     le_witness,
-    min_profile,
     mix_witness,
     prune,
 )

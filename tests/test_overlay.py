@@ -193,7 +193,7 @@ def test_pair_builds_one_overlay_and_legendre_no_envelope(monkeypatch) -> None:
             return real(*args)
         monkeypatch.setattr(module, name, counted)
 
-    for name in ("_overlay", "_envelope", "_min_profile", "_domain_hrep"):
+    for name in ("_overlay", "_envelope", "_vertices", "_domain_hrep"):
         counting(plconvex, name)
     counting(toric, "_overlay")
     counting(toric, "_envelope")
@@ -203,7 +203,7 @@ def test_pair_builds_one_overlay_and_legendre_no_envelope(monkeypatch) -> None:
     assert calls == ["_overlay"]
     calls.clear()
     pair.d1(kmax=2)
-    # the check route alone: one envelope, its min profile and two domains
+    # the check route alone: one envelope, its vertices and two domains
     assert calls.count("_envelope") == 1
     assert "_overlay" not in calls
     calls.clear()

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from linprog import minimize_max_affine
 from geonorm import plconvex
+from geonorm.graded import lattice_points
 from geonorm.plconvex import (
     EnvelopeError,
     MaxAffine,
@@ -27,7 +28,6 @@ from geonorm.plconvex import (
     le_witness,
     marginal_min,
     max_abs_difference,
-    min_profile,
     mix_witness,
     moment_simplex,
     prune,
@@ -270,10 +270,9 @@ _P3_Q = conjugate(_P3_F)
     lambda: plconvex.overlay_vertices(_P3_Q, _P3_Q),
     lambda: oracles._halfspace_part(_P3_Q.cells[0].vertices, (1, 0, 0), 0),
     lambda: mix_witness(_P3_F, _P3_F, _P3_F.shifted(-1), F(1, 2)),
-    lambda: min_profile(_P3_Q.planes, [(F(1, 3),) * 3], [], 3),
 ], ids=["integrate_profile", "integrate_cell_affine",
         "integrate_abs_difference", "max_abs_difference", "overlay",
-        "halfspace_part", "mix_witness", "min_profile"])
+        "halfspace_part", "mix_witness"])
 def test_cell_readers_refuse_n3(run) -> None:
     # the P^3 conjugate has one cell, which these read as a polygon
     assert len(_P3_Q.cells) == 1
@@ -676,9 +675,9 @@ def test_min_profile_matches_fraction_oracle(case) -> None:
         want = oracles.min_profile_fraction(planes, domain, extra, n)
     except oracles.EmptyDomain:
         with pytest.raises(EnvelopeError, match="empty domain"):
-            min_profile(planes, domain, extra, n)
+            oracles.min_profile(planes, domain, extra, n)
         return
-    got = min_profile(planes, domain, extra, n)
+    got = oracles.min_profile(planes, domain, extra, n)
     assert _views(got) == want
     if want[1]:
         assert integrate_profile(got) == oracles.integrate_cells(want[1], n)
@@ -714,6 +713,55 @@ def test_envelope_matches_fraction_oracle(case) -> None:
         return
     assert (envelope_constrained(funcs, P).pieces
             == MaxAffine(P.n, vertices).pieces)
+
+
+_SIMPLEX_P3 = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+@st.composite
+def _envelope_cases_p3(draw):
+    """Two functions on R^3 with 4 to 6 gradients among the integer points
+    of m Delta, m = 1 or 2, and m Delta."""
+    m = draw(st.sampled_from((1, 2)))
+    grads = [tuple(F(x) for x in a) for a in lattice_points(3, m)]
+    funcs = []
+    for _ in range(2):
+        chosen = draw(st.lists(st.sampled_from(grads), min_size=4,
+                               max_size=6, unique=True))
+        funcs.append(MaxAffine(3, [(g, draw(_COORD)) for g in chosen]))
+    return funcs, moment_simplex(3, m)
+
+
+@settings(max_examples=40)
+@given(_envelope_cases_p3())
+# gradient hulls that share a facet, an edge or a vertex (flat regions)
+# and that are disjoint
+@example(([_ma(*[(g, 0) for g in _SIMPLEX_P3]),
+           _ma(((1, 0, 0), 1), ((0, 1, 0), 0), ((0, 0, 1), 0),
+               ((1, 1, 1), 0))], moment_simplex(3, 2)))
+@example(([_ma(*[(g, 0) for g in _SIMPLEX_P3]),
+           _ma(((1, 0, 0), 1), ((0, 1, 0), 0), ((1, 1, 0), 0),
+               ((F(1, 2), F(1, 2), F(1, 2)), 0))], moment_simplex(3, 2)))
+@example(([_ma(*[(g, 0) for g in _SIMPLEX_P3]),
+           _ma(((1, 0, 0), 1), ((2, 0, 0), 0), ((1, 1, 0), 0),
+               ((1, 0, 1), 0))], moment_simplex(3, 2)))
+@example(([_ma(*[(g, 0) for g in _SIMPLEX_P3]),
+           _ma(((2, 0, 0), 1), ((0, 2, 0), 0), ((0, 0, 2), 0),
+               ((1, 1, 0), 0))], moment_simplex(3, 2)))
+def test_p3_envelope_matches_vertex_oracle(case) -> None:
+    funcs, P = case
+    q0, q1 = (conjugate(f) for f in funcs)
+    vertices = oracles.hypograph_vertices(
+        q0.planes + q1.planes,
+        list(P.hrep) + domain_hrep(q0) + domain_hrep(q1))
+    ys = [y for y, _ in vertices]
+    if not ys or oracles.rank([tuple(a - b for a, b in zip(y, ys[0]))
+                               for y in ys]) < 3:
+        with pytest.raises(EnvelopeError, match="empty domain"):
+            envelope_constrained(funcs, P)
+        return
+    assert (envelope_constrained(funcs, P).pieces
+            == MaxAffine(3, vertices).pieces)
 
 
 @settings(max_examples=100)

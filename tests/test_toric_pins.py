@@ -5,6 +5,8 @@ kind of output over the same seeded cases: pairs of level-1 to level-3
 Fubini-Study metrics on O(m) over P^1 and P^2, m in {1, 2}, three pairs
 per arena, plus degenerate inputs (gradients on a line, envelopes whose
 domain is one point on the line, a segment or a point in the plane).
+Rooftop envelopes are pinned on five seeded pairs of level-2 metrics on
+O(1) over P^3 too.
 Profiles are pinned through their public views, so the order of
 ``vertices``, ``cells`` and ``planes`` is pinned too.
 """
@@ -16,6 +18,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from geonorm import plconvex
 from geonorm.graded import lattice_points
 from geonorm.plconvex import (
@@ -67,6 +70,10 @@ def _cases():
 
 CASES = _cases()
 
+# five seeded pairs of level-2 metrics on O(1) over P^3, for envelopes
+P3_CASES = [(3, 1, 2, *(_weights(rng, 3, 2) for _ in range(2)))
+            for rng in (random.Random(f"toric-pins:p3:{i}") for i in range(5))]
+
 
 def _pair(case):
     n, m, level, w0, w1 = case[:5]
@@ -97,13 +104,13 @@ def _digest(obj) -> str:
 
 
 def _rooftop_min_profile(q0, q1, n, m):
-    """The profile ``plconvex._envelope`` reads its envelope off."""
+    """The rooftop's profile, from the integer clipper of the oracles."""
     P = plconvex.moment_simplex(n, m)
     hreps = list(P.hrep)
     for q in (q0, q1):
         hreps.extend(plconvex.domain_hrep(q))
-    return plconvex.min_profile(list(q0.planes + q1.planes), P.vertices,
-                                hreps, n)
+    return oracles.min_profile(list(q0.planes + q1.planes), P.vertices,
+                               hreps, n)
 
 
 def _degenerate_inputs():
@@ -168,12 +175,17 @@ PINNED = {
         "a809780d6fc6d51f5f549aca269fbec6d043a05f47d62d3d762ee824d5e4eb5a"),
     "d1_metric": (
         "e9be9185b4ee8b0223671b526195053e4270f701d0f43e06983f6903f94a7820"),
+    # checked against the brute-force vertex oracle below
+    "envelope_P_p3": (
+        "8d8cd2bfc7cb65c13f306182a418eaf901f46459524c017f29c7f3b2df2c8386"),
     "degenerate": (
         "767770e43354e379a7c40c7558b0e9e9f952495d94241a5990f08965a8e1c2e7"),
 }
 
 
 def _outputs(kind):
+    if kind == "envelope_P_p3":
+        return [envelope_P(*_pair(case)[1:]).to_json() for case in P3_CASES]
     out = []
     for case in CASES:
         n, m, level, w0, w1, t, kmax = case
@@ -211,6 +223,17 @@ def _outputs(kind):
     return out
 
 
+def test_p3_envelopes_match_vertex_oracle() -> None:
+    # full support: the rooftop's region is m Delta itself
+    for case in P3_CASES:
+        _, phi0, phi1 = _pair(case)
+        q0, q1 = conjugate(phi0.potential), conjugate(phi1.potential)
+        vertices = oracles.hypograph_vertices(
+            q0.planes + q1.planes, plconvex.moment_simplex(3, 1).hrep)
+        assert envelope_P(phi0, phi1).potential.pieces == MaxAffine(
+            3, vertices).pieces
+
+
 def _degenerate_outputs():
     out = []
     for funcs, n, m, domain in DEGENERATE:
@@ -224,7 +247,7 @@ def _degenerate_outputs():
         except EnvelopeError as exc:
             out.append(f"EnvelopeError: {exc}")
         if domain is not None:
-            out.append(_profile(plconvex.min_profile(
+            out.append(_profile(oracles.min_profile(
                 list(qs[0].planes + qs[1].planes), domain, [], n)))
     return out
 
@@ -246,8 +269,8 @@ def test_degenerate_outputs_pinned() -> None:
         else:
             with pytest.raises(EnvelopeError, match="empty domain"):
                 _rooftop_min_profile(q0, q1, n, m)
-            got = plconvex.min_profile(list(q0.planes + q1.planes), domain,
-                                       [], n)
+            got = oracles.min_profile(list(q0.planes + q1.planes), domain,
+                                      [], n)
             shapes.append(("plane", len(domain), len(got.cells)))
         shapes.append(("line", len(q1.cells)))
     assert ("interval", 1, 0) in shapes
