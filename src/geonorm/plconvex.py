@@ -18,33 +18,33 @@ of the lifted points, for every n, and domain rows take every facet of
 the domain points.  One vertex routine, ``_vertices``, serves every n
 too: the double description method on homogeneous integer rows, which
 needs no interior point, gives the vertices of the hypograph of a min of
-planes on a cut region, and so the constrained envelope.  So
-conjugation, pruning, comparison, ``==``, envelopes and marginal minima
-run for every n.  Code that reads cells as intervals or polygons
-(integrals, overlays and the Minkowski slopes of ``mix_witness``) is
-implemented for n <= 2, where every computation of the package's
-verification suites lives (the projective line or plane), and refuses
-larger n.  Functions that need a profile the caller already holds have
-private variants that take it (``_le_witness``, ``_compare``,
-``_mix_witness``, ``_envelope``).
+planes on a cut region, with the rows tight at each.  That gives the
+constrained envelope, and the overlay of two profiles as the hypograph
+of the min of their summed planes.  Integrals pull each cell into
+simplices from a vertex, reading its faces off those tight rows.  So
+conjugation, pruning, comparison, ``==``, envelopes, marginal minima,
+overlays and integrals run for every n; only the Minkowski slopes of
+``mix_witness``, read off polygon edges, refuse n > 2.  Functions that
+need a profile the caller already holds have private variants that take
+it (``_le_witness``, ``_compare``, ``_mix_witness``, ``_envelope``).
 
 The kernels run on integers.  A ``MaxAffine`` is one positive denominator
 D and integer rows ``(G_1, ..., G_n, C)``, the piece (G/D, C/D), with D
 the least common denominator of the pieces (so D and the rows have gcd 1)
 and the rows deduplicated and sorted on their integer gradients.  A
 ``ConcaveProfile`` keeps one such denominator for all of its hypograph
-vertices, cell polygons and planes.  Hulls, conjugates, comparisons and
-Fourier-Motzkin elimination read those rows directly; polygons are
-clipped on homogeneous integer points ``(X, Y, W)``, W > 0 and gcd 1,
-standing for (X/W, Y/W).  The public ``pieces``, ``planes``, ``vertices``
-and ``cells`` are ``Fraction`` views built each time they are read, never
-stored.  A profile is read at the lattice points of a dilation k (the
-sup-norm weights k q(a/k) of a toric metric) straight from its integer
-planes, by ``ConcaveProfile.lattice_values``.  The overlay of two profiles
-(``_overlay``) keeps each common cell as homogeneous integer points with
-the two profiles' integer plane rows over one denominator; the integral
-and the sup of |q0 - q1| and the pieces of min(q0, q1 - tau) are read
-off it, and build one ``Fraction`` each.
+vertices, cell vertices and planes.  Hulls, conjugates, comparisons and
+Fourier-Motzkin elimination read those rows directly.  The public
+``pieces``, ``planes``, ``vertices`` and ``cells`` are ``Fraction`` views
+built each time they are read, never stored.  A profile is read at the
+lattice points of a dilation k (the sup-norm weights k q(a/k) of a toric
+metric) straight from its integer planes, by
+``ConcaveProfile.lattice_values``.  The overlay of two profiles
+(``_overlay``) keeps each common cell as homogeneous integer points
+``(X.., W)``, W > 0 and gcd 1, standing for X/W, with their tight rows
+and the two profiles' integer plane rows over one denominator; the
+integral and the sup of |q0 - q1| and the pieces of min(q0, q1 - tau)
+are read off it, and build one ``Fraction`` each.
 """
 
 from __future__ import annotations
@@ -52,10 +52,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from itertools import combinations_with_replacement, product
-from math import comb, gcd, lcm, prod
-from operator import and_, mul, neg, sub
+from functools import cache, cached_property, reduce
+from itertools import combinations, combinations_with_replacement, product
+from math import comb, factorial, gcd, lcm, prod
+from operator import add, and_, mul, neg, sub
 
 from .field import format_fraction, parse_fraction
 
@@ -377,7 +377,7 @@ def _edge_directions(q: ConcaveProfile):
 
 
 def _require_plane(n: int, what: str):
-    """Refuse n > 2 in code that reads cells as intervals or polygons."""
+    """Refuse n > 2 in ``mix_witness``, which reads polygon edges."""
     if n > 2:
         raise PLError(f"{what} implemented for n <= 2")
 
@@ -407,7 +407,7 @@ def _compare(f, g, qf: ConcaveProfile, qg: ConcaveProfile) -> Comparison:
 
 
 # ---------------------------------------------------------------------------
-# Polytopes and polygon utilities (exact, dimension 1 and 2).
+# Polytopes.
 # ---------------------------------------------------------------------------
 
 
@@ -417,7 +417,14 @@ class Polytope:
     hrep: tuple        # ((a, b), ...) meaning <a, y> <= b
     vertices: tuple    # tuple of points
 
+    @cached_property
+    def _cuts(self):
+        """``hrep`` as primitive integer rows (a_1.., b), computed once."""
+        return tuple(_primitive(_int_rows([tuple(map(
+            _rational, (*a, b)))])[1][0]) for a, b in self.hrep)
 
+
+@cache
 def moment_simplex(n: int, m) -> Polytope:
     """The simplex {y >= 0, sum y_i <= m} in R^n."""
     m = Fraction(m)
@@ -432,108 +439,13 @@ def moment_simplex(n: int, m) -> Polytope:
 
 def _canon(p):
     """A homogeneous integer point (X.., W) with W > 0 and gcd 1."""
-    if p[-1] < 0:
-        p = tuple(-x for x in p)
-    g = gcd(*p)
-    return p if g == 1 else tuple(x // g for x in p)
+    return _primitive(tuple(map(neg, p)) if p[-1] < 0 else p)
 
 
-def _hom_halfplane(a, b):
-    """<a, y> <= b with rational a, b as the integer row (a_1.., b)."""
-    return _int_rows([tuple(_rational(x) for x in a) + (_rational(b),)])[1][0]
-
-
-def _common(points):
-    """(L, integer points over L) of homogeneous points, L the lcm of the W."""
-    den = lcm(*(p[-1] for p in points))
-    return den, [tuple(x * (den // p[-1]) for x in p[:-1]) for p in points]
-
-
-def _shoelace2(poly):
-    """Twice the signed area of a polygon of points with exact coordinates."""
-    s = 0
-    for i in range(len(poly)):
-        x0, y0 = poly[i]
-        x1, y1 = poly[(i + 1) % len(poly)]
-        s += x0 * y1 - x1 * y0
-    return s
-
-
-def _orient_ccw(poly):
-    """A polygon of homogeneous points, counterclockwise."""
-    if _shoelace2(_common(poly)[1]) < 0:
-        return tuple(reversed(poly))
-    return tuple(poly)
-
-
-def clip_polygon(poly, a, b):
-    """Intersect a convex polygon with the halfplane <a, y> <= b.
-
-    ``poly`` holds homogeneous integer points (X, Y, W); a and b are
-    integers.  The sign of <a, (X, Y)> - b W is that of <a, y> - b.
-    """
-    if not poly:
-        return ()
-    a0, a1 = a
-    f = [a0 * x + a1 * y - b * w for x, y, w in poly]
-    out = []
-    k = len(poly)
-    for i in range(k):
-        j = (i + 1) % k
-        fp, fq = f[i], f[j]
-        if fp <= 0:
-            out.append(poly[i])
-        if (fp < 0 < fq) or (fq < 0 < fp):
-            # (fp q - fq p) / (fp - fq), homogeneously
-            out.append(_canon(tuple(fp * u - fq * v
-                                    for u, v in zip(poly[j], poly[i]))))
-    # dedupe consecutive duplicates
-    dedup = []
-    for pt in out:
-        if not dedup or pt != dedup[-1]:
-            dedup.append(pt)
-    if len(dedup) > 1 and dedup[0] == dedup[-1]:
-        dedup.pop()
-    return tuple(dedup)
-
-
-def polygon_hrep(poly):
-    """Outward halfplane description of a CCW convex polygon."""
-    out = []
-    k = len(poly)
-    for i in range(k):
-        p, q = poly[i], poly[(i + 1) % k]
-        d = (q[0] - p[0], q[1] - p[1])
-        normal = (d[1], -d[0])
-        out.append((normal, normal[0] * p[0] + normal[1] * p[1]))
-    return out
-
-
-def _clip_region(poly, halfplanes):
-    """Clip homogeneous points by integer rows (a_1, a_2, b): <a, y> <= b."""
-    for a0, a1, b in halfplanes:
-        poly = clip_polygon(poly, (a0, a1), b)
-        if len(poly) < 3 or _shoelace2(_common(poly)[1]) == 0:
-            return ()
-    return _orient_ccw(poly)
-
-
-def _clip_interval(lo, hi, a, b):
-    """Intersect [lo, hi] with a*y <= b; None if empty.
-
-    lo, hi are homogeneous (X, W) and a, b integers.
-    """
-    if a:
-        y = _canon((b, a))
-        if a > 0 and y[0] * hi[1] < hi[0] * y[1]:
-            hi = y
-        elif a < 0 and y[0] * lo[1] > lo[0] * y[1]:
-            lo = y
-    elif b < 0:
-        return None
-    if lo[0] * hi[1] > hi[0] * lo[1]:
-        return None
-    return lo, hi
+def _primitive(r):
+    """An integer row divided by the gcd of its entries."""
+    g = gcd(*r)
+    return r if g <= 1 else tuple([x // g for x in r])
 
 
 # ---------------------------------------------------------------------------
@@ -905,7 +817,7 @@ class Cell:
     counterclockwise from its smallest vertex; above, a simplex lists its
     vertices in increasing order (the last two swapped if that order is
     negatively oriented) and any other cell in the order its facets list
-    them.
+    them.  Integrals and overlays read no order, only tight rows.
     """
 
     vertices: tuple            # points (length-n tuples)
@@ -923,16 +835,16 @@ class ConcaveProfile:
     are the full-dimensional linearity regions (empty when the domain is
     lower-dimensional, e.g. for conjugates of functions whose gradients lie
     on a line or a plane of R^n).  ``vertices`` are the hypograph vertices
-    with their values.  Integrals and overlays read cells as intervals or
-    polygons and need n <= 2.
+    with their values.  Integrals and overlays run for every n.
 
     Stored over one denominator ``_den``: ``_verts`` rows (Y.., Z) of the
-    hypograph vertices, ``_planes`` rows (W.., B) and ``_cells`` polygons
-    of integer points, cell i lying on plane i.  ``vertices``, ``cells``
-    and ``planes`` are ``Fraction`` views, rebuilt on every read.
+    hypograph vertices, ``_planes`` rows (W.., B) and ``_cells`` tuples
+    of integer vertices, cell i lying on plane i; ``_hrep`` keeps
+    ``_domain_hrep`` once it is computed.  ``vertices``, ``cells`` and
+    ``planes`` are ``Fraction`` views, rebuilt on every read.
     """
 
-    __slots__ = ("n", "_den", "_verts", "_cells", "_planes")
+    __slots__ = ("n", "_den", "_verts", "_cells", "_planes", "_hrep")
 
     def __init__(self, n: int, den: int, verts, cells, planes):
         g = gcd(den, *_flat(verts))
@@ -958,7 +870,7 @@ class ConcaveProfile:
     def _set(self, n, den, verts, cells, planes):
         self.n, self._den = n, den
         self._verts, self._cells = tuple(verts), tuple(cells)
-        self._planes = tuple(planes)
+        self._planes, self._hrep = tuple(planes), None
 
     def _key(self):
         return (self.n, self._den, self._verts, self._cells, self._planes)
@@ -1110,8 +1022,11 @@ def domain_hrep(profile: ConcaveProfile):
 
 
 def _domain_hrep(profile: ConcaveProfile):
-    """``_hull_rows`` of a profile's domain points, integers over its den."""
-    return _hull_rows([r[:-1] for r in profile._verts])
+    """``_hull_rows`` of a profile's domain points, integers over its den,
+    computed once per profile."""
+    if profile._hrep is None:
+        profile._hrep = _hull_rows([r[:-1] for r in profile._verts])
+    return profile._hrep
 
 
 def _hull_rows(pts):
@@ -1125,31 +1040,71 @@ def _hull_rows(pts):
     return [facet[:3] for facet in _facets(pts, 0)]
 
 
+def _hypograph_rows(cuts, profiles, den, planes):
+    """The integer rows, for x = (y, z, w), of the cone over the hypograph
+    of the min of integer ``planes`` (W.., B) over den on the region of
+    the integer ``cuts`` (a.., b) and of the profiles' domains (each
+    ``_domain_hrep`` row over D is the cut (D N, R)): <a, y> - b w <= 0,
+    -w <= 0 and den z - <W, y> - B w <= 0, in that order and without
+    repeats.  A ray with w > 0 is the point (y / w, z / w)."""
+    cuts = list(cuts) + [_primitive(tuple([x * pr._den for x in N]) + (R,))
+                         for pr in profiles for N, R, _ in _domain_hrep(pr)]
+    return ([c[:-1] + (0, -c[-1]) for c in dict.fromkeys(cuts)]
+            + [(0,) * len(planes[0]) + (-1,)]
+            + [tuple([-x for x in r[:-1]]) + (den, -r[-1])
+               for r in dict.fromkeys(planes)])
+
+
+def _simplicial(rows, d):
+    """(base, rays): the first d linearly independent of the integer rows
+    and the extreme rays of the cone where those d are <= 0.
+
+    One fraction-free Gauss-Jordan elimination of the rows, each carrying
+    the unit vector of its place in the base: a reduced row is s e_k at
+    its pivot column k, followed by c with c . B = s e_k for the base rows
+    B.  Ray i solves B x = -e_i, so x_k = -c_i / s up to a positive factor.
+    """
+    base, red = [], []
+    for i, a in enumerate(rows):
+        v = list(a) + [0] * d
+        v[d + len(base)] = 1
+        for k, r in red:
+            if v[k]:
+                v = [p * r[k] - q * v[k] for p, q in zip(v, r)]
+        k = next((k for k in range(d) if v[k]), None)
+        if k is None:
+            continue
+        for e in red:
+            if e[1][k]:
+                e[1] = [p * v[k] - q * e[1][k] for p, q in zip(e[1], v)]
+        red.append([k, v])
+        base.append(i)
+        if len(base) == d:
+            break
+    red.sort()
+    L = lcm(*(v[k] for k, v in red))
+    return base, [_primitive(tuple([-v[d + i] * (L // v[k]) for k, v in red]))
+                  for i in range(d)]
+
+
 def _vertices(rows):
     """Extreme rays of the pointed cone {x : <a, x> <= 0 for each row a}
-    of integer rows of length d, as primitive integer vectors.
+    of integer rows of length d, as primitive integer vectors, and the
+    bitmask of the row indices tight at each.
 
     The double description method (Motzkin, Raiffa, Thompson and Thrall,
     1953; Fukuda and Prodon, 1996).  It starts from the simplicial cone of
-    the first d linearly independent rows, whose rays are the cofactors of
-    the other d - 1 (``_form``), and adds one row a at a time.  Rays with
-    <a, x> <= 0 stay, and each adjacent pair of a ray with <a, x> > 0 and
-    one with <a, x> < 0 gives the ray of their 2-face with <a, x> = 0.
-    Two rays are adjacent when the rows tight at both, a bitmask of row
-    indices, number at least d - 2 and are not all tight at a third ray
-    (the combinatorial test).
+    the first d linearly independent rows (``_simplicial``), and adds one
+    row a at a time.  Rays with <a, x> <= 0 stay, and each adjacent pair
+    of a ray with <a, x> > 0 and one with <a, x> < 0 gives the ray of
+    their 2-face with <a, x> = 0.  Two rays are adjacent when the rows
+    tight at both number at least d - 2 and are not all tight at a third
+    ray (the combinatorial test).
     """
     d = len(rows[0])
-    # linearly independent rows are affinely independent with the origin
-    base = [i - 1 for i in _independent([(0,) * d] + rows,
-                                        range(len(rows) + 1), d)[0][1:]]
+    base, rays = _simplicial(rows, d)
     start = sum(1 << i for i in base)
-    rays, masks = [], []
-    for i in base:
-        r = _form([rows[j] for j in base if j != i])
-        g = gcd(*r) if sum(map(mul, rows[i], r)) < 0 else -gcd(*r)
-        rays.append(tuple([x // g for x in r]))
-        masks.append(start ^ 1 << i)
+    masks = [start ^ 1 << i for i in base]
     for i, a in enumerate(rows):
         bit = 1 << i
         if start & bit:
@@ -1169,12 +1124,11 @@ def _vertices(rows):
                         [1 for mk in masks if common & mk == common]) > 2):
                     continue
                 vm = vals[m]
-                r = [vp * x - vm * y for x, y in zip(rays[m], rp)]
-                g = gcd(*r)
-                new_rays.append(tuple([x // g for x in r]))
+                new_rays.append(_primitive(tuple([
+                    vp * x - vm * y for x, y in zip(rays[m], rp)])))
                 new_masks.append(common | bit)
         rays, masks = new_rays, new_masks
-    return rays
+    return rays, masks
 
 
 def envelope_constrained(funcs, P: Polytope) -> MaxAffine:
@@ -1200,39 +1154,22 @@ def _envelope(profiles, P: Polytope) -> MaxAffine:
 
     The envelope's pieces are the vertices (y, z) of the hypograph of the
     min of the profiles' planes on P cut by their domains: the rays with
-    w > 0 of the cone of x = (y, z, w) under the integer rows
-    <a, y> - b w <= 0 for each cut <a, y> <= b, -w <= 0 and
-    den z - <W, y> - B w <= 0 for each plane (W, B) over den
-    (``_vertices``), each ray the piece (y / w, z / w).  An empty region
-    raises EnvelopeError, and so does one of lower dimension for n >= 2;
-    a point of the line gives one piece.
+    w > 0 of the cone of ``_hypograph_rows`` (``_vertices``), each ray the
+    piece (y / w, z / w).  An empty region raises EnvelopeError, and so
+    does one of lower dimension for n >= 2, where a row of the cone is
+    tight at every ray; a point of the line gives one piece.
     """
     n = profiles[0].n
     den = lcm(*(pr._den for pr in profiles))
-    cuts = [_hom_halfplane(a, b) for a, b in P.hrep]
-    for pr in profiles:
-        # a domain holding every vertex of P contains P: its rows cut nothing
-        points = {r[:-1] for r in pr._verts}
-        if all(tuple(x * pr._den for x in v) in points for v in P.vertices):
-            continue
-        # <N, D y> <= R on the domain points y of a profile over D
-        cuts.extend(tuple(x * pr._den for x in normal) + (rhs,)
-                    for normal, rhs, _ in _domain_hrep(pr))
-    rows = [c[:-1] + (0, -c[-1]) for c in cuts]
-    rows.append((0,) * (n + 1) + (-1,))
-    for pr in profiles:
-        s = den // pr._den
-        rows += [tuple([-x * s for x in r[:-1]]) + (den, -r[-1] * s)
-                 for r in pr._planes]
-    rays = [r for r in _vertices(list(dict.fromkeys(rows))) if r[-1]]
-    if not rays:
+    planes = [tuple([x * (den // pr._den) for x in r])
+              for pr in profiles for r in pr._planes]
+    rays, masks = _vertices(_hypograph_rows(P._cuts, profiles, den, planes))
+    pts = [r for r in rays if r[-1]]
+    if not pts or n > 1 and reduce(and_, masks):
         raise EnvelopeError("empty domain")
-    w = lcm(*(r[-1] for r in rays))
-    pts = [tuple([x * (w // r[-1]) for x in r[:-1]]) for r in rays]
-    if n > 1 and len(_independent([p[:-1] for p in pts], range(len(pts)),
-                                  n)[1]) < n:
-        raise EnvelopeError("empty domain")
-    return MaxAffine._from_ints(n, w, pts)
+    w = lcm(*(r[-1] for r in pts))
+    return MaxAffine._from_ints(n, w, [
+        tuple([x * (w // r[-1]) for x in r[:-1]]) for r in pts])
 
 
 # ---------------------------------------------------------------------------
@@ -1287,27 +1224,35 @@ def marginal_min(F: MaxAffine, tau=0) -> MaxAffine:
 
 
 # ---------------------------------------------------------------------------
-# Exact integration of piecewise-linear data.
+# Exact integration of piecewise-linear data, by pulling triangulations.
 # ---------------------------------------------------------------------------
 
 
 def integrate_profile(prof: ConcaveProfile) -> Fraction:
     """Integral of the profile over its own (full-dimensional) domain.
 
-    Computed on the profile's integers: with every point and plane over
-    D, a cell's plane takes the value V / D^2 at a vertex P / D, so an
-    interval [P0, P1] contributes (P1 - P0) (V0 + V1) / (2 D^3) and a fan
-    triangle of doubled area A / D^2 contributes A (V0 + V1 + V2) / (6 D^4).
+    Summed on the profile's integers (``_integral``): a cell's plane
+    over D takes the value V / D^2 at a vertex P / D.  When a cell is no
+    simplex, a vertex is tight at bit i for each cell i it is a vertex of,
+    where plane i takes the min, and at the domain's rows through it.
     """
-    _require_plane(prof.n, "integrate_profile")
-    if not prof._cells:
+    cells = prof._cells
+    if not cells:
         raise PLError("profile has no full-dimensional cells to integrate")
-    den = prof._den
-    total = 0
-    for poly, plane in zip(prof._cells, prof._planes):
-        v = [sum(map(mul, plane, p)) + plane[-1] * den for p in poly]
-        total += _fan_sum(poly, v, 1)
-    return Fraction(total, 2 * den ** 3 if prof.n == 1 else 6 * den ** 4)
+    n, den = prof.n, prof._den
+    tight = {}
+    if any(len(poly) > n + 1 for poly in cells):
+        for i, poly in enumerate(cells):
+            for p in poly:
+                tight[p] = tight.get(p, 0) | 1 << i
+        for k, (N, R, _) in enumerate(_domain_hrep(prof), len(cells)):
+            for p in tight:
+                if sum(map(mul, N, p)) == R:
+                    tight[p] |= 1 << k
+    return _integral((
+        (poly, tight and [tight[p] for p in poly],
+         [sum(map(mul, plane, p)) + plane[-1] * den for p in poly])
+        for poly, plane in zip(cells, prof._planes)), n, 1, den ** (n + 2))
 
 
 def _h(values, p: int) -> int:
@@ -1317,23 +1262,61 @@ def _h(values, p: int) -> int:
     return sum(map(prod, combinations_with_replacement(values, p)))
 
 
-def _fan_sum(pts, v, p: int) -> int:
-    """(P1 - P0) h_p(V0, V1) for an interval [P0, P1], and the sum of
-    A h_p(V0, Vi, Vi+1) over the fan triangles of a polygon from its first
-    vertex, A the doubled area: integer points with integer values v."""
-    if len(pts[0]) == 1:
-        return (pts[-1][0] - pts[0][0]) * _h(v, p)
+def _integral(pieces, dim: int, p: int, scale: int) -> Fraction:
+    """The integral of f^p over polytopes of dimension ``dim`` with f
+    affine on each, given as ``(pts, masks, vals)``: integer vertices
+    over a common denominator, their tight rows and the values of f at
+    them, integers over the same, ``scale`` the denominator to the
+    dim + p.  Each polytope is pulled into simplices (``_pulling``); over
+    a simplex whose edges from its first vertex have determinant det, f^p
+    integrates to |det| / dim! times h_p of its vertex values over
+    C(p + dim, dim) (Baldoni et al., Math. Comp. 80, 2011)."""
     total = 0
-    (x0, y0) = pts[0]
-    for i in range(1, len(pts) - 1):
-        (x1, y1), (x2, y2) = pts[i], pts[i + 1]
-        area2 = abs((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
-        total += area2 * _h((v[0], v[i], v[i + 1]), p)
-    return total
+    for pts, masks, vals in pieces:
+        for spts, svals in (((pts, vals),) if len(pts) == dim + 1 else (
+                ([pts[i] for i in s], [vals[i] for i in s])
+                for s in _pulling(tuple(range(len(pts))), masks, dim))):
+            p0 = spts[0]
+            total += abs(_det([[a - b for a, b in zip(q, p0)]
+                               for q in spts[1:]])) * _h(svals, p)
+    return Fraction(total, factorial(dim) * comb(p + dim, dim) * scale)
+
+
+def _pulling(face, masks, dim: int):
+    """The simplices, as index tuples, of the pulling triangulation of a
+    face of dimension ``dim`` with vertex indices ``face``: a face with
+    dim + 1 vertices is one, and any other is pulled from its first
+    vertex v, which joins each simplex of each facet that misses v
+    (Lawrence, Math. Comp. 57, 1991)."""
+    if len(face) == dim + 1:
+        yield face
+        return
+    on = reduce(and_, [masks[i] for i in face])
+    for F in _facet_sets(face, masks, ~on, dim):
+        if not F & 1:
+            for s in _pulling(tuple([i for k, i in enumerate(face)
+                                     if F >> k & 1]), masks, dim - 1):
+                yield face[:1] + s
+
+
+def _facet_sets(face, masks, rows: int, dim: int):
+    """The facets of a face of dimension ``dim`` cut out by the rows of
+    the bitmask ``rows``, as {bitset of positions in ``face``: row bit}:
+    the largest vertex sets tight at one such row, each set once."""
+    sets = {}
+    for k, i in enumerate(face):
+        m = masks[i] & rows
+        while m:
+            b = m & -m
+            sets[b] = sets.get(b, 0) | 1 << k
+            m ^= b
+    big = {S: b for b, S in sets.items() if S.bit_count() >= dim}
+    return {S: b for S, b in big.items()
+            if not any(S | T == T != S for T in big)}
 
 
 # ---------------------------------------------------------------------------
-# Overlays of two profiles (n <= 2), on integers.
+# Overlays of two profiles, on integers.
 # ---------------------------------------------------------------------------
 
 
@@ -1341,65 +1324,82 @@ class _Overlay:
     """The common refinement of the cells of two profiles q0 and q1.
 
     Held on integers over D, the lcm of the two profiles' denominators.
-    ``cells`` are ``(poly, r0, r1)``: ``poly`` holds homogeneous integer
-    points (an interval (lo, hi) of points (X, W) for n = 1, a
-    counterclockwise polygon of points (X, Y, W) for n = 2), and r0, r1
-    are the integer rows (W.., B) over D of the planes of q0 and q1 on it.
-    ``verts`` maps each vertex P of a cell to (V0, V1), the values
-    q_i(P) = V_i / (D W); ``edges`` lists each pair of consecutive vertices
-    of a cell once, and q0 and q1 are affine along each.  Two profiles
-    whose domains share no full-dimensional region have no common cell.
+    ``cells`` are ``(pts, masks, edges, r0, r1)``: the cell's vertices as
+    homogeneous integer points (X.., W), their bitmasks of tight rows, the
+    pairs of them spanning its edges, and the integer rows (W.., B) over D
+    of the planes of q0 and q1 on it.  ``verts`` maps each vertex P to
+    (V0, V1), q_i(P) = V_i / (D W), and ``edges`` lists each edge once.
+    Profiles whose domains share no full-dimensional region have no cell.
     """
 
     __slots__ = ("n", "den", "cells", "verts", "edges")
 
     def __init__(self, n: int, den: int, cells):
         verts, edges = {}, {}
-        for poly, r0, r1 in cells:
-            for P in poly:
+        for pts, _, cell_edges, r0, r1 in cells:
+            for P in pts:
                 if P not in verts:
                     verts[P] = (sum(map(mul, r0, P)), sum(map(mul, r1, P)))
-            for e in (zip(poly, poly[1:] + poly[:1]) if n == 2 else (poly,)):
-                edges[e if e[0] < e[1] else e[::-1]] = None
+            edges.update(dict.fromkeys(cell_edges))
         self.n, self.den, self.cells = n, den, cells
         self.verts, self.edges = verts, tuple(edges)
 
 
 def _overlay(q0: ConcaveProfile, q1: ConcaveProfile) -> _Overlay:
-    """The common refinement of two profiles' cells, for n <= 2.
+    """The common refinement of two profiles' cells, in every dimension.
 
-    Intervals meet on their integer ends over D; each polygon of q0 is
-    clipped by the edges of each polygon of q1 (``_clip_region``).
+    Intervals meet on their integer ends over D.  For n >= 2, q0 + q1 is
+    the min of the summed planes P_i + P'_j on the common domain, whose
+    cells are the common refinement, since kinks of concave functions
+    cannot cancel.  So the upper facets (``_facet_sets``) of one
+    ``_vertices`` call on that hypograph are the cells, q0 = P_i and
+    q1 = P'_j on the facet of (i, j), and two vertices of a cell span an
+    edge when no third one is tight at every row tight at both.
     """
     if q0.n != q1.n:
         raise PLError("profile dimension mismatch")
     n = q0.n
-    _require_plane(n, "overlays")
     d0, d1 = q0._den, q1._den
     den = lcm(d0, d1)
     s0, s1 = den // d0, den // d1
     rows0 = [tuple(x * s0 for x in r) for r in q0._planes]
     rows1 = [tuple(x * s1 for x in r) for r in q1._planes]
     cells = []
+    if not (q0._cells and q1._cells):
+        return _Overlay(n, den, cells)
     if n == 1:
         for poly0, r0 in zip(q0._cells, rows0):
             for poly1, r1 in zip(q1._cells, rows1):
                 lo = max(poly0[0][0] * s0, poly1[0][0] * s1)
                 hi = min(poly0[-1][0] * s0, poly1[-1][0] * s1)
                 if lo < hi:
-                    cells.append(((_canon((lo, den)), _canon((hi, den))),
-                                  r0, r1))
+                    ends = (_canon((lo, den)), _canon((hi, den)))
+                    cells.append((ends, (0, 0), (ends,), r0, r1))
         return _Overlay(1, den, cells)
-    # the edges of q1's cells, as rows over its denominator
-    cuts1 = [[(a0 * d1, a1 * d1, b) for (a0, a1), b in polygon_hrep(poly)]
-             for poly in q1._cells]
-    for poly, r0 in zip(q0._cells, rows0):
-        poly = tuple(_canon(p + (d0,)) for p in poly)
-        for cuts, r1 in zip(cuts1, rows1):
-            region = _clip_region(poly, cuts)
-            if region:
-                cells.append((region, r0, r1))
-    return _Overlay(2, den, cells)
+    pairs = {}
+    for r0 in rows0:
+        for r1 in rows1:
+            pairs.setdefault(tuple(map(add, r0, r1)), (r0, r1))
+    rows = _hypograph_rows((), (q0, q1), den, list(pairs))
+    rays, masks = _vertices(rows)
+    if reduce(and_, masks):
+        # a row tight at every ray: the common domain is lower-dimensional
+        return _Overlay(n, den, cells)
+    finite = [i for i, r in enumerate(rays) if r[-1]]
+    pts = {i: _canon(rays[i][:n] + rays[i][-1:]) for i in finite}
+    first, plan = len(rows) - len(pairs), list(pairs.values())
+    for S, b in _facet_sets(finite, masks, -1 << first, n + 1).items():
+        idx = [i for k, i in enumerate(finite) if S >> k & 1]
+        edges = []
+        for a, c in combinations(idx, 2):
+            common = masks[a] & masks[c]
+            if not any(masks[i] & common == common for i in idx
+                       if i != a and i != c):
+                edges.append((pts[a], pts[c]))
+        cells.append((tuple([pts[i] for i in idx]),
+                      tuple([masks[i] for i in idx]), tuple(edges),
+                      *plan[b.bit_length() - 1 - first]))
+    return _Overlay(n, den, cells)
 
 
 def overlay_vertices(p0: ConcaveProfile, p1: ConcaveProfile):
@@ -1422,47 +1422,39 @@ def integrate_abs_difference(p0, p1, p: int = 1) -> Fraction:
 def _overlay_integral(ov: _Overlay, p: int) -> Fraction:
     """Integral of |q0 - q1|^p over the cells of an overlay, p >= 1.
 
-    A cell where the difference row d = r0 - r1 changes sign is split into
-    the two halves where it is >= 0 and <= 0 (``clip_polygon`` or
-    ``_clip_interval`` on d and on -d), so that |q0 - q1| is affine on each
-    piece.  The pieces are put over the lcm L of their points' W, where a
-    vertex P / L takes |q0 - q1| = V / (D L) with V = |<d, (P, L)>|.  An
-    affine function's p-th power integrates over a simplex of dimension e
-    to its volume times h_p of its vertex values over C(p + e, e), so an
-    interval [P0, P1] contributes (P1 - P0) h_p(V0, V1) / ((p + 1) L (D L)^p)
-    and a fan triangle of doubled area A / L^2 contributes
-    A h_p(V0, V1, V2) / (2 C(p + 2, 2) L^2 (D L)^p): one ``Fraction`` of
-    the integer sum.
+    A cell where d = r0 - r1 changes sign is split into its halves where
+    d >= 0 and d <= 0: each keeps the cell's vertices on its side and the
+    points of its edges where d = 0 (as in ``_crossings``), and every
+    point where d = 0 is tight at one more row.  Over the lcm L of the
+    points' W, |q0 - q1| = |<d, (P, L)>| / (D L) at a point P / L.
     """
     n = ov.n
     pieces = []
-    for poly, r0, r1 in ov.cells:
+    for pts, masks, edges, r0, r1 in ov.cells:
         d = tuple(map(sub, r0, r1))
-        signs = [sum(map(mul, d, P)) for P in poly]
-        if not any(signs):
+        f = [sum(map(mul, d, P)) for P in pts]
+        if not any(f):
             continue
-        if min(signs) < 0 < max(signs):
-            # <d, (y, 1)> >= 0 where <-d_y, y> <= d_c, and <= 0 on the rest
-            if n == 1:
-                lo, hi = poly
-                halves = (_clip_interval(lo, hi, -d[0], d[1]),
-                          _clip_interval(lo, hi, d[0], -d[1]))
-            else:
-                halves = (clip_polygon(poly, (-d[0], -d[1]), d[2]),
-                          clip_polygon(poly, (d[0], d[1]), -d[2]))
-            pieces.extend((half, d) for half in halves if half)
+        if min(f) < 0 < max(f):
+            bit = 1 << max(masks).bit_length()
+            at = dict(zip(pts, zip(f, masks)))
+            cut = [(_canon(tuple([fp * u - fq * v for u, v in zip(Q, P)])),
+                    mp & mq | bit)
+                   for P, Q in edges
+                   for (fp, mp), (fq, mq) in [(at[P], at[Q])] if fp * fq < 0]
+            for sign in (1, -1):
+                pieces.append((d, *zip(*[
+                    (P, m if x else m | bit)
+                    for P, x, m in zip(pts, f, masks) if sign * x >= 0] + cut)))
         else:
-            pieces.append((poly, d))
-    if not pieces:
-        return Fraction(0)
-    L = lcm(*(P[-1] for poly, _ in pieces for P in poly))
-    total = 0
-    for poly, d in pieces:
-        pts = [tuple(x * (L // P[-1]) for x in P[:-1]) for P in poly]
-        total += _fan_sum(
-            pts, [abs(sum(map(mul, d, X)) + d[-1] * L) for X in pts], p)
-    scale = (p + 1) * L if n == 1 else 2 * comb(p + 2, 2) * L * L
-    return Fraction(total, scale * (ov.den * L) ** p)
+            pieces.append((d, pts, masks))
+    L = lcm(*(P[-1] for _, pts, _ in pieces for P in pts))
+    out = []
+    for d, pts, masks in pieces:
+        X = [tuple([x * (L // P[-1]) for x in P[:-1]]) for P in pts]
+        out.append((X, masks, [abs(sum(map(mul, d, x)) + d[-1] * L)
+                               for x in X]))
+    return _integral(out, n, p, L ** n * (ov.den * L) ** p)
 
 
 def max_abs_difference(p0: ConcaveProfile, p1: ConcaveProfile) -> Fraction:

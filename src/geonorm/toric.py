@@ -428,7 +428,7 @@ class MetricPair:
 
     def energy_limit(self) -> Fraction:
         """``energy_limit(phi0, phi1)`` of the pair."""
-        # checked before the profiles, whose integrals need n <= 2
+        # checked before the profiles are conjugated and integrated
         _require_pair(self.phi0, self.phi1)
         return self._energy(0) - self._energy(1)
 

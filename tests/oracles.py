@@ -112,11 +112,19 @@ handed the public ``Fraction`` views of a library profile.
 ``min_profile`` (with ``_min_profile``, ``_degenerate_profile_2d`` and
 their helpers) is the integer clipper of intervals and polygons, for
 n <= 2, that geonorm.plconvex replaced with vertex enumeration by double
-description; it is composed from the library's clipping primitives and
-returns a library profile.  ``hypograph_vertices`` finds the vertices of
-a min of planes on a polytope by brute force, solving every
-(n + 1)-subset of the rows by cofactors, where the library adds one row
-at a time to a cone.
+description; it is composed from the clipping primitives
+(``clip_polygon``, ``polygon_hrep``, ``_clip_region``, ``_clip_interval``)
+that the library held until its overlays went the same way, and returns
+a library profile.  ``_overlay`` (an ``_Overlay`` of clipped cells),
+``_overlay_integral`` and ``integrate_profile`` (with ``_fan_sum``) are
+the integer overlay and the fan integrals, for n <= 2, that
+geonorm.plconvex replaced with one vertex enumeration per overlay and
+pulling triangulations in every dimension.  ``hypograph_vertices`` finds
+the vertices of a min of planes on a polytope by brute force, solving
+every (n + 1)-subset of the rows by cofactors, where the library adds
+one row at a time to a cone.  ``cell_integral_sympy`` integrates an
+affine function over a cell of R^3 with sympy's ``polytope_integrate``,
+on the facets of a brute-force hull (``hull_faces_3d``).
 """
 
 from __future__ import annotations
@@ -125,9 +133,9 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from itertools import combinations
-from math import lcm
-from operator import mul
+from itertools import combinations, combinations_with_replacement
+from math import comb, lcm, prod
+from operator import mul, sub
 
 from geonorm import linalg
 from geonorm.field import INF, TADIC, RatFunc, format_fraction
@@ -145,10 +153,6 @@ from geonorm.plconvex import (
     EnvelopeError,
     PLError,
     _canon,
-    _clip_interval,
-    _clip_region,
-    _common,
-    _hom_halfplane,
     _independent,
     _int_rows,
     _rational,
@@ -2012,6 +2016,72 @@ def min_profile_fraction(planes, domain_vertices, extra_hrep, n):
             tuple((g, c) for _, g, c in cells))
 
 
+def _cross3(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def _dot3(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def hull_faces_3d(pts):
+    """The facets of the hull of full-dimensional points of R^3 by brute
+    force: every triple of points spans a plane, kept when every point
+    lies on one side of it.  Each facet lists its point indices around it
+    counterclockwise seen from outside, so that the first three give the
+    outward normal, found by wrapping the facet's points in its plane."""
+    faces = {}
+    for i, j, k in combinations(range(len(pts)), 3):
+        p = pts[i]
+        N = _cross3(tuple(a - b for a, b in zip(pts[j], p)),
+                    tuple(a - b for a, b in zip(pts[k], p)))
+        if not any(N):
+            continue
+        side = [_dot3(N, tuple(a - b for a, b in zip(q, p))) for q in pts]
+        if all(x >= 0 for x in side):
+            N = tuple(-x for x in N)
+        elif not all(x <= 0 for x in side):
+            continue
+        faces.setdefault(tuple(i for i, x in enumerate(side) if not x), N)
+    out = []
+    for on, N in faces.items():
+        ring = [on[0]]
+        while len(ring) < len(on):
+            cur = pts[ring[-1]]
+            for q in on:
+                if q in ring:
+                    continue
+                e = tuple(a - b for a, b in zip(pts[q], cur))
+                if all(_dot3(N, _cross3(e, tuple(a - b for a, b in
+                                                zip(pts[r], cur)))) >= 0
+                       for r in on if r != q):
+                    ring.append(q)
+                    break
+        out.append(ring)
+    return out
+
+
+def cell_integral_sympy(vertices, grad, offset):
+    """The integral of <grad, y> + offset over the hull of points of R^3
+    by sympy's ``polytope_integrate``, one homogeneous part at a time (it
+    gives nan on x + 2y + 3 over the unit tetrahedron)."""
+    from sympy import Rational, symbols
+    from sympy.integrals.intpoly import polytope_integrate
+
+    x = symbols("x y z")
+    poly = [[tuple(Rational(c.numerator, c.denominator) for c in v)
+             for v in vertices]] + hull_faces_3d(vertices)
+    total = Fraction(0)
+    for part, scale in ((sum(Rational(g.numerator, g.denominator) * xi
+                             for g, xi in zip(grad, x)), 1),
+                        (Rational(1), offset)):
+        if part != 0:
+            got = polytope_integrate(poly, part)
+            total += Fraction(int(got.p), int(got.q)) * scale
+    return total
+
+
 def _det_cofactor(m):
     """Determinant of a square integer matrix by cofactor expansion along
     its first row."""
@@ -2051,10 +2121,116 @@ def hypograph_vertices(planes, hrep):
 
 
 # ---------------------------------------------------------------------------
+# The integer clipping primitives (n <= 2) that geonorm.plconvex replaced
+# with vertex enumeration by double description, as it held them: a
+# polygon of homogeneous integer points (X, Y, W) clipped by integer
+# halfplanes, and an interval of points (X, W).
+# ---------------------------------------------------------------------------
+
+
+def _common(points):
+    """(L, integer points over L) of homogeneous points, L the lcm of the W."""
+    den = lcm(*(p[-1] for p in points))
+    return den, [tuple(x * (den // p[-1]) for x in p[:-1]) for p in points]
+
+
+def _shoelace2(poly):
+    """Twice the signed area of a polygon of points with exact coordinates."""
+    s = 0
+    for i in range(len(poly)):
+        x0, y0 = poly[i]
+        x1, y1 = poly[(i + 1) % len(poly)]
+        s += x0 * y1 - x1 * y0
+    return s
+
+
+def _orient_ccw(poly):
+    """A polygon of homogeneous points, counterclockwise."""
+    if _shoelace2(_common(poly)[1]) < 0:
+        return tuple(reversed(poly))
+    return tuple(poly)
+
+
+def clip_polygon(poly, a, b):
+    """Intersect a convex polygon with the halfplane <a, y> <= b.
+
+    ``poly`` holds homogeneous integer points (X, Y, W); a and b are
+    integers.  The sign of <a, (X, Y)> - b W is that of <a, y> - b.
+    """
+    if not poly:
+        return ()
+    a0, a1 = a
+    f = [a0 * x + a1 * y - b * w for x, y, w in poly]
+    out = []
+    k = len(poly)
+    for i in range(k):
+        j = (i + 1) % k
+        fp, fq = f[i], f[j]
+        if fp <= 0:
+            out.append(poly[i])
+        if (fp < 0 < fq) or (fq < 0 < fp):
+            # (fp q - fq p) / (fp - fq), homogeneously
+            out.append(_canon(tuple(fp * u - fq * v
+                                    for u, v in zip(poly[j], poly[i]))))
+    # dedupe consecutive duplicates
+    dedup = []
+    for pt in out:
+        if not dedup or pt != dedup[-1]:
+            dedup.append(pt)
+    if len(dedup) > 1 and dedup[0] == dedup[-1]:
+        dedup.pop()
+    return tuple(dedup)
+
+
+def polygon_hrep(poly):
+    """Outward halfplane description of a CCW convex polygon."""
+    out = []
+    k = len(poly)
+    for i in range(k):
+        p, q = poly[i], poly[(i + 1) % k]
+        d = (q[0] - p[0], q[1] - p[1])
+        normal = (d[1], -d[0])
+        out.append((normal, normal[0] * p[0] + normal[1] * p[1]))
+    return out
+
+
+def _clip_region(poly, halfplanes):
+    """Clip homogeneous points by integer rows (a_1, a_2, b): <a, y> <= b."""
+    for a0, a1, b in halfplanes:
+        poly = clip_polygon(poly, (a0, a1), b)
+        if len(poly) < 3 or _shoelace2(_common(poly)[1]) == 0:
+            return ()
+    return _orient_ccw(poly)
+
+
+def _clip_interval(lo, hi, a, b):
+    """Intersect [lo, hi] with a*y <= b; None if empty.
+
+    lo, hi are homogeneous (X, W) and a, b integers.
+    """
+    if a:
+        y = _canon((b, a))
+        if a > 0 and y[0] * hi[1] < hi[0] * y[1]:
+            hi = y
+        elif a < 0 and y[0] * lo[1] > lo[0] * y[1]:
+            lo = y
+    elif b < 0:
+        return None
+    if lo[0] * hi[1] > hi[0] * lo[1]:
+        return None
+    return lo, hi
+
+
+# ---------------------------------------------------------------------------
 # The integer min-profile clipper (n <= 2) that geonorm.plconvex replaced
 # with vertex enumeration by double description; composed from the
-# library's clipping primitives.
+# clipping primitives above.
 # ---------------------------------------------------------------------------
+
+
+def _hom_halfplane(a, b):
+    """<a, y> <= b with rational a, b as the integer row (a_1.., b)."""
+    return _int_rows([tuple(_rational(x) for x in a) + (_rational(b),)])[1][0]
 
 
 def _hom_point(p):
@@ -2204,6 +2380,184 @@ def _min_profile(n, den, planes, domain, cuts) -> ConcaveProfile:
             raise EnvelopeError("empty domain")
         return _profile_on_points(2, den, vertices.items(), cells, active)
     raise PLError("min profiles implemented for n <= 2")
+
+
+# ---------------------------------------------------------------------------
+# The integer overlay (n <= 2) and the fan integrals that geonorm.plconvex
+# replaced with one vertex enumeration per overlay and pulling
+# triangulations in every dimension: cells clipped by the primitives
+# above, split by the sign of q0 - q1 with ``clip_polygon`` or
+# ``_clip_interval``, and summed over fan triangles.
+# ---------------------------------------------------------------------------
+
+
+def integrate_profile(prof: ConcaveProfile) -> Fraction:
+    """Integral of the profile over its own (full-dimensional) domain.
+
+    Computed on the profile's integers: with every point and plane over
+    D, a cell's plane takes the value V / D^2 at a vertex P / D, so an
+    interval [P0, P1] contributes (P1 - P0) (V0 + V1) / (2 D^3) and a fan
+    triangle of doubled area A / D^2 contributes A (V0 + V1 + V2) / (6 D^4).
+    """
+    _require_plane(prof.n, "integrate_profile")
+    if not prof._cells:
+        raise PLError("profile has no full-dimensional cells to integrate")
+    den = prof._den
+    total = 0
+    for poly, plane in zip(prof._cells, prof._planes):
+        v = [sum(map(mul, plane, p)) + plane[-1] * den for p in poly]
+        total += _fan_sum(poly, v, 1)
+    return Fraction(total, 2 * den ** 3 if prof.n == 1 else 6 * den ** 4)
+
+
+def _h(values, p: int) -> int:
+    """The complete homogeneous symmetric polynomial h_p of integers."""
+    if p == 1:
+        return sum(values)
+    return sum(map(prod, combinations_with_replacement(values, p)))
+
+
+def _fan_sum(pts, v, p: int) -> int:
+    """(P1 - P0) h_p(V0, V1) for an interval [P0, P1], and the sum of
+    A h_p(V0, Vi, Vi+1) over the fan triangles of a polygon from its first
+    vertex, A the doubled area: integer points with integer values v."""
+    if len(pts[0]) == 1:
+        return (pts[-1][0] - pts[0][0]) * _h(v, p)
+    total = 0
+    (x0, y0) = pts[0]
+    for i in range(1, len(pts) - 1):
+        (x1, y1), (x2, y2) = pts[i], pts[i + 1]
+        area2 = abs((x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0))
+        total += area2 * _h((v[0], v[i], v[i + 1]), p)
+    return total
+
+
+class _Overlay:
+    """The common refinement of the cells of two profiles q0 and q1.
+
+    Held on integers over D, the lcm of the two profiles' denominators.
+    ``cells`` are ``(poly, r0, r1)``: ``poly`` holds homogeneous integer
+    points (an interval (lo, hi) of points (X, W) for n = 1, a
+    counterclockwise polygon of points (X, Y, W) for n = 2), and r0, r1
+    are the integer rows (W.., B) over D of the planes of q0 and q1 on it.
+    ``verts`` maps each vertex P of a cell to (V0, V1), the values
+    q_i(P) = V_i / (D W); ``edges`` lists each pair of consecutive vertices
+    of a cell once, and q0 and q1 are affine along each.  Two profiles
+    whose domains share no full-dimensional region have no common cell.
+    """
+
+    __slots__ = ("n", "den", "cells", "verts", "edges")
+
+    def __init__(self, n: int, den: int, cells):
+        verts, edges = {}, {}
+        for poly, r0, r1 in cells:
+            for P in poly:
+                if P not in verts:
+                    verts[P] = (sum(map(mul, r0, P)), sum(map(mul, r1, P)))
+            for e in (zip(poly, poly[1:] + poly[:1]) if n == 2 else (poly,)):
+                edges[e if e[0] < e[1] else e[::-1]] = None
+        self.n, self.den, self.cells = n, den, cells
+        self.verts, self.edges = verts, tuple(edges)
+
+
+def _overlay(q0: ConcaveProfile, q1: ConcaveProfile) -> _Overlay:
+    """The common refinement of two profiles' cells, for n <= 2.
+
+    Intervals meet on their integer ends over D; each polygon of q0 is
+    clipped by the edges of each polygon of q1 (``_clip_region``).
+    """
+    if q0.n != q1.n:
+        raise PLError("profile dimension mismatch")
+    n = q0.n
+    _require_plane(n, "overlays")
+    d0, d1 = q0._den, q1._den
+    den = lcm(d0, d1)
+    s0, s1 = den // d0, den // d1
+    rows0 = [tuple(x * s0 for x in r) for r in q0._planes]
+    rows1 = [tuple(x * s1 for x in r) for r in q1._planes]
+    cells = []
+    if n == 1:
+        for poly0, r0 in zip(q0._cells, rows0):
+            for poly1, r1 in zip(q1._cells, rows1):
+                lo = max(poly0[0][0] * s0, poly1[0][0] * s1)
+                hi = min(poly0[-1][0] * s0, poly1[-1][0] * s1)
+                if lo < hi:
+                    cells.append(((_canon((lo, den)), _canon((hi, den))),
+                                  r0, r1))
+        return _Overlay(1, den, cells)
+    # the edges of q1's cells, as rows over its denominator
+    cuts1 = [[(a0 * d1, a1 * d1, b) for (a0, a1), b in polygon_hrep(poly)]
+             for poly in q1._cells]
+    for poly, r0 in zip(q0._cells, rows0):
+        poly = tuple(_canon(p + (d0,)) for p in poly)
+        for cuts, r1 in zip(cuts1, rows1):
+            region = _clip_region(poly, cuts)
+            if region:
+                cells.append((region, r0, r1))
+    return _Overlay(2, den, cells)
+
+
+def overlay_vertices(p0: ConcaveProfile, p1: ConcaveProfile):
+    """Vertices of the common refinement of two cell subdivisions."""
+    return tuple(sorted(tuple(Fraction(x, P[-1]) for x in P[:-1])
+                        for P in _overlay(p0, p1).verts))
+
+
+def integrate_abs_difference(p0, p1, p: int = 1) -> Fraction:
+    """Exact integral of |q0 - q1|^p over the common domain, p an int >= 1.
+
+    Computed on the integers of the two profiles' overlay
+    (``_overlay_integral``).
+    """
+    if type(p) is not int or p < 1:
+        raise PLError(f"the power p must be an integer >= 1, got {p!r}")
+    return _overlay_integral(_overlay(p0, p1), p)
+
+
+def _overlay_integral(ov: _Overlay, p: int) -> Fraction:
+    """Integral of |q0 - q1|^p over the cells of an overlay, p >= 1.
+
+    A cell where the difference row d = r0 - r1 changes sign is split into
+    the two halves where it is >= 0 and <= 0 (``clip_polygon`` or
+    ``_clip_interval`` on d and on -d), so that |q0 - q1| is affine on each
+    piece.  The pieces are put over the lcm L of their points' W, where a
+    vertex P / L takes |q0 - q1| = V / (D L) with V = |<d, (P, L)>|.  An
+    affine function's p-th power integrates over a simplex of dimension e
+    to its volume times h_p of its vertex values over C(p + e, e), so an
+    interval [P0, P1] contributes (P1 - P0) h_p(V0, V1) / ((p + 1) L (D L)^p)
+    and a fan triangle of doubled area A / L^2 contributes
+    A h_p(V0, V1, V2) / (2 C(p + 2, 2) L^2 (D L)^p): one ``Fraction`` of
+    the integer sum.
+    """
+    n = ov.n
+    pieces = []
+    for poly, r0, r1 in ov.cells:
+        d = tuple(map(sub, r0, r1))
+        signs = [sum(map(mul, d, P)) for P in poly]
+        if not any(signs):
+            continue
+        if min(signs) < 0 < max(signs):
+            # <d, (y, 1)> >= 0 where <-d_y, y> <= d_c, and <= 0 on the rest
+            if n == 1:
+                lo, hi = poly
+                halves = (_clip_interval(lo, hi, -d[0], d[1]),
+                          _clip_interval(lo, hi, d[0], -d[1]))
+            else:
+                halves = (clip_polygon(poly, (-d[0], -d[1]), d[2]),
+                          clip_polygon(poly, (d[0], d[1]), -d[2]))
+            pieces.extend((half, d) for half in halves if half)
+        else:
+            pieces.append((poly, d))
+    if not pieces:
+        return Fraction(0)
+    L = lcm(*(P[-1] for poly, _ in pieces for P in poly))
+    total = 0
+    for poly, d in pieces:
+        pts = [tuple(x * (L // P[-1]) for x in P[:-1]) for P in poly]
+        total += _fan_sum(
+            pts, [abs(sum(map(mul, d, X)) + d[-1] * L) for X in pts], p)
+    scale = (p + 1) * L if n == 1 else 2 * comb(p + 2, 2) * L * L
+    return Fraction(total, scale * (ov.den * L) ** p)
 
 
 def marginal_min_fm(n, pieces, tau=0, keep=None):

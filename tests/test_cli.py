@@ -8,6 +8,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import tempfile
 from fractions import Fraction
 
@@ -17,8 +18,9 @@ from hypothesis import given, settings, strategies as st
 from geonorm import cli, linalg, segments
 from geonorm.cli import main
 from geonorm.graded import generate_degree_one
+from geonorm.segments import legendre_segment
 from geonorm.suites import planted_submultiplicativity_violation
-from geonorm.toric import fs_from_norm, section_ring
+from geonorm.toric import d1_metric, energy, fs_from_norm, section_ring
 
 F = Fraction
 
@@ -618,43 +620,71 @@ def test_legendre_without_critical_tau_exits_2(tmp_path, capsys) -> None:
     _assert_one_line_error(capsys, "error: no critical shift tau")
 
 
-def test_energy_on_p3_exits_2(tmp_path, capsys) -> None:
-    def metric(c):
-        pieces = [{"g": g, "c": c} for g in (["0", "0", "0"], ["1", "0", "0"],
-                                             ["0", "1", "0"], ["0", "0", "1"])]
-        return {"n": 3, "m": 1, "potential": {"n": 3, "pieces": pieces}}
-
+def _p3_pair_config(tmp_path, tasks):
+    """A config of two seeded level-2 FS metrics on O(1) over P^3."""
+    ring = section_ring(3, 1)
+    rng = random.Random("cli-p3")
+    phi0, phi1 = (fs_from_norm(ring, 2, {
+        a: F(rng.randint(-4, 4), rng.choice((1, 2))) for a in ring.basis(2)})
+        for _ in range(2))
     cfg = tmp_path / "p3.json"
     cfg.write_text(json.dumps({
         "arena": {"n": 3, "m": 1},
-        "objects": {"metrics": {"phi0": metric("0"), "phi1": metric("-1")}},
-        "tasks": [{"op": "energy", "metrics": ["phi0", "phi1"], "kmax": 1}],
+        "objects": {"metrics": {"phi0": phi0.to_json(),
+                                "phi1": phi1.to_json()}},
+        "tasks": tasks,
+        "output": {"format": "json"},
     }))
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-    _assert_one_line_error(capsys)
+    return str(cfg), phi0, phi1
 
 
-@pytest.mark.parametrize("task, message", [
-    ({"op": "d1", "metrics": ["phi0", "phi1"], "kmax": 1},
-     "error: overlays implemented for n <= 2"),
+@pytest.mark.parametrize("n", [2, 3])
+def test_legendre_on_touching_hulls_exits_2(tmp_path, capsys, n) -> None:
+    # gradient hulls that touch in an edge (P^2) or a face (P^3) share no
+    # full-dimensional cell, so no shift tau is critical
+    def metric(grads):
+        pieces = [{"g": [str(x) for x in g], "c": str(c)}
+                  for c, g in enumerate(grads)]
+        return {"n": n, "m": n, "potential": {"n": n, "pieces": pieces}}
+
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    cfg = tmp_path / "touching.json"
+    cfg.write_text(json.dumps({
+        "arena": {"n": n, "m": n},
+        "objects": {"metrics": {
+            "phi0": metric([(0,) * n] + units),
+            "phi1": metric(units + [(1,) * n])}},
+        "tasks": [{"op": "legendre", "metrics": ["phi0", "phi1"],
+                   "t": "1/2"}],
+    }))
+    assert main(["run", "--config", str(cfg), "--out",
+                 str(tmp_path / "out")]) == 2
+    _assert_one_line_error(capsys, "error: no critical shift tau")
+
+
+def test_energy_on_p3_writes_artifact(tmp_path, capsys) -> None:
+    cfg, phi0, phi1 = _p3_pair_config(tmp_path, [
+        {"op": "energy", "metrics": ["phi0", "phi1"], "kmax": 2}])
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    got = json.loads((tmp_path / "out" / "000_energy.json").read_text())
+    assert got == energy(phi0, phi1, kmax=2).rows()
+
+
+@pytest.mark.parametrize("task, name", [
+    ({"op": "d1", "metrics": ["phi0", "phi1"], "kmax": 1}, "000_d1.json"),
     ({"op": "legendre", "metrics": ["phi0", "phi1"], "t": "1/2"},
-     "error: overlays implemented for n <= 2"),
+     "000_legendre.json"),
 ], ids=["d1", "legendre"])
-def test_overlays_on_p3_exit_2(tmp_path, capsys, task, message) -> None:
-    # P^3 profiles exist, but the overlay of two of them reads polygons
-    def metric(c):
-        pieces = [{"g": g, "c": c} for g in (["0", "0", "0"], ["1", "0", "0"],
-                                             ["0", "1", "0"], ["0", "0", "1"])]
-        return {"n": 3, "m": 1, "potential": {"n": 3, "pieces": pieces}}
-
-    cfg = tmp_path / "p3.json"
-    cfg.write_text(json.dumps({
-        "arena": {"n": 3, "m": 1},
-        "objects": {"metrics": {"phi0": metric("0"), "phi1": metric("-1")}},
-        "tasks": [task],
-    }))
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-    _assert_one_line_error(capsys, message)
+def test_overlays_on_p3_write_artifacts(tmp_path, capsys, task, name) -> None:
+    # the overlay of two P^3 profiles is one vertex enumeration; d1 checks
+    # its integral against the rooftop's energies as it runs
+    cfg, phi0, phi1 = _p3_pair_config(tmp_path, [task])
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    got = json.loads((tmp_path / "out" / name).read_text())
+    if task["op"] == "d1":
+        assert got == d1_metric(phi0, phi1, kmax=1).rows()
+    else:
+        assert got == legendre_segment(phi0, phi1, F(1, 2)).to_json()
 
 
 def test_segment_psh_on_p3_exits_2(tmp_path, capsys) -> None:

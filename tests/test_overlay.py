@@ -17,11 +17,12 @@ from geonorm.plconvex import (
     PLError,
     conjugate,
     integrate_abs_difference,
+    integrate_profile,
     max_abs_difference,
     overlay_vertices,
 )
-from geonorm.segments import SegmentPair, tau_critical_set
-from geonorm.toric import ToricMetric, fs_from_norm, section_ring
+from geonorm.segments import SegmentPair, legendre_segment, tau_critical_set
+from geonorm.toric import ToricError, ToricMetric, fs_from_norm, section_ring
 
 F = Fraction
 
@@ -112,6 +113,110 @@ def test_integer_overlay_matches_fraction_oracle(pair, data) -> None:
         q0, q1)
     assert tau_critical_set(phi0, phi1) == oracles.critical_taus_fraction(
         q0, q1)
+
+
+# -- the overlay against the clipped overlay of the oracles ------------------
+
+
+_GRID = {n: [a for a in itertools.product(range(4), repeat=n)] for n in (1, 2)}
+
+
+@st.composite
+def _profile_pairs(draw):
+    """(q0, q1) on n in {1, 2}: conjugates of functions with gradients on
+    a grid.  The second function has gradients of its own, or the first's
+    with new offsets (cells split by the sign of q0 - q1), or the first's
+    reflected in the hyperplane through their largest first coordinate
+    (hulls touching in a face), or on a line, or the first's moved away
+    (no common cell)."""
+    n = draw(st.sampled_from((1, 2)))
+
+    def grads(least):
+        return draw(st.lists(st.sampled_from(_GRID[n]), min_size=least,
+                             max_size=7, unique=True))
+
+    def conj(points):
+        return conjugate(MaxAffine(n, [(tuple(map(F, a)), draw(_OFFSET))
+                                       for a in points]))
+
+    g0 = grads(n + 1)
+    shape = draw(st.sampled_from(("own", "own", "offsets", "touch", "line",
+                                  "apart")))
+    if shape == "own":
+        g1 = grads(1)
+    elif shape == "offsets":
+        g1 = g0
+    elif shape == "touch":
+        top = max(a[0] for a in g0)
+        g1 = [(2 * top - a[0],) + a[1:] for a in g0]
+    elif shape == "line":
+        g1 = [(k,) * n for k in range(draw(st.integers(1, 4)))]
+    else:
+        g1 = [(a[0] + 5,) + a[1:] for a in g0]
+    return conj(g0), conj(g1)
+
+
+def _cell_set(cells):
+    return {(frozenset(cell[0]), cell[-2], cell[-1]) for cell in cells}
+
+
+@settings(max_examples=150)
+@given(_profile_pairs())
+@example((_SEGMENT, conjugate(_ma(((2,), 0), ((4,), 1)))))
+@example((_TRIANGLE, conjugate(_ma(((1, 0), 0), ((0, 1), 0), ((1, 1), 2)))))
+@example((_TRIANGLE, _TRIANGLE.shifted(1)))
+def test_overlay_matches_clipped_overlay(pair) -> None:
+    # the vertices with their values, the cells, the edges and the
+    # integrals of |q0 - q1|^p, including the pieces of split cells
+    q0, q1 = pair
+    got, want = plconvex._overlay(q0, q1), oracles._overlay(q0, q1)
+    assert got.den == want.den
+    assert got.verts == want.verts
+    assert _cell_set(got.cells) == _cell_set(want.cells)
+    assert set(map(frozenset, got.edges)) == set(map(frozenset, want.edges))
+    for p in (1, 2, 3):
+        assert (plconvex._overlay_integral(got, p)
+                == oracles._overlay_integral(want, p))
+    for q in pair:
+        if q.cells:
+            assert integrate_profile(q) == oracles.integrate_profile(q)
+
+
+# -- profiles with no common cell, and profiles with no cell -----------------
+
+
+# gradient hulls touching in an edge of the plane and a face of space
+_TOUCHING = {
+    2: (((0, 0), (1, 0), (0, 1)), ((1, 0), (0, 1), (1, 1))),
+    3: (((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)),
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_hulls_touching_in_a_face_share_no_cell(n) -> None:
+    # on O(n), whose simplex holds both hulls
+    phi0, phi1 = (ToricMetric(n, n, _ma(*[(g, c) for c, g in enumerate(gs)]))
+                  for gs in _TOUCHING[n])
+    q0, q1 = phi0.profile(), phi1.profile()
+    assert q0.cells and q1.cells
+    assert plconvex._overlay(q0, q1).cells == []
+    assert integrate_abs_difference(q0, q1) == 0
+    assert max_abs_difference(q0, q1) == 0
+    assert tau_critical_set(phi0, phi1) == ()
+    with pytest.raises(ToricError, match="no critical shift tau"):
+        legendre_segment(phi0, phi1, F(1, 2))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_profile_without_cells_is_not_integrated(n) -> None:
+    # gradients in a hyperplane: the profile's domain has no interior
+    q = conjugate(_ma(*[(g, 0) for g in _TOUCHING[n][0][:n]]))
+    assert not q.cells
+    with pytest.raises(PLError, match=(
+            "profile has no full-dimensional cells to integrate")):
+        integrate_profile(q)
+    assert integrate_abs_difference(q, q) == 0
 
 
 # -- the rooftop family against the envelope route ---------------------------

@@ -262,22 +262,29 @@ _P3_Q = conjugate(_P3_F)
 
 
 @pytest.mark.parametrize("run", [
-    lambda: integrate_profile(_P3_Q),
     lambda: oracles.integrate_cell_affine(_P3_Q.cells[0].vertices,
                                           _P3_Q.cells[0].affine, 3),
-    lambda: integrate_abs_difference(_P3_Q, _P3_Q),
-    lambda: max_abs_difference(_P3_Q, _P3_Q),
-    lambda: plconvex.overlay_vertices(_P3_Q, _P3_Q),
     lambda: oracles._halfspace_part(_P3_Q.cells[0].vertices, (1, 0, 0), 0),
     lambda: mix_witness(_P3_F, _P3_F, _P3_F.shifted(-1), F(1, 2)),
-], ids=["integrate_profile", "integrate_cell_affine",
-        "integrate_abs_difference", "max_abs_difference", "overlay",
-        "halfspace_part", "mix_witness"])
+], ids=["integrate_cell_affine", "halfspace_part", "mix_witness"])
 def test_cell_readers_refuse_n3(run) -> None:
     # the P^3 conjugate has one cell, which these read as a polygon
     assert len(_P3_Q.cells) == 1
     with pytest.raises(PLError, match="n <= 2"):
         run()
+
+
+@pytest.mark.parametrize("run, want", [
+    (lambda: integrate_profile(_P3_Q), F(1, 24)),
+    (lambda: integrate_abs_difference(_P3_Q, _P3_Q.shifted(-1), 2), F(1, 6)),
+    (lambda: max_abs_difference(_P3_Q, _P3_Q.shifted(-1)), 1),
+    (lambda: len(plconvex.overlay_vertices(_P3_Q, _P3_Q)), 4),
+], ids=["integrate_profile", "integrate_abs_difference", "max_abs_difference",
+        "overlay"])
+def test_cell_readers_run_on_n3(run, want) -> None:
+    # the profile z on the unit tetrahedron, and its overlay with itself
+    # one lower or as it is
+    assert run() == want
 
 
 # -- comparison ------------------------------------------------------------------

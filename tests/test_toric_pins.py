@@ -5,8 +5,9 @@ kind of output over the same seeded cases: pairs of level-1 to level-3
 Fubini-Study metrics on O(m) over P^1 and P^2, m in {1, 2}, three pairs
 per arena, plus degenerate inputs (gradients on a line, envelopes whose
 domain is one point on the line, a segment or a point in the plane).
-Rooftop envelopes are pinned on five seeded pairs of level-2 metrics on
-O(1) over P^3 too.
+Rooftop envelopes, energies, d1 and d_infinity limits and Legendre
+slices are pinned on five seeded pairs of level-2 metrics on O(1) over
+P^3 too.
 Profiles are pinned through their public views, so the order of
 ``vertices``, ``cells`` and ``planes`` is pinned too.
 """
@@ -26,6 +27,8 @@ from geonorm.plconvex import (
     MaxAffine,
     conjugate,
     envelope_constrained,
+    integrate_abs_difference,
+    integrate_profile,
 )
 from geonorm.segments import (
     diagnostics,
@@ -40,6 +43,7 @@ from geonorm.segments import (
 )
 from geonorm.toric import (
     d1_metric,
+    d_infinity_limit,
     energy,
     envelope_P,
     fs_from_norm,
@@ -178,14 +182,41 @@ PINNED = {
     # checked against the brute-force vertex oracle below
     "envelope_P_p3": (
         "8d8cd2bfc7cb65c13f306182a418eaf901f46459524c017f29c7f3b2df2c8386"),
+    # the profile integrals are checked against sympy below, and d1 checks
+    # its overlay integral against E(phi0) + E(phi1) - 2 E(P) as it runs
+    "energy_p3": (
+        "3a51f8571824bf7010ef271b163cb3af1c267bd93b23f20572aa142ee0a2c60b"),
+    "d1_metric_p3": (
+        "4c30ec25a57c27ec136157b361c02955537d66652229568dd10570b1868855dd"),
+    "d_infinity_p3": (
+        "44d589ca076a5895eca54a9ba4040cbf6b4a95ac8032239ee4575c35d024dbf4"),
+    "legendre_segment_p3": (
+        "6b17552dde33a633a34bc86e9503bdc4d74a863805680bed5b8356056746b066"),
     "degenerate": (
         "767770e43354e379a7c40c7558b0e9e9f952495d94241a5990f08965a8e1c2e7"),
 }
 
 
+def _p3_outputs(kind):
+    out = []
+    for case in P3_CASES:
+        _, phi0, phi1 = _pair(case)
+        if kind == "envelope_P_p3":
+            out.append(envelope_P(phi0, phi1).to_json())
+        elif kind == "energy_p3":
+            out.append(_rows(energy(phi0, phi1, 2)))
+        elif kind == "d1_metric_p3":
+            out.append(_rows(d1_metric(phi0, phi1, 2)))
+        elif kind == "d_infinity_p3":
+            out.append(str(d_infinity_limit(phi0, phi1)))
+        elif kind == "legendre_segment_p3":
+            out.append(legendre_segment(phi0, phi1, F(1, 3)).to_json())
+    return out
+
+
 def _outputs(kind):
-    if kind == "envelope_P_p3":
-        return [envelope_P(*_pair(case)[1:]).to_json() for case in P3_CASES]
+    if kind.endswith("_p3"):
+        return _p3_outputs(kind)
     out = []
     for case in CASES:
         n, m, level, w0, w1, t, kmax = case
@@ -232,6 +263,39 @@ def test_p3_envelopes_match_vertex_oracle() -> None:
             q0.planes + q1.planes, plconvex.moment_simplex(3, 1).hrep)
         assert envelope_P(phi0, phi1).potential.pieces == MaxAffine(
             3, vertices).pieces
+
+
+def test_p3_profile_integrals_match_sympy() -> None:
+    # each cell's integral from sympy's polytope_integrate, on the facets
+    # of a brute-force hull
+    for case in P3_CASES:
+        _, phi0, phi1 = _pair(case)
+        for q in (phi0.profile(), phi1.profile(),
+                  envelope_P(phi0, phi1).profile()):
+            assert integrate_profile(q) == sum(
+                oracles.cell_integral_sympy(c.vertices, c.grad, c.offset)
+                for c in q.cells)
+
+
+def test_p3_overlays_agree_with_the_profiles() -> None:
+    # the overlay's integral of |q0 - q1| is int q0 + int q1 - 2 int P,
+    # the Legendre slice at t has the profile (1 - t) q0 + t q1, and the
+    # sup of |q0 - q1| is reached at an overlay vertex
+    t = F(1, 3)
+    for case in P3_CASES:
+        _, phi0, phi1 = _pair(case)
+        q0, q1 = phi0.profile(), phi1.profile()
+        roof = envelope_P(phi0, phi1).profile()
+        assert integrate_abs_difference(q0, q1) == (
+            integrate_profile(q0) + integrate_profile(q1)
+            - 2 * integrate_profile(roof))
+        ql = legendre_segment(phi0, phi1, t).profile()
+        points = plconvex.overlay_vertices(q0, q1) + tuple(
+            tuple(F(x, 2) for x in a) for a in lattice_points(3, 2))
+        gaps = [abs(q0.value(y) - q1.value(y)) for y in points]
+        assert d_infinity_limit(phi0, phi1) == max(gaps)
+        for y in points:
+            assert ql.value(y) == (1 - t) * q0.value(y) + t * q1.value(y)
 
 
 def _degenerate_outputs():
