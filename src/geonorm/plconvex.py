@@ -55,7 +55,7 @@ from fractions import Fraction
 from functools import cache, cached_property, reduce
 from itertools import combinations, combinations_with_replacement, product
 from math import comb, factorial, gcd, lcm, prod
-from operator import add, and_, mul, neg, sub
+from operator import add, and_, itemgetter, mul, neg, sub
 
 from .field import format_fraction, parse_fraction
 
@@ -515,7 +515,7 @@ def _frame(pts, idxs, rank):
     return p0, [tuple(a - b for a, b in zip(pts[i], p0)) for i in kept[1:]]
 
 
-def _facets(pts, sign=0):
+def _facets(pts, sign=0, dom=None):
     """Facets of the convex hull of distinct integer points of Z^d.
 
     Gift-wrapping (Chand and Kapur, 1970): from a first facet (``_first``)
@@ -529,20 +529,25 @@ def _facets(pts, sign=0):
     points (all coordinates but the last) must be distinct and span
     R^(d-1), and only the upper (lower) facets come, those whose normal
     has a positive (negative) last coordinate; the wrap crosses only into
-    them.
+    them.  ``dom``, when given, is the list of ``_facets`` of the heads
+    with ``sign`` 0, which the wrap above d = 2 then takes instead of
+    wrapping the heads again.
 
     Gives an iterable of ``(N, c, e, on, verts)``: <N, p> <= c for every
     point, with equality exactly at the indices ``on`` (increasing), and
     ``verts`` indexes the facet's vertices in the order its ridges list
-    them (a polygon counterclockwise from its smallest vertex).  For points
-    Y = D y the row stands for <N / D^e, y> <= c / D^(e + 1): above
-    d = 2, N is primitive and e = 0; at d = 2, N is the edge turned
+    them (a polygon counterclockwise from its smallest vertex).  At d = 2
+    ``on`` is the two ends of an edge and the points that the chain
+    popped off it with a zero turn, and above it the points that
+    ``_cross`` finds on the facet in the pass that finds the facet.  For
+    points Y = D y the row stands for <N / D^e, y> <= c / D^(e + 1):
+    above d = 2, N is primitive and e = 0; at d = 2, N is the edge turned
     clockwise and e = 1; at d = 1, N = +-1 and e = 0; ``_flat_facets``
     gives its cofactors with their degrees.
     """
     d = len(pts[0])
     return _ends(pts, sign) if d == 1 else (
-        _chain(pts, sign) if d == 2 else _wrap(pts, sign))
+        _chain(pts, sign) if d == 2 else _wrap(pts, sign, dom))
 
 
 def _ends(pts, sign):
@@ -558,14 +563,14 @@ def _ends(pts, sign):
     return out
 
 
-def _wrap(pts, sign):
+def _wrap(pts, sign, dom=None):
     """``_facets`` above d = 2: the gift-wrap itself.
 
     With ``sign`` +-1, d points make one facet.  More points have their
-    domain, the hull of the heads, wrapped first: a ridge whose points all
-    lie on one facet of it bounds the upper (lower) hull and is not
-    crossed, and the first facet rises from the vertical hyperplane over
-    the domain's first facet.
+    domain, the hull of the heads, wrapped first (or given as ``dom``): a
+    ridge whose points all lie on one facet of it bounds the upper (lower)
+    hull and is not crossed, and the first facet rises from the vertical
+    hyperplane over the domain's first facet.
     """
     if sign and len(pts) == len(pts[0]):
         # the heads of d points span R^(d-1): one facet holds them all
@@ -578,7 +583,8 @@ def _wrap(pts, sign):
         return
     walls = None
     if sign:
-        dom = list(_facets([p[:-1] for p in pts], 0))
+        if dom is None:
+            dom = list(_facets([p[:-1] for p in pts], 0))
         # bit k of walls[i]: the head of point i is on the domain's facet k
         walls = [0] * len(pts)
         for k, facet in enumerate(dom):
@@ -612,16 +618,27 @@ def _wrap(pts, sign):
 def _half(pts, seq):
     """Andrew's monotone chain through points of the plane taken in the
     order ``seq`` of indices: the lower chain for increasing points, the
-    upper one for decreasing, collinear points dropped."""
+    upper one for decreasing, collinear points dropped.
+
+    Gives (x, y, i, inside) for each point i of the chain, ``inside`` the
+    indices of the points strictly inside the edge that ends at i.  A
+    point popped with a zero turn lies on the edge that replaces it,
+    together with the points inside the edge it ended; one popped with a
+    negative turn lies off that edge, and so do they.
+    """
     chain = []
     for i in seq:
         x, y = pts[i]
+        on = ()
         while len(chain) > 1:
-            (ox, oy), (ax, ay) = pts[chain[-2]], pts[chain[-1]]
-            if (ax - ox) * (y - oy) > (ay - oy) * (x - ox):
+            ox, oy, _, _ = chain[-2]
+            ax, ay, a, ins = chain[-1]
+            turn = (ax - ox) * (y - oy) - (ay - oy) * (x - ox)
+            if turn > 0:
                 break
             chain.pop()
-        chain.append(i)
+            on = () if turn else on + ins + (a,)
+        chain.append((x, y, i, on))
     return chain
 
 
@@ -632,9 +649,10 @@ def _chain(pts, sign):
     upper chain back, so all edges come counterclockwise from the
     smallest point; sign -1 (+1) takes the lower (upper) chain alone, less
     its vertical edges.  Each edge lists its two vertices in increasing
-    index order, the order its ridges come one dimension down.  N is the
-    edge from a to b turned clockwise, outward for a counterclockwise
-    edge.
+    index order, the order its ridges come one dimension down, and its
+    ``on`` set is its two ends and the points that ``_half`` kept inside
+    it.  N is the edge from a to b turned clockwise, outward for a
+    counterclockwise edge.  Gives a list.
     """
     order = sorted(range(len(pts)), key=pts.__getitem__)
     edges = []
@@ -643,18 +661,17 @@ def _chain(pts, sign):
         chain = _half(pts, seq)
         edges += zip(chain, chain[1:])
     if not sign and len(edges) < 3:
-        yield from _flat_facets(pts)
-        return
-    for a, b in edges:
-        (ax, ay), (bx, by) = pts[a], pts[b]
+        return list(_flat_facets(pts))
+    out = []
+    for (ax, ay, a, _), (bx, by, b, ins) in edges:
         nx, ny = by - ay, ax - bx
         if sign and sign * ny <= 0:
             continue
-        c = nx * ax + ny * ay
-        yield ((nx, ny), c, 1,
-               tuple([i for i, (x, y) in enumerate(pts)
-                      if nx * x + ny * y == c]),
-               (a, b) if a < b else (b, a))
+        if a > b:
+            a, b = b, a
+        out.append(((nx, ny), nx * ax + ny * ay, 1,
+                    tuple(sorted(ins + (a, b))) if ins else (a, b), (a, b)))
+    return out
 
 
 def _first(pts, sign):
@@ -750,19 +767,24 @@ def _cross(pts, normal, c, rho, cr):
     hyperplane through the ridge is B (<normal, p> - c) - A (<rho, p> - cr)
     = 0 for some (A, B); the one through a point p off the facet has
     A = <normal, p> - c < 0 and B = <rho, p> - cr, and the next facet
-    goes through the point with the largest B / -A.
+    goes through the point with the largest B / -A.  One pass finds it
+    and the points on it: those that tie with it, and the ridge's own.
     """
-    ab = [(c - sum(map(mul, normal, p)), sum(map(mul, rho, p)) - cr)
-          for p in pts]
-    a_best = b_best = None
-    for a, b in ab:
-        if a and (a_best is None or b * a_best > b_best * a):
-            a_best, b_best = a, b
+    ridge, ties, a_best = [], [], None
+    for i, p in enumerate(pts):
+        a = c - sum(map(mul, normal, p))
+        b = sum(map(mul, rho, p)) - cr
+        if not a:
+            if not b:
+                ridge.append(i)
+        elif a_best is None or b * a_best > b_best * a:
+            a_best, b_best, ties = a, b, [i]
+        elif b * a_best == b_best * a:
+            ties.append(i)
     N = [b_best * x + a_best * y for x, y in zip(normal, rho)]
     g = gcd(*N)
-    return (tuple(x // g for x in N), (b_best * c + a_best * cr) // g,
-            tuple([i for i, (a, b) in enumerate(ab)
-                   if a * b_best == b * a_best]))
+    return (tuple([x // g for x in N]), (b_best * c + a_best * cr) // g,
+            tuple(sorted(ridge + ties)))
 
 
 def _flat_facets(pts):
@@ -840,7 +862,8 @@ class ConcaveProfile:
     Stored over one denominator ``_den``: ``_verts`` rows (Y.., Z) of the
     hypograph vertices, ``_planes`` rows (W.., B) and ``_cells`` tuples
     of integer vertices, cell i lying on plane i; ``_hrep`` keeps
-    ``_domain_hrep`` once it is computed.  ``vertices``, ``cells`` and
+    ``_domain_hrep`` once it is computed, or from the start when
+    ``conjugate`` wrapped a full-rank domain.  ``vertices``, ``cells`` and
     ``planes`` are ``Fraction`` views, rebuilt on every read.
     """
 
@@ -957,30 +980,46 @@ def conjugate(f: MaxAffine) -> ConcaveProfile:
     The profile is the upper concave envelope of the lifted points
     ``(g_i, c_i)``; its domain is the convex hull of the gradients.
     Redundant pieces land strictly below the envelope and disappear.  The
-    lifted rows are wrapped by ``_facets`` (upper facets only), after
-    gradients spanning an affine subspace of rank r < n are projected
-    onto its r pivot coordinates, where each plane then has its slopes;
-    such a profile has no cells.  Cells and planes come in the order of
-    the lexicographically smallest affinely independent (r + 1)-tuple of
-    indices of the pieces on each facet, so ``planes`` (whose first active
-    entry is the witness ``le_witness`` returns) does not depend on how
-    the hull is searched.
+    lifted rows are wrapped by ``_facets`` (upper facets only).  The rank
+    r of the gradients comes from their domain: on R^1 it is 1 from two
+    pieces on, and above it is n when the domain, wrapped once by
+    ``_facets`` with every facet, has no facet holding every gradient.
+    The upper wrap then reuses that domain, and the profile keeps its
+    facets as its domain rows.  Only gradients spanning an affine
+    subspace of rank r < n are echeloned (``_independent``), to be
+    projected onto their r pivot coordinates, where each plane then has
+    its slopes; such a profile has no cells.  Cells and planes come in the
+    order of the lexicographically smallest affinely independent
+    (r + 1)-tuple of indices of the pieces on each facet (``_spanning``),
+    so ``planes`` (whose first active entry is the witness ``le_witness``
+    returns) does not depend on how the hull is searched.
     """
     n, den, rows = f.n, f._den, f._rows
-    _, piv = _independent([g[:-1] for g in rows], range(len(rows)), n)
-    return _conjugate_wrap(n, den, rows, piv)
+    if n == 1:
+        return _conjugate_wrap(1, den, rows, (0,) if len(rows) > 1 else ())
+    heads = [g[:-1] for g in rows]
+    if len(rows) > n:
+        dom = list(_facets(heads, 0))
+        if len(dom[0][3]) < len(rows):
+            return _conjugate_wrap(n, den, rows, range(n), dom)
+    return _conjugate_wrap(n, den, rows,
+                           _independent(heads, range(len(rows)), n)[1])
 
 
-def _conjugate_wrap(n, den, rows, piv):
+def _conjugate_wrap(n, den, rows, piv, dom=None):
     """``conjugate`` of the integer rows over den from ``_facets``, the
-    gradients projected onto their pivot coordinates ``piv``."""
+    gradients projected onto their pivot coordinates ``piv``; ``dom``,
+    when given, is the full-rank domain's ``_facets`` with every facet,
+    kept as the profile's domain rows."""
     r = len(piv)
     pts = rows if r == n else [tuple(g[k] for k in piv) + (g[-1],)
                                for g in rows]
-    facets = list(_facets(pts, 1))
+    facets = list(_facets(pts, 1, dom))
     if len(facets) > 1:
-        facets.sort(key=lambda facet: facet[3] if len(facet[3]) == r + 1
-                    else tuple(_independent(pts, facet[3], r)[0]))
+        # for r <= 1 the tuple is the first r + 1 indices of ``on`` (the
+        # heads are distinct), so ``on`` itself sorts the same
+        facets.sort(key=itemgetter(3) if r < 2 else
+                    lambda facet: _spanning(pts, facet[3], r))
     # N . (G, C) = c on a facet: q = <-N_G / N_C, y> + c / (N_C den)
     scale = lcm(*[facet[0][-1] for facet in facets])
     planes = []
@@ -1003,9 +1042,35 @@ def _conjugate_wrap(n, den, rows, piv):
     verts = {i: tuple([x * scale // g for x in rows[i]]) for i in on}
     cells = () if r < n else [tuple([verts[i][:-1] for i in facet[4]])
                               for facet in facets]
-    return ConcaveProfile._lowest(
+    prof = ConcaveProfile._lowest(
         n, den * scale // g, list(verts.values()), cells,
         [tuple([x // g for x in p]) for p in planes])
+    if dom:
+        # the domain points scale by scale / g: N by its e-th power and
+        # the right side by the next one, as ``_hull_rows`` states them
+        # (e is 1 at n = 2 and 0 above)
+        e = dom[0][2]
+        u, v = scale ** e, g ** e
+        prof._hrep = [(N if u == v else tuple([x * u // v for x in N]),
+                       c * u * scale // (v * g), e) for N, c, e, _, _ in dom]
+    return prof
+
+
+def _spanning(pts, on, r):
+    """The lexicographically smallest affinely independent (r + 1)-tuple
+    of the indices ``on`` (increasing) of points on one upper facet of
+    rank r >= 2, whose heads are distinct: ``on`` itself when it has
+    r + 1 indices, else for r = 2 the first two and the first index whose
+    head is not on their line, and above r = 2 the echelon's choice."""
+    if len(on) == r + 1:
+        return on
+    if r > 2:
+        return tuple(_independent(pts, on, r)[0])
+    (ax, ay, *_), (bx, by, *_) = pts[on[0]], pts[on[1]]
+    ux, uy = bx - ax, by - ay
+    return on[:2] + (next(
+        k for k in on[2:]
+        if ux * (pts[k][1] - ay) != uy * (pts[k][0] - ax)),)
 
 
 # ---------------------------------------------------------------------------
@@ -1023,7 +1088,8 @@ def domain_hrep(profile: ConcaveProfile):
 
 def _domain_hrep(profile: ConcaveProfile):
     """``_hull_rows`` of a profile's domain points, integers over its den,
-    computed once per profile."""
+    computed once per profile (``conjugate`` fills them in when it
+    wrapped the domain)."""
     if profile._hrep is None:
         profile._hrep = _hull_rows([r[:-1] for r in profile._verts])
     return profile._hrep

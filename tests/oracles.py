@@ -49,7 +49,13 @@ simplex finds a point where it alone is the max, where the library keeps
 the vertices of the upper hull.  ``conjugate_2d_wrap`` is the inline
 planar gift-wrap, on integer rows with its plane algebra written out, that
 geonorm.plconvex replaced with the wrap it runs in every dimension; it
-returns a library profile to compare byte for byte.
+returns a library profile to compare byte for byte.  ``chain_scanning``
+is the planar monotone chain that found the points of each edge by a
+pass over every point, where the library keeps the points its chain
+pops with a zero turn; ``conjugate_echelon`` is the conjugate that ran an
+echelon over the gradients on every call for their rank and over each
+facet's points for its sort key, where the library reads the rank off
+the domain wrap and the key off the first indices of a facet.
 ``supnorm_weights_fraction`` reads sup-norm
 weights as ``k * q.value(a / k)`` in Fractions, where geonorm.toric reads
 them on one common denominator.  ``coordinate_values`` and
@@ -153,6 +159,8 @@ from geonorm.plconvex import (
     EnvelopeError,
     PLError,
     _canon,
+    _facets,
+    _flat_facets,
     _independent,
     _int_rows,
     _rational,
@@ -1408,6 +1416,98 @@ def _upper_facets_2d(lifted):
             done.add(e)
             todo.append(e[::-1])
     return facets
+
+
+# ---------------------------------------------------------------------------
+# Hull edges found by a pass over every point, and conjugate facets ordered
+# by echelon: the paths that geonorm.plconvex replaced with the points its
+# monotone chain pops and the rank that its domain wrap gives.
+# ---------------------------------------------------------------------------
+
+
+def _half_dropping(pts, seq):
+    """Andrew's monotone chain through points of the plane taken in the
+    order ``seq`` of indices: the lower chain for increasing points, the
+    upper one for decreasing, collinear points dropped."""
+    chain = []
+    for i in seq:
+        x, y = pts[i]
+        while len(chain) > 1:
+            (ox, oy), (ax, ay) = pts[chain[-2]], pts[chain[-1]]
+            if (ax - ox) * (y - oy) > (ay - oy) * (x - ox):
+                break
+            chain.pop()
+        chain.append(i)
+    return chain
+
+
+def chain_scanning(pts, sign):
+    """``plconvex._facets`` at d = 2 as it found the points of each edge:
+    the edges of the monotone chain, each with one pass over all m points
+    for those on its line (k m tests for k edges).  A list in the library's
+    layout, ``_flat_facets`` for flat points."""
+    order = sorted(range(len(pts)), key=pts.__getitem__)
+    edges = []
+    for seq in ((order, order[::-1]) if not sign
+                else (order[::-1],) if sign > 0 else (order,)):
+        chain = _half_dropping(pts, seq)
+        edges += zip(chain, chain[1:])
+    if not sign and len(edges) < 3:
+        return list(_flat_facets(pts))
+    out = []
+    for a, b in edges:
+        (ax, ay), (bx, by) = pts[a], pts[b]
+        nx, ny = by - ay, ax - bx
+        if sign and sign * ny <= 0:
+            continue
+        c = nx * ax + ny * ay
+        out.append(((nx, ny), c, 1,
+                    tuple([i for i, (x, y) in enumerate(pts)
+                           if nx * x + ny * y == c]),
+                    (a, b) if a < b else (b, a)))
+    return out
+
+
+def conjugate_echelon(f):
+    """``plconvex.conjugate`` as it read the rank of the gradients off an
+    echelon (``_independent``) on every call, wrapped the upper facets
+    without a domain given (at d = 2 by ``chain_scanning``) and sorted
+    them by the echelon's first affinely independent (r + 1)-tuple of
+    each facet's indices.  Returns a library profile, with no domain rows
+    kept."""
+    n, den, rows = f.n, f._den, f._rows
+    _, piv = _independent([g[:-1] for g in rows], range(len(rows)), n)
+    r = len(piv)
+    pts = rows if r == n else [tuple(g[k] for k in piv) + (g[-1],)
+                               for g in rows]
+    facets = (chain_scanning(pts, 1) if len(pts[0]) == 2
+              else list(_facets(pts, 1)))
+    if len(facets) > 1:
+        facets.sort(key=lambda facet: facet[3] if len(facet[3]) == r + 1
+                    else tuple(_independent(pts, facet[3], r)[0]))
+    scale = math.lcm(*[facet[0][-1] for facet in facets])
+    planes = []
+    for N, c, _, _, _ in facets:
+        s = scale // N[-1]
+        ds = -den * s
+        if r == n:
+            grad = [x * ds for x in N]
+        else:
+            grad = [0] * (n + 1)
+            for k, x in zip(piv, N):
+                grad[k] = x * ds
+        grad[-1] = c * s
+        planes.append(grad)
+    on = sorted({i for facet in facets for i in facet[4]})
+    flat = itertools.chain.from_iterable
+    g = math.gcd(math.gcd(den, *flat(map(rows.__getitem__, on))) * scale,
+                 *flat(planes))
+    verts = {i: tuple([x * scale // g for x in rows[i]]) for i in on}
+    cells = () if r < n else [tuple([verts[i][:-1] for i in facet[4]])
+                              for facet in facets]
+    return ConcaveProfile._lowest(
+        n, den * scale // g, list(verts.values()), cells,
+        [tuple([x // g for x in p]) for p in planes])
 
 
 def _solve_fraction(rows):

@@ -280,3 +280,40 @@ def test_p3_pins_reach_every_wrap_shape() -> None:
 @pytest.mark.parametrize("kind", sorted(PINNED))
 def test_hull_outputs_pinned(kind) -> None:
     assert _digest(_outputs(kind)) == PINNED[kind]
+
+
+def test_kept_domain_rows_are_the_rows_of_the_domain_points() -> None:
+    # a conjugate that wrapped a full-rank domain keeps its rows, scaled to
+    # the profile's denominator; every other profile computes them on use
+    kept = 0
+    for f in FUNCTIONS + FUNCTIONS_P3:
+        q = conjugate(f)
+        if q._hrep is None:
+            assert f.n == 1 or not q.cells
+            continue
+        kept += 1
+        assert q._hrep == plconvex._hull_rows([r[:-1] for r in q._verts])
+    assert kept == 41
+
+
+def test_echelon_runs_only_where_the_rank_or_key_needs_it(monkeypatch) -> None:
+    # the rank comes from the domain wrap and the facet order from the
+    # first indices of each facet: on P^1 and on full-rank P^2 no
+    # echelon runs; flat gradients still take their pivots (and their
+    # flat domain rows its frames), and on P^3 a facet of more than four
+    # points its sort key
+    calls = []
+    real = plconvex._independent
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(plconvex, "_independent", counted)
+    counts = {}
+    for f in FUNCTIONS + FUNCTIONS_P3:
+        before = len(calls)
+        shape = (f.n, bool(conjugate(f)._cells))
+        counts[shape] = counts.get(shape, 0) + len(calls) - before
+    assert counts == {(1, True): 0, (1, False): 0, (2, True): 0,
+                      (2, False): 102, (3, True): 7, (3, False): 61}

@@ -1,0 +1,113 @@
+"""The hull kernel against the routes it replaced.
+
+``plconvex._chain`` keeps the points that its monotone chain pops with a
+zero turn as the points of each edge, where ``oracles.chain_scanning``
+finds them by a pass over every point per edge.  ``plconvex.conjugate``
+reads the rank of the gradients off their domain wrap and each facet's
+sort key off its first indices, where ``oracles.conjugate_echelon`` runs
+an echelon for both.  A profile whose domain was wrapped keeps those
+rows, which must be the rows ``_hull_rows`` gives for its domain points.
+"""
+
+from fractions import Fraction
+
+from hypothesis import example, given, settings, strategies as st
+
+import oracles
+from geonorm import plconvex
+from geonorm.plconvex import MaxAffine, conjugate
+
+F = Fraction
+_C = st.integers(-6, 6)
+
+
+@st.composite
+def _plane_points(draw):
+    """Distinct integer points of the plane, in drawn order: free points,
+    with a collinear run of 3 to 6 points (on a hull edge when the other
+    points keep to one side of it), a vertical run at the least or largest
+    x, every point on one line, or two points."""
+    pts = draw(st.lists(st.tuples(_C, _C), max_size=8))
+    kind = draw(st.sampled_from(("free", "run", "vertical", "line", "two")))
+    if kind == "two":
+        pts = draw(st.lists(st.tuples(_C, _C), min_size=2, max_size=2,
+                            unique=True))
+    elif kind != "free":
+        size = draw(st.integers(3, 6))
+        if kind == "vertical":
+            xs = [x for x, _ in pts] or [0]
+            x0 = draw(st.sampled_from((min(xs), max(xs))))
+            step = (0, draw(st.integers(1, 2)))
+        else:
+            x0 = draw(_C)
+            step = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+                        .filter(lambda v: v != (0, 0)))
+        y0 = draw(_C)
+        run = [(x0 + k * step[0], y0 + k * step[1]) for k in range(size)]
+        if kind == "line":
+            pts = run
+        elif kind == "run" and draw(st.booleans()):
+            dx, dy = step
+            pts = [(x, y) for x, y in pts
+                   if dx * (y - y0) - dy * (x - x0) >= 0]
+        pts = pts + run
+    pts = list(dict.fromkeys(pts))
+    return draw(st.permutations(pts)) if pts else [(0, 0)]
+
+
+@settings(max_examples=400)
+@given(_plane_points())
+@example([(0, 0), (1, 0), (2, 0), (3, 0), (1, 2)])
+@example([(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)])
+@example([(0, 0), (1, 1), (2, 2), (3, 3)])
+@example([(2, 1), (0, 0)])
+def test_chain_edges_match_the_scanning_oracle(pts) -> None:
+    # every facet, the upper and the lower ones: the same rows, points on
+    # each edge and vertices, in the same order
+    for sign in (-1, 0, 1):
+        assert plconvex._facets(pts, sign) == oracles.chain_scanning(
+            pts, sign)
+
+
+@st.composite
+def _functions(draw):
+    """A max-affine function on R^n, n = 1..3, whose gradients span an
+    affine subspace of a drawn rank (so point, segment and plane domains
+    come on R^2 and R^3), with offsets free or on one plane less 0 or 1
+    (so many lifted points share a facet)."""
+    n = draw(st.integers(1, 3))
+    rank = draw(st.integers(0, n) | st.just(n))
+    small = st.integers(-2, 2)
+    base = draw(st.tuples(*[small] * n))
+    # a full rank draws grid points, a lower one combinations of directions
+    dirs = ([tuple(int(i == j) for j in range(n)) for i in range(n)]
+            if rank == n else
+            [draw(st.tuples(*[small] * n).filter(any)) for _ in range(rank)])
+    coefs = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * rank),
+                          min_size=2, max_size=10))
+    den = draw(st.sampled_from((1, 2, 3)))
+    grads = {tuple(F(b + sum(c * d[j] for c, d in zip(cs, dirs)), den)
+                   for j, b in enumerate(base)) for cs in coefs}
+    w = draw(st.tuples(*[small] * n))
+    on_plane = draw(st.booleans())
+    pieces = []
+    for g in sorted(grads):
+        if on_plane:
+            c = sum(x * y for x, y in zip(w, g)) - draw(
+                st.sampled_from((0, 0, 1)))
+        else:
+            c = F(draw(st.integers(-6, 6)), draw(st.sampled_from((1, 2))))
+        pieces.append((g, c))
+    return MaxAffine(n, pieces)
+
+
+@settings(max_examples=300)
+@given(_functions())
+def test_conjugate_matches_the_echelon_route(f) -> None:
+    q = conjugate(f)
+    assert q == oracles.conjugate_echelon(f)
+    # the domain rows kept from the wrap are the rows of the domain points
+    if f.n > 1 and q._cells:
+        assert q._hrep == plconvex._hull_rows([r[:-1] for r in q._verts])
+    else:
+        assert q._hrep is None
