@@ -1000,6 +1000,7 @@ def conjugate(f: MaxAffine) -> ConcaveProfile:
     heads = [g[:-1] for g in rows]
     if len(rows) > n:
         dom = list(_facets(heads, 0))
+        # a flat domain leads with an equality row that holds every head
         if len(dom[0][3]) < len(rows):
             return _conjugate_wrap(n, den, rows, range(n), dom)
     return _conjugate_wrap(n, den, rows,
@@ -1036,23 +1037,30 @@ def _conjugate_wrap(n, den, rows, piv, dom=None):
         planes.append(grad)
     on = sorted({i for facet in facets for i in facet[4]})
     # den * scale, the vertex rows times scale and the planes in lowest
-    # terms (the cells' points are vertices)
-    g = gcd(gcd(den, *_flat(map(rows.__getitem__, on))) * scale,
-            *_flat(planes))
-    verts = {i: tuple([x * scale // g for x in rows[i]]) for i in on}
-    cells = () if r < n else [tuple([verts[i][:-1] for i in facet[4]])
-                              for facet in facets]
+    # terms (the cells' points are vertices); often g is scale, and the
+    # vertex rows and the domain's stay as they are
+    g = gcd(den, *_flat(map(rows.__getitem__, on))) * scale
+    if g > 1:
+        g = gcd(g, *_flat(planes))
+    verts = ([rows[i] for i in on] if g == scale else
+             [tuple([x * scale // g for x in rows[i]]) for i in on])
+    cells = ()
+    if r == n:
+        heads = dict(zip(on, [v[:-1] for v in verts]))
+        cells = [tuple([heads[i] for i in facet[4]]) for facet in facets]
     prof = ConcaveProfile._lowest(
-        n, den * scale // g, list(verts.values()), cells,
-        [tuple([x // g for x in p]) for p in planes])
+        n, den * scale // g, verts, cells,
+        [tuple([x // g for x in p]) for p in planes] if g > 1
+        else list(map(tuple, planes)))
     if dom:
         # the domain points scale by scale / g: N by its e-th power and
         # the right side by the next one, as ``_hull_rows`` states them
         # (e is 1 at n = 2 and 0 above)
         e = dom[0][2]
         u, v = scale ** e, g ** e
-        prof._hrep = [(N if u == v else tuple([x * u // v for x in N]),
-                       c * u * scale // (v * g), e) for N, c, e, _, _ in dom]
+        prof._hrep = [facet[:3] for facet in dom] if g == scale else [
+            (tuple([x * u // v for x in N]), c * u * scale // (v * g), e)
+            for N, c, _, _, _ in dom]
     return prof
 
 
