@@ -533,7 +533,7 @@ def _facets(pts, sign=0, dom=None):
     with ``sign`` 0, which the wrap above d = 2 then takes instead of
     wrapping the heads again.
 
-    Gives an iterable of ``(N, c, e, on, verts)``: <N, p> <= c for every
+    Gives a list of ``(N, c, e, on, verts)``: <N, p> <= c for every
     point, with equality exactly at the indices ``on`` (increasing), and
     ``verts`` indexes the facet's vertices in the order its ridges list
     them (a polygon counterclockwise from its smallest vertex).  At d = 2
@@ -578,13 +578,12 @@ def _wrap(pts, sign, dom=None):
         N = _form([tuple(map(sub, p, p0)) for p in pts[1:]])
         g = gcd(*N) if sign * N[-1] > 0 else -gcd(*N)
         N = tuple([x // g for x in N])
-        yield N, sum(map(mul, N, p0)), 0, on, _facet(
-            pts, N, on, lambda ridge: True)[0]
-        return
+        return [(N, sum(map(mul, N, p0)), 0, on, _facet(
+            pts, N, on, lambda ridge: True)[0])]
     walls = None
     if sign:
         if dom is None:
-            dom = list(_facets([p[:-1] for p in pts], 0))
+            dom = _facets([p[:-1] for p in pts], 0)
         # bit k of walls[i]: the head of point i is on the domain's facet k
         walls = [0] * len(pts)
         for k, facet in enumerate(dom):
@@ -595,24 +594,25 @@ def _wrap(pts, sign, dom=None):
     else:
         normal, c, on, entry = _first(pts, sign)
         if len(on) == len(pts):
-            yield from _flat_facets(pts)
-            return
+            return list(_flat_facets(pts))
     done, seen, todo = {entry}, {on}, [(normal, c, on)]
 
     def crossed(ridge):
         return ridge in done or walls and reduce(
             and_, map(walls.__getitem__, ridge))
 
+    out = []
     while todo:
         normal, c, on = todo.pop()
         verts, ridges = _facet(pts, normal, on, crossed)
-        yield normal, c, 0, on, verts
+        out.append((normal, c, 0, on, verts))
         for rho, cr, ridge in ridges:
             done.add(ridge)
             got = _cross(pts, normal, c, rho, cr)
             if got[2] not in seen:
                 seen.add(got[2])
                 todo.append(got)
+    return out
 
 
 def _half(pts, seq):
@@ -652,7 +652,7 @@ def _chain(pts, sign):
     index order, the order its ridges come one dimension down, and its
     ``on`` set is its two ends and the points that ``_half`` kept inside
     it.  N is the edge from a to b turned clockwise, outward for a
-    counterclockwise edge.  Gives a list.
+    counterclockwise edge.
     """
     order = sorted(range(len(pts)), key=pts.__getitem__)
     edges = []
@@ -675,7 +675,7 @@ def _chain(pts, sign):
 
 
 def _first(pts, sign):
-    """(normal, c, on, ridge) of the first facet ``_facets`` yields.
+    """(normal, c, on, ridge) of the first facet ``_facets`` gives.
 
     At d <= 2 the first that the min and max or the chain give.  Above,
     V is the vertical supporting hyperplane over the first facet of the
@@ -684,7 +684,7 @@ def _first(pts, sign):
     every point it is returned with ``ridge`` None: the points are flat.
     """
     if len(pts[0]) < 3:
-        normal, c, _, on, _ = next(iter(_facets(pts, sign)))
+        normal, c, _, on, _ = _facets(pts, sign)[0]
         return normal, c, on, None
     rho, c, _, _ = _first(list(dict.fromkeys(p[:-1] for p in pts)),
                           sign and -1)
@@ -729,7 +729,7 @@ def _facet(pts, normal, on, crossed):
     j = d - 1 if normal[-1] else _last(normal)
     proj = [p[:j] + p[j + 1:] for p in map(pts.__getitem__, on)]
     if len(on) > d:
-        inner = list(_facets(proj, 0))
+        inner = _facets(proj, 0)
         ridges = [(mu[:j] + (0,) + mu[j:], cr, tuple(on[i] for i in ridge))
                   for mu, cr, _, ridge, _ in inner]
         return (tuple(dict.fromkeys(on[i] for *_, vs in inner for i in vs)),
@@ -802,8 +802,8 @@ def _flat_facets(pts):
     d = len(pts[0])
     _, piv = _independent(pts, range(len(pts)), d)
     r = len(piv)
-    inner = list(_facets([tuple(p[k] for k in piv) for p in pts], 0)
-                 if r else ())
+    inner = (_facets([tuple(p[k] for k in piv) for p in pts], 0)
+             if r else ())
     verts = tuple(dict.fromkeys(i for *_, vs in inner for i in vs)) or (0,)
     p0, frame = _frame(pts, verts, r)
     units = [tuple(int(i == k) for i in range(d)) for k in range(d)
@@ -999,7 +999,7 @@ def conjugate(f: MaxAffine) -> ConcaveProfile:
         return _conjugate_wrap(1, den, rows, (0,) if len(rows) > 1 else ())
     heads = [g[:-1] for g in rows]
     if len(rows) > n:
-        dom = list(_facets(heads, 0))
+        dom = _facets(heads, 0)
         # a flat domain leads with an equality row that holds every head
         if len(dom[0][3]) < len(rows):
             return _conjugate_wrap(n, den, rows, range(n), dom)
@@ -1015,7 +1015,7 @@ def _conjugate_wrap(n, den, rows, piv, dom=None):
     r = len(piv)
     pts = rows if r == n else [tuple(g[k] for k in piv) + (g[-1],)
                                for g in rows]
-    facets = list(_facets(pts, 1, dom))
+    facets = _facets(pts, 1, dom)
     if len(facets) > 1:
         # for r <= 1 the tuple is the first r + 1 indices of ``on`` (the
         # heads are distinct), so ``on`` itself sorts the same
@@ -1023,8 +1023,8 @@ def _conjugate_wrap(n, den, rows, piv, dom=None):
                     lambda facet: _spanning(pts, facet[3], r))
     # N . (G, C) = c on a facet: q = <-N_G / N_C, y> + c / (N_C den)
     scale = lcm(*[facet[0][-1] for facet in facets])
-    planes = []
-    for N, c, _, _, _ in facets:
+    planes, on = [], set()
+    for N, c, _, _, vs in facets:
         s = scale // N[-1]
         ds = -den * s
         if r == n:
@@ -1035,15 +1035,17 @@ def _conjugate_wrap(n, den, rows, piv, dom=None):
                 grad[k] = x * ds
         grad[-1] = c * s
         planes.append(grad)
-    on = sorted({i for facet in facets for i in facet[4]})
+        on.update(vs)
+    on = sorted(on)
+    verts = [rows[i] for i in on]
     # den * scale, the vertex rows times scale and the planes in lowest
     # terms (the cells' points are vertices); often g is scale, and the
     # vertex rows and the domain's stay as they are
-    g = gcd(den, *_flat(map(rows.__getitem__, on))) * scale
+    g = gcd(den, *_flat(verts)) * scale
     if g > 1:
         g = gcd(g, *_flat(planes))
-    verts = ([rows[i] for i in on] if g == scale else
-             [tuple([x * scale // g for x in rows[i]]) for i in on])
+    if g != scale:
+        verts = [tuple([x * scale // g for x in v]) for v in verts]
     cells = ()
     if r == n:
         heads = dict(zip(on, [v[:-1] for v in verts]))
