@@ -14,11 +14,13 @@ One hull routine, ``_facets``, serves every n: it gift-wraps the facets
 of integer points across ridges, each facet's ridges coming from its own
 points one dimension down, down to Andrew's monotone chain in the plane
 and the min and the max on the line.  Conjugation takes the upper facets
-of the lifted points, for every n, and domain rows take every facet of
-the domain points.  One vertex routine, ``_vertices``, serves every n
-too: the double description method on homogeneous integer rows, which
-needs no interior point, gives the vertices of the hypograph of a min of
-planes on a cut region, with the rows tight at each.  That gives the
+of the lifted points, for every n; from n = 2 on it first takes every
+facet of the gradients, which gives their rank and the profile's domain
+rows.  Domain rows take every facet of the domain points.  One vertex
+routine, ``_vertices``, serves every n too: the double description
+method on homogeneous integer rows, which needs no interior point, gives
+the vertices of the hypograph of a min of planes on a cut region, with
+the rows tight at each.  That gives the
 constrained envelope, and the overlay of two profiles as the hypograph
 of the min of their summed planes.  Integrals pull each cell into
 simplices from a vertex, reading its faces off those tight rows.  So
@@ -594,7 +596,7 @@ def _wrap(pts, sign, dom=None):
     else:
         normal, c, on, entry = _first(pts, sign)
         if len(on) == len(pts):
-            return list(_flat_facets(pts))
+            return _flat_facets(pts)
     done, seen, todo = {entry}, {on}, [(normal, c, on)]
 
     def crossed(ridge):
@@ -661,7 +663,7 @@ def _chain(pts, sign):
         chain = _half(pts, seq)
         edges += zip(chain, chain[1:])
     if not sign and len(edges) < 3:
-        return list(_flat_facets(pts))
+        return _flat_facets(pts)
     out = []
     for (ax, ay, a, _), (bx, by, b, ins) in edges:
         nx, ny = by - ay, ax - bx
@@ -811,11 +813,11 @@ def _flat_facets(pts):
     normals = [tuple((-1) ** (d - 1 - pos) * x
                      for x in _form(units[:pos] + units[pos + 1:] + frame))
                for pos in range(len(units))]
-    everything = tuple(range(len(pts)))
+    everything, out = tuple(range(len(pts))), []
     for C in normals:
         c = sum(map(mul, C, p0))
-        yield C, c, r, everything, verts
-        yield _neg(C), -c, r, everything, verts
+        out.append((C, c, r, everything, verts))
+        out.append((_neg(C), -c, r, everything, verts))
     for *_, on, fverts in inner:
         q0, fframe = _frame(pts, fverts, r - 1)
         N = _form(normals + fframe)
@@ -823,7 +825,8 @@ def _flat_facets(pts):
         c = sum(map(mul, N, q0))
         if sum(map(mul, N, off)) > c:
             N, c = _neg(N), -c
-        yield N, c, (d - r) * r + r - 1, on, fverts
+        out.append((N, c, (d - r) * r + r - 1, on, fverts))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,12 @@ On P^3 the views of ``conjugate`` and the domain rows are pinned over
 seeded functions, FS potentials and flat gradients (on a plane, on a line
 and at one point of R^3), so that the gift-wrap above the plane, its
 upper facets in R^4 and its every-facet rows in R^3, is pinned too.
+
+On the same functions, the domain rows that a conjugate keeps from its
+domain wrap must be ``_hull_rows`` of its domain points, and the calls
+to the echelon ``_independent`` are counted by shape: a change that
+brings an echelon back into the full-rank P^1 or P^2 path fails by
+count.
 """
 
 import hashlib
