@@ -656,10 +656,9 @@ def _chain(pts, sign):
     it.  N is the edge from a to b turned clockwise, outward for a
     counterclockwise edge.
     """
-    order = sorted(range(len(pts)), key=pts.__getitem__)
+    order = sorted(range(len(pts)), key=pts.__getitem__, reverse=sign > 0)
     edges = []
-    for seq in ((order, order[::-1]) if not sign
-                else (order[::-1],) if sign > 0 else (order,)):
+    for seq in (order, order[::-1]) if not sign else (order,):
         chain = _half(pts, seq)
         edges += zip(chain, chain[1:])
     if not sign and len(edges) < 3:
