@@ -1453,7 +1453,7 @@ def chain_scanning(pts, sign):
         chain = _half_dropping(pts, seq)
         edges += zip(chain, chain[1:])
     if not sign and len(edges) < 3:
-        return list(_flat_facets(pts))
+        return _flat_facets(pts)
     out = []
     for a, b in edges:
         (ax, ay), (bx, by) = pts[a], pts[b]

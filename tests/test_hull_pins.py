@@ -295,7 +295,7 @@ def test_kept_domain_rows_are_the_rows_of_the_domain_points() -> None:
     for f in FUNCTIONS + FUNCTIONS_P3:
         q = conjugate(f)
         if q._hrep is None:
-            assert f.n == 1 or not q.cells
+            assert f.n == 1 or not q._cells
             continue
         kept += 1
         assert q._hrep == plconvex._hull_rows([r[:-1] for r in q._verts])
