@@ -367,18 +367,21 @@ def cmd_segments_verify(args):
 # argument parsing
 
 
-def _add_common(parser, config=True):
-    if config:
-        parser.add_argument("--config", required=True,
-                            help="experiment config JSON")
-        parser.add_argument("--kmax", type=int, default=None,
-                            help="quantization depth override")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for the random-instance suites")
-    parser.add_argument("--out", default=None,
-                        help="output directory (or .json/.csv file)")
-    parser.add_argument("--format", choices=("csv", "json"), default=None,
-                        help="table format (default from config, else json)")
+# the shared flags; each subcommand registers the ones it reads
+_FLAGS = {
+    "config": dict(required=True, help="experiment config JSON"),
+    "kmax": dict(type=int, default=None, help="quantization depth override"),
+    "seed": dict(type=int, default=0,
+                 help="seed for the random-instance suites"),
+    "out": dict(default=None, help="output directory (or .json/.csv file)"),
+    "format": dict(choices=("csv", "json"), default=None,
+                   help="table format (default from config, else json)"),
+}
+
+
+def _add_flags(parser, *names):
+    for name in names:
+        parser.add_argument(f"--{name}", **_FLAGS[name])
 
 
 @functools.cache
@@ -391,19 +394,19 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute a config's task list")
-    _add_common(p_run)
+    _add_flags(p_run, "config", "kmax", "seed", "out", "format")
     p_run.set_defaults(fn=cmd_run)
 
     p_suite = sub.add_parser("suite", help="run a verification suite")
     p_suite.add_argument("name", choices=("all",) + SUITE_NAMES)
-    _add_common(p_suite, config=False)
+    _add_flags(p_suite, "seed", "out", "format")
     p_suite.set_defaults(fn=cmd_suite, kmax=None)
 
     p_toric = sub.add_parser("toric", help="toric metric computations")
     toric_sub = p_toric.add_subparsers(dest="toric_command", required=True)
     p_energy = toric_sub.add_parser("energy",
                                     help="energy convergence table for a pair")
-    _add_common(p_energy)
+    _add_flags(p_energy, "config", "kmax", "out", "format")
     p_energy.add_argument("--pair", default=None,
                           help="comma-separated metric names (default: the "
                                "config's only two metrics)")
@@ -412,14 +415,14 @@ def build_parser():
     p_seg = sub.add_parser("segments", help="maximal segments and verification")
     seg_sub = p_seg.add_subparsers(dest="segments_command", required=True)
     p_max = seg_sub.add_parser("maximal", help="evaluate the maximal segment")
-    _add_common(p_max)
+    _add_flags(p_max, "config", "kmax", "out")
     p_max.add_argument("--t", required=True, help="parameter in [0, 1], e.g. 1/2")
     p_max.add_argument("--pair", default=None,
                        help="comma-separated metric names")
     p_max.set_defaults(fn=cmd_segments_maximal)
     p_verify = seg_sub.add_parser("verify",
                                   help="run a config's verify tasks, write a report")
-    _add_common(p_verify)
+    _add_flags(p_verify, "config", "kmax", "out")
     p_verify.set_defaults(fn=cmd_segments_verify)
 
     return parser

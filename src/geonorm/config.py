@@ -19,9 +19,9 @@ A config is a single JSON document:
     }
 
 Rationals are written as "num/den" strings throughout.  A ``paths`` object
-is a metric path sampled at finitely many parameter values, the input form
-for the psh (convexity-in-t) verification; its per-sample weights follow
-the same basis order as FSSegment weights.
+is a metric path sampled at three or more distinct parameter values, the
+input form for the psh (convexity-in-t) verification; its per-sample
+weights follow the same basis order as FSSegment weights.
 """
 
 from __future__ import annotations
@@ -73,9 +73,12 @@ class MetricPath:
         ring = SectionRing(*_ring_dims(obj["ring"], "ring"))
         k = _level_k(obj)
         basis = ring.basis(k)
-        samples = []
+        samples, seen = [], set()
         for sample in obj["samples"]:
             t = parse_fraction(sample["t"])
+            if t in seen:
+                raise ConfigError(f"path samples repeat t = {t}")
+            seen.add(t)
             raw = sample["weights"]
             if len(raw) != len(basis):
                 raise ConfigError(

@@ -5,10 +5,11 @@ rational data.  The module provides Legendre conjugation (the concave
 profile ``q = -f*`` on the convex hull of the gradients, as the upper
 concave envelope of the points ``(g_i, c_i)``), exact comparison with
 witness points, run on the conjugate side with no linear program (also
-against a convex combination of two functions, without forming it),
-constrained convex envelopes by vertex enumeration, marginal minimization
-over a leading variable by Fourier-Motzkin elimination of the epigraph,
-and exact integration of piecewise-linear data over rational polytopes.
+against a convex combination of two functions, formed from their pruned
+pieces), constrained convex envelopes by vertex enumeration, marginal
+minimization over a leading variable by Fourier-Motzkin elimination of
+the epigraph, and exact integration of piecewise-linear data over
+rational polytopes.
 
 One hull routine, ``_facets``, serves every n: it gift-wraps the facets
 of integer points across ridges, each facet's ridges coming from its own
@@ -25,10 +26,11 @@ constrained envelope, and the overlay of two profiles as the hypograph
 of the min of their summed planes.  Integrals pull each cell into
 simplices from a vertex, reading its faces off those tight rows.  So
 conjugation, pruning, comparison, ``==``, envelopes, marginal minima,
-overlays and integrals run for every n; only the Minkowski slopes of
-``mix_witness``, read off polygon edges, refuse n > 2.  Functions that
-need a profile the caller already holds have private variants that take
-it (``_le_witness``, ``_compare``, ``_mix_witness``, ``_envelope``).
+overlays and integrals run for every n, and so does ``mix_witness``,
+which compares against the mix of two functions' pruned pieces.
+Functions that need a profile the caller already holds have private
+variants that take it (``_le_witness``, ``_compare``, ``_mix_witness``,
+``_envelope``).
 
 The kernels run on integers.  A ``MaxAffine`` is one positive denominator
 D and integer rows ``(G_1, ..., G_n, C)``, the piece (G/D, C/D), with D
@@ -55,7 +57,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, reduce
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement
 from math import comb, factorial, gcd, lcm, prod
 from operator import add, and_, itemgetter, mul, neg, sub
 
@@ -275,113 +277,68 @@ def _dot(x, y):
     return sum(a * b for a, b in zip(x, y))
 
 
-def _walk(f: MaxAffine, g, pden, planes, hden, hrep):
-    """First point where f > g, or None, given the profile q of g.
-
-    q is the min of the integer ``planes`` (rows (W, B) over ``pden``) on
-    the polytope ``hrep`` (``_hull_rows`` of points over ``hden``);
-    ``g`` is only evaluated.  A piece <a, v> + c lies below g iff
-    c <= q(a), with q taken as -inf off its domain (Rockafellar, Convex
-    Analysis, section 12).
-    """
-    fden = f._den
-    for r in f._rows:
-        A, C = r[:-1], r[-1]
-        # <N / hden^e, A / fden> > R / hden^(e+1), times hden^(e+1) fden
-        out = next((h for h in hrep
-                    if sum(map(mul, h[0], A)) * hden > h[1] * fden), None)
-        if out is not None:
-            # <grad, s nu> <= s b on g's domain: f outgrows g along nu
-            N, R, e = out
-            nu = tuple(Fraction(x, hden ** e) for x in N)
-            b = Fraction(R, hden ** (e + 1))
-            a = tuple(Fraction(x, fden) for x in A)
-            c = Fraction(C, fden)
-            top = g(tuple(Fraction(0) for _ in A))
-            s = max(Fraction(1), (top - c) / (_dot(nu, a) - b) + 1)
-            return tuple(s * x for x in nu)
-        # q(a) = min over planes of (<W, A> + B fden) / (pden fden)
-        vals = [sum(map(mul, p, A)) + p[-1] * fden for p in planes]
-        qa = min(vals)
-        if C * pden > qa:
-            # g(-w) = beta for a plane (w, beta) of q active at a
-            w = planes[vals.index(qa)]
-            return tuple(Fraction(-x, pden) for x in w[:-1])
-    return None
-
-
 def le_witness(f: MaxAffine, g: MaxAffine):
     """None if f <= g everywhere, else a point where f > g (any n)."""
     return _le_witness(f, g, conjugate(g))
 
 
 def _le_witness(f: MaxAffine, g: MaxAffine, q: ConcaveProfile):
-    """``le_witness(f, g)`` given q = conjugate(g)."""
-    return _walk(f, g, q._den, q._planes, q._den, _domain_hrep(q))
+    """``le_witness(f, g)`` given q = conjugate(g).
+
+    q is the min of its integer planes (rows (W, B) over its den) on the
+    polytope of its domain rows; ``g`` is only evaluated.  A piece
+    <a, v> + c lies below g iff c <= q(a), with q taken as -inf off its
+    domain (Rockafellar, Convex Analysis, section 12).
+    """
+    fden, den, planes = f._den, q._den, q._planes
+    hrep = _domain_hrep(q)
+    for r in f._rows:
+        A, C = r[:-1], r[-1]
+        # <N / den^e, A / fden> > R / den^(e+1), times den^(e+1) fden
+        out = next((h for h in hrep
+                    if sum(map(mul, h[0], A)) * den > h[1] * fden), None)
+        if out is not None:
+            # <grad, s nu> <= s b on g's domain: f outgrows g along nu
+            N, R, e = out
+            nu = tuple(Fraction(x, den ** e) for x in N)
+            b = Fraction(R, den ** (e + 1))
+            a = tuple(Fraction(x, fden) for x in A)
+            c = Fraction(C, fden)
+            top = g(tuple(Fraction(0) for _ in A))
+            s = max(Fraction(1), (top - c) / (_dot(nu, a) - b) + 1)
+            return tuple(s * x for x in nu)
+        # q(a) = min over planes of (<W, A> + B fden) / (den fden)
+        vals = [sum(map(mul, p, A)) + p[-1] * fden for p in planes]
+        qa = min(vals)
+        if C * den > qa:
+            # g(-w) = beta for a plane (w, beta) of q active at a
+            w = planes[vals.index(qa)]
+            return tuple(Fraction(-x, den) for x in w[:-1])
+    return None
 
 
 def mix_witness(f: MaxAffine, g0: MaxAffine, g1: MaxAffine, lam):
     """``le_witness(f, h)`` for h = lam*g0 + (1-lam)*g1, 0 <= lam <= 1.
 
-    h has up to m0*m1 pieces and its profile is never built.  The
-    hypograph of q_h is lam*hyp(q0) + (1-lam)*hyp(q1), and each facet of a
-    Minkowski sum has the slope of a facet of a summand or is spanned by
-    an edge of each.  Every slope w gives a plane <w, y> + h(-w) >= q_h
-    that touches it (Fenchel-Young), so q_h is the min of those planes on
-    the sum of the two domains.
+    Any n: h is formed from the pruned pieces of g0 and g1, which their
+    profiles hold, and conjugated, and the witness is the one
+    ``le_witness`` gives against it; at lam = 0 or 1 that is
+    ``le_witness`` against one end.  A lam outside [0, 1] raises
+    ``PLError``.
     """
-    return _mix_witness(f, g0, g1, lam, conjugate(g0), conjugate(g1))
+    return _mix_witness(f, lam, conjugate(g0), conjugate(g1))
 
 
-def _mix_witness(f, g0, g1, lam, q0: ConcaveProfile, q1: ConcaveProfile):
+def _mix_witness(f, lam, q0: ConcaveProfile, q1: ConcaveProfile):
     """``mix_witness(f, g0, g1, lam)`` given q0, q1 = conjugate(g0, g1)."""
-    _require_plane(f.n, "mix_witness")
     lam = Fraction(lam)
-    slopes = [w for w, _ in q0.planes + q1.planes]
-    if f.n == 2:
-        for d0, d1 in product(_edge_directions(q0), _edge_directions(q1)):
-            uz = d0[0] * d1[1] - d0[1] * d1[0]
-            if uz:
-                slopes.append(((d0[1] * d1[2] - d0[2] * d1[1]) / -uz,
-                               (d0[2] * d1[0] - d0[0] * d1[2]) / -uz))
-
-    def h(v):
-        return lam * g0(v) + (1 - lam) * g1(v)
-
-    pden, planes = _int_rows([w + (h(tuple(-x for x in w)),)
-                              for w in dict.fromkeys(slopes)])
-    hden, pts = _int_rows({
-        tuple(lam * x + (1 - lam) * y for x, y in zip(p, r))
-        for p in q0.domain_points() for r in q1.domain_points()})
-    return _walk(f, h, pden, planes, hden, _hull_rows(sorted(pts)))
-
-
-def _edge_directions(q: ConcaveProfile):
-    """Edge directions (dy, dz) of the hypograph of q (n = 2).
-
-    Each is scaled to a leading 1, so parallel edges appear once.
-    """
-    cells = q.cells
-    if cells:
-        dirs = [(b[0] - a[0], b[1] - a[1], cell.affine(b) - cell.affine(a))
-                for cell in cells
-                for a, b in zip(cell.vertices, cell.vertices[1:]
-                                + cell.vertices[:1])]
-    else:
-        vertices = q.vertices
-        dirs = [(b[0] - a[0], b[1] - a[1], zb - za)
-                for (a, za), (b, zb) in zip(vertices, vertices[1:])]
-    out = set()
-    for d in dirs:
-        lead = next(x for x in d if x)
-        out.add(tuple(x / lead for x in d))
-    return sorted(out)
-
-
-def _require_plane(n: int, what: str):
-    """Refuse n > 2 in ``mix_witness``, which reads polygon edges."""
-    if n > 2:
-        raise PLError(f"{what} implemented for n <= 2")
+    if not 0 <= lam <= 1:
+        raise PLError(f"mix weight must lie in [0, 1], got {lam}")
+    if lam == 0 or lam == 1:
+        q = q0 if lam == 1 else q1
+        return _le_witness(f, q.to_max_affine(), q)
+    h = q0.to_max_affine().scaled(lam).plus(q1.to_max_affine().scaled(1 - lam))
+    return _le_witness(f, h, conjugate(h))
 
 
 def _require_same_n(f: MaxAffine, g: MaxAffine):

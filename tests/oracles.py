@@ -131,6 +131,11 @@ every (n + 1)-subset of the rows by cofactors, where the library adds
 one row at a time to a cone.  ``cell_integral_sympy`` integrates an
 affine function over a cell of R^3 with sympy's ``polytope_integrate``,
 on the facets of a brute-force hull (``hull_faces_3d``).
+``mix_witness_minkowski`` is the mix witness, for n <= 2, that
+geonorm.plconvex replaced with ``le_witness`` against the mix of the two
+functions' pruned pieces: it reads the planes of the mix's profile off
+the facet slopes of the two hypographs and, on R^2, off pairs of their
+edges, on the Minkowski sum of the two domains.
 """
 
 from __future__ import annotations
@@ -139,7 +144,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from math import comb, lcm, prod
 from operator import mul, sub
 
@@ -161,10 +166,12 @@ from geonorm.plconvex import (
     _canon,
     _facets,
     _flat_facets,
+    _hull_rows,
     _independent,
     _int_rows,
     _rational,
     compare,
+    conjugate,
     prune,
 )
 from geonorm.geodesics import geodesic
@@ -2706,3 +2713,65 @@ def walk_fraction(f_pieces, g, planes, hrep):
             w = next(w for w, beta in planes if dot(w, a) + beta == qa)
             return tuple(-x for x in w)
     return None
+
+
+# ---------------------------------------------------------------------------
+# The mix witness by Minkowski slopes (n <= 2): the route that
+# geonorm.plconvex replaced with le_witness against the mix of the two
+# functions' pruned pieces.
+# ---------------------------------------------------------------------------
+
+
+def mix_witness_minkowski(f, g0, g1, lam):
+    """``le_witness(f, lam*g0 + (1-lam)*g1)``, 0 <= lam <= 1, n <= 2, with
+    the mix's profile never built.
+
+    The hypograph of q_h is lam*hyp(q0) + (1-lam)*hyp(q1), and each facet
+    of a Minkowski sum has the slope of a facet of a summand or is spanned
+    by an edge of each.  Every slope w gives a plane <w, y> + h(-w) >= q_h
+    that touches it (Fenchel-Young), so q_h is the min of those planes on
+    the sum of the two domains, whose rows are ``_hull_rows`` of the sums
+    of domain points.
+    """
+    _require_plane(f.n, "mix_witness")
+    lam = Fraction(lam)
+    q0, q1 = conjugate(g0), conjugate(g1)
+    slopes = [w for w, _ in q0.planes + q1.planes]
+    if f.n == 2:
+        for d0, d1 in product(_edge_directions(q0), _edge_directions(q1)):
+            uz = d0[0] * d1[1] - d0[1] * d1[0]
+            if uz:
+                slopes.append(((d0[1] * d1[2] - d0[2] * d1[1]) / -uz,
+                               (d0[2] * d1[0] - d0[0] * d1[2]) / -uz))
+
+    def h(v):
+        return lam * g0(v) + (1 - lam) * g1(v)
+
+    planes = [(w, h(tuple(-x for x in w))) for w in dict.fromkeys(slopes)]
+    hden, pts = _int_rows({
+        tuple(lam * x + (1 - lam) * y for x, y in zip(p, r))
+        for p in q0.domain_points() for r in q1.domain_points()})
+    hrep = [(tuple(Fraction(x, hden ** e) for x in N),
+             Fraction(R, hden ** (e + 1)))
+            for N, R, e in _hull_rows(sorted(pts))]
+    return walk_fraction(f.pieces, h, planes, hrep)
+
+
+def _edge_directions(q):
+    """Edge directions (dy, dz) of the hypograph of a profile on R^2, each
+    scaled to a leading 1, so parallel edges appear once."""
+    cells = q.cells
+    if cells:
+        dirs = [(b[0] - a[0], b[1] - a[1], cell.affine(b) - cell.affine(a))
+                for cell in cells
+                for a, b in zip(cell.vertices, cell.vertices[1:]
+                                + cell.vertices[:1])]
+    else:
+        vertices = q.vertices
+        dirs = [(b[0] - a[0], b[1] - a[1], zb - za)
+                for (a, za), (b, zb) in zip(vertices, vertices[1:])]
+    out = set()
+    for d in dirs:
+        lead = next(x for x in d if x)
+        out.add(tuple(x / lead for x in d))
+    return sorted(out)

@@ -444,11 +444,12 @@ def test_every_pair_artifact_equals_its_single_task_run(tmp_path, capsys,
 def test_run_counts_kernel_runs_and_conjugations(tmp_path, monkeypatch,
                                                  conjugated, capsys) -> None:
     # one geonorm run of the 15 tasks of a benchmark config: one kernel run
-    # per pair of norms, (a, b) over Q and (c, d) over Q(t); and 18
+    # per pair of norms, (a, b) over Q and (c, d) over Q(t); and 19
     # conjugations: phi0 and phi1, three rooftops (one per critical tau) and
     # d1's rooftop, the six Legendre slices (t in {0, 1/4, 1/3, 1/2, 3/4,
     # 1}), the maximal segment at 1/3, the two endpoint recoveries, the
-    # reference metric of the energies, and two samples of the path
+    # reference metric of the energies, the path's two chord ends and
+    # their mix
     smith = []
     real = linalg.smith
     monkeypatch.setattr(linalg, "smith",
@@ -473,7 +474,7 @@ def test_run_counts_kernel_runs_and_conjugations(tmp_path, monkeypatch,
     ])
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     assert len(smith) == 2
-    assert len(conjugated) == 18
+    assert len(conjugated) == 19
     capsys.readouterr()
 
 
@@ -507,6 +508,28 @@ def test_suite_refuses_config_and_kmax(capsys, flag) -> None:
         main(["suite", "kiselman"] + flag)
     assert exc.value.code == 2
     assert flag[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["toric", "energy", "--seed", "1"],
+    ["segments", "maximal", "--t", "1/2", "--seed", "1"],
+    ["segments", "verify", "--seed", "1"],
+    ["segments", "maximal", "--t", "1/2", "--format", "csv"],
+    ["segments", "verify", "--format", "json"],
+], ids=["energy-seed", "maximal-seed", "verify-seed", "maximal-format",
+        "verify-format"])
+def test_subcommands_refuse_flags_they_do_not_read(tmp_path, capsys,
+                                                   argv) -> None:
+    # toric energy and the segments commands draw nothing at random, and
+    # the segments commands always write JSON
+    cfg = _pair_config(tmp_path, [
+        {"op": "verify", "target": "segment_psh", "path": "p"},
+    ], extra_objects={"paths": {"p": _healthy_path()}})
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--config", cfg])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in (
+        capsys.readouterr().err)
 
 
 def _level2_path(mid_weights):
@@ -687,11 +710,15 @@ def test_overlays_on_p3_write_artifacts(tmp_path, capsys, task, name) -> None:
         assert got == legendre_segment(phi0, phi1, F(1, 2)).to_json()
 
 
-def test_segment_psh_on_p3_exits_2(tmp_path, capsys) -> None:
-    # comparison runs on P^3, but the slopes of a Minkowski sum of two
-    # hypographs are read from polygon edges, which exist for n <= 2
-    samples = [{"t": t, "weights": [w, "0", "0", "0"]}
-               for t, w in (("0", "0"), ("1/2", "1"), ("1", "0"))]
+@pytest.mark.parametrize("mid, code", [("0", 0), ("1", 1)],
+                         ids=["honest", "bulged"])
+def test_segment_psh_on_p3(tmp_path, capsys, mid, code) -> None:
+    # the midpoint weights are the chord's, with the constant monomial
+    # raised by 1 in the bulged path
+    samples = [{"t": t, "weights": w} for t, w in (
+        ("0", ["0", "0", "0", "0"]),
+        ("1/2", [mid, "-1", "1/2", "-3/2"]),
+        ("1", ["0", "-2", "1", "-3"]))]
     cfg = tmp_path / "p3.json"
     cfg.write_text(json.dumps({
         "arena": {"n": 3, "m": 1},
@@ -699,8 +726,31 @@ def test_segment_psh_on_p3_exits_2(tmp_path, capsys) -> None:
                                     "samples": samples}}},
         "tasks": [{"op": "verify", "target": "segment_psh", "path": "p"}],
     }))
-    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-    _assert_one_line_error(capsys, "error: mix_witness implemented for n <= 2")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == code
+    got = json.loads((tmp_path / "000_verify.json").read_text())
+    assert got["status"] == ("pass" if code == 0 else "fail")
+    if code:
+        ce = got["counterexample"]
+        assert F(ce["lhs"]) > F(ce["rhs"])
+        assert _stderr_counterexample(capsys.readouterr().err) == ce
+    else:
+        assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("times, weights", [
+    (("1/2", "1/2", "1/2"), (["0", "0"], ["0", "-1"], ["0", "-2"])),
+    (("0", "1/2", "2/4", "1"),
+     (["0", "0"], ["0", "-1"], ["1", "-1"], ["0", "-2"])),
+], ids=["one-t", "two-weights-at-one-t"])
+def test_path_repeating_a_t_exits_2(tmp_path, capsys, times, weights) -> None:
+    path = {"ring": {"n": 1, "m": 1}, "k": 1,
+            "samples": [{"t": t, "weights": w}
+                        for t, w in zip(times, weights)]}
+    cfg = _pair_config(tmp_path, [
+        {"op": "verify", "target": "segment_psh", "path": "p"},
+    ], extra_objects={"paths": {"p": path}})
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    _assert_one_line_error(capsys, "config error: path samples repeat t = 1/2")
 
 
 def test_zero_dimensional_norm_exits_2(tmp_path, capsys) -> None:

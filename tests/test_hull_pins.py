@@ -34,11 +34,12 @@ count.
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from oracles import min_profile
+from oracles import min_profile, mix_witness_minkowski
 from geonorm import plconvex
 from geonorm.graded import lattice_points
 from geonorm.plconvex import (
@@ -185,7 +186,7 @@ PINNED = {
     "prune": (
         "0bca82223658c0012664e2e81158d680f44a586eb97290ceff4e680c40fec12b"),
     "witnesses": (
-        "0273b24e1fac6e8e3d713209744d8ac18b1964287bbea751f9c08a6c403c565c"),
+        "62ec1c6ba172573340e802a226c77c7c5866a9e8302d9073c57da1b853a9ab2c"),
     "conjugate_p3": (
         "f0c9632745cf1b116a7a01104f7e40c3509f2c2d9767954ee4ec9b7ba386977a"),
     "domain_rows_p3": (
@@ -286,6 +287,21 @@ def test_p3_pins_reach_every_wrap_shape() -> None:
 @pytest.mark.parametrize("kind", sorted(PINNED))
 def test_hull_outputs_pinned(kind) -> None:
     assert _digest(_outputs(kind)) == PINNED[kind]
+
+
+def test_minkowski_slopes_give_the_former_witness_pins(monkeypatch) -> None:
+    # with the mix witness read off the Minkowski slopes, as before it was
+    # le_witness against the pruned mix, the witnesses hash to their former
+    # pin; the two routes differ on 2 of the 155 mix witnesses, both on P^2
+    now = _outputs("witnesses")
+    monkeypatch.setattr(sys.modules[__name__], "mix_witness",
+                        mix_witness_minkowski)
+    before = _outputs("witnesses")
+    assert _digest(before) == (
+        "0273b24e1fac6e8e3d713209744d8ac18b1964287bbea751f9c08a6c403c565c")
+    moved = [(a, b) for a, b in zip(before, now) if a != b]
+    assert len(moved) == 2
+    assert all(len(a) == len(b) == 2 for a, b in moved)
 
 
 def test_kept_domain_rows_are_the_rows_of_the_domain_points() -> None:

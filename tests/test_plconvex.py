@@ -265,8 +265,7 @@ _P3_Q = conjugate(_P3_F)
     lambda: oracles.integrate_cell_affine(_P3_Q.cells[0].vertices,
                                           _P3_Q.cells[0].affine, 3),
     lambda: oracles._halfspace_part(_P3_Q.cells[0].vertices, (1, 0, 0), 0),
-    lambda: mix_witness(_P3_F, _P3_F, _P3_F.shifted(-1), F(1, 2)),
-], ids=["integrate_cell_affine", "halfspace_part", "mix_witness"])
+], ids=["integrate_cell_affine", "halfspace_part"])
 def test_cell_readers_refuse_n3(run) -> None:
     # the P^3 conjugate has one cell, which these read as a polygon
     assert len(_P3_Q.cells) == 1
@@ -358,15 +357,27 @@ def test_le_witness_matches_lp_oracle(pair) -> None:
     assert compare(f, g).relation == relation
 
 
+def _pieces(n):
+    """Pieces on R^n: as ``_max_affine_cases`` draws them for n = 1, 2,
+    and as ``_p3_cases`` does, up to 5, for n = 3."""
+    if n == 3:
+        return _p3_cases(count=(1, 5))
+    return _max_affine_cases(n).map(lambda case: case[1])
+
+
 @st.composite
-def _mix_cases(draw):
-    """(f, g0, g1, lam): g0, g1 apart; f apart or built from pieces of the
-    mix h = lam*g0 + (1-lam)*g1, lowered or raised by a little."""
-    n, p0 = draw(_max_affine_cases())
-    g0, g1 = MaxAffine(n, p0), MaxAffine(n, draw(_max_affine_cases(n))[1])
+def _mix_cases(draw, n=None):
+    """(f, g0, g1, lam) on n = 1, 2, or on the given n: g0, g1 apart; f
+    apart or built from pieces of the mix h = lam*g0 + (1-lam)*g1, lowered
+    or raised by a little."""
+    if n is None:
+        n, p0 = draw(_max_affine_cases())
+    else:
+        p0 = draw(_pieces(n))
+    g0, g1 = MaxAffine(n, p0), MaxAffine(n, draw(_pieces(n)))
     lam = draw(st.sampled_from((F(0), F(1, 3), F(1, 2), F(3, 4), F(1))))
     if draw(st.booleans()):
-        return MaxAffine(n, draw(_max_affine_cases(n))[1]), g0, g1, lam
+        return MaxAffine(n, draw(_pieces(n))), g0, g1, lam
     mix = [(tuple(lam * x + (1 - lam) * y for x, y in zip(a0, a1)),
             lam * c0 + (1 - lam) * c1)
            for (a0, c0), (a1, c1) in zip(draw(st.permutations(g0.pieces)),
@@ -398,6 +409,46 @@ def test_mix_witness_matches_lp_oracle(case) -> None:
     got = mix_witness(f, g0, g1, lam)
     assert (got is None) == (oracles.lp_le_witness(f, h) is None)
     assert got is None or f(got) > h(got)
+
+
+def _mix_witness_of_the_pruned_mix(f, g0, g1, lam):
+    """mix_witness(f, g0, g1, lam), checked to be le_witness against the
+    mix of prune(g0) and prune(g1) and to lie above lam*g0 + (1-lam)*g1."""
+    got = mix_witness(f, g0, g1, lam)
+    if 0 < lam < 1:
+        mix = prune(g0).scaled(lam).plus(prune(g1).scaled(1 - lam))
+    else:
+        mix = prune(g0 if lam == 1 else g1)
+    assert got == le_witness(f, mix)
+    assert got is None or f(got) > lam * g0(got) + (1 - lam) * g1(got)
+    return got
+
+
+@settings(max_examples=300)
+@given(_mix_cases())
+@example((_ma(((F(1, 2), F(1, 2)), F(1, 2))),
+          _ma(((0, 0), 0), ((1, 0), 0)), _ma(((0, 0), 0), ((0, 1), 0)),
+          F(1, 2)))
+@example((_ma(((F(1, 4), F(1, 4)), F(1, 12))),
+          _ma(((0, 0), 0), ((1, 0), 1)), _ma(((0, 0), 0), ((0, 1), -1)),
+          F(1, 2)))
+def test_mix_witness_agrees_with_the_minkowski_slopes(case) -> None:
+    # the route that read the mix's planes off the two hypographs' facets
+    # and edge pairs finds a witness exactly when the pruned mix does
+    got = _mix_witness_of_the_pruned_mix(*case)
+    assert (got is None) == (oracles.mix_witness_minkowski(*case) is None)
+
+
+@settings(max_examples=60)
+@given(_mix_cases(3))
+def test_mix_witness_on_p3_is_the_pruned_mix_witness(case) -> None:
+    _mix_witness_of_the_pruned_mix(*case)
+
+
+@pytest.mark.parametrize("lam", [F(-1, 2), F(3, 2)])
+def test_mix_witness_refuses_a_weight_outside_0_1(lam) -> None:
+    with pytest.raises(PLError, match="mix weight must lie in"):
+        mix_witness(REF, REF, REF.shifted(-1), lam)
 
 
 def test_library_never_imports_the_lp() -> None:

@@ -1,6 +1,8 @@
-"""The README's config example and library example run as written."""
+"""The README's command lines, config example and library example run as
+written."""
 
 import json
+import shlex
 from pathlib import Path
 
 from geonorm.cli import main
@@ -23,6 +25,19 @@ def test_config_example_runs(tmp_path) -> None:
     assert sorted(p.name for p in out.iterdir()) == sorted(
         [f"{i:03d}_{t['op']}.{'csv' if t['op'] == 'energy' else 'json'}"
          for i, t in enumerate(tasks)] + ["report.json"])
+
+
+def test_command_line_examples_run(tmp_path, monkeypatch) -> None:
+    # each line of the block runs in a directory holding the config
+    # example as exp.json
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.json").write_text(_block("### Config format", "json"))
+    lines = _block("## Command line", "sh").splitlines()
+    assert len(lines) == 5
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "geonorm"
+        assert main(argv[1:]) == 0, line
 
 
 def test_library_example_gives_its_commented_values() -> None:

@@ -514,25 +514,54 @@ def test_compare_and_detect_non_psh_run_no_lp(monkeypatch) -> None:
     assert detect_non_psh(RING2, 1, samples) is None
 
 
-def test_detect_non_psh_on_p2_at_uneven_times() -> None:
-    # at t1 = 1/3 the chord's gradients (a + 2b)/6 are mostly distinct
-    ring = section_ring(2, 1)
-    basis = ring.basis(2)
-    w0 = dict(zip(basis, map(F, (0, 3, -1, 2, 0, -2))))
-    w1 = dict(zip(basis, map(F, (1, -2, 0, 0, 3, -1))))
+def _honest_and_bulged(ring, k, w0, w1, ts, i):
+    """detect_non_psh on the weight interpolation of w0 and w1 at ts, and
+    on the same path with its constant monomial raised by 1/2 at ts[i];
+    the first must find nothing, the second a witness that the sampled
+    potentials confirm."""
+    basis = ring.basis(k)
+    w0, w1 = (dict(zip(basis, map(F, w))) for w in (w0, w1))
     samples = [(t, {a: (1 - t) * w0[a] + t * w1[a] for a in basis})
-               for t in (F(0), F(1, 5), F(1, 3), F(3, 4), F(1))]
-    assert detect_non_psh(ring, 2, samples) is None
-    t, w = samples[2]
-    samples[2] = (t, {**w, basis[0]: w[basis[0]] + F(1, 2)})
-    got = detect_non_psh(ring, 2, samples)
+               for t in ts]
+    assert detect_non_psh(ring, k, samples) is None
+    t, w = samples[i]
+    samples[i] = (t, {**w, basis[0]: w[basis[0]] + F(1, 2)})
+    got = detect_non_psh(ring, k, samples)
     assert F(got["lhs"]) > F(got["rhs"])
-    phi = {t: fs_from_norm(ring, 2, w).potential for t, w in samples}
+    phi = {t: fs_from_norm(ring, k, w).potential for t, w in samples}
     t0, t1, t2 = (F(got[key]) for key in ("t0", "t1", "t2"))
     lam = (t2 - t1) / (t2 - t0)
     point = tuple(F(x) for x in got["point"])
     assert phi[t1](point) == F(got["lhs"])
     assert lam * phi[t0](point) + (1 - lam) * phi[t2](point) == F(got["rhs"])
+
+
+def test_detect_non_psh_on_p2_at_uneven_times() -> None:
+    # at t1 = 1/3 the chord's gradients (a + 2b)/6 are mostly distinct
+    _honest_and_bulged(section_ring(2, 1), 2, (0, 3, -1, 2, 0, -2),
+                       (1, -2, 0, 0, 3, -1),
+                       (F(0), F(1, 5), F(1, 3), F(3, 4), F(1)), 2)
+
+
+@pytest.mark.parametrize("k, w0, w1", [
+    (1, (0, 2, -1, 1), (1, -2, 0, 3)),
+    (2, (0, 3, -1, 2, 0, -2, 1, 0, 2, -1), (1, -2, 0, 0, 3, -1, 0, 2, -1, 1)),
+], ids=["level1", "level2"])
+def test_detect_non_psh_on_p3(k, w0, w1) -> None:
+    # the mix of the two chord ends is formed and conjugated on P^3 too
+    _honest_and_bulged(section_ring(3, 1), k, w0, w1,
+                       (F(0), F(1, 3), F(1, 2), F(1)), 1)
+
+
+@pytest.mark.parametrize("ts", [
+    (F(1, 2),) * 3,
+    (F(0), F(1, 2), F(1, 2), F(1)),
+], ids=["one-t", "two-weights-at-one-t"])
+def test_detect_non_psh_refuses_a_repeated_t(ts) -> None:
+    # the samples are then no function of t
+    samples = [(t, {(0,): F(i), (1,): F(-i)}) for i, t in enumerate(ts)]
+    with pytest.raises(ToricError, match="repeat t = 1/2"):
+        detect_non_psh(RING1, 1, samples)
 
 
 # -- diagnostics ------------------------------------------------------------------------
