@@ -21,7 +21,8 @@ columns appear only in convergence tables, files are written atomically,
 and re-running a command reproduces its artifacts byte for byte.  The
 exit status is 0 on success, 1 when a verification check fails (the
 counterexample is serialized in the report and echoed to stderr), and 2
-on usage or config errors and on input the library rejects.
+on usage or config errors, on input the library rejects and on an output
+path that cannot be written.
 """
 
 from __future__ import annotations
@@ -437,9 +438,9 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        # library errors (ToricError, PLError, ...) derive from ValueError:
-        # bad input, not a failed check
+    except (ValueError, OSError) as exc:
+        # bad input, not a failed check: library errors (ToricError, ...)
+        # derive from ValueError, and an OSError is an unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -130,8 +130,6 @@ def _parse_objects(objects):
         for name, obj in table.items():
             try:
                 parsed[kind][name] = loaders[kind](obj)
-            except ConfigError:
-                raise
             except Exception as exc:
                 raise ConfigError(f"bad {kind} object {name!r}: {exc}") from exc
     return parsed
@@ -272,9 +270,14 @@ def load_config(path) -> ExperimentConfig:
         _validate_task(idx, task, parsed)
 
     output = doc.get("output", {})
+    if not isinstance(output, dict):
+        raise ConfigError("output must be a JSON object")
     fmt = output.get("format", "json")
     if fmt not in ("csv", "json"):
         raise ConfigError(f"output.format must be 'csv' or 'json', got {fmt!r}")
+    out_path = output.get("path")
+    if out_path is not None and not isinstance(out_path, str):
+        raise ConfigError(f"output.path must be a string, got {out_path!r}")
 
     return ExperimentConfig(
         arena=arena,
@@ -285,7 +288,7 @@ def load_config(path) -> ExperimentConfig:
         paths=parsed["paths"],
         tasks=tuple(tasks),
         output_format=fmt,
-        output_path=output.get("path"),
+        output_path=out_path,
     )
 
 

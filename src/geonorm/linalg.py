@@ -9,7 +9,9 @@ integer polynomials in t over a common multiple of its denominators (Q(t),
 fraction-free Gauss-Jordan loop, ``_gauss_jordan``, over Z or Z[t].
 Determinants run one triangular Bareiss loop, ``_bareiss``, over Z or
 Z[t], on the row-scaled matrix.  ``rref`` builds its field elements once,
-at the end: one ``Fraction`` or one reduced ``RatFunc`` per entry.
+at the end: one ``Fraction`` or one reduced ``RatFunc`` per entry.  The
+one integer echelon, ``_extend_echelon``, and the one ``_primitive`` serve
+the filtration split of ``norms`` and the hulls of ``plconvex``.
 
 An inverse is kept in row form: one ``(den, numerators)`` pair per row,
 over Z for Q and over Z[t] for Q(t), read straight off the elimination,
@@ -103,9 +105,27 @@ def _is_rational(rows):
     return all(isinstance(x, Fraction) for row in rows for x in row)
 
 
-def _primitive(ints):
-    g = math.gcd(*ints)
-    return [x // g for x in ints] if g > 1 else ints
+def _primitive(r):
+    """An integer row divided by the gcd of its entries."""
+    g = math.gcd(*r)
+    return r if g <= 1 else tuple([x // g for x in r])
+
+
+def _extend_echelon(echelon, v):
+    """Reduce the integer vector v against ``echelon``, ``(pivot, row)``
+    pairs each zero at the pivots before it, and append what is left,
+    primitive, at its first nonzero column if it is nonzero; return
+    whether it did.  The pivots are the leading columns of the span's
+    RREF."""
+    for p, e in echelon:
+        if v[p]:
+            a, b = v[p], e[p]
+            v = [b * x - a * y for x, y in zip(v, e)]
+    for p, x in enumerate(v):
+        if x:
+            echelon.append((p, _primitive(v)))
+            return True
+    return False
 
 
 def _cleared(row):

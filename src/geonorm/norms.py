@@ -20,8 +20,8 @@ the d_p distances and the relative volume read only the multiset of
 weight pairs, which is the same for every common basis, so they take the
 kernel's basis and weights as they are, verified.  The common basis of
 ``codiagonalize``, ``join`` and the geodesics is, over Q, the canonical
-form of the filtration split, found on integer rows
-(``_filtration_form``), and over Q(t) the kernel's basis.
+form of the filtration split, found on integer rows (``_filtration_form``,
+``linalg._extend_echelon``), and over Q(t) the kernel's basis.
 
 A norm holds its weights as integer numerators over one positive
 denominator, in lowest terms; ``weights`` is their ``Fraction`` view,
@@ -697,9 +697,10 @@ def _filtration_form(basis, w0, w1):
     F1^t is spanned by the integer numerators of the c_i with a_i >= s and
     b_i >= t, and one fraction-free ``linalg._gauss_jordan`` over Z gives
     its RREF: row i of the elimination over its pivot.  A row is kept,
-    with weights (s, t), iff it does not reduce to zero by an integer
-    echelon of the rows kept so far, the choice the pivot columns of one
-    RREF of all the meets' rows, stacked, would make.  Each kept row comes
+    with weights (s, t), iff it does not reduce to zero by the integer
+    echelon of the rows kept so far (``linalg._extend_echelon``, the one
+    ``plconvex`` ranks its points with), the choice the pivot columns of
+    one RREF of all the meets' rows, stacked, would make.  Each kept row comes
     back as the column ``(row[c], row)``, the RREF row row / row[c].
     """
     kept, echelon = [], []
@@ -708,25 +709,10 @@ def _filtration_form(basis, w0, w1):
                 if x >= s and y >= t]
         pivots = linalg._gauss_jordan(meet, linalg._int_sub_mul, floordiv, 1)
         for row, c in zip(meet, pivots):
-            if _extends_echelon(echelon, row):
+            if linalg._extend_echelon(echelon, row):
                 kept.append((row, c, s, t))
     return (tuple((row[c], tuple(row)) for row, c, _, _ in kept),
             tuple(s for _, _, s, _ in kept), tuple(t for _, _, _, t in kept))
-
-
-def _extends_echelon(echelon, row):
-    """Whether an integer row is independent of the rows of ``echelon``, a
-    list of ``(pivot, row)`` with each row zero at the pivots before it;
-    if so its reduced form joins the echelon."""
-    for p, e in echelon:
-        a = row[p]
-        if a:
-            row = linalg._primitive([e[p] * x - a * y for x, y in zip(row, e)])
-    p = next((j for j, x in enumerate(row) if x), None)
-    if p is None:
-        return False
-    echelon.append((p, row))
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,8 @@ metric) straight from its integer planes, by
 ``(X.., W)``, W > 0 and gcd 1, standing for X/W, with their tight rows
 and the two profiles' integer plane rows over one denominator; the
 integral and the sup of |q0 - q1| and the pieces of min(q0, q1 - tau)
-are read off it, and build one ``Fraction`` each.
+are read off it, and build one ``Fraction`` each.  Ranks and primitive
+rows come from ``linalg`` (``_extend_echelon``, ``_primitive``).
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ from math import comb, factorial, gcd, lcm, prod
 from operator import add, and_, itemgetter, mul, neg, sub
 
 from .field import format_fraction, parse_fraction
+from .linalg import _extend_echelon, _primitive
 
 
 class PLError(ValueError):
@@ -401,12 +403,6 @@ def _canon(p):
     return _primitive(tuple(map(neg, p)) if p[-1] < 0 else p)
 
 
-def _primitive(r):
-    """An integer row divided by the gcd of its entries."""
-    g = gcd(*r)
-    return r if g <= 1 else tuple([x // g for x in r])
-
-
 # ---------------------------------------------------------------------------
 # Convex hulls of integer points, gift-wrapped in every dimension.
 # ---------------------------------------------------------------------------
@@ -417,29 +413,18 @@ def _independent(pts, idxs, rank):
     affinely independent (fewer if they span less), and the pivot
     coordinates of the span of the points taken.
 
-    A fraction-free echelon of the differences from the first point, its
-    rows kept sorted by pivot.  The pivots are the leading columns of the
-    span's reduced echelon form, so they do not depend on the order.
+    The differences from the first point go through the integer echelon
+    ``linalg._extend_echelon``, whose pivots do not depend on the order.
     """
     idxs = iter(idxs)
     first = next(idxs)
-    p0, kept, rows = pts[first], [first], []
+    p0, kept, echelon = pts[first], [first], []
     for i in idxs:
-        if len(rows) == rank:
+        if len(echelon) == rank:
             break
-        v = list(map(sub, pts[i], p0))
-        for k, r in rows:
-            if v[k]:
-                a, b = r[k], v[k]
-                v = [x * a - y * b for x, y in zip(v, r)]
-        for k, x in enumerate(v):
-            if x:
-                g = gcd(*v)
-                rows.append((k, [x // g for x in v]))
-                rows.sort()
-                kept.append(i)
-                break
-    return kept, [k for k, _ in rows]
+        if _extend_echelon(echelon, tuple(map(sub, pts[i], p0))):
+            kept.append(i)
+    return kept, sorted(p for p, _ in echelon)
 
 
 def _det(m):

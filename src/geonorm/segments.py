@@ -329,13 +329,14 @@ def planted_non_psh_path():
 
 
 def detect_non_psh(ring: SectionRing, k: int, samples):
-    """First sampled triple violating convexity in t, or None.
+    """First consecutive sampled triple violating convexity in t, or None.
 
     ``samples`` are ``(t, weights)`` pairs of level-k FS metrics, weights
     keyed by the degree-k lattice points.  Returns ``{"t0", "t1", "t2",
     "point", "lhs", "rhs"}`` where lhs is the middle potential at the
-    witness point and rhs the chord value.  Two samples at one t raise
-    ``ToricError``: the samples are then no function of t.
+    witness point and rhs the chord value.  Sampled values convex on
+    consecutive triples are convex, so only those are mixed.  Two samples
+    at one t raise ``ToricError``: the samples are then no function of t.
     """
     metrics = [(t, fs_from_norm(ring, k, w)) for t, w in samples]
     metrics.sort(key=lambda tv: tv[0])
@@ -344,10 +345,10 @@ def detect_non_psh(ring: SectionRing, k: int, samples):
             raise ToricError(f"path samples repeat t = {t}")
     # each chord end is conjugated once, when a triple first needs it
     profile = functools.cache(lambda i: metrics[i][1].profile())
-    for i0, i1, i2 in itertools.combinations(range(len(metrics)), 3):
-        (t0, p0), (t1, p1), (t2, p2) = metrics[i0], metrics[i1], metrics[i2]
+    for i in range(len(metrics) - 2):
+        (t0, p0), (t1, p1), (t2, p2) = metrics[i:i + 3]
         lam = (t2 - t1) / (t2 - t0)
-        point = _mix_witness(p1.potential, lam, profile(i0), profile(i2))
+        point = _mix_witness(p1.potential, lam, profile(i), profile(i + 2))
         if point is not None:
             rhs = lam * p0.potential(point) + (1 - lam) * p2.potential(point)
             return {

@@ -136,6 +136,12 @@ geonorm.plconvex replaced with ``le_witness`` against the mix of the two
 functions' pruned pieces: it reads the planes of the mix's profile off
 the facet slopes of the two hypographs and, on R^2, off pairs of their
 edges, on the Minkowski sum of the two domains.
+``independent_sorted_echelon`` and ``extends_echelon_stepwise`` are the
+two integer echelons, geonorm.plconvex's (rows sorted by pivot) and
+geonorm.norms' (rows in insertion order, divided by their gcd at every
+step), that geonorm.linalg._extend_echelon replaced with one.
+``detect_non_psh_all_triples`` mixes every triple of a path's samples,
+where geonorm.segments mixes the consecutive ones.
 """
 
 from __future__ import annotations
@@ -145,7 +151,7 @@ import itertools
 import math
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-from math import comb, lcm, prod
+from math import comb, gcd, lcm, prod
 from operator import mul, sub
 
 from geonorm import linalg
@@ -169,6 +175,7 @@ from geonorm.plconvex import (
     _hull_rows,
     _independent,
     _int_rows,
+    _mix_witness,
     _rational,
     compare,
     conjugate,
@@ -180,6 +187,7 @@ from geonorm.toric import (
     ToricError,
     ToricMetric,
     envelope_P,
+    fs_from_norm,
     moment_volume,
     section_ring,
     supnorm,
@@ -2775,3 +2783,87 @@ def _edge_directions(q):
         lead = next(x for x in d if x)
         out.add(tuple(x / lead for x in d))
     return sorted(out)
+
+
+# ---------------------------------------------------------------------------
+# The two integer echelons that geonorm.linalg._extend_echelon replaced:
+# geonorm.plconvex's, rows kept sorted by pivot and divided by their gcd
+# once, and geonorm.norms', rows in insertion order and divided by their
+# gcd after every step.
+# ---------------------------------------------------------------------------
+
+
+def independent_sorted_echelon(pts, idxs, rank):
+    """The first ``rank + 1`` of ``idxs``, in order, whose points are
+    affinely independent (fewer if they span less), and the pivot
+    coordinates of the span of the points taken.
+
+    A fraction-free echelon of the differences from the first point, its
+    rows kept sorted by pivot.  The pivots are the leading columns of the
+    span's reduced echelon form, so they do not depend on the order.
+    """
+    idxs = iter(idxs)
+    first = next(idxs)
+    p0, kept, rows = pts[first], [first], []
+    for i in idxs:
+        if len(rows) == rank:
+            break
+        v = list(map(sub, pts[i], p0))
+        for k, r in rows:
+            if v[k]:
+                a, b = r[k], v[k]
+                v = [x * a - y * b for x, y in zip(v, r)]
+        for k, x in enumerate(v):
+            if x:
+                g = gcd(*v)
+                rows.append((k, [x // g for x in v]))
+                rows.sort()
+                kept.append(i)
+                break
+    return kept, [k for k, _ in rows]
+
+
+def extends_echelon_stepwise(echelon, row):
+    """Whether an integer row is independent of the rows of ``echelon``, a
+    list of ``(pivot, row)`` with each row zero at the pivots before it;
+    if so its reduced form joins the echelon."""
+    for p, e in echelon:
+        a = row[p]
+        if a:
+            row = linalg._primitive([e[p] * x - a * y for x, y in zip(row, e)])
+    p = next((j for j, x in enumerate(row) if x), None)
+    if p is None:
+        return False
+    echelon.append((p, row))
+    return True
+
+
+# ---------------------------------------------------------------------------
+# The psh check over every triple of samples: the route that
+# geonorm.segments replaced with the consecutive triples alone.
+# ---------------------------------------------------------------------------
+
+
+def detect_non_psh_all_triples(ring, k, samples):
+    """``segments.detect_non_psh`` as it mixed each of the C(s, 3) triples
+    of the s samples, in lexicographic order, each chord end conjugated
+    once."""
+    metrics = [(t, fs_from_norm(ring, k, w)) for t, w in samples]
+    metrics.sort(key=lambda tv: tv[0])
+    for (t, _), (u, _) in zip(metrics, metrics[1:]):
+        if t == u:
+            raise ToricError(f"path samples repeat t = {t}")
+    profile = functools.cache(lambda i: metrics[i][1].profile())
+    for i0, i1, i2 in itertools.combinations(range(len(metrics)), 3):
+        (t0, p0), (t1, p1), (t2, p2) = metrics[i0], metrics[i1], metrics[i2]
+        lam = (t2 - t1) / (t2 - t0)
+        point = _mix_witness(p1.potential, lam, profile(i0), profile(i2))
+        if point is not None:
+            rhs = lam * p0.potential(point) + (1 - lam) * p2.potential(point)
+            return {
+                "t0": str(t0), "t1": str(t1), "t2": str(t2),
+                "point": [str(c) for c in point],
+                "lhs": str(p1.potential(point)),
+                "rhs": str(rhs),
+            }
+    return None

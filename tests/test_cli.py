@@ -590,6 +590,23 @@ def test_null_arena_value_exits_2(tmp_path, capsys) -> None:
     _assert_one_line_error(capsys, "config error: arena.n must be a positive")
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "CFG"],
+    ["suite", "kiselman"],
+    ["toric", "energy", "--config", "CFG", "--kmax", "2"],
+], ids=["run", "suite", "toric-energy"])
+def test_out_naming_a_regular_file_exits_2(tmp_path, capsys, argv) -> None:
+    # --out names an existing file where a directory would be made
+    cfg = _pair_config(tmp_path, [{"op": "energy", "metrics": ["phi0", "phi1"],
+                                   "kmax": 2}])
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    argv = [cfg if a == "CFG" else a for a in argv]
+    assert main(argv + ["--out", str(blocker)]) == 2
+    _assert_one_line_error(capsys, "error: [Errno 17] File exists")
+    assert blocker.read_text() == ""
+
+
 def test_task_without_reference_list_exits_2(tmp_path, capsys) -> None:
     cfg = _pair_config(tmp_path, [{"op": "energy"}])
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
@@ -750,7 +767,8 @@ def test_path_repeating_a_t_exits_2(tmp_path, capsys, times, weights) -> None:
         {"op": "verify", "target": "segment_psh", "path": "p"},
     ], extra_objects={"paths": {"p": path}})
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-    _assert_one_line_error(capsys, "config error: path samples repeat t = 1/2")
+    _assert_one_line_error(
+        capsys, "config error: bad paths object 'p': path samples repeat t = 1/2")
 
 
 def test_zero_dimensional_norm_exits_2(tmp_path, capsys) -> None:

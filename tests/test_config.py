@@ -229,6 +229,8 @@ def _set_arena(arena):
     (_set_arena({"n": 1, "m": 1.0}), "arena.m must be a positive"),
     (_set_arena({"n": 0, "m": 1}), "arena.n must be a positive"),
     (_set_arena([1, 1]), "arena must be a JSON object"),
+    (lambda d: d.update(output=[]), "output must be a JSON object"),
+    (lambda d: d.update(output={"path": 5}), "output.path must be a string"),
 ])
 def test_malformed_values_are_config_errors(tmp_path, edit, match) -> None:
     doc = _demo_doc()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from geonorm import linalg
+from geonorm import linalg, plconvex
 from geonorm.field import TADIC, TRIVIAL, RatFunc
 
 
@@ -412,3 +412,54 @@ def test_inverse_rows_build_no_field_elements(monkeypatch) -> None:
         assert oracles.row_values(field, rows) == inv
         assert (oracles.row_values(field, linalg.mul_rows(field, rows, rows))
                 == mat_mul(inv, inv))
+
+
+# -- the shared integer echelon ---------------------------------------------
+
+
+@st.composite
+def _integer_vectors(draw):
+    """1..8 integer vectors of one length d = 1..6, mostly sparse, with
+    zero vectors, repeats and integer combinations of earlier ones."""
+    d = draw(st.integers(1, 6))
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -3))
+    vecs = [tuple(draw(entry) for _ in range(d))]
+    kinds = st.sampled_from(("new", "zero", "repeat", "combination"))
+    for kind in draw(st.lists(kinds, max_size=7)):
+        a, b = draw(st.sampled_from(vecs)), draw(st.sampled_from(vecs))
+        x, y = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        vecs.append({
+            "new": tuple(draw(entry) for _ in range(d)),
+            "zero": (0,) * d,
+            "repeat": a,
+            "combination": tuple(x * p + y * q for p, q in zip(a, b)),
+        }[kind])
+    return vecs
+
+
+@_LINALG
+@given(_integer_vectors())
+def test_extend_echelon_matches_the_stepwise_echelon(vecs) -> None:
+    # the same decisions and pivots as the echelon of the filtration split
+    # that divided by the gcd at every step, and proportional rows
+    got, want = [], []
+    for v in vecs:
+        assert (linalg._extend_echelon(got, v)
+                == oracles.extends_echelon_stepwise(want, v))
+    assert [p for p, _ in got] == [p for p, _ in want]
+    for (p, r), (_, e) in zip(got, want):
+        assert all(x * e[p] == y * r[p] for x, y in zip(r, e))
+    rref_pivots = oracles.rref_field([tuple(map(Fraction, v)) for v in vecs])[1]
+    assert sorted(p for p, _ in got) == rref_pivots
+
+
+@_LINALG
+@given(_integer_vectors(), st.data())
+def test_independent_matches_the_sorted_echelon(pts, data) -> None:
+    # plconvex._independent on the shared echelon keeps the indices and
+    # the sorted pivots of its own echelon with rows sorted by pivot
+    idxs = data.draw(st.permutations(range(len(pts))))
+    idxs = idxs[:data.draw(st.integers(1, len(idxs)))]
+    rank = data.draw(st.integers(0, len(pts[0])))
+    assert (plconvex._independent(pts, idxs, rank)
+            == oracles.independent_sorted_echelon(pts, idxs, rank))

@@ -553,6 +553,51 @@ def test_detect_non_psh_on_p3(k, w0, w1) -> None:
                        (F(0), F(1, 3), F(1, 2), F(1)), 1)
 
 
+@st.composite
+def _sampled_paths(draw):
+    """A path on P^1 (m, k <= 2) or P^2 (m = 1, k <= 2) sampled at 3..6
+    times in [0, 1]: the weight interpolation of two integer endpoints,
+    honest or with its constant monomial raised at an inner sample."""
+    n = draw(st.sampled_from((1, 2)))
+    m = draw(st.integers(1, 2)) if n == 1 else 1
+    ring, k = section_ring(n, m), draw(st.integers(1, 2))
+    basis = ring.basis(k)
+    w0, w1 = ({a: F(draw(st.integers(-3 * k, 3 * k))) for a in basis}
+              for _ in range(2))
+    ts = sorted(F(i, 12) for i in draw(st.lists(
+        st.integers(0, 12), min_size=3, max_size=6, unique=True)))
+    samples = [(t, {a: (1 - t) * w0[a] + t * w1[a] for a in basis})
+               for t in ts]
+    if draw(st.booleans()):
+        i = draw(st.integers(1, len(ts) - 2))
+        t, w = samples[i]
+        bump = draw(st.sampled_from((F(1, 2), F(1), F(3, 2))))
+        samples[i] = (t, {**w, basis[0]: w[basis[0]] + bump})
+    return ring, k, samples
+
+
+@settings(max_examples=80)
+@given(_sampled_paths())
+def test_consecutive_triples_decide_like_every_triple(path) -> None:
+    # the consecutive triples find a witness iff some triple has one; the
+    # witness lies on a consecutive triple, its lhs above its rhs, and on
+    # three samples nothing changes
+    ring, k, samples = path
+    got = detect_non_psh(ring, k, samples)
+    want = oracles.detect_non_psh_all_triples(ring, k, samples)
+    assert (got is None) == (want is None)
+    if len(samples) == 3:
+        assert got == want
+    if got is not None:
+        ts = [str(t) for t, _ in samples]
+        i = ts.index(got["t0"])
+        assert ts[i:i + 3] == [got["t0"], got["t1"], got["t2"]]
+        assert F(got["lhs"]) > F(got["rhs"])
+        phi = {str(t): fs_from_norm(ring, k, w).potential for t, w in samples}
+        point = tuple(F(x) for x in got["point"])
+        assert phi[got["t1"]](point) == F(got["lhs"])
+
+
 @pytest.mark.parametrize("ts", [
     (F(1, 2),) * 3,
     (F(0), F(1, 2), F(1, 2), F(1)),
