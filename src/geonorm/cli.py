@@ -11,9 +11,9 @@ Subcommands:
 ``run`` and ``segments verify`` keep one record per ordered pair of norm or
 metric names for the whole command (``norms.NormPair``,
 ``segments.SegmentPair``), so the tasks on one pair share its work: one
-kernel run per pair of norms, one conjugation of each metric, one rooftop
-family, one Legendre slice per t, one level segment per k and one
-diagnostics report per chain of levels.  Each artifact is the one a
+kernel run per pair of norms, one conjugation of each metric, one overlay
+of their profiles, one Legendre slice per t, one level segment per k and
+one diagnostics report per chain of levels.  Each artifact is the one a
 config holding only its task writes.
 
 Outputs are deterministic: rationals render as "num/den" strings, decimal
@@ -117,7 +117,12 @@ def _resolve_out(out, default_name, ext):
 def _emit(data, fmt, out, default_name):
     """Write (or print) one artifact; returns the path written, if any."""
     text, ext = _render(data, fmt)
-    path = _resolve_out(out, default_name, ext)
+    return _emit_to(_resolve_out(out, default_name, ext), text, ext)
+
+
+def _emit_to(path, text, ext):
+    """Write (or print) text rendered as ext to a path ``_resolve_out``
+    gave; returns the path written, if any."""
     if path is None:
         sys.stdout.write(text)
         return None
@@ -302,6 +307,9 @@ def cmd_run(args):
 
 
 def cmd_suite(args):
+    fmt = args.format or "json"
+    # suite rows are a table, rendered as fmt; --out fails before the work
+    path = _resolve_out(args.out, f"suite_{args.name}", fmt)
     rows = run_suite(args.name, seed=args.seed)
     width = max(len(r["check"]) for r in rows)
     for r in rows:
@@ -309,9 +317,8 @@ def cmd_suite(args):
         print(f"[{r['status'].upper():4s}] {tag} {r['check']:{width}s}  {r['detail']}")
     n_fail = sum(1 for r in rows if r["status"] != "pass")
     print(f"{len(rows) - n_fail}/{len(rows)} checks passed")
-    if args.out is not None:
-        path = _emit(rows, args.format or "json", args.out, f"suite_{args.name}")
-        print(f"wrote {path}")
+    if path is not None:
+        print(f"wrote {_emit_to(path, *_render(rows, fmt))}")
     return 1 if n_fail else 0
 
 
@@ -319,8 +326,11 @@ def cmd_toric_energy(args):
     cfg = load_config(args.config)
     names = args.pair.split(",") if args.pair else None
     phi0, phi1 = metric_pair(cfg, names)
+    fmt = args.format or cfg.output_format
+    # the energy rows are a table, rendered as fmt; --out fails before the work
+    path = _resolve_out(args.out, "energy", fmt)
     res = energy(phi0, phi1, kmax=_task_kmax({}, args))
-    path = _emit(res.rows(), args.format or cfg.output_format, args.out, "energy")
+    path = _emit_to(path, *_render(res.rows(), fmt))
     print(f"energy limit = {format_fraction(res.limit)}"
           + (f" -> {path}" if path else ""))
     return 0

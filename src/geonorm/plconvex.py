@@ -47,9 +47,10 @@ metric) straight from its integer planes, by
 (``_overlay``) keeps each common cell as homogeneous integer points
 ``(X.., W)``, W > 0 and gcd 1, standing for X/W, with their tight rows
 and the two profiles' integer plane rows over one denominator; the
-integral and the sup of |q0 - q1| and the pieces of min(q0, q1 - tau)
-are read off it, and build one ``Fraction`` each.  Ranks and primitive
-rows come from ``linalg`` (``_extend_echelon``, ``_primitive``).
+integral and the sup of |q0 - q1| and the pieces of the interpolated
+profile (1 - t) q0 + t q1 are read off it, and build one ``Fraction``
+each.  Ranks and primitive rows come from ``linalg``
+(``_extend_echelon``, ``_primitive``).
 """
 
 from __future__ import annotations
@@ -1444,9 +1445,10 @@ def _overlay_integral(ov: _Overlay, p: int) -> Fraction:
 
     A cell where d = r0 - r1 changes sign is split into its halves where
     d >= 0 and d <= 0: each keeps the cell's vertices on its side and the
-    points of its edges where d = 0 (as in ``_crossings``), and every
-    point where d = 0 is tight at one more row.  Over the lcm L of the
-    points' W, |q0 - q1| = |<d, (P, L)>| / (D L) at a point P / L.
+    points of its edges where d = 0 (on the edge PQ, f_P Q - f_Q P, since d
+    is linear in the homogeneous point), and every point where d = 0 is
+    tight at one more row.  Over the lcm L of the points' W,
+    |q0 - q1| = |<d, (P, L)>| / (D L) at a point P / L.
     """
     n = ov.n
     pieces = []
@@ -1500,43 +1502,22 @@ def _overlay_taus(ov: _Overlay):
                          for P, (v0, v1) in ov.verts.items()}))
 
 
-def _shifted_min(ov: _Overlay, tau) -> MaxAffine:
-    """The max-affine function whose profile is min(q0, q1 - tau) on the
-    overlay's domain, unpruned.
+def _interpolated(ov: _Overlay, t: Fraction) -> MaxAffine:
+    """The max-affine function whose profile is (1 - t) q0 + t q1 on the
+    overlay's domain, for 0 <= t <= 1, unpruned.
 
-    That min is concave and affine on each half of a cell where
-    q1 - tau - q0 keeps its sign, so its hypograph vertices are overlay
-    vertices or points strictly inside an edge where q1 - q0 = tau
-    (``_crossings``).  Each such point y with its value z gives the piece
-    <y, v> + z, whose max is the conjugate of the min.  For tau = S / T the
-    values at a vertex P are over D T W: q0 is A = T V0 and
-    q1 - tau - q0 is F = T (V1 - V0) - S D W.
+    That mix is concave and affine on each cell, so its hypograph vertices
+    are overlay vertices: each vertex P = (X.., W) gives the piece
+    <X / W, v> + q_t(P), whose max is the conjugate of the mix.  For
+    t = S / T, q_t(P) = ((T - S) V0 + S V1) / (D T W), and the rows are
+    put over D T L, L the lcm of the vertices' W.
     """
-    S, T = tau.numerator, tau.denominator
+    S, T = t.numerator, t.denominator
     dt = ov.den * T
-    vals = {P: (v0 * T, (v1 - v0) * T - S * ov.den * P[-1])
-            for P, (v0, v1) in ov.verts.items()}
-    pts = [P + (a + min(f, 0),) for P, (a, f) in vals.items()]
-    pts += _crossings(ov.edges, vals)
-    L = lcm(*(P[-2] for P in pts))
-    return MaxAffine._from_ints(ov.n, dt * L, [
-        tuple(x * (L // P[-2]) * dt for x in P[:-2]) + (P[-1] * (L // P[-2]),)
-        for P in pts])
-
-
-def _crossings(edges, vals):
-    """The points strictly inside ``edges`` where q1 - tau - q0 changes
-    sign, as rows (X.., W, A) with W > 0 and A = q0 there over D T W.
-
-    ``vals`` maps each vertex to its (A, F) of ``_shifted_min``.  Both are
-    linear in the homogeneous point along an edge, so the crossing of the
-    edge PQ is F_P Q - F_Q P, and A follows the same combination.
-    """
-    out = []
-    for P, Q in edges:
-        (ap, fp), (aq, fq) = vals[P], vals[Q]
-        if (fp < 0 < fq) or (fq < 0 < fp):
-            row = [fp * u - fq * v for u, v in zip(Q + (aq,), P + (ap,))]
-            g = gcd(*row) if row[-2] > 0 else -gcd(*row)
-            out.append(tuple(x // g for x in row))
-    return out
+    L = lcm(*(P[-1] for P in ov.verts))
+    rows = []
+    for P, (v0, v1) in ov.verts.items():
+        s = L // P[-1]
+        rows.append(tuple([x * s * dt for x in P[:-1]])
+                    + (((T - S) * v0 + S * v1) * s,))
+    return MaxAffine._from_ints(ov.n, dt * L, rows)

@@ -9,24 +9,25 @@ weights: a level segment is the weight interpolation of the two sup-norms,
 read as integer lattice values off the two profiles (``_level``), and no
 norm is built.  The route through ``DiagNorm`` and ``geodesic`` is kept as
 the test oracle.  The maximal segment is the pointwise max over a
-divisibility chain of levels; the Legendre segment realizes the same
-object through rooftop envelopes P(phi0, phi1 - tau), with the sup over
-tau reduced to an exact finite critical set; that family of rooftops does
-not depend on t, so it is built once per pair, and read off the integer
-overlay of the two profiles with no envelope: the profile of
-P(phi0, phi1 - tau) is min(q0, q1 - tau).  Sampled metric paths
-are checked for convexity in t, the psh condition, by ``detect_non_psh``.
+divisibility chain of levels.  The Legendre segment, the sup over tau of
+the rooftops P(phi0, phi1 - tau) + t tau, has the profile
+(1 - t) q0 + t q1 in closed form: at each point the sup is attained at
+tau = q1 - q0.  That mix is affine on each cell of the integer overlay of
+q0 and q1, so the slice at t is the max of one piece per overlay vertex,
+pruned once (``plconvex._interpolated``); no rooftop is built.  Sampled
+metric paths are checked for convexity in t, the psh condition, by
+``detect_non_psh``.
 
 The functions of a metric pair read one record of the pair
 (``SegmentPair``, a ``toric.MetricPair``), filled on first use, so each
 input metric is conjugated once: the sup-norm weights of all levels, the
-overlay of the two profiles (whose vertices give the critical shifts and,
-with its edges, the rooftops for every shift tau) and the endpoint
+overlay of the two profiles (whose vertices give the critical shifts and
+the pieces of every Legendre slice) and the endpoint
 comparisons read the same two profiles.  The record also holds the
-overlay, the rooftop family, the Legendre slice at each t, the level
-segment at each k and the diagnostics report at each chain of levels.  A
-public function builds a throwaway record; ``geonorm run`` keeps one per
-pair of metric names, so its tasks on one pair build each of these once.
+overlay, the Legendre slice at each t, the level segment at each k and
+the diagnostics report at each chain of levels.  A public function
+builds a throwaway record; ``geonorm run`` keeps one per pair of metric
+names, so its tasks on one pair build each of these once.
 A metric built by pruning (a Legendre slice, a max over levels) comes
 with the profile pruning computed, and is not conjugated again.  An
 ``FSSegment`` holds its weights as integer numerators over one
@@ -45,12 +46,11 @@ from .graded import SectionRing, _level_k, _ring_dims
 from .plconvex import (
     MaxAffine,
     _compare,
+    _interpolated,
     _mix_witness,
     _overlay_taus,
     _pruned,
-    _shifted_min,
     marginal_min,
-    prune,
 )
 from .toric import (
     MetricPair,
@@ -247,28 +247,6 @@ def tau_critical_set(phi0: ToricMetric, phi1: ToricMetric):
     return SegmentPair(phi0, phi1).critical_taus()
 
 
-def _rooftop_family(ov):
-    """(tau, P(phi0, phi1 - tau).potential) per critical tau; free of t.
-
-    Read off the overlay ov of the profiles q0, q1 of phi0, phi1.  The
-    profile of phi1 - tau is q1 - tau, so that of the rooftop is
-    min(q0, q1 - tau) on the common domain of q0 and q1 (which the moment
-    simplex holds).  Its hypograph vertices come with their values from
-    the overlay's vertices and the points of its edges where
-    q1 - q0 = tau (``plconvex._shifted_min``), and pruning their pieces
-    gives the canonical rows that ``toric._rooftop`` builds from an
-    envelope.  The family is empty, and the sup over it undefined, when
-    the two profiles share no full-dimensional cell: then no tau is
-    critical.
-    """
-    taus = _overlay_taus(ov)
-    if not taus:
-        raise ToricError(
-            "no critical shift tau: the gradient hulls of the two metrics "
-            "do not overlap in a full-dimensional region")
-    return tuple((tau, prune(_shifted_min(ov, tau))) for tau in taus)
-
-
 def _legendre_recover(n: int, m: int, family, t):
     """``(phi, q)``: sup over tau of (u_tau + t*tau) for a family ((tau,
     u_tau), ...), and its profile."""
@@ -279,8 +257,11 @@ def _legendre_recover(n: int, m: int, family, t):
 def legendre_segment(phi0: ToricMetric, phi1: ToricMetric, t) -> ToricMetric:
     """sup over tau of (P(phi0, phi1 - tau) + t*tau), exactly.
 
-    The resulting conjugate profile is (1-t) q0 + t q1, so the segment is
-    d1-geodesic and has affine energy by construction.
+    Its conjugate profile is (1-t) q0 + t q1, so the segment is d1-geodesic
+    and has affine energy by construction.  The slice is built from that
+    profile on the overlay of q0 and q1: one piece per overlay vertex,
+    pruned once.  ``ToricError`` when the overlay has no vertex, so that
+    no tau is critical.
     """
     return SegmentPair(phi0, phi1).legendre(t)
 
@@ -380,23 +361,22 @@ class SegmentPair(MetricPair):
     Besides the profiles, energies, overlay and rooftop of the pair, the
     record holds, each filled on first use: the level-k segment at each k
     (which the maximal segments of every kmax and the diagnostics share),
-    the rooftop family P(phi0, phi1 - tau) over the critical tau, read off
-    the pair's overlay (the one ``d1`` and ``d_infinity`` read), the
-    Legendre slice at each t with its profile, and the diagnostics report
-    at each chain of levels and set of times.  The public functions of
-    this module build a throwaway record; ``geonorm run`` and ``segments
-    verify`` keep one per ordered pair of metric names, so a report serves
-    the ``diagnostics`` task and ``verify theoremB`` alike.  A metric built
-    by pruning (a slice, a max over levels) comes with the profile pruning
-    computed, so no derived metric is conjugated again.
+    the Legendre slice at each t with its profile, interpolated on the
+    pair's overlay (the one ``d1`` and ``d_infinity`` read) and pruned
+    once, and the diagnostics report at each chain of levels and set of
+    times.  The public functions of this module build a throwaway record;
+    ``geonorm run`` and ``segments verify`` keep one per ordered pair of
+    metric names, so a report serves the ``diagnostics`` task and ``verify
+    theoremB`` alike.  A metric built by pruning (a slice, a max over
+    levels) comes with the profile pruning computed, so no derived metric
+    is conjugated again.
     """
 
-    __slots__ = ("_levels", "_family", "_slices", "_reports")
+    __slots__ = ("_levels", "_slices", "_reports")
 
     def __init__(self, phi0: ToricMetric, phi1: ToricMetric):
         super().__init__(phi0, phi1)
         self._levels, self._slices, self._reports = {}, {}, {}
-        self._family = None
 
     def _level(self, k: int) -> FSSegment:
         """The level-k segment, built once."""
@@ -405,18 +385,19 @@ class SegmentPair(MetricPair):
             self._levels[k] = _level(ring, k, self.q0, self.q1)
         return self._levels[k]
 
-    def _rooftops(self):
-        """The rooftop family, built once."""
-        if self._family is None:
-            self._family = _rooftop_family(self._overlay())
-        return self._family
-
     def _slice(self, t):
         """``(phi_t, q)``: the Legendre slice at t in [0, 1], a checked
-        Fraction, and its profile, recovered once."""
+        Fraction, and its profile, built once from the overlay's vertices
+        with one prune."""
         if t not in self._slices:
-            self._slices[t] = _legendre_recover(self.phi0.n, self.phi0.m,
-                                                self._rooftops(), t)
+            ov = self._overlay()
+            if not ov.verts:
+                raise ToricError(
+                    "no critical shift tau: the gradient hulls of the two "
+                    "metrics do not overlap in a full-dimensional region")
+            pot, q = _pruned(_interpolated(ov, t))
+            self._slices[t] = (
+                ToricMetric(self.phi0.n, self.phi0.m, pot, "limit"), q)
         return self._slices[t]
 
     def quantized_level(self, k: int) -> FSSegment:
@@ -444,7 +425,7 @@ class SegmentPair(MetricPair):
     def legendre(self, t) -> ToricMetric:
         """``legendre_segment(phi0, phi1, t)`` of the pair."""
         _require_same_bundle(self.phi0, self.phi1)
-        t = _segment_time(t)  # before the rooftop family is built
+        t = _segment_time(t)  # before the overlay is built
         return self._slice(t)[0]
 
     def diagnostics(self, kmax: int = 8, ts=_TS):
@@ -465,7 +446,7 @@ class SegmentPair(MetricPair):
         phi0, phi1 = self.phi0, self.phi1
         _require_same_bundle(phi0, phi1)
         q0, q1 = self._full_profiles()
-        self._rooftops()
+        self._slice(Fraction(0))  # no critical tau fails before any level
         ref = reference(phi0.n, phi0.m)
         e_ref = _energy(ref, ref.profile())
         report = {"levels": list(levels), "ts": [str(t) for t in ts]}

@@ -14,8 +14,8 @@ E(phi0, phi1) = E(phi0) - E(phi1) with E(phi) = vol^-1 * integral of q_phi
 (``_energy``), one integral per profile and no overlay of two cell
 subdivisions.  The overlay (``plconvex._overlay``, on integers) is kept
 for |q0 - q1| and its sup, so the two routes of ``d1_metric`` share no
-integration code, and the rooftop family of ``geonorm.segments`` reads
-it too.  The rooftop P(phi0, phi1) stays on the envelope
+integration code, and the Legendre slices of ``geonorm.segments`` read
+it too: the slice at t interpolates (1 - t) q0 + t q1 at its vertices.  The rooftop P(phi0, phi1) stays on the envelope
 (``plconvex._envelope``), for ``envelope_P`` and the second route of
 ``d1_metric``, which so shares nothing with the first.
 
@@ -339,8 +339,9 @@ class MetricPair:
     The record is filled on first use, and every entry is computed once:
     the profiles q0 and q1, the energies E(phi0) and E(phi1), the overlay
     of q0 and q1 (which ``d1`` integrates, ``d_infinity`` reads the sup
-    of, and ``segments.SegmentPair`` reads its critical shifts and rooftop
-    family off) and the rooftop P(phi0, phi1) with its profile, which
+    of, and ``segments.SegmentPair`` reads its critical shifts and its
+    Legendre slices off, interpolating (1 - t) q0 + t q1 at the overlay's
+    vertices) and the rooftop P(phi0, phi1) with its profile, which
     serves ``envelope_P`` and the envelope route of ``d1``.  Nothing is
     stored on the metrics.  The public functions of a pair (``energy``,
     ``d1_metric``, ...) build a throwaway record, so each call checks its

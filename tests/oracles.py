@@ -27,7 +27,14 @@ meet over Z and keeps rows by an incremental integer echelon.  The exceptions be
 each a path the library replaced, kept as a differential reference and
 composed from the library's own primitives.
 ``legendre_segment_per_t`` is the per-t Legendre construction that
-geonorm.segments replaced.  ``level_segment_via_geodesic`` is the
+geonorm.segments replaced.  ``rooftop_family`` (with ``_shifted_min`` and
+``_crossings``) reads the rooftop P(phi0, phi1 - tau) of every critical
+tau off the library's integer overlay, as min(q0, q1 - tau), and
+``legendre_via_rooftops`` takes the sup of that family shifted by t tau,
+where geonorm.segments prunes one piece per overlay vertex, valued
+(1 - t) q0 + t q1 there.  ``profile_key`` reads a profile with no order
+of its cells or of their vertices, which two routes to one P^3 profile
+may list differently.  ``level_segment_via_geodesic`` is the
 quantized level segment as the FS image of the norm geodesic between two
 sup-norm ``DiagNorm``s, and ``maximal_segment_via_geodesic`` and
 ``level_chain_via_geodesic`` build the maximal segment and the per-level
@@ -168,6 +175,7 @@ from geonorm.norms import (
 from geonorm.plconvex import (
     ConcaveProfile,
     EnvelopeError,
+    MaxAffine,
     PLError,
     _canon,
     _facets,
@@ -176,13 +184,20 @@ from geonorm.plconvex import (
     _independent,
     _int_rows,
     _mix_witness,
+    _overlay as _overlay_integer,
+    _overlay_taus,
     _rational,
     compare,
     conjugate,
     prune,
 )
 from geonorm.geodesics import geodesic
-from geonorm.segments import fs_segment, quantization_levels, tau_critical_set
+from geonorm.segments import (
+    _legendre_recover,
+    fs_segment,
+    quantization_levels,
+    tau_critical_set,
+)
 from geonorm.toric import (
     ToricError,
     ToricMetric,
@@ -445,7 +460,7 @@ def trivial_spectrum(basis0, weights0, basis1, weights1):
 # ---------------------------------------------------------------------------
 # Legendre segment rebuilt at every t: one rooftop envelope per critical
 # shift and per time, the path that geonorm.segments replaced with one
-# rooftop family per pair.
+# rooftop family per pair (``rooftop_family`` below).
 # ---------------------------------------------------------------------------
 
 
@@ -2867,3 +2882,93 @@ def detect_non_psh_all_triples(ring, k, samples):
                 "rhs": str(rhs),
             }
     return None
+
+
+# ---------------------------------------------------------------------------
+# The Legendre slice through the rooftop family: the route that
+# geonorm.segments replaced with one prune of the interpolated overlay.
+# ---------------------------------------------------------------------------
+
+
+def rooftop_family(ov):
+    """(tau, P(phi0, phi1 - tau).potential) per critical tau; free of t.
+
+    Read off the overlay ov of the profiles q0, q1 of phi0, phi1.  The
+    profile of phi1 - tau is q1 - tau, so that of the rooftop is
+    min(q0, q1 - tau) on the common domain of q0 and q1 (which the moment
+    simplex holds).  Its hypograph vertices come with their values from
+    the overlay's vertices and the points of its edges where
+    q1 - q0 = tau (``_shifted_min``), and pruning their pieces
+    gives the canonical rows that ``toric._rooftop`` builds from an
+    envelope.  The family is empty, and the sup over it undefined, when
+    the two profiles share no full-dimensional cell: then no tau is
+    critical.
+    """
+    taus = _overlay_taus(ov)
+    if not taus:
+        raise ToricError(
+            "no critical shift tau: the gradient hulls of the two metrics "
+            "do not overlap in a full-dimensional region")
+    return tuple((tau, prune(_shifted_min(ov, tau))) for tau in taus)
+
+
+def _shifted_min(ov: _Overlay, tau) -> MaxAffine:
+    """The max-affine function whose profile is min(q0, q1 - tau) on the
+    overlay's domain, unpruned.
+
+    That min is concave and affine on each half of a cell where
+    q1 - tau - q0 keeps its sign, so its hypograph vertices are overlay
+    vertices or points strictly inside an edge where q1 - q0 = tau
+    (``_crossings``).  Each such point y with its value z gives the piece
+    <y, v> + z, whose max is the conjugate of the min.  For tau = S / T the
+    values at a vertex P are over D T W: q0 is A = T V0 and
+    q1 - tau - q0 is F = T (V1 - V0) - S D W.
+    """
+    S, T = tau.numerator, tau.denominator
+    dt = ov.den * T
+    vals = {P: (v0 * T, (v1 - v0) * T - S * ov.den * P[-1])
+            for P, (v0, v1) in ov.verts.items()}
+    pts = [P + (a + min(f, 0),) for P, (a, f) in vals.items()]
+    pts += _crossings(ov.edges, vals)
+    L = lcm(*(P[-2] for P in pts))
+    return MaxAffine._from_ints(ov.n, dt * L, [
+        tuple(x * (L // P[-2]) * dt for x in P[:-2]) + (P[-1] * (L // P[-2]),)
+        for P in pts])
+
+
+def _crossings(edges, vals):
+    """The points strictly inside ``edges`` where q1 - tau - q0 changes
+    sign, as rows (X.., W, A) with W > 0 and A = q0 there over D T W.
+
+    ``vals`` maps each vertex to its (A, F) of ``_shifted_min``.  Both are
+    linear in the homogeneous point along an edge, so the crossing of the
+    edge PQ is F_P Q - F_Q P, and A follows the same combination.
+    """
+    out = []
+    for P, Q in edges:
+        (ap, fp), (aq, fq) = vals[P], vals[Q]
+        if (fp < 0 < fq) or (fq < 0 < fp):
+            row = [fp * u - fq * v for u, v in zip(Q + (aq,), P + (ap,))]
+            g = gcd(*row) if row[-2] > 0 else -gcd(*row)
+            out.append(tuple(x // g for x in row))
+    return out
+
+
+def legendre_via_rooftops(phi0, phi1, t):
+    """``(phi_t, q)``: the Legendre slice at t as the sup over the rooftop
+    family of its members shifted by t tau, and its profile."""
+    family = rooftop_family(
+        _overlay_integer(phi0.profile(), phi1.profile()))
+    return _legendre_recover(phi0.n, phi0.m, family, t)
+
+
+def profile_key(q):
+    """A profile's data with no order: n, the denominator, the sorted
+    vertex rows and the sorted (sorted cell vertices, plane) pairs.
+
+    Two routes to one P^3 profile may list its cells, and the vertices of a
+    cell, in other orders; ``ConcaveProfile.__eq__`` reads those orders.
+    """
+    return (q.n, q._den, tuple(sorted(q._verts)),
+            tuple(sorted((tuple(sorted(cell)), plane)
+                         for cell, plane in zip(q._cells, q._planes))))

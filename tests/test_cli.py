@@ -444,12 +444,11 @@ def test_every_pair_artifact_equals_its_single_task_run(tmp_path, capsys,
 def test_run_counts_kernel_runs_and_conjugations(tmp_path, monkeypatch,
                                                  conjugated, capsys) -> None:
     # one geonorm run of the 15 tasks of a benchmark config: one kernel run
-    # per pair of norms, (a, b) over Q and (c, d) over Q(t); and 19
-    # conjugations: phi0 and phi1, three rooftops (one per critical tau) and
-    # d1's rooftop, the six Legendre slices (t in {0, 1/4, 1/3, 1/2, 3/4,
-    # 1}), the maximal segment at 1/3, the two endpoint recoveries, the
-    # reference metric of the energies, the path's two chord ends and
-    # their mix
+    # per pair of norms, (a, b) over Q and (c, d) over Q(t); and 16
+    # conjugations: phi0 and phi1, d1's rooftop, the six Legendre slices
+    # (t in {0, 1/4, 1/3, 1/2, 3/4, 1}), the maximal segment at 1/3, the
+    # two endpoint recoveries, the reference metric of the energies, the
+    # path's two chord ends and their mix
     smith = []
     real = linalg.smith
     monkeypatch.setattr(linalg, "smith",
@@ -474,7 +473,7 @@ def test_run_counts_kernel_runs_and_conjugations(tmp_path, monkeypatch,
     ])
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     assert len(smith) == 2
-    assert len(conjugated) == 19
+    assert len(conjugated) == 16
     capsys.readouterr()
 
 
@@ -605,6 +604,28 @@ def test_out_naming_a_regular_file_exits_2(tmp_path, capsys, argv) -> None:
     assert main(argv + ["--out", str(blocker)]) == 2
     _assert_one_line_error(capsys, "error: [Errno 17] File exists")
     assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["suite", "norms"],
+    ["suite", "kiselman", "--format", "csv"],
+    ["toric", "energy", "--config", "CFG", "--kmax", "2"],
+], ids=["suite", "suite-csv", "toric-energy"])
+@pytest.mark.parametrize("out", ["F", "F/out.json"], ids=["dir", "file"])
+def test_unwritable_out_exits_2_before_the_work(tmp_path, capsys, monkeypatch,
+                                                argv, out) -> None:
+    # --out is resolved before the suite runs or the energy is computed
+    def refuse(*args, **kwargs):
+        raise AssertionError("the work ran before --out was resolved")
+
+    monkeypatch.setattr(cli, "run_suite", refuse)
+    monkeypatch.setattr(cli, "energy", refuse)
+    cfg = _pair_config(tmp_path, [])
+    (tmp_path / "F").write_text("")
+    argv = [cfg if a == "CFG" else a for a in argv]
+    assert main(argv + ["--out", str(tmp_path / out)]) == 2
+    _assert_one_line_error(capsys, "error: [Errno ")
+    assert (tmp_path / "F").read_text() == ""
 
 
 def test_task_without_reference_list_exits_2(tmp_path, capsys) -> None:

@@ -1,0 +1,125 @@
+"""The Legendre slice read off the overlay, against the rooftop family.
+
+``segments.SegmentPair._slice`` prunes one piece per overlay vertex of the
+two profiles, valued (1 - t) q0 + t q1 there.  ``oracles.rooftop_family``
+builds the paper's route: the rooftops P(phi0, phi1 - tau) over the
+critical tau, and the sup of the family shifted by t tau.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import oracles
+from geonorm import segments
+from geonorm.plconvex import MaxAffine
+from geonorm.segments import SegmentPair, legendre_segment
+from geonorm.toric import ToricError, ToricMetric, section_ring
+
+F = Fraction
+
+# (n, m, level): level-1 pairs with m = 1 have one-cell profiles, so their
+# overlay has one cell
+_ARENAS = ((1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2), (2, 1, 1), (2, 1, 2),
+           (2, 2, 1), (3, 1, 1), (3, 1, 2))
+
+
+def _metric(n, m, pieces):
+    return ToricMetric(n, m, MaxAffine(n, [
+        (tuple(F(x) for x in g), F(c)) for g, c in pieces]))
+
+
+@st.composite
+def _metrics(draw, n, m, level):
+    """A metric with gradients on the lattice points of m Delta / level:
+    all of them (full support) or a random nonempty subset, each point
+    kept with odds 3 : 1, so that the two hulls of a pair may overlap in
+    part, touch or miss each other."""
+    basis = section_ring(n, m).basis(level)
+    points = basis
+    if draw(st.booleans()):
+        keep = draw(st.lists(st.sampled_from((True, True, True, False)),
+                             min_size=len(basis), max_size=len(basis)))
+        points = [a for a, k in zip(basis, keep) if k] or [basis[-1]]
+    weights = draw(st.lists(st.integers(-6, 6), min_size=len(points),
+                            max_size=len(points)))
+    return _metric(n, m, [(tuple(F(x, level) for x in a), F(w, 2 * level))
+                          for a, w in zip(points, weights)])
+
+
+@st.composite
+def _pairs(draw):
+    n = draw(st.integers(1, 3))
+    n, m, level = draw(st.sampled_from([a for a in _ARENAS if a[0] == n]))
+    return draw(_metrics(n, m, level)), draw(_metrics(n, m, level))
+
+
+# t = 0 and t = 1, where pruning may drop overlay vertices, or a t inside
+_TIMES = st.one_of(
+    st.sampled_from((F(0), F(1))),
+    st.integers(2, 12).flatmap(
+        lambda d: st.integers(1, d - 1).map(lambda a: F(a, d))))
+
+# hulls [0, 1/2] and [1/2, 1] touch in a point
+_TOUCHING_P1 = (_metric(1, 1, [((0,), 0), ((F(1, 2),), 1)]),
+                _metric(1, 1, [((F(1, 2),), 0), ((1,), 2)]))
+# two triangles of 2 Delta sharing an edge
+_TOUCHING_P2 = (_metric(2, 2, [((0, 0), 0), ((1, 0), 1), ((0, 1), -1)]),
+                _metric(2, 2, [((1, 0), 0), ((0, 1), 2), ((1, 1), 1)]))
+# the triangle Delta against 2 Delta: one common cell, on the boundary of
+# the larger domain
+_ONE_CELL_P2 = (_metric(2, 2, [((0, 0), 0), ((1, 0), 1), ((0, 1), -1)]),
+                _metric(2, 2, [((0, 0), 1), ((2, 0), 0), ((0, 2), 3)]))
+# full-support level-1 metrics on P^3: one cell each
+_ONE_CELL_P3 = (_metric(3, 1, [((0, 0, 0), 0), ((1, 0, 0), 1),
+                               ((0, 1, 0), -2), ((0, 0, 1), 3)]),
+                _metric(3, 1, [((0, 0, 0), 2), ((1, 0, 0), -1),
+                               ((0, 1, 0), 0), ((0, 0, 1), 1)]))
+
+
+def _same_profile(q, want):
+    """On P^1 the two routes give equal profiles; from P^2 on they may list
+    the cells, and the vertices of a cell, in other orders."""
+    if q.n == 1:
+        return q._key() == want._key()
+    return oracles.profile_key(q) == oracles.profile_key(want)
+
+
+@settings(max_examples=120)
+@given(_pairs(), _TIMES)
+@example(_TOUCHING_P1, F(1, 3))
+@example(_TOUCHING_P2, F(0))
+@example(_ONE_CELL_P2, F(1, 4))
+@example(_ONE_CELL_P2, F(1))
+@example(_ONE_CELL_P3, F(2, 3))
+def test_slice_matches_the_rooftop_family(pair, t) -> None:
+    phi0, phi1 = pair
+    try:
+        want, q_want = oracles.legendre_via_rooftops(phi0, phi1, t)
+    except ToricError as exc:
+        assert str(exc).startswith("no critical shift tau")
+        with pytest.raises(ToricError, match="no critical shift tau"):
+            legendre_segment(phi0, phi1, t)
+        return
+    got = legendre_segment(phi0, phi1, t)
+    assert got.to_json() == want.to_json()
+    assert (got.potential._den, got.potential._rows) == (
+        want.potential._den, want.potential._rows)
+    q = SegmentPair(phi0, phi1)._slice(t)[1]
+    assert _same_profile(q, q_want)
+
+
+def test_slice_prunes_once_per_distinct_t(monkeypatch) -> None:
+    pruned = []
+    real = segments._pruned
+
+    def counted(f):
+        pruned.append(f)
+        return real(f)
+
+    monkeypatch.setattr(segments, "_pruned", counted)
+    pair = SegmentPair(*_ONE_CELL_P2)
+    for t in (F(1, 3), F(0), F(1, 3), F(1), F(0)):
+        pair.legendre(t)
+    assert len(pruned) == 3

@@ -1,6 +1,6 @@
 """The integer overlay of two profiles: d1 integrals, sups, critical shifts
-and the Legendre rooftop family read off it, against the Fraction overlay
-of ``oracles`` and the envelope route of ``toric._rooftop``."""
+and the rooftop family of ``oracles`` read off it, against the Fraction
+overlay of ``oracles`` and the envelope route of ``toric._rooftop``."""
 
 import itertools
 import random
@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from geonorm import plconvex, segments, toric
+from geonorm import plconvex, toric
 from geonorm.plconvex import (
     MaxAffine,
     PLError,
@@ -250,7 +250,7 @@ def _family_mismatches(cases):
     for case in cases:
         n, m, phi0, phi1 = case
         q0, q1 = phi0.profile(), phi1.profile()
-        family = segments._rooftop_family(plconvex._overlay(q0, q1))
+        family = oracles.rooftop_family(plconvex._overlay(q0, q1))
         assert tuple(tau for tau, _ in family) == (
             oracles.critical_taus_fraction(q0, q1))
         for tau, u in family:
@@ -277,7 +277,7 @@ def test_rooftop_family_matches_envelope_route() -> None:
 def test_rooftop_family_without_crossings_fails(monkeypatch) -> None:
     # a family that reads the overlay's vertices alone misses the kinks of
     # min(q0, q1 - tau) inside the overlay's edges
-    monkeypatch.setattr(plconvex, "_crossings", lambda *args: [])
+    monkeypatch.setattr(oracles, "_crossings", lambda *args: [])
     bad = _family_mismatches(_CASES)
     assert bad
     for (_, _, phi0, phi1), tau in bad:

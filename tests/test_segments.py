@@ -99,8 +99,8 @@ def test_segment_time_validation() -> None:
 
 
 def test_segment_time_is_checked_before_anything_is_built(monkeypatch) -> None:
-    # maximal_segment builds no level and legendre_segment no rooftop
-    # family for a t outside [0, 1]
+    # maximal_segment builds no level and legendre_segment no slice for a
+    # t outside [0, 1]
     seg = _comparable_seg()
     phi0, phi1 = seg.start, seg.end
 
@@ -108,7 +108,7 @@ def test_segment_time_is_checked_before_anything_is_built(monkeypatch) -> None:
         raise AssertionError("built before t was checked")
 
     monkeypatch.setattr(segments, "_level", refuse)
-    monkeypatch.setattr(segments, "_rooftop_family", refuse)
+    monkeypatch.setattr(segments, "_interpolated", refuse)
     for t in (F(-1, 2), F(3, 2)):
         for run in (lambda: maximal_segment(phi0, phi1, t, kmax=4),
                     lambda: legendre_segment(phi0, phi1, t)):
@@ -300,9 +300,9 @@ def test_legendre_segment_without_critical_tau(pieces0, pieces1,
     assert tau_critical_set(phi0, phi1) == ()
 
     def refuse(*args):
-        raise AssertionError("a rooftop was built")
+        raise AssertionError("a slice was built")
 
-    monkeypatch.setattr(segments, "_shifted_min", refuse)
+    monkeypatch.setattr(segments, "_interpolated", refuse)
     with pytest.raises(ToricError, match="no critical shift tau"):
         legendre_segment(phi0, phi1, F(1, 2))
     # a bad t is reported first
@@ -696,11 +696,10 @@ def test_diagnostics_conjugates_each_endpoint_once(pair, conjugated) -> None:
 
 
 @pytest.mark.parametrize("pair", _pairs())
-def test_legendre_segment_shifts_profiles_per_tau(pair, conjugated) -> None:
-    # the profile of phi1 - tau is q1 - tau: per critical tau only the
-    # rooftop is pruned, plus one prune for the recovery at t
+def test_legendre_segment_prunes_once(pair, conjugated) -> None:
+    # the slice is read off the overlay of the two profiles: one conjugate
+    # per endpoint and one prune of the interpolated pieces
     phi0, phi1 = pair
-    taus = tau_critical_set(phi0, phi1)
     _once_each(conjugated, lambda: legendre_segment(phi0, phi1, F(1, 2)),
                phi0, phi1)
-    assert len(conjugated) == 2 + len(taus) + 1
+    assert len(conjugated) == 2 + 1

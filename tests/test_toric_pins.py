@@ -31,6 +31,7 @@ from geonorm.plconvex import (
     integrate_profile,
 )
 from geonorm.segments import (
+    SegmentPair,
     diagnostics,
     duality_tau_set,
     fs_segment,
@@ -280,7 +281,9 @@ def test_p3_profile_integrals_match_sympy() -> None:
 def test_p3_overlays_agree_with_the_profiles() -> None:
     # the overlay's integral of |q0 - q1| is int q0 + int q1 - 2 int P,
     # the Legendre slice at t has the profile (1 - t) q0 + t q1, and the
-    # sup of |q0 - q1| is reached at an overlay vertex
+    # sup of |q0 - q1| is reached at an overlay vertex; the profile that
+    # pruning the slice computed is the conjugate of the slice and the
+    # rooftop route's, up to the order of cells and of their vertices
     t = F(1, 3)
     for case in P3_CASES:
         _, phi0, phi1 = _pair(case)
@@ -290,6 +293,9 @@ def test_p3_overlays_agree_with_the_profiles() -> None:
             integrate_profile(q0) + integrate_profile(q1)
             - 2 * integrate_profile(roof))
         ql = legendre_segment(phi0, phi1, t).profile()
+        assert oracles.profile_key(SegmentPair(phi0, phi1)._slice(t)[1]) == (
+            oracles.profile_key(ql)) == oracles.profile_key(
+                oracles.legendre_via_rooftops(phi0, phi1, t)[1])
         points = plconvex.overlay_vertices(q0, q1) + tuple(
             tuple(F(x, 2) for x in a) for a in lattice_points(3, 2))
         gaps = [abs(q0.value(y) - q1.value(y)) for y in points]
