@@ -156,9 +156,10 @@ def _pair(task, cfg, pairs, kind):
     ``pairs`` maps (kind, name0, name1) to a ``norms.NormPair`` or a
     ``segments.SegmentPair``; it lives for one command, so every task on a
     pair reads one record: one kernel run per pair of norms, and per pair of
-    metrics one conjugation of each metric, one rooftop family and one
-    diagnostics report per chain of levels, which the ``diagnostics`` task
-    and ``verify theoremB`` share.
+    metrics one conjugation of each metric, one overlay, one Legendre slice
+    per t, one weight table per level and one diagnostics report per chain
+    of levels, which the ``diagnostics`` task and ``verify theoremB``
+    share.
     """
     names = tuple(task[kind])
     key = (kind,) + names

@@ -809,7 +809,10 @@ class ConcaveProfile:
     of integer vertices, cell i lying on plane i; ``_hrep`` keeps
     ``_domain_hrep`` once it is computed, or from the start when
     ``conjugate`` wrapped a full-rank domain.  ``vertices``, ``cells`` and
-    ``planes`` are ``Fraction`` views, rebuilt on every read.
+    ``planes`` are ``Fraction`` views, rebuilt on every read.  ``==`` and
+    ``hash`` read the order of the cells and of their vertices, which
+    depends on the route that built the profile, so tests compare
+    profiles with ``oracles.profile_key``, which reads no order.
     """
 
     __slots__ = ("n", "_den", "_verts", "_cells", "_planes", "_hrep")
@@ -1345,25 +1348,22 @@ class _Overlay:
     """The common refinement of the cells of two profiles q0 and q1.
 
     Held on integers over D, the lcm of the two profiles' denominators.
-    ``cells`` are ``(pts, masks, edges, r0, r1)``: the cell's vertices as
-    homogeneous integer points (X.., W), their bitmasks of tight rows, the
-    pairs of them spanning its edges, and the integer rows (W.., B) over D
-    of the planes of q0 and q1 on it.  ``verts`` maps each vertex P to
-    (V0, V1), q_i(P) = V_i / (D W), and ``edges`` lists each edge once.
+    ``cells`` are ``(pts, masks, r0, r1)``: the cell's vertices as
+    homogeneous integer points (X.., W), their exact bitmasks of tight
+    rows, and the integer rows (W.., B) over D of the planes of q0 and q1
+    on it.  ``verts`` maps each vertex P to (V0, V1), q_i(P) = V_i / (D W).
     Profiles whose domains share no full-dimensional region have no cell.
     """
 
-    __slots__ = ("n", "den", "cells", "verts", "edges")
+    __slots__ = ("n", "den", "cells", "verts")
 
     def __init__(self, n: int, den: int, cells):
-        verts, edges = {}, {}
-        for pts, _, cell_edges, r0, r1 in cells:
+        verts = {}
+        for pts, _, r0, r1 in cells:
             for P in pts:
                 if P not in verts:
                     verts[P] = (sum(map(mul, r0, P)), sum(map(mul, r1, P)))
-            edges.update(dict.fromkeys(cell_edges))
-        self.n, self.den, self.cells = n, den, cells
-        self.verts, self.edges = verts, tuple(edges)
+        self.n, self.den, self.cells, self.verts = n, den, cells, verts
 
 
 def _overlay(q0: ConcaveProfile, q1: ConcaveProfile) -> _Overlay:
@@ -1373,9 +1373,8 @@ def _overlay(q0: ConcaveProfile, q1: ConcaveProfile) -> _Overlay:
     the min of the summed planes P_i + P'_j on the common domain, whose
     cells are the common refinement, since kinks of concave functions
     cannot cancel.  So the upper facets (``_facet_sets``) of one
-    ``_vertices`` call on that hypograph are the cells, q0 = P_i and
-    q1 = P'_j on the facet of (i, j), and two vertices of a cell span an
-    edge when no third one is tight at every row tight at both.
+    ``_vertices`` call on that hypograph are the cells, with their
+    vertices' tight rows, and q0 = P_i and q1 = P'_j on the facet of (i, j).
     """
     if q0.n != q1.n:
         raise PLError("profile dimension mismatch")
@@ -1395,7 +1394,7 @@ def _overlay(q0: ConcaveProfile, q1: ConcaveProfile) -> _Overlay:
                 hi = min(poly0[-1][0] * s0, poly1[-1][0] * s1)
                 if lo < hi:
                     ends = (_canon((lo, den)), _canon((hi, den)))
-                    cells.append((ends, (0, 0), (ends,), r0, r1))
+                    cells.append((ends, (0, 0), r0, r1))
         return _Overlay(1, den, cells)
     pairs = {}
     for r0 in rows0:
@@ -1411,14 +1410,8 @@ def _overlay(q0: ConcaveProfile, q1: ConcaveProfile) -> _Overlay:
     first, plan = len(rows) - len(pairs), list(pairs.values())
     for S, b in _facet_sets(finite, masks, -1 << first, n + 1).items():
         idx = [i for k, i in enumerate(finite) if S >> k & 1]
-        edges = []
-        for a, c in combinations(idx, 2):
-            common = masks[a] & masks[c]
-            if not any(masks[i] & common == common for i in idx
-                       if i != a and i != c):
-                edges.append((pts[a], pts[c]))
         cells.append((tuple([pts[i] for i in idx]),
-                      tuple([masks[i] for i in idx]), tuple(edges),
+                      tuple([masks[i] for i in idx]),
                       *plan[b.bit_length() - 1 - first]))
     return _Overlay(n, den, cells)
 
@@ -1445,25 +1438,27 @@ def _overlay_integral(ov: _Overlay, p: int) -> Fraction:
 
     A cell where d = r0 - r1 changes sign is split into its halves where
     d >= 0 and d <= 0: each keeps the cell's vertices on its side and the
-    points of its edges where d = 0 (on the edge PQ, f_P Q - f_Q P, since d
-    is linear in the homogeneous point), and every point where d = 0 is
-    tight at one more row.  Over the lcm L of the points' W,
+    point f_P Q - f_Q P where d = 0 on the segment PQ of each pair of
+    vertices of opposite signs (d is linear in the homogeneous point).
+    That point is tight at the rows tight at both P and Q and at one more
+    row, so its mask is exact, and ``_pulling`` reads the faces of each
+    half off the masks whether or not PQ is an edge.  Over the lcm L of
+    the points' W,
     |q0 - q1| = |<d, (P, L)>| / (D L) at a point P / L.
     """
     n = ov.n
     pieces = []
-    for pts, masks, edges, r0, r1 in ov.cells:
+    for pts, masks, r0, r1 in ov.cells:
         d = tuple(map(sub, r0, r1))
         f = [sum(map(mul, d, P)) for P in pts]
         if not any(f):
             continue
         if min(f) < 0 < max(f):
             bit = 1 << max(masks).bit_length()
-            at = dict(zip(pts, zip(f, masks)))
             cut = [(_canon(tuple([fp * u - fq * v for u, v in zip(Q, P)])),
                     mp & mq | bit)
-                   for P, Q in edges
-                   for (fp, mp), (fq, mq) in [(at[P], at[Q])] if fp * fq < 0]
+                   for (P, fp, mp), (Q, fq, mq)
+                   in combinations(zip(pts, f, masks), 2) if fp * fq < 0]
             for sign in (1, -1):
                 pieces.append((d, *zip(*[
                     (P, m if x else m | bit)

@@ -6,10 +6,10 @@ The quantized segment at level k is the FS_k image of the norm geodesic of
 the two degree-k sup-norms.  Toric sup-norms are diagonal in the one
 monomial basis, so that geodesic keeps the basis and interpolates the
 weights: a level segment is the weight interpolation of the two sup-norms,
-read as integer lattice values off the two profiles (``_level``), and no
-norm is built.  The route through ``DiagNorm`` and ``geodesic`` is kept as
-the test oracle.  The maximal segment is the pointwise max over a
-divisibility chain of levels.  The Legendre segment, the sup over tau of
+read as integers off the two profiles (``toric.MetricPair._weights``),
+and no norm is built.  The route through ``DiagNorm`` and ``geodesic``
+is kept as the test oracle.  The maximal segment is the pointwise max
+over a divisibility chain of levels.  The Legendre segment, the sup over tau of
 the rooftops P(phi0, phi1 - tau) + t tau, has the profile
 (1 - t) q0 + t q1 in closed form: at each point the sup is attained at
 tau = q1 - q0.  That mix is affine on each cell of the integer overlay of
@@ -20,15 +20,16 @@ metric paths are checked for convexity in t, the psh condition, by
 
 The functions of a metric pair read one record of the pair
 (``SegmentPair``, a ``toric.MetricPair``), filled on first use, so each
-input metric is conjugated once: the sup-norm weights of all levels, the
-overlay of the two profiles (whose vertices give the critical shifts and
-the pieces of every Legendre slice) and the endpoint
-comparisons read the same two profiles.  The record also holds the
-overlay, the Legendre slice at each t, the level segment at each k and
-the diagnostics report at each chain of levels.  A public function
-builds a throwaway record; ``geonorm run`` keeps one per pair of metric
-names, so its tasks on one pair build each of these once.
-A metric built by pruning (a Legendre slice, a max over levels) comes
+input metric is conjugated once: the weight table of each level (one
+read of the sup-norm weights of both metrics, which the level segment
+and the energy and d1 tables share), the overlay of the two profiles
+(whose vertices give the critical shifts and the pieces of every Legendre
+slice) and the endpoint comparisons read the same two profiles.  The
+record also holds the Legendre slice at each t, the level segment at
+each k and the diagnostics report at each chain of levels.  A public
+function builds a throwaway record; ``geonorm run`` keeps one per pair of
+metric names, so its tasks on one pair build each of these once.  A
+metric built by pruning (a Legendre slice, a max over levels) comes
 with the profile pruning computed, and is not conjugated again.  An
 ``FSSegment`` holds its weights as integer numerators over one
 denominator and evaluates on them; its ``Fraction`` weights are views.
@@ -58,6 +59,7 @@ from .toric import (
     ToricMetric,
     _energy,
     _fs_metric,
+    _require_kmax,
     _require_pair,
     _require_same_bundle,
     fs_from_norm,
@@ -186,23 +188,6 @@ def quantized_level(phi0: ToricMetric, phi1: ToricMetric, k: int) -> FSSegment:
     return SegmentPair(phi0, phi1).quantized_level(k)
 
 
-def _level(ring: SectionRing, k: int, q0, q1) -> FSSegment:
-    """``quantized_level`` of the metrics with profiles q0, q1.
-
-    Both degree-k sup-norms are diagonal in the monomial basis, so their
-    norm geodesic keeps that basis and interpolates the weights: the
-    segment joins the integer lattice values of the two profiles, put over
-    the lcm of their denominators.
-    """
-    basis = ring.basis(k)
-    d0, d1 = q0._den, q1._den
-    den = lcm(d0, d1)
-    s0, s1 = den // d0, den // d1
-    return FSSegment._from_ints(
-        ring, k, den, [x * s0 for x in q0._lattice_numerators(k, basis)],
-        [y * s1 for y in q1._lattice_numerators(k, basis)])
-
-
 def quantized_segment(phi0: ToricMetric, phi1: ToricMetric, k: int, t) -> ToricMetric:
     return quantized_level(phi0, phi1, k).eval(t)
 
@@ -215,14 +200,6 @@ def quantization_levels(kmax: int):
         levels.append(k)
         k *= 2
     return tuple(levels)
-
-
-def _chain(kmax: int):
-    """``quantization_levels(kmax)``, which must not be empty."""
-    levels = quantization_levels(kmax)
-    if not levels:
-        raise ToricError("kmax must be at least 1")
-    return levels
 
 
 def _max_over_levels(n: int, m: int, segs, t):
@@ -358,9 +335,10 @@ def diagnostics(phi0: ToricMetric, phi1: ToricMetric, kmax: int = 8, ts=_TS):
 class SegmentPair(MetricPair):
     """A ``toric.MetricPair`` with the segments between its two metrics.
 
-    Besides the profiles, energies, overlay and rooftop of the pair, the
-    record holds, each filled on first use: the level-k segment at each k
-    (which the maximal segments of every kmax and the diagnostics share),
+    Besides the profiles, energies, weight tables, overlay and rooftop of
+    the pair, the record holds, each filled on first use: the level-k
+    segment at each k, built from the pair's weight table at k (and shared
+    by the maximal segments of every kmax and the diagnostics),
     the Legendre slice at each t with its profile, interpolated on the
     pair's overlay (the one ``d1`` and ``d_infinity`` read) and pruned
     once, and the diagnostics report at each chain of levels and set of
@@ -379,10 +357,10 @@ class SegmentPair(MetricPair):
         self._levels, self._slices, self._reports = {}, {}, {}
 
     def _level(self, k: int) -> FSSegment:
-        """The level-k segment, built once."""
+        """The level-k segment, built once from the weight table at k."""
         if k not in self._levels:
             ring = section_ring(self.phi0.n, self.phi0.m)
-            self._levels[k] = _level(ring, k, self.q0, self.q1)
+            self._levels[k] = FSSegment._from_ints(ring, k, *self._weights(k))
         return self._levels[k]
 
     def _slice(self, t):
@@ -410,7 +388,8 @@ class SegmentPair(MetricPair):
 
     def maximal(self, t, kmax: int = 8) -> ToricMetric:
         """``maximal_segment(phi0, phi1, t, kmax)`` of the pair."""
-        levels = _chain(kmax)
+        _require_kmax(kmax)
+        levels = quantization_levels(kmax)
         _require_same_bundle(self.phi0, self.phi1)
         self._full_profiles()
         t = _segment_time(t)  # before any level is built
@@ -435,7 +414,8 @@ class SegmentPair(MetricPair):
         is built once per chain and times, and the same dict is returned.
         """
         ts = tuple(Fraction(t) for t in ts)
-        key = (_chain(kmax), ts)
+        _require_kmax(kmax)
+        key = (quantization_levels(kmax), ts)
         if key not in self._reports:
             self._reports[key] = self._report(*key)
         return self._reports[key]

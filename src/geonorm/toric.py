@@ -15,16 +15,17 @@ E(phi0, phi1) = E(phi0) - E(phi1) with E(phi) = vol^-1 * integral of q_phi
 subdivisions.  The overlay (``plconvex._overlay``, on integers) is kept
 for |q0 - q1| and its sup, so the two routes of ``d1_metric`` share no
 integration code, and the Legendre slices of ``geonorm.segments`` read
-it too: the slice at t interpolates (1 - t) q0 + t q1 at its vertices.  The rooftop P(phi0, phi1) stays on the envelope
-(``plconvex._envelope``), for ``envelope_P`` and the second route of
-``d1_metric``, which so shares nothing with the first.
+it too: the slice at t interpolates (1 - t) q0 + t q1 at its vertices.
+The rooftop P(phi0, phi1) stays on the envelope (``plconvex._envelope``),
+for ``envelope_P`` and the second route of ``d1_metric``, which so
+shares nothing with the first.
 
 A metric's profile is computed on demand and never stored on the metric.
 The functions of a metric pair read one record of the pair
 (``MetricPair``), which conjugates each metric once and hands the profile
-to the helpers that need it (the sup-norm weights of every degree,
-``_rooftop`` for envelopes, ``_energy`` for integrals), overlays the two
-profiles once, and integrates E(phi0) and E(phi1) once.  A public
+to the helpers that need it (the weight table of each degree, ``_rooftop``
+for envelopes, ``_energy`` for integrals), overlays the two profiles
+once, and integrates E(phi0) and E(phi1) once.  A public
 function builds a throwaway record; a caller that keeps one (``geonorm
 run`` does, per pair of metric names) shares it among its calls.  A
 rooftop comes with the profile that pruning it computed
@@ -37,18 +38,19 @@ planes and cells are views built when read.  FS metrics are built from
 integer weight numerators (``_fs_metric``), and the gradient checks of
 ``ToricMetric`` read the integer rows.  Sup-norm weights are read off the
 profile's integer planes: k q(a/k) is the min over the planes (W, B) / D
-of (<W, a> + k B) / D (``ConcaveProfile.lattice_values``).  Per-degree
-energies and d1 sums add the numerators of beta0 - beta1 over the product
-of the two profiles' denominators (``_per_degree``), and E(phi) integrates
-the profile's integers (``plconvex.integrate_profile``), and so do the
-level segments of ``geonorm.segments``.  Graded norms read the weights
-alone (``_supweights``); only ``supnorm`` wraps them in a standard-basis
-norm, which costs O(d).
+of (<W, a> + k B) / D (``ConcaveProfile.lattice_values``).  A pair's
+weight table at k (``MetricPair._weights``) holds both metrics' weights
+as integers B0, B1 over the lcm of the profiles' denominators: energies
+sum B0 - B1, d1 sums |B0 - B1|, and the level segments of
+``geonorm.segments`` join B0 and B1.  E(phi) integrates the profile's
+integers (``plconvex.integrate_profile``).  Graded norms read one
+metric's weights (``_supweights``); only ``supnorm`` wraps them in a
+standard-basis norm, which costs O(d).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 
@@ -290,6 +292,12 @@ def _require_pair(phi0, phi1):
                 "simplex")
 
 
+def _require_kmax(kmax: int):
+    """The per-degree tables and the level chains need kmax >= 1."""
+    if kmax < 1:
+        raise ToricError("kmax must be at least 1")
+
+
 def energy(phi0: ToricMetric, phi1: ToricMetric, kmax: int = 8) -> ConvergenceResult:
     """Monge-Ampere energy: per-k relative volumes and the integral limit.
 
@@ -337,27 +345,29 @@ class MetricPair:
     """Two toric metrics, and what the functions of the pair share.
 
     The record is filled on first use, and every entry is computed once:
-    the profiles q0 and q1, the energies E(phi0) and E(phi1), the overlay
-    of q0 and q1 (which ``d1`` integrates, ``d_infinity`` reads the sup
-    of, and ``segments.SegmentPair`` reads its critical shifts and its
-    Legendre slices off, interpolating (1 - t) q0 + t q1 at the overlay's
-    vertices) and the rooftop P(phi0, phi1) with its profile, which
-    serves ``envelope_P`` and the envelope route of ``d1``.  Nothing is
-    stored on the metrics.  The public functions of a pair (``energy``,
-    ``d1_metric``, ...) build a throwaway record, so each call checks its
-    inputs and conjugates each metric once; a caller that keeps one record
-    (one ``geonorm run`` keeps one per pair of metric names) conjugates
-    each metric of the pair once for all of its tasks.
+    the profiles q0 and q1, the energies E(phi0) and E(phi1), the weight
+    table at each k (``_weights``, which the energy and d1 tables and the
+    level segments read), the overlay of q0 and q1 (which ``d1``
+    integrates, ``d_infinity`` reads the sup of, and ``SegmentPair``
+    reads its critical shifts and its Legendre slices off, interpolating
+    (1 - t) q0 + t q1 at the overlay's vertices) and the rooftop
+    P(phi0, phi1) with its profile, which serves ``envelope_P`` and the
+    envelope route of ``d1``.  Nothing is stored on the metrics.  The
+    public functions of a pair (``energy``, ``d1_metric``, ...) build a
+    throwaway record, so each call checks its inputs and conjugates each
+    metric once; a caller that keeps one record (one ``geonorm run`` keeps
+    one per pair of metric names) conjugates each metric of the pair once
+    for all of its tasks.
     ``segments.SegmentPair`` adds the segments between the two metrics.
     The checks run in each method, in the order of the public function it
     serves.
     """
 
-    __slots__ = ("phi0", "phi1", "_q", "_e", "_roof", "_ov")
+    __slots__ = ("phi0", "phi1", "_q", "_e", "_w", "_roof", "_ov")
 
     def __init__(self, phi0: ToricMetric, phi1: ToricMetric):
         self.phi0, self.phi1 = phi0, phi1
-        self._q, self._e = [None, None], [None, None]
+        self._q, self._e, self._w = [None, None], [None, None], {}
         self._roof = self._ov = None
 
     def _profile(self, i: int) -> ConcaveProfile:
@@ -400,29 +410,38 @@ class MetricPair:
             self._roof = _rooftop(self.phi0.n, self.phi0.m, self.q0, self.q1)
         return self._roof
 
+    def _weights(self, k: int):
+        """``(D, B0, B1)``: the degree-k sup-norm weights of both metrics,
+        in ``ring.basis(k)`` order, as integer numerators over D, the lcm
+        of the profiles' denominators; read off q0 and q1 once per k."""
+        if k not in self._w:
+            basis = section_ring(self.phi0.n, self.phi0.m).basis(k)
+            qs = self.q0, self.q1
+            den = lcm(*(q._den for q in qs))
+            self._w[k] = (den, *(
+                [x * (den // q._den) for x in q._lattice_numerators(k, basis)]
+                for q in qs))
+        return self._w[k]
+
     def _per_degree(self, kmax, term):
         """((k, (k h0(k))^-1 sum_a term(beta0_a - beta1_a)), ...) for k <= kmax.
 
-        The beta are the degree-k sup-norm weights of the two metrics, read
-        off their profiles q0, q1 as integers over the profiles'
-        denominators D0, D1; each sum runs over beta0 - beta1 = (D1 B0 - D0
-        B1) / (D0 D1), and ``term`` (the identity or ``abs``) commutes with
-        the positive factor.
+        The beta are the degree-k sup-norm weights B0 / D and B1 / D of
+        the two metrics (``_weights``); each sum runs over B0 - B1, and
+        ``term`` (the identity or ``abs``) commutes with the positive
+        factor 1 / D.
         """
-        ring = section_ring(self.phi0.n, self.phi0.m)
-        q0, q1 = self.q0, self.q1
-        d0, d1 = q0._den, q1._den
+        h0 = section_ring(self.phi0.n, self.phi0.m).h0
         per_k = []
         for k in range(1, kmax + 1):
-            basis = ring.basis(k)
-            b0 = q0._lattice_numerators(k, basis)
-            b1 = q1._lattice_numerators(k, basis)
-            total = sum(term(x * d1 - y * d0) for x, y in zip(b0, b1))
-            per_k.append((k, Fraction(total, k * ring.h0(k) * d0 * d1)))
+            den, b0, b1 = self._weights(k)
+            total = sum(term(x - y) for x, y in zip(b0, b1))
+            per_k.append((k, Fraction(total, k * h0(k) * den)))
         return tuple(per_k)
 
     def energy(self, kmax: int = 8) -> ConvergenceResult:
         """``energy(phi0, phi1, kmax)`` of the pair."""
+        _require_kmax(kmax)
         _require_pair(self.phi0, self.phi1)
         per_k = self._per_degree(kmax, lambda d: d)
         return ConvergenceResult(per_k, self._energy(0) - self._energy(1))
@@ -435,6 +454,7 @@ class MetricPair:
 
     def d1(self, kmax: int = 8) -> ConvergenceResult:
         """``d1_metric(phi0, phi1, kmax)`` of the pair."""
+        _require_kmax(kmax)
         phi0, phi1 = self.phi0, self.phi1
         _require_pair(phi0, phi1)
         per_k = self._per_degree(kmax, abs)

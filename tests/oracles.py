@@ -29,7 +29,9 @@ composed from the library's own primitives.
 ``legendre_segment_per_t`` is the per-t Legendre construction that
 geonorm.segments replaced.  ``rooftop_family`` (with ``_shifted_min`` and
 ``_crossings``) reads the rooftop P(phi0, phi1 - tau) of every critical
-tau off the library's integer overlay, as min(q0, q1 - tau), and
+tau off the library's integer overlay, as min(q0, q1 - tau), crossing
+the edges that ``overlay_edges`` reads off the cells' tight rows (the
+adjacency test the library's overlay no longer runs), and
 ``legendre_via_rooftops`` takes the sup of that family shifted by t tau,
 where geonorm.segments prunes one piece per overlay vertex, valued
 (1 - t) q0 + t q1 there.  ``profile_key`` reads a profile with no order
@@ -2571,23 +2573,19 @@ class _Overlay:
     counterclockwise polygon of points (X, Y, W) for n = 2), and r0, r1
     are the integer rows (W.., B) over D of the planes of q0 and q1 on it.
     ``verts`` maps each vertex P of a cell to (V0, V1), the values
-    q_i(P) = V_i / (D W); ``edges`` lists each pair of consecutive vertices
-    of a cell once, and q0 and q1 are affine along each.  Two profiles
-    whose domains share no full-dimensional region have no common cell.
+    q_i(P) = V_i / (D W).  Two profiles whose domains share no
+    full-dimensional region have no common cell.
     """
 
-    __slots__ = ("n", "den", "cells", "verts", "edges")
+    __slots__ = ("n", "den", "cells", "verts")
 
     def __init__(self, n: int, den: int, cells):
-        verts, edges = {}, {}
+        verts = {}
         for poly, r0, r1 in cells:
             for P in poly:
                 if P not in verts:
                     verts[P] = (sum(map(mul, r0, P)), sum(map(mul, r1, P)))
-            for e in (zip(poly, poly[1:] + poly[:1]) if n == 2 else (poly,)):
-                edges[e if e[0] < e[1] else e[::-1]] = None
-        self.n, self.den, self.cells = n, den, cells
-        self.verts, self.edges = verts, tuple(edges)
+        self.n, self.den, self.cells, self.verts = n, den, cells, verts
 
 
 def _overlay(q0: ConcaveProfile, q1: ConcaveProfile) -> _Overlay:
@@ -2929,11 +2927,26 @@ def _shifted_min(ov: _Overlay, tau) -> MaxAffine:
     vals = {P: (v0 * T, (v1 - v0) * T - S * ov.den * P[-1])
             for P, (v0, v1) in ov.verts.items()}
     pts = [P + (a + min(f, 0),) for P, (a, f) in vals.items()]
-    pts += _crossings(ov.edges, vals)
+    pts += _crossings(overlay_edges(ov), vals)
     L = lcm(*(P[-2] for P in pts))
     return MaxAffine._from_ints(ov.n, dt * L, [
         tuple(x * (L // P[-2]) * dt for x in P[:-2]) + (P[-1] * (L // P[-2]),)
         for P in pts])
+
+
+def overlay_edges(ov):
+    """The edges of the cells of an overlay of ``plconvex._overlay``, each
+    once: two vertices of a cell span an edge when no third one is tight
+    at every row tight at both (an interval's two ends always do)."""
+    edges = {}
+    for pts, masks, _, _ in ov.cells:
+        idx = range(len(pts))
+        for a, c in combinations(idx, 2):
+            common = masks[a] & masks[c]
+            if not any(masks[i] & common == common for i in idx
+                       if i != a and i != c):
+                edges[(pts[a], pts[c])] = None
+    return tuple(edges)
 
 
 def _crossings(edges, vals):

@@ -15,7 +15,7 @@ import oracles
 from geonorm import segments
 from geonorm.plconvex import MaxAffine
 from geonorm.segments import SegmentPair, legendre_segment
-from geonorm.toric import ToricError, ToricMetric, section_ring
+from geonorm.toric import ToricError, ToricMetric, fs_from_norm, section_ring
 
 F = Fraction
 
@@ -77,6 +77,14 @@ _ONE_CELL_P3 = (_metric(3, 1, [((0, 0, 0), 0), ((1, 0, 0), 1),
                 _metric(3, 1, [((0, 0, 0), 2), ((1, 0, 0), -1),
                                ((0, 1, 0), 0), ((0, 0, 1), 1)]))
 
+# level-2 FS metrics on P^2 whose slice at t = 1/3 has its cells listed in
+# another order on each route, so the profiles are equal only as sets
+_REORDERED_P2 = tuple(
+    fs_from_norm(section_ring(2, 1), 2, dict(zip(
+        section_ring(2, 1).basis(2), map(F, weights))))
+    for weights in ((-2, 1, -2, F(-3, 2), F(-3, 2), -3),
+                    (-2, F(-1, 2), -2, -2, 1, 1)))
+
 
 def _same_profile(q, want):
     """On P^1 the two routes give equal profiles; from P^2 on they may list
@@ -93,6 +101,7 @@ def _same_profile(q, want):
 @example(_ONE_CELL_P2, F(1, 4))
 @example(_ONE_CELL_P2, F(1))
 @example(_ONE_CELL_P3, F(2, 3))
+@example(_REORDERED_P2, F(1, 3))
 def test_slice_matches_the_rooftop_family(pair, t) -> None:
     phi0, phi1 = pair
     try:

@@ -12,6 +12,7 @@ from geonorm import norms, plconvex, segments
 from geonorm.plconvex import MaxAffine, compare
 from geonorm.segments import (
     FSSegment,
+    SegmentPair,
     detect_non_psh,
     diagnostics,
     duality_tau_set,
@@ -107,7 +108,7 @@ def test_segment_time_is_checked_before_anything_is_built(monkeypatch) -> None:
     def refuse(*args):
         raise AssertionError("built before t was checked")
 
-    monkeypatch.setattr(segments, "_level", refuse)
+    monkeypatch.setattr(SegmentPair, "_weights", refuse)
     monkeypatch.setattr(segments, "_interpolated", refuse)
     for t in (F(-1, 2), F(3, 2)):
         for run in (lambda: maximal_segment(phi0, phi1, t, kmax=4),
@@ -615,18 +616,18 @@ def test_detect_non_psh_refuses_a_repeated_t(ts) -> None:
 def test_diagnostics_builds_each_level_once(monkeypatch) -> None:
     # one level segment per level serves d1 and endpoint recovery
     calls = []
-    real = segments._level
+    real = SegmentPair._weights
 
-    def counted(ring, k, q0, q1):
+    def counted(self, k):
         calls.append(k)
-        return real(ring, k, q0, q1)
+        return real(self, k)
 
     phi0 = _fs(RING2, 2, (0, 0, 3, 0, 0))
     phi1 = _fs(RING2, 2, (0, -1, 0, 2, 0))
     want = {label: compare_metrics(maximal_segment(phi0, phi1, t, 2),
                                    phi).relation
             for label, t, phi in (("start", 0, phi0), ("end", 1, phi1))}
-    monkeypatch.setattr(segments, "_level", counted)
+    monkeypatch.setattr(SegmentPair, "_weights", counted)
     report = diagnostics(phi0, phi1, kmax=2)
     assert sorted(calls) == [1, 2]
     assert {label: row["relation"] for label, row

@@ -1,12 +1,15 @@
-"""Exact symmetries of the Legendre and maximal slices.
+"""Exact symmetries of the toric operations on a metric pair.
 
 S_{n+1} permutes the barycentric coordinates (m - sum(y), y_1, ..., y_n)
 of m Delta.  Each permutation is a unimodular affine map of Z^n onto
 itself that keeps m Delta, and it acts on a metric by moving the gradient
 of each piece and keeping its constant.  Both slices commute with that
-action, and a Legendre slice shifts with its ends:
+action, and the energy and d1 tables, their limits and the d_infinity
+limit are invariant under it.  A Legendre slice shifts with its ends:
 legendre(phi0 + c0, phi1 + c1, t) = legendre(phi0, phi1, t)
-+ (1 - t) c0 + t c1.
++ (1 - t) c0 + t c1; the energy shifts with its first metric, d1 is
+blind to a common shift, and a metric lies at d1 and d_infinity distance
+|c| from its shift by c, at every level.
 """
 
 import itertools
@@ -17,7 +20,7 @@ import pytest
 
 from geonorm.plconvex import MaxAffine
 from geonorm.segments import legendre_segment, maximal_segment
-from geonorm.toric import ToricMetric, fs_from_norm, section_ring
+from geonorm.toric import MetricPair, ToricMetric, fs_from_norm, section_ring
 
 F = Fraction
 
@@ -34,6 +37,12 @@ def _pair(n, m, i):
         fs_from_norm(ring, 2, {a: F(rng.randint(-8, 8), rng.choice((1, 2, 3)))
                                for a in basis})
         for _ in range(2))
+
+
+def _perms(n):
+    """Every non-identity permutation of n + 1 coordinates."""
+    return [p for p in itertools.permutations(range(n + 1))
+            if p != tuple(range(n + 1))]
 
 
 def _image(perm, phi):
@@ -55,14 +64,48 @@ def test_slices_commute_with_the_simplex_permutations(n, m, kmax) -> None:
         t = rng.choice(_TS)
         legendre = legendre_segment(phi0, phi1, t)
         maximal = maximal_segment(phi0, phi1, t, kmax)
-        for perm in itertools.permutations(range(n + 1)):
-            if perm == tuple(range(n + 1)):
-                continue
+        for perm in _perms(n):
             img0, img1 = _image(perm, phi0), _image(perm, phi1)
             assert legendre_segment(img0, img1, t).to_json() == (
                 _image(perm, legendre).to_json())
             assert maximal_segment(img0, img1, t, kmax).to_json() == (
                 _image(perm, maximal).to_json())
+
+
+def _tables(phi0, phi1):
+    """The energy and d1 tables to kmax 3 with their limits, and the
+    d_infinity limit, of one pair record."""
+    pair = MetricPair(phi0, phi1)
+    return pair.energy(3), pair.d1(3), pair.d_infinity()
+
+
+@pytest.mark.parametrize("n, m", [arena[:2] for arena in _ARENAS])
+def test_tables_are_invariant_under_the_simplex_permutations(n, m) -> None:
+    for i in range(3):
+        _, (phi0, phi1) = _pair(n, m, i)
+        want = _tables(phi0, phi1)
+        for perm in _perms(n):
+            assert _tables(_image(perm, phi0), _image(perm, phi1)) == want
+
+
+# a shift over 3, so that a profile and its shift may have different
+# denominators
+_C = F(1, 3)
+
+
+@pytest.mark.parametrize("n, m", [arena[:2] for arena in _ARENAS])
+def test_tables_shift_exactly(n, m) -> None:
+    for i in range(3):
+        _, (phi0, phi1) = _pair(n, m, i)
+        energy, d1, _ = _tables(phi0, phi1)
+        up = phi0.shifted(_C)
+        got = MetricPair(up, phi1).energy(3)
+        assert got.per_k == tuple((k, e + _C) for k, e in energy.per_k)
+        assert got.limit == energy.limit + _C
+        assert MetricPair(up, phi1.shifted(_C)).d1(3) == d1
+        _, d1, d_inf = _tables(phi0, up)
+        assert d1.per_k == tuple((k, _C) for k in (1, 2, 3))
+        assert (d1.limit, d_inf) == (_C, _C)
 
 
 @pytest.mark.parametrize("n, m", [arena[:2] for arena in _ARENAS])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from geonorm import toric
+from geonorm import plconvex, toric
 from geonorm.plconvex import MaxAffine
 from geonorm.suites import convergence_pair_p1, convergence_pair_p2
 from geonorm.toric import (
@@ -452,6 +452,20 @@ def test_mismatched_bundles_rejected() -> None:
         energy(reference(1, 1), reference(1, 2))
     with pytest.raises(ToricError):
         compare_metrics(reference(1, 1), reference(2, 1))
+
+
+@pytest.mark.parametrize("fn", [energy, d1_metric])
+@pytest.mark.parametrize("kmax", [0, -3])
+def test_tables_need_a_positive_kmax(fn, kmax, monkeypatch) -> None:
+    # refused first: before the bundle check and before any conjugate
+    def refuse(f):
+        raise AssertionError("conjugated before kmax was checked")
+
+    monkeypatch.setattr(plconvex, "conjugate", refuse)
+    monkeypatch.setattr(toric, "conjugate", refuse)
+    for phi1 in (_fs_p1((0, -2)), reference(1, 2)):
+        with pytest.raises(ToricError, match="kmax must be at least 1"):
+            fn(reference(1, 1), phi1, kmax=kmax)
 
 
 # -- one profile per endpoint and call ----------------------------------------------
