@@ -23,8 +23,13 @@ method on homogeneous integer rows, which needs no interior point, gives
 the vertices of the hypograph of a min of planes on a cut region, with
 the rows tight at each.  That gives the
 constrained envelope, and the overlay of two profiles as the hypograph
-of the min of their summed planes.  Integrals pull each cell into
-simplices from a vertex, reading its faces off those tight rows.  So
+of the min of their summed planes, and one reader, ``_upper_facets``,
+takes the upper facets of either hypograph off those tight rows: the
+cells of the envelope's profile, which it returns with the envelope, and
+those of the overlay.  Integrals pull each cell into simplices from a
+vertex, reading its faces off the same rows; ``_homogeneous_integral``
+sums them on homogeneous integer points, for |q0 - q1|^p on the overlay
+and for the envelope's profile, which so needs no conjugate.  So
 conjugation, pruning, comparison, ``==``, envelopes, marginal minima,
 overlays and integrals run for every n, and so does ``mix_witness``,
 which compares against the mix of two functions' pruned pieces.
@@ -810,9 +815,11 @@ class ConcaveProfile:
     ``_domain_hrep`` once it is computed, or from the start when
     ``conjugate`` wrapped a full-rank domain.  ``vertices``, ``cells`` and
     ``planes`` are ``Fraction`` views, rebuilt on every read.  ``==`` and
-    ``hash`` read the order of the cells and of their vertices, which
-    depends on the route that built the profile, so tests compare
-    profiles with ``oracles.profile_key``, which reads no order.
+    ``hash`` read no order: the order of the cells, and of the vertices of
+    a cell, depends on the route that built the profile, so they compare
+    the sorted vertex rows, the sorted planes and the sorted cells, each
+    with its vertices sorted (a cell's plane is the one through its
+    vertices, valued as the vertex rows say).
     """
 
     __slots__ = ("n", "_den", "_verts", "_cells", "_planes", "_hrep")
@@ -844,7 +851,9 @@ class ConcaveProfile:
         self._planes, self._hrep = tuple(planes), None
 
     def _key(self):
-        return (self.n, self._den, self._verts, self._cells, self._planes)
+        return (self.n, self._den, tuple(sorted(self._verts)),
+                tuple(sorted(self._planes)),
+                tuple(sorted(tuple(sorted(c)) for c in self._cells)))
 
     def __eq__(self, other):
         if not isinstance(other, ConcaveProfile):
@@ -1066,17 +1075,17 @@ def _hull_rows(pts):
 
 def _hypograph_rows(cuts, profiles, den, planes):
     """The integer rows, for x = (y, z, w), of the cone over the hypograph
-    of the min of integer ``planes`` (W.., B) over den on the region of
-    the integer ``cuts`` (a.., b) and of the profiles' domains (each
-    ``_domain_hrep`` row over D is the cut (D N, R)): <a, y> - b w <= 0,
-    -w <= 0 and den z - <W, y> - B w <= 0, in that order and without
-    repeats.  A ray with w > 0 is the point (y / w, z / w)."""
+    of the min of distinct integer ``planes`` (W.., B) over den on the
+    region of the integer ``cuts`` (a.., b) and of the profiles' domains
+    (each ``_domain_hrep`` row over D is the cut (D N, R)):
+    <a, y> - b w <= 0, -w <= 0 and den z - <W, y> - B w <= 0, in that
+    order and without repeats, so the plane rows are the last
+    ``len(planes)``.  A ray with w > 0 is the point (y / w, z / w)."""
     cuts = list(cuts) + [_primitive(tuple([x * pr._den for x in N]) + (R,))
                          for pr in profiles for N, R, _ in _domain_hrep(pr)]
     return ([c[:-1] + (0, -c[-1]) for c in dict.fromkeys(cuts)]
             + [(0,) * len(planes[0]) + (-1,)]
-            + [tuple([-x for x in r[:-1]]) + (den, -r[-1])
-               for r in dict.fromkeys(planes)])
+            + [tuple([-x for x in r[:-1]]) + (den, -r[-1]) for r in planes])
 
 
 def _simplicial(rows, d):
@@ -1155,6 +1164,26 @@ def _vertices(rows):
     return rays, masks
 
 
+def _upper_facets(rays, masks, first: int, n: int):
+    """The upper facets of a hypograph in R^n x R whose cone (rows of
+    ``_hypograph_rows``, the plane rows from index ``first`` on) has the
+    extreme ``rays`` with the tight-row ``masks`` of ``_vertices``.
+
+    A facet is a largest set of at least n + 1 vertices tight at one
+    plane row (``_facet_sets``).  Each comes as (j, pts, masks): j the
+    index of its plane among the plane rows, its vertices as homogeneous
+    integer points (Y.., W), the value dropped, and their tight rows.
+    """
+    finite = [i for i, r in enumerate(rays) if r[-1]]
+    pts = {i: _canon(rays[i][:n] + rays[i][-1:]) for i in finite}
+    out = []
+    for S, b in _facet_sets(finite, masks, -1 << first, n + 1).items():
+        idx = [i for k, i in enumerate(finite) if S >> k & 1]
+        out.append((b.bit_length() - 1 - first, tuple([pts[i] for i in idx]),
+                    tuple([masks[i] for i in idx])))
+    return out
+
+
 def envelope_constrained(funcs, P: Polytope) -> MaxAffine:
     """Largest convex minorant of min(funcs) with gradients in P (any n).
 
@@ -1170,30 +1199,39 @@ def envelope_constrained(funcs, P: Polytope) -> MaxAffine:
     n = funcs[0].n
     if any(f.n != n for f in funcs):
         raise PLError("dimension mismatch in envelope")
-    return _envelope([conjugate(f) for f in funcs], P)
+    return _envelope([conjugate(f) for f in funcs], P)[0]
 
 
-def _envelope(profiles, P: Polytope) -> MaxAffine:
-    """``envelope_constrained`` of the functions with these profiles.
+def _envelope(profiles, P: Polytope):
+    """``(f, den, faces)``: f = ``envelope_constrained`` of the functions
+    with these profiles, and the cells of its profile.
 
     The envelope's pieces are the vertices (y, z) of the hypograph of the
     min of the profiles' planes on P cut by their domains: the rays with
     w > 0 of the cone of ``_hypograph_rows`` (``_vertices``), each ray the
-    piece (y / w, z / w).  An empty region raises EnvelopeError, and so
-    does one of lower dimension for n >= 2, where a row of the cone is
-    tight at every ray; a point of the line gives one piece.
+    piece (y / w, z / w).  Those are the pieces that pruning keeps, so f
+    needs no prune.  The cells are the cone's upper facets
+    (``_upper_facets``), each as (plane, pts, masks): its plane row
+    (W.., B) over den, the lcm of the profiles' denominators, and its
+    vertices with their tight rows, as ``_homogeneous_integral`` reads
+    them.  An empty region raises EnvelopeError, and so does one of lower
+    dimension for n >= 2, where a row of the cone is tight at every ray; a
+    point of the line gives one piece and no cell.
     """
     n = profiles[0].n
     den = lcm(*(pr._den for pr in profiles))
-    planes = [tuple([x * (den // pr._den) for x in r])
-              for pr in profiles for r in pr._planes]
-    rays, masks = _vertices(_hypograph_rows(P._cuts, profiles, den, planes))
+    planes = list(dict.fromkeys(tuple([x * (den // pr._den) for x in r])
+                                for pr in profiles for r in pr._planes))
+    rows = _hypograph_rows(P._cuts, profiles, den, planes)
+    rays, masks = _vertices(rows)
     pts = [r for r in rays if r[-1]]
     if not pts or n > 1 and reduce(and_, masks):
         raise EnvelopeError("empty domain")
     w = lcm(*(r[-1] for r in pts))
+    faces = [(planes[j], fpts, fmasks) for j, fpts, fmasks
+             in _upper_facets(rays, masks, len(rows) - len(planes), n)]
     return MaxAffine._from_ints(n, w, [
-        tuple([x * (w // r[-1]) for x in r[:-1]]) for r in pts])
+        tuple([x * (w // r[-1]) for x in r[:-1]]) for r in pts]), den, faces
 
 
 # ---------------------------------------------------------------------------
@@ -1372,7 +1410,7 @@ def _overlay(q0: ConcaveProfile, q1: ConcaveProfile) -> _Overlay:
     Intervals meet on their integer ends over D.  For n >= 2, q0 + q1 is
     the min of the summed planes P_i + P'_j on the common domain, whose
     cells are the common refinement, since kinks of concave functions
-    cannot cancel.  So the upper facets (``_facet_sets``) of one
+    cannot cancel.  So the upper facets (``_upper_facets``) of one
     ``_vertices`` call on that hypograph are the cells, with their
     vertices' tight rows, and q0 = P_i and q1 = P'_j on the facet of (i, j).
     """
@@ -1405,14 +1443,9 @@ def _overlay(q0: ConcaveProfile, q1: ConcaveProfile) -> _Overlay:
     if reduce(and_, masks):
         # a row tight at every ray: the common domain is lower-dimensional
         return _Overlay(n, den, cells)
-    finite = [i for i, r in enumerate(rays) if r[-1]]
-    pts = {i: _canon(rays[i][:n] + rays[i][-1:]) for i in finite}
-    first, plan = len(rows) - len(pairs), list(pairs.values())
-    for S, b in _facet_sets(finite, masks, -1 << first, n + 1).items():
-        idx = [i for k, i in enumerate(finite) if S >> k & 1]
-        cells.append((tuple([pts[i] for i in idx]),
-                      tuple([masks[i] for i in idx]),
-                      *plan[b.bit_length() - 1 - first]))
+    plan = list(pairs.values())
+    for j, pts, fmasks in _upper_facets(rays, masks, len(rows) - len(plan), n):
+        cells.append((pts, fmasks, *plan[j]))
     return _Overlay(n, den, cells)
 
 
@@ -1442,11 +1475,11 @@ def _overlay_integral(ov: _Overlay, p: int) -> Fraction:
     vertices of opposite signs (d is linear in the homogeneous point).
     That point is tight at the rows tight at both P and Q and at one more
     row, so its mask is exact, and ``_pulling`` reads the faces of each
-    half off the masks whether or not PQ is an edge.  Over the lcm L of
-    the points' W,
-    |q0 - q1| = |<d, (P, L)>| / (D L) at a point P / L.
+    half off the masks whether or not PQ is an edge.  Each half, and each
+    cell where d keeps its sign, goes to ``_homogeneous_integral`` with
+    the form d or -d that is >= 0 on it, so the p-th power of the form is
+    |q0 - q1|^p there.
     """
-    n = ov.n
     pieces = []
     for pts, masks, r0, r1 in ov.cells:
         d = tuple(map(sub, r0, r1))
@@ -1459,19 +1492,29 @@ def _overlay_integral(ov: _Overlay, p: int) -> Fraction:
                     mp & mq | bit)
                    for (P, fp, mp), (Q, fq, mq)
                    in combinations(zip(pts, f, masks), 2) if fp * fq < 0]
-            for sign in (1, -1):
-                pieces.append((d, *zip(*[
+            for sign, form in ((1, d), (-1, _neg(d))):
+                pieces.append((form, *zip(*[
                     (P, m if x else m | bit)
                     for P, x, m in zip(pts, f, masks) if sign * x >= 0] + cut)))
         else:
-            pieces.append((d, pts, masks))
+            pieces.append((d if max(f) > 0 else _neg(d), pts, masks))
+    return _homogeneous_integral(pieces, ov.n, p, ov.den)
+
+
+def _homogeneous_integral(pieces, n: int, p: int, den: int) -> Fraction:
+    """The integral of f^p over polytopes of dimension n, f affine on
+    each, given as ``(d, pts, masks)``: f = <d, P> / (den W) at a
+    homogeneous integer point P = (X.., W) standing for X / W, d an
+    integer row (A.., B) over den, ``pts`` the polytope's vertices and
+    ``masks`` their tight rows, as ``_pulling`` reads them.  f keeps its
+    sign: over the lcm L of the points' W, the vertex X / L has the value
+    (<A, X> + B L) / (den L), and ``_integral`` sums those numerators."""
     L = lcm(*(P[-1] for _, pts, _ in pieces for P in pts))
     out = []
     for d, pts, masks in pieces:
         X = [tuple([x * (L // P[-1]) for x in P[:-1]]) for P in pts]
-        out.append((X, masks, [abs(sum(map(mul, d, x)) + d[-1] * L)
-                               for x in X]))
-    return _integral(out, n, p, L ** n * (ov.den * L) ** p)
+        out.append((X, masks, [sum(map(mul, d, x)) + d[-1] * L for x in X]))
+    return _integral(out, n, p, L ** n * (den * L) ** p)
 
 
 def max_abs_difference(p0: ConcaveProfile, p1: ConcaveProfile) -> Fraction:

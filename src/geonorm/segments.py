@@ -380,8 +380,7 @@ class SegmentPair(MetricPair):
 
     def quantized_level(self, k: int) -> FSSegment:
         """``quantized_level(phi0, phi1, k)`` of the pair."""
-        if k < 1:
-            raise ToricError(f"level k must be at least 1, got {k}")
+        _require_kmax(k, "level k")
         _require_same_bundle(self.phi0, self.phi1)
         self._full_profiles()
         return self._level(k)

@@ -295,9 +295,13 @@ def _geodesic_pair(rng, allow_tadic=True):
 
 
 def _is_concave_on_triples(values_by_t):
-    """Exact concavity of t -> value over every triple of sample points."""
+    """Exact concavity of t -> value over every triple of sample points.
+
+    With the times sorted, the consecutive triples suffice: each says that
+    the slope of the samples does not rise, and then no triple lies above
+    its chord."""
     items = sorted(values_by_t.items())
-    for (t0, v0), (t1, v1), (t2, v2) in itertools.combinations(items, 3):
+    for (t0, v0), (t1, v1), (t2, v2) in zip(items, items[1:], items[2:]):
         # t1 = lam*t0 + (1-lam)*t2 with lam = (t2-t1)/(t2-t0)
         lam = (t2 - t1) / (t2 - t0)
         if v1 < lam * v0 + (1 - lam) * v2:

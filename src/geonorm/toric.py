@@ -13,12 +13,12 @@ support has its profile defined on all of m*Delta, so
 E(phi0, phi1) = E(phi0) - E(phi1) with E(phi) = vol^-1 * integral of q_phi
 (``_energy``), one integral per profile and no overlay of two cell
 subdivisions.  The overlay (``plconvex._overlay``, on integers) is kept
-for |q0 - q1| and its sup, so the two routes of ``d1_metric`` share no
-integration code, and the Legendre slices of ``geonorm.segments`` read
-it too: the slice at t interpolates (1 - t) q0 + t q1 at its vertices.
-The rooftop P(phi0, phi1) stays on the envelope (``plconvex._envelope``),
-for ``envelope_P`` and the second route of ``d1_metric``, which so
-shares nothing with the first.
+for |q0 - q1| and its sup, and the Legendre slices of
+``geonorm.segments`` read it too: the slice at t interpolates
+(1 - t) q0 + t q1 at its vertices.  The rooftop P(phi0, phi1) stays on
+the envelope (``plconvex._envelope``), for ``envelope_P`` and the second
+route of ``d1_metric``, which so shares no overlay with the first; the
+two routes share only the simplex sums of ``plconvex._integral``.
 
 A metric's profile is computed on demand and never stored on the metric.
 The functions of a metric pair read one record of the pair
@@ -28,8 +28,10 @@ for envelopes, ``_energy`` for integrals), overlays the two profiles
 once, and integrates E(phi0) and E(phi1) once.  A public
 function builds a throwaway record; a caller that keeps one (``geonorm
 run`` does, per pair of metric names) shares it among its calls.  A
-rooftop comes with the profile that pruning it computed
-(``plconvex._pruned``), so its energy conjugates nothing.
+rooftop comes with the cells of its profile, which the envelope's vertex
+enumeration found (``plconvex._envelope``), and E(P) integrates them
+(``plconvex._homogeneous_integral``): the rooftop is neither pruned nor
+conjugated.
 
 The toric side runs on integers.  A potential is a ``MaxAffine`` held as
 integer rows over one denominator, and a profile keeps one denominator D
@@ -55,17 +57,17 @@ from fractions import Fraction
 from math import factorial, lcm
 
 from .field import TRIVIAL, format_fraction
-from .graded import GradedNorm, SectionRing, _ring_dims
+from .graded import GradedError, GradedNorm, SectionRing, _ring_dims
 from .norms import DiagNorm
 from .plconvex import (
     Comparison,
     ConcaveProfile,
     MaxAffine,
     _envelope,
+    _homogeneous_integral,
     _overlay,
     _overlay_integral,
     _overlay_sup,
-    _pruned,
     compare,
     conjugate,
     integrate_profile,
@@ -233,8 +235,8 @@ def _supweights(k: int, phi: ToricMetric, q: ConcaveProfile) -> tuple:
 def sup_graded(phi: ToricMetric, kmax: int) -> GradedNorm:
     """The graded norm k -> supnorm(k, phi), degrees 1..kmax."""
     ring = section_ring(phi.n, phi.m)
-    # kmax < 1 is GradedNorm's error, raised before any support check
-    q = _full_profile(phi) if kmax >= 1 else None
+    _require_kmax(kmax, error=GradedError)  # before any support check
+    q = _full_profile(phi)
     return GradedNorm(ring, [
         dict(zip(ring.basis(k), _supweights(k, phi, q)))
         for k in range(1, kmax + 1)])
@@ -247,10 +249,11 @@ def envelope_P(phi0: ToricMetric, phi1: ToricMetric) -> ToricMetric:
 
 
 def _rooftop(n: int, m: int, q0, q1):
-    """``(P, q)``: P = ``envelope_P`` of two metrics on O(m) over P^n with
-    profiles q0, q1, and the profile q of P, which pruning computed."""
-    pot, q = _pruned(_envelope([q0, q1], moment_simplex(n, m)))
-    return ToricMetric(n, m, pot, "envelope"), q
+    """``(P, den, faces)``: P = ``envelope_P`` of two metrics on O(m) over
+    P^n with profiles q0, q1, and the cells of P's profile as
+    ``plconvex._envelope`` found them, plane rows over den."""
+    pot, den, faces = _envelope([q0, q1], moment_simplex(n, m))
+    return ToricMetric(n, m, pot, "envelope"), den, faces
 
 
 def moment_volume(n: int, m: int) -> Fraction:
@@ -292,10 +295,14 @@ def _require_pair(phi0, phi1):
                 "simplex")
 
 
-def _require_kmax(kmax: int):
-    """The per-degree tables and the level chains need kmax >= 1."""
+def _require_kmax(kmax: int, name: str = "kmax", error=ToricError):
+    """The per-degree tables, the levels and their chains, and the graded
+    sup-norms need an int kmax >= 1; a bool or a float is refused, since
+    ``range`` would take True for 1 and a chain would round 2.5 down."""
+    if type(kmax) is not int:
+        raise error(f"{name} must be an int, got {kmax!r}")
     if kmax < 1:
-        raise ToricError("kmax must be at least 1")
+        raise error(f"{name} must be at least 1, got {kmax}")
 
 
 def energy(phi0: ToricMetric, phi1: ToricMetric, kmax: int = 8) -> ConvergenceResult:
@@ -331,7 +338,8 @@ def d1_metric(phi0: ToricMetric, phi1: ToricMetric, kmax: int = 8) -> Convergenc
     subdivisions, summed on its integers (``plconvex._overlay_integral``),
     and through the rooftop envelope P = P(phi0, phi1), built by
     ``plconvex._envelope``, as
-    E(phi0, P) + E(phi1, P) = E(phi0) + E(phi1) - 2 E(P).
+    E(phi0, P) + E(phi1, P) = E(phi0) + E(phi1) - 2 E(P), with E(P)
+    integrated on the cells that the envelope found.
     """
     return MetricPair(phi0, phi1).d1(kmax)
 
@@ -351,13 +359,13 @@ class MetricPair:
     integrates, ``d_infinity`` reads the sup of, and ``SegmentPair``
     reads its critical shifts and its Legendre slices off, interpolating
     (1 - t) q0 + t q1 at the overlay's vertices) and the rooftop
-    P(phi0, phi1) with its profile, which serves ``envelope_P`` and the
-    envelope route of ``d1``.  Nothing is stored on the metrics.  The
-    public functions of a pair (``energy``, ``d1_metric``, ...) build a
-    throwaway record, so each call checks its inputs and conjugates each
-    metric once; a caller that keeps one record (one ``geonorm run`` keeps
-    one per pair of metric names) conjugates each metric of the pair once
-    for all of its tasks.
+    P(phi0, phi1) with the cells of its profile, which serves
+    ``envelope_P`` and the envelope route of ``d1``.  Nothing is stored
+    on the metrics.  The public functions of a pair (``energy``,
+    ``d1_metric``, ...) build a throwaway record, so each call checks its
+    inputs and conjugates each metric once; a caller that keeps one record
+    (one ``geonorm run`` keeps one per pair of metric names) conjugates
+    each metric of the pair once for all of its tasks.
     ``segments.SegmentPair`` adds the segments between the two metrics.
     The checks run in each method, in the order of the public function it
     serves.
@@ -405,7 +413,8 @@ class MetricPair:
         return self._ov
 
     def _rooftop(self):
-        """``(P, q)``: the rooftop P(phi0, phi1) and its profile."""
+        """``(P, den, faces)``: the rooftop P(phi0, phi1) and its cells
+        (``_rooftop``)."""
         if self._roof is None:
             self._roof = _rooftop(self.phi0.n, self.phi0.m, self.q0, self.q1)
         return self._roof
@@ -460,9 +469,11 @@ class MetricPair:
         per_k = self._per_degree(kmax, abs)
         direct = (_overlay_integral(self._overlay(), 1)
                   / moment_volume(phi0.n, phi0.m))
-        roof, q = self._rooftop()
+        roof, den, faces = self._rooftop()
         _require_pair(phi0, roof)  # E(P) integrates over P's own domain
-        via_envelope = self._energy(0) + self._energy(1) - 2 * _energy(roof, q)
+        via_envelope = self._energy(0) + self._energy(1) - 2 * (
+            _homogeneous_integral(faces, phi0.n, 1, den)
+            / moment_volume(phi0.n, phi0.m))
         if direct != via_envelope:
             raise ToricError(
                 f"d1 routes disagree: integral {direct} vs envelope "

@@ -35,8 +35,9 @@ adjacency test the library's overlay no longer runs), and
 ``legendre_via_rooftops`` takes the sup of that family shifted by t tau,
 where geonorm.segments prunes one piece per overlay vertex, valued
 (1 - t) q0 + t q1 there.  ``profile_key`` reads a profile with no order
-of its cells or of their vertices, which two routes to one P^3 profile
-may list differently.  ``level_segment_via_geodesic`` is the
+of its cells or of their vertices, which two routes to one P^2 or P^3
+profile may list differently, as ``ConcaveProfile.__eq__`` now does on
+its own key.  ``level_segment_via_geodesic`` is the
 quantized level segment as the FS image of the norm geodesic between two
 sup-norm ``DiagNorm``s, and ``maximal_segment_via_geodesic`` and
 ``level_chain_via_geodesic`` build the maximal segment and the per-level
@@ -151,6 +152,11 @@ geonorm.norms' (rows in insertion order, divided by their gcd at every
 step), that geonorm.linalg._extend_echelon replaced with one.
 ``detect_non_psh_all_triples`` mixes every triple of a path's samples,
 where geonorm.segments mixes the consecutive ones.
+``rooftop_by_prune`` is the rooftop route that geonorm.toric replaced: it
+prunes the envelope's pieces by a second conjugate and integrates that
+profile with ``plconvex.integrate_profile``, where geonorm.toric keeps
+the pieces as they are and integrates the cells that the envelope's own
+vertex enumeration found.
 """
 
 from __future__ import annotations
@@ -163,7 +169,7 @@ from itertools import combinations, combinations_with_replacement, product
 from math import comb, gcd, lcm, prod
 from operator import mul, sub
 
-from geonorm import linalg
+from geonorm import linalg, plconvex
 from geonorm.field import INF, TADIC, RatFunc, format_fraction
 from geonorm.graded import GradedError, GradedNorm, _degree_one_table
 from geonorm.norms import (
@@ -180,6 +186,7 @@ from geonorm.plconvex import (
     MaxAffine,
     PLError,
     _canon,
+    _envelope,
     _facets,
     _flat_facets,
     _hull_rows,
@@ -188,9 +195,11 @@ from geonorm.plconvex import (
     _mix_witness,
     _overlay as _overlay_integer,
     _overlay_taus,
+    _pruned,
     _rational,
     compare,
     conjugate,
+    moment_simplex,
     prune,
 )
 from geonorm.geodesics import geodesic
@@ -2979,9 +2988,27 @@ def profile_key(q):
     """A profile's data with no order: n, the denominator, the sorted
     vertex rows and the sorted (sorted cell vertices, plane) pairs.
 
-    Two routes to one P^3 profile may list its cells, and the vertices of a
-    cell, in other orders; ``ConcaveProfile.__eq__`` reads those orders.
+    Two routes to one P^2 or P^3 profile may list its cells, and the
+    vertices of a cell, in other orders.  ``ConcaveProfile.__eq__`` reads
+    no order either, from sorted planes and cells kept apart, where this
+    key pairs each cell with its plane.
     """
     return (q.n, q._den, tuple(sorted(q._verts)),
             tuple(sorted((tuple(sorted(cell)), plane)
                          for cell, plane in zip(q._cells, q._planes))))
+
+
+# ---------------------------------------------------------------------------
+# The rooftop pruned by a second conjugate: the route that geonorm.toric
+# replaced with the cells of the envelope's vertex enumeration.
+# ---------------------------------------------------------------------------
+
+
+def rooftop_by_prune(n, m, q0, q1):
+    """``(P, q, I)``: the rooftop potential of two metrics on O(m) over
+    P^n with profiles q0 and q1, pruned by conjugating the envelope's
+    pieces, the profile q of that conjugate, and the integral I of q over
+    its domain, which d1's envelope route reads as vol(m Delta) E(P) (0 on
+    a domain of lower dimension, a point of the line)."""
+    pot, q = _pruned(_envelope([q0, q1], moment_simplex(n, m))[0])
+    return pot, q, plconvex.integrate_profile(q) if q.cells else 0

@@ -86,14 +86,6 @@ _REORDERED_P2 = tuple(
                     (-2, F(-1, 2), -2, -2, 1, 1)))
 
 
-def _same_profile(q, want):
-    """On P^1 the two routes give equal profiles; from P^2 on they may list
-    the cells, and the vertices of a cell, in other orders."""
-    if q.n == 1:
-        return q._key() == want._key()
-    return oracles.profile_key(q) == oracles.profile_key(want)
-
-
 @settings(max_examples=120)
 @given(_pairs(), _TIMES)
 @example(_TOUCHING_P1, F(1, 3))
@@ -116,7 +108,24 @@ def test_slice_matches_the_rooftop_family(pair, t) -> None:
     assert (got.potential._den, got.potential._rows) == (
         want.potential._den, want.potential._rows)
     q = SegmentPair(phi0, phi1)._slice(t)[1]
-    assert _same_profile(q, q_want)
+    assert q == q_want
+    assert oracles.profile_key(q) == oracles.profile_key(q_want)
+    if q.n == 1:
+        # on the line both routes list the cells in one order too
+        assert (q._verts, q._cells, q._planes) == (
+            q_want._verts, q_want._cells, q_want._planes)
+
+
+def test_profiles_listing_their_cells_in_other_orders_are_equal() -> None:
+    # the two routes to the slice at t = 1/3 list the cells of one profile
+    # in other orders; == and hash read no order
+    phi0, phi1 = _REORDERED_P2
+    t = F(1, 3)
+    q = SegmentPair(phi0, phi1)._slice(t)[1]
+    want = oracles.legendre_via_rooftops(phi0, phi1, t)[1]
+    assert q._cells != want._cells
+    assert q == want and hash(q) == hash(want)
+    assert q != want.shifted(1)
 
 
 def test_slice_prunes_once_per_distinct_t(monkeypatch) -> None:

@@ -27,7 +27,8 @@ from geonorm.toric import (
     sup_graded,
     supnorm,
 )
-from geonorm.graded import check_submultiplicative
+from geonorm.graded import GradedError, check_submultiplicative
+from geonorm.segments import diagnostics, maximal_segment, quantized_level
 
 F = Fraction
 
@@ -369,10 +370,13 @@ def test_d1_rooftop_pair() -> None:
     assert d1_metric(phi0, phi1, kmax=4).limit == F(1, 2)
 
 
-@pytest.mark.parametrize("route", ["_overlay_integral", "_energy"])
+@pytest.mark.parametrize("route",
+                         ["_overlay_integral", "_homogeneous_integral"])
 def test_d1_raises_when_its_routes_disagree(monkeypatch, route) -> None:
+    # the overlay's integral of |q0 - q1|, and E(P) integrated on the
+    # rooftop's cells; a constant offset would cancel in
+    # E(phi0) + E(phi1) - 2 E(P)
     real = getattr(toric, route)
-    # a constant offset would cancel in E(phi0) + E(phi1) - 2 E(P)
     monkeypatch.setattr(toric, route, lambda *a: 2 * real(*a))
     phi0, phi1 = _fs_p1((0, -2)).shifted(1), reference(1, 1)
     with pytest.raises(ToricError, match="d1 routes disagree"):
@@ -466,6 +470,31 @@ def test_tables_need_a_positive_kmax(fn, kmax, monkeypatch) -> None:
     for phi1 in (_fs_p1((0, -2)), reference(1, 2)):
         with pytest.raises(ToricError, match="kmax must be at least 1"):
             fn(reference(1, 1), phi1, kmax=kmax)
+
+
+@pytest.mark.parametrize("kmax", [F(5, 2), 2.5, True, 0])
+def test_kmax_is_an_int_of_at_least_one_before_any_conjugate(
+        kmax, monkeypatch) -> None:
+    # the tables, the level and its chains refuse it with ToricError and
+    # the graded sup-norms with GradedError, each before any conjugate:
+    # range() would take True for 1 and a level chain 5/2 as (1, 2)
+    def refuse(f):
+        raise AssertionError("conjugated before kmax was checked")
+
+    monkeypatch.setattr(plconvex, "conjugate", refuse)
+    monkeypatch.setattr(toric, "conjugate", refuse)
+    phi0, phi1 = _fs_p1((0, -2)), reference(1, 1)
+    why = "at least 1" if type(kmax) is int else "an int"
+    for name, call in (
+            ("kmax", lambda: energy(phi0, phi1, kmax=kmax)),
+            ("kmax", lambda: d1_metric(phi0, phi1, kmax=kmax)),
+            ("kmax", lambda: maximal_segment(phi0, phi1, F(1, 2), kmax=kmax)),
+            ("kmax", lambda: diagnostics(phi0, phi1, kmax=kmax)),
+            ("level k", lambda: quantized_level(phi0, phi1, kmax))):
+        with pytest.raises(ToricError, match=f"^{name} must be {why}, got "):
+            call()
+    with pytest.raises(GradedError, match=f"^kmax must be {why}, got "):
+        sup_graded(phi0, kmax)
 
 
 # -- one profile per endpoint and call ----------------------------------------------
