@@ -157,7 +157,8 @@ def _pair(task, cfg, pairs, kind):
     ``segments.SegmentPair``; it lives for one command, so every task on a
     pair reads one record: one kernel run per pair of norms, and per pair of
     metrics one conjugation of each metric, one overlay, one Legendre slice
-    per t, one weight table per level and one diagnostics report per chain
+    per t, one weight table per level read (the P^1 tables read none, a
+    maximal segment its top level) and one diagnostics report per chain
     of levels, which the ``diagnostics`` task and ``verify theoremB``
     share.
     """

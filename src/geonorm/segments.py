@@ -9,8 +9,11 @@ weights: a level segment is the weight interpolation of the two sup-norms,
 read as integers off the two profiles (``toric.MetricPair._weights``),
 and no norm is built.  The route through ``DiagNorm`` and ``geodesic``
 is kept as the test oracle.  The maximal segment is the pointwise max
-over a divisibility chain of levels.  The Legendre segment, the sup over tau of
-the rooftops P(phi0, phi1 - tau) + t tau, has the profile
+over the divisibility chain 1, 2, 4, ..., K of levels, which is the
+level-K segment alone: level k's pieces (a / k, (1 - t) q0(a / k)
++ t q1(a / k)) come back at level 2k as the pieces at 2a.  So its top
+level is built and pruned, and no other.  The Legendre segment, the sup
+over tau of the rooftops P(phi0, phi1 - tau) + t tau, has the profile
 (1 - t) q0 + t q1 in closed form: at each point the sup is attained at
 tau = q1 - q0.  That mix is affine on each cell of the integer overlay of
 q0 and q1, so the slice at t is the max of one piece per overlay vertex,
@@ -22,14 +25,14 @@ The functions of a metric pair read one record of the pair
 (``SegmentPair``, a ``toric.MetricPair``), filled on first use, so each
 input metric is conjugated once: the weight table of each level (one
 read of the sup-norm weights of both metrics, which the level segment
-and the energy and d1 tables share), the overlay of the two profiles
-(whose vertices give the critical shifts and the pieces of every Legendre
-slice) and the endpoint comparisons read the same two profiles.  The
-record also holds the Legendre slice at each t, the level segment at
-each k and the diagnostics report at each chain of levels.  A public
-function builds a throwaway record; ``geonorm run`` keeps one per pair of
-metric names, so its tasks on one pair build each of these once.  A
-metric built by pruning (a Legendre slice, a max over levels) comes
+and, above P^1, the energy and d1 tables share), the overlay of the two
+profiles (whose vertices give the critical shifts and the pieces of
+every Legendre slice) and the endpoint comparisons read the same two
+profiles.  The record also holds the Legendre slice at each t, the level
+segment at each k and the diagnostics report at each chain of levels.  A
+public function builds a throwaway record; ``geonorm run`` keeps one per
+pair of metric names, so its tasks on one pair build each of these once.  A
+metric built by pruning (a Legendre slice, a maximal segment) comes
 with the profile pruning computed, and is not conjugated again.  An
 ``FSSegment`` holds its weights as integer numerators over one
 denominator and evaluates on them; its ``Fraction`` weights are views.
@@ -202,14 +205,9 @@ def quantization_levels(kmax: int):
     return tuple(levels)
 
 
-def _max_over_levels(n: int, m: int, segs, t):
-    """``(phi, q)``: the pointwise max at time t of the level segments of a
-    chain, and its profile."""
-    return _pointwise_max(n, m, [seg.eval(t).potential for seg in segs])
-
-
 def maximal_segment(phi0: ToricMetric, phi1: ToricMetric, t, kmax: int = 8) -> ToricMetric:
-    """Pointwise max of quantized segments along the level chain."""
+    """Pointwise max of quantized segments along the level chain: the
+    segment of its top level, which holds every lower level's pieces."""
     return SegmentPair(phi0, phi1).maximal(t, kmax)
 
 
@@ -327,7 +325,8 @@ def diagnostics(phi0: ToricMetric, phi1: ToricMetric, kmax: int = 8, ts=_TS):
     Covers per-level d1 geodesicity of the sup-norm geodesics, affineness
     of the energy along the Legendre segment (against the reference
     metric, E(phi_t) - E(ref) with the reference integrated once), and
-    endpoint recovery gaps of the quantized maximal segment.
+    endpoint recovery gaps of the quantized maximal segment.  Each time
+    is checked to lie in [0, 1] before anything is built.
     """
     return SegmentPair(phi0, phi1).diagnostics(kmax, ts)
 
@@ -337,17 +336,17 @@ class SegmentPair(MetricPair):
 
     Besides the profiles, energies, weight tables, overlay and rooftop of
     the pair, the record holds, each filled on first use: the level-k
-    segment at each k, built from the pair's weight table at k (and shared
-    by the maximal segments of every kmax and the diagnostics),
-    the Legendre slice at each t with its profile, interpolated on the
-    pair's overlay (the one ``d1`` and ``d_infinity`` read) and pruned
-    once, and the diagnostics report at each chain of levels and set of
-    times.  The public functions of this module build a throwaway record;
-    ``geonorm run`` and ``segments verify`` keep one per ordered pair of
-    metric names, so a report serves the ``diagnostics`` task and ``verify
-    theoremB`` alike.  A metric built by pruning (a slice, a max over
-    levels) comes with the profile pruning computed, so no derived metric
-    is conjugated again.
+    segment at each k, built from the pair's weight table at k (a maximal
+    segment reads the top level of its chain, the diagnostics every
+    level), the Legendre slice at each t with its profile, interpolated
+    on the pair's overlay (the one ``d1`` and ``d_infinity`` read) and
+    pruned once, and the diagnostics report at each chain of levels and
+    set of times.  The public functions of this module build a throwaway
+    record; ``geonorm run`` and ``segments verify`` keep one per ordered
+    pair of metric names, so a report serves the ``diagnostics`` task and
+    ``verify theoremB`` alike.  A metric built by pruning (a slice, a
+    maximal segment) comes with the profile pruning computed, so no
+    derived metric is conjugated again.
     """
 
     __slots__ = ("_levels", "_slices", "_reports")
@@ -392,8 +391,13 @@ class SegmentPair(MetricPair):
         _require_same_bundle(self.phi0, self.phi1)
         self._full_profiles()
         t = _segment_time(t)  # before any level is built
-        segs = [self._level(k) for k in levels]
-        return _max_over_levels(self.phi0.n, self.phi0.m, segs, t)[0]
+        return self._maximal(levels, t)[0]
+
+    def _maximal(self, levels, t):
+        """``(phi, q)``: the max at time t of the level segments of a chain,
+        the top level's segment pruned, and its profile."""
+        pot, q = _pruned(self._level(levels[-1]).eval(t).potential)
+        return ToricMetric(self.phi0.n, self.phi0.m, pot, "limit"), q
 
     def critical_taus(self):
         """``tau_critical_set(phi0, phi1)`` of the pair."""
@@ -412,7 +416,7 @@ class SegmentPair(MetricPair):
         The report depends on kmax only through its chain of levels, so it
         is built once per chain and times, and the same dict is returned.
         """
-        ts = tuple(Fraction(t) for t in ts)
+        ts = tuple(map(_segment_time, ts))  # before anything is built
         _require_kmax(kmax)
         key = (quantization_levels(kmax), ts)
         if key not in self._reports:
@@ -433,10 +437,9 @@ class SegmentPair(MetricPair):
         # the times as S / T, so that the weights at s are integers over T den
         T = lcm(*(s.denominator for s in ts))
         S = [s.numerator * (T // s.denominator) for s in ts]
-        segs, per_level = [], []
+        per_level = []
         for k in levels:
             seg = self._level(k)
-            segs.append(seg)
             # d1 of the two sup-norms: the mean |w0 - w1|, here over den
             d_sum = sum(abs(x - y) for x, y in zip(seg._b0, seg._b1))
             d_ends = Fraction(d_sum, len(seg._b0) * seg._den)
@@ -453,7 +456,7 @@ class SegmentPair(MetricPair):
 
         energy_at = {}
         for t in dict.fromkeys((Fraction(0), Fraction(1)) + ts):
-            got, q = self._slice(_segment_time(t))
+            got, q = self._slice(t)
             _require_pair(got, ref)
             energy_at[t] = _energy(got, q) - e_ref
         e0, e1 = energy_at[0], energy_at[1]
@@ -465,7 +468,7 @@ class SegmentPair(MetricPair):
 
         gaps = {}
         for label, t, phi, q in (("start", 0, phi0, q0), ("end", 1, phi1, q1)):
-            got, qg = _max_over_levels(phi0.n, phi0.m, segs, t)
+            got, qg = self._maximal(levels, t)
             rel = _compare(got.potential, phi.potential, qg, q).relation
             gaps[label] = {"recovered": rel == "eq", "relation": rel}
         report["endpoint_recovery"] = gaps

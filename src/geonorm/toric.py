@@ -42,12 +42,14 @@ integer weight numerators (``_fs_metric``), and the gradient checks of
 profile's integer planes: k q(a/k) is the min over the planes (W, B) / D
 of (<W, a> + k B) / D (``ConcaveProfile.lattice_values``).  A pair's
 weight table at k (``MetricPair._weights``) holds both metrics' weights
-as integers B0, B1 over the lcm of the profiles' denominators: energies
-sum B0 - B1, d1 sums |B0 - B1|, and the level segments of
-``geonorm.segments`` join B0 and B1.  E(phi) integrates the profile's
-integers (``plconvex.integrate_profile``).  Graded norms read one
-metric's weights (``_supweights``); only ``supnorm`` wraps them in a
-standard-basis norm, which costs O(d).
+as integers B0, B1 over the lcm of the profiles' denominators: the level
+segments of ``geonorm.segments`` join B0 and B1, and on P^n, n >= 2,
+energies sum B0 - B1 and d1 sums |B0 - B1|.  On P^1 those sums read no
+weight: each level sums in closed form over the integer ranges of the
+merged cells of q0 and q1 (``_line_cells``, ``_line_sum``).  E(phi)
+integrates the profile's integers (``plconvex.integrate_profile``).
+Graded norms read one metric's weights (``_supweights``); only
+``supnorm`` wraps them in a standard-basis norm, which costs O(d).
 """
 
 from __future__ import annotations
@@ -330,6 +332,46 @@ def _energy(phi: ToricMetric, q: ConcaveProfile) -> Fraction:
     return integrate_profile(q) / moment_volume(phi.n, phi.m)
 
 
+def _line_cells(q0, q1, den):
+    """The cells of two full-support profiles on [0, m] merged, left to
+    right: ``(u, v, W, B)`` for each interval [u, v] / den on which
+    q0 - q1 = (W y + B) / den.  ``conjugate`` lists a P^1 profile's cells
+    left to right, each as its (left, right) ends."""
+    rows = []
+    for q in (q0, q1):
+        s = den // q._den
+        rows.append([(cell[1][0] * s, w * s, c * s)
+                     for cell, (w, c) in zip(q._cells, q._planes)])
+    a, b = rows
+    out, u, i, j = [], 0, 0, 0
+    while i < len(a):   # both run out at m den
+        v = min(a[i][0], b[j][0])
+        out.append((u, v, a[i][1] - b[j][1], a[i][2] - b[j][2]))
+        u = v
+        i += a[i][0] == v
+        j += b[j][0] == v
+    return out
+
+
+def _line_sum(cells, end, den, k, term):
+    """The sum over a = 0, ..., k m of term(W a + k B), (W, B) the row of
+    ``_line_cells`` whose interval holds a / k, with end = m den.
+
+    Each interval takes its integers in [k u / den, k v / den), the last
+    one closed at k m, and splits them at the floor of the zero crossing,
+    so that the difference keeps one sign on each part; each part sums
+    in closed form, W (lo + ... + hi) + k B (hi - lo + 1).
+    """
+    total = 0
+    for u, v, w, b in cells:
+        lo, hi, c = -(-k * u // den), -(-k * v // den) - (v < end), k * b
+        x = min(max(-c // w, lo - 1), hi) if w else hi
+        for lo, hi in ((lo, x), (x + 1, hi)):
+            total += term(w * ((lo + hi) * (hi - lo + 1) // 2)
+                          + c * (hi - lo + 1))
+    return total
+
+
 def d1_metric(phi0: ToricMetric, phi1: ToricMetric, kmax: int = 8) -> ConvergenceResult:
     """d1 distance: per-k normalized norm distances and the integral limit.
 
@@ -354,8 +396,9 @@ class MetricPair:
 
     The record is filled on first use, and every entry is computed once:
     the profiles q0 and q1, the energies E(phi0) and E(phi1), the weight
-    table at each k (``_weights``, which the energy and d1 tables and the
-    level segments read), the overlay of q0 and q1 (which ``d1``
+    table at each k (``_weights``, which the level segments read, and on
+    P^n, n >= 2, the energy and d1 tables; on P^1 those sum the merged
+    cells of q0 and q1 instead), the overlay of q0 and q1 (which ``d1``
     integrates, ``d_infinity`` reads the sup of, and ``SegmentPair``
     reads its critical shifts and its Legendre slices off, interpolating
     (1 - t) q0 + t q1 at the overlay's vertices) and the rooftop
@@ -422,7 +465,8 @@ class MetricPair:
     def _weights(self, k: int):
         """``(D, B0, B1)``: the degree-k sup-norm weights of both metrics,
         in ``ring.basis(k)`` order, as integer numerators over D, the lcm
-        of the profiles' denominators; read off q0 and q1 once per k."""
+        of the profiles' denominators; read off q0 and q1 once per k, for
+        the level segments and the tables above P^1."""
         if k not in self._w:
             basis = section_ring(self.phi0.n, self.phi0.m).basis(k)
             qs = self.q0, self.q1
@@ -436,17 +480,22 @@ class MetricPair:
         """((k, (k h0(k))^-1 sum_a term(beta0_a - beta1_a)), ...) for k <= kmax.
 
         The beta are the degree-k sup-norm weights B0 / D and B1 / D of
-        the two metrics (``_weights``); each sum runs over B0 - B1, and
+        the two metrics, D the lcm of the profiles' denominators, and
         ``term`` (the identity or ``abs``) commutes with the positive
-        factor 1 / D.
+        factor 1 / D.  On P^1 each level sums the merged cells of q0 and
+        q1 (``_line_sum``); above, B0 - B1 point by point (``_weights``).
         """
-        h0 = section_ring(self.phi0.n, self.phi0.m).h0
-        per_k = []
-        for k in range(1, kmax + 1):
-            den, b0, b1 = self._weights(k)
-            total = sum(term(x - y) for x, y in zip(b0, b1))
-            per_k.append((k, Fraction(total, k * h0(k) * den)))
-        return tuple(per_k)
+        n, m = self.phi0.n, self.phi0.m
+        den = lcm(self.q0._den, self.q1._den)
+        if n == 1:
+            cells = _line_cells(self.q0, self.q1, den)
+            level = lambda k: _line_sum(cells, m * den, den, k, term)
+        else:
+            level = lambda k: sum(term(x - y)
+                                  for x, y in zip(*self._weights(k)[1:]))
+        h0 = section_ring(n, m).h0
+        return tuple((k, Fraction(level(k), k * h0(k) * den))
+                     for k in range(1, kmax + 1))
 
     def energy(self, kmax: int = 8) -> ConvergenceResult:
         """``energy(phi0, phi1, kmax)`` of the pair."""

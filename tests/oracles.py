@@ -157,6 +157,12 @@ prunes the envelope's pieces by a second conjugate and integrates that
 profile with ``plconvex.integrate_profile``, where geonorm.toric keeps
 the pieces as they are and integrates the cells that the envelope's own
 vertex enumeration found.
+``per_degree_by_points`` is the per-level energy and d1 sum that reads
+every lattice point's weights off the pair's weight table, where
+geonorm.toric sums each level on P^1 in closed form over the merged
+cells of the two profiles.  ``maximal_over_chain`` is the maximal segment
+as the pruned max of every level segment of the chain, where
+geonorm.segments prunes the top level's segment alone.
 """
 
 from __future__ import annotations
@@ -205,6 +211,7 @@ from geonorm.plconvex import (
 from geonorm.geodesics import geodesic
 from geonorm.segments import (
     _legendre_recover,
+    _pointwise_max,
     fs_segment,
     quantization_levels,
     tau_critical_set,
@@ -546,6 +553,34 @@ def level_chain_via_geodesic(phi0, phi1, kmax, ts):
         rel = compare(_max_at(phi0, segs, t).potential, phi.potential).relation
         recovery[label] = {"recovered": rel == "eq", "relation": rel}
     return per_level, recovery
+
+
+def maximal_over_chain(pair, t, kmax):
+    """``(phi, q)``: the pointwise max at t of the level segments of every
+    level of the chain up to kmax, pruned, and its profile, as
+    geonorm.segments built the maximal segment of a ``SegmentPair``."""
+    segs = [pair._level(k) for k in quantization_levels(kmax)]
+    return _pointwise_max(pair.phi0.n, pair.phi0.m,
+                          [seg.eval(Fraction(t)).potential for seg in segs])
+
+
+# ---------------------------------------------------------------------------
+# Per-level energy and d1 sums over every lattice point: the path that
+# geonorm.toric replaced on P^1 with closed-form sums over merged cells.
+# ---------------------------------------------------------------------------
+
+
+def per_degree_by_points(pair, kmax, term):
+    """((k, (k h0(k))^-1 sum_a term(beta0_a - beta1_a)), ...) for k <= kmax,
+    read point by point off the weight table of a ``MetricPair`` as
+    ``MetricPair._per_degree`` read it on every n."""
+    h0 = section_ring(pair.phi0.n, pair.phi0.m).h0
+    per_k = []
+    for k in range(1, kmax + 1):
+        den, b0, b1 = pair._weights(k)
+        total = sum(term(x - y) for x, y in zip(b0, b1))
+        per_k.append((k, Fraction(total, k * h0(k) * den)))
+    return tuple(per_k)
 
 
 # ---------------------------------------------------------------------------

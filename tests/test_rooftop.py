@@ -10,9 +10,11 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from geonorm import plconvex, toric
 from geonorm.plconvex import EnvelopeError, MaxAffine, integrate_profile
+from geonorm.segments import maximal_segment
 from geonorm.toric import (
     ToricMetric,
     d1_metric,
+    energy,
     envelope_P,
     fs_from_norm,
     moment_volume,
@@ -152,3 +154,35 @@ def test_rooftop_and_d1_run_each_kernel_once(n, conjugated,
     runs.clear()
     d1_metric(phi0, phi1, kmax=2)
     assert (len(conjugated), len(runs)) == (2, 1 + (n >= 2))
+
+
+def _counted(monkeypatch, owner, name):
+    """The arguments of every later call to the method ``owner.name``,
+    one tuple per call."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_level_sums_read_weights_only_above_the_line(monkeypatch) -> None:
+    # P^1 tables sum each level on the merged cells, with no lattice value
+    # read; P^2 tables read the weight table of every level; the maximal
+    # segment reads the top level of its chain only
+    read = _counted(monkeypatch, plconvex.ConcaveProfile,
+                    "_lattice_numerators")
+    phi0, phi1 = _BUDGET_PAIRS[1]
+    energy(phi0, phi1, kmax=8)
+    d1_metric(phi0, phi1, kmax=8)
+    assert read == []
+    weights = _counted(monkeypatch, toric.MetricPair, "_weights")
+    maximal_segment(phi0, phi1, F(1, 3), kmax=8)
+    assert weights == [(8,)]
+    weights.clear()
+    energy(*_QUADS, kmax=4)
+    assert weights == [(1,), (2,), (3,), (4,)]

@@ -100,8 +100,8 @@ def test_segment_time_validation() -> None:
 
 
 def test_segment_time_is_checked_before_anything_is_built(monkeypatch) -> None:
-    # maximal_segment builds no level and legendre_segment no slice for a
-    # t outside [0, 1]
+    # maximal_segment builds no level, legendre_segment no slice and
+    # diagnostics no profile for a t outside [0, 1]
     seg = _comparable_seg()
     phi0, phi1 = seg.start, seg.end
 
@@ -116,6 +116,12 @@ def test_segment_time_is_checked_before_anything_is_built(monkeypatch) -> None:
             with pytest.raises(ToricError, match=re.escape(
                     f"segment time {t} outside [0, 1]")):
                 run()
+    # diagnostics checks each of its times before it conjugates anything
+    monkeypatch.setattr(SegmentPair, "_profile", refuse)
+    for ts, bad in (((F(1, 2), 2), 2), ((F(-1, 3), F(1, 2)), F(-1, 3))):
+        with pytest.raises(ToricError, match=re.escape(
+                f"segment time {bad} outside [0, 1]")):
+            diagnostics(phi0, phi1, 4, ts=ts)
 
 
 def test_quantized_level_needs_a_positive_level() -> None:

@@ -4,8 +4,9 @@ S_{n+1} permutes the barycentric coordinates (m - sum(y), y_1, ..., y_n)
 of m Delta.  Each permutation is a unimodular affine map of Z^n onto
 itself that keeps m Delta, and it acts on a metric by moving the gradient
 of each piece and keeping its constant.  Both slices commute with that
-action, and the energy and d1 tables, their limits and the d_infinity
-limit are invariant under it.  A Legendre slice shifts with its ends:
+action, and the energy and d1 tables, their limits, the d_infinity
+limit and the relation of a comparison are invariant under it.  A
+Legendre slice shifts with its ends:
 legendre(phi0 + c0, phi1 + c1, t) = legendre(phi0, phi1, t)
 + (1 - t) c0 + t c1; the energy shifts with its first metric, d1 is
 blind to a common shift, and a metric lies at d1 and d_infinity distance
@@ -20,7 +21,13 @@ import pytest
 
 from geonorm.plconvex import MaxAffine
 from geonorm.segments import legendre_segment, maximal_segment
-from geonorm.toric import MetricPair, ToricMetric, fs_from_norm, section_ring
+from geonorm.toric import (
+    MetricPair,
+    ToricMetric,
+    compare_metrics,
+    fs_from_norm,
+    section_ring,
+)
 
 F = Fraction
 
@@ -72,20 +79,61 @@ def test_slices_commute_with_the_simplex_permutations(n, m, kmax) -> None:
                 _image(perm, maximal).to_json())
 
 
-def _tables(phi0, phi1):
-    """The energy and d1 tables to kmax 3 with their limits, and the
+def _tables(phi0, phi1, kmax=3):
+    """The energy and d1 tables to kmax with their limits, and the
     d_infinity limit, of one pair record."""
     pair = MetricPair(phi0, phi1)
-    return pair.energy(3), pair.d1(3), pair.d_infinity()
+    return pair.energy(kmax), pair.d1(kmax), pair.d_infinity()
 
 
 @pytest.mark.parametrize("n, m", [arena[:2] for arena in _ARENAS])
 def test_tables_are_invariant_under_the_simplex_permutations(n, m) -> None:
+    # on P^1 the one permutation is the reflection a -> k m - a, which
+    # swaps the open and the closed end of each half-open cell that the
+    # level sums count; those run to kmax 60
+    kmax = 60 if n == 1 else 3
     for i in range(3):
         _, (phi0, phi1) = _pair(n, m, i)
-        want = _tables(phi0, phi1)
+        want = _tables(phi0, phi1, kmax)
         for perm in _perms(n):
-            assert _tables(_image(perm, phi0), _image(perm, phi1)) == want
+            assert _tables(_image(perm, phi0), _image(perm, phi1),
+                           kmax) == want
+
+
+def _pulled(perm, m, v):
+    """A^T v, for the linear part A of the map g -> A g + b by which perm
+    moves gradients: the image of a metric at v is the metric at A^T v
+    plus <b, v>, so two images differ at v as the metrics at A^T v."""
+    n = len(v)
+
+    def move(g):
+        bary = (m - sum(g),) + tuple(g)
+        return tuple(bary[i] for i in perm)[1:]
+
+    origin = move((0,) * n)
+    return tuple(sum((x - o) * c for x, o, c in zip(
+        move(tuple(int(i == j) for i in range(n))), origin, v))
+        for j in range(n))
+
+
+@pytest.mark.parametrize("n, m", [arena[:2] for arena in _ARENAS])
+def test_comparisons_are_invariant_under_the_simplex_permutations(
+        n, m) -> None:
+    # the relation is kept, and each witness of the images, pulled back,
+    # is a witness of the metrics; the witness itself is no equivariant
+    # choice, so only its validity is checked
+    for i in range(3):
+        _, (phi0, phi1) = _pair(n, m, i)
+        want = compare_metrics(phi0, phi1)
+        for perm in _perms(n):
+            got = compare_metrics(_image(perm, phi0), _image(perm, phi1))
+            assert got.relation == want.relation
+            for w, sign in ((got.witness_first_gt, 1),
+                            (got.witness_second_gt, -1)):
+                if w is None:
+                    continue
+                x = _pulled(perm, m, w)
+                assert sign * (phi0.potential(x) - phi1.potential(x)) > 0
 
 
 # a shift over 3, so that a profile and its shift may have different
