@@ -14,10 +14,11 @@ rational polytopes.
 One hull routine, ``_facets``, serves every n: it gift-wraps the facets
 of integer points across ridges, each facet's ridges coming from its own
 points one dimension down, down to Andrew's monotone chain in the plane
-and the min and the max on the line.  Conjugation takes the upper facets
-of the lifted points, for every n; from n = 2 on it first takes every
-facet of the gradients, which gives their rank and the profile's domain
-rows.  Domain rows take every facet of the domain points.  One vertex
+and the min and the max on the line.  Conjugation on the line reads the
+upper chain of the sorted rows, whose ends give its domain rows; above,
+it takes the upper facets of the lifted points, after every facet of the
+gradients, which gives their rank and the profile's domain rows.  Other
+domain rows take every facet of the domain points.  One vertex
 routine, ``_vertices``, serves every n too: the double description
 method on homogeneous integer rows, which needs no interior point, gives
 the vertices of the hypograph of a min of planes on a cut region, with
@@ -813,13 +814,13 @@ class ConcaveProfile:
     hypograph vertices, ``_planes`` rows (W.., B) and ``_cells`` tuples
     of integer vertices, cell i lying on plane i; ``_hrep`` keeps
     ``_domain_hrep`` once it is computed, or from the start when
-    ``conjugate`` wrapped a full-rank domain.  ``vertices``, ``cells`` and
-    ``planes`` are ``Fraction`` views, rebuilt on every read.  ``==`` and
-    ``hash`` read no order: the order of the cells, and of the vertices of
-    a cell, depends on the route that built the profile, so they compare
-    the sorted vertex rows, the sorted planes and the sorted cells, each
-    with its vertices sorted (a cell's plane is the one through its
-    vertices, valued as the vertex rows say).
+    ``conjugate`` read a chain on the line or wrapped a full-rank domain.
+    ``vertices``, ``cells`` and ``planes`` are ``Fraction`` views, rebuilt
+    on every read.  ``==`` and ``hash`` read no order: the order of the
+    cells, and of the vertices of a cell, depends on the route that built
+    the profile, so they compare the sorted vertex rows, the sorted planes
+    and the sorted cells, each with its vertices sorted (a cell's plane is
+    the one through its vertices, valued as the vertex rows say).
     """
 
     __slots__ = ("n", "_den", "_verts", "_cells", "_planes", "_hrep")
@@ -936,11 +937,11 @@ def conjugate(f: MaxAffine) -> ConcaveProfile:
 
     The profile is the upper concave envelope of the lifted points
     ``(g_i, c_i)``; its domain is the convex hull of the gradients.
-    Redundant pieces land strictly below the envelope and disappear.  The
-    lifted rows are wrapped by ``_facets`` (upper facets only).  The rank
-    r of the gradients comes from their domain: on R^1 it is 1 from two
-    pieces on, and above it is n when the domain, wrapped once by
-    ``_facets`` with every facet, has no facet holding every gradient.
+    Redundant pieces land strictly below the envelope and disappear.  On
+    R^1 the profile is read off the upper chain (``_line_conjugate``).
+    Above, the lifted rows are wrapped by ``_facets`` (upper facets only),
+    and the rank r of the gradients is n when their domain, wrapped once
+    by ``_facets`` with every facet, has no facet holding every gradient.
     The upper wrap then reuses that domain, and the profile keeps its
     facets as its domain rows.  Only gradients spanning an affine
     subspace of rank r < n are echeloned (``_independent``), to be
@@ -953,7 +954,7 @@ def conjugate(f: MaxAffine) -> ConcaveProfile:
     """
     n, den, rows = f.n, f._den, f._rows
     if n == 1:
-        return _conjugate_wrap(1, den, rows, (0,) if len(rows) > 1 else ())
+        return _line_conjugate(den, rows)
     heads = [g[:-1] for g in rows]
     if len(rows) > n:
         dom = _facets(heads, 0)
@@ -962,6 +963,40 @@ def conjugate(f: MaxAffine) -> ConcaveProfile:
             return _conjugate_wrap(n, den, rows, range(n), dom)
     return _conjugate_wrap(n, den, rows,
                            _independent(heads, range(len(rows)), n)[1])
+
+
+def _line_conjugate(den, rows):
+    """``conjugate`` on R^1: Andrew's upper chain (IPL 9, 1979) of the
+    rows (G, C), sorted on distinct G, collinear points dropped.  Vertices
+    (G_L, C_L) and (G_U, C_U) next on it bound a cell on the plane
+    ((C_U - C_L) den s, (C_L G_U - C_U G_L) s) over den scale, s = scale /
+    (G_U - G_L) and scale the lcm of those widths; one piece gives the
+    plane (0, C).  Reduced as ``_conjugate_wrap`` reduces."""
+    chain = []
+    for G, C in rows:
+        while len(chain) > 1:
+            (g0, c0), (g1, c1) = chain[-2], chain[-1]
+            if (g1 - g0) * (C - c0) < (c1 - c0) * (G - g0):
+                break
+            chain.pop()
+        chain.append((G, C))
+    pairs = list(zip(chain, chain[1:]))
+    scale = lcm(*[gu - gl for (gl, _), (gu, _) in pairs])
+    planes = []
+    for (gl, cl), (gu, cu) in pairs:
+        s = scale // (gu - gl)
+        planes.append(((cu - cl) * den * s, (cl * gu - cu * gl) * s))
+    planes = planes or [(0, chain[0][1])]
+    g = gcd(den, *_flat(chain)) * scale
+    if g > 1:
+        g = gcd(g, *_flat(planes))
+        planes = [(w // g, b // g) for w, b in planes]
+    if g != scale:
+        chain = [(x * scale // g, z * scale // g) for x, z in chain]
+    prof = ConcaveProfile._lowest(1, den * scale // g, chain, [
+        ((lo,), (hi,)) for (lo, _), (hi, _) in zip(chain, chain[1:])], planes)
+    prof._hrep = [((-1,), -chain[0][0], 0), ((1,), chain[-1][0], 0)]
+    return prof
 
 
 def _conjugate_wrap(n, den, rows, piv, dom=None):
@@ -1055,8 +1090,8 @@ def domain_hrep(profile: ConcaveProfile):
 
 def _domain_hrep(profile: ConcaveProfile):
     """``_hull_rows`` of a profile's domain points, integers over its den,
-    computed once per profile (``conjugate`` fills them in when it
-    wrapped the domain)."""
+    computed once per profile (``conjugate`` fills them in on the line
+    and when it wrapped the domain)."""
     if profile._hrep is None:
         profile._hrep = _hull_rows([r[:-1] for r in profile._verts])
     return profile._hrep

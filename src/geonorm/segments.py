@@ -103,6 +103,7 @@ class FSSegment:
 
     @classmethod
     def build(cls, ring: SectionRing, k: int, w0, w1) -> "FSSegment":
+        _require_kmax(k, "level k")
         basis = ring.basis(k)
 
         def align(w):
@@ -294,6 +295,7 @@ def detect_non_psh(ring: SectionRing, k: int, samples):
     consecutive triples are convex, so only those are mixed.  Two samples
     at one t raise ``ToricError``: the samples are then no function of t.
     """
+    _require_kmax(k, "level k")
     metrics = [(t, fs_from_norm(ring, k, w)) for t, w in samples]
     metrics.sort(key=lambda tv: tv[0])
     for (t, _), (u, _) in zip(metrics, metrics[1:]):

@@ -172,6 +172,7 @@ def fs_from_norm(ring: SectionRing, k: int, source) -> ToricMetric:
     Weights may be a DiagNorm in the degree-k monomial basis or a mapping
     from lattice points; all h0(k) monomials must be present.
     """
+    _require_kmax(k, "level k")
     basis = ring.basis(k)
     if isinstance(source, DiagNorm):
         if source.dim != len(basis) or not source.is_standard_basis():
@@ -212,6 +213,7 @@ def supnorm(k: int, phi: ToricMetric) -> DiagNorm:
     The conjugate scales as (k u)*(a) = k u*(a/k), so one profile of the
     defining potential serves every degree.
     """
+    _require_kmax(k, "level k")
     return DiagNorm.standard(TRIVIAL, _supweights(k, phi, _full_profile(phi)))
 
 

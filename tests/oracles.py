@@ -66,6 +66,9 @@ pops with a zero turn; ``conjugate_echelon`` is the conjugate that ran an
 echelon over the gradients on every call for their rank and over each
 facet's points for its sort key, where the library reads the rank off
 the domain wrap and the key off the first indices of a facet.
+``conjugate_line_by_wrap`` is the P^1 conjugate through that wrap and
+its n-dimensional assembly, where the library reads the profile
+straight off the upper chain of the sorted rows.
 ``supnorm_weights_fraction`` reads sup-norm
 weights as ``k * q.value(a / k)`` in Fractions, where geonorm.toric reads
 them on one common denominator.  ``coordinate_values`` and
@@ -192,6 +195,7 @@ from geonorm.plconvex import (
     MaxAffine,
     PLError,
     _canon,
+    _conjugate_wrap,
     _envelope,
     _facets,
     _flat_facets,
@@ -1584,6 +1588,15 @@ def conjugate_echelon(f):
     return ConcaveProfile._lowest(
         n, den * scale // g, list(verts.values()), cells,
         [tuple([x // g for x in p]) for p in planes])
+
+
+def conjugate_line_by_wrap(f):
+    """``plconvex.conjugate`` on R^1 as it ran the general route: the
+    upper chain from ``_facets`` (at d = 2) or the max (for one piece),
+    assembled by ``_conjugate_wrap``.  Returns a library profile, with no
+    domain rows kept."""
+    return _conjugate_wrap(1, f._den, f._rows,
+                           (0,) if len(f._rows) > 1 else ())
 
 
 def _solve_fraction(rows):

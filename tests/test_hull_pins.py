@@ -306,16 +306,17 @@ def test_minkowski_slopes_give_the_former_witness_pins(monkeypatch) -> None:
 
 def test_kept_domain_rows_are_the_rows_of_the_domain_points() -> None:
     # a conjugate that wrapped a full-rank domain keeps its rows, scaled to
-    # the profile's denominator; every other profile computes them on use
+    # the profile's denominator, and one on the line the rows of its
+    # chain's ends; every other profile computes them on use
     kept = 0
     for f in FUNCTIONS + FUNCTIONS_P3:
         q = conjugate(f)
         if q._hrep is None:
-            assert f.n == 1 or not q._cells
+            assert f.n > 1 and not q._cells
             continue
         kept += 1
         assert q._hrep == plconvex._hull_rows([r[:-1] for r in q._verts])
-    assert kept == 41
+    assert kept == 61
 
 
 def test_echelon_runs_only_where_the_rank_or_key_needs_it(monkeypatch) -> None:

@@ -106,8 +106,65 @@ def _functions(draw):
 def test_conjugate_matches_the_echelon_route(f) -> None:
     q = conjugate(f)
     assert q == oracles.conjugate_echelon(f)
-    # the domain rows kept from the wrap are the rows of the domain points
-    if f.n > 1 and q._cells:
+    # the domain rows kept from the wrap, or from the chain's ends on the
+    # line, are the rows of the domain points
+    if f.n == 1 or q._cells:
         assert q._hrep == plconvex._hull_rows([r[:-1] for r in q._verts])
     else:
         assert q._hrep is None
+
+
+_SMALL, _BIG = st.integers(-6, 6), st.integers(-10 ** 6, 10 ** 6)
+
+
+@st.composite
+def _line_functions(draw):
+    """A max-affine function on R^1 from integer rows (G, C) over a den in
+    {1, 2, 3, 6, 7}, entries small or up to 10^6: free rows, free rows
+    with a collinear run of 3 to 6 (on the upper chain when the others
+    keep below its line), every offset tied to one line less 0 or 1, or
+    one or two pieces."""
+    ent = draw(st.sampled_from((_SMALL, _BIG)))
+    kind = draw(st.sampled_from(("free", "run", "tied", "one", "two")))
+    size = {"one": 1, "two": 2}.get(kind)
+    gs = draw(st.lists(ent, min_size=size or 2, max_size=size or 9,
+                       unique=True))
+    if kind == "tied":
+        a, b = draw(_SMALL), draw(ent)
+        rows = [(g, a * g + b - draw(st.sampled_from((0, 0, 1))))
+                for g in gs]
+    else:
+        rows = [(g, draw(ent)) for g in gs]
+    if kind == "run":
+        g0, c0 = draw(ent), draw(ent)
+        dg, dc = draw(st.integers(1, 3)), draw(_SMALL)
+        if draw(st.booleans()):
+            rows = [(g, c) for g, c in rows
+                    if dg * (c - c0) - dc * (g - g0) < 0]
+        rows += [(g0 + j * dg, c0 + j * dc)
+                 for j in range(draw(st.integers(3, 6)))]
+    return MaxAffine._from_ints(1, draw(st.sampled_from((1, 2, 3, 6, 7))),
+                                rows)
+
+
+@settings(max_examples=400)
+@given(_line_functions())
+@example(MaxAffine._from_ints(1, 6, [(0, 0), (1, 2), (2, 4), (3, 0)]))
+@example(MaxAffine._from_ints(1, 7, [(-4, 3)]))
+@example(MaxAffine._from_ints(1, 3, [(0, 6), (6, 0)]))
+def test_line_conjugate_matches_the_wrap_route(f) -> None:
+    # the upper chain read straight off the sorted rows: the wrap's rows
+    # over the same den, its domain rows from the chain's ends, and the
+    # Fraction views of an independent chain
+    q, want = conjugate(f), oracles.conjugate_line_by_wrap(f)
+    assert (q._den, q._verts, q._cells, q._planes) == (
+        want._den, want._verts, want._cells, want._planes)
+    assert q._hrep == plconvex._hull_rows([r[:-1] for r in q._verts])
+    if len(f._rows) == 1:
+        (g, c), = f.pieces
+        assert (q.vertices, q.cells, q.planes) == (
+            ((g, c),), (), (((F(0),), c),))
+        return
+    vertices, cells, planes = oracles.conjugate_1d_chain(f.pieces)
+    assert (q.vertices, q.planes) == (vertices, planes)
+    assert tuple((c.vertices, c.grad, c.offset) for c in q.cells) == cells

@@ -10,9 +10,15 @@ from hypothesis import example, given, settings, strategies as st
 import oracles
 from geonorm import plconvex, toric
 from geonorm.plconvex import EnvelopeError, MaxAffine, integrate_profile
-from geonorm.segments import maximal_segment
+from geonorm.segments import (
+    fs_segment,
+    legendre_segment,
+    maximal_segment,
+    segment_from_dual,
+)
 from geonorm.toric import (
     ToricMetric,
+    compare_metrics,
     d1_metric,
     energy,
     envelope_P,
@@ -154,6 +160,30 @@ def test_rooftop_and_d1_run_each_kernel_once(n, conjugated,
     runs.clear()
     d1_metric(phi0, phi1, kmax=2)
     assert (len(conjugated), len(runs)) == (2, 1 + (n >= 2))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_line_ops_enter_no_hull_wrap(n, monkeypatch) -> None:
+    # P^1 profiles come straight off the upper chain with their domain
+    # rows, so no toric op on the line wraps a hull or assembles facets;
+    # on P^2 every one of them still does, so the zeros are not vacuous
+    calls = []
+    for name in ("_facets", "_conjugate_wrap"):
+        real = getattr(plconvex, name)
+        monkeypatch.setattr(plconvex, name, lambda *args, _real=real: (
+            calls.append(1) or _real(*args)))
+    phi0, phi1 = _BUDGET_PAIRS[n]
+    seg = fs_segment(section_ring(n, 1), 3 - n, [0, -1, 1], [1, 0, -2])
+    t = F(1, 3)
+    for op in (lambda: energy(phi0, phi1, kmax=2),
+               lambda: d1_metric(phi0, phi1, kmax=2),
+               lambda: maximal_segment(phi0, phi1, t, kmax=2),
+               lambda: legendre_segment(phi0, phi1, t),
+               lambda: compare_metrics(phi0, phi1),
+               lambda: segment_from_dual(seg, t)):
+        calls.clear()
+        op()
+        assert bool(calls) == (n > 1)
 
 
 def _counted(monkeypatch, owner, name):

@@ -11,15 +11,27 @@ legendre(phi0 + c0, phi1 + c1, t) = legendre(phi0, phi1, t)
 + (1 - t) c0 + t c1; the energy shifts with its first metric, d1 is
 blind to a common shift, and a metric lies at d1 and d_infinity distance
 |c| from its shift by c, at every level.
+
+Below the toric layer, ``conjugate`` commutes with every unimodular
+affine map T(y) = A y + b of the gradients: the function whose pieces
+(g, c) move to (T g, c) has the profile q o T^-1, and the same integral.
 """
 
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from geonorm.plconvex import MaxAffine
+import oracles
+from geonorm.plconvex import (
+    ConcaveProfile,
+    MaxAffine,
+    conjugate,
+    integrate_profile,
+)
 from geonorm.segments import legendre_segment, maximal_segment
 from geonorm.toric import (
     MetricPair,
@@ -167,3 +179,102 @@ def test_legendre_slices_shift_with_their_ends(n, m) -> None:
             want = legendre_segment(phi0, phi1, t).shifted(
                 (1 - t) * c0 + t * c1)
             assert got.to_json() == want.to_json()
+
+
+# -- GL_n(Z) maps at the kernel level -----------------------------------------
+
+
+def _affine(A, b, y):
+    return tuple(sum(a * x for a, x in zip(row, y)) + c
+                 for row, c in zip(A, b))
+
+
+def _inverse(A):
+    """The inverse of a unimodular integer matrix of size 1 or 2."""
+    if len(A) == 1:
+        return A
+    (a, b), (c, d) = A
+    det = a * d - b * c
+    return ((d * det, -b * det), (-c * det, a * det))
+
+
+def _moved_profile(q, A, b):
+    """q o T^-1 for T(y) = A y + b, from q's Fraction views: vertices and
+    cells move by T, and a plane (w, beta) becomes (A^-T w, beta -
+    <A^-T w, b>); put on integers over their common denominator."""
+    inv = _inverse(A)
+    planes = []
+    for w, beta in q.planes:
+        u = tuple(sum(inv[i][j] * w[i] for i in range(q.n))
+                  for j in range(q.n))
+        planes.append(u + (beta - sum(x * y for x, y in zip(u, b)),))
+    verts = [_affine(A, b, y) + (z,) for y, z in q.vertices]
+    cells = [tuple(_affine(A, b, p) for p in c.vertices) for c in q.cells]
+    den = lcm(*(x.denominator for r in verts + planes for x in r))
+
+    def ints(r):
+        return tuple(int(x * den) for x in r)
+
+    return ConcaveProfile(q.n, den, list(map(ints, verts)),
+                          [tuple(map(ints, c)) for c in cells],
+                          list(map(ints, planes)))
+
+
+def _check_equivariant(n, pieces, A, b):
+    q = conjugate(MaxAffine(n, pieces))
+    got = conjugate(MaxAffine(n, [(_affine(A, b, g), c) for g, c in pieces]))
+    want = _moved_profile(q, A, b)
+    if q._cells:
+        assert oracles.profile_key(got) == oracles.profile_key(want)
+        assert integrate_profile(got) == integrate_profile(q)
+    else:
+        # the planes of a lower-dimensional domain are one choice of many
+        # (and with them the denominator): only the vertices are the data
+        assert sorted(got.vertices) == sorted(want.vertices)
+
+
+_SMALL = st.integers(-4, 4)
+_SHIFT = st.builds(F, st.integers(-6, 6), st.sampled_from((1, 2, 3)))
+
+
+@st.composite
+def _pieces(draw, n):
+    """Pieces on R^n (n = 1, 2) with small gradients over 1, 2 or 3, on a
+    grid or, on R^2, on one line, and offsets free or on one affine
+    function less 0 or 1, so collinear runs and ties come often."""
+    den = draw(st.sampled_from((1, 2, 3)))
+    if n == 2 and draw(st.booleans()):
+        step = draw(st.tuples(_SMALL, _SMALL).filter(any))
+        grads = {(j * step[0], j * step[1])
+                 for j in draw(st.lists(_SMALL, min_size=1, max_size=5))}
+    else:
+        grads = set(draw(st.lists(st.tuples(*[_SMALL] * n), min_size=1,
+                                  max_size=8)))
+    w, w0 = draw(st.tuples(*[_SMALL] * n)), draw(_SMALL)
+    tied = draw(st.booleans())
+    pieces = []
+    for g in sorted(grads):
+        g = tuple(F(x, den) for x in g)
+        c = (sum(x * y for x, y in zip(w, g)) + w0
+             - draw(st.sampled_from((0, 0, 1))) if tied
+             else F(draw(_SMALL), den))
+        pieces.append((g, c))
+    return pieces
+
+
+@settings(max_examples=150)
+@given(_pieces(1), _SHIFT, st.booleans())
+def test_line_conjugate_commutes_with_reflections_and_translations(
+        pieces, s, reflect) -> None:
+    # y -> s - y reverses the direction of the upper chain, so a tie rule
+    # that read that direction would show
+    _check_equivariant(1, pieces, ((-1,),) if reflect else ((1,),), (s,))
+
+
+@settings(max_examples=100)
+@given(_pieces(2), st.sampled_from((((1, 1), (0, 1)), ((0, 1), (1, 0)))),
+       st.tuples(_SHIFT, _SHIFT))
+def test_plane_conjugate_commutes_with_elementary_unimodular_maps(
+        pieces, A, b) -> None:
+    # a shear and a swap of coordinates, with a translation
+    _check_equivariant(2, pieces, A, b)

@@ -28,7 +28,13 @@ from geonorm.toric import (
     supnorm,
 )
 from geonorm.graded import GradedError, check_submultiplicative
-from geonorm.segments import diagnostics, maximal_segment, quantized_level
+from geonorm.segments import (
+    detect_non_psh,
+    diagnostics,
+    fs_segment,
+    maximal_segment,
+    quantized_level,
+)
 
 F = Fraction
 
@@ -495,6 +501,52 @@ def test_kmax_is_an_int_of_at_least_one_before_any_conjugate(
             call()
     with pytest.raises(GradedError, match=f"^kmax must be {why}, got "):
         sup_graded(phi0, kmax)
+
+
+# a level is an int >= 1: 0 gave a potential over den 0, True passed for
+# level 1 and 2.0 raised a bare TypeError from ``ring.basis``
+_BAD_LEVELS = (0, -1, True, 2.0, F(5, 2))
+
+
+def _why(k):
+    return "at least 1" if type(k) is int else "an int"
+
+
+@pytest.mark.parametrize("k", _BAD_LEVELS)
+def test_fs_from_norm_needs_a_level_of_at_least_one(k) -> None:
+    ring = section_ring(1, 1)
+    norm = supnorm(1, reference(1, 1))
+    for source in ({(0,): 0}, {(0,): 0, (1,): 0}, norm):
+        with pytest.raises(ToricError, match=f"^level k must be {_why(k)}"):
+            fs_from_norm(ring, k, source)
+
+
+@pytest.mark.parametrize("k", _BAD_LEVELS)
+def test_supnorm_needs_a_level_of_at_least_one(k, monkeypatch) -> None:
+    # refused before any weight is read off the profile
+    def refuse(*args):
+        raise AssertionError("weights read before the level was checked")
+
+    monkeypatch.setattr(toric, "_supweights", refuse)
+    with pytest.raises(ToricError, match=f"^level k must be {_why(k)}"):
+        supnorm(k, _fs_p1((0, -2)))
+
+
+@pytest.mark.parametrize("k", _BAD_LEVELS)
+def test_fs_segment_needs_a_level_of_at_least_one(k) -> None:
+    # level 0 built a segment whose metrics had a potential over den 0
+    for w0, w1 in (([0], [1]), ([0, 0], [1, 1])):
+        with pytest.raises(ToricError, match=f"^level k must be {_why(k)}"):
+            fs_segment(section_ring(1, 1), k, w0, w1)
+
+
+@pytest.mark.parametrize("k", _BAD_LEVELS)
+def test_detect_non_psh_needs_a_level_of_at_least_one(k) -> None:
+    # level 0 raised ZeroDivisionError; no samples still check the level
+    samples = [(F(t), {(0,): F(t)}) for t in (0, 1, 2)]
+    for path in (samples, []):
+        with pytest.raises(ToricError, match=f"^level k must be {_why(k)}"):
+            detect_non_psh(section_ring(1, 1), k, path)
 
 
 # -- one profile per endpoint and call ----------------------------------------------
