@@ -50,18 +50,21 @@ built each time they are read, never stored.  A profile is read at the
 lattice points of a dilation k (the sup-norm weights k q(a/k) of a toric
 metric) straight from its integer planes, by
 ``ConcaveProfile.lattice_values``.  The overlay of two profiles
-(``_overlay``) keeps each common cell as homogeneous integer points
-``(X.., W)``, W > 0 and gcd 1, standing for X/W, with their tight rows
-and the two profiles' integer plane rows over one denominator; the
-integral and the sup of |q0 - q1| and the pieces of the interpolated
-profile (1 - t) q0 + t q1 are read off it, and build one ``Fraction``
-each.  Ranks and primitive rows come from ``linalg``
-(``_extend_echelon``, ``_primitive``).
+(``_overlay``, on the line one merge of their left-to-right cells) keeps
+each common cell as homogeneous integer points ``(X.., W)``, W > 0 and
+gcd 1, standing for X/W, with their tight rows and the two profiles'
+integer plane rows over one denominator; the integral and the sup of
+|q0 - q1| and the pieces of the interpolated profile (1 - t) q0 + t q1
+are read off it, and build one ``Fraction`` each, and on the line so are
+the integer level sums of q0 - q1 and |q0 - q1| at the lattice points of
+a dilation (``_overlay_line_sum``).  Ranks and primitive rows come from
+``linalg`` (``_extend_echelon``, ``_primitive``).
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, reduce
@@ -812,7 +815,8 @@ class ConcaveProfile:
 
     Stored over one denominator ``_den``: ``_verts`` rows (Y.., Z) of the
     hypograph vertices, ``_planes`` rows (W.., B) and ``_cells`` tuples
-    of integer vertices, cell i lying on plane i; ``_hrep`` keeps
+    of integer vertices, cell i lying on plane i (on the line, cells run
+    left to right, which ``_overlay`` reads); ``_hrep`` keeps
     ``_domain_hrep`` once it is computed, or from the start when
     ``conjugate`` read a chain on the line or wrapped a full-rank domain.
     ``vertices``, ``cells`` and ``planes`` are ``Fraction`` views, rebuilt
@@ -1424,25 +1428,30 @@ class _Overlay:
     ``cells`` are ``(pts, masks, r0, r1)``: the cell's vertices as
     homogeneous integer points (X.., W), their exact bitmasks of tight
     rows, and the integer rows (W.., B) over D of the planes of q0 and q1
-    on it.  ``verts`` maps each vertex P to (V0, V1), q_i(P) = V_i / (D W).
-    Profiles whose domains share no full-dimensional region have no cell.
+    on it.  ``verts`` maps each vertex P to (V0, V1), q_i(P) = V_i / (D W),
+    built on first read (level sums and integrals read none).  Profiles
+    whose domains share no full-dimensional region have no cell.
     """
 
-    __slots__ = ("n", "den", "cells", "verts")
-
     def __init__(self, n: int, den: int, cells):
+        self.n, self.den, self.cells = n, den, cells
+
+    @cached_property
+    def verts(self):
         verts = {}
-        for pts, _, r0, r1 in cells:
+        for pts, _, r0, r1 in self.cells:
             for P in pts:
                 if P not in verts:
                     verts[P] = (sum(map(mul, r0, P)), sum(map(mul, r1, P)))
-        self.n, self.den, self.cells, self.verts = n, den, cells, verts
+        return verts
 
 
 def _overlay(q0: ConcaveProfile, q1: ConcaveProfile) -> _Overlay:
     """The common refinement of two profiles' cells, in every dimension.
 
-    Intervals meet on their integer ends over D.  For n >= 2, q0 + q1 is
+    On the line one pass merges the two left-to-right lists of intervals
+    on their integer ends over D; domains that only touch or are disjoint
+    give no cell.  For n >= 2, q0 + q1 is
     the min of the summed planes P_i + P'_j on the common domain, whose
     cells are the common refinement, since kinks of concave functions
     cannot cancel.  So the upper facets (``_upper_facets``) of one
@@ -1455,19 +1464,26 @@ def _overlay(q0: ConcaveProfile, q1: ConcaveProfile) -> _Overlay:
     d0, d1 = q0._den, q1._den
     den = lcm(d0, d1)
     s0, s1 = den // d0, den // d1
-    rows0 = [tuple(x * s0 for x in r) for r in q0._planes]
-    rows1 = [tuple(x * s1 for x in r) for r in q1._planes]
+    rows0 = [tuple([x * s0 for x in r]) for r in q0._planes]
+    rows1 = [tuple([x * s1 for x in r]) for r in q1._planes]
     cells = []
     if not (q0._cells and q1._cells):
         return _Overlay(n, den, cells)
     if n == 1:
-        for poly0, r0 in zip(q0._cells, rows0):
-            for poly1, r1 in zip(q1._cells, rows1):
-                lo = max(poly0[0][0] * s0, poly1[0][0] * s1)
-                hi = min(poly0[-1][0] * s0, poly1[-1][0] * s1)
-                if lo < hi:
-                    ends = (_canon((lo, den)), _canon((hi, den)))
-                    cells.append((ends, (0, 0), r0, r1))
+        # the right ends of each profile's cells, left to right over D
+        e0 = [poly[1][0] * s0 for poly in q0._cells]
+        e1 = [poly[1][0] * s1 for poly in q1._cells]
+        u = max(q0._cells[0][0][0] * s0, q1._cells[0][0][0] * s1)
+        i, j = bisect_right(e0, u), bisect_right(e1, u)
+        end, g = min(e0[-1], e1[-1]), gcd(u, den)
+        Q = (u // g, den // g)
+        while u < end:
+            u = min(e0[i], e1[j])
+            g = gcd(u, den)
+            P, Q = Q, (u // g, den // g)
+            cells.append(((P, Q), (0, 0), rows0[i], rows1[j]))
+            i += e0[i] == u
+            j += e1[j] == u
         return _Overlay(1, den, cells)
     pairs = {}
     for r0 in rows0:
@@ -1550,6 +1566,27 @@ def _homogeneous_integral(pieces, n: int, p: int, den: int) -> Fraction:
         X = [tuple([x * (L // P[-1]) for x in P[:-1]]) for P in pts]
         out.append((X, masks, [sum(map(mul, d, x)) + d[-1] * L for x in X]))
     return _integral(out, n, p, L ** n * (den * L) ** p)
+
+
+def _overlay_line_sum(ov: _Overlay, m: int, k: int, term) -> int:
+    """The sum over a = 0, ..., k m of term(D k (q0 - q1)(a / k)), D =
+    ``ov.den``, for the overlay of two profiles on [0, m] of the line.
+
+    The cells run left to right from 0, end to end.  On a cell whose right
+    end is X / W, D (q0 - q1) is W' y + B, and a runs on from the previous
+    cell's range to below k X / W, or to k m on the last cell (X = m W),
+    split at the floor of the zero crossing so that W' a + k B keeps one
+    sign on each part; each part sums in closed form.
+    """
+    total, lo = 0, 0
+    for (_, (x1, w1)), _, (a0, b0), (a1, b1) in ov.cells:
+        w, c = a0 - a1, k * (b0 - b1)
+        hi = -(-k * x1 // w1) - (x1 < m * w1)
+        x = min(max(-c // w, lo - 1), hi) if w else hi
+        for i, j in ((lo, x), (x + 1, hi)):
+            total += term(w * ((i + j) * (j - i + 1) // 2) + c * (j - i + 1))
+        lo = hi + 1
+    return total
 
 
 def max_abs_difference(p0: ConcaveProfile, p1: ConcaveProfile) -> Fraction:

@@ -13,12 +13,13 @@ support has its profile defined on all of m*Delta, so
 E(phi0, phi1) = E(phi0) - E(phi1) with E(phi) = vol^-1 * integral of q_phi
 (``_energy``), one integral per profile and no overlay of two cell
 subdivisions.  The overlay (``plconvex._overlay``, on integers) is kept
-for |q0 - q1| and its sup, and the Legendre slices of
-``geonorm.segments`` read it too: the slice at t interpolates
-(1 - t) q0 + t q1 at its vertices.  The rooftop P(phi0, phi1) stays on
-the envelope (``plconvex._envelope``), for ``envelope_P`` and the second
-route of ``d1_metric``, which so shares no overlay with the first; the
-two routes share only the simplex sums of ``plconvex._integral``.
+for |q0 - q1| and its sup, and on P^1 for the per-degree tables; the
+Legendre slices of ``geonorm.segments`` read it too: the slice at t
+interpolates (1 - t) q0 + t q1 at its vertices.  The rooftop
+P(phi0, phi1) stays on the envelope (``plconvex._envelope``), for
+``envelope_P`` and the second route of ``d1_metric``, which so shares no
+overlay with the first; the two routes share only the simplex sums of
+``plconvex._integral``.
 
 A metric's profile is computed on demand and never stored on the metric.
 The functions of a metric pair read one record of the pair
@@ -46,8 +47,9 @@ as integers B0, B1 over the lcm of the profiles' denominators: the level
 segments of ``geonorm.segments`` join B0 and B1, and on P^n, n >= 2,
 energies sum B0 - B1 and d1 sums |B0 - B1|.  On P^1 those sums read no
 weight: each level sums in closed form over the integer ranges of the
-merged cells of q0 and q1 (``_line_cells``, ``_line_sum``).  E(phi)
-integrates the profile's integers (``plconvex.integrate_profile``).
+cells of the pair's overlay (``plconvex._overlay_line_sum``), so this
+module reads no profile's cells or planes.  E(phi) integrates the
+profile's integers (``plconvex.integrate_profile``).
 Graded norms read one metric's weights (``_supweights``); only
 ``supnorm`` wraps them in a standard-basis norm, which costs O(d).
 """
@@ -69,6 +71,7 @@ from .plconvex import (
     _homogeneous_integral,
     _overlay,
     _overlay_integral,
+    _overlay_line_sum,
     _overlay_sup,
     compare,
     conjugate,
@@ -293,10 +296,7 @@ class ConvergenceResult:
 def _require_pair(phi0, phi1):
     _require_same_bundle(phi0, phi1)
     for phi in (phi0, phi1):
-        if not phi.has_full_support():
-            raise ToricError(
-                "energy and d1 need potentials carrying the full moment "
-                "simplex")
+        _require_full_support(phi)
 
 
 def _require_kmax(kmax: int, name: str = "kmax", error=ToricError):
@@ -334,46 +334,6 @@ def _energy(phi: ToricMetric, q: ConcaveProfile) -> Fraction:
     return integrate_profile(q) / moment_volume(phi.n, phi.m)
 
 
-def _line_cells(q0, q1, den):
-    """The cells of two full-support profiles on [0, m] merged, left to
-    right: ``(u, v, W, B)`` for each interval [u, v] / den on which
-    q0 - q1 = (W y + B) / den.  ``conjugate`` lists a P^1 profile's cells
-    left to right, each as its (left, right) ends."""
-    rows = []
-    for q in (q0, q1):
-        s = den // q._den
-        rows.append([(cell[1][0] * s, w * s, c * s)
-                     for cell, (w, c) in zip(q._cells, q._planes)])
-    a, b = rows
-    out, u, i, j = [], 0, 0, 0
-    while i < len(a):   # both run out at m den
-        v = min(a[i][0], b[j][0])
-        out.append((u, v, a[i][1] - b[j][1], a[i][2] - b[j][2]))
-        u = v
-        i += a[i][0] == v
-        j += b[j][0] == v
-    return out
-
-
-def _line_sum(cells, end, den, k, term):
-    """The sum over a = 0, ..., k m of term(W a + k B), (W, B) the row of
-    ``_line_cells`` whose interval holds a / k, with end = m den.
-
-    Each interval takes its integers in [k u / den, k v / den), the last
-    one closed at k m, and splits them at the floor of the zero crossing,
-    so that the difference keeps one sign on each part; each part sums
-    in closed form, W (lo + ... + hi) + k B (hi - lo + 1).
-    """
-    total = 0
-    for u, v, w, b in cells:
-        lo, hi, c = -(-k * u // den), -(-k * v // den) - (v < end), k * b
-        x = min(max(-c // w, lo - 1), hi) if w else hi
-        for lo, hi in ((lo, x), (x + 1, hi)):
-            total += term(w * ((lo + hi) * (hi - lo + 1) // 2)
-                          + c * (hi - lo + 1))
-    return total
-
-
 def d1_metric(phi0: ToricMetric, phi1: ToricMetric, kmax: int = 8) -> ConvergenceResult:
     """d1 distance: per-k normalized norm distances and the integral limit.
 
@@ -399,8 +359,8 @@ class MetricPair:
     The record is filled on first use, and every entry is computed once:
     the profiles q0 and q1, the energies E(phi0) and E(phi1), the weight
     table at each k (``_weights``, which the level segments read, and on
-    P^n, n >= 2, the energy and d1 tables; on P^1 those sum the merged
-    cells of q0 and q1 instead), the overlay of q0 and q1 (which ``d1``
+    P^n, n >= 2, the energy and d1 tables), the overlay of q0 and q1
+    (whose cells the energy and d1 tables sum on P^1, which ``d1``
     integrates, ``d_infinity`` reads the sup of, and ``SegmentPair``
     reads its critical shifts and its Legendre slices off, interpolating
     (1 - t) q0 + t q1 at the overlay's vertices) and the rooftop
@@ -484,14 +444,14 @@ class MetricPair:
         The beta are the degree-k sup-norm weights B0 / D and B1 / D of
         the two metrics, D the lcm of the profiles' denominators, and
         ``term`` (the identity or ``abs``) commutes with the positive
-        factor 1 / D.  On P^1 each level sums the merged cells of q0 and
-        q1 (``_line_sum``); above, B0 - B1 point by point (``_weights``).
+        factor 1 / D.  On P^1 each level sums the cells of the pair's
+        overlay, over the same D (``plconvex._overlay_line_sum``); above,
+        B0 - B1 point by point (``_weights``).
         """
         n, m = self.phi0.n, self.phi0.m
         den = lcm(self.q0._den, self.q1._den)
         if n == 1:
-            cells = _line_cells(self.q0, self.q1, den)
-            level = lambda k: _line_sum(cells, m * den, den, k, term)
+            level = lambda k: _overlay_line_sum(self._overlay(), m, k, term)
         else:
             level = lambda k: sum(term(x - y)
                                   for x, y in zip(*self._weights(k)[1:]))

@@ -162,10 +162,15 @@ the pieces as they are and integrates the cells that the envelope's own
 vertex enumeration found.
 ``per_degree_by_points`` is the per-level energy and d1 sum that reads
 every lattice point's weights off the pair's weight table, where
-geonorm.toric sums each level on P^1 in closed form over the merged
-cells of the two profiles.  ``maximal_over_chain`` is the maximal segment
+geonorm.toric sums each level on P^1 in closed form over the cells of
+the pair's overlay.  ``maximal_over_chain`` is the maximal segment
 as the pruned max of every level segment of the chain, where
 geonorm.segments prunes the top level's segment alone.
+``overlay_line_pairwise`` is the P^1 overlay as the loop over every pair
+of the two profiles' cells, where geonorm.plconvex merges the two
+left-to-right lists in one pass; ``line_cells`` and ``line_sum`` are the
+level sums over the two profiles' cells merged in geonorm.toric, where
+geonorm.plconvex sums the overlay's cells (``_overlay_line_sum``).
 """
 
 from __future__ import annotations
@@ -570,7 +575,7 @@ def maximal_over_chain(pair, t, kmax):
 
 # ---------------------------------------------------------------------------
 # Per-level energy and d1 sums over every lattice point: the path that
-# geonorm.toric replaced on P^1 with closed-form sums over merged cells.
+# geonorm.toric replaced on P^1 with closed-form sums over cells.
 # ---------------------------------------------------------------------------
 
 
@@ -585,6 +590,73 @@ def per_degree_by_points(pair, kmax, term):
         total = sum(term(x - y) for x, y in zip(b0, b1))
         per_k.append((k, Fraction(total, k * h0(k) * den)))
     return tuple(per_k)
+
+
+# ---------------------------------------------------------------------------
+# P^1 overlays and level sums: the loop over every pair of cells that
+# geonorm.plconvex replaced with one merge, and the merged cells that
+# geonorm.toric summed each level on before it summed the overlay's cells.
+# ---------------------------------------------------------------------------
+
+
+def overlay_line_pairwise(q0, q1):
+    """``plconvex._overlay`` of two P^1 profiles with cells, by the loop
+    over every pair of cells: an ``_Overlay`` whose cells run over q0's
+    cells and, within each, over q1's, so left to right."""
+    d0, d1 = q0._den, q1._den
+    den = lcm(d0, d1)
+    s0, s1 = den // d0, den // d1
+    cells = []
+    for poly0, (w0, b0) in zip(q0._cells, q0._planes):
+        for poly1, (w1, b1) in zip(q1._cells, q1._planes):
+            lo = max(poly0[0][0] * s0, poly1[0][0] * s1)
+            hi = min(poly0[-1][0] * s0, poly1[-1][0] * s1)
+            if lo < hi:
+                ends = (_canon((lo, den)), _canon((hi, den)))
+                cells.append((ends, (0, 0), (w0 * s0, b0 * s0),
+                              (w1 * s1, b1 * s1)))
+    return plconvex._Overlay(1, den, cells)
+
+
+def line_cells(q0, q1, den):
+    """The cells of two full-support profiles on [0, m] merged, left to
+    right: ``(u, v, W, B)`` for each interval [u, v] / den on which
+    q0 - q1 = (W y + B) / den, den a common multiple of the profiles'
+    denominators.  ``conjugate`` lists a P^1 profile's cells left to
+    right, each as its (left, right) ends."""
+    rows = []
+    for q in (q0, q1):
+        s = den // q._den
+        rows.append([(cell[1][0] * s, w * s, c * s)
+                     for cell, (w, c) in zip(q._cells, q._planes)])
+    a, b = rows
+    out, u, i, j = [], 0, 0, 0
+    while i < len(a):   # both run out at m den
+        v = min(a[i][0], b[j][0])
+        out.append((u, v, a[i][1] - b[j][1], a[i][2] - b[j][2]))
+        u = v
+        i += a[i][0] == v
+        j += b[j][0] == v
+    return out
+
+
+def line_sum(cells, end, den, k, term):
+    """The sum over a = 0, ..., k m of term(W a + k B), (W, B) the row of
+    ``line_cells`` whose interval holds a / k, with end = m den.
+
+    Each interval takes its integers in [k u / den, k v / den), the last
+    one closed at k m, and splits them at the floor of the zero crossing,
+    so that the difference keeps one sign on each part; each part sums
+    in closed form, W (lo + ... + hi) + k B (hi - lo + 1).
+    """
+    total = 0
+    for u, v, w, b in cells:
+        lo, hi, c = -(-k * u // den), -(-k * v // den) - (v < end), k * b
+        x = min(max(-c // w, lo - 1), hi) if w else hi
+        for lo, hi in ((lo, x), (x + 1, hi)):
+            total += term(w * ((lo + hi) * (hi - lo + 1) // 2)
+                          + c * (hi - lo + 1))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -2648,28 +2720,24 @@ class _Overlay:
 def _overlay(q0: ConcaveProfile, q1: ConcaveProfile) -> _Overlay:
     """The common refinement of two profiles' cells, for n <= 2.
 
-    Intervals meet on their integer ends over D; each polygon of q0 is
-    clipped by the edges of each polygon of q1 (``_clip_region``).
+    Intervals meet on their integer ends over D, pair by pair
+    (``overlay_line_pairwise``); each polygon of q0 is clipped by the
+    edges of each polygon of q1 (``_clip_region``).
     """
     if q0.n != q1.n:
         raise PLError("profile dimension mismatch")
     n = q0.n
     _require_plane(n, "overlays")
+    if n == 1:
+        ov = overlay_line_pairwise(q0, q1)
+        return _Overlay(1, ov.den, [(ends, r0, r1)
+                                    for ends, _, r0, r1 in ov.cells])
     d0, d1 = q0._den, q1._den
     den = lcm(d0, d1)
     s0, s1 = den // d0, den // d1
     rows0 = [tuple(x * s0 for x in r) for r in q0._planes]
     rows1 = [tuple(x * s1 for x in r) for r in q1._planes]
     cells = []
-    if n == 1:
-        for poly0, r0 in zip(q0._cells, rows0):
-            for poly1, r1 in zip(q1._cells, rows1):
-                lo = max(poly0[0][0] * s0, poly1[0][0] * s1)
-                hi = min(poly0[-1][0] * s0, poly1[-1][0] * s1)
-                if lo < hi:
-                    cells.append(((_canon((lo, den)), _canon((hi, den))),
-                                  r0, r1))
-        return _Overlay(1, den, cells)
     # the edges of q1's cells, as rows over its denominator
     cuts1 = [[(a0 * d1, a1 * d1, b) for (a0, a1), b in polygon_hrep(poly)]
              for poly in q1._cells]

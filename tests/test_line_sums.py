@@ -1,14 +1,18 @@
-"""Per-level energy and d1 sums on P^1 in closed form, and the maximal
-segment off the top level of its chain, against the routes they replaced:
-the sum over every lattice point of the pair's weight table
-(``oracles.per_degree_by_points``) and the pruned max of every level
+"""Per-level energy and d1 sums on P^1 in closed form, the P^1 overlay
+they sum, and the maximal segment off the top level of its chain, against
+the routes they replaced: the sum over every lattice point of the pair's
+weight table (``oracles.per_degree_by_points``) and over the two profiles'
+merged cells (``oracles.line_sum``), the loop over every pair of cells
+(``oracles.overlay_line_pairwise``), and the pruned max of every level
 segment of the chain (``oracles.maximal_over_chain``)."""
 
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from geonorm.plconvex import MaxAffine, _overlay, _overlay_line_sum, conjugate
 from geonorm.segments import SegmentPair, maximal_segment, quantization_levels
 from geonorm.toric import MetricPair, fs_from_norm, section_ring
 
@@ -56,6 +60,59 @@ def test_line_sums_match_the_point_loop(pair, kmax) -> None:
         MetricPair(phi0, phi1), kmax, lambda d: d)
     assert got.d1(kmax).per_k == oracles.per_degree_by_points(
         MetricPair(phi0, phi1), kmax, abs)
+    # each level against the sum over the merged cells it replaced
+    q0, q1, m = got.q0, got.q1, phi0.m
+    den = lcm(q0._den, q1._den)
+    cells = oracles.line_cells(q0, q1, den)
+    for k in range(1, kmax + 1):
+        for term in (lambda d: d, abs):
+            assert _overlay_line_sum(got._overlay(), m, k, term) == (
+                oracles.line_sum(cells, m * den, den, k, term))
+
+
+@st.composite
+def _line_profiles(draw):
+    """Two P^1 profiles with gradients j / d on [0, 4], d in {1, 2, 3},
+    each interval's ends among them: both on [0, 4], on two drawn
+    intervals (nested, overlapping, touching or apart), on two intervals
+    touching at one end, or on two intervals apart."""
+    d = draw(st.sampled_from((1, 2, 3)))
+    top = 4 * d
+
+    def profile(lo, hi):
+        inner = draw(st.lists(st.integers(lo, hi), max_size=5))
+        return conjugate(MaxAffine(1, [((F(j, d),), draw(_WEIGHT))
+                                       for j in {lo, hi, *inner}]))
+
+    def span():
+        return sorted(draw(st.lists(st.integers(0, top), min_size=2,
+                                    max_size=2, unique=True)))
+
+    kind = draw(st.sampled_from(("full", "drawn", "touch", "apart")))
+    if kind == "full":
+        spans = (0, top), (0, top)
+    elif kind == "drawn":
+        spans = span(), span()
+    else:
+        b = draw(st.integers(1, top - 2))
+        c = b + (kind == "apart")
+        spans = ((draw(st.integers(0, b - 1)), b),
+                 (c, draw(st.integers(c + 1, top))))
+    if draw(st.booleans()):
+        spans = spans[::-1]
+    return tuple(profile(*s) for s in spans)
+
+
+@example((conjugate(MaxAffine(1, [((0,), 0), ((1,), 1), ((2,), 0)])),
+          conjugate(MaxAffine(1, [((1,), 0), ((2,), 1), ((3,), 0)]))))
+@settings(max_examples=150)
+@given(_line_profiles())
+def test_line_overlay_merge_matches_the_pairwise_loop(pair) -> None:
+    # the same cells in the same order, and so the same vertices and values
+    got, want = _overlay(*pair), oracles.overlay_line_pairwise(*pair)
+    assert got.den == want.den
+    assert got.cells == want.cells
+    assert list(got.verts.items()) == list(want.verts.items())
 
 
 # (n, m, level) of the maximal-segment pairs; the levels of a chain that

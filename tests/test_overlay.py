@@ -286,21 +286,23 @@ def test_rooftop_family_without_crossings_fails(monkeypatch) -> None:
 # -- one overlay per pair ----------------------------------------------------
 
 
+def _counting(monkeypatch, calls, module, name):
+    """Append ``name`` to ``calls`` at every later call of
+    ``module.name``."""
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(name)
+        return real(*args)
+    monkeypatch.setattr(module, name, counted)
+
+
 def test_pair_builds_one_overlay_and_legendre_no_envelope(monkeypatch) -> None:
     calls = []
-
-    def counting(module, name):
-        real = getattr(module, name)
-
-        def counted(*args):
-            calls.append(name)
-            return real(*args)
-        monkeypatch.setattr(module, name, counted)
-
     for name in ("_overlay", "_envelope", "_vertices", "_domain_hrep"):
-        counting(plconvex, name)
-    counting(toric, "_overlay")
-    counting(toric, "_envelope")
+        _counting(monkeypatch, calls, plconvex, name)
+    _counting(monkeypatch, calls, toric, "_overlay")
+    _counting(monkeypatch, calls, toric, "_envelope")
     _, _, phi0, phi1 = _CASES[5]
     pair = SegmentPair(phi0, phi1)
     pair.legendre(F(1, 3))
@@ -314,3 +316,22 @@ def test_pair_builds_one_overlay_and_legendre_no_envelope(monkeypatch) -> None:
     pair.d_infinity()
     pair.diagnostics(kmax=2)
     assert "_overlay" not in calls and "_envelope" not in calls
+
+
+def test_line_pair_tables_and_slices_read_one_overlay(monkeypatch) -> None:
+    # on P^1 the energy table builds the pair's overlay, and the d1 table
+    # and integral, d_infinity, the Legendre slice and the critical shifts
+    # read it
+    calls = []
+    for module in (plconvex, toric):
+        _counting(monkeypatch, calls, module, "_overlay")
+    n, _, phi0, phi1 = _CASES[5]
+    assert n == 1
+    pair = SegmentPair(phi0, phi1)
+    pair.energy(kmax=4)
+    assert calls == ["_overlay"]
+    pair.d1(kmax=4)
+    pair.d_infinity()
+    pair.legendre(F(1, 3))
+    pair.critical_taus()
+    assert calls == ["_overlay"]

@@ -201,9 +201,9 @@ def _counted(monkeypatch, owner, name):
 
 
 def test_level_sums_read_weights_only_above_the_line(monkeypatch) -> None:
-    # P^1 tables sum each level on the merged cells, with no lattice value
-    # read; P^2 tables read the weight table of every level; the maximal
-    # segment reads the top level of its chain only
+    # P^1 tables sum each level on the cells of the pair's overlay, with no
+    # lattice value read; P^2 tables read the weight table of every level;
+    # the maximal segment reads the top level of its chain only
     read = _counted(monkeypatch, plconvex.ConcaveProfile,
                     "_lattice_numerators")
     phi0, phi1 = _BUDGET_PAIRS[1]

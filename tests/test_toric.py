@@ -457,6 +457,21 @@ def test_metric_json_round_trip() -> None:
     assert again.provenance == phi.provenance
 
 
+@pytest.mark.parametrize("call", [
+    energy, energy_limit, d1_metric, d_infinity_limit,
+    lambda phi0, phi1: maximal_segment(phi0, phi1, F(1, 2))],
+    ids=["energy", "energy_limit", "d1", "d_infinity", "maximal"])
+def test_pair_functions_refuse_a_partial_metric_alike(call) -> None:
+    # one message, naming no function: d_infinity_limit raised the one
+    # that named energy and d1
+    partial = ToricMetric(1, 1, _ma(((0,), 0), ((F(1, 2),), 0)))
+    for pair in ((reference(1, 1), partial), (partial, reference(1, 1))):
+        with pytest.raises(ToricError, match=(
+                r"^metric potential must carry the full moment simplex "
+                r"\(every vertex of m\*Delta among its gradients\)$")):
+            call(*pair)
+
+
 def test_mismatched_bundles_rejected() -> None:
     with pytest.raises(ToricError):
         energy(reference(1, 1), reference(1, 2))
