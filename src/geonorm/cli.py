@@ -38,7 +38,7 @@ import sys
 from fractions import Fraction
 
 from .config import ConfigError, load_config, metric_pair, parse_rational
-from .field import INF, format_fraction, parse_fraction
+from .field import INF, format_decimal, format_fraction, parse_fraction
 from .graded import asymptotic_stats, check_submultiplicative, serialize_counterexample
 from .norms import NormPair
 from .geodesics import pair_geodesic
@@ -245,7 +245,7 @@ def _run_task(idx, task, cfg, args, pairs):
             rows.append({
                 "k": k,
                 "exact_value": format_fraction(v),
-                "decimal_value": f"{float(v):.12g}",
+                "decimal_value": format_decimal(v),
                 "oracle_limit": "" if limit is None else format_fraction(limit),
             })
         return rows, True, None

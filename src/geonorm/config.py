@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .field import parse_fraction
+from .field import json_list, parse_fraction
 from .graded import (GradedNorm, SectionRing, _is_positive_int, _level_k,
                      _ring_dims)
 from .norms import DiagNorm
@@ -79,7 +79,7 @@ class MetricPath:
             if t in seen:
                 raise ConfigError(f"path samples repeat t = {t}")
             seen.add(t)
-            raw = sample["weights"]
+            raw = json_list(sample["weights"], "path sample weights")
             if len(raw) != len(basis):
                 raise ConfigError(
                     f"path sample at t = {sample['t']} has {len(raw)} weights, "

@@ -71,6 +71,16 @@ def parse_fraction(text: str) -> Fraction:
     return Fraction(text)
 
 
+def json_list(value, what: str):
+    """``value``, read where a JSON list is documented, unless it is a
+    string or an object, which would be read one character or one key per
+    entry: a TypeError naming ``what`` then.  Other values that are no
+    list fail where they are read."""
+    if isinstance(value, (str, dict)):
+        raise TypeError(f"{what} must be a list, got {value!r}")
+    return value
+
+
 def format_fraction(q: Fraction) -> str:
     """Serialize a rational as ``"num/den"`` (``"num"`` when integral)."""
     if type(q) is not Fraction:
@@ -78,6 +88,34 @@ def format_fraction(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def format_decimal(q) -> str:
+    """A rational to 12 significant digits, as ``f"{float(q):.12g}"``
+    writes it whenever float(q) is finite and, for q != 0, nonzero.  Past
+    float range, and below it, q itself is rounded (half to even) in the
+    same notation, such as ``"1e+400"`` and ``"-2.5e-400"``."""
+    try:
+        x = float(q)
+    except OverflowError:
+        x = 0.0
+    if x or not q:
+        return f"{x:.12g}"
+    q = Fraction(q)
+    a = abs(q)
+    num, den = a.numerator, a.denominator
+    # e with 10^e <= |q| < 10^(e + 1), from the bit lengths and then exact
+    e = (num.bit_length() - den.bit_length()) * 30103 // 100000
+    while a < Fraction(10) ** e:
+        e -= 1
+    while a >= Fraction(10) ** (e + 1):
+        e += 1
+    digits = round(a / Fraction(10) ** (e - 11))
+    if digits == 10 ** 12:
+        digits, e = 10 ** 11, e + 1
+    m = str(digits).rstrip("0")
+    mant = m[0] + ("." + m[1:] if len(m) > 1 else "")
+    return f"{'-' if q < 0 else ''}{mant}e{'-' if e < 0 else '+'}{abs(e):02d}"
 
 
 # ---------------------------------------------------------------------------

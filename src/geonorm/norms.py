@@ -104,6 +104,7 @@ from .field import (
     TRIVIAL,
     field_by_name,
     format_fraction,
+    json_list,
     parse_fraction,
 )
 
@@ -323,7 +324,8 @@ def _json_parts(obj):
             )
         else:
             basis = _identity(field, d)
-        weights = tuple(parse_fraction(w) for w in obj["weights"])
+        weights = tuple(parse_fraction(w)
+                        for w in json_list(obj["weights"], "weights"))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise NormError(f"malformed norm JSON: {exc}") from exc
     if "dim" in obj and obj["dim"] != len(weights):

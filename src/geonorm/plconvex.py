@@ -14,11 +14,15 @@ rational polytopes.
 One hull routine, ``_facets``, serves every n: it gift-wraps the facets
 of integer points across ridges, each facet's ridges coming from its own
 points one dimension down, down to Andrew's monotone chain in the plane
-and the min and the max on the line.  Conjugation on the line reads the
-upper chain of the sorted rows, whose ends give its domain rows; above,
-it takes the upper facets of the lifted points, after every facet of the
-gradients, which gives their rank and the profile's domain rows.  Other
-domain rows take every facet of the domain points.  One vertex
+and the min and the max on the line.  The upper (lower) facets of points
+of Z^3 have a base case of their own, ``_upper_wrap``, which wraps the
+edges of each facet's polygon in the plane of the heads.  Conjugation on
+the line reads the upper chain of the sorted rows, whose ends give its
+domain rows; above, it takes the upper facets of the lifted points
+(through ``_upper_wrap`` on R^2, and on R^3 for gradients on a plane),
+after every facet of the gradients, which gives their rank and the
+profile's domain rows.  Other domain rows take every facet of the domain
+points.  One vertex
 routine, ``_vertices``, serves every n too: the double description
 method on homogeneous integer rows, which needs no interior point, gives
 the vertices of the hypograph of a min of planes on a cut region, with
@@ -72,7 +76,7 @@ from itertools import combinations, combinations_with_replacement
 from math import comb, factorial, gcd, lcm, prod
 from operator import add, and_, itemgetter, mul, neg, sub
 
-from .field import format_fraction, parse_fraction
+from .field import format_fraction, json_list, parse_fraction
 from .linalg import _extend_echelon, _primitive
 
 
@@ -234,11 +238,12 @@ class MaxAffine:
     @classmethod
     def from_json(cls, obj) -> "MaxAffine":
         try:
-            n = obj["n"] if "n" in obj else len(obj["pieces"][0]["g"])
             pieces = [
-                (tuple(parse_fraction(x) for x in p["g"]), parse_fraction(p["c"]))
-                for p in obj["pieces"]
+                (tuple(parse_fraction(x) for x in json_list(p["g"], "g")),
+                 parse_fraction(p["c"]))
+                for p in json_list(obj["pieces"], "pieces")
             ]
+            n = obj["n"] if "n" in obj else len(pieces[0][0])
         except (KeyError, TypeError, IndexError) as exc:
             raise PLError(f"malformed max-affine JSON: {exc}") from exc
         # a bool, float, list or string n would pass until a gradient's
@@ -483,23 +488,28 @@ def _facets(pts, sign=0, dom=None):
     points (all coordinates but the last) must be distinct and span
     R^(d-1), and only the upper (lower) facets come, those whose normal
     has a positive (negative) last coordinate; the wrap crosses only into
-    them.  ``dom``, when given, is the list of ``_facets`` of the heads
-    with ``sign`` 0, which the wrap above d = 2 then takes instead of
-    wrapping the heads again.
+    them.  At d = 3 those come from ``_upper_wrap``, which wraps the
+    edges of the upper facets in the plane of their heads, and the heads
+    must come in increasing order.  ``dom``, when given, is the list of
+    ``_facets`` of the heads with ``sign`` 0, which the wrap above d = 2
+    then takes instead of wrapping the heads again.
 
     Gives a list of ``(N, c, e, on, verts)``: <N, p> <= c for every
     point, with equality exactly at the indices ``on`` (increasing), and
     ``verts`` indexes the facet's vertices in the order its ridges list
     them (a polygon counterclockwise from its smallest vertex).  At d = 2
     ``on`` is the two ends of an edge and the points that the chain
-    popped off it with a zero turn, and above it the points that
-    ``_cross`` finds on the facet in the pass that finds the facet.  For
+    popped off it with a zero turn, and above it every point on the
+    facet's plane, which ``_cross`` (or ``_upper_wrap``) finds in the pass
+    that finds the facet.  For
     points Y = D y the row stands for <N / D^e, y> <= c / D^(e + 1):
     above d = 2, N is primitive and e = 0; at d = 2, N is the edge turned
     clockwise and e = 1; at d = 1, N = +-1 and e = 0; ``_flat_facets``
     gives its cofactors with their degrees.
     """
     d = len(pts[0])
+    if d == 3 and sign:
+        return _upper_wrap(pts, sign, dom)
     return _ends(pts, sign) if d == 1 else (
         _chain(pts, sign) if d == 2 else _wrap(pts, sign, dom))
 
@@ -518,7 +528,8 @@ def _ends(pts, sign):
 
 
 def _wrap(pts, sign, dom=None):
-    """``_facets`` above d = 2: the gift-wrap itself.
+    """``_facets`` above d = 3, and at d = 3 with every facet: the
+    gift-wrap itself.
 
     With ``sign`` +-1, d points make one facet.  More points have their
     domain, the hull of the heads, wrapped first (or given as ``dom``): a
@@ -566,6 +577,95 @@ def _wrap(pts, sign, dom=None):
             if got[2] not in seen:
                 seen.add(got[2])
                 todo.append(got)
+    return out
+
+
+def _upper_wrap(pts, sign, dom=None):
+    """``_facets`` at d = 3 with ``sign`` +-1: the upper (lower) facets,
+    wrapped across the edges of their own polygons.
+
+    The heads must come in increasing order, as ``conjugate`` gives them,
+    so that a facet's smallest index is its smallest head.  A directed
+    edge u -> v of the upper hull has its facet on its left: one pass over
+    the points whose heads lie strictly left of it keeps the plane through
+    the lifted u and v that has each of them on or below it, and a second
+    pass takes the points on that plane.  The facet's vertices run
+    counterclockwise from its smallest index: a triangle by its
+    orientation, more points by Andrew's chain of their heads (``_half``).
+    Each edge of a found facet is crossed reversed, except the domain's
+    walls, the edges whose ends lie on one facet of ``dom`` (the heads'
+    ``_facets`` with every facet, taken here when not given).  The first
+    edge lies over the domain's first facet, which runs from head 0: the
+    first edge of the upper chain of the points over it.  Three points
+    make one facet, and the lower facets are the upper ones of the points
+    reflected in the last coordinate.
+    """
+    if sign < 0:
+        return [((x, y, -z), c, 0, on, vs) for (x, y, z), c, _, on, vs
+                in _upper_wrap([(x, y, -z) for x, y, z in pts], 1, dom)]
+    if len(pts) == 3:
+        # one facet, its vertices counterclockwise when (b - a) x (c - a)
+        # points up
+        (ax, ay, az), (bx, by, bz), (cx, cy, cz) = pts
+        bx, by, bz = bx - ax, by - ay, bz - az
+        cx, cy, cz = cx - ax, cy - ay, cz - az
+        nx, ny, nz = by * cz - bz * cy, bz * cx - bx * cz, bx * cy - by * cx
+        g = gcd(nx, ny, nz) if nz > 0 else -gcd(nx, ny, nz)
+        nx, ny, nz = nx // g, ny // g, nz // g
+        return [((nx, ny, nz), nx * ax + ny * ay + nz * az, 0, (0, 1, 2),
+                 (0, 1, 2) if g > 0 else (0, 2, 1))]
+    heads = [p[:2] for p in pts]
+    if dom is None:
+        dom = _chain(heads, 0)
+    walls = [0] * len(pts)
+    for k, facet in enumerate(dom):
+        for i in facet[3]:
+            walls[i] |= 1 << k
+    # the steepest rise from head 0 along the domain's first facet
+    line = dom[0][3]
+    x0, y0, z0 = pts[0]
+    ex, ey = pts[line[-1]][0] - x0, pts[line[-1]][1] - y0
+    v, vt, vz = 0, 1, 0
+    for i in line[1:]:
+        x, y, z = pts[i]
+        t = ex * (x - x0) + ey * (y - y0)
+        if not v or (z - z0) * vt > vz * t:
+            v, vt, vz = i, t, z - z0
+    out, done, todo = [], set(), [(0, v)]
+    while todo:
+        u, v = todo.pop()
+        if (u, v) in done:
+            continue
+        ux, uy, uz = pts[u]
+        ex, ey, ez = pts[v][0] - ux, pts[v][1] - uy, pts[v][2] - uz
+        # p is left of the edge when ex y - ey x > k, above the plane
+        # through it when <N, p> > h
+        k, h = ex * uy - ey * ux, 0
+        nx = ny = nz = 0
+        for x, y, z in pts:
+            if ex * y - ey * x > k and (
+                    not nz or nx * x + ny * y + nz * z > h):
+                x, y, z = x - ux, y - uy, z - uz
+                nx, ny, nz = ey * z - ez * y, ez * x - ex * z, ex * y - ey * x
+                h = nx * ux + ny * uy + nz * uz
+        g = gcd(nx, ny, nz)
+        nx, ny, nz = N = (nx // g, ny // g, nz // g)
+        c = nx * ux + ny * uy + nz * uz
+        on = tuple([i for i, (x, y, z) in enumerate(pts)
+                    if nx * x + ny * y + nz * z == c])
+        if len(on) == 3:
+            a, b, e = on
+            (px, py), (qx, qy), (rx, ry) = heads[a], heads[b], heads[e]
+            verts = on if (qx - px) * (ry - py) > (qy - py) * (rx - px) else (
+                a, e, b)
+        else:
+            verts = tuple([i for *_, i, _ in _half(heads, on)[:-1]
+                           + _half(heads, on[::-1])[:-1]])
+        out.append((N, c, 0, on, verts))
+        for a, b in zip(verts, verts[1:] + verts[:1]):
+            done.add((a, b))
+            if not walls[a] & walls[b]:
+                todo.append((b, a))
     return out
 
 
@@ -952,9 +1052,10 @@ def conjugate(f: MaxAffine) -> ConcaveProfile:
     projected onto their r pivot coordinates, where each plane then has
     its slopes; such a profile has no cells.  Cells and planes come in the
     order of the lexicographically smallest affinely independent
-    (r + 1)-tuple of indices of the pieces on each facet (``_spanning``),
-    so ``planes`` (whose first active entry is the witness ``le_witness``
-    returns) does not depend on how the hull is searched.
+    (r + 1)-tuple of indices of the pieces on each facet, which is the
+    order of the facets' ``on`` (``_conjugate_wrap``), so ``planes``
+    (whose first active entry is the witness ``le_witness`` returns) does
+    not depend on how the hull is searched.
     """
     n, den, rows = f.n, f._den, f._rows
     if n == 1:
@@ -1007,16 +1108,18 @@ def _conjugate_wrap(n, den, rows, piv, dom=None):
     """``conjugate`` of the integer rows over den from ``_facets``, the
     gradients projected onto their pivot coordinates ``piv``; ``dom``,
     when given, is the full-rank domain's ``_facets`` with every facet,
-    kept as the profile's domain rows."""
+    kept as the profile's domain rows.
+
+    The facets sort on their indices ``on``, which orders them as the
+    lexicographically smallest affinely independent (r + 1)-tuples of
+    those indices would: two facets whose ``on`` agree up to an index
+    share the points before it, which span a face of both, and the first
+    index where they differ, off that face, is taken by that tuple.
+    """
     r = len(piv)
     pts = rows if r == n else [tuple(g[k] for k in piv) + (g[-1],)
                                for g in rows]
-    facets = _facets(pts, 1, dom)
-    if len(facets) > 1:
-        # for r <= 1 the tuple is the first r + 1 indices of ``on`` (the
-        # heads are distinct), so ``on`` itself sorts the same
-        facets.sort(key=itemgetter(3) if r < 2 else
-                    lambda facet: _spanning(pts, facet[3], r))
+    facets = sorted(_facets(pts, 1, dom), key=itemgetter(3))
     # N . (G, C) = c on a facet: q = <-N_G / N_C, y> + c / (N_C den)
     scale = lcm(*[facet[0][-1] for facet in facets])
     planes, on = [], set()
@@ -1060,23 +1163,6 @@ def _conjugate_wrap(n, den, rows, piv, dom=None):
             (tuple([x * u // v for x in N]), c * u * scale // (v * g), e)
             for N, c, _, _, _ in dom]
     return prof
-
-
-def _spanning(pts, on, r):
-    """The lexicographically smallest affinely independent (r + 1)-tuple
-    of the indices ``on`` (increasing) of points on one upper facet of
-    rank r >= 2, whose heads are distinct: ``on`` itself when it has
-    r + 1 indices, else for r = 2 the first two and the first index whose
-    head is not on their line, and above r = 2 the echelon's choice."""
-    if len(on) == r + 1:
-        return on
-    if r > 2:
-        return tuple(_independent(pts, on, r)[0])
-    (ax, ay, *_), (bx, by, *_) = pts[on[0]], pts[on[1]]
-    ux, uy = bx - ax, by - ay
-    return on[:2] + (next(
-        k for k in on[2:]
-        if ux * (pts[k][1] - ay) != uy * (pts[k][0] - ax)),)
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 
-from .field import TRIVIAL, format_fraction
+from .field import TRIVIAL, format_decimal, format_fraction
 from .graded import GradedError, GradedNorm, SectionRing, _ring_dims
 from .norms import DiagNorm
 from .plconvex import (
@@ -287,7 +287,7 @@ class ConvergenceResult:
             out.append({
                 "k": k,
                 "exact_value": format_fraction(v),
-                "decimal_value": f"{float(v):.12g}",
+                "decimal_value": format_decimal(v),
                 "oracle_limit": format_fraction(self.limit),
             })
         return out

@@ -189,6 +189,62 @@ def test_malformed_config_exits_2(tmp_path, capsys) -> None:
     assert "line 1" in captured.err
 
 
+def _p2_metric_json(weights):
+    ring = section_ring(2, 1)
+    phi = fs_from_norm(ring, 1, dict(zip(ring.basis(1), map(F, weights))))
+    return phi.to_json()
+
+
+def _string_for_a_list(kind):
+    """A config object of ``kind`` with one documented list given as a
+    string, which reads as one entry per character."""
+    if kind == "metrics":
+        phi = _p2_metric_json((0, 0, 0))
+        phi["potential"]["pieces"][0]["g"] = "10"
+        return {"phi0": phi}
+    if kind == "norms":
+        return {"n0": {
+            "field": "trivial",
+            "basis": [[{"q": "1"}, {"q": "0"}], [{"q": "0"}, {"q": "1"}]],
+            "weights": "01",
+        }}
+    path = _healthy_path()
+    path["samples"][0]["weights"] = "12"
+    return {"p0": path}
+
+
+@pytest.mark.parametrize("kind, what", [
+    ("metrics", "g"), ("norms", "weights"), ("paths", "path sample weights"),
+])
+def test_string_for_a_list_exits_2(tmp_path, capsys, kind, what) -> None:
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"objects": {kind: _string_for_a_list(kind)},
+                               "tasks": []}))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: bad {kind} object ")
+    assert err.count("\n") == 1 and f"{what} must be a list" in err
+
+
+@pytest.mark.parametrize("c, decimal", [
+    ("1e400", "-1e+400"), ("1e-400", "-1e-400"),
+])
+def test_energy_rows_past_float_range(tmp_path, capsys, c, decimal) -> None:
+    # phi1 is phi0 raised by c: every level's energy is -c, printed to 12
+    # digits past float range, where float() overflowed or gave "-0"
+    phi1 = _metric_json((0, 0))
+    for piece in phi1["potential"]["pieces"]:
+        piece["c"] = c
+    cfg = _pair_config(tmp_path, [{"op": "energy",
+                                   "metrics": ["phi0", "phi1"], "kmax": 2}],
+                       extra_objects={"metrics": {"phi0": _metric_json((0, 0)),
+                                                  "phi1": phi1}})
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    lines = (out / "000_energy.csv").read_text().splitlines()
+    assert [line.split(",")[2] for line in lines[1:]] == [decimal, decimal]
+
+
 def test_undefined_reference_exits_2(tmp_path, capsys) -> None:
     cfg = _pair_config(tmp_path, [
         {"op": "energy", "metrics": ["phi0", "ghost"]},

@@ -1,6 +1,7 @@
 """Scalar backends: trivially valued rationals and t-adic rational functions."""
 
 import random
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from geonorm.field import (
     _poly_gcd,
     _poly_lcm,
     field_by_name,
+    format_decimal,
     format_fraction,
     parse_fraction,
 )
@@ -34,6 +36,48 @@ def test_fraction_text_round_trip() -> None:
     for text in ("0", "7", "-3", "5/2", "-11/4"):
         assert format_fraction(parse_fraction(text)) == text
     assert parse_fraction("4/2") == 2
+
+
+_MAG = st.integers(1, 10 ** 30)
+
+
+@st.composite
+def _rationals(draw, exponents):
+    """A signed rational times 10^e, e drawn from ``exponents``."""
+    q = Fraction(draw(st.integers(-10 ** 30, 10 ** 30)), draw(_MAG))
+    return q * Fraction(10) ** draw(exponents)
+
+
+@settings(max_examples=300)
+@given(_rationals(st.integers(-300, 300)))
+def test_format_decimal_is_the_float_formatting_in_range(q) -> None:
+    assert format_decimal(q) == f"{float(q):.12g}"
+
+
+_TWELVE = Context(prec=12, rounding=ROUND_HALF_EVEN, Emax=10 ** 6,
+                  Emin=-10 ** 6)
+
+
+@settings(max_examples=200)
+@given(_rationals(st.integers(-700, -360) | st.integers(340, 700)))
+def test_format_decimal_rounds_past_float_range_exactly(q) -> None:
+    # |q| above 10^310 or below 10^-330: q rounded to 12 significant
+    # digits half to even, by decimal's correctly rounded division
+    if not q:
+        return
+    want = _TWELVE.divide(Decimal(q.numerator), Decimal(q.denominator))
+    assert format_decimal(q) == format(want.normalize(_TWELVE), ".12g")
+    assert format_decimal(q) != "0"
+
+
+def test_format_decimal_examples() -> None:
+    assert format_decimal(Fraction(10) ** 400) == "1e+400"
+    assert format_decimal(-Fraction(1, 10 ** 400)) == "-1e-400"
+    assert format_decimal(Fraction(-25, 10 ** 401)) == "-2.5e-400"
+    # 9.999999999995e404 rounds half to even into the next decade
+    assert format_decimal(999999999999500 * 10 ** 390) == "1e+405"
+    assert format_decimal(Fraction(1, 3)) == "0.333333333333"
+    assert format_decimal(0) == "0"
 
 
 def test_trivial_valuation() -> None:

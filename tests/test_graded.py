@@ -274,6 +274,9 @@ _GRADED_ERRORS = [
      "degree 1 norm must be monomial-diagonal of dimension 2"),
     (_deg1(basis=[[_q("0"), _q("1")], [_q("1"), _q("0")]]), GradedError,
      "degree 1 norm must be monomial-diagonal of dimension 2"),
+    # a string is no list of weights, though it iterates as one
+    (_deg1(weights="12"), GradedError,
+     "degree 1: malformed norm JSON: weights must be a list, got '12'"),
 ]
 
 
@@ -297,7 +300,7 @@ def test_graded_json_errors_are_pinned(one, exc, message) -> None:
     (_deg1(weights=["1.5", "1e1"]), (F(3, 2), F(10))),
     (_deg1(weights=[1, 2.5]), (F(1), F(5, 2))),
     (_deg1(weights=[True, False]), (F(1), F(0))),
-    (_deg1(weights="12"), (F(1), F(2))),
+    (_deg1(weights=["1", "2"]), (F(1), F(2))),
     (_deg1(dim=None), (F(0), F(1, 2))),
     (_deg1(field=None), (F(0), F(1, 2))),
     (_deg1(basis=[[_q("01"), _q("0/3")], [_q("-0"), _q("2/2")]]),

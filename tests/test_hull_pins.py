@@ -321,10 +321,9 @@ def test_kept_domain_rows_are_the_rows_of_the_domain_points() -> None:
 
 def test_echelon_runs_only_where_the_rank_or_key_needs_it(monkeypatch) -> None:
     # the rank comes from the domain wrap and the facet order from the
-    # first indices of each facet: on P^1 and on full-rank P^2 no
-    # echelon runs; flat gradients still take their pivots (and their
-    # flat domain rows its frames), and on P^3 a facet of more than four
-    # points its sort key
+    # indices on each facet, on every n: no full-rank conjugate runs an
+    # echelon; flat gradients still take their pivots (and their flat
+    # domain rows its frames)
     calls = []
     real = plconvex._independent
 
@@ -339,4 +338,4 @@ def test_echelon_runs_only_where_the_rank_or_key_needs_it(monkeypatch) -> None:
         shape = (f.n, bool(conjugate(f)._cells))
         counts[shape] = counts.get(shape, 0) + len(calls) - before
     assert counts == {(1, True): 0, (1, False): 0, (2, True): 0,
-                      (2, False): 102, (3, True): 7, (3, False): 61}
+                      (2, False): 102, (3, True): 0, (3, False): 61}

@@ -7,9 +7,13 @@ reads the rank of the gradients off their domain wrap and each facet's
 sort key off its first indices, where ``oracles.conjugate_echelon`` runs
 an echelon for both.  A profile whose domain was wrapped keeps those
 rows, which must be the rows ``_hull_rows`` gives for its domain points.
+The upper and lower facets of points of Z^3 come from the upper wrap of
+d = 3, ``plconvex._upper_wrap``, where they came from the general
+gift-wrap ``plconvex._wrap``, which still serves d >= 4 and every facet.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -168,3 +172,63 @@ def test_line_conjugate_matches_the_wrap_route(f) -> None:
     vertices, cells, planes = oracles.conjugate_1d_chain(f.pieces)
     assert (q.vertices, q.planes) == (vertices, planes)
     assert tuple((c.vertices, c.grad, c.offset) for c in q.cells) == cells
+
+
+@st.composite
+def _lifted(draw):
+    """Integer rows (x, y, z) with distinct heads (x, y) on a small grid,
+    sorted as a function's rows are: z free or on one plane less 0 or 1
+    (coplanar runs, quadrilateral cells and collinear points on edges);
+    or rows (x, y, c x + a y, z), gradients on a plane of R^3."""
+    kind = draw(st.sampled_from(("free", "tied", "plane3")))
+    heads = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 3)),
+                          min_size=3, max_size=14, unique=True))
+    a, b, c = (draw(st.integers(-3, 3)) for _ in range(3))
+    zs = [draw(st.integers(-4, 4)) if kind == "free"
+          else a * x + b * y - draw(st.sampled_from((0, 0, 0, 1)))
+          for x, y in heads]
+    pts = sorted(h + (z,) for h, z in zip(heads, zs))
+    if kind == "plane3":
+        # gradients g = (x, y, c x + a y) on a plane of R^3 with offsets z
+        pts = sorted((x, y, c * x + a * y, z) for x, y, z in pts)
+    return pts
+
+
+def _facet_set(facets):
+    return sorted(facets, key=lambda facet: facet[3])
+
+
+def _by_general_wrap(f):
+    """``conjugate(f)`` with the upper facets of d = 3 from ``_wrap``."""
+    with mock.patch.object(plconvex, "_upper_wrap", plconvex._wrap):
+        return conjugate(f)
+
+
+def _bytes(q):
+    return (q._den, q._verts, q._cells, q._planes, q._hrep)
+
+
+@settings(max_examples=300)
+@given(_lifted())
+@example([(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0)])
+@example([(0, 0, 0), (0, 2, 0), (1, 1, 1), (2, 0, 0), (2, 2, 0)])
+@example([(0, 0, 0), (1, 2, 0), (2, 0, 1)])
+def test_upper_wrap_matches_the_general_wrap(pts) -> None:
+    # the same facets, rows, points and vertex orders, for the upper and
+    # the lower hull, given the domain's facets or not; and the same
+    # conjugate, byte for byte and in order, on R^2 and on a plane of R^3
+    n = len(pts[0]) - 1
+    f = MaxAffine._from_ints(n, 1, pts)
+    assert _bytes(conjugate(f)) == _bytes(_by_general_wrap(f))
+    if n == 3:
+        piv = plconvex._independent([r[:-1] for r in f._rows],
+                                    range(len(f._rows)), 3)[1]
+        pts = [tuple(r[k] for k in piv) + r[-1:] for r in f._rows]
+    heads = [p[:-1] for p in pts]
+    if len(plconvex._independent(heads, range(len(heads)), 2)[1]) < 2:
+        return
+    dom = plconvex._facets(heads, 0)
+    for sign in (1, -1):
+        for given_dom in (None, dom):
+            assert _facet_set(plconvex._facets(pts, sign, given_dom)) == (
+                _facet_set(plconvex._wrap(pts, sign, given_dom)))

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -629,14 +630,18 @@ def test_conjugate_2d_explicit_cases(pieces, ncells) -> None:
 @settings(max_examples=100)
 @given(_p2_pieces())
 def test_general_wrap_matches_the_planar_wrap(pieces) -> None:
-    # on gradients spanning the plane, the wrap of every n gives the
-    # profile of the inline planar wrap it replaced, byte for byte
+    # on gradients spanning the plane, the upper wrap of d = 3 and the
+    # wrap of every n give the profile of the inline planar wrap they
+    # replaced, byte for byte
     f = MaxAffine(2, pieces)
     if len({g for g, _ in f.pieces}) < 3 or oracles.conjugate_2d_triples(
             list(f.pieces)) is None:
         return
-    assert (plconvex._conjugate_wrap(2, f._den, f._rows, [0, 1])
-            == oracles.conjugate_2d_wrap(f._den, f._rows) == conjugate(f))
+    want = oracles.conjugate_2d_wrap(f._den, f._rows)
+    assert plconvex._conjugate_wrap(2, f._den, f._rows, [0, 1]) == want
+    assert conjugate(f) == want
+    with mock.patch.object(plconvex, "_upper_wrap", plconvex._wrap):
+        assert plconvex._conjugate_wrap(2, f._den, f._rows, [0, 1]) == want
 
 
 def _views(prof):

@@ -2,12 +2,14 @@
 against the route it replaced: the envelope's pieces pruned by a second
 conjugate and that profile integrated (``oracles.rooftop_by_prune``)."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from test_toric_pins import P3_CASES, _pair as _toric_pair
 from geonorm import plconvex, toric
 from geonorm.plconvex import EnvelopeError, MaxAffine, integrate_profile
 from geonorm.segments import (
@@ -184,6 +186,34 @@ def test_line_ops_enter_no_hull_wrap(n, monkeypatch) -> None:
         calls.clear()
         op()
         assert bool(calls) == (n > 1)
+
+
+def test_plane_ops_enter_no_general_wrap(monkeypatch, conjugated) -> None:
+    # full-rank P^2 conjugates take the upper wrap of d = 3, so no toric op
+    # on P^2 enters the general gift-wrap; a P^3 pair still does, so the
+    # zero is not vacuous
+    calls = []
+    real = plconvex._wrap
+    monkeypatch.setattr(plconvex, "_wrap", lambda *args: (
+        calls.append(1) or real(*args)))
+    ring, t = section_ring(2, 1), F(1, 3)
+    for seed in range(3):
+        rng = random.Random(f"rooftop:wrap-guard:{seed}")
+        for level in (1, 2):
+            w0, w1 = [[F(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+                       for _ in ring.basis(level)] for _ in range(2)]
+            phi0, phi1 = (fs_from_norm(ring, level, dict(zip(
+                ring.basis(level), w))) for w in (w0, w1))
+            energy(phi0, phi1, kmax=2)
+            d1_metric(phi0, phi1, kmax=2)
+            maximal_segment(phi0, phi1, t, kmax=2)
+            legendre_segment(phi0, phi1, t)
+            compare_metrics(phi0, phi1)
+            segment_from_dual(fs_segment(ring, level, w0, w1), t)
+    assert calls == [] and len(conjugated) > 30
+    _, phi0, phi1 = _toric_pair(P3_CASES[0])
+    energy(phi0, phi1, kmax=1)
+    assert calls
 
 
 def _counted(monkeypatch, owner, name):
