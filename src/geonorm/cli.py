@@ -35,36 +35,15 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 
 from .config import ConfigError, load_config, metric_pair, parse_rational
-from .field import INF, format_decimal, format_fraction, parse_fraction
+from .field import format_fraction
 from .graded import asymptotic_stats, check_submultiplicative, serialize_counterexample
 from .norms import NormPair
 from .geodesics import pair_geodesic
 from .segments import SegmentPair, detect_non_psh, maximal_segment
 from .suites import SUITE_NAMES, run_suite
-from .toric import energy
-
-
-# the leaves JSON writes as they are, recognized before the other checks
-_JSON_LEAVES = frozenset((str, int, bool, type(None)))
-
-
-def _jsonable(obj):
-    if type(obj) in _JSON_LEAVES:
-        return obj
-    if isinstance(obj, Fraction):
-        return format_fraction(obj)
-    if obj is INF:
-        return "inf"
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+from .toric import ConvergenceResult, energy
 
 
 def _write_text(path, text):
@@ -88,13 +67,12 @@ def _render(data, fmt):
         for row in data:
             writer.writerow({k: _scalar(v) for k, v in row.items()})
         return buf.getvalue(), "csv"
-    text = json.dumps(_jsonable(data), indent=2, sort_keys=True)
-    return text + "\n", "json"
+    # the handlers build artifacts of strings, ints, bools, None, lists and
+    # dicts keyed by strings, every rational already rendered
+    return json.dumps(data, indent=2, sort_keys=True) + "\n", "json"
 
 
 def _scalar(v):
-    if isinstance(v, Fraction):
-        return format_fraction(v)
     if isinstance(v, bool):
         return "true" if v else "false"
     return v
@@ -114,15 +92,10 @@ def _resolve_out(out, default_name, ext):
     return os.path.join(out, f"{default_name}.{ext}")
 
 
-def _emit(data, fmt, out, default_name):
-    """Write (or print) one artifact; returns the path written, if any."""
-    text, ext = _render(data, fmt)
-    return _emit_to(_resolve_out(out, default_name, ext), text, ext)
-
-
-def _emit_to(path, text, ext):
-    """Write (or print) text rendered as ext to a path ``_resolve_out``
+def _emit_to(path, data, fmt):
+    """Write (or print) data rendered as fmt to a path ``_resolve_out``
     gave; returns the path written, if any."""
+    text, ext = _render(data, fmt)
     if path is None:
         sys.stdout.write(text)
         return None
@@ -138,16 +111,10 @@ def _emit_to(path, text, ext):
 
 def _task_kmax(task, args, fallback=8):
     if "kmax" in task:
-        return int(task["kmax"])
+        return task["kmax"]
     if args.kmax is not None:
         return args.kmax
     return fallback
-
-
-def _parse_p(raw):
-    if raw == "inf":
-        return math.inf
-    return int(raw)
 
 
 def _pair(task, cfg, pairs, kind):
@@ -221,51 +188,39 @@ def _run_task(idx, task, cfg, args, pairs):
                 in enumerate(_pair(task, cfg, pairs, "norms").spectrum())]
         return rows, True, None
     if op == "distance":
-        p = _parse_p(task.get("p", 1))
+        p = task.get("p", 1)
         value = _pair(task, cfg, pairs, "norms").distance(p)
         return [{"p": "inf" if p == math.inf else str(p),
-                 "value": format_fraction(Fraction(value))}], True, None
+                 "value": format_fraction(value)}], True, None
     if op == "volume":
         value = _pair(task, cfg, pairs, "norms").volume()
         return [{"value": format_fraction(value)}], True, None
     if op == "join":
         return _pair(task, cfg, pairs, "norms").join().to_json(), True, None
     if op == "geodesic":
-        t = parse_fraction(str(task["t"]))
         geo = pair_geodesic(_pair(task, cfg, pairs, "norms"))
-        return geo.at(t).to_json(), True, None
+        return geo.at(task["t"]).to_json(), True, None
     if op == "asymptotic":
         g0, g1 = (cfg.graded[x] for x in task["graded"])
-        p = _parse_p(task.get("p", 1))
-        oracle = task.get("oracle_limit")
-        oracle = parse_fraction(str(oracle)) if oracle is not None else None
-        values, limit = asymptotic_stats(g0, g1, p, oracle_limit=oracle)
-        rows = []
-        for k, v in values:
-            rows.append({
-                "k": k,
-                "exact_value": format_fraction(v),
-                "decimal_value": format_decimal(v),
-                "oracle_limit": "" if limit is None else format_fraction(limit),
-            })
-        return rows, True, None
+        values, limit = asymptotic_stats(
+            g0, g1, task.get("p", 1), oracle_limit=task.get("oracle_limit"))
+        return ConvergenceResult(tuple(values), limit).rows(), True, None
     if op in ("energy", "d1"):
         pair = _pair(task, cfg, pairs, "metrics")
         fn = pair.energy if op == "energy" else pair.d1
         return fn(_task_kmax(task, args)).rows(), True, None
     if op == "maximal":
-        t = parse_fraction(str(task["t"]))
         metric = _pair(task, cfg, pairs, "metrics").maximal(
-            t, _task_kmax(task, args))
+            task["t"], _task_kmax(task, args))
         return metric.to_json(), True, None
     if op == "legendre":
-        t = parse_fraction(str(task["t"]))
-        return _pair(task, cfg, pairs, "metrics").legendre(t).to_json(), True, None
+        pair = _pair(task, cfg, pairs, "metrics")
+        return pair.legendre(task["t"]).to_json(), True, None
     if op == "diagnostics":
         return _diagnostics(task, cfg, args, pairs), True, None
     if op == "suite":
         rows = run_suite(task.get("name", "all"),
-                         seed=int(task.get("seed", args.seed)))
+                         seed=task.get("seed", args.seed))
         ok = all(r["status"] == "pass" for r in rows)
         failing = [r for r in rows if r["status"] != "pass"]
         return rows, ok, failing or None
@@ -292,16 +247,16 @@ def cmd_run(args):
                  "status": "pass" if ok else "fail",
                  "artifact": os.path.basename(path)}
         if counterexample is not None:
-            entry["counterexample"] = _jsonable(counterexample)
+            entry["counterexample"] = counterexample
             print(f"task {idx} ({task['op']}): FAIL "
-                  f"counterexample = {json.dumps(_jsonable(counterexample))}",
+                  f"counterexample = {json.dumps(counterexample)}",
                   file=sys.stderr)
             failed = True
         summary.append(entry)
         print(f"task {idx} ({task['op']}): {'ok' if ok else 'FAIL'} -> {path}")
     report_path = os.path.join(out_dir, "report.json")
     _write_text(report_path,
-                json.dumps(_jsonable(summary), indent=2, sort_keys=True) + "\n")
+                json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return 1 if failed else 0
 
 
@@ -321,7 +276,7 @@ def cmd_suite(args):
     n_fail = sum(1 for r in rows if r["status"] != "pass")
     print(f"{len(rows) - n_fail}/{len(rows)} checks passed")
     if path is not None:
-        print(f"wrote {_emit_to(path, *_render(rows, fmt))}")
+        print(f"wrote {_emit_to(path, rows, fmt)}")
     return 1 if n_fail else 0
 
 
@@ -333,7 +288,7 @@ def cmd_toric_energy(args):
     # the energy rows are a table, rendered as fmt; --out fails before the work
     path = _resolve_out(args.out, "energy", fmt)
     res = energy(phi0, phi1, kmax=_task_kmax({}, args))
-    path = _emit_to(path, *_render(res.rows(), fmt))
+    path = _emit_to(path, res.rows(), fmt)
     print(f"energy limit = {format_fraction(res.limit)}"
           + (f" -> {path}" if path else ""))
     return 0
@@ -346,8 +301,11 @@ def cmd_segments_maximal(args):
     t = parse_rational(args.t, "--t")
     if not 0 <= t <= 1:
         raise ConfigError(f"--t must lie in [0, 1], got {args.t}")
+    # --out fails before the work
+    path = _resolve_out(args.out, f"maximal_t_{t.numerator}_{t.denominator}",
+                        "json")
     metric = maximal_segment(phi0, phi1, t, kmax=_task_kmax({}, args))
-    path = _emit(metric.to_json(), "json", args.out, f"maximal_t_{t.numerator}_{t.denominator}")
+    path = _emit_to(path, metric.to_json(), "json")
     pieces = len(metric.potential.pieces)
     print(f"maximal segment at t = {args.t}: potential with {pieces} pieces"
           + (f" -> {path}" if path else ""))
@@ -359,6 +317,8 @@ def cmd_segments_verify(args):
     verify_tasks = [t for t in cfg.tasks if t.get("op") == "verify"]
     if not verify_tasks:
         raise ConfigError(f"{args.config} defines no verify tasks")
+    # --out fails before the work
+    path = _resolve_out(args.out, "verify_report", "json")
     failed = False
     checks = []
     pairs = {}
@@ -368,12 +328,11 @@ def cmd_segments_verify(args):
         status = "pass" if ok else "FAIL"
         print(f"verify {task['target']}: {status}")
         if not ok:
-            print(f"counterexample = {json.dumps(_jsonable(counterexample))}",
+            print(f"counterexample = {json.dumps(counterexample)}",
                   file=sys.stderr)
             failed = True
-    if args.out is not None:
-        path = _emit({"checks": checks}, "json", args.out, "verify_report")
-        print(f"wrote {path}")
+    if path is not None:
+        print(f"wrote {_emit_to(path, {'checks': checks}, 'json')}")
     return 1 if failed else 0
 
 

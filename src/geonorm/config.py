@@ -18,7 +18,9 @@ A config is a single JSON document:
       "output": {"format": "csv", "path": "out"}
     }
 
-Rationals are written as "num/den" strings throughout.  A ``paths`` object
+A rational is a ``"num/den"`` or decimal string, an integer, or a JSON
+number read by its decimal text (``0.1`` is 1/10); a bool is refused.
+``field.parse_fraction`` reads every one of them.  A ``paths`` object
 is a metric path sampled at three or more distinct parameter values, the
 input form for the psh (convexity-in-t) verification; its per-sample
 weights follow the same basis order as FSSegment weights.
@@ -27,6 +29,7 @@ weights follow the same basis order as FSSegment weights.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .field import json_list, parse_fraction
@@ -180,15 +183,18 @@ def _task_refs(idx, task):
 
 
 def parse_rational(value, what):
-    """A rational given as a JSON number or a ``"num/den"`` string; a
-    ConfigError naming ``what`` if it is none."""
+    """``field.parse_fraction`` of ``value``; a ConfigError naming ``what``
+    if it is no rational."""
     try:
-        return parse_fraction(str(value))
-    except (ValueError, ZeroDivisionError):
+        return parse_fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError):
         raise ConfigError(f"{what} must be a rational, got {value!r}") from None
 
 
-def _validate_task(idx, task, parsed):
+def _parsed_task(idx, task, parsed):
+    """A copy of ``task``, checked, with ``t`` and ``oracle_limit`` read as
+    Fractions and ``p`` as an int or ``math.inf``."""
+    task = dict(task)
     op = task["op"]
     for kind, name in _task_refs(idx, task):
         if name not in parsed[kind]:
@@ -197,19 +203,23 @@ def _validate_task(idx, task, parsed):
     if op in _NEEDS_T and "t" not in task:
         raise ConfigError(f"task {idx} ({op}): needs a 't' in [0, 1]")
     if "t" in task:
-        t = parse_rational(task["t"], f"task {idx}: t")
+        task["t"] = t = parse_rational(task["t"], f"task {idx}: t")
         if not 0 <= t <= 1:
             raise ConfigError(f"task {idx}: t must lie in [0, 1], got {t}")
     if task.get("oracle_limit") is not None:
-        parse_rational(task["oracle_limit"], f"task {idx}: oracle_limit")
+        task["oracle_limit"] = parse_rational(task["oracle_limit"],
+                                              f"task {idx}: oracle_limit")
     if "kmax" in task and not _is_positive_int(task["kmax"]):
         raise ConfigError(f"task {idx}: kmax must be a positive integer")
-    if "p" in task and task["p"] != "inf" and not _is_positive_int(task["p"]):
+    if task.get("p") == "inf":
+        task["p"] = math.inf
+    elif "p" in task and not _is_positive_int(task["p"]):
         raise ConfigError(f"task {idx}: p must be a positive integer or 'inf'")
     if "seed" in task and type(task["seed"]) is not int:
         raise ConfigError(f"task {idx}: seed must be an integer")
     if "name" in task and not isinstance(task["name"], str):
         raise ConfigError(f"task {idx}: name must be a string")
+    return task
 
 
 def load_config(path) -> ExperimentConfig:
@@ -266,8 +276,8 @@ def load_config(path) -> ExperimentConfig:
     if unknown:
         raise ConfigError(
             f"unknown task ops {unknown}; known ops: {sorted(KNOWN_OPS)}")
-    for idx, task in enumerate(tasks):
-        _validate_task(idx, task, parsed)
+    tasks = tuple(_parsed_task(idx, task, parsed)
+                  for idx, task in enumerate(tasks))
 
     output = doc.get("output", {})
     if not isinstance(output, dict):
@@ -286,7 +296,7 @@ def load_config(path) -> ExperimentConfig:
         metrics=parsed["metrics"],
         segments=parsed["segments"],
         paths=parsed["paths"],
-        tasks=tuple(tasks),
+        tasks=tasks,
         output_format=fmt,
         output_path=out_path,
     )

@@ -66,9 +66,18 @@ class _PlusInfinity:
 INF = _PlusInfinity()
 
 
-def parse_fraction(text: str) -> Fraction:
-    """Parse ``"num/den"`` or ``"num"`` into an exact rational."""
-    return Fraction(text)
+def parse_fraction(value) -> Fraction:
+    """The rational a JSON scalar writes, the one reader of every rational
+    in a config: a ``"num/den"`` or decimal string, an integer, or a JSON
+    number read by its decimal text, so ``0.1`` is 1/10.  A bool (which
+    Python counts as an int), a non-finite number or any other value
+    raises: a TypeError for a value of another type, else a ValueError."""
+    kind = type(value)
+    if kind is float:
+        value = repr(value)
+    elif kind is not str and kind is not int:
+        raise TypeError(f"a rational must be a string or a number, got {value!r}")
+    return Fraction(value)
 
 
 def json_list(value, what: str):

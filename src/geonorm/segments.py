@@ -46,6 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+from .field import json_list, parse_fraction
 from .graded import SectionRing, _level_k, _ring_dims
 from .plconvex import (
     MaxAffine,
@@ -178,8 +179,8 @@ class FSSegment:
     @classmethod
     def from_json(cls, obj) -> "FSSegment":
         ring = section_ring(*_ring_dims(obj["ring"], "ring"))
-        w0 = [Fraction(x) for x in obj["weights0"]]
-        w1 = [Fraction(x) for x in obj["weights1"]]
+        w0, w1 = ([parse_fraction(x) for x in json_list(obj[key], key)]
+                  for key in ("weights0", "weights1"))
         return cls.build(ring, _level_k(obj), w0, w1)
 
 

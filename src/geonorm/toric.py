@@ -269,10 +269,11 @@ def moment_volume(n: int, m: int) -> Fraction:
 
 @dataclass(frozen=True)
 class ConvergenceResult:
-    """Per-degree exact values plus the exact integral limit."""
+    """Per-degree exact values plus the exact integral limit, or None
+    where no limit is known."""
 
     per_k: tuple          # ((k, Fraction), ...)
-    limit: Fraction
+    limit: Fraction | None
 
     def gap(self, k: int) -> Fraction:
         for kk, v in self.per_k:
@@ -281,16 +282,12 @@ class ConvergenceResult:
         raise KeyError(k)
 
     def rows(self):
-        """CSV-ready rows: k, exact value, decimal rendering, limit."""
-        out = []
-        for k, v in self.per_k:
-            out.append({
-                "k": k,
-                "exact_value": format_fraction(v),
-                "decimal_value": format_decimal(v),
-                "oracle_limit": format_fraction(self.limit),
-            })
-        return out
+        """CSV-ready rows: k, exact value, decimal rendering, limit (empty
+        when unknown)."""
+        limit = "" if self.limit is None else format_fraction(self.limit)
+        return [{"k": k, "exact_value": format_fraction(v),
+                 "decimal_value": format_decimal(v), "oracle_limit": limit}
+                for k, v in self.per_k]
 
 
 def _require_pair(phi0, phi1):

@@ -208,6 +208,8 @@ def _string_for_a_list(kind):
             "basis": [[{"q": "1"}, {"q": "0"}], [{"q": "0"}, {"q": "1"}]],
             "weights": "01",
         }}
+    if kind == "segments":
+        return {"s0": dict(_SEGMENT, weights0="01")}
     path = _healthy_path()
     path["samples"][0]["weights"] = "12"
     return {"p0": path}
@@ -215,6 +217,7 @@ def _string_for_a_list(kind):
 
 @pytest.mark.parametrize("kind, what", [
     ("metrics", "g"), ("norms", "weights"), ("paths", "path sample weights"),
+    ("segments", "weights0"),
 ])
 def test_string_for_a_list_exits_2(tmp_path, capsys, kind, what) -> None:
     cfg = tmp_path / "config.json"
@@ -646,15 +649,22 @@ def test_null_arena_value_exits_2(tmp_path, capsys) -> None:
     _assert_one_line_error(capsys, "config error: arena.n must be a positive")
 
 
+_ENERGY_AND_THEOREM_B = [
+    {"op": "energy", "metrics": ["phi0", "phi1"], "kmax": 2},
+    {"op": "verify", "target": "theoremB", "metrics": ["phi0", "phi1"]},
+]
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--config", "CFG"],
     ["suite", "kiselman"],
     ["toric", "energy", "--config", "CFG", "--kmax", "2"],
-], ids=["run", "suite", "toric-energy"])
+    ["segments", "maximal", "--config", "CFG", "--t", "1/2", "--kmax", "2"],
+    ["segments", "verify", "--config", "CFG", "--kmax", "2"],
+], ids=["run", "suite", "toric-energy", "segments-maximal", "segments-verify"])
 def test_out_naming_a_regular_file_exits_2(tmp_path, capsys, argv) -> None:
     # --out names an existing file where a directory would be made
-    cfg = _pair_config(tmp_path, [{"op": "energy", "metrics": ["phi0", "phi1"],
-                                   "kmax": 2}])
+    cfg = _pair_config(tmp_path, _ENERGY_AND_THEOREM_B)
     blocker = tmp_path / "F"
     blocker.write_text("")
     argv = [cfg if a == "CFG" else a for a in argv]
@@ -667,17 +677,21 @@ def test_out_naming_a_regular_file_exits_2(tmp_path, capsys, argv) -> None:
     ["suite", "norms"],
     ["suite", "kiselman", "--format", "csv"],
     ["toric", "energy", "--config", "CFG", "--kmax", "2"],
-], ids=["suite", "suite-csv", "toric-energy"])
+    ["segments", "maximal", "--config", "CFG", "--t", "1/2", "--kmax", "2"],
+    ["segments", "verify", "--config", "CFG", "--kmax", "2"],
+], ids=["suite", "suite-csv", "toric-energy", "segments-maximal",
+        "segments-verify"])
 @pytest.mark.parametrize("out", ["F", "F/out.json"], ids=["dir", "file"])
 def test_unwritable_out_exits_2_before_the_work(tmp_path, capsys, monkeypatch,
                                                 argv, out) -> None:
-    # --out is resolved before the suite runs or the energy is computed
+    # --out is resolved before the suite runs, the energy or the maximal
+    # segment is computed or the verify tasks run
     def refuse(*args, **kwargs):
         raise AssertionError("the work ran before --out was resolved")
 
-    monkeypatch.setattr(cli, "run_suite", refuse)
-    monkeypatch.setattr(cli, "energy", refuse)
-    cfg = _pair_config(tmp_path, [])
+    for name in ("run_suite", "energy", "maximal_segment", "_run_verify"):
+        monkeypatch.setattr(cli, name, refuse)
+    cfg = _pair_config(tmp_path, _ENERGY_AND_THEOREM_B)
     (tmp_path / "F").write_text("")
     argv = [cfg if a == "CFG" else a for a in argv]
     assert main(argv + ["--out", str(tmp_path / out)]) == 2

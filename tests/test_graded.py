@@ -228,7 +228,7 @@ def _deg1(**changes):
 
 # Each malformed degree object and the error it raises: the exception class
 # and its message, pinned on the loader that built a ``DiagNorm`` per degree.
-# A scalar or weight that ``Fraction`` cannot read is malformed norm JSON,
+# A scalar or weight that ``parse_fraction`` refuses is malformed norm JSON,
 # under its degree like every other norm error.
 _GRADED_ERRORS = [
     ([], AttributeError, "'list' object has no attribute 'get'"),
@@ -255,8 +255,8 @@ _GRADED_ERRORS = [
     (_deg1(weights=["0", "1/0"]), GradedError,
      "degree 1: malformed norm JSON: Fraction(1, 0)"),
     (_deg1(weights=["0", None]), GradedError,
-     "degree 1: malformed norm JSON: argument should be a string or a "
-     "Rational instance"),
+     "degree 1: malformed norm JSON: a rational must be a string or a "
+     "number, got None"),
     (_deg1(weights=7), GradedError,
      "degree 1: malformed norm JSON: 'int' object is not iterable"),
     (_deg1(dim=3), GradedError, "degree 1: declared dim does not match weights"),
@@ -277,6 +277,10 @@ _GRADED_ERRORS = [
     # a string is no list of weights, though it iterates as one
     (_deg1(weights="12"), GradedError,
      "degree 1: malformed norm JSON: weights must be a list, got '12'"),
+    # a bool is no rational, though Python counts it as an int
+    (_deg1(weights=[True, False]), GradedError,
+     "degree 1: malformed norm JSON: a rational must be a string or a "
+     "number, got True"),
 ]
 
 
@@ -293,13 +297,14 @@ def test_graded_json_errors_are_pinned(one, exc, message) -> None:
 
 
 @pytest.mark.parametrize("one, weights", [
-    # every form ``Fraction`` reads is a weight, and the literal forms of the
-    # identity are not the only ones
+    # every form ``parse_fraction`` reads is a weight (a JSON number by its
+    # decimal text), and the literal forms of the identity are not the only
+    # ones
     (_deg1(weights=["0", " 1/2 "]), (F(0), F(1, 2))),
     (_deg1(weights=["-0", "2/4"]), (F(0), F(1, 2))),
     (_deg1(weights=["1.5", "1e1"]), (F(3, 2), F(10))),
     (_deg1(weights=[1, 2.5]), (F(1), F(5, 2))),
-    (_deg1(weights=[True, False]), (F(1), F(0))),
+    (_deg1(weights=[0.1, 1e-3]), (F(1, 10), F(1, 1000))),
     (_deg1(weights=["1", "2"]), (F(1), F(2))),
     (_deg1(dim=None), (F(0), F(1, 2))),
     (_deg1(field=None), (F(0), F(1, 2))),
