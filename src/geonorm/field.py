@@ -11,12 +11,21 @@ Valuations are additive, written on the -log scale: ``v(xy) = v(x) + v(y)``
 and ``v(x + y) >= min(v(x), v(y))`` with equality when the two valuations
 differ.  The valuation of 0 is plus infinity, represented by the ``INF``
 sentinel which compares greater than every rational.
+
+Rationals become integers in one place.  The package holds a vector of
+rationals as ``(den, numerators)``, integers over one positive den.
+``cleared`` reads rows of ints and ``Fraction``s into it over the lcm of
+their denominators, which is in lowest terms; ``lowest_terms`` reduces
+numerators a computation built (a geodesic slice, a convolution power, a
+profile's lattice values) by their gcd with den.  Layers hand the form on,
+and ``Fraction``s are built only as views of what a public API returns.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class FieldError(ValueError):
@@ -66,18 +75,55 @@ class _PlusInfinity:
 INF = _PlusInfinity()
 
 
+# "num/den", or a decimal with an exponent as a finite float's repr has it
+_RATIONAL_TEXT = re.compile(
+    r"[+-]?(?:[0-9]+/[0-9]+|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)")
+
+
 def parse_fraction(value) -> Fraction:
     """The rational a JSON scalar writes, the one reader of every rational
     in a config: a ``"num/den"`` or decimal string, an integer, or a JSON
-    number read by its decimal text, so ``0.1`` is 1/10.  A bool (which
-    Python counts as an int), a non-finite number or any other value
-    raises: a TypeError for a value of another type, else a ValueError."""
+    number read by its decimal text, so ``0.1`` is 1/10.  A string is read
+    only in those ASCII forms: no blanks, no ``_`` between digits and no
+    other digits than 0-9.  A bool (which Python counts as an int), a
+    non-finite number or any other value raises: a TypeError for a value
+    of another type, else a ValueError (a ZeroDivisionError for ``"1/0"``).
+    """
     kind = type(value)
     if kind is float:
         value = repr(value)
     elif kind is not str and kind is not int:
         raise TypeError(f"a rational must be a string or a number, got {value!r}")
+    elif kind is str and _RATIONAL_TEXT.fullmatch(value) is None:
+        raise ValueError(f"Invalid literal for Fraction: {value!r}")
     return Fraction(value)
+
+
+def _rational(x):
+    """x as an int or a Fraction, both of which carry numerator/denominator;
+    any other number is coerced by ``Fraction``."""
+    return x if type(x) is int or type(x) is Fraction else Fraction(x)
+
+
+def cleared(*rows):
+    """``(den, *numerator_rows)``: rows (sequences) of ints and
+    ``Fraction``s as tuples of integers over den, the lcm of all their
+    denominators, so in lowest terms."""
+    den = lcm(*[x.denominator for r in rows for x in r])
+    if den == 1:
+        return (1, *[tuple([x.numerator for x in r]) for r in rows])
+    return (den, *[tuple([x.numerator * (den // x.denominator) for x in r])
+                   for r in rows])
+
+
+def lowest_terms(den: int, *rows):
+    """``(den, *rows)`` for integer rows over den > 0, in lowest terms: all
+    divided by the gcd of den and every entry.  When that gcd is 1 the
+    rows come back as they are."""
+    g = gcd(den, *[gcd(*r) for r in rows])
+    if g == 1:
+        return (den, *rows)
+    return (den // g, *[tuple([x // g for x in r]) for r in rows])
 
 
 def json_list(value, what: str):

@@ -39,7 +39,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .norms import DiagNorm, NormError, NormPair, _numerators
+from .field import _rational, cleared
+from .norms import DiagNorm, NormError, NormPair
 
 
 class NormGeodesic:
@@ -94,11 +95,11 @@ class NormGeodesic:
         """``(D, a, b)``: both weight vectors over one denominator."""
         if self._ends is None:
             d = self._base().dim
-            w0, w1 = self._weights
-            den, nums = _numerators(tuple(w0) + tuple(w1))
-            if len(nums) != 2 * d:
+            w0, w1 = ([_rational(x) for x in w] for w in self._weights)
+            den, a, b = cleared(w0, w1)
+            if len(b) != d:
                 raise NormError("basis and weights must have equal length")
-            self._ends = (den, nums[:d], nums[d:])
+            self._ends = (den, a, b)
         return self._ends
 
     def at(self, t) -> DiagNorm:

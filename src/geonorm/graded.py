@@ -9,12 +9,13 @@ degree-one generation is a tropical (max-plus) convolution power.
 
 Representation.  A ``GradedNorm`` stores one positive common denominator D
 and, per degree k, one tuple of integer numerators in ``ring.basis(k)``
-order: the weight of the i-th point is numerators[k-1][i] / D.  The pair is
-reduced by gcd(D, *numerators), so it is canonical and equality compares
-integers.  The ``{point: Fraction}`` weights of a degree are built once, on
-first use, and ``degree_weights(k)`` returns a copy of them.  ``from_json``
-reads each degree's weights straight into these rows: a degree written
-with the identity basis builds no ``DiagNorm`` (see ``_degree_weights``).
+order: the weight of the i-th point is numerators[k-1][i] / D, in lowest
+terms, so equality compares integers.  Given weights are read by
+``field.cleared``, and built numerators reduced by ``field.lowest_terms``
+(``_from_numerators``).  Norms and graded norms trade numerators, never
+``Fraction``s: ``from_json`` (``_degree_weights``), ``generate_degree_one``
+and ``norm_at``.  The ``{point: Fraction}`` weights of a degree are built
+once, on first use, and ``degree_weights(k)`` returns a copy of them.
 
 Keys.  The graded functions address a lattice point a of degree k <= K by
 the mixed-radix integer sum_i a_i * R^(n-1-i) with radix R = K*m + 1.  Every
@@ -32,10 +33,11 @@ is therefore unchanged, and so are the counterexamples derived from it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, inf, lcm
+from math import comb, inf, lcm
 
-from .field import TRIVIAL
-from .norms import DiagNorm, NormError, _identity, _json_parts
+from .field import TRIVIAL, _rational, cleared, lowest_terms
+from .norms import (DiagNorm, NormError, _identity, _json_parts,
+                    _standard_record)
 
 
 class GradedError(ValueError):
@@ -144,24 +146,19 @@ class GradedNorm:
                 raise GradedError(
                     f"degree {k} weights must cover exactly the "
                     f"{ring.h0(k)} monomials of km*Delta")
-            rows.append([Fraction(table[a]) for a in basis])
+            rows.append([_rational(table[a]) for a in basis])
         if not rows:
             raise GradedError("a graded norm needs at least degree one")
-        # reduced fractions over the lcm of their denominators: gcd 1 already
-        den = lcm(*(w.denominator for row in rows for w in row))
-        self._set(ring, den, tuple(
-            tuple(w.numerator * (den // w.denominator) for w in row)
-            for row in rows))
+        den, *nums = cleared(*rows)
+        self._set(ring, den, tuple(nums))
 
     @classmethod
     def _from_numerators(cls, ring: SectionRing, den: int, nums) -> "GradedNorm":
-        """The norm with weight nums[k-1][i] / den at ``ring.basis(k)[i]``."""
-        g = gcd(den, *(x for row in nums for x in row))
-        if g > 1:
-            den //= g
-            nums = tuple(tuple(x // g for x in row) for row in nums)
+        """The norm with weight nums[k-1][i] / den at ``ring.basis(k)[i]``,
+        in lowest terms."""
+        den, *nums = lowest_terms(den, *nums)
         out = cls.__new__(cls)
-        out._set(ring, den, nums)
+        out._set(ring, den, tuple(nums))
         return out
 
     def _set(self, ring, den, nums):
@@ -171,16 +168,19 @@ class GradedNorm:
         self._nums = nums
         self._tables = [None] * len(nums)
 
-    def _table(self, k: int) -> dict:
-        """The cached ``{point: Fraction}`` weights of degree k."""
+    def _row(self, k: int) -> tuple:
         if not 1 <= k <= self.kmax:
             raise GradedError(f"degree {k} outside 1..{self.kmax}")
+        return self._nums[k - 1]
+
+    def _table(self, k: int) -> dict:
+        """The cached ``{point: Fraction}`` weights of degree k."""
+        row = self._row(k)
         table = self._tables[k - 1]
         if table is None:
             den = self._den
             table = self._tables[k - 1] = {
-                a: Fraction(x, den)
-                for a, x in zip(self.ring.basis(k), self._nums[k - 1])}
+                a: Fraction(x, den) for a, x in zip(self.ring.basis(k), row)}
         return table
 
     def weight(self, k: int, a) -> Fraction:
@@ -191,7 +191,9 @@ class GradedNorm:
         return dict(self._table(k))
 
     def norm_at(self, k: int) -> DiagNorm:
-        return DiagNorm.standard(TRIVIAL, tuple(self._table(k).values()))
+        row = self._row(k)
+        rec = _standard_record(TRIVIAL, len(row))
+        return DiagNorm._on(rec, self._den, row)
 
     def __eq__(self, other):
         if not isinstance(other, GradedNorm):
@@ -243,16 +245,15 @@ class GradedNorm:
                 raise GradedError(
                     f"degree {k} norm must be monomial-diagonal of "
                     f"dimension {ring.h0(k)}")
-        # reduced fractions over the lcm of their denominators: gcd 1 already
-        den = lcm(*(w.denominator for row in rows for w in row))
+        den = lcm(*(d for d, _ in rows))
         return cls._from_numerators(ring, den, tuple(
-            tuple(w.numerator * (den // w.denominator) for w in row)
-            for row in rows))
+            tuple(x * (den // d) for x in row) for d, row in rows))
 
 
 def _degree_weights(h0: int, obj):
-    """The weights of a degree's norm JSON, if it is monomial-diagonal of
-    dimension h0, else None; NormError as ``DiagNorm.from_json`` raises it.
+    """``(den, numerators)``: the weights of a degree's norm JSON, in basis
+    order and lowest terms, if it is monomial-diagonal of dimension h0, else
+    None; NormError as ``DiagNorm.from_json`` raises it.
 
     A basis written as the identity (see ``norms._json_parts``) with h0
     weights is read with no norm built.  Any other is built as a norm, which
@@ -261,23 +262,26 @@ def _degree_weights(h0: int, obj):
     """
     field, basis, weights = _json_parts(obj)
     if basis is _identity(field, h0) and len(weights) == h0:
-        return weights
+        return cleared(weights)
     norm = DiagNorm(field, basis, weights)
     if norm.dim != h0 or not norm.is_standard_basis():
         return None
-    return norm.weights
+    return norm._den, norm._nums
 
 
-def _degree_one_table(ring: SectionRing, source) -> dict:
+def _degree_one(ring: SectionRing, source):
+    """``(den, numerators)``: the degree-one weights, in ``ring.basis(1)``
+    order and lowest terms, of a standard-basis norm or a mapping from the
+    lattice points."""
     basis = ring.basis(1)
     if isinstance(source, DiagNorm):
         if source.dim != len(basis) or not source.is_standard_basis():
             raise GradedError("degree-one norm must be monomial-diagonal")
-        return dict(zip(basis, source.weights))
-    table = {tuple(a): Fraction(w) for a, w in dict(source).items()}
+        return source._den, source._nums
+    table = {tuple(a): _rational(w) for a, w in dict(source).items()}
     if set(table) != set(basis):
         raise GradedError("degree-one weights must cover m*Delta exactly")
-    return table
+    return cleared([table[a] for a in basis])
 
 
 def generate_degree_one(ring: SectionRing, degree_one, kmax: int) -> GradedNorm:
@@ -288,16 +292,14 @@ def generate_degree_one(ring: SectionRing, degree_one, kmax: int) -> GradedNorm:
     norm through Sym^k H^0 -> H^0(k), computed as a max-plus convolution
     power.  Superadditive, hence submultiplicative, by construction.  The
     convolution runs on integer numerators over the lcm of the degree-one
-    denominators, keyed as in the module docstring.
+    denominators, keyed as in the module docstring.  kmax is an int >= 1.
     """
-    if kmax < 1:
-        raise GradedError("kmax must be at least 1")
-    w1 = _degree_one_table(ring, degree_one)
-    den = lcm(*(w.denominator for w in w1.values()))
+    if not _is_positive_int(kmax):
+        raise GradedError(f"kmax must be an int >= 1, got {kmax!r}")
+    den, w1 = _degree_one(ring, degree_one)
     radix = kmax * ring.m + 1
-    one = [(key, w1[a].numerator * (den // w1[a].denominator))
-           for key, a in zip(_keys(ring, 1, radix), ring.basis(1))]
-    rows = [tuple(x for _, x in one)]
+    one = list(zip(_keys(ring, 1, radix), w1))
+    rows = [w1]
     prev = dict(one)
     for k in range(2, kmax + 1):
         table = {}
@@ -370,6 +372,8 @@ def asymptotic_stats(gn0: GradedNorm, gn1: GradedNorm, p, kmax: int | None = Non
     """
     if gn0.ring != gn1.ring:
         raise GradedError("graded norms live on different rings")
+    if p != inf and (type(p) is not int or p < 1):
+        raise GradedError(f"p must be an integer >= 1 or inf, got {p!r}")
     K = min(gn0.kmax, gn1.kmax)
     if kmax is not None:
         K = min(K, kmax)
@@ -382,8 +386,6 @@ def asymptotic_stats(gn0: GradedNorm, gn1: GradedNorm, p, kmax: int | None = Non
         if p == inf:
             val = Fraction(max(lam), k * L)
         else:
-            if not isinstance(p, int) or p < 1:
-                raise GradedError("p must be an integer >= 1 or inf")
             val = Fraction(sum(x ** p for x in lam), (k * L) ** p * len(lam))
         values.append((k, val))
     return values, oracle_limit

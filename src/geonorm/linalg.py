@@ -9,9 +9,12 @@ integer polynomials in t over a common multiple of its denominators (Q(t),
 fraction-free Gauss-Jordan loop, ``_gauss_jordan``, over Z or Z[t].
 Determinants run one triangular Bareiss loop, ``_bareiss``, over Z or
 Z[t], on the row-scaled matrix.  ``rref`` builds its field elements once,
-at the end: one ``Fraction`` or one reduced ``RatFunc`` per entry.  The
-one integer echelon, ``_extend_echelon``, and the one ``_primitive`` serve
-the filtration split of ``norms`` and the hulls of ``plconvex``.
+at the end: one ``Fraction`` or one reduced ``RatFunc`` per entry.  A
+vector over Q is read by the package's one reader, ``field.cleared`` (the
+ring's ``clear`` over Z).  The one integer echelon, ``_extend_echelon``,
+and the one ``_primitive``, which divides an integer row by its gcd (the
+ring's ``primitive`` and ``lowest`` over Z), serve the filtration split of
+``norms`` and the hulls of ``plconvex``.
 
 An inverse is kept in row form: one ``(den, numerators)`` pair per row,
 over Z for Q and over Z[t] for Q(t), read straight off the elimination,
@@ -61,6 +64,7 @@ from .field import (
     _poly_neg,
     _poly_ord,
     _poly_sub_mul,
+    cleared,
 )
 
 _ZERO = Fraction(0)
@@ -126,14 +130,6 @@ def _extend_echelon(echelon, v):
             echelon.append((p, _primitive(v)))
             return True
     return False
-
-
-def _cleared(row):
-    """``(den, ints)`` with ``ints == den * row``; den is the lcm of denominators."""
-    den = math.lcm(*[x.denominator for x in row])
-    if den == 1:
-        return den, [x.numerator for x in row]
-    return den, [x.numerator * (den // x.denominator) for x in row]
 
 
 def _poly_cleared(row):
@@ -469,7 +465,7 @@ _Ring = namedtuple("_Ring", "lcm mul add dot exact_div order sub_mul "
                             "primitive lowest clear element one zero")
 _Z = _Ring(math.lcm, mul, add,
            lambda u, v: sum(map(mul, u, v)), floordiv, lambda x: 0,
-           _int_sub_mul, _primitive, _primitive, _cleared,
+           _int_sub_mul, _primitive, _primitive, cleared,
            lambda x, den: Fraction(x, den) if x else _ZERO, 1, 0)
 _ZT = _Ring(_poly_lcm, _poly_mul, _poly_add, _poly_dot,
             _poly_exact_div, _poly_ord, _poly_sub_mul, _poly_primitive_row,

@@ -25,13 +25,15 @@ form of the filtration split, found on integer rows (``_filtration_form``,
 
 A norm holds its weights as integer numerators over one positive
 denominator, in lowest terms; ``weights`` is their ``Fraction`` view,
-built on first read.  Every weight the library derives is computed on
-numerators: the weight pairs of two norms over the lcm D of their
-denominators (the kernel's offsets, the join's minima, the spectrum, the
-distances and the volume), a geodesic slice at t = p/q as ((q - p) a +
-p b) over q D, and the Sym^m and det weights as sums over the norm's own
-denominator.  A ``Fraction`` is built only for a value the public API
-returns.
+built on first read.  ``__init__`` reads given weights with
+``field.cleared``, and ``_on`` takes numerators that a computation built
+and reduces them with ``field.lowest_terms``.  Every weight the library
+derives is computed on numerators: the weight pairs of two norms over the
+lcm D of their denominators (the kernel's offsets, the join's minima, the
+spectrum, the distances and the volume), a geodesic slice at t = p/q as
+((q - p) a + p b) over q D, and the Sym^m and det weights as sums over
+the norm's own denominator.  A ``Fraction`` is built only for a value the
+public API returns.
 
 A norm also holds a record of its basis (``_Basis``), which the norms the
 library derives on one basis share: the slices of a geodesic, a join on a
@@ -102,9 +104,12 @@ from .field import (
     INF,
     TADIC,
     TRIVIAL,
+    _rational,
+    cleared,
     field_by_name,
     format_fraction,
     json_list,
+    lowest_terms,
     parse_fraction,
 )
 
@@ -135,7 +140,7 @@ class DiagNorm:
     __slots__ = ("field", "_den", "_nums", "_rec", "_weights")
 
     def __init__(self, field, basis, weights):
-        den, nums = _numerators(weights)
+        den, nums = cleared([_rational(w) for w in weights])
         d = len(nums)
         identity = basis is _identities.get((field.name, d))
         if not identity:
@@ -209,23 +214,13 @@ class DiagNorm:
     def _on(cls, rec, den, nums) -> "DiagNorm":
         """A norm with the weights ``nums`` / ``den`` (den > 0, integers) on
         the basis of the record ``rec``, which it shares; the weights are
-        put in lowest terms, and nothing else is checked."""
-        g = math.gcd(den, *nums)
-        if g > 1:
-            den, nums = den // g, tuple(x // g for x in nums)
+        put in lowest terms (``field.lowest_terms``), and nothing else is
+        checked."""
+        den, nums = lowest_terms(den, nums)
         out = object.__new__(cls)
         out.field, out._den, out._nums, out._rec = rec.field, den, nums, rec
         out._weights = None
         return out
-
-    def _reweighted(self, weights) -> "DiagNorm":
-        """A norm sharing this record, with the given rational weights,
-        coerced and checked as in ``__init__``; an inverse not cached yet is
-        computed on first use, once for every norm on the record."""
-        den, nums = _numerators(weights)
-        if len(nums) != self.dim:
-            raise NormError("basis and weights must have equal length")
-        return DiagNorm._on(self._rec, den, nums)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -290,14 +285,6 @@ class DiagNorm:
     @classmethod
     def from_json(cls, obj) -> "DiagNorm":
         return cls(*_json_parts(obj))
-
-
-def _numerators(weights):
-    """``(den, nums)``: rational weights as integer numerators over the
-    lcm of their denominators, which puts them in lowest terms."""
-    weights = [w if type(w) is Fraction else Fraction(w) for w in weights]
-    den = math.lcm(*(w.denominator for w in weights))
-    return den, tuple(w.numerator * (den // w.denominator) for w in weights)
 
 
 def _scaled(values, k):

@@ -42,27 +42,27 @@ Functions that need a profile the caller already holds have private
 variants that take it (``_le_witness``, ``_compare``, ``_mix_witness``,
 ``_envelope``).
 
-The kernels run on integers.  A ``MaxAffine`` is one positive denominator
-D and integer rows ``(G_1, ..., G_n, C)``, the piece (G/D, C/D), with D
-the least common denominator of the pieces (so D and the rows have gcd 1)
-and the rows deduplicated and sorted on their integer gradients.  A
+The kernels run on integers.  A ``MaxAffine`` is one positive denominator D
+and integer rows ``(G_1, ..., G_n, C)``, the piece (G/D, C/D), in lowest
+terms (``field.cleared`` reads the pieces, ``field.lowest_terms`` reduces
+built rows) and deduplicated and sorted on their gradients.  A
 ``ConcaveProfile`` keeps one such denominator for all of its hypograph
 vertices, cell vertices and planes.  Hulls, conjugates, comparisons and
 Fourier-Motzkin elimination read those rows directly.  The public
 ``pieces``, ``planes``, ``vertices`` and ``cells`` are ``Fraction`` views
 built each time they are read, never stored.  A profile is read at the
 lattice points of a dilation k (the sup-norm weights k q(a/k) of a toric
-metric) straight from its integer planes, by
-``ConcaveProfile.lattice_values``.  The overlay of two profiles
+metric) straight from its integer planes, as integers over its denominator
+(``ConcaveProfile._lattice_numerators``).  The overlay of two profiles
 (``_overlay``, on the line one merge of their left-to-right cells) keeps
-each common cell as homogeneous integer points ``(X.., W)``, W > 0 and
-gcd 1, standing for X/W, with their tight rows and the two profiles'
-integer plane rows over one denominator; the integral and the sup of
-|q0 - q1| and the pieces of the interpolated profile (1 - t) q0 + t q1
-are read off it, and build one ``Fraction`` each, and on the line so are
-the integer level sums of q0 - q1 and |q0 - q1| at the lattice points of
-a dilation (``_overlay_line_sum``).  Ranks and primitive rows come from
-``linalg`` (``_extend_echelon``, ``_primitive``).
+each common cell as homogeneous integer points ``(X.., W)``, W > 0 and gcd
+1, standing for X/W, with their tight rows and the two profiles' integer
+plane rows over one denominator; the integral and the sup of |q0 - q1| and
+the pieces of the interpolated profile (1 - t) q0 + t q1 are read off it,
+and build one ``Fraction`` each, and on the line so are the integer level
+sums of q0 - q1 and |q0 - q1| at the lattice points of a dilation
+(``_overlay_line_sum``).  Ranks and primitive rows come from ``linalg``
+(``_extend_echelon``, ``_primitive``).
 """
 
 from __future__ import annotations
@@ -76,7 +76,8 @@ from itertools import combinations, combinations_with_replacement
 from math import comb, factorial, gcd, lcm, prod
 from operator import add, and_, itemgetter, mul, neg, sub
 
-from .field import format_fraction, json_list, parse_fraction
+from .field import (_rational, cleared, format_fraction, json_list,
+                    lowest_terms, parse_fraction)
 from .linalg import _extend_echelon, _primitive
 
 
@@ -91,25 +92,12 @@ class EnvelopeError(PLError):
 _flat = itertools.chain.from_iterable
 
 
-def _rational(x):
-    """x as an int or a Fraction, both of which carry numerator/denominator."""
-    return x if type(x) is int or type(x) is Fraction else Fraction(x)
-
-
 def _point(y, n: int):
     """A point of R^n with rational coordinates; PLError on a wrong length."""
     y = tuple(_rational(x) for x in y)
     if len(y) != n:
         raise PLError(f"point has length {len(y)}, expected {n}")
     return y
-
-
-def _int_rows(rows):
-    """(D, integer rows) of rational rows over their least common
-    denominator."""
-    den = lcm(*(x.denominator for r in rows for x in r))
-    return den, [tuple(x.numerator * (den // x.denominator) for x in r)
-                 for r in rows]
 
 
 def _over(den: int, rows):
@@ -141,7 +129,8 @@ class MaxAffine:
             rows.append(g + (_rational(c),))
         if not rows:
             raise PLError("a max-affine function needs at least one piece")
-        self._set(n, *_int_rows(rows))
+        den, *rows = cleared(*rows)
+        self._set(n, den, rows)
 
     @classmethod
     def _from_ints(cls, n: int, den: int, rows) -> "MaxAffine":
@@ -158,10 +147,7 @@ class MaxAffine:
         rows = sorted(rows)
         kept = [r for r, nxt in zip(rows, rows[1:]) if r[:-1] != nxt[:-1]]
         kept.append(rows[-1])
-        g = gcd(den, *_flat(kept))
-        if g > 1:
-            den //= g
-            kept = [tuple(x // g for x in r) for r in kept]
+        den, *kept = lowest_terms(den, *kept)
         self.n, self._den, self._rows = n, den, tuple(kept)
 
     @property
@@ -169,9 +155,7 @@ class MaxAffine:
         return _over(self._den, self._rows)
 
     def __call__(self, v):
-        v = _point(v, self.n)
-        dv = lcm(*(x.denominator for x in v))
-        V = [x.numerator * (dv // x.denominator) for x in v]
+        dv, V = cleared(_point(v, self.n))
         return Fraction(max(sum(map(mul, r, V)) + r[-1] * dv
                             for r in self._rows), self._den * dv)
 
@@ -396,8 +380,8 @@ class Polytope:
     @cached_property
     def _cuts(self):
         """``hrep`` as primitive integer rows (a_1.., b), computed once."""
-        return tuple(_primitive(_int_rows([tuple(map(
-            _rational, (*a, b)))])[1][0]) for a, b in self.hrep)
+        return tuple(_primitive(cleared(tuple(map(_rational, (*a, b))))[1])
+                     for a, b in self.hrep)
 
 
 @cache
@@ -990,26 +974,16 @@ class ConcaveProfile:
             for poly, (w, b) in zip(self._cells, self.planes))
 
     def value(self, y):
-        y = _point(y, self.n)
-        dy = lcm(*(x.denominator for x in y))
-        Y = [x.numerator * (dy // x.denominator) for x in y]
+        dy, Y = cleared(_point(y, self.n))
         return Fraction(min(sum(map(mul, r, Y)) + r[-1] * dy
                             for r in self._planes), self._den * dy)
 
-    def lattice_values(self, k: int, points):
-        """``k * value(a / k)`` for each integer point a, on integers.
-
-        k q(a/k) is the min over the planes (W, B) / D of (<W, a> + k B) / D.
-        """
-        den = self._den
-        return tuple(Fraction(v, den)
-                     for v in self._lattice_numerators(k, points))
-
     def _lattice_numerators(self, k: int, points):
-        """``D * lattice_values(k, points)``, D = ``_den``, as integers."""
+        """``D k value(a / k)`` for each integer point a, D = ``_den``: the
+        min over the integer planes (W, B) of <W, a> + k B, as a tuple."""
         planes = self._planes
-        return [min(sum(map(mul, r, a)) + k * r[-1] for r in planes)
-                for a in points]
+        return tuple([min(sum(map(mul, r, a)) + k * r[-1] for r in planes)
+                      for a in points])
 
     def domain_points(self):
         den = self._den

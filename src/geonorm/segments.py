@@ -44,9 +44,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
-
-from .field import json_list, parse_fraction
+from .field import _rational, cleared, json_list, lowest_terms, parse_fraction
 from .graded import SectionRing, _level_k, _ring_dims
 from .plconvex import (
     MaxAffine,
@@ -109,31 +107,25 @@ class FSSegment:
 
         def align(w):
             if isinstance(w, dict):
-                table = {tuple(a): Fraction(x) for a, x in w.items()}
+                table = {tuple(a): _rational(x) for a, x in w.items()}
                 if set(table) != set(basis):
                     raise ToricError(
                         "segment weights must cover the degree-k basis")
                 return tuple(table[a] for a in basis)
-            w = tuple(Fraction(x) for x in w)
+            w = tuple(map(_rational, w))
             if len(w) != len(basis):
                 raise ToricError(
                     f"expected {len(basis)} weights, got {len(w)}")
             return w
 
-        w0, w1 = align(w0), align(w1)
-        # on the weights' lcd the numerators are in lowest terms
-        den = lcm(*(w.denominator for w in w0 + w1))
-        return cls(ring, k, den,
-                   tuple(w.numerator * (den // w.denominator) for w in w0),
-                   tuple(w.numerator * (den // w.denominator) for w in w1))
+        return cls(ring, k, *cleared(align(w0), align(w1)))
 
     @classmethod
     def _from_ints(cls, ring: SectionRing, k: int, den: int, b0,
                    b1) -> "FSSegment":
-        """The segment with weights b0 / den and b1 / den, den > 0."""
-        g = gcd(den, *b0, *b1)
-        return cls(ring, k, den // g, tuple(x // g for x in b0),
-                   tuple(x // g for x in b1))
+        """The segment with weights b0 / den and b1 / den, den > 0 (tuples),
+        put in lowest terms."""
+        return cls(ring, k, *lowest_terms(den, b0, b1))
 
     @property
     def weights0(self) -> tuple:
@@ -438,8 +430,7 @@ class SegmentPair(MetricPair):
         report = {"levels": list(levels), "ts": [str(t) for t in ts]}
 
         # the times as S / T, so that the weights at s are integers over T den
-        T = lcm(*(s.denominator for s in ts))
-        S = [s.numerator * (T // s.denominator) for s in ts]
+        T, S = cleared(ts)
         per_level = []
         for k in levels:
             seg = self._level(k)

@@ -41,17 +41,18 @@ planes and cells are views built when read.  FS metrics are built from
 integer weight numerators (``_fs_metric``), and the gradient checks of
 ``ToricMetric`` read the integer rows.  Sup-norm weights are read off the
 profile's integer planes: k q(a/k) is the min over the planes (W, B) / D
-of (<W, a> + k B) / D (``ConcaveProfile.lattice_values``).  A pair's
-weight table at k (``MetricPair._weights``) holds both metrics' weights
-as integers B0, B1 over the lcm of the profiles' denominators: the level
+of (<W, a> + k B) / D.  ``supnorm`` and ``sup_graded`` hand those
+numerators (``ConcaveProfile._lattice_numerators``) to ``DiagNorm._on``
+and ``GradedNorm._from_numerators``, which reduce them
+(``field.lowest_terms``): no ``Fraction`` is built.  A pair's weight
+table at k (``MetricPair._weights``) holds both metrics' weights as
+integers B0, B1 over the lcm of the profiles' denominators: the level
 segments of ``geonorm.segments`` join B0 and B1, and on P^n, n >= 2,
 energies sum B0 - B1 and d1 sums |B0 - B1|.  On P^1 those sums read no
 weight: each level sums in closed form over the integer ranges of the
 cells of the pair's overlay (``plconvex._overlay_line_sum``), so this
 module reads no profile's cells or planes.  E(phi) integrates the
 profile's integers (``plconvex.integrate_profile``).
-Graded norms read one metric's weights (``_supweights``); only
-``supnorm`` wraps them in a standard-basis norm, which costs O(d).
 """
 
 from __future__ import annotations
@@ -60,9 +61,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 
-from .field import TRIVIAL, format_decimal, format_fraction
+from .field import TRIVIAL, _rational, cleared, format_decimal, format_fraction
 from .graded import GradedError, GradedNorm, SectionRing, _ring_dims
-from .norms import DiagNorm
+from .norms import DiagNorm, _standard_record
 from .plconvex import (
     Comparison,
     ConcaveProfile,
@@ -183,13 +184,10 @@ def fs_from_norm(ring: SectionRing, k: int, source) -> ToricMetric:
                 f"norm must be monomial-diagonal of dimension {len(basis)}")
         # the norm's integer weights, in basis order, in lowest terms
         return _fs_metric(ring, k, source._den, source._nums)
-    table = {tuple(a): Fraction(w) for a, w in dict(source).items()}
+    table = {tuple(a): _rational(w) for a, w in dict(source).items()}
     if set(table) != set(basis):
         raise ToricError("weights must cover the degree-k basis exactly")
-    weights = [table[a] for a in basis]
-    den = lcm(*(w.denominator for w in weights))
-    return _fs_metric(ring, k, den, [w.numerator * (den // w.denominator)
-                                     for w in weights])
+    return _fs_metric(ring, k, *cleared([table[a] for a in basis]))
 
 
 def _fs_metric(ring: SectionRing, k: int, den: int, numerators) -> ToricMetric:
@@ -217,7 +215,9 @@ def supnorm(k: int, phi: ToricMetric) -> DiagNorm:
     defining potential serves every degree.
     """
     _require_kmax(k, "level k")
-    return DiagNorm.standard(TRIVIAL, _supweights(k, phi, _full_profile(phi)))
+    q = _full_profile(phi)
+    nums = _supweights(k, phi, q)
+    return DiagNorm._on(_standard_record(TRIVIAL, len(nums)), q._den, nums)
 
 
 def _full_profile(phi: ToricMetric) -> ConcaveProfile:
@@ -234,9 +234,10 @@ def _require_full_support(phi: ToricMetric):
 
 
 def _supweights(k: int, phi: ToricMetric, q: ConcaveProfile) -> tuple:
-    """The weights of ``supnorm(k, phi)``, in ``ring.basis(k)`` order, read
-    off q = ``_full_profile(phi)``."""
-    return q.lattice_values(k, section_ring(phi.n, phi.m).basis(k))
+    """The weights of ``supnorm(k, phi)``, in ``ring.basis(k)`` order, as
+    integer numerators over q's denominator, read off q =
+    ``_full_profile(phi)``."""
+    return q._lattice_numerators(k, section_ring(phi.n, phi.m).basis(k))
 
 
 def sup_graded(phi: ToricMetric, kmax: int) -> GradedNorm:
@@ -244,9 +245,8 @@ def sup_graded(phi: ToricMetric, kmax: int) -> GradedNorm:
     ring = section_ring(phi.n, phi.m)
     _require_kmax(kmax, error=GradedError)  # before any support check
     q = _full_profile(phi)
-    return GradedNorm(ring, [
-        dict(zip(ring.basis(k), _supweights(k, phi, q)))
-        for k in range(1, kmax + 1)])
+    return GradedNorm._from_numerators(ring, q._den, tuple(
+        _supweights(k, phi, q) for k in range(1, kmax + 1)))
 
 
 def envelope_P(phi0: ToricMetric, phi1: ToricMetric) -> ToricMetric:
@@ -431,7 +431,8 @@ class MetricPair:
             qs = self.q0, self.q1
             den = lcm(*(q._den for q in qs))
             self._w[k] = (den, *(
-                [x * (den // q._den) for x in q._lattice_numerators(k, basis)]
+                tuple([x * (den // q._den)
+                       for x in q._lattice_numerators(k, basis)])
                 for q in qs))
         return self._w[k]
 

@@ -118,6 +118,13 @@ and ``asymptotic_stats`` are the ``Fraction`` loops that geonorm.graded
 replaced with integer numerators over one common denominator; they read
 weights through ``degree_weights``, build norms with the public
 ``GradedNorm`` constructor, and share only the degree-one input check.
+``lattice_values`` (the replaced ``ConcaveProfile`` method),
+``supnorm_fractions``, ``sup_graded_fractions``, ``norm_at_fractions``
+and ``graded_from_json_fractions`` are the routes that built ``Fraction``
+weights for the next layer to clear, where geonorm hands that layer the
+integer numerators over one denominator: the lattice numerators of a
+profile into ``DiagNorm._on`` and ``GradedNorm._from_numerators``, the
+numerators of a degree into its norm and of a norm into a graded norm.
 ``integrate_cells`` integrates a profile's ``Fraction`` cell views by
 trapezoids and triangles, where geonorm.plconvex.integrate_profile sums
 on the profile's integers.
@@ -184,8 +191,9 @@ from math import comb, gcd, lcm, prod
 from operator import mul, sub
 
 from geonorm import linalg, plconvex
-from geonorm.field import INF, TADIC, RatFunc, format_fraction
-from geonorm.graded import GradedError, GradedNorm, _degree_one_table
+from geonorm.field import (INF, TADIC, TRIVIAL, RatFunc, cleared,
+                           format_fraction)
+from geonorm.graded import GradedError, GradedNorm, SectionRing, _degree_one
 from geonorm.norms import (
     DiagNorm,
     NormError,
@@ -206,7 +214,6 @@ from geonorm.plconvex import (
     _flat_facets,
     _hull_rows,
     _independent,
-    _int_rows,
     _mix_witness,
     _overlay as _overlay_integer,
     _overlay_taus,
@@ -1995,7 +2002,8 @@ def generate_degree_one(ring, degree_one, kmax):
     """Max-plus convolution powers of the degree-one weights, in Fractions."""
     if kmax < 1:
         raise GradedError("kmax must be at least 1")
-    w1 = _degree_one_table(ring, degree_one)
+    den, nums = _degree_one(ring, degree_one)
+    w1 = {a: Fraction(x, den) for a, x in zip(ring.basis(1), nums)}
     tables = [w1]
     b1 = ring.basis(1)
     for k in range(2, kmax + 1):
@@ -2065,6 +2073,55 @@ def asymptotic_stats(gn0, gn1, p, kmax=None, oracle_limit=None):
             val = Fraction(sum(abs(x / k) ** p for x in lam), len(lam))
         values.append((k, val))
     return values, oracle_limit
+
+# ---------------------------------------------------------------------------
+# The Fraction routes between layers that geonorm replaced by handing on
+# integer numerators over one denominator: each builds the Fractions one
+# layer gave the next, which cleared them again.
+# ---------------------------------------------------------------------------
+
+
+def lattice_values(q, k, points):
+    """``k * q.value(a / k)`` for each integer point a, as the ``Fraction``
+    views of the profile's lattice numerators."""
+    return tuple(Fraction(v, q._den) for v in q._lattice_numerators(k, points))
+
+
+def supnorm_fractions(k, phi):
+    """``supnorm(k, phi)`` through the ``Fraction`` lattice values of phi's
+    profile and ``DiagNorm.standard``."""
+    basis = section_ring(phi.n, phi.m).basis(k)
+    return DiagNorm.standard(TRIVIAL, lattice_values(phi.profile(), k, basis))
+
+
+def sup_graded_fractions(phi, kmax):
+    """``sup_graded(phi, kmax)`` through ``{point: Fraction}`` tables of the
+    lattice values and the public ``GradedNorm`` constructor."""
+    ring = section_ring(phi.n, phi.m)
+    q = phi.profile()
+    return GradedNorm(ring, [
+        dict(zip(ring.basis(k), lattice_values(q, k, ring.basis(k))))
+        for k in range(1, kmax + 1)])
+
+
+def norm_at_fractions(gn, k):
+    """``gn.norm_at(k)`` through the ``Fraction`` weights of degree k and
+    ``DiagNorm.standard``."""
+    weights = gn.degree_weights(k)
+    return DiagNorm.standard(TRIVIAL, [weights[a] for a in gn.ring.basis(k)])
+
+
+def graded_from_json_fractions(obj):
+    """``GradedNorm.from_json(obj)`` through one ``DiagNorm`` per degree,
+    its ``Fraction`` weights and the public ``GradedNorm`` constructor."""
+    ring = SectionRing(obj["ring"]["n"], obj["ring"]["m"])
+    tables = []
+    for k in range(1, len(obj["degrees"]) + 1):
+        norm = DiagNorm.from_json(obj["degrees"][str(k)])
+        if norm.dim != ring.h0(k) or not norm.is_standard_basis():
+            raise GradedError(f"degree {k} norm must be monomial-diagonal")
+        tables.append(dict(zip(ring.basis(k), norm.weights)))
+    return GradedNorm(ring, tables)
 
 
 # ---------------------------------------------------------------------------
@@ -2491,13 +2548,13 @@ def _clip_interval(lo, hi, a, b):
 
 def _hom_halfplane(a, b):
     """<a, y> <= b with rational a, b as the integer row (a_1.., b)."""
-    return _int_rows([tuple(_rational(x) for x in a) + (_rational(b),)])[1][0]
+    return cleared(tuple(_rational(x) for x in a) + (_rational(b),))[1]
 
 
 def _hom_point(p):
     """The homogeneous integer point of a rational point."""
-    w, xs = _int_rows([tuple(_rational(x) for x in p)])
-    return xs[0] + (w,)
+    w, xs = cleared(tuple(_rational(x) for x in p))
+    return xs + (w,)
 
 
 
@@ -2566,8 +2623,8 @@ def min_profile(planes, domain_vertices, extra_hrep, n) -> ConcaveProfile:
     halfplanes cutting it down.  Returns the linearity cells of the
     pointwise minimum.
     """
-    den, rows = _int_rows([tuple(_rational(x) for x in g) + (_rational(c),)
-                           for g, c in planes])
+    den, *rows = cleared(*[tuple(_rational(x) for x in g) + (_rational(c),)
+                            for g, c in planes])
     return _min_profile(n, den, rows,
                         [_hom_point(p) for p in domain_vertices],
                         [_hom_halfplane(a, b) for a, b in extra_hrep])
@@ -2894,7 +2951,7 @@ def mix_witness_minkowski(f, g0, g1, lam):
         return lam * g0(v) + (1 - lam) * g1(v)
 
     planes = [(w, h(tuple(-x for x in w))) for w in dict.fromkeys(slopes)]
-    hden, pts = _int_rows({
+    hden, *pts = cleared(*{
         tuple(lam * x + (1 - lam) * y for x, y in zip(p, r))
         for p in q0.domain_points() for r in q1.domain_points()})
     hrep = [(tuple(Fraction(x, hden ** e) for x in N),

@@ -198,3 +198,27 @@ def test_a_bool_exits_2_at_every_place() -> None:
             code, err = _run(tmp, place, True)
             assert code == 2, place
             assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value, expected", [
+    ("+1/2", F(1, 2)), ("-0/5", F(0)), ("1.", F(1)), (".5", F(1, 2)),
+    ("1E3", F(1000)), ("-2.5e-1", F(-1, 4)), (repr(1.5e300), F(15 * 10 ** 299)),
+])
+def test_parse_fraction_reads_every_ascii_form(value, expected) -> None:
+    assert parse_fraction(value) == expected
+
+
+@pytest.mark.parametrize("value", [
+    "1_000", " 1/2 ", "1/2\n", "١", "１", "1/-2", "1/+2", "0x10",
+    "1.5/2", "", "+", ".", "1e", "e3", "Infinity", "nan",
+])
+def test_a_string_outside_the_ascii_forms_exits_2_at_every_place(value) -> None:
+    # "1_000" read 1000, " 1/2 " read 1/2 and an Arabic-Indic one read 1,
+    # since Fraction's parser takes them
+    with pytest.raises(ValueError):
+        parse_fraction(value)
+    with tempfile.TemporaryDirectory() as tmp:
+        for place in PLACES:
+            code, err = _run(tmp, place, value)
+            assert code == 2, (place, value)
+            assert err.startswith("config error: ") and err.count("\n") == 1

@@ -170,6 +170,34 @@ def test_asymptotic_stats_rejects_bad_p() -> None:
         asymptotic_stats(gn, gn, F(3, 2))
 
 
+@pytest.mark.parametrize("kmax", [True, 2.5, 0, -1, "2", None])
+def test_generate_degree_one_refuses_a_kmax_that_is_no_int_at_least_1(
+        kmax) -> None:
+    # True built one degree, 2.5 died with a TypeError inside the loop
+    ring = SectionRing(1, 1)
+    with pytest.raises(GradedError, match="kmax must be an int >= 1"):
+        generate_degree_one(ring, {(0,): F(0), (1,): F(1)}, kmax)
+
+
+@pytest.mark.parametrize("p, kmax", [
+    (True, None), (False, None), (0, 0), (0, None), (-1, None), (2.0, None),
+    (F(1), None), (-inf, None)])
+def test_asymptotic_stats_checks_p_before_any_degree(p, kmax) -> None:
+    # p = True ran as p = 1, and p = 0 with kmax = 0 returned ([], None)
+    ring = SectionRing(1, 1)
+    gn = generate_degree_one(ring, {(0,): F(0), (1,): F(1)}, 3)
+    with pytest.raises(GradedError, match="p must be an integer >= 1 or inf"):
+        asymptotic_stats(gn, gn, p, kmax)
+
+
+@pytest.mark.parametrize("p", [1, 3, inf])
+def test_asymptotic_stats_reads_every_degree_for_a_good_p(p) -> None:
+    ring = SectionRing(1, 1)
+    gn = generate_degree_one(ring, {(0,): F(0), (1,): F(1)}, 3)
+    assert asymptotic_stats(gn, gn, p, 0) == ([], None)
+    assert asymptotic_stats(gn, gn, p)[0] == [(1, 0), (2, 0), (3, 0)]
+
+
 def test_norm_at_is_monomial_diagonal() -> None:
     ring = SectionRing(1, 2)
     gn = generate_degree_one(ring, {(0,): F(0), (1,): F(5), (2,): F(0)}, 3)
@@ -281,6 +309,9 @@ _GRADED_ERRORS = [
     (_deg1(weights=[True, False]), GradedError,
      "degree 1: malformed norm JSON: a rational must be a string or a "
      "number, got True"),
+    # a rational is read in its ASCII forms only, with no blanks
+    (_deg1(weights=["0", " 1/2 "]), GradedError,
+     "degree 1: malformed norm JSON: Invalid literal for Fraction: ' 1/2 '"),
 ]
 
 
@@ -300,7 +331,7 @@ def test_graded_json_errors_are_pinned(one, exc, message) -> None:
     # every form ``parse_fraction`` reads is a weight (a JSON number by its
     # decimal text), and the literal forms of the identity are not the only
     # ones
-    (_deg1(weights=["0", " 1/2 "]), (F(0), F(1, 2))),
+    (_deg1(weights=["0", "+1/2"]), (F(0), F(1, 2))),
     (_deg1(weights=["-0", "2/4"]), (F(0), F(1, 2))),
     (_deg1(weights=["1.5", "1e1"]), (F(3, 2), F(10))),
     (_deg1(weights=[1, 2.5]), (F(1), F(5, 2))),

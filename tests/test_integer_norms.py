@@ -134,13 +134,12 @@ def test_integer_ops_match_fraction_oracles(pair, t) -> None:
 
 
 def _counting(monkeypatch, calls):
-    """Count every clearing of a vector over Q (``linalg._cleared``, also
-    as the ring's ``clear``) and every ``Fraction`` view of rows."""
+    """Count every clearing of a vector over Q (``field.cleared``, as the
+    ring's ``clear``) and every ``Fraction`` view of rows."""
     def counted(name, real):
         return lambda *args: calls.append(name) or real(*args)
 
-    cleared = counted("_cleared", linalg._cleared)
-    monkeypatch.setattr(linalg, "_cleared", cleared)
+    cleared = counted("cleared", linalg._Z.clear)
     monkeypatch.setattr(linalg, "_Z", linalg._Z._replace(clear=cleared))
     monkeypatch.setattr(linalg, "row_values",
                         counted("row_values", linalg.row_values))

@@ -381,7 +381,8 @@ def test_level_segments_match_geodesic_oracle(pair, kmax, t) -> None:
 
 def test_level_segments_build_no_norm(monkeypatch) -> None:
     # the levels read the two profiles: no DiagNorm, no codiagonalization
-    # and no norm distance, while supnorm still builds its DiagNorm
+    # and no norm distance, while supnorm still builds its DiagNorm, on
+    # its integer weights (``DiagNorm._on``)
     built = []
     real_init, real_on = norms.DiagNorm.__init__, norms.DiagNorm._on
 
@@ -414,7 +415,7 @@ def test_level_segments_build_no_norm(monkeypatch) -> None:
         diagnostics(phi0, phi1, kmax=4)
         assert built == []
     supnorm(2, phi0)
-    assert built == ["__init__"]
+    assert built == ["_on"]
 
 
 def test_legendre_equals_maximal_on_level_two_instance() -> None:
