@@ -37,7 +37,7 @@ import os
 import sys
 
 from .config import ConfigError, load_config, metric_pair, parse_rational
-from .field import format_fraction
+from .field import format_fraction, read_count, read_time
 from .graded import asymptotic_stats, check_submultiplicative, serialize_counterexample
 from .norms import NormPair
 from .geodesics import pair_geodesic
@@ -298,9 +298,7 @@ def cmd_segments_maximal(args):
     cfg = load_config(args.config)
     names = args.pair.split(",") if args.pair else None
     phi0, phi1 = metric_pair(cfg, names)
-    t = parse_rational(args.t, "--t")
-    if not 0 <= t <= 1:
-        raise ConfigError(f"--t must lie in [0, 1], got {args.t}")
+    t = read_time(parse_rational(args.t, "--t"), "--t", ConfigError)
     # --out fails before the work
     path = _resolve_out(args.out, f"maximal_t_{t.numerator}_{t.denominator}",
                         "json")
@@ -404,8 +402,8 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        if args.kmax is not None and args.kmax < 1:
-            raise ConfigError(f"--kmax must be a positive integer, got {args.kmax}")
+        if args.kmax is not None:
+            read_count(args.kmax, "--kmax", ConfigError)
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -32,9 +32,9 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .field import json_list, parse_fraction
-from .graded import (GradedNorm, SectionRing, _is_positive_int, _level_k,
-                     _ring_dims)
+from .field import (json_list, parse_fraction, read_count, read_exponent,
+                    read_time)
+from .graded import GradedError, GradedNorm, SectionRing, _ring_dims
 from .norms import DiagNorm
 from .segments import FSSegment
 from .toric import ToricMetric
@@ -74,7 +74,7 @@ class MetricPath:
     @classmethod
     def from_json(cls, obj):
         ring = SectionRing(*_ring_dims(obj["ring"], "ring"))
-        k = _level_k(obj)
+        k = read_count(obj["k"], "k", GradedError)
         basis = ring.basis(k)
         samples, seen = [], set()
         for sample in obj["samples"]:
@@ -203,18 +203,17 @@ def _parsed_task(idx, task, parsed):
     if op in _NEEDS_T and "t" not in task:
         raise ConfigError(f"task {idx} ({op}): needs a 't' in [0, 1]")
     if "t" in task:
-        task["t"] = t = parse_rational(task["t"], f"task {idx}: t")
-        if not 0 <= t <= 1:
-            raise ConfigError(f"task {idx}: t must lie in [0, 1], got {t}")
+        task["t"] = read_time(parse_rational(task["t"], f"task {idx}: t"),
+                              f"task {idx}: t", ConfigError)
     if task.get("oracle_limit") is not None:
         task["oracle_limit"] = parse_rational(task["oracle_limit"],
                                               f"task {idx}: oracle_limit")
-    if "kmax" in task and not _is_positive_int(task["kmax"]):
-        raise ConfigError(f"task {idx}: kmax must be a positive integer")
+    if "kmax" in task:
+        read_count(task["kmax"], f"task {idx}: kmax", ConfigError)
     if task.get("p") == "inf":
         task["p"] = math.inf
-    elif "p" in task and not _is_positive_int(task["p"]):
-        raise ConfigError(f"task {idx}: p must be a positive integer or 'inf'")
+    elif "p" in task:
+        read_exponent(task["p"], f"task {idx}: p", ConfigError)
     if "seed" in task and type(task["seed"]) is not int:
         raise ConfigError(f"task {idx}: seed must be an integer")
     if "name" in task and not isinstance(task["name"], str):
@@ -241,10 +240,7 @@ def load_config(path) -> ExperimentConfig:
         if not isinstance(arena, dict):
             raise ConfigError("arena must be a JSON object")
         for key in ("n", "m"):
-            value = arena.get(key)
-            if not _is_positive_int(value):
-                raise ConfigError(
-                    f"arena.{key} must be a positive integer, got {value!r}")
+            read_count(arena.get(key), f"arena.{key}", ConfigError)
         backend = arena.get("backend", "trivial")
         if backend not in ("trivial", "tadic"):
             raise ConfigError(

@@ -19,13 +19,20 @@ their denominators, which is in lowest terms; ``lowest_terms`` reduces
 numerators a computation built (a geodesic slice, a convolution power, a
 profile's lattice values) by their gcd with den.  Layers hand the form on,
 and ``Fraction``s are built only as views of what a public API returns.
+
+Arguments are read in one place too.  ``parse_fraction`` reads every
+rational of a config; ``read_count`` (a level k, a bound kmax, a ring's n
+or m: an int >= 1, no bool), ``read_time`` (t in [0, 1], read by
+``Fraction``) and ``read_exponent`` (a d_p exponent: ``math.inf`` or a
+count) check every such argument of the package, each raising the
+exception class its caller passes, so every entry point keeps its own.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 
 class FieldError(ValueError):
@@ -133,6 +140,36 @@ def json_list(value, what: str):
     list fail where they are read."""
     if isinstance(value, (str, dict)):
         raise TypeError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def read_count(value, what: str, error) -> int:
+    """``value``, read where a count is documented (a level k, a bound
+    kmax, a ring's n or m, a power): an int >= 1.  Anything else raises
+    ``error`` naming ``what``: a bool (which Python counts as an int), a
+    float or ``Fraction`` (which ``range`` and a level chain would round or
+    refuse deep in the work), a string or an int below 1."""
+    if type(value) is not int or value < 1:
+        raise error(f"{what} must be a positive integer, got {value!r}")
+    return value
+
+
+def read_time(value, what: str, error) -> Fraction:
+    """``Fraction(value)``, read where a time t in [0, 1] is documented (a
+    segment or geodesic time, a mix weight); ``error`` naming ``what`` when
+    it lies outside [0, 1]."""
+    t = Fraction(value)
+    if not 0 <= t <= 1:
+        raise error(f"{what} {t} outside [0, 1]")
+    return t
+
+
+def read_exponent(value, what: str, error):
+    """``value``, read where a d_p exponent is documented: ``math.inf`` or
+    a count (see ``read_count``); ``error`` naming ``what`` otherwise, so a
+    bool, a float other than inf, a string or a ``Fraction`` is refused."""
+    if value != inf and (type(value) is not int or value < 1):
+        raise error(f"{what} must be a positive integer or inf, got {value!r}")
     return value
 
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .field import _rational, cleared
+from .field import _rational, cleared, read_time
 from .norms import DiagNorm, NormError, NormPair
 
 
@@ -103,9 +103,7 @@ class NormGeodesic:
         return self._ends
 
     def at(self, t) -> DiagNorm:
-        t = Fraction(t)
-        if not 0 <= t <= 1:
-            raise NormError(f"geodesic time {t} outside [0, 1]")
+        t = read_time(t, "geodesic time", NormError)
         den, a, b = self._numerators()
         p, q = t.numerator, t.denominator
         return DiagNorm._on(self._base()._rec, q * den,

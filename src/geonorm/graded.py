@@ -17,6 +17,13 @@ terms, so equality compares integers.  Given weights are read by
 and ``norm_at``.  The ``{point: Fraction}`` weights of a degree are built
 once, on first use, and ``degree_weights(k)`` returns a copy of them.
 
+Arguments.  A weight table of degree k, given as a mapping from the
+lattice points or as a standard-basis norm, is read by ``_basis_weights``
+alone, for this module, ``toric.fs_from_norm`` and ``FSSegment.build``.
+Ring dims, levels and kmax are counts (``field.read_count``), a geodesic
+time lies in [0, 1] (``field.read_time``) and p is an exponent
+(``field.read_exponent``), each checked before any degree is read.
+
 Keys.  The graded functions address a lattice point a of degree k <= K by
 the mixed-radix integer sum_i a_i * R^(n-1-i) with radix R = K*m + 1.  Every
 coordinate of a point of degree <= K is at most K*m < R, so adding two
@@ -35,7 +42,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, inf, lcm
 
-from .field import TRIVIAL, _rational, cleared, lowest_terms
+from .field import (TRIVIAL, _rational, cleared, lowest_terms, read_count,
+                    read_exponent, read_time)
 from .norms import (DiagNorm, NormError, _identity, _json_parts,
                     _standard_record)
 
@@ -67,10 +75,8 @@ class SectionRing:
     __slots__ = ("n", "m", "_bases")
 
     def __init__(self, n: int, m: int):
-        if n < 1 or m < 1:
-            raise GradedError("need n >= 1 and m >= 1")
-        self.n = n
-        self.m = m
+        self.n = read_count(n, "section ring n", GradedError)
+        self.m = read_count(m, "section ring m", GradedError)
         self._bases = {}
 
     def basis(self, k: int):
@@ -91,35 +97,17 @@ class SectionRing:
     __hash__ = None
 
 
-def _is_positive_int(value) -> bool:
-    return type(value) is int and value >= 1
-
-
 def _ring_dims(spec, where: str) -> tuple:
     """``(n, m)`` of the JSON object ``spec`` that holds a ring's n and m.
 
-    Every ring read from JSON passes here: GradedError unless both are
-    ints >= 1, since a float, a bool or a string would pass the
-    ``SectionRing`` constructor and fail deep inside a computation.
+    Every ring read from JSON passes here: GradedError naming the key
+    unless both are counts (``field.read_count``).
     """
     if not isinstance(spec, dict):
         raise GradedError(
             f"{where!r} must be a JSON object, got {type(spec).__name__}")
-    for key in ("n", "m"):
-        if not _is_positive_int(spec.get(key)):
-            raise GradedError(f"{where}.{key} must be a positive integer, "
-                              f"got {spec.get(key)!r}")
-    return spec["n"], spec["m"]
-
-
-def _level_k(spec) -> int:
-    """The level ``k`` of the JSON object ``spec`` (a segment or a sampled
-    path): GradedError unless it is an int >= 1, since ``int()`` would
-    truncate 1.5 to level 1."""
-    k = spec["k"]
-    if not _is_positive_int(k):
-        raise GradedError(f"k must be a positive integer, got {k!r}")
-    return k
+    return tuple(read_count(spec.get(key), f"{where}.{key}", GradedError)
+                 for key in ("n", "m"))
 
 
 def _keys(ring: SectionRing, k: int, radix: int) -> list:
@@ -139,18 +127,12 @@ class GradedNorm:
     __slots__ = ("ring", "kmax", "_den", "_nums", "_tables")
 
     def __init__(self, ring: SectionRing, weights_by_degree):
-        rows = []
-        for k, table in enumerate(weights_by_degree, start=1):
-            basis = ring.basis(k)
-            if set(table) != set(basis):
-                raise GradedError(
-                    f"degree {k} weights must cover exactly the "
-                    f"{ring.h0(k)} monomials of km*Delta")
-            rows.append([_rational(table[a]) for a in basis])
+        # a mapping per degree: {**table} refuses a norm or a list of pairs
+        rows = [_basis_weights(ring, k, {**table}, GradedError)
+                for k, table in enumerate(weights_by_degree, start=1)]
         if not rows:
             raise GradedError("a graded norm needs at least degree one")
-        den, *nums = cleared(*rows)
-        self._set(ring, den, tuple(nums))
+        self._set(ring, *_over_one_den(rows))
 
     @classmethod
     def _from_numerators(cls, ring: SectionRing, den: int, nums) -> "GradedNorm":
@@ -245,9 +227,14 @@ class GradedNorm:
                 raise GradedError(
                     f"degree {k} norm must be monomial-diagonal of "
                     f"dimension {ring.h0(k)}")
-        den = lcm(*(d for d, _ in rows))
-        return cls._from_numerators(ring, den, tuple(
-            tuple(x * (den // d) for x in row) for d, row in rows))
+        return cls._from_numerators(ring, *_over_one_den(rows))
+
+
+def _over_one_den(rows):
+    """``(den, numerator rows)``: rows of ``(den, numerators)``, each in
+    lowest terms, over the lcm of their dens, so in lowest terms."""
+    den = lcm(*(d for d, _ in rows))
+    return den, tuple(tuple(x * (den // d) for x in row) for d, row in rows)
 
 
 def _degree_weights(h0: int, obj):
@@ -269,19 +256,23 @@ def _degree_weights(h0: int, obj):
     return norm._den, norm._nums
 
 
-def _degree_one(ring: SectionRing, source):
-    """``(den, numerators)``: the degree-one weights, in ``ring.basis(1)``
-    order and lowest terms, of a standard-basis norm or a mapping from the
-    lattice points."""
-    basis = ring.basis(1)
+def _basis_weights(ring: SectionRing, k: int, source, error):
+    """``(den, numerators)``: the weights of a degree-k weight table, in
+    ``ring.basis(k)`` order and lowest terms, the one reader of such a
+    table.  ``source`` is a standard-basis norm of dimension h0(k) or a
+    mapping from the lattice points of km*Delta (tuples) that covers them
+    exactly; ``error`` otherwise."""
+    basis = ring.basis(k)
     if isinstance(source, DiagNorm):
         if source.dim != len(basis) or not source.is_standard_basis():
-            raise GradedError("degree-one norm must be monomial-diagonal")
+            raise error(f"degree {k} norm must be monomial-diagonal of "
+                        f"dimension {len(basis)}")
         return source._den, source._nums
-    table = {tuple(a): _rational(w) for a, w in dict(source).items()}
+    table = dict(source)
     if set(table) != set(basis):
-        raise GradedError("degree-one weights must cover m*Delta exactly")
-    return cleared([table[a] for a in basis])
+        raise error(f"degree {k} weights must cover exactly the "
+                    f"{len(basis)} monomials of km*Delta")
+    return cleared([_rational(table[a]) for a in basis])
 
 
 def generate_degree_one(ring: SectionRing, degree_one, kmax: int) -> GradedNorm:
@@ -292,11 +283,10 @@ def generate_degree_one(ring: SectionRing, degree_one, kmax: int) -> GradedNorm:
     norm through Sym^k H^0 -> H^0(k), computed as a max-plus convolution
     power.  Superadditive, hence submultiplicative, by construction.  The
     convolution runs on integer numerators over the lcm of the degree-one
-    denominators, keyed as in the module docstring.  kmax is an int >= 1.
+    denominators, keyed as in the module docstring.  kmax is a count.
     """
-    if not _is_positive_int(kmax):
-        raise GradedError(f"kmax must be an int >= 1, got {kmax!r}")
-    den, w1 = _degree_one(ring, degree_one)
+    read_count(kmax, "kmax", GradedError)
+    den, w1 = _basis_weights(ring, 1, degree_one, GradedError)
     radix = kmax * ring.m + 1
     one = list(zip(_keys(ring, 1, radix), w1))
     rows = [w1]
@@ -316,8 +306,12 @@ def generate_degree_one(ring: SectionRing, degree_one, kmax: int) -> GradedNorm:
 
 
 def check_submultiplicative(gn: GradedNorm, kmax: int | None = None):
-    """None if superadditive up to kmax, else the first violation (k,l,a,b)."""
-    K = gn.kmax if kmax is None else min(kmax, gn.kmax)
+    """None if superadditive up to kmax, else the first violation (k,l,a,b).
+
+    kmax is a count, or None for every degree of gn."""
+    K = gn.kmax
+    if kmax is not None:
+        K = min(read_count(kmax, "kmax", GradedError), K)
     ring = gn.ring
     radix = K * ring.m + 1
     keyed = [None] + [
@@ -343,9 +337,7 @@ def graded_geodesic(gn0: GradedNorm, gn1: GradedNorm, t) -> GradedNorm:
     """
     if gn0.ring != gn1.ring:
         raise GradedError("graded norms live on different rings")
-    t = Fraction(t)
-    if not 0 <= t <= 1:
-        raise NormError(f"geodesic time {t} outside [0, 1]")
+    t = read_time(t, "geodesic time", NormError)
     p, q = t.numerator, t.denominator
     L = lcm(gn0._den, gn1._den)
     s0 = (q - p) * (L // gn0._den)
@@ -369,14 +361,15 @@ def asymptotic_stats(gn0: GradedNorm, gn1: GradedNorm, p, kmax: int | None = Non
     metrics; callers may pass that oracle value through for reporting.
     With L = lcm(D0, D1), lambda is an integer over L, and each degree makes
     one Fraction: max|lambda|/(kL), or sum|lambda|^p / ((kL)^p * h0(k)).
+    p is an exponent (``field.read_exponent``), kmax a count or None for
+    every degree of both norms; both are checked before any degree.
     """
     if gn0.ring != gn1.ring:
         raise GradedError("graded norms live on different rings")
-    if p != inf and (type(p) is not int or p < 1):
-        raise GradedError(f"p must be an integer >= 1 or inf, got {p!r}")
+    read_exponent(p, "p", GradedError)
     K = min(gn0.kmax, gn1.kmax)
     if kmax is not None:
-        K = min(K, kmax)
+        K = min(K, read_count(kmax, "kmax", GradedError))
     L = lcm(gn0._den, gn1._den)
     s0, s1 = L // gn0._den, L // gn1._den
     values = []

@@ -111,6 +111,8 @@ from .field import (
     json_list,
     lowest_terms,
     parse_fraction,
+    read_count,
+    read_exponent,
 )
 
 
@@ -650,15 +652,7 @@ class NormPair:
 
     def distance(self, p=1):
         """``distance(n0, n1, p)`` of the pair."""
-        if p != math.inf:
-            try:
-                p = Fraction(p)
-            except (ArithmeticError, ValueError, TypeError):
-                p = None  # -inf, nan and non-numbers
-            if p is None or p.denominator != 1 or p < 1:
-                raise NormError(
-                    "finite p must be an integer >= 1 for exact arithmetic")
-            p = int(p)
+        p = read_exponent(p, "p", NormError)
         lam = self._differences()
         if p == math.inf:
             return Fraction(max(map(abs, lam)), self._den)
@@ -833,8 +827,7 @@ def sym_power_norm(n: DiagNorm, m: int) -> DiagNorm:
     (``_sym_power_basis``) and shared by the Sym^m norms of every norm on
     that record; only the weights are summed per call.
     """
-    if isinstance(m, bool) or not isinstance(m, int) or m < 1:
-        raise NormError("symmetric power needs m >= 1")
+    read_count(m, "symmetric power m", NormError)
     combos = list(combinations_with_replacement(range(n.dim), m))
     w = n._nums
     nums = tuple(sum(w[i] for i in combo) for combo in combos)

@@ -77,7 +77,7 @@ from math import comb, factorial, gcd, lcm, prod
 from operator import add, and_, itemgetter, mul, neg, sub
 
 from .field import (_rational, cleared, format_fraction, json_list,
-                    lowest_terms, parse_fraction)
+                    lowest_terms, parse_fraction, read_count, read_time)
 from .linalg import _extend_echelon, _primitive
 
 
@@ -232,9 +232,7 @@ class MaxAffine:
             raise PLError(f"malformed max-affine JSON: {exc}") from exc
         # a bool, float, list or string n would pass until a gradient's
         # length is compared with it
-        if type(n) is not int or n < 1:
-            raise PLError(f"max-affine n must be a positive integer, got {n!r}")
-        return cls(n, pieces)
+        return cls(read_count(n, "max-affine n", PLError), pieces)
 
 
 def prune(f: MaxAffine) -> MaxAffine:
@@ -332,9 +330,7 @@ def mix_witness(f: MaxAffine, g0: MaxAffine, g1: MaxAffine, lam):
 
 def _mix_witness(f, lam, q0: ConcaveProfile, q1: ConcaveProfile):
     """``mix_witness(f, g0, g1, lam)`` given q0, q1 = conjugate(g0, g1)."""
-    lam = Fraction(lam)
-    if not 0 <= lam <= 1:
-        raise PLError(f"mix weight must lie in [0, 1], got {lam}")
+    lam = read_time(lam, "mix weight", PLError)
     if lam == 0 or lam == 1:
         q = q0 if lam == 1 else q1
         return _le_witness(f, q.to_max_affine(), q)
@@ -1572,8 +1568,7 @@ def integrate_abs_difference(p0, p1, p: int = 1) -> Fraction:
     Computed on the integers of the two profiles' overlay
     (``_overlay_integral``).
     """
-    if type(p) is not int or p < 1:
-        raise PLError(f"the power p must be an integer >= 1, got {p!r}")
+    read_count(p, "the power p", PLError)
     return _overlay_integral(_overlay(p0, p1), p)
 
 

@@ -36,6 +36,10 @@ metric built by pruning (a Legendre slice, a maximal segment) comes
 with the profile pruning computed, and is not conjugated again.  An
 ``FSSegment`` holds its weights as integer numerators over one
 denominator and evaluates on them; its ``Fraction`` weights are views.
+
+Every segment time is read by ``field.read_time`` and every level and
+kmax by ``field.read_count``, with ``ToricError``, before anything is
+built; a weight table given as a mapping by ``graded._basis_weights``.
 """
 
 from __future__ import annotations
@@ -44,8 +48,10 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from .field import _rational, cleared, json_list, lowest_terms, parse_fraction
-from .graded import SectionRing, _level_k, _ring_dims
+from .field import (_rational, cleared, json_list, lowest_terms,
+                    parse_fraction, read_count, read_time)
+from .graded import (GradedError, SectionRing, _basis_weights,
+                     _over_one_den, _ring_dims)
 from .plconvex import (
     MaxAffine,
     _compare,
@@ -61,21 +67,12 @@ from .toric import (
     ToricMetric,
     _energy,
     _fs_metric,
-    _require_kmax,
     _require_pair,
     _require_same_bundle,
     fs_from_norm,
     reference,
     section_ring,
 )
-
-
-def _segment_time(t) -> Fraction:
-    """t as a Fraction; ToricError unless 0 <= t <= 1."""
-    t = Fraction(t)
-    if not 0 <= t <= 1:
-        raise ToricError(f"segment time {t} outside [0, 1]")
-    return t
 
 
 def _pointwise_max(n: int, m: int, pots):
@@ -102,23 +99,19 @@ class FSSegment:
 
     @classmethod
     def build(cls, ring: SectionRing, k: int, w0, w1) -> "FSSegment":
-        _require_kmax(k, "level k")
-        basis = ring.basis(k)
+        read_count(k, "level k", ToricError)
+        h0 = ring.h0(k)
 
         def align(w):
             if isinstance(w, dict):
-                table = {tuple(a): _rational(x) for a, x in w.items()}
-                if set(table) != set(basis):
-                    raise ToricError(
-                        "segment weights must cover the degree-k basis")
-                return tuple(table[a] for a in basis)
+                return _basis_weights(ring, k, w, ToricError)
             w = tuple(map(_rational, w))
-            if len(w) != len(basis):
-                raise ToricError(
-                    f"expected {len(basis)} weights, got {len(w)}")
-            return w
+            if len(w) != h0:
+                raise ToricError(f"expected {h0} weights, got {len(w)}")
+            return cleared(w)
 
-        return cls(ring, k, *cleared(align(w0), align(w1)))
+        den, rows = _over_one_den([align(w0), align(w1)])
+        return cls(ring, k, den, *rows)
 
     @classmethod
     def _from_ints(cls, ring: SectionRing, k: int, den: int, b0,
@@ -136,7 +129,7 @@ class FSSegment:
         return tuple(Fraction(x, self._den) for x in self._b1)
 
     def eval(self, t) -> ToricMetric:
-        t = _segment_time(t)
+        t = read_time(t, "segment time", ToricError)
         # (1 - t) w0 + t w1 with t = tn / td, over td den
         tn, td = t.numerator, t.denominator
         return _fs_metric(self.ring, self.k, td * self._den,
@@ -173,7 +166,8 @@ class FSSegment:
         ring = section_ring(*_ring_dims(obj["ring"], "ring"))
         w0, w1 = ([parse_fraction(x) for x in json_list(obj[key], key)]
                   for key in ("weights0", "weights1"))
-        return cls.build(ring, _level_k(obj), w0, w1)
+        k = read_count(obj["k"], "k", GradedError)
+        return cls.build(ring, k, w0, w1)
 
 
 def fs_segment(ring: SectionRing, k: int, w0, w1) -> FSSegment:
@@ -219,7 +213,7 @@ def tau_critical_set(phi0: ToricMetric, phi1: ToricMetric):
 def _legendre_recover(n: int, m: int, family, t):
     """``(phi, q)``: sup over tau of (u_tau + t*tau) for a family ((tau,
     u_tau), ...), and its profile."""
-    t = _segment_time(t)
+    t = read_time(t, "segment time", ToricError)
     return _pointwise_max(n, m, [u.shifted(t * tau) for tau, u in family])
 
 
@@ -255,7 +249,7 @@ def duality_tau_set(seg: FSSegment):
 
 def segment_from_dual(seg: FSSegment, t) -> ToricMetric:
     """Legendre recovery: sup over tau of (kiselman_dual + t*tau)."""
-    _segment_time(t)  # before the duals are built
+    read_time(t, "segment time", ToricError)  # before the duals are built
     family = tuple((tau, kiselman_dual(seg, tau).potential)
                    for tau in duality_tau_set(seg))
     return _legendre_recover(seg.ring.n, seg.ring.m, family, t)[0]
@@ -288,7 +282,7 @@ def detect_non_psh(ring: SectionRing, k: int, samples):
     consecutive triples are convex, so only those are mixed.  Two samples
     at one t raise ``ToricError``: the samples are then no function of t.
     """
-    _require_kmax(k, "level k")
+    read_count(k, "level k", ToricError)
     metrics = [(t, fs_from_norm(ring, k, w)) for t, w in samples]
     metrics.sort(key=lambda tv: tv[0])
     for (t, _), (u, _) in zip(metrics, metrics[1:]):
@@ -374,18 +368,18 @@ class SegmentPair(MetricPair):
 
     def quantized_level(self, k: int) -> FSSegment:
         """``quantized_level(phi0, phi1, k)`` of the pair."""
-        _require_kmax(k, "level k")
+        read_count(k, "level k", ToricError)
         _require_same_bundle(self.phi0, self.phi1)
         self._full_profiles()
         return self._level(k)
 
     def maximal(self, t, kmax: int = 8) -> ToricMetric:
         """``maximal_segment(phi0, phi1, t, kmax)`` of the pair."""
-        _require_kmax(kmax)
+        read_count(kmax, "kmax", ToricError)
         levels = quantization_levels(kmax)
         _require_same_bundle(self.phi0, self.phi1)
         self._full_profiles()
-        t = _segment_time(t)  # before any level is built
+        t = read_time(t, "segment time", ToricError)  # before any level
         return self._maximal(levels, t)[0]
 
     def _maximal(self, levels, t):
@@ -402,7 +396,7 @@ class SegmentPair(MetricPair):
     def legendre(self, t) -> ToricMetric:
         """``legendre_segment(phi0, phi1, t)`` of the pair."""
         _require_same_bundle(self.phi0, self.phi1)
-        t = _segment_time(t)  # before the overlay is built
+        t = read_time(t, "segment time", ToricError)  # before the overlay
         return self._slice(t)[0]
 
     def diagnostics(self, kmax: int = 8, ts=_TS):
@@ -411,8 +405,9 @@ class SegmentPair(MetricPair):
         The report depends on kmax only through its chain of levels, so it
         is built once per chain and times, and the same dict is returned.
         """
-        ts = tuple(map(_segment_time, ts))  # before anything is built
-        _require_kmax(kmax)
+        # before anything is built
+        ts = tuple(read_time(t, "segment time", ToricError) for t in ts)
+        read_count(kmax, "kmax", ToricError)
         key = (quantization_levels(kmax), ts)
         if key not in self._reports:
             self._reports[key] = self._report(*key)

@@ -53,6 +53,11 @@ weight: each level sums in closed form over the integer ranges of the
 cells of the pair's overlay (``plconvex._overlay_line_sum``), so this
 module reads no profile's cells or planes.  E(phi) integrates the
 profile's integers (``plconvex.integrate_profile``).
+
+A ring's n and m, a level k and a kmax are counts, read by
+``field.read_count`` before any conjugate (with ``ToricError``, and with
+``GradedError`` in ``sup_graded``, which builds a graded norm); a weight
+table is read by ``graded._basis_weights``.
 """
 
 from __future__ import annotations
@@ -61,8 +66,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 
-from .field import TRIVIAL, _rational, cleared, format_decimal, format_fraction
-from .graded import GradedError, GradedNorm, SectionRing, _ring_dims
+from .field import TRIVIAL, format_decimal, format_fraction, read_count
+from .graded import (GradedError, GradedNorm, SectionRing, _basis_weights,
+                     _ring_dims)
 from .norms import DiagNorm, _standard_record
 from .plconvex import (
     Comparison,
@@ -89,11 +95,11 @@ _rings: dict = {}
 
 
 def section_ring(n: int, m: int) -> SectionRing:
-    """The shared section ring of O(m) over P^n; n and m must be ints, since
-    (1, 2.0) == (1, 2) would file a float ring under the int key."""
-    if type(n) is not int or type(m) is not int:
-        raise ToricError(
-            f"a section ring needs integer n and m, got n = {n!r}, m = {m!r}")
+    """The shared section ring of O(m) over P^n; n and m are counts, read
+    before the cache, since (1, 2.0) == (1, 2) would file a float ring
+    under the int key."""
+    read_count(n, "section ring n", ToricError)
+    read_count(m, "section ring m", ToricError)
     if (n, m) not in _rings:
         _rings[(n, m)] = SectionRing(n, m)
     return _rings[(n, m)]
@@ -174,20 +180,11 @@ def fs_from_norm(ring: SectionRing, k: int, source) -> ToricMetric:
     """Level-k Fubini-Study metric of a monomial-diagonal norm.
 
     Weights may be a DiagNorm in the degree-k monomial basis or a mapping
-    from lattice points; all h0(k) monomials must be present.
+    from lattice points; all h0(k) monomials must be present
+    (``graded._basis_weights``).
     """
-    _require_kmax(k, "level k")
-    basis = ring.basis(k)
-    if isinstance(source, DiagNorm):
-        if source.dim != len(basis) or not source.is_standard_basis():
-            raise ToricError(
-                f"norm must be monomial-diagonal of dimension {len(basis)}")
-        # the norm's integer weights, in basis order, in lowest terms
-        return _fs_metric(ring, k, source._den, source._nums)
-    table = {tuple(a): _rational(w) for a, w in dict(source).items()}
-    if set(table) != set(basis):
-        raise ToricError("weights must cover the degree-k basis exactly")
-    return _fs_metric(ring, k, *cleared([table[a] for a in basis]))
+    read_count(k, "level k", ToricError)
+    return _fs_metric(ring, k, *_basis_weights(ring, k, source, ToricError))
 
 
 def _fs_metric(ring: SectionRing, k: int, den: int, numerators) -> ToricMetric:
@@ -214,7 +211,7 @@ def supnorm(k: int, phi: ToricMetric) -> DiagNorm:
     The conjugate scales as (k u)*(a) = k u*(a/k), so one profile of the
     defining potential serves every degree.
     """
-    _require_kmax(k, "level k")
+    read_count(k, "level k", ToricError)
     q = _full_profile(phi)
     nums = _supweights(k, phi, q)
     return DiagNorm._on(_standard_record(TRIVIAL, len(nums)), q._den, nums)
@@ -243,7 +240,7 @@ def _supweights(k: int, phi: ToricMetric, q: ConcaveProfile) -> tuple:
 def sup_graded(phi: ToricMetric, kmax: int) -> GradedNorm:
     """The graded norm k -> supnorm(k, phi), degrees 1..kmax."""
     ring = section_ring(phi.n, phi.m)
-    _require_kmax(kmax, error=GradedError)  # before any support check
+    read_count(kmax, "kmax", GradedError)  # before any support check
     q = _full_profile(phi)
     return GradedNorm._from_numerators(ring, q._den, tuple(
         _supweights(k, phi, q) for k in range(1, kmax + 1)))
@@ -294,16 +291,6 @@ def _require_pair(phi0, phi1):
     _require_same_bundle(phi0, phi1)
     for phi in (phi0, phi1):
         _require_full_support(phi)
-
-
-def _require_kmax(kmax: int, name: str = "kmax", error=ToricError):
-    """The per-degree tables, the levels and their chains, and the graded
-    sup-norms need an int kmax >= 1; a bool or a float is refused, since
-    ``range`` would take True for 1 and a chain would round 2.5 down."""
-    if type(kmax) is not int:
-        raise error(f"{name} must be an int, got {kmax!r}")
-    if kmax < 1:
-        raise error(f"{name} must be at least 1, got {kmax}")
 
 
 def energy(phi0: ToricMetric, phi1: ToricMetric, kmax: int = 8) -> ConvergenceResult:
@@ -459,7 +446,7 @@ class MetricPair:
 
     def energy(self, kmax: int = 8) -> ConvergenceResult:
         """``energy(phi0, phi1, kmax)`` of the pair."""
-        _require_kmax(kmax)
+        read_count(kmax, "kmax", ToricError)
         _require_pair(self.phi0, self.phi1)
         per_k = self._per_degree(kmax, lambda d: d)
         return ConvergenceResult(per_k, self._energy(0) - self._energy(1))
@@ -472,7 +459,7 @@ class MetricPair:
 
     def d1(self, kmax: int = 8) -> ConvergenceResult:
         """``d1_metric(phi0, phi1, kmax)`` of the pair."""
-        _require_kmax(kmax)
+        read_count(kmax, "kmax", ToricError)
         phi0, phi1 = self.phi0, self.phi1
         _require_pair(phi0, phi1)
         per_k = self._per_degree(kmax, abs)

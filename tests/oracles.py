@@ -193,7 +193,7 @@ from operator import mul, sub
 from geonorm import linalg, plconvex
 from geonorm.field import (INF, TADIC, TRIVIAL, RatFunc, cleared,
                            format_fraction)
-from geonorm.graded import GradedError, GradedNorm, SectionRing, _degree_one
+from geonorm.graded import GradedError, GradedNorm, SectionRing, _basis_weights
 from geonorm.norms import (
     DiagNorm,
     NormError,
@@ -2002,7 +2002,7 @@ def generate_degree_one(ring, degree_one, kmax):
     """Max-plus convolution powers of the degree-one weights, in Fractions."""
     if kmax < 1:
         raise GradedError("kmax must be at least 1")
-    den, nums = _degree_one(ring, degree_one)
+    den, nums = _basis_weights(ring, 1, degree_one, GradedError)
     w1 = {a: Fraction(x, den) for a, x in zip(ring.basis(1), nums)}
     tables = [w1]
     b1 = ring.basis(1)

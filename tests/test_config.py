@@ -141,7 +141,7 @@ def test_path_weight_count_checked(tmp_path) -> None:
 def test_task_t_range(tmp_path) -> None:
     doc = _demo_doc()
     doc["tasks"][0]["t"] = "3/2"
-    with pytest.raises(ConfigError, match=r"t must lie in \[0, 1\]"):
+    with pytest.raises(ConfigError, match=r"t 3/2 outside \[0, 1\]"):
         load_config(_write(tmp_path, doc))
 
 

@@ -175,7 +175,7 @@ def test_generate_degree_one_refuses_a_kmax_that_is_no_int_at_least_1(
         kmax) -> None:
     # True built one degree, 2.5 died with a TypeError inside the loop
     ring = SectionRing(1, 1)
-    with pytest.raises(GradedError, match="kmax must be an int >= 1"):
+    with pytest.raises(GradedError, match="kmax must be a positive integer"):
         generate_degree_one(ring, {(0,): F(0), (1,): F(1)}, kmax)
 
 
@@ -186,7 +186,8 @@ def test_asymptotic_stats_checks_p_before_any_degree(p, kmax) -> None:
     # p = True ran as p = 1, and p = 0 with kmax = 0 returned ([], None)
     ring = SectionRing(1, 1)
     gn = generate_degree_one(ring, {(0,): F(0), (1,): F(1)}, 3)
-    with pytest.raises(GradedError, match="p must be an integer >= 1 or inf"):
+    with pytest.raises(GradedError,
+                       match="p must be a positive integer or inf"):
         asymptotic_stats(gn, gn, p, kmax)
 
 
@@ -194,7 +195,8 @@ def test_asymptotic_stats_checks_p_before_any_degree(p, kmax) -> None:
 def test_asymptotic_stats_reads_every_degree_for_a_good_p(p) -> None:
     ring = SectionRing(1, 1)
     gn = generate_degree_one(ring, {(0,): F(0), (1,): F(1)}, 3)
-    assert asymptotic_stats(gn, gn, p, 0) == ([], None)
+    with pytest.raises(GradedError, match="kmax must be a positive integer"):
+        asymptotic_stats(gn, gn, p, 0)
     assert asymptotic_stats(gn, gn, p)[0] == [(1, 0), (2, 0), (3, 0)]
 
 
@@ -423,6 +425,10 @@ def test_generate_degree_one_matches_fraction_oracle(case) -> None:
 @given(_bent_norms(), st.integers(0, 6))
 def test_check_submultiplicative_matches_fraction_oracle(gn, kmax) -> None:
     for K in (None, kmax):
+        if K == 0:  # no count, now refused
+            with pytest.raises(GradedError):
+                check_submultiplicative(gn, K)
+            continue
         assert check_submultiplicative(gn, K) == \
             oracles.check_submultiplicative(gn, K)
 
@@ -446,6 +452,10 @@ def test_asymptotic_stats_matches_fraction_oracle(case, p, kmax) -> None:
     gn0 = generate_degree_one(ring, tables[0], K0)
     gn1 = generate_degree_one(ring, tables[1], K1)
     for K in (None, kmax):
+        if K == 0:  # no count, now refused
+            with pytest.raises(GradedError):
+                asymptotic_stats(gn0, gn1, p, K, F(1, 3))
+            continue
         assert asymptotic_stats(gn0, gn1, p, K, F(1, 3)) == \
             oracles.asymptotic_stats(gn0, gn1, p, K, F(1, 3))
 

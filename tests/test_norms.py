@@ -576,7 +576,8 @@ def test_distance_rejects_fractional_p() -> None:
 @pytest.mark.parametrize("p", [-math.inf, float("nan"), 0, -2, F(3, 2),
                                "two"])
 def test_distance_rejects_bad_p(p) -> None:
-    with pytest.raises(NormError, match="finite p must be an integer >= 1"):
+    with pytest.raises(NormError,
+                       match="^p must be a positive integer or inf, got "):
         distance(_std((0, 0)), _std((1, 2)), p)
 
 
@@ -995,7 +996,8 @@ def test_sym_power_weights() -> None:
 @pytest.mark.parametrize("m", [0, -1, 1.5, 2.0, F(2), True, "2", None])
 def test_sym_power_rejects_bad_m(m) -> None:
     # a non-int or boolean m gets the one-line error that m < 1 gets
-    with pytest.raises(NormError, match=r"^symmetric power needs m >= 1$"):
+    with pytest.raises(NormError, match=r"^symmetric power m must be a "
+                                        r"positive integer, got "):
         sym_power_norm(_std((0, 1)), m)
 
 

@@ -45,7 +45,7 @@ def test_integrate_abs_difference_needs_an_integer_power(q, p) -> None:
     # p = 0 counted a tie cell twice (4 on [0, 2], 1 on the unit
     # triangle), p = -1 raised a bare ValueError and p = 1/2 a TypeError
     with pytest.raises(PLError, match=re.escape(
-            f"the power p must be an integer >= 1, got {p!r}")):
+            f"the power p must be a positive integer, got {p!r}")):
         integrate_abs_difference(q, q, p)
     assert integrate_abs_difference(q, q, 1) == 0
     assert integrate_abs_difference(q, q.shifted(1), 1) == (

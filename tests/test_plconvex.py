@@ -448,7 +448,7 @@ def test_mix_witness_on_p3_is_the_pruned_mix_witness(case) -> None:
 
 @pytest.mark.parametrize("lam", [F(-1, 2), F(3, 2)])
 def test_mix_witness_refuses_a_weight_outside_0_1(lam) -> None:
-    with pytest.raises(PLError, match="mix weight must lie in"):
+    with pytest.raises(PLError, match=rf"mix weight {lam} outside \[0, 1\]"):
         mix_witness(REF, REF, REF.shifted(-1), lam)
 
 

@@ -127,8 +127,8 @@ def test_segment_time_is_checked_before_anything_is_built(monkeypatch) -> None:
 def test_quantized_level_needs_a_positive_level() -> None:
     seg = _comparable_seg()
     for k in (0, -1):
-        with pytest.raises(ToricError, match=f"level k must be at least 1, "
-                                             f"got {k}"):
+        with pytest.raises(ToricError, match=f"level k must be a positive "
+                                             f"integer, got {k}"):
             quantized_level(seg.start, seg.end, k)
 
 
