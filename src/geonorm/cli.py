@@ -36,7 +36,7 @@ import math
 import os
 import sys
 
-from .config import ConfigError, load_config, metric_pair, parse_rational
+from .config import ConfigError, load_config, metric_pair
 from .field import format_fraction, read_count, read_time
 from .graded import asymptotic_stats, check_submultiplicative, serialize_counterexample
 from .norms import NormPair
@@ -298,7 +298,7 @@ def cmd_segments_maximal(args):
     cfg = load_config(args.config)
     names = args.pair.split(",") if args.pair else None
     phi0, phi1 = metric_pair(cfg, names)
-    t = read_time(parse_rational(args.t, "--t"), "--t", ConfigError)
+    t = read_time(args.t, "--t", ConfigError)
     # --out fails before the work
     path = _resolve_out(args.out, f"maximal_t_{t.numerator}_{t.denominator}",
                         "json")

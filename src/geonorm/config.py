@@ -203,8 +203,7 @@ def _parsed_task(idx, task, parsed):
     if op in _NEEDS_T and "t" not in task:
         raise ConfigError(f"task {idx} ({op}): needs a 't' in [0, 1]")
     if "t" in task:
-        task["t"] = read_time(parse_rational(task["t"], f"task {idx}: t"),
-                              f"task {idx}: t", ConfigError)
+        task["t"] = read_time(task["t"], f"task {idx}: t", ConfigError)
     if task.get("oracle_limit") is not None:
         task["oracle_limit"] = parse_rational(task["oracle_limit"],
                                               f"task {idx}: oracle_limit")

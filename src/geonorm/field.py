@@ -22,8 +22,8 @@ and ``Fraction``s are built only as views of what a public API returns.
 
 Arguments are read in one place too.  ``parse_fraction`` reads every
 rational of a config; ``read_count`` (a level k, a bound kmax, a ring's n
-or m: an int >= 1, no bool), ``read_time`` (t in [0, 1], read by
-``Fraction``) and ``read_exponent`` (a d_p exponent: ``math.inf`` or a
+or m: an int >= 1, no bool), ``read_time`` (t in [0, 1], a string or
+float read as a config reads it) and ``read_exponent`` (a d_p exponent: ``math.inf`` or a
 count) check every such argument of the package, each raising the
 exception class its caller passes, so every entry point keeps its own.
 """
@@ -155,10 +155,16 @@ def read_count(value, what: str, error) -> int:
 
 
 def read_time(value, what: str, error) -> Fraction:
-    """``Fraction(value)``, read where a time t in [0, 1] is documented (a
-    segment or geodesic time, a mix weight); ``error`` naming ``what`` when
-    it lies outside [0, 1]."""
-    t = Fraction(value)
+    """``value`` as a ``Fraction``, read where a time t in [0, 1] is
+    documented (a segment or geodesic time, a mix weight): an int or a
+    ``Fraction`` as it is, and a string or float by ``parse_fraction``, so
+    0.1 is 1/10.  Anything else (a bool, None, a text that is no rational)
+    raises ``error`` naming ``what``, and so does a t outside [0, 1]."""
+    try:
+        t = (Fraction(value) if type(value) in (int, Fraction)
+             else parse_fraction(value))
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise error(f"{what} must be a rational, got {value!r}") from None
     if not 0 <= t <= 1:
         raise error(f"{what} {t} outside [0, 1]")
     return t

@@ -39,6 +39,7 @@ is therefore unchanged, and so are the counterexamples derived from it.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import comb, inf, lcm
 
@@ -52,8 +53,10 @@ class GradedError(ValueError):
     pass
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def lattice_points(n: int, d: int):
-    """Lattice points of d*Delta_n: a in Z^n, a >= 0, sum a_i <= d."""
+    """Lattice points of d*Delta_n: a in Z^n, a >= 0, sum a_i <= d, as a
+    sorted tuple, built once per (n, d) (2 and 2.0 apart)."""
     if d < 0:
         return ()
     out = []
@@ -72,17 +75,14 @@ def lattice_points(n: int, d: int):
 class SectionRing:
     """Monomial model of R(P^n, O(m)) = sum_k H^0(km * O(1))."""
 
-    __slots__ = ("n", "m", "_bases")
+    __slots__ = ("n", "m")
 
     def __init__(self, n: int, m: int):
         self.n = read_count(n, "section ring n", GradedError)
         self.m = read_count(m, "section ring m", GradedError)
-        self._bases = {}
 
     def basis(self, k: int):
-        if k not in self._bases:
-            self._bases[k] = lattice_points(self.n, k * self.m)
-        return self._bases[k]
+        return lattice_points(self.n, k * self.m)
 
     def h0(self, k: int) -> int:
         return comb(k * self.m + self.n, self.n)

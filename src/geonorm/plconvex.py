@@ -1337,47 +1337,47 @@ def _envelope(profiles, P: Polytope):
 def marginal_min(F: MaxAffine, tau=0) -> MaxAffine:
     """inf over t in [0, 1] of (F(t, v) - t*tau), as a function of v.
 
-    The epigraph of the objective is projected by eliminating t exactly;
-    rows with positive and negative t-coefficients pair up, by the
-    positive integer multipliers -rn_t and rp_t, and the rest pass
-    through.  Redundant pieces are pruned afterwards by ``prune``; v has
-    any number of coordinates.
+    The epigraph of the objective is projected by eliminating t exactly
+    (``_marginal_rows``), and the projected pieces are pruned by
+    ``prune``; v has any number of coordinates.
+    """
+    return prune(MaxAffine._from_ints(F.n - 1, *_marginal_rows(F, tau)))
+
+
+def _marginal_rows(F: MaxAffine, tau):
+    """``(den, rows)``: the pieces of ``marginal_min(F, tau)`` before the
+    prune, integer rows (G_1, ..., G_n, C) over den, by Fourier-Motzkin.
+
+    One pass sorts F's pieces by the sign of their t-slope after the shift
+    by -t*tau.  A piece of positive slope gives its value at t = 0, one of
+    negative slope its value at t = 1, and a flat piece itself (the pairs
+    with the rows t >= 0 and t <= 1); each positive piece crosses each
+    negative one, with the multipliers of the two slopes.  Each piece is
+    reduced by one gcd and all are put over one lcm.
     """
     tau = _rational(tau)
-    n = F.n - 1
-    if n < 0:
+    if F.n <= 0:
         raise PLError("marginal_min needs a leading variable")
-    # rows: (a_t, a_v..., a_z, rhs) meaning a_t t + <a_v, v> + a_z z <= rhs,
-    # each piece's row scaled by F's denominator times tau's
+    # s: a piece's t-slope less tau, times den td; (d, V..., C) is the
+    # piece (<V, v> + C) / d
     den, tn, td = F._den, tau.numerator, tau.denominator
-    rows = [(r[0] * td - tn * den,) + tuple(x * td for x in r[1:-1])
-            + (-den * td, -r[-1] * td) for r in F._rows]
-    zero_v = (0,) * n
-    rows.append((-1,) + zero_v + (0, 0))  # t >= 0
-    rows.append((1,) + zero_v + (0, 1))   # t <= 1
-    pos = [r for r in rows if r[0] > 0]
-    neg = [r for r in rows if r[0] < 0]
-    projected = [r[1:] for r in rows if r[0] == 0]
-    for rp in pos:
-        for rn in neg:
-            projected.append(tuple(a * -rn[0] + b * rp[0]
-                                   for a, b in zip(rp[1:], rn[1:])))
-    pieces = []
-    for row in projected:
-        a_v, a_z, rhs = row[:-2], row[-2], row[-1]
-        if a_z == 0:
-            if any(a_v) or rhs < 0:
-                raise PLError("internal error: marginal is not finite")
-            continue
-        # a_z < 0 always (pieces contribute -den td each): the piece is
-        # (a_v / -a_z, -rhs / -a_z), here in lowest terms
-        g = gcd(a_z, rhs, *a_v)
-        pieces.append((-a_z // g, tuple(x // g for x in a_v + (-rhs,))))
-    if not pieces:
-        raise PLError("internal error: empty marginal")
-    scale = lcm(*(gamma for gamma, _ in pieces))
-    return prune(MaxAffine._from_ints(n, scale, [
-        tuple(x * (scale // gamma) for x in r) for gamma, r in pieces]))
+    pieces, rises, falls = [], [], []
+    for r in F._rows:
+        s, v = r[0] * td - tn * den, r[1:]
+        if s < 0:
+            pieces.append((den * td, tuple(x * td for x in v[:-1])
+                           + (v[-1] * td + s,)))
+            falls.append((-s, v))
+        else:
+            pieces.append((den, v))
+            if s:
+                rises.append((s, v))
+    pieces += [(den * (p + q), tuple(x * q + y * p for x, y in zip(vp, vn)))
+               for p, vp in rises for q, vn in falls]
+    reduced = [lowest_terms(d, v) for d, v in pieces]
+    scale = lcm(*(d for d, _ in reduced))
+    return scale, [v if d == scale else tuple(x * (scale // d) for x in v)
+                   for d, v in reduced]
 
 
 # ---------------------------------------------------------------------------

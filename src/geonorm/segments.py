@@ -17,9 +17,12 @@ over tau of the rooftops P(phi0, phi1 - tau) + t tau, has the profile
 (1 - t) q0 + t q1 in closed form: at each point the sup is attained at
 tau = q1 - q0.  That mix is affine on each cell of the integer overlay of
 q0 and q1, so the slice at t is the max of one piece per overlay vertex,
-pruned once (``plconvex._interpolated``); no rooftop is built.  Sampled
-metric paths are checked for convexity in t, the psh condition, by
-``detect_non_psh``.
+pruned once (``plconvex._interpolated``); no rooftop is built.  The
+round trip ``segment_from_dual`` feeds the unpruned Fourier-Motzkin rows
+of every Kiselman dual inf over t of (phi_t - t tau) of a level segment,
+each gradient checked in m Delta, into one sup over tau of the duals
+shifted by t tau, pruned once: one conjugate.  Sampled metric paths are
+checked for convexity in t, the psh condition, by ``detect_non_psh``.
 
 The functions of a metric pair read one record of the pair
 (``SegmentPair``, a ``toric.MetricPair``), filled on first use, so each
@@ -48,6 +51,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from .field import (_rational, cleared, json_list, lowest_terms,
                     parse_fraction, read_count, read_time)
 from .graded import (GradedError, SectionRing, _basis_weights,
@@ -56,6 +60,7 @@ from .plconvex import (
     MaxAffine,
     _compare,
     _interpolated,
+    _marginal_rows,
     _mix_witness,
     _overlay_taus,
     _pruned,
@@ -67,19 +72,13 @@ from .toric import (
     ToricMetric,
     _energy,
     _fs_metric,
+    _require_in_simplex,
     _require_pair,
     _require_same_bundle,
     fs_from_norm,
     reference,
     section_ring,
 )
-
-
-def _pointwise_max(n: int, m: int, pots):
-    """``(phi, q)``: the pruned pointwise max of potentials, as a limit
-    metric, and its profile, which pruning computed."""
-    pot, q = _pruned(pots[0].max_with(*pots[1:]))
-    return ToricMetric(n, m, pot, "limit"), q
 
 
 @dataclass(frozen=True)
@@ -210,13 +209,6 @@ def tau_critical_set(phi0: ToricMetric, phi1: ToricMetric):
     return SegmentPair(phi0, phi1).critical_taus()
 
 
-def _legendre_recover(n: int, m: int, family, t):
-    """``(phi, q)``: sup over tau of (u_tau + t*tau) for a family ((tau,
-    u_tau), ...), and its profile."""
-    t = read_time(t, "segment time", ToricError)
-    return _pointwise_max(n, m, [u.shifted(t * tau) for tau, u in family])
-
-
 def legendre_segment(phi0: ToricMetric, phi1: ToricMetric, t) -> ToricMetric:
     """sup over tau of (P(phi0, phi1 - tau) + t*tau), exactly.
 
@@ -230,7 +222,7 @@ def legendre_segment(phi0: ToricMetric, phi1: ToricMetric, t) -> ToricMetric:
 
 
 def kiselman_dual(seg: FSSegment, tau) -> ToricMetric:
-    """inf over t of (phi_t - t*tau): epigraph projection of the segment.
+    """inf over t of (phi_t - t*tau), by pruned Fourier-Motzkin elimination.
 
     The minimum principle says the result is again psh; here that means
     the marginal's gradients land in m*Delta, which the ToricMetric
@@ -248,11 +240,27 @@ def duality_tau_set(seg: FSSegment):
 
 
 def segment_from_dual(seg: FSSegment, t) -> ToricMetric:
-    """Legendre recovery: sup over tau of (kiselman_dual + t*tau)."""
-    read_time(t, "segment time", ToricError)  # before the duals are built
-    family = tuple((tau, kiselman_dual(seg, tau).potential)
-                   for tau in duality_tau_set(seg))
-    return _legendre_recover(seg.ring.n, seg.ring.m, family, t)[0]
+    """Legendre recovery: sup over tau in ``duality_tau_set`` of
+    (kiselman_dual + t*tau), t read first.  The duals' unpruned
+    Fourier-Motzkin rows (``plconvex._marginal_rows`` of the one joint
+    potential), each gradient checked in m*Delta (the minimum principle),
+    are shifted onto one denominator and pruned once."""
+    t = read_time(t, "segment time", ToricError)  # before the duals are built
+    n, m, joint = seg.ring.n, seg.ring.m, seg.joint_potential()
+    duals = []
+    for tau in duality_tau_set(seg):
+        den, rows = _marginal_rows(joint, tau)
+        _require_in_simplex(m, den, rows)
+        duals.append((den, rows, t * tau))
+    # one denominator for every dual and every shift
+    top = lcm(*(x for den, _, c in duals for x in (den, c.denominator)))
+    rows = []
+    for den, dual, c in duals:
+        s, off = top // den, c.numerator * (top // c.denominator)
+        rows += [tuple(x * s for x in r[:-1]) + (r[-1] * s + off,)
+                 for r in dual]
+    pot, _ = _pruned(MaxAffine._from_ints(n, top, rows))
+    return ToricMetric(n, m, pot, "limit")
 
 
 def planted_non_psh_path():

@@ -115,14 +115,7 @@ class ToricMetric:
     def __post_init__(self):
         if self.potential.n != self.n:
             raise ToricError("potential dimension does not match n")
-        f = self.potential
-        top = self.m * f._den   # sum(g) <= m, times den
-        for r in f._rows:
-            g = r[:-1]
-            if any(x < 0 for x in g) or sum(g) > top:
-                g = tuple(Fraction(x, f._den) for x in g)
-                raise ToricError(
-                    f"piece gradient {g} falls outside {self.m}*Delta")
+        _require_in_simplex(self.m, self.potential._den, self.potential._rows)
 
     def has_full_support(self) -> bool:
         """Gradient hull contains every vertex of m*Delta.
@@ -164,6 +157,17 @@ class ToricMetric:
         n, m = _ring_dims(obj, "metric")
         return cls(n, m, MaxAffine.from_json(obj["potential"]),
                    obj.get("provenance", "fs(1)"))
+
+
+def _require_in_simplex(m: int, den: int, rows):
+    """``ToricError`` unless the gradient G / den of every integer row
+    (G_1, ..., G_n, C) over den lies in m*Delta."""
+    top = m * den   # sum(g) <= m, times den
+    for r in rows:
+        g = r[:-1]
+        if any(x < 0 for x in g) or sum(g) > top:
+            g = tuple(Fraction(x, den) for x in g)
+            raise ToricError(f"piece gradient {g} falls outside {m}*Delta")
 
 
 def _require_same_bundle(phi0: ToricMetric, phi1: ToricMetric):

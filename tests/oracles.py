@@ -27,7 +27,11 @@ meet over Z and keeps rows by an incremental integer echelon.  The exceptions be
 each a path the library replaced, kept as a differential reference and
 composed from the library's own primitives.
 ``legendre_segment_per_t`` is the per-t Legendre construction that
-geonorm.segments replaced.  ``rooftop_family`` (with ``_shifted_min`` and
+geonorm.segments replaced.  ``segment_from_dual_per_tau`` is the
+Legendre recovery from pruned Kiselman duals, one per shift, shifted,
+joined by ``max_with`` and pruned (``legendre_recover`` with
+``pointwise_max``), where geonorm.segments feeds every dual's unpruned
+Fourier-Motzkin rows into one sup and prunes it once.  ``rooftop_family`` (with ``_shifted_min`` and
 ``_crossings``) reads the rooftop P(phi0, phi1 - tau) of every critical
 tau off the library's integer overlay, as min(q0, q1 - tau), crossing
 the edges that ``overlay_edges`` reads off the cells' tight rows (the
@@ -226,9 +230,9 @@ from geonorm.plconvex import (
 )
 from geonorm.geodesics import geodesic
 from geonorm.segments import (
-    _legendre_recover,
-    _pointwise_max,
+    duality_tau_set,
     fs_segment,
+    kiselman_dual,
     quantization_levels,
     tau_critical_set,
 )
@@ -511,6 +515,36 @@ def legendre_segment_per_t(phi0, phi1, t):
     return ToricMetric(phi0.n, phi0.m, pot, "limit")
 
 
+def pointwise_max(n, m, pots):
+    """``(phi, q)``: the pruned pointwise max of potentials, as a limit
+    metric, and its profile, which pruning computed."""
+    pot, q = _pruned(pots[0].max_with(*pots[1:]))
+    return ToricMetric(n, m, pot, "limit"), q
+
+
+def legendre_recover(n, m, family, t):
+    """``(phi, q)``: sup over tau of (u_tau + t*tau) for a family ((tau,
+    u_tau), ...), and its profile."""
+    t = Fraction(t)
+    return pointwise_max(n, m, [u.shifted(t * tau) for tau, u in family])
+
+
+# ---------------------------------------------------------------------------
+# Legendre recovery from the Kiselman duals, one pruned dual per shift: the
+# path that geonorm.segments replaced with one sup of every dual's
+# unpruned Fourier-Motzkin rows, pruned once.
+# ---------------------------------------------------------------------------
+
+
+def segment_from_dual_per_tau(seg, t):
+    """sup over tau of (kiselman_dual(seg, tau) + t*tau): each dual built
+    from its own joint potential and pruned, shifted, and the max of the
+    shifted duals pruned."""
+    family = [(tau, kiselman_dual(seg, tau).potential)
+              for tau in duality_tau_set(seg)]
+    return legendre_recover(seg.ring.n, seg.ring.m, family, t)[0]
+
+
 # ---------------------------------------------------------------------------
 # Quantized level segments through the norm geodesic of two sup-norms: the
 # path that geonorm.segments replaced with the weight interpolation of the
@@ -576,7 +610,7 @@ def maximal_over_chain(pair, t, kmax):
     level of the chain up to kmax, pruned, and its profile, as
     geonorm.segments built the maximal segment of a ``SegmentPair``."""
     segs = [pair._level(k) for k in quantization_levels(kmax)]
-    return _pointwise_max(pair.phi0.n, pair.phi0.m,
+    return pointwise_max(pair.phi0.n, pair.phi0.m,
                           [seg.eval(Fraction(t)).potential for seg in segs])
 
 
@@ -3154,7 +3188,7 @@ def legendre_via_rooftops(phi0, phi1, t):
     family of its members shifted by t tau, and its profile."""
     family = rooftop_family(
         _overlay_integer(phi0.profile(), phi1.profile()))
-    return _legendre_recover(phi0.n, phi0.m, family, t)
+    return legendre_recover(phi0.n, phi0.m, family, t)
 
 
 def profile_key(q):

@@ -2,12 +2,14 @@
 
 One table holds every entry point of the package that takes a count (a
 level k, a bound kmax, a ring's n or m, a power: an int >= 1, no bool), a
-time t in [0, 1] (read by ``Fraction``) or a d_p exponent (``math.inf`` or
-a count).  Each bad value raises the entry point's own exception class
-with its kind's one message, before any conjugate, level or kernel runs:
-the work each entry point would start next is replaced by ``refuse``.
-Each good value gives the result pinned below, a digest of the result's
-JSON form that the code before the readers computed.
+time t in [0, 1] (an int or ``Fraction``, or a string or float read as a
+config reads it) or a d_p exponent (``math.inf`` or a count).  Each bad
+value raises the entry point's own exception class with its kind's one
+message, before any conjugate, level or kernel runs: the work each entry
+point would start next is replaced by ``refuse``.  A time that is no
+rational has one message of its own.  Each good value gives the result
+pinned below, a digest of the result's JSON form that the code before the
+readers computed.
 """
 
 import hashlib
@@ -43,8 +45,11 @@ F = Fraction
 
 BAD = {
     "count": (True, False, 2.0, F(5, 2), "2", 0, -1),
-    # and a hair outside each end of [0, 1]
-    "time": (F(-1, 2), F(3, 2), F(-1, 2 ** 64), 1 + F(1, 2 ** 64)),
+    # and a hair outside each end of [0, 1]; then values that are no
+    # rational (True read as 1, None and "abc" raised a bare TypeError and
+    # ValueError)
+    "time": (F(-1, 2), F(3, 2), F(-1, 2 ** 64), 1 + F(1, 2 ** 64),
+             True, None, "abc"),
     "exponent": (True, 2.0, "2", F(2), 0, -inf),
 }
 
@@ -52,6 +57,7 @@ MESSAGE = {
     "count": "{what} must be a positive integer, got {value!r}",
     "time": "{what} {value} outside [0, 1]",
     "exponent": "{what} must be a positive integer or inf, got {value!r}",
+    "rational": "{what} must be a rational, got {value!r}",
 }
 
 RING = section_ring(1, 1)
@@ -121,7 +127,7 @@ ROWS = [
      lambda k: diagnostics(PHI0, PHI1, k), CONJUGATE, (1, 2)),
     ("FSSegment.build k", "count", ToricError, "level k",
      lambda k: FSSegment.build(RING, k, (0, 0), (0, -2)),
-     ((SectionRing, "basis"),), (1,)),
+     ((SectionRing, "h0"),), (1,)),
     ("FSSegment.from_json k", "count", GradedError, "k",
      lambda k: FSSegment.from_json(dict(SEG.to_json(), k=k)),
      ((FSSegment, "build"),), (1,)),
@@ -136,10 +142,11 @@ ROWS = [
      lambda n: _section_ring(n, 1), ((toric, "SectionRing"),), (1, 2)),
     ("section_ring m", "count", ToricError, "section ring m",
      lambda m: _section_ring(1, m), ((toric, "SectionRing"),), (1, 2)),
+    # a ring builds no basis until one is read: no work to refuse
     ("SectionRing n", "count", GradedError, "section ring n",
-     lambda n: SectionRing(n, 1), ((graded, "lattice_points"),), (1, 2)),
+     lambda n: SectionRing(n, 1), (), (1, 2)),
     ("SectionRing m", "count", GradedError, "section ring m",
-     lambda m: SectionRing(1, m), ((graded, "lattice_points"),), (1, 2)),
+     lambda m: SectionRing(1, m), (), (1, 2)),
     ("GradedNorm.from_json ring.n", "count", GradedError, "ring.n",
      lambda n: GradedNorm.from_json(
          dict(GN0.to_json(), ring={"n": n, "m": 1})),
@@ -175,7 +182,7 @@ ROWS = [
     ("FSSegment.eval t", "time", ToricError, "segment time",
      lambda t: SEG.eval(t), ((segments, "_fs_metric"),), (0, F(1, 2), 1)),
     ("segment_from_dual t", "time", ToricError, "segment time",
-     lambda t: segment_from_dual(SEG, t), ((segments, "kiselman_dual"),),
+     lambda t: segment_from_dual(SEG, t), ((segments, "_marginal_rows"),),
      (0, F(1, 2), 1)),
     ("legendre_segment t", "time", ToricError, "segment time",
      lambda t: legendre_segment(PHI0, PHI1, t),
@@ -196,9 +203,11 @@ ROWS = [
     ("_mix_witness lam", "time", PLError, "mix weight",
      lambda lam: _mix_witness(PHI0.potential, lam, Q0, Q1),
      ((plconvex, "_le_witness"),), (0, F(1, 2), 1)),
+    # a Fraction as the config text that writes it
     ("config task t", "time", ConfigError, "task 0: t",
      lambda t: config._parsed_task(
-         0, {"op": "maximal", "metrics": ["a", "b"], "t": str(t)}, PARSED),
+         0, {"op": "maximal", "metrics": ["a", "b"],
+             "t": str(t) if type(t) is Fraction else t}, PARSED),
      (), (0, F(1, 2), 1)),
     # -- exponents --
     ("distance p", "exponent", NormError, "p",
@@ -323,6 +332,15 @@ def _refuse(*args, **kwargs):
     raise AssertionError("the work started before the argument was checked")
 
 
+def _message(kind, what, value):
+    """The one message of a bad value of a kind."""
+    if kind != "time":
+        return MESSAGE[kind].format(what=what, value=value)
+    if type(value) in (int, Fraction):
+        return MESSAGE["time"].format(what=what, value=Fraction(value))
+    return MESSAGE["rational"].format(what=what, value=value)
+
+
 _BAD_CASES = [pytest.param(row, value, id=f"{row[0]}={value!r}")
               for row in ROWS for value in BAD[row[1]]]
 _GOOD_CASES = [pytest.param(row, value, id=f"{row[0]}={value!r}")
@@ -335,8 +353,7 @@ def test_a_bad_value_is_refused_before_any_work(row, value,
     _, kind, error, what, call, work, _ = row
     for owner, name in work:
         monkeypatch.setattr(owner, name, _refuse)
-    shown = Fraction(value) if kind == "time" else value
-    message = MESSAGE[kind].format(what=what, value=shown)
+    message = _message(kind, what, value)
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call(value)
 
@@ -344,6 +361,23 @@ def test_a_bad_value_is_refused_before_any_work(row, value,
 @pytest.mark.parametrize("row, value", _GOOD_CASES)
 def test_a_good_value_gives_the_pinned_result(row, value) -> None:
     assert _digest(row[4](value)) == GOOD[(row[0], value)]
+
+
+@pytest.mark.parametrize("row", [pytest.param(row, id=row[0]) for row in ROWS
+                                 if row[5] and row[6]])
+def test_a_good_value_reaches_the_refused_work(row, monkeypatch) -> None:
+    # so that no probe watches work its entry point has stopped doing
+    for owner, name in row[5]:
+        monkeypatch.setattr(owner, name, _refuse)
+    with pytest.raises(AssertionError, match="^the work started"):
+        row[4](row[6][-1])
+
+
+@pytest.mark.parametrize("row", [pytest.param(row, id=row[0]) for row in ROWS
+                                 if row[1] == "time"])
+def test_a_float_time_is_read_by_its_decimal_text(row) -> None:
+    # 0.1 read as 3602879701896397/36028797018963968 before
+    assert _digest(row[4](0.1)) == _digest(row[4](F(1, 10)))
 
 
 @pytest.mark.parametrize("text", ["True", "False", "2.0", "5/2", "0", "-1"])
@@ -372,8 +406,9 @@ def test_cli_t_is_a_time(t, tmp_path, capsys, monkeypatch) -> None:
         "a": PHI0.to_json(), "b": PHI1.to_json()}}, "tasks": []}))
     argv = ["segments", "maximal", "--config", str(path), f"--t={t}"]
     assert main(argv) == 2
+    shown = t if type(t) is Fraction else str(t)
     assert capsys.readouterr().err == (
-        f"config error: --t {t} outside [0, 1]\n")
+        f"config error: {_message('time', '--t', shown)}\n")
 
 
 # -- the graded kmax and the section ring, as the readers found them ---------

@@ -47,6 +47,15 @@ def test_lattice_points_counts() -> None:
     assert (1, 1) in lattice_points(2, 2)
 
 
+def test_one_lattice_point_table_per_n_and_d() -> None:
+    # every ring on (n, m) reads one table per degree, and a float degree
+    # is no key of an int one
+    assert SectionRing(2, 1).basis(3) is SectionRing(2, 1).basis(3)
+    assert SectionRing(2, 3).basis(1) is lattice_points(2, 3)
+    with pytest.raises(TypeError):
+        lattice_points(1, 2.0)
+
+
 def test_section_ring_h0() -> None:
     r12 = SectionRing(1, 2)
     assert [r12.h0(k) for k in (1, 2, 3)] == [3, 5, 7]

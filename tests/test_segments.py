@@ -134,10 +134,11 @@ def test_quantized_level_needs_a_positive_level() -> None:
 
 def test_segment_from_dual_checks_t_before_any_dual(monkeypatch) -> None:
     # a level-2 segment on P^1 has four duality slopes, and a bad t builds
-    # none of their duals, on P^1 as on P^3
+    # the rows of none of their duals, on P^1 as on P^3; a good t builds
+    # those of each, so the probe is on the path
     calls = []
-    real = segments.kiselman_dual
-    monkeypatch.setattr(segments, "kiselman_dual",
+    real = segments._marginal_rows
+    monkeypatch.setattr(segments, "_marginal_rows",
                         lambda *args: calls.append(args) or real(*args))
     seg = fs_segment(RING2, 2, (0, 0, 3, 0, 0), (0, -1, 0, 2, 0))
     assert len(duality_tau_set(seg)) == 4
@@ -148,6 +149,32 @@ def test_segment_from_dual_checks_t_before_any_dual(monkeypatch) -> None:
                 "segment time 3/2 outside [0, 1]")):
             segment_from_dual(bad, F(3, 2))
     assert calls == []
+    for good in (seg, seg3):
+        calls.clear()
+        segment_from_dual(good, F(1, 2))
+        assert [tau for _, tau in calls] == list(duality_tau_set(good))
+
+
+@pytest.mark.parametrize("ring, k, w0, w1, slopes", [
+    ((1, 2), 2, (0, 0, 3, 0, 0), (0, -1, 0, 2, 0), 4),
+    ((2, 1), 1, (0, 1, 2), (0, -1, 3), 3),
+])
+def test_segment_from_dual_conjugates_once(ring, k, w0, w1, slopes,
+                                           monkeypatch) -> None:
+    # the sup of the unpruned duals is pruned once, and no dual on its
+    # own: one conjugate per round trip, where a pruned dual per slope
+    # made slopes + 1
+    seg = fs_segment(section_ring(*ring), k, w0, w1)
+    assert len(duality_tau_set(seg)) == slopes
+    calls = []
+    real = plconvex.conjugate
+    monkeypatch.setattr(plconvex, "conjugate",
+                        lambda f: calls.append(f) or real(f))
+    for t in (F(0), F(1, 3), F(1)):
+        calls.clear()
+        back = segment_from_dual(seg, t)
+        assert len(calls) == 1
+        assert back == seg.eval(t)
 
 
 def test_segment_weight_validation() -> None:
@@ -489,6 +516,40 @@ def test_segment_from_dual_round_trip() -> None:
                 fs_segment(RING2, 2, (0, 0, 3, 0, 0), (0, -1, 0, 2, 0))):
         for t in (F(0), F(1, 3), F(1, 2), F(1)):
             assert segment_from_dual(seg, t) == seg.eval(t)
+
+
+# (n, m, k): P^1 at m and k in {1, 2}, P^2 and P^3 at k = 1
+_DUAL_ARENAS = ((1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2), (2, 1, 1),
+                (3, 1, 1))
+_DUAL_TIMES = (F(0), F(1, 4), F(1, 2), F(2, 3), F(1))
+
+
+@st.composite
+def _fs_segments(draw):
+    """A level-k FS segment, weights in (1/3)Z and (1/2)Z."""
+    n, m, k = draw(st.sampled_from(_DUAL_ARENAS))
+    ring = section_ring(n, m)
+    weights = st.lists(st.builds(F, st.integers(-6, 6), st.sampled_from(
+        (1, 2, 3))), min_size=ring.h0(k), max_size=ring.h0(k))
+    return fs_segment(ring, k, draw(weights), draw(weights))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_fs_segments(), st.fractions(0, 1, max_denominator=12))
+def test_segment_from_dual_matches_per_tau_oracle(seg, drawn) -> None:
+    # one sup of every dual's unpruned rows, pruned once, is the max of
+    # the pruned duals shifted one by one, row for row
+    for t in _DUAL_TIMES + (drawn,):
+        got = segment_from_dual(seg, t)
+        want = oracles.segment_from_dual_per_tau(seg, t)
+        assert got.potential._rows == want.potential._rows
+        assert got.to_json() == want.to_json()
+    # and each pruned dual is still the Fraction Fourier-Motzkin one
+    joint, n = seg.joint_potential(), seg.ring.n
+    keep = oracles.nonredundant_lp if n == 3 else None
+    for tau in duality_tau_set(seg):
+        assert (plconvex.marginal_min(joint, tau).pieces
+                == oracles.marginal_min_fm(n, list(joint.pieces), tau, keep))
 
 
 def test_compare_and_detect_non_psh_run_no_lp(monkeypatch) -> None:
